@@ -1,27 +1,30 @@
 # Development targets. `make check` is the gate: vet + errlint + obs-lint +
-# build + tests + race-enabled tests, in that order, failing fast. `make
-# cover` prints a per-package coverage summary. `make bench` runs the
+# metric-lint + build + the bench-module build + tests + race-enabled tests +
+# fuzz, in that order, failing fast. `make cover` prints a per-package
+# coverage summary. `make bench` runs the
 # parallel-engine and scheduler benchmarks at a fixed iteration count
 # (numbers recorded in BENCH_parallel.json and BENCH_sched.json);
 # `make bench-core` runs the CSR/schedule benches behind BENCH_core.json;
-# `make bench-robust` runs the fallible-path overhead benches behind
-# BENCH_robust.json; `make bench-obs` runs the observability overhead
+# `make bench-robust` runs the error-plumbing and robustness-wrapper overhead
+# benches behind BENCH_robust.json; `make bench-obs` runs the observability overhead
 # benches behind BENCH_obs.json; `make bench-load` replays the wvqbench
 # prepared-vs-ad-hoc load workload behind BENCH_load.json; `make bench-dist`
 # runs the shard-coordinator fan-out benches behind BENCH_dist.json;
 # `make bench-storage` runs the 10M-coefficient cold-drain benches behind
 # BENCH_storage.json; `make bench-ingest` runs the MVCC write-path benches
 # (batched vs single-tuple Apply throughput, reader latency during sustained
-# writes) behind BENCH_ingest.json. `make fuzz` gives the .wvls layout opener
-# a short adversarial shake (FuzzOpenLayout) and runs as part of `make check`.
+# writes) behind BENCH_ingest.json. `make fuzz` gives the three decoders of
+# untrusted bytes — the .wvdb reader (FuzzRead), the query-language parser
+# (FuzzParse) and the .wvls layout opener (FuzzOpenLayout) — a short
+# adversarial shake each and runs as part of `make check`.
 
 GO ?= go
 
-.PHONY: all check vet errlint obs-lint metric-lint build test race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
+.PHONY: all check vet errlint obs-lint metric-lint build bench-build test race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
 
 all: check
 
-check: vet errlint obs-lint metric-lint build test race fuzz
+check: vet errlint obs-lint metric-lint build bench-build test race fuzz
 
 vet:
 	$(GO) vet ./...
@@ -50,17 +53,27 @@ metric-lint:
 build:
 	$(GO) build ./...
 
+# The benchmark harness is its own module (bench/go.mod), so `./...` above
+# never compiles it: vet and build it here so an internal-API change that
+# breaks it fails the gate, not the benchmark pipeline. -o /dev/null keeps
+# the build from leaving a binary in bench/.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# Short adversarial fuzz of the .wvls opener: mutated layout files must be
-# rejected with errors (or open and serve through the fallible surface),
-# never panic. The seed corpus alone runs in the normal tests; this gives
-# the mutator a fixed, CI-sized budget.
+# Short adversarial fuzz of everything that decodes bytes from outside the
+# process: mutated .wvdb files, query text and .wvls layout files must be
+# rejected with errors (or, for layouts, open and serve with per-key
+# errors), never panic. The seed corpora alone run in the normal tests; this
+# gives each mutator a fixed, CI-sized budget.
 fuzz:
+	$(GO) test -run NONE -fuzz FuzzRead -fuzztime 10s ./internal/codec/
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/ql/
 	$(GO) test -run NONE -fuzz FuzzOpenLayout -fuzztime 10s ./internal/storage/layout/
 
 cover:
@@ -82,9 +95,9 @@ bench-core:
 bench-sched:
 	$(GO) test -run NONE -bench 'BenchmarkScheduler' -benchtime=20x ./internal/sched/
 
-# Robustness-layer benchmarks behind BENCH_robust.json: fallible-vs-
-# infallible exact pass and progressive drain, plus the zero-fault cost of
-# the chaos injector and an idle retry layer.
+# Robustness-layer benchmarks behind BENCH_robust.json: the exact pass and
+# the progressive drain with their error plumbing, plus the zero-fault cost
+# of the chaos injector and an idle retry layer.
 bench-robust:
 	$(GO) test -run NONE -bench 'BenchmarkExactFallible|BenchmarkDrainFallible|BenchmarkZeroFaultInjector|BenchmarkIdleRetryLayer' -benchmem -benchtime=100x ./internal/core/
 

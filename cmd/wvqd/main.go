@@ -77,14 +77,14 @@ func main() {
 		slowQuery   = flag.Duration("slow-query", 0, "log an EXPLAIN ANALYZE profile for requests at or above this duration (0 = disabled)")
 		profileRing = flag.Int("profile-ring", 0, "finished profiles retained for /debug/profiles (0 = default 64)")
 
-		// Robustness: retry policy over the store's fallible path, and a
+		// Robustness: retry policy over the store's retrievals, and a
 		// deterministic chaos injector underneath it for resilience drills.
 		retryAttempts = flag.Int("retry-attempts", 0, "retry failed retrievals up to N attempts (0 = no retry layer)")
 		retryBase     = flag.Duration("retry-base", 0, "base backoff delay between retry attempts (0 = default 1ms)")
 		retryTimeout  = flag.Duration("retry-timeout", 0, "per-attempt retrieval timeout (0 = none)")
 
 		chaosErrRate   = flag.Float64("chaos-error-rate", 0, "inject retrieval errors on this fraction of keys [0,1)")
-		chaosErrEvery  = flag.Int("chaos-error-every", 0, "inject a retrieval error every Nth fallible call (0 = off)")
+		chaosErrEvery  = flag.Int("chaos-error-every", 0, "inject a retrieval error every Nth retrieved key (0 = off)")
 		chaosDelayRate = flag.Float64("chaos-delay-rate", 0, "inject latency on this fraction of keys [0,1)")
 		chaosDelay     = flag.Duration("chaos-delay", 0, "latency injected on delayed retrievals")
 		chaosSeed      = flag.Uint64("chaos-seed", 1, "seed of the deterministic chaos schedule")

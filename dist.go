@@ -180,7 +180,7 @@ func OpenDistributed(addrs []string, opts DistOptions) (*Database, error) {
 	for _, m := range metas {
 		mass += m.Mass
 	}
-	shards := make([]storage.FallibleStore, len(remotes))
+	shards := make([]storage.Store, len(remotes))
 	for i, r := range remotes {
 		shards[i] = r
 	}

@@ -132,13 +132,10 @@ func BenchmarkDistDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkDistExact compares exact evaluation local vs distributed, on
-// both retrieval shapes: the batched path (ExactParallelCtx — chunked
-// BatchGetCtx calls, what anything latency-conscious should use against a
-// coordinator) and the per-key path (ExactCtx — one GetCtx per coefficient,
-// which over the network means one wire round-trip per key; the bench
-// quantifies exactly how punishing that is, so nobody ships it by
-// accident).
+// BenchmarkDistExact compares exact evaluation (ExactParallelCtx — chunked
+// BatchGetCtx calls) local vs distributed. The per-key variant BENCH_dist.json
+// records (one wire round-trip per coefficient, ~120× slower) no longer
+// exists to measure: ExactCtx is the same batched pass on one worker.
 func BenchmarkDistExact(b *testing.B) {
 	fx, err := distBenchSetup()
 	if err != nil {
@@ -162,12 +159,4 @@ func BenchmarkDistExact(b *testing.B) {
 			}
 		})
 	}
-	b.Run("perkey/coordinator-4shards", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := fx.ddb.ExactCtx(ctx, fx.dplan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

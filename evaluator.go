@@ -16,14 +16,14 @@ type Evaluator interface {
 	// Exact evaluates a plan exactly (one retrieval per distinct
 	// coefficient), panicking on storage failure.
 	Exact(plan *Plan) []float64
-	// ExactCtx evaluates a plan exactly through the fallible path,
-	// returning the first retrieval failure or ctx.Err(); bit-identical to
-	// Exact on a fault-free store.
+	// ExactCtx evaluates a plan exactly, returning a retrieval failure or
+	// ctx.Err() instead of panicking; bit-identical to Exact on a
+	// fault-free store.
 	ExactCtx(ctx context.Context, plan *Plan) ([]float64, error)
 	// ExactParallel evaluates a plan exactly with batched retrieval and
 	// parallel accumulation; bit-identical to Exact.
 	ExactParallel(plan *Plan, workers int) []float64
-	// ExactParallelCtx is the fallible ExactParallel.
+	// ExactParallelCtx is ExactParallel with ExactCtx's error reporting.
 	ExactParallelCtx(ctx context.Context, plan *Plan, workers int) ([]float64, error)
 	// NewRun starts a progressive Batch-Biggest-B run under the penalty.
 	NewRun(plan *Plan, pen Penalty) *Run

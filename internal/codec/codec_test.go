@@ -43,7 +43,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	re := snap.Store()
 	store.ForEachNonzero(func(k int, v float64) bool {
-		if got := re.Get(k); got != v {
+		if got := storage.Get(re, k); got != v {
 			t.Fatalf("coefficient %d: %g want %g", k, got, v)
 		}
 		return true
@@ -159,7 +159,7 @@ func TestRoundTripThroughFileStore(t *testing.T) {
 	}
 	re := snap.Store()
 	for k, v := range cells {
-		if got := re.Get(k); math.Abs(got-v) != 0 {
+		if got := storage.Get(re, k); math.Abs(got-v) != 0 {
 			t.Fatalf("coefficient %d: %g want %g", k, got, v)
 		}
 	}

@@ -64,7 +64,7 @@ func (r *BlockRun) Step() bool {
 		return false
 	}
 	for _, i := range r.order[r.pos] {
-		v := r.store.Get(r.plan.keys[i])
+		v := storage.Get(r.store, r.plan.keys[i])
 		r.retrieved++
 		if v == 0 {
 			continue

@@ -80,7 +80,7 @@ func (e *CachedEvaluator) get(key int) float64 {
 		return el.Value.(cacheEntry).val
 	}
 	e.misses++
-	v := e.store.Get(key)
+	v := storage.Get(e.store, key)
 	if e.cacheSize == 0 {
 		return v
 	}

@@ -12,11 +12,11 @@ package core
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/penalty"
@@ -213,28 +213,19 @@ func (p *Plan) Importances(pen penalty.Penalty) []float64 {
 // Exact evaluates the batch exactly by one pass over the master list
 // (Batch-Biggest-B without the importance order — the pure I/O-sharing
 // exact algorithm of Section 2.2). It performs exactly
-// DistinctCoefficients retrievals, streaming linearly through the CSR
-// arrays.
+// DistinctCoefficients retrievals. It is ExactCtx for stores that cannot
+// fail: any retrieval error panics.
 func (p *Plan) Exact(store storage.Store) []float64 {
-	est := make([]float64, p.NumQueries())
-	for i, key := range p.keys {
-		v := store.Get(key)
-		if v == 0 {
-			continue
-		}
-		idxs, cs := p.entryRefs(i)
-		for k, qi := range idxs {
-			est[qi] += cs[k] * v
-		}
-	}
-	return est
+	return p.ExactParallel(store, 1)
 }
 
 // Run is one progressive execution of Batch-Biggest-B. It is a cursor over
 // the plan's cached retrieval schedule (the static pop order of the
 // importance heap it replaced — see schedule.go) plus the progressive
-// estimates, advancing one retrieval per Step. Once the cursor reaches the
-// end of the schedule the estimates are exact.
+// estimates. StepBatchCtx (fallible.go) is the one loop that advances it;
+// every other stepping method is an adapter over it. Once the cursor
+// reaches the end of the schedule the estimates are exact unless the run is
+// Degraded.
 type Run struct {
 	plan  *Plan
 	store storage.Store
@@ -247,12 +238,9 @@ type Run struct {
 	// bounds holds the lazily-built per-query error-bound cursors
 	// (bounds.go).
 	bounds []queryBound
-	// batchVals is StepBatch's reusable fetch buffer.
+	// batchVals is StepBatchCtx's reusable fetch buffer.
 	batchVals []float64
 
-	// fstore is the lazily-initialized fallible view of store, built on the
-	// first *Ctx call so the infallible path pays nothing (fallible.go).
-	fstore storage.FallibleStore
 	// skipped holds the schedule positions of entries whose retrieval failed
 	// permanently (ascending, since the cursor only moves forward); the run
 	// advanced past them in degraded mode. skippedSet indexes the same
@@ -307,32 +295,11 @@ func (r *Run) entryRetrieved(i int32) bool {
 
 // Step retrieves the most important unretrieved entry — the next one in
 // schedule order — and advances every query that needs it (step 5). It
-// returns false when the computation is complete.
+// returns false when the computation is complete. A single step is a batch
+// of one: a failed retrieval marks the entry skipped, exactly as StepCtx.
 func (r *Run) Step() bool {
-	if r.cursor >= len(r.sched.order) {
-		return false
-	}
-	m := coObs()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	i := r.sched.order[r.cursor]
-	r.cursor++
-	v := r.store.Get(r.plan.keys[i])
-	if v != 0 {
-		idxs, cs := r.plan.entryRefs(int(i))
-		for k, qi := range idxs {
-			r.estimates[qi] += cs[k] * v
-		}
-	}
-	if m != nil {
-		m.stepSeconds.Observe(time.Since(start).Seconds())
-	}
-	if r.trace != nil {
-		r.traceStep()
-	}
-	return true
+	ok, _ := r.StepCtx(context.Background()) // a background context never ends
+	return ok
 }
 
 // StepN performs up to n steps and returns how many were executed.
@@ -345,10 +312,9 @@ func (r *Run) StepN(n int) int {
 }
 
 // RunToCompletion drains the schedule; afterwards Estimates holds exact
-// results.
+// results unless the run is Degraded.
 func (r *Run) RunToCompletion() {
-	for r.Step() {
-	}
+	_ = r.RunToCompletionCtx(context.Background()) // a background context never ends
 }
 
 // Done reports whether the cursor has drained the schedule. A done run's
@@ -518,7 +484,7 @@ func (r *RoundRobin) Step() bool {
 		}
 		e := r.lists[qi][r.positions[qi]]
 		r.positions[qi]++
-		v := r.store.Get(e.Key)
+		v := storage.Get(r.store, e.Key)
 		r.retrieved++
 		r.estimates[qi] += e.Val * v
 		return true

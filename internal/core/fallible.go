@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -11,13 +12,14 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the fallible evaluation engine: the context-aware
-// counterparts of Exact/ExactParallel/Step/StepBatch/RunToCompletion built
-// on storage.FallibleStore. Two rules govern every path here:
+// This file is the evaluation engine: the one progressive loop
+// (StepBatchCtx), the one exact pass (ExactParallelCtx, whose accumulation is
+// applyEvalIndex in parallel.go), and the adapters that keep the older
+// stepping and exact names alive over them. Two rules govern every path:
 //
-//  1. Fault-free equivalence: with a store that never fails, each *Ctx
-//     method performs the same floating-point operations in the same order
-//     as its infallible counterpart, so results are bit-identical.
+//  1. Fault-free bit-identity: with a store that never fails, estimates
+//     depend only on how many schedule entries have been applied — never on
+//     how the advance was sliced into batches or which adapter drove it.
 //  2. Graceful degradation (progressive paths only): a retrieval that fails
 //     for any reason other than context cancellation marks its entry
 //     skipped and the run keeps advancing. A skipped coefficient is just an
@@ -28,16 +30,6 @@ import (
 //
 // Cancellation is never degradation: when ctx ends, the methods stop where
 // they are and return ctx.Err(), leaving the run resumable.
-
-// fallible returns the run's store lifted to the fallible interface,
-// building the adapter on first use so NewRun and the infallible path stay
-// allocation-free.
-func (r *Run) fallible() storage.FallibleStore {
-	if r.fstore == nil {
-		r.fstore = storage.AsFallible(r.store)
-	}
-	return r.fstore
-}
 
 // markSkipped records that the entry at schedule position sp could not be
 // retrieved. Positions arrive in cursor order, so skipped stays ascending —
@@ -83,56 +75,33 @@ func (r *Run) SkippedImportance() float64 {
 	return r.sched.importances[r.sched.order[r.skipped[0]]]
 }
 
-// StepCtx is the fallible Step: it retrieves the most important unretrieved
-// entry through the store's fallible path and advances every query that
-// needs it. It returns false when the cursor has drained the schedule. A
-// failed retrieval marks the entry skipped (see Degraded) and still counts
-// as an advance; cancellation returns ctx.Err() without advancing, leaving
-// the entry retrievable on resume.
+// StepCtx advances one entry — a batch of one. It returns false when the
+// cursor has drained the schedule. A failed retrieval marks the entry
+// skipped (see Degraded) and still counts as an advance; cancellation
+// returns ctx.Err() without advancing, leaving the entry retrievable on
+// resume.
 func (r *Run) StepCtx(ctx context.Context) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	if r.cursor >= len(r.sched.order) {
-		return false, nil
-	}
-	m := coObs()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	i := r.sched.order[r.cursor]
-	v, err := r.fallible().GetCtx(ctx, r.plan.keys[i])
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return false, cerr
-		}
-		r.markSkipped(r.cursor)
-		r.cursor++
-	} else {
-		r.cursor++
-		if v != 0 {
-			idxs, cs := r.plan.entryRefs(int(i))
-			for k, qi := range idxs {
-				r.estimates[qi] += cs[k] * v
-			}
-		}
-	}
-	if m != nil {
-		m.stepSeconds.Observe(time.Since(start).Seconds())
-	}
-	if r.trace != nil {
-		r.traceStep()
-	}
-	return true, nil
+	n, err := r.StepBatchCtx(ctx, 1)
+	return n > 0, err
 }
 
-// StepBatchCtx is the fallible StepBatch: up to b schedule entries are
-// prefetched in one BatchGetCtx and applied in schedule order. Positions a
-// partial failure reports are skipped individually; a whole-batch failure
-// (other than cancellation) skips all b entries — the run advances either
-// way. It returns the number of entries advanced, 0 when the run is
-// complete or the context has ended.
+// StepBatch is StepBatchCtx without a context, for callers that do not
+// cancel.
+func (r *Run) StepBatch(b int) int {
+	n, _ := r.StepBatchCtx(context.Background(), b) // a background context never ends
+	return n
+}
+
+// StepBatchCtx advances up to b entries in one batched retrieval. Because
+// the retrieval order is a precomputed schedule, the next b storage keys are
+// known before any store access: the schedule's own key subslice goes to
+// BatchGetCtx — a true prefetch with zero per-batch key copying, one lock
+// round-trip on a concurrent store, coalesced reads on a file store — and
+// the values are applied in schedule order. Positions a partial failure
+// reports are skipped individually; a whole-batch failure (other than
+// cancellation) skips all b entries — the run advances either way. It
+// returns the number of entries advanced, 0 when the run is complete or the
+// context has ended.
 func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -158,7 +127,7 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 		r.batchVals = make([]float64, b)
 	}
 	vals := r.batchVals[:b]
-	err := r.fallible().BatchGetCtx(ctx, r.sched.keys[r.cursor:r.cursor+b], vals)
+	err := r.store.BatchGetCtx(ctx, r.sched.keys[r.cursor:r.cursor+b], vals)
 	var failed map[int]bool
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -221,8 +190,8 @@ func (r *Run) finishStepBatch(m *coreMetrics, start time.Time, b, skippedBefore 
 	}
 }
 
-// RunToCompletionCtx drains the schedule through the fallible path;
-// afterwards the estimates are exact unless the run is Degraded.
+// RunToCompletionCtx drains the schedule one entry at a time; afterwards the
+// estimates are exact unless the run is Degraded.
 // Cancellation stops mid-schedule and returns ctx.Err(); the run can resume.
 func (r *Run) RunToCompletionCtx(ctx context.Context) error {
 	for {
@@ -250,7 +219,7 @@ func (r *Run) RetrySkipped(ctx context.Context) (int, error) {
 		keys[j] = r.sched.keys[sp]
 	}
 	vals := make([]float64, len(keys))
-	err := r.fallible().BatchGetCtx(ctx, keys, vals)
+	err := r.store.BatchGetCtx(ctx, keys, vals)
 	var failed map[int]bool
 	if err != nil {
 		var be *storage.BatchError
@@ -287,37 +256,34 @@ func (r *Run) RetrySkipped(ctx context.Context) (int, error) {
 	return recovered, nil
 }
 
-// ExactCtx is the fallible Exact: one linear pass over the master list
-// through the store's fallible path. Exact evaluation has no error bound to
-// degrade to, so the first failed retrieval aborts with its error; with a
-// fault-free store the result is bit-identical to Exact.
+// ExactCtx evaluates the batch exactly with one retrieval per distinct
+// coefficient: ExactParallelCtx on one worker. Exact evaluation has no error
+// bound to degrade to, so any failed retrieval aborts with its error.
 func (p *Plan) ExactCtx(ctx context.Context, store storage.Store) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	fs := storage.AsFallible(store)
-	est := make([]float64, p.NumQueries())
-	for i, key := range p.keys {
-		v, err := fs.GetCtx(ctx, key)
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 {
-			continue
-		}
-		idxs, cs := p.entryRefs(i)
-		for k, qi := range idxs {
-			est[qi] += cs[k] * v
-		}
-	}
-	return est, nil
+	return p.ExactParallelCtx(ctx, store, 1)
 }
 
-// ExactParallelCtx is the fallible ExactParallel: the fetch phase issues
-// chunked BatchGetCtx calls (concurrently on a storage.Concurrent store) and
-// the apply phase is the shared bit-identical per-query accumulation. Like
-// ExactCtx it treats any retrieval failure as fatal, reporting the failure
-// of the lowest chunk.
+// ExactParallel is ExactParallelCtx for stores that cannot fail: any
+// retrieval error panics.
+func (p *Plan) ExactParallel(store storage.Store, workers int) []float64 {
+	est, err := p.ExactParallelCtx(context.Background(), store, workers)
+	if err != nil {
+		panic(fmt.Sprintf("core: infallible exact evaluation failed: %v", err))
+	}
+	return est
+}
+
+// ExactParallelCtx is the exact pass: one retrieval per distinct
+// coefficient, split into a batched fetch phase and a per-query apply phase
+// that both use up to the given number of workers (≤0 selects GOMAXPROCS).
+//
+// The fetch phase issues chunked BatchGetCtx calls — concurrently when the
+// store is concurrent-safe, as one batch otherwise (still hitting the
+// store's batched fast path, e.g. FileStore's coalesced reads). The apply
+// phase (applyEvalIndex) partitions *queries* across workers, so each
+// query's estimate is accumulated by exactly one worker in ascending
+// master-list order: results are bit-identical for every worker count. Any
+// retrieval failure is fatal; the failure of the lowest chunk is reported.
 func (p *Plan) ExactParallelCtx(ctx context.Context, store storage.Store, workers int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -330,9 +296,8 @@ func (p *Plan) ExactParallelCtx(ctx context.Context, store storage.Store, worker
 	workers = clampWorkers(workers, n)
 	p.buildEvalIndex()
 	vals := make([]float64, n)
-	fs := storage.AsFallible(store)
 
-	if _, ok := store.(storage.Concurrent); ok && workers > 1 {
+	if workers > 1 && storage.IsConcurrent(store) {
 		chunk := (n + workers - 1) / workers
 		nchunks := (n + chunk - 1) / chunk
 		errs := make([]error, nchunks)
@@ -346,7 +311,7 @@ func (p *Plan) ExactParallelCtx(ctx context.Context, store storage.Store, worker
 			wg.Add(1)
 			go func(c, lo, hi int) {
 				defer wg.Done()
-				errs[c] = fs.BatchGetCtx(ctx, p.keys[lo:hi], vals[lo:hi])
+				errs[c] = store.BatchGetCtx(ctx, p.keys[lo:hi], vals[lo:hi])
 			}(c, lo, hi)
 		}
 		wg.Wait()
@@ -355,7 +320,7 @@ func (p *Plan) ExactParallelCtx(ctx context.Context, store storage.Store, worker
 				return nil, err
 			}
 		}
-	} else if err := fs.BatchGetCtx(ctx, p.keys, vals); err != nil {
+	} else if err := store.BatchGetCtx(ctx, p.keys, vals); err != nil {
 		return nil, err
 	}
 

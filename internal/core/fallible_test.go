@@ -11,9 +11,8 @@ import (
 	"repro/internal/storage"
 )
 
-// transientStore fails the first failures[key] fallible retrievals of each
-// key with errTransient, then serves normally — the shape of a recoverable
-// outage. The infallible path never fails.
+// transientStore fails the first failures[key] retrievals of each key with
+// errTransient, then serves normally — the shape of a recoverable outage.
 type transientStore struct {
 	storage.Store
 	mu       sync.Mutex
@@ -22,7 +21,7 @@ type transientStore struct {
 
 var errTransient = errors.New("transient outage")
 
-func (s *transientStore) GetCtx(ctx context.Context, key int) (float64, error) {
+func (s *transientStore) getCtx(ctx context.Context, key int) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -35,13 +34,13 @@ func (s *transientStore) GetCtx(ctx context.Context, key int) (float64, error) {
 	if n > 0 {
 		return 0, &storage.KeyError{Key: key, Err: errTransient}
 	}
-	return s.Store.Get(key), nil
+	return storage.Get(s.Store, key), nil
 }
 
 func (s *transientStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	var failed []storage.KeyError
 	for i, k := range keys {
-		v, err := s.GetCtx(ctx, k)
+		v, err := s.getCtx(ctx, k)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -57,9 +56,9 @@ func (s *transientStore) BatchGetCtx(ctx context.Context, keys []int, dst []floa
 	return nil
 }
 
-var _ storage.FallibleStore = (*transientStore)(nil)
+var _ storage.Store = (*transientStore)(nil)
 
-// brokenStore fails every fallible batch wholesale with a non-batch,
+// brokenStore fails every batch wholesale with a non-batch,
 // non-cancellation error — the shape of a total outage.
 type brokenStore struct {
 	storage.Store
@@ -67,15 +66,11 @@ type brokenStore struct {
 
 var errOutage = errors.New("store down")
 
-func (s *brokenStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	return 0, errOutage
-}
-
 func (s *brokenStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	return errOutage
 }
 
-var _ storage.FallibleStore = (*brokenStore)(nil)
+var _ storage.Store = (*brokenStore)(nil)
 
 // coefficientMass sums |v| over the store, the Theorem 1 constant K.
 func coefficientMass(t *testing.T, s storage.Store) float64 {
@@ -90,16 +85,6 @@ func coefficientMass(t *testing.T, s storage.Store) float64 {
 		return true
 	})
 	return mass
-}
-
-func TestExactCtxBitIdenticalToExact(t *testing.T) {
-	f := newFixture(t, 12)
-	want := f.plan.Exact(f.store)
-	got, err := f.plan.ExactCtx(context.Background(), f.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got, want, "ExactCtx")
 }
 
 func TestExactParallelCtxBitIdenticalToExact(t *testing.T) {
@@ -119,66 +104,9 @@ func TestExactParallelCtxBitIdenticalToExact(t *testing.T) {
 	assertBitIdentical(t, got, want, "ExactParallelCtx(concurrent)")
 }
 
-func TestStepCtxZeroFaultBitIdentity(t *testing.T) {
-	f := newFixture(t, 10)
-	pen := penalty.SSE{}
-	plain := NewRun(f.plan, pen, f.store)
-	ctxed := NewRun(f.plan, pen, f.store)
-	ctx := context.Background()
-	for {
-		okPlain := plain.Step()
-		okCtx, err := ctxed.StepCtx(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if okPlain != okCtx {
-			t.Fatalf("advance disagreement at cursor %d", plain.Retrieved())
-		}
-		assertBitIdentical(t, ctxed.Estimates(), plain.Estimates(), "StepCtx estimates")
-		if ctxed.NextImportance() != plain.NextImportance() {
-			t.Fatal("NextImportance diverged")
-		}
-		if ctxed.RemainingImportance() != plain.RemainingImportance() {
-			t.Fatal("RemainingImportance diverged")
-		}
-		if !okPlain {
-			break
-		}
-	}
-	if ctxed.Degraded() {
-		t.Fatal("fault-free run reports degradation")
-	}
-}
-
-func TestStepBatchCtxZeroFaultBitIdentity(t *testing.T) {
-	f := newFixture(t, 10)
-	pen := penalty.SSE{}
-	plain := NewRun(f.plan, pen, f.store)
-	ctxed := NewRun(f.plan, pen, f.store)
-	ctx := context.Background()
-	for {
-		nPlain := plain.StepBatch(7)
-		nCtx, err := ctxed.StepBatchCtx(ctx, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nPlain != nCtx {
-			t.Fatalf("batch advance %d vs %d", nPlain, nCtx)
-		}
-		assertBitIdentical(t, ctxed.Estimates(), plain.Estimates(), "StepBatchCtx estimates")
-		if nPlain == 0 {
-			break
-		}
-	}
-	mass := coefficientMass(t, f.store)
-	if ctxed.WorstCaseBound(mass) != plain.WorstCaseBound(mass) {
-		t.Fatal("WorstCaseBound diverged on a fault-free run")
-	}
-}
-
 func TestExactCtxFailsFastOnFault(t *testing.T) {
 	f := newFixture(t, 8)
-	faulty := storage.WrapFaults(f.store, storage.FaultConfig{ErrorRate: 0.2, Seed: 3})
+	faulty := storage.NewFaultStore(f.store, storage.FaultConfig{ErrorRate: 0.2, Seed: 3})
 	est, err := f.plan.ExactCtx(context.Background(), faulty)
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -196,7 +124,7 @@ func TestDegradedRunKeepsTheoremOneBound(t *testing.T) {
 	exact := f.plan.Exact(f.store)
 	mass := coefficientMass(t, f.store)
 	pen := penalty.SSE{}
-	faulty := storage.WrapFaults(f.store, storage.FaultConfig{ErrorRate: 0.25, Seed: 9})
+	faulty := storage.NewFaultStore(f.store, storage.FaultConfig{ErrorRate: 0.25, Seed: 9})
 	run := NewRun(f.plan, pen, faulty)
 	if err := run.RunToCompletionCtx(context.Background()); err != nil {
 		t.Fatal(err)
@@ -239,7 +167,7 @@ func TestDegradedRunKeepsTheoremOneBound(t *testing.T) {
 
 func TestStepBatchCtxSkipsIndividualFailures(t *testing.T) {
 	f := newFixture(t, 8)
-	faulty := storage.WrapFaults(f.store, storage.FaultConfig{ErrorRate: 0.3, Seed: 21})
+	faulty := storage.NewFaultStore(f.store, storage.FaultConfig{ErrorRate: 0.3, Seed: 21})
 	run := NewRun(f.plan, penalty.SSE{}, faulty)
 	ctx := context.Background()
 	total := 0
@@ -263,7 +191,7 @@ func TestStepBatchCtxSkipsIndividualFailures(t *testing.T) {
 		t.Fatal("expected skips")
 	}
 	// Degradation must be consistent between the batched and single paths.
-	single := NewRun(f.plan, penalty.SSE{}, storage.WrapFaults(f.store, storage.FaultConfig{ErrorRate: 0.3, Seed: 21}))
+	single := NewRun(f.plan, penalty.SSE{}, storage.NewFaultStore(f.store, storage.FaultConfig{ErrorRate: 0.3, Seed: 21}))
 	if err := single.RunToCompletionCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -402,17 +330,4 @@ func TestStepCtxCancellationLeavesRunResumable(t *testing.T) {
 		t.Fatal("resumed run did not complete cleanly")
 	}
 	assertBitIdentical(t, run.Estimates(), want.Estimates(), "resumed estimates")
-}
-
-func TestRunToCompletionCtxMatchesInfallible(t *testing.T) {
-	f := newFixture(t, 12)
-	pen := penalty.SSE{}
-	want := NewRun(f.plan, pen, f.store)
-	want.RunToCompletion()
-	got := NewRun(f.plan, pen, f.store)
-	if err := got.RunToCompletionCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got.Estimates(), want.Estimates(), "RunToCompletionCtx")
-	assertClose(t, got.Estimates(), f.truth, 1e-6, "vs direct evaluation")
 }

@@ -87,7 +87,7 @@ func (r *heapRefRun) step() bool {
 	i := heap.Pop(r.heap).(int)
 	r.remainingImportance -= r.importances[i]
 	r.popped[i] = true
-	v := r.store.Get(r.plan.keys[i])
+	v := storage.Get(r.store, r.plan.keys[i])
 	r.retrieved++
 	if v != 0 {
 		idxs, cs := r.plan.entryRefs(i)

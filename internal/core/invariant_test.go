@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,11 +20,13 @@ func newRecordingStore(cells []float64) *recordingStore {
 	return &recordingStore{cells: cells, fetched: map[int]float64{}}
 }
 
-func (s *recordingStore) Get(key int) float64 {
-	s.count++
-	v := s.cells[key]
-	s.fetched[key] = v
-	return v
+func (s *recordingStore) BatchGetCtx(_ context.Context, keys []int, dst []float64) error {
+	for i, key := range keys {
+		s.count++
+		dst[i] = s.cells[key]
+		s.fetched[key] = dst[i]
+	}
+	return nil
 }
 func (s *recordingStore) Retrievals() int64 { return s.count }
 func (s *recordingStore) ResetStats()       { s.count = 0 }

@@ -23,7 +23,6 @@ type coreMetrics struct {
 	schedCacheHits      *obs.Counter
 	schedCacheMisses    *obs.Counter
 	schedCacheEvictions *obs.Counter
-	stepSeconds         *obs.Histogram
 	stepBatchSeconds    *obs.Histogram
 	runsStarted         *obs.Counter
 
@@ -52,10 +51,8 @@ func Observe(reg *obs.Registry) {
 			"Retrieval-schedule lookups that had to build a schedule."),
 		schedCacheEvictions: reg.Counter("wvq_core_schedule_cache_evictions_total",
 			"Retrieval schedules dropped by the per-plan cache's LRU bound."),
-		stepSeconds: reg.Histogram("wvq_core_step_seconds",
-			"Latency of single progressive steps (one retrieval applied).", nil),
 		stepBatchSeconds: reg.Histogram("wvq_core_stepbatch_seconds",
-			"Latency of batched progressive steps.", nil),
+			"Latency of progressive step batches (a single step is a batch of one).", nil),
 		runsStarted: reg.Counter("wvq_core_runs_total",
 			"Progressive runs started (counted at the run's schedule lookup)."),
 		planRegistryHits: reg.Counter("wvq_core_plan_registry_hits_total",

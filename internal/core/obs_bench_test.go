@@ -136,7 +136,7 @@ func BenchmarkObsOffInstrumentedStore(b *testing.B) {
 	f := newBenchPlanFixture(b)
 	pen := penalty.SSE{}
 	f.plan.ScheduleFor(pen)
-	wrapped := storage.WrapInstrumented(f.store)
+	wrapped := storage.NewInstrumentedStore(f.store)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

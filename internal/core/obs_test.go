@@ -17,12 +17,8 @@ import (
 func TestSpanPropagationThroughLayers(t *testing.T) {
 	f := newFixture(t, 8)
 	conc := storage.NewConcurrentStore(f.store)
-	retr := storage.WrapRetries(conc, storage.RetryConfig{MaxAttempts: 2})
-	rc, ok := retr.(storage.Concurrent)
-	if !ok {
-		t.Fatal("retry wrapper must preserve the Concurrent marker")
-	}
-	coal := storage.NewCoalescingStore(rc)
+	retr := storage.NewRetryStore(conc, storage.RetryConfig{MaxAttempts: 2})
+	coal := storage.NewCoalescingStore(retr)
 
 	sink := obs.NewSpanSink(64)
 	ctx := obs.WithTrace(context.Background(), "trace-steps", sink)
@@ -67,8 +63,8 @@ func TestSpanPropagationThroughLayers(t *testing.T) {
 func TestSpanPropagationConcurrentRuns(t *testing.T) {
 	f := newFixture(t, 8)
 	conc := storage.NewConcurrentStore(f.store)
-	retr := storage.WrapRetries(conc, storage.RetryConfig{MaxAttempts: 2})
-	coal := storage.NewCoalescingStore(retr.(storage.Concurrent))
+	retr := storage.NewRetryStore(conc, storage.RetryConfig{MaxAttempts: 2})
+	coal := storage.NewCoalescingStore(retr)
 
 	reg := obs.NewRegistry()
 	Observe(reg)

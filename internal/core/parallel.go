@@ -6,16 +6,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/storage"
 )
 
-// This file is the parallel evaluation engine: worker-pool plan
-// construction, batched/parallel exact evaluation, and batched progressive
-// steps. Every parallel path is constructed to produce results
-// *bit-identical* to its sequential counterpart (same floating-point
-// operations in the same order), so callers can switch freely between them —
-// the determinism tests in parallel_test.go pin this down.
+// This file is the parallel half of the engine: worker-pool plan
+// construction and the exact pass's per-query apply phase. Every parallel
+// path is constructed to produce results *bit-identical* to its one-worker
+// run (same floating-point operations in the same order), so callers can
+// pick any worker count — the determinism tests in parallel_test.go pin this
+// down.
 
 // emitter produces the (key, coefficient) pairs of query qi. Emissions for
 // one query must not repeat a key (the rewriters guarantee this).
@@ -222,7 +220,7 @@ type qref struct {
 }
 
 // buildEvalIndex lazily builds the per-query inverted entry lists used by
-// ExactParallel's apply phase. (The flat key list the fetch phase needs is
+// ExactParallelCtx's apply phase. (The flat key list the fetch phase needs is
 // part of the CSR layout itself.) One backing array keeps the inverted
 // lists allocation-cheap.
 func (p *Plan) buildEvalIndex() {
@@ -248,56 +246,11 @@ func (p *Plan) buildEvalIndex() {
 	})
 }
 
-// ExactParallel evaluates the batch exactly with the same retrieval count
-// and bit-identical results to Exact, but split into a batched fetch phase
-// and a per-query apply phase that both use up to the given number of
-// workers (≤0 selects GOMAXPROCS).
-//
-// The fetch phase issues chunked GetBatch calls — concurrently when the
-// store is marked storage.Concurrent, as one batch otherwise (still hitting
-// the store's batched fast path, e.g. FileStore's coalesced reads). The
-// apply phase partitions *queries* across workers, so each query's estimate
-// is accumulated by exactly one worker in ascending master-list order —
-// precisely the floating-point operation sequence of the sequential pass,
-// which is what makes the results bit-identical rather than merely close.
-func (p *Plan) ExactParallel(store storage.Store, workers int) []float64 {
-	est := make([]float64, p.NumQueries())
-	n := len(p.keys)
-	if n == 0 {
-		return est
-	}
-	workers = clampWorkers(workers, n)
-	p.buildEvalIndex()
-	vals := make([]float64, n)
-
-	if cs, ok := store.(storage.Concurrent); ok && workers > 1 {
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				storage.BatchGet(cs, p.keys[lo:hi], vals[lo:hi])
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		storage.BatchGet(store, p.keys, vals)
-	}
-
-	p.applyEvalIndex(vals, est, workers)
-	return est
-}
-
-// applyEvalIndex is the apply phase shared by ExactParallel and
-// ExactParallelCtx: queries are partitioned across workers, so each query's
+// applyEvalIndex is ExactParallelCtx's apply phase — the one exact
+// accumulation: queries are partitioned across workers, so each query's
 // estimate is accumulated by exactly one worker in ascending master-list
-// order — the sequential pass's exact floating-point operation sequence.
-// buildEvalIndex must have run.
+// order, the same floating-point operation sequence whatever the worker
+// count. buildEvalIndex must have run.
 func (p *Plan) applyEvalIndex(vals, est []float64, workers int) {
 	apply := func(qlo, qhi int) {
 		for qi := qlo; qi < qhi; qi++ {
@@ -328,53 +281,6 @@ func (p *Plan) applyEvalIndex(vals, est []float64, workers int) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// StepBatch advances up to b entries in one batched retrieval and returns
-// the number advanced (0 when the run is complete). Because the retrieval
-// order is a precomputed schedule, the next b storage keys are known before
-// any store access: StepBatch hands the schedule's own key subslice to
-// storage.BatchGet — a true prefetch with zero per-batch key copying — then
-// applies the values in schedule order. The estimates after StepBatch(b)
-// are bit-identical to b successive Step calls; what changes is the storage
-// traffic: one GetBatch — one lock round-trip on a concurrent store,
-// coalesced reads on a file store — instead of b Gets.
-func (r *Run) StepBatch(b int) int {
-	if remaining := len(r.sched.order) - r.cursor; b > remaining {
-		b = remaining
-	}
-	if b <= 0 {
-		return 0
-	}
-	m := coObs()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	if cap(r.batchVals) < b {
-		r.batchVals = make([]float64, b)
-	}
-	vals := r.batchVals[:b]
-	storage.BatchGet(r.store, r.sched.keys[r.cursor:r.cursor+b], vals)
-	for j := 0; j < b; j++ {
-		v := vals[j]
-		if v == 0 {
-			continue
-		}
-		i := r.sched.order[r.cursor+j]
-		idxs, cs := r.plan.entryRefs(int(i))
-		for k, qi := range idxs {
-			r.estimates[qi] += cs[k] * v
-		}
-	}
-	r.cursor += b
-	if m != nil {
-		m.stepBatchSeconds.Observe(time.Since(start).Seconds())
-	}
-	if r.trace != nil {
-		r.traceStep()
-	}
-	return b
 }
 
 func nextPow2(n int) int {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/penalty"
+	"repro/internal/storage"
 )
 
 // BenchmarkNewRun compares run setup on a shared plan: the retired per-run
@@ -112,7 +113,7 @@ func BenchmarkExactLayout(b *testing.B) {
 	b.Run("hash/aos", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			aos.exact(f.store.Get)
+			aos.exact(func(k int) float64 { return storage.Get(f.store, k) })
 		}
 	})
 	b.Run("hash/csr", func(b *testing.B) {
@@ -124,7 +125,7 @@ func BenchmarkExactLayout(b *testing.B) {
 	b.Run("array/aos", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			aos.exact(f.array.Get)
+			aos.exact(func(k int) float64 { return storage.Get(f.array, k) })
 		}
 	})
 	b.Run("array/csr", func(b *testing.B) {
@@ -137,7 +138,7 @@ func BenchmarkExactLayout(b *testing.B) {
 
 // BenchmarkStepBatchPrefetch drains a run through the prefetching StepBatch
 // at several batch sizes against the sharded store — each batch is one
-// GetBatch over the schedule's precomputed key slice.
+// BatchGetCtx over the schedule's precomputed key slice.
 func BenchmarkStepBatchPrefetch(b *testing.B) {
 	f := newBenchPlanFixture(b)
 	pen := penalty.SSE{}

@@ -172,8 +172,8 @@ func TestBindDegradedRunBitIdentical(t *testing.T) {
 	}
 	base := templateStore(rng, 400)
 	cfg := storage.FaultConfig{ErrorRate: 0.3, Seed: 21}
-	rb := NewRun(bound, penalty.SSE{}, storage.WrapFaults(base, cfg))
-	rf := NewRun(fresh, penalty.SSE{}, storage.WrapFaults(base, cfg))
+	rb := NewRun(bound, penalty.SSE{}, storage.NewFaultStore(base, cfg))
+	rf := NewRun(fresh, penalty.SSE{}, storage.NewFaultStore(base, cfg))
 	ctx := context.Background()
 	for !rb.Done() {
 		_, errB := rb.StepBatchCtx(ctx, 5)

@@ -14,6 +14,7 @@ package core
 // trace(R) = Σ_{ξ∉Ξ} ι_p(ξ), minimized by the biggest-B choice.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -341,9 +342,12 @@ type sliceStore struct {
 
 func newSliceStore(cells []float64) *sliceStore { return &sliceStore{cells: cells} }
 
-func (s *sliceStore) Get(key int) float64 {
-	s.retrievals++
-	return s.cells[key]
+func (s *sliceStore) BatchGetCtx(_ context.Context, keys []int, dst []float64) error {
+	s.retrievals += int64(len(keys))
+	for i, k := range keys {
+		dst[i] = s.cells[k]
+	}
+	return nil
 }
 func (s *sliceStore) Retrievals() int64 { return s.retrievals }
 func (s *sliceStore) ResetStats()       { s.retrievals = 0 }

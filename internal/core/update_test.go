@@ -29,8 +29,8 @@ func TestInsertTupleMatchesBulkTransform(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, w := range want {
-			if math.Abs(store.Get(k)-w) > 1e-8*(1+math.Abs(w)) {
-				t.Fatalf("%s: coefficient %d: incremental %g bulk %g", f.Name, k, store.Get(k), w)
+			if math.Abs(storage.Get(store, k)-w) > 1e-8*(1+math.Abs(w)) {
+				t.Fatalf("%s: coefficient %d: incremental %g bulk %g", f.Name, k, storage.Get(store, k), w)
 			}
 		}
 	}
@@ -47,7 +47,7 @@ func TestDeleteTupleInvertsInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < schema.Cells(); k++ {
-		if v := store.Get(k); math.Abs(v) > 1e-12 {
+		if v := storage.Get(store, k); math.Abs(v) > 1e-12 {
 			t.Fatalf("coefficient %d = %g after insert+delete", k, v)
 		}
 	}

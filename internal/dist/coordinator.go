@@ -48,13 +48,13 @@ type ShardHealth struct {
 // machinery turns into Theorem-1-bounded skipped coefficients. Only the
 // caller's own cancellation fails the whole batch.
 //
-// The shard stores are plain storage.FallibleStore values, so tests can
+// The shard stores are plain storage.Store values, so tests can
 // coordinate over in-process FaultStores and production coordinates over
 // RemoteStores; either way wrappers (RetryStore, CoalescingStore,
 // InstrumentedStore) stack per shard underneath or on top of the
 // coordinator unchanged.
 type CoordinatorStore struct {
-	shards []storage.FallibleStore
+	shards []storage.Store
 	addrs  []string
 	health []shardState
 
@@ -64,7 +64,7 @@ type CoordinatorStore struct {
 // NewCoordinator builds a coordinator over shards, whose count must be a
 // positive power of two (the ShardOf precondition). addrs are the
 // human-readable shard names for health reporting; nil derives "shard-i".
-func NewCoordinator(shards []storage.FallibleStore, addrs []string) (*CoordinatorStore, error) {
+func NewCoordinator(shards []storage.Store, addrs []string) (*CoordinatorStore, error) {
 	if err := ValidShardCount(len(shards)); err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func (c *CoordinatorStore) noteErr(i, keys, degraded int, err error) {
 	obsDegradedKeys(degraded)
 }
 
-// BatchGetCtx implements storage.FallibleStore: partition by ShardOf, fan
+// BatchGetCtx implements storage.Store: partition by ShardOf, fan
 // out concurrently, merge. Shard failures become per-key *storage.
 // BatchError entries (ascending Index); only the caller's cancellation
 // fails the whole batch.
@@ -223,7 +223,7 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	wg.Wait()
 	obsFanout(time.Since(start))
 
-	// The caller's own cancellation dominates: per the FallibleStore
+	// The caller's own cancellation dominates: per the Store
 	// contract no position may be trusted then, and callers (retry, skip
 	// accounting) must see ctx.Err(), not a degraded-shard report.
 	if err := ctx.Err(); err != nil {
@@ -238,40 +238,6 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Index < merged[j].Index })
 	return &storage.BatchError{Failed: merged}
-}
-
-// GetCtx implements storage.FallibleStore, routing the single key to its
-// owning shard.
-func (c *CoordinatorStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	c.retrievals.Add(1)
-	si := storage.ShardOf(key, len(c.shards))
-	v, err := c.shards[si].GetCtx(ctx, key)
-	if err == nil {
-		c.noteOK(si, 1)
-		return v, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return 0, cerr
-	}
-	c.noteErr(si, 1, 1, err)
-	return 0, err
-}
-
-// Get implements storage.Store. The infallible surface cannot report shard
-// failures and panics on one; the engine's degradable paths use GetCtx.
-func (c *CoordinatorStore) Get(key int) float64 {
-	v, err := c.GetCtx(context.Background(), key)
-	if err != nil {
-		panic(fmt.Sprintf("dist: infallible Get through coordinator failed: %v", err))
-	}
-	return v
-}
-
-// GetBatch implements storage.BatchGetter, panicking on failure (see Get).
-func (c *CoordinatorStore) GetBatch(keys []int, dst []float64) {
-	if err := c.BatchGetCtx(context.Background(), keys, dst); err != nil {
-		panic(fmt.Sprintf("dist: infallible GetBatch through coordinator failed: %v", err))
-	}
 }
 
 // Add implements storage.Updatable by refusing: the distributed view is
@@ -298,9 +264,10 @@ func (c *CoordinatorStore) NonzeroCount() int {
 	return total
 }
 
-// ConcurrentSafe implements storage.Concurrent: fan-out state is per-call,
-// health is atomic, and the shard clients are concurrent-safe.
-func (c *CoordinatorStore) ConcurrentSafe() {}
+// ConcurrentSafe implements the storage.IsConcurrent capability check:
+// fan-out state is per-call, health is atomic, and the shard clients are
+// concurrent-safe.
+func (c *CoordinatorStore) ConcurrentSafe() bool { return true }
 
 // Close closes every shard client that supports closing.
 func (c *CoordinatorStore) Close() error {
@@ -315,9 +282,4 @@ func (c *CoordinatorStore) Close() error {
 	return first
 }
 
-var (
-	_ storage.FallibleStore = (*CoordinatorStore)(nil)
-	_ storage.Updatable     = (*CoordinatorStore)(nil)
-	_ storage.BatchGetter   = (*CoordinatorStore)(nil)
-	_ storage.Concurrent    = (*CoordinatorStore)(nil)
-)
+var _ storage.Updatable = (*CoordinatorStore)(nil)

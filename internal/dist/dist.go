@@ -1,6 +1,6 @@
 // Package dist is the distributed evaluation tier: the coefficient store Δ̂
 // partitioned across N networked shard servers, reassembled behind the
-// storage.FallibleStore interface by a fan-out coordinator.
+// storage.Store interface by a fan-out coordinator.
 //
 // Three pieces:
 //
@@ -9,7 +9,7 @@
 //     carrying delta-varint packed keys, raw float64 value bits and per-key
 //     errors, plus a metadata frame describing the shard's view).
 //
-//   - RemoteStore is the client of one shard: a storage.FallibleStore over a
+//   - RemoteStore is the client of one shard: a storage.Store over a
 //     small connection pool with per-attempt deadlines, so the existing
 //     robustness stack (RetryStore, CoalescingStore, InstrumentedStore)
 //     composes on top unchanged — the network is just another fallible store.

@@ -68,8 +68,8 @@ func TestPartitionDisjointCompleteAndMassPreserving(t *testing.T) {
 			if storage.ShardOf(k, shards) != i {
 				t.Fatalf("key %d landed on shard %d, ShardOf says %d", k, i, storage.ShardOf(k, shards))
 			}
-			if v != src.Get(k) {
-				t.Fatalf("key %d: shard value %g != source %g", k, v, src.Get(k))
+			if v != storage.Get(src, k) {
+				t.Fatalf("key %d: shard value %g != source %g", k, v, storage.Get(src, k))
 			}
 			seen[k]++
 			return true
@@ -128,9 +128,9 @@ func TestRemoteStoreBitIdentityZeroFaults(t *testing.T) {
 	// Single-key path and the Meta round-trip.
 	var anyKey int
 	local.ForEachNonzero(func(k int, _ float64) bool { anyKey = k; return false })
-	v, err := remote.GetCtx(ctx, anyKey)
-	if err != nil || v != local.Get(anyKey) {
-		t.Fatalf("GetCtx(%d) = %g, %v; want %g", anyKey, v, err, local.Get(anyKey))
+	v, err := storage.GetCtx(ctx, remote, anyKey)
+	if err != nil || v != storage.Get(local, anyKey) {
+		t.Fatalf("GetCtx(%d) = %g, %v; want %g", anyKey, v, err, storage.Get(local, anyKey))
 	}
 	m, err := remote.Meta(ctx)
 	if err != nil {
@@ -184,12 +184,12 @@ func TestRemoteStorePartialBatchFailure(t *testing.T) {
 		t.Fatal("no failures at 30% error rate over 500 keys")
 	}
 	for i, k := range keys {
-		_, oErr := oracle.GetCtx(context.Background(), k)
+		_, oErr := storage.GetCtx(context.Background(), oracle, k)
 		if (oErr != nil) != failed[i] {
 			t.Fatalf("key %d: oracle fails=%v, wire fails=%v", k, oErr != nil, failed[i])
 		}
-		if !failed[i] && math.Float64bits(dst[i]) != math.Float64bits(base.Get(k)) {
-			t.Fatalf("unfailed key %d: %g over the wire, %g locally", k, dst[i], base.Get(k))
+		if !failed[i] && math.Float64bits(dst[i]) != math.Float64bits(storage.Get(base, k)) {
+			t.Fatalf("unfailed key %d: %g over the wire, %g locally", k, dst[i], storage.Get(base, k))
 		}
 	}
 }
@@ -217,6 +217,32 @@ func TestRemoteStoreCancellationMidFlight(t *testing.T) {
 	}
 }
 
+// TestRemoteStoreCancelAfterResponseKeepsConnection pins the watcher
+// ordering in roundTrip: a context cancelled right after a successful round
+// trip must not reach the connection, which by then is back in the pool with
+// its deadline cleared. If the cancellation watcher could still fire, it
+// would leave a past deadline behind and the next request on the pooled
+// connection would fail as a shard fault.
+func TestRemoteStoreCancelAfterResponseKeepsConnection(t *testing.T) {
+	local := testStore(200, 6)
+	addr, _ := startShard(t, storage.NewConcurrentStore(local), codec.ShardMeta{
+		Names: []string{"x"}, Sizes: []int{1 << 20}, FilterName: "Haar",
+		TupleCount: 200, ShardCount: 1, Nonzero: int64(local.NonzeroCount()),
+	})
+	// One pooled connection, so every request reuses the previous one's.
+	remote := NewRemoteStore(addr, ClientConfig{PoolSize: 1})
+	defer func() { _ = remote.Close() }()
+	keys, dst := []int{1, 2, 3}, make([]float64, 3)
+	for i := 0; i < 3000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := remote.BatchGetCtx(ctx, keys, dst)
+		cancel()
+		if err != nil {
+			t.Fatalf("request %d on the pooled connection: %v", i, err)
+		}
+	}
+}
+
 func TestRemoteStoreDisconnectReconnect(t *testing.T) {
 	local := testStore(500, 7)
 	meta := codec.ShardMeta{ShardCount: 1}
@@ -232,13 +258,13 @@ func TestRemoteStoreDisconnectReconnect(t *testing.T) {
 	defer func() { _ = remote.Close() }()
 	var anyKey int
 	local.ForEachNonzero(func(k int, _ float64) bool { anyKey = k; return false })
-	if v, err := remote.GetCtx(context.Background(), anyKey); err != nil || v != local.Get(anyKey) {
+	if v, err := storage.GetCtx(context.Background(), remote, anyKey); err != nil || v != storage.Get(local, anyKey) {
 		t.Fatalf("before disconnect: %g, %v", v, err)
 	}
 
 	// Kill the shard: the pooled connection is dead and redials refuse.
 	_ = srv.Close()
-	if _, err := remote.GetCtx(context.Background(), anyKey); !errors.Is(err, ErrShard) {
+	if _, err := storage.GetCtx(context.Background(), remote, anyKey); !errors.Is(err, ErrShard) {
 		t.Fatalf("dead shard returned %v, want ErrShard", err)
 	}
 
@@ -253,10 +279,10 @@ func TestRemoteStoreDisconnectReconnect(t *testing.T) {
 	defer func() { _ = srv2.Close() }()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		v, err := remote.GetCtx(context.Background(), anyKey)
+		v, err := storage.GetCtx(context.Background(), remote, anyKey)
 		if err == nil {
-			if v != local.Get(anyKey) {
-				t.Fatalf("after reconnect: %g, want %g", v, local.Get(anyKey))
+			if v != storage.Get(local, anyKey) {
+				t.Fatalf("after reconnect: %g, want %g", v, storage.Get(local, anyKey))
 			}
 			break
 		}
@@ -267,16 +293,14 @@ func TestRemoteStoreDisconnectReconnect(t *testing.T) {
 	}
 }
 
-// downStore is a FallibleStore whose every retrieval fails outright — the
+// downStore is a Store whose every retrieval fails outright — the
 // in-process stand-in for a dead shard.
 type downStore struct{ err error }
 
-func (d downStore) Get(int) float64                              { panic("down") }
-func (d downStore) Retrievals() int64                            { return 0 }
-func (d downStore) ResetStats()                                  {}
-func (d downStore) NonzeroCount() int                            { return 0 }
-func (d downStore) ConcurrentSafe()                              {}
-func (d downStore) GetCtx(context.Context, int) (float64, error) { return 0, d.err }
+func (d downStore) Retrievals() int64    { return 0 }
+func (d downStore) ResetStats()          {}
+func (d downStore) NonzeroCount() int    { return 0 }
+func (d downStore) ConcurrentSafe() bool { return true }
 func (d downStore) BatchGetCtx(_ context.Context, keys []int, _ []float64) error {
 	return d.err
 }
@@ -284,13 +308,13 @@ func (d downStore) BatchGetCtx(_ context.Context, keys []int, _ []float64) error
 func TestCoordinatorMergesAndDegrades(t *testing.T) {
 	full := testStore(4000, 8)
 	const n = 4
-	shards := make([]storage.FallibleStore, n)
+	shards := make([]storage.Store, n)
 	for i := 0; i < n; i++ {
 		part, _, _, err := Partition(full, i, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards[i] = storage.AsFallible(part)
+		shards[i] = part
 	}
 	coord, err := NewCoordinator(shards, nil)
 	if err != nil {
@@ -307,8 +331,8 @@ func TestCoordinatorMergesAndDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if math.Float64bits(dst[i]) != math.Float64bits(full.Get(k)) {
-			t.Fatalf("key %d: coordinator %g, source %g", k, dst[i], full.Get(k))
+		if math.Float64bits(dst[i]) != math.Float64bits(storage.Get(full, k)) {
+			t.Fatalf("key %d: coordinator %g, source %g", k, dst[i], storage.Get(full, k))
 		}
 	}
 	for i, h := range coord.Health() {
@@ -355,8 +379,8 @@ func TestCoordinatorMergesAndDegrades(t *testing.T) {
 		if failed[i] {
 			t.Fatalf("key %d on a live shard degraded", k)
 		}
-		if math.Float64bits(dst2[i]) != math.Float64bits(full.Get(k)) {
-			t.Fatalf("live key %d: %g, want %g", k, dst2[i], full.Get(k))
+		if math.Float64bits(dst2[i]) != math.Float64bits(storage.Get(full, k)) {
+			t.Fatalf("live key %d: %g, want %g", k, dst2[i], storage.Get(full, k))
 		}
 	}
 	h := coord2.Health()
@@ -370,8 +394,8 @@ func TestCoordinatorMergesAndDegrades(t *testing.T) {
 
 func TestCoordinatorCancellationBeatsDegradation(t *testing.T) {
 	// A cancelled caller must see ctx.Err(), not a degraded-batch report:
-	// per the FallibleStore contract nothing in dst may be trusted.
-	shards := make([]storage.FallibleStore, 2)
+	// per the Store contract nothing in dst may be trusted.
+	shards := make([]storage.Store, 2)
 	for i := range shards {
 		shards[i] = downStore{err: context.Canceled}
 	}
@@ -391,7 +415,7 @@ func TestCoordinatorRejectsBadShardCounts(t *testing.T) {
 	if _, err := NewCoordinator(nil, nil); err == nil {
 		t.Fatal("0 shards accepted")
 	}
-	three := []storage.FallibleStore{downStore{}, downStore{}, downStore{}}
+	three := []storage.Store{downStore{}, downStore{}, downStore{}}
 	if _, err := NewCoordinator(three, nil); err == nil {
 		t.Fatal("3 shards accepted")
 	}
@@ -435,7 +459,7 @@ func TestValidateMetasCatchesDeploymentMismatches(t *testing.T) {
 }
 
 func TestRetryStoreStacksOnRemoteStore(t *testing.T) {
-	// The point of RemoteStore being a FallibleStore: the existing retry
+	// The point of RemoteStore being a storage.Store: the existing retry
 	// layer wraps it unchanged and absorbs transient shard faults.
 	base := testStore(500, 11)
 	flaky := storage.NewFaultStore(base, storage.FaultConfig{ErrorEvery: 3})
@@ -457,8 +481,8 @@ func TestRetryStoreStacksOnRemoteStore(t *testing.T) {
 		t.Fatalf("retries did not absorb every-3rd faults: %v", err)
 	}
 	for i, k := range keys {
-		if math.Float64bits(dst[i]) != math.Float64bits(base.Get(k)) {
-			t.Fatalf("key %d: %g after retries, want %g", k, dst[i], base.Get(k))
+		if math.Float64bits(dst[i]) != math.Float64bits(storage.Get(base, k)) {
+			t.Fatalf("key %d: %g after retries, want %g", k, dst[i], storage.Get(base, k))
 		}
 	}
 }

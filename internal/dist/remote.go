@@ -3,7 +3,6 @@ package dist
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -59,20 +58,22 @@ type remoteConn struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	version uint16
+	// yank is the cancellation watcher of the request in flight (see
+	// roundTrip): it sets a past deadline so blocked reads and writes return
+	// at once, then sends one token on watched. Both are built once per
+	// connection so a request allocates neither.
+	yank    func()
+	watched chan struct{}
 }
 
-// RemoteStore is the client of one shard server: a storage.FallibleStore
-// whose retrievals travel the wire. Connections are pooled and lazily
+// RemoteStore is the client of one shard server: a storage.Store whose
+// retrievals travel the wire. Connections are pooled and lazily
 // dialed; every request carries a per-attempt deadline (ClientConfig.
 // RequestTimeout, tightened by the context's own deadline) and observes
 // cancellation mid-flight, so a dead or hung shard surfaces as an error
 // within one timeout instead of wedging the run. All methods are safe for
 // concurrent use — the store is designed to sit under RetryStore,
 // CoalescingStore and InstrumentedStore unchanged.
-//
-// The infallible Store surface (Get, GetBatch) cannot report network
-// failures and panics on them; engine paths that can degrade use the
-// fallible surface, which is the only one the coordinator calls.
 type RemoteStore struct {
 	addr  string
 	cfg   ClientConfig
@@ -135,7 +136,11 @@ func (s *RemoteStore) acquire(ctx context.Context) (*remoteConn, error) {
 	// version it speaks; the server replies with the connection's version
 	// (min of both sides), which every frame on this connection then uses.
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.DialTimeout))
-	rc := &remoteConn{conn: conn, br: bufio.NewReaderSize(conn, 1<<16)}
+	rc := &remoteConn{conn: conn, br: bufio.NewReaderSize(conn, 1<<16), watched: make(chan struct{}, 1)}
+	rc.yank = func() {
+		_ = conn.SetDeadline(time.Now().Add(-time.Second))
+		rc.watched <- struct{}{}
+	}
 	if err := codec.WriteHandshake(conn, s.cfg.MaxWireVersion); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
@@ -197,14 +202,7 @@ func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, v
 	_ = rc.conn.SetDeadline(deadline)
 	// Mid-flight cancellation: yank the deadline so blocked reads/writes
 	// return immediately.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = rc.conn.SetDeadline(time.Now().Add(-time.Second))
-		case <-watchDone:
-		}
-	}()
+	stop := context.AfterFunc(ctx, rc.yank)
 	id := s.reqID.Add(1)
 	frame, err := func() (*codec.WireFrame, error) {
 		if err := write(rc.conn, rc.version, id); err != nil {
@@ -212,7 +210,12 @@ func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, v
 		}
 		return codec.ReadFrameVersion(rc.br, rc.version)
 	}()
-	close(watchDone)
+	if !stop() {
+		// The watcher fired: wait until its past deadline is in place, so it
+		// cannot land after the deadline is cleared below and poison the
+		// connection for the next request that takes it from the pool.
+		<-rc.watched
+	}
 	if err != nil {
 		_ = rc.conn.Close()
 		if cerr := ctx.Err(); cerr != nil {
@@ -229,7 +232,7 @@ func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, v
 	return frame, nil
 }
 
-// BatchGetCtx implements storage.FallibleStore: one wire round-trip for the
+// BatchGetCtx implements storage.Store: one wire round-trip for the
 // whole batch. Remote per-key failures come back as a *storage.BatchError
 // with shard-attributed causes; transport failures, remote whole-request
 // errors and timeouts fail the whole call (every value untrusted), which the
@@ -284,20 +287,6 @@ func (s *RemoteStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	}
 }
 
-// GetCtx implements storage.FallibleStore as a batch of one.
-func (s *RemoteStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	var dst [1]float64
-	err := s.BatchGetCtx(ctx, []int{key}, dst[:])
-	var be *storage.BatchError
-	if errors.As(err, &be) {
-		return 0, &be.Failed[0]
-	}
-	if err != nil {
-		return 0, err
-	}
-	return dst[0], nil
-}
-
 // Meta fetches the shard's self-description.
 func (s *RemoteStore) Meta(ctx context.Context) (*codec.ShardMeta, error) {
 	trace := obs.RequestID(ctx)
@@ -321,23 +310,6 @@ func (s *RemoteStore) Meta(ctx context.Context) (*codec.ShardMeta, error) {
 	return m, nil
 }
 
-// Get implements storage.Store. The infallible surface has no way to report
-// a network failure, so it panics on one; fallible callers use GetCtx.
-func (s *RemoteStore) Get(key int) float64 {
-	v, err := s.GetCtx(context.Background(), key)
-	if err != nil {
-		panic(fmt.Sprintf("dist: infallible Get over the network failed: %v", err))
-	}
-	return v
-}
-
-// GetBatch implements storage.BatchGetter, panicking on failure (see Get).
-func (s *RemoteStore) GetBatch(keys []int, dst []float64) {
-	if err := s.BatchGetCtx(context.Background(), keys, dst); err != nil {
-		panic(fmt.Sprintf("dist: infallible GetBatch over the network failed: %v", err))
-	}
-}
-
 // Retrievals implements storage.Store, counting keys requested through this
 // client (the shard's own counter tracks what physically reached it).
 func (s *RemoteStore) Retrievals() int64 { return s.retrievals.Load() }
@@ -358,11 +330,7 @@ func (s *RemoteStore) NonzeroCount() int {
 	return int(m.Nonzero)
 }
 
-// ConcurrentSafe implements storage.Concurrent.
-func (s *RemoteStore) ConcurrentSafe() {}
+// ConcurrentSafe implements the storage.IsConcurrent capability check.
+func (s *RemoteStore) ConcurrentSafe() bool { return true }
 
-var (
-	_ storage.FallibleStore = (*RemoteStore)(nil)
-	_ storage.BatchGetter   = (*RemoteStore)(nil)
-	_ storage.Concurrent    = (*RemoteStore)(nil)
-)
+var _ storage.Store = (*RemoteStore)(nil)

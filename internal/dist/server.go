@@ -17,13 +17,13 @@ import (
 )
 
 // Server exposes one coefficient shard over plain TCP: it answers BatchGet
-// frames from the wrapped store's fallible path and Meta frames from its
-// static self-description. Requests on one connection are handled serially
+// frames from the wrapped store and Meta frames from its static
+// self-description. Requests on one connection are handled serially
 // (the client pool provides parallelism with one in-flight request per
 // connection); connections are independent goroutines, so the store must be
 // concurrent-safe or wrapped before being served.
 type Server struct {
-	store  storage.FallibleStore
+	store  storage.Store
 	meta   codec.ShardMeta
 	log    *slog.Logger // nil = silent
 	ctx    context.Context
@@ -48,13 +48,12 @@ type Server struct {
 	errors   atomic.Int64
 }
 
-// NewServer wraps store (lifted to its fallible surface) with the shard's
-// self-description. logger may be nil for silence (tests); pass a structured
-// logger in daemons.
+// NewServer wraps store with the shard's self-description. logger may be nil
+// for silence (tests); pass a structured logger in daemons.
 func NewServer(store storage.Store, meta codec.ShardMeta, logger *slog.Logger) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		store:  storage.AsFallible(store),
+		store:  store,
 		meta:   meta,
 		log:    logger,
 		ctx:    ctx,

@@ -63,8 +63,8 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		t.Fatalf("negotiated version = %d, want 2", got)
 	}
 	for i, k := range keys {
-		if vals[i] != store.Get(k) {
-			t.Fatalf("key %d: got %v, want %v", k, vals[i], store.Get(k))
+		if vals[i] != storage.Get(store, k) {
+			t.Fatalf("key %d: got %v, want %v", k, vals[i], storage.Get(store, k))
 		}
 	}
 
@@ -101,8 +101,8 @@ func TestWireNegotiationWithV1Server(t *testing.T) {
 		t.Fatalf("negotiated version = %d, want 1 against a capped server", got)
 	}
 	for i, k := range keys {
-		if math.Float64bits(vals[i]) != math.Float64bits(store.Get(k)) {
-			t.Fatalf("key %d: got %v, want %v over v1", k, vals[i], store.Get(k))
+		if math.Float64bits(vals[i]) != math.Float64bits(storage.Get(store, k)) {
+			t.Fatalf("key %d: got %v, want %v over v1", k, vals[i], storage.Get(store, k))
 		}
 	}
 	if n := len(sink.Spans()); n != 0 {
@@ -129,8 +129,8 @@ func TestWireNegotiationWithV1Client(t *testing.T) {
 		t.Fatalf("negotiated version = %d, want 1 with a capped client", got)
 	}
 	for i, k := range keys {
-		if vals[i] != store.Get(k) {
-			t.Fatalf("key %d: got %v, want %v over v1", k, vals[i], store.Get(k))
+		if vals[i] != storage.Get(store, k) {
+			t.Fatalf("key %d: got %v, want %v over v1", k, vals[i], storage.Get(store, k))
 		}
 	}
 	if n := len(sink.Spans()); n != 0 {
@@ -146,7 +146,7 @@ func TestCoordinatorProfileWireAttribution(t *testing.T) {
 	const shardN = 2
 	addrs := make([]string, shardN)
 	remotes := make([]*RemoteStore, shardN)
-	shards := make([]storage.FallibleStore, shardN)
+	shards := make([]storage.Store, shardN)
 	for i := 0; i < shardN; i++ {
 		part, _, _, err := Partition(src, i, shardN)
 		if err != nil {

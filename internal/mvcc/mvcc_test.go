@@ -164,12 +164,12 @@ func TestZeroShadowsBase(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	for k := range before {
-		if got := s.Get(k); got != 0 {
+		if got := storage.Get(s, k); got != 0 {
 			t.Fatalf("key %d reads %v after full delete, want exactly 0", k, got)
 		}
 		// The shadowed base value is still there underneath — the zero is the
 		// layer speaking, not the base.
-		if base := seed.Get(k); base == 0 {
+		if base := storage.Get(seed, k); base == 0 {
 			t.Fatalf("base key %d lost its value; shadowing is vacuous", k)
 		}
 	}
@@ -206,7 +206,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatalf("snapshot drifted to version %d", sn.Version())
 	}
 	for k, v := range pinnedState {
-		if got := sn.View().Get(k); got != v {
+		if got := storage.Get(sn.View(), k); got != v {
 			t.Fatalf("pinned key %d moved: %v → %v", k, v, got)
 		}
 	}
@@ -264,7 +264,7 @@ func TestCompactionEquivalence(t *testing.T) {
 	}
 	// The pre-compaction view is immutable and still serves.
 	for k, v := range pre {
-		if got := preView.(*view).Get(k); got != v {
+		if got := storage.Get(preView, k); got != v {
 			t.Fatalf("pre-compaction view key %d moved: %v → %v", k, v, got)
 		}
 	}
@@ -416,19 +416,19 @@ func TestDirectAddPanics(t *testing.T) {
 	s.Add(1, 1)
 }
 
-// countingStore wraps a store and counts Get calls, standing in for the
-// robustness layers WrapBase composes over the base.
+// countingStore wraps a store and counts retrieval calls, standing in for
+// the robustness layers WrapBase composes over the base.
 type countingStore struct {
 	storage.Store
 	n atomic.Int64
 }
 
-func (c *countingStore) Get(key int) float64 {
+func (c *countingStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	c.n.Add(1)
-	return c.Store.Get(key)
+	return c.Store.BatchGetCtx(ctx, keys, dst)
 }
 
-func (c *countingStore) ConcurrentSafe() {}
+func (c *countingStore) ConcurrentSafe() bool { return true }
 
 // TestWrapBaseUndo checks that WrapBase routes base reads (and only base
 // reads) through the wrap, and that the undo removes it again.
@@ -454,14 +454,14 @@ func TestWrapBaseUndo(t *testing.T) {
 		}
 	}
 	base := cs.n.Load()
-	s.Get(layerKey)
+	storage.Get(s, layerKey)
 	if cs.n.Load() != base {
 		t.Fatalf("overlay read reached the base wrap")
 	}
 	// An unlayered base key goes through the wrap.
 	s.head.Load().rawBase.(storage.Enumerable).ForEachNonzero(func(k int, _ float64) bool {
 		if _, inLayer := s.head.Load().layers[0].vals[k]; !inLayer {
-			s.Get(k)
+			storage.Get(s, k)
 			return false
 		}
 		return true
@@ -472,7 +472,7 @@ func TestWrapBaseUndo(t *testing.T) {
 	undo()
 	after := cs.n.Load()
 	s.head.Load().rawBase.(storage.Enumerable).ForEachNonzero(func(k int, _ float64) bool {
-		s.Get(k)
+		storage.Get(s, k)
 		return false
 	})
 	if cs.n.Load() != after {

@@ -81,13 +81,11 @@ func (l *Layer) Len() int { return len(l.vals) }
 // coefficients forever, whatever lands after it.
 type view struct {
 	version Version
-	// rawBase is the unwrapped, enumerable base (compaction source);
-	// base/fbase are the serving wrap chain over it (concurrency shim plus
-	// whatever WrapBase installed: chaos, retries, instrumentation,
-	// coalescing).
+	// rawBase is the unwrapped, enumerable base (compaction source); base
+	// is the serving wrap chain over it (concurrency shim plus whatever
+	// WrapBase installed: chaos, retries, instrumentation, coalescing).
 	rawBase storage.Store
 	base    storage.Store
-	fbase   storage.FallibleStore
 	// layers is the overlay, newest first.
 	layers    []*Layer
 	layerKeys int
@@ -115,66 +113,32 @@ func (v *view) lookup(key int) (float64, bool) {
 	return 0, false
 }
 
-// Get implements storage.Store.
-func (v *view) Get(key int) float64 {
-	v.retr.Add(1)
-	if val, ok := v.lookup(key); ok {
-		return val
-	}
-	return v.base.Get(key)
-}
-
-// GetBatch implements storage.BatchGetter. The infallible fetch never
-// returns an error, so resolve's is discarded.
-func (v *view) GetBatch(keys []int, dst []float64) {
-	v.retr.Add(int64(len(keys)))
-	_ = v.resolve(keys, dst, func(subKeys []int, subDst []float64, _ []int) error {
-		storage.BatchGet(v.base, subKeys, subDst)
-		return nil
-	})
-}
-
-// GetCtx implements storage.FallibleStore.
-func (v *view) GetCtx(ctx context.Context, key int) (float64, error) {
-	v.retr.Add(1)
-	if val, ok := v.lookup(key); ok {
-		return val, nil
-	}
-	return v.fbase.GetCtx(ctx, key)
-}
-
-// BatchGetCtx implements storage.FallibleStore: overlay hits are resolved
-// in-memory (they cannot fail), the remainder takes one batched fallible
-// base read, and partial base failures are remapped to the caller's
-// positions — so retry, coalescing and degraded-run semantics compose
-// through the overlay unchanged.
+// BatchGetCtx implements storage.Store: overlay hits are resolved in-memory
+// (they cannot fail), the remainder takes one batched base read, and partial
+// base failures are remapped to the caller's positions — so retry,
+// coalescing and degraded-run semantics compose through the overlay
+// unchanged.
 func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
-	v.retr.Add(int64(len(keys)))
-	base := 0
-	err := v.resolve(keys, dst, func(subKeys []int, subDst []float64, subIdx []int) error {
-		base = len(subKeys)
-		err := v.fbase.BatchGetCtx(ctx, subKeys, subDst)
-		var be *storage.BatchError
-		if errors.As(err, &be) {
-			remapped := make([]storage.KeyError, len(be.Failed))
-			for i, ke := range be.Failed {
-				remapped[i] = storage.KeyError{Index: subIdx[ke.Index], Key: ke.Key, Err: ke.Err}
-			}
-			return &storage.BatchError{Failed: remapped}
-		}
+	if len(keys) != len(dst) {
+		panic("mvcc: BatchGetCtx keys/dst length mismatch")
+	}
+	if err := ctx.Err(); err != nil {
 		return err
-	})
+	}
+	v.retr.Add(int64(len(keys)))
+	base, err := v.resolve(ctx, keys, dst)
 	// EXPLAIN ANALYZE attribution: keys answered by the snapshot's write
 	// layers vs delegated to the base store. Nil profile = no-op.
 	obs.ProfileFrom(ctx).AddMVCC(len(keys)-base, base)
 	return err
 }
 
-// resolve fills dst from the overlay and hands the overlay misses to fetch
-// as one sub-batch (subIdx maps sub-batch position → caller position).
-func (v *view) resolve(keys []int, dst []float64, fetch func(subKeys []int, subDst []float64, subIdx []int) error) error {
+// resolve fills dst from the overlay and fetches the overlay misses from the
+// base as one sub-batch, remapping a partial failure to the caller's
+// positions. It returns how many keys went to the base.
+func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, error) {
 	var subKeys []int
-	var subIdx []int
+	var subIdx []int // sub-batch position → caller position
 	for i, k := range keys {
 		if val, ok := v.lookup(k); ok {
 			dst[i] = val
@@ -184,26 +148,32 @@ func (v *view) resolve(keys []int, dst []float64, fetch func(subKeys []int, subD
 		}
 	}
 	if len(subKeys) == 0 {
-		return nil
+		return 0, nil
 	}
 	subDst := make([]float64, len(subKeys))
-	err := fetch(subKeys, subDst, subIdx)
+	err := v.base.BatchGetCtx(ctx, subKeys, subDst)
 	// On a partial failure the unlisted positions still hold valid values
-	// (the FallibleStore contract); copy everything back and let the caller
-	// interpret the remapped error.
+	// (the Store contract); copy everything back and remap the listed ones.
 	for i, j := range subIdx {
 		dst[j] = subDst[i]
 	}
-	return err
+	var be *storage.BatchError
+	if errors.As(err, &be) {
+		remapped := make([]storage.KeyError, len(be.Failed))
+		for i, ke := range be.Failed {
+			remapped[i] = storage.KeyError{Index: subIdx[ke.Index], Key: ke.Key, Err: ke.Err}
+		}
+		err = &storage.BatchError{Failed: remapped}
+	}
+	return len(subKeys), err
 }
 
 // lookupUncounted reads current coefficient values for Apply's merge without
 // counting retrievals (maintenance reads, like Updatable.Add, are not part
 // of the paper's I/O cost measure).
 func (v *view) lookupUncounted(ctx context.Context, keys []int, dst []float64) error {
-	return v.resolve(keys, dst, func(subKeys []int, subDst []float64, _ []int) error {
-		return v.fbase.BatchGetCtx(ctx, subKeys, subDst)
-	})
+	_, err := v.resolve(ctx, keys, dst)
+	return err
 }
 
 // Retrievals implements storage.Store (shared across every view of the
@@ -216,9 +186,10 @@ func (v *view) ResetStats() { v.retr.Store(0) }
 // NonzeroCount implements storage.Store.
 func (v *view) NonzeroCount() int { return v.nonzero }
 
-// ConcurrentSafe implements storage.Concurrent: views are immutable and the
-// base is behind a concurrency shim, so any number of goroutines may read.
-func (v *view) ConcurrentSafe() {}
+// ConcurrentSafe implements the storage.IsConcurrent capability check:
+// views are immutable and the base is behind a concurrency shim, so any
+// number of goroutines may read.
+func (v *view) ConcurrentSafe() bool { return true }
 
 // Enumerable implements the wrapper capability check.
 func (v *view) Enumerable() bool { return true }
@@ -249,8 +220,7 @@ func (v *view) ForEachNonzero(fn func(key int, value float64) bool) {
 	})
 }
 
-var _ storage.FallibleStore = (*view)(nil)
-var _ storage.BatchGetter = (*view)(nil)
+var _ storage.Store = (*view)(nil)
 var _ storage.Enumerable = (*view)(nil)
 
 // Store is the multi-version coefficient store. Reads through the Store
@@ -332,7 +302,7 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 		retr:    &s.retrievals,
 		pins:    new(atomic.Int64),
 	}
-	v0.base, v0.fbase = s.applyWrapsLocked(base)
+	v0.base = s.applyWrapsLocked(base)
 	s.head.Store(v0)
 	s.retained = []*view{v0}
 	s.noteHead(v0)
@@ -341,9 +311,9 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 
 // ensureConcurrent shims non-concurrent bases behind a mutex so immutable
 // views can be read from any goroutine (plain stores mutate a retrieval
-// counter on Get).
+// counter on every read).
 func ensureConcurrent(st storage.Store) storage.Store {
-	if _, ok := st.(storage.Concurrent); ok {
+	if storage.IsConcurrent(st) {
 		return st
 	}
 	return storage.NewConcurrentStore(st)
@@ -351,12 +321,12 @@ func ensureConcurrent(st storage.Store) storage.Store {
 
 // applyWrapsLocked builds the serving chain over a raw base: concurrency
 // shim innermost, then every installed wrap in installation order.
-func (s *Store) applyWrapsLocked(raw storage.Store) (storage.Store, storage.FallibleStore) {
+func (s *Store) applyWrapsLocked(raw storage.Store) storage.Store {
 	b := ensureConcurrent(raw)
 	for _, w := range s.wraps {
 		b = w.fn(b)
 	}
-	return b, storage.AsFallible(b)
+	return b
 }
 
 // WrapBase installs a wrap (fault injector, retry layer, instrumentation,
@@ -400,7 +370,7 @@ func (s *Store) republishBaseLocked() {
 		retr:      cur.retr,
 		pins:      cur.pins,
 	}
-	nv.base, nv.fbase = s.applyWrapsLocked(cur.rawBase)
+	nv.base = s.applyWrapsLocked(cur.rawBase)
 	s.head.Store(nv)
 	s.replaceRetainedLocked(nv)
 }
@@ -464,7 +434,6 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 		version:   cur.version + 1,
 		rawBase:   cur.rawBase,
 		base:      cur.base,
-		fbase:     cur.fbase,
 		layers:    layers,
 		layerKeys: cur.layerKeys + len(vals),
 		tuples:    cur.tuples + b.TupleWeight(),
@@ -588,7 +557,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		retr:      &s.retrievals,
 		pins:      cur.pins,
 	}
-	nv.base, nv.fbase = s.applyWrapsLocked(nb)
+	nv.base = s.applyWrapsLocked(nb)
 	s.head.Store(nv)
 	s.replaceRetainedLocked(nv)
 	s.mu.Unlock()
@@ -604,7 +573,7 @@ func (s *Store) Compact(ctx context.Context) error {
 // bit-stable however many versions land during the drain — and stays alive
 // as long as the caller references it (no pin bookkeeping; use Snapshot for
 // version-addressable retention).
-func (s *Store) View() storage.FallibleStore { return s.head.Load() }
+func (s *Store) View() storage.Store { return s.head.Load() }
 
 // Snapshot pins the current head: the version stays addressable by
 // SnapshotAt until Release, and the pinned-snapshot gauge tracks it.
@@ -644,7 +613,7 @@ type Snapshot struct {
 }
 
 // View returns the snapshot's read surface (immutable, concurrent-safe).
-func (sn *Snapshot) View() storage.FallibleStore { return sn.v }
+func (sn *Snapshot) View() storage.Store { return sn.v }
 
 // Version returns the pinned version.
 func (sn *Snapshot) Version() Version { return sn.v.version }
@@ -671,25 +640,14 @@ func (sn *Snapshot) Release() {
 	sn.s.notePins(-1)
 }
 
-// --- storage.Store / Updatable / FallibleStore on the store itself ---
+// --- storage.Store / Updatable on the store itself ---
 //
 // Reads through the Store resolve the head per call: composing wrappers
 // (instrumentation, caches) and facade paths that do one-shot reads work
 // unchanged. Evaluation paths needing a stable view across many reads must
 // capture View()/Snapshot() instead.
 
-// Get implements storage.Store against the current head.
-func (s *Store) Get(key int) float64 { return s.head.Load().Get(key) }
-
-// GetBatch implements storage.BatchGetter against the current head.
-func (s *Store) GetBatch(keys []int, dst []float64) { s.head.Load().GetBatch(keys, dst) }
-
-// GetCtx implements storage.FallibleStore against the current head.
-func (s *Store) GetCtx(ctx context.Context, key int) (float64, error) {
-	return s.head.Load().GetCtx(ctx, key)
-}
-
-// BatchGetCtx implements storage.FallibleStore against the current head.
+// BatchGetCtx implements storage.Store against the current head.
 func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	return s.head.Load().BatchGetCtx(ctx, keys, dst)
 }
@@ -710,8 +668,8 @@ func (s *Store) Add(int, float64) {
 	panic("mvcc: direct Add bypasses versioning; batch writes through Apply")
 }
 
-// ConcurrentSafe implements storage.Concurrent.
-func (s *Store) ConcurrentSafe() {}
+// ConcurrentSafe implements the storage.IsConcurrent capability check.
+func (s *Store) ConcurrentSafe() bool { return true }
 
 // Enumerable implements the wrapper capability check.
 func (s *Store) Enumerable() bool { return true }
@@ -771,9 +729,6 @@ func (s *Store) Stats() Stats {
 }
 
 var (
-	_ storage.Updatable     = (*Store)(nil)
-	_ storage.FallibleStore = (*Store)(nil)
-	_ storage.BatchGetter   = (*Store)(nil)
-	_ storage.Enumerable    = (*Store)(nil)
-	_ storage.Concurrent    = (*Store)(nil)
+	_ storage.Updatable  = (*Store)(nil)
+	_ storage.Enumerable = (*Store)(nil)
 )

@@ -450,7 +450,7 @@ func TestCoefficientsAgainstStore(t *testing.T) {
 	}
 	var got float64
 	for k, c := range coeffs {
-		got += c * st.Get(k)
+		got += c * storage.Get(st, k)
 	}
 	want := q.EvaluateDirect(d)
 	if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {

@@ -24,23 +24,13 @@ const benchClients = 16
 // map never yields mid-fetch on one core).
 const ioDelay = 2 * time.Microsecond
 
-// slowStore charges ioDelay per coefficient fetched, batch or single.
-type slowStore struct{ inner *storage.ShardedStore }
+// slowStore charges ioDelay per coefficient fetched.
+type slowStore struct{ *storage.ShardedStore }
 
-func (s *slowStore) Get(key int) float64 {
-	time.Sleep(ioDelay)
-	return s.inner.Get(key)
-}
-
-func (s *slowStore) GetBatch(keys []int, dst []float64) {
+func (s *slowStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	time.Sleep(time.Duration(len(keys)) * ioDelay)
-	s.inner.GetBatch(keys, dst)
+	return s.ShardedStore.BatchGetCtx(ctx, keys, dst)
 }
-
-func (s *slowStore) Retrievals() int64 { return s.inner.Retrievals() }
-func (s *slowStore) ResetStats()       { s.inner.ResetStats() }
-func (s *slowStore) NonzeroCount() int { return s.inner.NonzeroCount() }
-func (s *slowStore) ConcurrentSafe()   {}
 
 // runSequential is the PR-1 per-request path: each run executed to its
 // budget in turn, stepping in 1024-retrieval batches against the shared
@@ -105,7 +95,7 @@ func benchBudgets(distinct int) []int {
 func BenchmarkScheduler(b *testing.B) {
 	plan, shards, mass := fixture(b, 12, 40, 2048, 3)
 	budgets := benchBudgets(plan.DistinctCoefficients())
-	slow := &slowStore{inner: shards}
+	slow := &slowStore{shards}
 
 	b.Run("mem/sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -18,7 +18,7 @@ import (
 func TestScheduledRunDegradesUnderFaults(t *testing.T) {
 	plan, store, mass := fixture(t, 8, 50, 2048, 31)
 	cfg := storage.FaultConfig{ErrorRate: 0.2, Seed: 17}
-	faulty := storage.WrapFaults(store, cfg)
+	faulty := storage.NewFaultStore(store, cfg)
 	s := New(Config{Slice: 16, Workers: 2})
 	defer s.Close()
 
@@ -47,7 +47,7 @@ func TestScheduledRunDegradesUnderFaults(t *testing.T) {
 	// Key-based faults are order-independent, so an unscheduled fallible run
 	// over the same schedule skips the same entries and accumulates in the
 	// same order: bit-identical estimates.
-	ref := core.NewRun(plan, penalty.SSE{}, storage.WrapFaults(store, cfg))
+	ref := core.NewRun(plan, penalty.SSE{}, storage.NewFaultStore(store, cfg))
 	if err := ref.RunToCompletionCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,11 @@ func TestScheduledRunDegradesUnderFaults(t *testing.T) {
 // every ticket resolves with the same deterministic degradation.
 func TestSchedulerFaultsUnderConcurrentLoad(t *testing.T) {
 	plan, store, mass := fixture(t, 8, 60, 2048, 32)
-	faulty := storage.WrapFaults(store, storage.FaultConfig{ErrorRate: 0.15, Seed: 5})
-	conc, ok := faulty.(storage.Concurrent)
-	if !ok {
+	faulty := storage.NewFaultStore(store, storage.FaultConfig{ErrorRate: 0.15, Seed: 5})
+	if !storage.IsConcurrent(faulty) {
 		t.Fatal("faults over a sharded store must stay concurrent-safe")
 	}
-	co := storage.NewCoalescingStore(conc)
+	co := storage.NewCoalescingStore(faulty)
 	s := New(Config{Slice: 8, Workers: 4})
 	defer s.Close()
 
@@ -122,7 +121,7 @@ func TestSchedulerFaultsUnderConcurrentLoad(t *testing.T) {
 // partial progress instead of hanging out the delay.
 func TestSchedulerDeadlineWithInjectedLatency(t *testing.T) {
 	plan, store, mass := fixture(t, 4, 40, 2048, 33)
-	faulty := storage.WrapFaults(store, storage.FaultConfig{
+	faulty := storage.NewFaultStore(store, storage.FaultConfig{
 		DelayRate: 1, Delay: time.Hour, Seed: 2,
 	})
 	s := New(Config{Slice: 4, Workers: 1})
@@ -154,14 +153,14 @@ func TestSchedulerDeadlineWithInjectedLatency(t *testing.T) {
 // scheduled run completes exactly, not degraded.
 func TestSchedulerRetriesAbsorbTransientFaults(t *testing.T) {
 	plan, store, mass := fixture(t, 6, 40, 2048, 34)
-	faulty := storage.WrapFaults(store, storage.FaultConfig{ErrorEvery: 3})
-	retried := storage.WrapRetries(faulty, storage.RetryConfig{
+	faulty := storage.NewFaultStore(store, storage.FaultConfig{ErrorEvery: 3})
+	retried := storage.NewRetryStore(faulty, storage.RetryConfig{
 		MaxAttempts: 8,
 		BaseDelay:   10 * time.Microsecond,
 		MaxDelay:    100 * time.Microsecond,
 		Seed:        1,
 	})
-	if _, ok := retried.(storage.Concurrent); !ok {
+	if !storage.IsConcurrent(retried) {
 		t.Fatal("retries over a concurrent store must stay concurrent-safe")
 	}
 	s := New(Config{Slice: 16, Workers: 2})

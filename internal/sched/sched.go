@@ -457,8 +457,7 @@ func (s *Scheduler) worker() {
 		if t == nil {
 			return
 		}
-		// StepBatchCtx runs the slice on the store's fallible path: failed
-		// retrievals degrade the run (entries skipped, bounds widened)
+		// Failed retrievals degrade the run (entries skipped, bounds widened)
 		// instead of panicking a worker, and a non-nil err here is always
 		// the task context ending.
 		var start time.Time

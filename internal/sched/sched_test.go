@@ -428,20 +428,15 @@ func (g *gatedStore) enter() {
 	g.mu.Unlock()
 }
 
-func (g *gatedStore) Get(key int) float64 {
+func (g *gatedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	g.enter()
-	return g.inner.Get(key)
+	return g.inner.BatchGetCtx(ctx, keys, dst)
 }
 
-func (g *gatedStore) GetBatch(keys []int, dst []float64) {
-	g.enter()
-	storage.BatchGet(g.inner, keys, dst)
-}
-
-func (g *gatedStore) Retrievals() int64 { return g.inner.Retrievals() }
-func (g *gatedStore) ResetStats()       { g.inner.ResetStats() }
-func (g *gatedStore) NonzeroCount() int { return g.inner.NonzeroCount() }
-func (g *gatedStore) ConcurrentSafe()   {}
+func (g *gatedStore) Retrievals() int64    { return g.inner.Retrievals() }
+func (g *gatedStore) ResetStats()          { g.inner.ResetStats() }
+func (g *gatedStore) NonzeroCount() int    { return g.inner.NonzeroCount() }
+func (g *gatedStore) ConcurrentSafe() bool { return true }
 
 func (g *gatedStore) waitBlocked(t *testing.T) {
 	t.Helper()
@@ -466,17 +461,12 @@ type sleepStore struct {
 	delay time.Duration
 }
 
-func (s *sleepStore) Get(key int) float64 {
+func (s *sleepStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	time.Sleep(s.delay)
-	return s.inner.Get(key)
+	return s.inner.BatchGetCtx(ctx, keys, dst)
 }
 
-func (s *sleepStore) GetBatch(keys []int, dst []float64) {
-	time.Sleep(s.delay)
-	storage.BatchGet(s.inner, keys, dst)
-}
-
-func (s *sleepStore) Retrievals() int64 { return s.inner.Retrievals() }
-func (s *sleepStore) ResetStats()       { s.inner.ResetStats() }
-func (s *sleepStore) NonzeroCount() int { return s.inner.NonzeroCount() }
-func (s *sleepStore) ConcurrentSafe()   {}
+func (s *sleepStore) Retrievals() int64    { return s.inner.Retrievals() }
+func (s *sleepStore) ResetStats()          { s.inner.ResetStats() }
+func (s *sleepStore) NonzeroCount() int    { return s.inner.NonzeroCount() }
+func (s *sleepStore) ConcurrentSafe() bool { return true }

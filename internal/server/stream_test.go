@@ -180,19 +180,23 @@ func TestStreamBudgetStopsEarly(t *testing.T) {
 	}
 }
 
-// blockedStore parks every Get on a gate channel, pinning a scheduler worker
-// until the test releases it.
+// blockedStore parks every retrieval on a gate channel, pinning a scheduler
+// worker until the test releases it; every coefficient reads zero.
 type blockedStore struct {
 	gate chan struct{}
 	once sync.Once
 }
 
-func (s *blockedStore) release()          { s.once.Do(func() { close(s.gate) }) }
-func (s *blockedStore) Get(int) float64   { <-s.gate; return 0 }
-func (s *blockedStore) Retrievals() int64 { return 0 }
-func (s *blockedStore) ResetStats()       {}
-func (s *blockedStore) NonzeroCount() int { return 0 }
-func (s *blockedStore) ConcurrentSafe()   {}
+func (s *blockedStore) release() { s.once.Do(func() { close(s.gate) }) }
+func (s *blockedStore) BatchGetCtx(_ context.Context, _ []int, dst []float64) error {
+	<-s.gate
+	clear(dst)
+	return nil
+}
+func (s *blockedStore) Retrievals() int64    { return 0 }
+func (s *blockedStore) ResetStats()          {}
+func (s *blockedStore) NonzeroCount() int    { return 0 }
+func (s *blockedStore) ConcurrentSafe() bool { return true }
 
 // fillScheduler occupies the handler's run table and waiting queue with runs
 // whose store blocks, so the next HTTP request is deterministically rejected.

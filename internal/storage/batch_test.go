@@ -22,56 +22,6 @@ func keysScrambled() []int {
 	return []int{299, 0, 17, 17, 120, 121, 122, 5, 250, 1, 299, 60}
 }
 
-func checkBatch(t *testing.T, name string, s Store, cells []float64) {
-	t.Helper()
-	keys := keysScrambled()
-	dst := make([]float64, len(keys))
-	BatchGet(s, keys, dst)
-	for i, k := range keys {
-		if dst[i] != cells[k] {
-			t.Errorf("%s: dst[%d] (key %d) = %g, want %g", name, i, k, dst[i], cells[k])
-		}
-	}
-	if got := s.Retrievals(); got != int64(len(keys)) {
-		t.Errorf("%s: retrievals = %d, want %d", name, got, len(keys))
-	}
-}
-
-func TestGetBatchStores(t *testing.T) {
-	cells := batchCells()
-
-	t.Run("ArrayStore", func(t *testing.T) {
-		checkBatch(t, "array", NewArrayStore(cells), cells)
-	})
-	t.Run("HashStore", func(t *testing.T) {
-		checkBatch(t, "hash", NewHashStoreFromDense(cells, 0), cells)
-	})
-	t.Run("ShardedStore", func(t *testing.T) {
-		checkBatch(t, "sharded", NewShardedStoreFromDense(cells, 0, 8), cells)
-	})
-	t.Run("ConcurrentStore", func(t *testing.T) {
-		checkBatch(t, "concurrent", NewConcurrentStore(NewArrayStore(cells)), cells)
-	})
-	t.Run("FileStore", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "cells.wvfs")
-		fs, err := CreateFileStore(path, cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fs.Close()
-		checkBatch(t, "file", fs, cells)
-	})
-	t.Run("BlockStoreFallback", func(t *testing.T) {
-		// BlockStore has no GetBatch; BatchGet must fall back to per-key Gets
-		// (and block accounting must still happen).
-		bs := NewBlockStore(NewArrayStore(cells), 10)
-		checkBatch(t, "block", bs, cells)
-		if bs.BlockReads() == 0 {
-			t.Error("block: no block reads counted through fallback")
-		}
-	})
-}
-
 func TestGetBatchCached(t *testing.T) {
 	cells := batchCells()
 	inner := NewArrayStore(cells)
@@ -80,14 +30,14 @@ func TestGetBatchCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm two keys through the per-key path.
-	cs.Get(17)
-	cs.Get(250)
+	Get(cs, 17)
+	Get(cs, 250)
 	inner.ResetStats()
 	cs.hits = 0
 
 	keys := keysScrambled() // 17 and 299 each appear twice
 	dst := make([]float64, len(keys))
-	cs.GetBatch(keys, dst)
+	BatchGet(cs, keys, dst)
 	for i, k := range keys {
 		if dst[i] != cells[k] {
 			t.Fatalf("dst[%d] (key %d) = %g, want %g", i, k, dst[i], cells[k])
@@ -102,7 +52,7 @@ func TestGetBatchCached(t *testing.T) {
 		t.Errorf("hits = %d, want 4", got)
 	}
 	// Everything is now cached: a second pass is all hits.
-	cs.GetBatch(keys, dst)
+	BatchGet(cs, keys, dst)
 	if got := inner.Retrievals(); got != 8 {
 		t.Errorf("second pass reached inner store: retrievals = %d", got)
 	}
@@ -117,7 +67,7 @@ func TestGetBatchCachedDisabled(t *testing.T) {
 	}
 	keys := []int{4, 4, 9}
 	dst := make([]float64, len(keys))
-	cs.GetBatch(keys, dst)
+	BatchGet(cs, keys, dst)
 	if got := inner.Retrievals(); got != 3 {
 		t.Errorf("capacity-0 cache must forward every key: retrievals = %d", got)
 	}
@@ -147,7 +97,7 @@ func TestFileStoreGetBatchCoalescing(t *testing.T) {
 	}
 	keys = append(keys, 4095, 0, 2048)
 	dst := make([]float64, len(keys))
-	fs.GetBatch(keys, dst)
+	BatchGet(fs, keys, dst)
 	for i, k := range keys {
 		if dst[i] != cells[k] {
 			t.Fatalf("dst[%d] (key %d) = %g, want %g", i, k, dst[i], cells[k])
@@ -165,7 +115,7 @@ func TestGetBatchOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic for out-of-range key")
 		}
 	}()
-	s.GetBatch([]int{0, 9}, make([]float64, 2))
+	BatchGet(s, []int{0, 9}, make([]float64, 2))
 }
 
 func TestBatchGetLengthMismatchPanics(t *testing.T) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -17,7 +18,6 @@ import (
 // A capacity of 0 disables caching; Unbounded keeps everything.
 type CachedStore struct {
 	inner    Store
-	finner   FallibleStore
 	capacity int
 	lru      *list.List // front = most recently used
 	index    map[int]*list.Element
@@ -40,54 +40,87 @@ func NewCachedStore(inner Store, capacity int) (*CachedStore, error) {
 	}
 	return &CachedStore{
 		inner:    inner,
-		finner:   AsFallible(inner),
 		capacity: capacity,
 		lru:      list.New(),
 		index:    make(map[int]*list.Element),
 	}, nil
 }
 
-// Get implements Store. A hit is served from the cache without touching the
-// wrapped store; a miss fetches, counts and caches.
-func (s *CachedStore) Get(key int) float64 {
-	if el, ok := s.index[key]; ok {
-		s.hits++
-		if m := stObs(); m != nil {
-			m.cacheHits.Inc()
-		}
-		s.lru.MoveToFront(el)
-		return el.Value.(cachedCell).val
-	}
-	if m := stObs(); m != nil {
-		m.cacheMisses.Inc()
-	}
-	v := s.inner.Get(key)
-	s.insert(key, v)
-	return v
-}
-
-// GetCtx implements FallibleStore: hits never touch the wrapped store (and
-// so can never fail); misses take the wrapped store's fallible path, and
+// BatchGetCtx implements Store. Cache hits are served in place and can never
+// fail; the misses (deduplicated) go to the wrapped store in one batch, and
 // only successful fetches enter the cache — a failed retrieval is retried
-// against the store next time, never served stale or zero.
-func (s *CachedStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	if el, ok := s.index[key]; ok {
-		s.hits++
-		if m := stObs(); m != nil {
-			m.cacheHits.Inc()
+// against the store next time, never served stale or zero. A duplicate miss
+// within the batch is fetched once and the repeat counts as a hit, exactly
+// as if the keys had arrived one at a time. Failed misses are reported as a
+// *BatchError whose indices refer to the caller's batch (every position
+// requesting a failed key fails); a non-batch error from the wrapped store
+// (cancellation, total outage) is returned as-is.
+func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	checkBatch(keys, dst)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if s.capacity == 0 {
+		// Caching disabled: forward the whole batch.
+		return s.inner.BatchGetCtx(ctx, keys, dst)
+	}
+	var missKeys []int
+	missAt := make(map[int]int) // key → index into missKeys
+	hits := s.hits
+	for i, k := range keys {
+		if el, ok := s.index[k]; ok {
+			s.hits++
+			s.lru.MoveToFront(el)
+			dst[i] = el.Value.(cachedCell).val
+			continue
 		}
-		s.lru.MoveToFront(el)
-		return el.Value.(cachedCell).val, nil
+		if _, ok := missAt[k]; ok {
+			// Shares the first occurrence's fetch — unless that fetch
+			// fails, in which case every position of the key fails below.
+			s.hits++
+			continue
+		}
+		missAt[k] = len(missKeys)
+		missKeys = append(missKeys, k)
 	}
 	if m := stObs(); m != nil {
-		m.cacheMisses.Inc()
+		m.cacheHits.Add(s.hits - hits)
+		m.cacheMisses.Add(int64(len(missKeys)))
 	}
-	v, err := s.finner.GetCtx(ctx, key)
+	if len(missKeys) == 0 {
+		return nil
+	}
+	missVals := make([]float64, len(missKeys))
+	err := s.inner.BatchGetCtx(ctx, missKeys, missVals)
+	var failed map[int]error // missKeys index → cause
 	if err != nil {
-		return 0, err
+		var be *BatchError
+		if !errors.As(err, &be) {
+			return err
+		}
+		failed = make(map[int]error, len(be.Failed))
+		for _, ke := range be.Failed {
+			failed[ke.Index] = ke.Err
+		}
 	}
-	s.insert(key, v)
-	return v, nil
+	for j, k := range missKeys {
+		if _, bad := failed[j]; !bad {
+			s.insert(k, missVals[j])
+		}
+	}
+	var out []KeyError
+	for i, k := range keys {
+		j, ok := missAt[k]
+		if !ok {
+			continue
+		}
+		if cause, bad := failed[j]; bad {
+			out = append(out, KeyError{Index: i, Key: k, Err: cause})
+			continue
+		}
+		dst[i] = missVals[j]
+	}
+	return batchError(out)
 }
 
 // insert caches a fetched coefficient, evicting the LRU entry at capacity.
@@ -107,7 +140,7 @@ func (s *CachedStore) insert(key int, v float64) {
 // is the session's true I/O count.
 func (s *CachedStore) Retrievals() int64 { return s.inner.Retrievals() }
 
-// Hits returns the number of Get calls served from the cache.
+// Hits returns the number of retrievals served from the cache.
 func (s *CachedStore) Hits() int64 { return s.hits }
 
 // Cached returns the number of coefficients currently cached.
@@ -143,7 +176,6 @@ func (s *CachedStore) ForEachNonzero(fn func(key int, value float64) bool) {
 }
 
 var (
-	_ Store         = (*CachedStore)(nil)
-	_ Enumerable    = (*CachedStore)(nil)
-	_ FallibleStore = (*CachedStore)(nil)
+	_ Store      = (*CachedStore)(nil)
+	_ Enumerable = (*CachedStore)(nil)
 )

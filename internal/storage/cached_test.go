@@ -8,10 +8,10 @@ func TestCachedStoreHitsAndMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := s.Get(1); v != 20 {
+	if v := Get(s, 1); v != 20 {
 		t.Fatalf("Get = %g", v)
 	}
-	if v := s.Get(1); v != 20 {
+	if v := Get(s, 1); v != 20 {
 		t.Fatalf("Get = %g", v)
 	}
 	if s.Retrievals() != 1 {
@@ -31,18 +31,18 @@ func TestCachedStoreEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Get(0)
-	s.Get(1)
-	s.Get(2) // evicts 0
+	Get(s, 0)
+	Get(s, 1)
+	Get(s, 2) // evicts 0
 	if s.Cached() != 2 {
 		t.Fatalf("Cached = %d", s.Cached())
 	}
-	s.Get(0) // miss again
+	Get(s, 0) // miss again
 	if s.Retrievals() != 4 {
 		t.Fatalf("Retrievals = %d, want 4", s.Retrievals())
 	}
 	// 1 was evicted by the re-fetch of 0 (LRU back), 2 still cached.
-	s.Get(2)
+	Get(s, 2)
 	if s.Hits() != 1 {
 		t.Fatalf("Hits = %d, want 1", s.Hits())
 	}
@@ -54,8 +54,8 @@ func TestCachedStoreZeroCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Get(0)
-	s.Get(0)
+	Get(s, 0)
+	Get(s, 0)
 	if s.Retrievals() != 2 || s.Hits() != 0 {
 		t.Fatalf("retrievals=%d hits=%d", s.Retrievals(), s.Hits())
 	}
@@ -70,18 +70,18 @@ func TestCachedStoreValidationAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Get(0)
+	Get(s, 0)
 	s.ResetStats()
 	if s.Retrievals() != 0 || s.Hits() != 0 {
 		t.Fatal("ResetStats failed")
 	}
 	// Cache content survives ResetStats.
-	s.Get(0)
+	Get(s, 0)
 	if s.Hits() != 1 {
 		t.Fatal("cache should survive ResetStats")
 	}
 	s.ClearCache()
-	s.Get(0)
+	Get(s, 0)
 	if s.Retrievals() != 1 {
 		t.Fatal("ClearCache should force a miss")
 	}

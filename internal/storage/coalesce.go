@@ -31,8 +31,7 @@ import (
 // serves stale values once an Add lands (an Add racing an in-flight fetch of
 // the same key has plain Get/Add race semantics, as on the wrapped store).
 type CoalescingStore struct {
-	inner  Concurrent
-	finner FallibleStore
+	inner Store
 
 	mu       sync.Mutex
 	inflight map[int]*flight
@@ -60,150 +59,27 @@ type CoalesceStats struct {
 	Coalesced int64 `json:"coalesced"`
 }
 
-// NewCoalescingStore wraps inner. The wrapped store must be concurrent-safe
-// (the layer's whole point is overlapping callers).
-func NewCoalescingStore(inner Concurrent) *CoalescingStore {
-	return &CoalescingStore{inner: inner, finner: AsFallible(inner), inflight: make(map[int]*flight)}
-}
-
-// Get implements Store: lead a fetch, or join one already in flight.
-func (s *CoalescingStore) Get(key int) float64 {
-	s.requests.Add(1)
-	s.mu.Lock()
-	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		<-f.done
-		s.coalesced.Add(1)
-		obsCoalesce(1, 0, 1)
-		return f.val
+// NewCoalescingStore wraps inner, which must be concurrent-safe (the
+// layer's whole point is overlapping callers); anything else is a wiring bug
+// and panics.
+func NewCoalescingStore(inner Store) *CoalescingStore {
+	if !IsConcurrent(inner) {
+		panic(fmt.Sprintf("storage: coalescing over %T, which is not concurrent-safe", inner))
 	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	f.val = s.inner.Get(key)
-	s.fetched.Add(1)
-	obsCoalesce(1, 1, 0)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(f.done)
-	return f.val
+	return &CoalescingStore{inner: inner, inflight: make(map[int]*flight)}
 }
 
-// GetCtx implements FallibleStore: lead a fetch, or join one already in
-// flight. A leader's error is shared with every joiner of the same flight; a
-// joiner whose own context ends while waiting returns ctx.Err() without
-// disturbing the flight (the leader and other joiners are unaffected).
-func (s *CoalescingStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	s.requests.Add(1)
-	s.mu.Lock()
-	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		select {
-		case <-f.done:
-			s.coalesced.Add(1)
-			obsCoalesce(1, 0, 1)
-			return f.val, f.err
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	f.val, f.err = s.finner.GetCtx(ctx, key)
-	s.fetched.Add(1)
-	obsCoalesce(1, 1, 0)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(f.done)
-	return f.val, f.err
-}
-
-// GetBatch implements BatchGetter. Keys already in flight elsewhere are
+// BatchGetCtx implements Store. Keys already in flight elsewhere are
 // joined; the rest are registered and fetched from the wrapped store in one
-// batched call. Duplicate keys within the batch are fetched once and the
-// repeats count as coalesced, mirroring the sequential fetch-then-join
-// behaviour.
-func (s *CoalescingStore) GetBatch(keys []int, dst []float64) {
-	if len(keys) != len(dst) {
-		panic("storage: GetBatch keys/dst length mismatch")
-	}
-	s.requests.Add(int64(len(keys)))
-	obsCoalesce(int64(len(keys)), 0, 0)
-
-	type join struct {
-		pos int
-		f   *flight
-	}
-	var (
-		joins    []join
-		leadKeys []int
-		leadAt   = make(map[int]int) // key → index into leadKeys
-		flights  []*flight
-	)
-	s.mu.Lock()
-	for i, k := range keys {
-		if j, ok := leadAt[k]; ok {
-			// Duplicate within this batch: shares our own fetch.
-			joins = append(joins, join{pos: i, f: flights[j]})
-			continue
-		}
-		if f, ok := s.inflight[k]; ok {
-			joins = append(joins, join{pos: i, f: f})
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		s.inflight[k] = f
-		leadAt[k] = len(leadKeys)
-		leadKeys = append(leadKeys, k)
-		flights = append(flights, f)
-	}
-	s.mu.Unlock()
-
-	if len(leadKeys) > 0 {
-		vals := make([]float64, len(leadKeys))
-		BatchGet(s.inner, leadKeys, vals)
-		s.fetched.Add(int64(len(leadKeys)))
-		obsCoalesce(0, int64(len(leadKeys)), 0)
-		s.mu.Lock()
-		for _, k := range leadKeys {
-			delete(s.inflight, k)
-		}
-		s.mu.Unlock()
-		for j, f := range flights {
-			f.val = vals[j]
-			close(f.done)
-		}
-		for i, k := range keys {
-			if j, ok := leadAt[k]; ok {
-				dst[i] = vals[j]
-			}
-		}
-	}
-	for _, jn := range joins {
-		<-jn.f.done
-		dst[jn.pos] = jn.f.val
-		s.coalesced.Add(1)
-		obsCoalesce(0, 0, 1)
-	}
-}
-
-// BatchGetCtx implements FallibleStore with GetBatch's sharing: keys in
-// flight elsewhere are joined, the rest are fetched from the wrapped store
-// in one fallible batch. Per-key failures — from our own lead fetch or from
-// a joined leader — are collected into a *BatchError; a non-batch failure of
-// the lead fetch (cancellation, total outage) is propagated to every flight
-// we lead, so joiners fail too, and returned whole.
+// batch. Duplicate keys within the batch are fetched once and the repeats
+// count as coalesced, mirroring the sequential fetch-then-join behaviour.
+// Per-key failures — from our own lead fetch or from a joined leader — are
+// collected into a *BatchError; a non-batch failure of the lead fetch
+// (cancellation, total outage) is propagated to every flight we lead, so
+// joiners fail too, and returned whole. A joiner whose own context ends
+// while waiting returns ctx.Err() without disturbing the flight.
 func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) (err error) {
-	if len(keys) != len(dst) {
-		panic("storage: BatchGetCtx keys/dst length mismatch")
-	}
+	checkBatch(keys, dst)
 	ctx, sp := obs.StartSpan(ctx, "storage.coalesce.batchget")
 	if sp != nil {
 		sp.SetAttr("keys", strconv.Itoa(len(keys)))
@@ -222,6 +98,7 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 	var (
 		joins    []join
 		leadKeys []int
+		leadPos  []int               // caller position of each lead key
 		leadAt   = make(map[int]int) // key → index into leadKeys
 		flights  []*flight
 	)
@@ -240,6 +117,7 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 		s.inflight[k] = f
 		leadAt[k] = len(leadKeys)
 		leadKeys = append(leadKeys, k)
+		leadPos = append(leadPos, i)
 		flights = append(flights, f)
 	}
 	s.mu.Unlock()
@@ -253,7 +131,7 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 	var whole error // non-batch failure of the lead fetch
 	if len(leadKeys) > 0 {
 		vals := make([]float64, len(leadKeys))
-		err := s.finner.BatchGetCtx(ctx, leadKeys, vals)
+		err := s.inner.BatchGetCtx(ctx, leadKeys, vals)
 		s.fetched.Add(int64(len(leadKeys)))
 		obsCoalesce(0, int64(len(leadKeys)), 0)
 		var be *BatchError
@@ -283,14 +161,14 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 		}
 	}
 
+	// Leads answer their own position; repeats of a lead key within this
+	// batch are among the joins.
 	var failed []KeyError
-	for i, k := range keys {
-		if j, ok := leadAt[k]; ok {
-			if f := flights[j]; f.err != nil {
-				failed = append(failed, KeyError{Index: i, Key: k, Err: f.err})
-			} else {
-				dst[i] = f.val
-			}
+	for j, f := range flights {
+		if f.err != nil {
+			failed = append(failed, KeyError{Index: leadPos[j], Key: leadKeys[j], Err: f.err})
+		} else {
+			dst[leadPos[j]] = f.val
 		}
 	}
 	for _, jn := range joins {
@@ -307,11 +185,8 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 		}
 		dst[jn.pos] = jn.f.val
 	}
-	if len(failed) > 0 {
-		sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
-		return &BatchError{Failed: failed}
-	}
-	return nil
+	sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
+	return batchError(failed)
 }
 
 // Stats returns the coalescing counters.
@@ -362,14 +237,12 @@ func (s *CoalescingStore) ForEachNonzero(fn func(key int, value float64) bool) {
 	e.ForEachNonzero(fn)
 }
 
-// ConcurrentSafe implements Concurrent.
-func (s *CoalescingStore) ConcurrentSafe() {}
+// ConcurrentSafe implements the IsConcurrent capability check: the wrapped
+// store was required to be concurrent-safe and the layer synchronizes its
+// own state.
+func (s *CoalescingStore) ConcurrentSafe() bool { return true }
 
 var (
-	_ Store         = (*CoalescingStore)(nil)
-	_ Updatable     = (*CoalescingStore)(nil)
-	_ BatchGetter   = (*CoalescingStore)(nil)
-	_ Concurrent    = (*CoalescingStore)(nil)
-	_ Enumerable    = (*CoalescingStore)(nil)
-	_ FallibleStore = (*CoalescingStore)(nil)
+	_ Updatable  = (*CoalescingStore)(nil)
+	_ Enumerable = (*CoalescingStore)(nil)
 )

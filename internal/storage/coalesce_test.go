@@ -1,13 +1,14 @@
 package storage
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-// gateStore is a concurrent-safe store whose Get/GetBatch block on a gate
+// gateStore is a concurrent-safe store whose retrievals block on a gate
 // channel, letting tests hold fetches in flight deterministically.
 type gateStore struct {
 	inner *ShardedStore
@@ -22,20 +23,15 @@ func newGateStore(cells map[int]float64) *gateStore {
 	return &gateStore{inner: s, gate: make(chan struct{}, 1024)}
 }
 
-func (g *gateStore) Get(key int) float64 {
+func (g *gateStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	<-g.gate
-	return g.inner.Get(key)
+	return g.inner.BatchGetCtx(ctx, keys, dst)
 }
 
-func (g *gateStore) GetBatch(keys []int, dst []float64) {
-	<-g.gate
-	g.inner.GetBatch(keys, dst)
-}
-
-func (g *gateStore) Retrievals() int64 { return g.inner.Retrievals() }
-func (g *gateStore) ResetStats()       { g.inner.ResetStats() }
-func (g *gateStore) NonzeroCount() int { return g.inner.NonzeroCount() }
-func (g *gateStore) ConcurrentSafe()   {}
+func (g *gateStore) Retrievals() int64    { return g.inner.Retrievals() }
+func (g *gateStore) ResetStats()          { g.inner.ResetStats() }
+func (g *gateStore) NonzeroCount() int    { return g.inner.NonzeroCount() }
+func (g *gateStore) ConcurrentSafe() bool { return true }
 
 // open lets n fetch calls proceed.
 func (g *gateStore) open(n int) {
@@ -55,8 +51,8 @@ func TestCoalescingGetJoinsInflightFetch(t *testing.T) {
 		cs := NewCoalescingStore(gs)
 
 		results := make(chan float64, 2)
-		go func() { results <- cs.Get(7) }() // leader: blocks on the gate
-		for {                                // leader's flight registered (gate shut: it cannot deregister)
+		go func() { results <- Get(cs, 7) }() // leader: blocks on the gate
+		for {                                 // leader's flight registered (gate shut: it cannot deregister)
 			cs.mu.Lock()
 			_, inflight := cs.inflight[7]
 			cs.mu.Unlock()
@@ -65,9 +61,9 @@ func TestCoalescingGetJoinsInflightFetch(t *testing.T) {
 			}
 			runtime.Gosched()
 		}
-		go func() { results <- cs.Get(7) }() // joiner: should share the flight
-		time.Sleep(time.Millisecond)         // grace period to classify
-		gs.open(1)                           // one physical fetch on the join schedule
+		go func() { results <- Get(cs, 7) }() // joiner: should share the flight
+		time.Sleep(time.Millisecond)          // grace period to classify
+		gs.open(1)                            // one physical fetch on the join schedule
 		a := <-results
 		var b float64
 		select {
@@ -104,7 +100,7 @@ func TestCoalescingBatchOverlap(t *testing.T) {
 	out := make(chan res, 2)
 	go func() { // leader batch holds {1,2,3} in flight
 		dst := make([]float64, 3)
-		cs.GetBatch([]int{1, 2, 3}, dst)
+		BatchGet(cs, []int{1, 2, 3}, dst)
 		out <- res{dst}
 	}()
 	for {
@@ -118,7 +114,7 @@ func TestCoalescingBatchOverlap(t *testing.T) {
 	}
 	go func() { // overlapping batch: 2 and 3 join, 4 leads
 		dst := make([]float64, 3)
-		cs.GetBatch([]int{2, 3, 4}, dst)
+		BatchGet(cs, []int{2, 3, 4}, dst)
 		out <- res{dst}
 	}()
 	for { // wait until the second batch has classified (registered key 4);
@@ -159,7 +155,7 @@ func TestCoalescingBatchIntraBatchDuplicates(t *testing.T) {
 	s.Add(5, 50)
 	cs := NewCoalescingStore(s)
 	dst := make([]float64, 3)
-	cs.GetBatch([]int{5, 5, 5}, dst)
+	BatchGet(cs, []int{5, 5, 5}, dst)
 	for i, v := range dst {
 		if v != 50 {
 			t.Fatalf("dst[%d] = %g, want 50", i, v)
@@ -188,7 +184,7 @@ func TestCoalescingValuesMatchUnwrapped(t *testing.T) {
 				for i := range keys {
 					keys[i] = (w + round + i*4) % 256
 				}
-				cs.GetBatch(keys, dst)
+				BatchGet(cs, keys, dst)
 				for i, k := range keys {
 					want := 0.0
 					if k%3 == 0 {
@@ -199,7 +195,7 @@ func TestCoalescingValuesMatchUnwrapped(t *testing.T) {
 						return
 					}
 				}
-				if v := cs.Get((w * round) % 256); v != 0 && v != float64((w*round)%256)*1.5 {
+				if v := Get(cs, (w*round)%256); v != 0 && v != float64((w*round)%256)*1.5 {
 					t.Errorf("Get(%d) = %g", (w*round)%256, v)
 					return
 				}
@@ -229,7 +225,7 @@ func TestCoalescingPassthroughs(t *testing.T) {
 	if sum != 6 {
 		t.Fatalf("enumerated sum = %g", sum)
 	}
-	cs.Get(1)
+	Get(cs, 1)
 	if cs.Retrievals() != 1 {
 		t.Fatalf("Retrievals = %d", cs.Retrievals())
 	}

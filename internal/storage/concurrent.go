@@ -9,40 +9,25 @@ import (
 // ConcurrentStore wraps a Store with a mutex so multiple progressive runs
 // can execute in parallel goroutines against one materialized view. The
 // paper's engine is sequential per run; this wrapper serializes the
-// individual Get calls while letting runs interleave, which is the natural
-// deployment shape for a read-mostly query service.
+// individual retrieval batches while letting runs interleave, which is the
+// natural deployment shape for a read-mostly query service.
 type ConcurrentStore struct {
-	mu     sync.Mutex
-	inner  Store
-	finner FallibleStore
+	mu    sync.Mutex
+	inner Store
 }
 
 // NewConcurrentStore wraps inner.
 func NewConcurrentStore(inner Store) *ConcurrentStore {
-	return &ConcurrentStore{inner: inner, finner: AsFallible(inner)}
+	return &ConcurrentStore{inner: inner}
 }
 
-// Get implements Store.
-func (s *ConcurrentStore) Get(key int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inner.Get(key)
-}
-
-// GetCtx implements FallibleStore: the wrapped store's fallible path under
-// the lock. The lock is not interruptible; cancellation is observed by the
-// wrapped store (or by the engine at the next batch boundary).
-func (s *ConcurrentStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.finner.GetCtx(ctx, key)
-}
-
-// BatchGetCtx implements FallibleStore with one lock round-trip per batch.
+// BatchGetCtx implements Store with one lock round-trip per batch. The lock
+// is not interruptible; cancellation is observed by the wrapped store (or
+// by the engine at the next batch boundary).
 func (s *ConcurrentStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.finner.BatchGetCtx(ctx, keys, dst)
+	return s.inner.BatchGetCtx(ctx, keys, dst)
 }
 
 // Retrievals implements Store.
@@ -96,13 +81,10 @@ func (s *ConcurrentStore) ForEachNonzero(fn func(key int, value float64) bool) {
 // Enumerable reports whether the wrapped store supports ForEachNonzero.
 func (s *ConcurrentStore) Enumerable() bool { return IsEnumerable(s.inner) }
 
-// ConcurrentSafe implements Concurrent.
-func (s *ConcurrentStore) ConcurrentSafe() {}
+// ConcurrentSafe implements the IsConcurrent capability check.
+func (s *ConcurrentStore) ConcurrentSafe() bool { return true }
 
 var (
-	_ Store         = (*ConcurrentStore)(nil)
-	_ Updatable     = (*ConcurrentStore)(nil)
-	_ Concurrent    = (*ConcurrentStore)(nil)
-	_ Enumerable    = (*ConcurrentStore)(nil)
-	_ FallibleStore = (*ConcurrentStore)(nil)
+	_ Updatable  = (*ConcurrentStore)(nil)
+	_ Enumerable = (*ConcurrentStore)(nil)
 )

@@ -20,7 +20,7 @@ func TestConcurrentStoreParallelGets(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
 				k := (w*reads + i) % 1024
-				if got := cs.Get(k); got != float64(k) {
+				if got := Get(cs, k); got != float64(k) {
 					t.Errorf("Get(%d) = %g", k, got)
 					return
 				}
@@ -96,7 +96,7 @@ func TestConcurrentStoreAdd(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := cs.Get(7); got != 400 {
+	if got := Get(cs, 7); got != 400 {
 		t.Fatalf("Get(7) = %g after concurrent Adds, want 400", got)
 	}
 	defer func() {

@@ -22,15 +22,15 @@ type FaultConfig struct {
 	// decision hashes (Seed, key), so a key either always fails or never
 	// does, independent of call order.
 	ErrorRate float64
-	// ErrorEvery fails every Nth fallible retrieval (counting each key of a
-	// batch as one retrieval, across the store's lifetime). 0 disables.
+	// ErrorEvery fails every Nth retrieval (counting each key of a batch as
+	// one retrieval, across the store's lifetime). 0 disables.
 	// Unlike ErrorRate it is order-dependent, which is the point: it drives
 	// transient-failure schedules that retries can beat.
 	ErrorEvery int
 	// DelayRate is the fraction of keys whose retrieval is delayed by Delay
 	// before being served. Decided by hashing (Seed+1, key).
 	DelayRate float64
-	// DelayEvery delays every Nth fallible retrieval. 0 disables.
+	// DelayEvery delays every Nth retrieval. 0 disables.
 	DelayEvery int
 	// Delay is the injected latency for delayed retrievals; it is observed
 	// through the context, so a cancelled caller does not sit out the delay.
@@ -45,15 +45,12 @@ type FaultConfig struct {
 }
 
 // FaultStore wraps a Store and injects deterministic failures and latency
-// into its fallible path. The infallible path (Get, GetBatch) passes through
-// untouched — faults model storage-layer failures, which only the fallible
-// API can report — and with a zero-value config the fallible path is a pure
-// pass-through, byte-identical to the wrapped store.
+// into its retrievals. With a zero-value config it is a pure pass-through,
+// byte-identical to the wrapped store.
 type FaultStore struct {
-	inner  Store
-	finner FallibleStore
-	cfg    FaultConfig
-	calls  atomic.Int64 // fallible retrievals seen, for Nth-call schedules
+	inner Store
+	cfg   FaultConfig
+	calls atomic.Int64 // retrievals seen, for Nth-call schedules
 }
 
 // NewFaultStore wraps inner with the given fault schedule.
@@ -61,27 +58,8 @@ func NewFaultStore(inner Store, cfg FaultConfig) *FaultStore {
 	if cfg.Err == nil {
 		cfg.Err = ErrInjected
 	}
-	return &FaultStore{inner: inner, finner: AsFallible(inner), cfg: cfg}
+	return &FaultStore{inner: inner, cfg: cfg}
 }
-
-// WrapFaults wraps inner like NewFaultStore, preserving the Concurrent
-// marker: a concurrent-safe store stays concurrent-safe behind its faults
-// (FaultStore's own state is atomic), so the scheduler and coalescing layer
-// accept the wrapped store wherever they accepted the original.
-func WrapFaults(inner Store, cfg FaultConfig) FallibleStore {
-	f := NewFaultStore(inner, cfg)
-	if _, ok := inner.(Concurrent); ok {
-		return concurrentFaults{f}
-	}
-	return f
-}
-
-// concurrentFaults marks a FaultStore over a concurrent-safe store as itself
-// concurrent-safe.
-type concurrentFaults struct{ *FaultStore }
-
-// ConcurrentSafe implements Concurrent.
-func (concurrentFaults) ConcurrentSafe() {}
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed hash used to
 // turn (seed, key) into a reproducible uniform variate.
@@ -141,32 +119,13 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// GetCtx implements FallibleStore, applying the fault schedule to one
-// retrieval.
-func (s *FaultStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	errNow, delayNow := s.tick()
-	if delayNow || s.delayKey(key) {
-		obsFaultDelay()
-		if err := sleepCtx(ctx, s.cfg.Delay); err != nil {
-			return 0, err
-		}
-	}
-	if errNow || s.errKey(key) {
-		obsFaultErrors(1)
-		return 0, &KeyError{Key: key, Err: s.cfg.Err}
-	}
-	return s.finner.GetCtx(ctx, key)
-}
-
-// BatchGetCtx implements FallibleStore. Each key of the batch counts one
+// BatchGetCtx implements Store. Each key of the batch counts one
 // retrieval for the Nth-call schedules; at most one Delay is injected per
 // batch (latency coalesces exactly like the I/O it models). Faulted keys are
 // withheld from the wrapped store and reported via *BatchError alongside any
 // failures of the wrapped store itself.
 func (s *FaultStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
-	if len(keys) != len(dst) {
-		panic("storage: BatchGetCtx keys/dst length mismatch")
-	}
+	checkBatch(keys, dst)
 	var (
 		failed  []KeyError
 		delay   bool
@@ -192,7 +151,7 @@ func (s *FaultStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	}
 	if len(good) > 0 {
 		vals := make([]float64, len(good))
-		err := s.finner.BatchGetCtx(ctx, good, vals)
+		err := s.inner.BatchGetCtx(ctx, good, vals)
 		var be *BatchError
 		switch {
 		case err == nil:
@@ -217,19 +176,9 @@ func (s *FaultStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 			}
 		}
 	}
-	if len(failed) > 0 {
-		sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
-		return &BatchError{Failed: failed}
-	}
-	return nil
+	sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
+	return batchError(failed)
 }
-
-// Get implements Store as a pure pass-through: the infallible path has no
-// way to report a fault, so it never sees one.
-func (s *FaultStore) Get(key int) float64 { return s.inner.Get(key) }
-
-// GetBatch implements BatchGetter as a pure pass-through.
-func (s *FaultStore) GetBatch(keys []int, dst []float64) { BatchGet(s.inner, keys, dst) }
 
 // Add implements Updatable when the wrapped store does; it panics otherwise.
 func (s *FaultStore) Add(key int, delta float64) {
@@ -264,10 +213,11 @@ func (s *FaultStore) ForEachNonzero(fn func(key int, value float64) bool) {
 	e.ForEachNonzero(fn)
 }
 
+// ConcurrentSafe implements the IsConcurrent capability check: the
+// injector's own state is atomic, so it is as safe as the store it wraps.
+func (s *FaultStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
+
 var (
-	_ FallibleStore = (*FaultStore)(nil)
-	_ BatchGetter   = (*FaultStore)(nil)
-	_ Updatable     = (*FaultStore)(nil)
-	_ Enumerable    = (*FaultStore)(nil)
-	_ Concurrent    = concurrentFaults{}
+	_ Updatable  = (*FaultStore)(nil)
+	_ Enumerable = (*FaultStore)(nil)
 )

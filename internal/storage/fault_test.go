@@ -11,9 +11,9 @@ import (
 // errFlaky is the transient failure injected by flakyStore.
 var errFlaky = errors.New("flaky")
 
-// flakyStore fails the first failures[key] fallible retrievals of each key,
-// then serves normally. The infallible path never fails. It counts fallible
-// attempts per key so tests can assert exactly how often a wrapper re-asked.
+// flakyStore fails the first failures[key] retrievals of each key, then
+// serves normally. It counts attempts per key so tests can assert exactly
+// how often a wrapper re-asked.
 type flakyStore struct {
 	*ArrayStore
 	mu       sync.Mutex
@@ -35,7 +35,7 @@ func (s *flakyStore) attemptsFor(key int) int {
 	return s.attempts[key]
 }
 
-func (s *flakyStore) GetCtx(ctx context.Context, key int) (float64, error) {
+func (s *flakyStore) getCtx(ctx context.Context, key int) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -49,13 +49,13 @@ func (s *flakyStore) GetCtx(ctx context.Context, key int) (float64, error) {
 	if n > 0 {
 		return 0, &KeyError{Key: key, Err: errFlaky}
 	}
-	return s.ArrayStore.Get(key), nil
+	return Get(s.ArrayStore, key), nil
 }
 
 func (s *flakyStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	var failed []KeyError
 	for i, k := range keys {
-		v, err := s.GetCtx(ctx, k)
+		v, err := s.getCtx(ctx, k)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -71,7 +71,7 @@ func (s *flakyStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return nil
 }
 
-var _ FallibleStore = (*flakyStore)(nil)
+var _ Store = (*flakyStore)(nil)
 
 func testCells(n int) []float64 {
 	cells := make([]float64, n)
@@ -87,11 +87,11 @@ func TestFaultStoreZeroConfigIsPassThrough(t *testing.T) {
 	faulty := NewFaultStore(NewArrayStore(cells), FaultConfig{})
 	ctx := context.Background()
 	for k := 0; k < 64; k++ {
-		v, err := faulty.GetCtx(ctx, k)
+		v, err := GetCtx(ctx, faulty, k)
 		if err != nil {
 			t.Fatalf("GetCtx(%d): %v", k, err)
 		}
-		if want := plain.Get(k); v != want {
+		if want := Get(plain, k); v != want {
 			t.Fatalf("GetCtx(%d) = %g, want %g", k, v, want)
 		}
 	}
@@ -117,7 +117,7 @@ func TestFaultStoreErrorRateIsDeterministic(t *testing.T) {
 		s := NewFaultStore(NewArrayStore(cells), cfg)
 		failed := make(map[int]bool)
 		for k := 0; k < 256; k++ {
-			if _, err := s.GetCtx(ctx, k); err != nil {
+			if _, err := GetCtx(ctx, s, k); err != nil {
 				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("GetCtx(%d): %v, want ErrInjected", k, err)
 				}
@@ -147,7 +147,7 @@ func TestFaultStoreErrorRateIsDeterministic(t *testing.T) {
 	other := NewFaultStore(NewArrayStore(cells), FaultConfig{ErrorRate: 0.4, Seed: 1042})
 	same := true
 	for k := 0; k < 256; k++ {
-		_, err := other.GetCtx(ctx, k)
+		_, err := GetCtx(ctx, other, k)
 		if (err != nil) != first[k] {
 			same = false
 			break
@@ -162,7 +162,7 @@ func TestFaultStoreErrorEverySchedule(t *testing.T) {
 	s := NewFaultStore(NewArrayStore(testCells(32)), FaultConfig{ErrorEvery: 3})
 	ctx := context.Background()
 	for call := 1; call <= 9; call++ {
-		_, err := s.GetCtx(ctx, call%32)
+		_, err := GetCtx(ctx, s, call%32)
 		if wantErr := call%3 == 0; (err != nil) != wantErr {
 			t.Fatalf("call %d: err = %v, want failure %v", call, err, wantErr)
 		}
@@ -186,7 +186,7 @@ func TestFaultStoreKeyMatchRestrictsFaults(t *testing.T) {
 	s := NewFaultStore(NewArrayStore(testCells(16)), cfg)
 	ctx := context.Background()
 	for k := 0; k < 16; k++ {
-		_, err := s.GetCtx(ctx, k)
+		_, err := GetCtx(ctx, s, k)
 		if wantErr := k%2 == 0; (err != nil) != wantErr {
 			t.Fatalf("key %d: err = %v, want failure %v", k, err, wantErr)
 		}
@@ -196,7 +196,7 @@ func TestFaultStoreKeyMatchRestrictsFaults(t *testing.T) {
 func TestFaultStoreCustomError(t *testing.T) {
 	boom := errors.New("boom")
 	s := NewFaultStore(NewArrayStore(testCells(4)), FaultConfig{ErrorRate: 1, Err: boom})
-	if _, err := s.GetCtx(context.Background(), 1); !errors.Is(err, boom) {
+	if _, err := GetCtx(context.Background(), s, 1); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestFaultStoreDelayObservesCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := s.GetCtx(ctx, 2)
+	_, err := GetCtx(ctx, s, 2)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -264,48 +264,28 @@ func TestFaultStoreBatchPartialFailure(t *testing.T) {
 	}
 	// The same keys fail on the per-key GetCtx path.
 	for i, k := range keys {
-		_, gerr := s.GetCtx(context.Background(), k)
+		_, gerr := GetCtx(context.Background(), s, k)
 		if (gerr != nil) != failedAt[i] {
 			t.Fatalf("key %d: GetCtx failure %v, batch failure %v", k, gerr != nil, failedAt[i])
 		}
 	}
 }
 
-func TestFaultStoreInfalliblePathUntouched(t *testing.T) {
-	cells := testCells(32)
-	s := NewFaultStore(NewArrayStore(cells), FaultConfig{ErrorRate: 1, DelayRate: 1, Delay: time.Hour})
-	start := time.Now()
-	for k := 0; k < 32; k++ {
-		if v := s.Get(k); v != cells[k] {
-			t.Fatalf("Get(%d) = %g, want %g", k, v, cells[k])
+func TestWrappersForwardConcurrency(t *testing.T) {
+	plain := NewArrayStore(testCells(4))
+	conc := NewConcurrentStore(NewArrayStore(testCells(4)))
+	wrappers := map[string]func(Store) Store{
+		"FaultStore":        func(s Store) Store { return NewFaultStore(s, FaultConfig{}) },
+		"RetryStore":        func(s Store) Store { return NewRetryStore(s, RetryConfig{}) },
+		"InstrumentedStore": func(s Store) Store { return NewInstrumentedStore(s) },
+	}
+	for name, wrap := range wrappers {
+		if IsConcurrent(wrap(plain)) {
+			t.Fatalf("%s over a plain store must not claim concurrency", name)
 		}
-	}
-	dst := make([]float64, 4)
-	s.GetBatch([]int{1, 2, 3, 4}, dst)
-	for i, k := range []int{1, 2, 3, 4} {
-		if dst[i] != cells[k] {
-			t.Fatalf("GetBatch[%d] = %g", i, dst[i])
+		if !IsConcurrent(wrap(conc)) {
+			t.Fatalf("%s over a concurrent store must stay concurrent", name)
 		}
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("infallible path was delayed: %v", elapsed)
-	}
-}
-
-func TestWrapFaultsPreservesConcurrentMarker(t *testing.T) {
-	plain := WrapFaults(NewArrayStore(testCells(4)), FaultConfig{})
-	if _, ok := plain.(Concurrent); ok {
-		t.Fatal("FaultStore over a plain store must not claim concurrency")
-	}
-	conc := WrapFaults(NewConcurrentStore(NewArrayStore(testCells(4))), FaultConfig{})
-	if _, ok := conc.(Concurrent); !ok {
-		t.Fatal("FaultStore over a concurrent store must stay concurrent")
-	}
-	if _, ok := WrapRetries(NewArrayStore(testCells(4)), RetryConfig{}).(Concurrent); ok {
-		t.Fatal("RetryStore over a plain store must not claim concurrency")
-	}
-	if _, ok := WrapRetries(NewConcurrentStore(NewArrayStore(testCells(4))), RetryConfig{}).(Concurrent); !ok {
-		t.Fatal("RetryStore over a concurrent store must stay concurrent")
 	}
 }
 
@@ -316,21 +296,21 @@ func TestCachedStoreDoesNotCacheErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := cs.GetCtx(ctx, 3); !errors.Is(err, errFlaky) {
+	if _, err := GetCtx(ctx, cs, 3); !errors.Is(err, errFlaky) {
 		t.Fatalf("first GetCtx = %v, want flaky failure", err)
 	}
-	v, err := cs.GetCtx(ctx, 3)
+	v, err := GetCtx(ctx, cs, 3)
 	if err != nil {
 		t.Fatalf("second GetCtx: %v (the failure was cached)", err)
 	}
-	if want := flaky.ArrayStore.Get(3); v != want {
+	if want := Get(flaky.ArrayStore, 3); v != want {
 		t.Fatalf("recovered value = %g, want %g", v, want)
 	}
 	if got := flaky.attemptsFor(3); got != 2 {
 		t.Fatalf("inner attempts = %d, want 2 (error uncached, success cached)", got)
 	}
 	// Third read must come from the cache.
-	if _, err := cs.GetCtx(ctx, 3); err != nil {
+	if _, err := GetCtx(ctx, cs, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := flaky.attemptsFor(3); got != 2 {
@@ -369,7 +349,7 @@ func TestCachedStoreBatchGetCtxPartialFailure(t *testing.T) {
 	}
 }
 
-// holdStore holds fallible retrievals open until the test releases them,
+// holdStore holds retrievals open until the test releases them,
 // exposing the coalescing flight lifecycle to deterministic inspection.
 type holdStore struct {
 	*ArrayStore
@@ -377,20 +357,20 @@ type holdStore struct {
 	release chan error // the held retrieval returns this error (nil = serve)
 }
 
-func (s *holdStore) ConcurrentSafe() {}
+func (s *holdStore) ConcurrentSafe() bool { return true }
 
-func (s *holdStore) GetCtx(ctx context.Context, key int) (float64, error) {
+func (s *holdStore) getCtx(key int) (float64, error) {
 	s.entered <- key
 	if err := <-s.release; err != nil {
 		return 0, &KeyError{Key: key, Err: err}
 	}
-	return s.ArrayStore.Get(key), nil
+	return Get(s.ArrayStore, key), nil
 }
 
-func (s *holdStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+func (s *holdStore) BatchGetCtx(_ context.Context, keys []int, dst []float64) error {
 	var failed []KeyError
 	for i, k := range keys {
-		v, err := s.GetCtx(ctx, k)
+		v, err := s.getCtx(k)
 		if err != nil {
 			var ke *KeyError
 			errors.As(err, &ke)
@@ -405,10 +385,7 @@ func (s *holdStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) 
 	return nil
 }
 
-var (
-	_ FallibleStore = (*holdStore)(nil)
-	_ Concurrent    = (*holdStore)(nil)
-)
+var _ Store = (*holdStore)(nil)
 
 func TestCoalescingStoreSharesLeaderError(t *testing.T) {
 	hold := &holdStore{
@@ -426,14 +403,14 @@ func TestCoalescingStoreSharesLeaderError(t *testing.T) {
 	}
 	leader := make(chan result, 1)
 	go func() {
-		v, err := cs.GetCtx(ctx, 5)
+		v, err := GetCtx(ctx, cs, 5)
 		leader <- result{v, err}
 	}()
 	<-hold.entered // the flight is registered and the leader holds it open
 
 	joiner := make(chan result, 1)
 	go func() {
-		v, err := cs.GetCtx(ctx, 5)
+		v, err := GetCtx(ctx, cs, 5)
 		joiner <- result{v, err}
 	}()
 	time.Sleep(20 * time.Millisecond) // let the joiner reach the flight wait
@@ -452,12 +429,12 @@ func TestCoalescingStoreSharesLeaderError(t *testing.T) {
 	// The failed flight must not poison the key: a fresh retrieval succeeds.
 	done := make(chan result, 1)
 	go func() {
-		v, err := cs.GetCtx(ctx, 5)
+		v, err := GetCtx(ctx, cs, 5)
 		done <- result{v, err}
 	}()
 	<-hold.entered
 	hold.release <- nil
-	if r := <-done; r.err != nil || r.v != hold.ArrayStore.Get(5) {
+	if r := <-done; r.err != nil || r.v != Get(hold.ArrayStore, 5) {
 		t.Fatalf("post-failure retrieval = (%g, %v)", r.v, r.err)
 	}
 }
@@ -471,7 +448,7 @@ func TestCoalescingStoreJoinerCancellation(t *testing.T) {
 	cs := NewCoalescingStore(hold)
 	leader := make(chan error, 1)
 	go func() {
-		_, err := cs.GetCtx(context.Background(), 2)
+		_, err := GetCtx(context.Background(), cs, 2)
 		leader <- err
 	}()
 	<-hold.entered
@@ -479,7 +456,7 @@ func TestCoalescingStoreJoinerCancellation(t *testing.T) {
 	jctx, jcancel := context.WithCancel(context.Background())
 	joiner := make(chan error, 1)
 	go func() {
-		_, err := cs.GetCtx(jctx, 2)
+		_, err := GetCtx(jctx, cs, 2)
 		joiner <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -501,12 +478,8 @@ func TestCoalescingStoreJoinerCancellation(t *testing.T) {
 
 func TestCoalescingStoreBatchFaultsUnderRace(t *testing.T) {
 	cells := testCells(512)
-	faulty := WrapFaults(NewConcurrentStore(NewArrayStore(cells)), FaultConfig{ErrorRate: 0.3, Seed: 11})
-	conc, ok := faulty.(Concurrent)
-	if !ok {
-		t.Fatal("faulty store lost the Concurrent marker")
-	}
-	cs := NewCoalescingStore(conc)
+	faulty := NewFaultStore(NewConcurrentStore(NewArrayStore(cells)), FaultConfig{ErrorRate: 0.3, Seed: 11})
+	cs := NewCoalescingStore(faulty)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)

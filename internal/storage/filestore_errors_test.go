@@ -41,7 +41,7 @@ func TestFileStoreBatchReadAmplification(t *testing.T) {
 	}
 	dst := make([]float64, len(keys))
 	fs.ResetStats()
-	fs.GetBatch(keys, dst)
+	BatchGet(fs, keys, dst)
 	reads, bytesRead := fs.IOStats()
 	requested := int64(len(keys) * 8)
 	if bytesRead > 3*requested {
@@ -68,7 +68,7 @@ func TestFileStoreBatchReadAmplification(t *testing.T) {
 	}
 	dst = make([]float64, len(keys))
 	fs.ResetStats()
-	fs.GetBatch(keys, dst)
+	BatchGet(fs, keys, dst)
 	reads, bytesRead = fs.IOStats()
 	maxPerRead := int64(fileStoreMaxWasteCells+fileStoreMaxGap+1) * 8 * 2
 	if perRead := bytesRead / reads; perRead > maxPerRead {
@@ -88,7 +88,7 @@ func TestFileStoreBatchReadAmplification(t *testing.T) {
 	}
 	dst = make([]float64, len(keys))
 	fs.ResetStats()
-	fs.GetBatch(keys, dst)
+	BatchGet(fs, keys, dst)
 	reads, bytesRead = fs.IOStats()
 	if reads < 2 {
 		t.Fatalf("consecutive run over the span cap used %d reads, want a split", reads)
@@ -165,7 +165,7 @@ func TestFileStoreShortReadAtEOF(t *testing.T) {
 	}
 
 	// GetCtx on a truncated cell is a per-key error too.
-	if _, err := fs.GetCtx(context.Background(), keep+5); err == nil {
+	if _, err := GetCtx(context.Background(), fs, keep+5); err == nil {
 		t.Fatal("GetCtx beyond the cut must fail")
 	} else {
 		var ke *KeyError
@@ -277,7 +277,7 @@ func TestFileStoreReopenAfterTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restored file rejected: %v", err)
 	}
-	if got := s.Get(3); got != cells[3] {
+	if got := Get(s, 3); got != cells[3] {
 		t.Fatalf("restored Get(3) = %v, want %v", got, cells[3])
 	}
 	_ = s.Close()

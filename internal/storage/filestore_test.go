@@ -30,7 +30,7 @@ func TestFileStoreCreateGetMatchesMemory(t *testing.T) {
 		t.Fatalf("Size = %d", fs.Size())
 	}
 	for i, want := range cells {
-		if got := fs.Get(i); got != want {
+		if got := Get(fs, i); got != want {
 			t.Fatalf("Get(%d) = %g, want %g", i, got, want)
 		}
 	}
@@ -58,7 +58,7 @@ func TestFileStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Size() != 4 || re.Get(1) != 1.5 || re.Get(3) != -2.25 {
+	if re.Size() != 4 || Get(re, 1) != 1.5 || Get(re, 3) != -2.25 {
 		t.Fatal("reopened store content wrong")
 	}
 	if re.NonzeroCount() != 2 {
@@ -97,7 +97,7 @@ func TestFileStoreAdd(t *testing.T) {
 	defer fs.Close()
 	fs.Add(3, 2.5)
 	fs.Add(3, -1)
-	if got := fs.Get(3); got != 1.5 {
+	if got := Get(fs, 3); got != 1.5 {
 		t.Fatalf("after Add: %g", got)
 	}
 }
@@ -109,8 +109,8 @@ func TestFileStorePanicsOutOfRange(t *testing.T) {
 	}
 	defer fs.Close()
 	for _, fn := range []func(){
-		func() { fs.Get(-1) },
-		func() { fs.Get(2) },
+		func() { Get(fs, -1) },
+		func() { Get(fs, 2) },
 		func() { fs.Add(9, 1) },
 	} {
 		func() {
@@ -193,6 +193,6 @@ func BenchmarkFileStoreGet(b *testing.B) {
 	defer fs.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fs.Get(i & (1<<14 - 1))
+		Get(fs, i&(1<<14-1))
 	}
 }

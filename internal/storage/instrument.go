@@ -17,9 +17,8 @@ import (
 
 // storageMetrics is the package's metric bundle, built once per Observe.
 type storageMetrics struct {
-	getSeconds      *obs.Histogram // latency of single fallible/infallible gets
-	batchSeconds    *obs.Histogram // latency of batched gets
-	batchKeys       *obs.Counter   // keys requested through batched gets
+	batchSeconds    *obs.Histogram // latency of retrieval batches
+	batchKeys       *obs.Counter   // keys requested through retrieval batches
 	cacheHits       *obs.Counter
 	cacheMisses     *obs.Counter
 	coalesceReqs    *obs.Counter
@@ -42,8 +41,6 @@ func Observe(reg *obs.Registry) {
 		return
 	}
 	stMetrics.Store(&storageMetrics{
-		getSeconds: reg.Histogram("wvq_storage_get_seconds",
-			"Latency of single-coefficient retrievals.", nil),
 		batchSeconds: reg.Histogram("wvq_storage_batchget_seconds",
 			"Latency of batched coefficient retrievals.", nil),
 		batchKeys: reg.Counter("wvq_storage_batchget_keys_total",
@@ -111,92 +108,33 @@ func obsFaultDelay() {
 	}
 }
 
-// InstrumentedStore wraps a Store and times every retrieval against the
-// observed registry: single gets feed wvq_storage_get_seconds, batched gets
-// wvq_storage_batchget_seconds plus a key-count counter. When no registry
-// is observed the wrapper is a pass-through with one atomic load per call.
+// InstrumentedStore wraps a Store and times every retrieval batch against
+// the observed registry: wvq_storage_batchget_seconds plus a key-count
+// counter. When no registry is observed the wrapper is a pass-through with
+// one atomic load per call.
 type InstrumentedStore struct {
-	inner  Store
-	finner FallibleStore
+	inner Store
 }
 
 // NewInstrumentedStore wraps inner.
 func NewInstrumentedStore(inner Store) *InstrumentedStore {
-	return &InstrumentedStore{inner: inner, finner: AsFallible(inner)}
-}
-
-// WrapInstrumented wraps inner like NewInstrumentedStore, preserving the
-// Concurrent marker (the wrapper itself is stateless) so a concurrent-safe
-// store stays accepted wherever the original was.
-func WrapInstrumented(inner Store) FallibleStore {
-	w := NewInstrumentedStore(inner)
-	if _, ok := inner.(Concurrent); ok {
-		return concurrentInstrumented{w}
-	}
-	return w
+	return &InstrumentedStore{inner: inner}
 }
 
 // IsInstrumented reports whether s is an instrumentation wrapper.
 func IsInstrumented(s Store) bool {
-	switch s.(type) {
-	case *InstrumentedStore, concurrentInstrumented:
-		return true
-	}
-	return false
+	_, ok := s.(*InstrumentedStore)
+	return ok
 }
 
-// concurrentInstrumented marks an InstrumentedStore over a concurrent-safe
-// store as itself concurrent-safe.
-type concurrentInstrumented struct{ *InstrumentedStore }
-
-// ConcurrentSafe implements Concurrent.
-func (concurrentInstrumented) ConcurrentSafe() {}
-
-// Get implements Store, timing the retrieval when observed.
-func (s *InstrumentedStore) Get(key int) float64 {
-	m := stObs()
-	if m == nil {
-		return s.inner.Get(key)
-	}
-	start := time.Now()
-	v := s.inner.Get(key)
-	m.getSeconds.Observe(time.Since(start).Seconds())
-	return v
-}
-
-// GetBatch implements BatchGetter, timing the batch when observed.
-func (s *InstrumentedStore) GetBatch(keys []int, dst []float64) {
-	m := stObs()
-	if m == nil {
-		BatchGet(s.inner, keys, dst)
-		return
-	}
-	start := time.Now()
-	BatchGet(s.inner, keys, dst)
-	m.batchSeconds.Observe(time.Since(start).Seconds())
-	m.batchKeys.Add(int64(len(keys)))
-}
-
-// GetCtx implements FallibleStore, timing the retrieval when observed.
-func (s *InstrumentedStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	m := stObs()
-	if m == nil {
-		return s.finner.GetCtx(ctx, key)
-	}
-	start := time.Now()
-	v, err := s.finner.GetCtx(ctx, key)
-	m.getSeconds.Observe(time.Since(start).Seconds())
-	return v, err
-}
-
-// BatchGetCtx implements FallibleStore, timing the batch when observed.
+// BatchGetCtx implements Store, timing the batch when observed.
 func (s *InstrumentedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	m := stObs()
 	if m == nil {
-		return s.finner.BatchGetCtx(ctx, keys, dst)
+		return s.inner.BatchGetCtx(ctx, keys, dst)
 	}
 	start := time.Now()
-	err := s.finner.BatchGetCtx(ctx, keys, dst)
+	err := s.inner.BatchGetCtx(ctx, keys, dst)
 	m.batchSeconds.Observe(time.Since(start).Seconds())
 	m.batchKeys.Add(int64(len(keys)))
 	return err
@@ -233,11 +171,11 @@ func (s *InstrumentedStore) ForEachNonzero(fn func(key int, value float64) bool)
 	e.ForEachNonzero(fn)
 }
 
+// ConcurrentSafe implements the IsConcurrent capability check: the wrapper
+// is stateless, so it is as safe as the store it wraps.
+func (s *InstrumentedStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
+
 var (
-	_ Store         = (*InstrumentedStore)(nil)
-	_ BatchGetter   = (*InstrumentedStore)(nil)
-	_ Updatable     = (*InstrumentedStore)(nil)
-	_ Enumerable    = (*InstrumentedStore)(nil)
-	_ FallibleStore = (*InstrumentedStore)(nil)
-	_ Concurrent    = concurrentInstrumented{}
+	_ Updatable  = (*InstrumentedStore)(nil)
+	_ Enumerable = (*InstrumentedStore)(nil)
 )

@@ -29,55 +29,50 @@ func testDense() []float64 {
 
 func TestInstrumentedStoreTimesRetrievals(t *testing.T) {
 	reg := observeTest(t)
-	s := WrapInstrumented(NewArrayStore(testDense()))
+	s := NewInstrumentedStore(NewArrayStore(testDense()))
 
-	if v := s.Get(3); v != 4 {
+	if v := Get(s, 3); v != 4 {
 		t.Fatalf("Get = %v", v)
 	}
 	dst := make([]float64, 2)
 	BatchGet(s, []int{0, 5}, dst)
 	ctx := context.Background()
-	if _, err := s.GetCtx(ctx, 1); err != nil {
+	if _, err := GetCtx(ctx, s, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.BatchGetCtx(ctx, []int{2, 3, 4}, make([]float64, 3)); err != nil {
 		t.Fatal(err)
 	}
 
+	// Every retrieval is a batch; the two single-key adapters are batches
+	// of one.
 	snap := reg.Snapshot()
-	if snap["wvq_storage_get_seconds_count"] != 2 {
-		t.Fatalf("get observations = %v", snap["wvq_storage_get_seconds_count"])
-	}
-	if snap["wvq_storage_batchget_seconds_count"] != 2 {
+	if snap["wvq_storage_batchget_seconds_count"] != 4 {
 		t.Fatalf("batch observations = %v", snap["wvq_storage_batchget_seconds_count"])
 	}
-	if snap["wvq_storage_batchget_keys_total"] != 5 {
+	if snap["wvq_storage_batchget_keys_total"] != 7 {
 		t.Fatalf("batch keys = %v", snap["wvq_storage_batchget_keys_total"])
 	}
 }
 
 func TestInstrumentedStorePreservesMarkers(t *testing.T) {
-	plain := WrapInstrumented(NewArrayStore(testDense()))
-	if _, ok := plain.(Concurrent); ok {
+	plain := NewInstrumentedStore(NewArrayStore(testDense()))
+	if IsConcurrent(plain) {
 		t.Fatal("wrapper over a plain store must not claim concurrency")
 	}
-	conc := WrapInstrumented(NewConcurrentStore(NewArrayStore(testDense())))
-	if _, ok := conc.(Concurrent); !ok {
-		t.Fatal("wrapper must preserve the Concurrent marker")
+	conc := NewInstrumentedStore(NewConcurrentStore(NewArrayStore(testDense())))
+	if !IsConcurrent(conc) {
+		t.Fatal("wrapper must forward the wrapped store's concurrency-safety")
 	}
-	if !IsInstrumented(plain.(Store)) || !IsInstrumented(conc.(Store)) {
-		t.Fatal("IsInstrumented must recognize both wrapper shapes")
+	if !IsInstrumented(plain) || !IsInstrumented(conc) {
+		t.Fatal("IsInstrumented must recognize the wrapper")
 	}
 	if IsInstrumented(NewArrayStore(testDense())) {
 		t.Fatal("IsInstrumented false positive")
 	}
-	// Pass-through of the Updatable and Enumerable faces.
-	u, ok := plain.(Updatable)
-	if !ok {
-		t.Fatal("wrapper must stay updatable over an updatable store")
-	}
-	u.Add(0, 9)
-	if v := plain.Get(0); v != 10 {
+	// Pass-through of the Updatable face.
+	plain.Add(0, 9)
+	if v := Get(plain, 0); v != 10 {
 		t.Fatalf("Add through wrapper: got %v", v)
 	}
 }
@@ -88,9 +83,9 @@ func TestCacheCountersMirrored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.Get(1) // miss
-	cs.Get(1) // hit
-	cs.Get(2) // miss
+	Get(cs, 1) // miss
+	Get(cs, 1) // hit
+	Get(cs, 2) // miss
 	snap := reg.Snapshot()
 	if snap["wvq_storage_cache_hits_total"] != 1 {
 		t.Fatalf("hits = %v", snap["wvq_storage_cache_hits_total"])
@@ -102,9 +97,9 @@ func TestCacheCountersMirrored(t *testing.T) {
 
 func TestRetryAndFaultCountersMirrored(t *testing.T) {
 	reg := observeTest(t)
-	// Every third fallible retrieval fails once; two attempts recover it.
-	faulty := WrapFaults(NewArrayStore(testDense()), FaultConfig{ErrorEvery: 3})
-	retr := WrapRetries(faulty.(Store), RetryConfig{MaxAttempts: 2, BaseDelay: time.Microsecond})
+	// Every third retrieval fails once; two attempts recover it.
+	faulty := NewFaultStore(NewArrayStore(testDense()), FaultConfig{ErrorEvery: 3})
+	retr := NewRetryStore(faulty, RetryConfig{MaxAttempts: 2, BaseDelay: time.Microsecond})
 	ctx := context.Background()
 	dst := make([]float64, 6)
 	if err := retr.BatchGetCtx(ctx, []int{0, 1, 2, 3, 4, 5}, dst); err != nil {
@@ -123,8 +118,8 @@ func TestRetryAndFaultCountersMirrored(t *testing.T) {
 	}
 
 	// A store that always fails exhausts the budget.
-	dead := WrapFaults(NewArrayStore(testDense()), FaultConfig{ErrorRate: 1})
-	dretr := WrapRetries(dead.(Store), RetryConfig{MaxAttempts: 2, BaseDelay: time.Microsecond})
+	dead := NewFaultStore(NewArrayStore(testDense()), FaultConfig{ErrorRate: 1})
+	dretr := NewRetryStore(dead, RetryConfig{MaxAttempts: 2, BaseDelay: time.Microsecond})
 	err := dretr.BatchGetCtx(ctx, []int{0, 1}, make([]float64, 2))
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v", err)
@@ -142,7 +137,7 @@ func TestCoalesceCountersMatchStats(t *testing.T) {
 	if err := co.BatchGetCtx(context.Background(), []int{0, 1, 2, 3}, dst); err != nil {
 		t.Fatal(err)
 	}
-	co.Get(7)
+	Get(co, 7)
 	stats := co.Stats()
 	snap := reg.Snapshot()
 	if int64(snap["wvq_storage_coalesce_requests_total"]) != stats.Requests {
@@ -157,14 +152,15 @@ func TestCoalesceCountersMatchStats(t *testing.T) {
 }
 
 // TestUnobservedPassThroughZeroAllocs pins the nil fast path of the
-// instrumentation wrapper itself: with no registry observed, Get through the
-// wrapper must not allocate.
+// instrumentation wrapper itself: with no registry observed, a retrieval
+// through the wrapper must not allocate.
 func TestUnobservedPassThroughZeroAllocs(t *testing.T) {
 	Observe(nil)
-	s := WrapInstrumented(NewArrayStore(testDense()))
+	s := NewInstrumentedStore(NewArrayStore(testDense()))
+	ctx, keys, dst := context.Background(), []int{3}, make([]float64, 1)
 	if n := testing.AllocsPerRun(100, func() {
-		s.Get(3)
+		_ = s.BatchGetCtx(ctx, keys, dst)
 	}); n != 0 {
-		t.Fatalf("unobserved Get allocated %v times per run", n)
+		t.Fatalf("unobserved retrieval allocated %v times per run", n)
 	}
 }

@@ -91,9 +91,9 @@ func benchFiles(b *testing.B) (wvls, wvfs string, order []int) {
 		benchOrder
 }
 
-// drainBatches walks the schedule order through GetBatch in scheduler-sized
+// drainBatches walks the schedule order through BatchGet in scheduler-sized
 // slices, accumulating a checksum so the reads cannot be elided.
-func drainBatches(g storage.BatchGetter, order []int) float64 {
+func drainBatches(g storage.Store, order []int) float64 {
 	dst := make([]float64, benchDrainSlice)
 	sum := 0.0
 	for lo := 0; lo < len(order); lo += benchDrainSlice {
@@ -101,7 +101,7 @@ func drainBatches(g storage.BatchGetter, order []int) float64 {
 		if hi > len(order) {
 			hi = len(order)
 		}
-		g.GetBatch(order[lo:hi], dst[:hi-lo])
+		storage.BatchGet(g, order[lo:hi], dst[:hi-lo])
 		for _, v := range dst[:hi-lo] {
 			sum += v
 		}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 // fuzzSeedLayout builds a small valid layout file and returns its bytes, so
@@ -101,7 +103,7 @@ func fuzzExercise(t *testing.T, s *Store) {
 	keys = append(keys, -1, s.Size())
 
 	for _, k := range keys {
-		_, _ = s.GetCtx(ctx, k)
+		_, _ = storage.GetCtx(ctx, s, k)
 	}
 	dst := make([]float64, len(keys))
 	_ = s.BatchGetCtx(ctx, keys, dst)

@@ -87,7 +87,7 @@ func TestRoundtrip(t *testing.T) {
 			// Every stored key, in random order, via Get.
 			perm := rand.New(rand.NewSource(2)).Perm(len(keys))
 			for _, i := range perm {
-				if got := s.Get(keys[i]); got != values[i] {
+				if got := storage.Get(s, keys[i]); got != values[i] {
 					t.Fatalf("Get(%d) = %v, want %v", keys[i], got, values[i])
 				}
 			}
@@ -98,7 +98,7 @@ func TestRoundtrip(t *testing.T) {
 			}
 			for k := 0; k < cells && k < 1000; k++ {
 				if !stored[k] {
-					if got := s.Get(k); got != 0 {
+					if got := storage.Get(s, k); got != 0 {
 						t.Fatalf("Get(%d) = %v, want 0 (unstored)", k, got)
 					}
 				}
@@ -113,7 +113,7 @@ func TestRoundtrip(t *testing.T) {
 			}
 			st0 := s.Stats()
 			dst := make([]float64, len(ordered))
-			s.GetBatch(ordered, dst)
+			storage.BatchGet(s, ordered, dst)
 			byKey := make(map[int]float64, len(keys))
 			for i, k := range keys {
 				byKey[k] = values[i]
@@ -228,10 +228,10 @@ func TestQuantizedLayout(t *testing.T) {
 	if !s.Quantized() {
 		t.Fatal("Quantized flag lost")
 	}
-	if got := s.Get(1); got != 100 { // hot slot: raw float64
+	if got := storage.Get(s, 1); got != 100 { // hot slot: raw float64
 		t.Fatalf("hot Get(1) = %v, want 100", got)
 	}
-	if got := s.Get(3); got != float64(float32(1.000000000001)) {
+	if got := storage.Get(s, 3); got != float64(float32(1.000000000001)) {
 		t.Fatalf("cold Get(3) = %v, want float32 rounding", got)
 	}
 }
@@ -476,7 +476,7 @@ func TestEmptyLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
-	if s.NonzeroCount() != 0 || s.Get(3) != 0 {
+	if s.NonzeroCount() != 0 || storage.Get(s, 3) != 0 {
 		t.Fatal("empty layout must serve zeros")
 	}
 	s.ForEachNonzero(func(int, float64) bool {

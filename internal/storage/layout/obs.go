@@ -39,20 +39,8 @@ func Observe(reg *obs.Registry) {
 	})
 }
 
-func obsHotHit() {
-	if m := lMetrics.Load(); m != nil {
-		m.hotHits.Inc()
-	}
-}
-
-func obsColdHit() {
-	if m := lMetrics.Load(); m != nil {
-		m.coldHits.Inc()
-	}
-}
-
-// obsHotHits / obsColdHits are the batch-path variants: one atomic add per
-// served run instead of one per key.
+// obsHotHits / obsColdHits count one atomic add per served run instead of
+// one per key.
 func obsHotHits(n int64) {
 	if m := lMetrics.Load(); m != nil {
 		m.hotHits.Add(n)

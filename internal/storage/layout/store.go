@@ -35,8 +35,7 @@ import (
 // file front to back — sequential I/O, which is the point of the format.
 //
 // Store implements storage.Store, Updatable (Add refuses: layouts are
-// read-only), BatchGetter, FallibleStore, Enumerable and Concurrent. All
-// methods are safe for concurrent use.
+// read-only) and Enumerable. All methods are safe for concurrent use.
 type Store struct {
 	f        *os.File
 	data     []byte // whole-file mapping; nil on the pread fallback path
@@ -286,34 +285,6 @@ func (s *Store) hotValue(slot int) (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
-// valueAtSlot serves one slot through the tier that owns it.
-func (s *Store) valueAtSlot(slot, key int) (float64, error) {
-	if slot < s.g.hotCount {
-		v, err := s.hotValue(slot)
-		if err != nil {
-			return 0, err
-		}
-		s.hotHits.Add(1)
-		obsHotHit()
-		return v, nil
-	}
-	b := (slot - s.g.hotCount) / s.g.blockSize
-	ent, err := s.block(b)
-	if err != nil {
-		return 0, err
-	}
-	q := slot - s.g.hotCount - b*s.g.blockSize
-	if q >= len(ent.keys) {
-		return 0, fmt.Errorf("layout: slot %d beyond block %d's %d entries (index/block disagree)", slot, b, len(ent.keys))
-	}
-	if p := ent.rank(q); p >= len(ent.keys) || ent.keys[p] != key {
-		return 0, fmt.Errorf("layout: slot %d of block %d does not hold key %d (index/block disagree)", slot, b, key)
-	}
-	s.coldHits.Add(1)
-	obsColdHit()
-	return ent.val(q), nil
-}
-
 // blockCache is the decoded cold-block LRU (tier 2).
 type blockCache struct {
 	mu       sync.Mutex
@@ -410,45 +381,6 @@ func (s *Store) loadBlock(b int) (*blockEntry, error) {
 	return &blockEntry{id: b, keys: keys, rankBytes: rankBytes, valBytes: valBytes, quantized: s.Quantized()}, nil
 }
 
-// Get implements storage.Store. A key inside the domain that is not stored
-// is zero (like the hash store); I/O failures and corruption panic — use
-// the fallible surface for principled degradation.
-func (s *Store) Get(key int) float64 {
-	s.retrievals.Add(1)
-	if key < 0 || key >= s.g.cells {
-		panic(fmt.Sprintf("layout: key %d out of range [0,%d)", key, s.g.cells))
-	}
-	slot, ok := s.lookupSlot(key)
-	if !ok {
-		return 0
-	}
-	v, err := s.valueAtSlot(slot, key)
-	if err != nil {
-		panic(fmt.Sprintf("layout: retrieving key %d: %v", key, err))
-	}
-	return v
-}
-
-// GetCtx implements storage.FallibleStore.
-func (s *Store) GetCtx(ctx context.Context, key int) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	s.retrievals.Add(1)
-	if key < 0 || key >= s.g.cells {
-		return 0, &storage.KeyError{Key: key, Err: fmt.Errorf("key out of range [0,%d)", s.g.cells)}
-	}
-	slot, ok := s.lookupSlot(key)
-	if !ok {
-		return 0, nil
-	}
-	v, err := s.valueAtSlot(slot, key)
-	if err != nil {
-		return 0, &storage.KeyError{Key: key, Err: err}
-	}
-	return v, nil
-}
-
 // serveRun serves the longest prefix of keys[i:] that continues slot by
 // slot from the resolved start — the common shape of a progressive drain,
 // whose batches are exactly the layout's physical order. The caller has
@@ -537,40 +469,19 @@ func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
 	return n, nil
 }
 
-// GetBatch implements storage.BatchGetter. Runs of keys in layout order —
-// the progressive drain's access pattern — are served blockwise through
-// serveRun; anything else falls back to one lookup per key.
-func (s *Store) GetBatch(keys []int, dst []float64) {
-	s.retrievals.Add(int64(len(keys)))
-	i := 0
-	for i < len(keys) {
-		k := keys[i]
-		if k < 0 || k >= s.g.cells {
-			panic(fmt.Sprintf("layout: key %d out of range [0,%d)", k, s.g.cells))
-		}
-		slot, ok := s.lookupSlot(k)
-		if !ok {
-			dst[i] = 0
-			i++
-			continue
-		}
-		n, err := s.serveRun(keys, dst, i, slot)
-		if err != nil {
-			panic(fmt.Sprintf("layout: retrieving key %d: %v", k, err))
-		}
-		i += n
-	}
-}
-
 // batchCancelStride is how many keys BatchGetCtx serves between context
 // checks: frequent enough to abort a huge batch promptly, rare enough to
 // stay off the per-key fast path.
 const batchCancelStride = 1024
 
-// BatchGetCtx implements storage.FallibleStore. Failures are per-key — an
-// unreadable or corrupt block fails exactly the positions that resolve into
-// it, reported via *storage.BatchError, and every other position holds a
-// valid value. Cancellation is observed between strides and returned whole.
+// BatchGetCtx implements storage.Store. Runs of keys in layout order — the
+// progressive drain's access pattern — are served blockwise through
+// serveRun; anything else falls back to one lookup per key. A key inside
+// the domain that is not stored is zero (like the hash store). Failures are
+// per-key — an unreadable or corrupt block fails exactly the positions that
+// resolve into it, reported via *storage.BatchError, and every other
+// position holds a valid value. Cancellation is observed between strides and
+// returned whole.
 func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	if len(keys) != len(dst) {
 		panic("layout: BatchGetCtx keys/dst length mismatch")
@@ -683,10 +594,10 @@ func (s *Store) BlockExtent(b int) Extent {
 	return Extent{Off: int64(s.dir[b].off), Len: int(s.dir[b].len)}
 }
 
-// ConcurrentSafe implements storage.Concurrent: the mapping is immutable,
-// positioned reads are kernel-concurrent, and the cache and counters
-// synchronize themselves.
-func (s *Store) ConcurrentSafe() {}
+// ConcurrentSafe implements the storage.IsConcurrent capability check: the
+// mapping is immutable, positioned reads are kernel-concurrent, and the
+// cache and counters synchronize themselves.
+func (s *Store) ConcurrentSafe() bool { return true }
 
 // ForEachNonzero implements storage.Enumerable in slot (schedule) order —
 // the order that costs one sequential pass: the hot region streams from the
@@ -791,9 +702,6 @@ func (s *Store) close() error {
 }
 
 var (
-	_ storage.Updatable     = (*Store)(nil)
-	_ storage.BatchGetter   = (*Store)(nil)
-	_ storage.FallibleStore = (*Store)(nil)
-	_ storage.Enumerable    = (*Store)(nil)
-	_ storage.Concurrent    = (*Store)(nil)
+	_ storage.Updatable  = (*Store)(nil)
+	_ storage.Enumerable = (*Store)(nil)
 )

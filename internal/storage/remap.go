@@ -1,6 +1,10 @@
 package storage
 
-import "fmt"
+import (
+	"context"
+	"errors"
+	"fmt"
+)
 
 // RemappedStore applies a relocation of coefficients to new physical slots —
 // a disk layout. Logical keys (the transform positions the engine uses) are
@@ -42,8 +46,27 @@ func (s *RemappedStore) Slot(key int) int {
 	return int(s.slotOf[key])
 }
 
-// Get implements Store: reads the physical slot holding the logical key.
-func (s *RemappedStore) Get(key int) float64 { return s.inner.Get(s.Slot(key)) }
+// BatchGetCtx implements Store: reads the physical slots holding the logical
+// keys. A logical key outside the layout is sent down as slot -1, which
+// every store rejects as out of range, so its failure arrives in the wrapped
+// store's *BatchError like any other and only needs its Key restored.
+func (s *RemappedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	slots := make([]int, len(keys))
+	for i, k := range keys {
+		slots[i] = -1
+		if k >= 0 && k < len(s.slotOf) {
+			slots[i] = int(s.slotOf[k])
+		}
+	}
+	err := s.inner.BatchGetCtx(ctx, slots, dst)
+	var be *BatchError
+	if errors.As(err, &be) {
+		for i := range be.Failed {
+			be.Failed[i].Key = keys[be.Failed[i].Index]
+		}
+	}
+	return err
+}
 
 // Retrievals implements Store.
 func (s *RemappedStore) Retrievals() int64 { return s.inner.Retrievals() }

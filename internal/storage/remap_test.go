@@ -19,7 +19,7 @@ func TestRemappedStoreTranslatesKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, want := range cells {
-		if got := rs.Get(key); got != want {
+		if got := Get(rs, key); got != want {
 			t.Fatalf("Get(%d) = %g, want %g", key, got, want)
 		}
 	}
@@ -67,7 +67,7 @@ func TestRemappedStorePanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	rs.Get(5)
+	Get(rs, 5)
 }
 
 func TestRemappedBlockStoreCountsPhysicalBlocks(t *testing.T) {
@@ -87,7 +87,7 @@ func TestRemappedBlockStoreCountsPhysicalBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Get(0) != 1 || rs.Get(7) != 8 {
+	if Get(rs, 0) != 1 || Get(rs, 7) != 8 {
 		t.Fatal("values wrong through remap")
 	}
 	if bs.BlockReads() != 1 {

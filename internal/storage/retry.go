@@ -61,40 +61,20 @@ func (cfg RetryConfig) normalized() RetryConfig {
 	return cfg
 }
 
-// RetryStore wraps a FallibleStore-capable Store and retries failed fallible
-// retrievals with exponential backoff and jitter. Cancellation is never
-// retried: when the caller's context ends, the retrieval returns ctx.Err()
-// immediately, whatever attempt it was on. The infallible path (Get,
-// GetBatch) passes through untouched — it has no errors to retry.
+// RetryStore wraps a Store and retries failed retrievals with exponential
+// backoff and jitter. Cancellation is never retried: when the caller's
+// context ends, the retrieval returns ctx.Err() immediately, whatever
+// attempt it was on.
 type RetryStore struct {
-	inner  Store
-	finner FallibleStore
-	cfg    RetryConfig
-	draws  atomic.Int64 // jitter draws, for a reproducible sequence
+	inner Store
+	cfg   RetryConfig
+	draws atomic.Int64 // jitter draws, for a reproducible sequence
 }
 
 // NewRetryStore wraps inner with the given retry policy.
 func NewRetryStore(inner Store, cfg RetryConfig) *RetryStore {
-	return &RetryStore{inner: inner, finner: AsFallible(inner), cfg: cfg.normalized()}
+	return &RetryStore{inner: inner, cfg: cfg.normalized()}
 }
-
-// WrapRetries wraps inner like NewRetryStore, preserving the Concurrent
-// marker so a concurrent-safe store stays accepted wherever the original
-// was (RetryStore's own state is atomic).
-func WrapRetries(inner Store, cfg RetryConfig) FallibleStore {
-	r := NewRetryStore(inner, cfg)
-	if _, ok := inner.(Concurrent); ok {
-		return concurrentRetries{r}
-	}
-	return r
-}
-
-// concurrentRetries marks a RetryStore over a concurrent-safe store as
-// itself concurrent-safe.
-type concurrentRetries struct{ *RetryStore }
-
-// ConcurrentSafe implements Concurrent.
-func (concurrentRetries) ConcurrentSafe() {}
 
 // backoff returns the jittered delay before attempt number `attempt`
 // (1-based count of completed attempts).
@@ -123,40 +103,13 @@ func (s *RetryStore) exhausted(last error) error {
 	return fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, s.cfg.MaxAttempts, last)
 }
 
-// GetCtx implements FallibleStore, retrying transient failures.
-func (s *RetryStore) GetCtx(ctx context.Context, key int) (float64, error) {
-	var last error
-	for attempt := 1; attempt <= s.cfg.MaxAttempts; attempt++ {
-		obsRetryAttempts(1)
-		actx, cancel := s.attemptCtx(ctx)
-		v, err := s.finner.GetCtx(actx, key)
-		cancel()
-		if err == nil {
-			return v, nil
-		}
-		last = err
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, cerr
-		}
-		if attempt < s.cfg.MaxAttempts {
-			if serr := sleepCtx(ctx, s.backoff(attempt)); serr != nil {
-				return 0, serr
-			}
-		}
-	}
-	obsRetryExhausted(1)
-	return 0, &KeyError{Key: key, Err: s.exhausted(last)}
-}
-
-// BatchGetCtx implements FallibleStore. A partial failure retries only the
+// BatchGetCtx implements Store. A partial failure retries only the
 // failed subset — coefficients already fetched are kept, so each retry round
 // shrinks the batch. Keys still failing when attempts run out come back in a
 // *BatchError with each cause wrapped in ErrRetriesExhausted; cancellation
 // aborts the whole call with ctx.Err().
 func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) (err error) {
-	if len(keys) != len(dst) {
-		panic("storage: BatchGetCtx keys/dst length mismatch")
-	}
+	checkBatch(keys, dst)
 	ctx, sp := obs.StartSpan(ctx, "storage.retry.batchget")
 	attempts := 0
 	if sp != nil {
@@ -180,7 +133,7 @@ func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 		attempts = attempt
 		obsRetryAttempts(int64(len(pend)))
 		actx, cancel := s.attemptCtx(ctx)
-		err := s.finner.BatchGetCtx(actx, pendKeys[:len(pend)], vals[:len(pend)])
+		err := s.inner.BatchGetCtx(actx, pendKeys[:len(pend)], vals[:len(pend)])
 		cancel()
 		var be *BatchError
 		switch {
@@ -232,12 +185,6 @@ func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return &BatchError{Failed: failed}
 }
 
-// Get implements Store as a pure pass-through.
-func (s *RetryStore) Get(key int) float64 { return s.inner.Get(key) }
-
-// GetBatch implements BatchGetter as a pure pass-through.
-func (s *RetryStore) GetBatch(keys []int, dst []float64) { BatchGet(s.inner, keys, dst) }
-
 // Add implements Updatable when the wrapped store does; it panics otherwise.
 func (s *RetryStore) Add(key int, delta float64) {
 	u, ok := s.inner.(Updatable)
@@ -270,10 +217,11 @@ func (s *RetryStore) ForEachNonzero(fn func(key int, value float64) bool) {
 	e.ForEachNonzero(fn)
 }
 
+// ConcurrentSafe implements the IsConcurrent capability check: the retry
+// layer's own state is atomic, so it is as safe as the store it wraps.
+func (s *RetryStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
+
 var (
-	_ FallibleStore = (*RetryStore)(nil)
-	_ BatchGetter   = (*RetryStore)(nil)
-	_ Updatable     = (*RetryStore)(nil)
-	_ Enumerable    = (*RetryStore)(nil)
-	_ Concurrent    = concurrentRetries{}
+	_ Updatable  = (*RetryStore)(nil)
+	_ Enumerable = (*RetryStore)(nil)
 )

@@ -20,11 +20,11 @@ func fastRetry(attempts int) RetryConfig {
 func TestRetryStoreRecoversTransientFailure(t *testing.T) {
 	flaky := newFlakyStore(testCells(16), map[int]int{7: 2})
 	rs := NewRetryStore(flaky, fastRetry(3))
-	v, err := rs.GetCtx(context.Background(), 7)
+	v, err := GetCtx(context.Background(), rs, 7)
 	if err != nil {
 		t.Fatalf("GetCtx: %v", err)
 	}
-	if want := flaky.ArrayStore.Get(7); v != want {
+	if want := Get(flaky.ArrayStore, 7); v != want {
 		t.Fatalf("recovered value = %g, want %g", v, want)
 	}
 	if got := flaky.attemptsFor(7); got != 3 {
@@ -35,7 +35,7 @@ func TestRetryStoreRecoversTransientFailure(t *testing.T) {
 func TestRetryStoreExhaustsAttempts(t *testing.T) {
 	flaky := newFlakyStore(testCells(16), map[int]int{7: 10})
 	rs := NewRetryStore(flaky, fastRetry(2))
-	_, err := rs.GetCtx(context.Background(), 7)
+	_, err := GetCtx(context.Background(), rs, 7)
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 	}
@@ -106,7 +106,7 @@ func TestRetryStoreDoesNotRetryCancellation(t *testing.T) {
 	rs := NewRetryStore(flaky, fastRetry(5))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rs.GetCtx(ctx, 3); !errors.Is(err, context.Canceled) {
+	if _, err := GetCtx(ctx, rs, 3); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 	if got := flaky.attemptsFor(3); got > 1 {
@@ -126,7 +126,7 @@ func TestRetryStoreAttemptTimeoutBoundsSlowFetch(t *testing.T) {
 	cfg.AttemptTimeout = 5 * time.Millisecond
 	rs := NewRetryStore(slow, cfg)
 	start := time.Now()
-	_, err := rs.GetCtx(context.Background(), 1)
+	_, err := GetCtx(context.Background(), rs, 1)
 	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want exhausted deadline failures", err)
 	}
@@ -141,15 +141,15 @@ func TestRetryStoreZeroFaultPassThrough(t *testing.T) {
 	rs := NewRetryStore(NewArrayStore(cells), RetryConfig{})
 	ctx := context.Background()
 	for k := 0; k < 64; k++ {
-		v, err := rs.GetCtx(ctx, k)
+		v, err := GetCtx(ctx, rs, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := plain.Get(k); v != want {
+		if want := Get(plain, k); v != want {
 			t.Fatalf("GetCtx(%d) = %g, want %g", k, v, want)
 		}
 	}
-	if v := rs.Get(9); v != cells[9] {
+	if v := Get(rs, 9); v != cells[9] {
 		t.Fatalf("Get = %g", v)
 	}
 }
@@ -161,7 +161,7 @@ func TestRetryStoreBeatsNthCallFaultSchedule(t *testing.T) {
 	rs := NewRetryStore(faulty, fastRetry(3))
 	ctx := context.Background()
 	for k := 0; k < 64; k++ {
-		if _, err := rs.GetCtx(ctx, k); err != nil {
+		if _, err := GetCtx(ctx, rs, k); err != nil {
 			t.Fatalf("GetCtx(%d): %v", k, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -8,25 +9,15 @@ import (
 	"sync/atomic"
 )
 
-// Concurrent marks stores that are safe for use from multiple goroutines.
-// The evaluation engine uses it to decide whether retrievals may be issued
-// in parallel (Plan.ExactParallel) and the HTTP server uses it to drop its
-// global request mutex.
-type Concurrent interface {
-	Store
-	// ConcurrentSafe is a marker; it performs no work.
-	ConcurrentSafe()
-}
-
 // ShardedStore is a hash store physically partitioned into N lock shards:
 // each shard owns a disjoint slice of the key space behind its own RWMutex,
 // and the retrieval counter is a single atomic. Concurrent readers touching
 // different shards proceed without contending, which is what lets many
 // progressive runs (or HTTP requests) share one materialized view — the
-// single-mutex ConcurrentStore serializes every Get instead.
+// single-mutex ConcurrentStore serializes every batch instead.
 //
-// ShardedStore implements Store, Updatable, Enumerable, BatchGetter and
-// Concurrent. Enumeration order is unspecified (as for HashStore).
+// ShardedStore implements Store, Updatable and Enumerable and is
+// concurrent-safe. Enumeration order is unspecified (as for HashStore).
 type ShardedStore struct {
 	shards     []storeShard
 	mask       uint64
@@ -121,23 +112,23 @@ func (s *ShardedStore) shardOf(key int) uint64 {
 // NumShards returns the shard count.
 func (s *ShardedStore) NumShards() int { return len(s.shards) }
 
-// Get implements Store: one shared-lock round-trip on the key's shard and
-// one atomic counter increment.
-func (s *ShardedStore) Get(key int) float64 {
-	sh := &s.shards[s.shardOf(key)]
-	sh.mu.RLock()
-	v := sh.cells[key]
-	sh.mu.RUnlock()
-	s.retrievals.Add(1)
-	return v
-}
-
-// GetBatch implements BatchGetter: keys are grouped by shard so each shard
-// touched is locked once per batch rather than once per key.
-func (s *ShardedStore) GetBatch(keys []int, dst []float64) {
+// BatchGetCtx implements Store: keys are grouped by shard so each shard
+// touched is locked once per batch rather than once per key, and the
+// retrieval counter takes one atomic add. Like HashStore, only negative keys
+// are out of range.
+func (s *ShardedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	checkBatch(keys, dst)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	s.retrievals.Add(int64(len(keys)))
+	var failed []KeyError
 	groups := make([][]int32, len(s.shards))
 	for i, k := range keys {
+		if k < 0 {
+			failed = append(failed, KeyError{Index: i, Key: k, Err: errNegativeKey})
+			continue
+		}
 		sh := s.shardOf(k)
 		groups[sh] = append(groups[sh], int32(i))
 	}
@@ -153,6 +144,7 @@ func (s *ShardedStore) GetBatch(keys []int, dst []float64) {
 		}
 		sh.mu.RUnlock()
 	}
+	return batchError(failed)
 }
 
 // Add implements Updatable, taking the shard's write lock.
@@ -201,8 +193,8 @@ func (s *ShardedStore) ForEachNonzero(fn func(key int, value float64) bool) {
 	}
 }
 
-// ConcurrentSafe implements Concurrent.
-func (s *ShardedStore) ConcurrentSafe() {}
+// ConcurrentSafe implements the IsConcurrent capability check.
+func (s *ShardedStore) ConcurrentSafe() bool { return true }
 
 func nextPow2(n int) int {
 	p := 1
@@ -222,8 +214,6 @@ func log2(n uint64) uint {
 }
 
 var (
-	_ Updatable   = (*ShardedStore)(nil)
-	_ Enumerable  = (*ShardedStore)(nil)
-	_ BatchGetter = (*ShardedStore)(nil)
-	_ Concurrent  = (*ShardedStore)(nil)
+	_ Updatable  = (*ShardedStore)(nil)
+	_ Enumerable = (*ShardedStore)(nil)
 )

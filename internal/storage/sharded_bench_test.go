@@ -31,7 +31,7 @@ func BenchmarkConcurrentStore(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				k := 0
 				for pb.Next() {
-					st.s.Get(k & (1<<16 - 1))
+					Get(st.s, k&(1<<16-1))
 					k += 7919 // large prime stride scatters shard access
 				}
 			})

@@ -13,10 +13,10 @@ func TestShardedStoreBasics(t *testing.T) {
 	s.Add(3, 1.5)
 	s.Add(1000003, -2.0)
 	s.Add(3, 0.5)
-	if got := s.Get(3); got != 2.0 {
+	if got := Get(s, 3); got != 2.0 {
 		t.Fatalf("Get(3) = %g, want 2", got)
 	}
-	if got := s.Get(999); got != 0 {
+	if got := Get(s, 999); got != 0 {
 		t.Fatalf("Get(999) = %g, want 0", got)
 	}
 	if got := s.NonzeroCount(); got != 2 {
@@ -63,13 +63,8 @@ func TestShardedStoreEnumeration(t *testing.T) {
 }
 
 // bareStore implements Store and nothing else, for exercising the
-// non-Enumerable and non-BatchGetter fallback paths.
-type bareStore struct{ inner Store }
-
-func (s *bareStore) Get(key int) float64 { return s.inner.Get(key) }
-func (s *bareStore) Retrievals() int64   { return s.inner.Retrievals() }
-func (s *bareStore) ResetStats()         { s.inner.ResetStats() }
-func (s *bareStore) NonzeroCount() int   { return s.inner.NonzeroCount() }
+// non-Enumerable paths.
+type bareStore struct{ Store }
 
 func TestNewShardedStoreFrom(t *testing.T) {
 	src := NewHashStoreFromDense([]float64{0, 2, 0, 4}, 0)
@@ -77,10 +72,10 @@ func TestNewShardedStoreFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Get(1) != 2 || s.Get(3) != 4 || s.Get(0) != 0 {
+	if Get(s, 1) != 2 || Get(s, 3) != 4 || Get(s, 0) != 0 {
 		t.Fatal("copied store returned wrong values")
 	}
-	if _, err := NewShardedStoreFrom(&bareStore{inner: src}, 4); err == nil {
+	if _, err := NewShardedStoreFrom(&bareStore{src}, 4); err == nil {
 		t.Fatal("expected error sharding a non-enumerable store")
 	}
 }
@@ -108,7 +103,7 @@ func TestShardedStoreConcurrentAccess(t *testing.T) {
 			switch g % 3 {
 			case 0: // single-key readers
 				for i := 0; i < opsEach; i++ {
-					s.Get((g*opsEach + i) % keySpace)
+					Get(s, (g*opsEach+i)%keySpace)
 				}
 			case 1: // batch readers
 				keys := make([]int, 10)
@@ -117,7 +112,7 @@ func TestShardedStoreConcurrentAccess(t *testing.T) {
 					for j := range keys {
 						keys[j] = (g + i*10 + j) % keySpace
 					}
-					s.GetBatch(keys, dst)
+					BatchGet(s, keys, dst)
 				}
 			case 2: // writers (net-zero updates so values stay checkable)
 				for i := 0; i < opsEach/2; i++ {
@@ -143,7 +138,7 @@ func TestShardedStoreConcurrentAccess(t *testing.T) {
 		if k%3 == 0 {
 			want = float64(k + 1)
 		}
-		if got := s.Get(k); got != want {
+		if got := Get(s, k); got != want {
 			t.Fatalf("Get(%d) = %g after stress, want %g", k, got, want)
 		}
 	}

@@ -5,22 +5,35 @@
 // coefficient (Section 1.3 of the paper). Every store counts retrievals so
 // that the experiments can report exactly the quantities the paper reports.
 //
-// Stores are not safe for concurrent use; the evaluation engine is
-// single-threaded, matching the paper's sequential retrieval model.
+// A store is safe for concurrent use only when IsConcurrent reports so; a
+// single run retrieves sequentially, matching the paper's model.
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
 
-// Store provides random access to transform coefficients by flat key.
+// Store provides random access to transform coefficients by flat key. It
+// has one retrieval method, matching the one storage operation of the
+// paper's cost model; the free functions Get, GetCtx and BatchGet adapt it
+// for callers that want a single key or no error handling.
 type Store interface {
-	// Get returns the coefficient at key, counting one retrieval. Missing
-	// coefficients are zero (and still cost a retrieval: the engine had to
-	// probe storage to learn that).
-	Get(key int) float64
-	// Retrievals returns the number of Get calls since the last ResetStats.
+	// BatchGetCtx retrieves the coefficient for keys[i] into dst[i],
+	// counting len(keys) retrievals. Missing coefficients are zero (and
+	// still cost a retrieval: the engine had to probe storage to learn
+	// that). Keys may repeat and appear in any order; len(keys) != len(dst)
+	// panics. A key outside the store's domain (negative, or beyond the
+	// size of a store that knows its size) and any other per-key failure is
+	// reported as a *BatchError listing the failed positions in ascending
+	// Index order — positions it does not list hold valid values. Any other
+	// non-nil error (including ctx.Err(), which an already-ended context
+	// returns before anything is retrieved) means no position of dst may be
+	// trusted.
+	BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
+	// Retrievals returns the number of coefficients retrieved since the
+	// last ResetStats.
 	Retrievals() int64
 	// ResetStats zeroes the retrieval counter.
 	ResetStats()
@@ -69,6 +82,23 @@ func IsEnumerable(s Store) bool {
 	return ok
 }
 
+// concurrencyCapable is the capability check implemented by stores that are,
+// or may be, safe for use from multiple goroutines: base stores that
+// synchronize themselves answer true, wrappers whose own state is
+// synchronized forward the wrapped store's answer.
+type concurrencyCapable interface {
+	ConcurrentSafe() bool
+}
+
+// IsConcurrent reports whether s is safe for use from multiple goroutines.
+// The evaluation engine uses it to decide whether retrievals may be issued
+// in parallel (Plan.ExactParallelCtx) and the HTTP server uses it to drop
+// its global request mutex.
+func IsConcurrent(s Store) bool {
+	c, ok := s.(concurrencyCapable)
+	return ok && c.ConcurrentSafe()
+}
+
 // ArrayStore keeps the full dense coefficient array. Access is a bounds
 // check and an index — the paper's "array-based storage".
 type ArrayStore struct {
@@ -82,13 +112,22 @@ func NewArrayStore(cells []float64) *ArrayStore {
 	return &ArrayStore{cells: cells}
 }
 
-// Get implements Store.
-func (s *ArrayStore) Get(key int) float64 {
-	s.retrievals++
-	if key < 0 || key >= len(s.cells) {
-		panic(fmt.Sprintf("storage: key %d out of range [0,%d)", key, len(s.cells)))
+// BatchGetCtx implements Store with one counter update for the batch.
+func (s *ArrayStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	checkBatch(keys, dst)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return s.cells[key]
+	s.retrievals += int64(len(keys))
+	var failed []KeyError
+	for i, k := range keys {
+		if k < 0 || k >= len(s.cells) {
+			failed = append(failed, rangeError(i, k, len(s.cells)))
+			continue
+		}
+		dst[i] = s.cells[k]
+	}
+	return batchError(failed)
 }
 
 // Add implements Updatable.
@@ -155,10 +194,23 @@ func NewHashStoreFromDense(cells []float64, tol float64) *HashStore {
 	return s
 }
 
-// Get implements Store.
-func (s *HashStore) Get(key int) float64 {
-	s.retrievals++
-	return s.cells[key]
+// BatchGetCtx implements Store. The table does not know the domain size,
+// so only negative keys are out of range.
+func (s *HashStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	checkBatch(keys, dst)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.retrievals += int64(len(keys))
+	var failed []KeyError
+	for i, k := range keys {
+		if k < 0 {
+			failed = append(failed, KeyError{Index: i, Key: k, Err: errNegativeKey})
+			continue
+		}
+		dst[i] = s.cells[k]
+	}
+	return batchError(failed)
 }
 
 // Add implements Updatable.
@@ -210,15 +262,17 @@ func NewBlockStore(inner Store, blockSize int) *BlockStore {
 	return &BlockStore{inner: inner, blockSize: blockSize, fetched: make(map[int]struct{})}
 }
 
-// Get implements Store. The retrieval counter of the underlying store still
-// counts coefficients; BlockReads counts blocks.
-func (s *BlockStore) Get(key int) float64 {
-	b := key / s.blockSize
-	if _, ok := s.fetched[b]; !ok {
-		s.fetched[b] = struct{}{}
-		s.blockReads++
+// BatchGetCtx implements Store. The retrieval counter of the underlying
+// store still counts coefficients; BlockReads counts blocks.
+func (s *BlockStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	for _, k := range keys {
+		b := k / s.blockSize
+		if _, ok := s.fetched[b]; !ok {
+			s.fetched[b] = struct{}{}
+			s.blockReads++
+		}
 	}
-	return s.inner.Get(key)
+	return s.inner.BatchGetCtx(ctx, keys, dst)
 }
 
 // Block returns the block number for key.

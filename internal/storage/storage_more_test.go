@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -35,8 +36,8 @@ func TestHashStoreForEachNonzeroEarlyStop(t *testing.T) {
 func TestBlockStoreResetAndEnumeration(t *testing.T) {
 	inner := NewArrayStore([]float64{0, 5, 0, 7})
 	bs := NewBlockStore(inner, 2)
-	bs.Get(1)
-	bs.Get(3)
+	Get(bs, 1)
+	Get(bs, 3)
 	if bs.BlockReads() != 2 {
 		t.Fatalf("BlockReads = %d", bs.BlockReads())
 	}
@@ -64,10 +65,10 @@ func TestBlockStorePanicsOnNonEnumerable(t *testing.T) {
 
 type nonEnumStore struct{}
 
-func (nonEnumStore) Get(int) float64   { return 0 }
-func (nonEnumStore) Retrievals() int64 { return 0 }
-func (nonEnumStore) ResetStats()       {}
-func (nonEnumStore) NonzeroCount() int { return 0 }
+func (nonEnumStore) BatchGetCtx(context.Context, []int, []float64) error { return nil }
+func (nonEnumStore) Retrievals() int64                                   { return 0 }
+func (nonEnumStore) ResetStats()                                         {}
+func (nonEnumStore) NonzeroCount() int                                   { return 0 }
 
 func TestCachedStorePanicsOnNonEnumerable(t *testing.T) {
 	cs, err := NewCachedStore(nonEnumStore{}, 4)

@@ -6,10 +6,10 @@ import (
 
 func TestArrayStoreGetAndCount(t *testing.T) {
 	s := NewArrayStore([]float64{1, 0, 3})
-	if v := s.Get(0); v != 1 {
+	if v := Get(s, 0); v != 1 {
 		t.Fatalf("Get(0) = %g", v)
 	}
-	if v := s.Get(1); v != 0 {
+	if v := Get(s, 1); v != 0 {
 		t.Fatalf("Get(1) = %g", v)
 	}
 	if s.Retrievals() != 2 {
@@ -31,7 +31,7 @@ func TestArrayStoreAdd(t *testing.T) {
 	s := NewArrayStore(make([]float64, 4))
 	s.Add(2, 5)
 	s.Add(2, -2)
-	if got := s.Get(2); got != 3 {
+	if got := Get(s, 2); got != 3 {
 		t.Fatalf("after Add: %g", got)
 	}
 	// Add must not count as a retrieval.
@@ -43,8 +43,8 @@ func TestArrayStoreAdd(t *testing.T) {
 func TestArrayStorePanicsOutOfRange(t *testing.T) {
 	s := NewArrayStore(make([]float64, 2))
 	for _, fn := range []func(){
-		func() { s.Get(-1) },
-		func() { s.Get(2) },
+		func() { Get(s, -1) },
+		func() { Get(s, 2) },
 		func() { s.Add(5, 1) },
 	} {
 		func() {
@@ -63,10 +63,10 @@ func TestHashStore(t *testing.T) {
 	if s.NonzeroCount() != 2 {
 		t.Fatalf("NonzeroCount = %d", s.NonzeroCount())
 	}
-	if v := s.Get(1); v != 2 {
+	if v := Get(s, 1); v != 2 {
 		t.Fatalf("Get(1) = %g", v)
 	}
-	if v := s.Get(3); v != 0 {
+	if v := Get(s, 3); v != 0 {
 		t.Fatalf("Get(3) = %g (pruned entry should read as zero)", v)
 	}
 	if s.Retrievals() != 2 {
@@ -82,7 +82,7 @@ func TestHashStoreAddDeletesZero(t *testing.T) {
 		t.Fatal("cancelled entry should be deleted")
 	}
 	s.Add(7, 1.5)
-	if s.Get(7) != 1.5 {
+	if Get(s, 7) != 1.5 {
 		t.Fatal("Add failed")
 	}
 }
@@ -90,13 +90,13 @@ func TestHashStoreAddDeletesZero(t *testing.T) {
 func TestBlockStoreCountsDistinctBlocks(t *testing.T) {
 	inner := NewArrayStore([]float64{1, 2, 3, 4, 5, 6, 7, 8})
 	s := NewBlockStore(inner, 4)
-	s.Get(0)
-	s.Get(1)
-	s.Get(3)
+	Get(s, 0)
+	Get(s, 1)
+	Get(s, 3)
 	if s.BlockReads() != 1 {
 		t.Fatalf("BlockReads = %d, want 1", s.BlockReads())
 	}
-	s.Get(4)
+	Get(s, 4)
 	if s.BlockReads() != 2 {
 		t.Fatalf("BlockReads = %d, want 2", s.BlockReads())
 	}
@@ -108,7 +108,7 @@ func TestBlockStoreCountsDistinctBlocks(t *testing.T) {
 		t.Fatal("ResetStats failed")
 	}
 	// Same block fetched again after reset costs again.
-	s.Get(0)
+	Get(s, 0)
 	if s.BlockReads() != 1 {
 		t.Fatal("block buffer should be cleared by ResetStats")
 	}
@@ -139,7 +139,7 @@ func TestBlockStorePanicsOnBadSize(t *testing.T) {
 func BenchmarkArrayStoreGet(b *testing.B) {
 	s := NewArrayStore(make([]float64, 1<<16))
 	for i := 0; i < b.N; i++ {
-		s.Get(i & 0xffff)
+		Get(s, i&0xffff)
 	}
 }
 
@@ -151,6 +151,6 @@ func BenchmarkHashStoreGet(b *testing.B) {
 	s := NewHashStoreFromDense(cells, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Get(i & 0xffff)
+		Get(s, i&0xffff)
 	}
 }

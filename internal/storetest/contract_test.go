@@ -1,0 +1,322 @@
+// Package storetest holds the one storage.Store contract matrix: every store
+// type in the repository, local and remote, run against the same assertions.
+// It is its own package because no store package can import all the others
+// without a cycle.
+package storetest
+
+import (
+	"context"
+	"errors"
+	"net"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/dist"
+	"repro/internal/mvcc"
+	"repro/internal/query"
+	"repro/internal/storage"
+	"repro/internal/storage/layout"
+	"repro/internal/wavelet"
+)
+
+// subject is one store under test.
+type subject struct {
+	store storage.Store
+	// want is the dense content the store must serve: key k reads want[k].
+	want []float64
+	// bounded stores know their domain size, so key len(want) is out of
+	// range for them; the others only reject negative keys.
+	bounded bool
+	// sharesFate marks the coordinator: the wire cannot carry a negative
+	// key, so its shard's whole sub-batch fails with it.
+	sharesFate bool
+}
+
+var dims = []int{16, 16, 8}
+
+// transformed returns the Db4 transform of a fixed random dataset and its
+// tuple count.
+func transformed(t *testing.T) ([]float64, int64) {
+	t.Helper()
+	d := dataset.Uniform(dataset.MustSchema([]string{"x", "y", "m"}, dims), 4000, 7)
+	hat, err := d.Transform(wavelet.Db4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hat, d.TupleCount
+}
+
+func testPlan(t *testing.T) *core.Plan {
+	t.Helper()
+	schema := dataset.MustSchema([]string{"x", "y", "m"}, dims)
+	ranges, err := query.RandomPartition(schema, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := query.SumBatch(schema, ranges, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.NewWaveletPlan(batch, wavelet.Db4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+func array(hat []float64) *storage.ArrayStore {
+	return storage.NewArrayStore(append([]float64(nil), hat...))
+}
+
+func openLayout(t *testing.T, hat []float64, opts layout.Options) subject {
+	t.Helper()
+	var keys []int
+	var values []float64
+	for k, v := range hat {
+		if v != 0 {
+			keys, values = append(keys, k), append(values, v)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "m.wvls")
+	// A small hot region and small blocks, so batches cross both tiers.
+	wopts := layout.WriteOptions{Cells: len(hat), HotCount: 64, BlockSize: 32}
+	if err := layout.Write(path, keys, values, wopts); err != nil {
+		t.Fatal(err)
+	}
+	s, err := layout.Open(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return subject{store: s, want: hat, bounded: true}
+}
+
+// subjects lists every store type; each build returns a fresh store.
+var subjects = []struct {
+	name  string
+	build func(t *testing.T, hat []float64, tuples int64) subject
+}{
+	{"array", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: array(hat), want: hat, bounded: true}
+	}},
+	{"hash", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewHashStoreFromDense(hat, 0), want: hat}
+	}},
+	{"sharded", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewShardedStoreFromDense(hat, 0, 8), want: hat}
+	}},
+	{"file", func(t *testing.T, hat []float64, _ int64) subject {
+		fs, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "m.wvfs"), hat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = fs.Close() })
+		return subject{store: fs, want: hat, bounded: true}
+	}},
+	{"block", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewBlockStore(array(hat), 32), want: hat, bounded: true}
+	}},
+	{"remapped", func(t *testing.T, hat []float64, _ int64) subject {
+		// i*7+3 mod n is a permutation: n is a power of two.
+		perm := make([]int, len(hat))
+		for i := range perm {
+			perm[i] = (i*7 + 3) % len(perm)
+		}
+		relocated, err := storage.ApplyLayout(hat, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := storage.NewRemappedStore(storage.NewArrayStore(relocated), perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return subject{store: s, want: hat, bounded: true}
+	}},
+	{"cached", func(t *testing.T, hat []float64, _ int64) subject {
+		s, err := storage.NewCachedStore(array(hat), storage.Unbounded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return subject{store: s, want: hat, bounded: true}
+	}},
+	{"concurrent", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewConcurrentStore(array(hat)), want: hat, bounded: true}
+	}},
+	{"coalescing", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewCoalescingStore(storage.NewShardedStoreFromDense(hat, 0, 8)), want: hat}
+	}},
+	{"zero-rate fault", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewFaultStore(array(hat), storage.FaultConfig{}), want: hat, bounded: true}
+	}},
+	{"idle retry", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewRetryStore(array(hat), storage.RetryConfig{}), want: hat, bounded: true}
+	}},
+	{"instrumented", func(t *testing.T, hat []float64, _ int64) subject {
+		return subject{store: storage.NewInstrumentedStore(array(hat)), want: hat, bounded: true}
+	}},
+	{"layout mmap", func(t *testing.T, hat []float64, _ int64) subject {
+		return openLayout(t, hat, layout.Options{})
+	}},
+	{"layout pread", func(t *testing.T, hat []float64, _ int64) subject {
+		return openLayout(t, hat, layout.Options{DisableMmap: true})
+	}},
+	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
+		cfg := mvcc.Config{DisableAutoCompact: true}
+		s, err := mvcc.New(storage.NewHashStoreFromDense(hat, 0), wavelet.Db4, dims, tuples, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, coords := range [][]int{{5, 5, 3}, {0, 15, 7}} {
+			if _, err := s.Apply(context.Background(), mvcc.NewBatch().Add(coords, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.Stats().Layers != 2 {
+			t.Fatalf("want 2 layers over the base, have %d", s.Stats().Layers)
+		}
+		view := s.View()
+		want := make([]float64, len(hat))
+		view.(storage.Enumerable).ForEachNonzero(func(k int, v float64) bool {
+			want[k] = v
+			return true
+		})
+		return subject{store: view, want: want}
+	}},
+	{"remote 2-shard coordinator", func(t *testing.T, hat []float64, tuples int64) subject {
+		full := storage.NewHashStoreFromDense(hat, 0)
+		shards := make([]storage.Store, 2)
+		for i := range shards {
+			part, nonzero, mass, err := dist.Partition(full, i, len(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := dist.NewServer(storage.NewConcurrentStore(part), codec.ShardMeta{
+				Names: []string{"x", "y", "m"}, Sizes: dims, FilterName: "Db4", TupleCount: tuples,
+				ShardIndex: i, ShardCount: len(shards), Nonzero: nonzero, Mass: mass,
+			}, nil)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = srv.Serve(ln) }()
+			t.Cleanup(func() { _ = srv.Close() })
+			shards[i] = dist.NewRemoteStore(ln.Addr().String(), dist.ClientConfig{})
+		}
+		coord, err := dist.NewCoordinator(shards, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = coord.Close() })
+		return subject{store: coord, want: hat, sharesFate: true}
+	}},
+}
+
+// TestStoreContract asserts the storage.Store contract, one subtest per
+// store type: see the interface's BatchGetCtx documentation.
+func TestStoreContract(t *testing.T) {
+	hat, tuples := transformed(t)
+	plan := testPlan(t)
+	ctx := context.Background()
+	for _, sub := range subjects {
+		t.Run(sub.name, func(t *testing.T) {
+			s := sub.build(t, hat, tuples)
+			get := func(keys []int) []float64 {
+				t.Helper()
+				dst := make([]float64, len(keys))
+				if err := s.store.BatchGetCtx(ctx, keys, dst); err != nil {
+					t.Fatalf("BatchGetCtx(%v): %v", keys, err)
+				}
+				for i, k := range keys {
+					if dst[i] != s.want[k] {
+						t.Fatalf("key %d at position %d = %g, want %g", k, i, dst[i], s.want[k])
+					}
+				}
+				return dst
+			}
+
+			// Distinct keys not requested before: each costs one retrieval,
+			// also through the layers that share repeats (cache, coalescing).
+			distinct := make([]int, 0, 64)
+			for k := 1; k < len(s.want); k += len(s.want) / 64 {
+				distinct = append(distinct, k)
+			}
+			before := s.store.Retrievals()
+			get(distinct)
+			if got := s.store.Retrievals() - before; got != int64(len(distinct)) {
+				t.Fatalf("Retrievals rose by %d for %d keys", got, len(distinct))
+			}
+
+			// Duplicates, descending runs and far-apart keys in one batch.
+			last := len(s.want) - 1
+			get([]int{last, 0, 17, 17, 120, 121, 122, 5, 250, 1, last, 60})
+
+			get(nil)
+			get([]int{})
+
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("len(keys) != len(dst) did not panic")
+					}
+				}()
+				_ = s.store.BatchGetCtx(ctx, []int{1, 2}, make([]float64, 1))
+			}()
+
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			if err := s.store.BatchGetCtx(cancelled, []int{3, 4}, make([]float64, 2)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+			}
+
+			// Out-of-range keys fail per key; their neighbours are served.
+			keys := []int{5, -1, 9, 700, -1}
+			outOfRange := map[int]bool{1: true, 4: true}
+			if s.bounded {
+				keys = append(keys, len(s.want), 11)
+				outOfRange[5] = true
+			}
+			dst := make([]float64, len(keys))
+			err := s.store.BatchGetCtx(ctx, keys, dst)
+			var be *storage.BatchError
+			if !errors.As(err, &be) {
+				t.Fatalf("out-of-range keys: err = %v, want *storage.BatchError", err)
+			}
+			failed := make(map[int]bool)
+			prev := -1
+			for _, ke := range be.Failed {
+				if ke.Index <= prev {
+					t.Fatalf("Failed not in ascending Index order: %+v", be.Failed)
+				}
+				prev = ke.Index
+				if ke.Key != keys[ke.Index] || ke.Err == nil {
+					t.Fatalf("KeyError %+v does not describe position %d (key %d)", ke, ke.Index, keys[ke.Index])
+				}
+				failed[ke.Index] = true
+			}
+			for i, k := range keys {
+				switch {
+				case outOfRange[i] && !failed[i]:
+					t.Fatalf("out-of-range key %d at position %d was not reported", k, i)
+				case !outOfRange[i] && failed[i] && !s.sharesFate:
+					t.Fatalf("in-range key %d at position %d was reported failed", k, i)
+				case !failed[i] && dst[i] != s.want[k]:
+					t.Fatalf("unlisted position %d (key %d) = %g, want %g", i, k, dst[i], s.want[k])
+				}
+			}
+
+			got, err := plan.ExactCtx(ctx, s.store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plan.Exact(array(s.want))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("Exact query %d = %v through the store, %v through the array store", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}

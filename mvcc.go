@@ -223,12 +223,14 @@ func (s *Snapshot) ExactParallel(plan *Plan, workers int) []float64 {
 	return plan.ExactParallel(s.store, workers)
 }
 
-// ExactCtx evaluates the plan exactly through the fallible path.
+// ExactCtx evaluates the plan exactly, returning retrieval failures and
+// ctx.Err() instead of panicking.
 func (s *Snapshot) ExactCtx(ctx context.Context, plan *Plan) ([]float64, error) {
 	return plan.ExactCtx(ctx, s.store)
 }
 
-// ExactParallelCtx is the fallible ExactParallel.
+// ExactParallelCtx is ExactCtx with batched retrieval and parallel
+// accumulation.
 func (s *Snapshot) ExactParallelCtx(ctx context.Context, plan *Plan, workers int) ([]float64, error) {
 	return plan.ExactParallelCtx(ctx, s.store, workers)
 }

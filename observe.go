@@ -12,14 +12,13 @@ import (
 // Observe method (internal/server) points every layer's instrumentation at
 // one registry. The database-side hook below adds retrieval timing.
 
-// EnableInstrumentation wraps the database's store so every retrieval —
-// single and batched, fallible and infallible — is timed into the observed
-// metrics registry (wvq_storage_get_seconds, wvq_storage_batchget_seconds).
+// EnableInstrumentation wraps the database's store so every retrieval batch
+// is timed into the observed metrics registry (wvq_storage_batchget_seconds).
 // With no registry observed the wrapper is a pass-through: one atomic load
 // and a branch per call, no clock reads, no allocation.
 //
 // Layering: call after InjectFaults and EnableRetries (so the timings cover
-// the full fallible path, retries included) and before the store is handed
+// the full retrieval path, retries included) and before the store is handed
 // to the HTTP server, whose coalescing layer goes on top — coalescing
 // counters then report shared fetches while the timing wrapper reports the
 // physical retrievals underneath. Idempotent.
@@ -32,14 +31,14 @@ func (db *Database) EnableInstrumentation() {
 		}
 		db.mvccInstrumented = true
 		db.mvcc.WrapBase(func(s storage.Store) storage.Store {
-			return storage.WrapInstrumented(s)
+			return storage.NewInstrumentedStore(s)
 		})
 		return
 	}
 	if storage.IsInstrumented(db.store) {
 		return
 	}
-	db.store = storage.WrapInstrumented(db.store).(storage.Updatable)
+	db.store = storage.NewInstrumentedStore(db.store)
 }
 
 // Re-exported diagnostics vocabulary: a QueryProfile is the per-run EXPLAIN

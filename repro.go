@@ -370,7 +370,8 @@ func (db *Database) evalStore() storage.Store {
 }
 
 // Exact evaluates a plan exactly with one retrieval per distinct
-// coefficient.
+// coefficient. It panics if a retrieval fails; use ExactCtx where the store
+// can (files, shards, injected faults).
 func (db *Database) Exact(plan *Plan) []float64 { return plan.Exact(db.evalStore()) }
 
 // ExactParallel evaluates a plan exactly using batched retrievals and up to
@@ -385,10 +386,7 @@ func (db *Database) ExactParallel(plan *Plan, workers int) []float64 {
 // retrieved from concurrently (true for StoreSharded). When it is, separate
 // goroutines can each create and advance their own runs against this
 // database; the HTTP server uses this to serve requests in parallel.
-func (db *Database) ConcurrentSafe() bool {
-	_, ok := db.store.(storage.Concurrent)
-	return ok
-}
+func (db *Database) ConcurrentSafe() bool { return storage.IsConcurrent(db.store) }
 
 // EnsureConcurrent makes the database safe for concurrent retrieval: stores
 // that are not already concurrent-safe are wrapped in a single-mutex
@@ -425,7 +423,7 @@ func (db *Database) EnableCoalescing() error {
 		}
 		holder := new(coalesceHolder)
 		db.mvcc.WrapBase(func(s storage.Store) storage.Store {
-			cs := storage.NewCoalescingStore(s.(storage.Concurrent))
+			cs := storage.NewCoalescingStore(s)
 			holder.Store(cs)
 			return cs
 		})
@@ -435,11 +433,10 @@ func (db *Database) EnableCoalescing() error {
 	if _, ok := db.store.(*storage.CoalescingStore); ok {
 		return nil
 	}
-	c, ok := db.store.(storage.Concurrent)
-	if !ok {
+	if !db.ConcurrentSafe() {
 		return fmt.Errorf("repro: coalescing requires a concurrent-safe store (call EnsureConcurrent or use StoreSharded)")
 	}
-	db.store = storage.NewCoalescingStore(c)
+	db.store = storage.NewCoalescingStore(db.store)
 	return nil
 }
 

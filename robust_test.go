@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -51,12 +52,15 @@ func TestInjectFaultsRestoreRoundTrip(t *testing.T) {
 	if _, err := db.ExactParallelCtx(ctx, plan, 4); !errors.Is(err, ErrInjected) {
 		t.Fatalf("ExactParallelCtx under faults: %v, want ErrInjected", err)
 	}
-	// The infallible path must be untouched by the injector.
-	for i, v := range db.Exact(plan) {
-		if v != want[i] {
-			t.Fatalf("Exact() changed under injector: query %d %g != %g", i, v, want[i])
-		}
-	}
+	// The context-free convenience has no error to return: it panics.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Exact() under total fault injection did not panic")
+			}
+		}()
+		db.Exact(plan)
+	}()
 
 	restore()
 	got, err := db.ExactCtx(ctx, plan)
@@ -123,7 +127,7 @@ func TestDegradedRunThroughFacade(t *testing.T) {
 
 // TestEvaluatorInterfaceParity drives the same batch through the Evaluator
 // interface backed by a Database and by a Session; both routes must agree,
-// and the fallible methods must match their infallible twins bit for bit.
+// and the context-aware methods must match the context-free ones bit for bit.
 func TestEvaluatorInterfaceParity(t *testing.T) {
 	db, plan := robustFixture(t)
 	sess, err := db.NewSession(256)
@@ -169,12 +173,14 @@ func TestEvaluatorInterfaceParity(t *testing.T) {
 
 // TestSessionFallibleSurfacesFaults: a session's cache sits above the
 // database store (captured at NewSession time), so injected faults must
-// surface through the session's fallible methods on cache misses — while
-// cache hits never touch the faulty path at all.
+// surface through the session on cache misses — while cache hits never
+// touch the faulty path at all.
 func TestSessionFallibleSurfacesFaults(t *testing.T) {
 	db, plan := robustFixture(t)
 	want := db.Exact(plan)
-	db.InjectFaults(FaultConfig{ErrorRate: 1})
+	var outage atomic.Bool
+	outage.Store(true)
+	db.InjectFaults(FaultConfig{ErrorRate: 1, KeyMatch: func(int) bool { return outage.Load() }})
 	sess, err := db.NewSession(UnboundedCache)
 	if err != nil {
 		t.Fatal(err)
@@ -186,15 +192,17 @@ func TestSessionFallibleSurfacesFaults(t *testing.T) {
 	if _, err := sess.ExactParallelCtx(ctx, plan, 4); !errors.Is(err, ErrInjected) {
 		t.Fatalf("session ExactParallelCtx: %v, want ErrInjected", err)
 	}
-	// The infallible route ignores the injector and warms the cache …
+	// A pass while the outage is lifted warms the cache …
+	outage.Store(false)
 	for i, v := range sess.Exact(plan) {
 		if v != want[i] {
-			t.Fatalf("session Exact under injector: query %d %g != %g", i, v, want[i])
+			t.Fatalf("session Exact with the outage lifted: query %d %g != %g", i, v, want[i])
 		}
 	}
-	// … after which the fallible route succeeds from cache hits alone, even
-	// though every miss would still fail: errors were never cached, hits
-	// never reach the faulty path.
+	// … after which evaluation succeeds from cache hits alone, even though
+	// every miss fails again: errors were never cached, hits never reach
+	// the faulty path.
+	outage.Store(true)
 	got, err := sess.ExactCtx(ctx, plan)
 	if err != nil {
 		t.Fatalf("session ExactCtx from warm cache: %v", err)

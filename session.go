@@ -57,15 +57,16 @@ func (s *Session) ExactParallel(plan *Plan, workers int) []float64 {
 	return plan.ExactParallel(s.store, workers)
 }
 
-// ExactCtx evaluates a plan exactly through the session cache on the
-// fallible path: hits are served from the cache, misses take the backing
-// store's context-aware fallible route, and only successful fetches are
-// cached. Bit-identical to Exact on a fault-free store.
+// ExactCtx evaluates a plan exactly through the session cache, returning
+// retrieval failures and ctx.Err() instead of panicking: hits are served
+// from the cache, misses go to the backing store, and only successful
+// fetches are cached. Bit-identical to Exact on a fault-free store.
 func (s *Session) ExactCtx(ctx context.Context, plan *Plan) ([]float64, error) {
 	return plan.ExactCtx(ctx, s.store)
 }
 
-// ExactParallelCtx is the fallible ExactParallel through the session cache.
+// ExactParallelCtx is ExactParallel through the session cache with ExactCtx's
+// error reporting.
 func (s *Session) ExactParallelCtx(ctx context.Context, plan *Plan, workers int) ([]float64, error) {
 	return plan.ExactParallelCtx(ctx, s.store, workers)
 }
