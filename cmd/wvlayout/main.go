@@ -154,7 +154,8 @@ func convertFileStore(in, out, metaPath string, hot, block int, quantize bool) e
 	return report(in, out)
 }
 
-// report prints the conversion result: geometry and size change.
+// report prints the conversion result: geometry, and where the bytes went —
+// per coefficient, section by section, next to the input's.
 func report(in, out string) error {
 	s, err := layout.Open(out, layout.Options{})
 	if err != nil {
@@ -165,20 +166,24 @@ func report(in, out string) error {
 	if err != nil {
 		return err
 	}
-	outInfo, err := os.Stat(out)
-	if err != nil {
-		return err
-	}
 	st := s.Stats()
-	fmt.Printf("%s (%d bytes) -> %s (%d bytes)\n", in, inInfo.Size(), out, outInfo.Size())
+	fmt.Printf("%s (%d bytes) -> %s (%d bytes)\n", in, inInfo.Size(), out, st.FileBytes)
 	fmt.Printf("  %d nonzero coefficients over %d cells\n", st.Slots, s.Size())
 	fmt.Printf("  hot %d slots raw, cold %d blocks x %d slots", st.HotSlots, st.Blocks, st.BlockSize)
 	if st.Quantized {
 		fmt.Printf(" (quantized)")
 	}
 	fmt.Println()
-	if st.Slots > 0 && s.Meta() == nil {
-		fmt.Println("  note: no metadata embedded; wvqd -layout needs it (re-run with -meta)")
+	if st.Slots > 0 {
+		per := func(bytes int64) float64 { return float64(bytes) / float64(st.Slots) }
+		fmt.Printf("  bytes/coefficient:")
+		for _, sec := range s.Sections()[1:] { // the header is not per coefficient
+			fmt.Printf(" %s %.2f,", sec.Name, per(sec.Bytes))
+		}
+		fmt.Printf(" file %.2f (input %.2f)\n", per(st.FileBytes), per(inInfo.Size()))
+		if s.Meta() == nil {
+			fmt.Println("  note: no metadata embedded; wvqd -layout needs it (re-run with -meta)")
+		}
 	}
 	return nil
 }

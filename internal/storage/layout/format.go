@@ -6,10 +6,10 @@
 // of the file warms exactly the coefficients Theorem 1 says matter most,
 // under any penalty whose schedule correlates with the layout family.
 //
-// File shape (all integers little-endian):
+// File shape, version 2 (all integers little-endian):
 //
 //	magic    "WVLS"                  4 bytes
-//	version  uint16                  currently 1
+//	version  uint16                  2
 //	flags    uint16                  bit 0: cold values quantized to float32
 //	hdrLen   uint32                  length of the header blob
 //	hdrCRC   uint32                  IEEE CRC-32 of the header blob
@@ -17,40 +17,54 @@
 //	  cells, nonzero, hotCount uint64; blockSize uint32; mass float64
 //	  meta flag uint8, then the optional schema/filter metadata
 //	  family count uint16, then per family: label, fingerprint, hot coverage
-//	  section offsets: keys, slotOf, keyOfSlot, hot, blockDir, blocks, size
-//	data sections, at the offsets the header records:
-//	  keys      nonzero × uint64    all stored keys, ascending
-//	  slotOf    nonzero × uint32    slot of keys[i] (the key→slot permutation)
-//	  keyOfSlot nonzero × uint64    key stored at slot j (schedule order)
-//	  hot       hotCount × float64  raw values of slots [0,hotCount)
-//	  blockDir  numBlocks × {off uint64, len uint32, crc uint32}
-//	  blocks    delta-varint keys + slot→rank permutation + value words
+//	  streamLen uint64               bytes of the key delta stream
+//	data sections, back to back in this order:
+//	  samples   groups × kw          every 64th stored key, ascending
+//	  offsets   groups × ow          where each sample's deltas start in stream
+//	  stream    streamLen bytes      uvarint key[i+1]−key[i], key[nonzero] = cells
+//	  slotOf    nonzero × sw         slot of the i-th smallest key
+//	  keyOfSlot nonzero × kw         key stored at slot j (schedule order)
+//	  hot       hotCount × float64   raw values of slots [0,hotCount)
+//	  blocks    cold × vw            raw values of the remaining slots
+//	  crcs      numBlocks × uint32   IEEE CRC-32 of each cold block
+//
+// Every width and offset follows from the header: kw = bytes(cells−1),
+// sw = bytes(nonzero−1), ow = bytes(streamLen), vw = 8 (4 when quantized),
+// groups = ⌈nonzero/64⌉, and cold block b is the blockSize×vw bytes (fewer
+// for the last block) at blocks + b×blockSize×vw. The four fixed-width
+// sections are packed words, each followed by 8−w pad bytes so the reader's
+// one 8-byte load of the last entry stays inside its section.
 //
 // Slots are schedule positions: slot 0 is the most important coefficient.
-// The hot prefix is stored raw and served zero-copy from an mmap of the
-// file; the cold tail is grouped into blocks of blockSize slots, each block
-// holding its keys re-sorted ascending and delta-varint packed
-// ("Space-Efficient Data-Analysis Queries on Grids" is the grounding for
-// the compact packed representation), a fixed-width slot→rank permutation
-// tying slot order back to the key list, and values as raw float64 bits in
-// slot order — float32 when the lossy Quantize option was chosen at write
-// time — behind a per-block CRC-32 that turns silent corruption into
-// per-key retrieval errors the engine degrades over.
+// Each fact is stored once. key→slot is the compressed ascending key set
+// (one absolute sample per 64 keys, one-byte deltas between neighbours at
+// any density above 1/128 — "Space-Efficient Data-Analysis Queries on Grids"
+// is the grounding: about 2+log₂(cells/n) bits per key and ⌈log₂ n⌉ bits per
+// permutation entry per direction are what the information costs) plus
+// slotOf; slot→key is keyOfSlot; values are raw words in slot order, hot
+// prefix then cold blocks, float32 in the blocks when the lossy Quantize
+// option was chosen at write time. A group's deltas sum to the next sample
+// (to cells for the last), so "key absent" is checked, not assumed; a found
+// key is served only if keyOfSlot[slotOf[i]] names it; a cold block is
+// served only behind its CRC-32. Corruption becomes per-key retrieval
+// errors the engine degrades over.
 package layout
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
-	"sort"
+	"slices"
 )
 
 const (
 	magic   = "WVLS"
-	version = 1
+	version = 2
 
 	// flagQuantized marks files whose cold-block values are float32: a lossy,
 	// explicitly-opted-into trade of bit-identity for half the cold bytes.
@@ -59,13 +73,16 @@ const (
 	// preludeSize is the fixed region before the header blob.
 	preludeSize = 4 + 2 + 2 + 4 + 4
 
-	// DefaultBlockSize is the cold-block granularity: coefficients decoded
-	// (and cached) together per block fetch.
+	// DefaultBlockSize is the cold-block granularity: coefficients
+	// checksummed (and cached) together per block fetch.
 	DefaultBlockSize = 4096
 
-	// maxBlockSize bounds BlockSize so in-block ranks fit the fixed-width
-	// uint16 permutation section.
+	// maxBlockSize bounds what one cold load reads and checksums (512 KiB).
 	maxBlockSize = 1 << 16
+
+	// groupSize is the key index sampling interval: one absolute key per
+	// group, deltas in between.
+	groupSize = 64
 
 	// maxDims mirrors codec's plausibility bound on schema dimensionality.
 	maxDims = 64
@@ -133,38 +150,108 @@ type WriteOptions struct {
 	Families []FamilyOrder
 }
 
-// blockRef is one block-directory entry.
-type blockRef struct {
-	off uint64
-	len uint32
-	crc uint32
+// wordWidth is the byte width of a packed section whose largest entry is max.
+func wordWidth(max uint64) int {
+	if max == 0 {
+		return 1
+	}
+	return (bits.Len64(max) + 7) / 8
 }
 
-// geometry is the decoded header: section offsets and counts.
+// packedSize is the section length of n packed words of width w: the words
+// plus the pad that keeps packed.at's 8-byte load of the last one in bounds.
+func packedSize(n, w int) int64 { return int64(n)*int64(w) + int64(8-w) }
+
+// appendPacked appends the low w bytes of v.
+func appendPacked(b []byte, v uint64, w int) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)[:len(b)+w]
+}
+
+// packed reads a fixed-width unsigned section of the file: a window of the
+// mapping, or of the pread tier's resident copy of the same bytes.
+type packed struct {
+	b    []byte
+	w    int
+	mask uint64
+}
+
+func newPacked(b []byte, w int) packed {
+	return packed{b: b, w: w, mask: ^uint64(0) >> (64 - 8*w)}
+}
+
+func (p packed) at(i int) uint64 {
+	return binary.LittleEndian.Uint64(p.b[i*p.w:]) & p.mask
+}
+
+// geometry is the decoded header plus everything that follows from it.
 type geometry struct {
 	flags     uint16
 	cells     int
 	nonzero   int
 	hotCount  int
 	blockSize int
-	numBlocks int
 	mass      float64
+	streamLen int64
 
-	keysOff      int64
+	groups    int
+	numBlocks int
+	keyWidth  int
+	slotWidth int
+	offWidth  int
+	valWidth  int // of a cold value; hot values are always 8 bytes
+
+	samplesOff   int64
+	offsetsOff   int64
+	streamOff    int64
 	slotOfOff    int64
 	keyOfSlotOff int64
 	hotOff       int64
-	blockDirOff  int64
 	blocksOff    int64
+	crcsOff      int64
 	fileSize     int64
 }
 
-func (g *geometry) blocks() int {
+// derive fills the counts, widths and section offsets in from the header
+// fields; dataStart is where the first section begins.
+func (g *geometry) derive(dataStart int64) {
+	g.groups = (g.nonzero + groupSize - 1) / groupSize
 	cold := g.nonzero - g.hotCount
-	if cold <= 0 {
-		return 0
+	g.numBlocks = (cold + g.blockSize - 1) / g.blockSize
+	g.keyWidth = wordWidth(uint64(g.cells - 1))
+	g.slotWidth = wordWidth(uint64(max(g.nonzero, 1) - 1))
+	g.offWidth = wordWidth(uint64(g.streamLen))
+	g.valWidth = 8
+	if g.flags&flagQuantized != 0 {
+		g.valWidth = 4
 	}
-	return (cold + g.blockSize - 1) / g.blockSize
+	off := dataStart
+	section := func(size int64) int64 {
+		at := off
+		off += size
+		return at
+	}
+	g.samplesOff = section(packedSize(g.groups, g.keyWidth))
+	g.offsetsOff = section(packedSize(g.groups, g.offWidth))
+	g.streamOff = section(g.streamLen)
+	g.slotOfOff = section(packedSize(g.nonzero, g.slotWidth))
+	g.keyOfSlotOff = section(packedSize(g.nonzero, g.keyWidth))
+	g.hotOff = section(int64(g.hotCount) * 8)
+	g.blocksOff = section(int64(cold) * int64(g.valWidth))
+	g.crcsOff = section(int64(g.numBlocks) * 4)
+	g.fileSize = off
+}
+
+// blockSlots returns the slot range [lo,hi) of cold block b.
+func (g *geometry) blockSlots(b int) (lo, hi int) {
+	lo = g.hotCount + b*g.blockSize
+	return lo, min(lo+g.blockSize, g.nonzero)
+}
+
+// coef is one stored coefficient; i is its rank among the ascending keys.
+type coef struct {
+	k int
+	v float64
+	i int
 }
 
 // Write lays the nonzero coefficients (keys[i], values[i]) out at path in
@@ -190,24 +277,27 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 		blockSize = DefaultBlockSize
 	}
 	if blockSize > maxBlockSize {
-		return fmt.Errorf("layout: block size %d exceeds %d (the fixed-width rank limit)", blockSize, maxBlockSize)
+		return fmt.Errorf("layout: block size %d exceeds %d", blockSize, maxBlockSize)
 	}
 
 	// Drop zeros, validate range, check duplicates.
-	pairs := make([]kv, 0, len(keys))
+	pairs := make([]coef, 0, len(keys))
 	for i, k := range keys {
 		if k < 0 || k >= opts.Cells {
 			return fmt.Errorf("layout: key %d out of range [0,%d)", k, opts.Cells)
 		}
 		if values[i] != 0 {
-			pairs = append(pairs, kv{k, values[i]})
+			pairs = append(pairs, coef{k: k, v: values[i]})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].k == pairs[i-1].k {
+	slices.SortFunc(pairs, func(a, b coef) int { return cmp.Compare(a.k, b.k) })
+	var mass float64
+	for i := range pairs {
+		if i > 0 && pairs[i].k == pairs[i-1].k {
 			return fmt.Errorf("layout: duplicate key %d", pairs[i].k)
 		}
+		pairs[i].i = i
+		mass += math.Abs(pairs[i].v)
 	}
 	n := len(pairs)
 
@@ -223,54 +313,40 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 	}
 
 	// Canonical order: |value| descending, key ascending — "biggest first",
-	// the data-driven proxy for every penalty's importance ranking.
-	order := make([]int, n) // slot j ← index into pairs
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		va, vb := math.Abs(pairs[order[a]].v), math.Abs(pairs[order[b]].v)
-		if va != vb {
-			return va > vb
+	// the data-driven proxy for every penalty's importance ranking. The
+	// order is total, so an unstable sort of the records themselves will do.
+	bySlot := slices.Clone(pairs) // slot j holds bySlot[j]
+	slices.SortFunc(bySlot, func(a, b coef) int {
+		if c := cmp.Compare(math.Abs(b.v), math.Abs(a.v)); c != 0 {
+			return c
 		}
-		return pairs[order[a]].k < pairs[order[b]].k
+		return cmp.Compare(a.k, b.k)
 	})
 
 	// A supplied family order overrides the prefix: its keys (those stored)
 	// come first in its schedule order, the rest keep canonical order.
 	rankOf := func(k int) (int, bool) { // pairs index of key k
-		i := sort.Search(n, func(i int) bool { return pairs[i].k >= k })
-		if i < n && pairs[i].k == k {
-			return i, true
-		}
-		return 0, false
+		return slices.BinarySearchFunc(pairs, k, func(c coef, k int) int { return cmp.Compare(c.k, k) })
 	}
 	if len(opts.Families) > 0 {
-		lead := opts.Families[0]
 		taken := make([]bool, n)
-		reordered := make([]int, 0, n)
-		for _, k := range lead.Keys {
+		reordered := make([]coef, 0, n)
+		for _, k := range opts.Families[0].Keys {
 			if i, ok := rankOf(k); ok && !taken[i] {
 				taken[i] = true
-				reordered = append(reordered, i)
+				reordered = append(reordered, pairs[i])
 			}
 		}
-		for _, i := range order {
-			if !taken[i] {
-				reordered = append(reordered, i)
+		for _, c := range bySlot {
+			if !taken[c.i] {
+				reordered = append(reordered, c)
 			}
 		}
-		order = reordered
+		bySlot = reordered
 	}
-
-	// slotOfPair[i] = slot of pairs[i]; hotSet for coverage measurement.
-	slotOfPair := make([]int32, n)
-	for j, i := range order {
-		slotOfPair[i] = int32(j)
-	}
-	var mass float64
-	for _, p := range pairs {
-		mass += math.Abs(p.v)
+	slotOf := make([]int, n) // slot of pairs[i]
+	for j, c := range bySlot {
+		slotOf[c.i] = j
 	}
 
 	families := make([]Family, 0, len(opts.Families)+1)
@@ -279,10 +355,7 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 	}
 	for fi, fo := range opts.Families {
 		fam := Family{Label: fo.Label, Fingerprint: fo.Fingerprint}
-		top := hot
-		if len(fo.Keys) < top {
-			top = len(fo.Keys)
-		}
+		top := min(hot, len(fo.Keys))
 		if top == 0 {
 			if fi == 0 {
 				fam.HotCoverage = 1
@@ -292,12 +365,27 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 		}
 		covered := 0
 		for _, k := range fo.Keys[:top] {
-			if i, ok := rankOf(k); ok && int(slotOfPair[i]) < hot {
+			if i, ok := rankOf(k); ok && slotOf[i] < hot {
 				covered++
 			}
 		}
 		fam.HotCoverage = float64(covered) / float64(top)
 		families = append(families, fam)
+	}
+
+	// The delta stream comes first: its length sets the offsets' width.
+	groups := (n + groupSize - 1) / groupSize
+	groupStart := make([]int, groups)
+	stream := make([]byte, 0, n+n/8)
+	for i, c := range pairs {
+		if i%groupSize == 0 {
+			groupStart[i/groupSize] = len(stream)
+		}
+		next := opts.Cells
+		if i+1 < n {
+			next = pairs[i+1].k
+		}
+		stream = binary.AppendUvarint(stream, uint64(next-c.k))
 	}
 
 	g := geometry{
@@ -306,49 +394,13 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 		hotCount:  hot,
 		blockSize: blockSize,
 		mass:      mass,
+		streamLen: int64(len(stream)),
 	}
 	if opts.Quantize {
 		g.flags |= flagQuantized
 	}
-	g.numBlocks = g.blocks()
-
-	// Encode cold blocks first: their lengths feed the section offsets.
-	valueAtSlot := func(j int) float64 { return pairs[order[j]].v }
-	keyAtSlot := func(j int) int { return pairs[order[j]].k }
-	blobs := make([][]byte, g.numBlocks)
-	refs := make([]blockRef, g.numBlocks)
-	var blocksLen int64
-	for b := 0; b < g.numBlocks; b++ {
-		lo := hot + b*blockSize
-		hi := lo + blockSize
-		if hi > n {
-			hi = n
-		}
-		blob := encodeBlock(pairs, order[lo:hi], opts.Quantize)
-		blobs[b] = blob
-		refs[b] = blockRef{
-			off: uint64(blocksLen),
-			len: uint32(len(blob)),
-			crc: crc32.ChecksumIEEE(blob),
-		}
-		blocksLen += int64(len(blob))
-	}
-
 	hdr := encodeHeaderBlob(&g, opts.Meta, families)
-	dataStart := int64(preludeSize + len(hdr))
-	g.keysOff = dataStart
-	g.slotOfOff = g.keysOff + int64(n)*8
-	g.keyOfSlotOff = g.slotOfOff + int64(n)*4
-	g.hotOff = g.keyOfSlotOff + int64(n)*8
-	g.blockDirOff = g.hotOff + int64(hot)*8
-	g.blocksOff = g.blockDirOff + int64(g.numBlocks)*16
-	g.fileSize = g.blocksOff + blocksLen
-	for b := range refs {
-		refs[b].off += uint64(g.blocksOff)
-	}
-	// Re-encode the header now that the offsets are known; the blob length
-	// is offset-independent, so dataStart is stable.
-	hdr = encodeHeaderBlob(&g, opts.Meta, families)
+	g.derive(int64(preludeSize + len(hdr)))
 
 	f, err := os.Create(path)
 	if err != nil {
@@ -361,184 +413,76 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 	}()
 	w := bufio.NewWriterSize(f, 1<<20)
 
-	var prelude [preludeSize]byte
-	copy(prelude[0:4], magic)
-	binary.LittleEndian.PutUint16(prelude[4:6], version)
-	binary.LittleEndian.PutUint16(prelude[6:8], g.flags)
-	binary.LittleEndian.PutUint32(prelude[8:12], uint32(len(hdr)))
-	binary.LittleEndian.PutUint32(prelude[12:16], crc32.ChecksumIEEE(hdr))
-	if _, err := w.Write(prelude[:]); err != nil {
+	// Each section is built whole in buf and handed to the writer in one call.
+	buf := make([]byte, 0, preludeSize)
+	buf = append(buf, magic...)
+	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint16(buf, g.flags)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(hdr))
+	if _, err := w.Write(append(buf, hdr...)); err != nil {
 		return err
 	}
-	if _, err := w.Write(hdr); err != nil {
+	writePacked := func(count, width int, at func(i int) uint64) error {
+		buf = slices.Grow(buf[:0], int(packedSize(count, width)))
+		for i := 0; i < count; i++ {
+			buf = appendPacked(buf, at(i), width)
+		}
+		size := packedSize(count, width)
+		clear(buf[len(buf):size]) // the pad
+		_, err := w.Write(buf[:size])
+		return err
+	}
+	if err := writePacked(groups, g.keyWidth, func(i int) uint64 { return uint64(pairs[i*groupSize].k) }); err != nil {
+		return err
+	}
+	if err := writePacked(groups, g.offWidth, func(i int) uint64 { return uint64(groupStart[i]) }); err != nil {
+		return err
+	}
+	if _, err := w.Write(stream); err != nil {
+		return err
+	}
+	if err := writePacked(n, g.slotWidth, func(i int) uint64 { return uint64(slotOf[i]) }); err != nil {
+		return err
+	}
+	if err := writePacked(n, g.keyWidth, func(j int) uint64 { return uint64(bySlot[j].k) }); err != nil {
 		return err
 	}
 
-	var word [8]byte
-	for _, p := range pairs { // keys, ascending
-		binary.LittleEndian.PutUint64(word[:], uint64(p.k))
-		if _, err := w.Write(word[:]); err != nil {
-			return err
+	// Values, in slot order: the hot prefix, then one cold block at a time —
+	// block extents are arithmetic, so nothing but the checksums waits for
+	// the end of the file.
+	writeValues := func(lo, hi, width int) ([]byte, error) {
+		buf = slices.Grow(buf[:0], (hi-lo)*width)
+		for _, c := range bySlot[lo:hi] {
+			if width == 4 {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(c.v)))
+			} else {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.v))
+			}
 		}
+		_, err := w.Write(buf)
+		return buf, err
 	}
-	for i := range pairs { // slotOf, parallel to keys
-		binary.LittleEndian.PutUint32(word[:4], uint32(slotOfPair[i]))
-		if _, err := w.Write(word[:4]); err != nil {
-			return err
-		}
+	if _, err := writeValues(0, hot, 8); err != nil {
+		return err
 	}
-	for j := 0; j < n; j++ { // keyOfSlot
-		binary.LittleEndian.PutUint64(word[:], uint64(keyAtSlot(j)))
-		if _, err := w.Write(word[:]); err != nil {
+	crcs := make([]byte, 0, g.numBlocks*4)
+	for b := 0; b < g.numBlocks; b++ {
+		lo, hi := g.blockSlots(b)
+		block, err := writeValues(lo, hi, g.valWidth)
+		if err != nil {
 			return err
 		}
+		crcs = binary.LittleEndian.AppendUint32(crcs, crc32.ChecksumIEEE(block))
 	}
-	for j := 0; j < hot; j++ { // hot values, slot order
-		binary.LittleEndian.PutUint64(word[:], math.Float64bits(valueAtSlot(j)))
-		if _, err := w.Write(word[:]); err != nil {
-			return err
-		}
-	}
-	for _, r := range refs { // block directory
-		binary.LittleEndian.PutUint64(word[:], r.off)
-		if _, err := w.Write(word[:]); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(word[:4], r.len)
-		binary.LittleEndian.PutUint32(word[4:8], r.crc)
-		if _, err := w.Write(word[:]); err != nil {
-			return err
-		}
-	}
-	for _, blob := range blobs {
-		if _, err := w.Write(blob); err != nil {
-			return err
-		}
+	if _, err := w.Write(crcs); err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
 	return f.Sync()
-}
-
-// kv is one stored coefficient.
-type kv struct {
-	k int
-	v float64
-}
-
-// encodeBlock packs one cold block:
-//
-//	count  uvarint
-//	keys   count × uvarint  deltas of the block's keys, ascending
-//	rank   count × uint16   slot→rank permutation: the block's q-th slot
-//	                        holds the rank[q]-th key in ascending order
-//	values count × word     raw value bits in SLOT order (float32 when
-//	                        quantized)
-//
-// Values in slot order plus a fixed-width permutation are what make the
-// cold drain cheap: a schedule-order run indexes the value window
-// directly (no per-key search, no decode loop at load), and the
-// permutation verifies each landed key against the delta-packed key list
-// without being walked at decode time.
-func encodeBlock(pairs []kv, slots []int, quantize bool) []byte {
-	// loc[p] = q: the block's q-th slot holds the p-th key in ascending
-	// order. Its inverse rank[q] = p is the stored permutation.
-	loc := make([]int, len(slots))
-	for q := range loc {
-		loc[q] = q
-	}
-	sort.Slice(loc, func(a, b int) bool { return pairs[slots[loc[a]]].k < pairs[slots[loc[b]]].k })
-	buf := make([]byte, 0, len(slots)*12)
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(slots)))]...)
-	prev := 0
-	for p, q := range loc {
-		k := pairs[slots[q]].k
-		delta := k - prev
-		if p == 0 {
-			delta = k
-		}
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(delta))]...)
-		prev = k
-	}
-	rank := make([]uint16, len(slots))
-	for p, q := range loc {
-		rank[q] = uint16(p)
-	}
-	for _, p := range rank {
-		binary.LittleEndian.PutUint16(tmp[:2], p)
-		buf = append(buf, tmp[:2]...)
-	}
-	for q := range slots {
-		if quantize {
-			binary.LittleEndian.PutUint32(tmp[:4], math.Float32bits(float32(pairs[slots[q]].v)))
-			buf = append(buf, tmp[:4]...)
-		} else {
-			binary.LittleEndian.PutUint64(tmp[:8], math.Float64bits(pairs[slots[q]].v))
-			buf = append(buf, tmp[:8]...)
-		}
-	}
-	return buf
-}
-
-// decodeBlock is encodeBlock's inverse; it returns the block's keys
-// (ascending) plus raw windows over the fixed-width rank and value
-// sections — under mmap those are zero-copy views into the mapping,
-// decoded lazily at serve time. The caller has already verified the CRC;
-// structure — ascending keys, exact section lengths — is still validated
-// here, because a CRC only proves the file holds what the writer wrote,
-// not that the writer was sane. Rank entries are range-checked at serve
-// time (each retrieval compares the landed key against the requested
-// one), so a corrupt permutation surfaces as a per-key error instead of
-// a wrong value or a panic.
-//
-// The delta loop open-codes the one- and two-byte cases: this is the
-// hottest decode in a cold drain, and binary.Uvarint's slice-header and
-// loop setup are measurable at 10M keys.
-func decodeBlock(blob []byte, quantized bool, wantSlots int) (keys []int, rankBytes, valBytes []byte, err error) {
-	count, m := binary.Uvarint(blob)
-	if m <= 0 || count > uint64(wantSlots) {
-		return nil, nil, nil, fmt.Errorf("layout: block entry count invalid")
-	}
-	pos := m
-	keys = make([]int, count)
-	prev := -1
-	for i := range keys {
-		var d uint64
-		if pos < len(blob) && blob[pos] < 0x80 {
-			d = uint64(blob[pos])
-			pos++
-		} else if pos+1 < len(blob) && blob[pos+1] < 0x80 {
-			d = uint64(blob[pos]&0x7f) | uint64(blob[pos+1])<<7
-			pos += 2
-		} else {
-			var m int
-			d, m = binary.Uvarint(blob[pos:])
-			if m <= 0 {
-				return nil, nil, nil, fmt.Errorf("layout: block key %d truncated", i)
-			}
-			pos += m
-		}
-		k := prev + int(d)
-		if i == 0 {
-			k = int(d)
-		}
-		if k <= prev {
-			return nil, nil, nil, fmt.Errorf("layout: block keys not ascending")
-		}
-		keys[i] = k
-		prev = k
-	}
-	width := 8
-	if quantized {
-		width = 4
-	}
-	if len(blob)-pos != int(count)*(2+width) {
-		return nil, nil, nil, fmt.Errorf("layout: block rank/value section length mismatch")
-	}
-	rankEnd := pos + int(count)*2
-	return keys, blob[pos:rankEnd], blob[rankEnd:], nil
 }
 
 func validateMeta(m *Meta) error {
@@ -557,26 +501,13 @@ func validateMeta(m *Meta) error {
 	return nil
 }
 
-// encodeHeaderBlob serializes the geometry, optional meta and families.
-// Its length does not depend on the offset values, so Write can encode it
-// once to learn the length and once more with the final offsets.
+// encodeHeaderBlob serializes the geometry's stored fields, the optional
+// meta and the families.
 func encodeHeaderBlob(g *geometry, meta *Meta, families []Family) []byte {
 	var b []byte
-	u64 := func(v uint64) {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], v)
-		b = append(b, w[:]...)
-	}
-	u32 := func(v uint32) {
-		var w [4]byte
-		binary.LittleEndian.PutUint32(w[:], v)
-		b = append(b, w[:]...)
-	}
-	u16 := func(v uint16) {
-		var w [2]byte
-		binary.LittleEndian.PutUint16(w[:], v)
-		b = append(b, w[:]...)
-	}
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
+	u16 := func(v uint16) { b = binary.LittleEndian.AppendUint16(b, v) }
 	str8 := func(s string) { b = append(b, byte(len(s))); b = append(b, s...) }
 	str16 := func(s string) { u16(uint16(len(s))); b = append(b, s...) }
 
@@ -609,13 +540,7 @@ func encodeHeaderBlob(g *geometry, meta *Meta, families []Family) []byte {
 		str16(fam.Fingerprint)
 		u64(math.Float64bits(fam.HotCoverage))
 	}
-	u64(uint64(g.keysOff))
-	u64(uint64(g.slotOfOff))
-	u64(uint64(g.keyOfSlotOff))
-	u64(uint64(g.hotOff))
-	u64(uint64(g.blockDirOff))
-	u64(uint64(g.blocksOff))
-	u64(uint64(g.fileSize))
+	u64(uint64(g.streamLen))
 	return b
 }
 
@@ -672,10 +597,10 @@ func (r *blobReader) u8() uint8 {
 func (r *blobReader) str8() string  { return string(r.take(int(r.u8()))) }
 func (r *blobReader) str16() string { return string(r.take(int(r.u16()))) }
 
-// decodeHeaderBlob parses and validates the header blob. Structural
-// implausibilities — counts that disagree with the offsets, offsets outside
-// the file, section overlaps — are rejected here so the read path can trust
-// the geometry unconditionally.
+// decodeHeaderBlob parses and validates the header blob. The section table
+// is derived, not stored, so the one structural check is that the counts
+// account for the actual file size to the byte; after it the read path can
+// trust every offset unconditionally.
 func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Meta, []Family, error) {
 	r := &blobReader{b: blob}
 	g := &geometry{flags: flags}
@@ -723,19 +648,17 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		families[i].Fingerprint = r.str16()
 		families[i].HotCoverage = math.Float64frombits(r.u64())
 	}
-	g.keysOff = int64(r.u64())
-	g.slotOfOff = int64(r.u64())
-	g.keyOfSlotOff = int64(r.u64())
-	g.hotOff = int64(r.u64())
-	g.blockDirOff = int64(r.u64())
-	g.blocksOff = int64(r.u64())
-	g.fileSize = int64(r.u64())
+	g.streamLen = int64(r.u64())
 	if r.err != nil {
 		return nil, nil, nil, r.err
 	}
+	if r.pos != len(blob) {
+		return nil, nil, nil, fmt.Errorf("layout: %d trailing header bytes", len(blob)-r.pos)
+	}
 
-	// Geometry plausibility: non-negative counts that fit the domain, and a
-	// section table consistent with the counts and the actual file size.
+	// Geometry plausibility: non-negative counts that fit the domain, one
+	// to ten stream bytes per key (which also bounds nonzero by the file
+	// size, so the offset arithmetic below cannot overflow).
 	if g.cells <= 0 || g.nonzero < 0 || g.nonzero > g.cells {
 		return nil, nil, nil, fmt.Errorf("layout: implausible geometry (cells %d, nonzero %d)", g.cells, g.nonzero)
 	}
@@ -743,31 +666,11 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		return nil, nil, nil, fmt.Errorf("layout: implausible geometry (hot %d of %d, block size %d)",
 			g.hotCount, g.nonzero, g.blockSize)
 	}
-	g.numBlocks = g.blocks()
-	n := int64(g.nonzero)
-	dataStart := int64(preludeSize + len(blob))
-	want := []struct {
-		name string
-		off  int64
-		size int64
-	}{
-		{"keys", g.keysOff, n * 8},
-		{"slotOf", g.slotOfOff, n * 4},
-		{"keyOfSlot", g.keyOfSlotOff, n * 8},
-		{"hot", g.hotOff, int64(g.hotCount) * 8},
-		{"blockDir", g.blockDirOff, int64(g.numBlocks) * 16},
+	if n := int64(g.nonzero); g.streamLen < n || g.streamLen > fileSize || g.streamLen > n*binary.MaxVarintLen64 {
+		return nil, nil, nil, fmt.Errorf("layout: implausible key stream (%d bytes for %d keys)", g.streamLen, g.nonzero)
 	}
-	next := dataStart
-	for _, s := range want {
-		if s.off != next {
-			return nil, nil, nil, fmt.Errorf("layout: %s section at %d, want %d", s.name, s.off, next)
-		}
-		next += s.size
-	}
-	if g.blocksOff != next {
-		return nil, nil, nil, fmt.Errorf("layout: blocks section at %d, want %d", g.blocksOff, next)
-	}
-	if g.fileSize < g.blocksOff || g.fileSize != fileSize {
+	g.derive(int64(preludeSize + len(blob)))
+	if g.fileSize != fileSize {
 		return nil, nil, nil, fmt.Errorf("layout: file size %d does not match header (want %d)", fileSize, g.fileSize)
 	}
 	return g, meta, families, nil

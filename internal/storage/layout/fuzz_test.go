@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -80,9 +81,11 @@ func FuzzOpenLayout(f *testing.F) {
 }
 
 // fuzzExercise drives every fallible read surface of an opened store. The
-// header CRC protects the geometry, but block payloads are only checked on
-// access — so a mutated file can open fine and still carry garbage blocks.
-// All of that must come back as errors.
+// header CRC protects the geometry, but the index and the block payloads
+// are only checked on access — so a mutated file can open fine and still
+// carry garbage. All of that must come back as errors. Slot order is
+// answered by the sequential hint alone, so the keys are asked for
+// ascending and descending too: those reach the key search and slotOf.
 func fuzzExercise(t *testing.T, s *Store) {
 	t.Helper()
 	ctx := context.Background()
@@ -106,5 +109,9 @@ func fuzzExercise(t *testing.T, s *Store) {
 		_, _ = storage.GetCtx(ctx, s, k)
 	}
 	dst := make([]float64, len(keys))
+	_ = s.BatchGetCtx(ctx, keys, dst)
+	slices.Sort(keys)
+	_ = s.BatchGetCtx(ctx, keys, dst)
+	slices.Reverse(keys)
 	_ = s.BatchGetCtx(ctx, keys, dst)
 }

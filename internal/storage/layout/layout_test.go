@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -282,14 +283,10 @@ func TestCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := s.Blocks() / 2
-	ref := s.dir[victim]
+	ref := s.BlockExtent(victim)
 	blockKeys := map[int]bool{}
-	ent, err := s.block(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range ent.keys {
-		blockKeys[k] = true
+	for lo, hi := s.g.blockSlots(victim); lo < hi; lo++ {
+		blockKeys[s.KeyOfSlot(lo)] = true
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -299,11 +296,11 @@ func TestCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b [1]byte
-	if _, err := f.ReadAt(b[:], int64(ref.off)+int64(ref.len)/2); err != nil {
+	if _, err := f.ReadAt(b[:], ref.Off+int64(ref.Len)/2); err != nil {
 		t.Fatal(err)
 	}
 	b[0] ^= 0xff
-	if _, err := f.WriteAt(b[:], int64(ref.off)+int64(ref.len)/2); err != nil {
+	if _, err := f.WriteAt(b[:], ref.Off+int64(ref.Len)/2); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -517,5 +514,243 @@ func TestMetaRoundtrip(t *testing.T) {
 				got.Names[i], got.Sizes[i], got.Windows[i],
 				meta.Names[i], meta.Sizes[i], meta.Windows[i])
 		}
+	}
+}
+
+// TestSizeBudget pins the format's point: index and values together stay
+// under 17 bytes per coefficient at default geometry, so the three
+// full-width arrays of version 1 (31 bytes) cannot silently come back.
+func TestSizeBudget(t *testing.T) {
+	const n, cells = 200_000, 1 << 20
+	keys, values := testCoefficients(n, cells, 8)
+	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells})
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	sections := s.Sections()
+	var sum int64
+	for _, sec := range sections {
+		sum += sec.Bytes
+	}
+	st := s.Stats()
+	if sum != info.Size() || st.FileBytes != info.Size() {
+		t.Fatalf("sections sum to %d, Stats.FileBytes = %d, file is %d bytes", sum, st.FileBytes, info.Size())
+	}
+	if header := sections[0].Bytes; info.Size() > 17*n+header {
+		t.Fatalf("file is %d bytes = %.2f per coefficient, budget 17 (sections %+v)",
+			info.Size(), float64(info.Size()-header)/n, sections)
+	}
+	if valueBytes := int64(n) * 8; st.IndexBytes != info.Size()-sections[0].Bytes-valueBytes {
+		t.Fatalf("IndexBytes = %d, want file − header − %d value bytes", st.IndexBytes, valueBytes)
+	}
+}
+
+// TestPackedWords pins the one fixed-width accessor at every width, down to
+// the last entry of a section, whose 8-byte load ends in the section's pad.
+func TestPackedWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for w := 1; w <= 8; w++ {
+		for _, n := range []int{1, 2, 63, 64, 1000} {
+			want := make([]uint64, n)
+			var b []byte
+			for i := range want {
+				want[i] = rng.Uint64() >> (64 - 8*w)
+				b = appendPacked(b, want[i], w)
+			}
+			want[n-1] = ^uint64(0) >> (64 - 8*w) // all ones next to the pad
+			b = appendPacked(b[:(n-1)*w], want[n-1], w)
+			b = append(b, make([]byte, 8-w)...)
+			if int64(len(b)) != packedSize(n, w) {
+				t.Fatalf("width %d: %d entries take %d bytes, packedSize says %d", w, n, len(b), packedSize(n, w))
+			}
+			p := newPacked(b, w)
+			for i, v := range want {
+				if got := p.at(i); got != v {
+					t.Fatalf("width %d entry %d/%d = %#x, want %#x", w, i, n, got, v)
+				}
+			}
+		}
+	}
+}
+
+// TestWidthBoundaries writes layouts whose domain sits on either side of
+// each byte-width step and reads the largest key back on both tiers — it is
+// the last key of the index and, with the smallest value, the last entry of
+// keyOfSlot.
+func TestWidthBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		cells int
+		width int
+	}{
+		{1 << 8, 1}, {1<<8 + 1, 2}, {1 << 24, 3}, {1<<24 + 1, 4}, {1<<32 + 1, 5},
+	} {
+		if got := wordWidth(uint64(tc.cells - 1)); got != tc.width {
+			t.Fatalf("cells %d: key width %d, want %d", tc.cells, got, tc.width)
+		}
+		keys := []int{0, 1, tc.cells / 2, tc.cells - 2, tc.cells - 1}
+		values := []float64{5, -4, 3, 2, -1}
+		path := writeTestLayout(t, keys, values, WriteOptions{Cells: tc.cells, HotCount: 2, BlockSize: 2})
+		for _, opts := range []Options{{}, {DisableMmap: true}} {
+			s, err := Open(path, opts)
+			if err != nil {
+				t.Fatalf("cells %d: %v", tc.cells, err)
+			}
+			if got := s.KeyOfSlot(len(keys) - 1); got != tc.cells-1 {
+				t.Fatalf("cells %d: last slot holds key %d, want %d", tc.cells, got, tc.cells-1)
+			}
+			for i, k := range keys {
+				if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != values[i] {
+					t.Fatalf("cells %d mmap %v: Get(%d) = %v, %v; want %v", tc.cells, s.Mmapped(), k, got, err, values[i])
+				}
+			}
+			for _, k := range []int{2, tc.cells/2 + 1, tc.cells - 3} {
+				if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != 0 {
+					t.Fatalf("cells %d: Get(%d) = %v, %v; want an absent key's 0", tc.cells, k, got, err)
+				}
+			}
+			_ = s.Close()
+		}
+	}
+}
+
+// TestCorruptIndex is the corruption table: one damaged byte anywhere past
+// the header — in the key samples, their stream offsets, the delta stream,
+// slotOf, keyOfSlot or a cold block — and every key of the domain, stored or
+// not, asked for in schedule order, ascending and descending, on both
+// tiers, comes back as a per-key error or as its true value. Never a wrong
+// value, never a panic.
+func TestCorruptIndex(t *testing.T) {
+	const cells = 1 << 13
+	keys, values := testCoefficients(3000, cells, 10)
+	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, HotCount: 300, BlockSize: 128})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := s.g
+	want := make([]float64, cells)
+	for i, k := range keys {
+		want[k] = values[i]
+	}
+	orders := make([][]int, 3)
+	for j := 0; j < g.nonzero; j++ {
+		orders[0] = append(orders[0], s.KeyOfSlot(j))
+	}
+	for k := 0; k < cells; k++ {
+		orders[1] = append(orders[1], k)
+		orders[2] = append(orders[2], cells-1-k)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(t *testing.T, mut []byte) (failed int) {
+		bad := filepath.Join(t.TempDir(), "bad.wvls")
+		if err := os.WriteFile(bad, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{{}, {DisableMmap: true, CacheBlocks: 2}} {
+			s, err := Open(bad, opts)
+			if err != nil {
+				t.Fatalf("Open: %v (the header is intact)", err)
+			}
+			for _, order := range orders {
+				dst := make([]float64, len(order))
+				for i := range dst {
+					dst[i] = math.NaN()
+				}
+				err := s.BatchGetCtx(context.Background(), order, dst)
+				bad := map[int]bool{}
+				var be *storage.BatchError
+				if errors.As(err, &be) {
+					for _, ke := range be.Failed {
+						bad[ke.Index] = true
+					}
+				} else if err != nil {
+					t.Fatalf("BatchGetCtx = %v, want per-key errors", err)
+				}
+				failed += len(bad)
+				for i, k := range order {
+					if !bad[i] && dst[i] != want[k] {
+						t.Fatalf("mmap %v: key %d served %v, want %v or an error", s.Mmapped(), k, dst[i], want[k])
+					}
+				}
+			}
+			_ = s.Close()
+		}
+		return failed
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for _, sec := range []struct {
+		name     string
+		off, end int64
+	}{
+		{"samples", g.samplesOff, g.samplesOff + int64(g.groups*g.keyWidth)},
+		{"offsets", g.offsetsOff, g.offsetsOff + int64(g.groups*g.offWidth)},
+		{"stream", g.streamOff, g.slotOfOff},
+		{"slotOf", g.slotOfOff, g.slotOfOff + int64(g.nonzero*g.slotWidth)},
+		{"keyOfSlot", g.keyOfSlotOff, g.keyOfSlotOff + int64(g.nonzero*g.keyWidth)},
+		{"cold block", g.blocksOff, g.crcsOff},
+	} {
+		t.Run(sec.name, func(t *testing.T) {
+			total := 0
+			for trial := 0; trial < 8; trial++ {
+				at := sec.off + rng.Int63n(sec.end-sec.off)
+				if trial == 0 {
+					at = sec.off // the section's first byte, e.g. samples[0]
+				}
+				for _, flip := range []byte{0x01, 0x80, 0xff} {
+					mut := append([]byte(nil), raw...)
+					mut[at] ^= flip
+					total += check(t, mut)
+				}
+			}
+			if total == 0 {
+				t.Fatalf("no damage to %s ever failed a key: the table is not reaching the section", sec.name)
+			}
+		})
+	}
+
+	// The satellite bug: a slotOf entry beyond nonzero used to index the
+	// block directory out of range. All-ones is beyond any slot count.
+	t.Run("slot out of range", func(t *testing.T) {
+		mut := append([]byte(nil), raw...)
+		for i := 0; i < g.slotWidth; i++ {
+			mut[g.slotOfOff+int64(7*g.slotWidth+i)] = 0xff
+		}
+		if check(t, mut) == 0 {
+			t.Fatal("an out-of-range slot failed no key")
+		}
+	})
+}
+
+// TestVersion1Refused pins the migration path: a version 1 prelude is not
+// read, it is sent back to wvlayout.
+func TestVersion1Refused(t *testing.T) {
+	v1 := make([]byte, 256)
+	copy(v1, magic)
+	v1[4] = 1
+	path := filepath.Join(t.TempDir(), "v1.wvls")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err == nil {
+		_ = s.Close()
+		t.Fatal("Open accepted a version 1 file")
+	}
+	if !strings.Contains(err.Error(), "rebuild with wvlayout") {
+		t.Fatalf("Open = %v, want the rebuild-with-wvlayout message", err)
 	}
 }

@@ -33,9 +33,9 @@ func Observe(reg *obs.Registry) {
 		coldHits: reg.Counter("wvq_storage_layout_hits_total",
 			"Layout-store retrievals by serving tier.", obs.L("tier", "cold")),
 		blockLoads: reg.Counter("wvq_storage_layout_block_loads_total",
-			"Cold blocks physically read, checksummed and decoded."),
+			"Cold blocks physically read and checksummed."),
 		blockLoadFails: reg.Counter("wvq_storage_layout_block_load_failures_total",
-			"Cold-block loads rejected by checksum or decode errors."),
+			"Cold-block loads rejected by read errors or their checksum."),
 	})
 }
 

@@ -6,10 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,14 +19,14 @@ import (
 //
 //  1. the mmap hot region — the most important hotCount coefficients, raw
 //     float64 words read zero-copy from the mapping;
-//  2. an LRU of decompressed cold blocks — a cold retrieval decodes its
-//     whole block once (CRC-verified) and neighbors in schedule order hit
-//     the cached decode;
+//  2. an LRU of checksummed cold blocks — a cold retrieval verifies its
+//     whole block's CRC once and neighbors in schedule order hit the cached
+//     verdict; the block itself is a window of the mapping;
 //  3. positioned reads — when mmap is unavailable (disabled or unsupported)
-//     every section falls back to pread, with the index sections loaded
-//     into memory at open so key lookup stays O(log n) without syscalls.
+//     hot runs and cold blocks are pread, and the index sections are read
+//     into memory at open so key lookup makes no syscalls.
 //
-// Key→slot resolution is a binary search over the ascending key index,
+// Key→slot resolution is a search of the compressed key index,
 // short-circuited by a sequential hint: a progressive drain requests keys
 // in exactly the layout's slot order, so after the first key of a batch the
 // remaining lookups are O(1) pointer bumps and the whole drain walks the
@@ -42,14 +40,15 @@ type Store struct {
 	g        geometry
 	meta     *Meta
 	families []Family
-	dir      []blockRef
 
-	// In-memory copies of the index sections, loaded only on the pread
-	// fallback path (a binary search through pread would cost O(log n)
-	// syscalls per key).
-	keysMem      []uint64
-	slotOfMem    []uint32
-	keyOfSlotMem []uint64
+	// The index sections and the block checksums: windows of the mapping,
+	// or of the copies the pread tier reads at open.
+	samples   packed
+	offsets   packed
+	stream    []byte
+	slotOf    packed
+	keyOfSlot packed
+	crcs      []byte
 
 	cache blockCache
 
@@ -66,7 +65,7 @@ type Store struct {
 	preads         atomic.Int64
 }
 
-// DefaultCacheBlocks is the default capacity of the decoded-block LRU.
+// DefaultCacheBlocks is the default capacity of the cold-block LRU.
 const DefaultCacheBlocks = 64
 
 // Options configures Open.
@@ -74,14 +73,15 @@ type Options struct {
 	// DisableMmap forces the positioned-read fallback path (used by tests;
 	// the open also falls back automatically when mmap fails).
 	DisableMmap bool
-	// CacheBlocks bounds the decoded cold-block LRU; 0 selects
-	// DefaultCacheBlocks, negative disables caching.
+	// CacheBlocks bounds the cold-block LRU; 0 selects DefaultCacheBlocks,
+	// negative disables caching.
 	CacheBlocks int
 }
 
 // Open opens a layout file. The header is CRC-verified and its geometry
 // validated against the actual file before any data is trusted; a file that
-// fails either check is rejected here rather than misread later.
+// fails either check is rejected here rather than misread later. Nothing
+// past the header is read or checked at open under mmap.
 func Open(path string, opts Options) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -107,7 +107,11 @@ func open(f *os.File, opts Options) (*Store, error) {
 	if string(prelude[0:4]) != magic {
 		return nil, fmt.Errorf("layout: bad magic %q (not a .wvls file)", prelude[0:4])
 	}
-	if v := binary.LittleEndian.Uint16(prelude[4:6]); v != version {
+	switch v := binary.LittleEndian.Uint16(prelude[4:6]); v {
+	case version:
+	case 1:
+		return nil, fmt.Errorf("layout: version 1 .wvls file; the format is derived data — rebuild with wvlayout")
+	default:
 		return nil, fmt.Errorf("layout: unsupported version %d", v)
 	}
 	flags := binary.LittleEndian.Uint16(prelude[6:8])
@@ -138,37 +142,30 @@ func open(f *os.File, opts Options) (*Store, error) {
 		s.cache.index = make(map[int]*list.Element)
 	}
 
+	// index is everything before the hot values; crcs trail the blocks.
+	var index []byte
 	if !opts.DisableMmap {
 		if data, err := mmapFile(f, st.Size()); err == nil {
 			s.data = data
-		}
-	}
-	// Block directory: small (16 bytes per block), always resident.
-	s.dir = make([]blockRef, s.g.numBlocks)
-	dirBytes, err := s.section(s.g.blockDirOff, int64(s.g.numBlocks)*16)
-	if err != nil {
-		_ = s.close()
-		return nil, fmt.Errorf("layout: reading block directory: %w", err)
-	}
-	for b := range s.dir {
-		s.dir[b] = blockRef{
-			off: binary.LittleEndian.Uint64(dirBytes[b*16:]),
-			len: binary.LittleEndian.Uint32(dirBytes[b*16+8:]),
-			crc: binary.LittleEndian.Uint32(dirBytes[b*16+12:]),
-		}
-		end := int64(s.dir[b].off) + int64(s.dir[b].len)
-		if int64(s.dir[b].off) < s.g.blocksOff || end > s.g.fileSize {
-			_ = s.close()
-			return nil, fmt.Errorf("layout: block %d extent [%d,%d) outside blocks section", b, s.dir[b].off, end)
+			index, s.crcs = data[g.samplesOff:g.hotOff], data[g.crcsOff:]
 		}
 	}
 	if s.data == nil {
 		// Fallback: resident index (mmap would have served it zero-copy).
-		if err := s.loadIndex(); err != nil {
-			_ = s.close()
-			return nil, err
+		index, s.crcs = make([]byte, g.hotOff-g.samplesOff), make([]byte, g.fileSize-g.crcsOff)
+		if _, err := f.ReadAt(index, g.samplesOff); err != nil {
+			return nil, fmt.Errorf("layout: loading index: %w", err)
+		}
+		if _, err := f.ReadAt(s.crcs, g.crcsOff); err != nil {
+			return nil, fmt.Errorf("layout: loading block checksums: %w", err)
 		}
 	}
+	window := func(from, to int64) []byte { return index[from-g.samplesOff : to-g.samplesOff] }
+	s.samples = newPacked(window(g.samplesOff, g.offsetsOff), g.keyWidth)
+	s.offsets = newPacked(window(g.offsetsOff, g.streamOff), g.offWidth)
+	s.stream = window(g.streamOff, g.slotOfOff)
+	s.slotOf = newPacked(window(g.slotOfOff, g.keyOfSlotOff), g.slotWidth)
+	s.keyOfSlot = newPacked(window(g.keyOfSlotOff, g.hotOff), g.keyWidth)
 	return s, nil
 }
 
@@ -192,100 +189,94 @@ func (s *Store) section(off, length int64) ([]byte, error) {
 	return buf, nil
 }
 
-// loadIndex materializes the three index sections for the pread fallback.
-func (s *Store) loadIndex() error {
-	n := s.g.nonzero
-	load := func(off int64, width int) ([]byte, error) {
-		buf := make([]byte, int64(n)*int64(width))
-		r := io.NewSectionReader(s.f, off, int64(len(buf)))
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("layout: loading index: %w", err)
-		}
-		return buf, nil
-	}
-	kb, err := load(s.g.keysOff, 8)
-	if err != nil {
-		return err
-	}
-	sb, err := load(s.g.slotOfOff, 4)
-	if err != nil {
-		return err
-	}
-	ob, err := load(s.g.keyOfSlotOff, 8)
-	if err != nil {
-		return err
-	}
-	s.keysMem = make([]uint64, n)
-	s.slotOfMem = make([]uint32, n)
-	s.keyOfSlotMem = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		s.keysMem[i] = binary.LittleEndian.Uint64(kb[i*8:])
-		s.slotOfMem[i] = binary.LittleEndian.Uint32(sb[i*4:])
-		s.keyOfSlotMem[i] = binary.LittleEndian.Uint64(ob[i*8:])
-	}
-	return nil
-}
-
-// keyAt returns the i-th smallest stored key.
-func (s *Store) keyAt(i int) int {
-	if s.data != nil {
-		return int(binary.LittleEndian.Uint64(s.data[s.g.keysOff+int64(i)*8:]))
-	}
-	return int(s.keysMem[i])
-}
-
-// slotAt returns the slot of the i-th smallest stored key.
-func (s *Store) slotAt(i int) int {
-	if s.data != nil {
-		return int(binary.LittleEndian.Uint32(s.data[s.g.slotOfOff+int64(i)*4:]))
-	}
-	return int(s.slotOfMem[i])
-}
-
 // KeyOfSlot returns the key stored at schedule slot j — the layout's
 // retrieval order. Draining keys in this order is sequential I/O.
-func (s *Store) KeyOfSlot(j int) int {
-	if s.data != nil {
-		return int(binary.LittleEndian.Uint64(s.data[s.g.keyOfSlotOff+int64(j)*8:]))
-	}
-	return int(s.keyOfSlotMem[j])
+func (s *Store) KeyOfSlot(j int) int { return int(s.keyOfSlot.at(j)) }
+
+// errKeyIndex reports a key group whose deltas do not lead from its sample
+// to the next one: the "absent" it would answer cannot be trusted.
+func errKeyIndex(group int) error {
+	return fmt.Errorf("layout: key index group %d is inconsistent", group)
 }
 
-// lookupSlot resolves key → slot. The sequential hint is checked first:
-// schedule-order readers advance one slot per retrieval, so the expected
-// next slot usually holds the requested key and the binary search is
-// skipped entirely.
-func (s *Store) lookupSlot(key int) (int, bool) {
+// findKey resolves key to its rank among the stored keys: a binary search
+// of the samples, then a walk of at most one group's deltas. A hit stops at
+// the key and is verified by the caller through keyOfSlot; a miss walks the
+// whole group and answers "absent" only if the deltas arrive exactly at the
+// next sample (cells after the last group) — a damaged index fails the key
+// instead of reading a stored coefficient as zero.
+func (s *Store) findKey(key int) (rank int, ok bool, err error) {
+	k := uint64(key)
+	lo, hi := 0, s.g.groups // first group whose sample exceeds key, in [lo,hi]
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); s.samples.at(mid) > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	group := lo - 1
+	if group < 0 {
+		// Below the smallest key, if the first sample is one: its own slot
+		// round trip says so.
+		if s.g.groups > 0 {
+			if slot := s.slotOf.at(0); slot >= uint64(s.g.nonzero) || s.keyOfSlot.at(int(slot)) != s.samples.at(0) {
+				return 0, false, errKeyIndex(0)
+			}
+		}
+		return 0, false, nil
+	}
+	first := group * groupSize
+	acc := s.samples.at(group)
+	if acc == k {
+		return first, true, nil
+	}
+	pos, end, limit := s.offsets.at(group), uint64(len(s.stream)), uint64(s.g.cells)
+	if group+1 < s.g.groups {
+		end, limit = s.offsets.at(group+1), s.samples.at(group+1)
+	}
+	if pos > end || end > uint64(len(s.stream)) {
+		return 0, false, errKeyIndex(group)
+	}
+	deltas, count := s.stream[pos:end], min(groupSize, s.g.nonzero-first)
+	for j := 1; j <= count; j++ {
+		d, m := binary.Uvarint(deltas)
+		if m <= 0 || d == 0 || d > limit-acc {
+			return 0, false, errKeyIndex(group)
+		}
+		deltas = deltas[m:]
+		if acc += d; acc == k {
+			return first + j, true, nil
+		}
+	}
+	if acc != limit || len(deltas) != 0 {
+		return 0, false, errKeyIndex(group)
+	}
+	return 0, false, nil
+}
+
+// lookupSlot resolves key → slot; ok is false for a key that is not stored.
+// The sequential hint is checked first: schedule-order readers advance one
+// slot per retrieval, so the expected next slot usually holds the requested
+// key and the index search is skipped entirely. A slot the search produces
+// is served only if keyOfSlot maps it back to the key.
+func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
 	n := s.g.nonzero
 	if h := int(s.hint.Load()); h >= 0 && h < n && s.KeyOfSlot(h) == key {
-		s.hint.Store(int64(h + 1))
 		s.hintHits.Add(1)
-		return h, true
+		return h, true, nil
 	}
-	i := sort.Search(n, func(i int) bool { return s.keyAt(i) >= key })
-	if i >= n || s.keyAt(i) != key {
-		return 0, false
+	rank, ok, err := s.findKey(key)
+	if err != nil || !ok {
+		return 0, false, err
 	}
-	slot := s.slotAt(i)
-	s.hint.Store(int64(slot + 1))
-	return slot, true
+	if slot = int(s.slotOf.at(rank)); slot >= n || s.KeyOfSlot(slot) != key {
+		return 0, false, fmt.Errorf("layout: slot %d does not hold key %d (index disagrees with itself)", slot, key)
+	}
+	return slot, true, nil
 }
 
-// hotValue reads the raw value of a hot slot.
-func (s *Store) hotValue(slot int) (float64, error) {
-	off := s.g.hotOff + int64(slot)*8
-	if s.data != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(s.data[off:])), nil
-	}
-	var buf [8]byte
-	s.preads.Add(1)
-	if _, err := s.f.ReadAt(buf[:], off); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-// blockCache is the decoded cold-block LRU (tier 2).
+// blockCache is the checksummed cold-block LRU (tier 2).
 type blockCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -293,179 +284,130 @@ type blockCache struct {
 	index    map[int]*list.Element
 }
 
-// blockEntry is one decoded block: keys ascending, plus raw fixed-width
-// windows over the slot→rank permutation and the slot-order value words.
-// The windows stay as file bytes — zero-copy views of the mmap when one
-// is live — and decode on access; a full drain touches each entry once
-// either way, and partial reads skip the rest.
+// blockEntry is one verified block: its value words in slot order, a
+// zero-copy view of the mmap when one is live.
 type blockEntry struct {
-	id        int
-	keys      []int
-	rankBytes []byte
-	valBytes  []byte
-	quantized bool
+	id   int
+	vals []byte
 }
 
-// rank returns the ascending-key position holding the block's q-th slot.
-// Range-checking the result against keys is the caller's job (a corrupt
-// permutation must become a per-key error, not a panic).
-func (e *blockEntry) rank(q int) int {
-	return int(binary.LittleEndian.Uint16(e.rankBytes[q*2:]))
-}
-
-// val decodes the value of the block's q-th slot.
-func (e *blockEntry) val(q int) float64 {
-	if e.quantized {
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(e.valBytes[q*4:])))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(e.valBytes[q*8:]))
-}
-
-// block returns the decoded block b, from cache or by a CRC-verified load.
-// Loads run under the cache lock: concurrent cold misses serialize, which
-// keeps every block decoded at most once at a time (the drain pattern loads
-// each block exactly once anyway).
-func (s *Store) block(b int) (*blockEntry, error) {
+// block returns block b's value words, from cache or by a CRC-verified
+// load. Loads run under the cache lock: concurrent cold misses serialize,
+// which keeps every block checksummed at most once at a time (the drain
+// pattern loads each block exactly once anyway).
+func (s *Store) block(b int) ([]byte, error) {
 	c := &s.cache
 	if c.capacity > 0 {
 		c.mu.Lock()
 		if el, ok := c.index[b]; ok {
 			c.lru.MoveToFront(el)
-			ent := el.Value.(*blockEntry)
+			vals := el.Value.(*blockEntry).vals
 			c.mu.Unlock()
-			return ent, nil
+			return vals, nil
 		}
 		defer c.mu.Unlock()
 	}
-	ent, err := s.loadBlock(b)
+	vals, err := s.loadBlock(b)
 	if err != nil {
+		s.blockLoadFails.Add(1)
+		obsBlockLoadFail()
 		return nil, err
 	}
+	s.blockLoads.Add(1)
+	obsBlockLoad()
 	if c.capacity > 0 {
 		for c.lru.Len() >= c.capacity {
 			oldest := c.lru.Back()
 			delete(c.index, oldest.Value.(*blockEntry).id)
 			c.lru.Remove(oldest)
 		}
-		c.index[b] = c.lru.PushFront(ent)
+		c.index[b] = c.lru.PushFront(&blockEntry{id: b, vals: vals})
 	}
-	return ent, nil
+	return vals, nil
 }
 
-// loadBlock reads, CRC-verifies and decodes block b.
-func (s *Store) loadBlock(b int) (*blockEntry, error) {
-	ref := s.dir[b]
-	blob, err := s.section(int64(ref.off), int64(ref.len))
+// loadBlock reads and CRC-verifies block b.
+func (s *Store) loadBlock(b int) ([]byte, error) {
+	ext := s.BlockExtent(b)
+	vals, err := s.section(ext.Off, int64(ext.Len))
 	if err != nil {
-		s.blockLoadFails.Add(1)
-		obsBlockLoadFail()
 		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
 	}
-	if got := crc32.ChecksumIEEE(blob); got != ref.crc {
-		s.blockLoadFails.Add(1)
-		obsBlockLoadFail()
-		return nil, fmt.Errorf("layout: block %d checksum mismatch (file %08x, computed %08x)", b, ref.crc, got)
+	want := binary.LittleEndian.Uint32(s.crcs[b*4:])
+	if got := crc32.ChecksumIEEE(vals); got != want {
+		return nil, fmt.Errorf("layout: block %d checksum mismatch (file %08x, computed %08x)", b, want, got)
 	}
-	wantSlots := s.g.blockSize
-	if last := s.g.nonzero - s.g.hotCount - b*s.g.blockSize; last < wantSlots {
-		wantSlots = last
+	return vals, nil
+}
+
+// readSlots decodes the values of slots [slot, slot+len(out)), which must
+// lie inside one tier unit: the hot region, or a single cold block. The hot
+// region is one window of the mapping or one pread, whatever the run length.
+func (s *Store) readSlots(slot int, out []float64) error {
+	if slot < s.g.hotCount {
+		raw, err := s.section(s.g.hotOff+int64(slot)*8, int64(len(out))*8)
+		if err != nil {
+			return err
+		}
+		for q := range out {
+			out[q] = math.Float64frombits(binary.LittleEndian.Uint64(raw[q*8:]))
+		}
+		return nil
 	}
-	keys, rankBytes, valBytes, err := decodeBlock(blob, s.Quantized(), wantSlots)
+	b := (slot - s.g.hotCount) / s.g.blockSize
+	vals, err := s.block(b)
 	if err != nil {
-		s.blockLoadFails.Add(1)
-		obsBlockLoadFail()
-		return nil, fmt.Errorf("layout: block %d: %w", b, err)
+		return err
 	}
-	s.blockLoads.Add(1)
-	obsBlockLoad()
-	return &blockEntry{id: b, keys: keys, rankBytes: rankBytes, valBytes: valBytes, quantized: s.Quantized()}, nil
+	lo, _ := s.g.blockSlots(b)
+	if vals = vals[(slot-lo)*s.g.valWidth:]; s.Quantized() {
+		for q := range out {
+			out[q] = float64(math.Float32frombits(binary.LittleEndian.Uint32(vals[q*4:])))
+		}
+	} else {
+		for q := range out {
+			out[q] = math.Float64frombits(binary.LittleEndian.Uint64(vals[q*8:]))
+		}
+	}
+	return nil
+}
+
+// unitEnd returns the slot one past the tier unit holding slot: the end of
+// the hot region, or of slot's cold block.
+func (s *Store) unitEnd(slot int) int {
+	if slot < s.g.hotCount {
+		return s.g.hotCount
+	}
+	_, hi := s.g.blockSlots((slot - s.g.hotCount) / s.g.blockSize)
+	return hi
 }
 
 // serveRun serves the longest prefix of keys[i:] that continues slot by
-// slot from the resolved start — the common shape of a progressive drain,
-// whose batches are exactly the layout's physical order. The caller has
-// already resolved slot for keys[i]; the run extends while each next key is
-// the next slot's key, so the per-key cost inside a run is one compare and
+// slot from the resolved start within one tier unit — the common shape of a
+// progressive drain, whose batches are exactly the layout's physical order.
+// lookupSlot has already resolved and verified slot for keys[i]; the run
+// extends while each next key is the next slot's key in the sequential
+// keyOfSlot section, so the per-key cost inside a run is one compare and
 // one store instead of a hint check, a tier dispatch and a block-cache
-// lock. Returns how many positions were served (≥1 on success); an error
-// means position i itself failed and nothing was served.
+// lock. It returns the run's length n ≥ 1; on error all n positions failed
+// together (one unreadable run, one corrupt block).
 func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
+	limit := min(s.unitEnd(slot)-slot, len(keys)-i)
+	n := 1
+	for n < limit && keys[i+n] == int(s.keyOfSlot.at(slot+n)) {
+		n++
+	}
+	s.hint.Store(int64(slot + n))
+	if err := s.readSlots(slot, dst[i:i+n]); err != nil {
+		return n, err
+	}
 	if slot < s.g.hotCount {
-		// Hot run: raw float64 words, zero-copy under mmap. The mmap loop
-		// hoists both section windows — key verification walks the
-		// keyOfSlot section sequentially, which is what makes the run cost
-		// two adjacent loads and a compare per key.
-		n := 0
-		if s.data != nil {
-			kos := s.data[s.g.keyOfSlotOff+int64(slot)*8:]
-			hot := s.data[s.g.hotOff+int64(slot)*8:]
-			max := s.g.hotCount - slot
-			if rest := len(keys) - i; rest < max {
-				max = rest
-			}
-			for n < max && keys[i+n] == int(binary.LittleEndian.Uint64(kos[n*8:])) {
-				dst[i+n] = math.Float64frombits(binary.LittleEndian.Uint64(hot[n*8:]))
-				n++
-			}
-		} else {
-			for i+n < len(keys) && slot+n < s.g.hotCount && keys[i+n] == s.KeyOfSlot(slot+n) {
-				v, err := s.hotValue(slot + n)
-				if err != nil {
-					if n == 0 {
-						return 0, err
-					}
-					break
-				}
-				dst[i+n] = v
-				n++
-			}
-		}
-		if n == 0 {
-			// Contract violation: lookupSlot said keys[i] lives at slot.
-			return 0, fmt.Errorf("layout: slot %d does not hold key %d (index disagrees with itself)", slot, keys[i])
-		}
 		s.hotHits.Add(int64(n))
 		obsHotHits(int64(n))
-		s.hint.Store(int64(slot + n))
-		return n, nil
-	}
-	// Cold run: decode the block once, verify the run's start against the
-	// block's own key list through the permutation, then serve slot-order
-	// values directly — each subsequent key verified against the
-	// sequential keyOfSlot index section.
-	b := (slot - s.g.hotCount) / s.g.blockSize
-	ent, err := s.block(b)
-	if err != nil {
-		return 0, err
-	}
-	q := slot - s.g.hotCount - b*s.g.blockSize
-	if q >= len(ent.keys) {
-		return 0, fmt.Errorf("layout: slot %d beyond block %d's %d entries (index/block disagree)", slot, b, len(ent.keys))
-	}
-	if p := ent.rank(q); p >= len(ent.keys) || ent.keys[p] != keys[i] {
-		return 0, fmt.Errorf("layout: slot %d of block %d does not hold key %d (index/block disagree)", slot, b, keys[i])
-	}
-	n := 0
-	if !ent.quantized && s.data != nil {
-		kos := s.data[s.g.keyOfSlotOff+int64(slot)*8:]
-		vb := ent.valBytes[q*8:]
-		max := len(ent.keys) - q
-		if rest := len(keys) - i; rest < max {
-			max = rest
-		}
-		for n < max && keys[i+n] == int(binary.LittleEndian.Uint64(kos[n*8:])) {
-			dst[i+n] = math.Float64frombits(binary.LittleEndian.Uint64(vb[n*8:]))
-			n++
-		}
 	} else {
-		for i+n < len(keys) && q+n < len(ent.keys) && keys[i+n] == s.KeyOfSlot(slot+n) {
-			dst[i+n] = ent.val(q + n)
-			n++
-		}
+		s.coldHits.Add(int64(n))
+		obsColdHits(int64(n))
 	}
-	s.coldHits.Add(int64(n))
-	obsColdHits(int64(n))
-	s.hint.Store(int64(slot + n))
 	return n, nil
 }
 
@@ -518,7 +460,12 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 			i++
 			continue
 		}
-		slot, ok := s.lookupSlot(k)
+		slot, ok, err := s.lookupSlot(k)
+		if err != nil {
+			failed = append(failed, storage.KeyError{Index: i, Key: k, Err: err})
+			i++
+			continue
+		}
 		if !ok {
 			dst[i] = 0
 			i++
@@ -526,8 +473,9 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		}
 		n, err := s.serveRun(keys, dst, i, slot)
 		if err != nil {
-			failed = append(failed, storage.KeyError{Index: i, Key: k, Err: err})
-			i++
+			for end := i + n; i < end; i++ {
+				failed = append(failed, storage.KeyError{Index: i, Key: keys[i], Err: err})
+			}
 			continue
 		}
 		i += n
@@ -589,9 +537,34 @@ type Extent struct {
 	Len int
 }
 
-// BlockExtent returns the file extent of cold block b.
+// BlockExtent returns the file extent of cold block b: nothing but its
+// value words, at an offset that is arithmetic on the header.
 func (s *Store) BlockExtent(b int) Extent {
-	return Extent{Off: int64(s.dir[b].off), Len: int(s.dir[b].len)}
+	lo, hi := s.g.blockSlots(b)
+	return Extent{
+		Off: s.g.blocksOff + int64(lo-s.g.hotCount)*int64(s.g.valWidth),
+		Len: (hi - lo) * s.g.valWidth,
+	}
+}
+
+// Section is one named byte range of the file, for size reports.
+type Section struct {
+	Name  string
+	Bytes int64
+}
+
+// Sections lists the file's sections in file order; their sizes sum to the
+// file size.
+func (s *Store) Sections() []Section {
+	g := &s.g
+	return []Section{
+		{"header", g.samplesOff},
+		{"key index", g.slotOfOff - g.samplesOff},
+		{"slotOf", g.keyOfSlotOff - g.slotOfOff},
+		{"keyOfSlot", g.hotOff - g.keyOfSlotOff},
+		{"hot", g.blocksOff - g.hotOff},
+		{"cold", g.fileSize - g.blocksOff},
+	}
 }
 
 // ConcurrentSafe implements the storage.IsConcurrent capability check: the
@@ -601,28 +574,21 @@ func (s *Store) ConcurrentSafe() bool { return true }
 
 // ForEachNonzero implements storage.Enumerable in slot (schedule) order —
 // the order that costs one sequential pass: the hot region streams from the
-// mapping and each cold block is decoded exactly once. Enumeration order is
+// mapping and each cold block is verified exactly once. Enumeration order is
 // unspecified by the interface; callers that need key order sort.
 func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
-	for j := 0; j < s.g.hotCount; j++ {
-		v, err := s.hotValue(j)
-		if err != nil {
-			panic(fmt.Sprintf("layout: enumerating slot %d: %v", j, err))
+	buf := make([]float64, s.g.blockSize)
+	for lo := 0; lo < s.g.nonzero; {
+		vals := buf[:min(s.unitEnd(lo)-lo, len(buf))]
+		if err := s.readSlots(lo, vals); err != nil {
+			panic(fmt.Sprintf("layout: enumerating slots [%d,%d): %v", lo, lo+len(vals), err))
 		}
-		if v != 0 && !fn(s.KeyOfSlot(j), v) {
-			return
-		}
-	}
-	for b := 0; b < s.g.numBlocks; b++ {
-		ent, err := s.block(b)
-		if err != nil {
-			panic(fmt.Sprintf("layout: enumerating block %d: %v", b, err))
-		}
-		for q := range ent.keys {
-			if v := ent.val(q); v != 0 && !fn(ent.keys[ent.rank(q)], v) {
+		for q, v := range vals {
+			if v != 0 && !fn(s.KeyOfSlot(lo+q), v) {
 				return
 			}
 		}
+		lo += len(vals)
 	}
 }
 
@@ -640,21 +606,26 @@ type Stats struct {
 	// Quantized marks lossy float32 cold values.
 	Quantized bool `json:"quantized,omitempty"`
 	// HotHits counts retrievals served by the hot region, ColdHits by
-	// decoded blocks (cached or freshly loaded).
+	// cold blocks (cached or freshly loaded).
 	HotHits  int64 `json:"hot_hits"`
 	ColdHits int64 `json:"cold_hits"`
 	// HintHits counts key lookups resolved by the sequential-slot hint
 	// (no binary search): high on schedule-order drains.
 	HintHits int64 `json:"hint_hits"`
-	// BlockLoads counts physical block decodes (cold-cache misses);
-	// BlockLoadFailures counts reads rejected by checksum or decode.
+	// BlockLoads counts physical block reads and checksums (cold-cache
+	// misses); BlockLoadFailures counts reads the checksum rejected.
 	BlockLoads        int64 `json:"block_loads"`
 	BlockLoadFailures int64 `json:"block_load_failures,omitempty"`
 	// Preads counts positioned-read syscalls issued by the fallback tier.
 	Preads int64 `json:"preads,omitempty"`
-	// CachedBlocks / CacheCapacity describe the decoded-block LRU.
+	// CachedBlocks / CacheCapacity describe the cold-block LRU.
 	CachedBlocks  int `json:"cached_blocks"`
 	CacheCapacity int `json:"cache_capacity"`
+	// FileBytes is the size of the .wvls file; IndexBytes of them are
+	// neither header nor value words (key index, slotOf, keyOfSlot, block
+	// checksums).
+	FileBytes  int64 `json:"file_bytes"`
+	IndexBytes int64 `json:"index_bytes"`
 	// Families lists the penalty families the layout was bucketed against.
 	Families []Family `json:"families,omitempty"`
 }
@@ -675,6 +646,8 @@ func (s *Store) Stats() Stats {
 		BlockLoadFailures: s.blockLoadFails.Load(),
 		Preads:            s.preads.Load(),
 		CacheCapacity:     s.cache.capacity,
+		FileBytes:         s.g.fileSize,
+		IndexBytes:        s.g.hotOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
 		Families:          s.Families(),
 	}
 	if s.cache.lru != nil {

@@ -48,8 +48,8 @@ type LayoutOptions struct {
 
 // SaveLayout writes the database's coefficients to path in the .wvls
 // schedule-aware persistent format: coefficients physically ordered by
-// retrieval importance, a raw mmap-servable hot prefix, and a compressed,
-// checksummed cold tail. The file embeds the database identity (schema,
+// retrieval importance, a raw mmap-servable hot prefix, and a checksummed
+// cold tail, behind a compressed key index. The file embeds the database identity (schema,
 // filter, tuple count, windows) so OpenLayout can reassemble a servable
 // view from it alone. The store must be enumerable.
 func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
@@ -98,7 +98,7 @@ func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
 // OpenLayout opens a .wvls layout file written by SaveLayout (or converted
 // with cmd/wvlayout) as a read-only database served straight from disk:
 // hot coefficients zero-copy out of an mmap, cold ones through an LRU of
-// decoded blocks. The file must embed database metadata — bare layouts
+// checksummed blocks. The file must embed database metadata — bare layouts
 // converted from a raw .wvfs coefficient file lack the schema and cannot
 // be served (pass the original database to wvlayout's -meta flag instead).
 //
