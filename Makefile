@@ -10,8 +10,9 @@
 # benches behind BENCH_obs.json; `make bench-load` replays the wvqbench
 # prepared-vs-ad-hoc load workload behind BENCH_load.json; `make bench-dist`
 # runs the shard-coordinator fan-out benches behind BENCH_dist.json;
-# `make bench-storage` runs the 10M-coefficient cold-drain benches behind
-# BENCH_storage.json; `make bench-ingest` runs the MVCC write-path benches
+# `make bench-storage` runs the 10M-coefficient cold-drain benches and the
+# in-memory store's load/lookup benches behind BENCH_storage.json;
+# `make bench-ingest` runs the MVCC write-path benches
 # (batched vs single-tuple Apply throughput, reader latency during sustained
 # writes) behind BENCH_ingest.json. `make fuzz` gives the three decoders of
 # untrusted bytes — the .wvdb reader (FuzzRead), the query-language parser
@@ -130,9 +131,14 @@ bench-dist:
 # paths) vs the same drain over the key-ordered FileStore, against a raw
 # sequential-read bandwidth ceiling. The fixture build takes ~30s; each
 # FileStore iteration drains 10M coefficients through positioned reads, so
-# the whole target runs a few minutes on one core.
+# the whole target runs a few minutes on one core. The in-memory store's row
+# comes from the last two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
+# coefficient .wvdb (seconds, bytes allocated, resident bytes/coefficient)
+# and ns/key of HashStore lookups in schedule order and on uniform keys.
 bench-storage:
 	$(GO) test -run NONE -bench 'BenchmarkStorage' -benchmem -benchtime=2x -timeout 30m ./internal/storage/layout/
+	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase' -benchmem -benchtime=5x .
+	$(GO) test -run NONE -bench 'BenchmarkHashStoreBatchGet' -benchtime=2000x .
 
 # Live-update write-path benchmarks behind BENCH_ingest.json: batched Apply
 # vs one-tuple-per-version Apply (tuples/s at several batch sizes) and

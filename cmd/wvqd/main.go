@@ -407,9 +407,9 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, robust
 }
 
 // runShard serves one coefficient shard over TCP: the daemon's shard-server
-// mode. The database file is loaded, its partition for (index, count)
-// extracted, and everything else about the file is dropped; shutdown reuses
-// the daemon's signal path — stop accepting, sever connections, exit. The
+// mode. The database file is streamed once and only its partition for
+// (index, count) is kept — the process never holds the whole file. Shutdown
+// reuses the daemon's signal path: stop accepting, sever connections, exit. The
 // shard keeps its own span ring: request frames carrying a coordinator trace
 // context (wire v2) record shard-side spans under the coordinator's request
 // ID, served at /debug/traces on the -pprof listener.
@@ -418,12 +418,8 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 	if err != nil {
 		return fmt.Errorf("opening database (create one with wvload or wvq -create): %w", err)
 	}
-	db, err := repro.LoadDatabase(f)
+	ss, err := repro.LoadShardServer(f, index, count, log)
 	_ = f.Close()
-	if err != nil {
-		return err
-	}
-	ss, err := db.NewShardServer(index, count, log)
 	if err != nil {
 		return err
 	}
@@ -453,7 +449,7 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 		"shards", count,
 		"coefficients", ss.Nonzero(),
 		"mass", ss.Mass(),
-		"filter", db.Filter().Name)
+		"filter", ss.FilterName())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

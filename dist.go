@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"time"
@@ -32,14 +33,12 @@ type ShardHealth = dist.ShardHealth
 func ValidShardCount(n int) error { return dist.ValidShardCount(n) }
 
 // ShardServer serves one partition of a database's coefficients over TCP.
-// Build one per shard index with Database.NewShardServer, then Serve on a
+// Build one per shard index with Database.NewShardServer (from a live
+// database) or LoadShardServer (from a database file), then Serve on a
 // listener; the coordinator side is OpenDistributed.
 type ShardServer struct {
-	srv     *dist.Server
-	index   int
-	count   int
-	nonzero int64
-	mass    float64
+	srv  *dist.Server
+	meta codec.ShardMeta
 }
 
 // NewShardServer extracts shard index of count from the database (the
@@ -59,7 +58,7 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 	if err != nil {
 		return nil, err
 	}
-	meta := codec.ShardMeta{
+	return newShardServer(part, logger, codec.ShardMeta{
 		Names:      db.schema.Names,
 		Sizes:      db.schema.Sizes,
 		Windows:    db.windows,
@@ -69,14 +68,51 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 		ShardCount: count,
 		Nonzero:    nonzero,
 		Mass:       mass,
+	}), nil
+}
+
+// LoadShardServer builds shard index of count straight from a database file
+// written with Save: the decoder's stream is filtered by the partition hash
+// as it arrives, so the process holds its own slice of the coefficients and
+// never the whole file. The result is the server NewShardServer would build
+// from the loaded database: same coefficients, same Nonzero, same Mass.
+func LoadShardServer(r io.Reader, index, count int, logger *slog.Logger) (*ShardServer, error) {
+	var (
+		part *dist.Partitioner
+		meta codec.ShardMeta
+	)
+	err := codec.Decode(r, func(h *codec.Header) (func(int, float64), error) {
+		if _, err := wavelet.ByName(h.FilterName); err != nil {
+			return nil, fmt.Errorf("repro: stored database uses %w", err)
+		}
+		var err error
+		// An even split is what the partition hash delivers to within a
+		// fraction of a percent; a shard that gets more than its share grows
+		// its table like any other store.
+		if part, err = dist.NewPartitioner(index, count, (h.Count+count-1)/count); err != nil {
+			return nil, err
+		}
+		meta = codec.ShardMeta{
+			Names:      h.Schema.Names,
+			Sizes:      h.Schema.Sizes,
+			Windows:    h.Windows,
+			FilterName: h.FilterName,
+			TupleCount: h.TupleCount,
+			ShardIndex: index,
+			ShardCount: count,
+		}
+		return part.Add, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &ShardServer{
-		srv:     dist.NewServer(part, meta, logger),
-		index:   index,
-		count:   count,
-		nonzero: nonzero,
-		mass:    mass,
-	}, nil
+	var st *storage.HashStore
+	st, meta.Nonzero, meta.Mass = part.Result()
+	return newShardServer(st, logger, meta), nil
+}
+
+func newShardServer(part storage.Store, logger *slog.Logger, meta codec.ShardMeta) *ShardServer {
+	return &ShardServer{srv: dist.NewServer(part, meta, logger), meta: meta}
 }
 
 // Serve accepts shard-protocol connections on ln until Close. It returns
@@ -103,10 +139,13 @@ func (s *ShardServer) Close() error { return s.srv.Close() }
 func (s *ShardServer) Requests() int64 { return s.srv.Requests() }
 
 // Nonzero returns the number of nonzero coefficients this shard holds.
-func (s *ShardServer) Nonzero() int64 { return s.nonzero }
+func (s *ShardServer) Nonzero() int64 { return s.meta.Nonzero }
 
 // Mass returns this shard's coefficient mass Σ|Δ̂[ξ]| over its partition.
-func (s *ShardServer) Mass() float64 { return s.mass }
+func (s *ShardServer) Mass() float64 { return s.meta.Mass }
+
+// FilterName returns the name of the wavelet filter of the served transform.
+func (s *ShardServer) FilterName() string { return s.meta.FilterName }
 
 // DistOptions configures the coordinator's shard clients.
 type DistOptions struct {

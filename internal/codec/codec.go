@@ -21,13 +21,14 @@ package codec
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
@@ -40,8 +41,8 @@ const (
 	version = 2
 )
 
-// Snapshot is the deserialized form of a stored database.
-type Snapshot struct {
+// Header is everything a stream declares before its coefficients.
+type Header struct {
 	FilterName string
 	TupleCount int64
 	Schema     *dataset.Schema
@@ -49,10 +50,24 @@ type Snapshot struct {
 	// to raw units; nil when the stream predates version 2 or none were
 	// recorded.
 	Windows [][2]float64
+	// Count is the number of coefficients that follow the header.
+	Count int
+}
+
+// Snapshot is the deserialized form of a stored database.
+type Snapshot struct {
+	Header
 	// Keys and Values hold the nonzero entries of Δ̂ in ascending key order.
 	Keys   []int
 	Values []float64
 }
+
+// pairBytes is the encoded size of one coefficient; blockPairs of them make
+// the 64 KiB unit both directions move, hash and check at a time.
+const (
+	pairBytes  = 16
+	blockPairs = 4096
+)
 
 // Write serializes a snapshot of the given store. The store's nonzero
 // coefficients are written in ascending key order, so equal inputs produce
@@ -73,11 +88,14 @@ func Write(w io.Writer, schema *dataset.Schema, filterName string, tupleCount in
 		v float64
 	}
 	var pairs []pair
+	if c, ok := store.(interface{ NonzeroCount() int }); ok {
+		pairs = make([]pair, 0, c.NonzeroCount())
+	}
 	store.ForEachNonzero(func(k int, v float64) bool {
 		pairs = append(pairs, pair{k, v})
 		return true
 	})
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
@@ -133,13 +151,18 @@ func Write(w io.Writer, schema *dataset.Schema, filterName string, tupleCount in
 	if err := writeUint64(bw, uint64(len(pairs))); err != nil {
 		return err
 	}
-	for _, p := range pairs {
-		if err := writeUint64(bw, uint64(p.k)); err != nil {
+	block := make([]byte, 0, blockPairs*pairBytes)
+	for len(pairs) > 0 {
+		n := min(len(pairs), blockPairs)
+		block = block[:0]
+		for _, p := range pairs[:n] {
+			block = binary.LittleEndian.AppendUint64(block, uint64(p.k))
+			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(p.v))
+		}
+		if _, err := bw.Write(block); err != nil {
 			return err
 		}
-		if err := writeUint64(bw, math.Float64bits(p.v)); err != nil {
-			return err
-		}
+		pairs = pairs[n:]
 	}
 	// Flush the body through the hashing MultiWriter, then append the CRC
 	// directly to the destination so it is not hashed itself.
@@ -194,8 +217,82 @@ func (b *bodyReader) uint64() (uint64, error) {
 // Read deserializes a snapshot, verifying magic, version, structural bounds
 // and the trailing checksum.
 func Read(r io.Reader) (*Snapshot, error) {
-	b := &bodyReader{br: bufio.NewReaderSize(r, 1<<20), crc: crc32.NewIEEE()}
+	snap := new(Snapshot)
+	err := Decode(r, func(h *Header) (func(int, float64), error) {
+		snap.Header = *h
+		snap.Keys = make([]int, 0, h.Count)
+		snap.Values = make([]float64, 0, h.Count)
+		return func(k int, v float64) {
+			snap.Keys = append(snap.Keys, k)
+			snap.Values = append(snap.Values, v)
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
 
+// Decode is the one .wvdb reader. It parses and checks the header, hands it
+// to begin, and then feeds the function begin returned every coefficient in
+// file order — strictly ascending keys inside the schema's domain — one
+// 64 KiB block of the stream at a time. begin sees Count before any
+// coefficient arrives, so it can size its destination once; an error from
+// begin aborts the read and is returned as is.
+//
+// Coefficients are handed over before the trailing checksum can be verified:
+// a caller must not publish what it received unless Decode returns nil.
+func Decode(r io.Reader, begin func(*Header) (func(key int, value float64), error)) error {
+	// The buffer only has to serve the header's small fields and the
+	// trailer: a block read is larger than it, so bufio reads the block
+	// straight into the caller's slice.
+	b := &bodyReader{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	h, err := b.header()
+	if err != nil {
+		return err
+	}
+	emit, err := begin(h)
+	if err != nil {
+		return err
+	}
+	cells := uint64(h.Schema.Cells())
+	prev := -1
+	block := make([]byte, blockPairs*pairBytes)
+	for done := 0; done < h.Count; {
+		n := min(h.Count-done, blockPairs)
+		if err := b.full(block[:n*pairBytes]); err != nil {
+			return fmt.Errorf("codec: reading coefficients from %d: %w", done, err)
+		}
+		for p := block[:n*pairBytes]; len(p) > 0; p = p[pairBytes:] {
+			k := binary.LittleEndian.Uint64(p)
+			if k >= cells {
+				return fmt.Errorf("codec: coefficient key %d outside domain", k)
+			}
+			if int(k) <= prev {
+				return fmt.Errorf("codec: coefficient keys not strictly ascending at %d", k)
+			}
+			prev = int(k)
+			emit(prev, math.Float64frombits(binary.LittleEndian.Uint64(p[8:])))
+		}
+		done += n
+	}
+	// Trailer: read raw (unhashed) and compare.
+	var tail [4]byte
+	if _, err := io.ReadFull(b.br, tail[:]); err != nil {
+		return fmt.Errorf("codec: reading checksum: %w", err)
+	}
+	if got, want := b.crc.Sum32(), binary.LittleEndian.Uint32(tail[:]); got != want {
+		return fmt.Errorf("codec: checksum mismatch (stream %08x, computed %08x)", want, got)
+	}
+	// Reject trailing garbage.
+	if _, err := b.br.ReadByte(); err != io.EOF {
+		return fmt.Errorf("codec: trailing data after checksum")
+	}
+	return nil
+}
+
+// header reads everything up to and including the coefficient count.
+func (b *bodyReader) header() (*Header, error) {
 	head := make([]byte, 4)
 	if err := b.full(head); err != nil {
 		return nil, fmt.Errorf("codec: reading magic: %w", err)
@@ -218,12 +315,12 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err := b.full(nameBuf); err != nil {
 		return nil, err
 	}
-	snap := &Snapshot{FilterName: string(nameBuf)}
+	h := &Header{FilterName: string(nameBuf)}
 	tc, err := b.uint64()
 	if err != nil {
 		return nil, err
 	}
-	snap.TupleCount = int64(tc)
+	h.TupleCount = int64(tc)
 	dims, err := b.uint16()
 	if err != nil {
 		return nil, err
@@ -269,58 +366,24 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codec: invalid stored schema: %w", err)
 	}
-	snap.Schema = schema
+	h.Schema = schema
 	if anyWindow {
-		snap.Windows = windows
+		h.Windows = windows
 	}
 	count, err := b.uint64()
 	if err != nil {
 		return nil, err
 	}
-	cells := uint64(schema.Cells())
-	if count > cells {
+	if cells := uint64(schema.Cells()); count > cells {
 		return nil, fmt.Errorf("codec: coefficient count %d exceeds domain size %d", count, cells)
 	}
-	snap.Keys = make([]int, count)
-	snap.Values = make([]float64, count)
-	prev := -1
-	for i := uint64(0); i < count; i++ {
-		k, err := b.uint64()
-		if err != nil {
-			return nil, fmt.Errorf("codec: reading coefficient %d: %w", i, err)
-		}
-		if k >= cells {
-			return nil, fmt.Errorf("codec: coefficient key %d outside domain", k)
-		}
-		if int(k) <= prev {
-			return nil, fmt.Errorf("codec: coefficient keys not strictly ascending at %d", k)
-		}
-		prev = int(k)
-		bits, err := b.uint64()
-		if err != nil {
-			return nil, err
-		}
-		snap.Keys[i] = int(k)
-		snap.Values[i] = math.Float64frombits(bits)
-	}
-	// Trailer: read raw (unhashed) and compare.
-	var tail [4]byte
-	if _, err := io.ReadFull(b.br, tail[:]); err != nil {
-		return nil, fmt.Errorf("codec: reading checksum: %w", err)
-	}
-	if got, want := b.crc.Sum32(), binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, fmt.Errorf("codec: checksum mismatch (stream %08x, computed %08x)", want, got)
-	}
-	// Reject trailing garbage.
-	if _, err := b.br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("codec: trailing data after checksum")
-	}
-	return snap, nil
+	h.Count = int(count)
+	return h, nil
 }
 
 // Store materializes the snapshot's coefficients as a hash store.
 func (s *Snapshot) Store() *storage.HashStore {
-	st := storage.NewHashStore()
+	st := storage.NewHashStoreSized(len(s.Keys))
 	for i, k := range s.Keys {
 		st.Add(k, s.Values[i])
 	}

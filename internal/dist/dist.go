@@ -34,9 +34,11 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/storage"
@@ -71,18 +73,66 @@ func ValidShardCount(n int) error {
 	return nil
 }
 
-// Partition extracts shard index's slice of a full coefficient store: the
-// nonzero entries whose key storage.ShardOf assigns to index, as a fresh
-// HashStore, together with the partition's nonzero count and coefficient
-// mass Σ|v| accumulated in ascending key order (so the mass is deterministic
-// — map enumeration order must not leak into a quantity coordinators sum and
-// bound computations consume).
-func Partition(src storage.Enumerable, index, count int) (*storage.HashStore, int64, float64, error) {
+// validShard is ValidShardCount plus the index's range check.
+func validShard(index, count int) error {
 	if err := ValidShardCount(count); err != nil {
-		return nil, 0, 0, err
+		return err
 	}
 	if index < 0 || index >= count {
-		return nil, 0, 0, fmt.Errorf("dist: shard index %d out of range [0,%d)", index, count)
+		return fmt.Errorf("dist: shard index %d out of range [0,%d)", index, count)
+	}
+	return nil
+}
+
+// Partitioner builds one shard's slice of a coefficient set from a stream of
+// (key, value) pairs in ascending key order: it keeps the pairs whose key
+// storage.ShardOf assigns to its index and accumulates their count and their
+// mass Σ|v| in arrival order. Ascending order is what makes the mass a
+// function of the data alone — coordinators sum it and bound computations
+// consume it, so it must not depend on how the pairs were held before.
+//
+// Both ways of building a shard go through it: Partition feeds it a live
+// store's sorted enumeration, a shard process feeds it a database file as the
+// decoder streams it (repro.LoadShardServer), so the two agree bit for bit.
+type Partitioner struct {
+	index, count int
+	store        *storage.HashStore
+	nonzero      int64
+	mass         float64
+}
+
+// NewPartitioner returns the partitioner of shard index among count shards,
+// with room for expect coefficients (0 when unknown).
+func NewPartitioner(index, count, expect int) (*Partitioner, error) {
+	if err := validShard(index, count); err != nil {
+		return nil, err
+	}
+	return &Partitioner{index: index, count: count, store: storage.NewHashStorePartition(expect, count)}, nil
+}
+
+// Add offers the next pair of the stream; pairs of other shards and zero
+// values are dropped.
+func (p *Partitioner) Add(key int, value float64) {
+	if value == 0 || storage.ShardOf(key, p.count) != p.index {
+		return
+	}
+	p.store.Add(key, value)
+	p.nonzero++
+	p.mass += math.Abs(value)
+}
+
+// Result returns the partition as a fresh HashStore with its nonzero count
+// and coefficient mass.
+func (p *Partitioner) Result() (*storage.HashStore, int64, float64) {
+	return p.store, p.nonzero, p.mass
+}
+
+// Partition extracts shard index's slice of a full coefficient store: the
+// nonzero entries whose key storage.ShardOf assigns to index (see
+// Partitioner for what comes back).
+func Partition(src storage.Enumerable, index, count int) (*storage.HashStore, int64, float64, error) {
+	if err := validShard(index, count); err != nil {
+		return nil, 0, 0, err
 	}
 	type pair struct {
 		k int
@@ -95,18 +145,16 @@ func Partition(src storage.Enumerable, index, count int) (*storage.HashStore, in
 		}
 		return true
 	})
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	st := storage.NewHashStore()
-	var mass float64
-	for _, p := range pairs {
-		st.Add(p.k, p.v)
-		if p.v < 0 {
-			mass -= p.v
-		} else {
-			mass += p.v
-		}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
+	p, err := NewPartitioner(index, count, len(pairs))
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	return st, int64(len(pairs)), mass, nil
+	for _, kv := range pairs {
+		p.Add(kv.k, kv.v)
+	}
+	st, nonzero, mass := p.Result()
+	return st, nonzero, mass, nil
 }
 
 // ValidateMetas checks that a set of shard self-descriptions, indexed by the

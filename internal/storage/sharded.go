@@ -17,7 +17,9 @@ import (
 // single-mutex ConcurrentStore serializes every batch instead.
 //
 // ShardedStore implements Store, Updatable and Enumerable and is
-// concurrent-safe. Enumeration order is unspecified (as for HashStore).
+// concurrent-safe. Each shard holds its keys in a flat table (table.go) that
+// indexes with the hash bits below the ones shardOf used. Enumeration walks
+// the shards in order and each table in its own fixed order.
 type ShardedStore struct {
 	shards     []storeShard
 	mask       uint64
@@ -27,7 +29,7 @@ type ShardedStore struct {
 
 type storeShard struct {
 	mu    sync.RWMutex
-	cells map[int]float64
+	cells table
 	// pad spaces shard headers apart so neighboring shard locks do not
 	// false-share a cache line under concurrent load.
 	_ [32]byte
@@ -50,7 +52,7 @@ func NewShardedStore(shards int) *ShardedStore {
 		shift:  64 - log2(uint64(shards)),
 	}
 	for i := range s.shards {
-		s.shards[i].cells = make(map[int]float64)
+		s.shards[i].cells = newTable(log2(uint64(shards)))
 	}
 	return s
 }
@@ -61,7 +63,7 @@ func NewShardedStoreFromDense(cells []float64, tol float64, shards int) *Sharded
 	s := NewShardedStore(shards)
 	for k, v := range cells {
 		if math.Abs(v) > tol {
-			s.shards[s.shardOf(k)].cells[k] = v
+			s.shards[s.shardOf(k)].cells.add(k, v)
 		}
 	}
 	return s
@@ -76,7 +78,7 @@ func NewShardedStoreFrom(src Store, shards int) (*ShardedStore, error) {
 	}
 	s := NewShardedStore(shards)
 	e.ForEachNonzero(func(k int, v float64) bool {
-		s.shards[s.shardOf(k)].cells[k] = v
+		s.Add(k, v)
 		return true
 	})
 	return s, nil
@@ -140,22 +142,22 @@ func (s *ShardedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float6
 		sh := &s.shards[si]
 		sh.mu.RLock()
 		for _, i := range idxs {
-			dst[i] = sh.cells[keys[i]]
+			dst[i] = sh.cells.get(keys[i])
 		}
 		sh.mu.RUnlock()
 	}
 	return batchError(failed)
 }
 
-// Add implements Updatable, taking the shard's write lock.
+// Add implements Updatable, taking the shard's write lock. A negative key
+// panics, as in HashStore.
 func (s *ShardedStore) Add(key int, delta float64) {
+	if key < 0 {
+		panic(negativeKeyPanic(key))
+	}
 	sh := &s.shards[s.shardOf(key)]
 	sh.mu.Lock()
-	if v := sh.cells[key] + delta; v == 0 {
-		delete(sh.cells, key)
-	} else {
-		sh.cells[key] = v
-	}
+	sh.cells.add(key, delta)
 	sh.mu.Unlock()
 }
 
@@ -171,7 +173,7 @@ func (s *ShardedStore) NonzeroCount() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.cells)
+		n += sh.cells.n
 		sh.mu.RUnlock()
 	}
 	return n
@@ -183,13 +185,11 @@ func (s *ShardedStore) ForEachNonzero(fn func(key int, value float64) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k, v := range sh.cells {
-			if !fn(k, v) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
+		done := sh.cells.forEach(fn)
 		sh.mu.RUnlock()
+		if !done {
+			return
+		}
 	}
 }
 

@@ -58,9 +58,9 @@ func TestShardOfStoredKeysLandInTheirShard(t *testing.T) {
 	for k := range keys {
 		si := ShardOf(k, n)
 		s.shards[si].mu.RLock()
-		_, ok := s.shards[si].cells[k]
+		v := s.shards[si].cells.get(k)
 		s.shards[si].mu.RUnlock()
-		if !ok {
+		if v == 0 {
 			t.Fatalf("key %d not found in shard %d where ShardOf places it", k, si)
 		}
 	}

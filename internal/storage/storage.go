@@ -171,24 +171,46 @@ func (s *ArrayStore) ForEachNonzero(fn func(key int, value float64) bool) {
 
 // HashStore keeps only nonzero coefficients in a hash table — the paper's
 // "hash-based storage", appropriate when the transform is sparse relative to
-// the domain.
+// the domain. The table is a flat open-addressing one (table.go): 16 bytes a
+// slot, at most 7/8 full.
 type HashStore struct {
-	cells      map[int]float64
+	cells      table
 	retrievals int64
 }
 
 // NewHashStore returns an empty hash store.
-func NewHashStore() *HashStore {
-	return &HashStore{cells: make(map[int]float64)}
+func NewHashStore() *HashStore { return NewHashStoreSized(0) }
+
+// NewHashStoreSized returns an empty hash store with room for n coefficients
+// allocated up front, so a loader that knows its count never rehashes.
+func NewHashStoreSized(n int) *HashStore { return NewHashStorePartition(n, 1) }
+
+// NewHashStorePartition is NewHashStoreSized for a store that holds one
+// ShardOf(·, count) partition of a key set: its keys share the hash bits
+// ShardOf consumed, so the table indexes with the bits below them. Keys of
+// other partitions are still stored and served correctly, only more slowly.
+func NewHashStorePartition(n, count int) *HashStore {
+	if count <= 0 || count&(count-1) != 0 {
+		panic(fmt.Sprintf("storage: partition count %d is not a power of two", count))
+	}
+	s := &HashStore{cells: newTable(log2(uint64(count)))}
+	s.cells.reserve(n)
+	return s
 }
 
 // NewHashStoreFromDense builds a hash store from a dense coefficient array,
 // keeping entries with |value| > tol.
 func NewHashStoreFromDense(cells []float64, tol float64) *HashStore {
-	s := NewHashStore()
+	n := 0
+	for _, v := range cells {
+		if math.Abs(v) > tol {
+			n++
+		}
+	}
+	s := NewHashStoreSized(n)
 	for k, v := range cells {
 		if math.Abs(v) > tol {
-			s.cells[k] = v
+			s.cells.add(k, v)
 		}
 	}
 	return s
@@ -208,18 +230,18 @@ func (s *HashStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) 
 			failed = append(failed, KeyError{Index: i, Key: k, Err: errNegativeKey})
 			continue
 		}
-		dst[i] = s.cells[k]
+		dst[i] = s.cells.get(k)
 	}
 	return batchError(failed)
 }
 
-// Add implements Updatable.
+// Add implements Updatable. A negative key panics: no retrieval could ever
+// read it back.
 func (s *HashStore) Add(key int, delta float64) {
-	if v := s.cells[key] + delta; v == 0 {
-		delete(s.cells, key)
-	} else {
-		s.cells[key] = v
+	if key < 0 {
+		panic(negativeKeyPanic(key))
 	}
+	s.cells.add(key, delta)
 }
 
 // Retrievals implements Store.
@@ -229,15 +251,12 @@ func (s *HashStore) Retrievals() int64 { return s.retrievals }
 func (s *HashStore) ResetStats() { s.retrievals = 0 }
 
 // NonzeroCount implements Store.
-func (s *HashStore) NonzeroCount() int { return len(s.cells) }
+func (s *HashStore) NonzeroCount() int { return s.cells.n }
 
-// ForEachNonzero implements Enumerable (map order).
+// ForEachNonzero implements Enumerable in the table's walk order, which is
+// the same for every store built by the same sequence of Adds.
 func (s *HashStore) ForEachNonzero(fn func(key int, value float64) bool) {
-	for k, v := range s.cells {
-		if !fn(k, v) {
-			return
-		}
-	}
+	s.cells.forEach(fn)
 }
 
 // BlockStore simulates a disk layout in which consecutive flat keys are

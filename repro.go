@@ -74,9 +74,10 @@ type Database struct {
 	// layout is non-nil for databases opened with OpenLayout: the store
 	// serves a read-only persistent .wvls file (see layout.go).
 	layout *layoutStore
-	// cachedMass, when non-nil, short-circuits CoefficientMass — set at open
-	// time for views that either cannot enumerate their coefficients
-	// (distributed coordinators) or already persisted the mass (layouts).
+	// cachedMass, when non-nil, is the coefficient mass at version 0 — set at
+	// open time for views that took it while loading (files), cannot
+	// enumerate their coefficients (distributed coordinators) or already
+	// persisted it (layouts). CoefficientMass serves it until a write lands.
 	cachedMass *float64
 
 	// prepared is the lazily-enabled prepared-plan registry (prepared.go);
@@ -268,23 +269,34 @@ func (db *Database) Save(w io.Writer) error {
 }
 
 // LoadDatabase deserializes a database previously written with Save.
-// The filter is resolved from the built-in set by name.
+// The filter is resolved from the built-in set by name. Coefficients stream
+// from the decoder straight into a hash store sized from the file's header —
+// there is no intermediate copy — and the coefficient mass is summed on the
+// way in, in the file's ascending key order; nothing is returned unless the
+// stream's checksum verifies.
 func LoadDatabase(r io.Reader) (*Database, error) {
-	snap, err := codec.Read(r)
+	var (
+		db    *Database
+		store *storage.HashStore
+		mass  float64
+	)
+	err := codec.Decode(r, func(h *codec.Header) (func(int, float64), error) {
+		filter, err := wavelet.ByName(h.FilterName)
+		if err != nil {
+			return nil, fmt.Errorf("repro: stored database uses %w", err)
+		}
+		store = storage.NewHashStoreSized(h.Count)
+		db = &Database{schema: h.Schema, filter: filter, store: store, windows: h.Windows}
+		db.tuples.Store(h.TupleCount)
+		return func(k int, v float64) {
+			store.Add(k, v)
+			mass += math.Abs(v)
+		}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	filter, err := wavelet.ByName(snap.FilterName)
-	if err != nil {
-		return nil, fmt.Errorf("repro: stored database uses %w", err)
-	}
-	db := &Database{
-		schema:  snap.Schema,
-		filter:  filter,
-		store:   snap.Store(),
-		windows: snap.Windows,
-	}
-	db.tuples.Store(snap.TupleCount)
+	db.cachedMass = &mass
 	return db, nil
 }
 
@@ -304,19 +316,20 @@ func (db *Database) NonzeroCoefficients() int { return db.store.NonzeroCount() }
 // store cannot enumerate its coefficients — previously this case silently
 // reported a mass of 0, which turns every worst-case bound into a useless 0.
 func (db *Database) CoefficientMass() (float64, error) {
-	// Views opened from persisted or remote state carry their mass from open
-	// time: distributed coordinators assemble it from the shards' metadata
-	// (each shard sums its partition in ascending key order, the coordinator
-	// sums shard order), layouts persist it in the file header. Both are
-	// deterministic and equal to the single-node enumeration.
-	if db.cachedMass != nil {
-		return *db.cachedMass, nil
-	}
 	// MVCC stores keep the mass as exact incremental bookkeeping (open-time
 	// enumeration plus per-Apply increments, carried across compactions), so
 	// bounds stay deterministic under live writes.
 	if db.mvcc != nil {
 		return db.mvcc.Mass(), nil
+	}
+	// Views opened from persisted or remote state carry their mass from open
+	// time, each summed in an order the data alone fixes: a loaded file in
+	// ascending key order, a layout from its header, a coordinator from its
+	// shards' metadata (each shard in ascending key order, the shards in
+	// index order). Those sums agree to rounding, not bit for bit. The
+	// carried mass describes version 0: the first plain write retires it.
+	if db.cachedMass != nil && db.version.Load() == 0 {
+		return *db.cachedMass, nil
 	}
 	if !storage.IsEnumerable(db.store) {
 		return 0, fmt.Errorf("repro: store %T does not support enumeration; coefficient mass unknown", db.store)

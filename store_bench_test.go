@@ -1,0 +1,158 @@
+package repro
+
+// The in-memory store's benches behind BENCH_storage.json's "in-memory store"
+// row (`make bench-storage`): what `wvqd -db` pays to bring a .wvdb into the
+// hash store, what it then keeps resident per coefficient, and what one
+// lookup costs — on the synthetic temperature set at the benchmark fixture's
+// size (32×32×8×32×32, ≈ 6.3 M coefficients) and at an eighth of its domain
+// (every one of its 2²⁰ cells nonzero). They use only API that predates the flat table, so the same file
+// measures the parent commit.
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+type storeBenchCase struct {
+	name     string
+	tempBins int
+	records  int
+
+	once sync.Once
+	err  error
+	file []byte
+	db   *Database
+	// schedules are the retrieval orders of a few plans, the keys the step
+	// loop asks the store for; uniform is 64 batches of 16 Ki keys drawn
+	// uniformly from the domain (a quarter of them absent at 6M, none at
+	// 1M): more distinct slots than the CPU caches hold.
+	schedules [][]int
+	uniform   [][]int
+}
+
+var storeBenchCases = []*storeBenchCase{
+	{name: "1M", tempBins: 4, records: 25_000},
+	{name: "6M", tempBins: 32, records: 200_000},
+}
+
+func (c *storeBenchCase) build(b *testing.B) {
+	b.Helper()
+	c.once.Do(func() {
+		cfg := DefaultTemperatureConfig()
+		cfg.Records, cfg.TempBins = c.records, c.tempBins
+		dist, err := Temperature(cfg)
+		if err != nil {
+			c.err = err
+			return
+		}
+		db, err := NewDatabase(dist, Db6)
+		if err != nil {
+			c.err = err
+			return
+		}
+		var buf bytes.Buffer
+		if c.err = db.Save(&buf); c.err != nil {
+			return
+		}
+		c.file = buf.Bytes()
+		if c.db, c.err = LoadDatabase(bytes.NewReader(c.file)); c.err != nil {
+			return
+		}
+		for i, attr := range []string{"latitude", "longitude", "time"} {
+			stmt := fmt.Sprintf("SUM(temperature) WHERE %s BETWEEN 4 AND %d GROUP BY altitude(4)", attr, 11+5*i)
+			if i == 2 {
+				stmt = "COUNT() WHERE altitude BETWEEN 1 AND 6 GROUP BY latitude(8), longitude(16)"
+			}
+			batch, err := ParseBatch(c.db.Schema(), stmt)
+			if err != nil {
+				c.err = err
+				return
+			}
+			plan, err := c.db.Plan(batch)
+			if err != nil {
+				c.err = err
+				return
+			}
+			c.schedules = append(c.schedules, plan.ScheduleFor(SSE()).KeyOrder())
+		}
+		rng := rand.New(rand.NewSource(1))
+		pool := make([]int, 1<<20)
+		for i := range pool {
+			pool[i] = rng.Intn(c.db.Schema().Cells())
+		}
+		for ; len(pool) > 0; pool = pool[1<<14:] {
+			c.uniform = append(c.uniform, pool[:1<<14])
+		}
+	})
+	if c.err != nil {
+		b.Fatal(c.err)
+	}
+}
+
+// BenchmarkLoadDatabase times LoadDatabase from memory (no disk in the
+// number) and reports the bytes the loaded database keeps live per
+// coefficient, measured as the heap's growth across the load after a
+// collection on either side.
+func BenchmarkLoadDatabase(b *testing.B) {
+	for _, c := range storeBenchCases {
+		b.Run(c.name, func(b *testing.B) {
+			c.build(b)
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			var db *Database
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				db = nil
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				var err error
+				if db, err = LoadDatabase(bytes.NewReader(c.file)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			n := float64(db.NonzeroCoefficients())
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/n, "resident-B/coeff")
+			b.ReportMetric(float64(len(c.file))/n, "file-B/coeff")
+			b.ReportMetric(n, "coeffs")
+		})
+	}
+}
+
+// BenchmarkHashStoreBatchGet asks the loaded hash store for one plan's whole
+// retrieval schedule per call (a different plan each call), and for 16 Ki
+// uniformly random keys per call.
+func BenchmarkHashStoreBatchGet(b *testing.B) {
+	for _, c := range storeBenchCases {
+		c.build(b)
+		run := func(name string, batches [][]int) {
+			b.Run(c.name+"/"+name, func(b *testing.B) {
+				longest := 0
+				for _, order := range batches {
+					longest = max(longest, len(order))
+				}
+				dst := make([]float64, longest)
+				keys := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					order := batches[i%len(batches)]
+					storage.BatchGet(c.db.store, order, dst[:len(order)])
+					keys += len(order)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(keys), "ns/key")
+			})
+		}
+		run("schedule", c.schedules)
+		run("uniform", c.uniform)
+	}
+}
