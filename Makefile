@@ -1,5 +1,5 @@
 # Development targets. `make check` is the gate: vet + errlint + obs-lint +
-# metric-lint + build + the bench-module build + tests + race-enabled tests +
+# sort-lint + metric-lint + build + the bench-module build + tests + race-enabled tests +
 # fuzz, in that order, failing fast. `make cover` prints a per-package
 # coverage summary. `make bench` runs the
 # parallel-engine and scheduler benchmarks at a fixed iteration count
@@ -21,11 +21,11 @@
 
 GO ?= go
 
-.PHONY: all check vet errlint obs-lint metric-lint build bench-build test race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
+.PHONY: all check vet errlint obs-lint sort-lint metric-lint build bench-build test race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
 
 all: check
 
-check: vet errlint obs-lint metric-lint build bench-build test race fuzz
+check: vet errlint obs-lint sort-lint metric-lint build bench-build test race fuzz
 
 vet:
 	$(GO) vet ./...
@@ -43,6 +43,14 @@ errlint:
 obs-lint:
 	@! grep -rnE '(^|[^.[:alnum:]_])(log\.(Printf|Println|Print|Fatalf?|Fatalln|Panicf?|Panicln)\(|fmt\.(Printf|Println|Print)\(|fmt\.Fprint(f|ln)?\(os\.Std)' internal *.go --include='*.go' | grep -v _test.go \
 		|| { echo "obs-lint: raw console printing in library code; log via internal/obs (slog) instead" >&2; exit 1; }
+
+# internal/core is the request-path package: no reflection sorts there.
+# sort.Slice/sort.SliceStable swap through reflect and call a closure per
+# comparison; profiles of the plan and schedule builds found them three PRs
+# running. Use slices.SortFunc (or a typed sort.Ints/slices.Sort).
+sort-lint:
+	@! grep -nE 'sort\.Slice(Stable)?\(' $$(ls internal/core/*.go | grep -v _test.go) \
+		|| { echo "sort-lint: reflection sort in internal/core; use slices.SortFunc" >&2; exit 1; }
 
 # Metric naming hygiene (tools/metriclint): every registered metric is
 # snake_case under the wvq_ prefix, carries literal help text, and each name
@@ -87,9 +95,12 @@ bench:
 	$(GO) test -run NONE -bench 'BenchmarkConcurrentStore' -benchtime=100x ./internal/storage/
 
 # Evaluation-core benchmarks behind BENCH_core.json: run setup heap-vs-
-# schedule, exact pass AoS-vs-CSR, and prefetching StepBatch batch sizes.
+# schedule, exact pass AoS-vs-CSR, and prefetching StepBatch batch sizes;
+# plus the two fixed costs around a prepared run — a registry miss with
+# resident shapes (rewrite + merge + schedule) and a run's first per-query
+# bound read.
 bench-core:
-	$(GO) test -run NONE -bench 'BenchmarkNewRun|BenchmarkStepToCompletion|BenchmarkExactLayout|BenchmarkStepBatchPrefetch' -benchmem -benchtime=100x ./internal/core/
+	$(GO) test -run NONE -bench 'BenchmarkNewRun|BenchmarkStepToCompletion|BenchmarkExactLayout|BenchmarkStepBatchPrefetch|BenchmarkRegistryMiss|BenchmarkFirstQueryErrorBounds' -benchmem -benchtime=100x ./internal/core/
 
 # Scheduler benchmarks: concurrent mixed workload through the scheduler vs.
 # the same workload as sequential per-request runs.

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/penalty"
 	"repro/internal/storage"
@@ -38,12 +39,11 @@ func NewBlockRun(plan *Plan, pen penalty.Penalty, store *storage.BlockStore) *Bl
 	for b := range byBlock {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(a, b int) bool {
-		ba, bb := blocks[a], blocks[b]
-		if blockImp[ba] != blockImp[bb] {
-			return blockImp[ba] > blockImp[bb]
+	slices.SortFunc(blocks, func(a, b int) int {
+		if c := cmp.Compare(blockImp[b], blockImp[a]); c != 0 {
+			return c
 		}
-		return ba < bb
+		return cmp.Compare(a, b)
 	})
 	order := make([][]int, len(blocks))
 	for i, b := range blocks {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Per-query progressive error bounds: by Hölder's inequality the error of
@@ -14,73 +14,58 @@ import (
 // the per-query analogue of Theorem 1's batch bound. These are the error
 // bars a progressive UI can draw next to each estimate.
 //
-// The tracking structures cost O(TotalQueryCoefficients) memory and are
-// built lazily on the first call, so runs that never ask for per-query
-// bounds pay nothing.
+// The unretrieved set of a run is everything at or after its cursor plus the
+// entries it skipped. The first part is a pure function of the schedule, so
+// its maxima are precomputed there (Schedule.qmax, built and cached with the
+// schedule) and a run keeps no bound state of its own; the second part is
+// the run's few skipped entries, folded in per call.
 
-type queryBound struct {
-	// entries are the master-list entry indices touching this query, sorted
-	// by descending |coefficient|.
-	entries []int32
-	// mags are the matching |coefficient| values.
-	mags []float64
-	// next is the cursor to the first candidate not yet known-retrieved.
-	next int
-}
-
-func (r *Run) initBounds() {
-	if r.bounds != nil {
-		return
+// pendingMax returns max |q̂ᵢ[ξ]| over the entries scheduled at or after
+// cursor: the suffix maximum at query i's first schedule position ≥ cursor.
+func (s *Schedule) pendingMax(i, cursor int) float64 {
+	lo, hi := s.qoff[i], s.qoff[i+1]
+	k, _ := slices.BinarySearch(s.qpos[lo:hi], int32(cursor))
+	if int(lo)+k == int(hi) {
+		return 0
 	}
-	p := r.plan
-	r.bounds = make([]queryBound, p.NumQueries())
-	for i := range p.keys {
-		lo, hi := p.offsets[i], p.offsets[i+1]
-		for k := lo; k < hi; k++ {
-			b := &r.bounds[p.queryIdx[k]]
-			b.entries = append(b.entries, int32(i))
-			b.mags = append(b.mags, math.Abs(p.coeffs[k]))
-		}
-	}
-	for qi := range r.bounds {
-		b := &r.bounds[qi]
-		idx := make([]int, len(b.entries))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, c int) bool { return b.mags[idx[a]] > b.mags[idx[c]] })
-		se := make([]int32, len(idx))
-		sm := make([]float64, len(idx))
-		for i, j := range idx {
-			se[i] = b.entries[j]
-			sm[i] = b.mags[j]
-		}
-		b.entries, b.mags = se, sm
-	}
+	return s.qmax[int(lo)+k]
 }
 
 // QueryErrorBound returns the worst-case bound K·max_{ξ∉Ξ}|q̂_i[ξ]| on the
 // current estimate of query i, for databases with coefficient mass
 // K = Σ|Δ̂[ξ]| equal to coefficientMass. It returns 0 once every coefficient
-// of the query has been retrieved (the estimate is exact). The first call
-// builds O(TotalQueryCoefficients) tracking state.
+// of the query has been retrieved (the estimate is exact).
 func (r *Run) QueryErrorBound(i int, coefficientMass float64) float64 {
-	r.initBounds()
-	b := &r.bounds[i]
-	for b.next < len(b.entries) && r.entryRetrieved(b.entries[b.next]) {
-		b.next++
+	m := r.sched.pendingMax(i, r.cursor)
+	for _, sp := range r.skipped {
+		idxs, cs := r.plan.entryRefs(int(r.sched.order[sp]))
+		if k, ok := slices.BinarySearch(idxs, int32(i)); ok {
+			m = max(m, math.Abs(cs[k]))
+		}
 	}
-	if b.next >= len(b.entries) {
+	if m == 0 {
 		return 0
 	}
-	return coefficientMass * b.mags[b.next]
+	return coefficientMass * m
 }
 
 // QueryErrorBounds returns the bound for every query in the batch.
 func (r *Run) QueryErrorBounds(coefficientMass float64) []float64 {
 	out := make([]float64, r.plan.NumQueries())
 	for i := range out {
-		out[i] = r.QueryErrorBound(i, coefficientMass)
+		out[i] = r.sched.pendingMax(i, r.cursor)
+	}
+	// One pass over the skipped entries serves every query they touch.
+	for _, sp := range r.skipped {
+		idxs, cs := r.plan.entryRefs(int(r.sched.order[sp]))
+		for k, qi := range idxs {
+			out[qi] = max(out[qi], math.Abs(cs[k]))
+		}
+	}
+	for i, m := range out {
+		if m != 0 {
+			out[i] = coefficientMass * m
+		}
 	}
 	return out
 }

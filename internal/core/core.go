@@ -15,7 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -57,17 +57,9 @@ type Plan struct {
 	evalOnce sync.Once
 	byQuery  [][]qref
 
-	// idxOnce guards entryIdxInt, the []int view of queryIdx handed to
-	// penalty.Penalty.Importance (shares offsets with queryIdx), so the
-	// int32→int conversion is paid once per plan instead of once per run.
-	idxOnce     sync.Once
-	entryIdxInt []int
-
-	// bindOnce guards bindPos, the lazily-built (query, key) → flat
-	// coefficient position index that lets Bind re-weight same-shape batches
-	// against this plan's CSR skeleton (template.go).
-	bindOnce sync.Once
-	bindPos  map[bindKey]int32
+	// shape is the sparsity-shape fingerprint hashed off the runs the plan was
+	// merged from (template.go); the registry indexes bind templates by it.
+	shape string
 
 	// schedMu guards schedules and schedLRU, the per-penalty-fingerprint
 	// cache of retrieval schedules and its recency list (schedule.go). The
@@ -88,9 +80,8 @@ func NewPlan(vectors []sparse.Vector, labels []string) (*Plan, error) {
 }
 
 // NewPlanParallel is NewPlan with an explicit worker count (≤0 selects
-// GOMAXPROCS). Workers merge disjoint query blocks into key-hash-sharded
-// maps which are then merged concurrently; the result is entry-for-entry
-// identical to the single-worker merge.
+// GOMAXPROCS). Workers sort disjoint blocks of the vectors into runs, which
+// are then merged; the result is entry-for-entry identical for every count.
 func NewPlanParallel(vectors []sparse.Vector, labels []string, workers int) (*Plan, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -99,18 +90,10 @@ func NewPlanParallel(vectors []sparse.Vector, labels []string, workers int) (*Pl
 		return nil, fmt.Errorf("core: %d labels for %d queries", len(labels), len(vectors))
 	}
 	if labels == nil {
-		labels = make([]string, len(vectors))
-		for i := range labels {
-			labels[i] = fmt.Sprintf("q%d", i)
-		}
+		labels = defaultLabels(len(vectors))
 	}
-	gen := func(qi int, emit func(key int, c float64)) error {
-		for key, c := range vectors[qi] {
-			emit(key, c)
-		}
-		return nil
-	}
-	return buildPlanParallel(len(vectors), labels, gen, workers)
+	p, _, err := buildPlan(len(vectors), labels, vectorEmitter(vectors), workers, nil)
+	return p, err
 }
 
 // NewWaveletPlan rewrites every query in the batch under the filter and
@@ -126,14 +109,22 @@ func NewWaveletPlan(batch query.Batch, f *wavelet.Filter) (*Plan, error) {
 
 // NewWaveletPlanParallel is NewWaveletPlan with an explicit worker count
 // (≤0 selects GOMAXPROCS). Query rewriting — the expensive part of planning
-// — runs on a pool of workers over disjoint query blocks; the sharded merge
-// preserves the exact entry and QueryIdx order of the sequential build.
+// — runs on a pool of workers over disjoint query blocks; the merge that
+// follows sees the same runs whatever the count.
 func NewWaveletPlanParallel(batch query.Batch, f *wavelet.Filter, workers int) (*Plan, error) {
+	p, _, err := newWaveletPlan(batch, f, workers, nil)
+	return p, err
+}
+
+// newWaveletPlan is the wavelet plan build behind NewWaveletPlanParallel and
+// the plan registry, which passes its shape index as templateFor (see
+// buildPlan).
+func newWaveletPlan(batch query.Batch, f *wavelet.Filter, workers int, templateFor func(shape string) *Plan) (*Plan, bool, error) {
 	if err := batch.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if deg := batch.Degree(); !f.SupportsDegree(deg) {
-		return nil, fmt.Errorf("core: filter %s (%d vanishing moments) cannot sparsely rewrite degree-%d queries; need filter length ≥ %d",
+		return nil, false, fmt.Errorf("core: filter %s (%d vanishing moments) cannot sparsely rewrite degree-%d queries; need filter length ≥ %d",
 			f.Name, f.VanishingMoments(), deg, 2*deg+2)
 	}
 	labels := make([]string, len(batch))
@@ -146,7 +137,7 @@ func NewWaveletPlanParallel(batch query.Batch, f *wavelet.Filter, workers int) (
 		}
 		return nil
 	}
-	return buildPlanParallel(len(batch), labels, gen, workers)
+	return buildPlan(len(batch), labels, gen, workers, templateFor)
 }
 
 // NumQueries returns the batch size.
@@ -186,26 +177,19 @@ func (p *Plan) ForEachEntry(fn func(key int, queryIdx []int32, coeffs []float64)
 	}
 }
 
-// buildEntryIdx lazily materializes queryIdx as []int (the element type
-// penalty.Penalty.Importance takes) in one flat array sharing the CSR
-// offsets, so the int32→int conversion is paid once per plan rather than
-// re-done for every entry of every schedule build.
-func (p *Plan) buildEntryIdx() {
-	p.idxOnce.Do(func() {
-		p.entryIdxInt = make([]int, len(p.queryIdx))
-		for i, qi := range p.queryIdx {
-			p.entryIdxInt[i] = int(qi)
-		}
-	})
-}
-
 // Importances computes ι_p for every master-list entry under the penalty.
 func (p *Plan) Importances(pen penalty.Penalty) []float64 {
-	p.buildEntryIdx()
 	out := make([]float64, len(p.keys))
+	// penalty.Penalty takes []int query indices; an entry references each
+	// query at most once, so one batch-sized scratch serves every entry.
+	idx := make([]int, 0, p.NumQueries())
 	for i := range out {
-		lo, hi := p.offsets[i], p.offsets[i+1]
-		out[i] = pen.Importance(p.entryIdxInt[lo:hi], p.coeffs[lo:hi])
+		idxs, cs := p.entryRefs(i)
+		idx = idx[:0]
+		for _, qi := range idxs {
+			idx = append(idx, int(qi))
+		}
+		out[i] = pen.Importance(idx, cs)
 	}
 	return out
 }
@@ -235,19 +219,14 @@ type Run struct {
 	// been retrieved. It doubles as the retrieval count.
 	cursor    int
 	estimates []float64
-	// bounds holds the lazily-built per-query error-bound cursors
-	// (bounds.go).
-	bounds []queryBound
 	// batchVals is StepBatchCtx's reusable fetch buffer.
 	batchVals []float64
 
 	// skipped holds the schedule positions of entries whose retrieval failed
 	// permanently (ascending, since the cursor only moves forward); the run
-	// advanced past them in degraded mode. skippedSet indexes the same
-	// entries by master-list entry for entryRetrieved. Both are nil until
-	// the first skip, so fault-free runs carry no overhead.
-	skipped    []int
-	skippedSet map[int32]struct{}
+	// advanced past them in degraded mode. Nil until the first skip, so
+	// fault-free runs carry no overhead.
+	skipped []int
 
 	// trace, when attached, receives the run's bound trajectory computed
 	// with coefficient mass traceMass (obs.go). The metrics bundle is NOT
@@ -279,18 +258,11 @@ func NewRun(plan *Plan, pen penalty.Penalty, store storage.Store) *Run {
 
 // entryRetrieved reports whether master-list entry i has been retrieved:
 // its schedule position lies before the cursor and it was not skipped by a
-// failed retrieval. This replaces the per-run popped bitmap — the schedule's
-// inverse permutation is shared by every run.
+// failed retrieval.
 func (r *Run) entryRetrieved(i int32) bool {
-	if int(r.sched.pos[i]) >= r.cursor {
-		return false
-	}
-	if r.skippedSet != nil {
-		if _, skip := r.skippedSet[i]; skip {
-			return false
-		}
-	}
-	return true
+	sp := int(r.sched.pos[i])
+	_, skipped := slices.BinarySearch(r.skipped, sp)
+	return sp < r.cursor && !skipped
 }
 
 // Step retrieves the most important unretrieved entry — the next one in
@@ -422,7 +394,7 @@ func (r *Run) StepUntilBound(coefficientMass, target float64) int {
 // beyond the master list collapse into the completion callback.
 func (r *Run) RunWithCheckpoints(points []int, fn func(retrieved int, estimates []float64)) {
 	sorted := append([]int(nil), points...)
-	sort.Ints(sorted)
+	slices.Sort(sorted)
 	prev := -1
 	for _, p := range sorted {
 		if p < r.Retrieved() || p == prev {

@@ -36,10 +36,6 @@ import (
 // and therefore importance-descending, which SkippedImportance relies on.
 func (r *Run) markSkipped(sp int) {
 	r.skipped = append(r.skipped, sp)
-	if r.skippedSet == nil {
-		r.skippedSet = make(map[int32]struct{})
-	}
-	r.skippedSet[r.sched.order[sp]] = struct{}{}
 }
 
 // Degraded reports whether any entry was skipped by a failed retrieval: the
@@ -240,7 +236,6 @@ func (r *Run) RetrySkipped(ctx context.Context) (int, error) {
 		}
 		recovered++
 		i := r.sched.order[sp]
-		delete(r.skippedSet, i)
 		if v := vals[j]; v != 0 {
 			idxs, cs := r.plan.entryRefs(int(i))
 			for k, qi := range idxs {
@@ -251,7 +246,6 @@ func (r *Run) RetrySkipped(ctx context.Context) (int, error) {
 	r.skipped = keep
 	if len(r.skipped) == 0 {
 		r.skipped = nil
-		r.skippedSet = nil
 	}
 	return recovered, nil
 }

@@ -1,22 +1,35 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/sparse"
 )
 
-// This file is the parallel half of the engine: worker-pool plan
-// construction and the exact pass's per-query apply phase. Every parallel
-// path is constructed to produce results *bit-identical* to its one-worker
-// run (same floating-point operations in the same order), so callers can
-// pick any worker count — the determinism tests in parallel_test.go pin this
-// down.
+// This file is the parallel half of the engine: plan construction (steps 2–3
+// of Batch-Biggest-B) and the exact pass's per-query apply phase. Every
+// parallel path is constructed to produce results *bit-identical* to its
+// one-worker run (same floating-point operations in the same order), so
+// callers can pick any worker count — the determinism tests in
+// parallel_test.go pin this down.
+//
+// Plan construction is one flat pipeline: each query is rewritten exactly
+// once into a run — its (key, coefficient) pairs in ascending key order —
+// the shape fingerprint is hashed off the runs' keys, and the runs are merged
+// by (key, query) straight into the CSR arrays. When a resident plan already
+// has the batch's sparsity shape, the same merge checks its stream against
+// that plan's skeleton instead and allocates only the coefficients
+// (template.go).
 
 // emitter produces the (key, coefficient) pairs of query qi. Emissions for
-// one query must not repeat a key (the rewriters guarantee this).
+// one query must not repeat a key (the rewriters guarantee this). The order
+// is free: an emission that does not arrive ascending is sorted, once, by
+// the run that collects it.
 type emitter func(qi int, emit func(key int, c float64)) error
 
 // clampWorkers resolves a worker-count request: ≤0 selects GOMAXPROCS, and
@@ -34,182 +47,198 @@ func clampWorkers(workers, items int) int {
 	return workers
 }
 
-// shardKeyHash spreads the structured key patterns of wavelet master lists
-// (runs, strided levels) across shards (Fibonacci multiplicative hashing).
-const shardKeyHash = 0x9E3779B97F4A7C15
-
-// planEntry is the merge-time representation of one master-list entry; the
-// finished plan flattens the per-entry slices into the CSR arrays.
-type planEntry struct {
-	key      int
-	queryIdx []int32
-	coeffs   []float64
-}
-
-// newPlanCSR flattens key-sorted merge entries into the plan's CSR layout.
-func newPlanCSR(labels []string, entries []*planEntry, total int) *Plan {
-	p := &Plan{
-		Labels:                 append([]string(nil), labels...),
-		keys:                   make([]int, len(entries)),
-		offsets:                make([]int32, len(entries)+1),
-		queryIdx:               make([]int32, 0, total),
-		coeffs:                 make([]float64, 0, total),
-		totalQueryCoefficients: total,
-	}
-	for i, e := range entries {
-		p.keys[i] = e.key
-		p.offsets[i] = int32(len(p.queryIdx))
-		p.queryIdx = append(p.queryIdx, e.queryIdx...)
-		p.coeffs = append(p.coeffs, e.coeffs...)
-	}
-	p.offsets[len(entries)] = int32(len(p.queryIdx))
-	return p
-}
-
-// buildPlanParallel merges per-query coefficient emissions into a master
-// list using a worker pool. Workers own contiguous query blocks and write
-// into per-worker key-hash-sharded maps; shards are then merged concurrently
-// (worker order preserves ascending query index) and the entries sorted into
-// the canonical ascending-key order before CSR flattening. The result is
-// entry-for-entry identical to the single-threaded merge.
-func buildPlanParallel(n int, labels []string, gen emitter, workers int) (*Plan, error) {
+// buildPlan is plan construction: rewrite every query once, then merge. A
+// non-nil templateFor is asked for a resident plan of the batch's shape; when
+// it has one and the merge confirms the shape, the result shares that plan's
+// skeleton and bound reports true. The plan is entry-for-entry identical for
+// every worker count and either way it was merged.
+func buildPlan(n int, labels []string, gen emitter, workers int, templateFor func(shape string) *Plan) (p *Plan, bound bool, err error) {
 	if m := coObs(); m != nil {
 		start := time.Now()
 		defer func() { m.planBuildSeconds.Observe(time.Since(start).Seconds()) }()
 	}
+	runs, err := rewriteRuns(n, gen, workers)
+	if err != nil {
+		return nil, false, err
+	}
+	shape := shapeOfRuns(runs)
+	if templateFor != nil {
+		if tmpl := templateFor(shape); tmpl != nil {
+			p = mergeRuns(runs, tmpl)
+		}
+	}
+	if bound = p != nil; !bound {
+		p = mergeRuns(runs, nil)
+	} else if m := coObs(); m != nil {
+		m.templateBinds.Inc()
+	}
+	p.Labels = append([]string(nil), labels...)
+	p.shape = shape
+	return p, bound, nil
+}
+
+// defaultLabels names queries q0, q1, … for callers that gave no labels.
+func defaultLabels(n int) []string {
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("q%d", i)
+	}
+	return labels
+}
+
+// rewriteRuns calls gen exactly once per query and returns the runs: runs[qi]
+// is query qi's pairs in ascending key order. Workers own contiguous query
+// blocks; a build allocates per query, not per coefficient. A run depends on
+// its query alone, hence not on the worker count.
+func rewriteRuns(n int, gen emitter, workers int) ([][]sparse.Entry, error) {
 	workers = clampWorkers(workers, n)
-	if workers == 1 {
-		return buildPlanSeq(n, labels, gen)
-	}
-
-	nShards := nextPow2(4 * workers)
-	shift := 64 - log2(uint64(nShards))
-	shardOf := func(key int) int { return int((uint64(key) * shardKeyHash) >> shift) }
-
-	type shardMap map[int]*planEntry
-	locals := make([][]shardMap, workers)
-	totals := make([]int, workers)
+	runs := make([][]sparse.Entry, n)
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			maps := make([]shardMap, nShards)
-			for s := range maps {
-				maps[s] = make(shardMap)
+	rewriteBlock := func(w int) {
+		var run []sparse.Entry
+		ascending := true
+		emit := func(key int, c float64) {
+			if m := len(run); m > 0 && key <= run[m-1].Key {
+				ascending = false
 			}
-			locals[w] = maps
-			for qi := lo; qi < hi; qi++ {
-				qi32 := int32(qi)
-				err := gen(qi, func(key int, c float64) {
-					totals[w]++
-					m := maps[shardOf(key)]
-					e, ok := m[key]
-					if !ok {
-						e = &planEntry{key: key}
-						m[key] = e
-					}
-					e.queryIdx = append(e.queryIdx, qi32)
-					e.coeffs = append(e.coeffs, c)
-				})
-				if err != nil {
-					errs[w] = err
-					return
-				}
+			run = append(run, sparse.Entry{Key: key, Val: c})
+		}
+		for qi := w * n / workers; qi < (w+1)*n/workers; qi++ {
+			// Queries of one batch are of a kind: size each run by the last.
+			run, ascending = make([]sparse.Entry, 0, len(run)), true
+			if err := gen(qi, emit); err != nil {
+				errs[w] = err
+				return
 			}
-		}(w, lo, hi)
+			if !ascending {
+				slices.SortFunc(run, func(a, b sparse.Entry) int { return cmp.Compare(a.Key, b.Key) })
+			}
+			runs[qi] = run
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		rewriteBlock(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rewriteBlock(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 	// Workers hold contiguous ascending query blocks and stop at their first
 	// failing query, so the lowest-indexed worker error is exactly the error
-	// the sequential merge would have returned.
+	// a sequential rewrite would have returned.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	// Merge each shard's per-worker maps, workers pulling shard indices from
-	// an atomic cursor. Appending worker 0's pairs first, then worker 1's,
-	// … keeps every entry's query indices ascending, matching the sequential
-	// query-order append.
-	shardEntries := make([][]*planEntry, nShards)
-	var cursor atomic.Int64
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= nShards {
-					return
-				}
-				merged := locals[0][s]
-				for w2 := 1; w2 < workers; w2++ {
-					for key, e := range locals[w2][s] {
-						dst, ok := merged[key]
-						if !ok {
-							merged[key] = e
-							continue
-						}
-						dst.queryIdx = append(dst.queryIdx, e.queryIdx...)
-						dst.coeffs = append(dst.coeffs, e.coeffs...)
-					}
-				}
-				out := make([]*planEntry, 0, len(merged))
-				for _, e := range merged {
-					out = append(out, e)
-				}
-				shardEntries[s] = out
-			}
-		}()
-	}
-	wg.Wait()
-
-	total, count := 0, 0
-	for _, t := range totals {
-		total += t
-	}
-	for _, se := range shardEntries {
-		count += len(se)
-	}
-	entries := make([]*planEntry, 0, count)
-	for _, se := range shardEntries {
-		entries = append(entries, se...)
-	}
-	// Canonical deterministic base order (keys are distinct across shards).
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	return newPlanCSR(labels, entries, total), nil
+	return runs, nil
 }
 
-// buildPlanSeq is the single-threaded merge (steps 2–3 of Batch-Biggest-B).
-func buildPlanSeq(n int, labels []string, gen emitter) (*Plan, error) {
-	merged := make(map[int]*planEntry)
+// runHead is a run's next unmerged pair in the merge heap.
+type runHead struct {
+	key int
+	qi  int32
+	pos int32
+}
+
+func (a runHead) before(b runHead) bool {
+	return a.key < b.key || (a.key == b.key && a.qi < b.qi)
+}
+
+// siftDown restores the min-heap order below position i.
+func siftDown(h []runHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// mergeRuns merges the runs by (key, query) — ascending key, and within a
+// key ascending query index, the order the CSR layout stores — into a plan.
+// With tmpl nil it builds the four CSR arrays. With a template it compares
+// the merged (key, query) stream against the template's skeleton element by
+// element, allocates only the coefficient array and returns a view sharing
+// that skeleton — or nil if the shapes differ. Labels and shape are the
+// caller's to set.
+func mergeRuns(runs [][]sparse.Entry, tmpl *Plan) *Plan {
 	total := 0
-	for qi := 0; qi < n; qi++ {
-		qi32 := int32(qi)
-		err := gen(qi, func(key int, c float64) {
-			total++
-			e, ok := merged[key]
-			if !ok {
-				e = &planEntry{key: key}
-				merged[key] = e
-			}
-			e.queryIdx = append(e.queryIdx, qi32)
-			e.coeffs = append(e.coeffs, c)
-		})
-		if err != nil {
-			return nil, err
+	h := make([]runHead, 0, len(runs))
+	for qi, run := range runs {
+		total += len(run)
+		if len(run) > 0 {
+			h = append(h, runHead{key: run[0].Key, qi: int32(qi)})
 		}
 	}
-	entries := make([]*planEntry, 0, len(merged))
-	for _, e := range merged {
-		entries = append(entries, e)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	return newPlanCSR(labels, entries, total), nil
+
+	p := &Plan{totalQueryCoefficients: total}
+	if tmpl != nil {
+		if len(runs) != tmpl.NumQueries() || total != len(tmpl.coeffs) {
+			return nil
+		}
+		p.keys, p.offsets, p.queryIdx = tmpl.keys, tmpl.offsets, tmpl.queryIdx
+	} else {
+		// The distinct-key count is not known before the merge; total bounds
+		// it, and the exact-size copies below keep resident plans tight.
+		p.keys = make([]int, 0, total)
+		p.offsets = make([]int32, 0, total+1)
+		p.queryIdx = make([]int32, total)
+	}
+	p.coeffs = make([]float64, total)
+	entries := 0
+	for k := 0; len(h) > 0; k++ {
+		top := &h[0]
+		run := runs[top.qi]
+		newEntry := entries == 0 || top.key != p.keys[entries-1]
+		if tmpl == nil {
+			if newEntry {
+				p.keys = append(p.keys, top.key)
+				p.offsets = append(p.offsets, int32(k))
+			}
+			p.queryIdx[k] = top.qi
+		} else if p.queryIdx[k] != top.qi || (newEntry &&
+			(entries == len(p.keys) || p.keys[entries] != top.key || int(p.offsets[entries]) != k)) {
+			return nil
+		}
+		if newEntry {
+			entries++
+		}
+		p.coeffs[k] = run[top.pos].Val
+		if top.pos++; int(top.pos) < len(run) {
+			top.key = run[top.pos].Key
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	if tmpl == nil {
+		p.keys = append([]int(nil), p.keys...)
+		p.offsets = append(append(make([]int32, 0, entries+1), p.offsets...), int32(total))
+	} else if entries != len(p.keys) {
+		// Every entry the stream opened matched a template boundary; with equal
+		// counts the boundary sets are the same, with fewer an entry was split.
+		return nil
+	}
+	return p
 }
 
 // qref is one element of a query's inverted coefficient list: the master
@@ -281,21 +310,4 @@ func (p *Plan) applyEvalIndex(vals, est []float64, workers int) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-func log2(n uint64) uint {
-	var l uint
-	for n > 1 {
-		n >>= 1
-		l++
-	}
-	return l
 }

@@ -25,9 +25,14 @@ import (
 //
 // Same-shape reuse: when a new batch's sparsity shape matches a resident
 // plan (same per-query key sets, different coefficient values — re-weighted
-// workloads), the registry binds the new coefficients against the resident
-// CSR skeleton (Plan.Bind) instead of re-merging, and counts a template
-// bind. The result is bit-identical to a full build either way.
+// workloads), the build verifies its merge against the resident CSR skeleton
+// instead of allocating a new one (buildPlan), and the registry counts a
+// template bind. The result is bit-identical to a full build either way.
+//
+// Eviction spares what a tenant asked for: under pressure the least recently
+// used *inline* registration (tenant "") goes first, so one-shot ad-hoc
+// batches cannot push out the /prepare handles a tenant holds quota for;
+// plain LRU applies only once no inline registration is left.
 type PlanRegistry struct {
 	filter   *wavelet.Filter
 	capacity int
@@ -76,8 +81,6 @@ type Prepared struct {
 	// Tenant is the tenant that first registered the entry ("" for
 	// anonymous/inline registrations); quota accounting keys on it.
 	Tenant string
-
-	shapeFP string
 }
 
 // DefaultRegistryCapacity bounds the registry when NewPlanRegistry is given
@@ -235,38 +238,16 @@ func (r *PlanRegistry) Remove(handle string) bool {
 	return ok
 }
 
-// build constructs the plan for a canonical batch: through the same-shape
-// template fast path when a resident plan matches, through a full
-// NewWaveletPlan — the exact construction the ad-hoc path uses, so prepared
-// and ad-hoc results are bit-identical by construction — otherwise.
+// build constructs the plan for a canonical batch through newWaveletPlan —
+// the exact construction the ad-hoc path uses, so prepared and ad-hoc results
+// are bit-identical by construction — offering it the resident templates.
 func (r *PlanRegistry) build(slot *planSlot, canonical query.Batch, fp, tenant string) (*Prepared, error) {
-	var plan *Plan
-	var shapeFP string
-
-	if r.hasShapes() {
-		// The rewrite (per-query wavelet coefficients) is shared between the
-		// shape probe and the bind itself. Rewrite errors fall through to the
-		// full build, which re-validates and reports them canonically.
-		if vectors, labels, err := rewriteBatch(canonical, r.filter); err == nil {
-			shapeFP = ShapeFingerprint(vectors)
-			r.mu.Lock()
-			tmpl := r.shapes[shapeFP]
-			r.mu.Unlock()
-			if tmpl != nil {
-				if bound, berr := tmpl.Bind(vectors, labels); berr == nil {
-					plan = bound
-					r.binds.Add(1)
-				}
-			}
-		}
+	plan, bound, err := newWaveletPlan(canonical, r.filter, 0, r.template)
+	if err != nil {
+		return nil, err
 	}
-	if plan == nil {
-		built, err := NewWaveletPlan(canonical, r.filter)
-		if err != nil {
-			return nil, err
-		}
-		plan = built
-		shapeFP = built.ShapeOf()
+	if bound {
+		r.binds.Add(1)
 	}
 	for _, pen := range r.warm {
 		plan.warmSchedule(pen)
@@ -277,8 +258,8 @@ func (r *PlanRegistry) build(slot *planSlot, canonical query.Batch, fp, tenant s
 	// template past its eviction) or another resident plan owns the shape.
 	r.mu.Lock()
 	if cur, live := r.slots[fp]; live && cur == slot {
-		if _, taken := r.shapes[shapeFP]; !taken {
-			r.shapes[shapeFP] = plan
+		if _, taken := r.shapes[plan.shape]; !taken {
+			r.shapes[plan.shape] = plan
 		}
 	}
 	r.mu.Unlock()
@@ -288,26 +269,33 @@ func (r *PlanRegistry) build(slot *planSlot, canonical query.Batch, fp, tenant s
 		Batch:       canonical,
 		Fingerprint: fp,
 		Tenant:      tenant,
-		shapeFP:     shapeFP,
 	}, nil
 }
 
-func (r *PlanRegistry) hasShapes() bool {
+// template returns the resident bind template for a shape fingerprint, or nil.
+func (r *PlanRegistry) template(shape string) *Plan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.shapes) > 0
+	return r.shapes[shape]
 }
 
-// evictLocked enforces the LRU bound, returning the evicted slots for
-// observer dispatch outside the lock.
+// evictLocked enforces the capacity bound, returning the evicted slots for
+// observer dispatch outside the lock. The victim is the least recently used
+// inline registration, or the least recently used slot when none is inline.
 func (r *PlanRegistry) evictLocked() []*planSlot {
 	var evicted []*planSlot
 	for len(r.slots) > r.capacity {
-		back := r.lru.Back()
-		if back == nil {
+		victim := r.lru.Back()
+		if victim == nil {
 			break
 		}
-		slot := back.Value.(*planSlot)
+		for e := victim; e != nil; e = e.Prev() {
+			if e.Value.(*planSlot).tenant == "" {
+				victim = e
+				break
+			}
+		}
+		slot := victim.Value.(*planSlot)
 		r.removeSlotLocked(slot)
 		r.evictions.Add(1)
 		evicted = append(evicted, slot)
@@ -326,8 +314,8 @@ func (r *PlanRegistry) removeSlotLocked(slot *planSlot) {
 	delete(r.slots, slot.fp)
 	r.lru.Remove(slot.elem)
 	if slot.done.Load() && slot.prep != nil {
-		if r.shapes[slot.prep.shapeFP] == slot.prep.Plan {
-			delete(r.shapes, slot.prep.shapeFP)
+		if plan := slot.prep.Plan; r.shapes[plan.shape] == plan {
+			delete(r.shapes, plan.shape)
 		}
 	}
 }

@@ -75,6 +75,55 @@ func TestRegistryHitReturnsSamePlan(t *testing.T) {
 	}
 }
 
+// TestRegistryEvictsInlineBeforeTenantHandles: one-shot inline batches
+// (tenant "") are the first victims, so the handles a tenant holds quota for
+// survive any amount of ad-hoc traffic, and quota is released once per real
+// eviction.
+func TestRegistryEvictsInlineBeforeTenantHandles(t *testing.T) {
+	schema := regSchema(t)
+	r := NewPlanRegistry(wavelet.Db4, 4)
+	released := map[string]int{}
+	r.OnEvict(func(_, tenant string) { released[tenant]++ })
+
+	var handles []string
+	for seed := int64(1); seed <= 2; seed++ {
+		prep, _, _, err := r.Prepare(regBatch(t, schema, seed, 4), "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, prep.Fingerprint)
+	}
+	for seed := int64(100); seed < 200; seed++ {
+		if _, _, hit, err := r.Prepare(regBatch(t, schema, seed, 4), ""); err != nil || hit {
+			t.Fatalf("inline batch %d: hit=%v err=%v", seed, hit, err)
+		}
+	}
+	for _, h := range handles {
+		if _, ok := r.Lookup(h); !ok {
+			t.Fatalf("tenant handle %s evicted by inline traffic", h)
+		}
+	}
+	if st := r.Stats(); st.Evictions != 98 || st.Plans != 4 {
+		t.Fatalf("stats %+v, want 98 evictions and 4 resident plans", st)
+	}
+	if released[""] != 98 || released["alice"] != 0 {
+		t.Fatalf("eviction observer saw %v, want 98 inline releases only", released)
+	}
+
+	// With no inline registration left, plain LRU applies again.
+	for seed := int64(3); seed <= 5; seed++ {
+		if _, _, _, err := r.Prepare(regBatch(t, schema, seed, 4), "bob"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := r.Lookup(handles[0]); ok {
+		t.Fatalf("least recently used tenant handle survived a registry full of tenant handles")
+	}
+	if released[""] != 100 || released["alice"] != 1 {
+		t.Fatalf("eviction observer saw %v, want 100 inline and 1 alice release", released)
+	}
+}
+
 func TestRegistryPermutedBatchHitsAndMapsResults(t *testing.T) {
 	schema := regSchema(t)
 	store := regStore(t, schema)

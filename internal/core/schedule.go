@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/penalty"
@@ -41,11 +43,21 @@ type Schedule struct {
 	// are bit-identical to the retired implementation, where a suffix sum
 	// would not be.
 	remaining []float64
+
+	// The per-query error-bound index (bounds.go), CSR by query: query i's
+	// references sit at qoff[i]:qoff[i+1]; qpos holds the schedule steps that
+	// retrieve one of its coefficients, ascending, and qmax[k] is the largest
+	// |q̂ᵢ[ξ]| retrieved at step qpos[k] or later — so the bound of a run at
+	// any cursor is one search away. 12 bytes per reference, built with the
+	// schedule and shared by every run on it.
+	qoff []int32
+	qpos []int32
+	qmax []float64
 }
 
 // buildSchedule computes the retrieval schedule for the plan under the
-// penalty: the importance vector, the sorted order, its inverse, and the
-// per-prefix remaining-importance chain.
+// penalty: the importance vector, the sorted order, its inverse, the
+// per-prefix remaining-importance chain and the per-query bound index.
 func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 	n := len(p.keys)
 	s := &Schedule{
@@ -55,16 +67,30 @@ func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 		importances: p.Importances(pen),
 		remaining:   make([]float64, n+1),
 	}
-	for i := range s.order {
-		s.order[i] = int32(i)
+	// Importance descending, key ascending. Entry indices ascend with keys and
+	// are distinct, so the order is strict and total: any sort lands on the
+	// one permutation the importance heap would have popped. Sorting packed
+	// (importance, entry) pairs keeps the comparisons off the indirections.
+	type ranked struct {
+		imp   float64
+		entry int32
 	}
-	sort.SliceStable(s.order, func(a, b int) bool {
-		ia, ib := s.order[a], s.order[b]
-		if s.importances[ia] != s.importances[ib] {
-			return s.importances[ia] > s.importances[ib]
+	byRank := make([]ranked, n)
+	for i, imp := range s.importances {
+		byRank[i] = ranked{imp, int32(i)}
+	}
+	slices.SortFunc(byRank, func(a, b ranked) int {
+		switch {
+		case a.imp > b.imp:
+			return -1
+		case a.imp < b.imp:
+			return 1
 		}
-		return p.keys[ia] < p.keys[ib]
+		return cmp.Compare(a.entry, b.entry)
 	})
+	for j, r := range byRank {
+		s.order[j] = r.entry
+	}
 	// The heap seeded its running total by summing importances in plan
 	// (ascending-key) order, then subtracted the popped entry's importance
 	// each step. Replay exactly that operation sequence.
@@ -77,6 +103,31 @@ func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 		s.pos[e] = int32(j)
 		s.keys[j] = p.keys[e]
 		s.remaining[j+1] = s.remaining[j] - s.importances[e]
+	}
+
+	// Bound index: one reverse pass over the schedule, carrying each query's
+	// running max |coefficient| and filling its segment from the back, leaves
+	// positions ascending and suffix maxima in place — no sort.
+	nq := p.NumQueries()
+	s.qoff = make([]int32, nq+1)
+	for _, qi := range p.queryIdx {
+		s.qoff[qi+1]++
+	}
+	for i := 0; i < nq; i++ {
+		s.qoff[i+1] += s.qoff[i]
+	}
+	s.qpos = make([]int32, len(p.queryIdx))
+	s.qmax = make([]float64, len(p.queryIdx))
+	fill := append([]int32(nil), s.qoff[1:]...) // next free slot + 1, per query
+	running := make([]float64, nq)
+	for j := n - 1; j >= 0; j-- {
+		idxs, cs := p.entryRefs(int(s.order[j]))
+		for k, qi := range idxs {
+			running[qi] = max(running[qi], math.Abs(cs[k]))
+			fill[qi]--
+			s.qpos[fill[qi]] = int32(j)
+			s.qmax[fill[qi]] = running[qi]
+		}
 	}
 	return s
 }

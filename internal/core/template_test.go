@@ -139,7 +139,7 @@ func TestBindWaveletMatchesFreshWaveletPlan(t *testing.T) {
 	// Re-weight the batch: same ranges, same term powers, scaled
 	// coefficients — the canonical same-shape workload.
 	batch2 := cloneBatchScaled(f.batch, 3.5)
-	vectors, labels, err := rewriteBatch(batch2, wavelet.Db4)
+	vectors, labels, err := batchVectors(batch2, wavelet.Db4)
 	if err != nil {
 		t.Fatal(err)
 	}

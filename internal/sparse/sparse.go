@@ -185,6 +185,11 @@ func (a Vector) Entries() []Entry {
 // combination (k_0,…,k_{d-1}) of keys it yields the flat key and the product
 // of values via emit. Factors and dims must have equal length.
 //
+// Pairs arrive in strictly ascending flat-key order: each factor is walked in
+// ascending key order and every key lies below its dimension size, so the
+// row-major flat index grows with the odometer. Callers that need a sorted
+// coefficient list (the plan merge in internal/core) get one without sorting.
+//
 // The number of emitted pairs is the product of the factor sizes, which is
 // the source of the O(polylog^d) query sparsity: each 1-D factor has
 // O(L·log N) entries.
@@ -205,19 +210,30 @@ func TensorProduct(factors []Vector, dims []int, emit func(key int, val float64)
 			}
 		}
 	}
-	// Pre-sort keys for deterministic enumeration order.
+	// Flatten every factor into ascending parallel key/value lists, so the
+	// enumeration below reads slices, not maps.
 	keyLists := make([][]int, len(factors))
+	valLists := make([][]float64, len(factors))
 	for i, f := range factors {
 		keyLists[i] = f.Keys()
+		valLists[i] = make([]float64, len(f))
+		for j, k := range keyLists[i] {
+			valLists[i][j] = f[k]
+		}
 	}
+	last := len(factors) - 1
 	var rec func(dim, keyAcc int, valAcc float64)
 	rec = func(dim, keyAcc int, valAcc float64) {
-		if dim == len(factors) {
-			emit(keyAcc, valAcc)
+		keys, vals := keyLists[dim], valLists[dim]
+		base := keyAcc * dims[dim]
+		if dim == last {
+			for j, k := range keys {
+				emit(base+k, valAcc*vals[j])
+			}
 			return
 		}
-		for _, k := range keyLists[dim] {
-			rec(dim+1, keyAcc*dims[dim]+k, valAcc*factors[dim][k])
+		for j, k := range keys {
+			rec(dim+1, base+k, valAcc*vals[j])
 		}
 	}
 	rec(0, 0, 1)

@@ -146,6 +146,51 @@ func TestTensorProduct2D(t *testing.T) {
 	}
 }
 
+// TestTensorProductAscending pins the enumeration contract the plan merge
+// builds on: flat keys arrive strictly ascending, and every value is the
+// left-to-right product of the factors' map entries, bit for bit.
+func TestTensorProductAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(1601))
+	for trial := 0; trial < 200; trial++ {
+		d := 1 + rng.Intn(5)
+		dims := make([]int, d)
+		factors := make([]Vector, d)
+		for i := range dims {
+			dims[i] = 1 + rng.Intn(9)
+			factors[i] = New()
+			for n := 1 + rng.Intn(dims[i]); n > 0; n-- {
+				factors[i][rng.Intn(dims[i])] = rng.NormFloat64()
+			}
+		}
+		emitted, last := 0, -1
+		coords := make([]int, d)
+		err := TensorProduct(factors, dims, func(key int, val float64) {
+			if key <= last {
+				t.Fatalf("trial %d: key %d after %d", trial, key, last)
+			}
+			last = key
+			emitted++
+			rest, want := key, 1.0
+			for i := d - 1; i >= 0; i-- {
+				coords[i] = rest % dims[i]
+				rest /= dims[i]
+			}
+			for i, c := range coords {
+				want *= factors[i][c]
+			}
+			if val != want {
+				t.Fatalf("trial %d key %d: value %v, want %v", trial, key, val, want)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if emitted != TensorProductSize(factors) {
+			t.Fatalf("trial %d: %d pairs, want %d", trial, emitted, TensorProductSize(factors))
+		}
+	}
+}
+
 func TestTensorProductZeroFactor(t *testing.T) {
 	got, err := TensorProductVector([]Vector{{1: 2}, {}}, []int{4, 4})
 	if err != nil {
