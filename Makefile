@@ -143,13 +143,16 @@ bench-dist:
 # sequential-read bandwidth ceiling. The fixture build takes ~30s; each
 # FileStore iteration drains 10M coefficients through positioned reads, so
 # the whole target runs a few minutes on one core. The in-memory store's row
-# comes from the last two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
-# coefficient .wvdb (seconds, bytes allocated, resident bytes/coefficient)
-# and ns/key of HashStore lookups in schedule order and on uniform keys.
+# comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
+# coefficient dense .wvdb (loaded as arrays) and a sparse one (a table):
+# seconds, bytes allocated, resident bytes/coefficient, and ns/key of the
+# loaded store's lookups in schedule order and on uniform keys. The last line
+# is the singleflight layer's cost to one caller, against the bare store.
 bench-storage:
 	$(GO) test -run NONE -bench 'BenchmarkStorage' -benchmem -benchtime=2x -timeout 30m ./internal/storage/layout/
 	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase' -benchmem -benchtime=5x .
-	$(GO) test -run NONE -bench 'BenchmarkHashStoreBatchGet' -benchtime=2000x .
+	$(GO) test -run NONE -bench 'BenchmarkStoreBatchGet' -benchtime=2000x .
+	$(GO) test -run NONE -bench 'BenchmarkCoalescingBatchGet' -benchmem -benchtime=20000x ./internal/storage/
 
 # Live-update write-path benchmarks behind BENCH_ingest.json: batched Apply
 # vs one-tuple-per-version Apply (tuples/s at several batch sizes) and

@@ -89,7 +89,7 @@ func LoadShardServer(r io.Reader, index, count int, logger *slog.Logger) (*Shard
 		// An even split is what the partition hash delivers to within a
 		// fraction of a percent; a shard that gets more than its share grows
 		// its table like any other store.
-		if part, err = dist.NewPartitioner(index, count, (h.Count+count-1)/count); err != nil {
+		if part, err = dist.NewPartitioner(index, count, h.Schema.Cells(), (h.Count+count-1)/count); err != nil {
 			return nil, err
 		}
 		meta = codec.ShardMeta{
@@ -106,12 +106,18 @@ func LoadShardServer(r io.Reader, index, count int, logger *slog.Logger) (*Shard
 	if err != nil {
 		return nil, err
 	}
-	var st *storage.HashStore
+	var st storage.Store
 	st, meta.Nonzero, meta.Mass = part.Result()
 	return newShardServer(st, logger, meta), nil
 }
 
+// newShardServer serves part, behind a mutex when it does not synchronize
+// itself: every connection of a dist.Server retrieves from its own goroutine,
+// and a plain store counts retrievals with an unsynchronized write.
 func newShardServer(part storage.Store, logger *slog.Logger, meta codec.ShardMeta) *ShardServer {
+	if !storage.IsConcurrent(part) {
+		part = storage.NewConcurrentStore(part)
+	}
 	return &ShardServer{srv: dist.NewServer(part, meta, logger), meta: meta}
 }
 

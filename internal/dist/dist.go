@@ -96,18 +96,20 @@ func validShard(index, count int) error {
 // decoder streams it (repro.LoadShardServer), so the two agree bit for bit.
 type Partitioner struct {
 	index, count int
-	store        *storage.HashStore
+	store        storage.MemoryStore
 	nonzero      int64
 	mass         float64
 }
 
-// NewPartitioner returns the partitioner of shard index among count shards,
-// with room for expect coefficients (0 when unknown).
-func NewPartitioner(index, count, expect int) (*Partitioner, error) {
+// NewPartitioner returns the partitioner of shard index among count shards
+// over a domain of cells cells (0 when unknown), with room for expect
+// coefficients (0 when unknown). storage.NewMemoryStore picks the partition's
+// representation from those sizes.
+func NewPartitioner(index, count, cells, expect int) (*Partitioner, error) {
 	if err := validShard(index, count); err != nil {
 		return nil, err
 	}
-	return &Partitioner{index: index, count: count, store: storage.NewHashStorePartition(expect, count)}, nil
+	return &Partitioner{index: index, count: count, store: storage.NewMemoryStore(cells, expect, count)}, nil
 }
 
 // Add offers the next pair of the stream; pairs of other shards and zero
@@ -121,16 +123,17 @@ func (p *Partitioner) Add(key int, value float64) {
 	p.mass += math.Abs(value)
 }
 
-// Result returns the partition as a fresh HashStore with its nonzero count
-// and coefficient mass.
-func (p *Partitioner) Result() (*storage.HashStore, int64, float64) {
+// Result returns the partition as a fresh store with its nonzero count and
+// coefficient mass.
+func (p *Partitioner) Result() (storage.MemoryStore, int64, float64) {
 	return p.store, p.nonzero, p.mass
 }
 
 // Partition extracts shard index's slice of a full coefficient store: the
 // nonzero entries whose key storage.ShardOf assigns to index (see
-// Partitioner for what comes back).
-func Partition(src storage.Enumerable, index, count int) (*storage.HashStore, int64, float64, error) {
+// Partitioner for what comes back). An enumeration declares no domain, so
+// the partition is held as the domain-unknown case of NewPartitioner.
+func Partition(src storage.Enumerable, index, count int) (storage.MemoryStore, int64, float64, error) {
 	if err := validShard(index, count); err != nil {
 		return nil, 0, 0, err
 	}
@@ -146,7 +149,7 @@ func Partition(src storage.Enumerable, index, count int) (*storage.HashStore, in
 		return true
 	})
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-	p, err := NewPartitioner(index, count, len(pairs))
+	p, err := NewPartitioner(index, count, 0, len(pairs))
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -52,9 +52,6 @@ type Config struct {
 	// DisableAutoCompact turns the background compactor off; compaction then
 	// runs only through explicit Compact calls. Deterministic tests use this.
 	DisableAutoCompact bool
-	// NewBase builds the target store of a compaction (and must support
-	// enumeration); nil selects a lock-sharded in-memory store.
-	NewBase func() storage.Updatable
 }
 
 // Layer is one immutable published write batch: the merged *absolute*
@@ -137,15 +134,24 @@ func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
 // base as one sub-batch, remapping a partial failure to the caller's
 // positions. It returns how many keys went to the base.
 func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, error) {
+	if len(v.layers) == 0 {
+		return len(keys), v.base.BatchGetCtx(ctx, keys, dst)
+	}
+	// The sub-batch scratch is sized from the batch at the first overlay
+	// miss, so a call allocates a fixed number of slices, not one per growth.
 	var subKeys []int
 	var subIdx []int // sub-batch position → caller position
 	for i, k := range keys {
 		if val, ok := v.lookup(k); ok {
 			dst[i] = val
-		} else {
-			subKeys = append(subKeys, k)
-			subIdx = append(subIdx, i)
+			continue
 		}
+		if subKeys == nil {
+			subKeys = make([]int, 0, len(keys)-i)
+			subIdx = make([]int, 0, len(keys)-i)
+		}
+		subKeys = append(subKeys, k)
+		subIdx = append(subIdx, i)
 	}
 	if len(subKeys) == 0 {
 		return 0, nil
@@ -157,13 +163,15 @@ func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, err
 	for i, j := range subIdx {
 		dst[j] = subDst[i]
 	}
-	var be *storage.BatchError
-	if errors.As(err, &be) {
-		remapped := make([]storage.KeyError, len(be.Failed))
-		for i, ke := range be.Failed {
-			remapped[i] = storage.KeyError{Index: subIdx[ke.Index], Key: ke.Key, Err: ke.Err}
+	if err != nil {
+		var be *storage.BatchError
+		if errors.As(err, &be) {
+			remapped := make([]storage.KeyError, len(be.Failed))
+			for i, ke := range be.Failed {
+				remapped[i] = storage.KeyError{Index: subIdx[ke.Index], Key: ke.Key, Err: ke.Err}
+			}
+			err = &storage.BatchError{Failed: remapped}
 		}
-		err = &storage.BatchError{Failed: remapped}
 	}
 	return len(subKeys), err
 }
@@ -190,6 +198,10 @@ func (v *view) NonzeroCount() int { return v.nonzero }
 // views are immutable and the base is behind a concurrency shim, so any
 // number of goroutines may read.
 func (v *view) ConcurrentSafe() bool { return true }
+
+// InMemory implements the storage.IsInMemory capability check: the overlay
+// is in-memory maps, so a view answers from memory when its base chain does.
+func (v *view) InMemory() bool { return storage.IsInMemory(v.base) }
 
 // Enumerable implements the wrapper capability check.
 func (v *view) Enumerable() bool { return true }
@@ -231,6 +243,7 @@ var _ storage.Enumerable = (*view)(nil)
 type Store struct {
 	filter *wavelet.Filter
 	dims   []int
+	cells  int // the domain size Π dims: with a snapshot's nonzero count, what sizes a compaction target
 	cfg    Config
 
 	head       atomic.Pointer[view]
@@ -269,9 +282,6 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	if base == nil || f == nil {
 		return nil, fmt.Errorf("mvcc: nil base store or filter")
 	}
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("mvcc: no dimensions")
-	}
 	if !storage.IsEnumerable(base) {
 		return nil, fmt.Errorf("mvcc: base store %T cannot enumerate its coefficients", base)
 	}
@@ -284,10 +294,11 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	if cfg.Retain <= 0 {
 		cfg.Retain = DefaultRetain
 	}
-	if cfg.NewBase == nil {
-		cfg.NewBase = func() storage.Updatable { return storage.NewShardedStore(0) }
+	cells, err := wavelet.CheckDims(dims)
+	if err != nil {
+		return nil, fmt.Errorf("mvcc: %w", err)
 	}
-	s := &Store{filter: f, dims: append([]int(nil), dims...), cfg: cfg}
+	s := &Store{filter: f, dims: append([]int(nil), dims...), cells: cells, cfg: cfg}
 	var mass float64
 	base.(storage.Enumerable).ForEachNonzero(func(_ int, v float64) bool {
 		mass += math.Abs(v)
@@ -505,10 +516,11 @@ func (s *Store) Compact(ctx context.Context) error {
 	if len(snap.layers) == 0 {
 		return nil
 	}
-	nb := s.cfg.NewBase()
-	if !storage.IsEnumerable(nb) {
-		return fmt.Errorf("mvcc: compaction base %T cannot enumerate", nb)
-	}
+	// The snapshot knows how many coefficients the fold will write, so the
+	// target is sized once — as an array or a table, by the rule every loader
+	// uses — and, being immutable once published, is served behind the same
+	// concurrency shim as the base the store was opened with.
+	nb := storage.NewMemoryStore(s.cells, snap.nonzero, 1)
 	// Newest-wins fold: overlay keys first (explicit zeros simply aren't
 	// written — an absent base key reads 0), then unshadowed base keys.
 	seen := make(map[int]struct{}, snap.layerKeys)
@@ -670,6 +682,10 @@ func (s *Store) Add(int, float64) {
 
 // ConcurrentSafe implements the storage.IsConcurrent capability check.
 func (s *Store) ConcurrentSafe() bool { return true }
+
+// InMemory implements the storage.IsInMemory capability check for the
+// current head.
+func (s *Store) InMemory() bool { return s.head.Load().InMemory() }
 
 // Enumerable implements the wrapper capability check.
 func (s *Store) Enumerable() bool { return true }

@@ -20,10 +20,16 @@ import (
 func observedHandler(t *testing.T) (*Handler, *obs.Observer) {
 	t.Helper()
 	h, _, _ := testHandler(t)
+	return h, observe(t, h)
+}
+
+// observe installs a fresh observer on h for the length of the test.
+func observe(t *testing.T, h *Handler) *obs.Observer {
+	t.Helper()
 	o := obs.NewObserver()
 	h.Observe(o)
 	t.Cleanup(func() { h.Observe(nil) })
-	return h, o
+	return o
 }
 
 func scrapeMetrics(t *testing.T, o *obs.Observer) string {
@@ -89,7 +95,10 @@ func TestObservedQueryExportsMetrics(t *testing.T) {
 }
 
 func TestObservedStatsConsistentSnapshot(t *testing.T) {
-	h, o := observedHandler(t)
+	// A layout-backed handler: the in-memory one runs no coalescing layer
+	// (TestInMemoryHandlerDoesNotCoalesce).
+	h, _ := layoutHandler(t)
+	o := observe(t, h)
 	rec := postQuery(t, h, `{"statements": "SUM(salary) WHERE age <= 15"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query status %d", rec.Code)

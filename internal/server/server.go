@@ -93,14 +93,18 @@ func NewWithConfig(db *repro.Database, cfg sched.Config) *Handler {
 }
 
 // NewWithOptions wraps a database with full handler configuration. The
-// database is made safe for concurrent retrieval (EnsureConcurrent) and
-// cross-run fetch coalescing is enabled, so requests execute in parallel
-// whatever store the view was built on.
+// database is made safe for concurrent retrieval (EnsureConcurrent), so
+// requests execute in parallel whatever store the view was built on, and
+// cross-run fetch coalescing is enabled where a fetch can cost more than
+// joining one in flight: over every store that does not answer from process
+// memory (layout files, shard coordinators, injected faults).
 func NewWithOptions(db *repro.Database, opts Options) *Handler {
 	db.EnsureConcurrent()
-	if err := db.EnableCoalescing(); err != nil {
-		// Unreachable after EnsureConcurrent; fail loudly if it ever isn't.
-		panic(err)
+	if !db.InMemory() {
+		if err := db.EnableCoalescing(); err != nil {
+			// Unreachable after EnsureConcurrent; fail loudly if it ever isn't.
+			panic(err)
+		}
 	}
 	// A store that cannot enumerate has no coefficient mass; serve without
 	// error bounds rather than refuse to start.

@@ -25,6 +25,20 @@ import (
 // many progress snapshots.
 func bigHandler(t *testing.T, cfg sched.Config) (*Handler, []float64) {
 	t.Helper()
+	db, dist := bigDatabase(t)
+	batch, err := repro.ParseBatch(db.Schema(), bigStatements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := batch.EvaluateDirect(dist)
+	h := NewWithConfig(db, cfg)
+	t.Cleanup(h.Close)
+	return h, truth
+}
+
+// bigDatabase is bigHandler's view: 400 random tuples on 256×256 under Db4.
+func bigDatabase(t *testing.T) (*repro.Database, *repro.Distribution) {
+	t.Helper()
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{256, 256})
 	if err != nil {
 		t.Fatal(err)
@@ -38,14 +52,7 @@ func bigHandler(t *testing.T, cfg sched.Config) (*Handler, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := repro.ParseBatch(schema, bigStatements)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := batch.EvaluateDirect(dist)
-	h := NewWithConfig(db, cfg)
-	t.Cleanup(h.Close)
-	return h, truth
+	return db, dist
 }
 
 // bigStatements touches ~465 distinct coefficients on the bigHandler view.
@@ -300,9 +307,10 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestStatsExposeSchedulerAndCoalescing checks /stats reports the new
-// subsystem counters after traffic has flowed.
+// subsystem counters after traffic has flowed — over a layout file, a store
+// the handler still coalesces.
 func TestStatsExposeSchedulerAndCoalescing(t *testing.T) {
-	h, _, _ := testHandler(t)
+	h, _ := layoutHandler(t)
 	for i := 0; i < 3; i++ {
 		if rec := postQuery(t, h, `{"statements": "COUNT() WHERE age <= 15"}`); rec.Code != http.StatusOK {
 			t.Fatalf("query %d: %d", i, rec.Code)
@@ -322,6 +330,43 @@ func TestStatsExposeSchedulerAndCoalescing(t *testing.T) {
 	}
 	if stats.Coalescing.Requests != stats.Coalescing.Fetched+stats.Coalescing.Coalesced {
 		t.Fatalf("coalescing counters do not balance: %+v", stats.Coalescing)
+	}
+}
+
+// TestInMemoryHandlerDoesNotCoalesce: a database that answers from process
+// memory is served without the singleflight layer, so nothing is requested
+// through one — the counters read zero (so requests = fetched + coalesced
+// still holds) from the facade and from the registry snapshot alike, while
+// the queries are answered.
+func TestInMemoryHandlerDoesNotCoalesce(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		h, db, _ := testHandler(t)
+		if observed {
+			observe(t, h)
+		}
+		if !db.InMemory() {
+			t.Fatal("an in-memory database does not report InMemory")
+		}
+		if _, ok := db.CoalescingStats(); ok {
+			t.Fatal("the handler put a coalescing layer over an in-memory store")
+		}
+		for i := 0; i < 3; i++ {
+			if rec := postQuery(t, h, `{"statements": "COUNT() WHERE age <= 15"}`); rec.Code != http.StatusOK {
+				t.Fatalf("query %d: %d", i, rec.Code)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var stats StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Scheduler.Completed < 3 || stats.Retrievals == 0 {
+			t.Fatalf("observed=%v: no traffic recorded: %+v", observed, stats)
+		}
+		if stats.Coalescing != (repro.CoalesceStats{}) {
+			t.Fatalf("observed=%v: coalescing counters = %+v, want zeros", observed, stats.Coalescing)
+		}
 	}
 }
 
@@ -429,4 +474,50 @@ func lastDoneFrame(r io.Reader) (QueryResponse, error) {
 		return resp, fmt.Errorf("stream ended without a done event")
 	}
 	return resp, nil
+}
+
+// TestInMemoryDrainAllocationsDoNotGrowWithThePlan: through the stack the
+// handler assembles over an in-memory database — store, timing wrapper,
+// mutex, no singleflight — a full drain allocates its run's fixed buffers and
+// nothing per coefficient, whatever the plan's size.
+func TestInMemoryDrainAllocationsDoNotGrowWithThePlan(t *testing.T) {
+	db, _ := bigDatabase(t)
+	db.EnableInstrumentation() // as wvqd does before it builds the handler
+	h := New(db)
+	t.Cleanup(h.Close)
+
+	ctx := context.Background()
+	drain := func(stmt string) (keys int, allocs float64) {
+		batch, err := repro.ParseBatch(db.Schema(), stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := db.Plan(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.ScheduleFor(repro.SSE())
+		allocs = testing.AllocsPerRun(10, func() {
+			run := db.NewRun(plan, repro.SSE())
+			for {
+				n, err := run.StepBatchCtx(ctx, 1024)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					return
+				}
+			}
+		})
+		return plan.DistinctCoefficients(), allocs
+	}
+	smallKeys, small := drain("COUNT() WHERE age <= 3")
+	largeKeys, large := drain("SUM(salary) WHERE age <= 100 GROUP BY salary(16)")
+	if largeKeys < 8*smallKeys {
+		t.Fatalf("plans of %d and %d coefficients do not tell a per-key term apart", smallKeys, largeKeys)
+	}
+	if small > 4 || large > 4 {
+		t.Fatalf("a drain of %d coefficients allocates %v objects, one of %d allocates %v; want at most 4 each",
+			smallKeys, small, largeKeys, large)
+	}
 }

@@ -1,10 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -34,21 +35,40 @@ type CoalescingStore struct {
 	inner Store
 
 	mu       sync.Mutex
-	inflight map[int]*flight
+	inflight map[int]flightRef
 
 	requests  atomic.Int64 // coefficients requested through the layer
 	fetched   atomic.Int64 // coefficients fetched from the wrapped store
 	coalesced atomic.Int64 // coefficients served by joining another fetch
 }
 
-// flight is one in-progress fetch; joiners block on done and read val/err
-// after. A leader's failure is shared with its joiners exactly like a value:
-// the coefficient was fetched once on everyone's behalf, so its error is
-// everyone's error.
+// flight is one in-progress lead fetch: every key a batch registered, asked
+// of the wrapped store in one call. Joiners block on done and read their
+// key's slot after. A leader's failure is shared with its joiners exactly
+// like a value: the coefficient was fetched once on everyone's behalf, so its
+// error is everyone's error.
 type flight struct {
 	done chan struct{}
-	val  float64
-	err  error
+	vals []float64
+	errs []error // per slot; nil unless the fetch failed for some keys
+	err  error   // the fetch failed as a whole
+}
+
+// flightRef is where an in-flight key's answer will be: slot at of f.
+type flightRef struct {
+	f  *flight
+	at int
+}
+
+// result returns the slot's value or failure; valid once f.done is closed.
+func (r flightRef) result() (float64, error) {
+	switch {
+	case r.f.err != nil:
+		return 0, r.f.err
+	case r.f.errs != nil && r.f.errs[r.at] != nil:
+		return 0, r.f.errs[r.at]
+	}
+	return r.f.vals[r.at], nil
 }
 
 // CoalesceStats is a snapshot of the layer's counters. Requests = Fetched +
@@ -66,18 +86,20 @@ func NewCoalescingStore(inner Store) *CoalescingStore {
 	if !IsConcurrent(inner) {
 		panic(fmt.Sprintf("storage: coalescing over %T, which is not concurrent-safe", inner))
 	}
-	return &CoalescingStore{inner: inner, inflight: make(map[int]*flight)}
+	return &CoalescingStore{inner: inner, inflight: make(map[int]flightRef)}
 }
 
 // BatchGetCtx implements Store. Keys already in flight elsewhere are
-// joined; the rest are registered and fetched from the wrapped store in one
-// batch. Duplicate keys within the batch are fetched once and the repeats
-// count as coalesced, mirroring the sequential fetch-then-join behaviour.
-// Per-key failures — from our own lead fetch or from a joined leader — are
-// collected into a *BatchError; a non-batch failure of the lead fetch
-// (cancellation, total outage) is propagated to every flight we lead, so
-// joiners fail too, and returned whole. A joiner whose own context ends
-// while waiting returns ctx.Err() without disturbing the flight.
+// joined; the rest are registered under one flight and fetched from the
+// wrapped store in one batch. Duplicate keys within the batch find their
+// first occurrence in the in-flight map like anyone else's, so they are
+// fetched once and the repeats count as coalesced. Per-key failures — from
+// our own lead fetch or from a joined leader — are collected into a
+// *BatchError; a non-batch failure of the lead fetch (cancellation, total
+// outage) reaches every joiner of the flight and is returned whole. A joiner
+// whose own context ends while waiting returns ctx.Err() without disturbing
+// the flight. What a call allocates does not depend on how many keys it
+// carries: one flight and three slices sized from the batch.
 func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) (err error) {
 	checkBatch(keys, dst)
 	ctx, sp := obs.StartSpan(ctx, "storage.coalesce.batchget")
@@ -93,58 +115,49 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 
 	type join struct {
 		pos int
-		f   *flight
+		ref flightRef
 	}
 	var (
 		joins    []join
-		leadKeys []int
-		leadPos  []int               // caller position of each lead key
-		leadAt   = make(map[int]int) // key → index into leadKeys
-		flights  []*flight
+		lead     = &flight{done: make(chan struct{})}
+		leadKeys = make([]int, 0, len(keys))
+		leadPos  = make([]int, 0, len(keys)) // caller position of each lead key
 	)
 	s.mu.Lock()
 	for i, k := range keys {
-		if j, ok := leadAt[k]; ok {
-			// Duplicate within this batch: shares our own fetch.
-			joins = append(joins, join{pos: i, f: flights[j]})
+		if ref, ok := s.inflight[k]; ok {
+			joins = append(joins, join{pos: i, ref: ref})
 			continue
 		}
-		if f, ok := s.inflight[k]; ok {
-			joins = append(joins, join{pos: i, f: f})
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		s.inflight[k] = f
-		leadAt[k] = len(leadKeys)
+		s.inflight[k] = flightRef{f: lead, at: len(leadKeys)}
 		leadKeys = append(leadKeys, k)
 		leadPos = append(leadPos, i)
-		flights = append(flights, f)
 	}
 	s.mu.Unlock()
 
-	sp.SetAttr("leads", strconv.Itoa(len(leadKeys)))
-	sp.SetAttr("joins", strconv.Itoa(len(joins)))
+	if sp != nil {
+		sp.SetAttr("leads", strconv.Itoa(len(leadKeys)))
+		sp.SetAttr("joins", strconv.Itoa(len(joins)))
+	}
 	// EXPLAIN ANALYZE attribution: requested vs physically fetched (leads)
 	// vs served by joining another key's flight. Nil profile = no-op.
 	obs.ProfileFrom(ctx).AddCoalesce(len(keys), len(leadKeys), len(joins))
 
-	var whole error // non-batch failure of the lead fetch
+	var failed []KeyError
 	if len(leadKeys) > 0 {
-		vals := make([]float64, len(leadKeys))
-		err := s.inner.BatchGetCtx(ctx, leadKeys, vals)
+		lead.vals = make([]float64, len(leadKeys))
+		err := s.inner.BatchGetCtx(ctx, leadKeys, lead.vals)
 		s.fetched.Add(int64(len(leadKeys)))
 		obsCoalesce(0, int64(len(leadKeys)), 0)
-		var be *BatchError
-		switch {
-		case err == nil:
-		case errors.As(err, &be):
-			for _, ke := range be.Failed {
-				flights[ke.Index].err = ke.Err
-			}
-		default:
-			whole = err
-			for _, f := range flights {
-				f.err = err
+		if err != nil {
+			var be *BatchError
+			if errors.As(err, &be) {
+				lead.errs = make([]error, len(leadKeys))
+				for _, ke := range be.Failed {
+					lead.errs[ke.Index] = ke.Err
+				}
+			} else {
+				lead.err = err
 			}
 		}
 		s.mu.Lock()
@@ -152,40 +165,37 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 			delete(s.inflight, k)
 		}
 		s.mu.Unlock()
-		for j, f := range flights {
-			f.val = vals[j]
-			close(f.done)
+		close(lead.done)
+		if lead.err != nil {
+			return lead.err
 		}
-		if whole != nil {
-			return whole
-		}
-	}
-
-	// Leads answer their own position; repeats of a lead key within this
-	// batch are among the joins.
-	var failed []KeyError
-	for j, f := range flights {
-		if f.err != nil {
-			failed = append(failed, KeyError{Index: leadPos[j], Key: leadKeys[j], Err: f.err})
-		} else {
-			dst[leadPos[j]] = f.val
+		// Leads answer their own position; repeats of a lead key within this
+		// batch are among the joins.
+		for j, pos := range leadPos {
+			v, err := flightRef{f: lead, at: j}.result()
+			if err != nil {
+				failed = append(failed, KeyError{Index: pos, Key: leadKeys[j], Err: err})
+				continue
+			}
+			dst[pos] = v
 		}
 	}
 	for _, jn := range joins {
 		select {
-		case <-jn.f.done:
+		case <-jn.ref.f.done:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 		s.coalesced.Add(1)
 		obsCoalesce(0, 0, 1)
-		if jn.f.err != nil {
-			failed = append(failed, KeyError{Index: jn.pos, Key: keys[jn.pos], Err: jn.f.err})
+		v, err := jn.ref.result()
+		if err != nil {
+			failed = append(failed, KeyError{Index: jn.pos, Key: keys[jn.pos], Err: err})
 			continue
 		}
-		dst[jn.pos] = jn.f.val
+		dst[jn.pos] = v
 	}
-	sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
+	slices.SortFunc(failed, func(a, b KeyError) int { return cmp.Compare(a.Index, b.Index) })
 	return batchError(failed)
 }
 

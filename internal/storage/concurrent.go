@@ -84,6 +84,10 @@ func (s *ConcurrentStore) Enumerable() bool { return IsEnumerable(s.inner) }
 // ConcurrentSafe implements the IsConcurrent capability check.
 func (s *ConcurrentStore) ConcurrentSafe() bool { return true }
 
+// InMemory implements the IsInMemory capability check: a mutex adds no
+// fetch, so the wrapper answers from memory when the store it wraps does.
+func (s *ConcurrentStore) InMemory() bool { return IsInMemory(s.inner) }
+
 var (
 	_ Updatable  = (*ConcurrentStore)(nil)
 	_ Enumerable = (*ConcurrentStore)(nil)

@@ -175,6 +175,10 @@ func (s *InstrumentedStore) ForEachNonzero(fn func(key int, value float64) bool)
 // is stateless, so it is as safe as the store it wraps.
 func (s *InstrumentedStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
 
+// InMemory implements the IsInMemory capability check: timing a fetch does
+// not change where it is answered from.
+func (s *InstrumentedStore) InMemory() bool { return IsInMemory(s.inner) }
+
 var (
 	_ Updatable  = (*InstrumentedStore)(nil)
 	_ Enumerable = (*InstrumentedStore)(nil)

@@ -221,6 +221,10 @@ func (s *RetryStore) ForEachNonzero(fn func(key int, value float64) bool) {
 // layer's own state is atomic, so it is as safe as the store it wraps.
 func (s *RetryStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
 
+// InMemory implements the IsInMemory capability check: over a store that
+// answers from memory nothing fails, so the layer never backs off.
+func (s *RetryStore) InMemory() bool { return IsInMemory(s.inner) }
+
 var (
 	_ Updatable  = (*RetryStore)(nil)
 	_ Enumerable = (*RetryStore)(nil)

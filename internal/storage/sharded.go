@@ -196,6 +196,9 @@ func (s *ShardedStore) ForEachNonzero(fn func(key int, value float64) bool) {
 // ConcurrentSafe implements the IsConcurrent capability check.
 func (s *ShardedStore) ConcurrentSafe() bool { return true }
 
+// InMemory implements the IsInMemory capability check.
+func (s *ShardedStore) InMemory() bool { return true }
+
 func nextPow2(n int) int {
 	p := 1
 	for p < n {

@@ -99,17 +99,73 @@ func IsConcurrent(s Store) bool {
 	return ok && c.ConcurrentSafe()
 }
 
+// memoryCapable is the capability check implemented by stores that answer,
+// or may answer, every retrieval from process memory: the in-memory base
+// stores answer true, wrappers that add no fetch of their own forward the
+// wrapped store's answer. A store without the method (files, layouts, remote
+// shards, fault injectors) does not.
+type memoryCapable interface {
+	InMemory() bool
+}
+
+// IsInMemory reports whether s answers every retrieval from process memory —
+// a fetch costs an index or a probe, never a read, a round trip or a stall.
+// Whoever assembles a store stack uses it to leave out the layers that only
+// pay for themselves over a slow fetch (CoalescingStore).
+func IsInMemory(s Store) bool {
+	c, ok := s.(memoryCapable)
+	return ok && c.InMemory()
+}
+
+// MemoryStore is what a build site fills: an in-memory base store it can add
+// coefficients to and enumerate. It is not safe for concurrent use.
+type MemoryStore interface {
+	Updatable
+	Enumerable
+}
+
+// NewMemoryStore returns the empty in-memory base store for count nonzero
+// coefficients of a domain of cells cells: the paper's array-based storage
+// when the dense array is strictly smaller than the hash table the count
+// would reserve, its hash-based storage otherwise. A slot is 16 bytes and a
+// cell 8, so that is cells < 2·slots(count); for a power-of-two domain,
+// exactly count > 7/16·cells. A tie stays on the table, which does not grow
+// with the domain. partitions > 1 says the store will hold one
+// ShardOf(·, partitions) partition of a key set (see NewHashStorePartition);
+// count is then that partition's share. cells ≤ 0 — a domain the caller does
+// not know — selects the table. Every site that builds a base store from a
+// declared size chooses through this function: loading a file, partitioning
+// for a shard, MVCC compaction.
+//
+// The array is never the larger allocation, so a header that lies about its
+// sizes cannot make this function allocate more than the table its count
+// always cost.
+func NewMemoryStore(cells, count, partitions int) MemoryStore {
+	if cells > 0 && cells < 2*slotsFor(count) {
+		return NewArrayStore(make([]float64, cells))
+	}
+	return NewHashStorePartition(count, partitions)
+}
+
 // ArrayStore keeps the full dense coefficient array. Access is a bounds
 // check and an index — the paper's "array-based storage".
 type ArrayStore struct {
 	cells      []float64
+	nonzero    int
 	retrievals int64
 }
 
-// NewArrayStore wraps the given dense coefficient array. The caller retains
-// no ownership obligations; the store aliases the slice.
+// NewArrayStore wraps the given dense coefficient array. The store aliases
+// the slice and counts its nonzero cells here, once; from then on it is
+// written only through Add, which keeps the count.
 func NewArrayStore(cells []float64) *ArrayStore {
-	return &ArrayStore{cells: cells}
+	s := &ArrayStore{cells: cells}
+	for _, v := range cells {
+		if v != 0 {
+			s.nonzero++
+		}
+	}
+	return s
 }
 
 // BatchGetCtx implements Store with one counter update for the batch.
@@ -135,7 +191,15 @@ func (s *ArrayStore) Add(key int, delta float64) {
 	if key < 0 || key >= len(s.cells) {
 		panic(fmt.Sprintf("storage: key %d out of range [0,%d)", key, len(s.cells)))
 	}
-	s.cells[key] += delta
+	old := s.cells[key]
+	v := old + delta
+	s.cells[key] = v
+	switch {
+	case old == 0 && v != 0:
+		s.nonzero++
+	case old != 0 && v == 0:
+		s.nonzero--
+	}
 }
 
 // Retrievals implements Store.
@@ -144,16 +208,11 @@ func (s *ArrayStore) Retrievals() int64 { return s.retrievals }
 // ResetStats implements Store.
 func (s *ArrayStore) ResetStats() { s.retrievals = 0 }
 
-// NonzeroCount implements Store.
-func (s *ArrayStore) NonzeroCount() int {
-	n := 0
-	for _, v := range s.cells {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+// NonzeroCount implements Store: the count is kept as cells are written.
+func (s *ArrayStore) NonzeroCount() int { return s.nonzero }
+
+// InMemory implements the IsInMemory capability check.
+func (s *ArrayStore) InMemory() bool { return true }
 
 // Size returns the total number of cells (zero or not).
 func (s *ArrayStore) Size() int { return len(s.cells) }
@@ -252,6 +311,9 @@ func (s *HashStore) ResetStats() { s.retrievals = 0 }
 
 // NonzeroCount implements Store.
 func (s *HashStore) NonzeroCount() int { return s.cells.n }
+
+// InMemory implements the IsInMemory capability check.
+func (s *HashStore) InMemory() bool { return true }
 
 // ForEachNonzero implements Enumerable in the table's walk order, which is
 // the same for every store built by the same sequence of Adds.

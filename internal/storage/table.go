@@ -129,14 +129,20 @@ func (t *table) remove(i uint64) {
 	t.n--
 }
 
-// reserve makes room for n entries in one allocation, so that adding up to n
-// keys never rehashes.
-func (t *table) reserve(n int) {
-	capacity := len(t.slots)
+// slotsFor is the capacity of a table reserved for n entries: the smallest
+// power of two, at least minTableSlots, that holds them within the load limit.
+func slotsFor(n int) int {
+	capacity := minTableSlots
 	for maxLive(capacity) < n {
 		capacity *= 2
 	}
-	if capacity > len(t.slots) {
+	return capacity
+}
+
+// reserve makes room for n entries in one allocation, so that adding up to n
+// keys never rehashes.
+func (t *table) reserve(n int) {
+	if capacity := slotsFor(n); capacity > len(t.slots) {
 		t.resize(capacity)
 	}
 }

@@ -94,6 +94,29 @@ func openLayout(t *testing.T, hat []float64, opts layout.Options) subject {
 	return subject{store: s, want: hat, bounded: true}
 }
 
+// memoryStore fills what storage.NewMemoryStore returns for the nonzero
+// entries of want, the way a loader does: ascending keys, count declared up
+// front.
+func memoryStore(t *testing.T, want []float64, wantArray bool) subject {
+	t.Helper()
+	count := 0
+	for _, v := range want {
+		if v != 0 {
+			count++
+		}
+	}
+	s := storage.NewMemoryStore(len(want), count, 1)
+	if _, isArray := s.(*storage.ArrayStore); isArray != wantArray {
+		t.Fatalf("%d coefficients of %d cells are held as %T", count, len(want), s)
+	}
+	for k, v := range want {
+		if v != 0 {
+			s.Add(k, v)
+		}
+	}
+	return subject{store: s, want: want, bounded: wantArray}
+}
+
 // subjects lists every store type; each build returns a fresh store.
 var subjects = []struct {
 	name  string
@@ -104,6 +127,17 @@ var subjects = []struct {
 	}},
 	{"hash", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewHashStoreFromDense(hat, 0), want: hat}
+	}},
+	{"memory store, dense", func(t *testing.T, hat []float64, _ int64) subject {
+		return memoryStore(t, hat, true)
+	}},
+	{"memory store, sparse", func(t *testing.T, hat []float64, _ int64) subject {
+		// A quarter of the transform: under the 7/16 where the array wins.
+		want := make([]float64, len(hat))
+		for k := 0; k < len(hat); k += 4 {
+			want[k] = hat[k]
+		}
+		return memoryStore(t, want, false)
 	}},
 	{"sharded", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewShardedStoreFromDense(hat, 0, 8), want: hat}

@@ -270,14 +270,15 @@ func (db *Database) Save(w io.Writer) error {
 
 // LoadDatabase deserializes a database previously written with Save.
 // The filter is resolved from the built-in set by name. Coefficients stream
-// from the decoder straight into a hash store sized from the file's header —
-// there is no intermediate copy — and the coefficient mass is summed on the
-// way in, in the file's ascending key order; nothing is returned unless the
-// stream's checksum verifies.
+// from the decoder straight into a store sized from the file's header — the
+// dense array or the hash table, whichever storage.NewMemoryStore finds
+// smaller for the declared domain and count; there is no intermediate copy —
+// and the coefficient mass is summed on the way in, in the file's ascending
+// key order; nothing is returned unless the stream's checksum verifies.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	var (
 		db    *Database
-		store *storage.HashStore
+		store storage.MemoryStore
 		mass  float64
 	)
 	err := codec.Decode(r, func(h *codec.Header) (func(int, float64), error) {
@@ -285,7 +286,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		if err != nil {
 			return nil, fmt.Errorf("repro: stored database uses %w", err)
 		}
-		store = storage.NewHashStoreSized(h.Count)
+		store = storage.NewMemoryStore(h.Schema.Cells(), h.Count, 1)
 		db = &Database{schema: h.Schema, filter: filter, store: store, windows: h.Windows}
 		db.tuples.Store(h.TupleCount)
 		return func(k int, v float64) {
@@ -417,13 +418,21 @@ func (db *Database) EnsureConcurrent() {
 // and how many were served by joining another run's in-flight fetch.
 type CoalesceStats = storage.CoalesceStats
 
+// InMemory reports whether the database's store answers every retrieval from
+// process memory (an in-memory store, under wrappers that add no fetch of
+// their own; under MVCC, the base chain) rather than from a file, a shard or
+// through an injected fault. Whoever assembles the serving stack uses it to
+// leave out layers that only pay for themselves over a slow fetch.
+func (db *Database) InMemory() bool { return storage.IsInMemory(db.store) }
+
 // EnableCoalescing inserts a singleflight layer over the (concurrent-safe)
 // store so runs advancing in parallel — e.g. under the internal scheduler —
 // fetch each overlapping coefficient once: the paper's intra-batch I/O
 // sharing extended across concurrent batches. Call EnsureConcurrent first
 // for stores that are not already concurrent-safe. After this call,
 // Retrievals counts physical fetches only; per-run retrieval counts are
-// unchanged. Idempotent.
+// unchanged. Over a store that answers from memory (InMemory) the layer
+// costs more than the fetches it saves. Idempotent.
 func (db *Database) EnableCoalescing() error {
 	if db.mvcc != nil {
 		// Under MVCC the coalescing layer wraps the immutable base of every

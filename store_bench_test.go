@@ -1,12 +1,14 @@
 package repro
 
 // The in-memory store's benches behind BENCH_storage.json's "in-memory store"
-// row (`make bench-storage`): what `wvqd -db` pays to bring a .wvdb into the
-// hash store, what it then keeps resident per coefficient, and what one
-// lookup costs — on the synthetic temperature set at the benchmark fixture's
-// size (32×32×8×32×32, ≈ 6.3 M coefficients) and at an eighth of its domain
-// (every one of its 2²⁰ cells nonzero). They use only API that predates the flat table, so the same file
-// measures the parent commit.
+// row (`make bench-storage`): what `wvqd -db` pays to bring a .wvdb into
+// memory, what it then keeps resident per coefficient, and what one lookup
+// costs — on the synthetic temperature set at the benchmark fixture's size
+// (32×32×8×32×32, ≈ 6.3 M coefficients, 75 % of the cells), at an eighth of
+// its domain (every one of its 2²⁰ cells nonzero) and on a sparse transform
+// of the full domain (24 records: an eighth of the cells), so that both sides
+// of storage.NewMemoryStore's array-or-table rule keep a row. They use only
+// API that predates the flat table, so the same file measures older commits.
 
 import (
 	"bytes"
@@ -23,6 +25,7 @@ type storeBenchCase struct {
 	name     string
 	tempBins int
 	records  int
+	filter   *Filter
 
 	once sync.Once
 	err  error
@@ -37,8 +40,9 @@ type storeBenchCase struct {
 }
 
 var storeBenchCases = []*storeBenchCase{
-	{name: "1M", tempBins: 4, records: 25_000},
-	{name: "6M", tempBins: 32, records: 200_000},
+	{name: "1M", tempBins: 4, records: 25_000, filter: Db6},
+	{name: "6M", tempBins: 32, records: 200_000, filter: Db6},
+	{name: "sparse", tempBins: 32, records: 24, filter: Db4},
 }
 
 func (c *storeBenchCase) build(b *testing.B) {
@@ -51,7 +55,7 @@ func (c *storeBenchCase) build(b *testing.B) {
 			c.err = err
 			return
 		}
-		db, err := NewDatabase(dist, Db6)
+		db, err := NewDatabase(dist, c.filter)
 		if err != nil {
 			c.err = err
 			return
@@ -125,14 +129,15 @@ func BenchmarkLoadDatabase(b *testing.B) {
 			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/n, "resident-B/coeff")
 			b.ReportMetric(float64(len(c.file))/n, "file-B/coeff")
 			b.ReportMetric(n, "coeffs")
+			b.ReportMetric(n/float64(db.Schema().Cells()), "density")
 		})
 	}
 }
 
-// BenchmarkHashStoreBatchGet asks the loaded hash store for one plan's whole
-// retrieval schedule per call (a different plan each call), and for 16 Ki
-// uniformly random keys per call.
-func BenchmarkHashStoreBatchGet(b *testing.B) {
+// BenchmarkStoreBatchGet asks the loaded store — array or table, as
+// LoadDatabase chose — for one plan's whole retrieval schedule per call (a
+// different plan each call), and for 16 Ki uniformly random keys per call.
+func BenchmarkStoreBatchGet(b *testing.B) {
 	for _, c := range storeBenchCases {
 		c.build(b)
 		run := func(name string, batches [][]int) {
