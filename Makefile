@@ -1,5 +1,5 @@
 # Development targets. `make check` is the gate: vet + errlint + obs-lint +
-# sort-lint + metric-lint + build + the bench-module build + tests + race-enabled tests +
+# sort-lint + stack-lint + metric-lint + build + the bench-module build + tests + race-enabled tests +
 # fuzz, in that order, failing fast. `make cover` prints a per-package
 # coverage summary. `make bench` runs the
 # parallel-engine and scheduler benchmarks at a fixed iteration count
@@ -21,11 +21,11 @@
 
 GO ?= go
 
-.PHONY: all check vet errlint obs-lint sort-lint metric-lint build bench-build test race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
+.PHONY: all check vet errlint obs-lint sort-lint stack-lint metric-lint build bench-build test race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
 
 all: check
 
-check: vet errlint obs-lint sort-lint metric-lint build bench-build test race fuzz
+check: vet errlint obs-lint sort-lint stack-lint metric-lint build bench-build test race fuzz
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +51,13 @@ obs-lint:
 sort-lint:
 	@! grep -nE 'sort\.Slice(Stable)?\(' $$(ls internal/core/*.go | grep -v _test.go) \
 		|| { echo "sort-lint: reflection sort in internal/core; use slices.SortFunc" >&2; exit 1; }
+
+# The store stack is declared, not wrapped on by hand: storage.Stack.Build is
+# the one caller of the layer constructors, so their order is written once.
+# Non-test Go outside internal/storage sets a field of a Stack instead.
+stack-lint:
+	@! grep -rnE 'New(Fault|Retry|Instrumented|Coalescing|Concurrent)Store\(' --include='*.go' . | grep -v _test.go | grep -v '^./internal/storage/' \
+		|| { echo "stack-lint: store layer constructed outside internal/storage; declare it on a storage.Stack" >&2; exit 1; }
 
 # Metric naming hygiene (tools/metriclint): every registered metric is
 # snake_case under the wvq_ prefix, carries literal help text, and each name
@@ -139,11 +146,8 @@ bench-dist:
 
 # Schedule-aware storage benchmarks behind BENCH_storage.json: a cold
 # progressive drain over a 10M-coefficient .wvls layout (mmap and pread
-# paths) vs the same drain over the key-ordered FileStore, against a raw
-# sequential-read bandwidth ceiling. The fixture build takes ~30s; each
-# FileStore iteration drains 10M coefficients through positioned reads, so
-# the whole target runs a few minutes on one core. The in-memory store's row
-# comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
+# paths) against a raw sequential-read bandwidth ceiling. The fixture build
+# takes ~30s. The in-memory store's row comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
 # coefficient dense .wvdb (loaded as arrays) and a sparse one (a table):
 # seconds, bytes allocated, resident bytes/coefficient, and ns/key of the
 # loaded store's lookups in schedule order and on uniform keys. The last line

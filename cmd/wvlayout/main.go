@@ -1,16 +1,11 @@
-// Command wvlayout converts persisted coefficient stores into the
-// schedule-aware .wvls layout format served by wvqd -layout:
+// Command wvlayout converts a persisted database into the schedule-aware
+// .wvls layout format served by wvqd -layout:
 //
-//	wvlayout -in db.wvdb -out db.wvls                 # full database
-//	wvlayout -in coeffs.wvfs -meta db.wvdb -out db.wvls
-//	wvlayout -in coeffs.wvfs -out bare.wvls           # no metadata
+//	wvlayout -in db.wvdb -out db.wvls
 //
-// The input format is detected from its magic: WVDB files (repro.Save)
-// carry schema and filter identity and convert into self-contained
-// layouts; WVFS files (the dense on-disk coefficient array) hold only
-// coefficients, so -meta can point at the .wvdb the coefficients came from
-// to embed the identity wvqd needs. Without it the output is a bare layout
-// usable through the storage API but not servable.
+// The input is a .wvdb file (repro.Save, wvload, wvq -create): it carries
+// the schema and filter identity, so the layout it converts into is
+// self-contained.
 //
 // -hot, -block and -quantize tune the layout: how many leading schedule
 // slots stay raw (mmap-served), the cold-block granularity, and whether
@@ -25,15 +20,13 @@ import (
 	"os"
 
 	"repro"
-	"repro/internal/storage"
 	"repro/internal/storage/layout"
 )
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input file: a .wvdb database (wvload/wvq -create) or a .wvfs coefficient file")
+		in       = flag.String("in", "", "input .wvdb database (wvload/wvq -create)")
 		out      = flag.String("out", "", "output .wvls layout file")
-		metaPath = flag.String("meta", "", "for .wvfs inputs: .wvdb database whose schema/filter identity to embed")
 		hot      = flag.Int("hot", 0, "hot-region slots stored raw (0 = nonzero/8, negative = all)")
 		block    = flag.Int("block", 0, "cold-block granularity in slots (0 = default 4096)")
 		quantize = flag.Bool("quantize", false, "store cold values as float32 (lossy; halves cold bytes)")
@@ -44,47 +37,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := convert(*in, *out, *metaPath, *hot, *block, *quantize); err != nil {
+	if err := convert(*in, *out, *hot, *block, *quantize); err != nil {
 		fmt.Fprintln(os.Stderr, "wvlayout:", err)
 		os.Exit(1)
 	}
 }
 
-// sniffMagic reads the input's 4-byte magic for format detection.
-func sniffMagic(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer func() { _ = f.Close() }()
-	var m [4]byte
-	if _, err := f.ReadAt(m[:], 0); err != nil {
-		return "", fmt.Errorf("reading magic of %s: %w", path, err)
-	}
-	return string(m[:]), nil
-}
-
-func convert(in, out, metaPath string, hot, block int, quantize bool) error {
-	m, err := sniffMagic(in)
-	if err != nil {
-		return err
-	}
-	switch m {
-	case "WVDB":
-		if metaPath != "" {
-			return fmt.Errorf("-meta only applies to .wvfs inputs; %s already carries its identity", in)
-		}
-		return convertDatabase(in, out, hot, block, quantize)
-	case "WVFS":
-		return convertFileStore(in, out, metaPath, hot, block, quantize)
-	default:
-		return fmt.Errorf("%s: unrecognized magic %q (want a .wvdb or .wvfs file)", in, m)
-	}
-}
-
-// convertDatabase converts a full .wvdb database: the embedded identity
-// travels into the layout, so the result is directly servable.
-func convertDatabase(in, out string, hot, block int, quantize bool) error {
+// convert loads the .wvdb database and writes it as a layout: the embedded
+// identity travels along, so the result is directly servable.
+func convert(in, out string, hot, block int, quantize bool) error {
 	f, err := os.Open(in)
 	if err != nil {
 		return err
@@ -98,56 +59,6 @@ func convertDatabase(in, out string, hot, block int, quantize bool) error {
 		HotCount:  hot,
 		BlockSize: block,
 		Quantize:  quantize,
-	}); err != nil {
-		return err
-	}
-	return report(in, out)
-}
-
-// convertFileStore converts a dense .wvfs coefficient file, optionally
-// borrowing identity metadata from the database it was extracted from.
-func convertFileStore(in, out, metaPath string, hot, block int, quantize bool) error {
-	fs, err := storage.OpenFileStore(in)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = fs.Close() }()
-	var meta *layout.Meta
-	cells := fs.Size()
-	if metaPath != "" {
-		f, err := os.Open(metaPath)
-		if err != nil {
-			return err
-		}
-		db, err := repro.LoadDatabase(f)
-		_ = f.Close()
-		if err != nil {
-			return fmt.Errorf("loading -meta database: %w", err)
-		}
-		if got := db.Schema().Cells(); got != cells {
-			return fmt.Errorf("-meta schema has %d cells but %s holds %d", got, in, cells)
-		}
-		meta = &layout.Meta{
-			FilterName: db.Filter().Name,
-			TupleCount: db.TupleCount(),
-			Names:      db.Schema().Names,
-			Sizes:      db.Schema().Sizes,
-			Windows:    db.Windows(),
-		}
-	}
-	keys := make([]int, 0, fs.NonzeroCount())
-	values := make([]float64, 0, fs.NonzeroCount())
-	fs.ForEachNonzero(func(k int, v float64) bool {
-		keys = append(keys, k)
-		values = append(values, v)
-		return true
-	})
-	if err := layout.Write(out, keys, values, layout.WriteOptions{
-		Cells:     cells,
-		HotCount:  hot,
-		BlockSize: block,
-		Quantize:  quantize,
-		Meta:      meta,
 	}); err != nil {
 		return err
 	}
@@ -181,9 +92,6 @@ func report(in, out string) error {
 			fmt.Printf(" %s %.2f,", sec.Name, per(sec.Bytes))
 		}
 		fmt.Printf(" file %.2f (input %.2f)\n", per(st.FileBytes), per(inInfo.Size()))
-		if s.Meta() == nil {
-			fmt.Println("  note: no metadata embedded; wvqd -layout needs it (re-run with -meta)")
-		}
 	}
 	return nil
 }

@@ -51,190 +51,174 @@ import (
 
 	"repro"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/server"
 )
 
-func main() {
+// options is the daemon's parsed command line.
+type options struct {
+	dbPath, layoutPath, addr, pprofAddr string
+	logFormat, logLevel                 string
+	drainTimeout                        time.Duration
+	server                              server.Options
+	robust                              robustConfig
+	mvcc                                mvccConfig
+	dist                                distConfig
+
+	// Shard-server mode (-shard-listen): no HTTP, one partition over TCP.
+	shardListen            string
+	shardIndex, shardCount int
+}
+
+// parseFlags parses and validates the command line. Misconfiguration is an
+// explicit error, never a silently ignored flag — a shard set and a
+// coordinator that disagree about the partition would route keys to the
+// wrong nodes, and a chaos or retry knob that does nothing would pass for a
+// drill that ran.
+func parseFlags(args []string) (*options, error) {
 	var (
-		dbPath       = flag.String("db", "temperature.wvdb", "database file to serve")
-		layoutPath   = flag.String("layout", "", "serve a schedule-aware .wvls layout file instead of -db (read-only; convert with wvlayout)")
-		addr         = flag.String("addr", ":8080", "listen address")
-		maxActive    = flag.Int("max-active", 0, "concurrent runs in the scheduler table (0 = default 64)")
-		maxQueued    = flag.Int("max-queued", 0, "runs waiting behind the table before 429 (0 = default 256)")
-		slice        = flag.Int("slice", 0, "retrievals per scheduling turn (0 = default 512)")
-		workers      = flag.Int("workers", 0, "scheduler worker goroutines (0 = GOMAXPROCS)")
-		planCache    = flag.Int("plan-cache", 0, "prepared plans held in the registry (0 = default 256)")
-		maxPrepared  = flag.Int("max-prepared-per-tenant", 0, "prepared plans one tenant may hold (0 = default 32, negative = unlimited)")
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-		pprofAddr    = flag.String("pprof", "", "serve pprof, /metrics, /debug/traces and /debug/profiles on this address (empty = disabled)")
-		logFormat    = flag.String("log-format", "text", "structured log format: text or json")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-
-		// Diagnostics: -slow-query arms per-request EXPLAIN ANALYZE profiling
-		// and logs any request whose wall time reaches the threshold;
-		// -profile-ring sizes the /debug/profiles ring of retained profiles.
-		slowQuery   = flag.Duration("slow-query", 0, "log an EXPLAIN ANALYZE profile for requests at or above this duration (0 = disabled)")
-		profileRing = flag.Int("profile-ring", 0, "finished profiles retained for /debug/profiles (0 = default 64)")
-
-		// Robustness: retry policy over the store's retrievals, and a
-		// deterministic chaos injector underneath it for resilience drills.
-		retryAttempts = flag.Int("retry-attempts", 0, "retry failed retrievals up to N attempts (0 = no retry layer)")
-		retryBase     = flag.Duration("retry-base", 0, "base backoff delay between retry attempts (0 = default 1ms)")
-		retryTimeout  = flag.Duration("retry-timeout", 0, "per-attempt retrieval timeout (0 = none)")
-
-		chaosErrRate   = flag.Float64("chaos-error-rate", 0, "inject retrieval errors on this fraction of keys [0,1)")
-		chaosErrEvery  = flag.Int("chaos-error-every", 0, "inject a retrieval error every Nth retrieved key (0 = off)")
-		chaosDelayRate = flag.Float64("chaos-delay-rate", 0, "inject latency on this fraction of keys [0,1)")
-		chaosDelay     = flag.Duration("chaos-delay", 0, "latency injected on delayed retrievals")
-		chaosSeed      = flag.Uint64("chaos-seed", 1, "seed of the deterministic chaos schedule")
-
-		// Distributed tier: -shard-listen turns the daemon into a coefficient
-		// shard server (no HTTP); -shards turns it into a coordinator serving
-		// HTTP against remote shards instead of a local database file.
-		shardListen      = flag.String("shard-listen", "", "serve shard -shard-index of -shard-count over TCP on this address instead of HTTP")
-		shardIndex       = flag.Int("shard-index", 0, "this shard's index in [0,-shard-count) (with -shard-listen)")
-		shardCount       = flag.Int("shard-count", 0, "total shards in the deployment, a power of two (with -shard-listen)")
-		shardAddrs       = flag.String("shards", "", "comma-separated shard addresses to coordinate over (shard i must be the i-th address)")
-		shardDialTimeout = flag.Duration("shard-dial-timeout", 0, "per-shard connect timeout (0 = default 2s)")
-		shardTimeout     = flag.Duration("shard-timeout", 0, "per-shard request deadline (0 = default 5s)")
-		shardPool        = flag.Int("shard-pool", 0, "idle connections kept per shard (0 = default 4)")
-
-		// Live updates: -mvcc turns the loaded database into an MVCC snapshot
-		// store — POST /ingest applies write batches, queries pin bit-stable
-		// snapshots, /query?version=N addresses retained versions, and a
-		// background compactor folds update layers into the base.
-		mvccOn        = flag.Bool("mvcc", false, "enable MVCC live updates: POST /ingest, snapshot-pinned queries, ?version= reads")
-		mvccMaxLayers = flag.Int("mvcc-max-layers", 0, "update layers tolerated before background compaction (0 = default 16)")
-		mvccMaxKeys   = flag.Int("mvcc-max-layer-keys", 0, "total overlay coefficients tolerated before background compaction (0 = default 131072)")
-		mvccRetain    = flag.Int("mvcc-retain", 0, "historical versions addressable via ?version= (0 = default 8)")
+		o          options
+		shardAddrs string
 	)
-	flag.Parse()
-	log, err := newLogger(*logFormat, *logLevel)
+	fs := flag.NewFlagSet("wvqd", flag.ContinueOnError)
+	fs.StringVar(&o.dbPath, "db", "temperature.wvdb", "database file to serve")
+	fs.StringVar(&o.layoutPath, "layout", "", "serve a schedule-aware .wvls layout file instead of -db (read-only; convert with wvlayout)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.server.Sched.MaxActive, "max-active", 0, "concurrent runs in the scheduler table (0 = default 64)")
+	fs.IntVar(&o.server.Sched.MaxQueued, "max-queued", 0, "runs waiting behind the table before 429 (0 = default 256)")
+	fs.IntVar(&o.server.Sched.Slice, "slice", 0, "retrievals per scheduling turn (0 = default 512)")
+	fs.IntVar(&o.server.Sched.Workers, "workers", 0, "scheduler worker goroutines (0 = GOMAXPROCS)")
+	fs.IntVar(&o.server.PlanCache, "plan-cache", 0, "prepared plans held in the registry (0 = default 256)")
+	fs.IntVar(&o.server.Sched.MaxPreparedPerTenant, "max-prepared-per-tenant", 0, "prepared plans one tenant may hold (0 = default 32, negative = unlimited)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve pprof, /metrics, /debug/traces and /debug/profiles on this address (empty = disabled)")
+	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
+
+	// Diagnostics: -slow-query arms per-request EXPLAIN ANALYZE profiling
+	// and logs any request whose wall time reaches the threshold;
+	// -profile-ring sizes the /debug/profiles ring of retained profiles.
+	fs.DurationVar(&o.server.SlowQuery, "slow-query", 0, "log an EXPLAIN ANALYZE profile for requests at or above this duration (0 = disabled)")
+	fs.IntVar(&o.server.ProfileRing, "profile-ring", 0, "finished profiles retained for /debug/profiles (0 = default 64)")
+
+	// Robustness: retry policy over the store's retrievals, and a
+	// deterministic chaos injector underneath it for resilience drills.
+	fs.IntVar(&o.robust.retry.MaxAttempts, "retry-attempts", 0, "retry failed retrievals up to N attempts (0 = no retry layer)")
+	fs.DurationVar(&o.robust.retry.BaseDelay, "retry-base", 0, "base backoff delay between retry attempts (0 = default 1ms)")
+	fs.DurationVar(&o.robust.retry.AttemptTimeout, "retry-timeout", 0, "per-attempt retrieval timeout (0 = none)")
+
+	fs.Float64Var(&o.robust.chaos.ErrorRate, "chaos-error-rate", 0, "inject retrieval errors on this fraction of keys [0,1)")
+	fs.IntVar(&o.robust.chaos.ErrorEvery, "chaos-error-every", 0, "inject a retrieval error every Nth retrieved key (0 = off)")
+	fs.Float64Var(&o.robust.chaos.DelayRate, "chaos-delay-rate", 0, "inject latency on this fraction of keys [0,1)")
+	fs.DurationVar(&o.robust.chaos.Delay, "chaos-delay", 0, "latency injected on delayed retrievals")
+	fs.Uint64Var(&o.robust.chaos.Seed, "chaos-seed", 1, "seed of the deterministic chaos schedule")
+
+	// Distributed tier: -shard-listen turns the daemon into a coefficient
+	// shard server (no HTTP); -shards turns it into a coordinator serving
+	// HTTP against remote shards instead of a local database file.
+	fs.StringVar(&o.shardListen, "shard-listen", "", "serve shard -shard-index of -shard-count over TCP on this address instead of HTTP")
+	fs.IntVar(&o.shardIndex, "shard-index", 0, "this shard's index in [0,-shard-count) (with -shard-listen)")
+	fs.IntVar(&o.shardCount, "shard-count", 0, "total shards in the deployment, a power of two (with -shard-listen)")
+	fs.StringVar(&shardAddrs, "shards", "", "comma-separated shard addresses to coordinate over (shard i must be the i-th address)")
+	fs.DurationVar(&o.dist.opts.DialTimeout, "shard-dial-timeout", 0, "per-shard connect timeout (0 = default 2s)")
+	fs.DurationVar(&o.dist.opts.RequestTimeout, "shard-timeout", 0, "per-shard request deadline (0 = default 5s)")
+	fs.IntVar(&o.dist.opts.PoolSize, "shard-pool", 0, "idle connections kept per shard (0 = default 4)")
+
+	// Live updates: -mvcc turns the loaded database into an MVCC snapshot
+	// store — POST /ingest applies write batches, queries pin bit-stable
+	// snapshots, /query?version=N addresses retained versions, and a
+	// background compactor folds update layers into the base.
+	fs.BoolVar(&o.mvcc.enabled, "mvcc", false, "enable MVCC live updates: POST /ingest, snapshot-pinned queries, ?version= reads")
+	fs.IntVar(&o.mvcc.cfg.MaxLayers, "mvcc-max-layers", 0, "update layers tolerated before background compaction (0 = default 16)")
+	fs.IntVar(&o.mvcc.cfg.MaxLayerKeys, "mvcc-max-layer-keys", 0, "total overlay coefficients tolerated before background compaction (0 = default 131072)")
+	fs.IntVar(&o.mvcc.cfg.Retain, "mvcc-retain", 0, "historical versions addressable via ?version= (0 = default 8)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	var robustSet []string // the -retry-*/-chaos-* flags given, whatever their values
+	fs.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "retry-") || strings.HasPrefix(f.Name, "chaos-") {
+			robustSet = append(robustSet, "-"+f.Name)
+		}
+	})
+	retry, chaos, mv := o.robust.retry, o.robust.chaos, o.mvcc.cfg
+	switch {
+	case o.shardListen != "" && shardAddrs != "":
+		return nil, errors.New("-shard-listen (shard server) and -shards (coordinator) are mutually exclusive")
+	// A layout file is a complete local view: it cannot be partitioned into
+	// shards after the fact and a coordinator has no local store at all.
+	case o.layoutPath != "" && (o.shardListen != "" || shardAddrs != ""):
+		return nil, errors.New("-layout is a local serving mode; it cannot be combined with -shard-listen or -shards")
+	case o.server.SlowQuery < 0:
+		return nil, errors.New("-slow-query must be non-negative")
+	case o.server.ProfileRing < 0:
+		return nil, errors.New("-profile-ring must be non-negative")
+	// A shard server answers retrieval frames, not queries: there is nothing
+	// to profile at that granularity there, and it serves its partition
+	// through a stack with no retry or chaos layer.
+	case o.shardListen != "" && (o.server.SlowQuery != 0 || o.server.ProfileRing != 0):
+		return nil, errors.New("-slow-query/-profile-ring only apply to query-serving modes, not -shard-listen")
+	case o.shardListen != "" && len(robustSet) > 0:
+		return nil, fmt.Errorf("-shard-listen serves through no retry or chaos layer; drop %s", strings.Join(robustSet, ", "))
+	case o.shardListen == "" && (o.shardIndex != 0 || o.shardCount != 0):
+		return nil, errors.New("-shard-index/-shard-count only apply with -shard-listen")
+	case shardAddrs == "" && o.dist.opts != (repro.DistOptions{}):
+		return nil, errors.New("-shard-dial-timeout/-shard-timeout/-shard-pool only apply with -shards")
+	// MVCC needs a local, writable, enumerable view: a layout file is
+	// read-only, a coordinator has no local store, and a shard server does
+	// not take writes.
+	case o.mvcc.enabled && (o.layoutPath != "" || o.shardListen != "" || shardAddrs != ""):
+		return nil, errors.New("-mvcc serves a local database file; it cannot be combined with -layout, -shard-listen or -shards")
+	case !o.mvcc.enabled && (mv.MaxLayers != 0 || mv.MaxLayerKeys != 0 || mv.Retain != 0):
+		return nil, errors.New("-mvcc-max-layers/-mvcc-max-layer-keys/-mvcc-retain only apply with -mvcc")
+	case retry.MaxAttempts == 0 && (retry.BaseDelay != 0 || retry.AttemptTimeout != 0):
+		return nil, errors.New("-retry-base/-retry-timeout only apply with -retry-attempts")
+	case chaos.Delay != 0 && chaos.DelayRate == 0:
+		return nil, errors.New("-chaos-delay only applies with -chaos-delay-rate")
+	}
+	if o.shardListen != "" {
+		if err := repro.ValidShardCount(o.shardCount); err != nil {
+			return nil, fmt.Errorf("-shard-count: %w", err)
+		}
+		if o.shardIndex < 0 || o.shardIndex >= o.shardCount {
+			return nil, fmt.Errorf("-shard-index %d out of range [0,%d)", o.shardIndex, o.shardCount)
+		}
+	}
+	if shardAddrs != "" {
+		for _, a := range strings.Split(shardAddrs, ",") {
+			a = strings.TrimSpace(a)
+			if a == "" {
+				return nil, errors.New("-shards contains an empty address")
+			}
+			o.dist.shards = append(o.dist.shards, a)
+		}
+		if err := repro.ValidShardCount(len(o.dist.shards)); err != nil {
+			return nil, fmt.Errorf("-shards: %w", err)
+		}
+	}
+	return &o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wvqd:", err)
 		os.Exit(1)
 	}
-	// Distributed-mode flag validation: misconfiguration is an explicit
-	// startup error, never a silently ignored flag — a shard set and a
-	// coordinator that disagree about the partition would route keys to the
-	// wrong nodes.
-	if *shardListen != "" && *shardAddrs != "" {
-		fmt.Fprintln(os.Stderr, "wvqd: -shard-listen (shard server) and -shards (coordinator) are mutually exclusive")
+	log, err := newLogger(o.logFormat, o.logLevel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wvqd:", err)
 		os.Exit(1)
 	}
-	// A layout file is a complete local view: it cannot be partitioned into
-	// shards after the fact and a coordinator has no local store at all.
-	if *layoutPath != "" && (*shardListen != "" || *shardAddrs != "") {
-		fmt.Fprintln(os.Stderr, "wvqd: -layout is a local serving mode; it cannot be combined with -shard-listen or -shards")
-		os.Exit(1)
+	if o.shardListen != "" {
+		err = runShard(o.dbPath, o.shardListen, o.shardIndex, o.shardCount, o.pprofAddr, log)
+	} else {
+		err = run(o.dbPath, o.layoutPath, o.addr, o.pprofAddr, o.server, o.robust, o.dist, o.mvcc, o.drainTimeout, log)
 	}
-	if *slowQuery < 0 {
-		fmt.Fprintln(os.Stderr, "wvqd: -slow-query must be non-negative")
-		os.Exit(1)
-	}
-	if *profileRing < 0 {
-		fmt.Fprintln(os.Stderr, "wvqd: -profile-ring must be non-negative")
-		os.Exit(1)
-	}
-	// A shard server answers retrieval frames, not queries: there is nothing
-	// to profile at that granularity there.
-	if *shardListen != "" && (*slowQuery != 0 || *profileRing != 0) {
-		fmt.Fprintln(os.Stderr, "wvqd: -slow-query/-profile-ring only apply to query-serving modes, not -shard-listen")
-		os.Exit(1)
-	}
-	if *shardListen == "" && (*shardIndex != 0 || *shardCount != 0) {
-		fmt.Fprintln(os.Stderr, "wvqd: -shard-index/-shard-count only apply with -shard-listen")
-		os.Exit(1)
-	}
-	if *shardAddrs == "" && (*shardDialTimeout != 0 || *shardTimeout != 0 || *shardPool != 0) {
-		fmt.Fprintln(os.Stderr, "wvqd: -shard-dial-timeout/-shard-timeout/-shard-pool only apply with -shards")
-		os.Exit(1)
-	}
-	// MVCC needs a local, writable, enumerable view: a layout file is
-	// read-only, a coordinator has no local store, and a shard server does
-	// not take writes.
-	if *mvccOn && (*layoutPath != "" || *shardListen != "" || *shardAddrs != "") {
-		fmt.Fprintln(os.Stderr, "wvqd: -mvcc serves a local database file; it cannot be combined with -layout, -shard-listen or -shards")
-		os.Exit(1)
-	}
-	if !*mvccOn && (*mvccMaxLayers != 0 || *mvccMaxKeys != 0 || *mvccRetain != 0) {
-		fmt.Fprintln(os.Stderr, "wvqd: -mvcc-max-layers/-mvcc-max-layer-keys/-mvcc-retain only apply with -mvcc")
-		os.Exit(1)
-	}
-	if *shardListen != "" {
-		if err := repro.ValidShardCount(*shardCount); err != nil {
-			fmt.Fprintln(os.Stderr, "wvqd: -shard-count:", err)
-			os.Exit(1)
-		}
-		if *shardIndex < 0 || *shardIndex >= *shardCount {
-			fmt.Fprintf(os.Stderr, "wvqd: -shard-index %d out of range [0,%d)\n", *shardIndex, *shardCount)
-			os.Exit(1)
-		}
-		if err := runShard(*dbPath, *shardListen, *shardIndex, *shardCount, *pprofAddr, log); err != nil {
-			log.Error("exiting", "error", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var shards []string
-	if *shardAddrs != "" {
-		for _, a := range strings.Split(*shardAddrs, ",") {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				fmt.Fprintln(os.Stderr, "wvqd: -shards contains an empty address")
-				os.Exit(1)
-			}
-			shards = append(shards, a)
-		}
-		if err := repro.ValidShardCount(len(shards)); err != nil {
-			fmt.Fprintln(os.Stderr, "wvqd: -shards:", err)
-			os.Exit(1)
-		}
-	}
-	opts := server.Options{
-		Sched: sched.Config{
-			MaxActive:            *maxActive,
-			MaxQueued:            *maxQueued,
-			Slice:                *slice,
-			Workers:              *workers,
-			MaxPreparedPerTenant: *maxPrepared,
-		},
-		PlanCache:   *planCache,
-		SlowQuery:   *slowQuery,
-		ProfileRing: *profileRing,
-	}
-	robust := robustConfig{
-		retry: repro.RetryConfig{
-			MaxAttempts:    *retryAttempts,
-			BaseDelay:      *retryBase,
-			AttemptTimeout: *retryTimeout,
-		},
-		chaos: repro.FaultConfig{
-			ErrorRate:  *chaosErrRate,
-			ErrorEvery: *chaosErrEvery,
-			DelayRate:  *chaosDelayRate,
-			Delay:      *chaosDelay,
-			Seed:       *chaosSeed,
-		},
-	}
-	dist := distConfig{
-		shards: shards,
-		opts: repro.DistOptions{
-			DialTimeout:    *shardDialTimeout,
-			RequestTimeout: *shardTimeout,
-			PoolSize:       *shardPool,
-		},
-	}
-	mvcc := mvccConfig{
-		enabled: *mvccOn,
-		cfg: repro.MVCCConfig{
-			MaxLayers:    *mvccMaxLayers,
-			MaxLayerKeys: *mvccMaxKeys,
-			Retain:       *mvccRetain,
-		},
-	}
-	if err := run(*dbPath, *layoutPath, *addr, *pprofAddr, opts, robust, dist, mvcc, *drainTimeout, log); err != nil {
+	if err != nil {
 		log.Error("exiting", "error", err)
 		os.Exit(1)
 	}
@@ -253,9 +237,8 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	return log, nil
 }
 
-// robustConfig gathers the optional robustness layers wrapped around the
-// store before the server is built: chaos injection first (innermost), then
-// retries, so the retry layer exercises and recovers the injected faults.
+// robustConfig gathers the optional robustness layers of the store stack:
+// chaos injection, and the retry layer that exercises and recovers it.
 type robustConfig struct {
 	retry repro.RetryConfig
 	chaos repro.FaultConfig
@@ -274,7 +257,7 @@ type distConfig struct {
 }
 
 // mvccConfig selects live-update mode: the loaded database becomes an MVCC
-// snapshot store before any robustness layer wraps it.
+// snapshot store.
 type mvccConfig struct {
 	enabled bool
 	cfg     repro.MVCCConfig
@@ -317,9 +300,8 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, robust
 		}
 	}
 	defer func() { _ = db.Close() }()
-	// MVCC goes on first: the store becomes the frozen version-0 base, and
-	// every later layer (chaos, retries, instrumentation, the server's
-	// coalescing) wraps the base of each immutable snapshot.
+	// Each call below declares one layer of the store stack; the database
+	// builds them in its one fixed order (the "serving" line prints it).
 	if mvcc.enabled {
 		if err := db.EnableMVCC(mvcc.cfg); err != nil {
 			return fmt.Errorf("enabling MVCC: %w", err)
@@ -342,9 +324,7 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, robust
 		db.EnableRetries(robust.retry)
 		log.Info("retries on", "max_attempts", robust.retry.MaxAttempts)
 	}
-	// Retrieval timing sits above retries and below the server's coalescing
-	// layer; the observer below arms it.
-	db.EnableInstrumentation()
+	db.EnableInstrumentation() // the observer below arms it
 	h := server.NewWithOptions(db, opts)
 	o := obs.NewObserver()
 	o.Log = log
@@ -356,7 +336,8 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, robust
 		"attributes", fmt.Sprint(db.Schema().Names),
 		"sizes", fmt.Sprint(db.Schema().Sizes),
 		"coefficients", db.NonzeroCoefficients(),
-		"filter", db.Filter().Name)
+		"filter", db.Filter().Name,
+		"store_stack", db.StoreStack())
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           h,
@@ -449,7 +430,8 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 		"shards", count,
 		"coefficients", ss.Nonzero(),
 		"mass", ss.Mass(),
-		"filter", ss.FilterName())
+		"filter", ss.FilterName(),
+		"store_stack", ss.StoreStack())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -37,8 +37,9 @@ func ValidShardCount(n int) error { return dist.ValidShardCount(n) }
 // database) or LoadShardServer (from a database file), then Serve on a
 // listener; the coordinator side is OpenDistributed.
 type ShardServer struct {
-	srv  *dist.Server
-	meta codec.ShardMeta
+	srv   *dist.Server
+	meta  codec.ShardMeta
+	stack string
 }
 
 // NewShardServer extracts shard index of count from the database (the
@@ -50,8 +51,8 @@ type ShardServer struct {
 // database); the coordinator cross-checks both at open time. logger may be
 // nil for silence.
 func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*ShardServer, error) {
-	st := db.evalStore() // one stable view under MVCC
-	if !storage.IsEnumerable(st) {
+	st, ok := db.enumStore()
+	if !ok {
 		return nil, fmt.Errorf("repro: store %T cannot enumerate; cannot partition it into shards", st)
 	}
 	part, nonzero, mass, err := dist.Partition(st.(storage.Enumerable), index, count)
@@ -111,15 +112,15 @@ func LoadShardServer(r io.Reader, index, count int, logger *slog.Logger) (*Shard
 	return newShardServer(st, logger, meta), nil
 }
 
-// newShardServer serves part, behind a mutex when it does not synchronize
-// itself: every connection of a dist.Server retrieves from its own goroutine,
-// and a plain store counts retrievals with an unsynchronized write.
+// newShardServer serves part through a one-layer stack: every connection of
+// a dist.Server retrieves from its own goroutine.
 func newShardServer(part storage.Store, logger *slog.Logger, meta codec.ShardMeta) *ShardServer {
-	if !storage.IsConcurrent(part) {
-		part = storage.NewConcurrentStore(part)
-	}
-	return &ShardServer{srv: dist.NewServer(part, meta, logger), meta: meta}
+	top := storage.Stack{Concurrent: true}.Chain(part)
+	return &ShardServer{srv: dist.NewServer(top, meta, logger), meta: meta, stack: storage.Describe(top)}
 }
+
+// StoreStack prints the store stack the shard serves from, base first.
+func (s *ShardServer) StoreStack() string { return s.stack }
 
 // Serve accepts shard-protocol connections on ln until Close. It returns
 // nil after Close.
@@ -234,14 +235,8 @@ func OpenDistributed(addrs []string, opts DistOptions) (*Database, error) {
 		closeAll()
 		return nil, err
 	}
-	db := &Database{
-		schema:     schema,
-		filter:     filter,
-		store:      coord,
-		windows:    metas[0].Windows,
-		cachedMass: &mass,
-		coord:      coord,
-	}
+	db := newDatabase(schema, filter, coord)
+	db.windows, db.cachedMass, db.coord = metas[0].Windows, &mass, coord
 	db.tuples.Store(metas[0].TupleCount)
 	return db, nil
 }

@@ -137,7 +137,7 @@ func TestReadRejectsStructuralLies(t *testing.T) {
 	}
 }
 
-func TestRoundTripThroughFileStore(t *testing.T) {
+func TestRoundTripArrayToHashStore(t *testing.T) {
 	// A snapshot written from an array store and reloaded into a hash store
 	// answers identically.
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{8, 8})

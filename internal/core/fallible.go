@@ -273,7 +273,7 @@ func (p *Plan) ExactParallel(store storage.Store, workers int) []float64 {
 //
 // The fetch phase issues chunked BatchGetCtx calls — concurrently when the
 // store is concurrent-safe, as one batch otherwise (still hitting the
-// store's batched fast path, e.g. FileStore's coalesced reads). The apply
+// store's batched fast path, e.g. the layout store's block reads). The apply
 // phase (applyEvalIndex) partitions *queries* across workers, so each
 // query's estimate is accumulated by exactly one worker in ascending
 // master-list order: results are bit-identical for every worker count. Any

@@ -240,12 +240,6 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	return &storage.BatchError{Failed: merged}
 }
 
-// Add implements storage.Updatable by refusing: the distributed view is
-// read-only — ingestion happens before partitioning, on the shard side.
-func (c *CoordinatorStore) Add(key int, delta float64) {
-	panic("dist: CoordinatorStore is read-only; load tuples before partitioning")
-}
-
 // Retrievals implements storage.Store, counting keys requested through the
 // coordinator.
 func (c *CoordinatorStore) Retrievals() int64 { return c.retrievals.Load() }
@@ -269,6 +263,9 @@ func (c *CoordinatorStore) NonzeroCount() int {
 // concurrent-safe.
 func (c *CoordinatorStore) ConcurrentSafe() bool { return true }
 
+// StackName names the coordinator in storage.Describe.
+func (c *CoordinatorStore) StackName() string { return "shards" }
+
 // Close closes every shard client that supports closing.
 func (c *CoordinatorStore) Close() error {
 	var first error
@@ -282,4 +279,4 @@ func (c *CoordinatorStore) Close() error {
 	return first
 }
 
-var _ storage.Updatable = (*CoordinatorStore)(nil)
+var _ storage.Store = (*CoordinatorStore)(nil)

@@ -417,7 +417,7 @@ func TestDirectAddPanics(t *testing.T) {
 }
 
 // countingStore wraps a store and counts retrieval calls, standing in for
-// the robustness layers WrapBase composes over the base.
+// the layers a base chain composes over the base.
 type countingStore struct {
 	storage.Store
 	n atomic.Int64
@@ -430,17 +430,17 @@ func (c *countingStore) BatchGetCtx(ctx context.Context, keys []int, dst []float
 
 func (c *countingStore) ConcurrentSafe() bool { return true }
 
-// TestWrapBaseUndo checks that WrapBase routes base reads (and only base
-// reads) through the wrap, and that the undo removes it again.
-func TestWrapBaseUndo(t *testing.T) {
+// TestSetBaseChainUndo checks that SetBaseChain routes base reads (and only
+// base reads) through the chain, and that setting nil removes it again.
+func TestSetBaseChainUndo(t *testing.T) {
 	s := newTestStore(t, Config{})
 	var cs *countingStore
-	undo := s.WrapBase(func(inner storage.Store) storage.Store {
-		cs = &countingStore{Store: inner}
+	s.SetBaseChain(func(raw storage.Store) storage.Store {
+		cs = &countingStore{Store: raw}
 		return cs
 	})
 	if cs == nil {
-		t.Fatalf("wrap not invoked on install")
+		t.Fatalf("chain not built on install")
 	}
 	// A layered key resolves in the overlay without touching the base.
 	if _, err := s.Apply(context.Background(), NewBatch().Add([]int{5, 5}, 1)); err != nil {
@@ -469,7 +469,7 @@ func TestWrapBaseUndo(t *testing.T) {
 	if cs.n.Load() == base {
 		t.Fatalf("base read did not reach the wrap")
 	}
-	undo()
+	s.SetBaseChain(nil)
 	after := cs.n.Load()
 	s.head.Load().rawBase.(storage.Enumerable).ForEachNonzero(func(k int, _ float64) bool {
 		storage.Get(s, k)

@@ -97,7 +97,7 @@ func TestResolveReportsBaseFailuresAtCallerPositions(t *testing.T) {
 		return len(baseKeys) < 6
 	})
 	bad := map[int]bool{baseKeys[1]: true, baseKeys[4]: true}
-	s.WrapBase(func(inner storage.Store) storage.Store { return &failKeys{Store: inner, bad: bad} })
+	s.SetBaseChain(func(raw storage.Store) storage.Store { return &failKeys{Store: raw, bad: bad} })
 	if storage.IsInMemory(s) {
 		t.Fatal("a base chain with a failing layer in it reports IsInMemory")
 	}

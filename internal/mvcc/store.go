@@ -79,8 +79,8 @@ func (l *Layer) Len() int { return len(l.vals) }
 type view struct {
 	version Version
 	// rawBase is the unwrapped, enumerable base (compaction source); base
-	// is the serving wrap chain over it (concurrency shim plus whatever
-	// WrapBase installed: chaos, retries, instrumentation, coalescing).
+	// is the top of the serving chain the store's base-chain function built
+	// over it (see SetBaseChain).
 	rawBase storage.Store
 	base    storage.Store
 	// layers is the overlay, newest first.
@@ -94,7 +94,7 @@ type view struct {
 	nonzero int
 	// retr is the owning store's shared retrieval counter; pins counts
 	// explicit retention pins and is shared between re-publications of the
-	// same version (base re-wraps, compaction).
+	// same version (base chain rebuilds, compaction).
 	retr *atomic.Int64
 	pins *atomic.Int64
 }
@@ -195,8 +195,8 @@ func (v *view) ResetStats() { v.retr.Store(0) }
 func (v *view) NonzeroCount() int { return v.nonzero }
 
 // ConcurrentSafe implements the storage.IsConcurrent capability check:
-// views are immutable and the base is behind a concurrency shim, so any
-// number of goroutines may read.
+// views are immutable and the base chain is concurrent-safe, so any number
+// of goroutines may read.
 func (v *view) ConcurrentSafe() bool { return true }
 
 // InMemory implements the storage.IsInMemory capability check: the overlay
@@ -239,7 +239,7 @@ var _ storage.Enumerable = (*view)(nil)
 // itself resolve the head snapshot per call (an atomic pointer load);
 // evaluation paths that must stay bit-stable across a drain capture one view
 // with View or pin one with Snapshot/SnapshotAt. Writers (Apply, Compact,
-// WrapBase) serialize on an internal mutex and never block readers.
+// SetBaseChain) serialize on an internal mutex and never block readers.
 type Store struct {
 	filter *wavelet.Filter
 	dims   []int
@@ -249,11 +249,10 @@ type Store struct {
 	head       atomic.Pointer[view]
 	retrievals atomic.Int64
 
-	// mu serializes writers and guards retained/baseWraps.
+	// mu serializes writers and guards retained/chain.
 	mu       sync.Mutex
 	retained []*view // oldest → newest, includes the head's version
-	wraps    []baseWrap
-	nextWrap int
+	chain    func(raw storage.Store) storage.Store
 
 	// compactMu serializes compactions (manual and auto); compacting gates
 	// the single-flight auto trigger.
@@ -266,11 +265,6 @@ type Store struct {
 	appliedKeys   atomic.Int64
 	compactions   atomic.Int64
 	pinned        atomic.Int64
-}
-
-type baseWrap struct {
-	id int
-	fn func(storage.Store) storage.Store
 }
 
 // New opens an MVCC store over base, which becomes the frozen version-0
@@ -298,7 +292,7 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	if err != nil {
 		return nil, fmt.Errorf("mvcc: %w", err)
 	}
-	s := &Store{filter: f, dims: append([]int(nil), dims...), cells: cells, cfg: cfg}
+	s := &Store{filter: f, dims: append([]int(nil), dims...), cells: cells, cfg: cfg, chain: mutexChain}
 	var mass float64
 	base.(storage.Enumerable).ForEachNonzero(func(_ int, v float64) bool {
 		mass += math.Abs(v)
@@ -313,60 +307,40 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 		retr:    &s.retrievals,
 		pins:    new(atomic.Int64),
 	}
-	v0.base = s.applyWrapsLocked(base)
+	v0.base = s.chain(base)
 	s.head.Store(v0)
 	s.retained = []*view{v0}
 	s.noteHead(v0)
 	return s, nil
 }
 
-// ensureConcurrent shims non-concurrent bases behind a mutex so immutable
-// views can be read from any goroutine (plain stores mutate a retrieval
-// counter on every read).
-func ensureConcurrent(st storage.Store) storage.Store {
-	if storage.IsConcurrent(st) {
-		return st
-	}
-	return storage.NewConcurrentStore(st)
-}
+// mutexChain is the base chain of a store nobody configured: the base behind
+// a mutex unless it synchronizes itself (plain stores write a retrieval
+// counter on every read), so immutable views can be read from any goroutine.
+var mutexChain = storage.Stack{Concurrent: true}.Chain
 
-// applyWrapsLocked builds the serving chain over a raw base: concurrency
-// shim innermost, then every installed wrap in installation order.
-func (s *Store) applyWrapsLocked(raw storage.Store) storage.Store {
-	b := ensureConcurrent(raw)
-	for _, w := range s.wraps {
-		b = w.fn(b)
+// SetBaseChain sets the function that builds the serving chain over a raw
+// base — fault injection, retries, instrumentation, coalescing: whatever the
+// owner's storage.Stack declares — and rebuilds the chain of the current
+// view with it; compaction builds every later base's. The chain must be safe
+// for concurrent retrieval. Overlay layers are in-memory maps and are not
+// served through it. nil restores the default, a mutex where the base needs
+// one. Historical pinned views keep the chain they were published with.
+func (s *Store) SetBaseChain(chain func(raw storage.Store) storage.Store) {
+	if chain == nil {
+		chain = mutexChain
 	}
-	return b
-}
-
-// WrapBase installs a wrap (fault injector, retry layer, instrumentation,
-// coalescing) around the base of the current and every future view —
-// overlay layers are in-memory maps and stay unwrapped. The returned undo
-// removes the wrap again. Historical pinned views keep the chain they were
-// published with.
-func (s *Store) WrapBase(fn func(storage.Store) storage.Store) (undo func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.nextWrap
-	s.nextWrap++
-	s.wraps = append(s.wraps, baseWrap{id: id, fn: fn})
+	s.chain = chain
 	s.republishBaseLocked()
-	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i := range s.wraps {
-			if s.wraps[i].id == id {
-				s.wraps = append(s.wraps[:i], s.wraps[i+1:]...)
-				break
-			}
-		}
-		s.republishBaseLocked()
-	}
 }
 
+// BaseChain returns the top of the serving chain under the current head.
+func (s *Store) BaseChain() storage.Store { return s.head.Load().base }
+
 // republishBaseLocked swaps the head for a clone with the base chain
-// rebuilt from the current wrap list. Values, version, layers and pin
+// rebuilt by the current chain function. Values, version, layers and pin
 // accounting are untouched.
 func (s *Store) republishBaseLocked() {
 	cur := s.head.Load()
@@ -381,7 +355,7 @@ func (s *Store) republishBaseLocked() {
 		retr:      cur.retr,
 		pins:      cur.pins,
 	}
-	nv.base = s.applyWrapsLocked(cur.rawBase)
+	nv.base = s.chain(cur.rawBase)
 	s.head.Store(nv)
 	s.replaceRetainedLocked(nv)
 }
@@ -518,8 +492,8 @@ func (s *Store) Compact(ctx context.Context) error {
 	}
 	// The snapshot knows how many coefficients the fold will write, so the
 	// target is sized once — as an array or a table, by the rule every loader
-	// uses — and, being immutable once published, is served behind the same
-	// concurrency shim as the base the store was opened with.
+	// uses — and is served through the same chain function as the base the
+	// store was opened with.
 	nb := storage.NewMemoryStore(s.cells, snap.nonzero, 1)
 	// Newest-wins fold: overlay keys first (explicit zeros simply aren't
 	// written — an absent base key reads 0), then unshadowed base keys.
@@ -569,7 +543,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		retr:      &s.retrievals,
 		pins:      cur.pins,
 	}
-	nv.base = s.applyWrapsLocked(nb)
+	nv.base = s.chain(nb)
 	s.head.Store(nv)
 	s.replaceRetainedLocked(nv)
 	s.mu.Unlock()

@@ -78,6 +78,9 @@ func TestLayoutBackedServer(t *testing.T) {
 	if stats.Layout.Slots == 0 || stats.Layout.HotSlots != 8 {
 		t.Fatalf("layout stats = %+v", stats.Layout)
 	}
+	if want := "layout → coalesce"; stats.StoreStack != want {
+		t.Fatalf("store_stack = %q, want %q", stats.StoreStack, want)
+	}
 	if stats.Layout.HotHits+stats.Layout.ColdHits == 0 {
 		t.Fatal("query did not count any tiered hits")
 	}

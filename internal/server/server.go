@@ -101,10 +101,7 @@ func NewWithConfig(db *repro.Database, cfg sched.Config) *Handler {
 func NewWithOptions(db *repro.Database, opts Options) *Handler {
 	db.EnsureConcurrent()
 	if !db.InMemory() {
-		if err := db.EnableCoalescing(); err != nil {
-			// Unreachable after EnsureConcurrent; fail loudly if it ever isn't.
-			panic(err)
-		}
+		_ = db.EnableCoalescing() // always nil; the signature predates the declared stack
 	}
 	// A store that cannot enumerate has no coefficient mass; serve without
 	// error bounds rather than refuse to start.
@@ -191,6 +188,9 @@ type StatsResponse struct {
 	// Retrievals counts physical store fetches (coalesced fetches count
 	// once however many runs share them).
 	Retrievals int64 `json:"retrievals"`
+	// StoreStack is the store stack retrievals cross, base first
+	// (repro.Database.StoreStack).
+	StoreStack string `json:"store_stack"`
 	// Scheduler reports admission and slicing counters.
 	Scheduler sched.Stats `json:"scheduler"`
 	// Coalescing reports cross-run I/O sharing.
@@ -300,6 +300,7 @@ func (h *Handler) stats(w http.ResponseWriter) {
 		Sizes:        h.db.Schema().Sizes,
 		Windows:      h.db.Windows(),
 		Retrievals:   h.db.Retrievals(),
+		StoreStack:   h.db.StoreStack(),
 	}
 	if h.met != nil {
 		// One registry snapshot: every scheduler and coalescing number below

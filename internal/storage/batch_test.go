@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // batchCells is a small coefficient array with zeros mixed in.
 func batchCells() []float64 {
@@ -16,8 +13,7 @@ func batchCells() []float64 {
 	return cells
 }
 
-// keysScrambled exercises unsorted input, duplicates, and key gaps larger
-// than the FileStore coalescing window.
+// keysScrambled exercises unsorted input, duplicates, and far-apart keys.
 func keysScrambled() []int {
 	return []int{299, 0, 17, 17, 120, 121, 122, 5, 250, 1, 299, 60}
 }
@@ -75,36 +71,6 @@ func TestGetBatchCachedDisabled(t *testing.T) {
 		if dst[i] != cells[k] {
 			t.Fatalf("dst[%d] = %g, want %g", i, dst[i], cells[k])
 		}
-	}
-}
-
-func TestFileStoreGetBatchCoalescing(t *testing.T) {
-	// A long consecutive run plus a far-away key: values must still land in
-	// request order even though reads are sorted and coalesced.
-	cells := make([]float64, 4096)
-	for i := range cells {
-		cells[i] = float64(i * i)
-	}
-	path := filepath.Join(t.TempDir(), "cells.wvfs")
-	fs, err := CreateFileStore(path, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	var keys []int
-	for k := 100; k < 400; k += 2 { // gaps of 2 — coalesces into one span
-		keys = append(keys, k)
-	}
-	keys = append(keys, 4095, 0, 2048)
-	dst := make([]float64, len(keys))
-	BatchGet(fs, keys, dst)
-	for i, k := range keys {
-		if dst[i] != cells[k] {
-			t.Fatalf("dst[%d] (key %d) = %g, want %g", i, k, dst[i], cells[k])
-		}
-	}
-	if got := fs.Retrievals(); got != int64(len(keys)) {
-		t.Fatalf("retrievals = %d, want %d (cost model counts keys, not syscalls)", got, len(keys))
 	}
 }
 

@@ -208,17 +208,6 @@ func (s *CoalescingStore) Stats() CoalesceStats {
 	}
 }
 
-// Add implements Updatable when the wrapped store does; it panics otherwise.
-// The write goes straight through — the layer holds no cached values to
-// invalidate.
-func (s *CoalescingStore) Add(key int, delta float64) {
-	u, ok := s.inner.(Updatable)
-	if !ok {
-		panic("storage: wrapped store is not updatable")
-	}
-	u.Add(key, delta)
-}
-
 // Retrievals implements Store: physical fetches issued to the wrapped store.
 func (s *CoalescingStore) Retrievals() int64 { return s.inner.Retrievals() }
 
@@ -234,25 +223,7 @@ func (s *CoalescingStore) ResetStats() {
 // NonzeroCount implements Store.
 func (s *CoalescingStore) NonzeroCount() int { return s.inner.NonzeroCount() }
 
-// Enumerable reports whether the wrapped store supports enumeration.
-func (s *CoalescingStore) Enumerable() bool { return IsEnumerable(s.inner) }
-
-// ForEachNonzero implements Enumerable when the wrapped store does; it
-// panics otherwise (check Enumerable first).
-func (s *CoalescingStore) ForEachNonzero(fn func(key int, value float64) bool) {
-	e, ok := s.inner.(Enumerable)
-	if !ok {
-		panic(fmt.Sprintf("storage: %T is not enumerable", s.inner))
-	}
-	e.ForEachNonzero(fn)
-}
-
 // ConcurrentSafe implements the IsConcurrent capability check: the wrapped
 // store was required to be concurrent-safe and the layer synchronizes its
 // own state.
 func (s *CoalescingStore) ConcurrentSafe() bool { return true }
-
-var (
-	_ Updatable  = (*CoalescingStore)(nil)
-	_ Enumerable = (*CoalescingStore)(nil)
-)

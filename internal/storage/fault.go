@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -180,15 +179,6 @@ func (s *FaultStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return batchError(failed)
 }
 
-// Add implements Updatable when the wrapped store does; it panics otherwise.
-func (s *FaultStore) Add(key int, delta float64) {
-	u, ok := s.inner.(Updatable)
-	if !ok {
-		panic(fmt.Sprintf("storage: %T is not updatable", s.inner))
-	}
-	u.Add(key, delta)
-}
-
 // Retrievals implements Store: only retrievals that reached the wrapped
 // store count — an injected failure fails before touching storage.
 func (s *FaultStore) Retrievals() int64 { return s.inner.Retrievals() }
@@ -200,24 +190,6 @@ func (s *FaultStore) ResetStats() { s.inner.ResetStats() }
 // NonzeroCount implements Store.
 func (s *FaultStore) NonzeroCount() int { return s.inner.NonzeroCount() }
 
-// Enumerable reports whether the wrapped store supports enumeration.
-func (s *FaultStore) Enumerable() bool { return IsEnumerable(s.inner) }
-
-// ForEachNonzero implements Enumerable when the wrapped store does; it
-// panics otherwise (check Enumerable first).
-func (s *FaultStore) ForEachNonzero(fn func(key int, value float64) bool) {
-	e, ok := s.inner.(Enumerable)
-	if !ok {
-		panic(fmt.Sprintf("storage: %T is not enumerable", s.inner))
-	}
-	e.ForEachNonzero(fn)
-}
-
 // ConcurrentSafe implements the IsConcurrent capability check: the
 // injector's own state is atomic, so it is as safe as the store it wraps.
 func (s *FaultStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
-
-var (
-	_ Updatable  = (*FaultStore)(nil)
-	_ Enumerable = (*FaultStore)(nil)
-)

@@ -121,12 +121,6 @@ func NewInstrumentedStore(inner Store) *InstrumentedStore {
 	return &InstrumentedStore{inner: inner}
 }
 
-// IsInstrumented reports whether s is an instrumentation wrapper.
-func IsInstrumented(s Store) bool {
-	_, ok := s.(*InstrumentedStore)
-	return ok
-}
-
 // BatchGetCtx implements Store, timing the batch when observed.
 func (s *InstrumentedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	m := stObs()
@@ -140,15 +134,6 @@ func (s *InstrumentedStore) BatchGetCtx(ctx context.Context, keys []int, dst []f
 	return err
 }
 
-// Add implements Updatable when the wrapped store does; it panics otherwise.
-func (s *InstrumentedStore) Add(key int, delta float64) {
-	u, ok := s.inner.(Updatable)
-	if !ok {
-		panic("storage: wrapped store is not updatable")
-	}
-	u.Add(key, delta)
-}
-
 // Retrievals implements Store.
 func (s *InstrumentedStore) Retrievals() int64 { return s.inner.Retrievals() }
 
@@ -158,19 +143,6 @@ func (s *InstrumentedStore) ResetStats() { s.inner.ResetStats() }
 // NonzeroCount implements Store.
 func (s *InstrumentedStore) NonzeroCount() int { return s.inner.NonzeroCount() }
 
-// Enumerable reports whether the wrapped store supports enumeration.
-func (s *InstrumentedStore) Enumerable() bool { return IsEnumerable(s.inner) }
-
-// ForEachNonzero implements Enumerable when the wrapped store does; it
-// panics otherwise (check Enumerable first).
-func (s *InstrumentedStore) ForEachNonzero(fn func(key int, value float64) bool) {
-	e, ok := s.inner.(Enumerable)
-	if !ok {
-		panic("storage: wrapped store is not enumerable")
-	}
-	e.ForEachNonzero(fn)
-}
-
 // ConcurrentSafe implements the IsConcurrent capability check: the wrapper
 // is stateless, so it is as safe as the store it wraps.
 func (s *InstrumentedStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
@@ -178,8 +150,3 @@ func (s *InstrumentedStore) ConcurrentSafe() bool { return IsConcurrent(s.inner)
 // InMemory implements the IsInMemory capability check: timing a fetch does
 // not change where it is answered from.
 func (s *InstrumentedStore) InMemory() bool { return IsInMemory(s.inner) }
-
-var (
-	_ Updatable  = (*InstrumentedStore)(nil)
-	_ Enumerable = (*InstrumentedStore)(nil)
-)

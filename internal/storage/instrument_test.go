@@ -64,17 +64,6 @@ func TestInstrumentedStorePreservesMarkers(t *testing.T) {
 	if !IsConcurrent(conc) {
 		t.Fatal("wrapper must forward the wrapped store's concurrency-safety")
 	}
-	if !IsInstrumented(plain) || !IsInstrumented(conc) {
-		t.Fatal("IsInstrumented must recognize the wrapper")
-	}
-	if IsInstrumented(NewArrayStore(testDense())) {
-		t.Fatal("IsInstrumented false positive")
-	}
-	// Pass-through of the Updatable face.
-	plain.Add(0, 9)
-	if v := Get(plain, 0); v != 10 {
-		t.Fatalf("Add through wrapper: got %v", v)
-	}
 }
 
 func TestCacheCountersMirrored(t *testing.T) {

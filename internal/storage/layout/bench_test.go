@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -38,9 +40,9 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// benchFiles builds the two stores once: a dense .wvfs coefficient file and
-// its .wvls layout conversion, both over the same 10M random values.
-func benchFiles(b *testing.B) (wvls, wvfs string, order []int) {
+// benchFiles builds the two files once: the .wvls layout of 10M random values
+// and the same values as a raw little-endian float64 payload.
+func benchFiles(b *testing.B) (wvls, raw string, order []int) {
 	b.Helper()
 	benchSetupMu.Lock()
 	defer benchSetupMu.Unlock()
@@ -62,7 +64,11 @@ func benchFiles(b *testing.B) (wvls, wvfs string, order []int) {
 			cells[i] = v
 			keys[i] = i
 		}
-		if _, err := storage.CreateFileStore(filepath.Join(dir, "bench.wvfs"), cells); err != nil {
+		payload := make([]byte, 8*len(cells))
+		for i, v := range cells {
+			binary.LittleEndian.PutUint64(payload[8*i:], math.Float64bits(v))
+		}
+		if err := os.WriteFile(filepath.Join(dir, "bench.raw"), payload, 0o644); err != nil {
 			benchFail = err
 			return
 		}
@@ -87,7 +93,7 @@ func benchFiles(b *testing.B) (wvls, wvfs string, order []int) {
 		b.Fatal(benchFail)
 	}
 	return filepath.Join(benchDirPath, "bench.wvls"),
-		filepath.Join(benchDirPath, "bench.wvfs"),
+		filepath.Join(benchDirPath, "bench.raw"),
 		benchOrder
 }
 
@@ -145,31 +151,13 @@ func BenchmarkStorageDrainLayoutPread(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageDrainFileStore drains the identical schedule order
-// through FileStore.GetBatch — the pre-layout storage path, where schedule
-// order is a random permutation of the file and every coalesced run is a
-// positioned read.
-func BenchmarkStorageDrainFileStore(b *testing.B) {
-	_, wvfs, order := benchFiles(b)
-	b.SetBytes(int64(len(order)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs, err := storage.OpenFileStore(wvfs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = drainBatches(fs, order)
-		_ = fs.Close()
-	}
-}
-
 // BenchmarkStorageSequentialRead is the bandwidth ceiling reference: read
 // the same coefficient payload front to back with a 1 MiB buffer and touch
 // every byte. No format, no lookup, no decode — any drain pays at least
 // this much.
 func BenchmarkStorageSequentialRead(b *testing.B) {
-	_, wvfs, _ := benchFiles(b)
-	st, err := os.Stat(wvfs)
+	_, raw, _ := benchFiles(b)
+	st, err := os.Stat(raw)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -177,7 +165,7 @@ func BenchmarkStorageSequentialRead(b *testing.B) {
 	buf := make([]byte, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := os.Open(wvfs)
+		f, err := os.Open(raw)
 		if err != nil {
 			b.Fatal(err)
 		}

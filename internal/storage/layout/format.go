@@ -90,7 +90,7 @@ const (
 
 // Meta is the optional database identity carried by a layout file so
 // repro.OpenLayout can reassemble a servable view without the original
-// .wvdb. Files converted from a bare coefficient file (.wvfs) have none.
+// .wvdb. A file written with WriteOptions.Meta nil has none.
 type Meta struct {
 	FilterName string
 	TupleCount int64

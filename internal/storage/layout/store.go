@@ -508,8 +508,8 @@ func (s *Store) Size() int { return s.g.cells }
 // not need an enumeration pass over the cold tail.
 func (s *Store) Mass() float64 { return s.g.mass }
 
-// Meta returns the embedded database identity, or nil for layouts written
-// without one (e.g. converted from a bare .wvfs coefficient file).
+// Meta returns the embedded database identity, or nil for a layout written
+// without one.
 func (s *Store) Meta() *Meta { return s.meta }
 
 // Families returns the penalty families recorded at write time.
@@ -571,6 +571,9 @@ func (s *Store) Sections() []Section {
 // mapping is immutable, positioned reads are kernel-concurrent, and the
 // cache and counters synchronize themselves.
 func (s *Store) ConcurrentSafe() bool { return true }
+
+// StackName names the layout in storage.Describe.
+func (s *Store) StackName() string { return "layout" }
 
 // ForEachNonzero implements storage.Enumerable in slot (schedule) order —
 // the order that costs one sequential pass: the hot region streams from the

@@ -185,15 +185,6 @@ func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return &BatchError{Failed: failed}
 }
 
-// Add implements Updatable when the wrapped store does; it panics otherwise.
-func (s *RetryStore) Add(key int, delta float64) {
-	u, ok := s.inner.(Updatable)
-	if !ok {
-		panic(fmt.Sprintf("storage: %T is not updatable", s.inner))
-	}
-	u.Add(key, delta)
-}
-
 // Retrievals implements Store: every attempt that reached the wrapped store
 // counts, so retries are visible as extra physical I/O.
 func (s *RetryStore) Retrievals() int64 { return s.inner.Retrievals() }
@@ -204,19 +195,6 @@ func (s *RetryStore) ResetStats() { s.inner.ResetStats() }
 // NonzeroCount implements Store.
 func (s *RetryStore) NonzeroCount() int { return s.inner.NonzeroCount() }
 
-// Enumerable reports whether the wrapped store supports enumeration.
-func (s *RetryStore) Enumerable() bool { return IsEnumerable(s.inner) }
-
-// ForEachNonzero implements Enumerable when the wrapped store does; it
-// panics otherwise (check Enumerable first).
-func (s *RetryStore) ForEachNonzero(fn func(key int, value float64) bool) {
-	e, ok := s.inner.(Enumerable)
-	if !ok {
-		panic(fmt.Sprintf("storage: %T is not enumerable", s.inner))
-	}
-	e.ForEachNonzero(fn)
-}
-
 // ConcurrentSafe implements the IsConcurrent capability check: the retry
 // layer's own state is atomic, so it is as safe as the store it wraps.
 func (s *RetryStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
@@ -224,8 +202,3 @@ func (s *RetryStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
 // InMemory implements the IsInMemory capability check: over a store that
 // answers from memory nothing fails, so the layer never backs off.
 func (s *RetryStore) InMemory() bool { return IsInMemory(s.inner) }
-
-var (
-	_ Updatable  = (*RetryStore)(nil)
-	_ Enumerable = (*RetryStore)(nil)
-)

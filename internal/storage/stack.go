@@ -1,0 +1,107 @@
+package storage
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
+
+// Stack declares the layers a base store is served through. It is the one
+// place the order of those layers is written down: whoever owns a base store
+// sets the fields it wants, in any order, and Build composes them.
+type Stack struct {
+	// Concurrent asks for a base that does not synchronize itself to be put
+	// behind a mutex, so any number of goroutines may retrieve through the
+	// stack.
+	Concurrent bool
+	// Fault, when non-nil, injects its deterministic fault schedule.
+	Fault *FaultConfig
+	// Retry, when non-nil, re-attempts failed retrievals under its policy.
+	Retry *RetryConfig
+	// Instrument times every retrieval batch into the observed registry.
+	Instrument bool
+	// Coalesce shares overlapping in-flight fetches between concurrent
+	// callers. It only makes sense with overlapping callers, so it asks for
+	// what Concurrent asks for.
+	Coalesce bool
+}
+
+// Build composes base → mutex → fault → retry → instrument → coalesce,
+// leaving out what the stack does not ask for, and returns the top of the
+// chain — where every retrieval enters — and its guard: the base, behind the
+// mutex when the chain has one. The owner writes to and enumerates the guard,
+// so a write excludes the retrievals above it.
+//
+// The order is fixed by what each layer is for. The mutex sits directly on
+// the base because it protects only the base's unsynchronized retrieval
+// counter: an injected delay or a retry backoff above it never sleeps under
+// the lock. Faults go under retries, which exist to recover them; the timer
+// goes over both, so it covers the whole physical retrieval; coalescing goes
+// on top, so a fetch recovered by a retry is shared like any other.
+//
+// Every call makes new layers: the counters a layer keeps (Nth-call fault
+// schedules, jitter draws, coalescing stats) start over, and a run that
+// captured an earlier chain keeps it.
+func (s Stack) Build(base Store) (top, guard Store) {
+	top = base
+	if (s.Concurrent || s.Coalesce) && !IsConcurrent(base) {
+		top = NewConcurrentStore(base)
+	}
+	guard = top
+	if s.Fault != nil {
+		top = NewFaultStore(top, *s.Fault)
+	}
+	if s.Retry != nil {
+		top = NewRetryStore(top, *s.Retry)
+	}
+	if s.Instrument {
+		top = NewInstrumentedStore(top)
+	}
+	if s.Coalesce {
+		top = NewCoalescingStore(top)
+	}
+	return top, guard
+}
+
+// Chain is Build for an owner that neither writes nor enumerates: the top
+// of the chain alone.
+func (s Stack) Chain(base Store) Store {
+	top, _ := s.Build(base)
+	return top
+}
+
+// Describe prints the chain under top from the base up, one name per layer:
+// "array → mutex → instrument". It reads the layers that are there, not a
+// declaration of them. A base store of another package names itself with a
+// StackName method; anything else prints as its Go type.
+func Describe(top Store) string {
+	var names []string
+	for s := top; s != nil; {
+		var name string
+		switch l := s.(type) {
+		case *CoalescingStore:
+			name, s = "coalesce", l.inner
+		case *InstrumentedStore:
+			name, s = "instrument", l.inner
+		case *RetryStore:
+			name, s = "retry", l.inner
+		case *FaultStore:
+			name, s = "fault", l.inner
+		case *ConcurrentStore:
+			name, s = "mutex", l.inner
+		case *ArrayStore:
+			name, s = "array", nil
+		case *HashStore:
+			name, s = "hash", nil
+		case *ShardedStore:
+			name, s = "sharded", nil
+		case interface{ StackName() string }:
+			name, s = l.StackName(), nil
+		default:
+			name, s = fmt.Sprintf("%T", l), nil
+		}
+		names = append(names, name)
+	}
+	slices.Reverse(names)
+	return strings.Join(names, " → ")
+}

@@ -54,11 +54,13 @@ type Updatable interface {
 // unspecified; fn returning false stops the walk. Enumeration does not
 // count retrievals.
 //
-// Wrapper stores (ConcurrentStore, CachedStore, BlockStore,
-// CoalescingStore) satisfy this interface unconditionally but can only
-// enumerate when the store they wrap can; they additionally expose an
-// `Enumerable() bool` capability check and their ForEachNonzero panics when
-// it reports false. Use IsEnumerable to test a store of unknown shape.
+// Wrapper stores (ConcurrentStore, CachedStore, BlockStore) satisfy this
+// interface unconditionally but can only enumerate when the store they wrap
+// can; they additionally expose an `Enumerable() bool` capability check and
+// their ForEachNonzero panics when it reports false. Use IsEnumerable to
+// test a store of unknown shape. The layers of a Stack above its guard
+// (fault, retry, instrument, coalesce) forward neither enumeration nor Add:
+// the stack's owner does both on the guard.
 type Enumerable interface {
 	ForEachNonzero(fn func(key int, value float64) bool)
 }

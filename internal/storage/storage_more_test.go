@@ -2,7 +2,6 @@ package storage
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 )
 
@@ -81,30 +80,4 @@ func TestCachedStorePanicsOnNonEnumerable(t *testing.T) {
 		}
 	}()
 	cs.ForEachNonzero(func(int, float64) bool { return true })
-}
-
-func TestCreateFileStoreBadPath(t *testing.T) {
-	if _, err := CreateFileStore(filepath.Join(t.TempDir(), "no", "such", "dir", "x.wvfs"), nil); err == nil {
-		t.Error("unwritable path should fail")
-	}
-}
-
-func TestFileStoreAddOnReadOnlyPanics(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ro.wvfs")
-	fs, err := CreateFileStore(path, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Close()
-	ro, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic: Add on read-only store")
-		}
-	}()
-	ro.Add(0, 1)
 }

@@ -142,14 +142,6 @@ var subjects = []struct {
 	{"sharded", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewShardedStoreFromDense(hat, 0, 8), want: hat}
 	}},
-	{"file", func(t *testing.T, hat []float64, _ int64) subject {
-		fs, err := storage.CreateFileStore(filepath.Join(t.TempDir(), "m.wvfs"), hat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = fs.Close() })
-		return subject{store: fs, want: hat, bounded: true}
-	}},
 	{"block", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewBlockStore(array(hat), 32), want: hat, bounded: true}
 	}},

@@ -53,8 +53,8 @@ type LayoutOptions struct {
 // filter, tuple count, windows) so OpenLayout can reassemble a servable
 // view from it alone. The store must be enumerable.
 func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
-	st := db.evalStore() // one stable view under MVCC
-	if !storage.IsEnumerable(st) {
+	st, ok := db.enumStore()
+	if !ok {
 		return fmt.Errorf("repro: store %T does not support enumeration; cannot build a layout", st)
 	}
 	n := st.NonzeroCount()
@@ -98,9 +98,8 @@ func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
 // OpenLayout opens a .wvls layout file written by SaveLayout (or converted
 // with cmd/wvlayout) as a read-only database served straight from disk:
 // hot coefficients zero-copy out of an mmap, cold ones through an LRU of
-// checksummed blocks. The file must embed database metadata — bare layouts
-// converted from a raw .wvfs coefficient file lack the schema and cannot
-// be served (pass the original database to wvlayout's -meta flag instead).
+// checksummed blocks. The file must embed database metadata — a bare layout
+// written through the storage API lacks the schema and cannot be served.
 //
 // The view is read-only (Insert/Delete fail) and safe for concurrent
 // retrieval. Close releases the mapping and the file handle. Unquantized
@@ -114,7 +113,7 @@ func OpenLayout(path string) (*Database, error) {
 	meta := s.Meta()
 	if meta == nil {
 		_ = s.Close()
-		return nil, fmt.Errorf("repro: layout %s embeds no database metadata; rebuild it with metadata (wvlayout -meta)", path)
+		return nil, fmt.Errorf("repro: layout %s embeds no database metadata; rebuild it from the database (wvlayout)", path)
 	}
 	schema, err := dataset.NewSchema(meta.Names, meta.Sizes)
 	if err != nil {
@@ -131,14 +130,8 @@ func OpenLayout(path string) (*Database, error) {
 		return nil, fmt.Errorf("repro: layout uses %w", err)
 	}
 	mass := s.Mass()
-	db := &Database{
-		schema:     schema,
-		filter:     filter,
-		store:      s,
-		windows:    meta.Windows,
-		layout:     s,
-		cachedMass: &mass,
-	}
+	db := newDatabase(schema, filter, s)
+	db.windows, db.cachedMass, db.layout = meta.Windows, &mass, s
 	db.tuples.Store(meta.TupleCount)
 	return db, nil
 }

@@ -74,7 +74,8 @@ func loadAs(t *testing.T, file []byte, array bool) *Database {
 			cells, count = h.Schema.Cells(), h.Schema.Cells()
 		}
 		store := storage.NewMemoryStore(cells, count, 1)
-		db = &Database{schema: h.Schema, filter: filter, store: store, windows: h.Windows}
+		db = newDatabase(h.Schema, filter, store)
+		db.windows = h.Windows
 		db.tuples.Store(h.TupleCount)
 		return func(k int, v float64) {
 			store.Add(k, v)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
@@ -60,12 +59,12 @@ type MVCCStats = mvcc.Stats
 // however many writes land mid-drain), and a background compactor folds
 // layers back into a fresh base.
 //
-// Call it right after opening the database, before EnableRetries,
-// InjectFaults, EnableInstrumentation, EnableCoalescing or NewSession —
-// those layers then wrap the MVCC base and compose with versioning. The
-// current store becomes the frozen version-0 base (it must be enumerable),
-// and the database becomes safe for concurrent writers and readers.
-// Idempotent; read-only views (distributed, layout) cannot enable MVCC.
+// The opened base becomes the frozen version-0 base, the declared store
+// stack (retries, fault injection, instrumentation, coalescing — enabled
+// before or after) is built over the base of every view, and the database
+// becomes safe for concurrent writers and readers. Sessions and runs started
+// earlier keep reading the store they captured. Idempotent; read-only views
+// (distributed, layout) cannot enable MVCC.
 func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 	if db.mvcc != nil {
 		return nil
@@ -73,10 +72,7 @@ func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 	if err := db.readOnlyErr("write"); err != nil {
 		return err
 	}
-	if !storage.IsEnumerable(db.store) {
-		return fmt.Errorf("repro: store %T cannot enumerate its coefficients; enable MVCC before wrapping the store (retries, instrumentation, coalescing)", db.store)
-	}
-	m, err := mvcc.New(db.store, db.filter, db.schema.Sizes, db.TupleCount(), mvcc.Config{
+	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.TupleCount(), mvcc.Config{
 		MaxLayers:          cfg.MaxLayers,
 		MaxLayerKeys:       cfg.MaxLayerKeys,
 		Retain:             cfg.Retain,
@@ -85,8 +81,11 @@ func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 	if err != nil {
 		return err
 	}
-	db.mvcc = m
-	db.store = m
+	// The MVCC store owns the base from here on (compaction replaces it) and
+	// its views are read from any goroutine.
+	db.mvcc, db.base, db.guard = m, nil, nil
+	db.stack.Concurrent = true
+	db.rebuild()
 	return nil
 }
 
@@ -133,8 +132,9 @@ func (db *Database) Apply(ctx context.Context, b *WriteBatch) (Version, error) {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
+	w := db.guard.(storage.Updatable) // every writable view opens on one
 	for _, k := range keys {
-		db.store.Add(k, delta[k])
+		w.Add(k, delta[k])
 	}
 	db.tuples.Add(int64(math.Round(b.TupleWeight())))
 	return Version(db.version.Add(1)), nil
@@ -249,11 +249,6 @@ func (s *Snapshot) Retrievals() int64 { return s.store.Retrievals() }
 func (s *Snapshot) ResetStats() { s.store.ResetStats() }
 
 var _ Evaluator = (*Snapshot)(nil)
-
-// coalesceHolder tracks the live coalescing layer instance across MVCC base
-// republications (each compaction rebuilds the wrap chain over the new
-// base, creating a fresh CoalescingStore).
-type coalesceHolder = atomic.Pointer[storage.CoalescingStore]
 
 // IngestCSV streams CSV rows into the database as batched applies: rows are
 // quantized onto the schema's bins under the database's recorded windows

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/obs"
-	"repro/internal/storage"
 )
 
 // This file is the facade of the observability layer. The metrics registry,
@@ -12,33 +11,19 @@ import (
 // Observe method (internal/server) points every layer's instrumentation at
 // one registry. The database-side hook below adds retrieval timing.
 
-// EnableInstrumentation wraps the database's store so every retrieval batch
-// is timed into the observed metrics registry (wvq_storage_batchget_seconds).
-// With no registry observed the wrapper is a pass-through: one atomic load
-// and a branch per call, no clock reads, no allocation.
-//
-// Layering: call after InjectFaults and EnableRetries (so the timings cover
-// the full retrieval path, retries included) and before the store is handed
-// to the HTTP server, whose coalescing layer goes on top — coalescing
-// counters then report shared fetches while the timing wrapper reports the
-// physical retrievals underneath. Idempotent.
+// EnableInstrumentation puts a timing layer into the store stack so every
+// retrieval batch is timed into the observed metrics registry
+// (wvq_storage_batchget_seconds). With no registry observed the layer is a
+// pass-through: one atomic load and a branch per call, no clock reads, no
+// allocation. It sits over faults and retries, so a timing covers the whole
+// physical retrieval, and under coalescing, whose counters report the
+// fetches that were shared. Under MVCC it times the base tier, not the
+// in-memory overlay. Idempotent.
 func (db *Database) EnableInstrumentation() {
-	if db.mvcc != nil {
-		// Under MVCC the timing wrapper goes around the immutable base of
-		// every view — it times the physical tier, not the in-memory overlay.
-		if db.mvccInstrumented {
-			return
-		}
-		db.mvccInstrumented = true
-		db.mvcc.WrapBase(func(s storage.Store) storage.Store {
-			return storage.NewInstrumentedStore(s)
-		})
-		return
+	if !db.stack.Instrument {
+		db.stack.Instrument = true
+		db.rebuild()
 	}
-	if storage.IsInstrumented(db.store) {
-		return
-	}
-	db.store = storage.NewInstrumentedStore(db.store)
 }
 
 // Re-exported diagnostics vocabulary: a QueryProfile is the per-run EXPLAIN

@@ -53,20 +53,24 @@ import (
 type Database struct {
 	schema  *Schema
 	filter  *Filter
-	store   storage.Updatable
 	tuples  atomic.Int64
 	windows [][2]float64
 
-	// mvcc is non-nil after EnableMVCC: db.store is the MVCC store and every
-	// write publishes a version (mvcc.go). version is the write counter of
-	// plain (non-MVCC) databases.
+	// base is the store the view was opened on and stack declares the layers
+	// it is served through; store and guard are what rebuild made of the two.
+	// Retrievals enter at store. guard is the base behind the stack's mutex,
+	// when it has one: where a plain database writes and enumerates.
+	base  storage.Store
+	stack storage.Stack
+	store storage.Store
+	guard storage.Store
+
+	// mvcc is non-nil after EnableMVCC: db.store is the MVCC store, the
+	// stack is built over the base of its every view, and every write
+	// publishes a version (mvcc.go). version is the write counter of plain
+	// (non-MVCC) databases.
 	mvcc    *mvcc.Store
 	version atomic.Uint64
-	// mvccCoalesce tracks the coalescing layer instance inside the MVCC
-	// base wrap chain (rebuilt at compaction) for CoalescingStats;
-	// mvccInstrumented makes EnableInstrumentation idempotent under MVCC.
-	mvccCoalesce     *coalesceHolder
-	mvccInstrumented bool
 
 	// coord is non-nil for databases opened with OpenDistributed: the store
 	// is a shard fan-out coordinator and the view is read-only.
@@ -138,9 +142,42 @@ func NewDatabase(dist *Distribution, filter *Filter, opts ...DatabaseOption) (*D
 	default:
 		return nil, fmt.Errorf("repro: unknown store kind %d", cfg.kind)
 	}
-	db := &Database{schema: dist.Schema, filter: filter, store: store}
+	db := newDatabase(dist.Schema, filter, store)
 	db.tuples.Store(dist.TupleCount)
 	return db, nil
+}
+
+// newDatabase assembles a view over base, served bare until an Enable* call
+// asks for more.
+func newDatabase(schema *Schema, filter *Filter, base storage.Store) *Database {
+	db := &Database{schema: schema, filter: filter, base: base}
+	db.rebuild()
+	return db
+}
+
+// rebuild builds the declared stack over the base. It is the one place
+// db.store is assigned: the Enable* methods set a field of db.stack and call
+// it, so the stack a database runs does not depend on the order they were
+// called in. Runs and sessions keep the chain they captured at creation.
+func (db *Database) rebuild() {
+	var top storage.Store
+	if db.mvcc != nil {
+		db.mvcc.SetBaseChain(db.stack.Chain) // the method value holds a copy of the stack
+		top = db.mvcc
+	} else {
+		top, db.guard = db.stack.Build(db.base)
+	}
+	db.store = top
+}
+
+// StoreStack prints the store stack retrievals cross, base first — for
+// example "array → mutex → instrument", with "→ mvcc" last when write layers
+// overlay it.
+func (db *Database) StoreStack() string {
+	if db.mvcc != nil {
+		return storage.Describe(db.mvcc.BaseChain()) + " → mvcc"
+	}
+	return storage.Describe(db.store)
 }
 
 // NewSparseDatabase bulk-loads a sparse distribution without materializing
@@ -160,7 +197,7 @@ func NewSparseDatabase(dist *SparseDistribution, filter *Filter) (*Database, err
 	for k, v := range hat {
 		store.Add(k, v)
 	}
-	db := &Database{schema: dist.Schema, filter: filter, store: store}
+	db := newDatabase(dist.Schema, filter, store)
 	db.tuples.Store(dist.TupleCount)
 	return db, nil
 }
@@ -186,7 +223,7 @@ func NewEmptyDatabase(schema *Schema, filter *Filter, opts ...DatabaseOption) (*
 	default:
 		return nil, fmt.Errorf("repro: unknown store kind %d", cfg.kind)
 	}
-	return &Database{schema: schema, filter: filter, store: store}, nil
+	return newDatabase(schema, filter, store), nil
 }
 
 // Schema returns the database schema.
@@ -262,10 +299,10 @@ func (db *Database) Save(w io.Writer) error {
 		return codec.Write(w, db.schema, db.filter.Name,
 			int64(math.Round(sn.TupleWeight())), sn.View().(storage.Enumerable), db.windows)
 	}
-	if !storage.IsEnumerable(db.store) {
+	if !storage.IsEnumerable(db.guard) {
 		return fmt.Errorf("repro: store does not support enumeration")
 	}
-	return codec.Write(w, db.schema, db.filter.Name, db.tuples.Load(), db.store.(storage.Enumerable), db.windows)
+	return codec.Write(w, db.schema, db.filter.Name, db.tuples.Load(), db.guard.(storage.Enumerable), db.windows)
 }
 
 // LoadDatabase deserializes a database previously written with Save.
@@ -287,7 +324,8 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			return nil, fmt.Errorf("repro: stored database uses %w", err)
 		}
 		store = storage.NewMemoryStore(h.Schema.Cells(), h.Count, 1)
-		db = &Database{schema: h.Schema, filter: filter, store: store, windows: h.Windows}
+		db = newDatabase(h.Schema, filter, store)
+		db.windows = h.Windows
 		db.tuples.Store(h.TupleCount)
 		return func(k int, v float64) {
 			store.Add(k, v)
@@ -332,10 +370,10 @@ func (db *Database) CoefficientMass() (float64, error) {
 	if db.cachedMass != nil && db.version.Load() == 0 {
 		return *db.cachedMass, nil
 	}
-	if !storage.IsEnumerable(db.store) {
-		return 0, fmt.Errorf("repro: store %T does not support enumeration; coefficient mass unknown", db.store)
+	if !storage.IsEnumerable(db.guard) {
+		return 0, fmt.Errorf("repro: store %T does not support enumeration; coefficient mass unknown", db.base)
 	}
-	enum := db.store.(storage.Enumerable)
+	enum := db.guard.(storage.Enumerable)
 	var mass float64
 	enum.ForEachNonzero(func(_ int, v float64) bool {
 		if v < 0 {
@@ -372,6 +410,17 @@ func (db *Database) PlanParallel(batch Batch, workers int) (*Plan, error) {
 	return core.NewWaveletPlanParallel(batch, db.filter, workers)
 }
 
+// enumStore returns the surface that can walk the view's coefficients — the
+// head snapshot under MVCC (one stable version), otherwise the guard — and
+// whether it can: a shard coordinator holds none to walk.
+func (db *Database) enumStore() (storage.Store, bool) {
+	st := db.guard
+	if db.mvcc != nil {
+		st = db.mvcc.View()
+	}
+	return st, storage.IsEnumerable(st)
+}
+
 // evalStore returns the read surface evaluation paths bind to: for MVCC
 // databases the current head snapshot (immutable — a run or exact pass over
 // it is bit-stable however many writes land mid-drain), otherwise the store
@@ -402,14 +451,15 @@ func (db *Database) ExactParallel(plan *Plan, workers int) []float64 {
 // database; the HTTP server uses this to serve requests in parallel.
 func (db *Database) ConcurrentSafe() bool { return storage.IsConcurrent(db.store) }
 
-// EnsureConcurrent makes the database safe for concurrent retrieval: stores
-// that are not already concurrent-safe are wrapped in a single-mutex
-// storage.ConcurrentStore (the sharded store from repro.StoreSharded is the
-// scalable choice; this is the universal fallback). Afterwards
-// ConcurrentSafe reports true. Idempotent.
+// EnsureConcurrent makes the database safe for concurrent retrieval: a
+// store that does not synchronize itself is served behind a single mutex
+// (the sharded store from repro.StoreSharded is the scalable choice; this is
+// the universal fallback). Afterwards ConcurrentSafe reports true.
+// Idempotent.
 func (db *Database) EnsureConcurrent() {
-	if !db.ConcurrentSafe() {
-		db.store = storage.NewConcurrentStore(db.store)
+	if !db.stack.Concurrent {
+		db.stack.Concurrent = true
+		db.rebuild()
 	}
 }
 
@@ -425,55 +475,34 @@ type CoalesceStats = storage.CoalesceStats
 // leave out layers that only pay for themselves over a slow fetch.
 func (db *Database) InMemory() bool { return storage.IsInMemory(db.store) }
 
-// EnableCoalescing inserts a singleflight layer over the (concurrent-safe)
-// store so runs advancing in parallel — e.g. under the internal scheduler —
-// fetch each overlapping coefficient once: the paper's intra-batch I/O
-// sharing extended across concurrent batches. Call EnsureConcurrent first
-// for stores that are not already concurrent-safe. After this call,
-// Retrievals counts physical fetches only; per-run retrieval counts are
-// unchanged. Over a store that answers from memory (InMemory) the layer
-// costs more than the fetches it saves. Idempotent.
+// EnableCoalescing puts a singleflight layer on top of the store stack so
+// runs advancing in parallel — e.g. under the internal scheduler — fetch
+// each overlapping coefficient once: the paper's intra-batch I/O sharing
+// extended across concurrent batches. Overlapping callers are the layer's
+// whole point, so it makes the database ConcurrentSafe as EnsureConcurrent
+// does. After this call, Retrievals counts physical fetches only; per-run
+// retrieval counts are unchanged. Over a store that answers from memory
+// (InMemory) the layer costs more than the fetches it saves. Idempotent; the
+// error is always nil.
 func (db *Database) EnableCoalescing() error {
-	if db.mvcc != nil {
-		// Under MVCC the coalescing layer wraps the immutable base of every
-		// view (the MVCC base chain is always concurrent-safe); overlay
-		// layers are in-memory maps with nothing to coalesce. Compaction
-		// rebuilds the chain over the new base, so CoalescingStats counts
-		// since the last compaction.
-		if db.mvccCoalesce != nil {
-			return nil
-		}
-		holder := new(coalesceHolder)
-		db.mvcc.WrapBase(func(s storage.Store) storage.Store {
-			cs := storage.NewCoalescingStore(s)
-			holder.Store(cs)
-			return cs
-		})
-		db.mvccCoalesce = holder
-		return nil
+	if !db.stack.Coalesce {
+		db.stack.Coalesce = true
+		db.rebuild()
 	}
-	if _, ok := db.store.(*storage.CoalescingStore); ok {
-		return nil
-	}
-	if !db.ConcurrentSafe() {
-		return fmt.Errorf("repro: coalescing requires a concurrent-safe store (call EnsureConcurrent or use StoreSharded)")
-	}
-	db.store = storage.NewCoalescingStore(db.store)
 	return nil
 }
 
 // CoalescingStats returns the coalescing counters; ok is false when
-// EnableCoalescing has not been called. Under MVCC the counters cover the
-// window since the last compaction (the layer is rebuilt over each new
-// base).
+// EnableCoalescing has not been called. The counters belong to the layer
+// instance: they start over whenever the stack is rebuilt (a later Enable*
+// call, an InjectFaults restore) and, under MVCC, at each compaction, which
+// builds the stack over the new base.
 func (db *Database) CoalescingStats() (stats CoalesceStats, ok bool) {
-	if db.mvccCoalesce != nil {
-		if cs := db.mvccCoalesce.Load(); cs != nil {
-			return cs.Stats(), true
-		}
-		return CoalesceStats{}, false
+	top := db.store
+	if db.mvcc != nil {
+		top = db.mvcc.BaseChain()
 	}
-	cs, ok := db.store.(*storage.CoalescingStore)
+	cs, ok := top.(*storage.CoalescingStore)
 	if !ok {
 		return CoalesceStats{}, false
 	}

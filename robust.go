@@ -48,39 +48,27 @@ func (db *Database) ExactParallelCtx(ctx context.Context, plan *Plan, workers in
 	return plan.ExactParallelCtx(ctx, db.evalStore(), workers)
 }
 
-// EnableRetries wraps the database's store with a retry layer: retrievals
-// that fail transiently are re-attempted with exponential backoff and
-// jitter before the failure is surfaced. Layering: call EnableRetries before
-// EnableCoalescing (and before handing the database to the HTTP server) so
-// retries sit under the coalescing layer and a recovered fetch is shared.
+// EnableRetries puts a retry layer into the store stack: retrievals that
+// fail transiently are re-attempted with exponential backoff and jitter
+// before the failure is surfaced. The layer sits over injected faults and
+// under coalescing, so a recovered fetch is shared. A second call replaces
+// the policy.
 func (db *Database) EnableRetries(cfg RetryConfig) {
-	if db.mvcc != nil {
-		// Under MVCC the retry layer wraps the immutable base of every view;
-		// overlay layers are in-memory maps and never fail.
-		db.mvcc.WrapBase(func(s storage.Store) storage.Store {
-			return storage.NewRetryStore(s, cfg)
-		})
-		return
-	}
-	db.store = storage.NewRetryStore(db.store, cfg)
+	db.stack.Retry = &cfg
+	db.rebuild()
 }
 
-// InjectFaults wraps the database's store with a deterministic fault
-// injector for chaos testing: retrievals fail or stall according to cfg —
+// InjectFaults puts a deterministic fault injector at the bottom of the
+// store stack for chaos testing: retrievals fail or stall according to cfg —
 // progressive runs degrade, while Exact and the other context-free
-// conveniences panic on an injected failure. It returns a restore function that removes the injector (and any layers added on top
-// of it since — restore rewinds the store to its pre-injection state).
-// Layering: inject faults first, then EnableRetries to test recovery, then
-// the server (whose coalescing layer goes on top).
-// Under MVCC the injector wraps the base of every view and restore removes
-// just the injector, leaving layers added on top in place.
+// conveniences panic on an injected failure. It returns a restore function
+// that removes the injector and nothing else: every other layer, whenever it
+// was enabled, stays.
 func (db *Database) InjectFaults(cfg FaultConfig) (restore func()) {
-	if db.mvcc != nil {
-		return db.mvcc.WrapBase(func(s storage.Store) storage.Store {
-			return storage.NewFaultStore(s, cfg)
-		})
+	db.stack.Fault = &cfg
+	db.rebuild()
+	return func() {
+		db.stack.Fault = nil
+		db.rebuild()
 	}
-	prev := db.store
-	db.store = storage.NewFaultStore(db.store, cfg)
-	return func() { db.store = prev }
 }
