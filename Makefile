@@ -59,10 +59,11 @@ stack-lint:
 	@! grep -rnE 'New(Fault|Retry|Instrumented|Coalescing|Concurrent)Store\(' --include='*.go' . | grep -v _test.go | grep -v '^./internal/storage/' \
 		|| { echo "stack-lint: store layer constructed outside internal/storage; declare it on a storage.Stack" >&2; exit 1; }
 
-# Metric naming hygiene (tools/metriclint): every registered metric is
-# snake_case under the wvq_ prefix, carries literal help text, and each name
-# has one kind, one help string, and one call site (labeled variants of one
-# series excepted).
+# Metric naming hygiene (tools/metriclint): every registered metric — pushed
+# (Counter/Gauge/Histogram) or read (ReadCounter/ReadGauge) — is snake_case
+# under the wvq_ prefix, carries literal help text, and each name has one
+# kind, one help string, one call site (labeled variants of one series
+# excepted) and one owner: it is pushed or read, never both.
 metric-lint:
 	$(GO) run ./tools/metriclint .
 

@@ -25,11 +25,6 @@ type coreMetrics struct {
 	schedCacheEvictions *obs.Counter
 	stepBatchSeconds    *obs.Histogram
 	runsStarted         *obs.Counter
-
-	planRegistryHits      *obs.Counter
-	planRegistryMisses    *obs.Counter
-	planRegistryEvictions *obs.Counter
-	templateBinds         *obs.Counter
 }
 
 var coMetrics atomic.Pointer[coreMetrics]
@@ -55,14 +50,6 @@ func Observe(reg *obs.Registry) {
 			"Latency of progressive step batches (a single step is a batch of one).", nil),
 		runsStarted: reg.Counter("wvq_core_runs_total",
 			"Progressive runs started (counted at the run's schedule lookup)."),
-		planRegistryHits: reg.Counter("wvq_core_plan_registry_hits_total",
-			"Prepare calls answered by a resident prepared plan."),
-		planRegistryMisses: reg.Counter("wvq_core_plan_registry_misses_total",
-			"Prepare calls that had to build (or template-bind) a plan."),
-		planRegistryEvictions: reg.Counter("wvq_core_plan_registry_evictions_total",
-			"Prepared plans dropped by the registry's LRU bound."),
-		templateBinds: reg.Counter("wvq_core_template_binds_total",
-			"Plan builds served by re-weighting a same-shape resident plan."),
 	})
 }
 

@@ -103,7 +103,7 @@ func TestSpanPropagationConcurrentRuns(t *testing.T) {
 	if snap["wvq_core_stepbatch_seconds_count"] == 0 {
 		t.Fatal("stepbatch histogram never observed")
 	}
-	if snap["wvq_storage_coalesce_requests_total"] == 0 {
+	if coal.Stats().Requests == 0 {
 		t.Fatal("coalesce request counter never incremented")
 	}
 }

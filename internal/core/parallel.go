@@ -69,8 +69,6 @@ func buildPlan(n int, labels []string, gen emitter, workers int, templateFor fun
 	}
 	if bound = p != nil; !bound {
 		p = mergeRuns(runs, nil)
-	} else if m := coObs(); m != nil {
-		m.templateBinds.Inc()
 	}
 	p.Labels = append([]string(nil), labels...)
 	p.shape = shape

@@ -181,17 +181,10 @@ func (r *PlanRegistry) Prepare(batch query.Batch, tenant string) (prep *Prepared
 	r.mu.Unlock()
 	r.fireEvictions(evicted)
 
-	m := coObs()
 	if ok {
 		r.hits.Add(1)
-		if m != nil {
-			m.planRegistryHits.Inc()
-		}
 	} else {
 		r.misses.Add(1)
-		if m != nil {
-			m.planRegistryMisses.Inc()
-		}
 	}
 
 	slot.once.Do(func() {
@@ -299,11 +292,6 @@ func (r *PlanRegistry) evictLocked() []*planSlot {
 		r.removeSlotLocked(slot)
 		r.evictions.Add(1)
 		evicted = append(evicted, slot)
-	}
-	if len(evicted) > 0 {
-		if m := coObs(); m != nil {
-			m.planRegistryEvictions.Add(int64(len(evicted)))
-		}
 	}
 	return evicted
 }

@@ -128,7 +128,6 @@ func (c *CoordinatorStore) noteOK(i, keys int) {
 	st.requests.Add(1)
 	st.keys.Add(int64(keys))
 	st.lastSeen.Store(time.Now().UnixNano())
-	obsShardBatch(i, keys, false)
 }
 
 // noteErr records a failed (fully or partially) sub-batch on shard i;
@@ -142,8 +141,6 @@ func (c *CoordinatorStore) noteErr(i, keys, degraded int, err error) {
 	st.mu.Lock()
 	st.lastErr = err.Error()
 	st.mu.Unlock()
-	obsShardBatch(i, keys, true)
-	obsDegradedKeys(degraded)
 }
 
 // BatchGetCtx implements storage.Store: partition by ShardOf, fan
@@ -221,7 +218,7 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 		}(si, pos)
 	}
 	wg.Wait()
-	obsFanout(time.Since(start))
+	fanoutSeconds.Load().Observe(time.Since(start).Seconds())
 
 	// The caller's own cancellation dominates: per the Store
 	// contract no position may be trusted then, and callers (retry, skip

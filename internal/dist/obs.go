@@ -1,102 +1,22 @@
 package dist
 
 import (
-	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Observability for the distributed tier, following the storage-layer
-// pattern: Observe installs a bundle into a package-level atomic pointer,
-// and every site is an atomic load plus a branch when observation is off.
-// Per-shard counters are labeled wvq_dist_*_total{shard="i"} and created
-// lazily on first use (the shard count is not known at Observe time).
+// Observability for the distributed tier. The per-shard ledger is the
+// coordinator's own (Health; whoever exposes it reads that). The one number
+// nothing else keeps is how long a fan-out took, pushed into the histogram
+// Observe installs; with none installed a fan-out pays one atomic load plus
+// a branch.
 
-type distMetrics struct {
-	reg           *obs.Registry
-	degradedKeys  *obs.Counter
-	fanoutSeconds *obs.Histogram
-
-	mu       sync.Mutex
-	perShard map[int]*shardCounters
-}
-
-type shardCounters struct {
-	requests *obs.Counter
-	keys     *obs.Counter
-	errors   *obs.Counter
-}
-
-var dMetrics atomic.Pointer[distMetrics]
+var fanoutSeconds atomic.Pointer[obs.Histogram]
 
 // Observe points the distributed tier's instrumentation at reg. Pass nil to
 // uninstall (the default state).
 func Observe(reg *obs.Registry) {
-	if reg == nil {
-		dMetrics.Store(nil)
-		return
-	}
-	dMetrics.Store(&distMetrics{
-		reg: reg,
-		degradedKeys: reg.Counter("wvq_dist_degraded_keys_total",
-			"Coefficient keys the coordinator returned as per-key failures (degraded retrievals)."),
-		fanoutSeconds: reg.Histogram("wvq_dist_fanout_seconds",
-			"Latency of coordinator batch fan-outs (all shards merged).", nil),
-		perShard: make(map[int]*shardCounters),
-	})
-}
-
-// shard returns (creating on first use) the labeled counters for shard i.
-func (m *distMetrics) shard(i int) *shardCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sc, ok := m.perShard[i]
-	if !ok {
-		label := obs.L("shard", strconv.Itoa(i))
-		sc = &shardCounters{
-			requests: m.reg.Counter("wvq_dist_shard_requests_total",
-				"Sub-batches the coordinator sent to each shard.", label),
-			keys: m.reg.Counter("wvq_dist_shard_keys_total",
-				"Coefficient keys the coordinator routed to each shard.", label),
-			errors: m.reg.Counter("wvq_dist_shard_errors_total",
-				"Sub-batches that came back from each shard with any failure.", label),
-		}
-		m.perShard[i] = sc
-	}
-	return sc
-}
-
-// obsShardBatch mirrors one sub-batch into the observed registry.
-func obsShardBatch(shard, keys int, failed bool) {
-	m := dMetrics.Load()
-	if m == nil {
-		return
-	}
-	sc := m.shard(shard)
-	sc.requests.Inc()
-	sc.keys.Add(int64(keys))
-	if failed {
-		sc.errors.Inc()
-	}
-}
-
-// obsDegradedKeys mirrors per-key degradations into the observed registry.
-func obsDegradedKeys(n int) {
-	m := dMetrics.Load()
-	if m == nil || n == 0 {
-		return
-	}
-	m.degradedKeys.Add(int64(n))
-}
-
-// obsFanout records one coordinator fan-out's wall time.
-func obsFanout(d time.Duration) {
-	m := dMetrics.Load()
-	if m == nil {
-		return
-	}
-	m.fanoutSeconds.Observe(d.Seconds())
+	fanoutSeconds.Store(reg.Histogram("wvq_dist_fanout_seconds",
+		"Latency of coordinator batch fan-outs (all shards merged).", nil))
 }

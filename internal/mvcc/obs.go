@@ -2,96 +2,21 @@ package mvcc
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Observability for the MVCC tier. Observe installs a metrics bundle into a
-// package-level atomic pointer; stores mirror their counters into it as
-// writes publish, snapshots pin, and compactions finish. With no registry
-// observed every site is one atomic load plus a branch.
+// Observability for the MVCC tier. The store's counters and head gauges are
+// its own (Stats; whoever exposes them reads that). The one number nothing
+// else keeps is how long a compaction took, pushed into the histogram
+// Observe installs; with none installed a compaction pays one atomic load
+// plus a branch.
 
-// mvccMetrics is the package's metric bundle, built once per Observe.
-type mvccMetrics struct {
-	version         *obs.Gauge
-	layers          *obs.Gauge
-	layerKeys       *obs.Gauge
-	pinned          *obs.Gauge
-	applies         *obs.Counter
-	appliedTuples   *obs.Counter
-	appliedKeys     *obs.Counter
-	compactions     *obs.Counter
-	compactedLayers *obs.Counter
-	compactSeconds  *obs.Histogram
-}
-
-var mvMetrics atomic.Pointer[mvccMetrics]
+var compactSeconds atomic.Pointer[obs.Histogram]
 
 // Observe points the package's instrumentation at reg. Pass nil to
 // uninstall (the default state).
 func Observe(reg *obs.Registry) {
-	if reg == nil {
-		mvMetrics.Store(nil)
-		return
-	}
-	mvMetrics.Store(&mvccMetrics{
-		version: reg.Gauge("wvq_mvcc_version",
-			"Head snapshot version (applies since open)."),
-		layers: reg.Gauge("wvq_mvcc_layers",
-			"Overlay depth of the head snapshot."),
-		layerKeys: reg.Gauge("wvq_mvcc_layer_keys",
-			"Total overlay entries across the head snapshot's layers."),
-		pinned: reg.Gauge("wvq_mvcc_pinned_snapshots",
-			"Outstanding pinned snapshot handles."),
-		applies: reg.Counter("wvq_mvcc_applies_total",
-			"Write batches published as layers."),
-		appliedTuples: reg.Counter("wvq_mvcc_applied_tuples_total",
-			"Tuple operations across published batches."),
-		appliedKeys: reg.Counter("wvq_mvcc_applied_keys_total",
-			"Coefficients touched by published batches."),
-		compactions: reg.Counter("wvq_mvcc_compactions_total",
-			"Completed layer-fold compactions."),
-		compactedLayers: reg.Counter("wvq_mvcc_compacted_layers_total",
-			"Layers folded into new bases by compactions."),
-		compactSeconds: reg.Histogram("wvq_mvcc_compact_seconds",
-			"Latency of layer-fold compactions.", nil),
-	})
-}
-
-// mvObs returns the installed bundle, or nil when observation is off.
-func mvObs() *mvccMetrics { return mvMetrics.Load() }
-
-// noteApply mirrors one published batch into the bundle.
-func (s *Store) noteApply(ops, keys int) {
-	if m := mvObs(); m != nil {
-		m.applies.Inc()
-		m.appliedTuples.Add(int64(ops))
-		m.appliedKeys.Add(int64(keys))
-	}
-}
-
-// noteHead publishes the head gauges after a head swap.
-func (s *Store) noteHead(v *view) {
-	if m := mvObs(); m != nil {
-		m.version.Set(int64(v.version))
-		m.layers.Set(int64(len(v.layers)))
-		m.layerKeys.Set(int64(v.layerKeys))
-	}
-}
-
-// notePins mirrors a pin count change.
-func (s *Store) notePins(delta int64) {
-	if m := mvObs(); m != nil {
-		m.pinned.Add(delta)
-	}
-}
-
-// noteCompaction mirrors one finished compaction.
-func (s *Store) noteCompaction(d time.Duration, layers int) {
-	if m := mvObs(); m != nil {
-		m.compactions.Inc()
-		m.compactedLayers.Add(int64(layers))
-		m.compactSeconds.Observe(d.Seconds())
-	}
+	compactSeconds.Store(reg.Histogram("wvq_mvcc_compact_seconds",
+		"Latency of layer-fold compactions.", nil))
 }

@@ -260,11 +260,12 @@ type Store struct {
 	compacting atomic.Bool
 	compactWG  sync.WaitGroup
 
-	applies       atomic.Int64
-	appliedTuples atomic.Int64
-	appliedKeys   atomic.Int64
-	compactions   atomic.Int64
-	pinned        atomic.Int64
+	applies         atomic.Int64
+	appliedTuples   atomic.Int64
+	appliedKeys     atomic.Int64
+	compactions     atomic.Int64
+	compactedLayers atomic.Int64
+	pinned          atomic.Int64
 }
 
 // New opens an MVCC store over base, which becomes the frozen version-0
@@ -310,7 +311,6 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	v0.base = s.chain(base)
 	s.head.Store(v0)
 	s.retained = []*view{v0}
-	s.noteHead(v0)
 	return s, nil
 }
 
@@ -435,8 +435,6 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 	s.applies.Add(1)
 	s.appliedTuples.Add(int64(len(b.ops)))
 	s.appliedKeys.Add(int64(len(vals)))
-	s.noteApply(len(b.ops), len(vals))
-	s.noteHead(nv)
 	s.maybeCompact(nv)
 	return nv.version, nil
 }
@@ -549,8 +547,8 @@ func (s *Store) Compact(ctx context.Context) error {
 	s.mu.Unlock()
 
 	s.compactions.Add(1)
-	s.noteCompaction(time.Since(start), len(snap.layers))
-	s.noteHead(nv)
+	s.compactedLayers.Add(int64(len(snap.layers)))
+	compactSeconds.Load().Observe(time.Since(start).Seconds())
 	return nil
 }
 
@@ -569,7 +567,6 @@ func (s *Store) Snapshot() *Snapshot {
 	v.pins.Add(1)
 	s.mu.Unlock()
 	s.pinned.Add(1)
-	s.notePins(1)
 	return &Snapshot{s: s, v: v}
 }
 
@@ -582,7 +579,6 @@ func (s *Store) SnapshotAt(ver Version) (*Snapshot, error) {
 			v.pins.Add(1)
 			s.mu.Unlock()
 			s.pinned.Add(1)
-			s.notePins(1)
 			return &Snapshot{s: s, v: v}, nil
 		}
 	}
@@ -623,7 +619,6 @@ func (sn *Snapshot) Release() {
 	}
 	sn.v.pins.Add(-1)
 	sn.s.pinned.Add(-1)
-	sn.s.notePins(-1)
 }
 
 // --- storage.Store / Updatable on the store itself ---
@@ -695,8 +690,10 @@ type Stats struct {
 	Applies       int64 `json:"applies"`
 	AppliedTuples int64 `json:"applied_tuples"`
 	AppliedKeys   int64 `json:"applied_keys"`
-	// Compactions counts completed base folds.
-	Compactions int64 `json:"compactions"`
+	// Compactions counts completed base folds; CompactedLayers the layers
+	// they folded.
+	Compactions     int64 `json:"compactions"`
+	CompactedLayers int64 `json:"compacted_layers"`
 }
 
 // Stats snapshots the store's counters.
@@ -706,15 +703,16 @@ func (s *Store) Stats() Stats {
 	s.mu.Unlock()
 	h := s.head.Load()
 	return Stats{
-		Version:       h.version,
-		Layers:        len(h.layers),
-		LayerKeys:     h.layerKeys,
-		Retained:      retained,
-		Pinned:        s.pinned.Load(),
-		Applies:       s.applies.Load(),
-		AppliedTuples: s.appliedTuples.Load(),
-		AppliedKeys:   s.appliedKeys.Load(),
-		Compactions:   s.compactions.Load(),
+		Version:         h.version,
+		Layers:          len(h.layers),
+		LayerKeys:       h.layerKeys,
+		Retained:        retained,
+		Pinned:          s.pinned.Load(),
+		Applies:         s.applies.Load(),
+		AppliedTuples:   s.appliedTuples.Load(),
+		AppliedKeys:     s.appliedKeys.Load(),
+		Compactions:     s.compactions.Load(),
+		CompactedLayers: s.compactedLayers.Load(),
 	}
 }
 

@@ -186,12 +186,15 @@ func (k metricKind) String() string {
 }
 
 // family is one metric family: a name, a type, and children keyed by
-// rendered label signature.
+// rendered label signature. A family is pushed (its children are Counters,
+// Gauges or Histograms somebody writes) or read (its children are the
+// readChilds of ReadGroups), never both: every number has one owner.
 type family struct {
 	name   string
 	help   string
 	kind   metricKind
 	bounds []float64 // histogram bucket bounds
+	read   bool
 
 	order    []string // label signatures in registration order
 	children map[string]any
@@ -205,6 +208,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	gathers  []func() any // one per ReadGroup: its owner's snapshot, boxed
 }
 
 // NewRegistry returns an empty registry.
@@ -263,10 +267,12 @@ func escapeLabel(v string) string {
 }
 
 // lookup returns (creating if needed) the family and the child for the label
-// signature. It panics on inconsistent registration — mixed kinds or invalid
-// names are programmer errors, caught at process start where Observe calls
-// live.
-func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, labels []Label) any {
+// signature. A nil read makes the pushed child of the kind; a read family
+// passes its child, and re-declaring a read child replaces it. It panics on
+// inconsistent registration — mixed kinds, a name both pushed and read, or
+// invalid names are programmer errors, caught at process start where Observe
+// calls live.
+func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, labels []Label, read *readChild) any {
 	if !validName(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
@@ -283,20 +289,27 @@ func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, 
 	}
 	f, ok := r.byName[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, bounds: bounds, children: make(map[string]any)}
+		f = &family{name: name, help: help, kind: kind, bounds: bounds, read: read != nil, children: make(map[string]any)}
 		r.byName[name] = f
 		r.families = append(r.families, f)
 	} else if f.kind != kind {
 		panic("obs: metric " + name + " re-registered as a different kind")
+	} else if f.read != (read != nil) {
+		panic("obs: metric " + name + " registered both pushed and read")
 	}
-	if c, ok := f.children[sig]; ok {
+	c, ok := f.children[sig]
+	if ok && read == nil {
 		return c
 	}
-	var c any
-	switch kind {
-	case kindCounter:
+	if !ok {
+		f.order = append(f.order, sig)
+	}
+	switch {
+	case read != nil:
+		c = read
+	case kind == kindCounter:
 		c = &Counter{}
-	case kindGauge:
+	case kind == kindGauge:
 		c = &Gauge{}
 	default:
 		h := &Histogram{bounds: f.bounds}
@@ -304,7 +317,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, 
 		c = h
 	}
 	f.children[sig] = c
-	f.order = append(f.order, sig)
 	return c
 }
 
@@ -314,7 +326,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindCounter, nil, labels).(*Counter)
+	return r.lookup(name, help, kindCounter, nil, labels, nil).(*Counter)
 }
 
 // Gauge returns (registering on first use) the gauge for name and labels.
@@ -323,7 +335,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindGauge, nil, labels).(*Gauge)
+	return r.lookup(name, help, kindGauge, nil, labels, nil).(*Gauge)
 }
 
 // Histogram returns (registering on first use) the histogram for name and
@@ -342,7 +354,82 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 			panic("obs: histogram " + name + " bounds not ascending")
 		}
 	}
-	return r.lookup(name, help, kindHistogram, bounds, labels).(*Histogram)
+	return r.lookup(name, help, kindHistogram, bounds, labels, nil).(*Histogram)
+}
+
+// ReadGroup declares read families: metrics whose numbers a component
+// already keeps and reports through its own Stats(), so the registry reads
+// them at exposition time instead of being written beside them. The group's
+// gather function is called once per WritePrometheus or Snapshot and every
+// family of the group is valued from that one result, so the families are as
+// consistent with each other as what gather returns. A nil *ReadGroup (from
+// a nil registry) declares nothing.
+type ReadGroup[T any] struct {
+	r   *Registry
+	src int // the group's gather in r.gathers
+}
+
+// ReadFrom starts a group of read families on r, all valued from gather.
+func ReadFrom[T any](r *Registry, gather func() T) *ReadGroup[T] {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gathers = append(r.gathers, func() any {
+		got := gather()
+		return &got
+	})
+	return &ReadGroup[T]{r: r, src: len(r.gathers) - 1}
+}
+
+// ReadCounter declares the counter for name and labels as value of the
+// group's gathered result. The owner keeps it monotone.
+func (g *ReadGroup[T]) ReadCounter(name, help string, value func(*T) int64, labels ...Label) {
+	g.declare(name, help, kindCounter, value, labels)
+}
+
+// ReadGauge declares the gauge for name and labels as value of the group's
+// gathered result.
+func (g *ReadGroup[T]) ReadGauge(name, help string, value func(*T) int64, labels ...Label) {
+	g.declare(name, help, kindGauge, value, labels)
+}
+
+func (g *ReadGroup[T]) declare(name, help string, kind metricKind, value func(*T) int64, labels []Label) {
+	if g != nil {
+		g.r.lookup(name, help, kind, nil, labels,
+			&readChild{src: g.src, value: func(got any) int64 { return value(got.(*T)) }})
+	}
+}
+
+// readChild is the child of a read family: value of what gather src
+// returned.
+type readChild struct {
+	src   int
+	value func(got any) int64
+}
+
+// gatherAll calls every group's gather once. It runs outside the registry
+// lock: a gather takes its owner's locks, and nothing stops an owner from
+// touching the registry under them.
+func (r *Registry) gatherAll() []any {
+	r.mu.Lock()
+	gathers := r.gathers
+	r.mu.Unlock()
+	got := make([]any, len(gathers))
+	for i, gather := range gathers {
+		got[i] = gather()
+	}
+	return got
+}
+
+// of returns the child's number from what gatherAll returned; a child whose
+// group was started after that has none yet.
+func (c *readChild) of(got []any) (int64, bool) {
+	if c.src >= len(got) {
+		return 0, false
+	}
+	return c.value(got[c.src]), true
 }
 
 // fnum renders a float in the exposition's number format.
@@ -362,12 +449,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	var buf bytes.Buffer
+	got := r.gatherAll()
 	r.mu.Lock()
 	for _, f := range r.families {
 		fmt.Fprintf(&buf, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 		fmt.Fprintf(&buf, "# TYPE %s %s\n", f.name, f.kind)
 		for _, sig := range f.order {
 			switch m := f.children[sig].(type) {
+			case *readChild:
+				if v, ok := m.of(got); ok {
+					fmt.Fprintf(&buf, "%s%s %d\n", f.name, sig, v)
+				}
 			case *Counter:
 				fmt.Fprintf(&buf, "%s%s %d\n", f.name, sig, m.Value())
 			case *Gauge:
@@ -398,23 +490,29 @@ func bucketSig(sig, le string) string {
 	return sig[:len(sig)-1] + `,le="` + le + `"}`
 }
 
-// Snapshot returns one consistent point-in-time read of every counter and
-// gauge (and each histogram's _count and _sum), keyed by name plus rendered
-// label signature — e.g. "wvq_sched_submitted_total" or
-// `wvq_http_requests_total{endpoint="/query"}`. Consumers that report
-// several related counters (the server's /stats) take one Snapshot and read
-// every value from it, so the numbers they publish were collected in a
-// single pass rather than by independent reads at different instants.
+// Snapshot returns every counter and gauge (and each histogram's _count and
+// _sum), keyed by name plus rendered label signature — e.g.
+// "wvq_sched_submitted_total" or `wvq_http_requests_total{endpoint="/query"}`
+// — collected in one pass, as WritePrometheus collects them. Pushed values
+// are independent atomics: the pass does not stop their writers, so two of
+// them are not a joint point-in-time read. The read families of one group
+// are as consistent with each other as their owner's Stats(), because they
+// are one call of it.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
 	out := make(map[string]float64)
+	got := r.gatherAll()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, f := range r.families {
 		for _, sig := range f.order {
 			switch m := f.children[sig].(type) {
+			case *readChild:
+				if v, ok := m.of(got); ok {
+					out[f.name+sig] = float64(v)
+				}
 			case *Counter:
 				out[f.name+sig] = float64(m.Value())
 			case *Gauge:

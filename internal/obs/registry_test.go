@@ -235,6 +235,53 @@ func TestSnapshotKeys(t *testing.T) {
 	}
 }
 
+// TestReadFamilies: a read group is gathered once per exposition and every
+// family of it is valued from that one result, beside the pushed families
+// and in registration order; a name cannot be both pushed and read.
+func TestReadFamilies(t *testing.T) {
+	type owner struct{ done, queued int64 }
+	r := NewRegistry()
+	r.Counter("test_pushed_total", "Pushed.").Add(7)
+	gathers := 0
+	g := ReadFrom(r, func() owner {
+		gathers++
+		return owner{done: int64(10 * gathers), queued: int64(gathers)}
+	})
+	g.ReadCounter("test_done_total", "Read.", func(o *owner) int64 { return o.done })
+	g.ReadGauge("test_queued", "Read.", func(o *owner) int64 { return o.queued }, L("queue", "a"))
+
+	var buf strings.Builder
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP test_pushed_total Pushed.\n# TYPE test_pushed_total counter\ntest_pushed_total 7\n" +
+		"# HELP test_done_total Read.\n# TYPE test_done_total counter\ntest_done_total 10\n" +
+		"# HELP test_queued Read.\n# TYPE test_queued gauge\ntest_queued{queue=\"a\"} 1\n"
+	if buf.String() != want || gathers != 1 {
+		t.Fatalf("after %d gathers:\n%s", gathers, buf.String())
+	}
+	snap := r.Snapshot()
+	if snap["test_done_total"] != 20 || snap[`test_queued{queue="a"}`] != 2 || snap["test_pushed_total"] != 7 || gathers != 2 {
+		t.Fatalf("snapshot after %d gathers: %v", gathers, snap)
+	}
+
+	mustPanic(t, "pushed name declared read", func() {
+		g.ReadCounter("test_pushed_total", "Pushed.", func(o *owner) int64 { return o.done })
+	})
+	mustPanic(t, "read name registered pushed", func() { r.Counter("test_done_total", "Read.") })
+
+	// A later group that declares the same child takes it over.
+	ReadFrom(r, func() owner { return owner{done: 99} }).
+		ReadCounter("test_done_total", "Read.", func(o *owner) int64 { return o.done })
+	if got := r.Snapshot()["test_done_total"]; got != 99 {
+		t.Fatalf("re-declared read child = %v, want 99", got)
+	}
+
+	var none *Registry
+	ReadFrom(none, func() owner { return owner{} }).
+		ReadGauge("test_off", "Off.", func(o *owner) int64 { return o.queued })
+}
+
 func TestNilRegistryAndNilMetricsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "h")

@@ -6,64 +6,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Observability for the scheduler. Observe installs a metrics bundle into a
-// package-level atomic pointer; the scheduler mirrors its counters into it
-// as they change and keeps the occupancy gauges (run table, waiting queue)
-// in sync under its own lock. With no registry observed every site is one
-// atomic load plus a branch.
+// Observability for the scheduler. Its counters and occupancy are its own
+// (Stats; whoever exposes them reads that). The one number nothing else
+// keeps is the latency of a slice, pushed into the histogram Observe
+// installs; with none installed a slice pays one atomic load plus a branch.
 
-// schedMetrics is the package's metric bundle, built once per Observe.
-type schedMetrics struct {
-	submitted    *obs.Counter
-	rejected     *obs.Counter
-	completed    *obs.Counter
-	cancelled    *obs.Counter
-	slices       *obs.Counter
-	stepped      *obs.Counter
-	queueDepth   *obs.Gauge
-	activeRuns   *obs.Gauge
-	sliceSeconds *obs.Histogram
-}
-
-var scMetrics atomic.Pointer[schedMetrics]
+var sliceSeconds atomic.Pointer[obs.Histogram]
 
 // Observe points the scheduler's instrumentation at reg. Pass nil to
 // uninstall (the default state).
 func Observe(reg *obs.Registry) {
-	if reg == nil {
-		scMetrics.Store(nil)
-		return
-	}
-	scMetrics.Store(&schedMetrics{
-		submitted: reg.Counter("wvq_sched_submitted_total",
-			"Jobs admitted into the run table or waiting queue."),
-		rejected: reg.Counter("wvq_sched_rejected_total",
-			"Jobs rejected by admission control (table and queue full)."),
-		completed: reg.Counter("wvq_sched_completed_total",
-			"Runs that finished normally (exact or budget reached)."),
-		cancelled: reg.Counter("wvq_sched_cancelled_total",
-			"Runs finished by context cancellation or deadline."),
-		slices: reg.Counter("wvq_sched_slices_total",
-			"Scheduling turns executed."),
-		stepped: reg.Counter("wvq_sched_stepped_total",
-			"Retrievals performed across all slices."),
-		queueDepth: reg.Gauge("wvq_sched_queue_depth",
-			"Jobs waiting in the admission queue."),
-		activeRuns: reg.Gauge("wvq_sched_active_runs",
-			"Runs currently in the round-robin run table."),
-		sliceSeconds: reg.Histogram("wvq_sched_slice_seconds",
-			"Latency of individual scheduling slices (one StepBatch quantum).", nil),
-	})
-}
-
-// scObs returns the installed bundle, or nil when observation is off.
-func scObs() *schedMetrics { return scMetrics.Load() }
-
-// syncGaugesLocked publishes the instantaneous run-table and queue
-// occupancy. Called wherever ring or queue membership changes, under s.mu.
-func (s *Scheduler) syncGaugesLocked() {
-	if m := scObs(); m != nil {
-		m.activeRuns.Set(int64(len(s.ring)))
-		m.queueDepth.Set(int64(len(s.queue)))
-	}
+	sliceSeconds.Store(reg.Histogram("wvq_sched_slice_seconds",
+		"Latency of individual scheduling slices (one StepBatch quantum).", nil))
 }

@@ -340,9 +340,6 @@ func (s *Scheduler) Submit(ctx context.Context, job Job) (*Ticket, error) {
 	}
 	if len(s.ring) >= s.cfg.MaxActive && len(s.queue) >= s.cfg.MaxQueued {
 		s.rejected++
-		if m := scObs(); m != nil {
-			m.rejected.Inc()
-		}
 		return nil, ErrOverloaded
 	}
 	tctx, cancel := context.WithCancel(ctx)
@@ -363,10 +360,6 @@ func (s *Scheduler) Submit(ctx context.Context, job Job) (*Ticket, error) {
 		s.queue = append(s.queue, t)
 	}
 	s.submitted++
-	if m := scObs(); m != nil {
-		m.submitted.Inc()
-	}
-	s.syncGaugesLocked()
 	s.cond.Broadcast()
 	go s.watch(t)
 	return &Ticket{t: t, s: s}, nil
@@ -400,7 +393,8 @@ func (s *Scheduler) watch(t *task) {
 	close(t.done)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters, taken under the scheduler's
+// lock: Submitted = Completed + Cancelled + Active + Queued in every one.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -461,13 +455,13 @@ func (s *Scheduler) worker() {
 		// instead of panicking a worker, and a non-nil err here is always
 		// the task context ending.
 		var start time.Time
-		m := scObs()
-		if m != nil {
+		hist := sliceSeconds.Load()
+		if hist != nil {
 			start = time.Now()
 		}
 		stepped, err := t.job.Run.StepBatchCtx(t.ctx, n)
-		if m != nil {
-			m.sliceSeconds.Observe(time.Since(start).Seconds())
+		if hist != nil {
+			hist.Observe(time.Since(start).Seconds())
 		}
 		// The run is owned by this worker until busy clears: snapshot and
 		// the finish decision need no lock.
@@ -536,10 +530,6 @@ func (s *Scheduler) afterSlice(t *task, stepped int, p Progress, err error, fini
 	}
 	s.slices++
 	s.stepped += int64(stepped)
-	if m := scObs(); m != nil {
-		m.slices.Inc()
-		m.stepped.Add(int64(stepped))
-	}
 	first := false
 	if finished {
 		first = s.finishLocked(t, p, err)
@@ -569,15 +559,7 @@ func (s *Scheduler) finishLocked(t *task, p Progress, err error) bool {
 	} else {
 		s.completed++
 	}
-	if m := scObs(); m != nil {
-		if err != nil {
-			m.cancelled.Inc()
-		} else {
-			m.completed.Inc()
-		}
-	}
 	s.promoteLocked()
-	s.syncGaugesLocked()
 	return true
 }
 

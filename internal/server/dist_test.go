@@ -22,6 +22,12 @@ const distStatements = "COUNT() WHERE x <= 40; SUM(y) WHERE x <= 63; COUNT() WHE
 // wraps the assembled distributed view in the HTTP handler.
 func distHandler(t *testing.T) (*Handler, []float64, []*repro.ShardServer) {
 	t.Helper()
+	return distHandlerN(t, 4)
+}
+
+// distHandlerN is distHandler over count shards.
+func distHandlerN(t *testing.T, count int) (*Handler, []float64, []*repro.ShardServer) {
+	t.Helper()
 	schema, err := repro.NewSchema([]string{"x", "y"}, []int{64, 64})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +47,6 @@ func distHandler(t *testing.T) (*Handler, []float64, []*repro.ShardServer) {
 	}
 	exact := db.Exact(plan)
 
-	const count = 4
 	addrs := make([]string, count)
 	servers := make([]*repro.ShardServer, count)
 	for i := 0; i < count; i++ {

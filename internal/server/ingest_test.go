@@ -17,6 +17,15 @@ import (
 // quantization windows, ready for both JSON and CSV ingest.
 func mvccHandler(t *testing.T) (*Handler, *repro.Database) {
 	t.Helper()
+	db := mvccDatabase(t)
+	h := New(db)
+	t.Cleanup(h.Close)
+	return h, db
+}
+
+// mvccDatabase is mvccHandler's database before a handler wraps it.
+func mvccDatabase(t *testing.T) *repro.Database {
+	t.Helper()
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +43,7 @@ func mvccHandler(t *testing.T) (*Handler, *repro.Database) {
 	if err := db.SetWindows([][2]float64{{0, 32}, {0, 32}}); err != nil {
 		t.Fatal(err)
 	}
-	h := New(db)
-	t.Cleanup(h.Close)
-	return h, db
+	return db
 }
 
 func postIngest(t *testing.T, h *Handler, contentType, body string) *httptest.ResponseRecorder {

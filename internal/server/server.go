@@ -275,7 +275,7 @@ func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	case r.URL.Path == "/stats" && r.Method == http.MethodGet:
-		h.stats(w)
+		writeJSON(w, http.StatusOK, h.stats())
 	case r.URL.Path == "/query" && r.Method == http.MethodPost:
 		h.query(w, r)
 	case r.URL.Path == "/ingest" && r.Method == http.MethodPost:
@@ -291,7 +291,12 @@ func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (h *Handler) stats(w http.ResponseWriter) {
+// stats gathers the /stats reply. It is the one reader of the counters the
+// handler's components keep — GET /stats renders it and the metrics registry
+// projects the same struct onto its read families (obs.go), so the two
+// cannot disagree. Each section is its owner's own Stats(): one locked read
+// of the scheduler, one pass over the coalescing counters, and so on.
+func (h *Handler) stats() StatsResponse {
 	resp := StatsResponse{
 		Tuples:       h.db.TupleCount(),
 		Coefficients: h.db.NonzeroCoefficients(),
@@ -301,33 +306,9 @@ func (h *Handler) stats(w http.ResponseWriter) {
 		Windows:      h.db.Windows(),
 		Retrievals:   h.db.Retrievals(),
 		StoreStack:   h.db.StoreStack(),
+		Scheduler:    h.sched.Stats(),
 	}
-	if h.met != nil {
-		// One registry snapshot: every scheduler and coalescing number below
-		// was read in a single locked pass, so the JSON is internally
-		// consistent (the old path read the two stat sources at different
-		// instants).
-		snap := h.met.reg.Snapshot()
-		resp.Scheduler = sched.Stats{
-			Submitted: int64(snap["wvq_sched_submitted_total"]),
-			Rejected:  int64(snap["wvq_sched_rejected_total"]),
-			Completed: int64(snap["wvq_sched_completed_total"]),
-			Cancelled: int64(snap["wvq_sched_cancelled_total"]),
-			Slices:    int64(snap["wvq_sched_slices_total"]),
-			Stepped:   int64(snap["wvq_sched_stepped_total"]),
-			Active:    int(snap["wvq_sched_active_runs"]),
-			Queued:    int(snap["wvq_sched_queue_depth"]),
-		}
-		resp.Coalescing = repro.CoalesceStats{
-			Requests:  int64(snap["wvq_storage_coalesce_requests_total"]),
-			Fetched:   int64(snap["wvq_storage_coalesce_fetched_total"]),
-			Coalesced: int64(snap["wvq_storage_coalesce_shared_total"]),
-		}
-	} else {
-		co, _ := h.db.CoalescingStats()
-		resp.Scheduler = h.sched.Stats()
-		resp.Coalescing = co
-	}
+	resp.Coalescing, _ = h.db.CoalescingStats()
 	resp.Prepared = PreparedStats{
 		PlanRegistryStats: h.registry.Stats(),
 		PreparedExecutes:  h.preparedExecs.Load(),
@@ -365,7 +346,7 @@ func (h *Handler) stats(w http.ResponseWriter) {
 		}
 		resp.Diagnostics.ShardTracePropagation = tp
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // submission is a parsed, admitted request: everything both endpoints need
@@ -476,9 +457,6 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 		batch, plan = prep.Batch, prep.Plan
 		planSource = "registry-hit"
 		h.preparedExecs.Add(1)
-		if h.met != nil {
-			h.met.preparedExec.Inc()
-		}
 	} else {
 		if n := strings.Count(req.Statements, ";") + 1; n > maxStatements {
 			http.Error(w, fmt.Sprintf("bad request: %d statements exceeds the limit of %d", n, maxStatements),
@@ -516,9 +494,6 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 			perm[i] = pp.CanonicalIndex(i)
 		}
 		h.adhocExecs.Add(1)
-		if h.met != nil {
-			h.met.adhocExec.Inc()
-		}
 	}
 	budget := req.Budget
 	if budget >= plan.DistinctCoefficients() {

@@ -37,9 +37,24 @@ type CoalescingStore struct {
 	mu       sync.Mutex
 	inflight map[int]flightRef
 
-	requests  atomic.Int64 // coefficients requested through the layer
-	fetched   atomic.Int64 // coefficients fetched from the wrapped store
-	coalesced atomic.Int64 // coefficients served by joining another fetch
+	counts *CoalesceCounters
+}
+
+// CoalesceCounters is what a coalescing layer counts. It is a type of its
+// own so that the owner of a store stack can keep one across rebuilds
+// (Stack.Build): the layers come and go, the counts only grow. Every
+// requested key is either led or joined, and a batch is counted when it has
+// sorted its keys into the two, so Requests = Fetched + Coalesced in every
+// Stats, whatever is in flight.
+type CoalesceCounters struct {
+	fetched   atomic.Int64 // coefficients asked of the wrapped store
+	coalesced atomic.Int64 // coefficients that joined another fetch
+}
+
+// Stats returns the counters.
+func (c *CoalesceCounters) Stats() CoalesceStats {
+	fetched, coalesced := c.fetched.Load(), c.coalesced.Load()
+	return CoalesceStats{Requests: fetched + coalesced, Fetched: fetched, Coalesced: coalesced}
 }
 
 // flight is one in-progress lead fetch: every key a batch registered, asked
@@ -86,7 +101,7 @@ func NewCoalescingStore(inner Store) *CoalescingStore {
 	if !IsConcurrent(inner) {
 		panic(fmt.Sprintf("storage: coalescing over %T, which is not concurrent-safe", inner))
 	}
-	return &CoalescingStore{inner: inner, inflight: make(map[int]flightRef)}
+	return &CoalescingStore{inner: inner, inflight: make(map[int]flightRef), counts: new(CoalesceCounters)}
 }
 
 // BatchGetCtx implements Store. Keys already in flight elsewhere are
@@ -110,8 +125,6 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 			sp.End()
 		}()
 	}
-	s.requests.Add(int64(len(keys)))
-	obsCoalesce(int64(len(keys)), 0, 0)
 
 	type join struct {
 		pos int
@@ -139,16 +152,17 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 		sp.SetAttr("leads", strconv.Itoa(len(leadKeys)))
 		sp.SetAttr("joins", strconv.Itoa(len(joins)))
 	}
-	// EXPLAIN ANALYZE attribution: requested vs physically fetched (leads)
-	// vs served by joining another key's flight. Nil profile = no-op.
+	// The layer's counters and the EXPLAIN ANALYZE attribution (nil profile
+	// = no-op) say the same thing: requested = physically fetched (leads) +
+	// served by joining another key's flight.
+	s.counts.fetched.Add(int64(len(leadKeys)))
+	s.counts.coalesced.Add(int64(len(joins)))
 	obs.ProfileFrom(ctx).AddCoalesce(len(keys), len(leadKeys), len(joins))
 
 	var failed []KeyError
 	if len(leadKeys) > 0 {
 		lead.vals = make([]float64, len(leadKeys))
 		err := s.inner.BatchGetCtx(ctx, leadKeys, lead.vals)
-		s.fetched.Add(int64(len(leadKeys)))
-		obsCoalesce(0, int64(len(leadKeys)), 0)
 		if err != nil {
 			var be *BatchError
 			if errors.As(err, &be) {
@@ -186,8 +200,6 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		s.coalesced.Add(1)
-		obsCoalesce(0, 0, 1)
 		v, err := jn.ref.result()
 		if err != nil {
 			failed = append(failed, KeyError{Index: jn.pos, Key: keys[jn.pos], Err: err})
@@ -200,13 +212,7 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 }
 
 // Stats returns the coalescing counters.
-func (s *CoalescingStore) Stats() CoalesceStats {
-	return CoalesceStats{
-		Requests:  s.requests.Load(),
-		Fetched:   s.fetched.Load(),
-		Coalesced: s.coalesced.Load(),
-	}
-}
+func (s *CoalescingStore) Stats() CoalesceStats { return s.counts.Stats() }
 
 // Retrievals implements Store: physical fetches issued to the wrapped store.
 func (s *CoalescingStore) Retrievals() int64 { return s.inner.Retrievals() }
@@ -215,9 +221,8 @@ func (s *CoalescingStore) Retrievals() int64 { return s.inner.Retrievals() }
 // the layer's own.
 func (s *CoalescingStore) ResetStats() {
 	s.inner.ResetStats()
-	s.requests.Store(0)
-	s.fetched.Store(0)
-	s.coalesced.Store(0)
+	s.counts.fetched.Store(0)
+	s.counts.coalesced.Store(0)
 }
 
 // NonzeroCount implements Store.

@@ -9,25 +9,23 @@ import (
 )
 
 // Observability for the storage layer. Observe installs a metrics bundle
-// into a package-level atomic pointer; every layer (cache, coalescing,
-// retry, fault injection) checks the pointer on its counting paths, and the
+// into a package-level atomic pointer; the layers whose counts nothing else
+// keeps (cache, retry, fault injection) check the pointer on their counting
+// paths — the coalescing layer keeps its own (CoalesceCounters) — and the
 // InstrumentedStore wrapper times the retrieval calls themselves. With no
 // registry observed the pointer is nil and every site is one atomic load
 // plus a branch — no allocation, no time.Now.
 
 // storageMetrics is the package's metric bundle, built once per Observe.
 type storageMetrics struct {
-	batchSeconds    *obs.Histogram // latency of retrieval batches
-	batchKeys       *obs.Counter   // keys requested through retrieval batches
-	cacheHits       *obs.Counter
-	cacheMisses     *obs.Counter
-	coalesceReqs    *obs.Counter
-	coalesceFetched *obs.Counter
-	coalesceShared  *obs.Counter
-	retryAttempts   *obs.Counter
-	retryExhausted  *obs.Counter
-	faultErrors     *obs.Counter
-	faultDelays     *obs.Counter
+	batchSeconds   *obs.Histogram // latency of retrieval batches
+	batchKeys      *obs.Counter   // keys requested through retrieval batches
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	retryAttempts  *obs.Counter
+	retryExhausted *obs.Counter
+	faultErrors    *obs.Counter
+	faultDelays    *obs.Counter
 }
 
 var stMetrics atomic.Pointer[storageMetrics]
@@ -49,12 +47,6 @@ func Observe(reg *obs.Registry) {
 			"Coefficient cache hits."),
 		cacheMisses: reg.Counter("wvq_storage_cache_misses_total",
 			"Coefficient cache misses (fetches that reached the wrapped store)."),
-		coalesceReqs: reg.Counter("wvq_storage_coalesce_requests_total",
-			"Coefficients requested through the coalescing layer."),
-		coalesceFetched: reg.Counter("wvq_storage_coalesce_fetched_total",
-			"Coefficients physically fetched by the coalescing layer."),
-		coalesceShared: reg.Counter("wvq_storage_coalesce_shared_total",
-			"Coefficients served by joining another caller's in-flight fetch."),
 		retryAttempts: reg.Counter("wvq_storage_retry_attempts_total",
 			"Retrieval attempts issued by the retry layer, including first tries."),
 		retryExhausted: reg.Counter("wvq_storage_retry_exhausted_total",
@@ -68,17 +60,6 @@ func Observe(reg *obs.Registry) {
 
 // stObs returns the installed bundle, or nil when observation is off.
 func stObs() *storageMetrics { return stMetrics.Load() }
-
-// obsCoalesce mirrors coalescing counters into the observed registry.
-func obsCoalesce(requests, fetched, shared int64) {
-	m := stObs()
-	if m == nil {
-		return
-	}
-	m.coalesceReqs.Add(requests)
-	m.coalesceFetched.Add(fetched)
-	m.coalesceShared.Add(shared)
-}
 
 // obsRetryAttempts counts retrieval attempts issued by the retry layer.
 func obsRetryAttempts(n int64) {

@@ -119,27 +119,6 @@ func TestRetryAndFaultCountersMirrored(t *testing.T) {
 	}
 }
 
-func TestCoalesceCountersMatchStats(t *testing.T) {
-	reg := observeTest(t)
-	co := NewCoalescingStore(NewConcurrentStore(NewArrayStore(testDense())))
-	dst := make([]float64, 4)
-	if err := co.BatchGetCtx(context.Background(), []int{0, 1, 2, 3}, dst); err != nil {
-		t.Fatal(err)
-	}
-	Get(co, 7)
-	stats := co.Stats()
-	snap := reg.Snapshot()
-	if int64(snap["wvq_storage_coalesce_requests_total"]) != stats.Requests {
-		t.Fatalf("requests: registry %v vs stats %d", snap["wvq_storage_coalesce_requests_total"], stats.Requests)
-	}
-	if int64(snap["wvq_storage_coalesce_fetched_total"]) != stats.Fetched {
-		t.Fatalf("fetched: registry %v vs stats %d", snap["wvq_storage_coalesce_fetched_total"], stats.Fetched)
-	}
-	if int64(snap["wvq_storage_coalesce_shared_total"]) != stats.Coalesced {
-		t.Fatalf("shared: registry %v vs stats %d", snap["wvq_storage_coalesce_shared_total"], stats.Coalesced)
-	}
-}
-
 // TestUnobservedPassThroughZeroAllocs pins the nil fast path of the
 // instrumentation wrapper itself: with no registry observed, a retrieval
 // through the wrapper must not allocate.

@@ -310,11 +310,9 @@ func (s *Store) block(b int) ([]byte, error) {
 	vals, err := s.loadBlock(b)
 	if err != nil {
 		s.blockLoadFails.Add(1)
-		obsBlockLoadFail()
 		return nil, err
 	}
 	s.blockLoads.Add(1)
-	obsBlockLoad()
 	if c.capacity > 0 {
 		for c.lru.Len() >= c.capacity {
 			oldest := c.lru.Back()
@@ -403,10 +401,8 @@ func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
 	}
 	if slot < s.g.hotCount {
 		s.hotHits.Add(int64(n))
-		obsHotHits(int64(n))
 	} else {
 		s.coldHits.Add(int64(n))
-		obsColdHits(int64(n))
 	}
 	return n, nil
 }

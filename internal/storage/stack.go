@@ -30,7 +30,9 @@ type Stack struct {
 // leaving out what the stack does not ask for, and returns the top of the
 // chain — where every retrieval enters — and its guard: the base, behind the
 // mutex when the chain has one. The owner writes to and enumerates the guard,
-// so a write excludes the retrievals above it.
+// so a write excludes the retrievals above it. A coalescing layer counts into
+// counts, which an owner that rebuilds passes to every Build so that what it
+// reports never runs backwards; nil gives the layer counters of its own.
 //
 // The order is fixed by what each layer is for. The mutex sits directly on
 // the base because it protects only the base's unsynchronized retrieval
@@ -39,10 +41,10 @@ type Stack struct {
 // goes over both, so it covers the whole physical retrieval; coalescing goes
 // on top, so a fetch recovered by a retry is shared like any other.
 //
-// Every call makes new layers: the counters a layer keeps (Nth-call fault
-// schedules, jitter draws, coalescing stats) start over, and a run that
-// captured an earlier chain keeps it.
-func (s Stack) Build(base Store) (top, guard Store) {
+// Every call makes new layers: the state a layer keeps (Nth-call fault
+// schedules, jitter draws) starts over, and a run that captured an earlier
+// chain keeps it.
+func (s Stack) Build(base Store, counts *CoalesceCounters) (top, guard Store) {
 	top = base
 	if (s.Concurrent || s.Coalesce) && !IsConcurrent(base) {
 		top = NewConcurrentStore(base)
@@ -58,7 +60,11 @@ func (s Stack) Build(base Store) (top, guard Store) {
 		top = NewInstrumentedStore(top)
 	}
 	if s.Coalesce {
-		top = NewCoalescingStore(top)
+		co := NewCoalescingStore(top)
+		if counts != nil {
+			co.counts = counts
+		}
+		top = co
 	}
 	return top, guard
 }
@@ -66,7 +72,7 @@ func (s Stack) Build(base Store) (top, guard Store) {
 // Chain is Build for an owner that neither writes nor enumerates: the top
 // of the chain alone.
 func (s Stack) Chain(base Store) Store {
-	top, _ := s.Build(base)
+	top, _ := s.Build(base, nil)
 	return top
 }
 

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mvccFixture builds an MVCC database with a deterministic dataset and a
@@ -399,6 +401,53 @@ func TestCompactionPreservesFacadeAnswers(t *testing.T) {
 	if _, ok := db.CoalescingStats(); !ok {
 		t.Fatal("CoalescingStats lost after compaction")
 	}
+}
+
+// TestCoalescingStatsNeverRunBackwards: the coalescing counters are the
+// database's, so the rebuilds that replace the layer — every compaction's new
+// base chain, InjectFaults and its restore — leave them where they were.
+// They used to belong to the layer and start over with each one, which a
+// scraper of the server's read counters would see as a reset.
+func TestCoalescingStatsNeverRunBackwards(t *testing.T) {
+	db, plan, _ := mvccFixture(t, MVCCConfig{DisableAutoCompact: true})
+	db.InjectFaults(FaultConfig{ErrorEvery: 3})
+	db.EnableRetries(RetryConfig{MaxAttempts: 8, BaseDelay: time.Microsecond}) // an Apply reads through the chain too
+	if err := db.EnableCoalescing(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var last CoalesceStats
+	drain := func(after string) {
+		t.Helper()
+		run := db.NewRun(plan, SSE())
+		for !run.Done() {
+			if _, err := run.StepBatchCtx(ctx, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, ok := db.CoalescingStats()
+		if !ok || st.Requests != st.Fetched+st.Coalesced {
+			t.Fatalf("%s: stats %+v (ok %v) break requests = fetched + coalesced", after, st, ok)
+		}
+		if st.Requests < last.Requests+int64(plan.DistinctCoefficients()) || st.Fetched < last.Fetched || st.Coalesced < last.Coalesced {
+			t.Fatalf("%s: stats ran backwards: %+v → %+v", after, last, st)
+		}
+		last = st
+	}
+	drain("open")
+	for i, b := range randomBatches(db, 8, 100, 29) {
+		if _, err := db.Apply(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompactNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+		drain(fmt.Sprintf("compaction %d", i+1))
+	}
+	restore := db.InjectFaults(FaultConfig{ErrorEvery: 2})
+	drain("InjectFaults")
+	restore()
+	drain("restore")
 }
 
 // TestMVCCSaveRoundTrip checks that Save pins one consistent version and the

@@ -64,6 +64,9 @@ type Database struct {
 	stack storage.Stack
 	store storage.Store
 	guard storage.Store
+	// coalesced is what every coalescing layer rebuild has made counted:
+	// the layers are replaced, the counts are not (CoalescingStats).
+	coalesced storage.CoalesceCounters
 
 	// mvcc is non-nil after EnableMVCC: db.store is the MVCC store, the
 	// stack is built over the base of its every view, and every write
@@ -160,14 +163,16 @@ func newDatabase(schema *Schema, filter *Filter, base storage.Store) *Database {
 // it, so the stack a database runs does not depend on the order they were
 // called in. Runs and sessions keep the chain they captured at creation.
 func (db *Database) rebuild() {
-	var top storage.Store
 	if db.mvcc != nil {
-		db.mvcc.SetBaseChain(db.stack.Chain) // the method value holds a copy of the stack
-		top = db.mvcc
-	} else {
-		top, db.guard = db.stack.Build(db.base)
+		stack := db.stack // compactions build later chains from this copy
+		db.mvcc.SetBaseChain(func(raw storage.Store) storage.Store {
+			top, _ := stack.Build(raw, &db.coalesced)
+			return top
+		})
+		db.store = db.mvcc
+		return
 	}
-	db.store = top
+	db.store, db.guard = db.stack.Build(db.base, &db.coalesced)
 }
 
 // StoreStack prints the store stack retrievals cross, base first — for
@@ -493,20 +498,11 @@ func (db *Database) EnableCoalescing() error {
 }
 
 // CoalescingStats returns the coalescing counters; ok is false when
-// EnableCoalescing has not been called. The counters belong to the layer
-// instance: they start over whenever the stack is rebuilt (a later Enable*
-// call, an InjectFaults restore) and, under MVCC, at each compaction, which
-// builds the stack over the new base.
+// EnableCoalescing has not been called. The counters are the database's, not
+// a layer instance's: they carry across every rebuild of the stack and every
+// MVCC compaction.
 func (db *Database) CoalescingStats() (stats CoalesceStats, ok bool) {
-	top := db.store
-	if db.mvcc != nil {
-		top = db.mvcc.BaseChain()
-	}
-	cs, ok := top.(*storage.CoalescingStore)
-	if !ok {
-		return CoalesceStats{}, false
-	}
-	return cs.Stats(), true
+	return db.coalesced.Stats(), db.stack.Coalesce
 }
 
 // NewRun starts a progressive Batch-Biggest-B run under the penalty. The

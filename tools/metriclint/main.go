@@ -1,5 +1,6 @@
 // Command metriclint enforces the repo's metric-naming hygiene over every
-// registration call site (Registry.Counter / Gauge / Histogram):
+// registration call site — pushed families (Registry.Counter / Gauge /
+// Histogram) and read ones (ReadGroup.ReadCounter / ReadGauge):
 //
 //   - every metric name is snake_case under the wvq_ prefix
 //     (^wvq_[a-z0-9]+(_[a-z0-9]+)*$ — no camelCase, no dashes, no dots);
@@ -8,11 +9,13 @@
 //     everywhere it appears, and when it appears at more than one call site
 //     every site must carry labels (labeled variants of one series, e.g.
 //     tier="hot"/"cold", are fine; two unlabeled registrations of the same
-//     name is how dashboards silently split a series).
+//     name is how dashboards silently split a series);
+//   - every number has one owner: a name is pushed or read, never both.
 //
 // The scan is purely syntactic (go/parser, no type checking): any call of a
-// method named Counter, Gauge or Histogram whose first argument is a string
-// literal is treated as a registration. Test files and tools/ are exempt.
+// method named Counter, Gauge, Histogram, ReadCounter or ReadGauge whose
+// first argument is a string literal is treated as a registration. Test files
+// and tools/ are exempt.
 //
 // Usage: go run ./tools/metriclint .
 package main
@@ -34,9 +37,11 @@ import (
 // nameRE is the hygiene rule: wvq_ prefix, lowercase snake_case segments.
 var nameRE = regexp.MustCompile(`^wvq_[a-z0-9]+(_[a-z0-9]+)*$`)
 
-// registration is one Counter/Gauge/Histogram call site.
+// registration is one Counter/Gauge/Histogram/ReadCounter/ReadGauge call
+// site.
 type registration struct {
 	kind    string // "Counter", "Gauge", "Histogram"
+	read    bool   // declared with the Read form of kind
 	help    string
 	labeled bool // the call passes label arguments
 	pos     token.Position
@@ -93,8 +98,8 @@ func lint(root string) ([]string, error) {
 			if !ok {
 				return true
 			}
-			kind := sel.Sel.Name
-			if kind != "Counter" && kind != "Gauge" && kind != "Histogram" {
+			kind, read := strings.CutPrefix(sel.Sel.Name, "Read")
+			if kind != "Counter" && kind != "Gauge" && (kind != "Histogram" || read) {
 				return true
 			}
 			if len(call.Args) < 2 {
@@ -114,14 +119,14 @@ func lint(root string) ([]string, error) {
 				findings = append(findings, fmt.Sprintf(
 					"%s: metric %q has no literal help text", at(pos), name))
 			}
-			// Labels follow (name, help) for Counter/Gauge and
-			// (name, help, buckets) for Histogram.
+			// Labels follow (name, help) for Counter/Gauge, (name, help,
+			// buckets) for Histogram and (name, help, value) for the Read forms.
 			labelStart := 2
-			if kind == "Histogram" {
+			if kind == "Histogram" || read {
 				labelStart = 3
 			}
 			regs[name] = append(regs[name], registration{
-				kind: kind, help: help, labeled: len(call.Args) > labelStart, pos: pos})
+				kind: kind, read: read, help: help, labeled: len(call.Args) > labelStart, pos: pos})
 			return true
 		})
 		return nil
@@ -151,6 +156,10 @@ func lint(root string) ([]string, error) {
 			if r.kind != rs[0].kind {
 				findings = append(findings, fmt.Sprintf(
 					"%s: metric %q registered as both %s and %s", at(r.pos), name, rs[0].kind, r.kind))
+			}
+			if r.read != rs[0].read {
+				findings = append(findings, fmt.Sprintf(
+					"%s: metric %q is both pushed and read; every number has one owner", at(r.pos), name))
 			}
 			if r.help != rs[0].help {
 				findings = append(findings, fmt.Sprintf(
