@@ -56,7 +56,7 @@ sort-lint:
 # the one caller of the layer constructors, so their order is written once.
 # Non-test Go outside internal/storage sets a field of a Stack instead.
 stack-lint:
-	@! grep -rnE 'New(Fault|Retry|Instrumented|Coalescing|Concurrent)Store\(' --include='*.go' . | grep -v _test.go | grep -v '^./internal/storage/' \
+	@! grep -rnE 'New(Fault|Retry|Instrumented|Coalescing)Store\(' --include='*.go' . | grep -v _test.go | grep -v '^./internal/storage/' \
 		|| { echo "stack-lint: store layer constructed outside internal/storage; declare it on a storage.Stack" >&2; exit 1; }
 
 # Metric naming hygiene (tools/metriclint): every registered metric — pushed
@@ -97,10 +97,10 @@ cover:
 	$(GO) test -cover ./... | grep -v 'no test files'
 
 # Parallel-engine benchmarks: plan construction, exact evaluation, batched
-# stepping, store contention.
+# stepping, parallel reads of the in-memory stores.
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkPlanParallel|BenchmarkExactParallel|BenchmarkStepBatch' -benchtime=100x ./internal/core/
-	$(GO) test -run NONE -bench 'BenchmarkConcurrentStore' -benchtime=100x ./internal/storage/
+	$(GO) test -run NONE -bench 'BenchmarkParallelReads' -benchtime=100x ./internal/storage/
 
 # Evaluation-core benchmarks behind BENCH_core.json: run setup heap-vs-
 # schedule, exact pass AoS-vs-CSR, and prefetching StepBatch batch sizes;

@@ -112,11 +112,10 @@ func LoadShardServer(r io.Reader, index, count int, logger *slog.Logger) (*Shard
 	return newShardServer(st, logger, meta), nil
 }
 
-// newShardServer serves part through a one-layer stack: every connection of
-// a dist.Server retrieves from its own goroutine.
+// newShardServer serves part bare: every connection of a dist.Server
+// retrieves from its own goroutine, and a partition is only ever read.
 func newShardServer(part storage.Store, logger *slog.Logger, meta codec.ShardMeta) *ShardServer {
-	top := storage.Stack{Concurrent: true}.Chain(part)
-	return &ShardServer{srv: dist.NewServer(top, meta, logger), meta: meta, stack: storage.Describe(top)}
+	return &ShardServer{srv: dist.NewServer(part, meta, logger), meta: meta, stack: storage.Describe(part)}
 }
 
 // StoreStack prints the store stack the shard serves from, base first.
@@ -177,8 +176,8 @@ type DistOptions struct {
 // ascending key order, summed in shard order, so bounds are deterministic
 // and identical to the single-node enumeration).
 //
-// The resulting database is read-only (Insert/Delete panic) and reports
-// ConcurrentSafe. Close it to release the shard connections.
+// The resulting database is read-only (writes return ErrReadOnly). Close it
+// to release the shard connections.
 func OpenDistributed(addrs []string, opts DistOptions) (*Database, error) {
 	if err := dist.ValidShardCount(len(addrs)); err != nil {
 		return nil, err

@@ -46,13 +46,6 @@ func TestFacadeErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEmptyDatabase(schema, Haar, WithStore(StoreKind(99))); err == nil {
-		t.Error("bogus store kind should fail")
-	}
-	dist := NewDistribution(schema)
-	if _, err := NewDatabase(dist, Haar, WithStore(StoreKind(99))); err == nil {
-		t.Error("bogus store kind should fail on NewDatabase too")
-	}
 	db, err := NewEmptyDatabase(schema, Haar)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +81,7 @@ func TestCoefficientMassMatchesEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist := UniformData(schema, 100, 3)
-	db, err := NewDatabase(dist, Haar, WithStore(StoreArray))
+	db, err := NewDatabase(dist, Haar)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,13 +91,16 @@ func TestExactParallelCtxBitIdenticalToExact(t *testing.T) {
 	f := newFixture(t, 12)
 	want := f.plan.Exact(f.store)
 	ctx := context.Background()
-	got, err := f.plan.ExactParallelCtx(ctx, f.store, 4)
+	plain, err := storage.NewCachedStore(f.store, storage.Unbounded) // not concurrent-safe
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.plan.ExactParallelCtx(ctx, plain, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, got, want, "ExactParallelCtx(plain)")
-	conc := storage.NewConcurrentStore(f.store)
-	got, err = f.plan.ExactParallelCtx(ctx, conc, 4)
+	got, err = f.plan.ExactParallelCtx(ctx, f.store, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

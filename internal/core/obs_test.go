@@ -16,8 +16,7 @@ import (
 // Run under -race this also exercises the span plumbing for data races.
 func TestSpanPropagationThroughLayers(t *testing.T) {
 	f := newFixture(t, 8)
-	conc := storage.NewConcurrentStore(f.store)
-	retr := storage.NewRetryStore(conc, storage.RetryConfig{MaxAttempts: 2})
+	retr := storage.NewRetryStore(f.store, storage.RetryConfig{MaxAttempts: 2})
 	coal := storage.NewCoalescingStore(retr)
 
 	sink := obs.NewSpanSink(64)
@@ -62,8 +61,7 @@ func TestSpanPropagationThroughLayers(t *testing.T) {
 // counter plumbing on the shared retrieval path.
 func TestSpanPropagationConcurrentRuns(t *testing.T) {
 	f := newFixture(t, 8)
-	conc := storage.NewConcurrentStore(f.store)
-	retr := storage.NewRetryStore(conc, storage.RetryConfig{MaxAttempts: 2})
+	retr := storage.NewRetryStore(f.store, storage.RetryConfig{MaxAttempts: 2})
 	coal := storage.NewCoalescingStore(retr)
 
 	reg := obs.NewRegistry()

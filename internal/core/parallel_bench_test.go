@@ -14,11 +14,10 @@ import (
 // benchPlanFixture is a 128-query 2-D workload — large enough that plan
 // construction and exact evaluation have real work to parallelize.
 type benchPlanFixture struct {
-	batch   query.Batch
-	plan    *Plan
-	store   *storage.HashStore
-	sharded *storage.ShardedStore
-	array   *storage.ArrayStore
+	batch query.Batch
+	plan  *Plan
+	store *storage.HashStore
+	array *storage.ArrayStore
 }
 
 func newBenchPlanFixture(b *testing.B) *benchPlanFixture {
@@ -41,17 +40,11 @@ func newBenchPlanFixture(b *testing.B) *benchPlanFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := storage.NewHashStoreFromDense(hat, 0)
-	sharded, err := storage.NewShardedStoreFrom(store, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	return &benchPlanFixture{
-		batch:   batch,
-		plan:    plan,
-		store:   store,
-		sharded: sharded,
-		array:   storage.NewArrayStore(hat),
+		batch: batch,
+		plan:  plan,
+		store: storage.NewHashStoreFromDense(hat, 0),
+		array: storage.NewArrayStore(hat),
 	}
 }
 
@@ -76,8 +69,8 @@ func BenchmarkPlanParallel(b *testing.B) {
 }
 
 // BenchmarkExactParallel measures exact batch evaluation across worker counts
-// against the sharded (concurrent-fetch) store, with sequential Exact as the
-// baseline. Results are bit-identical at every worker count.
+// against the hash store, which the workers fetch from concurrently, with
+// sequential Exact as the baseline. Results are bit-identical at every worker count.
 func BenchmarkExactParallel(b *testing.B) {
 	f := newBenchPlanFixture(b)
 	b.Run("sequential", func(b *testing.B) {
@@ -88,27 +81,27 @@ func BenchmarkExactParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f.plan.ExactParallel(f.sharded, workers)
+				f.plan.ExactParallel(f.store, workers)
 			}
 		})
 	}
 }
 
 // BenchmarkStepBatch compares one-at-a-time progressive stepping against
-// batched stepping, which amortizes the store round-trip (one lock
-// acquisition and one counter update per batch instead of per key).
+// batched stepping, which amortizes the store round-trip (one counter update
+// per batch instead of per key).
 func BenchmarkStepBatch(b *testing.B) {
 	f := newBenchPlanFixture(b)
 	b.Run("step=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run := NewRun(f.plan, penalty.SSE{}, f.sharded)
+			run := NewRun(f.plan, penalty.SSE{}, f.store)
 			run.RunToCompletion()
 		}
 	})
 	for _, size := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run := NewRun(f.plan, penalty.SSE{}, f.sharded)
+				run := NewRun(f.plan, penalty.SSE{}, f.store)
 				for run.StepBatch(size) > 0 {
 				}
 			}

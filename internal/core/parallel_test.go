@@ -193,17 +193,14 @@ func TestNewPlanParallelDeterminism(t *testing.T) {
 // GetBatch against a Concurrent store) for bit-identical results.
 func TestExactParallelSharded(t *testing.T) {
 	f := newFixture(t, 32)
-	sharded, err := storage.NewShardedStoreFrom(f.store, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := newFixture(t, 32).store // the same coefficients, not yet read
 	seq := f.plan.Exact(f.store)
 	for _, w := range []int{1, 2, 8} {
-		got := f.plan.ExactParallel(sharded, w)
-		assertBitIdentical(t, got, seq, "sharded")
+		got := f.plan.ExactParallel(shared, w)
+		assertBitIdentical(t, got, seq, "shared")
 	}
 	// Retrieval accounting: 3 parallel passes + nothing else.
-	if want := int64(3 * f.plan.DistinctCoefficients()); sharded.Retrievals() != want {
-		t.Fatalf("sharded retrievals = %d, want %d", sharded.Retrievals(), want)
+	if want := int64(3 * f.plan.DistinctCoefficients()); shared.Retrievals() != want {
+		t.Fatalf("shared retrievals = %d, want %d", shared.Retrievals(), want)
 	}
 }

@@ -137,7 +137,7 @@ func BenchmarkExactLayout(b *testing.B) {
 }
 
 // BenchmarkStepBatchPrefetch drains a run through the prefetching StepBatch
-// at several batch sizes against the sharded store — each batch is one
+// at several batch sizes against the hash store — each batch is one
 // BatchGetCtx over the schedule's precomputed key slice.
 func BenchmarkStepBatchPrefetch(b *testing.B) {
 	f := newBenchPlanFixture(b)
@@ -147,7 +147,7 @@ func BenchmarkStepBatchPrefetch(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run := NewRun(f.plan, pen, f.sharded)
+				run := NewRun(f.plan, pen, f.store)
 				for run.StepBatch(size) > 0 {
 				}
 			}

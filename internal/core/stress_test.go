@@ -5,22 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/penalty"
-	"repro/internal/storage"
 )
 
 // TestConcurrentRunsSharded is the concurrency stress test: many goroutines
 // each drive their own progressive run to completion against one shared
-// ShardedStore, mixing Step, StepN and StepBatch progressions plus
-// ExactParallel calls. Under -race this validates the sharded store's locking
+// hash store, mixing Step, StepN and StepBatch progressions plus
+// ExactParallel calls. Under -race this validates that reads need no lock
 // end to end; the assertions validate that every run still produces the
 // sequential answer and that the shared atomic retrieval counter accounts for
 // every retrieval issued by every goroutine.
 func TestConcurrentRunsSharded(t *testing.T) {
 	f := newFixture(t, 40)
-	sharded, err := storage.NewShardedStoreFrom(f.store, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := newFixture(t, 40).store // the same coefficients, not yet read
 	want := f.plan.Exact(f.store)
 	distinct := f.plan.DistinctCoefficients()
 
@@ -34,18 +30,18 @@ func TestConcurrentRunsSharded(t *testing.T) {
 			defer wg.Done()
 			switch g % 3 {
 			case 0: // one retrieval at a time
-				run := NewRun(f.plan, penalty.SSE{}, sharded)
+				run := NewRun(f.plan, penalty.SSE{}, shared)
 				run.RunToCompletion()
 				estimates[g] = run.Estimates()
 				retrieved[g] = int64(run.Retrieved())
 			case 1: // batched stepping with a mid-size batch
-				run := NewRun(f.plan, penalty.SSE{}, sharded)
+				run := NewRun(f.plan, penalty.SSE{}, shared)
 				for run.StepBatch(17) > 0 {
 				}
 				estimates[g] = run.Estimates()
 				retrieved[g] = int64(run.Retrieved())
 			case 2: // exact evaluation with concurrent batched fetch
-				estimates[g] = f.plan.ExactParallel(sharded, 4)
+				estimates[g] = f.plan.ExactParallel(shared, 4)
 				retrieved[g] = int64(distinct)
 			}
 		}(g)
@@ -75,7 +71,7 @@ func TestConcurrentRunsSharded(t *testing.T) {
 	}
 	// Every goroutine performed exactly `distinct` retrievals against the
 	// shared store; the atomic counter must have seen all of them.
-	if got, want := sharded.Retrievals(), int64(goroutines*distinct); got != want {
+	if got, want := shared.Retrievals(), int64(goroutines*distinct); got != want {
 		t.Fatalf("shared store counted %d retrievals, want %d", got, want)
 	}
 }

@@ -15,14 +15,13 @@
 //     composes on top unchanged — the network is just another fallible store.
 //
 //   - CoordinatorStore partitions every BatchGetCtx across the shards with
-//     storage.ShardOf — the same packed-key hash ShardedStore uses for its
-//     lock shards — fans the sub-batches out concurrently, and merges the
-//     partial results. A dead or degraded shard does not fail the batch: its
-//     keys come back as per-key *storage.BatchError entries, which the
-//     engine's skip machinery (core.Run degraded mode) turns into skipped
-//     coefficients whose contribution Theorem 1 already bounds. The server
-//     above answers 206 Partial Content, exactly as it does for local
-//     storage faults.
+//     storage.ShardOf — the rule Partition cuts every shard's slice by — fans
+//     the sub-batches out concurrently, and merges the partial results. A
+//     dead or degraded shard does not fail the batch: its keys come back as
+//     per-key *storage.BatchError entries, which the engine's skip machinery
+//     (core.Run degraded mode) turns into skipped coefficients whose
+//     contribution Theorem 1 already bounds. The server above answers 206
+//     Partial Content, exactly as it does for local storage faults.
 //
 // The partition is value-preserving by construction: every nonzero
 // coefficient lives on exactly one shard (Partition filters by ShardOf), the

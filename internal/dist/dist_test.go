@@ -225,7 +225,7 @@ func TestRemoteStoreCancellationMidFlight(t *testing.T) {
 // connection would fail as a shard fault.
 func TestRemoteStoreCancelAfterResponseKeepsConnection(t *testing.T) {
 	local := testStore(200, 6)
-	addr, _ := startShard(t, storage.NewConcurrentStore(local), codec.ShardMeta{
+	addr, _ := startShard(t, local, codec.ShardMeta{
 		Names: []string{"x"}, Sizes: []int{1 << 20}, FilterName: "Haar",
 		TupleCount: 200, ShardCount: 1, Nonzero: int64(local.NonzeroCount()),
 	})

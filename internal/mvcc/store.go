@@ -293,7 +293,7 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	if err != nil {
 		return nil, fmt.Errorf("mvcc: %w", err)
 	}
-	s := &Store{filter: f, dims: append([]int(nil), dims...), cells: cells, cfg: cfg, chain: mutexChain}
+	s := &Store{filter: f, dims: append([]int(nil), dims...), cells: cells, cfg: cfg}
 	var mass float64
 	base.(storage.Enumerable).ForEachNonzero(func(_ int, v float64) bool {
 		mass += math.Abs(v)
@@ -302,34 +302,27 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	v0 := &view{
 		version: 0,
 		rawBase: base,
+		base:    base,
 		tuples:  float64(tuples),
 		mass:    mass,
 		nonzero: base.NonzeroCount(),
 		retr:    &s.retrievals,
 		pins:    new(atomic.Int64),
 	}
-	v0.base = s.chain(base)
 	s.head.Store(v0)
 	s.retained = []*view{v0}
 	return s, nil
 }
-
-// mutexChain is the base chain of a store nobody configured: the base behind
-// a mutex unless it synchronizes itself (plain stores write a retrieval
-// counter on every read), so immutable views can be read from any goroutine.
-var mutexChain = storage.Stack{Concurrent: true}.Chain
 
 // SetBaseChain sets the function that builds the serving chain over a raw
 // base — fault injection, retries, instrumentation, coalescing: whatever the
 // owner's storage.Stack declares — and rebuilds the chain of the current
 // view with it; compaction builds every later base's. The chain must be safe
 // for concurrent retrieval. Overlay layers are in-memory maps and are not
-// served through it. nil restores the default, a mutex where the base needs
-// one. Historical pinned views keep the chain they were published with.
+// served through it. nil restores the default: the base served bare, which
+// any number of goroutines may read. Historical pinned views keep the chain
+// they were published with.
 func (s *Store) SetBaseChain(chain func(raw storage.Store) storage.Store) {
-	if chain == nil {
-		chain = mutexChain
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chain = chain
@@ -355,9 +348,17 @@ func (s *Store) republishBaseLocked() {
 		retr:      cur.retr,
 		pins:      cur.pins,
 	}
-	nv.base = s.chain(cur.rawBase)
+	nv.base = s.serve(cur.rawBase)
 	s.head.Store(nv)
 	s.replaceRetainedLocked(nv)
+}
+
+// serve builds the serving chain over a raw base.
+func (s *Store) serve(raw storage.Store) storage.Store {
+	if s.chain == nil {
+		return raw
+	}
+	return s.chain(raw)
 }
 
 // replaceRetainedLocked points the retention ring entry for nv.version at
@@ -541,7 +542,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		retr:      &s.retrievals,
 		pins:      cur.pins,
 	}
-	nv.base = s.chain(nb)
+	nv.base = s.serve(nb)
 	s.head.Store(nv)
 	s.replaceRetainedLocked(nv)
 	s.mu.Unlock()

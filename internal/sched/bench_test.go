@@ -25,11 +25,11 @@ const benchClients = 16
 const ioDelay = 2 * time.Microsecond
 
 // slowStore charges ioDelay per coefficient fetched.
-type slowStore struct{ *storage.ShardedStore }
+type slowStore struct{ *storage.HashStore }
 
 func (s *slowStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	time.Sleep(time.Duration(len(keys)) * ioDelay)
-	return s.ShardedStore.BatchGetCtx(ctx, keys, dst)
+	return s.HashStore.BatchGetCtx(ctx, keys, dst)
 }
 
 // runSequential is the PR-1 per-request path: each run executed to its

@@ -74,7 +74,7 @@ func TestSchedulerFaultsUnderConcurrentLoad(t *testing.T) {
 	plan, store, mass := fixture(t, 8, 60, 2048, 32)
 	faulty := storage.NewFaultStore(store, storage.FaultConfig{ErrorRate: 0.15, Seed: 5})
 	if !storage.IsConcurrent(faulty) {
-		t.Fatal("faults over a sharded store must stay concurrent-safe")
+		t.Fatal("faults over a hash store must stay concurrent-safe")
 	}
 	co := storage.NewCoalescingStore(faulty)
 	s := New(Config{Slice: 8, Workers: 4})

@@ -13,9 +13,9 @@ import (
 	"repro/internal/storage"
 )
 
-// fixture builds a deterministic batch plan and a sharded store holding a
+// fixture builds a deterministic batch plan and a hash store holding a
 // pseudo-random coefficient vector.
-func fixture(t testing.TB, queries, coeffsPerQuery, domain int, seed int64) (*core.Plan, *storage.ShardedStore, float64) {
+func fixture(t testing.TB, queries, coeffsPerQuery, domain int, seed int64) (*core.Plan, *storage.HashStore, float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vectors := make([]sparse.Vector, queries)
@@ -30,7 +30,7 @@ func fixture(t testing.TB, queries, coeffsPerQuery, domain int, seed int64) (*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := storage.NewShardedStore(8)
+	store := storage.NewHashStore()
 	var mass float64
 	for k := 0; k < domain; k++ {
 		if rng.Float64() < 0.6 {

@@ -92,14 +92,13 @@ func NewWithConfig(db *repro.Database, cfg sched.Config) *Handler {
 	return NewWithOptions(db, Options{Sched: cfg})
 }
 
-// NewWithOptions wraps a database with full handler configuration. The
-// database is made safe for concurrent retrieval (EnsureConcurrent), so
-// requests execute in parallel whatever store the view was built on, and
-// cross-run fetch coalescing is enabled where a fetch can cost more than
-// joining one in flight: over every store that does not answer from process
-// memory (layout files, shard coordinators, injected faults).
+// NewWithOptions wraps a database with full handler configuration. Requests
+// execute in parallel — every view takes any number of readers, and the
+// handler writes only through EnableMVCC's Apply — and cross-run fetch
+// coalescing is enabled where a fetch can cost more than joining one in
+// flight: over every store that does not answer from process memory (layout
+// files, shard coordinators, injected faults).
 func NewWithOptions(db *repro.Database, opts Options) *Handler {
-	db.EnsureConcurrent()
 	if !db.InMemory() {
 		_ = db.EnableCoalescing() // always nil; the signature predates the declared stack
 	}

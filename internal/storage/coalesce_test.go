@@ -11,12 +11,12 @@ import (
 // gateStore is a concurrent-safe store whose retrievals block on a gate
 // channel, letting tests hold fetches in flight deterministically.
 type gateStore struct {
-	inner *ShardedStore
+	inner *HashStore
 	gate  chan struct{} // each fetch call consumes one token
 }
 
 func newGateStore(cells map[int]float64) *gateStore {
-	s := NewShardedStore(4)
+	s := NewHashStore()
 	for k, v := range cells {
 		s.Add(k, v)
 	}
@@ -151,7 +151,7 @@ func TestCoalescingBatchOverlap(t *testing.T) {
 }
 
 func TestCoalescingBatchIntraBatchDuplicates(t *testing.T) {
-	s := NewShardedStore(2)
+	s := NewHashStore()
 	s.Add(5, 50)
 	cs := NewCoalescingStore(s)
 	dst := make([]float64, 3)
@@ -168,7 +168,7 @@ func TestCoalescingBatchIntraBatchDuplicates(t *testing.T) {
 }
 
 func TestCoalescingValuesMatchUnwrapped(t *testing.T) {
-	s := NewShardedStore(4)
+	s := NewHashStore()
 	for k := 0; k < 256; k += 3 {
 		s.Add(k, float64(k)*1.5)
 	}
@@ -210,7 +210,7 @@ func TestCoalescingValuesMatchUnwrapped(t *testing.T) {
 }
 
 func TestCoalescingPassthroughs(t *testing.T) {
-	s := NewShardedStore(2)
+	s := NewHashStore()
 	s.Add(1, 2)
 	cs := NewCoalescingStore(s)
 	s.Add(3, 4)

@@ -272,8 +272,11 @@ func TestFaultStoreBatchPartialFailure(t *testing.T) {
 }
 
 func TestWrappersForwardConcurrency(t *testing.T) {
-	plain := NewArrayStore(testCells(4))
-	conc := NewConcurrentStore(NewArrayStore(testCells(4)))
+	plain, err := NewCachedStore(NewArrayStore(testCells(4)), Unbounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conc := NewHashStore()
 	wrappers := map[string]func(Store) Store{
 		"FaultStore":        func(s Store) Store { return NewFaultStore(s, FaultConfig{}) },
 		"RetryStore":        func(s Store) Store { return NewRetryStore(s, RetryConfig{}) },
@@ -281,7 +284,7 @@ func TestWrappersForwardConcurrency(t *testing.T) {
 	}
 	for name, wrap := range wrappers {
 		if IsConcurrent(wrap(plain)) {
-			t.Fatalf("%s over a plain store must not claim concurrency", name)
+			t.Fatalf("%s over a non-concurrent store must not claim concurrency", name)
 		}
 		if !IsConcurrent(wrap(conc)) {
 			t.Fatalf("%s over a concurrent store must stay concurrent", name)
@@ -478,7 +481,7 @@ func TestCoalescingStoreJoinerCancellation(t *testing.T) {
 
 func TestCoalescingStoreBatchFaultsUnderRace(t *testing.T) {
 	cells := testCells(512)
-	faulty := NewFaultStore(NewConcurrentStore(NewArrayStore(cells)), FaultConfig{ErrorRate: 0.3, Seed: 11})
+	faulty := NewFaultStore(NewArrayStore(cells), FaultConfig{ErrorRate: 0.3, Seed: 11})
 	cs := NewCoalescingStore(faulty)
 	ctx := context.Background()
 	var wg sync.WaitGroup

@@ -56,11 +56,14 @@ func TestInstrumentedStoreTimesRetrievals(t *testing.T) {
 }
 
 func TestInstrumentedStorePreservesMarkers(t *testing.T) {
-	plain := NewInstrumentedStore(NewArrayStore(testDense()))
-	if IsConcurrent(plain) {
-		t.Fatal("wrapper over a plain store must not claim concurrency")
+	cached, err := NewCachedStore(NewArrayStore(testDense()), 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	conc := NewInstrumentedStore(NewConcurrentStore(NewArrayStore(testDense())))
+	if IsConcurrent(NewInstrumentedStore(cached)) {
+		t.Fatal("wrapper over a non-concurrent store must not claim concurrency")
+	}
+	conc := NewInstrumentedStore(NewHashStore())
 	if !IsConcurrent(conc) {
 		t.Fatal("wrapper must forward the wrapped store's concurrency-safety")
 	}

@@ -143,14 +143,11 @@ func TestIsInMemory(t *testing.T) {
 	}{
 		{"array", array(), true},
 		{"hash", NewHashStore(), true},
-		{"sharded", NewShardedStore(2), true},
-		{"concurrent(array)", NewConcurrentStore(array()), true},
 		{"instrumented(hash)", NewInstrumentedStore(NewHashStore()), true},
-		{"retry(concurrent(array))", NewRetryStore(NewConcurrentStore(array()), RetryConfig{}), true},
+		{"retry(array)", NewRetryStore(array(), RetryConfig{}), true},
 		{"fault", fault, false},
-		{"concurrent(fault)", NewConcurrentStore(fault), false},
 		{"instrumented(retry(fault))", NewInstrumentedStore(NewRetryStore(fault, RetryConfig{})), false},
-		{"coalescing", NewCoalescingStore(NewShardedStore(2)), false},
+		{"coalescing", NewCoalescingStore(NewHashStore()), false},
 		{"cached", cached, false},
 		{"block", NewBlockStore(array(), 4), false},
 	} {
@@ -164,7 +161,7 @@ func TestIsInMemory(t *testing.T) {
 // flight, so a call allocates the same number of objects at 64 keys as at
 // 4 096.
 func TestCoalescingAllocationsDoNotGrowWithTheBatch(t *testing.T) {
-	cs := NewCoalescingStore(NewConcurrentStore(NewArrayStore(make([]float64, 1<<13))))
+	cs := NewCoalescingStore(NewArrayStore(make([]float64, 1<<13)))
 	ctx := context.Background()
 	allocs := func(n int) float64 {
 		keys := make([]int, n)

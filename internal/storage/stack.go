@@ -10,10 +10,6 @@ import (
 // place the order of those layers is written down: whoever owns a base store
 // sets the fields it wants, in any order, and Build composes them.
 type Stack struct {
-	// Concurrent asks for a base that does not synchronize itself to be put
-	// behind a mutex, so any number of goroutines may retrieve through the
-	// stack.
-	Concurrent bool
 	// Fault, when non-nil, injects its deterministic fault schedule.
 	Fault *FaultConfig
 	// Retry, when non-nil, re-attempts failed retrievals under its policy.
@@ -21,35 +17,27 @@ type Stack struct {
 	// Instrument times every retrieval batch into the observed registry.
 	Instrument bool
 	// Coalesce shares overlapping in-flight fetches between concurrent
-	// callers. It only makes sense with overlapping callers, so it asks for
-	// what Concurrent asks for.
+	// callers.
 	Coalesce bool
 }
 
-// Build composes base → mutex → fault → retry → instrument → coalesce,
-// leaving out what the stack does not ask for, and returns the top of the
-// chain — where every retrieval enters — and its guard: the base, behind the
-// mutex when the chain has one. The owner writes to and enumerates the guard,
-// so a write excludes the retrievals above it. A coalescing layer counts into
-// counts, which an owner that rebuilds passes to every Build so that what it
-// reports never runs backwards; nil gives the layer counters of its own.
+// Build composes base → fault → retry → instrument → coalesce, leaving out
+// what the stack does not ask for, and returns the top of the chain: where
+// every retrieval enters. The owner writes to and enumerates the base itself.
+// A coalescing layer counts into counts, which an owner that rebuilds passes
+// to every Build so that what it reports never runs backwards; nil gives the
+// layer counters of its own.
 //
-// The order is fixed by what each layer is for. The mutex sits directly on
-// the base because it protects only the base's unsynchronized retrieval
-// counter: an injected delay or a retry backoff above it never sleeps under
-// the lock. Faults go under retries, which exist to recover them; the timer
-// goes over both, so it covers the whole physical retrieval; coalescing goes
-// on top, so a fetch recovered by a retry is shared like any other.
+// The order is fixed by what each layer is for. Faults go under retries,
+// which exist to recover them; the timer goes over both, so it covers the
+// whole physical retrieval; coalescing goes on top, so a fetch recovered by a
+// retry is shared like any other.
 //
 // Every call makes new layers: the state a layer keeps (Nth-call fault
 // schedules, jitter draws) starts over, and a run that captured an earlier
 // chain keeps it.
-func (s Stack) Build(base Store, counts *CoalesceCounters) (top, guard Store) {
-	top = base
-	if (s.Concurrent || s.Coalesce) && !IsConcurrent(base) {
-		top = NewConcurrentStore(base)
-	}
-	guard = top
+func (s Stack) Build(base Store, counts *CoalesceCounters) Store {
+	top := base
 	if s.Fault != nil {
 		top = NewFaultStore(top, *s.Fault)
 	}
@@ -66,18 +54,11 @@ func (s Stack) Build(base Store, counts *CoalesceCounters) (top, guard Store) {
 		}
 		top = co
 	}
-	return top, guard
-}
-
-// Chain is Build for an owner that neither writes nor enumerates: the top
-// of the chain alone.
-func (s Stack) Chain(base Store) Store {
-	top, _ := s.Build(base, nil)
 	return top
 }
 
 // Describe prints the chain under top from the base up, one name per layer:
-// "array → mutex → instrument". It reads the layers that are there, not a
+// "array → instrument". It reads the layers that are there, not a
 // declaration of them. A base store of another package names itself with a
 // StackName method; anything else prints as its Go type.
 func Describe(top Store) string {
@@ -93,14 +74,10 @@ func Describe(top Store) string {
 			name, s = "retry", l.inner
 		case *FaultStore:
 			name, s = "fault", l.inner
-		case *ConcurrentStore:
-			name, s = "mutex", l.inner
 		case *ArrayStore:
 			name, s = "array", nil
 		case *HashStore:
 			name, s = "hash", nil
-		case *ShardedStore:
-			name, s = "sharded", nil
 		case interface{ StackName() string }:
 			name, s = l.StackName(), nil
 		default:

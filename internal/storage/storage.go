@@ -5,14 +5,19 @@
 // coefficient (Section 1.3 of the paper). Every store counts retrievals so
 // that the experiments can report exactly the quantities the paper reports.
 //
-// A store is safe for concurrent use only when IsConcurrent reports so; a
-// single run retrieves sequentially, matching the paper's model.
+// A view is built once and then only read. A store that IsConcurrent reports
+// safe — the in-memory base stores among them, which count retrievals
+// atomically — takes any number of concurrent readers; a write (Add) needs
+// exclusive access, so writes beside readers go through the multi-version
+// store (internal/mvcc), which never writes a base it serves. A single run
+// retrieves sequentially, matching the paper's model.
 package storage
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Store provides random access to transform coefficients by flat key. It
@@ -54,13 +59,13 @@ type Updatable interface {
 // unspecified; fn returning false stops the walk. Enumeration does not
 // count retrievals.
 //
-// Wrapper stores (ConcurrentStore, CachedStore, BlockStore) satisfy this
-// interface unconditionally but can only enumerate when the store they wrap
-// can; they additionally expose an `Enumerable() bool` capability check and
-// their ForEachNonzero panics when it reports false. Use IsEnumerable to
-// test a store of unknown shape. The layers of a Stack above its guard
-// (fault, retry, instrument, coalesce) forward neither enumeration nor Add:
-// the stack's owner does both on the guard.
+// Wrapper stores (CachedStore, BlockStore) satisfy this interface
+// unconditionally but can only enumerate when the store they wrap can; they
+// additionally expose an `Enumerable() bool` capability check and their
+// ForEachNonzero panics when it reports false. Use IsEnumerable to test a
+// store of unknown shape. The layers of a Stack (fault, retry, instrument,
+// coalesce) forward neither enumeration nor Add: the stack's owner does both
+// on the base.
 type Enumerable interface {
 	ForEachNonzero(fn func(key int, value float64) bool)
 }
@@ -85,8 +90,8 @@ func IsEnumerable(s Store) bool {
 }
 
 // concurrencyCapable is the capability check implemented by stores that are,
-// or may be, safe for use from multiple goroutines: base stores that
-// synchronize themselves answer true, wrappers whose own state is
+// or may be, safe for use from multiple goroutines: base stores whose reads
+// touch no unsynchronized state answer true, wrappers whose own state is
 // synchronized forward the wrapped store's answer.
 type concurrencyCapable interface {
 	ConcurrentSafe() bool
@@ -94,8 +99,8 @@ type concurrencyCapable interface {
 
 // IsConcurrent reports whether s is safe for use from multiple goroutines.
 // The evaluation engine uses it to decide whether retrievals may be issued
-// in parallel (Plan.ExactParallelCtx) and the HTTP server uses it to drop
-// its global request mutex.
+// in parallel (Plan.ExactParallelCtx) and CoalescingStore refuses to wrap a
+// store that is not.
 func IsConcurrent(s Store) bool {
 	c, ok := s.(concurrencyCapable)
 	return ok && c.ConcurrentSafe()
@@ -120,7 +125,8 @@ func IsInMemory(s Store) bool {
 }
 
 // MemoryStore is what a build site fills: an in-memory base store it can add
-// coefficients to and enumerate. It is not safe for concurrent use.
+// coefficients to and enumerate. Any number of goroutines may read it; a
+// write needs exclusive access.
 type MemoryStore interface {
 	Updatable
 	Enumerable
@@ -135,26 +141,45 @@ type MemoryStore interface {
 // with the domain. partitions > 1 says the store will hold one
 // ShardOf(·, partitions) partition of a key set (see NewHashStorePartition);
 // count is then that partition's share. cells ≤ 0 — a domain the caller does
-// not know — selects the table. Every site that builds a base store from a
-// declared size chooses through this function: loading a file, partitioning
-// for a shard, MVCC compaction.
+// not know — selects the table. Every site that builds a base store chooses
+// by this rule: loading a file, partitioning for a shard, MVCC compaction,
+// and building from a dense transform (NewMemoryStoreFromDense).
 //
 // The array is never the larger allocation, so a header that lies about its
 // sizes cannot make this function allocate more than the table its count
 // always cost.
 func NewMemoryStore(cells, count, partitions int) MemoryStore {
-	if cells > 0 && cells < 2*slotsFor(count) {
+	if arrayIsSmaller(cells, count) {
 		return NewArrayStore(make([]float64, cells))
 	}
 	return NewHashStorePartition(count, partitions)
 }
+
+// NewMemoryStoreFromDense is NewMemoryStore for a domain already held as a
+// dense array: the array itself, not a copy of it, when the rule picks the
+// array; a table of its nonzero cells otherwise.
+func NewMemoryStoreFromDense(cells []float64) MemoryStore {
+	count := 0
+	for _, v := range cells {
+		if v != 0 {
+			count++
+		}
+	}
+	if arrayIsSmaller(len(cells), count) {
+		return NewArrayStore(cells)
+	}
+	return NewHashStoreFromDense(cells, 0)
+}
+
+// arrayIsSmaller is NewMemoryStore's rule.
+func arrayIsSmaller(cells, count int) bool { return cells > 0 && cells < 2*slotsFor(count) }
 
 // ArrayStore keeps the full dense coefficient array. Access is a bounds
 // check and an index — the paper's "array-based storage".
 type ArrayStore struct {
 	cells      []float64
 	nonzero    int
-	retrievals int64
+	retrievals atomic.Int64
 }
 
 // NewArrayStore wraps the given dense coefficient array. The store aliases
@@ -176,7 +201,7 @@ func (s *ArrayStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.retrievals += int64(len(keys))
+	s.retrievals.Add(int64(len(keys)))
 	var failed []KeyError
 	for i, k := range keys {
 		if k < 0 || k >= len(s.cells) {
@@ -205,13 +230,17 @@ func (s *ArrayStore) Add(key int, delta float64) {
 }
 
 // Retrievals implements Store.
-func (s *ArrayStore) Retrievals() int64 { return s.retrievals }
+func (s *ArrayStore) Retrievals() int64 { return s.retrievals.Load() }
 
 // ResetStats implements Store.
-func (s *ArrayStore) ResetStats() { s.retrievals = 0 }
+func (s *ArrayStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements Store: the count is kept as cells are written.
 func (s *ArrayStore) NonzeroCount() int { return s.nonzero }
+
+// ConcurrentSafe implements the IsConcurrent capability check: a read
+// touches the cells and the atomic counter only.
+func (s *ArrayStore) ConcurrentSafe() bool { return true }
 
 // InMemory implements the IsInMemory capability check.
 func (s *ArrayStore) InMemory() bool { return true }
@@ -236,7 +265,7 @@ func (s *ArrayStore) ForEachNonzero(fn func(key int, value float64) bool) {
 // slot, at most 7/8 full.
 type HashStore struct {
 	cells      table
-	retrievals int64
+	retrievals atomic.Int64
 }
 
 // NewHashStore returns an empty hash store.
@@ -284,7 +313,7 @@ func (s *HashStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.retrievals += int64(len(keys))
+	s.retrievals.Add(int64(len(keys)))
 	var failed []KeyError
 	for i, k := range keys {
 		if k < 0 {
@@ -306,13 +335,17 @@ func (s *HashStore) Add(key int, delta float64) {
 }
 
 // Retrievals implements Store.
-func (s *HashStore) Retrievals() int64 { return s.retrievals }
+func (s *HashStore) Retrievals() int64 { return s.retrievals.Load() }
 
 // ResetStats implements Store.
-func (s *HashStore) ResetStats() { s.retrievals = 0 }
+func (s *HashStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements Store.
 func (s *HashStore) NonzeroCount() int { return s.cells.n }
+
+// ConcurrentSafe implements the IsConcurrent capability check: a probe reads
+// the table, and only Add writes it.
+func (s *HashStore) ConcurrentSafe() bool { return true }
 
 // InMemory implements the IsInMemory capability check.
 func (s *HashStore) InMemory() bool { return true }

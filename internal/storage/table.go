@@ -1,11 +1,11 @@
 package storage
 
-// table is the open-addressing hash table under HashStore and every lock
-// shard of ShardedStore: one pointer-free slice of {key, value} slots, a
-// power-of-two capacity, a multiplicative hash and linear probing. A lookup
-// is one multiply and, on average, well under one cache line of slots; the
-// garbage collector never scans the slice, and a loader that knows the
-// coefficient count allocates it exactly once (reserve).
+// table is the open-addressing hash table under HashStore: one pointer-free
+// slice of {key, value} slots, a power-of-two capacity, a multiplicative hash
+// and linear probing. A lookup is one multiply and, on average, well under
+// one cache line of slots; the garbage collector never scans the slice, and a
+// loader that knows the coefficient count allocates it exactly once
+// (reserve).
 //
 // Keys are non-negative; a slot stores key+1 so that the zero slot is the
 // empty slot and a fresh allocation needs no initialisation pass. Values are
@@ -16,8 +16,7 @@ package storage
 // depends only on the capacity and on the sequence of adds — two tables built
 // by the same calls enumerate identically, unlike a Go map.
 //
-// A table is not safe for concurrent use; ShardedStore guards each of its
-// tables with the shard lock.
+// Any number of goroutines may get from a table; add needs exclusive access.
 type table struct {
 	slots []slot
 	n     int
@@ -167,8 +166,8 @@ const lineSlots = 4
 // whether the walk ran to the end. It visits the table a cache line of slots
 // at a time, and the lines in a fixed golden-ratio stride rather than front
 // to back: slot order is hash order, and a consumer that adds what it is
-// handed to another table of the same hash (a compaction target, a lock-
-// sharded copy) would be feeding a growing table one dense hash range after
+// handed to another table of the same hash (a compaction target) would be
+// feeding a growing table one dense hash range after
 // the other — every prefix overloads the low end of the smaller table and
 // insertion goes quadratic. In stride order every prefix of the walk is
 // spread evenly over the hash range.

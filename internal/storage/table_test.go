@@ -161,36 +161,42 @@ func displacements(tb *table) (mean float64, worst uint64) {
 	return float64(total) / float64(max(tb.n, 1)), worst
 }
 
-// TestShardTablesIndexBelowShardBits fills a 16-shard store with the key
-// shapes of a wavelet master list and checks every shard's probe lengths.
-// All keys of one shard agree on the top four hash bits: a shard table that
-// indexed with them would use a sixteenth of its slots, which the control at
-// the end shows is not a subtle difference.
+// TestShardTablesIndexBelowShardBits fills the 16 partition tables of a
+// 16-shard deployment, each with its ShardOf partition of the key shapes of a
+// wavelet master list, and checks every table's probe lengths. All keys of
+// one partition agree on the top four hash bits: a table that indexed with
+// them would use a sixteenth of its slots, which the control at the end shows
+// is not a subtle difference.
 func TestShardTablesIndexBelowShardBits(t *testing.T) {
-	s := NewShardedStore(16)
+	const shards = 16
+	parts := make([]*HashStore, shards)
+	for i := range parts {
+		parts[i] = NewHashStorePartition(0, shards)
+	}
+	add := func(k int) { parts[ShardOf(k, shards)].Add(k, 1) }
 	for k := 0; k < 200_000; k++ {
-		s.Add(k, 1)
+		add(k)
 	}
 	for i := 1; i <= 20_000; i++ {
-		s.Add(i<<20, 1)
+		add(i << 20)
 	}
-	for i := range s.shards {
-		tb := &s.shards[i].cells
+	for i, p := range parts {
+		tb := &p.cells
 		if tb.n < 10_000 {
-			t.Fatalf("shard %d holds %d keys: the partition itself is uneven", i, tb.n)
+			t.Fatalf("partition %d holds %d keys: the partition itself is uneven", i, tb.n)
 		}
 		if mean, worst := displacements(tb); mean > 2 || worst > 64 {
-			t.Fatalf("shard %d (%d keys in %d slots): mean displacement %.2f, worst %d", i, tb.n, len(tb.slots), mean, worst)
+			t.Fatalf("partition %d (%d keys in %d slots): mean displacement %.2f, worst %d", i, tb.n, len(tb.slots), mean, worst)
 		}
 	}
 
 	control := newTable(0)
-	s.shards[3].cells.forEach(func(k int, v float64) bool {
+	parts[3].cells.forEach(func(k int, v float64) bool {
 		control.add(k, v)
 		return true
 	})
 	if mean, _ := displacements(&control); mean < 100 {
-		t.Fatalf("control: one shard's keys in a table indexed by the shard's own bits have mean displacement %.2f; the check above cannot tell the two apart", mean)
+		t.Fatalf("control: one partition's keys in a table indexed by the partition's own bits have mean displacement %.2f; the check above cannot tell the two apart", mean)
 	}
 }
 
@@ -218,18 +224,23 @@ func TestTableWalkOrderSpreadsOverHashRange(t *testing.T) {
 		}
 	}
 
-	// And the copy it protects, into stores that grow from empty.
+	// And the copy it protects, into partition tables that grow from empty.
 	src := NewHashStore()
 	for k := 0; k < 1<<17; k++ {
 		src.Add(k, 1)
 	}
-	dst, err := NewShardedStoreFrom(src, 4)
-	if err != nil {
-		t.Fatal(err)
+	const shards = 4
+	parts := make([]*HashStore, shards)
+	for i := range parts {
+		parts[i] = NewHashStorePartition(0, shards)
 	}
-	for i := range dst.shards {
-		if mean, _ := displacements(&dst.shards[i].cells); mean > 2 {
-			t.Fatalf("copied shard %d: mean displacement %.2f", i, mean)
+	src.ForEachNonzero(func(k int, v float64) bool {
+		parts[ShardOf(k, shards)].Add(k, v)
+		return true
+	})
+	for i, p := range parts {
+		if mean, _ := displacements(&p.cells); mean > 2 {
+			t.Fatalf("copied partition %d: mean displacement %.2f", i, mean)
 		}
 	}
 }
@@ -262,16 +273,25 @@ func TestEnumerationIsDeterministic(t *testing.T) {
 }
 
 // TestNonzeroCountAndEnumerationAgree covers the public face of the counters
-// on both table-backed stores after a mix of inserts and cancellations.
+// on a table that holds any key and on a partition table given its ShardOf
+// partition, after a mix of inserts and cancellations.
 func TestNonzeroCountAndEnumerationAgree(t *testing.T) {
-	for name, s := range map[string]interface {
-		Updatable
-		Enumerable
-	}{"hash": NewHashStore(), "sharded": NewShardedStore(8)} {
+	for _, c := range []struct {
+		name string
+		s    *HashStore
+		keep func(k int) bool
+	}{
+		{"hash", NewHashStore(), func(int) bool { return true }},
+		{"partition", NewHashStorePartition(0, 16), func(k int) bool { return ShardOf(k, 16) == 3 }},
+	} {
+		name, s := c.name, c.s
 		rng := rand.New(rand.NewSource(21))
 		ref := make(map[int]float64)
 		for i := 0; i < 20_000; i++ {
 			k, d := rng.Intn(4096), float64(rng.Intn(3)-1)
+			if !c.keep(k) {
+				continue
+			}
 			s.Add(k, d)
 			if v := ref[k] + d; v == 0 {
 				delete(ref, k)

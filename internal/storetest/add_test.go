@@ -13,9 +13,8 @@ import (
 // instead, with ArrayStore's message shape.
 func TestAddRejectsNegativeKeys(t *testing.T) {
 	stores := map[string]storage.Updatable{
-		"array":   storage.NewArrayStore(make([]float64, 8)),
-		"hash":    storage.NewHashStore(),
-		"sharded": storage.NewShardedStore(4),
+		"array": storage.NewArrayStore(make([]float64, 8)),
+		"hash":  storage.NewHashStore(),
 	}
 	for name, s := range stores {
 		func() {

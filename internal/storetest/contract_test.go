@@ -7,8 +7,10 @@ package storetest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/codec"
@@ -139,9 +141,6 @@ var subjects = []struct {
 		}
 		return memoryStore(t, want, false)
 	}},
-	{"sharded", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewShardedStoreFromDense(hat, 0, 8), want: hat}
-	}},
 	{"block", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewBlockStore(array(hat), 32), want: hat, bounded: true}
 	}},
@@ -168,11 +167,8 @@ var subjects = []struct {
 		}
 		return subject{store: s, want: hat, bounded: true}
 	}},
-	{"concurrent", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewConcurrentStore(array(hat)), want: hat, bounded: true}
-	}},
 	{"coalescing", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewCoalescingStore(storage.NewShardedStoreFromDense(hat, 0, 8)), want: hat}
+		return subject{store: storage.NewCoalescingStore(storage.NewHashStoreFromDense(hat, 0)), want: hat}
 	}},
 	{"zero-rate fault", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewFaultStore(array(hat), storage.FaultConfig{}), want: hat, bounded: true}
@@ -219,7 +215,7 @@ var subjects = []struct {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := dist.NewServer(storage.NewConcurrentStore(part), codec.ShardMeta{
+			srv := dist.NewServer(part, codec.ShardMeta{
 				Names: []string{"x", "y", "m"}, Sizes: dims, FilterName: "Db4", TupleCount: tuples,
 				ShardIndex: i, ShardCount: len(shards), Nonzero: nonzero, Mass: mass,
 			}, nil)
@@ -343,6 +339,69 @@ func TestStoreContract(t *testing.T) {
 					t.Fatalf("Exact query %d = %v through the store, %v through the array store", i, got[i], want[i])
 				}
 			}
+
+			if storage.IsConcurrent(s.store) {
+				readConcurrently(t, s, plan, distinct, want)
+			}
 		})
+	}
+}
+
+// readConcurrently is the contract of a store that says it takes concurrent
+// readers: eight goroutines run the distinct-key batch and an exact pass
+// through it at once, every value is the one a sequential read gets, and
+// Retrievals rises by exactly what the goroutines asked for — a batch key
+// each, a distinct coefficient each per exact pass — less the keys a
+// coalescing layer answered from another goroutine's fetch. Run it under
+// -race: nothing here takes a lock the store does not take itself.
+func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, exact []float64) {
+	t.Helper()
+	const readers = 8
+	shared := func() int64 {
+		if co, ok := s.store.(*storage.CoalescingStore); ok {
+			return co.Stats().Coalesced
+		}
+		return 0
+	}
+	ctx := context.Background()
+	before, sharedBefore := s.store.Retrievals(), shared()
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]float64, len(distinct))
+			if err := s.store.BatchGetCtx(ctx, distinct, dst); err != nil {
+				errs <- err
+				return
+			}
+			for i, k := range distinct {
+				if dst[i] != s.want[k] {
+					errs <- fmt.Errorf("key %d = %g, want %g", k, dst[i], s.want[k])
+					return
+				}
+			}
+			got, err := plan.ExactCtx(ctx, s.store)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := range exact {
+				if got[i] != exact[i] {
+					errs <- fmt.Errorf("Exact query %d = %v, want %v", i, got[i], exact[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent reader: %v", err)
+	}
+	asked := int64(readers * (len(distinct) + plan.DistinctCoefficients()))
+	if got, want := s.store.Retrievals()-before, asked-(shared()-sharedBefore); got != want {
+		t.Fatalf("%d concurrent readers: Retrievals rose by %d, want %d", readers, got, want)
 	}
 }

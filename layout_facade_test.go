@@ -60,9 +60,6 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 	if !ldb.LayoutBacked() || db.LayoutBacked() {
 		t.Fatal("LayoutBacked misreports")
 	}
-	if !ldb.ConcurrentSafe() {
-		t.Fatal("layout store must be concurrent-safe")
-	}
 	if ldb.TupleCount() != db.TupleCount() {
 		t.Fatalf("TupleCount = %d, want %d", ldb.TupleCount(), db.TupleCount())
 	}

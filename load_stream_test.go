@@ -85,6 +85,63 @@ func TestCoefficientMassIsReproducible(t *testing.T) {
 	}
 }
 
+// TestBuiltMassIsRepresentationIndependent: a built database carries K
+// summed over the transform in ascending key order, as LoadDatabase and the
+// layout writer sum it, so the built view, its Save → LoadDatabase copy and
+// its .wvls header report the same K to the bit whichever representation the
+// rule picked. Over a table, K used to be the sum in the table's walk order.
+func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		records int
+		filter  *Filter
+		array   bool
+	}{
+		{"dense", 4000, Db6, true},
+		{"sparse", 4, Db4, false},
+	} {
+		cfg := DefaultTemperatureConfig()
+		cfg.Records, cfg.LatBins, cfg.LonBins, cfg.TimeBins, cfg.TempBins = c.records, 16, 16, 16, 8
+		dist, err := Temperature(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := NewDatabase(dist, c.filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isArrayStore(db.base) != c.array {
+			t.Fatalf("%s: %d of %d coefficients built as %T", c.name, db.NonzeroCoefficients(), dist.Schema.Cells(), db.base)
+		}
+		var file bytes.Buffer
+		if err := db.Save(&file); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadDatabase(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "m.wvls")
+		if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		ldb, err := OpenLayout(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ldb.Close() })
+		masses := make([]float64, 3)
+		for i, v := range []*Database{db, loaded, ldb} {
+			if masses[i], err = v.CoefficientMass(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if masses[0] != masses[1] || masses[0] != masses[2] {
+			t.Fatalf("%s: built mass %v, loaded %v, layout header %v", c.name, masses[0], masses[1], masses[2])
+		}
+	}
+}
+
 // TestStreamedShardMatchesPartition: a shard built from the file stream
 // reports what Partition extracts from the loaded database — the same count
 // and the same mass to the bit — for every index of a 1-, 2- and 4-way split.

@@ -81,10 +81,8 @@ func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 	if err != nil {
 		return err
 	}
-	// The MVCC store owns the base from here on (compaction replaces it) and
-	// its views are read from any goroutine.
-	db.mvcc, db.base, db.guard = m, nil, nil
-	db.stack.Concurrent = true
+	// The MVCC store owns the base from here on (compaction replaces it).
+	db.mvcc, db.base = m, nil
 	db.rebuild()
 	return nil
 }
@@ -106,10 +104,11 @@ func (db *Database) MVCCStats() (stats MVCCStats, ok bool) {
 // memoized, coincident tuples merged) and its coefficient deltas land as
 // one unit, returning the new version. Under MVCC the batch publishes as an
 // immutable layer and concurrent readers are isolated: runs started earlier
-// keep their snapshot. Without MVCC the deltas are added to the store in
-// ascending key order — correct single-writer semantics, no isolation from
-// concurrent readers — and the version is a plain counter. An empty (or
-// nil) batch returns the current version. On error nothing is applied.
+// keep their snapshot. Without MVCC the deltas are added to the base in
+// ascending key order and the version is a plain counter; such a write needs
+// exclusive access — no read of the database, and no other write, may run
+// beside it. An empty (or nil) batch returns the current version. On error
+// nothing is applied.
 func (db *Database) Apply(ctx context.Context, b *WriteBatch) (Version, error) {
 	if err := db.readOnlyErr("write"); err != nil {
 		return 0, err
@@ -132,7 +131,7 @@ func (db *Database) Apply(ctx context.Context, b *WriteBatch) (Version, error) {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	w := db.guard.(storage.Updatable) // every writable view opens on one
+	w := db.base.(storage.Updatable) // every writable view opens on one
 	for _, k := range keys {
 		w.Add(k, delta[k])
 	}

@@ -48,8 +48,10 @@ import (
 
 // Database owns the materialized view Δ̂: the wavelet transform of a data
 // frequency distribution held in constant-access storage, plus the filter
-// that produced it. Reads are safe for concurrent use when the store is
-// (see ConcurrentSafe); concurrent writers additionally require EnableMVCC.
+// that produced it. Any number of goroutines may read it at once — plans,
+// runs, sessions, exact passes. A plain write (Apply, Insert, Delete,
+// IngestCSV) needs exclusive access: no read may run beside it. To write
+// beside readers, EnableMVCC first.
 type Database struct {
 	schema  *Schema
 	filter  *Filter
@@ -57,13 +59,11 @@ type Database struct {
 	windows [][2]float64
 
 	// base is the store the view was opened on and stack declares the layers
-	// it is served through; store and guard are what rebuild made of the two.
-	// Retrievals enter at store. guard is the base behind the stack's mutex,
-	// when it has one: where a plain database writes and enumerates.
+	// it is served through; store is what rebuild made of the two, where
+	// retrievals enter. A plain database writes to and enumerates the base.
 	base  storage.Store
 	stack storage.Stack
 	store storage.Store
-	guard storage.Store
 	// coalesced is what every coalescing layer rebuild has made counted:
 	// the layers are replaced, the counts are not (CoalescingStats).
 	coalesced storage.CoalesceCounters
@@ -93,60 +93,26 @@ type Database struct {
 	prepared   *PlanRegistry
 }
 
-// StoreKind selects the physical organization of the coefficient store.
-type StoreKind int
-
-const (
-	// StoreHash keeps only nonzero coefficients in a hash table (default).
-	StoreHash StoreKind = iota
-	// StoreArray keeps the full dense coefficient array.
-	StoreArray
-	// StoreSharded keeps nonzero coefficients hash-partitioned across N lock
-	// shards with an atomic retrieval counter — the concurrent deployment
-	// shape: many sessions, runs or HTTP requests can retrieve (and update)
-	// in parallel without contending on one mutex.
-	StoreSharded
-)
-
-// DatabaseOption configures NewDatabase.
-type DatabaseOption func(*dbConfig)
-
-type dbConfig struct {
-	kind StoreKind
-}
-
-// WithStore selects the coefficient store implementation.
-func WithStore(kind StoreKind) DatabaseOption {
-	return func(c *dbConfig) { c.kind = kind }
-}
-
-// NewDatabase bulk-loads a distribution: one dense separable transform, then
-// the coefficients move into the selected store.
-func NewDatabase(dist *Distribution, filter *Filter, opts ...DatabaseOption) (*Database, error) {
+// NewDatabase bulk-loads a distribution: one dense separable transform, held
+// as the dense array itself or as a table of its nonzero coefficients,
+// whichever storage.NewMemoryStore's rule finds smaller. The coefficient mass
+// is summed in ascending key order while the transform is at hand, as
+// LoadDatabase sums it, so it does not depend on the representation.
+func NewDatabase(dist *Distribution, filter *Filter) (*Database, error) {
 	if dist == nil || filter == nil {
 		return nil, fmt.Errorf("repro: nil distribution or filter")
-	}
-	cfg := dbConfig{kind: StoreHash}
-	for _, o := range opts {
-		o(&cfg)
 	}
 	hat, err := dist.Transform(filter)
 	if err != nil {
 		return nil, err
 	}
-	var store storage.Updatable
-	switch cfg.kind {
-	case StoreHash:
-		store = storage.NewHashStoreFromDense(hat, 0)
-	case StoreArray:
-		store = storage.NewArrayStore(hat)
-	case StoreSharded:
-		store = storage.NewShardedStoreFromDense(hat, 0, 0)
-	default:
-		return nil, fmt.Errorf("repro: unknown store kind %d", cfg.kind)
+	var mass float64
+	for _, v := range hat {
+		mass += math.Abs(v)
 	}
-	db := newDatabase(dist.Schema, filter, store)
+	db := newDatabase(dist.Schema, filter, storage.NewMemoryStoreFromDense(hat))
 	db.tuples.Store(dist.TupleCount)
+	db.cachedMass = &mass
 	return db, nil
 }
 
@@ -166,18 +132,17 @@ func (db *Database) rebuild() {
 	if db.mvcc != nil {
 		stack := db.stack // compactions build later chains from this copy
 		db.mvcc.SetBaseChain(func(raw storage.Store) storage.Store {
-			top, _ := stack.Build(raw, &db.coalesced)
-			return top
+			return stack.Build(raw, &db.coalesced)
 		})
 		db.store = db.mvcc
 		return
 	}
-	db.store, db.guard = db.stack.Build(db.base, &db.coalesced)
+	db.store = db.stack.Build(db.base, &db.coalesced)
 }
 
 // StoreStack prints the store stack retrievals cross, base first — for
-// example "array → mutex → instrument", with "→ mvcc" last when write layers
-// overlay it.
+// example "array → instrument", with "→ mvcc" last when write layers overlay
+// it.
 func (db *Database) StoreStack() string {
 	if db.mvcc != nil {
 		return storage.Describe(db.mvcc.BaseChain()) + " → mvcc"
@@ -209,26 +174,11 @@ func NewSparseDatabase(dist *SparseDistribution, filter *Filter) (*Database, err
 
 // NewEmptyDatabase creates a database with no tuples, to be populated
 // incrementally with Insert.
-func NewEmptyDatabase(schema *Schema, filter *Filter, opts ...DatabaseOption) (*Database, error) {
+func NewEmptyDatabase(schema *Schema, filter *Filter) (*Database, error) {
 	if schema == nil || filter == nil {
 		return nil, fmt.Errorf("repro: nil schema or filter")
 	}
-	cfg := dbConfig{kind: StoreHash}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var store storage.Updatable
-	switch cfg.kind {
-	case StoreHash:
-		store = storage.NewHashStore()
-	case StoreArray:
-		store = storage.NewArrayStore(make([]float64, schema.Cells()))
-	case StoreSharded:
-		store = storage.NewShardedStore(0)
-	default:
-		return nil, fmt.Errorf("repro: unknown store kind %d", cfg.kind)
-	}
-	return newDatabase(schema, filter, store), nil
+	return newDatabase(schema, filter, storage.NewHashStore()), nil
 }
 
 // Schema returns the database schema.
@@ -304,10 +254,10 @@ func (db *Database) Save(w io.Writer) error {
 		return codec.Write(w, db.schema, db.filter.Name,
 			int64(math.Round(sn.TupleWeight())), sn.View().(storage.Enumerable), db.windows)
 	}
-	if !storage.IsEnumerable(db.guard) {
+	if !storage.IsEnumerable(db.base) {
 		return fmt.Errorf("repro: store does not support enumeration")
 	}
-	return codec.Write(w, db.schema, db.filter.Name, db.tuples.Load(), db.guard.(storage.Enumerable), db.windows)
+	return codec.Write(w, db.schema, db.filter.Name, db.tuples.Load(), db.base.(storage.Enumerable), db.windows)
 }
 
 // LoadDatabase deserializes a database previously written with Save.
@@ -366,19 +316,20 @@ func (db *Database) CoefficientMass() (float64, error) {
 	if db.mvcc != nil {
 		return db.mvcc.Mass(), nil
 	}
-	// Views opened from persisted or remote state carry their mass from open
-	// time, each summed in an order the data alone fixes: a loaded file in
-	// ascending key order, a layout from its header, a coordinator from its
-	// shards' metadata (each shard in ascending key order, the shards in
-	// index order). Those sums agree to rounding, not bit for bit. The
-	// carried mass describes version 0: the first plain write retires it.
+	// Views carry their mass from open time, each summed in an order the data
+	// alone fixes: a built or loaded database in ascending key order, a
+	// layout from its header (ascending too), a coordinator from its shards'
+	// metadata (each shard in ascending key order, the shards in index
+	// order). The coordinator's sum agrees with the others to rounding, not
+	// bit for bit. The carried mass describes version 0: the first plain
+	// write retires it.
 	if db.cachedMass != nil && db.version.Load() == 0 {
 		return *db.cachedMass, nil
 	}
-	if !storage.IsEnumerable(db.guard) {
+	if !storage.IsEnumerable(db.base) {
 		return 0, fmt.Errorf("repro: store %T does not support enumeration; coefficient mass unknown", db.base)
 	}
-	enum := db.guard.(storage.Enumerable)
+	enum := db.base.(storage.Enumerable)
 	var mass float64
 	enum.ForEachNonzero(func(_ int, v float64) bool {
 		if v < 0 {
@@ -416,10 +367,10 @@ func (db *Database) PlanParallel(batch Batch, workers int) (*Plan, error) {
 }
 
 // enumStore returns the surface that can walk the view's coefficients — the
-// head snapshot under MVCC (one stable version), otherwise the guard — and
+// head snapshot under MVCC (one stable version), otherwise the base — and
 // whether it can: a shard coordinator holds none to walk.
 func (db *Database) enumStore() (storage.Store, bool) {
-	st := db.guard
+	st := db.base
 	if db.mvcc != nil {
 		st = db.mvcc.View()
 	}
@@ -444,28 +395,11 @@ func (db *Database) Exact(plan *Plan) []float64 { return plan.Exact(db.evalStore
 
 // ExactParallel evaluates a plan exactly using batched retrievals and up to
 // workers goroutines (≤0 selects GOMAXPROCS); results are bit-identical to
-// Exact. Retrievals run concurrently only when the store is concurrent-safe
-// (StoreSharded); otherwise the fetch is a single batched call.
+// Exact. The workers retrieve concurrently, which every store a database is
+// served from allows: any number of readers, as long as no plain write runs
+// beside them (EnableMVCC for writes beside readers).
 func (db *Database) ExactParallel(plan *Plan, workers int) []float64 {
 	return plan.ExactParallel(db.evalStore(), workers)
-}
-
-// ConcurrentSafe reports whether the database's coefficient store may be
-// retrieved from concurrently (true for StoreSharded). When it is, separate
-// goroutines can each create and advance their own runs against this
-// database; the HTTP server uses this to serve requests in parallel.
-func (db *Database) ConcurrentSafe() bool { return storage.IsConcurrent(db.store) }
-
-// EnsureConcurrent makes the database safe for concurrent retrieval: a
-// store that does not synchronize itself is served behind a single mutex
-// (the sharded store from repro.StoreSharded is the scalable choice; this is
-// the universal fallback). Afterwards ConcurrentSafe reports true.
-// Idempotent.
-func (db *Database) EnsureConcurrent() {
-	if !db.stack.Concurrent {
-		db.stack.Concurrent = true
-		db.rebuild()
-	}
 }
 
 // CoalesceStats reports cross-run I/O sharing: of the coefficients
@@ -483,12 +417,10 @@ func (db *Database) InMemory() bool { return storage.IsInMemory(db.store) }
 // EnableCoalescing puts a singleflight layer on top of the store stack so
 // runs advancing in parallel — e.g. under the internal scheduler — fetch
 // each overlapping coefficient once: the paper's intra-batch I/O sharing
-// extended across concurrent batches. Overlapping callers are the layer's
-// whole point, so it makes the database ConcurrentSafe as EnsureConcurrent
-// does. After this call, Retrievals counts physical fetches only; per-run
-// retrieval counts are unchanged. Over a store that answers from memory
-// (InMemory) the layer costs more than the fetches it saves. Idempotent; the
-// error is always nil.
+// extended across concurrent batches. After this call, Retrievals counts
+// physical fetches only; per-run retrieval counts are unchanged. Over a store
+// that answers from memory (InMemory) the layer costs more than the fetches
+// it saves. Idempotent; the error is always nil.
 func (db *Database) EnableCoalescing() error {
 	if !db.stack.Coalesce {
 		db.stack.Coalesce = true

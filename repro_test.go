@@ -75,7 +75,7 @@ func TestDatabaseArrayStoreOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist := UniformData(schema, 500, 3)
-	db, err := NewDatabase(dist, Haar, WithStore(StoreArray))
+	db, err := NewDatabase(dist, Haar)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,6 @@ func TestStoreStackIsOrderIndependent(t *testing.T) {
 		{"InjectFaults", func(db *Database) error { db.InjectFaults(FaultConfig{}); return nil }},
 		{"EnableRetries", func(db *Database) error { db.EnableRetries(RetryConfig{}); return nil }},
 		{"EnableInstrumentation", func(db *Database) error { db.EnableInstrumentation(); return nil }},
-		{"EnsureConcurrent", func(db *Database) error { db.EnsureConcurrent(); return nil }},
 		{"EnableCoalescing", (*Database).EnableCoalescing},
 		{"EnableMVCC", func(db *Database) error { return db.EnableMVCC(MVCCConfig{}) }},
 	}
@@ -80,8 +79,8 @@ func TestStoreStackIsOrderIndependent(t *testing.T) {
 		calls int
 		want  string
 	}{
-		{5, "hash → mutex → fault → retry → instrument → coalesce"},
-		{6, "hash → mutex → fault → retry → instrument → coalesce → mvcc"},
+		{4, "array → fault → retry → instrument → coalesce"},
+		{5, "array → fault → retry → instrument → coalesce → mvcc"},
 	} {
 		permutations(c.calls, func(order []int) {
 			db, _ := stackFixture(t)
@@ -110,7 +109,7 @@ func TestEnableInstrumentationOnceUnderLaterLayers(t *testing.T) {
 	t.Cleanup(func() { storage.Observe(nil) })
 	db, plan := stackFixture(t)
 	db.EnableInstrumentation()
-	db.EnsureConcurrent()
+	db.EnableRetries(RetryConfig{})
 	db.EnableInstrumentation()
 	if got := db.StoreStack(); strings.Count(got, "instrument") != 1 {
 		t.Fatalf("stack %q names the timer %d times", got, strings.Count(got, "instrument"))
