@@ -1,5 +1,6 @@
 # Development targets. `make check` is the gate: vet + errlint + obs-lint +
-# sort-lint + stack-lint + metric-lint + build + the bench-module build + tests + race-enabled tests +
+# sort-lint + stack-lint + metric-lint + build + the bench-module build + tests +
+# the paper's evaluation diffed against experiment_results.txt + race-enabled tests +
 # fuzz, in that order, failing fast. `make cover` prints a per-package
 # coverage summary. `make bench` runs the
 # parallel-engine and scheduler benchmarks at a fixed iteration count
@@ -21,11 +22,11 @@
 
 GO ?= go
 
-.PHONY: all check vet errlint obs-lint sort-lint stack-lint metric-lint build bench-build test race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
+.PHONY: all check vet errlint obs-lint sort-lint stack-lint metric-lint build bench-build test experiments-diff race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
 
 all: check
 
-check: vet errlint obs-lint sort-lint stack-lint metric-lint build bench-build test race fuzz
+check: vet errlint obs-lint sort-lint stack-lint metric-lint build bench-build test experiments-diff race fuzz
 
 vet:
 	$(GO) vet ./...
@@ -79,6 +80,14 @@ bench-build:
 
 test:
 	$(GO) test ./...
+
+# The paper's evaluation, pinned: every experiment of cmd/experiments at its
+# default (seeded) scale must print experiment_results.txt again, byte for
+# byte, apart from the workload's wall-clock timing line. When a change to
+# the numbers is intended, regenerate the file with
+# `go run ./cmd/experiments -exp all > experiment_results.txt` and commit it.
+experiments-diff:
+	$(GO) run ./cmd/experiments -exp all | diff -u -I '^workload ready in ' experiment_results.txt -
 
 race:
 	$(GO) test -race ./...

@@ -340,36 +340,6 @@ func BenchmarkUpdateCost(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockVsCoefficient exercises the block-aware extension: fetching
-// whole simulated disk blocks ordered by aggregate importance versus
-// coefficient-at-a-time retrieval. The metric of interest is the block-read
-// count.
-func BenchmarkBlockVsCoefficient(b *testing.B) {
-	w := sharedBenchWorkload(b)
-	hat, err := w.Dist.Transform(w.Config.Filter)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bs := storage.NewBlockStore(storage.NewArrayStore(hat), 64)
-	var blockReads float64
-	b.Run("block", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bs.ResetStats()
-			run := core.NewBlockRun(w.Plan, penalty.SSE{}, bs)
-			run.RunToCompletion()
-			blockReads = float64(bs.BlockReads())
-		}
-		b.ReportMetric(blockReads, "block-reads")
-		b.ReportMetric(float64(w.Plan.DistinctCoefficients()), "coeff-reads")
-	})
-	b.Run("coefficient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run := core.NewRun(w.Plan, penalty.SSE{}, w.Store)
-			run.RunToCompletion()
-		}
-	})
-}
-
 func sizeName(kind string, n int) string {
 	switch {
 	case n >= 1<<20:

@@ -221,7 +221,7 @@ func buildHandler(cfg config, maxActive, maxQueued int) (*server.Handler, error)
 	if err != nil {
 		return nil, err
 	}
-	return server.NewWithOptions(db, server.Options{
+	return server.New(db, server.Options{
 		Sched: sched.Config{
 			MaxActive: maxActive,
 			MaxQueued: maxQueued,

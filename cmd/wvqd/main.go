@@ -60,9 +60,13 @@ type options struct {
 	logFormat, logLevel                 string
 	drainTimeout                        time.Duration
 	server                              server.Options
-	robust                              robustConfig
 	mvcc                                mvccConfig
 	dist                                distConfig
+
+	// stack declares the store layers the flags ask for: faults when a
+	// chaos knob is on, retries with -retry-attempts, timing always (the
+	// observer arms it).
+	stack repro.Stack
 
 	// Shard-server mode (-shard-listen): no HTTP, one partition over TCP.
 	shardListen            string
@@ -78,6 +82,8 @@ func parseFlags(args []string) (*options, error) {
 	var (
 		o          options
 		shardAddrs string
+		retry      repro.RetryConfig
+		chaos      repro.FaultConfig
 	)
 	fs := flag.NewFlagSet("wvqd", flag.ContinueOnError)
 	fs.StringVar(&o.dbPath, "db", "temperature.wvdb", "database file to serve")
@@ -102,15 +108,15 @@ func parseFlags(args []string) (*options, error) {
 
 	// Robustness: retry policy over the store's retrievals, and a
 	// deterministic chaos injector underneath it for resilience drills.
-	fs.IntVar(&o.robust.retry.MaxAttempts, "retry-attempts", 0, "retry failed retrievals up to N attempts (0 = no retry layer)")
-	fs.DurationVar(&o.robust.retry.BaseDelay, "retry-base", 0, "base backoff delay between retry attempts (0 = default 1ms)")
-	fs.DurationVar(&o.robust.retry.AttemptTimeout, "retry-timeout", 0, "per-attempt retrieval timeout (0 = none)")
+	fs.IntVar(&retry.MaxAttempts, "retry-attempts", 0, "retry failed retrievals up to N attempts (0 = no retry layer)")
+	fs.DurationVar(&retry.BaseDelay, "retry-base", 0, "base backoff delay between retry attempts (0 = default 1ms)")
+	fs.DurationVar(&retry.AttemptTimeout, "retry-timeout", 0, "per-attempt retrieval timeout (0 = none)")
 
-	fs.Float64Var(&o.robust.chaos.ErrorRate, "chaos-error-rate", 0, "inject retrieval errors on this fraction of keys [0,1)")
-	fs.IntVar(&o.robust.chaos.ErrorEvery, "chaos-error-every", 0, "inject a retrieval error every Nth retrieved key (0 = off)")
-	fs.Float64Var(&o.robust.chaos.DelayRate, "chaos-delay-rate", 0, "inject latency on this fraction of keys [0,1)")
-	fs.DurationVar(&o.robust.chaos.Delay, "chaos-delay", 0, "latency injected on delayed retrievals")
-	fs.Uint64Var(&o.robust.chaos.Seed, "chaos-seed", 1, "seed of the deterministic chaos schedule")
+	fs.Float64Var(&chaos.ErrorRate, "chaos-error-rate", 0, "inject retrieval errors on this fraction of keys [0,1)")
+	fs.IntVar(&chaos.ErrorEvery, "chaos-error-every", 0, "inject a retrieval error every Nth retrieved key (0 = off)")
+	fs.Float64Var(&chaos.DelayRate, "chaos-delay-rate", 0, "inject latency on this fraction of keys [0,1)")
+	fs.DurationVar(&chaos.Delay, "chaos-delay", 0, "latency injected on delayed retrievals")
+	fs.Uint64Var(&chaos.Seed, "chaos-seed", 1, "seed of the deterministic chaos schedule")
 
 	// Distributed tier: -shard-listen turns the daemon into a coefficient
 	// shard server (no HTTP); -shards turns it into a coordinator serving
@@ -141,7 +147,7 @@ func parseFlags(args []string) (*options, error) {
 			robustSet = append(robustSet, "-"+f.Name)
 		}
 	})
-	retry, chaos, mv := o.robust.retry, o.robust.chaos, o.mvcc.cfg
+	mv := o.mvcc.cfg
 	switch {
 	case o.shardListen != "" && shardAddrs != "":
 		return nil, errors.New("-shard-listen (shard server) and -shards (coordinator) are mutually exclusive")
@@ -196,6 +202,13 @@ func parseFlags(args []string) (*options, error) {
 			return nil, fmt.Errorf("-shards: %w", err)
 		}
 	}
+	o.stack.Instrument = true
+	if chaos.ErrorRate > 0 || chaos.ErrorEvery > 0 || chaos.DelayRate > 0 {
+		o.stack.Fault = &chaos
+	}
+	if retry.MaxAttempts > 0 {
+		o.stack.Retry = &retry
+	}
 	return &o, nil
 }
 
@@ -216,7 +229,7 @@ func main() {
 	if o.shardListen != "" {
 		err = runShard(o.dbPath, o.shardListen, o.shardIndex, o.shardCount, o.pprofAddr, log)
 	} else {
-		err = run(o.dbPath, o.layoutPath, o.addr, o.pprofAddr, o.server, o.robust, o.dist, o.mvcc, o.drainTimeout, log)
+		err = run(o.dbPath, o.layoutPath, o.addr, o.pprofAddr, o.server, o.stack, o.dist, o.mvcc, o.drainTimeout, log)
 	}
 	if err != nil {
 		log.Error("exiting", "error", err)
@@ -237,18 +250,6 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	return log, nil
 }
 
-// robustConfig gathers the optional robustness layers of the store stack:
-// chaos injection, and the retry layer that exercises and recovers it.
-type robustConfig struct {
-	retry repro.RetryConfig
-	chaos repro.FaultConfig
-}
-
-func (r robustConfig) chaosEnabled() bool {
-	return r.chaos.ErrorRate > 0 || r.chaos.ErrorEvery > 0 ||
-		r.chaos.DelayRate > 0 || r.chaos.DelayEvery > 0
-}
-
 // distConfig selects coordinator mode: a non-empty shard list replaces the
 // local database file with a fan-out over remote shard servers.
 type distConfig struct {
@@ -263,7 +264,7 @@ type mvccConfig struct {
 	cfg     repro.MVCCConfig
 }
 
-func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, robust robustConfig, dist distConfig, mvcc mvccConfig, drainTimeout time.Duration, log *slog.Logger) error {
+func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack repro.Stack, dist distConfig, mvcc mvccConfig, drainTimeout time.Duration, log *slog.Logger) error {
 	var db *repro.Database
 	switch {
 	case len(dist.shards) > 0:
@@ -300,8 +301,8 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, robust
 		}
 	}
 	defer func() { _ = db.Close() }()
-	// Each call below declares one layer of the store stack; the database
-	// builds them in its one fixed order (the "serving" line prints it).
+	// The database builds the declared layers in its one fixed order, MVCC's
+	// write layers on top (the "serving" line prints the result).
 	if mvcc.enabled {
 		if err := db.EnableMVCC(mvcc.cfg); err != nil {
 			return fmt.Errorf("enabling MVCC: %w", err)
@@ -311,21 +312,19 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, robust
 			"max_layer_keys", mvcc.cfg.MaxLayerKeys,
 			"retain", mvcc.cfg.Retain)
 	}
-	if robust.chaosEnabled() {
-		db.InjectFaults(robust.chaos) // daemon-lifetime: restore fn not needed
+	if chaos := stack.Fault; chaos != nil {
 		log.Info("chaos injection on",
-			"error_rate", robust.chaos.ErrorRate,
-			"error_every", robust.chaos.ErrorEvery,
-			"delay_rate", robust.chaos.DelayRate,
-			"delay", robust.chaos.Delay,
-			"seed", robust.chaos.Seed)
+			"error_rate", chaos.ErrorRate,
+			"error_every", chaos.ErrorEvery,
+			"delay_rate", chaos.DelayRate,
+			"delay", chaos.Delay,
+			"seed", chaos.Seed)
 	}
-	if robust.retry.MaxAttempts > 0 {
-		db.EnableRetries(robust.retry)
-		log.Info("retries on", "max_attempts", robust.retry.MaxAttempts)
+	if stack.Retry != nil {
+		log.Info("retries on", "max_attempts", stack.Retry.MaxAttempts)
 	}
-	db.EnableInstrumentation() // the observer below arms it
-	h := server.NewWithOptions(db, opts)
+	db.SetStack(stack)
+	h := server.New(db, opts)
 	o := obs.NewObserver()
 	o.Log = log
 	h.Observe(o)

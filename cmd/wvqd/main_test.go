@@ -1,9 +1,39 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro"
 )
+
+// TestParseFlagsDeclaresStack: the command line declares the store stack run
+// sets in one call — timing always, faults only when a chaos knob is on,
+// retries only with -retry-attempts.
+func TestParseFlagsDeclaresStack(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want repro.Stack
+	}{
+		{nil, repro.Stack{Instrument: true}},
+		{[]string{"-chaos-seed", "7"}, repro.Stack{Instrument: true}},
+		{[]string{"-retry-attempts", "3"}, repro.Stack{Retry: &repro.RetryConfig{MaxAttempts: 3}, Instrument: true}},
+		{[]string{"-chaos-error-every", "3", "-retry-attempts", "8"}, repro.Stack{
+			Fault:      &repro.FaultConfig{ErrorEvery: 3, Seed: 1},
+			Retry:      &repro.RetryConfig{MaxAttempts: 8},
+			Instrument: true,
+		}},
+	} {
+		o, err := parseFlags(c.args)
+		if err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		if !reflect.DeepEqual(o.stack, c.want) {
+			t.Errorf("%v: stack %+v, want %+v", c.args, o.stack, c.want)
+		}
+	}
+}
 
 // TestParseFlagsRejectsIgnoredFlags: a flag the selected mode would not act
 // on is an error naming it, not a silent no-op.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -79,15 +80,19 @@ func DumpDataVsQueryCSV(dir string, rows []DataVsQueryRow) error {
 	}, out)
 }
 
-// DumpLayoutCSV writes the layout study.
+// DumpLayoutCSV writes the layout study. A row name holding a comma is
+// quoted.
 func DumpLayoutCSV(dir string, rows []LayoutRow) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var sb strings.Builder
-	sb.WriteString("layout,blocks_at_10pct,blocks_exact\n")
+	records := [][]string{{"layout", "blocks_at_10pct", "blocks_exact"}}
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%s,%d,%d\n", r.Name, r.BlocksAt10Pct, r.BlocksExact)
+		records = append(records, []string{r.Name, fmt.Sprint(r.BlocksAt10Pct), fmt.Sprint(r.BlocksExact)})
+	}
+	var sb strings.Builder
+	if err := csv.NewWriter(&sb).WriteAll(records); err != nil {
+		return err
 	}
 	return os.WriteFile(filepath.Join(dir, "layout.csv"), []byte(sb.String()), 0o644)
 }

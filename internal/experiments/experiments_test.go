@@ -360,7 +360,7 @@ func TestLayoutStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byName := map[string]LayoutRow{}
@@ -382,6 +382,17 @@ func TestLayoutStudy(t *testing.T) {
 	if byName["importance"].BlocksAt10Pct >= byName["natural"].BlocksAt10Pct {
 		t.Fatalf("importance layout at 10%% (%d) not better than natural (%d)",
 			byName["importance"].BlocksAt10Pct, byName["natural"].BlocksAt10Pct)
+	}
+	// Block order reads the natural layout's blocks — the same ones, all of
+	// them by exhaustion (RunLayoutStudy checked its estimates against the
+	// truth) — most important first, so 10% of the master list costs no more
+	// blocks than coefficient order does.
+	natural, blockOrder := byName["natural"], byName["natural, block order"]
+	if blockOrder.BlocksExact != natural.BlocksExact {
+		t.Fatalf("block order fetched %d blocks to exact, natural %d", blockOrder.BlocksExact, natural.BlocksExact)
+	}
+	if blockOrder.BlocksAt10Pct > natural.BlocksAt10Pct {
+		t.Fatalf("block order at 10%% (%d) worse than natural (%d)", blockOrder.BlocksAt10Pct, natural.BlocksAt10Pct)
 	}
 	if _, err := RunLayoutStudy(w, 0); err == nil {
 		t.Error("zero block size should fail")

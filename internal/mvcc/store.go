@@ -203,9 +203,6 @@ func (v *view) ConcurrentSafe() bool { return true }
 // is in-memory maps, so a view answers from memory when its base chain does.
 func (v *view) InMemory() bool { return storage.IsInMemory(v.base) }
 
-// Enumerable implements the wrapper capability check.
-func (v *view) Enumerable() bool { return true }
-
 // ForEachNonzero implements storage.Enumerable: overlay keys newest-wins
 // first, then the base's keys not shadowed by any layer. Enumeration order
 // is unspecified (map order), matching the in-memory stores.
@@ -277,7 +274,8 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	if base == nil || f == nil {
 		return nil, fmt.Errorf("mvcc: nil base store or filter")
 	}
-	if !storage.IsEnumerable(base) {
+	enum, ok := base.(storage.Enumerable)
+	if !ok {
 		return nil, fmt.Errorf("mvcc: base store %T cannot enumerate its coefficients", base)
 	}
 	if cfg.MaxLayers <= 0 {
@@ -295,7 +293,7 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 	}
 	s := &Store{filter: f, dims: append([]int(nil), dims...), cells: cells, cfg: cfg}
 	var mass float64
-	base.(storage.Enumerable).ForEachNonzero(func(_ int, v float64) bool {
+	enum.ForEachNonzero(func(_ int, v float64) bool {
 		mass += math.Abs(v)
 		return true
 	})
@@ -656,9 +654,6 @@ func (s *Store) ConcurrentSafe() bool { return true }
 // InMemory implements the storage.IsInMemory capability check for the
 // current head.
 func (s *Store) InMemory() bool { return s.head.Load().InMemory() }
-
-// Enumerable implements the wrapper capability check.
-func (s *Store) Enumerable() bool { return true }
 
 // ForEachNonzero implements storage.Enumerable for the current head.
 func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {

@@ -39,11 +39,8 @@ func faultHandler(t *testing.T, cfg repro.FaultConfig, retry *repro.RetryConfig)
 		t.Fatal(err)
 	}
 	truth := batch.EvaluateDirect(dist)
-	db.InjectFaults(cfg)
-	if retry != nil {
-		db.EnableRetries(*retry)
-	}
-	h := NewWithConfig(db, sched.Config{Slice: 16, Workers: 2})
+	db.SetStack(repro.Stack{Fault: &cfg, Retry: retry})
+	h := New(db, Options{Sched: sched.Config{Slice: 16, Workers: 2}})
 	t.Cleanup(h.Close)
 	return h, truth
 }

@@ -68,7 +68,7 @@ func distHandlerN(t *testing.T, count int) (*Handler, []float64, []*repro.ShardS
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ddb.Close() })
-	h := New(ddb)
+	h := New(ddb, Options{})
 	t.Cleanup(h.Close)
 	return h, exact, servers
 }

@@ -182,7 +182,7 @@ func TestExplainProfileDegradedDistributed(t *testing.T) {
 // logger, retained in /debug/profiles, and counted in /stats diagnostics.
 func TestSlowQueryLogAndRing(t *testing.T) {
 	h, _, _ := testHandler(t)
-	hs := NewWithOptions(h.db, Options{SlowQuery: time.Nanosecond, ProfileRing: 8})
+	hs := New(h.db, Options{SlowQuery: time.Nanosecond, ProfileRing: 8})
 	t.Cleanup(hs.Close)
 	var logBuf bytes.Buffer
 	o := obs.NewObserver()

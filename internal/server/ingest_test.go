@@ -18,7 +18,7 @@ import (
 func mvccHandler(t *testing.T) (*Handler, *repro.Database) {
 	t.Helper()
 	db := mvccDatabase(t)
-	h := New(db)
+	h := New(db, Options{})
 	t.Cleanup(h.Close)
 	return h, db
 }

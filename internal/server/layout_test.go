@@ -41,7 +41,7 @@ func layoutHandler(t *testing.T) (*Handler, []float64) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ldb.Close() })
-	h := New(ldb)
+	h := New(ldb, Options{})
 	t.Cleanup(h.Close)
 	return h, truth
 }

@@ -124,16 +124,18 @@ var servedShapes = []struct {
 	}},
 	{"mvcc", "local", "COUNT() WHERE age <= 15; SUM(salary) WHERE age <= 15", func(t *testing.T) *Handler {
 		db := mvccDatabase(t)
-		h := New(db)
+		h := New(db, Options{})
 		t.Cleanup(h.Close)
 		ingestAndCompact(t, h, db)
 		return h
 	}},
 	{"mvcc-chaos", "local", "COUNT() WHERE age <= 15; SUM(salary) WHERE age <= 15", func(t *testing.T) *Handler {
 		db := mvccDatabase(t)
-		db.InjectFaults(repro.FaultConfig{ErrorEvery: 3})
-		db.EnableRetries(repro.RetryConfig{MaxAttempts: 8, BaseDelay: 100 * time.Microsecond})
-		h := New(db)
+		db.SetStack(repro.Stack{
+			Fault: &repro.FaultConfig{ErrorEvery: 3},
+			Retry: &repro.RetryConfig{MaxAttempts: 8, BaseDelay: 100 * time.Microsecond},
+		})
+		h := New(db, Options{})
 		t.Cleanup(h.Close)
 		ingestAndCompact(t, h, db)
 		return h

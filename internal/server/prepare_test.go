@@ -194,7 +194,7 @@ func TestPrepareQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewWithOptions(db, Options{Sched: sched.Config{MaxPreparedPerTenant: 1}})
+	h := New(db, Options{Sched: sched.Config{MaxPreparedPerTenant: 1}})
 	t.Cleanup(h.Close)
 
 	const batchA = "COUNT() WHERE age <= 15"

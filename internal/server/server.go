@@ -83,24 +83,17 @@ type Options struct {
 	ProfileRing int
 }
 
-// New wraps a database in an HTTP handler with default scheduler sizing.
-func New(db *repro.Database) *Handler { return NewWithConfig(db, sched.Config{}) }
-
-// NewWithConfig wraps a database with explicit scheduler sizing and default
-// prepared-plan capacity.
-func NewWithConfig(db *repro.Database, cfg sched.Config) *Handler {
-	return NewWithOptions(db, Options{Sched: cfg})
-}
-
-// NewWithOptions wraps a database with full handler configuration. Requests
-// execute in parallel — every view takes any number of readers, and the
-// handler writes only through EnableMVCC's Apply — and cross-run fetch
-// coalescing is enabled where a fetch can cost more than joining one in
-// flight: over every store that does not answer from process memory (layout
-// files, shard coordinators, injected faults).
-func NewWithOptions(db *repro.Database, opts Options) *Handler {
-	if !db.InMemory() {
-		_ = db.EnableCoalescing() // always nil; the signature predates the declared stack
+// New wraps a database in an HTTP handler (the zero Options select every
+// default). Requests execute in parallel — every view takes any number of
+// readers, and the handler writes only through EnableMVCC's Apply — and
+// cross-run fetch coalescing is added to the database's stack where a fetch
+// can cost more than joining one in flight: over every store that does not
+// answer from process memory (layout files, shard coordinators, injected
+// faults).
+func New(db *repro.Database, opts Options) *Handler {
+	if stack := db.Stack(); !stack.Coalesce && !db.InMemory() {
+		stack.Coalesce = true
+		db.SetStack(stack)
 	}
 	// A store that cannot enumerate has no coefficient mass; serve without
 	// error bounds rather than refuse to start.

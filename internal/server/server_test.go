@@ -31,7 +31,7 @@ func testHandler(t *testing.T) (*Handler, *repro.Database, []float64) {
 		t.Fatal(err)
 	}
 	truth := batch.EvaluateDirect(dist)
-	h := New(db)
+	h := New(db, Options{})
 	t.Cleanup(h.Close)
 	return h, db, truth
 }

@@ -28,10 +28,10 @@ func prefixes(t *testing.T, db *repro.Database, plan *repro.Plan) [][]float64 {
 	return out
 }
 
-// TestInjectFaultsRestoreKeepsServerLayers: restore removes the injector and
-// nothing else. On a plain database it used to rewind the store to what it
-// was before InjectFaults, dropping the mutex and the coalescer the server
-// had put on since.
+// TestInjectFaultsRestoreKeepsServerLayers: clearing Fault on the current
+// stack removes the injector and nothing else. On a plain database the
+// restore used to rewind the store to what it was before the faults went in,
+// dropping the coalescer the server had put on since.
 func TestInjectFaultsRestoreKeepsServerLayers(t *testing.T) {
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
 	if err != nil {
@@ -61,13 +61,15 @@ func TestInjectFaultsRestoreKeepsServerLayers(t *testing.T) {
 		}
 		want := prefixes(t, db, plan)
 
-		restore := db.InjectFaults(repro.FaultConfig{ErrorRate: 0.5, Seed: 9})
-		h := NewWithOptions(db, Options{})
+		db.SetStack(repro.Stack{Fault: &repro.FaultConfig{ErrorRate: 0.5, Seed: 9}})
+		h := New(db, Options{})
 		t.Cleanup(h.Close)
 		if _, coalescing := db.CoalescingStats(); !coalescing {
 			t.Fatalf("%s: served without coalescing (stack %s)", name, db.StoreStack())
 		}
-		restore()
+		stack := db.Stack()
+		stack.Fault = nil
+		db.SetStack(stack)
 		if _, ok := db.CoalescingStats(); !ok {
 			t.Fatalf("%s: after restore coalescing %v (stack %s)", name, ok, db.StoreStack())
 		}
@@ -111,8 +113,8 @@ func designStacks(t *testing.T) map[string]string {
 }
 
 // TestPrintedStacksMatchDesign builds every shape wvqd serves the way wvqd
-// builds it — open, then EnableMVCC, InjectFaults, EnableRetries,
-// EnableInstrumentation as the flags ask, then the handler — and checks
+// builds it — open, then EnableMVCC as the flags ask, SetStack with the
+// fault, retry and timing layers they declare, then the handler — and checks
 // StoreStack() against the table DESIGN.md §11 prints, so the two change
 // together. The dense file is as dense as the benchmark's (≈ 3/4 of the
 // cells), so each half of a 2-shard split is under the 7/16 of the domain
@@ -201,14 +203,8 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if c.chaos != nil {
-			db.InjectFaults(*c.chaos)
-		}
-		if c.retry != nil {
-			db.EnableRetries(*c.retry)
-		}
-		db.EnableInstrumentation()
-		h := NewWithOptions(db, Options{})
+		db.SetStack(repro.Stack{Fault: c.chaos, Retry: c.retry, Instrument: true})
+		h := New(db, Options{})
 		t.Cleanup(h.Close)
 		if got, want := db.StoreStack(), rows[c.shape]; got != want {
 			t.Errorf("%s: serves %q, DESIGN.md §11 prints %q", c.shape, got, want)

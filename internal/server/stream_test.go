@@ -31,7 +31,7 @@ func bigHandler(t *testing.T, cfg sched.Config) (*Handler, []float64) {
 		t.Fatal(err)
 	}
 	truth := batch.EvaluateDirect(dist)
-	h := NewWithConfig(db, cfg)
+	h := New(db, Options{Sched: cfg})
 	t.Cleanup(h.Close)
 	return h, truth
 }
@@ -277,7 +277,7 @@ func overloadHandler(t *testing.T) *Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewWithConfig(db, sched.Config{MaxActive: 1, MaxQueued: 1, Workers: 1})
+	h := New(db, Options{Sched: sched.Config{MaxActive: 1, MaxQueued: 1, Workers: 1}})
 	t.Cleanup(h.Close)
 	return h
 }
@@ -478,12 +478,12 @@ func lastDoneFrame(r io.Reader) (QueryResponse, error) {
 
 // TestInMemoryDrainAllocationsDoNotGrowWithThePlan: through the stack the
 // handler assembles over an in-memory database — store, timing wrapper,
-// mutex, no singleflight — a full drain allocates its run's fixed buffers and
+// no singleflight — a full drain allocates its run's fixed buffers and
 // nothing per coefficient, whatever the plan's size.
 func TestInMemoryDrainAllocationsDoNotGrowWithThePlan(t *testing.T) {
 	db, _ := bigDatabase(t)
-	db.EnableInstrumentation() // as wvqd does before it builds the handler
-	h := New(db)
+	db.SetStack(repro.Stack{Instrument: true}) // as wvqd does before it builds the handler
+	h := New(db, Options{})
 	t.Cleanup(h.Close)
 
 	ctx := context.Background()

@@ -162,20 +162,4 @@ func (s *CachedStore) ClearCache() {
 // NonzeroCount implements Store.
 func (s *CachedStore) NonzeroCount() int { return s.inner.NonzeroCount() }
 
-// Enumerable reports whether the wrapped store supports enumeration.
-func (s *CachedStore) Enumerable() bool { return IsEnumerable(s.inner) }
-
-// ForEachNonzero implements Enumerable when the wrapped store does; it
-// panics otherwise (check Enumerable first).
-func (s *CachedStore) ForEachNonzero(fn func(key int, value float64) bool) {
-	e, ok := s.inner.(Enumerable)
-	if !ok {
-		panic("storage: wrapped store is not enumerable")
-	}
-	e.ForEachNonzero(fn)
-}
-
-var (
-	_ Store      = (*CachedStore)(nil)
-	_ Enumerable = (*CachedStore)(nil)
-)
+var _ Store = (*CachedStore)(nil)

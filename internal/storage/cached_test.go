@@ -86,25 +86,3 @@ func TestCachedStoreValidationAndReset(t *testing.T) {
 		t.Fatal("ClearCache should force a miss")
 	}
 }
-
-func TestCachedStoreEnumerationDelegates(t *testing.T) {
-	inner := NewArrayStore([]float64{0, 3, 0})
-	s, err := NewCachedStore(inner, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	s.ForEachNonzero(func(k int, v float64) bool {
-		if k != 1 || v != 3 {
-			t.Fatalf("unexpected (%d, %g)", k, v)
-		}
-		n++
-		return true
-	})
-	if n != 1 {
-		t.Fatalf("visited %d", n)
-	}
-	if s.NonzeroCount() != 1 {
-		t.Fatal("NonzeroCount should delegate")
-	}
-}

@@ -149,7 +149,6 @@ func TestIsInMemory(t *testing.T) {
 		{"instrumented(retry(fault))", NewInstrumentedStore(NewRetryStore(fault, RetryConfig{})), false},
 		{"coalescing", NewCoalescingStore(NewHashStore()), false},
 		{"cached", cached, false},
-		{"block", NewBlockStore(array(), 4), false},
 	} {
 		if got := IsInMemory(c.s); got != c.want {
 			t.Errorf("IsInMemory(%s) = %v, want %v", c.name, got, c.want)

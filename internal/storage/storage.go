@@ -55,38 +55,15 @@ type Updatable interface {
 }
 
 // Enumerable is implemented by stores that can iterate their nonzero
-// coefficients (for persistence and diagnostics). Iteration order is
-// unspecified; fn returning false stops the walk. Enumeration does not
-// count retrievals.
-//
-// Wrapper stores (CachedStore, BlockStore) satisfy this interface
-// unconditionally but can only enumerate when the store they wrap can; they
-// additionally expose an `Enumerable() bool` capability check and their
-// ForEachNonzero panics when it reports false. Use IsEnumerable to test a
-// store of unknown shape. The layers of a Stack (fault, retry, instrument,
-// coalesce) forward neither enumeration nor Add: the stack's owner does both
-// on the base.
+// coefficients (for persistence and diagnostics): the base stores, a .wvls
+// layout, and an MVCC store or view. Iteration order is unspecified; fn
+// returning false stops the walk. Enumeration does not count retrievals.
+// A type assertion is the whole test: no wrapper implements the method, so
+// a store that has it can enumerate. The layers of a Stack and a session's
+// CachedStore forward neither enumeration nor Add: their owner does both on
+// the base.
 type Enumerable interface {
 	ForEachNonzero(fn func(key int, value float64) bool)
-}
-
-// enumerationCapable is the capability check implemented by wrapper stores
-// whose enumerability depends on the store they wrap.
-type enumerationCapable interface {
-	Enumerable() bool
-}
-
-// IsEnumerable reports whether s actually supports ForEachNonzero: it
-// implements Enumerable and, for capability-aware wrappers, the wrapped
-// store does too. Callers should check this before enumerating a store of
-// unknown provenance; wrappers panic on unsupported enumeration rather than
-// silently visiting nothing.
-func IsEnumerable(s Store) bool {
-	if c, ok := s.(enumerationCapable); ok {
-		return c.Enumerable()
-	}
-	_, ok := s.(Enumerable)
-	return ok
 }
 
 // concurrencyCapable is the capability check implemented by stores that are,
@@ -356,81 +333,7 @@ func (s *HashStore) ForEachNonzero(fn func(key int, value float64) bool) {
 	s.cells.forEach(fn)
 }
 
-// BlockStore simulates a disk layout in which consecutive flat keys are
-// grouped into fixed-size blocks and the unit of I/O is one block. A block
-// fetched once stays in the (unbounded) buffer until ResetStats, so
-// retrieving several coefficients from one block costs a single block read —
-// the setting of the paper's "importance functions for disk blocks" future
-// work, implemented here as an extension.
-type BlockStore struct {
-	inner      Store
-	blockSize  int
-	fetched    map[int]struct{}
-	blockReads int64
-}
-
-// NewBlockStore wraps inner with a simulated block layer of the given block
-// size (number of coefficients per block).
-func NewBlockStore(inner Store, blockSize int) *BlockStore {
-	if blockSize <= 0 {
-		panic("storage: block size must be positive")
-	}
-	return &BlockStore{inner: inner, blockSize: blockSize, fetched: make(map[int]struct{})}
-}
-
-// BatchGetCtx implements Store. The retrieval counter of the underlying
-// store still counts coefficients; BlockReads counts blocks.
-func (s *BlockStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
-	for _, k := range keys {
-		b := k / s.blockSize
-		if _, ok := s.fetched[b]; !ok {
-			s.fetched[b] = struct{}{}
-			s.blockReads++
-		}
-	}
-	return s.inner.BatchGetCtx(ctx, keys, dst)
-}
-
-// Block returns the block number for key.
-func (s *BlockStore) Block(key int) int { return key / s.blockSize }
-
-// BlockSize returns the number of coefficients per block.
-func (s *BlockStore) BlockSize() int { return s.blockSize }
-
-// BlockReads returns the number of distinct blocks fetched since ResetStats.
-func (s *BlockStore) BlockReads() int64 { return s.blockReads }
-
-// Retrievals implements Store, delegating to the wrapped store.
-func (s *BlockStore) Retrievals() int64 { return s.inner.Retrievals() }
-
-// ResetStats implements Store: clears the buffer and both counters.
-func (s *BlockStore) ResetStats() {
-	s.inner.ResetStats()
-	s.blockReads = 0
-	s.fetched = make(map[int]struct{})
-}
-
-// NonzeroCount implements Store.
-func (s *BlockStore) NonzeroCount() int { return s.inner.NonzeroCount() }
-
-// Enumerable reports whether the wrapped store supports enumeration.
-func (s *BlockStore) Enumerable() bool { return IsEnumerable(s.inner) }
-
-// ForEachNonzero implements Enumerable when the wrapped store does; it
-// panics otherwise (check Enumerable first).
-func (s *BlockStore) ForEachNonzero(fn func(key int, value float64) bool) {
-	e, ok := s.inner.(Enumerable)
-	if !ok {
-		panic("storage: wrapped store is not enumerable")
-	}
-	e.ForEachNonzero(fn)
-}
-
 var (
-	_ Updatable  = (*ArrayStore)(nil)
-	_ Updatable  = (*HashStore)(nil)
-	_ Store      = (*BlockStore)(nil)
-	_ Enumerable = (*ArrayStore)(nil)
-	_ Enumerable = (*HashStore)(nil)
-	_ Enumerable = (*BlockStore)(nil)
+	_ MemoryStore = (*ArrayStore)(nil)
+	_ MemoryStore = (*HashStore)(nil)
 )

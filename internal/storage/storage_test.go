@@ -87,55 +87,6 @@ func TestHashStoreAddDeletesZero(t *testing.T) {
 	}
 }
 
-func TestBlockStoreCountsDistinctBlocks(t *testing.T) {
-	inner := NewArrayStore([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	s := NewBlockStore(inner, 4)
-	Get(s, 0)
-	Get(s, 1)
-	Get(s, 3)
-	if s.BlockReads() != 1 {
-		t.Fatalf("BlockReads = %d, want 1", s.BlockReads())
-	}
-	Get(s, 4)
-	if s.BlockReads() != 2 {
-		t.Fatalf("BlockReads = %d, want 2", s.BlockReads())
-	}
-	if s.Retrievals() != 4 {
-		t.Fatalf("coefficient retrievals = %d", s.Retrievals())
-	}
-	s.ResetStats()
-	if s.BlockReads() != 0 || s.Retrievals() != 0 {
-		t.Fatal("ResetStats failed")
-	}
-	// Same block fetched again after reset costs again.
-	Get(s, 0)
-	if s.BlockReads() != 1 {
-		t.Fatal("block buffer should be cleared by ResetStats")
-	}
-}
-
-func TestBlockStoreHelpers(t *testing.T) {
-	s := NewBlockStore(NewHashStore(), 16)
-	if s.Block(31) != 1 || s.Block(15) != 0 {
-		t.Fatal("Block mapping wrong")
-	}
-	if s.BlockSize() != 16 {
-		t.Fatal("BlockSize wrong")
-	}
-	if s.NonzeroCount() != 0 {
-		t.Fatal("NonzeroCount should delegate")
-	}
-}
-
-func TestBlockStorePanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBlockStore(NewHashStore(), 0)
-}
-
 func BenchmarkArrayStoreGet(b *testing.B) {
 	s := NewArrayStore(make([]float64, 1<<16))
 	for i := 0; i < b.N; i++ {

@@ -141,25 +141,6 @@ var subjects = []struct {
 		}
 		return memoryStore(t, want, false)
 	}},
-	{"block", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewBlockStore(array(hat), 32), want: hat, bounded: true}
-	}},
-	{"remapped", func(t *testing.T, hat []float64, _ int64) subject {
-		// i*7+3 mod n is a permutation: n is a power of two.
-		perm := make([]int, len(hat))
-		for i := range perm {
-			perm[i] = (i*7 + 3) % len(perm)
-		}
-		relocated, err := storage.ApplyLayout(hat, perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := storage.NewRemappedStore(storage.NewArrayStore(relocated), perm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return subject{store: s, want: hat, bounded: true}
-	}},
 	{"cached", func(t *testing.T, hat []float64, _ int64) subject {
 		s, err := storage.NewCachedStore(array(hat), storage.Unbounded)
 		if err != nil {

@@ -263,8 +263,7 @@ func TestTheorem1BoundsOnDegradedSnapshotDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	restore := db.InjectFaults(FaultConfig{ErrorRate: 0.25, Seed: 41})
-	defer restore()
+	db.SetStack(Stack{Fault: &FaultConfig{ErrorRate: 0.25, Seed: 41}})
 	// A write whose merge reads hit the faulty base fails without publishing.
 	headBefore := db.Version()
 	if _, err := db.Apply(context.Background(), randomBatches(db, 1, 200, 7)[0]); err == nil {
@@ -364,9 +363,7 @@ func TestSnapshotAtRetention(t *testing.T) {
 // layers re-wrapped over the compacted base.
 func TestCompactionPreservesFacadeAnswers(t *testing.T) {
 	db, plan, _ := mvccFixture(t, MVCCConfig{DisableAutoCompact: true})
-	if err := db.EnableCoalescing(); err != nil {
-		t.Fatal(err)
-	}
+	db.SetStack(Stack{Coalesce: true})
 	for _, b := range randomBatches(db, 6, 300, 13) {
 		if _, err := db.Apply(context.Background(), b); err != nil {
 			t.Fatal(err)
@@ -405,16 +402,16 @@ func TestCompactionPreservesFacadeAnswers(t *testing.T) {
 
 // TestCoalescingStatsNeverRunBackwards: the coalescing counters are the
 // database's, so the rebuilds that replace the layer — every compaction's new
-// base chain, InjectFaults and its restore — leave them where they were.
-// They used to belong to the layer and start over with each one, which a
-// scraper of the server's read counters would see as a reset.
+// base chain, a new fault schedule and its removal — leave them where they
+// were. They used to belong to the layer and start over with each one, which
+// a scraper of the server's read counters would see as a reset.
 func TestCoalescingStatsNeverRunBackwards(t *testing.T) {
 	db, plan, _ := mvccFixture(t, MVCCConfig{DisableAutoCompact: true})
-	db.InjectFaults(FaultConfig{ErrorEvery: 3})
-	db.EnableRetries(RetryConfig{MaxAttempts: 8, BaseDelay: time.Microsecond}) // an Apply reads through the chain too
-	if err := db.EnableCoalescing(); err != nil {
-		t.Fatal(err)
-	}
+	db.SetStack(Stack{
+		Fault:    &FaultConfig{ErrorEvery: 3},
+		Retry:    &RetryConfig{MaxAttempts: 8, BaseDelay: time.Microsecond}, // an Apply reads through the chain too
+		Coalesce: true,
+	})
 	ctx := context.Background()
 	var last CoalesceStats
 	drain := func(after string) {
@@ -444,10 +441,13 @@ func TestCoalescingStatsNeverRunBackwards(t *testing.T) {
 		}
 		drain(fmt.Sprintf("compaction %d", i+1))
 	}
-	restore := db.InjectFaults(FaultConfig{ErrorEvery: 2})
-	drain("InjectFaults")
-	restore()
-	drain("restore")
+	stack := db.Stack()
+	stack.Fault = &FaultConfig{ErrorEvery: 2}
+	db.SetStack(stack)
+	drain("new fault schedule")
+	stack.Fault = nil
+	db.SetStack(stack)
+	drain("faults removed")
 }
 
 // TestMVCCSaveRoundTrip checks that Save pins one consistent version and the

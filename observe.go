@@ -9,22 +9,8 @@ import (
 // This file is the facade of the observability layer. The metrics registry,
 // tracing and logging primitives live in internal/obs; the HTTP handler's
 // Observe method (internal/server) points every layer's instrumentation at
-// one registry. The database-side hook below adds retrieval timing.
-
-// EnableInstrumentation puts a timing layer into the store stack so every
-// retrieval batch is timed into the observed metrics registry
-// (wvq_storage_batchget_seconds). With no registry observed the layer is a
-// pass-through: one atomic load and a branch per call, no clock reads, no
-// allocation. It sits over faults and retries, so a timing covers the whole
-// physical retrieval, and under coalescing, whose counters report the
-// fetches that were shared. Under MVCC it times the base tier, not the
-// in-memory overlay. Idempotent.
-func (db *Database) EnableInstrumentation() {
-	if !db.stack.Instrument {
-		db.stack.Instrument = true
-		db.rebuild()
-	}
-}
+// one registry. Retrieval timing is a layer of the store stack
+// (Stack.Instrument).
 
 // Re-exported diagnostics vocabulary: a QueryProfile is the per-run EXPLAIN
 // ANALYZE accumulator (plan source and build time, queue delay, per-StepBatch

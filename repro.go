@@ -20,11 +20,12 @@
 //	_ = run.Estimates()
 //	run.RunToCompletion()                    // … now exact
 //
-// Everything the paper's evaluation exercises is reachable from this
-// package: alternative filters (Haar…Db12), cursored/Laplacian/Lp penalties,
-// non-wavelet linear strategies (prefix sums, identity), incremental tuple
-// updates, round-robin and block-at-a-time progressions, and the moment
-// batches behind range AVERAGE/VARIANCE/COVARIANCE.
+// This package reaches alternative filters (Haar…Db12), cursored/Laplacian/Lp
+// penalties, incremental tuple updates, the round-robin per-query baseline,
+// and the moment batches behind range AVERAGE/VARIANCE/COVARIANCE. The
+// non-wavelet linear strategies (prefix sums, identity) and the
+// block-at-a-time progression of the paper's conclusion are measured by
+// cmd/experiments (Observation 1 and the disk layout study).
 package repro
 
 import (
@@ -116,8 +117,8 @@ func NewDatabase(dist *Distribution, filter *Filter) (*Database, error) {
 	return db, nil
 }
 
-// newDatabase assembles a view over base, served bare until an Enable* call
-// asks for more.
+// newDatabase assembles a view over base, served bare until SetStack declares
+// layers.
 func newDatabase(schema *Schema, filter *Filter, base storage.Store) *Database {
 	db := &Database{schema: schema, filter: filter, base: base}
 	db.rebuild()
@@ -125,9 +126,9 @@ func newDatabase(schema *Schema, filter *Filter, base storage.Store) *Database {
 }
 
 // rebuild builds the declared stack over the base. It is the one place
-// db.store is assigned: the Enable* methods set a field of db.stack and call
-// it, so the stack a database runs does not depend on the order they were
-// called in. Runs and sessions keep the chain they captured at creation.
+// db.store is assigned: SetStack and EnableMVCC call it, so the stack a
+// database runs does not depend on the order they were called in. Runs and
+// sessions keep the chain they captured at creation.
 func (db *Database) rebuild() {
 	if db.mvcc != nil {
 		stack := db.stack // compactions build later chains from this copy
@@ -139,6 +140,37 @@ func (db *Database) rebuild() {
 	}
 	db.store = db.stack.Build(db.base, &db.coalesced)
 }
+
+// Stack declares the layers retrievals cross above a database's base store,
+// each optional and always built in one order, base first:
+//   - Fault injects a deterministic fault schedule (chaos testing):
+//     progressive runs degrade, while Exact and the other context-free
+//     conveniences panic on an injected failure;
+//   - Retry re-attempts failed retrievals with backoff, so it recovers faults
+//     beneath it;
+//   - Instrument times every batch into the observed metrics registry
+//     (wvq_storage_batchget_seconds); with no registry observed it costs one
+//     atomic load and a branch per call;
+//   - Coalesce shares overlapping in-flight fetches between concurrent runs,
+//     after which Retrievals counts physical fetches only. Over a store that
+//     answers from memory (InMemory) it costs more than the fetches it saves.
+//
+// Under MVCC the stack serves the base tier, not the in-memory overlay.
+type Stack = storage.Stack
+
+// SetStack declares the store stack and builds it over the base, replacing
+// the previous declaration whole: to change one layer, change that field of
+// Stack() and pass the result back. Every call makes new layers, so Nth-call
+// fault schedules start over; runs and sessions keep the chain they captured
+// at creation. The coalescing counters are the database's and carry across
+// every call (CoalescingStats).
+func (db *Database) SetStack(s Stack) {
+	db.stack = s
+	db.rebuild()
+}
+
+// Stack returns the declared store stack.
+func (db *Database) Stack() Stack { return db.stack }
 
 // StoreStack prints the store stack retrievals cross, base first — for
 // example "array → instrument", with "→ mvcc" last when write layers overlay
@@ -254,10 +286,11 @@ func (db *Database) Save(w io.Writer) error {
 		return codec.Write(w, db.schema, db.filter.Name,
 			int64(math.Round(sn.TupleWeight())), sn.View().(storage.Enumerable), db.windows)
 	}
-	if !storage.IsEnumerable(db.base) {
+	enum, ok := db.base.(storage.Enumerable)
+	if !ok {
 		return fmt.Errorf("repro: store does not support enumeration")
 	}
-	return codec.Write(w, db.schema, db.filter.Name, db.tuples.Load(), db.base.(storage.Enumerable), db.windows)
+	return codec.Write(w, db.schema, db.filter.Name, db.tuples.Load(), enum, db.windows)
 }
 
 // LoadDatabase deserializes a database previously written with Save.
@@ -326,10 +359,10 @@ func (db *Database) CoefficientMass() (float64, error) {
 	if db.cachedMass != nil && db.version.Load() == 0 {
 		return *db.cachedMass, nil
 	}
-	if !storage.IsEnumerable(db.base) {
+	enum, ok := db.base.(storage.Enumerable)
+	if !ok {
 		return 0, fmt.Errorf("repro: store %T does not support enumeration; coefficient mass unknown", db.base)
 	}
-	enum := db.base.(storage.Enumerable)
 	var mass float64
 	enum.ForEachNonzero(func(_ int, v float64) bool {
 		if v < 0 {
@@ -374,7 +407,8 @@ func (db *Database) enumStore() (storage.Store, bool) {
 	if db.mvcc != nil {
 		st = db.mvcc.View()
 	}
-	return st, storage.IsEnumerable(st)
+	_, ok := st.(storage.Enumerable)
+	return st, ok
 }
 
 // evalStore returns the read surface evaluation paths bind to: for MVCC
@@ -414,25 +448,9 @@ type CoalesceStats = storage.CoalesceStats
 // leave out layers that only pay for themselves over a slow fetch.
 func (db *Database) InMemory() bool { return storage.IsInMemory(db.store) }
 
-// EnableCoalescing puts a singleflight layer on top of the store stack so
-// runs advancing in parallel — e.g. under the internal scheduler — fetch
-// each overlapping coefficient once: the paper's intra-batch I/O sharing
-// extended across concurrent batches. After this call, Retrievals counts
-// physical fetches only; per-run retrieval counts are unchanged. Over a store
-// that answers from memory (InMemory) the layer costs more than the fetches
-// it saves. Idempotent; the error is always nil.
-func (db *Database) EnableCoalescing() error {
-	if !db.stack.Coalesce {
-		db.stack.Coalesce = true
-		db.rebuild()
-	}
-	return nil
-}
-
-// CoalescingStats returns the coalescing counters; ok is false when
-// EnableCoalescing has not been called. The counters are the database's, not
-// a layer instance's: they carry across every rebuild of the stack and every
-// MVCC compaction.
+// CoalescingStats returns the coalescing counters; ok is false when the
+// stack does not coalesce. The counters are the database's, not a layer
+// instance's: they carry across every SetStack and every MVCC compaction.
 func (db *Database) CoalescingStats() (stats CoalesceStats, ok bool) {
 	return db.coalesced.Stats(), db.stack.Coalesce
 }

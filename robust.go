@@ -7,15 +7,16 @@ import (
 )
 
 // This file is the facade of the robustness layer: context-aware exact
-// evaluation, retry policies, and deterministic fault injection. The
-// progressive counterparts live on Run (StepCtx, StepBatchCtx,
-// RunToCompletionCtx, RetrySkipped, Degraded, …), re-exported via types.go.
+// evaluation and the vocabulary of the retry and fault layers, which a
+// Stack declares (SetStack). The progressive counterparts live on Run
+// (StepCtx, StepBatchCtx, RunToCompletionCtx, RetrySkipped, Degraded, …),
+// re-exported via types.go.
 
 // Re-exported robustness vocabulary from internal/storage.
 type (
-	// FaultConfig is a deterministic fault schedule for InjectFaults.
+	// FaultConfig is a deterministic fault schedule for Stack.Fault.
 	FaultConfig = storage.FaultConfig
-	// RetryConfig is the backoff policy for EnableRetries.
+	// RetryConfig is the backoff policy for Stack.Retry.
 	RetryConfig = storage.RetryConfig
 	// KeyError is the failure of one coefficient retrieval.
 	KeyError = storage.KeyError
@@ -46,29 +47,4 @@ func (db *Database) ExactCtx(ctx context.Context, plan *Plan) ([]float64, error)
 // bit-identical for every worker count.
 func (db *Database) ExactParallelCtx(ctx context.Context, plan *Plan, workers int) ([]float64, error) {
 	return plan.ExactParallelCtx(ctx, db.evalStore(), workers)
-}
-
-// EnableRetries puts a retry layer into the store stack: retrievals that
-// fail transiently are re-attempted with exponential backoff and jitter
-// before the failure is surfaced. The layer sits over injected faults and
-// under coalescing, so a recovered fetch is shared. A second call replaces
-// the policy.
-func (db *Database) EnableRetries(cfg RetryConfig) {
-	db.stack.Retry = &cfg
-	db.rebuild()
-}
-
-// InjectFaults puts a deterministic fault injector at the bottom of the
-// store stack for chaos testing: retrievals fail or stall according to cfg —
-// progressive runs degrade, while Exact and the other context-free
-// conveniences panic on an injected failure. It returns a restore function
-// that removes the injector and nothing else: every other layer, whenever it
-// was enabled, stays.
-func (db *Database) InjectFaults(cfg FaultConfig) (restore func()) {
-	db.stack.Fault = &cfg
-	db.rebuild()
-	return func() {
-		db.stack.Fault = nil
-		db.rebuild()
-	}
 }

@@ -45,7 +45,7 @@ func TestInjectFaultsRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restore := db.InjectFaults(FaultConfig{ErrorRate: 1})
+	db.SetStack(Stack{Fault: &FaultConfig{ErrorRate: 1}})
 	if _, err := db.ExactCtx(ctx, plan); !errors.Is(err, ErrInjected) {
 		t.Fatalf("ExactCtx under total fault injection: %v, want ErrInjected", err)
 	}
@@ -62,7 +62,9 @@ func TestInjectFaultsRestoreRoundTrip(t *testing.T) {
 		db.Exact(plan)
 	}()
 
-	restore()
+	stack := db.Stack()
+	stack.Fault = nil
+	db.SetStack(stack)
 	got, err := db.ExactCtx(ctx, plan)
 	if err != nil {
 		t.Fatalf("ExactCtx after restore: %v", err)
@@ -81,12 +83,14 @@ func TestEnableRetriesAbsorbsTransientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.InjectFaults(FaultConfig{ErrorEvery: 3})
-	db.EnableRetries(RetryConfig{
-		MaxAttempts: 8,
-		BaseDelay:   10 * time.Microsecond,
-		MaxDelay:    100 * time.Microsecond,
-		Seed:        1,
+	db.SetStack(Stack{
+		Fault: &FaultConfig{ErrorEvery: 3},
+		Retry: &RetryConfig{
+			MaxAttempts: 8,
+			BaseDelay:   10 * time.Microsecond,
+			MaxDelay:    100 * time.Microsecond,
+			Seed:        1,
+		},
 	})
 	got, err := db.ExactCtx(ctx, plan)
 	if err != nil {
@@ -106,7 +110,7 @@ func TestDegradedRunThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.InjectFaults(FaultConfig{ErrorRate: 0.25, Seed: 41})
+	db.SetStack(Stack{Fault: &FaultConfig{ErrorRate: 0.25, Seed: 41}})
 	run := db.NewRun(plan, SSE())
 	if err := run.RunToCompletionCtx(context.Background()); err != nil {
 		t.Fatal(err)
@@ -180,7 +184,7 @@ func TestSessionFallibleSurfacesFaults(t *testing.T) {
 	want := db.Exact(plan)
 	var outage atomic.Bool
 	outage.Store(true)
-	db.InjectFaults(FaultConfig{ErrorRate: 1, KeyMatch: func(int) bool { return outage.Load() }})
+	db.SetStack(Stack{Fault: &FaultConfig{ErrorRate: 1, KeyMatch: func(int) bool { return outage.Load() }}})
 	sess, err := db.NewSession(UnboundedCache)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 //
 // A Session belongs to one goroutine: its cache is not concurrent-safe. To
 // share I/O across *concurrent* clients instead of across one client's
-// successive batches, use EnableCoalescing on the Database (the HTTP server
+// successive batches, set Coalesce on the Database's Stack (the HTTP server
 // does this where a fetch is slow enough to be worth sharing) — the
 // coalescing layer shares fetches between overlapping in-flight runs, where
 // the session cache shares them across time.

@@ -1,15 +1,9 @@
 package repro
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"repro/internal/obs"
-	"repro/internal/storage"
-)
-
-// stackFixture is a database small enough to rebuild and drain a thousand
-// times, and a plan over it.
+// stackFixture is a database small enough to rebuild and drain many times,
+// and a plan over it.
 func stackFixture(t *testing.T) (*Database, *Plan) {
 	t.Helper()
 	schema, err := NewSchema([]string{"x", "y"}, []int{16, 16})
@@ -31,96 +25,44 @@ func stackFixture(t *testing.T) (*Database, *Plan) {
 	return db, plan
 }
 
-// permutations calls fn with every ordering of 0..n-1 (Heap's algorithm).
-func permutations(n int, fn func(order []int)) {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	var rec func(k int)
-	rec = func(k int) {
-		if k == 1 {
-			fn(order)
-			return
-		}
-		for i := 0; i < k; i++ {
-			rec(k - 1)
-			if k%2 == 0 {
-				order[i], order[k-1] = order[k-1], order[i]
-			} else {
-				order[0], order[k-1] = order[k-1], order[0]
-			}
-		}
-	}
-	rec(n)
-}
-
-// TestStoreStackIsOrderIndependent: the Enable* methods declare layers, they
-// do not wrap them on, so every order of calling them builds the same stack —
-// and, the layers all being idle, a drain through it is the bare database's
-// at every prefix, estimates to the bit and bounds with ==.
+// TestStoreStackIsOrderIndependent: SetStack declares the layers and
+// EnableMVCC puts the write layers over whatever is declared, so either order
+// builds the same stack, and a second SetStack replaces the first instead of
+// stacking on it. The layers all being idle, a drain through any of them is
+// the bare database's at every prefix, estimates to the bit and bounds with
+// ==.
 func TestStoreStackIsOrderIndependent(t *testing.T) {
-	calls := []struct {
-		name string
-		do   func(*Database) error
-	}{
-		{"InjectFaults", func(db *Database) error { db.InjectFaults(FaultConfig{}); return nil }},
-		{"EnableRetries", func(db *Database) error { db.EnableRetries(RetryConfig{}); return nil }},
-		{"EnableInstrumentation", func(db *Database) error { db.EnableInstrumentation(); return nil }},
-		{"EnableCoalescing", (*Database).EnableCoalescing},
-		{"EnableMVCC", func(db *Database) error { return db.EnableMVCC(MVCCConfig{}) }},
+	full := func(db *Database) error {
+		db.SetStack(Stack{Fault: &FaultConfig{}, Retry: &RetryConfig{}, Instrument: true, Coalesce: true})
+		return nil
 	}
+	timed := func(db *Database) error { db.SetStack(Stack{Instrument: true}); return nil }
+	mvcc := func(db *Database) error { return db.EnableMVCC(MVCCConfig{}) }
 	bare, plan := stackFixture(t)
 	mass, err := bare.CoefficientMass()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		calls int
+		calls string
+		do    []func(*Database) error
 		want  string
 	}{
-		{4, "array → fault → retry → instrument → coalesce"},
-		{5, "array → fault → retry → instrument → coalesce → mvcc"},
+		{"SetStack", []func(*Database) error{full}, "array → fault → retry → instrument → coalesce"},
+		{"SetStack, EnableMVCC", []func(*Database) error{full, mvcc}, "array → fault → retry → instrument → coalesce → mvcc"},
+		{"EnableMVCC, SetStack", []func(*Database) error{mvcc, full}, "array → fault → retry → instrument → coalesce → mvcc"},
+		{"SetStack, SetStack", []func(*Database) error{full, timed}, "array → instrument"},
+		{"EnableMVCC, SetStack, SetStack", []func(*Database) error{mvcc, full, timed}, "array → instrument → mvcc"},
 	} {
-		permutations(c.calls, func(order []int) {
-			db, _ := stackFixture(t)
-			var names []string
-			for _, i := range order {
-				names = append(names, calls[i].name)
-				if err := calls[i].do(db); err != nil {
-					t.Fatalf("%v: %v", names, err)
-				}
+		db, _ := stackFixture(t)
+		for _, do := range c.do {
+			if err := do(db); err != nil {
+				t.Fatalf("%s: %v", c.calls, err)
 			}
-			what := strings.Join(names, ", ")
-			if got := db.StoreStack(); got != c.want {
-				t.Fatalf("%s: stack %q, want %q", what, got, c.want)
-			}
-			sameDrain(t, what, bare, db, plan, mass)
-		})
-	}
-}
-
-// TestEnableInstrumentationOnceUnderLaterLayers: a second
-// EnableInstrumentation after another layer landed on top used to look only
-// at the top layer, miss the timer underneath, and time every batch twice.
-func TestEnableInstrumentationOnceUnderLaterLayers(t *testing.T) {
-	reg := obs.NewRegistry()
-	storage.Observe(reg)
-	t.Cleanup(func() { storage.Observe(nil) })
-	db, plan := stackFixture(t)
-	db.EnableInstrumentation()
-	db.EnableRetries(RetryConfig{})
-	db.EnableInstrumentation()
-	if got := db.StoreStack(); strings.Count(got, "instrument") != 1 {
-		t.Fatalf("stack %q names the timer %d times", got, strings.Count(got, "instrument"))
-	}
-	run := db.NewRun(plan, SSE())
-	batches := 0
-	for !run.Done() {
-		run.StepBatch(32)
-		batches++
-	}
-	if got := reg.Snapshot()["wvq_storage_batchget_seconds_count"]; got != float64(batches) {
-		t.Fatalf("%v timings for %d batches", got, batches)
+		}
+		if got := db.StoreStack(); got != c.want {
+			t.Fatalf("%s: stack %q, want %q", c.calls, got, c.want)
+		}
+		sameDrain(t, c.calls, bare, db, plan, mass)
 	}
 }
