@@ -367,10 +367,11 @@ func ReadFrame(r io.Reader) (*WireFrame, error) {
 }
 
 // ReadFrameVersion reads one frame at the connection's negotiated version.
-// It validates the length word against MaxFramePayload before allocating
-// and strips the v2 diagnostics extension into the frame's Trace /
-// ElapsedNanos fields; body decoding happens in the typed accessors so a
-// reader loop can dispatch on Type first.
+// It validates the length word against MaxFramePayload before allocating,
+// allocates a large payload only as its bytes arrive (readPayload), and
+// strips the v2 diagnostics extension into the frame's Trace / ElapsedNanos
+// fields; body decoding happens in the typed accessors so a reader loop can
+// dispatch on Type first.
 func ReadFrameVersion(r io.Reader, version uint16) (*WireFrame, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -383,8 +384,8 @@ func ReadFrameVersion(r io.Reader, version uint16) (*WireFrame, error) {
 	if n > MaxFramePayload {
 		return nil, fmt.Errorf("codec: frame payload %d exceeds limit %d", n, MaxFramePayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("codec: reading frame payload: %w", err)
 	}
 	f := &WireFrame{
@@ -415,6 +416,34 @@ func ReadFrameVersion(r io.Reader, version uint16) (*WireFrame, error) {
 		f.body = wr.b
 	}
 	return f, nil
+}
+
+// smallFramePayload is the largest payload read into one allocation of its
+// announced length.
+const smallFramePayload = 64 << 10
+
+// readPayload reads an n-byte payload. Beyond smallFramePayload the buffer
+// starts at that size and doubles (capped at n) only as the bytes arrive, so
+// a peer that announces MaxFramePayload and sends little costs about twice
+// what it sent, not 64 MiB.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	payload := make([]byte, min(n, smallFramePayload))
+	for have := 0; ; {
+		m, err := io.ReadFull(r, payload[have:])
+		have += m
+		if err == io.EOF && have > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if have == n {
+			return payload, nil
+		}
+		grown := make([]byte, min(2*len(payload), n))
+		copy(grown, payload)
+		payload = grown
+	}
 }
 
 // wireReader decodes a frame body sequentially.

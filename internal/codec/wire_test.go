@@ -3,8 +3,11 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -375,5 +378,56 @@ func TestWireMalformedFrames(t *testing.T) {
 	}
 	if _, err := f4.BatchGetReq(); err == nil {
 		t.Fatal("negative key accepted")
+	}
+}
+
+// TestWireAnnouncedLengthIsNotAllocatedUpFront: a peer that announces the
+// largest frame allowed, sends ten bytes of it and hangs up costs the reader
+// what arrived (its first 64 KiB buffer), not the 64 MiB it announced, and
+// the read fails as a truncated frame.
+func TestWireAnnouncedLengthIsNotAllocatedUpFront(t *testing.T) {
+	msg := binary.LittleEndian.AppendUint32(nil, MaxFramePayload)
+	msg = append(msg, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrameVersion(bytes.NewReader(msg), MaxWireVersion)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("read of a truncated frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a 10-byte frame announced at %d bytes allocated %d", MaxFramePayload, got)
+	}
+}
+
+// TestWireLargeFrameGrowsToItsLength: a payload far over the first buffer
+// arrives whole through the doubling reads — including one cut at a buffer
+// boundary, which is still a truncated frame.
+func TestWireLargeFrameGrowsToItsLength(t *testing.T) {
+	values := make([]float64, 100_000) // ≈ 800 KB: 64 KiB doubled four times, then capped
+	for i := range values {
+		values[i] = float64(i) * 0.5
+	}
+	var buf bytes.Buffer
+	if err := WriteBatchGetResp(&buf, 3, values, nil); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	f, err := ReadFrame(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := f.BatchGetResp(len(values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range values {
+		if got[i] != values[i] {
+			t.Fatalf("value %d: %v, want %v", i, got[i], values[i])
+		}
+	}
+	cut := frame[:4+smallFramePayload]
+	if _, err := ReadFrame(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame cut after its first buffer: %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -124,10 +125,13 @@ type MemoryStore interface {
 //
 // The array is never the larger allocation, so a header that lies about its
 // sizes cannot make this function allocate more than the table its count
-// always cost.
+// always cost. Either one lives outside the Go heap (mapSlice), owned by the
+// store it returns and unmapped once that store is unreachable.
 func NewMemoryStore(cells, count, partitions int) MemoryStore {
 	if arrayIsSmaller(cells, count) {
-		return NewArrayStore(make([]float64, cells))
+		s := &ArrayStore{cells: mapSlice[float64](cells)}
+		runtime.SetFinalizer(s, func(s *ArrayStore) { unmapSlice(s.cells) })
+		return s
 	}
 	return NewHashStorePartition(count, partitions)
 }
@@ -153,6 +157,11 @@ func arrayIsSmaller(cells, count int) bool { return cells > 0 && cells < 2*slots
 
 // ArrayStore keeps the full dense coefficient array. Access is a bounds
 // check and an index — the paper's "array-based storage".
+//
+// The array NewMemoryStore allocates is a mapping the store owns, released by
+// a finalizer; every method that indexes it ends with runtime.KeepAlive(s),
+// so the store outlives the loop (holding only the slice would not keep the
+// mapping).
 type ArrayStore struct {
 	cells      []float64
 	nonzero    int
@@ -160,8 +169,9 @@ type ArrayStore struct {
 }
 
 // NewArrayStore wraps the given dense coefficient array. The store aliases
-// the slice and counts its nonzero cells here, once; from then on it is
-// written only through Add, which keeps the count.
+// the slice, owns nothing (the caller's memory stays the caller's) and counts
+// its nonzero cells here, once; from then on it is written only through Add,
+// which keeps the count.
 func NewArrayStore(cells []float64) *ArrayStore {
 	s := &ArrayStore{cells: cells}
 	for _, v := range cells {
@@ -187,6 +197,7 @@ func (s *ArrayStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 		}
 		dst[i] = s.cells[k]
 	}
+	runtime.KeepAlive(s)
 	return batchError(failed)
 }
 
@@ -204,6 +215,7 @@ func (s *ArrayStore) Add(key int, delta float64) {
 	case old != 0 && v == 0:
 		s.nonzero--
 	}
+	runtime.KeepAlive(s)
 }
 
 // Retrievals implements Store.
@@ -234,12 +246,14 @@ func (s *ArrayStore) ForEachNonzero(fn func(key int, value float64) bool) {
 			}
 		}
 	}
+	runtime.KeepAlive(s)
 }
 
 // HashStore keeps only nonzero coefficients in a hash table — the paper's
 // "hash-based storage", appropriate when the transform is sparse relative to
 // the domain. The table is a flat open-addressing one (table.go): 16 bytes a
-// slot, at most 7/8 full.
+// slot, at most 7/8 full, outside the Go heap once it outgrows a page. The
+// store owns the table's mapping like NewMemoryStore's ArrayStore does.
 type HashStore struct {
 	cells      table
 	retrievals atomic.Int64
@@ -261,6 +275,7 @@ func NewHashStorePartition(n, count int) *HashStore {
 		panic(fmt.Sprintf("storage: partition count %d is not a power of two", count))
 	}
 	s := &HashStore{cells: newTable(log2(uint64(count)))}
+	runtime.SetFinalizer(s, func(s *HashStore) { unmapSlice(s.cells.slots) })
 	s.cells.reserve(n)
 	return s
 }
@@ -280,6 +295,7 @@ func NewHashStoreFromDense(cells []float64, tol float64) *HashStore {
 			s.cells.add(k, v)
 		}
 	}
+	runtime.KeepAlive(s)
 	return s
 }
 
@@ -299,6 +315,7 @@ func (s *HashStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) 
 		}
 		dst[i] = s.cells.get(k)
 	}
+	runtime.KeepAlive(s)
 	return batchError(failed)
 }
 
@@ -309,6 +326,7 @@ func (s *HashStore) Add(key int, delta float64) {
 		panic(negativeKeyPanic(key))
 	}
 	s.cells.add(key, delta)
+	runtime.KeepAlive(s)
 }
 
 // Retrievals implements Store.
@@ -331,6 +349,7 @@ func (s *HashStore) InMemory() bool { return true }
 // the same for every store built by the same sequence of Adds.
 func (s *HashStore) ForEachNonzero(fn func(key int, value float64) bool) {
 	s.cells.forEach(fn)
+	runtime.KeepAlive(s)
 }
 
 var (

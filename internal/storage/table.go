@@ -3,9 +3,9 @@ package storage
 // table is the open-addressing hash table under HashStore: one pointer-free
 // slice of {key, value} slots, a power-of-two capacity, a multiplicative hash
 // and linear probing. A lookup is one multiply and, on average, well under
-// one cache line of slots; the garbage collector never scans the slice, and a
-// loader that knows the coefficient count allocates it exactly once
-// (reserve).
+// one cache line of slots; the slice is an anonymous mapping outside the Go
+// heap once it outgrows a page (mapSlice), and a loader that knows the
+// coefficient count allocates it exactly once (reserve).
 //
 // Keys are non-negative; a slot stores key+1 so that the zero slot is the
 // empty slot and a fresh allocation needs no initialisation pass. Values are
@@ -147,16 +147,18 @@ func (t *table) reserve(n int) {
 }
 
 // resize moves the entries into a fresh slice of the given power-of-two
-// capacity, in slot order.
+// capacity, in slot order, and unmaps the old one (add has exclusive access,
+// so nothing else reads it).
 func (t *table) resize(capacity int) {
 	old := t.slots
-	t.slots = make([]slot, capacity)
+	t.slots = mapSlice[slot](capacity)
 	t.shift = 64 - log2(uint64(capacity))
 	for _, s := range old {
 		if s.k1 != 0 {
 			t.slots[t.emptyFrom(int(s.k1-1))] = s
 		}
 	}
+	unmapSlice(old)
 }
 
 // lineSlots is the number of slots in one 64-byte cache line.
