@@ -1,8 +1,8 @@
 # Development targets. `make check` is the gate: vet + errlint + obs-lint +
-# sort-lint + stack-lint + metric-lint + build + a Windows cross-build + the
-# bench-module build + tests + the paper's evaluation diffed against
-# experiment_results.txt + race-enabled tests + fuzz, in that order, failing
-# fast. `make cover` prints a per-package coverage summary. `make bench` runs the
+# sort-lint + stack-lint + metric-lint + build + Windows and macOS
+# cross-builds + the bench-module build + tests + the paper's evaluation
+# diffed against experiment_results.txt + race-enabled tests + fuzz, in that
+# order, failing fast. `make cover` prints a per-package coverage summary. `make bench` runs the
 # parallel-engine and scheduler benchmarks at a fixed iteration count
 # (numbers recorded in BENCH_parallel.json and BENCH_sched.json);
 # `make bench-core` runs the CSR/schedule benches behind BENCH_core.json;
@@ -72,10 +72,13 @@ metric-lint:
 build:
 	$(GO) build ./...
 
-# Every `!unix` fallback (layout's mmap_other.go, storage's offheap_other.go)
-# compiles only for a platform without the unix mmap syscall: build for one.
+# The host build compiles only the Linux files. Windows compiles every `!unix`
+# fallback (layout's mmap_other.go, storage's offheap_other.go); macOS
+# compiles the unix paths without Linux's (storage's offheap_unixother.go,
+# whose huge-page advice is a no-op).
 cross-build:
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 # The benchmark harness is its own module (bench/go.mod), so `./...` above
 # never compiles it: vet and build it here so an internal-API change that

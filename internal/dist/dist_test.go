@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -484,5 +485,40 @@ func TestRetryStoreStacksOnRemoteStore(t *testing.T) {
 		if math.Float64bits(dst[i]) != math.Float64bits(storage.Get(base, k)) {
 			t.Fatalf("key %d: %g after retries, want %g", k, dst[i], storage.Get(base, k))
 		}
+	}
+}
+
+// TestServerClosesSilentPeers: a peer that connects and never sends its
+// handshake is hung up on once handshakeTimeout passes, while a client that
+// handshook at the same time keeps its pooled connection past that deadline.
+func TestServerClosesSilentPeers(t *testing.T) {
+	local := testStore(500, 7)
+	addr, _ := startShard(t, local, codec.ShardMeta{ShardCount: 1})
+	var anyKey int
+	local.ForEachNonzero(func(k int, _ float64) bool { anyKey = k; return false })
+	want := storage.Get(local, anyKey)
+
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	remote := NewRemoteStore(addr, ClientConfig{})
+	defer func() { _ = remote.Close() }()
+	if v, err := storage.GetCtx(context.Background(), remote, anyKey); err != nil || v != want {
+		t.Fatalf("first request: %g, %v; want %g", v, err, want)
+	}
+
+	_ = silent.SetReadDeadline(start.Add(handshakeTimeout + 5*time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent peer read %d bytes, %v; want the server to close (EOF)", n, err)
+	}
+	if waited := time.Since(start); waited < handshakeTimeout/2 || waited > handshakeTimeout+time.Second {
+		t.Fatalf("silent peer closed after %v, want ≈ %v", waited, handshakeTimeout)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if v, err := storage.GetCtx(context.Background(), remote, anyKey); err != nil || v != want {
+		t.Fatalf("request on the pooled connection after the handshake deadline: %g, %v; want %g", v, err, want)
 	}
 }

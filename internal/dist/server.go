@@ -48,6 +48,11 @@ type Server struct {
 	errors   atomic.Int64
 }
 
+// handshakeTimeout bounds a new connection's handshake, the default
+// client's DialTimeout: a peer that connects and sends nothing would
+// otherwise hold a goroutine and its 128 KiB of buffers until Close.
+const handshakeTimeout = 2 * time.Second
+
 // NewServer wraps store with the shard's self-description. logger may be nil
 // for silence (tests); pass a structured logger in daemons.
 func NewServer(store storage.Store, meta codec.ShardMeta, logger *slog.Logger) *Server {
@@ -144,6 +149,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.drop(conn)
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	clientV, err := codec.ReadHandshake(br)
 	if err != nil {
 		s.logWarn("handshake failed", "remote", conn.RemoteAddr().String(), "error", err)
@@ -157,6 +163,8 @@ func (s *Server) handle(conn net.Conn) {
 	if err := codec.WriteHandshake(bw, ver); err != nil || bw.Flush() != nil {
 		return
 	}
+	// Requests have no deadline: an idle pooled connection stays open.
+	_ = conn.SetDeadline(time.Time{})
 	for {
 		frame, err := codec.ReadFrameVersion(br, ver)
 		if err != nil {

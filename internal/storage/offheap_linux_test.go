@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,4 +199,63 @@ func TestMappedStoreOutlivesItsReaders(t *testing.T) {
 		close(stop)
 		<-collected
 	}
+}
+
+// vmFlags returns the VmFlags of the mapping holding addr, from
+// /proc/self/smaps: two-letter codes, "hg" for one advised MADV_HUGEPAGE.
+func vmFlags(t *testing.T, addr uintptr) []string {
+	t.Helper()
+	f, err := os.Open("/proc/self/smaps")
+	if err != nil {
+		t.Skipf("no /proc/self/smaps: %v", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	in := false
+	for sc.Scan() {
+		line := sc.Text()
+		var lo, hi uintptr
+		if _, err := fmt.Sscanf(line, "%x-%x", &lo, &hi); err == nil {
+			in = lo <= addr && addr < hi
+			continue
+		}
+		if flags, ok := strings.CutPrefix(line, "VmFlags:"); ok && in {
+			return strings.Fields(flags)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatalf("%#x: no mapping with VmFlags in /proc/self/smaps", addr)
+	return nil
+}
+
+// TestStoreMappingsAskForHugePages: NewMemoryStore's array, a table's
+// reserved slots and the slots a resize moves into all carry the
+// MADV_HUGEPAGE advice. The flag records the advice, not whether the kernel
+// found free huge pages, so it does not depend on the host's memory.
+func TestStoreMappingsAskForHugePages(t *testing.T) {
+	if _, err := os.Stat("/sys/kernel/mm/transparent_hugepage"); err != nil {
+		t.Skipf("kernel without transparent huge pages: %v", err)
+	}
+	advised := func(what string, addr uintptr) {
+		t.Helper()
+		if flags := vmFlags(t, addr); !slices.Contains(flags, "hg") {
+			t.Errorf("%s at %#x: VmFlags %v lack hg", what, addr, flags)
+		}
+	}
+
+	const cells = 1 << 19 // 4 MiB of float64
+	array := NewMemoryStore(cells, cells, 1).(*ArrayStore)
+	advised("array", uintptr(unsafe.Pointer(&array.cells[0])))
+	runtime.KeepAlive(array)
+
+	s := NewHashStoreSized(1 << 17) // ≥ 2 MiB of 16-byte slots
+	capacity := len(s.cells.slots)
+	advised("reserved slots", uintptr(unsafe.Pointer(&s.cells.slots[0])))
+	for n := 0; len(s.cells.slots) == capacity; n++ {
+		s.Add(n, 1)
+	}
+	advised("resized slots", uintptr(unsafe.Pointer(&s.cells.slots[0])))
+	runtime.KeepAlive(s)
 }

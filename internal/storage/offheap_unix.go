@@ -14,7 +14,8 @@ import (
 // double the process's peak the way a heap slice does (the goal is twice the
 // live heap). A slice under one page, or one the kernel refuses to map, is an
 // ordinary make. T must hold no pointers: the collector cannot see into the
-// mapping.
+// mapping. On Linux the mapping is advised onto transparent huge pages
+// (adviseHugePages).
 //
 // A -race build takes offheap_other.go instead: the race detector checks
 // only addresses in the Go heap and data segment, so reads and writes of a
@@ -28,6 +29,7 @@ func mapSlice[T any](n int) []T {
 	if err != nil {
 		return make([]T, n)
 	}
+	adviseHugePages(b)
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
