@@ -284,6 +284,7 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack 
 		ls, _ := db.LayoutStats()
 		log.Info("serving from layout",
 			"layout", layoutPath,
+			"dense", ls.Dense,
 			"hot_slots", ls.HotSlots,
 			"blocks", ls.Blocks,
 			"block_size", ls.BlockSize,

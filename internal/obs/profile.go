@@ -68,8 +68,9 @@ type TierProfile struct {
 	Physical  int64 `json:"physical,omitempty"`
 	Coalesced int64 `json:"coalesced,omitempty"`
 	// LayoutHot / LayoutCold: .wvls keys served from the mmap-hot section
-	// vs. cold blocks (block LRU or pread); BlockLoads and Preads count the
-	// physical block decodes and positioned reads behind the cold hits.
+	// vs. blocks (verified windows of the mapping, or pread); BlockLoads and
+	// Preads count the block checksums and positioned reads behind the cold
+	// hits.
 	LayoutHot  int64 `json:"layout_hot,omitempty"`
 	LayoutCold int64 `json:"layout_cold,omitempty"`
 	BlockLoads int64 `json:"block_loads,omitempty"`

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -33,7 +34,7 @@ func layoutHandler(t *testing.T) (*Handler, []float64) {
 	}
 	truth := batch.EvaluateDirect(dist)
 	path := filepath.Join(t.TempDir(), "db.wvls")
-	if err := db.SaveLayout(path, repro.LayoutOptions{HotCount: 8, BlockSize: 16}); err != nil {
+	if _, err := db.SaveLayout(path, repro.LayoutOptions{HotCount: 8, BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := repro.OpenLayout(path)
@@ -75,7 +76,8 @@ func TestLayoutBackedServer(t *testing.T) {
 	if stats.Layout == nil {
 		t.Fatalf("/stats has no layout section: %s", srec.Body)
 	}
-	if stats.Layout.Slots == 0 || stats.Layout.HotSlots != 8 {
+	// Three tuples leave most of the 32×32 domain zero: the sparse shape.
+	if stats.Layout.Dense || stats.Layout.Slots == 0 || stats.Layout.HotSlots != 8 {
 		t.Fatalf("layout stats = %+v", stats.Layout)
 	}
 	if want := "layout → coalesce"; stats.StoreStack != want {
@@ -86,6 +88,73 @@ func TestLayoutBackedServer(t *testing.T) {
 	}
 	if stats.Dist != nil {
 		t.Fatal("layout-backed database must not report a dist section")
+	}
+}
+
+// TestDenseLayoutBackedServer pins the other shape end to end: a database
+// dense enough is written as an array, answers exactly what the in-memory
+// database answers, and /stats says which shape it serves.
+func TestDenseLayoutBackedServer(t *testing.T) {
+	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := repro.NewDatabase(repro.UniformData(schema, 300, 5), repro.Db4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.wvls")
+	if _, err := db.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
+		t.Fatal(err)
+	}
+	ldb, err := repro.OpenLayout(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ldb.Close() })
+	h := New(ldb, Options{})
+	t.Cleanup(h.Close)
+	const statements = "COUNT() WHERE age <= 15; SUM(salary) WHERE age >= 7"
+	batch, err := repro.ParseBatch(schema, statements)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.Plan(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server's answer sums in schedule order, Exact in key order: equal
+	// to rounding.
+	want := db.Exact(plan)
+	rec := postQuery(t, h, `{"statements": "`+statements+`"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query status %d: %s", rec.Code, rec.Body)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range qr.Results {
+		if math.Abs(r.Estimate-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+			t.Fatalf("query %d: estimate %v, in-memory exact %v", i, r.Estimate, want[i])
+		}
+	}
+
+	srec := httptest.NewRecorder()
+	h.ServeHTTP(srec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats StatsResponse
+	if err := json.Unmarshal(srec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	l := stats.Layout
+	if l == nil || !l.Dense || l.Slots != 32*32 || l.HotSlots != 0 || l.HotHits != 0 || l.ColdHits == 0 {
+		t.Fatalf("layout stats = %+v, want a dense file served from its blocks", l)
+	}
+	if l.VerifiedBlocks == 0 || int64(l.VerifiedBlocks) != l.BlockLoads {
+		t.Fatalf("%d blocks verified in %d checks, want each checked once", l.VerifiedBlocks, l.BlockLoads)
+	}
+	if !strings.Contains(srec.Body.String(), `"dense": true`) {
+		t.Fatalf("/stats does not name the shape: %s", srec.Body)
 	}
 }
 

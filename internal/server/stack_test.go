@@ -42,7 +42,7 @@ func TestInjectFaultsRestoreKeepsServerLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "db.wvls")
-	if err := plain.SaveLayout(path, repro.LayoutOptions{HotCount: 8, BlockSize: 16}); err != nil {
+	if _, err := plain.SaveLayout(path, repro.LayoutOptions{HotCount: 8, BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	layout, err := repro.OpenLayout(path)
@@ -173,7 +173,7 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 		{shape: "`-db -mvcc`, sparse file", open: load(sparse), mvcc: true},
 		{shape: "`-layout`", open: func() *repro.Database {
 			path := filepath.Join(t.TempDir(), "db.wvls")
-			if err := load(dense)().SaveLayout(path, repro.LayoutOptions{}); err != nil {
+			if _, err := load(dense)().SaveLayout(path, repro.LayoutOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			db, err := repro.OpenLayout(path)

@@ -1,33 +1,44 @@
 package layout
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/storage"
 )
 
-// benchCells is the drain size: 10,485,760 coefficients (~80 MiB of
-// float64 payload), all nonzero, dense over the domain. This is the
-// smallest size at which the drain is bandwidth-shaped rather than
-// latency-shaped on this host.
+// benchCells is the drain size: 10,485,760 cells (~80 MiB of float64
+// payload). This is the smallest size at which the drain is
+// bandwidth-shaped rather than latency-shaped on this host.
 const benchCells = 10 << 20
 
 // benchDrainSlice mirrors the scheduler's batch slicing: the progressive
 // engine asks for coefficients in schedule order, a few thousand at a time.
 const benchDrainSlice = 4096
 
+// The two layouts of the same random values: every cell nonzero, which
+// Write lays out as the dense shape, and every fourth cell, which it lays
+// out as the sparse shape. Both are drained in the canonical schedule order
+// the engine asks for: |value| descending, key ascending. That is the
+// sparse file's physical order and random key order over the dense file.
+const (
+	denseFixture  = "bench.wvls"
+	sparseFixture = "bench-sparse.wvls"
+)
+
 var (
 	benchOnce    sync.Once
 	benchSetupMu sync.Mutex
 	benchFail    error
 	benchDirPath string
-	benchOrder   []int // canonical drain order: key of slot j, ascending j
+	benchOrder   = map[string][]int{} // per fixture: the keys in schedule order
 )
 
 // TestMain removes the ~400 MB benchmark fixture directory (if a benchmark
@@ -40,9 +51,9 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// benchFiles builds the two files once: the .wvls layout of 10M random values
-// and the same values as a raw little-endian float64 payload.
-func benchFiles(b *testing.B) (wvls, raw string, order []int) {
+// benchFiles builds the fixtures once and returns their directory: the two
+// layouts and the values as a raw little-endian float64 payload.
+func benchFiles(b *testing.B) string {
 	b.Helper()
 	benchSetupMu.Lock()
 	defer benchSetupMu.Unlock()
@@ -72,29 +83,32 @@ func benchFiles(b *testing.B) (wvls, raw string, order []int) {
 			benchFail = err
 			return
 		}
-		if err := Write(filepath.Join(dir, "bench.wvls"), keys, cells, WriteOptions{
-			Cells: benchCells,
-		}); err != nil {
-			benchFail = err
-			return
+		quarterKeys, quarterValues := make([]int, 0, benchCells/4), make([]float64, 0, benchCells/4)
+		for k := 0; k < benchCells; k += 4 {
+			quarterKeys, quarterValues = append(quarterKeys, k), append(quarterValues, cells[k])
 		}
-		s, err := Open(filepath.Join(dir, "bench.wvls"), Options{})
-		if err != nil {
-			benchFail = err
-			return
-		}
-		defer s.Close()
-		benchOrder = make([]int, s.NonzeroCount())
-		for j := range benchOrder {
-			benchOrder[j] = s.KeyOfSlot(j)
+		for name, kv := range map[string]struct {
+			keys   []int
+			values []float64
+		}{denseFixture: {keys, cells}, sparseFixture: {quarterKeys, quarterValues}} {
+			if _, err := Write(filepath.Join(dir, name), kv.keys, kv.values, WriteOptions{Cells: benchCells}); err != nil {
+				benchFail = err
+				return
+			}
+			order := slices.Clone(kv.keys)
+			slices.SortFunc(order, func(a, b int) int {
+				if c := cmp.Compare(math.Abs(cells[b]), math.Abs(cells[a])); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			benchOrder[name] = order
 		}
 	})
 	if benchFail != nil {
 		b.Fatal(benchFail)
 	}
-	return filepath.Join(benchDirPath, "bench.wvls"),
-		filepath.Join(benchDirPath, "bench.raw"),
-		benchOrder
+	return benchDirPath
 }
 
 // drainBatches walks the schedule order through BatchGet in scheduler-sized
@@ -115,17 +129,18 @@ func drainBatches(g storage.Store, order []int) float64 {
 	return sum
 }
 
-// BenchmarkStorageDrainLayout is the headline number: a cold progressive
-// drain — fresh Store per iteration, so the block LRU starts empty and
-// every cold block is read and decoded — over the full 10M-coefficient
-// layout in schedule order. Bytes/op is the delivered coefficient payload,
-// so the reported MB/s is useful bandwidth, not file bytes touched.
-func BenchmarkStorageDrainLayout(b *testing.B) {
-	wvls, _, order := benchFiles(b)
+// benchDrain is a cold progressive drain of one fixture in schedule order —
+// a fresh Store per iteration, so no block is verified yet and every block
+// is read and checksummed. Bytes/op is the delivered
+// coefficient payload, so the reported MB/s is useful bandwidth, not file
+// bytes touched.
+func benchDrain(b *testing.B, fixture string, opts Options) {
+	path := filepath.Join(benchFiles(b), fixture)
+	order := benchOrder[fixture]
 	b.SetBytes(int64(len(order)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Open(wvls, Options{})
+		s, err := Open(path, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,21 +149,25 @@ func BenchmarkStorageDrainLayout(b *testing.B) {
 	}
 }
 
-// BenchmarkStorageDrainLayoutPread is the same cold drain through the
-// no-mmap fallback: index sections resident, hot region and blocks via
-// positioned reads.
+// BenchmarkStorageDrainLayout is the headline number: the cold drain of the
+// 10M-cell dense layout through the mapping, one random key at a time.
+func BenchmarkStorageDrainLayout(b *testing.B) { benchDrain(b, denseFixture, Options{}) }
+
+// BenchmarkStorageDrainLayoutPread is the same drain through the no-mmap
+// fallback: each block one whole positioned read and a checksum, then one
+// positioned read per run of keys, nearly every run a single key.
 func BenchmarkStorageDrainLayoutPread(b *testing.B) {
-	wvls, _, order := benchFiles(b)
-	b.SetBytes(int64(len(order)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := Open(wvls, Options{DisableMmap: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = drainBatches(s, order)
-		_ = s.Close()
-	}
+	benchDrain(b, denseFixture, Options{DisableMmap: true})
+}
+
+// BenchmarkStorageDrainLayoutSparse drains the quarter-full sparse layout
+// in schedule order through the mapping: hot region, then blocks.
+func BenchmarkStorageDrainLayoutSparse(b *testing.B) { benchDrain(b, sparseFixture, Options{}) }
+
+// BenchmarkStorageDrainLayoutSparsePread is the sparse drain through the
+// no-mmap fallback: index sections resident, hot region and blocks pread.
+func BenchmarkStorageDrainLayoutSparsePread(b *testing.B) {
+	benchDrain(b, sparseFixture, Options{DisableMmap: true})
 }
 
 // BenchmarkStorageSequentialRead is the bandwidth ceiling reference: read
@@ -156,7 +175,7 @@ func BenchmarkStorageDrainLayoutPread(b *testing.B) {
 // every byte. No format, no lookup, no decode — any drain pays at least
 // this much.
 func BenchmarkStorageSequentialRead(b *testing.B) {
-	_, raw, _ := benchFiles(b)
+	raw := filepath.Join(benchFiles(b), "bench.raw")
 	st, err := os.Stat(raw)
 	if err != nil {
 		b.Fatal(err)

@@ -1,16 +1,27 @@
 // Package layout implements schedule-aware persistent storage: the .wvls
-// on-disk format lays coefficients out physically ordered by a canonical
+// on-disk format. A file has one of two shapes, chosen by Write from the
+// data alone.
+//
+// The sparse shape lays coefficients out physically ordered by a canonical
 // retrieval schedule, so a cold progressive drain — which asks for
 // coefficients in exactly that order — is sequential I/O instead of the
 // random positioned reads a key-ordered file serves it with. A prefix read
 // of the file warms exactly the coefficients Theorem 1 says matter most,
 // under any penalty whose schedule correlates with the layout family.
 //
+// The dense shape is an array: every cell's value in key order, zeros
+// included, so the slot is the key and there is no index at all. Write
+// derives both files' sizes and writes the dense one iff it is strictly
+// smaller and no Families were supplied (families ask for a physical
+// schedule order, which only the sparse shape has). At 8-byte values the
+// crossover is near 53 % of the cells nonzero.
+//
 // File shape, version 2 (all integers little-endian):
 //
 //	magic    "WVLS"                  4 bytes
 //	version  uint16                  2
-//	flags    uint16                  bit 0: cold values quantized to float32
+//	flags    uint16                  bit 0: block values quantized to float32
+//	                                 bit 1: dense shape
 //	hdrLen   uint32                  length of the header blob
 //	hdrCRC   uint32                  IEEE CRC-32 of the header blob
 //	header blob (hdrLen bytes):
@@ -25,29 +36,39 @@
 //	  slotOf    nonzero × sw         slot of the i-th smallest key
 //	  keyOfSlot nonzero × kw         key stored at slot j (schedule order)
 //	  hot       hotCount × float64   raw values of slots [0,hotCount)
-//	  blocks    cold × vw            raw values of the remaining slots
-//	  crcs      numBlocks × uint32   IEEE CRC-32 of each cold block
+//	  blocks    cold × vw            values of the remaining slots
+//	  crcs      numBlocks × uint32   IEEE CRC-32 of each block
 //
 // Every width and offset follows from the header: kw = bytes(cells−1),
 // sw = bytes(nonzero−1), ow = bytes(streamLen), vw = 8 (4 when quantized),
-// groups = ⌈nonzero/64⌉, and cold block b is the blockSize×vw bytes (fewer
-// for the last block) at blocks + b×blockSize×vw. The four fixed-width
-// sections are packed words, each followed by 8−w pad bytes so the reader's
-// one 8-byte load of the last entry stays inside its section.
+// groups = ⌈nonzero/64⌉, and block b is the blockSize×vw bytes (fewer for
+// the last block) at blocks + b×blockSize×vw. The four fixed-width sections
+// are packed words, each followed by 8−w pad bytes so the reader's one
+// 8-byte load of the last entry stays inside its section. A dense file has
+// hotCount 0 and streamLen 0, its index sections and hot region are empty
+// (pads too), its blocks hold cells slots, and it records no families.
 //
-// Slots are schedule positions: slot 0 is the most important coefficient.
-// Each fact is stored once. key→slot is the compressed ascending key set
-// (one absolute sample per 64 keys, one-byte deltas between neighbours at
-// any density above 1/128 — "Space-Efficient Data-Analysis Queries on Grids"
-// is the grounding: about 2+log₂(cells/n) bits per key and ⌈log₂ n⌉ bits per
-// permutation entry per direction are what the information costs) plus
-// slotOf; slot→key is keyOfSlot; values are raw words in slot order, hot
-// prefix then cold blocks, float32 in the blocks when the lossy Quantize
-// option was chosen at write time. A group's deltas sum to the next sample
-// (to cells for the last), so "key absent" is checked, not assumed; a found
-// key is served only if keyOfSlot[slotOf[i]] names it; a cold block is
-// served only behind its CRC-32. Corruption becomes per-key retrieval
-// errors the engine degrades over.
+// Slots are schedule positions in the sparse shape: slot 0 is the most
+// important coefficient. Each fact is stored once. key→slot is the
+// compressed ascending key set (one absolute sample per 64 keys, one-byte
+// deltas between neighbours at any density above 1/128 — "Space-Efficient
+// Data-Analysis Queries on Grids" is the grounding: about 2+log₂(cells/n)
+// bits per key and ⌈log₂ n⌉ bits per permutation entry per direction are
+// what the information costs) plus slotOf; slot→key is keyOfSlot; values
+// are raw words in slot order, hot prefix then blocks, float32 in the
+// blocks when the lossy Quantize option was chosen at write time. A group's
+// deltas sum to the next sample (to cells for the last), so "key absent" is
+// checked, not assumed; a found key is served only if keyOfSlot[slotOf[i]]
+// names it.
+//
+// Verification is the same in both shapes and on both read tiers: a block
+// is served only behind its CRC-32. The reader checks a block the first
+// time any of its slots is served and marks it verified in a bitmap; later
+// reads are windows of the mapping, or on the positioned-read fallback
+// preads of just the words a run asks for. A block that fails is never
+// marked, so every retry checks it again and fails again. The sparse hot
+// region carries no checksum. Corruption becomes per-key retrieval errors
+// the engine degrades over.
 package layout
 
 import (
@@ -66,18 +87,22 @@ const (
 	magic   = "WVLS"
 	version = 2
 
-	// flagQuantized marks files whose cold-block values are float32: a lossy,
-	// explicitly-opted-into trade of bit-identity for half the cold bytes.
+	// flagQuantized marks files whose block values are float32: a lossy,
+	// explicitly-opted-into trade of bit-identity for half the block bytes.
 	flagQuantized = 1 << 0
+
+	// flagDense marks the dense shape: every cell's value in key order, no
+	// index sections, no hot region.
+	flagDense = 1 << 1
 
 	// preludeSize is the fixed region before the header blob.
 	preludeSize = 4 + 2 + 2 + 4 + 4
 
-	// DefaultBlockSize is the cold-block granularity: coefficients
-	// checksummed (and cached) together per block fetch.
+	// DefaultBlockSize is the block granularity: coefficients checksummed
+	// together.
 	DefaultBlockSize = 4096
 
-	// maxBlockSize bounds what one cold load reads and checksums (512 KiB).
+	// maxBlockSize bounds what one block load reads and checksums (512 KiB).
 	maxBlockSize = 1 << 16
 
 	// groupSize is the key index sampling interval: one absolute key per
@@ -131,22 +156,25 @@ type WriteOptions struct {
 	// Cells is the domain size; every key must be in [0,Cells).
 	Cells int
 	// HotCount is the number of slots stored raw in the mmap-served hot
-	// region; 0 selects a default of nonzero/8 (min 1, capped at nonzero),
-	// negative means "everything hot" (no cold blocks).
+	// region of a sparse file; 0 selects a default of nonzero/8 (min 1,
+	// capped at nonzero), negative means "everything hot" (no blocks). A
+	// dense file has no hot region.
 	HotCount int
-	// BlockSize is the cold-block granularity in slots; 0 selects
+	// BlockSize is the block granularity in slots; 0 selects
 	// DefaultBlockSize.
 	BlockSize int
-	// Quantize stores cold values as float32. Lossy: drains over a
-	// quantized layout are NOT bit-identical to the source store; the flag
-	// is recorded in the file and surfaced by Store.Quantized.
+	// Quantize stores block values as float32, in either shape. Lossy:
+	// drains over a quantized layout are NOT bit-identical to the source
+	// store; the flag is recorded in the file and surfaced by
+	// Store.Quantized.
 	Quantize bool
 	// Meta optionally embeds the database identity (see Meta).
 	Meta *Meta
 	// Families optionally supplies penalty-family schedule orders. The
 	// first family's order becomes the physical layout prefix; every family
-	// is recorded with its measured hot coverage. With none supplied the
-	// layout order is canonical: |value| descending, key ascending.
+	// is recorded with its measured hot coverage. Supplying any selects the
+	// sparse shape. With none the file is dense when that is smaller, and a
+	// sparse file's order is canonical: |value| descending, key ascending.
 	Families []FamilyOrder
 }
 
@@ -166,6 +194,9 @@ func packedSize(n, w int) int64 { return int64(n)*int64(w) + int64(8-w) }
 func appendPacked(b []byte, v uint64, w int) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)[:len(b)+w]
 }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // packed reads a fixed-width unsigned section of the file: a window of the
 // mapping, or of the pread tier's resident copy of the same bytes.
@@ -193,12 +224,13 @@ type geometry struct {
 	mass      float64
 	streamLen int64
 
+	slots     int // value slots: nonzero, or cells in the dense shape
 	groups    int
 	numBlocks int
 	keyWidth  int
 	slotWidth int
 	offWidth  int
-	valWidth  int // of a cold value; hot values are always 8 bytes
+	valWidth  int // of a block value; hot values are always 8 bytes
 
 	samplesOff   int64
 	offsetsOff   int64
@@ -211,11 +243,18 @@ type geometry struct {
 	fileSize     int64
 }
 
+func (g *geometry) dense() bool { return g.flags&flagDense != 0 }
+
 // derive fills the counts, widths and section offsets in from the header
 // fields; dataStart is where the first section begins.
 func (g *geometry) derive(dataStart int64) {
-	g.groups = (g.nonzero + groupSize - 1) / groupSize
-	cold := g.nonzero - g.hotCount
+	g.slots, g.groups = g.nonzero, (g.nonzero+groupSize-1)/groupSize
+	packed := packedSize
+	if g.dense() {
+		g.slots, g.groups = g.cells, 0
+		packed = func(int, int) int64 { return 0 }
+	}
+	cold := g.slots - g.hotCount
 	g.numBlocks = (cold + g.blockSize - 1) / g.blockSize
 	g.keyWidth = wordWidth(uint64(g.cells - 1))
 	g.slotWidth = wordWidth(uint64(max(g.nonzero, 1) - 1))
@@ -230,21 +269,21 @@ func (g *geometry) derive(dataStart int64) {
 		off += size
 		return at
 	}
-	g.samplesOff = section(packedSize(g.groups, g.keyWidth))
-	g.offsetsOff = section(packedSize(g.groups, g.offWidth))
+	g.samplesOff = section(packed(g.groups, g.keyWidth))
+	g.offsetsOff = section(packed(g.groups, g.offWidth))
 	g.streamOff = section(g.streamLen)
-	g.slotOfOff = section(packedSize(g.nonzero, g.slotWidth))
-	g.keyOfSlotOff = section(packedSize(g.nonzero, g.keyWidth))
+	g.slotOfOff = section(packed(g.nonzero, g.slotWidth))
+	g.keyOfSlotOff = section(packed(g.nonzero, g.keyWidth))
 	g.hotOff = section(int64(g.hotCount) * 8)
 	g.blocksOff = section(int64(cold) * int64(g.valWidth))
 	g.crcsOff = section(int64(g.numBlocks) * 4)
 	g.fileSize = off
 }
 
-// blockSlots returns the slot range [lo,hi) of cold block b.
+// blockSlots returns the slot range [lo,hi) of block b.
 func (g *geometry) blockSlots(b int) (lo, hi int) {
 	lo = g.hotCount + b*g.blockSize
-	return lo, min(lo+g.blockSize, g.nonzero)
+	return lo, min(lo+g.blockSize, g.slots)
 }
 
 // coef is one stored coefficient; i is its rank among the ascending keys.
@@ -254,37 +293,52 @@ type coef struct {
 	i int
 }
 
-// Write lays the nonzero coefficients (keys[i], values[i]) out at path in
-// schedule order and writes the complete .wvls file. Zero values are
-// dropped; duplicate keys are an error. The physical order is the first
-// supplied family's schedule order (keys it does not mention, and all keys
-// when no family is given, follow in canonical |value|-descending,
-// key-ascending order).
-func Write(path string, keys []int, values []float64, opts WriteOptions) (err error) {
+// Candidates is what Write weighed for one input: the file's size in each
+// shape, and the shape it wrote.
+type Candidates struct {
+	DenseBytes  int64
+	SparseBytes int64
+	// Dense is Write's choice: the dense file is strictly smaller and no
+	// Families were supplied.
+	Dense bool
+}
+
+// input is a validated Write input and both candidate files' geometry.
+type input struct {
+	opts  WriteOptions
+	pairs []coef // the nonzero coefficients, ascending key, i = rank
+	// families are the sparse file's, hot coverage not yet measured.
+	families      []Family
+	sparse, dense geometry
+}
+
+// prepare validates Write's input and derives both shapes' geometry. It does
+// none of the work only the sparse file needs: the schedule order, the
+// family coverage and the key stream itself.
+func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	if len(keys) != len(values) {
-		return fmt.Errorf("layout: %d keys for %d values", len(keys), len(values))
+		return nil, fmt.Errorf("layout: %d keys for %d values", len(keys), len(values))
 	}
 	if opts.Cells <= 0 {
-		return fmt.Errorf("layout: domain size %d must be positive", opts.Cells)
+		return nil, fmt.Errorf("layout: domain size %d must be positive", opts.Cells)
 	}
 	if opts.Meta != nil {
 		if err := validateMeta(opts.Meta); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	blockSize := opts.BlockSize
-	if blockSize <= 0 {
-		blockSize = DefaultBlockSize
+	if opts.BlockSize <= 0 {
+		opts.BlockSize = DefaultBlockSize
 	}
-	if blockSize > maxBlockSize {
-		return fmt.Errorf("layout: block size %d exceeds %d", blockSize, maxBlockSize)
+	if opts.BlockSize > maxBlockSize {
+		return nil, fmt.Errorf("layout: block size %d exceeds %d", opts.BlockSize, maxBlockSize)
 	}
 
 	// Drop zeros, validate range, check duplicates.
 	pairs := make([]coef, 0, len(keys))
 	for i, k := range keys {
 		if k < 0 || k >= opts.Cells {
-			return fmt.Errorf("layout: key %d out of range [0,%d)", k, opts.Cells)
+			return nil, fmt.Errorf("layout: key %d out of range [0,%d)", k, opts.Cells)
 		}
 		if values[i] != 0 {
 			pairs = append(pairs, coef{k: k, v: values[i]})
@@ -292,12 +346,18 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 	}
 	slices.SortFunc(pairs, func(a, b coef) int { return cmp.Compare(a.k, b.k) })
 	var mass float64
+	var streamLen int64
 	for i := range pairs {
 		if i > 0 && pairs[i].k == pairs[i-1].k {
-			return fmt.Errorf("layout: duplicate key %d", pairs[i].k)
+			return nil, fmt.Errorf("layout: duplicate key %d", pairs[i].k)
 		}
 		pairs[i].i = i
 		mass += math.Abs(pairs[i].v)
+		next := opts.Cells
+		if i+1 < len(pairs) {
+			next = pairs[i+1].k
+		}
+		streamLen += int64(uvarintLen(uint64(next - pairs[i].k)))
 	}
 	n := len(pairs)
 
@@ -311,6 +371,77 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 			hot = n
 		}
 	}
+
+	families := make([]Family, 0, len(opts.Families)+1)
+	if len(opts.Families) == 0 {
+		families = append(families, Family{Label: "canonical", Fingerprint: "canonical:|value|", HotCoverage: 1})
+	}
+	for _, fo := range opts.Families {
+		families = append(families, Family{Label: fo.Label, Fingerprint: fo.Fingerprint})
+	}
+
+	var flags uint16
+	if opts.Quantize {
+		flags |= flagQuantized
+	}
+	in := &input{opts: opts, pairs: pairs, families: families}
+	in.sparse = geometry{flags: flags, cells: opts.Cells, nonzero: n, hotCount: hot,
+		blockSize: opts.BlockSize, mass: mass, streamLen: streamLen}
+	in.dense = geometry{flags: flags | flagDense, cells: opts.Cells, nonzero: n,
+		blockSize: opts.BlockSize, mass: mass}
+	in.sparse.derive(int64(preludeSize + len(encodeHeaderBlob(&in.sparse, opts.Meta, families))))
+	in.dense.derive(int64(preludeSize + len(encodeHeaderBlob(&in.dense, opts.Meta, nil))))
+	return in, nil
+}
+
+func (in *input) candidates() Candidates {
+	return Candidates{
+		DenseBytes:  in.dense.fileSize,
+		SparseBytes: in.sparse.fileSize,
+		Dense:       len(in.opts.Families) == 0 && in.dense.fileSize < in.sparse.fileSize,
+	}
+}
+
+// Write writes the complete .wvls file for the nonzero coefficients
+// (keys[i], values[i]) at path, in the smaller shape unless Families ask
+// for the sparse one, and returns both shapes' sizes. Zero values are
+// dropped; duplicate keys are an error. A sparse file's physical order is
+// the first supplied family's schedule order (keys it does not mention, and
+// all keys when no family is given, follow in canonical |value|-descending,
+// key-ascending order).
+func Write(path string, keys []int, values []float64, opts WriteOptions) (Candidates, error) {
+	in, err := prepare(keys, values, opts)
+	if err != nil {
+		return Candidates{}, err
+	}
+	c := in.candidates()
+	if c.Dense {
+		return c, in.writeDense(path)
+	}
+	return c, in.writeSparse(path)
+}
+
+// writeDense writes every cell's value in key order, zeros included: the
+// slot is the key. writeBlocks asks for the cells in ascending order, so
+// one cursor over the ascending pairs finds each stored value.
+func (in *input) writeDense(path string) error {
+	g, pairs, next := &in.dense, in.pairs, 0
+	return writeFile(path, g, encodeHeaderBlob(g, in.opts.Meta, nil), func(w *bufio.Writer, buf []byte) error {
+		return writeBlocks(w, g, buf, func(key int) float64 {
+			if next < len(pairs) && pairs[next].k == key {
+				next++
+				return pairs[next-1].v
+			}
+			return 0
+		})
+	})
+}
+
+// writeSparse lays the nonzero coefficients out in schedule order behind
+// the compressed key index.
+func (in *input) writeSparse(path string) error {
+	g, pairs, hot := &in.sparse, in.pairs, in.sparse.hotCount
+	n := len(pairs)
 
 	// Canonical order: |value| descending, key ascending — "biggest first",
 	// the data-driven proxy for every penalty's importance ranking. The
@@ -328,10 +459,10 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 	rankOf := func(k int) (int, bool) { // pairs index of key k
 		return slices.BinarySearchFunc(pairs, k, func(c coef, k int) int { return cmp.Compare(c.k, k) })
 	}
-	if len(opts.Families) > 0 {
+	if len(in.opts.Families) > 0 {
 		taken := make([]bool, n)
 		reordered := make([]coef, 0, n)
-		for _, k := range opts.Families[0].Keys {
+		for _, k := range in.opts.Families[0].Keys {
 			if i, ok := rankOf(k); ok && !taken[i] {
 				taken[i] = true
 				reordered = append(reordered, pairs[i])
@@ -349,18 +480,13 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 		slotOf[c.i] = j
 	}
 
-	families := make([]Family, 0, len(opts.Families)+1)
-	if len(opts.Families) == 0 {
-		families = append(families, Family{Label: "canonical", Fingerprint: "canonical:|value|", HotCoverage: 1})
-	}
-	for fi, fo := range opts.Families {
-		fam := Family{Label: fo.Label, Fingerprint: fo.Fingerprint}
+	for fi, fo := range in.opts.Families {
+		fam := &in.families[fi]
 		top := min(hot, len(fo.Keys))
 		if top == 0 {
 			if fi == 0 {
 				fam.HotCoverage = 1
 			}
-			families = append(families, fam)
 			continue
 		}
 		covered := 0
@@ -370,38 +496,59 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 			}
 		}
 		fam.HotCoverage = float64(covered) / float64(top)
-		families = append(families, fam)
 	}
 
-	// The delta stream comes first: its length sets the offsets' width.
-	groups := (n + groupSize - 1) / groupSize
-	groupStart := make([]int, groups)
-	stream := make([]byte, 0, n+n/8)
+	groupStart := make([]int, g.groups)
+	stream := make([]byte, 0, g.streamLen)
 	for i, c := range pairs {
 		if i%groupSize == 0 {
 			groupStart[i/groupSize] = len(stream)
 		}
-		next := opts.Cells
+		next := g.cells
 		if i+1 < n {
 			next = pairs[i+1].k
 		}
 		stream = binary.AppendUvarint(stream, uint64(next-c.k))
 	}
 
-	g := geometry{
-		cells:     opts.Cells,
-		nonzero:   n,
-		hotCount:  hot,
-		blockSize: blockSize,
-		mass:      mass,
-		streamLen: int64(len(stream)),
-	}
-	if opts.Quantize {
-		g.flags |= flagQuantized
-	}
-	hdr := encodeHeaderBlob(&g, opts.Meta, families)
-	g.derive(int64(preludeSize + len(hdr)))
+	return writeFile(path, g, encodeHeaderBlob(g, in.opts.Meta, in.families), func(w *bufio.Writer, buf []byte) error {
+		writePacked := func(count, width int, at func(i int) uint64) error {
+			buf = slices.Grow(buf[:0], int(packedSize(count, width)))
+			for i := 0; i < count; i++ {
+				buf = appendPacked(buf, at(i), width)
+			}
+			size := packedSize(count, width)
+			clear(buf[len(buf):size]) // the pad
+			_, err := w.Write(buf[:size])
+			return err
+		}
+		if err := writePacked(g.groups, g.keyWidth, func(i int) uint64 { return uint64(pairs[i*groupSize].k) }); err != nil {
+			return err
+		}
+		if err := writePacked(g.groups, g.offWidth, func(i int) uint64 { return uint64(groupStart[i]) }); err != nil {
+			return err
+		}
+		if _, err := w.Write(stream); err != nil {
+			return err
+		}
+		if err := writePacked(n, g.slotWidth, func(i int) uint64 { return uint64(slotOf[i]) }); err != nil {
+			return err
+		}
+		if err := writePacked(n, g.keyWidth, func(j int) uint64 { return uint64(bySlot[j].k) }); err != nil {
+			return err
+		}
+		value := func(slot int) float64 { return bySlot[slot].v }
+		buf = appendValues(buf[:0], 0, hot, 8, value)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		return writeBlocks(w, g, buf, value)
+	})
+}
 
+// writeFile creates path and writes the prelude, the header blob and then
+// body, through one buffered writer; body gets buf as scratch space.
+func writeFile(path string, g *geometry, hdr []byte, body func(w *bufio.Writer, buf []byte) error) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -412,9 +559,7 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 		}
 	}()
 	w := bufio.NewWriterSize(f, 1<<20)
-
-	// Each section is built whole in buf and handed to the writer in one call.
-	buf := make([]byte, 0, preludeSize)
+	buf := make([]byte, 0, preludeSize+len(hdr))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = binary.LittleEndian.AppendUint16(buf, g.flags)
@@ -423,66 +568,43 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (err er
 	if _, err := w.Write(append(buf, hdr...)); err != nil {
 		return err
 	}
-	writePacked := func(count, width int, at func(i int) uint64) error {
-		buf = slices.Grow(buf[:0], int(packedSize(count, width)))
-		for i := 0; i < count; i++ {
-			buf = appendPacked(buf, at(i), width)
-		}
-		size := packedSize(count, width)
-		clear(buf[len(buf):size]) // the pad
-		_, err := w.Write(buf[:size])
-		return err
-	}
-	if err := writePacked(groups, g.keyWidth, func(i int) uint64 { return uint64(pairs[i*groupSize].k) }); err != nil {
-		return err
-	}
-	if err := writePacked(groups, g.offWidth, func(i int) uint64 { return uint64(groupStart[i]) }); err != nil {
-		return err
-	}
-	if _, err := w.Write(stream); err != nil {
-		return err
-	}
-	if err := writePacked(n, g.slotWidth, func(i int) uint64 { return uint64(slotOf[i]) }); err != nil {
-		return err
-	}
-	if err := writePacked(n, g.keyWidth, func(j int) uint64 { return uint64(bySlot[j].k) }); err != nil {
-		return err
-	}
-
-	// Values, in slot order: the hot prefix, then one cold block at a time —
-	// block extents are arithmetic, so nothing but the checksums waits for
-	// the end of the file.
-	writeValues := func(lo, hi, width int) ([]byte, error) {
-		buf = slices.Grow(buf[:0], (hi-lo)*width)
-		for _, c := range bySlot[lo:hi] {
-			if width == 4 {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(c.v)))
-			} else {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.v))
-			}
-		}
-		_, err := w.Write(buf)
-		return buf, err
-	}
-	if _, err := writeValues(0, hot, 8); err != nil {
-		return err
-	}
-	crcs := make([]byte, 0, g.numBlocks*4)
-	for b := 0; b < g.numBlocks; b++ {
-		lo, hi := g.blockSlots(b)
-		block, err := writeValues(lo, hi, g.valWidth)
-		if err != nil {
-			return err
-		}
-		crcs = binary.LittleEndian.AppendUint32(crcs, crc32.ChecksumIEEE(block))
-	}
-	if _, err := w.Write(crcs); err != nil {
+	if err := body(w, buf); err != nil {
 		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
 	return f.Sync()
+}
+
+// appendValues appends the values of slots [lo,hi) as width-byte words.
+func appendValues(buf []byte, lo, hi, width int, value func(slot int) float64) []byte {
+	buf = slices.Grow(buf, (hi-lo)*width)
+	for slot := lo; slot < hi; slot++ {
+		if width == 4 {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(value(slot))))
+		} else {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(value(slot)))
+		}
+	}
+	return buf
+}
+
+// writeBlocks writes the blocks in slot order, one at a time, then their
+// checksums: block extents are arithmetic, so nothing but the checksums
+// waits for the end of the file.
+func writeBlocks(w *bufio.Writer, g *geometry, buf []byte, value func(slot int) float64) error {
+	crcs := make([]byte, 0, g.numBlocks*4)
+	for b := 0; b < g.numBlocks; b++ {
+		lo, hi := g.blockSlots(b)
+		buf = appendValues(buf[:0], lo, hi, g.valWidth, value)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		crcs = binary.LittleEndian.AppendUint32(crcs, crc32.ChecksumIEEE(buf))
+	}
+	_, err := w.Write(crcs)
+	return err
 }
 
 func validateMeta(m *Meta) error {
@@ -600,7 +722,8 @@ func (r *blobReader) str16() string { return string(r.take(int(r.u16()))) }
 // decodeHeaderBlob parses and validates the header blob. The section table
 // is derived, not stored, so the one structural check is that the counts
 // account for the actual file size to the byte; after it the read path can
-// trust every offset unconditionally.
+// trust every offset unconditionally. A flipped dense flag fails the shape's
+// own plausibility check below or that size check, in either direction.
 func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Meta, []Family, error) {
 	r := &blobReader{b: blob}
 	g := &geometry{flags: flags}
@@ -656,9 +779,11 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		return nil, nil, nil, fmt.Errorf("layout: %d trailing header bytes", len(blob)-r.pos)
 	}
 
-	// Geometry plausibility: non-negative counts that fit the domain, one
-	// to ten stream bytes per key (which also bounds nonzero by the file
-	// size, so the offset arithmetic below cannot overflow).
+	// Geometry plausibility: non-negative counts that fit the domain. A
+	// sparse file has one to ten stream bytes per key, which also bounds
+	// nonzero by the file size; a dense one has no stream and no hot region,
+	// and at least four bytes per cell. Either way the offset arithmetic
+	// below cannot overflow.
 	if g.cells <= 0 || g.nonzero < 0 || g.nonzero > g.cells {
 		return nil, nil, nil, fmt.Errorf("layout: implausible geometry (cells %d, nonzero %d)", g.cells, g.nonzero)
 	}
@@ -666,7 +791,12 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		return nil, nil, nil, fmt.Errorf("layout: implausible geometry (hot %d of %d, block size %d)",
 			g.hotCount, g.nonzero, g.blockSize)
 	}
-	if n := int64(g.nonzero); g.streamLen < n || g.streamLen > fileSize || g.streamLen > n*binary.MaxVarintLen64 {
+	if g.dense() {
+		if g.streamLen != 0 || g.hotCount != 0 || int64(g.cells) > fileSize/4 {
+			return nil, nil, nil, fmt.Errorf("layout: implausible dense geometry (cells %d, stream %d bytes, hot %d)",
+				g.cells, g.streamLen, g.hotCount)
+		}
+	} else if n := int64(g.nonzero); g.streamLen < n || g.streamLen > fileSize || g.streamLen > n*binary.MaxVarintLen64 {
 		return nil, nil, nil, fmt.Errorf("layout: implausible key stream (%d bytes for %d keys)", g.streamLen, g.nonzero)
 	}
 	g.derive(int64(preludeSize + len(blob)))

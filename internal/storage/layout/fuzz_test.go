@@ -2,6 +2,7 @@ package layout
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,28 +11,33 @@ import (
 	"repro/internal/storage"
 )
 
-// fuzzSeedLayout builds a small valid layout file and returns its bytes, so
-// the fuzzer starts from well-formed inputs and mutates toward the
-// interesting boundary: files that are almost valid.
-func fuzzSeedLayout(f *testing.F, opts WriteOptions) []byte {
+// fuzzSeedLayout builds a small valid layout file of the given shape and
+// returns its bytes, so the fuzzer starts from well-formed inputs and
+// mutates toward the interesting boundary: files that are almost valid. The
+// 48 keys step by 3 modulo the domain, 41 of them nonzero: sparse over the
+// default 256 cells, dense over 56.
+func fuzzSeedLayout(f *testing.F, dense bool, opts WriteOptions) []byte {
 	f.Helper()
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.wvls")
-	keys := make([]int, 0, 48)
-	vals := make([]float64, 0, 48)
-	for k := 0; k < 48; k++ {
-		keys = append(keys, k*3)
-		vals = append(vals, float64(k%7)-3.0)
-	}
 	if opts.Cells == 0 {
 		opts.Cells = 256
 	}
-	if err := Write(path, keys, vals, opts); err != nil {
+	keys := make([]int, 0, 48)
+	vals := make([]float64, 0, 48)
+	for k := 0; k < 48; k++ {
+		keys = append(keys, k*3%opts.Cells)
+		vals = append(vals, float64(k%7)-3.0)
+	}
+	if _, err := Write(path, keys, vals, opts); err != nil {
 		f.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint16(blob[6:8])&flagDense != 0; got != dense {
+		f.Fatalf("seed %+v written dense=%v, want %v", opts, got, dense)
 	}
 	return blob
 }
@@ -45,9 +51,9 @@ func FuzzOpenLayout(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("WVLS"))
 	f.Add([]byte("WVFS\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add(fuzzSeedLayout(f, WriteOptions{HotCount: 8, BlockSize: 16}))
-	f.Add(fuzzSeedLayout(f, WriteOptions{HotCount: 1, BlockSize: 4, Quantize: true}))
-	f.Add(fuzzSeedLayout(f, WriteOptions{
+	f.Add(fuzzSeedLayout(f, false, WriteOptions{HotCount: 8, BlockSize: 16}))
+	f.Add(fuzzSeedLayout(f, false, WriteOptions{HotCount: 1, BlockSize: 4, Quantize: true}))
+	f.Add(fuzzSeedLayout(f, false, WriteOptions{
 		HotCount:  4,
 		BlockSize: 8,
 		Meta: &Meta{
@@ -58,6 +64,8 @@ func FuzzOpenLayout(f *testing.F) {
 		},
 		Families: []FamilyOrder{{Label: "f0", Fingerprint: "fp0", Keys: []int{6, 3, 0}}},
 	}))
+	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 16}))
+	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 8, Quantize: true}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wvls")
@@ -66,7 +74,7 @@ func FuzzOpenLayout(f *testing.F) {
 		}
 		for _, opts := range []Options{
 			{},
-			{DisableMmap: true, CacheBlocks: 2},
+			{DisableMmap: true},
 		} {
 			s, err := Open(path, opts)
 			if err != nil {

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -31,13 +32,28 @@ func testCoefficients(n, cells int, seed int64) (keys []int, values []float64) {
 	return keys, values
 }
 
+// writeTestLayout writes a layout that must come out sparse: the tests that
+// use it reach the key index, the hot region or the schedule order.
 func writeTestLayout(t *testing.T, keys []int, values []float64, opts WriteOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.wvls")
-	if err := Write(path, keys, values, opts); err != nil {
+	if _, err := Write(path, keys, values, opts); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
+	if fileDense(t, path) {
+		t.Fatalf("%d coefficients over %d cells were written dense; this test needs the sparse shape", len(keys), opts.Cells)
+	}
 	return path
+}
+
+// fileDense reads the shape flag from a layout file's prelude.
+func fileDense(t *testing.T, path string) bool {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.Uint16(raw[6:8])&flagDense != 0
 }
 
 // TestRoundtrip pins that every stored key reads back bit-identically
@@ -58,7 +74,6 @@ func TestRoundtrip(t *testing.T) {
 	}{
 		{"mmap", Options{}},
 		{"pread", Options{DisableMmap: true}},
-		{"uncached", Options{DisableMmap: true, CacheBlocks: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Open(path, tc.opts)
@@ -393,14 +408,24 @@ func (c *midCancelCtx) Err() error {
 func TestConcurrentReads(t *testing.T) {
 	const cells = 1 << 14
 	keys, values := testCoefficients(4000, cells, 6)
+	sparse := writeTestLayout(t, keys, values, WriteOptions{
+		Cells: cells, HotCount: 256, BlockSize: 64,
+	})
+	t.Run("sparse", func(t *testing.T) { concurrentReads(t, sparse, keys, values) })
+	keys, values = denseCoefficients(cells, 0.8, 6)
+	dense := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 64})
+	t.Run("dense", func(t *testing.T) { concurrentReads(t, dense, keys, values) })
+}
+
+// concurrentReads drains random batches of the stored keys from eight
+// goroutines at once, through the mapping and then through pread, from a
+// freshly opened store whose blocks are all still unverified.
+func concurrentReads(t *testing.T, path string, keys []int, values []float64) {
 	byKey := make(map[int]float64, len(keys))
 	for i, k := range keys {
 		byKey[k] = values[i]
 	}
-	path := writeTestLayout(t, keys, values, WriteOptions{
-		Cells: cells, HotCount: 256, BlockSize: 64,
-	})
-	for _, opts := range []Options{{}, {DisableMmap: true, CacheBlocks: 4}} {
+	for _, opts := range []Options{{}, {DisableMmap: true}} {
 		s, err := Open(path, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -439,20 +464,20 @@ func TestConcurrentReads(t *testing.T) {
 func TestWriteValidation(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	if err := Write(p("a"), []int{1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
+	if _, err := Write(p("a"), []int{1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if err := Write(p("b"), []int{9}, []float64{1}, WriteOptions{Cells: 8}); err == nil {
+	if _, err := Write(p("b"), []int{9}, []float64{1}, WriteOptions{Cells: 8}); err == nil {
 		t.Fatal("out-of-range key accepted")
 	}
-	if err := Write(p("c"), []int{1, 1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
+	if _, err := Write(p("c"), []int{1, 1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
 		t.Fatal("duplicate key accepted")
 	}
-	if err := Write(p("d"), nil, nil, WriteOptions{Cells: 0}); err == nil {
+	if _, err := Write(p("d"), nil, nil, WriteOptions{Cells: 0}); err == nil {
 		t.Fatal("zero domain accepted")
 	}
 	// Zero values are dropped, not stored.
-	if err := Write(p("e"), []int{1, 2}, []float64{0, 5}, WriteOptions{Cells: 8}); err != nil {
+	if _, err := Write(p("e"), []int{1, 2}, []float64{0, 5}, WriteOptions{Cells: 8}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(p("e"), Options{})
@@ -659,7 +684,7 @@ func TestCorruptIndex(t *testing.T) {
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {DisableMmap: true, CacheBlocks: 2}} {
+		for _, opts := range []Options{{}, {DisableMmap: true}} {
 			s, err := Open(bad, opts)
 			if err != nil {
 				t.Fatalf("Open: %v (the header is intact)", err)

@@ -1,14 +1,13 @@
 package layout
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -17,20 +16,22 @@ import (
 
 // Store serves a .wvls layout file through a three-tier read path:
 //
-//  1. the mmap hot region — the most important hotCount coefficients, raw
-//     float64 words read zero-copy from the mapping;
-//  2. an LRU of checksummed cold blocks — a cold retrieval verifies its
-//     whole block's CRC once and neighbors in schedule order hit the cached
-//     verdict; the block itself is a window of the mapping;
+//  1. the mmap hot region of a sparse file — the most important hotCount
+//     coefficients, raw float64 words read zero-copy from the mapping;
+//  2. verified blocks — a block's CRC is checked the first time any of its
+//     slots is served, one bit per block remembers that it passed, and
+//     every later read of it is a window of the mapping;
 //  3. positioned reads — when mmap is unavailable (disabled or unsupported)
-//     hot runs and cold blocks are pread, and the index sections are read
+//     hot runs and blocks are pread: a block whole for its one check, and
+//     after that only the words a run asks for. The index sections are read
 //     into memory at open so key lookup makes no syscalls.
 //
-// Key→slot resolution is a search of the compressed key index,
-// short-circuited by a sequential hint: a progressive drain requests keys
-// in exactly the layout's slot order, so after the first key of a batch the
-// remaining lookups are O(1) pointer bumps and the whole drain walks the
-// file front to back — sequential I/O, which is the point of the format.
+// In a dense file the slot is the key. In a sparse one key→slot resolution
+// is a search of the compressed key index, short-circuited by a sequential
+// hint: a progressive drain requests keys in exactly the layout's slot
+// order, so after the first key of a batch the remaining lookups are O(1)
+// pointer bumps and the whole drain walks the file front to back —
+// sequential I/O, which is the point of the sparse shape.
 //
 // Store implements storage.Store, Updatable (Add refuses: layouts are
 // read-only) and Enumerable. All methods are safe for concurrent use.
@@ -50,11 +51,13 @@ type Store struct {
 	keyOfSlot packed
 	crcs      []byte
 
-	cache blockCache
+	// verified holds one bit per block, set once the block's CRC has
+	// passed.
+	verified []atomic.Uint64
 
 	retrievals atomic.Int64
 	// hint is the slot expected next by a sequential (schedule-order)
-	// reader; see lookupSlot.
+	// reader of a sparse file; see lookupSlot.
 	hint atomic.Int64
 
 	hotHits        atomic.Int64
@@ -65,17 +68,11 @@ type Store struct {
 	preads         atomic.Int64
 }
 
-// DefaultCacheBlocks is the default capacity of the cold-block LRU.
-const DefaultCacheBlocks = 64
-
 // Options configures Open.
 type Options struct {
 	// DisableMmap forces the positioned-read fallback path (used by tests;
 	// the open also falls back automatically when mmap fails).
 	DisableMmap bool
-	// CacheBlocks bounds the cold-block LRU; 0 selects DefaultCacheBlocks,
-	// negative disables caching.
-	CacheBlocks int
 }
 
 // Open opens a layout file. The header is CRC-verified and its geometry
@@ -131,16 +128,8 @@ func open(f *os.File, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, g: *g, meta: meta, families: families}
-	cacheBlocks := opts.CacheBlocks
-	if cacheBlocks == 0 {
-		cacheBlocks = DefaultCacheBlocks
-	}
-	if cacheBlocks > 0 {
-		s.cache.capacity = cacheBlocks
-		s.cache.lru = list.New()
-		s.cache.index = make(map[int]*list.Element)
-	}
+	s := &Store{f: f, g: *g, meta: meta, families: families,
+		verified: make([]atomic.Uint64, (g.numBlocks+63)/64)}
 
 	// index is everything before the hot values; crcs trail the blocks.
 	var index []byte
@@ -169,9 +158,10 @@ func open(f *os.File, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// section returns length bytes at off: a subslice of the mapping, or a
-// fresh pread buffer on the fallback path.
-func (s *Store) section(off, length int64) ([]byte, error) {
+// section returns length bytes at off: a subslice of the mapping, or on the
+// fallback path a pread into scratch when it is long enough and into a
+// fresh buffer otherwise.
+func (s *Store) section(off, length int64, scratch []byte) ([]byte, error) {
 	if length == 0 {
 		return nil, nil
 	}
@@ -181,7 +171,11 @@ func (s *Store) section(off, length int64) ([]byte, error) {
 		}
 		return s.data[off : off+length], nil
 	}
-	buf := make([]byte, length)
+	buf := scratch
+	if int64(len(buf)) < length {
+		buf = make([]byte, length)
+	}
+	buf = buf[:length]
 	s.preads.Add(1)
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return nil, err
@@ -189,9 +183,15 @@ func (s *Store) section(off, length int64) ([]byte, error) {
 	return buf, nil
 }
 
-// KeyOfSlot returns the key stored at schedule slot j — the layout's
-// retrieval order. Draining keys in this order is sequential I/O.
-func (s *Store) KeyOfSlot(j int) int { return int(s.keyOfSlot.at(j)) }
+// KeyOfSlot returns the key stored at slot j: the layout's retrieval order
+// in a sparse file, whose drain in this order is sequential I/O, and j
+// itself in a dense one.
+func (s *Store) KeyOfSlot(j int) int {
+	if s.g.dense() {
+		return j
+	}
+	return int(s.keyOfSlot.at(j))
+}
 
 // errKeyIndex reports a key group whose deltas do not lead from its sample
 // to the next one: the "absent" it would answer cannot be trusted.
@@ -255,12 +255,16 @@ func (s *Store) findKey(key int) (rank int, ok bool, err error) {
 	return 0, false, nil
 }
 
-// lookupSlot resolves key → slot; ok is false for a key that is not stored.
-// The sequential hint is checked first: schedule-order readers advance one
-// slot per retrieval, so the expected next slot usually holds the requested
-// key and the index search is skipped entirely. A slot the search produces
-// is served only if keyOfSlot maps it back to the key.
+// lookupSlot resolves an in-range key → slot; ok is false for a key that is
+// not stored. In a dense file every cell is stored at its own slot. In a
+// sparse one the sequential hint is checked first: schedule-order readers
+// advance one slot per retrieval, so the expected next slot usually holds
+// the requested key and the index search is skipped entirely. A slot the
+// search produces is served only if keyOfSlot maps it back to the key.
 func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
+	if s.g.dense() {
+		return key, true, nil
+	}
 	n := s.g.nonzero
 	if h := int(s.hint.Load()); h >= 0 && h < n && s.KeyOfSlot(h) == key {
 		s.hintHits.Add(1)
@@ -276,36 +280,23 @@ func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
 	return slot, true, nil
 }
 
-// blockCache is the checksummed cold-block LRU (tier 2).
-type blockCache struct {
-	mu       sync.Mutex
-	capacity int
-	lru      *list.List
-	index    map[int]*list.Element
-}
-
-// blockEntry is one verified block: its value words in slot order, a
-// zero-copy view of the mmap when one is live.
-type blockEntry struct {
-	id   int
-	vals []byte
-}
-
-// block returns block b's value words, from cache or by a CRC-verified
-// load. Loads run under the cache lock: concurrent cold misses serialize,
-// which keeps every block checksummed at most once at a time (the drain
-// pattern loads each block exactly once anyway).
-func (s *Store) block(b int) ([]byte, error) {
-	c := &s.cache
-	if c.capacity > 0 {
-		c.mu.Lock()
-		if el, ok := c.index[b]; ok {
-			c.lru.MoveToFront(el)
-			vals := el.Value.(*blockEntry).vals
-			c.mu.Unlock()
-			return vals, nil
+// blockRun returns the value words of the n slots from slot on, which lie
+// in block b, behind a passed CRC check of the whole block. A block is
+// checked once, on either tier: the first check that passes sets its bit,
+// and from then on its slots are read directly — a window of the mapping,
+// or a pread of just the run's words into scratch. Two first readers may
+// both check it; a block that fails is never marked, so every later read
+// checks it again.
+func (s *Store) blockRun(b, slot, n int, scratch []byte) ([]byte, error) {
+	lo, _ := s.g.blockSlots(b)
+	from, length := int64(slot-lo)*int64(s.g.valWidth), int64(n)*int64(s.g.valWidth)
+	word, bit := &s.verified[b/64], uint64(1)<<(b%64)
+	if word.Load()&bit != 0 {
+		vals, err := s.section(s.BlockExtent(b).Off+from, length, scratch)
+		if err != nil {
+			return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
 		}
-		defer c.mu.Unlock()
+		return vals, nil
 	}
 	vals, err := s.loadBlock(b)
 	if err != nil {
@@ -313,21 +304,16 @@ func (s *Store) block(b int) ([]byte, error) {
 		return nil, err
 	}
 	s.blockLoads.Add(1)
-	if c.capacity > 0 {
-		for c.lru.Len() >= c.capacity {
-			oldest := c.lru.Back()
-			delete(c.index, oldest.Value.(*blockEntry).id)
-			c.lru.Remove(oldest)
-		}
-		c.index[b] = c.lru.PushFront(&blockEntry{id: b, vals: vals})
+	// go 1.22 has no atomic Or: set the bit by compare-and-swap.
+	for old := word.Load(); old&bit == 0 && !word.CompareAndSwap(old, old|bit); old = word.Load() {
 	}
-	return vals, nil
+	return vals[from : from+length], nil
 }
 
 // loadBlock reads and CRC-verifies block b.
 func (s *Store) loadBlock(b int) ([]byte, error) {
 	ext := s.BlockExtent(b)
-	vals, err := s.section(ext.Off, int64(ext.Len))
+	vals, err := s.section(ext.Off, int64(ext.Len), nil)
 	if err != nil {
 		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
 	}
@@ -339,11 +325,11 @@ func (s *Store) loadBlock(b int) ([]byte, error) {
 }
 
 // readSlots decodes the values of slots [slot, slot+len(out)), which must
-// lie inside one tier unit: the hot region, or a single cold block. The hot
+// lie inside one tier unit: the hot region, or a single block. The hot
 // region is one window of the mapping or one pread, whatever the run length.
 func (s *Store) readSlots(slot int, out []float64) error {
 	if slot < s.g.hotCount {
-		raw, err := s.section(s.g.hotOff+int64(slot)*8, int64(len(out))*8)
+		raw, err := s.section(s.g.hotOff+int64(slot)*8, int64(len(out))*8, nil)
 		if err != nil {
 			return err
 		}
@@ -352,13 +338,14 @@ func (s *Store) readSlots(slot int, out []float64) error {
 		}
 		return nil
 	}
-	b := (slot - s.g.hotCount) / s.g.blockSize
-	vals, err := s.block(b)
+	// A short run of a verified block is pread into the stack, not a fresh
+	// buffer: a dense file's drain is mostly runs of one key.
+	var scratch [128]byte
+	vals, err := s.blockRun((slot-s.g.hotCount)/s.g.blockSize, slot, len(out), scratch[:])
 	if err != nil {
 		return err
 	}
-	lo, _ := s.g.blockSlots(b)
-	if vals = vals[(slot-lo)*s.g.valWidth:]; s.Quantized() {
+	if s.Quantized() {
 		for q := range out {
 			out[q] = float64(math.Float32frombits(binary.LittleEndian.Uint32(vals[q*4:])))
 		}
@@ -371,7 +358,7 @@ func (s *Store) readSlots(slot int, out []float64) error {
 }
 
 // unitEnd returns the slot one past the tier unit holding slot: the end of
-// the hot region, or of slot's cold block.
+// the hot region, or of slot's block.
 func (s *Store) unitEnd(slot int) int {
 	if slot < s.g.hotCount {
 		return s.g.hotCount
@@ -382,29 +369,23 @@ func (s *Store) unitEnd(slot int) int {
 
 // serveRun serves the longest prefix of keys[i:] that continues slot by
 // slot from the resolved start within one tier unit — the common shape of a
-// progressive drain, whose batches are exactly the layout's physical order.
-// lookupSlot has already resolved and verified slot for keys[i]; the run
-// extends while each next key is the next slot's key in the sequential
-// keyOfSlot section, so the per-key cost inside a run is one compare and
-// one store instead of a hint check, a tier dispatch and a block-cache
-// lock. It returns the run's length n ≥ 1; on error all n positions failed
-// together (one unreadable run, one corrupt block).
+// sparse file's progressive drain, whose batches are exactly the layout's
+// physical order, and of any ascending run of a dense file. lookupSlot has
+// already resolved and verified slot for keys[i]; the run extends while each
+// next key is the next slot's key, so the per-key cost inside a run is one
+// compare and one store instead of a hint check, a tier dispatch and a
+// block check. It returns the run's length n ≥ 1; on error all n positions
+// failed together (one unreadable run, one corrupt block).
 func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
 	limit := min(s.unitEnd(slot)-slot, len(keys)-i)
 	n := 1
-	for n < limit && keys[i+n] == int(s.keyOfSlot.at(slot+n)) {
+	for n < limit && keys[i+n] == s.KeyOfSlot(slot+n) {
 		n++
 	}
-	s.hint.Store(int64(slot + n))
-	if err := s.readSlots(slot, dst[i:i+n]); err != nil {
-		return n, err
+	if !s.g.dense() {
+		s.hint.Store(int64(slot + n))
 	}
-	if slot < s.g.hotCount {
-		s.hotHits.Add(int64(n))
-	} else {
-		s.coldHits.Add(int64(n))
-	}
-	return n, nil
+	return n, s.readSlots(slot, dst[i:i+n])
 }
 
 // batchCancelStride is how many keys BatchGetCtx serves between context
@@ -412,9 +393,10 @@ func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
 // stay off the per-key fast path.
 const batchCancelStride = 1024
 
-// BatchGetCtx implements storage.Store. Runs of keys in layout order — the
-// progressive drain's access pattern — are served blockwise through
-// serveRun; anything else falls back to one lookup per key. A key inside
+// BatchGetCtx implements storage.Store. Runs of keys in layout order — a
+// sparse file's progressive drain — are served blockwise through serveRun;
+// a dense mapped file serves each key of a verified block with one load;
+// anything else falls back to one lookup per key. A key inside
 // the domain that is not stored is zero (like the hash store). Failures are
 // per-key — an unreadable or corrupt block fails exactly the positions that
 // resolve into it, reported via *storage.BatchError, and every other
@@ -440,8 +422,24 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 				s.blockLoads.Load()-loads0, s.preads.Load()-preads0)
 		}()
 	}
+	// A dense mapped file with float64 values serves a key of a verified
+	// block inline, with a bit test and one load: with no calls and no
+	// locked instruction in the loop, the cache misses of a drain's random
+	// keys overlap instead of queueing. That is why the tier hits are
+	// tallied here and added to the shared counters once a call. Anything else — a block not yet checked, a key
+	// out of range, the sparse shape — takes the general path below.
+	var hot, cold int64
+	defer func() {
+		s.hotHits.Add(hot)
+		s.coldHits.Add(cold)
+	}()
 	var failed []storage.KeyError
 	i, checked := 0, 0
+	var cells []byte
+	if s.g.dense() && s.data != nil && s.g.valWidth == 8 {
+		cells = s.data[s.g.blocksOff:s.g.crcsOff]
+	}
+	verified, blockSize := s.verified, s.g.blockSize
 	for i < len(keys) {
 		if i-checked >= batchCancelStride {
 			if err := ctx.Err(); err != nil {
@@ -450,6 +448,14 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 			checked = i
 		}
 		k := keys[i]
+		if uint(k) < uint(len(cells)/8) {
+			if b := k / blockSize; verified[b>>6].Load()&(1<<(b&63)) != 0 {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*k:]))
+				cold++
+				i++
+				continue
+			}
+		}
 		if k < 0 || k >= s.g.cells {
 			failed = append(failed, storage.KeyError{Index: i, Key: k,
 				Err: fmt.Errorf("key out of range [0,%d)", s.g.cells)})
@@ -473,6 +479,11 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 				failed = append(failed, storage.KeyError{Index: i, Key: keys[i], Err: err})
 			}
 			continue
+		}
+		if slot < s.g.hotCount {
+			hot += int64(n)
+		} else {
+			cold += int64(n)
 		}
 		i += n
 	}
@@ -511,7 +522,11 @@ func (s *Store) Meta() *Meta { return s.meta }
 // Families returns the penalty families recorded at write time.
 func (s *Store) Families() []Family { return append([]Family(nil), s.families...) }
 
-// Quantized reports whether cold values were stored as float32 (lossy).
+// Dense reports whether the file has the dense shape: every cell's value in
+// key order, no index and no hot region.
+func (s *Store) Dense() bool { return s.g.dense() }
+
+// Quantized reports whether block values were stored as float32 (lossy).
 func (s *Store) Quantized() bool { return s.g.flags&flagQuantized != 0 }
 
 // Mmapped reports whether the mmap tier is active (false = pread fallback).
@@ -520,10 +535,10 @@ func (s *Store) Mmapped() bool { return s.data != nil }
 // HotCount returns the number of slots in the raw hot region.
 func (s *Store) HotCount() int { return s.g.hotCount }
 
-// BlockSize returns the cold-block granularity in slots.
+// BlockSize returns the block granularity in slots.
 func (s *Store) BlockSize() int { return s.g.blockSize }
 
-// Blocks returns the number of cold blocks.
+// Blocks returns the number of blocks.
 func (s *Store) Blocks() int { return s.g.numBlocks }
 
 // Extent is a block's physical location in the file, exposed for
@@ -533,8 +548,8 @@ type Extent struct {
 	Len int
 }
 
-// BlockExtent returns the file extent of cold block b: nothing but its
-// value words, at an offset that is arithmetic on the header.
+// BlockExtent returns the file extent of block b: nothing but its value
+// words, at an offset that is arithmetic on the header.
 func (s *Store) BlockExtent(b int) Extent {
 	lo, hi := s.g.blockSlots(b)
 	return Extent{
@@ -550,9 +565,13 @@ type Section struct {
 }
 
 // Sections lists the file's sections in file order; their sizes sum to the
-// file size.
+// file size. A dense file has two: the header and the values with their
+// checksums.
 func (s *Store) Sections() []Section {
 	g := &s.g
+	if g.dense() {
+		return []Section{{"header", g.blocksOff}, {"values", g.fileSize - g.blocksOff}}
+	}
 	return []Section{
 		{"header", g.samplesOff},
 		{"key index", g.slotOfOff - g.samplesOff},
@@ -565,19 +584,20 @@ func (s *Store) Sections() []Section {
 
 // ConcurrentSafe implements the storage.IsConcurrent capability check: the
 // mapping is immutable, positioned reads are kernel-concurrent, and the
-// cache and counters synchronize themselves.
+// verified bitmap and the counters are atomic.
 func (s *Store) ConcurrentSafe() bool { return true }
 
 // StackName names the layout in storage.Describe.
 func (s *Store) StackName() string { return "layout" }
 
-// ForEachNonzero implements storage.Enumerable in slot (schedule) order —
-// the order that costs one sequential pass: the hot region streams from the
-// mapping and each cold block is verified exactly once. Enumeration order is
-// unspecified by the interface; callers that need key order sort.
+// ForEachNonzero implements storage.Enumerable in slot order — schedule
+// order in a sparse file, key order in a dense one, zeros skipped — the
+// order that costs one sequential pass: the hot region streams from the
+// mapping and each block is verified once. Enumeration order is unspecified
+// by the interface; callers that need key order sort.
 func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
 	buf := make([]float64, s.g.blockSize)
-	for lo := 0; lo < s.g.nonzero; {
+	for lo := 0; lo < s.g.slots; {
 		vals := buf[:min(s.unitEnd(lo)-lo, len(buf))]
 		if err := s.readSlots(lo, vals); err != nil {
 			panic(fmt.Sprintf("layout: enumerating slots [%d,%d): %v", lo, lo+len(vals), err))
@@ -593,33 +613,38 @@ func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
 
 // Stats is a point-in-time snapshot of the store's tier counters.
 type Stats struct {
-	// Slots is the total coefficient count; HotSlots of them live in the
-	// raw mmap-served region, the rest in Blocks cold blocks of BlockSize.
+	// Dense marks the dense shape: every cell's value in key order, no
+	// index and no hot region.
+	Dense bool `json:"dense"`
+	// Slots is the number of stored values — the nonzero coefficients of a
+	// sparse file, every cell of a dense one; HotSlots of them live in the
+	// raw mmap-served region, the rest in Blocks blocks of BlockSize.
 	Slots    int `json:"slots"`
 	HotSlots int `json:"hot_slots"`
 	Blocks   int `json:"blocks"`
-	// BlockSize is the cold-block granularity in slots.
+	// BlockSize is the block granularity in slots.
 	BlockSize int `json:"block_size"`
 	// Mmapped is false when the store runs on the pread fallback tier.
 	Mmapped bool `json:"mmapped"`
-	// Quantized marks lossy float32 cold values.
+	// Quantized marks lossy float32 block values.
 	Quantized bool `json:"quantized,omitempty"`
 	// HotHits counts retrievals served by the hot region, ColdHits by
-	// cold blocks (cached or freshly loaded).
+	// blocks.
 	HotHits  int64 `json:"hot_hits"`
 	ColdHits int64 `json:"cold_hits"`
 	// HintHits counts key lookups resolved by the sequential-slot hint
-	// (no binary search): high on schedule-order drains.
+	// (no binary search): high on schedule-order drains of a sparse file.
 	HintHits int64 `json:"hint_hits"`
-	// BlockLoads counts physical block reads and checksums (cold-cache
-	// misses); BlockLoadFailures counts reads the checksum rejected.
+	// BlockLoads counts block checks that passed: each block's first read
+	// (more only when two readers race to it). BlockLoadFailures counts
+	// block reads or checks that failed.
 	BlockLoads        int64 `json:"block_loads"`
 	BlockLoadFailures int64 `json:"block_load_failures,omitempty"`
+	// VerifiedBlocks counts the blocks marked verified, which are read
+	// without another check.
+	VerifiedBlocks int `json:"verified_blocks"`
 	// Preads counts positioned-read syscalls issued by the fallback tier.
 	Preads int64 `json:"preads,omitempty"`
-	// CachedBlocks / CacheCapacity describe the cold-block LRU.
-	CachedBlocks  int `json:"cached_blocks"`
-	CacheCapacity int `json:"cache_capacity"`
 	// FileBytes is the size of the .wvls file; IndexBytes of them are
 	// neither header nor value words (key index, slotOf, keyOfSlot, block
 	// checksums).
@@ -631,8 +656,13 @@ type Stats struct {
 
 // Stats snapshots the tier counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		Slots:             s.g.nonzero,
+	verified := 0
+	for i := range s.verified {
+		verified += bits.OnesCount64(s.verified[i].Load())
+	}
+	return Stats{
+		Dense:             s.g.dense(),
+		Slots:             s.g.slots,
 		HotSlots:          s.g.hotCount,
 		Blocks:            s.g.numBlocks,
 		BlockSize:         s.g.blockSize,
@@ -643,18 +673,12 @@ func (s *Store) Stats() Stats {
 		HintHits:          s.hintHits.Load(),
 		BlockLoads:        s.blockLoads.Load(),
 		BlockLoadFailures: s.blockLoadFails.Load(),
+		VerifiedBlocks:    verified,
 		Preads:            s.preads.Load(),
-		CacheCapacity:     s.cache.capacity,
 		FileBytes:         s.g.fileSize,
 		IndexBytes:        s.g.hotOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
 		Families:          s.Families(),
 	}
-	if s.cache.lru != nil {
-		s.cache.mu.Lock()
-		st.CachedBlocks = s.cache.lru.Len()
-		s.cache.mu.Unlock()
-	}
-	return st
 }
 
 // Close releases the mapping and the underlying file. Not safe to call

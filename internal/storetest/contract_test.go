@@ -73,19 +73,22 @@ func array(hat []float64) *storage.ArrayStore {
 	return storage.NewArrayStore(append([]float64(nil), hat...))
 }
 
-func openLayout(t *testing.T, hat []float64, opts layout.Options) subject {
+// openLayout writes the nonzero entries of want as a layout and opens it,
+// asserting the shape the writer's size rule picked.
+func openLayout(t *testing.T, want []float64, opts layout.Options, dense bool) subject {
 	t.Helper()
 	var keys []int
 	var values []float64
-	for k, v := range hat {
+	for k, v := range want {
 		if v != 0 {
 			keys, values = append(keys, k), append(values, v)
 		}
 	}
 	path := filepath.Join(t.TempDir(), "m.wvls")
-	// A small hot region and small blocks, so batches cross both tiers.
-	wopts := layout.WriteOptions{Cells: len(hat), HotCount: 64, BlockSize: 32}
-	if err := layout.Write(path, keys, values, wopts); err != nil {
+	// Small blocks (and a small hot region in the sparse shape), so batches
+	// cross tier units.
+	wopts := layout.WriteOptions{Cells: len(want), HotCount: 64, BlockSize: 32}
+	if _, err := layout.Write(path, keys, values, wopts); err != nil {
 		t.Fatal(err)
 	}
 	s, err := layout.Open(path, opts)
@@ -93,7 +96,21 @@ func openLayout(t *testing.T, hat []float64, opts layout.Options) subject {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	return subject{store: s, want: hat, bounded: true}
+	if s.Dense() != dense {
+		t.Fatalf("%d coefficients of %d cells written dense=%v, want %v", len(keys), len(want), s.Dense(), dense)
+	}
+	return subject{store: s, want: want, bounded: true}
+}
+
+// quarter keeps every fourth entry of the transform: under the 7/16 where
+// the array wins in memory, and under the crossover where a layout's dense
+// shape does.
+func quarter(hat []float64) []float64 {
+	want := make([]float64, len(hat))
+	for k := 0; k < len(hat); k += 4 {
+		want[k] = hat[k]
+	}
+	return want
 }
 
 // memoryStore fills what storage.NewMemoryStore returns for the nonzero
@@ -134,12 +151,7 @@ var subjects = []struct {
 		return memoryStore(t, hat, true)
 	}},
 	{"memory store, sparse", func(t *testing.T, hat []float64, _ int64) subject {
-		// A quarter of the transform: under the 7/16 where the array wins.
-		want := make([]float64, len(hat))
-		for k := 0; k < len(hat); k += 4 {
-			want[k] = hat[k]
-		}
-		return memoryStore(t, want, false)
+		return memoryStore(t, quarter(hat), false)
 	}},
 	{"cached", func(t *testing.T, hat []float64, _ int64) subject {
 		s, err := storage.NewCachedStore(array(hat), storage.Unbounded)
@@ -160,11 +172,17 @@ var subjects = []struct {
 	{"instrumented", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewInstrumentedStore(array(hat)), want: hat, bounded: true}
 	}},
-	{"layout mmap", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, hat, layout.Options{})
+	{"layout mmap, dense", func(t *testing.T, hat []float64, _ int64) subject {
+		return openLayout(t, hat, layout.Options{}, true)
 	}},
-	{"layout pread", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, hat, layout.Options{DisableMmap: true})
+	{"layout pread, dense", func(t *testing.T, hat []float64, _ int64) subject {
+		return openLayout(t, hat, layout.Options{DisableMmap: true}, true)
+	}},
+	{"layout mmap, sparse", func(t *testing.T, hat []float64, _ int64) subject {
+		return openLayout(t, quarter(hat), layout.Options{}, false)
+	}},
+	{"layout pread, sparse", func(t *testing.T, hat []float64, _ int64) subject {
+		return openLayout(t, quarter(hat), layout.Options{DisableMmap: true}, false)
 	}},
 	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
 		cfg := mvcc.Config{DisableAutoCompact: true}

@@ -31,31 +31,40 @@ type LayoutFamily struct {
 
 // LayoutOptions configures SaveLayout.
 type LayoutOptions struct {
-	// HotCount is the number of leading schedule slots stored raw in the
-	// mmap-served hot region; 0 selects the writer default (nonzero/8),
-	// negative stores everything hot.
+	// HotCount is the number of leading schedule slots a sparse file stores
+	// raw in the mmap-served hot region; 0 selects the writer default
+	// (nonzero/8), negative stores everything hot. A dense file has none.
 	HotCount int
-	// BlockSize is the cold-block granularity in slots; 0 selects
+	// BlockSize is the block granularity in slots; 0 selects
 	// layout.DefaultBlockSize.
 	BlockSize int
-	// Quantize stores cold values as float32 — half the cold bytes, but
+	// Quantize stores block values as float32 — half their bytes, but
 	// drains over the layout are no longer bit-identical to the source.
 	Quantize bool
-	// Families optionally supplies schedule families (see LayoutFamily).
-	// With none, the order is canonical: |coefficient| descending.
+	// Families optionally supplies schedule families (see LayoutFamily);
+	// supplying any selects the sparse shape, the one with a schedule order.
+	// With none, the file is dense when that is smaller, and a sparse
+	// file's order is canonical: |coefficient| descending.
 	Families []LayoutFamily
 }
 
+// LayoutCandidates is what SaveLayout weighed: the file's size in each of
+// the two shapes, and whether it wrote the dense one.
+type LayoutCandidates = layout.Candidates
+
 // SaveLayout writes the database's coefficients to path in the .wvls
-// schedule-aware persistent format: coefficients physically ordered by
-// retrieval importance, a raw mmap-servable hot prefix, and a checksummed
-// cold tail, behind a compressed key index. The file embeds the database identity (schema,
-// filter, tuple count, windows) so OpenLayout can reassemble a servable
-// view from it alone. The store must be enumerable.
-func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
+// persistent format, in whichever of its two shapes is smaller: dense —
+// every cell's value in key order, checksummed in blocks — or sparse —
+// coefficients physically ordered by retrieval importance, a raw
+// mmap-servable hot prefix and a checksummed cold tail, behind a compressed
+// key index. The file embeds the database identity (schema, filter, tuple
+// count, windows) so OpenLayout can reassemble a servable view from it
+// alone. The store must be enumerable. It returns both shapes' sizes, so a
+// caller can report the choice without reading the file back.
+func (db *Database) SaveLayout(path string, opts LayoutOptions) (LayoutCandidates, error) {
 	st, ok := db.enumStore()
 	if !ok {
-		return fmt.Errorf("repro: store %T does not support enumeration; cannot build a layout", st)
+		return LayoutCandidates{}, fmt.Errorf("repro: store %T does not support enumeration; cannot build a layout", st)
 	}
 	n := st.NonzeroCount()
 	keys := make([]int, 0, n)
@@ -68,10 +77,10 @@ func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
 	families := make([]layout.FamilyOrder, 0, len(opts.Families))
 	for i, f := range opts.Families {
 		if f.Plan == nil || f.Penalty == nil {
-			return fmt.Errorf("repro: layout family %d has a nil plan or penalty", i)
+			return LayoutCandidates{}, fmt.Errorf("repro: layout family %d has a nil plan or penalty", i)
 		}
 		if f.Label == "" {
-			return fmt.Errorf("repro: layout family %d has no label", i)
+			return LayoutCandidates{}, fmt.Errorf("repro: layout family %d has no label", i)
 		}
 		families = append(families, layout.FamilyOrder{
 			Label:       f.Label,
@@ -97,9 +106,9 @@ func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
 
 // OpenLayout opens a .wvls layout file written by SaveLayout (or converted
 // with cmd/wvlayout) as a read-only database served straight from disk:
-// hot coefficients zero-copy out of an mmap, cold ones through an LRU of
-// checksummed blocks. The file must embed database metadata — a bare layout
-// written through the storage API lacks the schema and cannot be served.
+// zero-copy out of an mmap, each block checksummed the first time it is
+// read. The file must embed database metadata — a bare layout written
+// through the storage API lacks the schema and cannot be served.
 //
 // The view is read-only (Insert/Delete fail) and safe for concurrent
 // retrieval. Close releases the mapping and the file handle. Unquantized

@@ -44,7 +44,7 @@ func layoutFixture(t *testing.T) (*Database, *Plan, string) {
 // agree because the persisted mass equals the enumerated mass.
 func TestLayoutDrainBitIdentity(t *testing.T) {
 	db, plan, path := layoutFixture(t)
-	if err := db.SaveLayout(path, LayoutOptions{
+	if _, err := db.SaveLayout(path, LayoutOptions{
 		HotCount:  64,
 		BlockSize: 32,
 		Families:  []LayoutFamily{{Label: "sse", Plan: plan, Penalty: SSE()}},
@@ -134,6 +134,9 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("LayoutStats not available")
 	}
+	if stats.Dense {
+		t.Fatal("a layout with families must be sparse")
+	}
 	if len(stats.Families) != 1 || stats.Families[0].Label != "sse" || stats.Families[0].HotCoverage != 1 {
 		t.Fatalf("Families = %+v, want the sse family at coverage 1", stats.Families)
 	}
@@ -142,10 +145,13 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 	}
 }
 
-// TestLayoutReadOnly pins the mutation guards and stats plumbing.
-func TestLayoutReadOnly(t *testing.T) {
-	db, _, path := layoutFixture(t)
-	if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+// TestLayoutDenseDrainBitIdentity is the acceptance criterion on the dense
+// shape: with no families the fixture is written as an array, and a
+// progressive drain over it is bit-identical (==) to the in-memory drain at
+// every step, bounds included.
+func TestLayoutDenseDrainBitIdentity(t *testing.T) {
+	db, plan, path := layoutFixture(t)
+	if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 64}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := OpenLayout(path)
@@ -153,6 +159,52 @@ func TestLayoutReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = ldb.Close() }()
+	if stats, _ := ldb.LayoutStats(); !stats.Dense {
+		t.Fatal("the fixture is dense enough for the dense shape")
+	}
+	mass, err := ldb.CoefficientMass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	memRun, layoutRun := db.NewRun(plan, SSE()), ldb.NewRun(plan, SSE())
+	for !memRun.Done() {
+		memRun.StepBatch(5)
+		layoutRun.StepBatch(5)
+		me, le := memRun.Estimates(), layoutRun.Estimates()
+		for q := range me {
+			if le[q] != me[q] {
+				t.Fatalf("%d retrieved, query %d: layout %v != memory %v", memRun.Retrieved(), q, le[q], me[q])
+			}
+		}
+		if lb, mb := layoutRun.WorstCaseBound(mass), memRun.WorstCaseBound(mass); lb != mb {
+			t.Fatalf("%d retrieved: worst-case bound %v != %v", memRun.Retrieved(), lb, mb)
+		}
+	}
+	if !layoutRun.Done() {
+		t.Fatal("layout run not done when memory run is")
+	}
+	me, le := db.Exact(plan), ldb.Exact(plan)
+	for q := range me {
+		if le[q] != me[q] {
+			t.Fatalf("Exact query %d: %v != %v", q, le[q], me[q])
+		}
+	}
+}
+
+// TestLayoutReadOnly pins the mutation guards and stats plumbing.
+func TestLayoutReadOnly(t *testing.T) {
+	db, _, path := layoutFixture(t)
+	if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ldb, err := OpenLayout(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ldb.Close() }()
+	if stats, _ := ldb.LayoutStats(); !stats.Dense {
+		t.Fatal("the fixture is dense enough for the dense shape")
+	}
 	if err := ldb.Insert([]int{1, 1, 1}); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("Insert on layout db = %v, want read-only error", err)
 	}
@@ -165,7 +217,7 @@ func TestLayoutReadOnly(t *testing.T) {
 	// A layout-backed database can still be re-persisted: the store
 	// enumerates, so Save (WVDB) and SaveLayout both work from it.
 	path2 := filepath.Join(t.TempDir(), "again.wvls")
-	if err := ldb.SaveLayout(path2, LayoutOptions{}); err != nil {
+	if _, err := ldb.SaveLayout(path2, LayoutOptions{}); err != nil {
 		t.Fatalf("SaveLayout from a layout-backed db: %v", err)
 	}
 	ldb2, err := OpenLayout(path2)
@@ -178,57 +230,70 @@ func TestLayoutReadOnly(t *testing.T) {
 	}
 }
 
-// TestLayoutDegradedRun pins the PR 4 degradation contract end to end: a
-// corrupted cold block turns into per-key skips — the run completes,
-// reports Degraded, and the skipped importance is accounted — instead of a
-// crash or a silent wrong answer.
+// TestLayoutDegradedRun pins the degradation contract end to end, on
+// both shapes: a corrupted block turns into per-key skips — the run
+// completes, reports Degraded, and the skipped importance is accounted —
+// instead of a crash or a silent wrong answer.
 func TestLayoutDegradedRun(t *testing.T) {
 	db, plan, path := layoutFixture(t)
-	if err := db.SaveLayout(path, LayoutOptions{HotCount: 32, BlockSize: 16}); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the last cold block's payload byte.
-	ls, err := layout.Open(path, layout.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Blocks() == 0 {
-		t.Fatal("fixture produced no cold blocks")
-	}
-	ref := ls.BlockExtent(ls.Blocks() - 1)
-	if err := ls.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], ref.Off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x55
-	if _, err := f.WriteAt(b[:], ref.Off); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, dense := range []bool{true, false} {
+		opts := LayoutOptions{HotCount: 32, BlockSize: 16}
+		if !dense {
+			opts.Families = []LayoutFamily{{Label: "sse", Plan: plan, Penalty: SSE()}}
+		}
+		if _, err := db.SaveLayout(path, opts); err != nil {
+			t.Fatal(err)
+		}
+		// Corrupt a block the plan reads: the last one of the array, the
+		// first cold one of the schedule order (it holds plan keys).
+		ls, err := layout.Open(path, layout.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ls.Dense() != dense || ls.Blocks() == 0 {
+			t.Fatalf("fixture is dense %v with %d blocks, want dense %v", ls.Dense(), ls.Blocks(), dense)
+		}
+		victim := 0
+		if dense {
+			victim = ls.Blocks() - 1
+		}
+		ref := ls.BlockExtent(victim)
+		if err := ls.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], ref.Off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x55
+		if _, err := f.WriteAt(b[:], ref.Off); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	ldb, err := OpenLayout(path)
-	if err != nil {
-		t.Fatalf("OpenLayout after cold-block corruption should succeed: %v", err)
-	}
-	defer func() { _ = ldb.Close() }()
-	run := ldb.NewRun(plan, SSE())
-	if err := run.RunToCompletionCtx(context.Background()); err != nil {
-		t.Fatalf("RunToCompletionCtx: %v", err)
-	}
-	if !run.Degraded() || run.SkippedCount() == 0 {
-		t.Fatalf("run over corrupt block: Degraded=%v SkippedCount=%d, want a degraded run", run.Degraded(), run.SkippedCount())
-	}
-	if got := run.SkippedImportance(); !(got > 0) || math.IsNaN(got) {
-		t.Fatalf("SkippedImportance = %v", got)
+		ldb, err := OpenLayout(path)
+		if err != nil {
+			t.Fatalf("OpenLayout after block corruption should succeed: %v", err)
+		}
+		run := ldb.NewRun(plan, SSE())
+		if err := run.RunToCompletionCtx(context.Background()); err != nil {
+			t.Fatalf("RunToCompletionCtx: %v", err)
+		}
+		if !run.Degraded() || run.SkippedCount() == 0 {
+			t.Fatalf("dense %v: run over corrupt block: Degraded=%v SkippedCount=%d, want a degraded run", dense, run.Degraded(), run.SkippedCount())
+		}
+		if got := run.SkippedImportance(); !(got > 0) || math.IsNaN(got) {
+			t.Fatalf("dense %v: SkippedImportance = %v", dense, got)
+		}
+		if err := ldb.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -236,7 +301,7 @@ func TestLayoutDegradedRun(t *testing.T) {
 // metadata cannot be opened as a database.
 func TestOpenLayoutRejectsBareFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bare.wvls")
-	if err := layout.Write(path, []int{1, 2}, []float64{3, 4}, layout.WriteOptions{Cells: 8}); err != nil {
+	if _, err := layout.Write(path, []int{1, 2}, []float64{3, 4}, layout.WriteOptions{Cells: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if ldb, err := OpenLayout(path); err == nil {
@@ -252,7 +317,7 @@ func TestOpenLayoutRejectsBareFile(t *testing.T) {
 // bit-identical.
 func TestLayoutQuantizedNotIdentical(t *testing.T) {
 	db, plan, path := layoutFixture(t)
-	if err := db.SaveLayout(path, LayoutOptions{HotCount: 16, Quantize: true}); err != nil {
+	if _, err := db.SaveLayout(path, LayoutOptions{HotCount: 16, Quantize: true}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := OpenLayout(path)
@@ -261,8 +326,8 @@ func TestLayoutQuantizedNotIdentical(t *testing.T) {
 	}
 	defer func() { _ = ldb.Close() }()
 	stats, _ := ldb.LayoutStats()
-	if !stats.Quantized {
-		t.Fatal("Quantized flag lost")
+	if !stats.Quantized || !stats.Dense {
+		t.Fatalf("stats %+v: want a quantized dense file", stats)
 	}
 	me, le := db.Exact(plan), ldb.Exact(plan)
 	for q := range me {

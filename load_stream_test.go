@@ -62,7 +62,7 @@ func TestCoefficientMassIsReproducible(t *testing.T) {
 	// A layout's header carries the same sum, so -db and -layout daemons
 	// report the same bounds.
 	path := filepath.Join(t.TempDir(), "m.wvls")
-	if err := dbs[0].SaveLayout(path, LayoutOptions{}); err != nil {
+	if _, err := dbs[0].SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := OpenLayout(path)
@@ -122,7 +122,7 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "m.wvls")
-		if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+		if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		ldb, err := OpenLayout(path)

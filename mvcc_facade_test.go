@@ -217,7 +217,7 @@ func TestInsertDeleteRouteThroughApply(t *testing.T) {
 // keeping the "read-only" substring older callers grep for.
 func TestErrReadOnlyTyped(t *testing.T) {
 	db, _, path := layoutFixture(t)
-	if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+	if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := OpenLayout(path)
