@@ -15,11 +15,12 @@
 # in-memory store's load/lookup benches behind BENCH_storage.json;
 # `make bench-ingest` runs the MVCC write-path benches
 # (batched vs single-tuple Apply throughput, reader latency during sustained
-# writes) behind BENCH_ingest.json. `make fuzz` gives the four decoders of
+# writes) behind BENCH_ingest.json. `make fuzz` gives the six decoders of
 # untrusted bytes — the .wvdb reader (FuzzRead), the query-language parser
-# (FuzzParse), the .wvls layout opener (FuzzOpenLayout) and the shard wire
-# reader (FuzzWireFrame) — a short adversarial shake each and runs as part of
-# `make check`.
+# (FuzzParse), the .wvls layout opener (FuzzOpenLayout), the shard wire
+# reader (FuzzWireFrame), the /query and /prepare JSON bodies
+# (FuzzQueryRequest) and the /ingest CSV (FuzzIngestCSV) — a short
+# adversarial shake each and runs as part of `make check`.
 
 GO ?= go
 
@@ -109,13 +110,16 @@ race:
 # Short adversarial fuzz of everything that decodes bytes from outside the
 # process: mutated .wvdb files, query text, .wvls layout files and shard wire
 # frames must be rejected with errors (or, for layouts, open and serve with
-# per-key errors), never panic. The seed corpora alone run in the normal
+# per-key errors), never panic; HTTP /query, /prepare and /ingest bodies get
+# a 4xx or an answer, never a 5xx. The seed corpora alone run in the normal
 # tests; this gives each mutator a fixed, CI-sized budget.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzRead -fuzztime 10s ./internal/codec/
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/ql/
 	$(GO) test -run NONE -fuzz FuzzOpenLayout -fuzztime 10s ./internal/storage/layout/
 	$(GO) test -run NONE -fuzz FuzzWireFrame -fuzztime 10s ./internal/codec/
+	$(GO) test -run NONE -fuzz FuzzQueryRequest -fuzztime 10s ./internal/server/
+	$(GO) test -run NONE -fuzz FuzzIngestCSV -fuzztime 10s ./internal/server/
 
 cover:
 	$(GO) test -cover ./... | grep -v 'no test files'

@@ -220,13 +220,12 @@ func BenchmarkAblationProgressionOrder(b *testing.B) {
 	}
 	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run := core.NewRun(w.Plan, penalty.SSE{}, w.Store)
-			run.RunToCompletion()
+			drainRun(core.NewRun(w.Plan, penalty.SSE{}, w.Store))
 		}
 	})
 	b.Run("masterlist", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			w.Plan.Exact(w.Store)
+			mustExact(w.Plan, w.Store)
 		}
 	})
 	b.Run("roundrobin", func(b *testing.B) {
@@ -252,12 +251,12 @@ func BenchmarkAblationStore(b *testing.B) {
 	hash := storage.NewHashStoreFromDense(hat, 0)
 	b.Run("array", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			w.Plan.Exact(arr)
+			mustExact(w.Plan, arr)
 		}
 	})
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			w.Plan.Exact(hash)
+			mustExact(w.Plan, hash)
 		}
 	})
 }

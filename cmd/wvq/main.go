@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -143,10 +144,11 @@ func execute(sess *repro.Session, db *repro.Database, qsrc string, budget int) e
 	missesBefore := sess.Retrievals()
 	hitsBefore := sess.Hits()
 	run := sess.NewRun(plan, repro.SSE())
-	if budget <= 0 || budget >= plan.DistinctCoefficients() {
-		run.RunToCompletion()
-	} else {
-		run.StepN(budget)
+	if budget <= 0 {
+		budget = plan.DistinctCoefficients()
+	}
+	if _, err := run.StepBatchCtx(context.Background(), budget); err != nil {
+		return err
 	}
 
 	fmt.Printf("touched %d of %d coefficients (%d new retrievals, %d cache hits)\n",

@@ -132,10 +132,10 @@ func BenchmarkDistDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkDistExact compares exact evaluation (ExactParallelCtx — chunked
-// BatchGetCtx calls) local vs distributed. The per-key variant BENCH_dist.json
-// records (one wire round-trip per coefficient, ~120× slower) no longer
-// exists to measure: ExactCtx is the same batched pass on one worker.
+// BenchmarkDistExact compares exact evaluation (ExactCtx — chunked
+// BatchGetCtx calls on GOMAXPROCS workers) local vs distributed. The per-key
+// variant BENCH_dist.json records (one wire round-trip per coefficient, ~120×
+// slower) no longer exists to measure: every exact pass is batched.
 func BenchmarkDistExact(b *testing.B) {
 	fx, err := distBenchSetup()
 	if err != nil {
@@ -153,7 +153,7 @@ func BenchmarkDistExact(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bc.db.ExactParallelCtx(ctx, bc.plan, 4); err != nil {
+				if _, err := bc.db.ExactCtx(ctx, bc.plan); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,14 +69,19 @@ func ExampleDatabase_NewRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	run := db.NewRun(plan, repro.SSE())
-	run.StepN(10)
+	if _, err := run.StepBatchCtx(ctx, 10); err != nil {
+		log.Fatal(err)
+	}
 	mass, err := db.CoefficientMass()
 	if err != nil {
 		log.Fatal(err)
 	}
 	boundEarly := run.WorstCaseBound(mass)
-	run.RunToCompletion()
+	if err := run.RunToCompletionCtx(ctx); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("early bound positive: %v, final bound: %.0f\n",
 		boundEarly > 0, run.WorstCaseBound(mass))
 	// Output: early bound positive: true, final bound: 0

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,14 +67,19 @@ func main() {
 		len(moments.Batch), moments.PerRange(), plan.DistinctCoefficients())
 
 	// Progressive run; a quarter of the coefficients is plenty here.
+	ctx := context.Background()
 	run := db.NewRun(plan, repro.SSE())
-	run.StepN(plan.DistinctCoefficients() / 4)
+	if _, err := run.StepBatchCtx(ctx, plan.DistinctCoefficients()/4); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("statistics after %d of %d retrievals:\n\n",
 		run.Retrieved(), plan.DistinctCoefficients())
 
 	printStats(moments, run.Estimates(), "progressive")
 
-	run.RunToCompletion()
+	if err := run.RunToCompletionCtx(ctx); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
 	printStats(moments, run.Estimates(), "exact")
 }

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -94,7 +95,9 @@ func main() {
 		// violated; the goal "holds and keeps holding" from the next step.
 		lastBadMin, lastBadScreen, lastBadSSE := 0, 0, 0
 		for !run.Done() {
-			run.Step()
+			if _, err := run.StepBatchCtx(context.Background(), 1); err != nil {
+				log.Fatal(err)
+			}
 			est := run.Estimates()
 			if argMin(est) != trueMin {
 				lastBadMin = run.Retrieved()

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -65,7 +66,9 @@ func main() {
 		log.Fatal(err)
 	}
 	run := svc.NewRun(plan, repro.SSE())
-	run.RunToCompletion()
+	if err := run.RunToCompletionCtx(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 
 	// The batch interleaves 4 SUM groups then 4 COUNT groups.
 	fmt.Printf("%-14s %14s %10s %12s\n", "store group", "sales (Q1)", "tickets", "avg ticket")

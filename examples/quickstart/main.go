@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -76,16 +77,21 @@ func main() {
 
 	// Progressive evaluation, minimizing the sum of squared errors at every
 	// step. Watch the worst relative error fall as coefficients stream in.
+	ctx := context.Background()
 	run := db.NewRun(plan, repro.SSE())
 	fmt.Printf("%12s %22s\n", "retrieved", "worst relative error")
 	for _, budget := range []int{1, 4, 16, 64, 256, 1024} {
-		run.StepN(budget - run.Retrieved())
+		if _, err := run.StepBatchCtx(ctx, budget-run.Retrieved()); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%12d %22.4g\n", run.Retrieved(), worstRel(run.Estimates(), exact))
 		if run.Done() {
 			break
 		}
 	}
-	run.RunToCompletion()
+	if err := run.RunToCompletionCtx(ctx); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%12d %22.4g   (exact)\n\n", run.Retrieved(), worstRel(run.Estimates(), exact))
 
 	fmt.Printf("%-28s %14s\n", "query", "result")

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -59,9 +60,12 @@ func main() {
 
 	// Progressive synopsis: stop after a small fraction of the coefficients
 	// — enough to rank regions.
+	ctx := context.Background()
 	run := db6.NewRun(plan, repro.SSE())
 	budget := plan.DistinctCoefficients() / 10
-	run.StepN(budget)
+	if _, err := run.StepBatchCtx(ctx, budget); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("coarse synopsis after %d of %d retrievals (%.0f%%):\n",
 		run.Retrieved(), plan.DistinctCoefficients(),
 		100*float64(run.Retrieved())/float64(plan.DistinctCoefficients()))
@@ -119,7 +123,9 @@ func main() {
 		log.Fatal(err)
 	}
 	drillRun := sess.NewRun(drillPlan, pen)
-	drillRun.StepN(drillPlan.DistinctCoefficients() / 4)
+	if _, err := drillRun.StepBatchCtx(ctx, drillPlan.DistinctCoefficients()/4); err != nil {
+		log.Fatal(err)
+	}
 
 	exact := batch.EvaluateDirect(dist)
 	fmt.Printf("after %d of %d retrievals, the on-screen rows converge first:\n",
@@ -137,7 +143,9 @@ func main() {
 			drill[i].Lo[2], drill[i].Hi[2], drill[i].Lo[3], drill[i].Hi[3],
 			drillRun.Estimates()[i], exact[i], 100*rel)
 	}
-	drillRun.RunToCompletion()
+	if err := drillRun.RunToCompletionCtx(ctx); err != nil {
+		log.Fatal(err)
+	}
 
 	// Step 3 — the user now asks for AVERAGE temperature per slab, which
 	// additionally needs the COUNT of each slab. A COUNT query's wavelet

@@ -20,7 +20,7 @@ func TestQueryErrorBoundHoldsAndShrinks(t *testing.T) {
 	run := NewRun(fx.plan, penalty.SSE{}, fx.store)
 	prev := run.QueryErrorBounds(mass)
 	for step := 0; !run.Done(); step++ {
-		run.Step()
+		stepOne(run)
 		if step%500 != 0 {
 			continue
 		}
@@ -59,7 +59,7 @@ func TestQueryErrorBoundAttainedByPointMass(t *testing.T) {
 	mass := 1.75
 	zero := newSliceStore(make([]float64, 16))
 	run := NewRun(plan, penalty.SSE{}, zero)
-	run.StepN(plan.DistinctCoefficients() / 2)
+	stepN(run, plan.DistinctCoefficients()/2)
 
 	for qi := 0; qi < plan.NumQueries(); qi++ {
 		bound := run.QueryErrorBound(qi, mass)

@@ -33,8 +33,9 @@ import (
 // The master list is stored in CSR form — entry i is the distinct key
 // keys[i] (ascending) whose (query, coefficient) references occupy
 // queryIdx[offsets[i]:offsets[i+1]] and coeffs[offsets[i]:offsets[i+1]].
-// Four flat arrays instead of a slice of per-entry slices keeps Exact and
-// Step cache-linear and puts zero per-entry allocations on the heap.
+// Four flat arrays instead of a slice of per-entry slices keeps the exact
+// pass and the step loop cache-linear and puts zero per-entry allocations
+// on the heap.
 //
 // A Plan is immutable after construction and safe for concurrent use: any
 // number of goroutines may evaluate it, start runs on it, or warm its
@@ -53,7 +54,7 @@ type Plan struct {
 	totalQueryCoefficients int
 
 	// evalOnce guards the lazily-built per-query inverted entry lists used
-	// by ExactParallel's apply phase (parallel.go).
+	// by the exact pass's apply phase (parallel.go).
 	evalOnce sync.Once
 	byQuery  [][]qref
 
@@ -72,17 +73,16 @@ type Plan struct {
 
 // NewPlan merges the per-query sparse coefficient vectors into a master
 // list. labels may be nil; otherwise it must have one label per vector.
-// Construction parallelizes across GOMAXPROCS workers (see NewPlanParallel)
-// and is deterministic: the resulting plan is identical however many workers
-// run.
+// Construction parallelizes across GOMAXPROCS workers and is deterministic:
+// the resulting plan is identical however many workers run.
 func NewPlan(vectors []sparse.Vector, labels []string) (*Plan, error) {
-	return NewPlanParallel(vectors, labels, 0)
+	return newPlan(vectors, labels, 0)
 }
 
-// NewPlanParallel is NewPlan with an explicit worker count (≤0 selects
+// newPlan is NewPlan on the given number of workers (≤0 selects
 // GOMAXPROCS). Workers sort disjoint blocks of the vectors into runs, which
 // are then merged; the result is entry-for-entry identical for every count.
-func NewPlanParallel(vectors []sparse.Vector, labels []string, workers int) (*Plan, error) {
+func newPlan(vectors []sparse.Vector, labels []string, workers int) (*Plan, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
@@ -101,23 +101,15 @@ func NewPlanParallel(vectors []sparse.Vector, labels []string, workers int) (*Pl
 // error if the filter lacks the vanishing moments for the batch degree,
 // because that would silently destroy the sparsity the algorithm is built
 // around (use NewPlan directly to opt into dense rewritings). Rewriting
-// parallelizes across GOMAXPROCS workers (see NewWaveletPlanParallel) and is
-// deterministic.
+// parallelizes across GOMAXPROCS workers over disjoint query blocks and is
+// deterministic: the merge that follows sees the same runs whatever the count.
 func NewWaveletPlan(batch query.Batch, f *wavelet.Filter) (*Plan, error) {
-	return NewWaveletPlanParallel(batch, f, 0)
-}
-
-// NewWaveletPlanParallel is NewWaveletPlan with an explicit worker count
-// (≤0 selects GOMAXPROCS). Query rewriting — the expensive part of planning
-// — runs on a pool of workers over disjoint query blocks; the merge that
-// follows sees the same runs whatever the count.
-func NewWaveletPlanParallel(batch query.Batch, f *wavelet.Filter, workers int) (*Plan, error) {
-	p, _, err := newWaveletPlan(batch, f, workers, nil)
+	p, _, err := newWaveletPlan(batch, f, 0, nil)
 	return p, err
 }
 
-// newWaveletPlan is the wavelet plan build behind NewWaveletPlanParallel and
-// the plan registry, which passes its shape index as templateFor (see
+// newWaveletPlan is the wavelet plan build behind NewWaveletPlan and the
+// plan registry, which passes its shape index as templateFor (see
 // buildPlan).
 func newWaveletPlan(batch query.Batch, f *wavelet.Filter, workers int, templateFor func(shape string) *Plan) (*Plan, bool, error) {
 	if err := batch.Validate(); err != nil {
@@ -194,22 +186,13 @@ func (p *Plan) Importances(pen penalty.Penalty) []float64 {
 	return out
 }
 
-// Exact evaluates the batch exactly by one pass over the master list
-// (Batch-Biggest-B without the importance order — the pure I/O-sharing
-// exact algorithm of Section 2.2). It performs exactly
-// DistinctCoefficients retrievals. It is ExactCtx for stores that cannot
-// fail: any retrieval error panics.
-func (p *Plan) Exact(store storage.Store) []float64 {
-	return p.ExactParallel(store, 1)
-}
-
 // Run is one progressive execution of Batch-Biggest-B. It is a cursor over
 // the plan's cached retrieval schedule (the static pop order of the
 // importance heap it replaced — see schedule.go) plus the progressive
 // estimates. StepBatchCtx (fallible.go) is the one loop that advances it;
-// every other stepping method is an adapter over it. Once the cursor
-// reaches the end of the schedule the estimates are exact unless the run is
-// Degraded.
+// RunToCompletionCtx, StepUntilBound and RunWithCheckpoints call it. Once
+// the cursor reaches the end of the schedule the estimates are exact unless
+// the run is Degraded.
 type Run struct {
 	plan  *Plan
 	store storage.Store
@@ -263,30 +246,6 @@ func (r *Run) entryRetrieved(i int32) bool {
 	sp := int(r.sched.pos[i])
 	_, skipped := slices.BinarySearch(r.skipped, sp)
 	return sp < r.cursor && !skipped
-}
-
-// Step retrieves the most important unretrieved entry — the next one in
-// schedule order — and advances every query that needs it (step 5). It
-// returns false when the computation is complete. A single step is a batch
-// of one: a failed retrieval marks the entry skipped, exactly as StepCtx.
-func (r *Run) Step() bool {
-	ok, _ := r.StepCtx(context.Background()) // a background context never ends
-	return ok
-}
-
-// StepN performs up to n steps and returns how many were executed.
-func (r *Run) StepN(n int) int {
-	done := 0
-	for done < n && r.Step() {
-		done++
-	}
-	return done
-}
-
-// RunToCompletion drains the schedule; afterwards Estimates holds exact
-// results unless the run is Degraded.
-func (r *Run) RunToCompletion() {
-	_ = r.RunToCompletionCtx(context.Background()) // a background context never ends
 }
 
 // Done reports whether the cursor has drained the schedule. A done run's
@@ -381,7 +340,7 @@ func (r *Run) ExpectedPenalty(domainCells int, radius float64) float64 {
 func (r *Run) StepUntilBound(coefficientMass, target float64) int {
 	steps := 0
 	for !r.Done() && r.WorstCaseBound(coefficientMass) > target {
-		r.Step()
+		_, _ = r.StepBatchCtx(context.Background(), 1) // a background context never ends
 		steps++
 	}
 	return steps
@@ -391,8 +350,11 @@ func (r *Run) StepUntilBound(coefficientMass, target float64) int {
 // retrieval count and once more at completion. Checkpoints may arrive in
 // any order and may repeat: they are visited in ascending order, each at
 // most once; counts below the run's current position are skipped and counts
-// beyond the master list collapse into the completion callback.
+// beyond the master list collapse into the completion callback. Each
+// segment is one StepBatchCtx, which on a store that never fails leaves the
+// estimates those single steps would (rule 1 of fallible.go).
 func (r *Run) RunWithCheckpoints(points []int, fn func(retrieved int, estimates []float64)) {
+	ctx := context.Background() // never ends, so no segment stops short
 	sorted := append([]int(nil), points...)
 	slices.Sort(sorted)
 	prev := -1
@@ -401,14 +363,14 @@ func (r *Run) RunWithCheckpoints(points []int, fn func(retrieved int, estimates 
 			continue
 		}
 		prev = p
-		r.StepN(p - r.Retrieved())
+		_, _ = r.StepBatchCtx(ctx, p-r.Retrieved())
 		fn(r.Retrieved(), r.estimates)
 		if r.Done() {
 			break
 		}
 	}
 	if !r.Done() {
-		r.RunToCompletion()
+		_, _ = r.StepBatchCtx(ctx, len(r.sched.order)-r.cursor)
 		fn(r.Retrieved(), r.estimates)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,6 +52,51 @@ func newFixture(t *testing.T, numRanges int) *fixture {
 		store:  storage.NewHashStoreFromDense(hat, 0),
 		truth:  batch.EvaluateDirect(dist),
 	}
+}
+
+// stepOne advances r by one schedule entry, a batch of one, and reports
+// whether it advanced.
+func stepOne(r *Run) bool {
+	n, _ := r.StepBatchCtx(context.Background(), 1) // a background context never ends
+	return n > 0
+}
+
+// stepN takes up to n single steps and returns how many it took.
+func stepN(r *Run, n int) int {
+	done := 0
+	for done < n && stepOne(r) {
+		done++
+	}
+	return done
+}
+
+// stepBatch advances r by up to b entries in one batched retrieval.
+func stepBatch(r *Run, b int) int {
+	n, _ := r.StepBatchCtx(context.Background(), b) // a background context never ends
+	return n
+}
+
+// drainRun runs r to completion one entry at a time.
+func drainRun(r *Run) {
+	_ = r.RunToCompletionCtx(context.Background()) // a background context never ends
+}
+
+// mustExact is Plan.Exact over a store that cannot fail.
+func mustExact(p *Plan, s storage.Store) []float64 {
+	est, err := p.Exact(context.Background(), s)
+	if err != nil {
+		panic(err)
+	}
+	return est
+}
+
+// mustExactOn is mustExact on the given number of workers.
+func mustExactOn(p *Plan, s storage.Store, workers int) []float64 {
+	est, err := p.exact(context.Background(), s, workers)
+	if err != nil {
+		panic(err)
+	}
+	return est
 }
 
 func assertClose(t *testing.T, got, want []float64, tol float64, ctx string) {
@@ -118,7 +164,7 @@ func TestNewWaveletPlanRejectsInsufficientFilter(t *testing.T) {
 
 func TestExactMatchesGroundTruth(t *testing.T) {
 	fx := newFixture(t, 12)
-	got := fx.plan.Exact(fx.store)
+	got := mustExact(fx.plan, fx.store)
 	assertClose(t, got, fx.truth, 1e-6, "exact")
 	if fx.store.Retrievals() != int64(fx.plan.DistinctCoefficients()) {
 		t.Fatalf("retrievals %d != distinct %d", fx.store.Retrievals(), fx.plan.DistinctCoefficients())
@@ -128,12 +174,12 @@ func TestExactMatchesGroundTruth(t *testing.T) {
 func TestRunToCompletionMatchesExact(t *testing.T) {
 	fx := newFixture(t, 12)
 	run := NewRun(fx.plan, penalty.SSE{}, fx.store)
-	run.RunToCompletion()
+	drainRun(run)
 	assertClose(t, run.Estimates(), fx.truth, 1e-6, "progressive-complete")
 	if run.Retrieved() != fx.plan.DistinctCoefficients() {
 		t.Fatalf("retrieved %d != distinct %d", run.Retrieved(), fx.plan.DistinctCoefficients())
 	}
-	if !run.Done() || run.Step() {
+	if !run.Done() || stepOne(run) {
 		t.Fatal("run should be done")
 	}
 	if run.NextImportance() != 0 || run.WorstCaseBound(5) != 0 {
@@ -151,7 +197,7 @@ func TestRunPopsImportancesInNonIncreasingOrder(t *testing.T) {
 			t.Fatalf("importance increased: %g after %g", next, prev)
 		}
 		prev = next
-		run.Step()
+		stepOne(run)
 	}
 }
 
@@ -165,14 +211,14 @@ func TestProgressiveErrorShrinks(t *testing.T) {
 		}
 		return penalty.SSE{}.Eval(e)
 	}
-	run.StepN(16)
+	stepN(run, 16)
 	early := sseAt()
-	run.StepN(fx.plan.DistinctCoefficients() / 2)
+	stepN(run, fx.plan.DistinctCoefficients()/2)
 	late := sseAt()
 	if late > early {
 		t.Fatalf("SSE grew from %g to %g", early, late)
 	}
-	run.RunToCompletion()
+	drainRun(run)
 	if final := sseAt(); final > 1e-9*(1+penalty.SSE{}.Eval(fx.truth)) {
 		t.Fatalf("final SSE %g not ~0", final)
 	}
@@ -181,11 +227,11 @@ func TestProgressiveErrorShrinks(t *testing.T) {
 func TestStepNAndSnapshot(t *testing.T) {
 	fx := newFixture(t, 6)
 	run := NewRun(fx.plan, penalty.SSE{}, fx.store)
-	if n := run.StepN(5); n != 5 {
-		t.Fatalf("StepN = %d", n)
+	if n := stepN(run, 5); n != 5 {
+		t.Fatalf("advanced %d of 5", n)
 	}
 	snap := run.Snapshot()
-	run.StepN(10)
+	stepN(run, 10)
 	changed := false
 	for i, v := range run.Estimates() {
 		if v != snap[i] {
@@ -196,10 +242,10 @@ func TestStepNAndSnapshot(t *testing.T) {
 	if !changed {
 		t.Fatal("estimates did not change after more steps (suspicious)")
 	}
-	// StepN beyond the end returns the executed count.
-	run.RunToCompletion()
-	if n := run.StepN(3); n != 0 {
-		t.Fatalf("StepN after completion = %d", n)
+	// A done run advances no further.
+	drainRun(run)
+	if n := stepN(run, 3); n != 0 {
+		t.Fatalf("advanced %d after completion", n)
 	}
 }
 
@@ -284,9 +330,9 @@ func TestCursoredRunPrioritizesCursor(t *testing.T) {
 	budget := fx.plan.DistinctCoefficients() / 8
 
 	runSSE := NewRun(fx.plan, penalty.SSE{}, fx.store)
-	runSSE.StepN(budget)
+	stepN(runSSE, budget)
 	runCur := NewRun(fx.plan, cur, fx.store)
-	runCur.StepN(budget)
+	stepN(runCur, budget)
 
 	if evalCursored(runCur.Estimates()) > evalCursored(runSSE.Estimates()) {
 		t.Fatalf("cursored run (%g) should beat SSE run (%g) on cursored penalty",
@@ -307,7 +353,7 @@ func TestWorstCaseBoundHoldsOnAdversarialData(t *testing.T) {
 	// Retrieve one coefficient, then attack the next most important one.
 	zero := storage.NewHashStore() // all-zero data: estimates stay 0
 	run := NewRun(plan, pen, zero)
-	run.Step()
+	stepOne(run)
 	next := run.NextImportance()
 	k := 2.5
 	bound := run.WorstCaseBound(k)
@@ -368,7 +414,7 @@ func TestExactWithArrayStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr := storage.NewArrayStore(hat)
-	got := fx.plan.Exact(arr)
+	got := mustExact(fx.plan, arr)
 	assertClose(t, got, fx.truth, 1e-6, "array-store")
 }
 
@@ -413,6 +459,6 @@ func BenchmarkRunToCompletion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := NewRun(plan, penalty.SSE{}, store)
-		run.RunToCompletion()
+		drainRun(run)
 	}
 }

@@ -29,7 +29,7 @@ func TestRemainingImportanceTracksSubtraction(t *testing.T) {
 	sum := total
 	for !run.Done() {
 		next := run.NextImportance()
-		run.Step()
+		stepOne(run)
 		sum -= next
 		if math.Abs(run.RemainingImportance()-sum) > 1e-9*(1+total) {
 			t.Fatalf("remaining %g, want %g after popping %g", run.RemainingImportance(), sum, next)
@@ -52,7 +52,7 @@ func TestExpectedPenaltyMatchesMonteCarlo(t *testing.T) {
 	pen := penalty.SSE{}
 	store := newSliceStore(make([]float64, n))
 	run := NewRun(plan, pen, store)
-	run.StepN(plan.DistinctCoefficients() / 2)
+	stepN(run, plan.DistinctCoefficients()/2)
 
 	radius := 2.5
 	want := run.ExpectedPenalty(n, radius)
@@ -138,7 +138,7 @@ func TestExpectedPenaltyEdgeCases(t *testing.T) {
 	if run.ExpectedPenalty(0, 1) != 0 {
 		t.Fatal("zero cells should yield 0")
 	}
-	run.RunToCompletion()
+	drainRun(run)
 	if run.ExpectedPenalty(4, 1) != 0 {
 		t.Fatal("completed run should have zero expected penalty")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -13,13 +12,12 @@ import (
 )
 
 // This file is the evaluation engine: the one progressive loop
-// (StepBatchCtx), the one exact pass (ExactParallelCtx, whose accumulation is
-// applyEvalIndex in parallel.go), and the adapters that keep the older
-// stepping and exact names alive over them. Two rules govern every path:
+// (StepBatchCtx) and the one exact pass (Plan.Exact, whose accumulation is
+// applyEvalIndex in parallel.go). Two rules govern every path:
 //
 //  1. Fault-free bit-identity: with a store that never fails, estimates
 //     depend only on how many schedule entries have been applied — never on
-//     how the advance was sliced into batches or which adapter drove it.
+//     how the advance was sliced into batches or which method drove it.
 //  2. Graceful degradation (progressive paths only): a retrieval that fails
 //     for any reason other than context cancellation marks its entry
 //     skipped and the run keeps advancing. A skipped coefficient is just an
@@ -69,23 +67,6 @@ func (r *Run) SkippedImportance() float64 {
 		return 0
 	}
 	return r.sched.importances[r.sched.order[r.skipped[0]]]
-}
-
-// StepCtx advances one entry — a batch of one. It returns false when the
-// cursor has drained the schedule. A failed retrieval marks the entry
-// skipped (see Degraded) and still counts as an advance; cancellation
-// returns ctx.Err() without advancing, leaving the entry retrievable on
-// resume.
-func (r *Run) StepCtx(ctx context.Context) (bool, error) {
-	n, err := r.StepBatchCtx(ctx, 1)
-	return n > 0, err
-}
-
-// StepBatch is StepBatchCtx without a context, for callers that do not
-// cancel.
-func (r *Run) StepBatch(b int) int {
-	n, _ := r.StepBatchCtx(context.Background(), b) // a background context never ends
-	return n
 }
 
 // StepBatchCtx advances up to b entries in one batched retrieval. Because
@@ -191,12 +172,8 @@ func (r *Run) finishStepBatch(m *coreMetrics, start time.Time, b, skippedBefore 
 // Cancellation stops mid-schedule and returns ctx.Err(); the run can resume.
 func (r *Run) RunToCompletionCtx(ctx context.Context) error {
 	for {
-		ok, err := r.StepCtx(ctx)
-		if err != nil {
+		if n, err := r.StepBatchCtx(ctx, 1); err != nil || n == 0 {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 	}
 }
@@ -250,26 +227,16 @@ func (r *Run) RetrySkipped(ctx context.Context) (int, error) {
 	return recovered, nil
 }
 
-// ExactCtx evaluates the batch exactly with one retrieval per distinct
-// coefficient: ExactParallelCtx on one worker. Exact evaluation has no error
-// bound to degrade to, so any failed retrieval aborts with its error.
-func (p *Plan) ExactCtx(ctx context.Context, store storage.Store) ([]float64, error) {
-	return p.ExactParallelCtx(ctx, store, 1)
+// Exact is the exact pass: one retrieval per distinct coefficient (the pure
+// I/O-sharing exact algorithm of Section 2.2), on GOMAXPROCS workers. Exact
+// evaluation has no error bound to degrade to, so any failed retrieval aborts
+// with its error.
+func (p *Plan) Exact(ctx context.Context, store storage.Store) ([]float64, error) {
+	return p.exact(ctx, store, 0)
 }
 
-// ExactParallel is ExactParallelCtx for stores that cannot fail: any
-// retrieval error panics.
-func (p *Plan) ExactParallel(store storage.Store, workers int) []float64 {
-	est, err := p.ExactParallelCtx(context.Background(), store, workers)
-	if err != nil {
-		panic(fmt.Sprintf("core: infallible exact evaluation failed: %v", err))
-	}
-	return est
-}
-
-// ExactParallelCtx is the exact pass: one retrieval per distinct
-// coefficient, split into a batched fetch phase and a per-query apply phase
-// that both use up to the given number of workers (≤0 selects GOMAXPROCS).
+// exact is Exact on up to the given number of workers (≤0 selects
+// GOMAXPROCS), split into a batched fetch phase and a per-query apply phase.
 //
 // The fetch phase issues chunked BatchGetCtx calls — concurrently when the
 // store is concurrent-safe, as one batch otherwise (still hitting the
@@ -278,7 +245,7 @@ func (p *Plan) ExactParallel(store storage.Store, workers int) []float64 {
 // query's estimate is accumulated by exactly one worker in ascending
 // master-list order: results are bit-identical for every worker count. Any
 // retrieval failure is fatal; the failure of the lowest chunk is reported.
-func (p *Plan) ExactParallelCtx(ctx context.Context, store storage.Store, workers int) ([]float64, error) {
+func (p *Plan) exact(ctx context.Context, store storage.Store, workers int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

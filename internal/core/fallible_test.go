@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -87,44 +88,50 @@ func coefficientMass(t *testing.T, s storage.Store) float64 {
 	return mass
 }
 
+// TestExactParallelCtxBitIdenticalToExact: Plan.Exact (GOMAXPROCS) and the
+// exact pass on 1, 2 and 4 workers agree bit for bit, through a store that
+// takes one batch at a time and through one that is fetched concurrently.
 func TestExactParallelCtxBitIdenticalToExact(t *testing.T) {
 	f := newFixture(t, 12)
-	want := f.plan.Exact(f.store)
+	want := mustExactOn(f.plan, f.store, 1)
+	assertBitIdentical(t, mustExact(f.plan, f.store), want, "Exact")
 	ctx := context.Background()
 	plain, err := storage.NewCachedStore(f.store, storage.Unbounded) // not concurrent-safe
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.plan.ExactParallelCtx(ctx, plain, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range []int{1, 2, 4} {
+		got, err := f.plan.exact(ctx, plain, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, got, want, fmt.Sprintf("exact(plain, %d)", w))
+		got, err = f.plan.exact(ctx, f.store, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, got, want, fmt.Sprintf("exact(concurrent, %d)", w))
 	}
-	assertBitIdentical(t, got, want, "ExactParallelCtx(plain)")
-	got, err = f.plan.ExactParallelCtx(ctx, f.store, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got, want, "ExactParallelCtx(concurrent)")
 }
 
 func TestExactCtxFailsFastOnFault(t *testing.T) {
 	f := newFixture(t, 8)
 	faulty := storage.NewFaultStore(f.store, storage.FaultConfig{ErrorRate: 0.2, Seed: 3})
-	est, err := f.plan.ExactCtx(context.Background(), faulty)
+	est, err := f.plan.Exact(context.Background(), faulty)
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if est != nil {
 		t.Fatal("failed exact evaluation must not return estimates")
 	}
-	if _, err := f.plan.ExactParallelCtx(context.Background(), faulty, 4); !errors.Is(err, storage.ErrInjected) {
+	if _, err := f.plan.exact(context.Background(), faulty, 4); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("parallel err = %v, want ErrInjected", err)
 	}
 }
 
 func TestDegradedRunKeepsTheoremOneBound(t *testing.T) {
 	f := newFixture(t, 12)
-	exact := f.plan.Exact(f.store)
+	exact := mustExact(f.plan, f.store)
 	mass := coefficientMass(t, f.store)
 	pen := penalty.SSE{}
 	faulty := storage.NewFaultStore(f.store, storage.FaultConfig{ErrorRate: 0.25, Seed: 9})
@@ -219,7 +226,7 @@ func TestStepBatchCtxWholeBatchFailureSkipsAll(t *testing.T) {
 
 func TestRetrySkippedRecoversToExact(t *testing.T) {
 	f := newFixture(t, 10)
-	exact := f.plan.Exact(f.store)
+	exact := mustExact(f.plan, f.store)
 	// Every 4th key (by hash of its position in the plan) fails exactly once:
 	// the first pass degrades, the retry recovers fully.
 	failures := make(map[int]int)
@@ -299,18 +306,18 @@ func TestStepCtxCancellationLeavesRunResumable(t *testing.T) {
 	f := newFixture(t, 10)
 	pen := penalty.SSE{}
 	want := NewRun(f.plan, pen, f.store)
-	want.RunToCompletion()
+	drainRun(want)
 
 	run := NewRun(f.plan, pen, f.store)
 	ctx, cancel := context.WithCancel(context.Background())
 	for i := 0; i < 5; i++ {
-		if _, err := run.StepCtx(ctx); err != nil {
+		if _, err := run.StepBatchCtx(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cancel()
 	cursorAtCancel := run.Retrieved()
-	if _, err := run.StepCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := run.StepBatchCtx(ctx, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 	if _, err := run.StepBatchCtx(ctx, 8); !errors.Is(err, context.Canceled) {

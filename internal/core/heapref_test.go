@@ -195,7 +195,7 @@ func TestScheduleMatchesHeapGrid(t *testing.T) {
 							trial, pen.Name(), step, qi, got, want)
 					}
 				}
-				a, b := run.Step(), ref.step()
+				a, b := stepOne(run), ref.step()
 				if a != b {
 					t.Fatalf("trial %d pen %s step %d: Step %v vs %v", trial, pen.Name(), step, a, b)
 				}
@@ -279,7 +279,7 @@ func TestScheduleCacheBuildsOnceUnderRace(t *testing.T) {
 			pen := pens[g%len(pens)]
 			// NewRun is the production path into the cache; exercise it too.
 			run := NewRun(plan, pen, newSliceStore(make([]float64, 64)))
-			run.StepN(5)
+			stepN(run, 5)
 			got[g] = plan.ScheduleFor(pen)
 		}(g)
 	}
@@ -309,7 +309,7 @@ func TestConcurrentRunsShareSchedule(t *testing.T) {
 	for i := range cells {
 		cells[i] = rng.NormFloat64()
 	}
-	want := plan.Exact(newSliceStore(cells))
+	want := mustExact(plan, newSliceStore(cells))
 	const workers = 8
 	var wg sync.WaitGroup
 	errCh := make(chan string, workers)
@@ -319,9 +319,9 @@ func TestConcurrentRunsShareSchedule(t *testing.T) {
 			defer wg.Done()
 			run := NewRun(plan, penalty.SSE{}, newSliceStore(cells))
 			if g%2 == 0 {
-				run.RunToCompletion()
+				drainRun(run)
 			} else {
-				for run.StepBatch(7) > 0 {
+				for stepBatch(run, 7) > 0 {
 				}
 			}
 			for i := range want {
@@ -358,7 +358,7 @@ func TestRunWithCheckpointsNormalization(t *testing.T) {
 	if m < 8 {
 		t.Fatalf("fixture too small: %d entries", m)
 	}
-	exact := plan.Exact(newSliceStore(cells))
+	exact := mustExact(plan, newSliceStore(cells))
 
 	t.Run("unsorted-and-duplicates", func(t *testing.T) {
 		run := NewRun(plan, penalty.SSE{}, newSliceStore(cells))
@@ -381,7 +381,7 @@ func TestRunWithCheckpointsNormalization(t *testing.T) {
 
 	t.Run("past-points-skipped", func(t *testing.T) {
 		run := NewRun(plan, penalty.SSE{}, newSliceStore(cells))
-		run.StepN(6)
+		stepN(run, 6)
 		var seen []int
 		run.RunWithCheckpoints([]int{1, 3, 6, 7}, func(retrieved int, est []float64) {
 			seen = append(seen, retrieved)

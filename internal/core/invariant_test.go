@@ -51,7 +51,7 @@ func TestEstimatesEqualRetrievedDotProduct(t *testing.T) {
 		store := newRecordingStore(cells)
 		run := NewRun(plan, penalty.SSE{}, store)
 		for !run.Done() {
-			run.StepN(1 + rng.Intn(3))
+			stepN(run, 1+rng.Intn(3))
 			for qi, vec := range vectors {
 				var want float64
 				for k, c := range vec {
@@ -80,7 +80,7 @@ func TestRetrievalNeverRepeats(t *testing.T) {
 	}
 	store := newRecordingStore(make([]float64, 48))
 	run := NewRun(plan, penalty.SSE{}, store)
-	run.RunToCompletion()
+	drainRun(run)
 	if int(store.count) != len(store.fetched) {
 		t.Fatalf("%d retrievals for %d distinct keys", store.count, len(store.fetched))
 	}

@@ -29,7 +29,7 @@ func BenchmarkObsOffDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := NewRun(f.plan, pen, f.store)
-		run.RunToCompletion()
+		drainRun(run)
 	}
 }
 
@@ -46,12 +46,12 @@ func BenchmarkObsOnDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := NewRun(f.plan, pen, f.store)
-		run.RunToCompletion()
+		drainRun(run)
 	}
 }
 
 // BenchmarkObsTracedDrain adds a run trace per run on top of the live
-// registry — the full "watch the bound decay" configuration, StepBatch-paced
+// registry — the full "watch the bound decay" configuration, StepBatchCtx-paced
 // like the scheduler drives it.
 func BenchmarkObsTracedDrain(b *testing.B) {
 	reg := obs.NewRegistry()
@@ -67,7 +67,7 @@ func BenchmarkObsTracedDrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := NewRun(f.plan, pen, f.store)
 		run.AttachTrace(sink.Start("bench", ""), mass)
-		for run.StepBatch(256) > 0 {
+		for stepBatch(run, 256) > 0 {
 		}
 	}
 }
@@ -141,6 +141,6 @@ func BenchmarkObsOffInstrumentedStore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := NewRun(f.plan, pen, wrapped)
-		run.RunToCompletion()
+		drainRun(run)
 	}
 }

@@ -117,7 +117,7 @@ func TestRunTraceBoundTrajectory(t *testing.T) {
 	tr := sink.Start("req", "trajectory")
 	run := NewRun(f.plan, penalty.SSE{}, f.store)
 	run.AttachTrace(tr, mass)
-	for run.Step() {
+	for stepOne(run) {
 	}
 
 	snap := tr.Snapshot()

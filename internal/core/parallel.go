@@ -15,8 +15,8 @@ import (
 // of Batch-Biggest-B) and the exact pass's per-query apply phase. Every
 // parallel path is constructed to produce results *bit-identical* to its
 // one-worker run (same floating-point operations in the same order), so
-// callers can pick any worker count — the determinism tests in
-// parallel_test.go pin this down.
+// the worker count (GOMAXPROCS; the determinism tests in parallel_test.go
+// sweep others) never shows in a result.
 //
 // Plan construction is one flat pipeline: each query is rewritten exactly
 // once into a run — its (key, coefficient) pairs in ascending key order —
@@ -247,7 +247,7 @@ type qref struct {
 }
 
 // buildEvalIndex lazily builds the per-query inverted entry lists used by
-// ExactParallelCtx's apply phase. (The flat key list the fetch phase needs is
+// the exact pass's apply phase. (The flat key list the fetch phase needs is
 // part of the CSR layout itself.) One backing array keeps the inverted
 // lists allocation-cheap.
 func (p *Plan) buildEvalIndex() {
@@ -273,7 +273,7 @@ func (p *Plan) buildEvalIndex() {
 	})
 }
 
-// applyEvalIndex is ExactParallelCtx's apply phase — the one exact
+// applyEvalIndex is the exact pass's apply phase — the one exact
 // accumulation: queries are partitioned across workers, so each query's
 // estimate is accumulated by exactly one worker in ascending master-list
 // order, the same floating-point operation sequence whatever the worker

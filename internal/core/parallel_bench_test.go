@@ -36,7 +36,7 @@ func newBenchPlanFixture(b *testing.B) *benchPlanFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := NewWaveletPlanParallel(batch, wavelet.Db4, 1)
+	plan, err := waveletPlanOn(batch, wavelet.Db4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func BenchmarkPlanParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p, err := NewWaveletPlanParallel(f.batch, wavelet.Db4, workers)
+				p, err := waveletPlanOn(f.batch, wavelet.Db4, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -75,13 +75,13 @@ func BenchmarkExactParallel(b *testing.B) {
 	f := newBenchPlanFixture(b)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f.plan.Exact(f.store)
+			mustExactOn(f.plan, f.store, 1)
 		}
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f.plan.ExactParallel(f.store, workers)
+				mustExactOn(f.plan, f.store, workers)
 			}
 		})
 	}
@@ -95,14 +95,14 @@ func BenchmarkStepBatch(b *testing.B) {
 	b.Run("step=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run := NewRun(f.plan, penalty.SSE{}, f.store)
-			run.RunToCompletion()
+			drainRun(run)
 		}
 	})
 	for _, size := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run := NewRun(f.plan, penalty.SSE{}, f.store)
-				for run.StepBatch(size) > 0 {
+				for stepBatch(run, size) > 0 {
 				}
 			}
 		})

@@ -25,6 +25,12 @@ func planBatch(t *testing.T, schema *dataset.Schema, numRanges int, attr string)
 	return batch
 }
 
+// waveletPlanOn is NewWaveletPlan on the given number of workers.
+func waveletPlanOn(batch query.Batch, f *wavelet.Filter, workers int) (*Plan, error) {
+	p, _, err := newWaveletPlan(batch, f, workers, nil)
+	return p, err
+}
+
 // assertPlansIdentical fails unless the two plans' CSR arrays are
 // element-for-element identical: labels, totals, keys, offsets, query
 // indices and bit-identical coefficients.
@@ -77,9 +83,9 @@ func assertBitIdentical(t *testing.T, got, want []float64, ctx string) {
 }
 
 // TestParallelPlanDeterminism asserts that plan construction produces
-// entry-for-entry identical plans at every worker count, and that
-// Exact/ExactParallel/StepBatch-to-completion produce bit-identical results,
-// for 1-D and 2-D batches.
+// entry-for-entry identical plans at every worker count, that the exact pass
+// produces bit-identical results at every worker count, and that batched
+// drains match single steps bit for bit, for 1-D and 2-D batches.
 func TestParallelPlanDeterminism(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -101,40 +107,40 @@ func TestParallelPlanDeterminism(t *testing.T) {
 			}
 			store := storage.NewHashStoreFromDense(hat, 0)
 
-			base, err := NewWaveletPlanParallel(batch, wavelet.Db4, 1)
+			base, err := waveletPlanOn(batch, wavelet.Db4, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range workerCounts[1:] {
-				p, err := NewWaveletPlanParallel(batch, wavelet.Db4, w)
+				p, err := waveletPlanOn(batch, wavelet.Db4, w)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertPlansIdentical(t, base, p, tc.name)
 			}
 
-			seq := base.Exact(store)
+			seq := mustExactOn(base, store, 1)
 			for _, w := range workerCounts {
-				got := base.ExactParallel(store, w)
-				assertBitIdentical(t, got, seq, tc.name+"/ExactParallel")
+				got := mustExactOn(base, store, w)
+				assertBitIdentical(t, got, seq, tc.name+"/exact")
 			}
 
-			// StepBatch to completion, mixed batch sizes, matches Step-by-Step.
+			// Batched drains, mixed batch sizes, match single steps.
 			runA := NewRun(base, penalty.SSE{}, store)
-			runA.RunToCompletion()
+			drainRun(runA)
 			for _, bsize := range []int{1, 3, 7, 64} {
 				runB := NewRun(base, penalty.SSE{}, store)
-				for runB.StepBatch(bsize) > 0 {
+				for stepBatch(runB, bsize) > 0 {
 				}
 				if !runB.Done() {
-					t.Fatalf("%s: StepBatch(%d) run not done", tc.name, bsize)
+					t.Fatalf("%s: batch-%d run not done", tc.name, bsize)
 				}
-				// Note runA (Step-by-step) is the sequential equivalent of
-				// StepBatch; Exact accumulates in key order rather than
+				// Note runA (single steps) is the sequential equivalent of
+				// a batched drain; Exact accumulates in key order rather than
 				// importance order so it matches only within rounding.
-				assertBitIdentical(t, runB.Estimates(), runA.Estimates(), tc.name+"/StepBatch")
+				assertBitIdentical(t, runB.Estimates(), runA.Estimates(), tc.name+"/batched")
 				if runB.Retrieved() != base.DistinctCoefficients() {
-					t.Fatalf("%s: StepBatch retrieved %d, want %d", tc.name, runB.Retrieved(), base.DistinctCoefficients())
+					t.Fatalf("%s: batched drain retrieved %d, want %d", tc.name, runB.Retrieved(), base.DistinctCoefficients())
 				}
 			}
 		})
@@ -148,9 +154,9 @@ func TestStepBatchPrefixIdentical(t *testing.T) {
 	f := newFixture(t, 24)
 	runA := NewRun(f.plan, penalty.SSE{}, f.store)
 	runB := NewRun(f.plan, penalty.SSE{}, f.store)
-	runA.StepN(37)
-	if got := runB.StepBatch(37); got != 37 {
-		t.Fatalf("StepBatch(37) = %d", got)
+	stepN(runA, 37)
+	if got := stepBatch(runB, 37); got != 37 {
+		t.Fatalf("batch of 37 advanced %d", got)
 	}
 	assertBitIdentical(t, runB.Estimates(), runA.Estimates(), "prefix")
 	if runA.Retrieved() != runB.Retrieved() {
@@ -164,7 +170,7 @@ func TestStepBatchPrefixIdentical(t *testing.T) {
 	}
 }
 
-// TestNewPlanParallelDeterminism covers the vector (non-wavelet) entry point
+// TestNewPlanParallelDeterminism covers the vector (non-wavelet) plan build
 // across worker counts.
 func TestNewPlanParallelDeterminism(t *testing.T) {
 	f := newFixture(t, 16)
@@ -176,12 +182,12 @@ func TestNewPlanParallelDeterminism(t *testing.T) {
 		}
 		vectors[i] = v
 	}
-	base, err := NewPlanParallel(vectors, nil, 1)
+	base, err := newPlan(vectors, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		p, err := NewPlanParallel(vectors, nil, w)
+		p, err := newPlan(vectors, nil, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,14 +195,14 @@ func TestNewPlanParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestExactParallelSharded exercises the concurrent fetch path (chunked
-// GetBatch against a Concurrent store) for bit-identical results.
+// TestExactParallelSharded exercises the exact pass's concurrent fetch path
+// (chunked BatchGetCtx against a concurrent store) for bit-identical results.
 func TestExactParallelSharded(t *testing.T) {
 	f := newFixture(t, 32)
 	shared := newFixture(t, 32).store // the same coefficients, not yet read
-	seq := f.plan.Exact(f.store)
+	seq := mustExactOn(f.plan, f.store, 1)
 	for _, w := range []int{1, 2, 8} {
-		got := f.plan.ExactParallel(shared, w)
+		got := mustExactOn(f.plan, shared, w)
 		assertBitIdentical(t, got, seq, "shared")
 	}
 	// Retrieval accounting: 3 parallel passes + nothing else.

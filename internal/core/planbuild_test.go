@@ -180,12 +180,12 @@ func TestPlanBuildMatchesOracleMerge(t *testing.T) {
 		var tmpl *Plan
 		for _, workers := range []int{1, 2, 3, 8} {
 			wctx := fmt.Sprintf("%s, %d workers", ctx, workers)
-			streamed, err := NewWaveletPlanParallel(batch, f, workers)
+			streamed, err := waveletPlanOn(batch, f, workers)
 			if err != nil {
 				t.Fatalf("%s: %v", wctx, err)
 			}
 			assertSameCSR(t, streamed, want, wctx+", wavelet")
-			fromVectors, err := NewPlanParallel(vectors, nil, workers)
+			fromVectors, err := newPlan(vectors, nil, workers)
 			if err != nil {
 				t.Fatalf("%s: %v", wctx, err)
 			}
@@ -372,8 +372,8 @@ func TestQueryErrorBoundMatchesDefinitionAtEveryCursor(t *testing.T) {
 		}
 		check()
 		for !rf.Done() {
-			rf.Step()
-			rb.Step()
+			stepOne(rf)
+			stepOne(rb)
 			check()
 		}
 		if rf.SkippedCount() != len(fail) {
@@ -404,13 +404,13 @@ func TestPlanPathAllocationCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	// From vectors the build is the merge alone.
-	if a := testing.AllocsPerRun(5, func() { _, _ = NewPlanParallel(vectors, nil, 1) }); a > 64 {
+	if a := testing.AllocsPerRun(5, func() { _, _ = newPlan(vectors, nil, 1) }); a > 64 {
 		t.Errorf("plan build from vectors: %v allocations, ceiling 64", a)
 	}
 	// From queries it adds the 1-D lazy transforms (internal/wavelet: about 35
 	// allocations for each of 8 queries × 5 dimensions) and nothing that
 	// grows with the 26 624 coefficients.
-	if a := testing.AllocsPerRun(5, func() { _, _ = NewWaveletPlanParallel(batch, wavelet.Db6, 1) }); a > 2000 {
+	if a := testing.AllocsPerRun(5, func() { _, _ = waveletPlanOn(batch, wavelet.Db6, 1) }); a > 2000 {
 		t.Errorf("wavelet plan build: %v allocations, ceiling 2000", a)
 	}
 
@@ -426,7 +426,7 @@ func TestPlanPathAllocationCeilings(t *testing.T) {
 		t.Errorf("NewRun: %v allocations, ceiling 1", a)
 	}
 	run := NewRun(plan, pen, store)
-	run.StepBatch(1024)
+	stepBatch(run, 1024)
 	// A run keeps no bound state, so its first read is like any other.
 	if a := testing.AllocsPerRun(20, func() { run.QueryErrorBounds(1) }); a > 2 {
 		t.Errorf("QueryErrorBounds: %v allocations, ceiling 2", a)

@@ -95,7 +95,7 @@ func BenchmarkFirstQueryErrorBounds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		run := NewRun(plans[i%len(plans)], penalty.SSE{}, store)
-		run.StepBatch(1024)
+		stepBatch(run, 1024)
 		b.StartTimer()
 		run.QueryErrorBounds(1)
 	}

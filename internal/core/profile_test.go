@@ -34,7 +34,7 @@ func TestProfileBitNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewWaveletPlanParallel(batch, wavelet.Db4, 1)
+	plan, err := waveletPlanOn(batch, wavelet.Db4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,8 +152,8 @@ func TestRegistryPermutedBatchHitsAndMapsResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := prep2.Plan.Exact(store)
-	want := fresh.Exact(store)
+	got := mustExact(prep2.Plan, store)
+	want := mustExact(fresh, store)
 	for i := range shuffled {
 		ci := perm[i]
 		if got[ci] != want[ci] {
@@ -239,7 +239,7 @@ func TestRegistryTemplateBindPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPlansBitIdentical(t, p2.Plan, fresh, "registry-bound plan")
-	assertBitIdentical(t, p2.Plan.Exact(store), fresh.Exact(store), "registry-bound Exact")
+	assertBitIdentical(t, mustExact(p2.Plan, store), mustExact(fresh, store), "registry-bound Exact")
 }
 
 func TestRegistryBuildErrorNotCached(t *testing.T) {
@@ -405,8 +405,8 @@ func TestScheduleCacheLRUBounded(t *testing.T) {
 		}
 	}
 	run := NewRun(plan, pens[0], store)
-	run.RunToCompletion()
-	assertClose(t, run.Estimates(), plan.Exact(store), 1e-9, "run on rebuilt schedule")
+	drainRun(run)
+	assertClose(t, run.Estimates(), mustExact(plan, store), 1e-9, "run on rebuilt schedule")
 	// A resident (recently used) schedule is still served by pointer.
 	if plan.ScheduleFor(pens[9]) != firsts[9] {
 		t.Fatalf("resident schedule was rebuilt")

@@ -20,13 +20,13 @@ import (
 func BenchmarkExactFallible(b *testing.B) {
 	f := newBenchPlanFixture(b)
 	ctx := context.Background()
-	if _, err := f.plan.ExactCtx(ctx, f.store); err != nil {
+	if _, err := f.plan.Exact(ctx, f.store); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.plan.ExactCtx(ctx, f.store); err != nil {
+		if _, err := f.plan.Exact(ctx, f.store); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func BenchmarkZeroFaultInjector(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.plan.ExactCtx(ctx, f.store); err != nil {
+			if _, err := f.plan.Exact(ctx, f.store); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func BenchmarkZeroFaultInjector(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.plan.ExactCtx(ctx, faulty); err != nil {
+			if _, err := f.plan.Exact(ctx, faulty); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -85,7 +85,7 @@ func BenchmarkIdleRetryLayer(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.plan.ExactCtx(ctx, f.store); err != nil {
+			if _, err := f.plan.Exact(ctx, f.store); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,7 +95,7 @@ func BenchmarkIdleRetryLayer(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.plan.ExactCtx(ctx, retried); err != nil {
+			if _, err := f.plan.Exact(ctx, retried); err != nil {
 				b.Fatal(err)
 			}
 		}

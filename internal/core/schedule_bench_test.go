@@ -2,7 +2,7 @@ package core
 
 // Benches for the CSR/schedule refactor, consumed by `make bench-core`
 // (BENCH_core.json): run setup cost heap-vs-schedule, per-step cost over the
-// AoS replica vs the CSR layout, and prefetching StepBatch across batch
+// AoS replica vs the CSR layout, and prefetching StepBatchCtx across batch
 // sizes.
 
 import (
@@ -55,7 +55,7 @@ func BenchmarkStepToCompletion(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run := NewRun(f.plan, pen, f.store)
-			run.RunToCompletion()
+			drainRun(run)
 		}
 	})
 }
@@ -119,7 +119,7 @@ func BenchmarkExactLayout(b *testing.B) {
 	b.Run("hash/csr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.plan.Exact(f.store)
+			mustExactOn(f.plan, f.store, 1)
 		}
 	})
 	b.Run("array/aos", func(b *testing.B) {
@@ -131,12 +131,12 @@ func BenchmarkExactLayout(b *testing.B) {
 	b.Run("array/csr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.plan.Exact(f.array)
+			mustExactOn(f.plan, f.array, 1)
 		}
 	})
 }
 
-// BenchmarkStepBatchPrefetch drains a run through the prefetching StepBatch
+// BenchmarkStepBatchPrefetch drains a run through the prefetching StepBatchCtx
 // at several batch sizes against the hash store — each batch is one
 // BatchGetCtx over the schedule's precomputed key slice.
 func BenchmarkStepBatchPrefetch(b *testing.B) {
@@ -148,7 +148,7 @@ func BenchmarkStepBatchPrefetch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				run := NewRun(f.plan, pen, f.store)
-				for run.StepBatch(size) > 0 {
+				for stepBatch(run, size) > 0 {
 				}
 			}
 		})

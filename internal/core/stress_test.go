@@ -9,15 +9,15 @@ import (
 
 // TestConcurrentRunsSharded is the concurrency stress test: many goroutines
 // each drive their own progressive run to completion against one shared
-// hash store, mixing Step, StepN and StepBatch progressions plus
-// ExactParallel calls. Under -race this validates that reads need no lock
+// hash store, mixing single-step and batched progressions plus exact
+// passes on four workers. Under -race this validates that reads need no lock
 // end to end; the assertions validate that every run still produces the
 // sequential answer and that the shared atomic retrieval counter accounts for
 // every retrieval issued by every goroutine.
 func TestConcurrentRunsSharded(t *testing.T) {
 	f := newFixture(t, 40)
 	shared := newFixture(t, 40).store // the same coefficients, not yet read
-	want := f.plan.Exact(f.store)
+	want := mustExact(f.plan, f.store)
 	distinct := f.plan.DistinctCoefficients()
 
 	const goroutines = 12
@@ -31,17 +31,17 @@ func TestConcurrentRunsSharded(t *testing.T) {
 			switch g % 3 {
 			case 0: // one retrieval at a time
 				run := NewRun(f.plan, penalty.SSE{}, shared)
-				run.RunToCompletion()
+				drainRun(run)
 				estimates[g] = run.Estimates()
 				retrieved[g] = int64(run.Retrieved())
 			case 1: // batched stepping with a mid-size batch
 				run := NewRun(f.plan, penalty.SSE{}, shared)
-				for run.StepBatch(17) > 0 {
+				for stepBatch(run, 17) > 0 {
 				}
 				estimates[g] = run.Estimates()
 				retrieved[g] = int64(run.Retrieved())
 			case 2: // exact evaluation with concurrent batched fetch
-				estimates[g] = f.plan.ExactParallel(shared, 4)
+				estimates[g] = mustExactOn(f.plan, shared, 4)
 				retrieved[g] = int64(distinct)
 			}
 		}(g)
@@ -55,7 +55,7 @@ func TestConcurrentRunsSharded(t *testing.T) {
 		for qi := range want {
 			got := estimates[g][qi]
 			// Progressive runs accumulate in importance order, Exact in key
-			// order, so compare within rounding; ExactParallel (g%3==2) is
+			// order, so compare within rounding; the exact pass (g%3==2) is
 			// bit-identical to Exact by construction.
 			if g%3 == 2 {
 				if got != want[qi] {

@@ -115,13 +115,13 @@ func TestBindBitIdenticalToFreshPlan(t *testing.T) {
 			}
 
 			store := templateStore(rng, 512)
-			assertBitIdentical(t, bound.Exact(store), fresh.Exact(store), "Exact")
+			assertBitIdentical(t, mustExact(bound, store), mustExact(fresh, store), "Exact")
 
 			for _, pen := range invariantPenalties(t, queries) {
 				rb := NewRun(bound, pen, store)
 				rf := NewRun(fresh, pen, store)
 				for !rb.Done() || !rf.Done() {
-					if rb.Step() != rf.Step() {
+					if stepOne(rb) != stepOne(rf) {
 						t.Fatalf("runs disagree on completion")
 					}
 					assertBitIdentical(t, rb.Estimates(), rf.Estimates(), "progressive estimates")
@@ -152,7 +152,7 @@ func TestBindWaveletMatchesFreshWaveletPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPlansBitIdentical(t, bound, fresh, "wavelet bound plan")
-	assertBitIdentical(t, bound.Exact(f.store), fresh.Exact(f.store), "wavelet Exact")
+	assertBitIdentical(t, mustExact(bound, f.store), mustExact(fresh, f.store), "wavelet Exact")
 }
 
 func TestBindDegradedRunBitIdentical(t *testing.T) {
@@ -241,12 +241,12 @@ func TestBindCancelledRunBitIdentical(t *testing.T) {
 	}
 	assertBitIdentical(t, rb.Estimates(), rf.Estimates(), "cancelled estimates")
 	// Resume to completion on a fresh context: still identical, still exact.
-	rb.RunToCompletion()
-	rf.RunToCompletion()
+	drainRun(rb)
+	drainRun(rf)
 	assertBitIdentical(t, rb.Estimates(), rf.Estimates(), "resumed estimates")
 	// Progressive accumulation follows schedule order, Exact follows key
 	// order, so completed-run values match Exact to rounding, not bits.
-	assertClose(t, rb.Estimates(), fresh.Exact(store), 1e-9, "resumed vs exact")
+	assertClose(t, rb.Estimates(), mustExact(fresh, store), 1e-9, "resumed vs exact")
 }
 
 func TestBindRejectsShapeMismatch(t *testing.T) {

@@ -330,7 +330,7 @@ func TestProgressiveRunRealizesBiggestB(t *testing.T) {
 		if math.Abs(run.NextImportance()-wantImp) > 1e-12*(1+wantImp) {
 			t.Fatalf("step %d: next importance %g, want %g", step, run.NextImportance(), wantImp)
 		}
-		run.Step()
+		stepOne(run)
 	}
 }
 

@@ -80,7 +80,7 @@ func TestInsertedTuplesAnswerQueriesExactly(t *testing.T) {
 		}
 	}
 	fx := planOverSchema(t, fxSchema)
-	got := fx.Exact(store)
+	got := mustExact(fx, store)
 	// Direct truth.
 	want := fxBatchOverSchema(t, fxSchema).EvaluateDirect(dist)
 	for i := range got {

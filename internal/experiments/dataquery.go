@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -90,7 +91,10 @@ func RunDataVsQueryApprox(w *Workload) ([]DataVsQueryRow, error) {
 		for _, p := range coeffs[:keep] {
 			synopsis.Add(p.k, p.v)
 		}
-		est := w.Plan.Exact(synopsis)
+		est, err := w.Plan.Exact(context.Background(), synopsis)
+		if err != nil {
+			return nil, err
+		}
 		row := DataVsQueryRow{
 			B:            b,
 			QueryMeanRel: queryMean[b], QueryTotalRel: queryTotal[b],

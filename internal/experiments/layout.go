@@ -124,9 +124,13 @@ func RunLayoutStudy(w *Workload, blockSize int) ([]LayoutRow, error) {
 	for _, l := range layouts {
 		bc := newBlockCounter(cells, l.layout, blockSize)
 		run := core.NewRun(w.Plan, penalty.SSE{}, bc)
-		run.StepN(tenth)
+		if _, err := run.StepBatchCtx(context.Background(), tenth); err != nil {
+			return nil, err
+		}
 		at10 := bc.blocks
-		run.RunToCompletion()
+		if err := run.RunToCompletionCtx(context.Background()); err != nil {
+			return nil, err
+		}
 		if err := exact(l.name, run.Estimates()); err != nil {
 			return nil, err
 		}

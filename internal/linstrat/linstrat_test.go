@@ -1,6 +1,7 @@
 package linstrat
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -173,7 +174,10 @@ func TestBuildPlanRunsEngineOnPrefixSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := storage.NewArrayStore(stored)
-	got := plan.Exact(store)
+	got, err := plan.Exact(context.Background(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := batch.EvaluateDirect(dist)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {

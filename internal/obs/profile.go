@@ -19,7 +19,7 @@ import (
 // Recording sites (all optional — a layer that is not in the stack simply
 // contributes nothing): the server records plan source and build time, the
 // scheduler records queue delay, the evaluation core records one StepProfile
-// per StepBatch, the coalescing store records requested/physical/coalesced
+// per StepBatchCtx, the coalescing store records requested/physical/coalesced
 // key counts, the .wvls layout store records tier hits, the MVCC view
 // records overlay-vs-base splits, and the shard coordinator records per-
 // shard wall time, echoed remote serve time, response bytes and failures.
@@ -43,7 +43,7 @@ type PlanProfile struct {
 	Terms   int `json:"terms,omitempty"`
 }
 
-// StepProfile is one StepBatch of the drain as the profile saw it.
+// StepProfile is one StepBatchCtx of the drain as the profile saw it.
 type StepProfile struct {
 	// Batch is the number of schedule entries the step attempted.
 	Batch int `json:"batch"`
@@ -198,7 +198,7 @@ func (p *QueryProfile) AttachTrace(t *RunTrace) {
 	p.mu.Unlock()
 }
 
-// RecordStep appends one StepBatch: attempted batch size, cumulative
+// RecordStep appends one StepBatchCtx: attempted batch size, cumulative
 // retrieved after the step, entries skipped by this step, wall time, and
 // the bound after the step (0 when unknown).
 func (p *QueryProfile) RecordStep(batch, retrieved, skipped int, d time.Duration, bound float64) {

@@ -47,7 +47,10 @@ func runSequential(b *testing.B, plan *core.Plan, store storage.Store, budgets [
 			if n > 1024 {
 				n = 1024
 			}
-			stepped := run.StepBatch(n)
+			stepped, err := run.StepBatchCtx(context.Background(), n)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if stepped == 0 {
 				break
 			}

@@ -180,7 +180,9 @@ func TestSchedulerRetriesAbsorbTransientFaults(t *testing.T) {
 		t.Fatalf("retries should have absorbed every transient fault: %+v", p)
 	}
 	ref := core.NewRun(plan, penalty.SSE{}, store)
-	ref.RunToCompletion()
+	if err := ref.RunToCompletionCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	for q, e := range p.Estimates {
 		if e != ref.Estimates()[q] {
 			t.Fatalf("query %d: %g != fault-free %g", q, e, ref.Estimates()[q])

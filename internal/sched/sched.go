@@ -2,7 +2,7 @@
 // paper's Batch-Biggest-B makes every retrieval a natural preemption point —
 // after any prefix of the master list the estimates are usable and carry
 // error bounds — and this package exploits exactly that: admitted runs
-// advance in budget slices (Run.StepBatch) under deficit round-robin with
+// advance in budget slices (Run.StepBatchCtx) under deficit round-robin with
 // priority weights, so a huge exact batch shares the store fairly with small
 // progressive ones instead of monopolizing it.
 //
@@ -19,15 +19,15 @@
 //     latest-wins semantics, feeding the server's SSE stream.
 //
 // Determinism: a run's slices execute strictly sequentially (a run is
-// dispatched to at most one worker at a time), and Run.StepBatch is
-// bit-identical to the same number of Run.Step calls, so a scheduled run's
+// dispatched to at most one worker at a time), and a Run.StepBatchCtx of b
+// entries is bit-identical to b batches of one, so a scheduled run's
 // estimates at any retrieval count are value-identical to an unscheduled
 // run's — whatever the slice size, worker count, or competing load.
 //
 // The core engine works in this package's favor twice over: runs sharing a
 // (plan, penalty) pair share one cached retrieval schedule, so admitting a
 // run costs O(batch size) rather than a heap build over the master list,
-// and each StepBatch slice prefetches its whole quantum of keys in a single
+// and each StepBatchCtx slice prefetches its whole quantum of keys in a single
 // batched store call (which is also what gives the coalescing store a full
 // window of overlappable fetches).
 package sched

@@ -49,7 +49,7 @@ func fixture(t testing.TB, queries, coeffsPerQuery, domain int, seed int64) (*co
 // TestScheduledMatchesUnscheduled is the determinism acceptance test: a run
 // advanced by the scheduler — under any slice size, worker count, priority
 // and competing load — lands on exactly the estimates an unscheduled
-// Run.Step sequence produces at the same budget.
+// sequence of single steps produces at the same budget.
 func TestScheduledMatchesUnscheduled(t *testing.T) {
 	plan, store, mass := fixture(t, 12, 40, 2048, 1)
 	distinct := plan.DistinctCoefficients()
@@ -76,7 +76,11 @@ func TestScheduledMatchesUnscheduled(t *testing.T) {
 				if want <= 0 || want > distinct {
 					want = distinct
 				}
-				ref.StepN(want)
+				for ref.Retrieved() < want {
+					if _, err := ref.StepBatchCtx(context.Background(), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if got.Retrieved != want {
 					t.Fatalf("slice %d workers %d budget %d: retrieved %d, want %d",
 						slice, workers, budgets[i], got.Retrieved, want)
@@ -349,7 +353,9 @@ func TestCoalescingAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := core.NewRun(plan, penalty.SSE{}, store)
-		ref.RunToCompletion()
+		if err := ref.RunToCompletionCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		for q, e := range p.Estimates {
 			if e != ref.Estimates()[q] {
 				t.Fatalf("coalesced estimate differs: %g != %g", e, ref.Estimates()[q])

@@ -24,7 +24,7 @@ func mvccHandler(t *testing.T) (*Handler, *repro.Database) {
 }
 
 // mvccDatabase is mvccHandler's database before a handler wraps it.
-func mvccDatabase(t *testing.T) *repro.Database {
+func mvccDatabase(t testing.TB) *repro.Database {
 	t.Helper()
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
 	if err != nil {

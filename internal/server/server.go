@@ -161,7 +161,7 @@ type QueryResponse struct {
 	Skipped int           `json:"skipped,omitempty"`
 	Results []QueryResult `json:"results"`
 	// Profile is the EXPLAIN ANALYZE breakdown — plan source and build time,
-	// queue delay, per-StepBatch timings, per-tier retrieval attribution,
+	// queue delay, per-StepBatchCtx timings, per-tier retrieval attribution,
 	// per-shard rows and the Theorem-1 bound trajectory. Present only when
 	// the request asked for it with ?explain=1.
 	Profile *obs.ProfileSnapshot `json:"profile,omitempty"`

@@ -12,7 +12,7 @@ import (
 	"repro"
 )
 
-func testHandler(t *testing.T) (*Handler, *repro.Database, []float64) {
+func testHandler(t testing.TB) (*Handler, *repro.Database, []float64) {
 	t.Helper()
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
 	if err != nil {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -299,7 +300,9 @@ func TestProgressiveStatisticsThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := core.NewRun(plan, penalty.SSE{}, storage.NewHashStoreFromDense(hat, 0))
-	run.RunToCompletion()
+	if err := run.RunToCompletionCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	exact := m.Batch.EvaluateDirect(dist)
 	for ri := range ranges {
 		// countFloor 0.5: the engine's exact-by-construction counts carry

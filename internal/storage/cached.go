@@ -13,7 +13,8 @@ import (
 // introduction, successive batches overlap heavily (the user refines regions
 // already summarized), so coefficients retrieved for one batch answer the
 // next for free. CachedStore makes that explicit: cache hits cost nothing,
-// and Retrievals reports only the misses that reached the wrapped store.
+// and Retrievals reports only the misses this cache sent to the wrapped
+// store — not what other readers of that store retrieve.
 //
 // A capacity of 0 disables caching; Unbounded keeps everything.
 type CachedStore struct {
@@ -22,6 +23,7 @@ type CachedStore struct {
 	lru      *list.List // front = most recently used
 	index    map[int]*list.Element
 	hits     int64
+	misses   int64
 }
 
 type cachedCell struct {
@@ -62,6 +64,7 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	}
 	if s.capacity == 0 {
 		// Caching disabled: forward the whole batch.
+		s.misses += int64(len(keys))
 		return s.inner.BatchGetCtx(ctx, keys, dst)
 	}
 	var missKeys []int
@@ -91,6 +94,7 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 		return nil
 	}
 	missVals := make([]float64, len(missKeys))
+	s.misses += int64(len(missKeys))
 	err := s.inner.BatchGetCtx(ctx, missKeys, missVals)
 	var failed map[int]error // missKeys index → cause
 	if err != nil {
@@ -136,9 +140,10 @@ func (s *CachedStore) insert(key int, v float64) {
 	s.index[key] = s.lru.PushFront(cachedCell{key: key, val: v})
 }
 
-// Retrievals implements Store: only misses reach the wrapped store, so this
-// is the session's true I/O count.
-func (s *CachedStore) Retrievals() int64 { return s.inner.Retrievals() }
+// Retrievals implements Store: the keys this cache sent to the wrapped store
+// (its misses), the session's own I/O count. The wrapped store's counter,
+// which every other reader of it moves too, is not consulted.
+func (s *CachedStore) Retrievals() int64 { return s.misses }
 
 // Hits returns the number of retrievals served from the cache.
 func (s *CachedStore) Hits() int64 { return s.hits }
@@ -146,11 +151,11 @@ func (s *CachedStore) Hits() int64 { return s.hits }
 // Cached returns the number of coefficients currently cached.
 func (s *CachedStore) Cached() int { return s.lru.Len() }
 
-// ResetStats implements Store, zeroing counters but keeping cached contents
-// (use ClearCache to drop them).
+// ResetStats implements Store, zeroing this cache's counters but keeping
+// its contents (use ClearCache to drop them). The wrapped store's counter is
+// not this cache's to reset.
 func (s *CachedStore) ResetStats() {
-	s.inner.ResetStats()
-	s.hits = 0
+	s.hits, s.misses = 0, 0
 }
 
 // ClearCache drops every cached coefficient.

@@ -77,7 +77,7 @@ type concurrencyCapable interface {
 
 // IsConcurrent reports whether s is safe for use from multiple goroutines.
 // The evaluation engine uses it to decide whether retrievals may be issued
-// in parallel (Plan.ExactParallelCtx) and CoalescingStore refuses to wrap a
+// in parallel (Plan.Exact) and CoalescingStore refuses to wrap a
 // store that is not.
 func IsConcurrent(s Store) bool {
 	c, ok := s.(concurrencyCapable)

@@ -328,11 +328,14 @@ func TestStoreContract(t *testing.T) {
 				}
 			}
 
-			got, err := plan.ExactCtx(ctx, s.store)
+			got, err := plan.Exact(ctx, s.store)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := plan.Exact(array(s.want))
+			want, err := plan.Exact(ctx, array(s.want))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("Exact query %d = %v through the store, %v through the array store", i, got[i], want[i])
@@ -381,7 +384,7 @@ func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, 
 					return
 				}
 			}
-			got, err := plan.ExactCtx(ctx, s.store)
+			got, err := plan.Exact(ctx, s.store)
 			if err != nil {
 				errs <- err
 				return

@@ -89,8 +89,8 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 		if layoutRun.Done() {
 			t.Fatal("layout run finished early")
 		}
-		memRun.Step()
-		layoutRun.Step()
+		stepOne(memRun)
+		stepOne(layoutRun)
 		step++
 		me, le := memRun.Estimates(), layoutRun.Estimates()
 		for q := range me {
@@ -106,12 +106,12 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 		t.Fatal("layout run not done when memory run is")
 	}
 
-	// Batched drain too — StepBatch is the server's stepping shape.
+	// Batched drain too — StepBatchCtx is the server's stepping shape.
 	memRun2 := db.NewRun(plan, SSE())
 	layoutRun2 := ldb.NewRun(plan, SSE())
 	for !memRun2.Done() {
-		memRun2.StepBatch(7)
-		layoutRun2.StepBatch(7)
+		stepBatch(memRun2, 7)
+		stepBatch(layoutRun2, 7)
 		me, le := memRun2.Estimates(), layoutRun2.Estimates()
 		for q := range me {
 			if le[q] != me[q] {
@@ -168,8 +168,8 @@ func TestLayoutDenseDrainBitIdentity(t *testing.T) {
 	}
 	memRun, layoutRun := db.NewRun(plan, SSE()), ldb.NewRun(plan, SSE())
 	for !memRun.Done() {
-		memRun.StepBatch(5)
-		layoutRun.StepBatch(5)
+		stepBatch(memRun, 5)
+		stepBatch(layoutRun, 5)
 		me, le := memRun.Estimates(), layoutRun.Estimates()
 		for q := range me {
 			if le[q] != me[q] {

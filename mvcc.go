@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/mvcc"
 	"repro/internal/storage"
@@ -55,9 +54,9 @@ type MVCCStats = mvcc.Stats
 // EnableMVCC converts the database to multi-version concurrency control:
 // every write (Apply, Insert, Delete) publishes an immutable coefficient
 // layer over a frozen base, readers evaluate against immutable snapshots
-// (NewRun/Exact*/Session capture the head at start time and stay bit-stable
-// however many writes land mid-drain), and a background compactor folds
-// layers back into a fresh base.
+// (NewRun/Exact/ExactCtx/Session capture the head at start time and stay
+// bit-stable however many writes land mid-drain), and a background
+// compactor folds layers back into a fresh base.
 //
 // The opened base becomes the frozen version-0 base, the declared store
 // stack (retries, fault injection, instrumentation, coalescing — enabled
@@ -162,11 +161,11 @@ func (db *Database) CompactNow(ctx context.Context) error {
 // Snapshot is a pinned, immutable view of one database version. It
 // implements Evaluator — plans, exact evaluation and progressive runs
 // against it serve bit-stable coefficients however many writes land after
-// the pin — and stays addressable by SnapshotAt until Release.
+// the pin; its Retrievals and ResetStats are the counter every view of the
+// database shares — and stays addressable by SnapshotAt until Release.
 type Snapshot struct {
-	db    *Database
-	sn    *mvcc.Snapshot
-	store storage.Store
+	evaluator
+	sn *mvcc.Snapshot
 }
 
 // Snapshot pins the current head version. Release it when done; the
@@ -175,8 +174,7 @@ func (db *Database) Snapshot() (*Snapshot, error) {
 	if db.mvcc == nil {
 		return nil, fmt.Errorf("repro: snapshots require MVCC (call EnableMVCC)")
 	}
-	sn := db.mvcc.Snapshot()
-	return &Snapshot{db: db, sn: sn, store: sn.View()}, nil
+	return newSnapshot(db, db.mvcc.Snapshot()), nil
 }
 
 // SnapshotAt pins a specific retained version, or reports
@@ -189,7 +187,12 @@ func (db *Database) SnapshotAt(v Version) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{db: db, sn: sn, store: sn.View()}, nil
+	return newSnapshot(db, sn), nil
+}
+
+// newSnapshot wraps a pinned version: every evaluation reads its view.
+func newSnapshot(db *Database, sn *mvcc.Snapshot) *Snapshot {
+	return &Snapshot{evaluator: evaluator{db: db, store: sn.View()}, sn: sn}
 }
 
 // Release unpins the snapshot (idempotent). The view stays readable while
@@ -209,45 +212,6 @@ func (s *Snapshot) NonzeroCoefficients() int { return s.sn.Nonzero() }
 // Theorem-1 worst-case bounds (exact incremental bookkeeping, no
 // enumeration).
 func (s *Snapshot) CoefficientMass() (float64, error) { return s.sn.Mass(), nil }
-
-// Plan rewrites a batch under the snapshot's database (plans depend only on
-// schema and filter, which never change across versions).
-func (s *Snapshot) Plan(batch Batch) (*Plan, error) { return s.db.Plan(batch) }
-
-// Exact evaluates a plan exactly against the pinned version.
-func (s *Snapshot) Exact(plan *Plan) []float64 { return plan.Exact(s.store) }
-
-// ExactParallel is Exact with batched retrieval and parallel accumulation.
-func (s *Snapshot) ExactParallel(plan *Plan, workers int) []float64 {
-	return plan.ExactParallel(s.store, workers)
-}
-
-// ExactCtx evaluates the plan exactly, returning retrieval failures and
-// ctx.Err() instead of panicking.
-func (s *Snapshot) ExactCtx(ctx context.Context, plan *Plan) ([]float64, error) {
-	return plan.ExactCtx(ctx, s.store)
-}
-
-// ExactParallelCtx is ExactCtx with batched retrieval and parallel
-// accumulation.
-func (s *Snapshot) ExactParallelCtx(ctx context.Context, plan *Plan, workers int) ([]float64, error) {
-	return plan.ExactParallelCtx(ctx, s.store, workers)
-}
-
-// NewRun starts a progressive run against the pinned version: every
-// estimate it ever produces is a pure function of the pinned state.
-func (s *Snapshot) NewRun(plan *Plan, pen Penalty) *Run {
-	return core.NewRun(plan, pen, s.store)
-}
-
-// Retrievals reports retrievals through the owning database's store (the
-// counter is shared across all views).
-func (s *Snapshot) Retrievals() int64 { return s.store.Retrievals() }
-
-// ResetStats zeroes the shared retrieval counter.
-func (s *Snapshot) ResetStats() { s.store.ResetStats() }
-
-var _ Evaluator = (*Snapshot)(nil)
 
 // IngestCSV streams CSV rows into the database as batched applies: rows are
 // quantized onto the schema's bins under the database's recorded windows

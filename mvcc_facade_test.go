@@ -77,7 +77,7 @@ func TestMVCCDrainBitStableUnderApplies(t *testing.T) {
 	applied := 0
 	var estimates [][]float64
 	for !run.Done() {
-		run.Step()
+		stepOne(run)
 		estimates = append(estimates, append([]float64(nil), run.Estimates()...))
 		// Interleave the burst through the whole drain.
 		if applied < len(batches) && run.Retrieved()%7 == 0 {
@@ -100,7 +100,7 @@ func TestMVCCDrainBitStableUnderApplies(t *testing.T) {
 	// match bit for bit.
 	replay := snap.NewRun(plan, SSE())
 	for step := 0; !replay.Done(); step++ {
-		replay.Step()
+		stepOne(replay)
 		want := replay.Estimates()
 		got := estimates[step]
 		for q := range want {

@@ -13,7 +13,7 @@ import (
 // (Stack.Instrument).
 
 // Re-exported diagnostics vocabulary: a QueryProfile is the per-run EXPLAIN
-// ANALYZE accumulator (plan source and build time, queue delay, per-StepBatch
+// ANALYZE accumulator (plan source and build time, queue delay, per-StepBatchCtx
 // timings, per-tier retrieval attribution, per-shard rows, bound trajectory);
 // ProfileSnapshot is its JSON shape — the `profile` section of an ?explain=1
 // response and the /debug/profiles ring entry.

@@ -105,22 +105,9 @@ func (pp *PreparedPlan) Reorder(canonical []float64) []float64 {
 	return out
 }
 
-// NewPreparedRun starts a progressive run on the prepared plan — identical
-// to NewRun(pp.Plan(), pen) and shown here as the execute half of the
-// prepare/execute split.
-func (db *Database) NewPreparedRun(pp *PreparedPlan, pen Penalty) *Run {
-	return db.NewRun(pp.Plan(), pen)
-}
-
 // Prepare registers the batch in the underlying database's shared registry
 // (sessions share prepared plans — they are immutable — while keeping their
 // private retrieval cache for execution).
 func (s *Session) Prepare(batch Batch) (*PreparedPlan, bool, error) {
 	return s.db.Prepare(batch)
-}
-
-// NewPreparedRun starts a progressive run on the prepared plan through the
-// session's retrieval cache.
-func (s *Session) NewPreparedRun(pp *PreparedPlan, pen Penalty) *Run {
-	return s.NewRun(pp.Plan(), pen)
 }

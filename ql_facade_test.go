@@ -78,7 +78,7 @@ func TestCoefficientMassAndWorstCaseBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := db.NewRun(plan, SSE())
-	run.StepN(2)
+	stepN(run, 2)
 	bound := run.WorstCaseBound(mass)
 	if bound <= 0 {
 		t.Fatalf("bound = %g mid-run", bound)
@@ -93,7 +93,7 @@ func TestCoefficientMassAndWorstCaseBound(t *testing.T) {
 	if sse > bound+1e-9 {
 		t.Fatalf("actual SSE %g exceeds worst-case bound %g", sse, bound)
 	}
-	run.RunToCompletion()
+	drainRun(run)
 	if run.WorstCaseBound(mass) != 0 {
 		t.Fatal("bound should vanish at completion")
 	}

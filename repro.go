@@ -15,10 +15,13 @@
 //	batch, _ := repro.SumBatch(schema, ranges, "salary")
 //	plan, _ := db.Plan(batch)
 //
+//	ctx := context.Background()
 //	run := db.NewRun(plan, repro.SSE())
-//	run.StepN(128)                           // progressive estimates …
+//	_, _ = run.StepBatchCtx(ctx, 128)        // progressive estimates …
 //	_ = run.Estimates()
-//	run.RunToCompletion()                    // … now exact
+//	_ = run.RunToCompletionCtx(ctx)          // … now exact
+//
+//	_ = db.Exact(plan)                       // or exactly, in one pass
 //
 // This package reaches alternative filters (Haar…Db12), cursored/Laplacian/Lp
 // penalties, incremental tuple updates, the round-robin per-query baseline,
@@ -388,17 +391,6 @@ func (db *Database) Plan(batch Batch) (*Plan, error) {
 	return core.NewWaveletPlan(batch, db.filter)
 }
 
-// PlanParallel is Plan with an explicit rewrite worker count (≤0 selects
-// GOMAXPROCS). The resulting plan is identical for every worker count.
-func (db *Database) PlanParallel(batch Batch, workers int) (*Plan, error) {
-	for _, q := range batch {
-		if !q.Schema.Equal(db.schema) {
-			return nil, fmt.Errorf("repro: query schema does not match database schema")
-		}
-	}
-	return core.NewWaveletPlanParallel(batch, db.filter, workers)
-}
-
 // enumStore returns the surface that can walk the view's coefficients — the
 // head snapshot under MVCC (one stable version), otherwise the base — and
 // whether it can: a shard coordinator holds none to walk.
@@ -423,18 +415,10 @@ func (db *Database) evalStore() storage.Store {
 }
 
 // Exact evaluates a plan exactly with one retrieval per distinct
-// coefficient. It panics if a retrieval fails; use ExactCtx where the store
-// can (files, shards, injected faults).
-func (db *Database) Exact(plan *Plan) []float64 { return plan.Exact(db.evalStore()) }
-
-// ExactParallel evaluates a plan exactly using batched retrievals and up to
-// workers goroutines (≤0 selects GOMAXPROCS); results are bit-identical to
-// Exact. The workers retrieve concurrently, which every store a database is
-// served from allows: any number of readers, as long as no plain write runs
-// beside them (EnableMVCC for writes beside readers).
-func (db *Database) ExactParallel(plan *Plan, workers int) []float64 {
-	return plan.ExactParallel(db.evalStore(), workers)
-}
+// coefficient, fetching and accumulating on GOMAXPROCS workers (the answer
+// has the same bits at any worker count). It panics if a retrieval fails;
+// use ExactCtx where the store can (files, shards, injected faults).
+func (db *Database) Exact(plan *Plan) []float64 { return mustExact(plan, db.evalStore()) }
 
 // CoalesceStats reports cross-run I/O sharing: of the coefficients
 // requested through the coalescing layer, how many were physically fetched

@@ -1,9 +1,37 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 )
+
+// stepOne advances r by one schedule entry, a batch of one, and reports
+// whether it advanced.
+func stepOne(r *Run) bool {
+	n, _ := r.StepBatchCtx(context.Background(), 1) // a background context never ends
+	return n > 0
+}
+
+// stepN takes up to n single steps and returns how many it took.
+func stepN(r *Run, n int) int {
+	done := 0
+	for done < n && stepOne(r) {
+		done++
+	}
+	return done
+}
+
+// stepBatch advances r by up to b entries in one batched retrieval.
+func stepBatch(r *Run, b int) int {
+	n, _ := r.StepBatchCtx(context.Background(), b) // a background context never ends
+	return n
+}
+
+// drainRun runs r to completion one entry at a time.
+func drainRun(r *Run) {
+	_ = r.RunToCompletionCtx(context.Background()) // a background context never ends
+}
 
 func facadeFixture(t *testing.T) (*Schema, *Distribution, *Database, Batch, []float64) {
 	t.Helper()
@@ -57,11 +85,11 @@ func TestDatabaseProgressiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := db.NewRun(plan, SSE())
-	run.StepN(32)
+	stepN(run, 32)
 	if run.Retrieved() != 32 {
 		t.Fatalf("Retrieved = %d", run.Retrieved())
 	}
-	run.RunToCompletion()
+	drainRun(run)
 	for i, v := range run.Estimates() {
 		if math.Abs(v-truth[i]) > 1e-6*(1+math.Abs(truth[i])) {
 			t.Fatalf("query %d: got %g want %g", i, v, truth[i])

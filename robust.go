@@ -9,8 +9,8 @@ import (
 // This file is the facade of the robustness layer: context-aware exact
 // evaluation and the vocabulary of the retry and fault layers, which a
 // Stack declares (SetStack). The progressive counterparts live on Run
-// (StepCtx, StepBatchCtx, RunToCompletionCtx, RetrySkipped, Degraded, …),
-// re-exported via types.go.
+// (StepBatchCtx, RunToCompletionCtx, RetrySkipped, Degraded, …), re-exported
+// via types.go.
 
 // Re-exported robustness vocabulary from internal/storage.
 type (
@@ -39,12 +39,5 @@ var (
 // failures use a progressive Run, which skips failed entries and bounds the
 // residual.
 func (db *Database) ExactCtx(ctx context.Context, plan *Plan) ([]float64, error) {
-	return plan.ExactCtx(ctx, db.evalStore())
-}
-
-// ExactParallelCtx is ExactCtx on up to workers goroutines (≤0 selects
-// GOMAXPROCS): batched context-aware retrieval, parallel apply,
-// bit-identical for every worker count.
-func (db *Database) ExactParallelCtx(ctx context.Context, plan *Plan, workers int) ([]float64, error) {
-	return plan.ExactParallelCtx(ctx, db.evalStore(), workers)
+	return plan.Exact(ctx, db.evalStore())
 }

@@ -49,9 +49,6 @@ func TestInjectFaultsRestoreRoundTrip(t *testing.T) {
 	if _, err := db.ExactCtx(ctx, plan); !errors.Is(err, ErrInjected) {
 		t.Fatalf("ExactCtx under total fault injection: %v, want ErrInjected", err)
 	}
-	if _, err := db.ExactParallelCtx(ctx, plan, 4); !errors.Is(err, ErrInjected) {
-		t.Fatalf("ExactParallelCtx under faults: %v, want ErrInjected", err)
-	}
 	// The context-free convenience has no error to return: it panics.
 	func() {
 		defer func() {
@@ -130,36 +127,46 @@ func TestDegradedRunThroughFacade(t *testing.T) {
 }
 
 // TestEvaluatorInterfaceParity drives the same batch through the Evaluator
-// interface backed by a Database and by a Session; both routes must agree,
-// and the context-aware methods must match the context-free ones bit for bit.
+// interface backed by a Database, a Session and a pinned MVCC Snapshot: every
+// route must agree bit for bit — Exact, ExactCtx and a drain — and each must
+// count its retrievals and zero them on ResetStats.
 func TestEvaluatorInterfaceParity(t *testing.T) {
 	db, plan := robustFixture(t)
 	sess, err := db.NewSession(256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mdb, _ := robustFixture(t)
+	if err := mdb.EnableMVCC(MVCCConfig{DisableAutoCompact: true}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := mdb.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	// A write after the pin must not reach the snapshot.
+	if err := mdb.Insert([]int{3, 3}); err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	want := db.Exact(plan)
-	for _, ev := range []Evaluator{db, sess} {
+	for _, ev := range []Evaluator{db, sess, snap} {
 		exact := ev.Exact(plan)
 		exactCtx, err := ev.ExactCtx(ctx, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := ev.ExactParallel(plan, 4)
-		parCtx, err := ev.ExactParallelCtx(ctx, plan, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := range want {
-			if exact[i] != want[i] || exactCtx[i] != want[i] ||
-				par[i] != want[i] || parCtx[i] != want[i] {
-				t.Fatalf("evaluator %T disagrees on query %d: %g %g %g %g, want %g",
-					ev, i, exact[i], exactCtx[i], par[i], parCtx[i], want[i])
+			if exact[i] != want[i] || exactCtx[i] != want[i] {
+				t.Fatalf("evaluator %T disagrees on query %d: %g %g, want %g",
+					ev, i, exact[i], exactCtx[i], want[i])
 			}
 		}
 		run := ev.NewRun(plan, SSE())
-		run.RunToCompletion()
+		if err := run.RunToCompletionCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
 		for i, est := range run.Estimates() {
 			if est != want[i] {
 				t.Fatalf("evaluator %T run estimate %d: %g != %g", ev, i, est, want[i])
@@ -192,9 +199,6 @@ func TestSessionFallibleSurfacesFaults(t *testing.T) {
 	ctx := context.Background()
 	if _, err := sess.ExactCtx(ctx, plan); !errors.Is(err, ErrInjected) {
 		t.Fatalf("session ExactCtx: %v, want ErrInjected", err)
-	}
-	if _, err := sess.ExactParallelCtx(ctx, plan, 4); !errors.Is(err, ErrInjected) {
-		t.Fatalf("session ExactParallelCtx: %v, want ErrInjected", err)
 	}
 	// A pass while the outage is lifted warms the cache …
 	outage.Store(false)

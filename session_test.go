@@ -113,7 +113,7 @@ func TestSessionProgressiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := sess.NewRun(plan, SSE())
-	run.RunToCompletion()
+	drainRun(run)
 	truth := batch.EvaluateDirect(dist)
 	for i, v := range run.Estimates() {
 		if math.Abs(v-truth[i]) > 1e-6*(1+math.Abs(truth[i])) {
@@ -123,7 +123,7 @@ func TestSessionProgressiveRun(t *testing.T) {
 	// Re-running the same plan in the same session is free.
 	before := sess.Retrievals()
 	run2 := sess.NewRun(plan, SSE())
-	run2.RunToCompletion()
+	drainRun(run2)
 	if sess.Retrievals() != before {
 		t.Fatalf("rerun paid %d extra misses", sess.Retrievals()-before)
 	}
@@ -134,6 +134,34 @@ func TestSessionProgressiveRun(t *testing.T) {
 	sess.ClearCache()
 	if sess.CachedCoefficients() != 0 {
 		t.Fatal("ClearCache failed")
+	}
+}
+
+// TestSessionCountsItsOwnRetrievals: a session's counters are its own I/O.
+// Retrievals made beside it through the database do not show up in them,
+// and resetting them leaves the database's counter where it was.
+func TestSessionCountsItsOwnRetrievals(t *testing.T) {
+	db, plan := robustFixture(t)
+	sess, err := db.NewSession(UnboundedCache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Exact(plan)
+	own := sess.Retrievals()
+	if own != int64(plan.DistinctCoefficients()) {
+		t.Fatalf("session retrievals %d, want %d", own, plan.DistinctCoefficients())
+	}
+	db.Exact(plan)
+	if got := sess.Retrievals(); got != own {
+		t.Fatalf("session retrievals %d after a database pass beside it, want its own %d", got, own)
+	}
+	dbCount := db.Retrievals()
+	sess.ResetStats()
+	if sess.Retrievals() != 0 || sess.Hits() != 0 {
+		t.Fatalf("session ResetStats left retrievals %d, hits %d", sess.Retrievals(), sess.Hits())
+	}
+	if db.Retrievals() != dbCount {
+		t.Fatalf("session ResetStats moved the database's counter %d → %d", dbCount, db.Retrievals())
 	}
 }
 
