@@ -177,13 +177,14 @@ bench-dist:
 # progressive drain over a 10M-coefficient .wvls layout (mmap and pread
 # paths) against a raw sequential-read bandwidth ceiling. The fixture build
 # takes ~30s. The in-memory store's row comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
-# coefficient dense .wvdb (loaded as arrays) and a sparse one (a table):
+# coefficient dense .wvdb (loaded as arrays) and a sparse one (a table), and
+# LoadShardServer of shard 0 of 2 of the 6.3 M file (an array):
 # seconds, bytes allocated, resident bytes/coefficient, and ns/key of the
 # loaded store's lookups in schedule order and on uniform keys. The last line
 # is the singleflight layer's cost to one caller, against the bare store.
 bench-storage:
 	$(GO) test -run NONE -bench 'BenchmarkStorage' -benchmem -benchtime=2x -timeout 30m ./internal/storage/layout/
-	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase' -benchmem -benchtime=5x .
+	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase|BenchmarkLoadShardServer' -benchmem -benchtime=5x .
 	$(GO) test -run NONE -bench 'BenchmarkStoreBatchGet' -benchtime=2000x .
 	$(GO) test -run NONE -bench 'BenchmarkCoalescingBatchGet' -benchmem -benchtime=20000x ./internal/storage/
 

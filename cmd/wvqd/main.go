@@ -266,6 +266,8 @@ type mvccConfig struct {
 
 func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack repro.Stack, dist distConfig, mvcc mvccConfig, drainTimeout time.Duration, log *slog.Logger) error {
 	var db *repro.Database
+	// load_ms on the "serving" line: open to store ready.
+	opened := time.Now()
 	switch {
 	case len(dist.shards) > 0:
 		var err error
@@ -301,6 +303,7 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack 
 			return err
 		}
 	}
+	loadMS := float64(time.Since(opened).Microseconds()) / 1e3
 	defer func() { _ = db.Close() }()
 	// The database builds the declared layers in its one fixed order, MVCC's
 	// write layers on top (the "serving" line prints the result).
@@ -337,7 +340,8 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack 
 		"sizes", fmt.Sprint(db.Schema().Sizes),
 		"coefficients", db.NonzeroCoefficients(),
 		"filter", db.Filter().Name,
-		"store_stack", db.StoreStack())
+		"store_stack", db.StoreStack(),
+		"load_ms", loadMS)
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           h,
@@ -395,6 +399,7 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack 
 // context (wire v2) record shard-side spans under the coordinator's request
 // ID, served at /debug/traces on the -pprof listener.
 func runShard(dbPath, listen string, index, count int, pprofAddr string, log *slog.Logger) error {
+	opened := time.Now()
 	f, err := os.Open(dbPath)
 	if err != nil {
 		return fmt.Errorf("opening database (create one with wvload or wvq -create): %w", err)
@@ -404,6 +409,7 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 	if err != nil {
 		return err
 	}
+	loadMS := float64(time.Since(opened).Microseconds()) / 1e3
 	o := obs.NewObserver()
 	o.Log = log
 	ss.ObserveSpans(o.Spans)
@@ -431,7 +437,8 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 		"coefficients", ss.Nonzero(),
 		"mass", ss.Mass(),
 		"filter", ss.FilterName(),
-		"store_stack", ss.StoreStack())
+		"store_stack", ss.StoreStack(),
+		"load_ms", loadMS)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

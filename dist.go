@@ -55,7 +55,7 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 	if !ok {
 		return nil, fmt.Errorf("repro: store %T cannot enumerate; cannot partition it into shards", st)
 	}
-	part, nonzero, mass, err := dist.Partition(st.(storage.Enumerable), index, count)
+	part, nonzero, mass, err := dist.Partition(st.(storage.Enumerable), index, count, db.schema.Cells())
 	if err != nil {
 		return nil, err
 	}

@@ -128,11 +128,13 @@ func (p *Partitioner) Result() (storage.MemoryStore, int64, float64) {
 	return p.store, p.nonzero, p.mass
 }
 
-// Partition extracts shard index's slice of a full coefficient store: the
-// nonzero entries whose key storage.ShardOf assigns to index (see
-// Partitioner for what comes back). An enumeration declares no domain, so
-// the partition is held as the domain-unknown case of NewPartitioner.
-func Partition(src storage.Enumerable, index, count int) (storage.MemoryStore, int64, float64, error) {
+// Partition extracts shard index's slice of a full coefficient store over a
+// domain of cells cells (0 when unknown): the nonzero entries whose key
+// storage.ShardOf assigns to index (see Partitioner for what comes back).
+// It sizes the partition as a streamed load does — the even share
+// ⌈total/count⌉ of the store's nonzero total — so a shard cut from a live
+// store is held the way the same shard streamed from its file is.
+func Partition(src storage.Enumerable, index, count, cells int) (storage.MemoryStore, int64, float64, error) {
 	if err := validShard(index, count); err != nil {
 		return nil, 0, 0, err
 	}
@@ -141,14 +143,16 @@ func Partition(src storage.Enumerable, index, count int) (storage.MemoryStore, i
 		v float64
 	}
 	var pairs []pair
+	total := 0
 	src.ForEachNonzero(func(k int, v float64) bool {
+		total++
 		if storage.ShardOf(k, count) == index {
 			pairs = append(pairs, pair{k, v})
 		}
 		return true
 	})
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-	p, err := NewPartitioner(index, count, 0, len(pairs))
+	p, err := NewPartitioner(index, count, cells, (total+count-1)/count)
 	if err != nil {
 		return nil, 0, 0, err
 	}

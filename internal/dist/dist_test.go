@@ -56,7 +56,7 @@ func TestPartitionDisjointCompleteAndMassPreserving(t *testing.T) {
 	var nonzero int64
 	var massSum float64
 	for i := 0; i < shards; i++ {
-		part, nz, mass, err := Partition(src, i, shards)
+		part, nz, mass, err := Partition(src, i, shards, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,10 +89,10 @@ func TestPartitionDisjointCompleteAndMassPreserving(t *testing.T) {
 		t.Fatalf("mass drifted: shards sum %g, source %g (rel %g)", massSum, totalMass, d)
 	}
 	// Errors: bad count, bad index.
-	if _, _, _, err := Partition(src, 0, 3); err == nil {
+	if _, _, _, err := Partition(src, 0, 3, 1<<20); err == nil {
 		t.Fatal("non-power-of-two count accepted")
 	}
-	if _, _, _, err := Partition(src, 4, 4); err == nil {
+	if _, _, _, err := Partition(src, 4, 4, 1<<20); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 }
@@ -311,7 +311,7 @@ func TestCoordinatorMergesAndDegrades(t *testing.T) {
 	const n = 4
 	shards := make([]storage.Store, n)
 	for i := 0; i < n; i++ {
-		part, _, _, err := Partition(full, i, n)
+		part, _, _, err := Partition(full, i, n, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ func TestCoordinatorProfileWireAttribution(t *testing.T) {
 	remotes := make([]*RemoteStore, shardN)
 	shards := make([]storage.Store, shardN)
 	for i := 0; i < shardN; i++ {
-		part, _, _, err := Partition(src, i, shardN)
+		part, _, _, err := Partition(src, i, shardN, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,8 +117,8 @@ func designStacks(t *testing.T) map[string]string {
 // fault, retry and timing layers they declare, then the handler — and checks
 // StoreStack() against the table DESIGN.md §11 prints, so the two change
 // together. The dense file is as dense as the benchmark's (≈ 3/4 of the
-// cells), so each half of a 2-shard split is under the 7/16 of the domain
-// that makes an array.
+// cells), so each half of a 2-shard split is over the 7/32 of the domain that
+// makes an array; the sparse file is under it.
 func TestPrintedStacksMatchDesign(t *testing.T) {
 	rows := designStacks(t)
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
@@ -136,7 +136,7 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	dense, sparse := save(30), save(3) // 776 and 295 of 1 024 cells
+	dense, sparse := save(30), save(1) // 776 and 132 of 1 024 cells
 	load := func(file []byte) func() *repro.Database {
 		return func() *repro.Database {
 			db, err := repro.LoadDatabase(bytes.NewReader(file))

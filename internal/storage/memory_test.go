@@ -15,10 +15,12 @@ func TestNewMemoryStoreRule(t *testing.T) {
 		cells, count int
 		array        bool
 	}{
-		{"7/16 of a power-of-two domain ties: table", 1 << 10, 7 << 6, false},
-		{"one more: array", 1 << 10, 7<<6 + 1, true},
-		{"7/16 of the benchmark's domain ties", 1 << 23, 7 << 19, false},
-		{"one more there", 1 << 23, 7<<19 + 1, true},
+		{"7/32 of a power-of-two domain: table", 1 << 10, 7 << 5, false},
+		{"one more ties: array", 1 << 10, 7<<5 + 1, true},
+		{"the old 7/16 tie: array", 1 << 10, 7 << 6, true},
+		{"7/32 of the benchmark's domain", 1 << 23, 7 << 18, false},
+		{"one more there", 1 << 23, 7<<18 + 1, true},
+		{"the old 7/16 tie there", 1 << 23, 7 << 19, true},
 		{"empty", 1 << 10, 0, false},
 		{"empty, tiny domain: the 8-slot floor of a table is still the larger", 8, 0, true},
 		{"every cell nonzero", 1 << 10, 1 << 10, true},
@@ -34,20 +36,20 @@ func TestNewMemoryStoreRule(t *testing.T) {
 }
 
 // TestNewMemoryStoreNeverAllocatesMoreThanTheTable: whatever sizes a header
-// declares, the array branch is taken only when it is strictly the smaller
+// declares, the array branch is taken only when it is not the larger
 // allocation, so lying about them buys nothing the table did not already
 // cost.
 func TestNewMemoryStoreNeverAllocatesMoreThanTheTable(t *testing.T) {
 	for cellBits := 0; cellBits <= 16; cellBits++ {
 		cells := 1 << cellBits
-		// Every count near a power of two or near the 7/8 and 7/16 marks of
-		// one, clipped to the domain as the decoder clips it.
+		// Every count near a power of two or near the 7/8, 7/16 and 7/32
+		// marks of one, clipped to the domain as the decoder clips it.
 		for bits := 0; bits <= cellBits; bits++ {
-			for _, base := range []int{1 << bits, 7 << bits >> 3, 7 << bits >> 4} {
+			for _, base := range []int{1 << bits, 7 << bits >> 3, 7 << bits >> 4, 7 << bits >> 5} {
 				for count := max(base-2, 0); count <= min(base+2, cells); count++ {
 					s := NewMemoryStore(cells, count, 1)
 					table := NewHashStoreSized(count)
-					if a, ok := s.(*ArrayStore); ok && len(a.cells)*8 >= len(table.cells.slots)*16 {
+					if a, ok := s.(*ArrayStore); ok && len(a.cells)*8 > len(table.cells.slots)*16 {
 						t.Fatalf("cells %d count %d: a %d-byte array over a %d-byte table",
 							cells, count, len(a.cells)*8, len(table.cells.slots)*16)
 					}
@@ -65,16 +67,16 @@ func TestNewMemoryStoreNeverAllocatesMoreThanTheTable(t *testing.T) {
 // ShardOf spent, and either outcome holds and serves what it is given.
 func TestNewMemoryStorePartition(t *testing.T) {
 	const cells, parts = 1 << 12, 4
-	for _, count := range []int{cells / parts, cells / 16} { // 1024 of 4096 cells, and 256: table both times
+	for _, count := range []int{cells / 8, cells / 16} { // 512 of 4096 cells, and 256: table both times
 		s := NewMemoryStore(cells, count, parts)
 		h, ok := s.(*HashStore)
 		if !ok || h.cells.skip != 2 {
 			t.Fatalf("count %d: got %T (skip %v), want a table skipping 2 hash bits", count, s, ok && h.cells.skip == 2)
 		}
 	}
-	dense := NewMemoryStore(cells, cells/2, 2) // half the cells: over 7/16
+	dense := NewMemoryStore(cells, cells/parts, parts) // a quarter of the cells: over 7/32
 	if !isArray(dense) {
-		t.Fatalf("a partition holding half its domain is held as %T", dense)
+		t.Fatalf("a partition holding a quarter of its domain is held as %T", dense)
 	}
 	for _, s := range []MemoryStore{dense, NewMemoryStore(cells, cells/16, parts)} {
 		n := 0

@@ -112,23 +112,24 @@ type MemoryStore interface {
 
 // NewMemoryStore returns the empty in-memory base store for count nonzero
 // coefficients of a domain of cells cells: the paper's array-based storage
-// when the dense array is strictly smaller than the hash table the count
-// would reserve, its hash-based storage otherwise. A slot is 16 bytes and a
-// cell 8, so that is cells < 2·slots(count); for a power-of-two domain,
-// exactly count > 7/16·cells. A tie stays on the table, which does not grow
-// with the domain. partitions > 1 says the store will hold one
-// ShardOf(·, partitions) partition of a key set (see NewHashStorePartition);
-// count is then that partition's share. cells ≤ 0 — a domain the caller does
-// not know — selects the table. Every site that builds a base store chooses
-// by this rule: loading a file, partitioning for a shard, MVCC compaction,
-// and building from a dense transform (NewMemoryStoreFromDense).
+// when the dense array is not larger than the hash table the count would
+// reserve, its hash-based storage otherwise. A slot is 16 bytes and a cell 8,
+// so that is cells ≤ 2·slots(count); for a power-of-two domain, exactly
+// count > 7/32·cells. A tie goes to the array: the same bytes, filled by
+// sequential writes and read by an index instead of a probe. partitions > 1
+// says the store will hold one ShardOf(·, partitions) partition of a key set
+// (see NewHashStorePartition); count is then that partition's share. cells ≤ 0
+// — a domain the caller does not know — selects the table. Every site that
+// builds a base store chooses by this rule: loading a file, partitioning for
+// a shard, MVCC compaction, and building from a dense transform
+// (NewMemoryStoreFromDense).
 //
 // The array is never the larger allocation, so a header that lies about its
 // sizes cannot make this function allocate more than the table its count
 // always cost. Either one lives outside the Go heap (mapSlice), owned by the
 // store it returns and unmapped once that store is unreachable.
 func NewMemoryStore(cells, count, partitions int) MemoryStore {
-	if arrayIsSmaller(cells, count) {
+	if arrayIsNotLarger(cells, count) {
 		s := &ArrayStore{cells: mapSlice[float64](cells)}
 		runtime.SetFinalizer(s, func(s *ArrayStore) { unmapSlice(s.cells) })
 		return s
@@ -146,14 +147,14 @@ func NewMemoryStoreFromDense(cells []float64) MemoryStore {
 			count++
 		}
 	}
-	if arrayIsSmaller(len(cells), count) {
+	if arrayIsNotLarger(len(cells), count) {
 		return NewArrayStore(cells)
 	}
 	return NewHashStoreFromDense(cells, 0)
 }
 
-// arrayIsSmaller is NewMemoryStore's rule.
-func arrayIsSmaller(cells, count int) bool { return cells > 0 && cells < 2*slotsFor(count) }
+// arrayIsNotLarger is NewMemoryStore's rule.
+func arrayIsNotLarger(cells, count int) bool { return cells > 0 && cells <= 2*slotsFor(count) }
 
 // ArrayStore keeps the full dense coefficient array. Access is a bounds
 // check and an index — the paper's "array-based storage".

@@ -102,12 +102,12 @@ func openLayout(t *testing.T, want []float64, opts layout.Options, dense bool) s
 	return subject{store: s, want: want, bounded: true}
 }
 
-// quarter keeps every fourth entry of the transform: under the 7/16 where
-// the array wins in memory, and under the crossover where a layout's dense
-// shape does.
-func quarter(hat []float64) []float64 {
+// eighth keeps every eighth entry of the transform: under the 7/32 where the
+// array is no larger in memory, and under the crossover where a layout's
+// dense shape is smaller.
+func eighth(hat []float64) []float64 {
 	want := make([]float64, len(hat))
-	for k := 0; k < len(hat); k += 4 {
+	for k := 0; k < len(hat); k += 8 {
 		want[k] = hat[k]
 	}
 	return want
@@ -151,7 +151,7 @@ var subjects = []struct {
 		return memoryStore(t, hat, true)
 	}},
 	{"memory store, sparse", func(t *testing.T, hat []float64, _ int64) subject {
-		return memoryStore(t, quarter(hat), false)
+		return memoryStore(t, eighth(hat), false)
 	}},
 	{"cached", func(t *testing.T, hat []float64, _ int64) subject {
 		s, err := storage.NewCachedStore(array(hat), storage.Unbounded)
@@ -179,10 +179,10 @@ var subjects = []struct {
 		return openLayout(t, hat, layout.Options{DisableMmap: true}, true)
 	}},
 	{"layout mmap, sparse", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, quarter(hat), layout.Options{}, false)
+		return openLayout(t, eighth(hat), layout.Options{}, false)
 	}},
 	{"layout pread, sparse", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, quarter(hat), layout.Options{DisableMmap: true}, false)
+		return openLayout(t, eighth(hat), layout.Options{DisableMmap: true}, false)
 	}},
 	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
 		cfg := mvcc.Config{DisableAutoCompact: true}
@@ -210,7 +210,7 @@ var subjects = []struct {
 		full := storage.NewHashStoreFromDense(hat, 0)
 		shards := make([]storage.Store, 2)
 		for i := range shards {
-			part, nonzero, mass, err := dist.Partition(full, i, len(shards))
+			part, nonzero, mass, err := dist.Partition(full, i, len(shards), len(hat))
 			if err != nil {
 				t.Fatal(err)
 			}

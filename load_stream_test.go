@@ -98,7 +98,7 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 		array   bool
 	}{
 		{"dense", 4000, Db6, true},
-		{"sparse", 4, Db4, false},
+		{"sparse", 1, Db4, false},
 	} {
 		cfg := DefaultTemperatureConfig()
 		cfg.Records, cfg.LatBins, cfg.LonBins, cfg.TimeBins, cfg.TempBins = c.records, 16, 16, 16, 8

@@ -4,8 +4,8 @@ package repro
 // whichever representation a build site is handed, every value served, every
 // estimate of a progressive drain, every bound and every saved byte is the
 // same. Two files of one shape stand on either side of the rule —
-// savedTemperature has every one of its 2¹⁸ cells nonzero, the sparse file a
-// quarter of them.
+// savedTemperature has every one of its 2¹⁸ cells nonzero, the sparse file
+// 8 % of them, under the 7/32 past which the rule picks the array.
 
 import (
 	"bytes"
@@ -23,11 +23,11 @@ import (
 )
 
 // savedSparseTemperature is savedTemperature's domain under the Db4
-// transform of four records: ≈ 67 000 coefficients, 26 % of the cells.
+// transform of one record: ≈ 21 000 coefficients, 8 % of the cells.
 func savedSparseTemperature(t testing.TB) []byte {
 	t.Helper()
 	cfg := DefaultTemperatureConfig()
-	cfg.Records, cfg.LatBins, cfg.LonBins, cfg.TimeBins, cfg.TempBins = 4, 16, 16, 16, 8
+	cfg.Records, cfg.LatBins, cfg.LonBins, cfg.TimeBins, cfg.TempBins = 1, 16, 16, 16, 8
 	dist, err := Temperature(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +220,11 @@ func serveShards(t *testing.T, servers []*ShardServer) *Database {
 	return ddb
 }
 
-// TestShardRepresentationsAgree: shards streamed from the file hold what the
-// rule picks for (cells, their share, shard count) — for the dense file an
-// array both 1-of-1 and 1-of-2, for the sparse file a table — and shards
-// partitioned from the loaded database always a table; a drain through either
-// deployment is the single-node drain.
+// TestShardRepresentationsAgree: shards streamed from the file and shards
+// partitioned from the loaded database both hold what the rule picks for
+// (cells, their share, shard count) — for the dense file an array both 1-of-1
+// and 1-of-2, for the sparse file a table — and print the same store stack; a
+// drain through either deployment is the single-node drain.
 func TestShardRepresentationsAgree(t *testing.T) {
 	for _, fx := range representationFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -251,6 +251,13 @@ func TestShardRepresentationsAgree(t *testing.T) {
 					if extracted[i], err = db.NewShardServer(i, count, nil); err != nil {
 						t.Fatal(err)
 					}
+					want := "hash"
+					if fx.array {
+						want = "array"
+					}
+					if a, b := streamed[i].StoreStack(), extracted[i].StoreStack(); a != want || b != want {
+						t.Fatalf("shard %d of %d: streamed serves %q, extracted %q, the rule picks %q", i, count, a, b, want)
+					}
 				}
 				sameDrain(t, "streamed shards vs single node", db, serveShards(t, streamed), plan, mass)
 				sameDrain(t, "extracted shards vs single node", db, serveShards(t, extracted), plan, mass)
@@ -262,8 +269,9 @@ func TestShardRepresentationsAgree(t *testing.T) {
 // TestMVCCRepresentationsAgree: over either base, eight applies and a
 // compaction (whose target the same rule picks) serve the same floats, and a
 // snapshot pinned before the fold reads the same before and after it. The
-// applies revisit three tuples, so layers shadow one another and the sparse
-// view stays sparse: its fold writes a table, the dense one's an array.
+// applies revisit two tuples, so layers shadow one another and the sparse
+// view stays under 7/32 (≈ 53 000 coefficients): its fold writes a table, the
+// dense one's an array.
 func TestMVCCRepresentationsAgree(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range representationFixtures {
@@ -278,14 +286,14 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(5))
-				var tuples [3][]int
+				var tuples [2][]int
 				for j := range tuples {
 					for _, n := range db.Schema().Sizes {
 						tuples[j] = append(tuples[j], rng.Intn(n))
 					}
 				}
 				for b := 0; b < 8; b++ {
-					if _, err := db.Apply(ctx, NewWriteBatch().Add(tuples[b%3], float64(1+b))); err != nil {
+					if _, err := db.Apply(ctx, NewWriteBatch().Add(tuples[b%len(tuples)], float64(1+b))); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -333,41 +341,76 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 // heap: true on unix outside -race builds (memory_store_unix_test.go).
 var storesOffHeap bool
 
-// TestLoadDatabaseAllocatesItsStoreOnce, on both sides of the rule: beyond
-// the array (8 bytes a cell) or the table (16 bytes a slot at most 7/8 full),
-// everything LoadDatabase allocates fits in 4 MiB. Where the store is a
-// mapping, none of it is Go heap: the load allocates less than half of the
-// 2 MiB store.
+// allocatesItsStoreOnce checks what load allocates against the store it
+// builds for count of cells coefficients: beyond the array (8 bytes a cell)
+// or the table (16 bytes a slot at most 7/8 full), everything fits in 4 MiB.
+// Where the store is a mapping, none of it is Go heap: the load allocates
+// less than half of the store.
+func allocatesItsStoreOnce(t *testing.T, what string, cells, count int, array bool, load func() (stack string, err error)) {
+	t.Helper()
+	storeBytes := uint64(cells) * 8
+	if !array {
+		slots := 8
+		for slots-slots/8 < count {
+			slots *= 2
+		}
+		storeBytes = uint64(slots) * 16
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stack, err := load()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := storeBytes + 4<<20
+	if storesOffHeap {
+		limit = storeBytes / 2
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("%s allocated %d bytes of Go heap (limit %d); its %s store is %d", what, got, limit, stack, storeBytes)
+	}
+}
+
+// fileSizes reads a saved database's domain and coefficient count.
+func fileSizes(t *testing.T, file []byte) (cells, count int) {
+	t.Helper()
+	snap, err := codec.Read(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Schema.Cells(), len(snap.Keys)
+}
+
+// TestLoadDatabaseAllocatesItsStoreOnce, on both sides of the rule.
 func TestLoadDatabaseAllocatesItsStoreOnce(t *testing.T) {
 	for _, fx := range representationFixtures {
 		file := fx.file(t)
-		snap, err := codec.Read(bytes.NewReader(file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		storeBytes := uint64(snap.Schema.Cells()) * 8
-		if !fx.array {
-			slots := 8
-			for slots-slots/8 < len(snap.Keys) {
-				slots *= 2
+		cells, count := fileSizes(t, file)
+		allocatesItsStoreOnce(t, fx.name+": LoadDatabase", cells, count, fx.array, func() (string, error) {
+			db, err := LoadDatabase(bytes.NewReader(file))
+			if err != nil {
+				return "", err
 			}
-			storeBytes = uint64(slots) * 16
-		}
-		snap = nil
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		db, err := LoadDatabase(bytes.NewReader(file))
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		limit := storeBytes + 4<<20
-		if storesOffHeap {
-			limit = storeBytes / 2
-		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-			t.Fatalf("%s: LoadDatabase allocated %d bytes of Go heap (limit %d); its %T is %d", fx.name, got, limit, db.store, storeBytes)
-		}
+			return db.StoreStack(), nil
+		})
+	}
+}
+
+// TestLoadShardServerAllocatesItsStoreOnce: a 1-of-2 shard streamed from
+// either file allocates its half's store — an array of the whole domain for
+// the dense file, a table of ⌈count/2⌉ for the sparse one — and little else.
+func TestLoadShardServerAllocatesItsStoreOnce(t *testing.T) {
+	for _, fx := range representationFixtures {
+		file := fx.file(t)
+		cells, count := fileSizes(t, file)
+		allocatesItsStoreOnce(t, fx.name+": LoadShardServer", cells, (count+1)/2, fx.array, func() (string, error) {
+			ss, err := LoadShardServer(bytes.NewReader(file), 0, 2, nil)
+			if err != nil {
+				return "", err
+			}
+			return ss.StoreStack(), nil
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 package repro
 
 // The in-memory store's benches behind BENCH_storage.json's "in-memory store"
-// row (`make bench-storage`): what `wvqd -db` pays to bring a .wvdb into
-// memory, what it then keeps resident per coefficient, and what one lookup
+// row (`make bench-storage`): what `wvqd -db`, or one of two
+// `wvqd -shard-listen` processes, pays to bring a .wvdb into memory, what
+// `-db` then keeps resident per coefficient, and what one lookup
 // costs — on the synthetic temperature set at the benchmark fixture's size
 // (32×32×8×32×32, ≈ 6.3 M coefficients, 75 % of the cells), at an eighth of
 // its domain (every one of its 2²⁰ cells nonzero) and on a sparse transform
@@ -147,6 +148,25 @@ func BenchmarkLoadDatabase(b *testing.B) {
 			b.ReportMetric(n/float64(db.Schema().Cells()), "density")
 		})
 	}
+}
+
+// BenchmarkLoadShardServer times what `wvqd -shard-listen` pays before it
+// listens: shard 0 of 2 streamed from the 6M file in memory, the pairs of
+// the other shard dropped as they are decoded.
+func BenchmarkLoadShardServer(b *testing.B) {
+	c := storeBenchCases[1] // 6M
+	c.build(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ss *ShardServer
+	for i := 0; i < b.N; i++ {
+		var err error
+		if ss, err = LoadShardServer(bytes.NewReader(c.file), 0, 2, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ss.Nonzero()), "coeffs")
 }
 
 // settledRSS collects, hands freed heap pages back to the kernel and reads
