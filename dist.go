@@ -126,17 +126,11 @@ func (s *ShardServer) StoreStack() string { return s.stack }
 func (s *ShardServer) Serve(ln net.Listener) error { return s.srv.Serve(ln) }
 
 // ObserveSpans points the shard server's request handling at sink: every
-// request frame that carries a trace context (wire protocol v2) records a
-// shard-side span — keyed by the coordinator's request ID — into this
-// process's span ring, where /debug/traces?request_id= finds it. Call before
-// Serve; a nil sink disables.
+// request frame that carries a trace context records a shard-side span —
+// keyed by the coordinator's request ID — into this process's span ring,
+// where /debug/traces?request_id= finds it. Call before Serve; a nil sink
+// disables.
 func (s *ShardServer) ObserveSpans(sink *obs.SpanSink) { s.srv.SetSpanSink(sink) }
-
-// SetMaxWireVersion caps the wire protocol version the shard server offers
-// during handshake (0 restores the default, codec.MaxWireVersion). Setting 1
-// emulates a pre-diagnostics peer: connections still serve retrievals but
-// carry no trace contexts or serve-time echoes. Call before Serve.
-func (s *ShardServer) SetMaxWireVersion(v uint16) { s.srv.SetMaxWireVersion(v) }
 
 // Close stops the server, severing open connections. Idempotent.
 func (s *ShardServer) Close() error { return s.srv.Close() }
@@ -254,9 +248,8 @@ func (db *Database) ShardHealth() (health []ShardHealth, ok bool) {
 }
 
 // ShardWireVersions reports the negotiated shard wire-protocol version per
-// shard (0 for a shard never connected). Version 2 connections propagate
-// trace contexts to the shard and echo serve time back; ok is false for
-// databases not opened with OpenDistributed.
+// shard (0 for a shard never connected); ok is false for databases not
+// opened with OpenDistributed.
 func (db *Database) ShardWireVersions() ([]uint16, bool) {
 	if db.coord == nil {
 		return nil, false

@@ -3,7 +3,9 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -50,55 +52,56 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzWireFrame feeds arbitrary bytes to the shard wire reader at both wire
-// versions and decodes whatever frame it accepts with every typed accessor:
-// nothing may panic, and a body an accessor accepts must write back and read
-// again to the same values. Seeds are one valid frame of each type at each
-// version, plus the malformed frames of TestWireMalformedFrames.
+// FuzzWireFrame feeds arbitrary bytes to the shard wire reader and decodes
+// whatever frame it accepts with every typed accessor: nothing may panic,
+// the accessors together may allocate no more than decodeAllocBound of the
+// input's length (a count the body cannot hold sizes nothing), and a body
+// an accessor accepts must write back and read again to the same values.
+// Seeds are the golden frame of each type, the malformed frames of
+// TestWireMalformedFrames and frames that announce more than they carry.
 func FuzzWireFrame(f *testing.F) {
-	meta := &ShardMeta{
-		Names: []string{"lat", "lon"}, Sizes: []int{64, 128},
-		Windows: [][2]float64{{-90, 90}, {0, 0}}, FilterName: "Db4",
-		TupleCount: 123456, ShardIndex: 1, ShardCount: 4, Nonzero: 9999, Mass: 31337.25,
-	}
-	for v := MinWireVersion; v <= MaxWireVersion; v++ {
+	for _, g := range goldenFrames {
 		var buf bytes.Buffer
-		for _, write := range []func() error{
-			func() error { return WriteBatchGetReqV(&buf, v, 7, "req-000001", []int{3, 1, 4, 1, 5, 1 << 40}) },
-			func() error {
-				return WriteBatchGetRespV(&buf, v, 7, 42, []float64{1.5, math.Pi, math.NaN()}, []WireError{{Index: 1, Msg: "boom"}})
-			},
-			func() error { return WriteMetaReqV(&buf, v, 8, "req-meta") },
-			func() error { return WriteMetaRespV(&buf, v, 8, 9, meta) },
-			func() error { return WriteErrorFrameV(&buf, v, 9, 10, "store on fire") },
-		} {
-			buf.Reset()
-			if err := write(); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(append([]byte(nil), buf.Bytes()...), uint8(v))
+		if err := g.write(&buf); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFramePayload+1), uint8(1))
-	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFramePayload), uint8(2))
-	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0}, uint8(1))
-	negative := binary.AppendVarint(binary.AppendUvarint(binary.LittleEndian.AppendUint64([]byte{FrameBatchGetReq}, 1), 1), -5)
-	f.Add(append(binary.LittleEndian.AppendUint32(nil, uint32(len(negative))), negative...), uint8(1))
+	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFramePayload+1))
+	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFramePayload))
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(craftedFrame(FrameBatchGetReq, 0, 1, zigzag(-5)))
+	f.Add(craftedFrame(FrameBatchGetReq, 0, MaxBatchKeys))
+	f.Add(craftedFrame(FrameBatchGetReq, MaxTraceLen+1))
+	f.Add(craftedFrame(FrameBatchGetResp, 0, MaxBatchKeys))
+	f.Add(craftedFrame(9, 0))
+	f.Add(craftedFrame(FrameMetaResp, 0, 64))
 
-	f.Fuzz(func(t *testing.T, data []byte, v uint8) {
-		// Every byte names a version in [Min, Max]; a seed's own version
-		// names itself.
-		version := MinWireVersion + (uint16(v)-MinWireVersion)%(MaxWireVersion-MinWireVersion+1)
-		fr, err := ReadFrameVersion(bytes.NewReader(data), version)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := ReadFrameVersion(bytes.NewReader(data), MaxWireVersion)
 		if err != nil {
 			return
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		keys, keysErr := fr.BatchGetReq()
+		values, failed, valuesErr := []float64(nil), []WireError(nil), errNoValueCount
+		if n, k := binary.Uvarint(fr.body); k > 0 && n <= MaxBatchKeys {
+			values, failed, valuesErr = fr.BatchGetResp(int(n))
+		}
+		m, metaErr := fr.Meta()
+		msg, msgErr := fr.ErrorMsg()
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); got > bound {
+			t.Fatalf("decoding a %d-byte frame allocated %d bytes, bound %d", len(data), got, bound)
+		}
+
 		var again bytes.Buffer
-		if keys, err := fr.BatchGetReq(); err == nil {
-			if err := WriteBatchGetReqV(&again, version, fr.ID, fr.Trace, keys); err != nil {
+		if keysErr == nil {
+			if err := WriteBatchGetReqV(&again, MaxWireVersion, fr.ID, fr.Trace, keys); err != nil {
 				t.Fatalf("rewriting an accepted request: %v", err)
 			}
-			back, err := readAgain(t, &again, version, fr).BatchGetReq()
+			back, err := readAgain(t, &again, fr).BatchGetReq()
 			if err != nil || len(back) != len(keys) {
 				t.Fatalf("request round trip: %d keys, then %d (%v)", len(keys), len(back), err)
 			}
@@ -108,32 +111,30 @@ func FuzzWireFrame(f *testing.F) {
 				}
 			}
 		}
-		if n, k := binary.Uvarint(fr.body); k > 0 && n <= MaxBatchKeys {
-			if values, failed, err := fr.BatchGetResp(int(n)); err == nil {
-				if err := WriteBatchGetRespV(&again, version, fr.ID, fr.ElapsedNanos, values, failed); err != nil {
-					t.Fatalf("rewriting an accepted response: %v", err)
+		if valuesErr == nil {
+			if err := WriteBatchGetRespV(&again, MaxWireVersion, fr.ID, fr.ElapsedNanos, values, failed); err != nil {
+				t.Fatalf("rewriting an accepted response: %v", err)
+			}
+			bv, bf, err := readAgain(t, &again, fr).BatchGetResp(len(values))
+			if err != nil || len(bf) != len(failed) {
+				t.Fatalf("response round trip: %d failures, then %d (%v)", len(failed), len(bf), err)
+			}
+			for i := range values {
+				if math.Float64bits(bv[i]) != math.Float64bits(values[i]) {
+					t.Fatalf("response round trip: value %d changed bits", i)
 				}
-				bv, bf, err := readAgain(t, &again, version, fr).BatchGetResp(len(values))
-				if err != nil || len(bf) != len(failed) {
-					t.Fatalf("response round trip: %d failures, then %d (%v)", len(failed), len(bf), err)
-				}
-				for i := range values {
-					if math.Float64bits(bv[i]) != math.Float64bits(values[i]) {
-						t.Fatalf("response round trip: value %d changed bits", i)
-					}
-				}
-				for i := range failed {
-					if bf[i] != failed[i] {
-						t.Fatalf("response round trip: failure %d is %+v, then %+v", i, failed[i], bf[i])
-					}
+			}
+			for i := range failed {
+				if bf[i] != failed[i] {
+					t.Fatalf("response round trip: failure %d is %+v, then %+v", i, failed[i], bf[i])
 				}
 			}
 		}
-		if m, err := fr.Meta(); err == nil {
-			if err := WriteMetaRespV(&again, version, fr.ID, fr.ElapsedNanos, m); err != nil {
+		if metaErr == nil {
+			if err := WriteMetaRespV(&again, MaxWireVersion, fr.ID, fr.ElapsedNanos, m); err != nil {
 				t.Fatalf("rewriting accepted metadata: %v", err)
 			}
-			back, err := readAgain(t, &again, version, fr).Meta()
+			back, err := readAgain(t, &again, fr).Meta()
 			if err != nil {
 				t.Fatalf("metadata round trip: %v", err)
 			}
@@ -149,22 +150,34 @@ func FuzzWireFrame(f *testing.F) {
 				}
 			}
 		}
-		if msg, err := fr.ErrorMsg(); err == nil {
-			if err := WriteErrorFrameV(&again, version, fr.ID, fr.ElapsedNanos, msg); err != nil {
+		if msgErr == nil {
+			if err := WriteErrorFrameV(&again, MaxWireVersion, fr.ID, fr.ElapsedNanos, msg); err != nil {
 				t.Fatalf("rewriting an accepted error frame: %v", err)
 			}
-			if back, err := readAgain(t, &again, version, fr).ErrorMsg(); err != nil || back != msg {
+			if back, err := readAgain(t, &again, fr).ErrorMsg(); err != nil || back != msg {
 				t.Fatalf("error frame round trip: %q, then %q (%v)", msg, back, err)
 			}
 		}
 	})
 }
 
+var errNoValueCount = errors.New("no value count a request could match")
+
+// decodeAllocBound is what the typed accessors may allocate decoding a
+// frame of n bytes: a per-entry slice may outgrow the bytes that carry it
+// (a one-byte key is an 8-byte int, a two-byte failure a 24-byte
+// WireError), by a constant factor, plus a fixed allowance for the decoded
+// structs — a metadata frame's 64 dimensions among them.
+func decodeAllocBound(n int) uint64 { return 16*uint64(n) + 8<<10 }
+
+// zigzag is the uvarint a varint writer emits for v.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
 // readAgain reads back the one frame a round trip wrote, which must carry
 // the original's type, id and extension.
-func readAgain(t *testing.T, buf *bytes.Buffer, version uint16, orig *WireFrame) *WireFrame {
+func readAgain(t *testing.T, buf *bytes.Buffer, orig *WireFrame) *WireFrame {
 	t.Helper()
-	fr, err := ReadFrameVersion(buf, version)
+	fr, err := ReadFrameVersion(buf, MaxWireVersion)
 	if err != nil {
 		t.Fatalf("reading a rewritten frame: %v", err)
 	}

@@ -20,19 +20,22 @@ package codec
 //
 // The preamble doubles as version negotiation: the client announces the
 // highest version it speaks, the server replies with min(client, server),
-// and both sides then frame at the reply's version. Version 1 is the
-// original protocol; version 2 adds a diagnostics extension between the
-// frame header and the body (see below) and changes nothing else.
+// and both sides then frame at the reply's version. Version 2 is the only
+// one spoken: its frames carry a diagnostics extension between the header
+// and the body (see below). A peer announcing 1, the retired framing
+// without that extension, is refused; a later version can still be
+// negotiated down to 2. The frame writers (Write*V) and ReadFrameVersion
+// take the connection's version, which is therefore always MaxWireVersion.
 //
 // Frame (all integers little-endian):
 //
 //	length  uint32            payload bytes after this word
 //	type    uint8
 //	id      uint64            request id, echoed by the response
-//	ext     ...               version ≥ 2 only, see below
+//	ext     ...               see below
 //	body    ...               per-type, see below
 //
-// Extension (version ≥ 2). Request frames (BatchGetReq, MetaReq) carry the
+// Extension. Request frames (BatchGetReq, MetaReq) carry the
 // coordinator's trace context so shard-side spans join the query's trace:
 //
 //	trace   uvarint length + bytes   request ID ("" = untraced)
@@ -78,10 +81,11 @@ const (
 const (
 	wireMagic = "WVDW"
 
-	// MinWireVersion..MaxWireVersion is the negotiable range. Version 1 is
-	// the original framing; version 2 adds the diagnostics extension (trace
-	// context on requests, shard elapsed time on responses).
-	MinWireVersion uint16 = 1
+	// MinWireVersion..MaxWireVersion is the negotiable range. Version 2
+	// frames carry the diagnostics extension (trace context on requests,
+	// shard elapsed time on responses); version 1, which did not, is
+	// retired.
+	MinWireVersion uint16 = 2
 	MaxWireVersion uint16 = 2
 
 	// MaxFramePayload bounds one frame's payload; a peer announcing more is
@@ -89,7 +93,7 @@ const (
 	MaxFramePayload = 64 << 20
 	// MaxBatchKeys bounds the keys of one BatchGet frame.
 	MaxBatchKeys = 1 << 22
-	// MaxTraceLen bounds the trace-context extension of a v2 request frame;
+	// MaxTraceLen bounds the trace-context extension of a request frame;
 	// writers truncate to it, readers reject beyond it.
 	MaxTraceLen = 128
 )
@@ -127,16 +131,9 @@ func ReadHandshake(r io.Reader) (uint16, error) {
 }
 
 // NegotiateVersion clamps a peer's announced version to what this build
-// speaks: the connection runs at min(peer, max), where max is the highest
-// version the caller is willing to use (0 means MaxWireVersion).
-func NegotiateVersion(peer, max uint16) uint16 {
-	if max == 0 || max > MaxWireVersion {
-		max = MaxWireVersion
-	}
-	if peer < max {
-		return peer
-	}
-	return max
+// speaks: the connection runs at min(peer, MaxWireVersion).
+func NegotiateVersion(peer uint16) uint16 {
+	return min(peer, MaxWireVersion)
 }
 
 // WireError is one failed position of a batched retrieval as it travels the
@@ -148,15 +145,14 @@ type WireError struct {
 }
 
 // WireFrame is one decoded frame: its type, request id, diagnostics
-// extension (version ≥ 2 connections only), and undecoded body.
+// extension, and undecoded body.
 type WireFrame struct {
 	Type byte
 	ID   uint64
-	// Trace is the request ID carried by a v2 request frame ("" when the
-	// connection is v1 or the caller sent none).
+	// Trace is the request ID carried by a request frame ("" when the
+	// caller sent none).
 	Trace string
-	// ElapsedNanos is the shard-side serve time echoed by a v2 response
-	// frame (0 when the connection is v1).
+	// ElapsedNanos is the shard-side serve time echoed by a response frame.
 	ElapsedNanos uint64
 	// WireSize is the frame's full encoded size in bytes, length word
 	// included — the coordinator's per-shard bytes accounting.
@@ -202,40 +198,23 @@ func (f *frameBuf) flush(w io.Writer) error {
 	return err
 }
 
-// reqExt appends the v2 request extension (trace context) when the
-// connection version carries one. Overlong traces are truncated, not
-// rejected — the trace is diagnostic, never semantic.
-func (f *frameBuf) reqExt(version uint16, trace string) {
-	if version < 2 {
-		return
-	}
+// reqExt appends the request extension (trace context). Overlong traces
+// are truncated, not rejected — the trace is diagnostic, never semantic.
+func (f *frameBuf) reqExt(trace string) {
 	if len(trace) > MaxTraceLen {
 		trace = trace[:MaxTraceLen]
 	}
 	f.str(trace)
 }
 
-// respExt appends the v2 response extension (shard elapsed nanoseconds).
-func (f *frameBuf) respExt(version uint16, elapsed uint64) {
-	if version >= 2 {
-		f.uvarint(elapsed)
-	}
-}
-
-// WriteBatchGetReq sends a batched-retrieval request for keys at wire
-// version 1 (no trace context).
-func WriteBatchGetReq(w io.Writer, id uint64, keys []int) error {
-	return WriteBatchGetReqV(w, 1, id, "", keys)
-}
-
 // WriteBatchGetReqV sends a batched-retrieval request for keys, carrying
-// trace as the v2 trace-context extension when version supports it.
+// trace as the trace-context extension.
 func WriteBatchGetReqV(w io.Writer, version uint16, id uint64, trace string, keys []int) error {
 	if len(keys) > MaxBatchKeys {
 		return fmt.Errorf("codec: batch of %d keys exceeds limit %d", len(keys), MaxBatchKeys)
 	}
 	f := newFrameBuf(FrameBatchGetReq, id, len(keys)*2+len(trace)+8)
-	f.reqExt(version, trace)
+	f.reqExt(trace)
 	f.uvarint(uint64(len(keys)))
 	prev := 0
 	for _, k := range keys {
@@ -245,19 +224,13 @@ func WriteBatchGetReqV(w io.Writer, version uint16, id uint64, trace string, key
 	return f.flush(w)
 }
 
-// WriteBatchGetResp sends the response to a batched retrieval at wire
-// version 1: values[i] answers keys[i] of the request, failed lists the
-// positions that did not resolve (their values are ignored) in ascending
-// index order.
-func WriteBatchGetResp(w io.Writer, id uint64, values []float64, failed []WireError) error {
-	return WriteBatchGetRespV(w, 1, id, 0, values, failed)
-}
-
-// WriteBatchGetRespV is WriteBatchGetResp carrying the shard's serve time
-// as the v2 elapsed extension when version supports it.
+// WriteBatchGetRespV sends the response to a batched retrieval, carrying
+// the shard's serve time as the elapsed extension: values[i] answers
+// keys[i] of the request, failed lists the positions that did not resolve
+// (their values are ignored) in ascending index order.
 func WriteBatchGetRespV(w io.Writer, version uint16, id uint64, elapsed uint64, values []float64, failed []WireError) error {
 	f := newFrameBuf(FrameBatchGetResp, id, len(values)*8+16)
-	f.respExt(version, elapsed)
+	f.uvarint(elapsed)
 	f.uvarint(uint64(len(values)))
 	for _, v := range values {
 		f.float64(v)
@@ -270,16 +243,11 @@ func WriteBatchGetRespV(w io.Writer, version uint16, id uint64, elapsed uint64, 
 	return f.flush(w)
 }
 
-// WriteMetaReq sends a shard-metadata request at wire version 1.
-func WriteMetaReq(w io.Writer, id uint64) error {
-	return WriteMetaReqV(w, 1, id, "")
-}
-
-// WriteMetaReqV sends a shard-metadata request, carrying trace as the v2
-// trace-context extension when version supports it.
+// WriteMetaReqV sends a shard-metadata request, carrying trace as the
+// trace-context extension.
 func WriteMetaReqV(w io.Writer, version uint16, id uint64, trace string) error {
 	f := newFrameBuf(FrameMetaReq, id, len(trace)+2)
-	f.reqExt(version, trace)
+	f.reqExt(trace)
 	return f.flush(w)
 }
 
@@ -301,13 +269,8 @@ type ShardMeta struct {
 	Mass       float64
 }
 
-// WriteMetaResp sends a shard's metadata at wire version 1.
-func WriteMetaResp(w io.Writer, id uint64, m *ShardMeta) error {
-	return WriteMetaRespV(w, 1, id, 0, m)
-}
-
-// WriteMetaRespV is WriteMetaResp carrying the shard's serve time as the
-// v2 elapsed extension when version supports it.
+// WriteMetaRespV sends a shard's metadata, carrying the shard's serve time
+// as the elapsed extension.
 func WriteMetaRespV(w io.Writer, version uint16, id uint64, elapsed uint64, m *ShardMeta) error {
 	if len(m.Names) != len(m.Sizes) {
 		return fmt.Errorf("codec: meta has %d names for %d sizes", len(m.Names), len(m.Sizes))
@@ -319,7 +282,7 @@ func WriteMetaRespV(w io.Writer, version uint16, id uint64, elapsed uint64, m *S
 		return fmt.Errorf("codec: too many dimensions")
 	}
 	f := newFrameBuf(FrameMetaResp, id, 64+len(m.Names)*32)
-	f.respExt(version, elapsed)
+	f.uvarint(elapsed)
 	f.uint16(uint16(len(m.Names)))
 	for i, name := range m.Names {
 		f.str(name)
@@ -346,31 +309,21 @@ func WriteMetaRespV(w io.Writer, version uint16, id uint64, elapsed uint64, m *S
 	return f.flush(w)
 }
 
-// WriteErrorFrame reports the total failure of a request at wire version 1:
-// no position of the batch may be trusted.
-func WriteErrorFrame(w io.Writer, id uint64, msg string) error {
-	return WriteErrorFrameV(w, 1, id, 0, msg)
-}
-
-// WriteErrorFrameV is WriteErrorFrame carrying the shard's serve time as
-// the v2 elapsed extension when version supports it.
+// WriteErrorFrameV reports the total failure of a request — no position of
+// the batch may be trusted — carrying the shard's serve time as the elapsed
+// extension.
 func WriteErrorFrameV(w io.Writer, version uint16, id uint64, elapsed uint64, msg string) error {
 	f := newFrameBuf(FrameError, id, len(msg)+8)
-	f.respExt(version, elapsed)
+	f.uvarint(elapsed)
 	f.str(msg)
 	return f.flush(w)
 }
 
-// ReadFrame reads one frame at wire version 1.
-func ReadFrame(r io.Reader) (*WireFrame, error) {
-	return ReadFrameVersion(r, 1)
-}
-
-// ReadFrameVersion reads one frame at the connection's negotiated version.
-// It validates the length word against MaxFramePayload before allocating,
-// allocates a large payload only as its bytes arrive (readPayload), and
-// strips the v2 diagnostics extension into the frame's Trace / ElapsedNanos
-// fields; body decoding happens in the typed accessors so a reader loop can
+// ReadFrameVersion reads one frame at the connection's negotiated version
+// (MaxWireVersion, the one spoken). It validates the length word against
+// MaxFramePayload before allocating, allocates a large payload only as its
+// bytes arrive (readPayload), and strips the diagnostics extension into the
+// frame's Trace / ElapsedNanos fields; body decoding happens in the typed accessors so a reader loop can
 // dispatch on Type first.
 func ReadFrameVersion(r io.Reader, version uint16) (*WireFrame, error) {
 	var head [4]byte
@@ -394,27 +347,25 @@ func ReadFrameVersion(r io.Reader, version uint16) (*WireFrame, error) {
 		WireSize: 4 + int(n),
 		body:     payload[9:],
 	}
-	if version >= 2 {
-		wr := &wireReader{b: f.body}
-		switch f.Type {
-		case FrameBatchGetReq, FrameMetaReq:
-			trace, err := wr.str(MaxTraceLen)
-			if err != nil {
-				return nil, fmt.Errorf("codec: frame trace extension: %w", err)
-			}
-			f.Trace = trace
-		case FrameBatchGetResp, FrameMetaResp, FrameError:
-			elapsed, err := wr.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("codec: frame elapsed extension: %w", err)
-			}
-			f.ElapsedNanos = elapsed
-		default:
-			// Unknown type: leave the body whole so the peer's error reply
-			// ("unknown frame type") is still possible.
+	wr := &wireReader{b: f.body}
+	switch f.Type {
+	case FrameBatchGetReq, FrameMetaReq:
+		trace, err := wr.str(MaxTraceLen)
+		if err != nil {
+			return nil, fmt.Errorf("codec: frame trace extension: %w", err)
 		}
-		f.body = wr.b
+		f.Trace = trace
+	case FrameBatchGetResp, FrameMetaResp, FrameError:
+		elapsed, err := wr.uvarint()
+		if err != nil {
+			return nil, fmt.Errorf("codec: frame elapsed extension: %w", err)
+		}
+		f.ElapsedNanos = elapsed
+	default:
+		// Unknown type: leave the body whole so the peer's error reply
+		// ("unknown frame type") is still possible.
 	}
+	f.body = wr.b
 	return f, nil
 }
 
@@ -535,6 +486,11 @@ func (f *WireFrame) BatchGetReq() ([]int, error) {
 	if n > MaxBatchKeys {
 		return nil, fmt.Errorf("codec: batch of %d keys exceeds limit %d", n, MaxBatchKeys)
 	}
+	// Each key is at least one varint byte: a count the body cannot hold is
+	// refused before it sizes an allocation.
+	if n > uint64(len(r.b)) {
+		return nil, fmt.Errorf("codec: batch of %d keys in a %d-byte body", n, len(r.b))
+	}
 	keys := make([]int, n)
 	prev := int64(0)
 	for i := range keys {
@@ -565,6 +521,11 @@ func (f *WireFrame) BatchGetResp(wantKeys int) ([]float64, []WireError, error) {
 	if int64(n) != int64(wantKeys) {
 		return nil, nil, fmt.Errorf("codec: response carries %d values for %d keys", n, wantKeys)
 	}
+	// Counts the body cannot hold (8 bytes per value) are refused before
+	// they size an allocation.
+	if n > uint64(len(r.b))/8 {
+		return nil, nil, fmt.Errorf("codec: response of %d values in a %d-byte body", n, len(r.b))
+	}
 	values := make([]float64, n)
 	for i := range values {
 		if values[i], err = r.float64(); err != nil {
@@ -577,6 +538,10 @@ func (f *WireFrame) BatchGetResp(wantKeys int) ([]float64, []WireError, error) {
 	}
 	if fn > n {
 		return nil, nil, fmt.Errorf("codec: %d failures for %d values", fn, n)
+	}
+	// ... and each failure needs at least an index byte and a length byte.
+	if fn > uint64(len(r.b))/2 {
+		return nil, nil, fmt.Errorf("codec: %d failures in a %d-byte remainder", fn, len(r.b))
 	}
 	failed := make([]WireError, fn)
 	prev := -1

@@ -3,7 +3,9 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -31,6 +33,9 @@ func TestWireHandshakeRoundTrip(t *testing.T) {
 	if err := WriteHandshake(&buf, 0); err == nil {
 		t.Fatal("version 0 announced")
 	}
+	if err := WriteHandshake(&buf, 1); err == nil {
+		t.Fatal("retired version 1 announced")
+	}
 	if err := WriteHandshake(&buf, MaxWireVersion+1); err == nil {
 		t.Fatal("future version announced")
 	}
@@ -38,9 +43,14 @@ func TestWireHandshakeRoundTrip(t *testing.T) {
 	if _, err := ReadHandshake(strings.NewReader("XXXX\x01\x00")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	// Version 0 is malformed.
-	if _, err := ReadHandshake(strings.NewReader(wireMagic + "\x00\x00")); err == nil {
-		t.Fatal("version 0 accepted")
+	// Version 0 is malformed, and version 1 (frames without the
+	// diagnostics extension) is retired: both are refused, naming the
+	// version.
+	for _, v := range []string{"\x00\x00", "\x01\x00"} {
+		_, err := ReadHandshake(strings.NewReader(wireMagic + v))
+		if want := fmt.Sprintf("wire version %d", v[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("announce %q: %v, want an error naming %q", v, err, want)
+		}
 	}
 	// A future version is readable (negotiation clamps it), not an error.
 	if v, err := ReadHandshake(strings.NewReader(wireMagic + "\x7f\x00")); err != nil || v != 0x7f {
@@ -53,17 +63,14 @@ func TestWireHandshakeRoundTrip(t *testing.T) {
 }
 
 func TestNegotiateVersion(t *testing.T) {
-	cases := []struct{ peer, max, want uint16 }{
-		{1, 0, 1},               // v1 peer clamps a v2 server down
-		{2, 0, 2},               // both sides current
-		{99, 0, MaxWireVersion}, // future peer clamps to what we speak
-		{2, 1, 1},               // locally capped (no-trace mode)
-		{1, 1, 1},
-		{99, 7, MaxWireVersion}, // local cap beyond our ceiling is clamped too
+	cases := []struct{ peer, want uint16 }{
+		{2, 2},              // both sides current
+		{3, MaxWireVersion}, // a later peer clamps to what we speak
+		{99, MaxWireVersion},
 	}
 	for _, c := range cases {
-		if got := NegotiateVersion(c.peer, c.max); got != c.want {
-			t.Fatalf("NegotiateVersion(%d, %d) = %d, want %d", c.peer, c.max, got, c.want)
+		if got := NegotiateVersion(c.peer); got != c.want {
+			t.Fatalf("NegotiateVersion(%d) = %d, want %d", c.peer, got, c.want)
 		}
 	}
 }
@@ -144,25 +151,46 @@ func TestWireV2Extensions(t *testing.T) {
 	}
 }
 
-func TestWireV1FramesUnchangedByV2Code(t *testing.T) {
-	// The v1 writers must produce byte-identical frames to the versioned
-	// writers at version 1 — old peers see exactly the old protocol.
-	var a, b bytes.Buffer
-	if err := WriteBatchGetReq(&a, 5, []int{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBatchGetReqV(&b, 1, 5, "ignored-at-v1", []int{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("v1 framing changed by versioned writer")
-	}
-	f, err := ReadFrame(&a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Trace != "" || f.ElapsedNanos != 0 {
-		t.Fatalf("v1 frame grew extensions: trace=%q elapsed=%d", f.Trace, f.ElapsedNanos)
+// goldenFrames is one frame of each type at MaxWireVersion, as hex: the
+// writers must keep producing these bytes, which shards and coordinators
+// of earlier builds read and write.
+var goldenFrames = []struct {
+	name  string
+	write func(io.Writer) error
+	hex   string
+}{
+	{"BatchGetReq", func(w io.Writer) error {
+		return WriteBatchGetReqV(w, MaxWireVersion, 7, "req-000001", []int{3, 1, 4, 1, 5, 1 << 40})
+	}, "200000000107000000000000000a7265712d303030303031060603060508f6ffffffff3f"},
+	{"BatchGetResp", func(w io.Writer) error {
+		return WriteBatchGetRespV(w, MaxWireVersion, 7, 42, []float64{1.5, math.Pi, math.NaN()}, []WireError{{Index: 1, Msg: "boom"}})
+	}, "2a0000000207000000000000002a03000000000000f83f182d4454fb210940010000000000f87f010104626f6f6d"},
+	{"MetaReq", func(w io.Writer) error {
+		return WriteMetaReqV(w, MaxWireVersion, 8, "req-meta")
+	}, "12000000030800000000000000087265712d6d657461"},
+	{"MetaResp", func(w io.Writer) error {
+		return WriteMetaRespV(w, MaxWireVersion, 8, 9, goldenMeta)
+	}, "60000000040800000000000000090200036c61744000000000000000008056c00000000000805640036c6f6e80000000000000000000000000000000000000000344623440e201000000000001000000040000000f2700000000000000000000509ade40"},
+	{"Error", func(w io.Writer) error {
+		return WriteErrorFrameV(w, MaxWireVersion, 9, 10, "store on fire")
+	}, "180000000509000000000000000a0d73746f7265206f6e2066697265"},
+}
+
+var goldenMeta = &ShardMeta{
+	Names: []string{"lat", "lon"}, Sizes: []int{64, 128},
+	Windows: [][2]float64{{-90, 90}, {0, 0}}, FilterName: "Db4",
+	TupleCount: 123456, ShardIndex: 1, ShardCount: 4, Nonzero: 9999, Mass: 31337.25,
+}
+
+func TestWireFramesMatchGolden(t *testing.T) {
+	for _, g := range goldenFrames {
+		var buf bytes.Buffer
+		if err := g.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != g.hex {
+			t.Fatalf("%s frame:\n got %s\nwant %s", g.name, got, g.hex)
+		}
 	}
 }
 
@@ -183,10 +211,10 @@ func TestWireBatchGetReqRoundTrip(t *testing.T) {
 	cases = append(cases, big)
 	for ci, keys := range cases {
 		var buf bytes.Buffer
-		if err := WriteBatchGetReq(&buf, uint64(ci)+7, keys); err != nil {
+		if err := WriteBatchGetReqV(&buf, MaxWireVersion, uint64(ci)+7, "", keys); err != nil {
 			t.Fatal(err)
 		}
-		f, err := ReadFrame(&buf)
+		f, err := ReadFrameVersion(&buf, MaxWireVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +244,7 @@ func TestWireBatchGetReqCompactness(t *testing.T) {
 		keys[i] = 1_000_000 + i*3
 	}
 	var buf bytes.Buffer
-	if err := WriteBatchGetReq(&buf, 1, keys); err != nil {
+	if err := WriteBatchGetReqV(&buf, MaxWireVersion, 1, "", keys); err != nil {
 		t.Fatal(err)
 	}
 	perKey := float64(buf.Len()) / float64(len(keys))
@@ -229,10 +257,10 @@ func TestWireBatchGetRespRoundTrip(t *testing.T) {
 	values := []float64{1.5, 0, math.Pi, -42.25, math.Inf(1), math.NaN()}
 	failed := []WireError{{Index: 1, Msg: "injected fault"}, {Index: 4, Msg: "shard overloaded"}}
 	var buf bytes.Buffer
-	if err := WriteBatchGetResp(&buf, 99, values, failed); err != nil {
+	if err := WriteBatchGetRespV(&buf, MaxWireVersion, 99, 0, values, failed); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf)
+	f, err := ReadFrameVersion(&buf, MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +278,10 @@ func TestWireBatchGetRespRoundTrip(t *testing.T) {
 	}
 	// Size mismatch with the request is a protocol violation.
 	var buf2 bytes.Buffer
-	if err := WriteBatchGetResp(&buf2, 99, values, nil); err != nil {
+	if err := WriteBatchGetRespV(&buf2, MaxWireVersion, 99, 0, values, nil); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := ReadFrame(&buf2)
+	f2, err := ReadFrameVersion(&buf2, MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +303,10 @@ func TestWireMetaRoundTrip(t *testing.T) {
 		Mass:       31337.25,
 	}
 	var buf bytes.Buffer
-	if err := WriteMetaResp(&buf, 5, m); err != nil {
+	if err := WriteMetaRespV(&buf, MaxWireVersion, 5, 0, m); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf)
+	f, err := ReadFrameVersion(&buf, MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +328,10 @@ func TestWireMetaRoundTrip(t *testing.T) {
 
 func TestWireErrorFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteErrorFrame(&buf, 77, "store on fire"); err != nil {
+	if err := WriteErrorFrameV(&buf, MaxWireVersion, 77, 0, "store on fire"); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf)
+	f, err := ReadFrameVersion(&buf, MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,29 +348,29 @@ func TestWireMalformedFrames(t *testing.T) {
 	// Oversized length word is rejected before allocation.
 	var head [4]byte
 	binary.LittleEndian.PutUint32(head[:], MaxFramePayload+1)
-	if _, err := ReadFrame(bytes.NewReader(head[:])); err == nil {
+	if _, err := ReadFrameVersion(bytes.NewReader(head[:]), MaxWireVersion); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// Length shorter than the frame header.
 	binary.LittleEndian.PutUint32(head[:], 4)
-	if _, err := ReadFrame(bytes.NewReader(append(head[:], 0, 0, 0, 0))); err == nil {
+	if _, err := ReadFrameVersion(bytes.NewReader(append(head[:], 0, 0, 0, 0)), MaxWireVersion); err == nil {
 		t.Fatal("undersized frame accepted")
 	}
 	// Truncated payload.
 	var buf bytes.Buffer
-	if err := WriteBatchGetReq(&buf, 1, []int{1, 2, 3}); err != nil {
+	if err := WriteBatchGetReqV(&buf, MaxWireVersion, 1, "", []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadFrameVersion(bytes.NewReader(trunc), MaxWireVersion); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 	// Body decoded as the wrong type.
 	var buf2 bytes.Buffer
-	if err := WriteBatchGetReq(&buf2, 1, []int{1}); err != nil {
+	if err := WriteBatchGetReqV(&buf2, MaxWireVersion, 1, "", []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf2)
+	f, err := ReadFrameVersion(&buf2, MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +379,13 @@ func TestWireMalformedFrames(t *testing.T) {
 	}
 	// Trailing garbage inside a frame body.
 	var buf3 bytes.Buffer
-	if err := WriteErrorFrame(&buf3, 1, "x"); err != nil {
+	if err := WriteErrorFrameV(&buf3, MaxWireVersion, 1, 0, "x"); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf3.Bytes()
 	binary.LittleEndian.PutUint32(raw, uint32(len(raw)-4+2))
 	raw = append(raw, 0, 0)
-	f3, err := ReadFrame(bytes.NewReader(raw))
+	f3, err := ReadFrameVersion(bytes.NewReader(raw), MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,12 +395,13 @@ func TestWireMalformedFrames(t *testing.T) {
 	// Negative key via delta underflow.
 	payload := []byte{FrameBatchGetReq}
 	payload = binary.LittleEndian.AppendUint64(payload, 1)
+	payload = append(payload, 0) // empty trace
 	payload = binary.AppendUvarint(payload, 1)
 	payload = binary.AppendVarint(payload, -5)
 	var buf4 bytes.Buffer
 	_ = binary.Write(&buf4, binary.LittleEndian, uint32(len(payload)))
 	buf4.Write(payload)
-	f4, err := ReadFrame(&buf4)
+	f4, err := ReadFrameVersion(&buf4, MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +413,10 @@ func TestWireMalformedFrames(t *testing.T) {
 // TestWireAnnouncedLengthIsNotAllocatedUpFront: a peer that announces the
 // largest frame allowed, sends ten bytes of it and hangs up costs the reader
 // what arrived (its first 64 KiB buffer), not the 64 MiB it announced, and
-// the read fails as a truncated frame.
+// the read fails as a truncated frame. Likewise a whole frame whose body
+// announces more keys, values or failures than its bytes can hold fails to
+// decode without sizing anything by the announced count: the 18-byte
+// request once cost a 32 MiB key slice.
 func TestWireAnnouncedLengthIsNotAllocatedUpFront(t *testing.T) {
 	msg := binary.LittleEndian.AppendUint32(nil, MaxFramePayload)
 	msg = append(msg, make([]byte, 10)...)
@@ -398,6 +430,44 @@ func TestWireAnnouncedLengthIsNotAllocatedUpFront(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("a 10-byte frame announced at %d bytes allocated %d", MaxFramePayload, got)
 	}
+
+	for _, c := range []struct {
+		name   string
+		frame  []byte
+		decode func(*WireFrame) error
+	}{
+		{"request of 2^22 keys", craftedFrame(FrameBatchGetReq, 0, MaxBatchKeys), func(f *WireFrame) error {
+			_, err := f.BatchGetReq()
+			return err
+		}},
+		{"response of 2^22 values", craftedFrame(FrameBatchGetResp, 0, MaxBatchKeys), func(f *WireFrame) error {
+			_, _, err := f.BatchGetResp(MaxBatchKeys)
+			return err
+		}},
+	} {
+		runtime.ReadMemStats(&before)
+		f, err := ReadFrameVersion(bytes.NewReader(c.frame), MaxWireVersion)
+		if err == nil {
+			err = c.decode(f)
+		}
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a %d-byte frame decoded", c.name, len(c.frame))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+			t.Fatalf("%s: a %d-byte frame allocated %d bytes before failing (%v)", c.name, len(c.frame), got, err)
+		}
+	}
+}
+
+// craftedFrame is a frame of type typ, id 1, whose extension and body are
+// the given uvarints — counts that announce more entries than follow them.
+func craftedFrame(typ byte, uvarints ...uint64) []byte {
+	payload := binary.LittleEndian.AppendUint64([]byte{typ}, 1)
+	for _, v := range uvarints {
+		payload = binary.AppendUvarint(payload, v)
+	}
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
 // TestWireLargeFrameGrowsToItsLength: a payload far over the first buffer
@@ -409,11 +479,11 @@ func TestWireLargeFrameGrowsToItsLength(t *testing.T) {
 		values[i] = float64(i) * 0.5
 	}
 	var buf bytes.Buffer
-	if err := WriteBatchGetResp(&buf, 3, values, nil); err != nil {
+	if err := WriteBatchGetRespV(&buf, MaxWireVersion, 3, 0, values, nil); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	f, err := ReadFrame(bytes.NewReader(frame))
+	f, err := ReadFrameVersion(bytes.NewReader(frame), MaxWireVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +497,7 @@ func TestWireLargeFrameGrowsToItsLength(t *testing.T) {
 		}
 	}
 	cut := frame[:4+smallFramePayload]
-	if _, err := ReadFrame(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrameVersion(bytes.NewReader(cut), MaxWireVersion); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("frame cut after its first buffer: %v, want io.ErrUnexpectedEOF", err)
 	}
 }

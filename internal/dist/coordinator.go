@@ -88,8 +88,8 @@ func NewCoordinator(shards []storage.Store, addrs []string) (*CoordinatorStore, 
 func (c *CoordinatorStore) ShardCount() int { return len(c.shards) }
 
 // WireVersions reports each shard client's negotiated wire version: 0 for
-// in-process shards or clients that never connected, ≥ 2 when trace
-// propagation is active on the link. The /stats diagnostics section.
+// in-process shards or clients that never connected. The /stats
+// diagnostics section.
 func (c *CoordinatorStore) WireVersions() []uint16 {
 	out := make([]uint16, len(c.shards))
 	for i, sh := range c.shards {

@@ -28,11 +28,6 @@ type ClientConfig struct {
 	// beyond the pool dial extra connections and discard them afterwards.
 	// 0 means the default of 4.
 	PoolSize int
-	// MaxWireVersion caps the wire version this client announces in the
-	// handshake. 0 means codec.MaxWireVersion; set 1 to speak the original
-	// no-trace protocol (interop testing, or trimming the per-frame trace
-	// bytes).
-	MaxWireVersion uint16
 }
 
 // normalized returns cfg with defaults applied.
@@ -46,18 +41,13 @@ func (cfg ClientConfig) normalized() ClientConfig {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 4
 	}
-	if cfg.MaxWireVersion == 0 || cfg.MaxWireVersion > codec.MaxWireVersion {
-		cfg.MaxWireVersion = codec.MaxWireVersion
-	}
 	return cfg
 }
 
-// remoteConn is one pooled connection with its buffered reader and the wire
-// version negotiated on it.
+// remoteConn is one pooled connection with its buffered reader.
 type remoteConn struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	version uint16
+	conn net.Conn
+	br   *bufio.Reader
 	// yank is the cancellation watcher of the request in flight (see
 	// roundTrip): it sets a past deadline so blocked reads and writes return
 	// at once, then sends one token on watched. Both are built once per
@@ -83,7 +73,7 @@ type RemoteStore struct {
 	retrievals atomic.Int64
 	closed     atomic.Bool
 	// negotiated is the wire version of the most recent handshake (0 until
-	// the first connection) — the /stats trace-propagation diagnostic.
+	// the first connection) — the /stats per-shard connected signal.
 	negotiated atomic.Uint32
 }
 
@@ -102,8 +92,7 @@ func NewRemoteStore(addr string, cfg ClientConfig) *RemoteStore {
 func (s *RemoteStore) Addr() string { return s.addr }
 
 // NegotiatedVersion returns the wire version of the most recent handshake
-// with the shard, or 0 before any connection succeeded. Version ≥ 2 means
-// trace propagation is active on the link.
+// with the shard, or 0 before any connection succeeded.
 func (s *RemoteStore) NegotiatedVersion() uint16 { return uint16(s.negotiated.Load()) }
 
 // Close drains and closes the pooled connections. Requests after Close fail.
@@ -134,14 +123,14 @@ func (s *RemoteStore) acquire(ctx context.Context) (*remoteConn, error) {
 	// Handshake under the dial timeout: a listener that accepts but never
 	// speaks must not hang the caller. The client announces the highest
 	// version it speaks; the server replies with the connection's version
-	// (min of both sides), which every frame on this connection then uses.
+	// (min of both sides), which must not exceed the announcement.
 	_ = conn.SetDeadline(time.Now().Add(s.cfg.DialTimeout))
 	rc := &remoteConn{conn: conn, br: bufio.NewReaderSize(conn, 1<<16), watched: make(chan struct{}, 1)}
 	rc.yank = func() {
 		_ = conn.SetDeadline(time.Now().Add(-time.Second))
 		rc.watched <- struct{}{}
 	}
-	if err := codec.WriteHandshake(conn, s.cfg.MaxWireVersion); err != nil {
+	if err := codec.WriteHandshake(conn, codec.MaxWireVersion); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
@@ -150,11 +139,10 @@ func (s *RemoteStore) acquire(ctx context.Context) (*remoteConn, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
-	if ver > s.cfg.MaxWireVersion {
+	if ver > codec.MaxWireVersion {
 		_ = conn.Close()
-		return nil, fmt.Errorf("handshake: server replied version %d above announced %d", ver, s.cfg.MaxWireVersion)
+		return nil, fmt.Errorf("handshake: server replied version %d above announced %d", ver, codec.MaxWireVersion)
 	}
-	rc.version = ver
 	s.negotiated.Store(uint32(ver))
 	_ = conn.SetDeadline(time.Time{})
 	return rc, nil
@@ -180,7 +168,7 @@ func (s *RemoteStore) release(rc *remoteConn) {
 // error (matching ErrShard) is returned — unless the caller's context ended,
 // in which case ctx.Err() wins so cancellation is never misread as a shard
 // fault (RetryStore, for one, must not retry it).
-func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, version uint16, id uint64) error) (*codec.WireFrame, error) {
+func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, id uint64) error) (*codec.WireFrame, error) {
 	if s.closed.Load() {
 		return nil, &remoteError{addr: s.addr, msg: "client closed"}
 	}
@@ -205,10 +193,10 @@ func (s *RemoteStore) roundTrip(ctx context.Context, write func(conn net.Conn, v
 	stop := context.AfterFunc(ctx, rc.yank)
 	id := s.reqID.Add(1)
 	frame, err := func() (*codec.WireFrame, error) {
-		if err := write(rc.conn, rc.version, id); err != nil {
+		if err := write(rc.conn, id); err != nil {
 			return nil, err
 		}
-		return codec.ReadFrameVersion(rc.br, rc.version)
+		return codec.ReadFrameVersion(rc.br, codec.MaxWireVersion)
 	}()
 	if !stop() {
 		// The watcher fired: wait until its past deadline is in place, so it
@@ -245,17 +233,17 @@ func (s *RemoteStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 		return nil
 	}
 	s.retrievals.Add(int64(len(keys)))
-	// The request ID rides the v2 frame extension so the shard's spans join
-	// this query's trace; on a v1 connection the writer drops it.
+	// The request ID rides the frame extension so the shard's spans join
+	// this query's trace.
 	trace := obs.RequestID(ctx)
-	frame, err := s.roundTrip(ctx, func(conn net.Conn, version uint16, id uint64) error {
-		return codec.WriteBatchGetReqV(conn, version, id, trace, keys)
+	frame, err := s.roundTrip(ctx, func(conn net.Conn, id uint64) error {
+		return codec.WriteBatchGetReqV(conn, codec.MaxWireVersion, id, trace, keys)
 	})
 	if err != nil {
 		return err
 	}
 	// Wire accounting for EXPLAIN ANALYZE: response bytes and the shard's
-	// echoed serve time (0 on v1). No-op without a profile in ctx.
+	// echoed serve time. No-op without a profile in ctx.
 	obs.ProfileFrom(ctx).AddRemote(s.addr, frame.WireSize, time.Duration(frame.ElapsedNanos))
 	switch frame.Type {
 	case codec.FrameError:
@@ -290,8 +278,8 @@ func (s *RemoteStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 // Meta fetches the shard's self-description.
 func (s *RemoteStore) Meta(ctx context.Context) (*codec.ShardMeta, error) {
 	trace := obs.RequestID(ctx)
-	frame, err := s.roundTrip(ctx, func(conn net.Conn, version uint16, id uint64) error {
-		return codec.WriteMetaReqV(conn, version, id, trace)
+	frame, err := s.roundTrip(ctx, func(conn net.Conn, id uint64) error {
+		return codec.WriteMetaReqV(conn, codec.MaxWireVersion, id, trace)
 	})
 	if err != nil {
 		return nil, err

@@ -29,13 +29,10 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// spans, when set, receives shard-side serve spans. A v2 request frame
+	// spans, when set, receives shard-side serve spans. A request frame
 	// carries the coordinator's request ID; the span lands in this process's
 	// ring under that ID, so the two processes' /debug/traces join on it.
 	spans *obs.SpanSink
-	// maxVersion caps what the server negotiates (0 = codec.MaxWireVersion;
-	// set 1 to emulate a no-trace peer in interop tests).
-	maxVersion uint16
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -73,11 +70,6 @@ func (s *Server) Requests() int64 { return s.requests.Load() }
 // SetSpanSink directs shard-side serve spans into sink (nil keeps tracing
 // off). Call before Serve.
 func (s *Server) SetSpanSink(sink *obs.SpanSink) { s.spans = sink }
-
-// SetMaxWireVersion caps the version this server negotiates (0 restores
-// codec.MaxWireVersion). Call before Serve; version 1 makes the server
-// behave as a pre-diagnostics peer.
-func (s *Server) SetMaxWireVersion(v uint16) { s.maxVersion = v }
 
 // Serve accepts connections on ln until Close. It returns nil after Close;
 // any other accept failure is returned as-is.
@@ -150,23 +142,22 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	// A client announcing a version this build does not speak (the retired
+	// v1) is refused: the connection closes without a reply.
 	clientV, err := codec.ReadHandshake(br)
 	if err != nil {
 		s.logWarn("handshake failed", "remote", conn.RemoteAddr().String(), "error", err)
 		return
 	}
 	// Reply with the connection's version: the minimum of what the client
-	// announced and what this server speaks. Every frame on the connection
-	// then uses that version's framing, so a v1 client sees exactly the old
-	// protocol.
-	ver := codec.NegotiateVersion(clientV, s.maxVersion)
-	if err := codec.WriteHandshake(bw, ver); err != nil || bw.Flush() != nil {
+	// announced and what this server speaks.
+	if err := codec.WriteHandshake(bw, codec.NegotiateVersion(clientV)); err != nil || bw.Flush() != nil {
 		return
 	}
 	// Requests have no deadline: an idle pooled connection stays open.
 	_ = conn.SetDeadline(time.Time{})
 	for {
-		frame, err := codec.ReadFrameVersion(br, ver)
+		frame, err := codec.ReadFrameVersion(br, codec.MaxWireVersion)
 		if err != nil {
 			// EOF and reset are the peer leaving; anything else is noise worth
 			// a log line. Either way the connection is done.
@@ -176,7 +167,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.requests.Add(1)
-		if err := s.serveFrame(bw, ver, frame); err != nil {
+		if err := s.serveFrame(bw, frame); err != nil {
 			s.errors.Add(1)
 			s.logWarn("writing response failed", "remote", conn.RemoteAddr().String(), "error", err)
 			return
@@ -187,11 +178,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// serveFrame answers one request frame on bw (unflushed). On a v2
-// connection the response echoes the serve time, and a request carrying a
-// trace records a span into the server's sink under the coordinator's
-// request ID — the cross-process joint the diagnostics layer pivots on.
-func (s *Server) serveFrame(bw *bufio.Writer, ver uint16, frame *codec.WireFrame) error {
+// serveFrame answers one request frame on bw (unflushed). The response
+// echoes the serve time, and a request carrying a trace records a span
+// into the server's sink under the coordinator's request ID — the
+// cross-process joint the diagnostics layer pivots on.
+func (s *Server) serveFrame(bw *bufio.Writer, frame *codec.WireFrame) error {
+	const ver = codec.MaxWireVersion
 	start := time.Now()
 	ctx := s.ctx
 	if frame.Trace != "" && s.spans != nil {

@@ -2,15 +2,18 @@ package dist
 
 // Tests for the diagnostics extensions of the shard wire protocol: trace
 // propagation over a real TCP round-trip (the coordinator's request ID must
-// land in the shard process's span ring), version negotiation against
-// pre-diagnostics peers on either side of the connection, and per-shard
-// wire attribution in a query profile driven through the coordinator.
+// land in the shard process's span ring), refusal of a peer announcing the
+// retired version 1 on either side of the connection, and per-shard wire
+// attribution in a query profile driven through the coordinator.
 
 import (
+	"bytes"
 	"context"
-	"math"
+	"io"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/obs"
@@ -19,13 +22,10 @@ import (
 
 // startTracedShard is startShard with a span sink installed before Serve
 // (SetSpanSink must precede Serve, so the plain fixture cannot be reused).
-func startTracedShard(t *testing.T, store storage.Store, meta codec.ShardMeta, sink *obs.SpanSink, maxVer uint16) (addr string, srv *Server) {
+func startTracedShard(t *testing.T, store storage.Store, meta codec.ShardMeta, sink *obs.SpanSink) (addr string, srv *Server) {
 	t.Helper()
 	srv = NewServer(store, meta, nil)
 	srv.SetSpanSink(sink)
-	if maxVer != 0 {
-		srv.SetMaxWireVersion(maxVer)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,10 +48,13 @@ func someKeys(st *storage.HashStore, n int) ([]int, []float64) {
 func TestTracePropagationOverTCP(t *testing.T) {
 	store := testStore(2000, 77)
 	sink := obs.NewSpanSink(64)
-	addr, _ := startTracedShard(t, store, codec.ShardMeta{ShardCount: 1}, sink, 0)
+	addr, _ := startTracedShard(t, store, codec.ShardMeta{ShardCount: 1}, sink)
 
 	remote := NewRemoteStore(addr, ClientConfig{})
 	defer func() { _ = remote.Close() }()
+	if got := remote.NegotiatedVersion(); got != 0 {
+		t.Fatalf("negotiated version = %d before any connection, want 0", got)
+	}
 
 	const reqID = "req-trace-tcp-1"
 	ctx := obs.WithRequestID(context.Background(), reqID)
@@ -81,60 +84,83 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}
 }
 
-// TestWireNegotiationWithV1Server drives a current client against a shard
-// capped at the original protocol: the connection settles on v1, retrievals
-// stay bit-correct, and no trace reaches the shard's ring.
-func TestWireNegotiationWithV1Server(t *testing.T) {
+// v1Announce is the preamble of a peer speaking the retired version 1.
+const v1Announce = "WVDW\x01\x00"
+
+// TestWireV1ClientRefused: a shard server sent a version-1 announce closes
+// the connection without replying, and still serves current clients.
+func TestWireV1ClientRefused(t *testing.T) {
 	store := testStore(2000, 78)
-	sink := obs.NewSpanSink(64)
-	addr, _ := startTracedShard(t, store, codec.ShardMeta{ShardCount: 1}, sink, 1)
+	addr, srv := startTracedShard(t, store, codec.ShardMeta{ShardCount: 1}, nil)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if _, err := io.WriteString(conn, v1Announce); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("reading after a v1 announce: %v, want the server to close the connection", err)
+	}
+	if len(reply) != 0 {
+		t.Fatalf("server replied %q to a v1 announce, want no reply", reply)
+	}
+	if n := srv.Requests(); n != 0 {
+		t.Fatalf("server counted %d requests on a refused connection", n)
+	}
 
 	remote := NewRemoteStore(addr, ClientConfig{})
 	defer func() { _ = remote.Close() }()
-
-	ctx := obs.WithRequestID(context.Background(), "req-v1-server")
-	keys, vals := someKeys(store, 64)
-	if err := remote.BatchGetCtx(ctx, keys, vals); err != nil {
-		t.Fatal(err)
-	}
-	if got := remote.NegotiatedVersion(); got != 1 {
-		t.Fatalf("negotiated version = %d, want 1 against a capped server", got)
-	}
-	for i, k := range keys {
-		if math.Float64bits(vals[i]) != math.Float64bits(storage.Get(store, k)) {
-			t.Fatalf("key %d: got %v, want %v over v1", k, vals[i], storage.Get(store, k))
-		}
-	}
-	if n := len(sink.Spans()); n != 0 {
-		t.Fatalf("v1 connection recorded %d shard spans, want 0 (no trace field in v1 frames)", n)
+	keys, vals := someKeys(store, 16)
+	if err := remote.BatchGetCtx(context.Background(), keys, vals); err != nil {
+		t.Fatalf("current client after a refused v1 peer: %v", err)
 	}
 }
 
-// TestWireNegotiationWithV1Client is the mirror case: an old client (capped
-// announce) against a current server also settles on v1 and stays correct.
-func TestWireNegotiationWithV1Client(t *testing.T) {
-	store := testStore(2000, 79)
-	sink := obs.NewSpanSink(64)
-	addr, _ := startTracedShard(t, store, codec.ShardMeta{ShardCount: 1}, sink, 0)
-
-	remote := NewRemoteStore(addr, ClientConfig{MaxWireVersion: 1})
-	defer func() { _ = remote.Close() }()
-
-	ctx := obs.WithRequestID(context.Background(), "req-v1-client")
-	keys, vals := someKeys(store, 64)
-	if err := remote.BatchGetCtx(ctx, keys, vals); err != nil {
+// TestWireV1ServerRefused: a client whose server replies with version 1
+// fails the request with a handshake error naming the version, and never
+// records the version as negotiated.
+func TestWireV1ServerRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := remote.NegotiatedVersion(); got != 1 {
-		t.Fatalf("negotiated version = %d, want 1 with a capped client", got)
-	}
-	for i, k := range keys {
-		if vals[i] != storage.Get(store, k) {
-			t.Fatalf("key %d: got %v, want %v over v1", k, vals[i], storage.Get(store, k))
+	defer func() { _ = ln.Close() }()
+	announced := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
 		}
+		defer func() { _ = conn.Close() }()
+		hello := make([]byte, len(v1Announce))
+		if _, err := io.ReadFull(conn, hello); err != nil {
+			return
+		}
+		announced <- hello
+		_, _ = io.WriteString(conn, v1Announce)
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+
+	remote := NewRemoteStore(ln.Addr().String(), ClientConfig{})
+	defer func() { _ = remote.Close() }()
+	err = remote.BatchGetCtx(context.Background(), []int{1, 2}, make([]float64, 2))
+	if err == nil || !strings.Contains(err.Error(), "handshake") || !strings.Contains(err.Error(), "wire version 1") {
+		t.Fatalf("request to a v1 server: %v, want a handshake error naming wire version 1", err)
 	}
-	if n := len(sink.Spans()); n != 0 {
-		t.Fatalf("v1 client produced %d shard spans, want 0", n)
+	var want bytes.Buffer
+	if err := codec.WriteHandshake(&want, codec.MaxWireVersion); err != nil {
+		t.Fatal(err)
+	}
+	if hello := <-announced; !bytes.Equal(hello, want.Bytes()) {
+		t.Fatalf("client announced %q, want %q", hello, want.Bytes())
+	}
+	if v := remote.NegotiatedVersion(); v != 0 {
+		t.Fatalf("negotiated version %d recorded for a refused server", v)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro"
@@ -113,6 +114,40 @@ func TestQueryOverDistributedDatabase(t *testing.T) {
 	}
 	if reqs == 0 {
 		t.Fatal("no shard traffic recorded after a full query")
+	}
+}
+
+// TestStatsShardWireVersions pins /stats diagnostics.shard_wire_versions on
+// a 2-shard coordinator: one entry per shard, each the version negotiated.
+// OpenDistributed fetches every shard's metadata before it returns, so the
+// shards read 2 before the first drain already, and still after it.
+func TestStatsShardWireVersions(t *testing.T) {
+	h, _, _ := distHandlerN(t, 2)
+	versions := func() []uint16 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var stats struct {
+			Diagnostics map[string]json.RawMessage `json:"diagnostics"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		var v []uint16
+		if err := json.Unmarshal(stats.Diagnostics["shard_wire_versions"], &v); err != nil {
+			t.Fatalf("diagnostics.shard_wire_versions: %v in %s", err, rec.Body)
+		}
+		return v
+	}
+	want := []uint16{2, 2}
+	if got := versions(); !slices.Equal(got, want) {
+		t.Fatalf("shard wire versions before the first drain: %v, want %v", got, want)
+	}
+	if rec := postQuery(t, h, `{"statements": "`+distStatements+`"}`); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if got := versions(); !slices.Equal(got, want) {
+		t.Fatalf("shard wire versions after a drain: %v, want %v", got, want)
 	}
 }
 

@@ -230,11 +230,8 @@ type DiagnosticsStats struct {
 	ProfileCapacity  int    `json:"profile_capacity"`
 	ProfilesTotal    uint64 `json:"profiles_total"`
 	// ShardWireVersions is the negotiated shard wire-protocol version per
-	// shard (0 = not yet connected); ShardTracePropagation reports whether
-	// that version carries trace contexts and serve-time echoes (v2+).
-	// Omitted for local databases.
-	ShardWireVersions     []uint16 `json:"shard_wire_versions,omitempty"`
-	ShardTracePropagation []bool   `json:"shard_trace_propagation,omitempty"`
+	// shard (0 = not yet connected). Omitted for local databases.
+	ShardWireVersions []uint16 `json:"shard_wire_versions,omitempty"`
 }
 
 // PreparedStats is the /stats view of the prepared-plan tier.
@@ -332,11 +329,6 @@ func (h *Handler) stats() StatsResponse {
 	}
 	if vers, ok := h.db.ShardWireVersions(); ok {
 		resp.Diagnostics.ShardWireVersions = vers
-		tp := make([]bool, len(vers))
-		for i, v := range vers {
-			tp[i] = v >= 2
-		}
-		resp.Diagnostics.ShardTracePropagation = tp
 	}
 	return resp
 }
