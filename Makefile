@@ -152,8 +152,10 @@ bench-robust:
 # Observability-overhead benchmarks behind BENCH_obs.json: the evaluation
 # hot path with instrumentation compiled in but switched off (must match
 # BENCH_core.json's schedule drain with zero extra allocations), armed with
-# a live registry, with per-run bound tracing, and through the instrumented
-# store wrapper; plus the nil fast-path micro-benches of internal/obs.
+# a live registry, with a per-run recorder (BenchmarkObsTracedDrain) or a
+# profiled run, and through the instrumented store wrapper; plus the nil
+# fast-path micro-benches of internal/obs (BenchmarkNilProfileRecordStep
+# is the recorder's).
 bench-obs:
 	$(GO) test -run NONE -bench 'BenchmarkObs' -benchmem -benchtime=100x ./internal/core/
 	$(GO) test -run NONE -bench 'BenchmarkNil|BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem ./internal/obs/

@@ -85,62 +85,10 @@ func parseFlags(args []string) (*options, error) {
 		retry      repro.RetryConfig
 		chaos      repro.FaultConfig
 	)
-	fs := flag.NewFlagSet("wvqd", flag.ContinueOnError)
-	fs.StringVar(&o.dbPath, "db", "temperature.wvdb", "database file to serve")
-	fs.StringVar(&o.layoutPath, "layout", "", "serve a schedule-aware .wvls layout file instead of -db (read-only; convert with wvlayout)")
-	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&o.server.Sched.MaxActive, "max-active", 0, "concurrent runs in the scheduler table (0 = default 64)")
-	fs.IntVar(&o.server.Sched.MaxQueued, "max-queued", 0, "runs waiting behind the table before 429 (0 = default 256)")
-	fs.IntVar(&o.server.Sched.Slice, "slice", 0, "retrievals per scheduling turn (0 = default 512)")
-	fs.IntVar(&o.server.Sched.Workers, "workers", 0, "scheduler worker goroutines (0 = GOMAXPROCS)")
-	fs.IntVar(&o.server.PlanCache, "plan-cache", 0, "prepared plans held in the registry (0 = default 256)")
-	fs.IntVar(&o.server.Sched.MaxPreparedPerTenant, "max-prepared-per-tenant", 0, "prepared plans one tenant may hold (0 = default 32, negative = unlimited)")
-	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve pprof, /metrics, /debug/traces and /debug/profiles on this address (empty = disabled)")
-	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
-	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
-
-	// Diagnostics: -slow-query arms per-request EXPLAIN ANALYZE profiling
-	// and logs any request whose wall time reaches the threshold;
-	// -profile-ring sizes the /debug/profiles ring of retained profiles.
-	fs.DurationVar(&o.server.SlowQuery, "slow-query", 0, "log an EXPLAIN ANALYZE profile for requests at or above this duration (0 = disabled)")
-	fs.IntVar(&o.server.ProfileRing, "profile-ring", 0, "finished profiles retained for /debug/profiles (0 = default 64)")
-
-	// Robustness: retry policy over the store's retrievals, and a
-	// deterministic chaos injector underneath it for resilience drills.
-	fs.IntVar(&retry.MaxAttempts, "retry-attempts", 0, "retry failed retrievals up to N attempts (0 = no retry layer)")
-	fs.DurationVar(&retry.BaseDelay, "retry-base", 0, "base backoff delay between retry attempts (0 = default 1ms)")
-	fs.DurationVar(&retry.AttemptTimeout, "retry-timeout", 0, "per-attempt retrieval timeout (0 = none)")
-
-	fs.Float64Var(&chaos.ErrorRate, "chaos-error-rate", 0, "inject retrieval errors on this fraction of keys [0,1)")
-	fs.IntVar(&chaos.ErrorEvery, "chaos-error-every", 0, "inject a retrieval error every Nth retrieved key (0 = off)")
-	fs.Float64Var(&chaos.DelayRate, "chaos-delay-rate", 0, "inject latency on this fraction of keys [0,1)")
-	fs.DurationVar(&chaos.Delay, "chaos-delay", 0, "latency injected on delayed retrievals")
-	fs.Uint64Var(&chaos.Seed, "chaos-seed", 1, "seed of the deterministic chaos schedule")
-
-	// Distributed tier: -shard-listen turns the daemon into a coefficient
-	// shard server (no HTTP); -shards turns it into a coordinator serving
-	// HTTP against remote shards instead of a local database file.
-	fs.StringVar(&o.shardListen, "shard-listen", "", "serve shard -shard-index of -shard-count over TCP on this address instead of HTTP")
-	fs.IntVar(&o.shardIndex, "shard-index", 0, "this shard's index in [0,-shard-count) (with -shard-listen)")
-	fs.IntVar(&o.shardCount, "shard-count", 0, "total shards in the deployment, a power of two (with -shard-listen)")
-	fs.StringVar(&shardAddrs, "shards", "", "comma-separated shard addresses to coordinate over (shard i must be the i-th address)")
-	fs.DurationVar(&o.dist.opts.DialTimeout, "shard-dial-timeout", 0, "per-shard connect timeout (0 = default 2s)")
-	fs.DurationVar(&o.dist.opts.RequestTimeout, "shard-timeout", 0, "per-shard request deadline (0 = default 5s)")
-	fs.IntVar(&o.dist.opts.PoolSize, "shard-pool", 0, "idle connections kept per shard (0 = default 4)")
-
-	// Live updates: -mvcc turns the loaded database into an MVCC snapshot
-	// store — POST /ingest applies write batches, queries pin bit-stable
-	// snapshots, /query?version=N addresses retained versions, and a
-	// background compactor folds update layers into the base.
-	fs.BoolVar(&o.mvcc.enabled, "mvcc", false, "enable MVCC live updates: POST /ingest, snapshot-pinned queries, ?version= reads")
-	fs.IntVar(&o.mvcc.cfg.MaxLayers, "mvcc-max-layers", 0, "update layers tolerated before background compaction (0 = default 16)")
-	fs.IntVar(&o.mvcc.cfg.MaxLayerKeys, "mvcc-max-layer-keys", 0, "total overlay coefficients tolerated before background compaction (0 = default 131072)")
-	fs.IntVar(&o.mvcc.cfg.Retain, "mvcc-retain", 0, "historical versions addressable via ?version= (0 = default 8)")
+	fs := newFlagSet(&o, &shardAddrs, &retry, &chaos)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-
 	var robustSet []string // the -retry-*/-chaos-* flags given, whatever their values
 	fs.Visit(func(f *flag.Flag) {
 		if strings.HasPrefix(f.Name, "retry-") || strings.HasPrefix(f.Name, "chaos-") {
@@ -157,13 +105,11 @@ func parseFlags(args []string) (*options, error) {
 		return nil, errors.New("-layout is a local serving mode; it cannot be combined with -shard-listen or -shards")
 	case o.server.SlowQuery < 0:
 		return nil, errors.New("-slow-query must be non-negative")
-	case o.server.ProfileRing < 0:
-		return nil, errors.New("-profile-ring must be non-negative")
 	// A shard server answers retrieval frames, not queries: there is nothing
 	// to profile at that granularity there, and it serves its partition
 	// through a stack with no retry or chaos layer.
-	case o.shardListen != "" && (o.server.SlowQuery != 0 || o.server.ProfileRing != 0):
-		return nil, errors.New("-slow-query/-profile-ring only apply to query-serving modes, not -shard-listen")
+	case o.shardListen != "" && o.server.SlowQuery != 0:
+		return nil, errors.New("-slow-query only applies to query-serving modes, not -shard-listen")
 	case o.shardListen != "" && len(robustSet) > 0:
 		return nil, fmt.Errorf("-shard-listen serves through no retry or chaos layer; drop %s", strings.Join(robustSet, ", "))
 	case o.shardListen == "" && (o.shardIndex != 0 || o.shardCount != 0):
@@ -210,6 +156,63 @@ func parseFlags(args []string) (*options, error) {
 		o.stack.Retry = &retry
 	}
 	return &o, nil
+}
+
+// newFlagSet declares wvqd's command line. Parsing fills o, plus the raw
+// -shards list and the retry and chaos knobs that parseFlags validates and
+// folds into o.
+func newFlagSet(o *options, shardAddrs *string, retry *repro.RetryConfig, chaos *repro.FaultConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("wvqd", flag.ContinueOnError)
+	fs.StringVar(&o.dbPath, "db", "temperature.wvdb", "database file to serve")
+	fs.StringVar(&o.layoutPath, "layout", "", "serve a schedule-aware .wvls layout file instead of -db (read-only; convert with wvlayout)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.server.Sched.MaxActive, "max-active", 0, "concurrent runs in the scheduler table (0 = default 64)")
+	fs.IntVar(&o.server.Sched.MaxQueued, "max-queued", 0, "runs waiting behind the table before 429 (0 = default 256)")
+	fs.IntVar(&o.server.Sched.Slice, "slice", 0, "retrievals per scheduling turn (0 = default 512)")
+	fs.IntVar(&o.server.Sched.Workers, "workers", 0, "scheduler worker goroutines (0 = GOMAXPROCS)")
+	fs.IntVar(&o.server.PlanCache, "plan-cache", 0, "prepared plans held in the registry (0 = default 256)")
+	fs.IntVar(&o.server.Sched.MaxPreparedPerTenant, "max-prepared-per-tenant", 0, "prepared plans one tenant may hold (0 = default 32, negative = unlimited)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve pprof, /metrics, /debug/traces and /debug/profiles on this address (empty = disabled)")
+	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
+
+	// Diagnostics: -slow-query arms per-request EXPLAIN ANALYZE profiling
+	// and logs any request whose wall time reaches the threshold.
+	fs.DurationVar(&o.server.SlowQuery, "slow-query", 0, "log an EXPLAIN ANALYZE profile for requests at or above this duration (0 = disabled)")
+
+	// Robustness: retry policy over the store's retrievals, and a
+	// deterministic chaos injector underneath it for resilience drills.
+	fs.IntVar(&retry.MaxAttempts, "retry-attempts", 0, "retry failed retrievals up to N attempts (0 = no retry layer)")
+	fs.DurationVar(&retry.BaseDelay, "retry-base", 0, "base backoff delay between retry attempts (0 = default 1ms)")
+	fs.DurationVar(&retry.AttemptTimeout, "retry-timeout", 0, "per-attempt retrieval timeout (0 = none)")
+
+	fs.Float64Var(&chaos.ErrorRate, "chaos-error-rate", 0, "inject retrieval errors on this fraction of keys [0,1)")
+	fs.IntVar(&chaos.ErrorEvery, "chaos-error-every", 0, "inject a retrieval error every Nth retrieved key (0 = off)")
+	fs.Float64Var(&chaos.DelayRate, "chaos-delay-rate", 0, "inject latency on this fraction of keys [0,1)")
+	fs.DurationVar(&chaos.Delay, "chaos-delay", 0, "latency injected on delayed retrievals")
+	fs.Uint64Var(&chaos.Seed, "chaos-seed", 1, "seed of the deterministic chaos schedule")
+
+	// Distributed tier: -shard-listen turns the daemon into a coefficient
+	// shard server (no HTTP); -shards turns it into a coordinator serving
+	// HTTP against remote shards instead of a local database file.
+	fs.StringVar(&o.shardListen, "shard-listen", "", "serve shard -shard-index of -shard-count over TCP on this address instead of HTTP")
+	fs.IntVar(&o.shardIndex, "shard-index", 0, "this shard's index in [0,-shard-count) (with -shard-listen)")
+	fs.IntVar(&o.shardCount, "shard-count", 0, "total shards in the deployment, a power of two (with -shard-listen)")
+	fs.StringVar(shardAddrs, "shards", "", "comma-separated shard addresses to coordinate over (shard i must be the i-th address)")
+	fs.DurationVar(&o.dist.opts.DialTimeout, "shard-dial-timeout", 0, "per-shard connect timeout (0 = default 2s)")
+	fs.DurationVar(&o.dist.opts.RequestTimeout, "shard-timeout", 0, "per-shard request deadline (0 = default 5s)")
+	fs.IntVar(&o.dist.opts.PoolSize, "shard-pool", 0, "idle connections kept per shard (0 = default 4)")
+
+	// Live updates: -mvcc turns the loaded database into an MVCC snapshot
+	// store — POST /ingest applies write batches, queries pin bit-stable
+	// snapshots, /query?version=N addresses retained versions, and a
+	// background compactor folds update layers into the base.
+	fs.BoolVar(&o.mvcc.enabled, "mvcc", false, "enable MVCC live updates: POST /ingest, snapshot-pinned queries, ?version= reads")
+	fs.IntVar(&o.mvcc.cfg.MaxLayers, "mvcc-max-layers", 0, "update layers tolerated before background compaction (0 = default 16)")
+	fs.IntVar(&o.mvcc.cfg.MaxLayerKeys, "mvcc-max-layer-keys", 0, "total overlay coefficients tolerated before background compaction (0 = default 131072)")
+	fs.IntVar(&o.mvcc.cfg.Retain, "mvcc-retain", 0, "historical versions addressable via ?version= (0 = default 8)")
+	return fs
 }
 
 func main() {

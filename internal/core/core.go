@@ -211,17 +211,15 @@ type Run struct {
 	// fault-free runs carry no overhead.
 	skipped []int
 
-	// trace, when attached, receives the run's bound trajectory computed
-	// with coefficient mass traceMass (obs.go). The metrics bundle is NOT
-	// cached on the Run: step paths load the package pointer per call (one
-	// relaxed atomic load, nil when unobserved), which keeps NewRun free of
-	// calls and therefore inlinable — the 1-alloc run setup depends on it.
-	trace     *obs.RunTrace
-	traceMass float64
-	// profile, when attached, receives the run's EXPLAIN ANALYZE rows: one
-	// StepProfile per StepBatchCtx. Nil (the default) costs one nil check
-	// per batch, preserving the 0-extra-alloc off path.
-	profile *obs.QueryProfile
+	// profile, when attached, is the run's recorder: one row per
+	// StepBatchCtx, its bound priced with coefficient mass profileMass
+	// (obs.go). Nil (the default) costs one nil check per batch, preserving
+	// the 0-extra-alloc off path. The metrics bundle is NOT cached on the
+	// Run: step paths load the package pointer per call (one relaxed atomic
+	// load, nil when unobserved), which keeps NewRun free of calls and
+	// therefore inlinable — the 1-alloc run setup depends on it.
+	profile     *obs.QueryProfile
+	profileMass float64
 }
 
 // NewRun prepares a progressive run: it looks up (or builds once) the

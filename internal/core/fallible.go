@@ -125,7 +125,7 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 				r.markSkipped(r.cursor + j)
 			}
 			r.cursor += b
-			r.finishStepBatch(m, start, b, skippedBefore)
+			r.finishStepBatch(m, start, skippedBefore)
 			return b, nil
 		}
 	}
@@ -145,25 +145,19 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 		}
 	}
 	r.cursor += b
-	r.finishStepBatch(m, start, b, skippedBefore)
+	r.finishStepBatch(m, start, skippedBefore)
 	return b, nil
 }
 
 // finishStepBatch is StepBatchCtx's shared exit instrumentation: batch
-// latency, a trace sample, and an EXPLAIN ANALYZE step row.
-func (r *Run) finishStepBatch(m *coreMetrics, start time.Time, b, skippedBefore int) {
+// latency and the recorder's row, its bound computed once.
+func (r *Run) finishStepBatch(m *coreMetrics, start time.Time, skippedBefore int) {
 	if m != nil {
 		m.stepBatchSeconds.Observe(time.Since(start).Seconds())
 	}
-	if r.trace != nil {
-		r.traceStep()
-	}
 	if r.profile != nil {
-		var bound float64
-		if r.trace != nil {
-			bound = r.WorstCaseBound(r.traceMass)
-		}
-		r.profile.RecordStep(b, r.cursor, len(r.skipped)-skippedBefore, time.Since(start), bound)
+		bound := r.WorstCaseBound(r.profileMass)
+		r.profile.RecordStep(r.cursor, len(r.skipped)-skippedBefore, time.Since(start), bound, r.Done())
 	}
 }
 

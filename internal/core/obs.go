@@ -12,10 +12,9 @@ import (
 // stays entirely call-free so it keeps inlining — the <5% / 0-extra-alloc
 // nil-path budget pinned by BENCH_obs.json depends on both.
 //
-// Run traces are separate from metrics: AttachTrace hands a run an
-// obs.RunTrace and the run records its Theorem-1 bound trajectory — bound
-// value vs. retrieved-coefficient count — as it advances, finishing the
-// trace automatically when the schedule drains.
+// A run's recorder is separate from metrics: AttachProfile hands a run an
+// obs.QueryProfile and every StepBatchCtx records one row — batch size,
+// retrieved count, skips, wall time and the Theorem-1 bound after it.
 
 // coreMetrics is the package's metric bundle, built once per Observe.
 type coreMetrics struct {
@@ -56,36 +55,15 @@ func Observe(reg *obs.Registry) {
 // coObs returns the installed bundle, or nil when observation is off.
 func coObs() *coreMetrics { return coMetrics.Load() }
 
-// AttachTrace points the run at a bound-trajectory trace: every advance
-// records (retrieved, WorstCaseBound(coefficientMass), skipped), and the
-// trace is finished automatically when the schedule drains.
-// coefficientMass is K = Σ|Δ̂[ξ]| as in WorstCaseBound. Attaching also
-// records the starting point (0 retrievals, initial bound). A nil trace
-// detaches.
-func (r *Run) AttachTrace(t *obs.RunTrace, coefficientMass float64) {
-	r.trace = t
-	r.traceMass = coefficientMass
-	r.traceStep()
-}
-
-// AttachProfile points the run at an EXPLAIN ANALYZE profile: every
-// StepBatchCtx records one StepProfile row (batch size, cumulative
-// retrieved, skips, wall time, and the bound when a trace is attached
-// too). A nil profile detaches; the off path pays one nil check per batch.
-func (r *Run) AttachProfile(p *obs.QueryProfile) {
+// AttachProfile points the run at its recorder: every StepBatchCtx records
+// one row (batch size, cumulative retrieved, skips, wall time, and the bound
+// WorstCaseBound(coefficientMass) after it), and attaching records the
+// starting point. coefficientMass is K = Σ|Δ̂[ξ]| as in WorstCaseBound. A
+// nil profile detaches; the off path pays one nil check per batch.
+func (r *Run) AttachProfile(p *obs.QueryProfile, coefficientMass float64) {
 	r.profile = p
-}
-
-// traceStep samples the attached trace after an advance; a run with no
-// trace pays one nil-check.
-func (r *Run) traceStep() {
-	if r.trace == nil {
-		return
+	r.profileMass = coefficientMass
+	if p != nil {
+		p.Begin(r.cursor, r.WorstCaseBound(coefficientMass), len(r.skipped))
 	}
-	bound := r.WorstCaseBound(r.traceMass)
-	if r.Done() {
-		r.trace.Finish(true, r.cursor, bound, len(r.skipped))
-		return
-	}
-	r.trace.Record(r.cursor, bound, len(r.skipped))
 }

@@ -4,8 +4,8 @@ package core
 // (BENCH_obs.json): the cost of the instrumentation sites on the evaluation
 // hot path with no registry observed (the "off is free" contract — must stay
 // within noise of BENCH_core.json's BenchmarkStepToCompletion/schedule and
-// add zero allocations), and the armed cost with a live registry, with run
-// tracing, and with the full instrumented store stack.
+// add zero allocations), and the armed cost with a live registry, with a
+// run recorder, and with the full instrumented store stack.
 
 import (
 	"context"
@@ -50,23 +50,23 @@ func BenchmarkObsOnDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkObsTracedDrain adds a run trace per run on top of the live
-// registry — the full "watch the bound decay" configuration, StepBatchCtx-paced
-// like the scheduler drives it.
+// BenchmarkObsTracedDrain adds a listed run recorder per run on top of the
+// live registry — what every request of an observed server pays, the full
+// "watch the bound decay" configuration, StepBatchCtx-paced like the
+// scheduler drives it.
 func BenchmarkObsTracedDrain(b *testing.B) {
-	reg := obs.NewRegistry()
-	Observe(reg)
+	o := obs.NewObserver()
+	Observe(o.Registry)
 	defer Observe(nil)
 	f := newBenchPlanFixture(b)
 	pen := penalty.SSE{}
 	f.plan.ScheduleFor(pen)
-	sink := obs.NewRunTraceSink(0)
 	mass := 1000.0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := NewRun(f.plan, pen, f.store)
-		run.AttachTrace(sink.Start("bench", ""), mass)
+		run.AttachProfile(o.StartRun("bench", ""), mass)
 		for stepBatch(run, 256) > 0 {
 		}
 	}
@@ -100,8 +100,9 @@ func BenchmarkObsProfileOffDrain(b *testing.B) {
 }
 
 // BenchmarkObsProfiledDrain is the same drain with a QueryProfile attached
-// and carried in the context — the ?explain=1 configuration: one step row,
-// one clock read pair, and one mutex round per 256-entry batch.
+// and carried in the context — the ?explain=1 configuration: one step row
+// with its bound, one clock read pair, and one mutex round per 256-entry
+// batch.
 func BenchmarkObsProfiledDrain(b *testing.B) {
 	Observe(nil)
 	f := newBenchPlanFixture(b)
@@ -113,7 +114,7 @@ func BenchmarkObsProfiledDrain(b *testing.B) {
 		prof := obs.NewQueryProfile("bench", "")
 		ctx := obs.WithProfile(context.Background(), prof)
 		run := NewRun(f.plan, pen, f.store)
-		run.AttachProfile(prof)
+		run.AttachProfile(prof, 1000)
 		for {
 			n, err := run.StepBatchCtx(ctx, 256)
 			if err != nil {

@@ -106,23 +106,23 @@ func TestSpanPropagationConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestRunTraceBoundTrajectory attaches a run trace and checks the recorded
+// TestRunTraceBoundTrajectory attaches a recorder and checks the recorded
 // bound trajectory is the Theorem-1 bound: non-increasing in retrieved count
 // and exactly 0 once the run is exact.
 func TestRunTraceBoundTrajectory(t *testing.T) {
 	f := newFixture(t, 8)
 	mass := coefficientMass(t, f.store)
 
-	sink := obs.NewRunTraceSink(4)
-	tr := sink.Start("req", "trajectory")
+	o := obs.NewObserver()
 	run := NewRun(f.plan, penalty.SSE{}, f.store)
-	run.AttachTrace(tr, mass)
+	run.AttachProfile(o.StartRun("req", "trajectory"), mass)
 	for stepOne(run) {
 	}
 
-	snap := tr.Snapshot()
+	runs, _ := o.Runs()
+	snap := runs[0]
 	if !snap.Finished || !snap.Done {
-		t.Fatal("core must auto-finish the trace when the run drains")
+		t.Fatal("core must mark the run done when it drains")
 	}
 	if len(snap.Points) < 2 {
 		t.Fatalf("only %d points recorded", len(snap.Points))

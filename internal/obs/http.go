@@ -7,28 +7,56 @@ import (
 )
 
 // Observer bundles the observability facilities — metrics registry, span
-// sink, run-trace sink, query-profile sink, and structured logger — so
+// sink, run recorders, query-profile sink, and structured logger — so
 // layers take one handle instead of five. Any field may be nil; every
 // consumer treats nil as "off".
 type Observer struct {
 	Registry *Registry
 	Spans    *SpanSink
-	Runs     *RunTraceSink
 	Profiles *ProfileSink
 	Log      *slog.Logger
+	// runs holds the recorders of the last DefaultProfileCapacity observed
+	// runs, live ones included (/debug/traces).
+	runs *ring[*QueryProfile]
 }
 
 // NewObserver returns an Observer with a fresh registry, default-capacity
-// span, run-trace and profile sinks, and a discard logger (replace Log to
-// get output).
+// span, run and profile rings, and a discard logger (replace Log to get
+// output).
 func NewObserver() *Observer {
 	return &Observer{
 		Registry: NewRegistry(),
 		Spans:    NewSpanSink(0),
-		Runs:     NewRunTraceSink(0),
-		Profiles: NewProfileSink(0),
+		Profiles: &ProfileSink{profiles: newRing[ProfileSnapshot](DefaultProfileCapacity)},
 		Log:      NopLogger(),
+		runs:     newRing[*QueryProfile](DefaultProfileCapacity),
 	}
+}
+
+// StartRun starts the recorder of one observed run under the given ID
+// (conventionally the request ID) and label (e.g. the query batch text) and
+// lists it at /debug/traces, live and after it finishes. A nil observer
+// returns a recorder nobody lists.
+func (o *Observer) StartRun(id, label string) *QueryProfile {
+	p := NewQueryProfile(id, label)
+	if o != nil && o.runs != nil {
+		o.runs.add(p)
+	}
+	return p
+}
+
+// Runs returns the listed runs, oldest first, live ones included, and the
+// number of runs ever started.
+func (o *Observer) Runs() ([]RunSnapshot, uint64) {
+	if o == nil || o.runs == nil {
+		return nil, 0
+	}
+	recs := o.runs.items()
+	out := make([]RunSnapshot, len(recs))
+	for i, p := range recs {
+		out[i] = p.run()
+	}
+	return out, o.runs.added()
 }
 
 // Logger returns the observer's logger, or a discard logger when unset —
@@ -62,14 +90,14 @@ type TraceDump struct {
 	Spans []Span `json:"spans"`
 	// SpansTotal counts spans ever recorded, including overwritten ones.
 	SpansTotal uint64 `json:"spans_total"`
-	// Runs is the retained run traces (bound trajectories), oldest first,
+	// Runs is the listed runs (bound trajectories), oldest first,
 	// including live runs.
-	Runs []RunTraceSnapshot `json:"runs"`
-	// RunsTotal counts run traces ever started.
+	Runs []RunSnapshot `json:"runs"`
+	// RunsTotal counts runs ever started.
 	RunsTotal uint64 `json:"runs_total"`
 }
 
-// TracesHandler serves the span ring and the run-trace ring as one JSON
+// TracesHandler serves the span ring and the run list as one JSON
 // document (mounted at /debug/traces on the debug listener). Two optional
 // query parameters narrow the dump — `request_id` keeps spans whose
 // RequestID (and runs whose ID) match exactly, `op` keeps spans whose Name
@@ -82,42 +110,15 @@ func (o *Observer) TracesHandler() http.Handler {
 		}
 		reqID := r.URL.Query().Get("request_id")
 		op := r.URL.Query().Get("op")
-		dump := TraceDump{
-			Spans:      o.Spans.Spans(),
+		runs, runsTotal := o.Runs()
+		o.writeDump(w, "trace", TraceDump{
+			Spans: keep(o.Spans.Spans(), func(sp Span) bool {
+				return (reqID == "" || sp.RequestID == reqID) && (op == "" || sp.Name == op)
+			}),
 			SpansTotal: o.Spans.Total(),
-			Runs:       o.Runs.Snapshots(),
-			RunsTotal:  o.Runs.Total(),
-		}
-		if reqID != "" || op != "" {
-			kept := dump.Spans[:0]
-			for _, sp := range dump.Spans {
-				if (reqID == "" || sp.RequestID == reqID) && (op == "" || sp.Name == op) {
-					kept = append(kept, sp)
-				}
-			}
-			dump.Spans = kept
-		}
-		if reqID != "" {
-			kept := dump.Runs[:0]
-			for _, rt := range dump.Runs {
-				if rt.ID == reqID {
-					kept = append(kept, rt)
-				}
-			}
-			dump.Runs = kept
-		}
-		if dump.Spans == nil {
-			dump.Spans = []Span{}
-		}
-		if dump.Runs == nil {
-			dump.Runs = []RunTraceSnapshot{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(dump); err != nil {
-			o.Logger().Warn("trace dump write failed", "err", err)
-		}
+			Runs:       keep(runs, func(rs RunSnapshot) bool { return reqID == "" || rs.ID == reqID }),
+			RunsTotal:  runsTotal,
+		})
 	})
 }
 
@@ -142,28 +143,34 @@ func (o *Observer) ProfilesHandler() http.Handler {
 		}
 		reqID := r.URL.Query().Get("request_id")
 		slowOnly := r.URL.Query().Get("slow") == "1"
-		dump := ProfileDump{
-			Profiles:      o.Profiles.Snapshots(),
+		o.writeDump(w, "profile", ProfileDump{
+			Profiles: keep(o.Profiles.Snapshots(), func(p ProfileSnapshot) bool {
+				return (reqID == "" || p.ID == reqID) && (!slowOnly || p.Slow)
+			}),
 			ProfilesTotal: o.Profiles.Total(),
 			SlowTotal:     o.Profiles.Slow(),
-		}
-		if reqID != "" || slowOnly {
-			kept := dump.Profiles[:0]
-			for _, p := range dump.Profiles {
-				if (reqID == "" || p.ID == reqID) && (!slowOnly || p.Slow) {
-					kept = append(kept, p)
-				}
-			}
-			dump.Profiles = kept
-		}
-		if dump.Profiles == nil {
-			dump.Profiles = []ProfileSnapshot{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(dump); err != nil {
-			o.Logger().Warn("profile dump write failed", "err", err)
-		}
+		})
 	})
+}
+
+// keep returns the values that pass ok, never nil: a dump lists an empty
+// section as [], not null.
+func keep[T any](values []T, ok func(T) bool) []T {
+	out := make([]T, 0, len(values))
+	for _, v := range values {
+		if ok(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// writeDump serves one debug dump as indented JSON.
+func (o *Observer) writeDump(w http.ResponseWriter, what string, dump any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(dump); err != nil {
+		o.Logger().Warn(what+" dump write failed", "err", err)
+	}
 }

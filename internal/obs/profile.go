@@ -4,25 +4,34 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Query profiles: the per-run EXPLAIN ANALYZE. Where a RunTrace records
-// the *theory* of a run (the Theorem-1 bound trajectory), a QueryProfile
-// records its *cost*: where the wall time went once the schedule fanned
-// out over the coalescing layer, the tiered .wvls store, the MVCC overlay
-// and the TCP shards. The profile is carried via context like a trace;
-// an un-profiled context yields a nil *QueryProfile whose methods are all
-// no-ops, so the off path pays one context lookup at the few recording
-// sites that are not already behind one and nothing else.
+// Query profiles: one recorder per run. A QueryProfile holds the run's
+// Theorem-1 bound trajectory and its EXPLAIN ANALYZE cost on one clock:
+// one row per StepBatchCtx (batch size, cumulative retrieved, skips, wall
+// time, elapsed time, bound after the step) plus the starting point, and
+// where the wall time went once the schedule fanned out over the coalescing
+// layer, the .wvls store, the MVCC overlay and the TCP shards. A nil
+// *QueryProfile is a no-op: every method nil-checks, so recording sites are
+// unconditional and the off path pays one nil check per batch.
+//
+// The row list is bounded by MaxProfileRows. When it is full, adjacent
+// pairs of rows merge (batch, skips and wall time add up; retrieved,
+// elapsed and bound take the later row's values) and each later row
+// absorbs as many steps as a merged one holds, so every row stays the same
+// width, the rows always sum to StepNanos, and the i-th step row always
+// ends at the (i+1)-th bound point.
 //
 // Recording sites (all optional — a layer that is not in the stack simply
 // contributes nothing): the server records plan source and build time, the
-// scheduler records queue delay, the evaluation core records one StepProfile
-// per StepBatchCtx, the coalescing store records requested/physical/coalesced
-// key counts, the .wvls layout store records tier hits, the MVCC view
-// records overlay-vs-base splits, and the shard coordinator records per-
-// shard wall time, echoed remote serve time, response bytes and failures.
+// scheduler records queue delay, the evaluation core records the rows, the
+// coalescing store records requested/physical/coalesced key counts, the
+// .wvls layout store records tier hits, the MVCC view records
+// overlay-vs-base splits, and the shard coordinator records per-shard wall
+// time, echoed remote serve time, response bytes and failures. All but the
+// rows ride the context (WithProfile).
 
 // PlanProfile attributes the run's setup cost.
 type PlanProfile struct {
@@ -43,18 +52,33 @@ type PlanProfile struct {
 	Terms   int `json:"terms,omitempty"`
 }
 
-// StepProfile is one StepBatchCtx of the drain as the profile saw it.
+// StepProfile is one row of the drain: one StepBatchCtx, or adjacent ones
+// merged once the row list filled (see MaxProfileRows).
 type StepProfile struct {
-	// Batch is the number of schedule entries the step attempted.
+	// Batch is the number of schedule entries the row's steps attempted.
 	Batch int `json:"batch"`
-	// Retrieved is the run's cumulative retrieval count after the step.
+	// Retrieved is the run's cumulative retrieval count after the row.
 	Retrieved int `json:"retrieved"`
-	// Skipped is the number of entries the step skipped on failures.
+	// Skipped is the number of entries the row's steps skipped on failures.
 	Skipped int `json:"skipped,omitempty"`
-	// DurNanos is the step's wall time.
+	// DurNanos is the wall time of the row's steps.
 	DurNanos int64 `json:"dur_ns"`
-	// Bound is the Theorem-1 bound after the step (0 when untraced).
+	// Bound is the Theorem-1 bound after the row.
 	Bound float64 `json:"bound,omitempty"`
+}
+
+// RunPoint is one point of a run's bound trajectory.
+type RunPoint struct {
+	// Retrieved is the run's retrieval count (schedule steps taken) at the
+	// point.
+	Retrieved int `json:"retrieved"`
+	// Bound is the Theorem-1 worst-case penalty bound K^α·ι_p(ξ′) at the
+	// point (0 once the run is exact).
+	Bound float64 `json:"bound"`
+	// Skipped is the number of entries skipped by failed retrievals so far.
+	Skipped int `json:"skipped,omitempty"`
+	// Elapsed is the time since the recorder started.
+	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
 // TierProfile attributes retrieved keys to the storage tiers that served
@@ -94,8 +118,8 @@ type ShardProfile struct {
 	Errors   int64 `json:"errors,omitempty"`
 	Degraded int64 `json:"degraded,omitempty"`
 	// WallNanos is coordinator-side wall time summed over sub-batches;
-	// RemoteNanos is the shard-echoed serve time (v2 wire connections only)
-	// — their difference is network + queueing.
+	// RemoteNanos is the serve time the shard echoed back — their
+	// difference is network + queueing.
 	WallNanos   int64 `json:"wall_ns"`
 	RemoteNanos int64 `json:"remote_ns,omitempty"`
 	// Bytes is response bytes received from the shard.
@@ -111,31 +135,86 @@ type ProfileSnapshot struct {
 	Start time.Time `json:"start"`
 	// WallNanos is the run's total wall time (set by Finish; 0 while live).
 	WallNanos int64 `json:"wall_ns"`
-	// StepNanos is the sum of the steps' wall times — the retrieval share
-	// of WallNanos.
+	// StepNanos is the sum of the step rows' wall times — the retrieval
+	// share of WallNanos.
 	StepNanos int64          `json:"step_ns"`
 	Plan      PlanProfile    `json:"plan"`
 	Steps     []StepProfile  `json:"steps"`
 	Tiers     TierProfile    `json:"tiers"`
 	Shards    []ShardProfile `json:"shards,omitempty"`
-	// Bound is the Theorem-1 bound trajectory (present when the run was
-	// also traced).
+	// Bound is the Theorem-1 bound trajectory: the starting point, then the
+	// point each step row ends at (Bound[k+1] belongs to Steps[k]). Absent
+	// when no run was attached.
 	Bound []RunPoint `json:"bound,omitempty"`
 	// Slow marks a profile that crossed the slow-query threshold.
 	Slow bool `json:"slow,omitempty"`
 }
 
-// QueryProfile accumulates one run's profile. A nil *QueryProfile is a
-// no-op: every method nil-checks, so recording sites are unconditional.
-// Methods are safe for concurrent use — the coordinator's per-shard
-// goroutines record concurrently with each other.
+// RunSnapshot is one run as /debug/traces lists it: the recorder's identity,
+// state and bound trajectory.
+type RunSnapshot struct {
+	ID    string    `json:"id"`
+	Label string    `json:"label,omitempty"`
+	Start time.Time `json:"start"`
+	// Done reports the run drained its schedule; Finished that it stopped
+	// advancing (drained, or closed by Finish). A live run is
+	// Finished=false.
+	Done     bool       `json:"done"`
+	Finished bool       `json:"finished"`
+	Points   []RunPoint `json:"points"`
+}
+
+// MaxProfileRows bounds a recorder's step rows. It is even, so a full list
+// merges into whole pairs.
+const MaxProfileRows = 512
+
+// QueryProfile is one run's recorder. Methods are safe for concurrent use —
+// the coordinator's per-shard goroutines record concurrently with each
+// other, and /debug/traces renders live runs. Every observed request holds
+// one, so the struct stays small: the cost breakdown only a profiled run
+// records lives behind costs, made on first use.
 type QueryProfile struct {
-	mu      sync.Mutex
-	snap    ProfileSnapshot
-	shards  map[int]*ShardProfile
-	wire    map[string]*remoteTally
-	trace   *RunTrace
-	maxStep int
+	mu       sync.Mutex
+	last     int32 // steps in the last step row
+	shift    uint8 // a full step row holds 1<<shift steps; each merge adds one
+	done     bool  // the run drained its schedule
+	finished bool  // Finish was called
+	id       string
+	label    string
+	start    time.Time
+	wall     time.Duration
+	// rows[0] is the starting point and rows[1:] the step rows, once a run
+	// attached or recorded.
+	rows  []profileRow
+	costs *profileCosts
+}
+
+// profileRow is one row as the recorder keeps it. A step row's batch is
+// the retrieval count it advanced past the row before, so it is not
+// stored; counts are schedule positions, which fit int32 as the evaluation
+// core's schedule indexes do. The skips of rows[0] are those before the run
+// attached.
+type profileRow struct {
+	retrieved, skipped int32
+	dur, elapsed       time.Duration
+	bound              float64
+}
+
+// absorb merges the next row into q: skips and wall time add up;
+// retrieved, elapsed and bound are the later row's (so batch adds up too).
+func (q *profileRow) absorb(r profileRow) {
+	q.skipped += r.skipped
+	q.dur += r.dur
+	q.retrieved, q.elapsed, q.bound = r.retrieved, r.elapsed, r.bound
+}
+
+// profileCosts is what a profiled run records beyond its rows.
+type profileCosts struct {
+	plan   PlanProfile
+	tiers  TierProfile
+	slow   bool
+	shards map[int]*ShardProfile
+	wire   map[string]*remoteTally
 }
 
 // remoteTally is the wire-level accounting a shard client records under its
@@ -146,22 +225,19 @@ type remoteTally struct {
 	remoteNanos int64
 }
 
-// maxProfileSteps bounds a profile's per-step memory: an exact drain over
-// millions of coefficients in tiny batches must not grow an unbounded step
-// list. Beyond the cap, step durations still accumulate into StepNanos but
-// individual rows are dropped (the cap is generous: a progressive drain
-// makes tens of steps, not thousands).
-const maxProfileSteps = 4096
-
-// NewQueryProfile starts a profile for the run identified by id
-// (conventionally the request ID) and label (e.g. the batch text).
+// NewQueryProfile starts a recorder for the run identified by id
+// (conventionally the request ID) and label (e.g. the batch text). Its
+// clock starts now.
 func NewQueryProfile(id, label string) *QueryProfile {
-	return &QueryProfile{
-		snap:    ProfileSnapshot{ID: id, Label: label, Start: time.Now()},
-		shards:  make(map[int]*ShardProfile),
-		wire:    make(map[string]*remoteTally),
-		maxStep: maxProfileSteps,
+	return &QueryProfile{id: id, label: label, start: time.Now()}
+}
+
+// costsLocked returns the cost breakdown, making it on first use.
+func (p *QueryProfile) costsLocked() *profileCosts {
+	if p.costs == nil {
+		p.costs = &profileCosts{}
 	}
+	return p.costs
 }
 
 // SetPlan records how the plan was obtained and what the setup cost.
@@ -170,11 +246,12 @@ func (p *QueryProfile) SetPlan(source string, build, setup time.Duration, querie
 		return
 	}
 	p.mu.Lock()
-	p.snap.Plan.Source = source
-	p.snap.Plan.BuildNanos = build.Nanoseconds()
-	p.snap.Plan.SetupNanos = setup.Nanoseconds()
-	p.snap.Plan.Queries = queries
-	p.snap.Plan.Terms = terms
+	c := p.costsLocked()
+	c.plan.Source = source
+	c.plan.BuildNanos = build.Nanoseconds()
+	c.plan.SetupNanos = setup.Nanoseconds()
+	c.plan.Queries = queries
+	c.plan.Terms = terms
 	p.mu.Unlock()
 }
 
@@ -184,38 +261,62 @@ func (p *QueryProfile) AddQueueDelay(d time.Duration) {
 		return
 	}
 	p.mu.Lock()
-	p.snap.Plan.QueueNanos += d.Nanoseconds()
+	p.costsLocked().plan.QueueNanos += d.Nanoseconds()
 	p.mu.Unlock()
 }
 
-// AttachTrace links the run's bound trajectory so the snapshot embeds it.
-func (p *QueryProfile) AttachTrace(t *RunTrace) {
+// Begin records the starting point of the bound trajectory: the run's
+// retrieval count, bound and skip count when it attaches.
+func (p *QueryProfile) Begin(retrieved int, bound float64, skipped int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.trace = t
+	origin := profileRow{retrieved: int32(retrieved), skipped: int32(skipped), elapsed: time.Since(p.start), bound: bound}
+	if len(p.rows) == 0 {
+		p.rows = append(p.rows, origin)
+	} else {
+		p.rows[0] = origin
+	}
 	p.mu.Unlock()
 }
 
-// RecordStep appends one StepBatchCtx: attempted batch size, cumulative
-// retrieved after the step, entries skipped by this step, wall time, and
-// the bound after the step (0 when unknown).
-func (p *QueryProfile) RecordStep(batch, retrieved, skipped int, d time.Duration, bound float64) {
+// RecordStep records one StepBatchCtx: the cumulative retrieval count
+// after the step, entries the step skipped, its wall time, the bound after
+// it, and whether the run has now drained its schedule. Steps after Finish
+// are ignored.
+func (p *QueryProfile) RecordStep(retrieved, skipped int, d time.Duration, bound float64, done bool) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.snap.StepNanos += d.Nanoseconds()
-	if len(p.snap.Steps) < p.maxStep {
-		p.snap.Steps = append(p.snap.Steps, StepProfile{
-			Batch:     batch,
-			Retrieved: retrieved,
-			Skipped:   skipped,
-			DurNanos:  d.Nanoseconds(),
-			Bound:     bound,
-		})
+	if p.finished {
+		p.mu.Unlock()
+		return
 	}
+	row := profileRow{retrieved: int32(retrieved), skipped: int32(skipped), dur: d, elapsed: time.Since(p.start), bound: bound}
+	switch n := len(p.rows); {
+	case n == 0:
+		p.rows = append(p.rows, profileRow{}, row) // no Begin: start from zero
+		p.last = 1
+	case n > 1 && p.last < 1<<p.shift:
+		p.rows[n-1].absorb(row)
+		p.last++
+	default:
+		if n-1 == MaxProfileRows {
+			// Every step row is full here: merge them in pairs.
+			steps := p.rows[1:]
+			for i := 0; i < len(steps)/2; i++ {
+				steps[2*i].absorb(steps[2*i+1])
+				steps[i] = steps[2*i]
+			}
+			p.rows = p.rows[:1+len(steps)/2]
+			p.shift++
+		}
+		p.rows = append(p.rows, row)
+		p.last = 1
+	}
+	p.done = done
 	p.mu.Unlock()
 }
 
@@ -226,9 +327,10 @@ func (p *QueryProfile) AddCoalesce(requested, physical, coalesced int) {
 		return
 	}
 	p.mu.Lock()
-	p.snap.Tiers.Requested += int64(requested)
-	p.snap.Tiers.Physical += int64(physical)
-	p.snap.Tiers.Coalesced += int64(coalesced)
+	t := &p.costsLocked().tiers
+	t.Requested += int64(requested)
+	t.Physical += int64(physical)
+	t.Coalesced += int64(coalesced)
 	p.mu.Unlock()
 }
 
@@ -238,10 +340,11 @@ func (p *QueryProfile) AddLayout(hot, cold, blockLoads, preads int64) {
 		return
 	}
 	p.mu.Lock()
-	p.snap.Tiers.LayoutHot += hot
-	p.snap.Tiers.LayoutCold += cold
-	p.snap.Tiers.BlockLoads += blockLoads
-	p.snap.Tiers.Preads += preads
+	t := &p.costsLocked().tiers
+	t.LayoutHot += hot
+	t.LayoutCold += cold
+	t.BlockLoads += blockLoads
+	t.Preads += preads
 	p.mu.Unlock()
 }
 
@@ -251,8 +354,9 @@ func (p *QueryProfile) AddMVCC(layer, base int) {
 		return
 	}
 	p.mu.Lock()
-	p.snap.Tiers.MVCCLayer += int64(layer)
-	p.snap.Tiers.MVCCBase += int64(base)
+	t := &p.costsLocked().tiers
+	t.MVCCLayer += int64(layer)
+	t.MVCCBase += int64(base)
 	p.mu.Unlock()
 }
 
@@ -264,10 +368,14 @@ func (p *QueryProfile) AddShard(shard int, addr string, keys int, wall time.Dura
 		return
 	}
 	p.mu.Lock()
-	sp := p.shards[shard]
+	c := p.costsLocked()
+	sp := c.shards[shard]
 	if sp == nil {
+		if c.shards == nil {
+			c.shards = make(map[int]*ShardProfile)
+		}
 		sp = &ShardProfile{Shard: shard, Addr: addr}
-		p.shards[shard] = sp
+		c.shards[shard] = sp
 	}
 	sp.Batches++
 	sp.Keys += int64(keys)
@@ -278,31 +386,37 @@ func (p *QueryProfile) AddShard(shard int, addr string, keys int, wall time.Dura
 }
 
 // AddRemote records one wire response from the shard client at addr:
-// response bytes received and the shard-echoed serve time (0 on v1
-// connections). Snapshot merges these into the shard rows by address.
+// response bytes received and the serve time the shard echoed back.
+// Snapshot merges these into the shard rows by address.
 func (p *QueryProfile) AddRemote(addr string, bytes int, remote time.Duration) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	rt := p.wire[addr]
+	c := p.costsLocked()
+	rt := c.wire[addr]
 	if rt == nil {
+		if c.wire == nil {
+			c.wire = make(map[string]*remoteTally)
+		}
 		rt = &remoteTally{}
-		p.wire[addr] = rt
+		c.wire[addr] = rt
 	}
 	rt.bytes += int64(bytes)
 	rt.remoteNanos += remote.Nanoseconds()
 	p.mu.Unlock()
 }
 
-// Finish stamps the run's total wall time. The first Finish wins.
+// Finish stamps the run's total wall time and closes the recorder. The
+// first Finish wins.
 func (p *QueryProfile) Finish() {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	if p.snap.WallNanos == 0 {
-		p.snap.WallNanos = time.Since(p.snap.Start).Nanoseconds()
+	if !p.finished {
+		p.finished = true
+		p.wall = time.Since(p.start)
 	}
 	p.mu.Unlock()
 }
@@ -313,7 +427,7 @@ func (p *QueryProfile) MarkSlow() {
 		return
 	}
 	p.mu.Lock()
-	p.snap.Slow = true
+	p.costsLocked().slow = true
 	p.mu.Unlock()
 }
 
@@ -324,36 +438,78 @@ func (p *QueryProfile) Wall() time.Duration {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return time.Duration(p.snap.WallNanos)
+	return p.wall
 }
 
 // Snapshot returns a deep copy of the profile's current state, shard rows
-// sorted by shard index, with the bound trajectory pulled from the attached
-// run trace. Safe while the run is still advancing.
+// sorted by shard index. Safe while the run is still advancing.
 func (p *QueryProfile) Snapshot() ProfileSnapshot {
 	if p == nil {
 		return ProfileSnapshot{}
 	}
 	p.mu.Lock()
-	out := p.snap
-	out.Steps = make([]StepProfile, len(p.snap.Steps))
-	copy(out.Steps, p.snap.Steps)
-	out.Shards = make([]ShardProfile, 0, len(p.shards))
-	for _, sp := range p.shards {
-		row := *sp
-		if rt := p.wire[row.Addr]; rt != nil {
-			row.Bytes = rt.bytes
-			row.RemoteNanos = rt.remoteNanos
-		}
-		out.Shards = append(out.Shards, row)
+	out := ProfileSnapshot{ID: p.id, Label: p.label, Start: p.start, WallNanos: p.wall.Nanoseconds()}
+	out.Steps = make([]StepProfile, 0, max(len(p.rows)-1, 0))
+	for k := 1; k < len(p.rows); k++ {
+		r := p.rows[k]
+		out.Steps = append(out.Steps, StepProfile{
+			Batch:     int(r.retrieved - p.rows[k-1].retrieved),
+			Retrieved: int(r.retrieved),
+			Skipped:   int(r.skipped),
+			DurNanos:  r.dur.Nanoseconds(),
+			Bound:     r.bound,
+		})
+		out.StepNanos += r.dur.Nanoseconds()
 	}
-	trace := p.trace
+	out.Bound = p.boundLocked()
+	if c := p.costs; c != nil {
+		out.Plan, out.Tiers, out.Slow = c.plan, c.tiers, c.slow
+		out.Shards = make([]ShardProfile, 0, len(c.shards))
+		for _, sp := range c.shards {
+			row := *sp
+			if rt := c.wire[row.Addr]; rt != nil {
+				row.Bytes = rt.bytes
+				row.RemoteNanos = rt.remoteNanos
+			}
+			out.Shards = append(out.Shards, row)
+		}
+	}
 	p.mu.Unlock()
 	sort.Slice(out.Shards, func(i, j int) bool { return out.Shards[i].Shard < out.Shards[j].Shard })
-	if trace != nil {
-		out.Bound = trace.Snapshot().Points
-	}
 	return out
+}
+
+// run renders the recorder as /debug/traces lists it.
+func (p *QueryProfile) run() RunSnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	points := p.boundLocked()
+	if points == nil {
+		points = []RunPoint{}
+	}
+	return RunSnapshot{
+		ID:       p.id,
+		Label:    p.label,
+		Start:    p.start,
+		Done:     p.done,
+		Finished: p.done || p.finished,
+		Points:   points,
+	}
+}
+
+// boundLocked renders the bound trajectory, one point per row. Nil before
+// a run attaches.
+func (p *QueryProfile) boundLocked() []RunPoint {
+	if len(p.rows) == 0 {
+		return nil
+	}
+	points := make([]RunPoint, len(p.rows))
+	skipped := 0
+	for k, r := range p.rows {
+		skipped += int(r.skipped)
+		points[k] = RunPoint{Retrieved: int(r.retrieved), Bound: r.bound, Skipped: skipped, Elapsed: r.elapsed}
+	}
+	return points
 }
 
 // profileKey carries the active profile through a context.
@@ -377,28 +533,16 @@ func ProfileFrom(ctx context.Context) *QueryProfile {
 	return nil
 }
 
-// DefaultProfileCapacity is the ring size NewObserver uses.
+// DefaultProfileCapacity is the depth of the observer's rings: the runs
+// /debug/traces lists and the profiles /debug/profiles retains.
 const DefaultProfileCapacity = 64
 
-// ProfileSink retains the last N finished profile snapshots in a ring,
-// served at /debug/profiles. Snapshots (not live profiles) are stored so a
-// dump never contends with a running query.
+// ProfileSink retains the last DefaultProfileCapacity finished profile
+// snapshots, served at /debug/profiles. Snapshots (not live profiles) are
+// stored so a dump never contends with a running query.
 type ProfileSink struct {
-	mu    sync.Mutex
-	buf   []ProfileSnapshot
-	next  int
-	full  bool
-	total uint64
-	slow  uint64
-}
-
-// NewProfileSink returns a sink holding the last capacity profiles
-// (capacity ≤ 0 selects DefaultProfileCapacity).
-func NewProfileSink(capacity int) *ProfileSink {
-	if capacity <= 0 {
-		capacity = DefaultProfileCapacity
-	}
-	return &ProfileSink{buf: make([]ProfileSnapshot, capacity)}
+	profiles *ring[ProfileSnapshot]
+	slow     atomic.Uint64
 }
 
 // Add records one finished profile, overwriting the oldest when full.
@@ -406,18 +550,10 @@ func (s *ProfileSink) Add(snap ProfileSnapshot) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.buf[s.next] = snap
-	s.next++
-	s.total++
 	if snap.Slow {
-		s.slow++
+		s.slow.Add(1)
 	}
-	if s.next == len(s.buf) {
-		s.next = 0
-		s.full = true
-	}
-	s.mu.Unlock()
+	s.profiles.add(snap)
 }
 
 // Snapshots returns the retained profiles, oldest first.
@@ -425,28 +561,15 @@ func (s *ProfileSink) Snapshots() []ProfileSnapshot {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		out := make([]ProfileSnapshot, s.next)
-		copy(out, s.buf[:s.next])
-		return out
-	}
-	out := make([]ProfileSnapshot, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
+	return s.profiles.items()
 }
 
-// Total returns the number of profiles ever recorded; Slow the number that
-// crossed the slow-query threshold.
+// Total returns the number of profiles ever recorded.
 func (s *ProfileSink) Total() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+	return s.profiles.added()
 }
 
 // Slow returns the number of recorded profiles flagged slow.
@@ -454,9 +577,7 @@ func (s *ProfileSink) Slow() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slow
+	return s.slow.Load()
 }
 
 // Len returns the number of profiles currently retained.
@@ -464,12 +585,7 @@ func (s *ProfileSink) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.full {
-		return len(s.buf)
-	}
-	return s.next
+	return s.profiles.retained()
 }
 
 // Capacity returns the ring's depth (0 on nil).
@@ -477,5 +593,5 @@ func (s *ProfileSink) Capacity() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.buf)
+	return len(s.profiles.buf)
 }

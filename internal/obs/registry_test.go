@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // parseExposition parses Prometheus text exposition into samples keyed by
@@ -324,12 +325,13 @@ func TestNilFastPathZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("nil metric ops allocated %v times per run", n)
 	}
-	var tr *RunTrace
+	var p *QueryProfile
 	if n := testing.AllocsPerRun(100, func() {
-		tr.Record(1, 0.5, 0)
-		tr.Finish(true, 2, 0, 0)
+		p.Begin(0, 1, 0)
+		p.RecordStep(1, 0, time.Microsecond, 0.5, true)
+		p.Finish()
 	}); n != 0 {
-		t.Fatalf("nil run-trace ops allocated %v times per run", n)
+		t.Fatalf("nil recorder ops allocated %v times per run", n)
 	}
 	var sp *ActiveSpan
 	if n := testing.AllocsPerRun(100, func() {
@@ -357,11 +359,11 @@ func BenchmarkNilHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkNilRunTraceRecord(b *testing.B) {
-	var t *RunTrace
+func BenchmarkNilProfileRecordStep(b *testing.B) {
+	var p *QueryProfile
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t.Record(i, 1, 0)
+		p.RecordStep(i, 0, 0, 1, false)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -42,15 +41,11 @@ type Span struct {
 	Err       string        `json:"error,omitempty"`
 }
 
-// SpanSink is a fixed-capacity ring buffer of finished spans. Concurrent
-// spans from any number of goroutines record into one sink; when full, the
-// oldest spans are overwritten.
+// SpanSink is a fixed-capacity ring of finished spans. Concurrent spans
+// from any number of goroutines record into one sink; when full, the oldest
+// spans are overwritten.
 type SpanSink struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	full  bool
-	total uint64
+	spans *ring[Span]
 	ids   atomic.Uint64
 }
 
@@ -63,20 +58,7 @@ func NewSpanSink(capacity int) *SpanSink {
 	if capacity <= 0 {
 		capacity = DefaultSpanCapacity
 	}
-	return &SpanSink{buf: make([]Span, capacity)}
-}
-
-// record appends one finished span, overwriting the oldest when full.
-func (s *SpanSink) record(sp Span) {
-	s.mu.Lock()
-	s.buf[s.next] = sp
-	s.next++
-	s.total++
-	if s.next == len(s.buf) {
-		s.next = 0
-		s.full = true
-	}
-	s.mu.Unlock()
+	return &SpanSink{spans: newRing[Span](capacity)}
 }
 
 // Spans returns the retained spans, oldest first.
@@ -84,17 +66,7 @@ func (s *SpanSink) Spans() []Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		out := make([]Span, s.next)
-		copy(out, s.buf[:s.next])
-		return out
-	}
-	out := make([]Span, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
+	return s.spans.items()
 }
 
 // Total returns the number of spans ever recorded (including overwritten
@@ -103,9 +75,7 @@ func (s *SpanSink) Total() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+	return s.spans.added()
 }
 
 // ActiveSpan is an in-progress span. A nil *ActiveSpan (returned by
@@ -137,7 +107,7 @@ func (a *ActiveSpan) End() {
 		return
 	}
 	a.rec.Duration = time.Since(a.rec.Start)
-	a.sink.record(a.rec)
+	a.sink.spans.add(a.rec)
 }
 
 // traceKey carries the active trace through a context.
@@ -193,7 +163,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *ActiveSpan) 
 
 // Request IDs: a cheap, unique-per-process correlation ID attached to every
 // HTTP request by the server middleware and threaded through logs, spans and
-// run traces.
+// run recorders.
 
 type requestIDKey struct{}
 

@@ -107,73 +107,6 @@ func TestRequestIDsUnique(t *testing.T) {
 	}
 }
 
-func TestRunTraceStrideCompaction(t *testing.T) {
-	sink := NewRunTraceSink(4)
-	tr := sink.Start("req-1", "SUM(x)")
-	const steps = 5000
-	for i := 1; i <= steps; i++ {
-		tr.Record(i, 1/float64(i), 0)
-	}
-	tr.Finish(true, steps, 0, 0)
-
-	snap := tr.Snapshot()
-	if len(snap.Points) > maxRunPoints {
-		t.Fatalf("trace kept %d points, cap is %d", len(snap.Points), maxRunPoints)
-	}
-	if len(snap.Points) < maxRunPoints/4 {
-		t.Fatalf("trace kept only %d points — compaction too aggressive", len(snap.Points))
-	}
-	if !snap.Finished || !snap.Done {
-		t.Fatal("trace must be finished and done")
-	}
-	// Retrieved strictly ascending, first point near the start, final point
-	// exact.
-	for i := 1; i < len(snap.Points); i++ {
-		if snap.Points[i].Retrieved <= snap.Points[i-1].Retrieved {
-			t.Fatalf("points not ascending at %d", i)
-		}
-	}
-	if snap.Points[0].Retrieved != 1 {
-		t.Fatalf("first recorded point at %d, want 1", snap.Points[0].Retrieved)
-	}
-	last := snap.Points[len(snap.Points)-1]
-	if last.Retrieved != steps || last.Bound != 0 {
-		t.Fatalf("final point = %+v", last)
-	}
-}
-
-func TestRunTraceFinishFirstWins(t *testing.T) {
-	sink := NewRunTraceSink(0)
-	tr := sink.Start("req-2", "")
-	tr.Record(1, 0.9, 0)
-	tr.Finish(true, 10, 0, 0)
-	tr.Finish(false, 99, 7, 3) // late duplicate (e.g. server handler defer)
-	snap := tr.Snapshot()
-	if !snap.Done {
-		t.Fatal("second Finish must not override the first")
-	}
-	last := snap.Points[len(snap.Points)-1]
-	if last.Retrieved != 10 {
-		t.Fatalf("final point retrieved = %d, want 10", last.Retrieved)
-	}
-	if tr.Record(20, 0.1, 0); len(tr.Snapshot().Points) != len(snap.Points) {
-		t.Fatal("Record after Finish must be ignored")
-	}
-}
-
-func TestRunTraceSinkIncludesLiveTraces(t *testing.T) {
-	sink := NewRunTraceSink(2)
-	live := sink.Start("live", "")
-	live.Record(5, 0.5, 0)
-	snaps := sink.Snapshots()
-	if len(snaps) != 1 || snaps[0].Finished {
-		t.Fatalf("live trace missing or finished: %+v", snaps)
-	}
-	if len(snaps[0].Points) != 1 || snaps[0].Points[0].Bound != 0.5 {
-		t.Fatalf("live points: %+v", snaps[0].Points)
-	}
-}
-
 func TestNilSinksAndTraces(t *testing.T) {
 	var sink *SpanSink
 	if sink.Spans() != nil || sink.Total() != 0 {
@@ -183,12 +116,16 @@ func TestNilSinksAndTraces(t *testing.T) {
 	if _, sp := StartSpan(ctx, "s"); sp != nil {
 		t.Fatal("WithTrace(nil sink) must keep tracing off")
 	}
-	var rsink *RunTraceSink
-	if tr := rsink.Start("x", ""); tr != nil {
-		t.Fatal("nil run-trace sink must hand out nil traces")
+	var o *Observer
+	if runs, total := o.Runs(); runs != nil || total != 0 {
+		t.Fatal("nil observer must list no runs")
 	}
-	if rsink.Snapshots() != nil || rsink.Total() != 0 {
-		t.Fatal("nil run-trace sink reads must be empty")
+	if p := o.StartRun("x", ""); p == nil {
+		t.Fatal("nil observer must still hand out a working recorder")
+	}
+	var psink *ProfileSink
+	if psink.Snapshots() != nil || psink.Total() != 0 || psink.Slow() != 0 || psink.Len() != 0 || psink.Capacity() != 0 {
+		t.Fatal("nil profile sink reads must be empty")
 	}
 }
 
@@ -198,7 +135,9 @@ func TestObserverHandlers(t *testing.T) {
 	ctx := WithTrace(context.Background(), "t", o.Spans)
 	_, sp := StartSpan(ctx, "handler-span")
 	sp.End()
-	o.Runs.Start("r", "label").Finish(true, 1, 0, 0)
+	run := o.StartRun("r", "label")
+	run.Begin(0, 1, 0)
+	run.RecordStep(1, 0, 0, 0, true)
 
 	rec := httptest.NewRecorder()
 	o.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -224,8 +163,11 @@ func TestObserverHandlers(t *testing.T) {
 	if dump.SpansTotal != 1 || len(dump.Spans) != 1 || dump.Spans[0].Name != "handler-span" {
 		t.Fatalf("span dump: %+v", dump)
 	}
-	if dump.RunsTotal != 1 || len(dump.Runs) != 1 || !dump.Runs[0].Finished {
+	if dump.RunsTotal != 1 || len(dump.Runs) != 1 || !dump.Runs[0].Finished || !dump.Runs[0].Done {
 		t.Fatalf("run dump: %+v", dump.Runs)
+	}
+	if pts := dump.Runs[0].Points; len(pts) != 2 || pts[0].Bound != 1 || pts[1].Retrieved != 1 {
+		t.Fatalf("run points: %+v", pts)
 	}
 }
 

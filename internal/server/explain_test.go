@@ -179,10 +179,11 @@ func TestExplainProfileDegradedDistributed(t *testing.T) {
 // TestSlowQueryLogAndRing arms the slow-query threshold at one nanosecond so
 // every request crosses it: the query must be profiled without ?explain=1
 // (no profile in the response), flagged slow, logged through the structured
-// logger, retained in /debug/profiles, and counted in /stats diagnostics.
+// logger, retained in /debug/profiles at its fixed depth, and counted in
+// /stats diagnostics.
 func TestSlowQueryLogAndRing(t *testing.T) {
 	h, _, _ := testHandler(t)
-	hs := New(h.db, Options{SlowQuery: time.Nanosecond, ProfileRing: 8})
+	hs := New(h.db, Options{SlowQuery: time.Nanosecond})
 	t.Cleanup(hs.Close)
 	var logBuf bytes.Buffer
 	o := obs.NewObserver()
@@ -205,9 +206,9 @@ func TestSlowQueryLogAndRing(t *testing.T) {
 		t.Fatalf("no slow-query log record emitted; log: %s", logBuf.String())
 	}
 
-	// The ring retains the profile, flagged slow, at the configured depth.
-	if got := o.Profiles.Capacity(); got != 8 {
-		t.Fatalf("profile ring capacity %d, want 8", got)
+	// The ring retains the profile, flagged slow, at its one depth.
+	if got := o.Profiles.Capacity(); got != obs.DefaultProfileCapacity {
+		t.Fatalf("profile ring capacity %d, want %d", got, obs.DefaultProfileCapacity)
 	}
 	prec := httptest.NewRecorder()
 	o.ProfilesHandler().ServeHTTP(prec,
@@ -234,7 +235,7 @@ func TestSlowQueryLogAndRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := stats.Diagnostics
-	if d.SlowQueries != 1 || d.ProfilesRetained != 1 || d.ProfileCapacity != 8 {
+	if d.SlowQueries != 1 || d.ProfilesRetained != 1 || d.ProfileCapacity != 64 {
 		t.Fatalf("diagnostics: %+v", d)
 	}
 }

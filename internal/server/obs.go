@@ -59,7 +59,7 @@ type serverMetrics struct {
 // storage, core, sched, dist and mvcc packages push what only they know into
 // o.Registry, the registry reads everything else from this handler's stats,
 // and the handler's middleware starts collecting HTTP metrics,
-// request-scoped logs/spans, and per-run bound traces. Pass nil to
+// request-scoped logs/spans, and per-run recorders. Pass nil to
 // uninstall everything. Call before serving; the handler reads the
 // installed state on every request.
 func (h *Handler) Observe(o *obs.Observer) {
@@ -73,11 +73,6 @@ func (h *Handler) Observe(o *obs.Observer) {
 	dist.Observe(reg)
 	mvcc.Observe(reg)
 	h.obs = o
-	if o != nil && h.profileRing > 0 && (o.Profiles == nil || o.Profiles.Capacity() != h.profileRing) {
-		// Options.ProfileRing resizes the observer's /debug/profiles ring;
-		// applied here so the depth is set before any request records into it.
-		o.Profiles = obs.NewProfileSink(h.profileRing)
-	}
 	if reg == nil {
 		h.met = nil
 		return

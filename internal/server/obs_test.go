@@ -426,9 +426,9 @@ func TestObservedRunTraceRecorded(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
-	snaps := o.Runs.Snapshots()
+	snaps, _ := o.Runs()
 	if len(snaps) != 1 {
-		t.Fatalf("got %d run traces", len(snaps))
+		t.Fatalf("got %d runs", len(snaps))
 	}
 	tr := snaps[0]
 	if !tr.Finished || !tr.Done {

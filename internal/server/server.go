@@ -58,11 +58,9 @@ type Handler struct {
 	// preparedExecs / adhocExecs count query executions by plan source;
 	// ingestedTuples counts tuple operations applied through POST /ingest.
 	preparedExecs, adhocExecs, ingestedTuples atomic.Int64
-	// slowQuery is the slow-query log threshold (0 disables); profileRing
-	// overrides the observer's /debug/profiles ring depth when positive.
-	// slowQueries counts responses that crossed the threshold.
+	// slowQuery is the slow-query log threshold (0 disables); slowQueries
+	// counts responses that crossed it.
 	slowQuery   time.Duration
-	profileRing int
 	slowQueries atomic.Int64
 }
 
@@ -77,10 +75,6 @@ type Options struct {
 	// reaches the threshold is profiled and emitted as a structured log
 	// record (and flagged in /debug/profiles). 0 disables.
 	SlowQuery time.Duration
-	// ProfileRing overrides the /debug/profiles ring depth (how many
-	// finished profiles the observer retains); ≤0 keeps the observer's
-	// default (obs.DefaultProfileCapacity).
-	ProfileRing int
 }
 
 // New wraps a database in an HTTP handler (the zero Options select every
@@ -102,7 +96,7 @@ func New(db *repro.Database, opts Options) *Handler {
 		mass = 0
 	}
 	h := &Handler{db: db, sched: sched.New(opts.Sched), mass: mass,
-		slowQuery: opts.SlowQuery, profileRing: opts.ProfileRing}
+		slowQuery: opts.SlowQuery}
 	h.registry = db.EnablePreparedPlans(opts.PlanCache)
 	h.quotas = h.sched.PlanQuotas()
 	h.registry.OnEvict(func(_, tenant string) { h.quotas.Release(tenant) })
@@ -349,21 +343,14 @@ type submission struct {
 	// identity). Inline batches execute on the registry's canonical-order
 	// plan, so their results must be mapped back to statement order.
 	perm []int
-	// trace is the run's bound-trajectory trace (nil when unobserved); the
-	// endpoint finishes it with the final snapshot once the ticket resolves.
-	trace *obs.RunTrace
-	// profile is the run's EXPLAIN ANALYZE accumulator (nil when neither
-	// ?explain=1 nor a slow-query threshold enabled it); explain reports
-	// whether the client asked for the profile in the response.
-	profile *obs.QueryProfile
-	explain bool
-}
-
-// finishTrace closes the submission's run trace with the final snapshot.
-// The core already finished it if the run drained its schedule; this covers
-// budget cuts, timeouts, and cancellations (first Finish wins).
-func (sub *submission) finishTrace(p sched.Progress) {
-	sub.trace.Finish(p.Done, p.Retrieved, p.Bound, p.Skipped)
+	// profile is the run's recorder (nil when the handler is unobserved and
+	// neither ?explain=1 nor a slow-query threshold asked for one);
+	// profiled reports whether it carries tier attribution and goes to
+	// /debug/profiles, explain whether the client asked for it in the
+	// response.
+	profile  *obs.QueryProfile
+	profiled bool
+	explain  bool
 }
 
 // release unpins the submission's MVCC snapshot (idempotent, nil-safe).
@@ -559,21 +546,19 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 	if req.Handle != "" {
 		label = "handle:" + req.Handle
 	}
-	var trace *obs.RunTrace
-	if h.obs != nil && h.obs.Runs != nil {
-		trace = h.obs.Runs.Start(reqID, label)
-		run.AttachTrace(trace, mass)
-	}
+	// One recorder per observed or profiled request: /debug/traces lists it
+	// from the start, and the run records its rows and bounds into it.
 	var prof *obs.QueryProfile
+	if h.obs != nil || wantProfile {
+		prof = h.obs.StartRun(reqID, label)
+		run.AttachProfile(prof, mass)
+	}
 	if wantProfile {
-		// The profile rides the submission context: the scheduler charges
-		// queue delay, and every storage tier under the run's StepBatchCtx
-		// (coalescing, layout, MVCC, shard coordinator and clients) records
-		// its share through obs.ProfileFrom.
-		prof = obs.NewQueryProfile(reqID, label)
+		// A profiled run's recorder rides the submission context: the
+		// scheduler charges queue delay, and every storage tier under the
+		// run's StepBatchCtx (coalescing, layout, MVCC, shard coordinator and
+		// clients) records its share through obs.ProfileFrom.
 		prof.SetPlan(planSource, buildDur, time.Since(setupStart), len(batch), plan.DistinctCoefficients())
-		prof.AttachTrace(trace)
-		run.AttachProfile(prof)
 		ctx = obs.WithProfile(ctx, prof)
 	}
 	ticket, err := h.sched.Submit(ctx, sched.Job{
@@ -587,7 +572,7 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 		if snap != nil {
 			snap.Release()
 		}
-		trace.Finish(false, 0, 0, 0)
+		prof.Finish()
 		if errors.Is(err, sched.ErrOverloaded) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(h.sched.RetryAfter().Seconds())))
 			http.Error(w, "overloaded: run table and waiting queue full", http.StatusTooManyRequests)
@@ -596,21 +581,23 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 		}
 		return nil
 	}
-	return &submission{batch: batch, plan: plan, ticket: ticket, cancel: cancel, trace: trace, perm: perm,
-		snap: snap, version: version, profile: prof, explain: explain}
+	return &submission{batch: batch, plan: plan, ticket: ticket, cancel: cancel, perm: perm,
+		snap: snap, version: version, profile: prof, profiled: wantProfile, explain: explain}
 }
 
-// finishProfile closes the submission's profile: stamps the wall time,
-// applies the slow-query threshold (structured log record + counter),
-// records the snapshot in the observer's /debug/profiles ring, and returns
-// the snapshot when the client asked for it with ?explain=1 (nil otherwise,
-// and always nil for unprofiled requests).
+// finishProfile closes the submission's recorder — a budget cut, timeout
+// or cancellation leaves the run short of its schedule — and, for a
+// profiled request, applies the slow-query threshold (structured log
+// record + counter), records the snapshot in the observer's
+// /debug/profiles ring, and returns the snapshot when the client asked for
+// it with ?explain=1 (nil otherwise, and always nil for unprofiled
+// requests).
 func (h *Handler) finishProfile(ctx context.Context, sub *submission) *obs.ProfileSnapshot {
 	p := sub.profile
-	if p == nil {
+	p.Finish()
+	if !sub.profiled {
 		return nil
 	}
-	p.Finish()
 	if h.slowQuery > 0 && p.Wall() >= h.slowQuery {
 		p.MarkSlow()
 	}
@@ -671,7 +658,6 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 	defer sub.cancel()
 	defer sub.release()
 	final, err := sub.ticket.Final()
-	sub.finishTrace(final)
 	profSnap := h.finishProfile(r.Context(), sub)
 	// A degraded result is a partial answer with bounds: 206, not 200.
 	status := http.StatusOK

@@ -55,7 +55,6 @@ func (h *Handler) stream(w http.ResponseWriter, r *http.Request) {
 			writeEvent(w, flusher, "progress", sub.response(p, false))
 		case <-sub.ticket.Done():
 			final, err := sub.ticket.Final()
-			sub.finishTrace(final)
 			profSnap := h.finishProfile(r.Context(), sub)
 			if final.Degraded && h.met != nil {
 				h.met.degraded.Inc()

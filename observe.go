@@ -12,11 +12,11 @@ import (
 // one registry. Retrieval timing is a layer of the store stack
 // (Stack.Instrument).
 
-// Re-exported diagnostics vocabulary: a QueryProfile is the per-run EXPLAIN
-// ANALYZE accumulator (plan source and build time, queue delay, per-StepBatchCtx
-// timings, per-tier retrieval attribution, per-shard rows, bound trajectory);
-// ProfileSnapshot is its JSON shape — the `profile` section of an ?explain=1
-// response and the /debug/profiles ring entry.
+// Re-exported diagnostics vocabulary: a QueryProfile is the per-run
+// recorder (plan source and build time, queue delay, per-StepBatchCtx rows
+// with the bound trajectory on one clock, per-tier retrieval attribution,
+// per-shard rows); ProfileSnapshot is its JSON shape — the `profile`
+// section of an ?explain=1 response and the /debug/profiles ring entry.
 type (
 	QueryProfile    = obs.QueryProfile
 	ProfileSnapshot = obs.ProfileSnapshot
@@ -30,9 +30,10 @@ type (
 // StepBatchCtx on the returned context, then call Finish and Snapshot on the
 // profile. Works for runs from Database.NewRun and Session.NewRun alike; the
 // off path is untouched — a run without a profile pays one nil check per
-// batch.
+// batch. A run does not know its database's coefficient mass, so the
+// profile's bound values read 0; Run.WorstCaseBound prices them.
 func ProfileRun(ctx context.Context, run *Run, id, label string) (context.Context, *QueryProfile) {
 	p := obs.NewQueryProfile(id, label)
-	run.AttachProfile(p)
+	run.AttachProfile(p, 0)
 	return obs.WithProfile(ctx, p), p
 }
