@@ -132,11 +132,11 @@ bench:
 
 # Evaluation-core benchmarks behind BENCH_core.json: run setup heap-vs-
 # schedule, exact pass AoS-vs-CSR, and prefetching StepBatch batch sizes;
-# plus the two fixed costs around a prepared run — a registry miss with
-# resident shapes (rewrite + merge + schedule) and a run's first per-query
-# bound read.
+# plus the fixed costs around a prepared run — a registry miss with resident
+# shapes (rewrite + merge + schedule), the schedule build alone, a full
+# ad-hoc plan build, and a run's first per-query bound read.
 bench-core:
-	$(GO) test -run NONE -bench 'BenchmarkNewRun|BenchmarkStepToCompletion|BenchmarkExactLayout|BenchmarkStepBatchPrefetch|BenchmarkRegistryMiss|BenchmarkFirstQueryErrorBounds' -benchmem -benchtime=100x ./internal/core/
+	$(GO) test -run NONE -bench 'BenchmarkNewRun|BenchmarkStepToCompletion|BenchmarkExactLayout|BenchmarkStepBatchPrefetch|BenchmarkRegistryMiss|BenchmarkBuildSchedule|BenchmarkPlanRegistryAdhocBuild|BenchmarkFirstQueryErrorBounds' -benchmem -benchtime=100x ./internal/core/
 
 # Scheduler benchmarks: concurrent mixed workload through the scheduler vs.
 # the same workload as sequential per-request runs.

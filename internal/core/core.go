@@ -123,11 +123,12 @@ func newWaveletPlan(batch query.Batch, f *wavelet.Filter, workers int, templateF
 	for i, q := range batch {
 		labels[i] = q.Label
 	}
-	gen := func(qi int, emit func(key int, c float64)) error {
-		if err := batch[qi].CoefficientsFunc(f, emit); err != nil {
-			return fmt.Errorf("core: query %d: %w", qi, err)
+	gen := func(qi int) (sparse.Product, error) {
+		run, err := batch[qi].Rewrite(f)
+		if err != nil {
+			return sparse.Product{}, fmt.Errorf("core: query %d: %w", qi, err)
 		}
-		return nil
+		return run, nil
 	}
 	return buildPlan(len(batch), labels, gen, workers, templateFor)
 }
@@ -172,18 +173,23 @@ func (p *Plan) ForEachEntry(fn func(key int, queryIdx []int32, coeffs []float64)
 // Importances computes ι_p for every master-list entry under the penalty.
 func (p *Plan) Importances(pen penalty.Penalty) []float64 {
 	out := make([]float64, len(p.keys))
+	p.importancesInto(out, pen, 0)
+	return out
+}
+
+// importancesInto sets out[i] to ι_p of entry from+i.
+func (p *Plan) importancesInto(out []float64, pen penalty.Penalty, from int) {
 	// penalty.Penalty takes []int query indices; an entry references each
 	// query at most once, so one batch-sized scratch serves every entry.
 	idx := make([]int, 0, p.NumQueries())
 	for i := range out {
-		idxs, cs := p.entryRefs(i)
+		idxs, cs := p.entryRefs(from + i)
 		idx = idx[:0]
 		for _, qi := range idxs {
 			idx = append(idx, int(qi))
 		}
 		out[i] = pen.Importance(idx, cs)
 	}
-	return out
 }
 
 // Run is one progressive execution of Batch-Biggest-B. It is a cursor over

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -42,18 +43,21 @@ func oraclePlan(n int, gen emitter) (*Plan, error) {
 	merged := make(map[int]*entry)
 	p := &Plan{}
 	for qi := 0; qi < n; qi++ {
-		err := gen(qi, func(key int, c float64) {
-			e, ok := merged[key]
-			if !ok {
-				e = &entry{}
-				merged[key] = e
-				p.keys = append(p.keys, key)
-			}
-			e.queryIdx = append(e.queryIdx, int32(qi))
-			e.coeffs = append(e.coeffs, c)
-		})
+		run, err := gen(qi)
 		if err != nil {
 			return nil, err
+		}
+		pairs := make([]sparse.Entry, run.Len())
+		run.Fill(pairs)
+		for _, pair := range pairs {
+			e, ok := merged[pair.Key]
+			if !ok {
+				e = &entry{}
+				merged[pair.Key] = e
+				p.keys = append(p.keys, pair.Key)
+			}
+			e.queryIdx = append(e.queryIdx, int32(qi))
+			e.coeffs = append(e.coeffs, pair.Val)
 		}
 	}
 	sort.Ints(p.keys)
@@ -168,7 +172,7 @@ func TestPlanBuildMatchesOracleMerge(t *testing.T) {
 		batch := randomBatch(t, rng, f, size)
 		ctx := fmt.Sprintf("trial %d (%s, %d queries, %d dims)", trial, f.Name, size, batch[0].Schema.NumDims())
 
-		gen := func(qi int, emit func(key int, c float64)) error { return batch[qi].CoefficientsFunc(f, emit) }
+		gen := func(qi int) (sparse.Product, error) { return batch[qi].Rewrite(f) }
 		want, err := oraclePlan(len(batch), gen)
 		if err != nil {
 			t.Fatal(err)
@@ -250,9 +254,9 @@ func TestRegistryMissRewritesOnceAndSharesSkeleton(t *testing.T) {
 	// The registry's own build, with a counting emitter in the emitter's place.
 	reweighted := cloneBatchScaled(batch, 2.5)
 	counts := make([]atomic.Int32, len(reweighted))
-	gen := func(qi int, emit func(key int, c float64)) error {
+	gen := func(qi int) (sparse.Product, error) {
 		counts[qi].Add(1)
-		return reweighted[qi].CoefficientsFunc(wavelet.Db4, emit)
+		return reweighted[qi].Rewrite(wavelet.Db4)
 	}
 	plan, bound, err := buildPlan(len(reweighted), make([]string, len(reweighted)), gen, 0, reg.template)
 	if err != nil {
@@ -430,5 +434,58 @@ func TestPlanPathAllocationCeilings(t *testing.T) {
 	// A run keeps no bound state, so its first read is like any other.
 	if a := testing.AllocsPerRun(20, func() { run.QueryErrorBounds(1) }); a > 2 {
 		t.Errorf("QueryErrorBounds: %v allocations, ceiling 2", a)
+	}
+}
+
+// TestRegistryMissAllocationBudget bounds the bytes a registry miss
+// allocates (runtime.MemStats.TotalAlloc over a pass of the pool) by what
+// its plan and schedule are made of. Per entry, 60 B: the plan's key and
+// offset (12), the schedule's order, inverse, keys, importances and
+// remaining chain (32) and the sort's rank keys (16). Per reference, 40 B:
+// the plan's query index and coefficient (12), the schedule's bound index
+// (12) and the run slab's pair (16). Per query, 32 KiB for its 1-D
+// transforms. A merge that sizes keys or offsets by the reference count, or
+// runs that grow by appending, overshoot it by a third or more.
+func TestRegistryMissAllocationBudget(t *testing.T) {
+	batches := poolBatches(t, 32)
+	reg := NewPlanRegistry(wavelet.Db6, 0)
+	reg.WarmSchedules(penalty.SSE{})
+	pass := func() (allocated, budget uint64) {
+		var before, after runtime.MemStats
+		handles := make([]string, 0, len(batches))
+		runtime.ReadMemStats(&before)
+		for _, batch := range batches {
+			prep, _, hit, err := reg.Prepare(batch, "")
+			if err != nil || hit {
+				t.Fatalf("hit=%v err=%v", hit, err)
+			}
+			handles = append(handles, prep.Fingerprint)
+			p := prep.Plan
+			budget += uint64(60*p.DistinctCoefficients() + 40*p.TotalQueryCoefficients() + 32<<10*p.NumQueries())
+		}
+		runtime.ReadMemStats(&after)
+		for _, h := range handles {
+			reg.Remove(h)
+		}
+		return after.TotalAlloc - before.TotalAlloc, budget
+	}
+	pass() // the first pass also builds the transforms' caches, if any
+	if allocated, budget := pass(); allocated > budget {
+		t.Fatalf("a pass of %d registry misses allocated %d bytes, budget %d", len(batches), allocated, budget)
+	}
+}
+
+// TestPlanRejectsKeysBeyondMergeRange: a key must leave room for the
+// merge's query bits and its sentinel; one that does not is an error, not
+// a misordered plan.
+func TestPlanRejectsKeysBeyondMergeRange(t *testing.T) {
+	limit := 1 << (63 - queryBits(2)) // two queries take two bits
+	if _, err := NewPlan([]sparse.Vector{{limit - 2: 1}, {-limit: 2}}, nil); err != nil {
+		t.Fatalf("keys at the range's ends: %v", err)
+	}
+	for _, key := range []int{limit - 1, math.MaxInt, -limit - 1, math.MinInt} {
+		if _, err := NewPlan([]sparse.Vector{{key: 1}, {0: 2}}, nil); err == nil {
+			t.Errorf("key %d: built a plan", key)
+		}
 	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"container/list"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/penalty"
@@ -58,42 +56,52 @@ type Schedule struct {
 // buildSchedule computes the retrieval schedule for the plan under the
 // penalty: the importance vector, the sorted order, its inverse, the
 // per-prefix remaining-importance chain and the per-query bound index.
+// Importances split across workers by entry; once the order is known, the
+// chain and the bound index are built side by side. Every value is computed
+// exactly as one goroutine would.
 func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 	n := len(p.keys)
 	s := &Schedule{
 		order:       make([]int32, n),
 		pos:         make([]int32, n),
 		keys:        make([]int, n),
-		importances: p.Importances(pen),
+		importances: make([]float64, n),
 		remaining:   make([]float64, n+1),
 	}
-	// Importance descending, key ascending. Entry indices ascend with keys and
-	// are distinct, so the order is strict and total: any sort lands on the
-	// one permutation the importance heap would have popped. Sorting packed
-	// (importance, entry) pairs keeps the comparisons off the indirections.
-	type ranked struct {
-		imp   float64
-		entry int32
-	}
-	byRank := make([]ranked, n)
-	for i, imp := range s.importances {
-		byRank[i] = ranked{imp, int32(i)}
-	}
-	slices.SortFunc(byRank, func(a, b ranked) int {
-		switch {
-		case a.imp > b.imp:
-			return -1
-		case a.imp < b.imp:
-			return 1
-		}
-		return cmp.Compare(a.entry, b.entry)
+	inBlocks(n, workersFor(n), func(_, lo, hi int) {
+		p.importancesInto(s.importances[lo:hi], pen, lo)
 	})
-	for j, r := range byRank {
-		s.order[j] = r.entry
+	scheduleOrder(s.importances, s.order, s.pos)
+	if workersFor(n) < 2 {
+		s.chain(p)
+		s.boundIndex(p)
+		return s
 	}
-	// The heap seeded its running total by summing importances in plan
-	// (ascending-key) order, then subtracted the popped entry's importance
-	// each step. Replay exactly that operation sequence.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.chain(p)
+	}()
+	s.boundIndex(p)
+	wg.Wait()
+	return s
+}
+
+// parallelMin is the number of items below which a schedule build step
+// stays on one goroutine: under it the work is cheaper than a hand-off.
+const parallelMin = 1024
+
+// workersFor is the worker count for a step over n items: one per
+// parallelMin of them, at most GOMAXPROCS.
+func workersFor(n int) int { return clampWorkers(0, n/parallelMin) }
+
+// chain fills the inverse permutation, the schedule-order keys and the
+// remaining-importance chain. The heap seeded its running total by summing
+// importances in plan (ascending-key) order, then subtracted the popped
+// entry's importance each step; this replays exactly that operation
+// sequence.
+func (s *Schedule) chain(p *Plan) {
 	total := 0.0
 	for _, imp := range s.importances {
 		total += imp
@@ -104,10 +112,13 @@ func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 		s.keys[j] = p.keys[e]
 		s.remaining[j+1] = s.remaining[j] - s.importances[e]
 	}
+}
 
-	// Bound index: one reverse pass over the schedule, carrying each query's
-	// running max |coefficient| and filling its segment from the back, leaves
-	// positions ascending and suffix maxima in place — no sort.
+// boundIndex builds the per-query error-bound index: one reverse pass over
+// the schedule, carrying each query's running max |coefficient| and filling
+// its segment from the back, leaves positions ascending and suffix maxima in
+// place — no sort.
+func (s *Schedule) boundIndex(p *Plan) {
 	nq := p.NumQueries()
 	s.qoff = make([]int32, nq+1)
 	for _, qi := range p.queryIdx {
@@ -120,7 +131,7 @@ func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 	s.qmax = make([]float64, len(p.queryIdx))
 	fill := append([]int32(nil), s.qoff[1:]...) // next free slot + 1, per query
 	running := make([]float64, nq)
-	for j := n - 1; j >= 0; j-- {
+	for j := len(s.order) - 1; j >= 0; j-- {
 		idxs, cs := p.entryRefs(int(s.order[j]))
 		for k, qi := range idxs {
 			running[qi] = max(running[qi], math.Abs(cs[k]))
@@ -129,7 +140,105 @@ func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 			s.qmax[fill[qi]] = running[qi]
 		}
 	}
-	return s
+}
+
+// scheduleOrder fills order with the entries 0..n-1 in retrieval order:
+// importance descending, entry (hence key) ascending. Entries are distinct,
+// so that order is strict and total, and it is the one permutation the
+// importance heap would have popped.
+//
+// It is a stable LSD radix sort on rank keys (rankKey): a key sorts
+// ascending exactly as its importance sorts descending, and the input runs
+// in entry order, so equal importances keep it — the same permutation a
+// comparison sort under (importance descending, entry ascending) finds.
+// With two workers for n (workersFor), the two halves of the entries sort
+// side by side and a merge that takes the lower half's entry on equal keys
+// joins them, which keeps that order. scratch (n entries) is overwritten;
+// the rank keys live in a transient buffer of 2n words.
+func scheduleOrder(imps []float64, order, scratch []int32) {
+	n := len(imps)
+	keys := make([]uint64, 2*n)
+	for i, imp := range imps {
+		keys[i], scratch[i] = rankKey(imp), int32(i)
+	}
+	if workersFor(n) < 2 {
+		radixByRank(keys[:n], scratch, keys[n:], order)
+		copy(order, scratch)
+		return
+	}
+	mid := n / 2
+	inBlocks(2, 2, func(w, _, _ int) {
+		lo, hi := w*mid, mid+w*(n-mid)
+		radixByRank(keys[lo:hi], scratch[lo:hi], keys[n+lo:n+hi], order[lo:hi])
+	})
+	ka, a := keys[:mid], scratch[:mid]
+	kb, b := keys[mid:n], scratch[mid:]
+	for j := range order {
+		if len(b) == 0 || len(a) > 0 && ka[0] <= kb[0] {
+			order[j], ka, a = a[0], ka[1:], a[1:]
+		} else {
+			order[j], kb, b = b[0], kb[1:], b[1:]
+		}
+	}
+}
+
+// radixByRank stably sorts keys, and ids alongside, one byte a pass from the
+// lowest: eight passes at most, and a byte that is the same in every key
+// (the sign and top exponent bits of non-negative importances, say) is
+// skipped. spareKeys and spareIDs (as long as keys) are overwritten; the
+// result is in keys and ids.
+func radixByRank(keys []uint64, ids []int32, spareKeys []uint64, spareIDs []int32) {
+	if len(keys) == 0 {
+		return
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	srcK, dstK, src, dst := keys, spareKeys, ids, spareIDs
+	for d := range counts {
+		c := &counts[d]
+		shift := 8 * d
+		if c[byte(keys[0]>>shift)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for b, cnt := range c {
+			c[b], sum = sum, sum+cnt
+		}
+		for i, k := range srcK {
+			b := byte(k >> shift)
+			dstK[c[b]], dst[c[b]] = k, src[i]
+			c[b]++
+		}
+		srcK, dstK, src, dst = dstK, srcK, dst, src
+	}
+	if &src[0] != &ids[0] {
+		copy(keys, srcK)
+		copy(ids, src)
+	}
+}
+
+// rankKey maps an importance to a key whose ascending unsigned order is the
+// importance's descending order. −0 is folded onto +0 first, since the two
+// compare equal. The float's bits order like a sign-magnitude integer, so
+// flipping every bit of a negative and only the sign bit of a non-negative
+// value makes them ascend with the value; the complement then descends.
+// A NaN, which compares with nothing, sorts before +Inf or after −Inf by its
+// sign bit, the same on every build.
+func rankKey(imp float64) uint64 {
+	b := math.Float64bits(imp)
+	if b == 1<<63 { // −0
+		b = 0
+	}
+	if b>>63 != 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return ^b
 }
 
 // KeyOrder returns a copy of the schedule's storage keys in retrieval

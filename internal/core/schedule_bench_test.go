@@ -1,9 +1,9 @@
 package core
 
 // Benches for the CSR/schedule refactor, consumed by `make bench-core`
-// (BENCH_core.json): run setup cost heap-vs-schedule, per-step cost over the
-// AoS replica vs the CSR layout, and prefetching StepBatchCtx across batch
-// sizes.
+// (BENCH_core.json): run setup cost heap-vs-schedule, the schedule build
+// itself, per-step cost over the AoS replica vs the CSR layout, and
+// prefetching StepBatchCtx across batch sizes.
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/penalty"
 	"repro/internal/storage"
+	"repro/internal/wavelet"
 )
 
 // BenchmarkNewRun compares run setup on a shared plan: the retired per-run
@@ -58,6 +59,27 @@ func BenchmarkStepToCompletion(b *testing.B) {
 			drainRun(run)
 		}
 	})
+}
+
+// BenchmarkBuildSchedule is the schedule build alone — importances, the
+// radix order, the remaining-importance chain and the bound index — on the
+// plans of the registry benchmark's pool (BenchmarkRegistryMiss).
+func BenchmarkBuildSchedule(b *testing.B) {
+	batches := poolBatches(b, 32)
+	plans := make([]*Plan, len(batches))
+	for i, batch := range batches {
+		p, err := NewWaveletPlan(batch, wavelet.Db6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans[i] = p
+	}
+	pen := penalty.SSE{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildSchedule(plans[i%len(plans)], pen)
+	}
 }
 
 // aosEntry/aosPlan replicate the retired array-of-structs master list so the

@@ -22,15 +22,10 @@ import (
 // to a full build.
 var ErrShapeMismatch = errors.New("core: batch sparsity shape does not match template plan")
 
-// vectorEmitter emits materialized per-query vectors — in hash order, so
-// every run sorts itself.
+// vectorEmitter emits materialized per-query vectors, each sorted once into
+// a one-factor product.
 func vectorEmitter(vectors []sparse.Vector) emitter {
-	return func(qi int, emit func(key int, c float64)) error {
-		for key, c := range vectors[qi] {
-			emit(key, c)
-		}
-		return nil
-	}
+	return func(qi int) (sparse.Product, error) { return vectors[qi].Product(), nil }
 }
 
 // Bind re-weights the template against new per-query coefficient vectors,
@@ -66,11 +61,12 @@ func (p *Plan) Bind(vectors []sparse.Vector, labels []string) (*Plan, error) {
 // FNV-1a). Two batches share a fingerprint exactly when (hash collisions
 // aside) a plan built for one can serve the other by re-weighting. Values
 // are ignored.
-func shapeOfRuns(runs [][]sparse.Entry) string {
+func shapeOfRuns(rs *runSet) string {
 	h := uint64(14695981039346656037)
 	mix := func(v int) { h = (h ^ uint64(v)) * 1099511628211 }
-	mix(len(runs))
-	for _, run := range runs {
+	mix(rs.len())
+	for qi := 0; qi < rs.len(); qi++ {
+		run := rs.run(qi)
 		mix(len(run))
 		for _, e := range run {
 			mix(e.Key)

@@ -48,14 +48,31 @@ func ParseBatch(schema *dataset.Schema, src string) (query.Batch, error) {
 	return batch, nil
 }
 
+// CountStatements returns the number of statements ParseBatch reads from
+// src: its non-blank ';'-separated segments, so a trailing ';' adds none. It
+// allocates nothing, for bounding a request before it is parsed.
+func CountStatements(src string) int {
+	n := 0
+	eachStatement(src, func(string) { n++ })
+	return n
+}
+
 func splitStatements(src string) []string {
 	var out []string
-	for _, s := range strings.Split(src, ";") {
+	eachStatement(src, func(s string) { out = append(out, s) })
+	return out
+}
+
+// eachStatement calls fn on every non-blank ';'-separated segment of src, in
+// order.
+func eachStatement(src string, fn func(stmt string)) {
+	for rest, more := src, true; more; {
+		var s string
+		s, rest, more = strings.Cut(rest, ";")
 		if strings.TrimSpace(s) != "" {
-			out = append(out, s)
+			fn(s)
 		}
 	}
-	return out
 }
 
 // Parse parses a single statement (without GROUP BY) into one query.

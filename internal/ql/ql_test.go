@@ -356,3 +356,21 @@ func BenchmarkParse(b *testing.B) {
 		parseSink = q
 	}
 }
+
+// CountStatements agrees with the statements ParseBatch reads: separators
+// alone, blank segments and a trailing ';' count for nothing.
+func TestCountStatementsMatchesSplit(t *testing.T) {
+	for src, want := range map[string]int{
+		"":                    0,
+		";":                   0,
+		" ; ;\n":              0,
+		"COUNT()":             1,
+		"COUNT();":            1,
+		"COUNT();COUNT()":     2,
+		"COUNT(); ;COUNT();;": 2,
+	} {
+		if got := CountStatements(src); got != want || got != len(splitStatements(src)) {
+			t.Errorf("CountStatements(%q) = %d, want %d (split gives %d)", src, got, want, len(splitStatements(src)))
+		}
+	}
+}

@@ -238,43 +238,37 @@ func (q *Query) Coefficients(f *wavelet.Filter) (sparse.Vector, error) {
 	return out, nil
 }
 
-// CoefficientsFunc streams the query's nonzero wavelet coefficients to emit
-// without materializing a map, provided the query has a single term (the
-// COUNT/SUM/SUM-PRODUCT shapes). Multi-term queries need accumulation and
-// fall back internally to Coefficients. The same (key, value) pair is never
-// emitted twice for single-term queries, since tensor-product keys are
-// distinct.
-func (q *Query) CoefficientsFunc(f *wavelet.Filter, emit func(key int, val float64)) error {
+// Rewrite is Coefficients as a sparse.Product, whose pairs Fill writes in
+// ascending key order without building a map. A single-term query (the
+// COUNT/SUM/SUM-PRODUCT shapes) is the product of its per-dimension 1-D
+// transforms scaled by the term coefficient; a multi-term query needs
+// accumulation, so it is materialized through Coefficients and returned as
+// a one-factor product.
+func (q *Query) Rewrite(f *wavelet.Filter) (sparse.Product, error) {
 	if err := q.Validate(); err != nil {
-		return err
+		return sparse.Product{}, err
 	}
 	if len(q.Terms) != 1 {
 		vec, err := q.Coefficients(f)
 		if err != nil {
-			return err
+			return sparse.Product{}, err
 		}
-		for k, v := range vec {
-			emit(k, v)
-		}
-		return nil
+		return vec.Product(), nil
 	}
 	t := q.Terms[0]
 	if t.Coeff == 0 {
-		return nil
+		return sparse.Product{}, nil
 	}
 	dims := q.Schema.Sizes
 	factors := make([]sparse.Vector, len(dims))
 	for i, n := range dims {
 		m, err := f.QueryTransform(poly.Monomial(1, t.Powers[i]), q.Range.Lo[i], q.Range.Hi[i], n)
 		if err != nil {
-			return fmt.Errorf("query: dimension %d: %w", i, err)
+			return sparse.Product{}, fmt.Errorf("query: dimension %d: %w", i, err)
 		}
 		factors[i] = sparse.Vector(m)
 	}
-	coeff := t.Coeff
-	return sparse.TensorProduct(factors, dims, func(key int, val float64) {
-		emit(key, coeff*val)
-	})
+	return sparse.NewProduct(t.Coeff, factors, dims)
 }
 
 // EvaluateDirect computes the exact query result by scanning the cells of

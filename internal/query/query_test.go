@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/sparse"
 	"repro/internal/storage"
 	"repro/internal/wavelet"
 )
@@ -235,7 +236,11 @@ func TestCoefficientsMultiTermQuery(t *testing.T) {
 	}
 }
 
-func TestCoefficientsFuncMatchesCoefficients(t *testing.T) {
+// TestRewriteMatchesCoefficients: the product a query rewrites into holds
+// the nonzero coefficients Coefficients materializes, each key once and in
+// strictly ascending order, for the single-term tensor form and the
+// accumulated multi-term one.
+func TestRewriteMatchesCoefficients(t *testing.T) {
 	s := testSchema(t)
 	r, _ := NewRange(s, []int{2, 3}, []int{13, 11})
 	single, _ := Sum(s, r, "x")
@@ -253,31 +258,26 @@ func TestCoefficientsFuncMatchesCoefficients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := map[int]float64{}
-		seenTwice := false
-		err = q.CoefficientsFunc(wavelet.Db4, func(k int, v float64) {
-			if _, ok := got[k]; ok {
-				seenTwice = true
-			}
-			got[k] += v
-		})
+		p, err := q.Rewrite(wavelet.Db4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seenTwice {
-			t.Fatalf("%s: a key was emitted twice", q.Label)
+		pairs := make([]sparse.Entry, p.Len())
+		p.Fill(pairs)
+		if len(pairs) != len(want) {
+			t.Fatalf("%s: %d pairs rewritten, %d materialized", q.Label, len(pairs), len(want))
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d keys streamed, %d materialized", q.Label, len(got), len(want))
-		}
-		for k, v := range want {
-			if math.Abs(got[k]-v) > 1e-12*(1+math.Abs(v)) {
-				t.Fatalf("%s: key %d: %g vs %g", q.Label, k, got[k], v)
+		for i, e := range pairs {
+			if i > 0 && e.Key <= pairs[i-1].Key {
+				t.Fatalf("%s: key %d after %d", q.Label, e.Key, pairs[i-1].Key)
+			}
+			if v := want[e.Key]; math.Abs(e.Val-v) > 1e-12*(1+math.Abs(v)) {
+				t.Fatalf("%s: key %d: %g vs %g", q.Label, e.Key, e.Val, v)
 			}
 		}
 	}
 	bad := &Query{Schema: s, Range: r}
-	if err := bad.CoefficientsFunc(wavelet.Db4, func(int, float64) {}); err == nil {
+	if _, err := bad.Rewrite(wavelet.Db4); err == nil {
 		t.Error("invalid query should fail")
 	}
 }

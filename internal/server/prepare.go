@@ -58,9 +58,7 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if n := strings.Count(req.Statements, ";") + 1; n > maxStatements {
-		http.Error(w, fmt.Sprintf("bad request: %d statements exceeds the limit of %d", n, maxStatements),
-			http.StatusBadRequest)
+	if tooManyStatements(w, req.Statements) {
 		return
 	}
 	batch, err := repro.ParseBatch(h.db.Schema(), req.Statements)

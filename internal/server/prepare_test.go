@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -271,5 +272,30 @@ func TestStatsPreparedSection(t *testing.T) {
 	}
 	if st.Tenants != 1 {
 		t.Fatalf("tenants: %+v", st)
+	}
+}
+
+// TestStatementCapCountsParsedStatements: both endpoints count statements as
+// the parser splits them, so a list whose every statement ends in ';' is
+// held to the cap by its statements, not by its separators.
+func TestStatementCapCountsParsedStatements(t *testing.T) {
+	list := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "COUNT() WHERE age <= %d; ", i%32)
+		}
+		return b.String()
+	}
+	h, _, _ := testHandler(t)
+	for _, path := range []string{"/query", "/prepare"} {
+		body := func(n int) string { return `{"statements": ` + jsonString(list(n)) + `}` }
+		if rec := postJSON(t, h, path, body(maxStatements), nil); rec.Code != http.StatusOK {
+			t.Errorf("%s: %d statements ending in ';': %d %s", path, maxStatements, rec.Code, rec.Body)
+		}
+		rec := postJSON(t, h, path, body(maxStatements+1), nil)
+		want := fmt.Sprintf("%d statements exceeds the limit of %d", maxStatements+1, maxStatements)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s: %d statements: %d %q, want 400 naming %q", path, maxStatements+1, rec.Code, rec.Body, want)
+		}
 	}
 }

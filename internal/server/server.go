@@ -25,6 +25,7 @@ import (
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/ql"
 	"repro/internal/sched"
 )
 
@@ -34,6 +35,18 @@ const (
 	maxStatements = 256
 	maxBodyBytes  = 1 << 20
 )
+
+// tooManyStatements answers 400 and reports true when src holds more than
+// maxStatements statements, counted as the parser splits them — before the
+// parse, which it would otherwise pay for a list it refuses.
+func tooManyStatements(w http.ResponseWriter, src string) bool {
+	if n := ql.CountStatements(src); n > maxStatements {
+		http.Error(w, fmt.Sprintf("bad request: %d statements exceeds the limit of %d", n, maxStatements),
+			http.StatusBadRequest)
+		return true
+	}
+	return false
+}
 
 // Handler serves queries against one database through a shared scheduler.
 type Handler struct {
@@ -429,9 +442,7 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 		planSource = "registry-hit"
 		h.preparedExecs.Add(1)
 	} else {
-		if n := strings.Count(req.Statements, ";") + 1; n > maxStatements {
-			http.Error(w, fmt.Sprintf("bad request: %d statements exceeds the limit of %d", n, maxStatements),
-				http.StatusBadRequest)
+		if tooManyStatements(w, req.Statements) {
 			return nil
 		}
 		parsed, err := repro.ParseBatch(h.db.Schema(), req.Statements)

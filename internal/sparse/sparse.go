@@ -180,63 +180,192 @@ func (a Vector) Entries() []Entry {
 	return es
 }
 
-// TensorProduct enumerates the tensor product of per-dimension sparse
-// factors over a row-major domain with the given dimension sizes: for every
-// combination (k_0,…,k_{d-1}) of keys it yields the flat key and the product
-// of values via emit. Factors and dims must have equal length.
+// Product is a scaled tensor product of per-dimension sparse factors over a
+// row-major domain — scale·(f_0 ⊗ … ⊗ f_{d-1}) — with every factor
+// flattened into ascending parallel key/value lists; Len is known before any
+// pair is enumerated, so a caller can size the buffer Fill writes into.
 //
-// Pairs arrive in strictly ascending flat-key order: each factor is walked in
-// ascending key order and every key lies below its dimension size, so the
-// row-major flat index grows with the odometer. Callers that need a sorted
-// coefficient list (the plan merge in internal/core) get one without sorting.
-//
-// The number of emitted pairs is the product of the factor sizes, which is
-// the source of the O(polylog^d) query sparsity: each 1-D factor has
-// O(L·log N) entries.
-func TensorProduct(factors []Vector, dims []int, emit func(key int, val float64)) error {
+// The number of pairs is the product of the factor sizes, which is the
+// source of the O(polylog^d) query sparsity: each 1-D factor has O(L·log N)
+// entries.
+type Product struct {
+	dims    []int
+	factors []factor
+	scale   float64
+}
+
+// factor is one dimension's nonzero entries in ascending key order.
+type factor struct {
+	keys []int
+	vals []float64
+}
+
+// NewProduct validates and flattens scale·(factors[0] ⊗ …) over a domain
+// of the given dimension sizes. Factors and dims must have equal length and
+// every factor key must lie below its dimension size; an empty factor
+// annihilates the product, which then has no pairs.
+func NewProduct(scale float64, factors []Vector, dims []int) (Product, error) {
 	if len(factors) != len(dims) {
-		return fmt.Errorf("sparse: %d factors for %d dims", len(factors), len(dims))
+		return Product{}, fmt.Errorf("sparse: %d factors for %d dims", len(factors), len(dims))
 	}
 	if len(factors) == 0 {
-		return fmt.Errorf("sparse: empty tensor product")
+		return Product{}, fmt.Errorf("sparse: empty tensor product")
 	}
 	for i, f := range factors {
 		if len(f) == 0 {
-			return nil // a zero factor annihilates the product
+			return Product{}, nil // a zero factor annihilates the product
 		}
 		for k := range f {
 			if k < 0 || k >= dims[i] {
-				return fmt.Errorf("sparse: factor %d key %d outside dim size %d", i, k, dims[i])
+				return Product{}, fmt.Errorf("sparse: factor %d key %d outside dim size %d", i, k, dims[i])
 			}
 		}
 	}
-	// Flatten every factor into ascending parallel key/value lists, so the
-	// enumeration below reads slices, not maps.
-	keyLists := make([][]int, len(factors))
-	valLists := make([][]float64, len(factors))
+	p := Product{dims: dims, factors: make([]factor, len(factors)), scale: scale}
 	for i, f := range factors {
-		keyLists[i] = f.Keys()
-		valLists[i] = make([]float64, len(f))
-		for j, k := range keyLists[i] {
-			valLists[i][j] = f[k]
+		p.factors[i] = flatten(f)
+	}
+	return p, nil
+}
+
+// flatten lists a vector's entries in ascending key order.
+func flatten(a Vector) factor {
+	f := factor{keys: a.Keys(), vals: make([]float64, len(a))}
+	for j, k := range f.keys {
+		f.vals[j] = a[k]
+	}
+	return f
+}
+
+// flatDims is the dimension list of a one-factor product over flat keys
+// (read-only, shared).
+var flatDims = []int{0}
+
+// Product returns the vector as a one-factor product: its pairs, in
+// ascending key order, with their values unchanged.
+func (a Vector) Product() Product {
+	if len(a) == 0 {
+		return Product{}
+	}
+	// A single factor's keys are already flat: its row-major prefix is 0
+	// whatever its dimension size.
+	return Product{dims: flatDims, factors: []factor{flatten(a)}, scale: 1}
+}
+
+// Len returns the number of pairs the product holds.
+func (p Product) Len() int {
+	if len(p.factors) == 0 {
+		return 0
+	}
+	size := 1
+	for _, f := range p.factors {
+		size *= len(f.keys)
+	}
+	return size
+}
+
+// level is one digit of Fill's odometer: the position in its factor, the
+// flat-key prefix of the dimensions before it times its dimension size, and
+// the value product of the factors before it.
+type level struct {
+	idx  int
+	base int
+	acc  float64
+}
+
+// Fill writes the product's pairs into dst, which must have room for exactly
+// Len of them, in strictly ascending flat-key order: each factor is walked
+// in ascending key order and every key lies below its dimension size, so the
+// row-major flat index grows with the odometer. A pair's value is
+// scale·(((1·v_0)·v_1)·…·v_{d-1}), the factors multiplied left to right.
+//
+// The odometer runs over the factors up to the last one with more than one
+// key; the single-key factors after it (full-range dimensions, typically)
+// form a fixed tail whose key offset is precomputed and whose values each
+// pair multiplies in, in order — so the odometer carries once per row of
+// that factor, not once per pair.
+func (p Product) Fill(dst []Entry) {
+	if len(dst) != p.Len() {
+		panic(fmt.Sprintf("sparse: Fill into %d slots for %d pairs", len(dst), p.Len()))
+	}
+	if len(dst) == 0 {
+		return
+	}
+	inner := len(p.factors) - 1
+	for inner > 0 && len(p.factors[inner].keys) == 1 {
+		inner--
+	}
+	var onStackTail [8]float64
+	tail := onStackTail[:0]
+	tailDims, tailKey := 1, 0
+	for l, f := range p.factors[inner+1:] {
+		dim := p.dims[inner+1+l]
+		tailDims, tailKey = tailDims*dim, tailKey*dim+f.keys[0]
+		tail = append(tail, f.vals[0])
+	}
+	var onStack [8]level
+	levels := onStack[:0]
+	if inner >= len(onStack) {
+		levels = make([]level, 0, inner+1)
+	}
+	levels = levels[:inner+1]
+	// restart puts levels from..inner back at their factors' first keys.
+	restart := func(from int) {
+		for l := from; l <= inner; l++ {
+			if l == 0 {
+				levels[0] = level{acc: 1}
+				continue
+			}
+			prev, f := &levels[l-1], p.factors[l-1]
+			levels[l] = level{
+				base: (prev.base + f.keys[prev.idx]) * p.dims[l],
+				acc:  prev.acc * f.vals[prev.idx],
+			}
 		}
 	}
-	last := len(factors) - 1
-	var rec func(dim, keyAcc int, valAcc float64)
-	rec = func(dim, keyAcc int, valAcc float64) {
-		keys, vals := keyLists[dim], valLists[dim]
-		base := keyAcc * dims[dim]
-		if dim == last {
-			for j, k := range keys {
-				emit(base+k, valAcc*vals[j])
+	restart(0)
+	row := p.factors[inner]
+	for n := 0; ; {
+		lv := levels[inner]
+		out := dst[n : n+len(row.keys)]
+		vals := row.vals[:len(out)]
+		for j, key := range row.keys[:len(out)] {
+			v := lv.acc * vals[j]
+			for _, t := range tail {
+				v *= t
 			}
+			out[j] = Entry{Key: (lv.base+key)*tailDims + tailKey, Val: p.scale * v}
+		}
+		n += len(out)
+		// Carry: the deepest outer factor with keys left advances and every
+		// factor inside it restarts.
+		l := inner - 1
+		for l >= 0 && levels[l].idx+1 == len(p.factors[l].keys) {
+			l--
+		}
+		if l < 0 {
 			return
 		}
-		for j, k := range keys {
-			rec(dim+1, base+k, valAcc*vals[j])
-		}
+		levels[l].idx++
+		restart(l + 1)
 	}
-	rec(0, 0, 1)
+}
+
+// TensorProduct enumerates the tensor product of per-dimension sparse
+// factors over a row-major domain with the given dimension sizes: for every
+// combination (k_0,…,k_{d-1}) of keys it yields the flat key and the product
+// of values via emit, in strictly ascending flat-key order (see Fill).
+// Factors and dims must have equal length.
+func TensorProduct(factors []Vector, dims []int, emit func(key int, val float64)) error {
+	p, err := NewProduct(1, factors, dims)
+	if err != nil {
+		return err
+	}
+	pairs := make([]Entry, p.Len())
+	p.Fill(pairs)
+	for _, e := range pairs {
+		emit(e.Key, e.Val)
+	}
 	return nil
 }
 
