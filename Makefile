@@ -16,7 +16,8 @@
 # `make bench-ingest` runs the MVCC write-path benches
 # (batched vs single-tuple Apply throughput, reader latency during sustained
 # writes) behind BENCH_ingest.json. `make fuzz` gives the six decoders of
-# untrusted bytes — the .wvdb reader (FuzzRead), the query-language parser
+# untrusted bytes — the view-file reader (FuzzRead: .wvls files and .wvdb
+# streams, the codec's one stream reader), the query-language parser
 # (FuzzParse), the .wvls layout opener (FuzzOpenLayout), the shard wire
 # reader (FuzzWireFrame), the /query and /prepare JSON bodies
 # (FuzzQueryRequest) and the /ingest CSV (FuzzIngestCSV) — a short
@@ -108,7 +109,8 @@ race:
 	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
-# process: mutated .wvdb files, query text, .wvls layout files and shard wire
+# process: mutated view files streamed into memory (.wvls and .wvdb), query
+# text, .wvls layout files opened for serving and shard wire
 # frames must be rejected with errors (or, for layouts, open and serve with
 # per-key errors), never panic; HTTP /query, /prepare and /ingest bodies get
 # a 4xx or an answer, never a 5xx. The seed corpora alone run in the normal
@@ -179,14 +181,15 @@ bench-dist:
 # progressive drain over a 10M-coefficient .wvls layout (mmap and pread
 # paths) against a raw sequential-read bandwidth ceiling. The fixture build
 # takes ~30s. The in-memory store's row comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
-# coefficient dense .wvdb (loaded as arrays) and a sparse one (a table), and
-# LoadShardServer of shard 0 of 2 of the 6.3 M file (an array):
+# coefficient dense .wvls (loaded as arrays) and a sparse one (a table),
+# LoadShardServer of shard 0 of 2 of the 6.3 M file (an array) and
+# OpenDatabase of each file (mapped, what wvqd -db pays):
 # seconds, bytes allocated, resident bytes/coefficient, and ns/key of the
 # loaded store's lookups in schedule order and on uniform keys. The last line
 # is the singleflight layer's cost to one caller, against the bare store.
 bench-storage:
 	$(GO) test -run NONE -bench 'BenchmarkStorage' -benchmem -benchtime=2x -timeout 30m ./internal/storage/layout/
-	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase|BenchmarkLoadShardServer' -benchmem -benchtime=5x .
+	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase|BenchmarkLoadShardServer|BenchmarkOpenDatabase' -benchmem -benchtime=5x .
 	$(GO) test -run NONE -bench 'BenchmarkStoreBatchGet' -benchtime=2000x .
 	$(GO) test -run NONE -bench 'BenchmarkCoalescingBatchGet' -benchmem -benchtime=20000x ./internal/storage/
 

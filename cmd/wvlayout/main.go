@@ -1,20 +1,23 @@
-// Command wvlayout converts a persisted database into the .wvls layout
-// format served by wvqd -layout:
+// Command wvlayout re-shapes a database file into a .wvls layout:
 //
-//	wvlayout -in db.wvdb -out db.wvls
+//	wvlayout -in db.wvls -out db-hot.wvls -hot 100000
 //
-// The input is a .wvdb file (repro.Save, wvload, wvq -create): it carries
-// the schema and filter identity, so the layout it converts into is
-// self-contained. The output takes whichever of the format's two shapes is
+// The input is any view file: a .wvls (repro.Save, wvload, wvq -create) or
+// a .wvdb of earlier versions. Either carries the schema and filter
+// identity, so the layout it writes is self-contained and serves with
+// wvqd -db. The output takes whichever of the format's two shapes is
 // smaller: dense (every cell's value in key order) or sparse (the nonzero
 // coefficients in schedule order behind a key index); the closing report
-// names the shape and both candidates' bytes per coefficient.
+// names the shape and both candidates' bytes per coefficient. With the
+// default options a .wvls input is written back byte for byte, so the
+// command's use is converting a .wvdb and the three knobs.
 //
 // -hot, -block and -quantize tune the layout: how many leading schedule
 // slots of a sparse file stay raw (mmap-served), the block granularity, and
 // whether block values are stored as float32 (halves their bytes, loses
 // bit-identity — progressive estimates then differ from the source in the
-// last bits).
+// last bits). The output replaces any file of its name by a rename, so -out
+// may name the input.
 package main
 
 import (
@@ -28,7 +31,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input .wvdb database (wvload/wvq -create)")
+		in       = flag.String("in", "", "input database file: .wvls (wvload/wvq -create) or .wvdb")
 		out      = flag.String("out", "", "output .wvls layout file")
 		hot      = flag.Int("hot", 0, "hot-region slots stored raw, sparse shape only (0 = nonzero/8, negative = all)")
 		block    = flag.Int("block", 0, "block granularity in slots (0 = default 4096)")
@@ -47,15 +50,22 @@ func main() {
 	}
 }
 
-// convert loads the .wvdb database and writes it as a layout: the embedded
+// convert loads the database file and writes it as a layout: the embedded
 // identity travels along, so the result is directly servable.
 func convert(in, out string, opts repro.LayoutOptions) error {
 	f, err := os.Open(in)
 	if err != nil {
 		return err
 	}
+	inInfo, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return err
+	}
 	db, err := repro.LoadDatabase(f)
-	_ = f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
@@ -63,29 +73,25 @@ func convert(in, out string, opts repro.LayoutOptions) error {
 	if err != nil {
 		return err
 	}
-	return report(in, out, c)
+	return report(in, inInfo.Size(), out, c)
 }
 
 // report prints the conversion result: the shape, the geometry, where the
 // bytes went — per coefficient, section by section, next to the input's —
 // and what each shape would have cost (c, as the writer weighed them).
-func report(in, out string, c repro.LayoutCandidates) error {
+func report(in string, inSize int64, out string, c repro.LayoutCandidates) error {
 	s, err := layout.Open(out, layout.Options{})
 	if err != nil {
 		return fmt.Errorf("verifying output: %w", err)
 	}
 	defer func() { _ = s.Close() }()
-	inInfo, err := os.Stat(in)
-	if err != nil {
-		return err
-	}
 	st := s.Stats()
 	shape := "sparse"
 	if st.Dense {
 		shape = "dense"
 	}
 	n := s.NonzeroCount()
-	fmt.Printf("%s (%d bytes) -> %s (%d bytes, %s)\n", in, inInfo.Size(), out, st.FileBytes, shape)
+	fmt.Printf("%s (%d bytes) -> %s (%d bytes, %s)\n", in, inSize, out, st.FileBytes, shape)
 	fmt.Printf("  %d nonzero coefficients over %d cells\n", n, s.Size())
 	if st.Dense {
 		fmt.Printf("  %d blocks x %d cells", st.Blocks, st.BlockSize)
@@ -104,7 +110,7 @@ func report(in, out string, c repro.LayoutCandidates) error {
 	for _, sec := range s.Sections()[1:] { // the header is not per coefficient
 		fmt.Printf(" %s %.2f,", sec.Name, per(sec.Bytes))
 	}
-	fmt.Printf(" file %.2f (input %.2f)\n", per(st.FileBytes), per(inInfo.Size()))
+	fmt.Printf(" file %.2f (input %.2f)\n", per(st.FileBytes), per(inSize))
 	fmt.Printf("  shape %s: dense %.2f, sparse %.2f bytes/coefficient\n", shape, per(c.DenseBytes), per(c.SparseBytes))
 	return nil
 }

@@ -1,9 +1,11 @@
 // Command wvload builds a wavelet database file from a CSV: it quantizes the
 // selected numeric columns onto power-of-two bin domains, transforms the
-// frequency distribution, and writes the persisted view wvq and wvqd serve.
+// frequency distribution, and writes the persisted view wvq and wvqd serve:
+// a .wvls file (repro.Database.Save) that replaces any file of that name by
+// a rename, so a daemon serving the old file keeps answering from it.
 //
-//	wvload -in observations.csv -cols "age:64,salary:128[0..200000]" -out db.wvdb
-//	wvq -db db.wvdb -q "SUM(salary) WHERE age BETWEEN 20 AND 40"
+//	wvload -in observations.csv -cols "age:64,salary:128[0..200000]" -out db.wvls
+//	wvq -db db.wvls -q "SUM(salary) WHERE age BETWEEN 20 AND 40"
 //
 // Columns without an explicit [min..max] window are windowed to the data's
 // observed range; the chosen windows are printed so query predicates can be
@@ -17,13 +19,14 @@ import (
 
 	"repro"
 	"repro/internal/ingest"
+	"repro/internal/storage/layout"
 	"repro/internal/wavelet"
 )
 
 func main() {
 	var (
 		in     = flag.String("in", "", "input CSV path (required)")
-		out    = flag.String("out", "data.wvdb", "output database path")
+		out    = flag.String("out", "data.wvls", "output database path (.wvls)")
 		cols   = flag.String("cols", "", `column spec, e.g. "age:64,salary:128[0..200000]" (required)`)
 		filter = flag.String("filter", "Db4", "wavelet filter (Haar, Db4, …, Db12)")
 	)
@@ -68,15 +71,10 @@ func run(in, out, colSpec, filterName string) error {
 	if err := db.SetWindows(res.Windows); err != nil {
 		return err
 	}
-	dst, err := os.Create(out)
-	if err != nil {
+	if err := layout.WriteFile(out, db.Save); err != nil {
 		return err
 	}
-	defer dst.Close()
-	if err := db.Save(dst); err != nil {
-		return err
-	}
-	st, err := dst.Stat()
+	st, err := os.Stat(out)
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,12 @@
 // database: create a database file from the synthetic temperature dataset,
 // then run textual aggregate queries against it with a retrieval budget.
 //
-//	wvq -create -db temp.wvdb -records 200000
-//	wvq -db temp.wvdb -q "SUM(temperature) WHERE latitude BETWEEN 4 AND 11"
-//	wvq -db temp.wvdb -q "SUM(temperature) GROUP BY latitude(8)"
-//	wvq -db temp.wvdb -budget 200 \
+//	wvq -create -db temp.wvls -records 200000
+//	wvq -db temp.wvls -q "SUM(temperature) WHERE latitude BETWEEN 4 AND 11"
+//	wvq -db temp.wvls -q "SUM(temperature) GROUP BY latitude(8)"
+//	wvq -db temp.wvls -budget 200 \
 //	    -q "COUNT() WHERE altitude = 0; SUM(temperature) WHERE altitude = 0"
-//	wvq -db temp.wvdb -i        # interactive shell
+//	wvq -db temp.wvls -i        # interactive shell
 //
 // Each query of the batch is answered progressively; with a budget the tool
 // also prints the Theorem 1 worst-case bound and the Theorem 2 expected
@@ -15,6 +15,10 @@
 // batch; `.budget N` changes the retrieval budget and `.exit` quits. The
 // interactive session shares one retrieval cache, so repeated or refined
 // queries get cheaper.
+//
+// -create writes a .wvls file (repro.Database.Save), replacing any file of
+// that name by a rename. The database file is opened the way wvqd -db opens
+// it: a .wvls is mapped, a .wvdb of earlier versions loaded.
 package main
 
 import (
@@ -25,11 +29,12 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/storage/layout"
 )
 
 func main() {
 	var (
-		dbPath      = flag.String("db", "temperature.wvdb", "database file")
+		dbPath      = flag.String("db", "temperature.wvls", "database file (.wvls; a .wvdb still opens)")
 		create      = flag.Bool("create", false, "create the database file from a synthetic temperature dataset")
 		records     = flag.Int("records", 200_000, "records to generate with -create")
 		seed        = flag.Int64("seed", 1, "dataset seed for -create")
@@ -57,12 +62,7 @@ func run(dbPath string, create bool, records int, seed int64, qsrc string, budge
 		if err != nil {
 			return err
 		}
-		f, err := os.Create(dbPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := db.Save(f); err != nil {
+		if err := layout.WriteFile(dbPath, db.Save); err != nil {
 			return err
 		}
 		fmt.Printf("created %s: %d tuples, %d coefficients, schema %v/%v\n",
@@ -76,15 +76,11 @@ func run(dbPath string, create bool, records int, seed int64, qsrc string, budge
 		return fmt.Errorf("nothing to do: pass -q, -i or -create")
 	}
 
-	f, err := os.Open(dbPath)
+	db, err := repro.OpenDatabase(dbPath)
 	if err != nil {
 		return fmt.Errorf("opening database (run with -create first?): %w", err)
 	}
-	defer f.Close()
-	db, err := repro.LoadDatabase(f)
-	if err != nil {
-		return err
-	}
+	defer func() { _ = db.Close() }()
 	sess, err := db.NewSession(repro.UnboundedCache)
 	if err != nil {
 		return err

@@ -1,12 +1,17 @@
 // Command wvqd serves a persisted wavelet database over HTTP — the
 // precompute-once, query-many deployment of the system:
 //
-//	wvload -in data.csv -cols "age:64,salary:128" -out db.wvdb
-//	wvqd -db db.wvdb -addr :8080 &
+//	wvload -in data.csv -cols "age:64,salary:128" -out db.wvls
+//	wvqd -db db.wvls -addr :8080 &
 //	curl -s localhost:8080/query -d '{
 //	    "statements": "SUM(salary) WHERE age BETWEEN 20 AND 40 GROUP BY age(8)",
 //	    "budget": 200
 //	}'
+//
+// A .wvls file is mapped, not loaded: the daemon listens once its header is
+// checked, and each block is checksummed the first time it is read. -mvcc
+// and -shard-listen stream the file into memory instead; a .wvdb file of
+// earlier versions is always loaded.
 //
 // Progressive responses (budget below the master-list size) carry per-query
 // worst-case error bounds; /query/stream delivers every intermediate
@@ -99,10 +104,10 @@ func parseFlags(args []string) (*options, error) {
 	switch {
 	case o.shardListen != "" && shardAddrs != "":
 		return nil, errors.New("-shard-listen (shard server) and -shards (coordinator) are mutually exclusive")
-	// A layout file is a complete local view: it cannot be partitioned into
-	// shards after the fact and a coordinator has no local store at all.
-	case o.layoutPath != "" && (o.shardListen != "" || shardAddrs != ""):
-		return nil, errors.New("-layout is a local serving mode; it cannot be combined with -shard-listen or -shards")
+	// -layout is another spelling of -db, and follows its rules, but names
+	// the file explicitly, and a coordinator reads no file.
+	case o.layoutPath != "" && shardAddrs != "":
+		return nil, errors.New("-layout names a database file; a coordinator (-shards) reads none")
 	case o.server.SlowQuery < 0:
 		return nil, errors.New("-slow-query must be non-negative")
 	// A shard server answers retrieval frames, not queries: there is nothing
@@ -116,11 +121,11 @@ func parseFlags(args []string) (*options, error) {
 		return nil, errors.New("-shard-index/-shard-count only apply with -shard-listen")
 	case shardAddrs == "" && o.dist.opts != (repro.DistOptions{}):
 		return nil, errors.New("-shard-dial-timeout/-shard-timeout/-shard-pool only apply with -shards")
-	// MVCC needs a local, writable, enumerable view: a layout file is
-	// read-only, a coordinator has no local store, and a shard server does
-	// not take writes.
-	case o.mvcc.enabled && (o.layoutPath != "" || o.shardListen != "" || shardAddrs != ""):
-		return nil, errors.New("-mvcc serves a local database file; it cannot be combined with -layout, -shard-listen or -shards")
+	// MVCC needs a local, writable, enumerable view: a mapped file is
+	// read-only (-db -mvcc loads the file instead), a coordinator has no
+	// local store, and a shard server does not take writes.
+	case o.mvcc.enabled && (o.shardListen != "" || shardAddrs != ""):
+		return nil, errors.New("-mvcc serves a local database file; it cannot be combined with -shard-listen or -shards")
 	case !o.mvcc.enabled && (mv.MaxLayers != 0 || mv.MaxLayerKeys != 0 || mv.Retain != 0):
 		return nil, errors.New("-mvcc-max-layers/-mvcc-max-layer-keys/-mvcc-retain only apply with -mvcc")
 	case retry.MaxAttempts == 0 && (retry.BaseDelay != 0 || retry.AttemptTimeout != 0):
@@ -135,6 +140,9 @@ func parseFlags(args []string) (*options, error) {
 		if o.shardIndex < 0 || o.shardIndex >= o.shardCount {
 			return nil, fmt.Errorf("-shard-index %d out of range [0,%d)", o.shardIndex, o.shardCount)
 		}
+	}
+	if o.layoutPath != "" {
+		o.dbPath = o.layoutPath
 	}
 	if shardAddrs != "" {
 		for _, a := range strings.Split(shardAddrs, ",") {
@@ -163,8 +171,8 @@ func parseFlags(args []string) (*options, error) {
 // folds into o.
 func newFlagSet(o *options, shardAddrs *string, retry *repro.RetryConfig, chaos *repro.FaultConfig) *flag.FlagSet {
 	fs := flag.NewFlagSet("wvqd", flag.ContinueOnError)
-	fs.StringVar(&o.dbPath, "db", "temperature.wvdb", "database file to serve")
-	fs.StringVar(&o.layoutPath, "layout", "", "serve a schedule-aware .wvls layout file instead of -db (read-only; convert with wvlayout)")
+	fs.StringVar(&o.dbPath, "db", "temperature.wvls", "database file to serve: a .wvls is mapped (streamed into memory with -mvcc or -shard-listen), a .wvdb loaded")
+	fs.StringVar(&o.layoutPath, "layout", "", "another spelling of -db, kept for existing scripts (overrides -db; refused with -shards)")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.server.Sched.MaxActive, "max-active", 0, "concurrent runs in the scheduler table (0 = default 64)")
 	fs.IntVar(&o.server.Sched.MaxQueued, "max-queued", 0, "runs waiting behind the table before 429 (0 = default 256)")
@@ -232,7 +240,7 @@ func main() {
 	if o.shardListen != "" {
 		err = runShard(o.dbPath, o.shardListen, o.shardIndex, o.shardCount, o.pprofAddr, log)
 	} else {
-		err = run(o.dbPath, o.layoutPath, o.addr, o.pprofAddr, o.server, o.stack, o.dist, o.mvcc, o.drainTimeout, log)
+		err = run(o.dbPath, o.addr, o.pprofAddr, o.server, o.stack, o.dist, o.mvcc, o.drainTimeout, log)
 	}
 	if err != nil {
 		log.Error("exiting", "error", err)
@@ -267,44 +275,28 @@ type mvccConfig struct {
 	cfg     repro.MVCCConfig
 }
 
-func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack repro.Stack, dist distConfig, mvcc mvccConfig, drainTimeout time.Duration, log *slog.Logger) error {
+func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack, dist distConfig, mvcc mvccConfig, drainTimeout time.Duration, log *slog.Logger) error {
 	var db *repro.Database
 	// load_ms on the "serving" line: open to store ready.
 	opened := time.Now()
-	switch {
-	case len(dist.shards) > 0:
-		var err error
-		db, err = repro.OpenDistributed(dist.shards, dist.opts)
-		if err != nil {
+	var err error
+	if len(dist.shards) > 0 {
+		if db, err = repro.OpenDistributed(dist.shards, dist.opts); err != nil {
 			return err
 		}
 		log.Info("coordinating over shards", "shards", fmt.Sprint(dist.shards))
-	case layoutPath != "":
-		var err error
-		db, err = repro.OpenLayout(layoutPath)
-		if err != nil {
-			return fmt.Errorf("opening layout (convert a database with wvlayout): %w", err)
-		}
-		dbPath = layoutPath
-		ls, _ := db.LayoutStats()
+	} else if db, err = openDatabase(dbPath, mvcc.enabled); err != nil {
+		return fmt.Errorf("opening database (write one with wvload or wvq -create): %w", err)
+	}
+	if ls, ok := db.LayoutStats(); ok {
 		log.Info("serving from layout",
-			"layout", layoutPath,
+			"layout", dbPath,
 			"dense", ls.Dense,
 			"hot_slots", ls.HotSlots,
 			"blocks", ls.Blocks,
 			"block_size", ls.BlockSize,
 			"mmapped", ls.Mmapped,
 			"quantized", ls.Quantized)
-	default:
-		f, err := os.Open(dbPath)
-		if err != nil {
-			return fmt.Errorf("opening database (create one with wvload or wvq -create): %w", err)
-		}
-		db, err = repro.LoadDatabase(f)
-		_ = f.Close()
-		if err != nil {
-			return err
-		}
 	}
 	loadMS := float64(time.Since(opened).Microseconds()) / 1e3
 	defer func() { _ = db.Close() }()
@@ -385,7 +377,7 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack 
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	err := srv.Shutdown(shutdownCtx)
+	err = srv.Shutdown(shutdownCtx)
 	// Cancel whatever outlived the drain and stop the scheduler workers.
 	h.Close()
 	if serveErr := <-errc; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
@@ -394,9 +386,25 @@ func run(dbPath, layoutPath, addr, pprofAddr string, opts server.Options, stack 
 	return err
 }
 
+// openDatabase opens the file the way -db asks: mapped (repro.OpenDatabase),
+// or streamed into memory when MVCC needs a writable base.
+func openDatabase(path string, writable bool) (*repro.Database, error) {
+	if !writable {
+		return repro.OpenDatabase(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = f.Close() }()
+	return repro.LoadDatabase(f)
+}
+
 // runShard serves one coefficient shard over TCP: the daemon's shard-server
 // mode. The database file is streamed once and only its partition for
-// (index, count) is kept — the process never holds the whole file. Shutdown
+// (index, count) is kept — the process never maps the file and never holds
+// all of it; loading a sparse .wvls holds the file's values (8 B each) until
+// the load ends, because the key-order walk visits them in no order. Shutdown
 // reuses the daemon's signal path: stop accepting, sever connections, exit. The
 // shard keeps its own span ring: request frames carrying a coordinator trace
 // context (wire v2) record shard-side spans under the coordinator's request
@@ -405,7 +413,7 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 	opened := time.Now()
 	f, err := os.Open(dbPath)
 	if err != nil {
-		return fmt.Errorf("opening database (create one with wvload or wvq -create): %w", err)
+		return fmt.Errorf("opening database (write one with wvload or wvq -create): %w", err)
 	}
 	ss, err := repro.LoadShardServer(f, index, count, log)
 	_ = f.Close()

@@ -49,6 +49,8 @@ func TestParseFlagsRejectsIgnoredFlags(t *testing.T) {
 		{args: []string{"-mvcc", "-chaos-error-every", "3"}},
 		{args: shard},
 		{args: []string{"-shards", "a:1,b:2", "-shard-pool", "2"}},
+		{args: []string{"-mvcc", "-layout", "x.wvls"}},
+		{args: append([]string{"-layout", "x.wvls"}, shard...)},
 
 		{[]string{"-retry-base", "1ms"}, "-retry-base/-retry-timeout only apply with -retry-attempts"},
 		{[]string{"-retry-timeout", "1s"}, "-retry-base/-retry-timeout only apply with -retry-attempts"},
@@ -59,12 +61,12 @@ func TestParseFlagsRejectsIgnoredFlags(t *testing.T) {
 		{append([]string{"-chaos-error-rate", "0.1", "-retry-attempts", "2"}, shard...), "drop -chaos-error-rate, -retry-attempts"},
 
 		{append([]string{"-shards", "a:1,b:2"}, shard...), "mutually exclusive"},
-		{[]string{"-layout", "x.wvls", "-shards", "a:1"}, "-layout is a local serving mode"},
+		{[]string{"-layout", "x.wvls", "-shards", "a:1"}, "a coordinator (-shards) reads none"},
 		{[]string{"-slow-query", "-1s"}, "-slow-query must be non-negative"},
 		{append([]string{"-slow-query", "1s"}, shard...), "not -shard-listen"},
 		{[]string{"-shard-index", "1"}, "only apply with -shard-listen"},
 		{[]string{"-shard-pool", "2"}, "only apply with -shards"},
-		{[]string{"-mvcc", "-layout", "x.wvls"}, "-mvcc serves a local database file"},
+		{[]string{"-mvcc", "-shards", "a:1"}, "-mvcc serves a local database file"},
 		{[]string{"-mvcc-retain", "4"}, "only apply with -mvcc"},
 		{[]string{"-shard-listen", ":0", "-shard-count", "3"}, "-shard-count"},
 		{[]string{"-shard-listen", ":0", "-shard-count", "2", "-shard-index", "2"}, "out of range"},

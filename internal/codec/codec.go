@@ -1,9 +1,12 @@
-// Package codec serializes a materialized view — the schema, the wavelet
-// filter identity, and the sparse transformed data vector Δ̂ — to a compact,
-// versioned, checksummed binary stream, so a database can be precomputed
-// once and shipped or reopened by query services.
+// Package codec reads a stored materialized view — the schema, the wavelet
+// filter identity, and the transformed data vector Δ̂ — as a stream of
+// coefficients in ascending key order, and frames the shard wire protocol
+// (wire.go). A view file is a .wvls layout (internal/storage/layout, which
+// also writes it); Decode tells it by its magic from the .wvdb stream that
+// earlier versions wrote, which stays readable so old files still load and
+// convert.
 //
-// Format (all integers little-endian):
+// The .wvdb format (all integers little-endian):
 //
 //	magic   "WVDB"                      4 bytes
 //	version uint16                      currently 2
@@ -21,17 +24,16 @@ package codec
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
+	"repro/internal/storage/layout"
 )
 
 const (
@@ -50,7 +52,9 @@ type Header struct {
 	// to raw units; nil when the stream predates version 2 or none were
 	// recorded.
 	Windows [][2]float64
-	// Count is the number of coefficients that follow the header.
+	// Count is the number of nonzero coefficients that follow the header (a
+	// quantized .wvls file may hand over fewer: float32 can round a value to
+	// zero).
 	Count int
 }
 
@@ -63,123 +67,19 @@ type Snapshot struct {
 }
 
 // pairBytes is the encoded size of one coefficient; blockPairs of them make
-// the 64 KiB unit both directions move, hash and check at a time.
+// the 64 KiB unit the reader moves, hashes and checks at a time.
 const (
 	pairBytes  = 16
 	blockPairs = 4096
 )
-
-// Write serializes a snapshot of the given store. The store's nonzero
-// coefficients are written in ascending key order, so equal inputs produce
-// byte-identical outputs. windows may be nil (written as all-zero windows)
-// or must have one entry per dimension.
-func Write(w io.Writer, schema *dataset.Schema, filterName string, tupleCount int64, store storage.Enumerable, windows [][2]float64) error {
-	if schema == nil {
-		return fmt.Errorf("codec: nil schema")
-	}
-	if len(filterName) == 0 || len(filterName) > 255 {
-		return fmt.Errorf("codec: filter name length %d out of range", len(filterName))
-	}
-	if windows != nil && len(windows) != len(schema.Names) {
-		return fmt.Errorf("codec: %d windows for %d dimensions", len(windows), len(schema.Names))
-	}
-	type pair struct {
-		k int
-		v float64
-	}
-	var pairs []pair
-	if c, ok := store.(interface{ NonzeroCount() int }); ok {
-		pairs = make([]pair, 0, c.NonzeroCount())
-	}
-	store.ForEachNonzero(func(k int, v float64) bool {
-		pairs = append(pairs, pair{k, v})
-		return true
-	})
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	if err := writeUint16(bw, version); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(len(filterName))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(filterName); err != nil {
-		return err
-	}
-	if err := writeUint64(bw, uint64(tupleCount)); err != nil {
-		return err
-	}
-	if len(schema.Names) > math.MaxUint16 {
-		return fmt.Errorf("codec: too many dimensions")
-	}
-	if err := writeUint16(bw, uint16(len(schema.Names))); err != nil {
-		return err
-	}
-	for i, name := range schema.Names {
-		if len(name) > math.MaxUint16 {
-			return fmt.Errorf("codec: dimension name too long")
-		}
-		if err := writeUint16(bw, uint16(len(name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(name); err != nil {
-			return err
-		}
-		if schema.Sizes[i] < 0 || int64(schema.Sizes[i]) > math.MaxUint32 {
-			return fmt.Errorf("codec: dimension size %d out of range", schema.Sizes[i])
-		}
-		if err := writeUint32(bw, uint32(schema.Sizes[i])); err != nil {
-			return err
-		}
-		var win [2]float64
-		if windows != nil {
-			win = windows[i]
-		}
-		if err := writeUint64(bw, math.Float64bits(win[0])); err != nil {
-			return err
-		}
-		if err := writeUint64(bw, math.Float64bits(win[1])); err != nil {
-			return err
-		}
-	}
-	if err := writeUint64(bw, uint64(len(pairs))); err != nil {
-		return err
-	}
-	block := make([]byte, 0, blockPairs*pairBytes)
-	for len(pairs) > 0 {
-		n := min(len(pairs), blockPairs)
-		block = block[:0]
-		for _, p := range pairs[:n] {
-			block = binary.LittleEndian.AppendUint64(block, uint64(p.k))
-			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(p.v))
-		}
-		if _, err := bw.Write(block); err != nil {
-			return err
-		}
-		pairs = pairs[n:]
-	}
-	// Flush the body through the hashing MultiWriter, then append the CRC
-	// directly to the destination so it is not hashed itself.
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
-}
 
 // bodyReader reads from a buffered source and hashes exactly the bytes it
 // hands out, so the checksum trailer can be read unhashed afterwards.
 type bodyReader struct {
 	br  *bufio.Reader
 	crc hash.Hash32
+	// left is what the stream holds past the bytes handed out so far.
+	left int64
 }
 
 func (b *bodyReader) full(p []byte) error {
@@ -187,7 +87,18 @@ func (b *bodyReader) full(p []byte) error {
 		return err
 	}
 	b.crc.Write(p)
+	b.left -= int64(len(p))
 	return nil
+}
+
+// bytes reads n bytes into a fresh buffer, once the stream is known to hold
+// them.
+func (b *bodyReader) bytes(n int) ([]byte, error) {
+	if int64(n) > b.left {
+		return nil, fmt.Errorf("codec: a %d-byte field, the stream holds %d more bytes", n, b.left)
+	}
+	p := make([]byte, n)
+	return p, b.full(p)
 }
 
 func (b *bodyReader) uint16() (uint16, error) {
@@ -233,23 +144,39 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Decode is the one .wvdb reader. It parses and checks the header, hands it
-// to begin, and then feeds the function begin returned every coefficient in
-// file order — strictly ascending keys inside the schema's domain — one
-// 64 KiB block of the stream at a time. begin sees Count before any
-// coefficient arrives, so it can size its destination once; an error from
-// begin aborts the read and is returned as is.
+// Decode is the one view-file reader. It parses and checks the header, hands
+// it to begin, and then feeds the function begin returned every nonzero
+// coefficient in ascending key order inside the schema's domain. begin sees
+// Count before any coefficient arrives, so it can size its destination
+// once; an error from begin aborts the read and is returned as is. Every
+// size the header announces is checked against the bytes the stream holds
+// before anything is sized from it: a file or an in-memory reader reports
+// them, and any other reader is read whole first.
 //
-// Coefficients are handed over before the trailing checksum can be verified:
-// a caller must not publish what it received unless Decode returns nil.
+// A .wvls file goes to layout.Decode; a .wvdb stream is read here, one
+// 64 KiB block at a time. Either way coefficients can be handed over before
+// the checksums that cover them are verified: a caller must not publish
+// what it received unless Decode returns nil.
 func Decode(r io.Reader, begin func(*Header) (func(key int, value float64), error)) error {
+	ra, size, err := sized(r)
+	if err != nil {
+		return err
+	}
+	var head [len(layout.Magic)]byte
+	if _, err := ra.ReadAt(head[:], 0); err == nil && string(head[:]) == layout.Magic {
+		return decodeLayout(ra, size, begin)
+	}
 	// The buffer only has to serve the header's small fields and the
 	// trailer: a block read is larger than it, so bufio reads the block
 	// straight into the caller's slice.
-	b := &bodyReader{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	br := bufio.NewReader(io.NewSectionReader(ra, 0, size))
+	b := &bodyReader{br: br, crc: crc32.NewIEEE(), left: size}
 	h, err := b.header()
 	if err != nil {
 		return err
+	}
+	if need := int64(h.Count)*pairBytes + 4; need > b.left {
+		return fmt.Errorf("codec: %d coefficients and the checksum need %d bytes, the stream holds %d", h.Count, need, b.left)
 	}
 	emit, err := begin(h)
 	if err != nil {
@@ -257,7 +184,7 @@ func Decode(r io.Reader, begin func(*Header) (func(key int, value float64), erro
 	}
 	cells := uint64(h.Schema.Cells())
 	prev := -1
-	block := make([]byte, blockPairs*pairBytes)
+	block := make([]byte, min(h.Count, blockPairs)*pairBytes)
 	for done := 0; done < h.Count; {
 		n := min(h.Count-done, blockPairs)
 		if err := b.full(block[:n*pairBytes]); err != nil {
@@ -337,8 +264,8 @@ func (b *bodyReader) header() (*Header, error) {
 		if err != nil {
 			return nil, err
 		}
-		nb := make([]byte, nl)
-		if err := b.full(nb); err != nil {
+		nb, err := b.bytes(int(nl))
+		if err != nil {
 			return nil, err
 		}
 		names[i] = string(nb)
@@ -388,25 +315,4 @@ func (s *Snapshot) Store() *storage.HashStore {
 		st.Add(k, s.Values[i])
 	}
 	return st
-}
-
-func writeUint16(w *bufio.Writer, v uint16) error {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func writeUint32(w *bufio.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func writeUint64(w *bufio.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
 }

@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"strings"
@@ -20,7 +22,7 @@ func buildTestSnapshot(t *testing.T) (*dataset.Schema, *storage.HashStore, *byte
 		store.Add(rng.Intn(128), rng.NormFloat64())
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Db4", 1234, store, nil); err != nil {
+	if err := writeView(&buf, schema, "Db4", 1234, store, nil); err != nil {
 		t.Fatal(err)
 	}
 	return schema, store, &buf
@@ -55,7 +57,7 @@ func TestWriteDeterministic(t *testing.T) {
 	_, store, buf1 := buildTestSnapshot(t)
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{16, 8})
 	var buf2 bytes.Buffer
-	if err := Write(&buf2, schema, "Db4", 1234, store, nil); err != nil {
+	if err := writeView(&buf2, schema, "Db4", 1234, store, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
@@ -79,61 +81,90 @@ func TestKeysAscending(t *testing.T) {
 func TestWriteValidation(t *testing.T) {
 	store := storage.NewHashStore()
 	var buf bytes.Buffer
-	if err := Write(&buf, nil, "Db4", 0, store, nil); err == nil {
-		t.Error("nil schema should fail")
-	}
 	schema := dataset.MustSchema([]string{"x"}, []int{8})
-	if err := Write(&buf, schema, "", 0, store, nil); err == nil {
+	if err := writeView(&buf, schema, "", 0, store, nil); err == nil {
 		t.Error("empty filter name should fail")
 	}
-	if err := Write(&buf, schema, strings.Repeat("f", 300), 0, store, nil); err == nil {
+	if err := writeView(&buf, schema, strings.Repeat("f", 300), 0, store, nil); err == nil {
 		t.Error("overlong filter name should fail")
+	}
+	long := dataset.MustSchema([]string{strings.Repeat("n", 1<<16)}, []int{8})
+	if err := writeView(&buf, long, "Db4", 0, store, nil); err == nil {
+		t.Error("a dimension name longer than the header holds should fail")
+	}
+	store.Add(9, 1)
+	if err := writeView(&buf, schema, "Db4", 0, store, nil); err == nil {
+		t.Error("a key outside the domain should fail")
 	}
 }
 
-// Failure injection: every kind of stream corruption must be detected.
+// Failure injection: every kind of stream corruption must be detected, in
+// the .wvls file and in the .wvdb stream alike. A .wvls file checksums its
+// header and its blocks; the last value byte sits in the last block, just
+// before the block checksums (one block here).
 func TestReadRejectsCorruption(t *testing.T) {
-	_, _, buf := buildTestSnapshot(t)
-	good := buf.Bytes()
-
-	flip := func(pos int) []byte {
-		c := append([]byte(nil), good...)
-		c[pos] ^= 0xFF
-		return c
-	}
-	cases := map[string][]byte{
-		"bad magic":         flip(0),
-		"bad version":       flip(4),
-		"flipped body byte": flip(len(good) / 2),
-		"flipped crc":       flip(len(good) - 1),
-		"truncated":         good[:len(good)-7],
-		"empty":             nil,
-		"trailing garbage":  append(append([]byte(nil), good...), 1, 2, 3),
-	}
-	for name, data := range cases {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: corruption not detected", name)
+	schema, store, buf := buildTestSnapshot(t)
+	for name, good := range map[string][]byte{
+		".wvls": buf.Bytes(),
+		".wvdb": encodeWVDB(schema, "Db4", 1234, store, nil),
+	} {
+		flip := func(pos int) []byte {
+			c := append([]byte(nil), good...)
+			c[pos] ^= 0xFF
+			return c
+		}
+		cases := map[string][]byte{
+			"bad magic":         flip(0),
+			"bad version":       flip(4),
+			"flipped header":    flip(20),
+			"flipped last body": flip(len(good) - 5),
+			"flipped crc":       flip(len(good) - 1),
+			"truncated":         good[:len(good)-7],
+			"empty":             nil,
+			"trailing garbage":  append(append([]byte(nil), good...), 1, 2, 3),
+			"flipped body byte": flip(len(good) / 2),
+		}
+		for what, data := range cases {
+			if _, err := Read(bytes.NewReader(data)); err == nil {
+				t.Errorf("%s, %s: corruption not detected", name, what)
+			}
 		}
 	}
 }
 
+// TestReadRejectsStructuralLies: a syntactically valid stream whose
+// coefficient count exceeds the domain, or the bytes that follow it, must be
+// rejected before allocating absurd buffers.
 func TestReadRejectsStructuralLies(t *testing.T) {
-	// A syntactically valid stream whose coefficient count exceeds the
-	// domain must be rejected before allocating absurd buffers.
 	schema := dataset.MustSchema([]string{"x"}, []int{4})
 	store := storage.NewHashStore()
 	store.Add(1, 2.5)
-	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Haar", 1, store, nil); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := encodeWVDB(schema, "Haar", 1, store, nil)
 	// The coefficient count field sits right before the pairs: locate it by
 	// structure: 4 magic + 2 version + 1 + len("Haar") + 8 tuples + 2 dims +
-	// (2 + 1 name + 4 size) = 4+2+5+8+2+7 = 28; count at [28,36).
-	data[28] = 0xFF
+	// (2 + 1 name + 4 size + 16 window) = 4+2+5+8+2+23 = 44; count at [44,52).
+	binary.LittleEndian.PutUint64(data[44:], 5)
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Error("inflated coefficient count not rejected")
+	}
+	binary.LittleEndian.PutUint64(data[44:], 3) // inside the domain, past the stream
+	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "stream holds") {
+		t.Errorf("a count the stream cannot hold: %v", err)
+	}
+	// A .wvls header blob (behind its prelude) starts with cells and nonzero;
+	// resealing the header checksum leaves only the geometry checks.
+	var view bytes.Buffer
+	if err := writeView(&view, schema, "Haar", 1, store, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, field := range map[string]int{"cells": 16, "nonzero": 24} {
+		c := append([]byte(nil), view.Bytes()...)
+		binary.LittleEndian.PutUint64(c[field:], 1<<40)
+		hdrLen := binary.LittleEndian.Uint32(c[8:])
+		binary.LittleEndian.PutUint32(c[12:], crc32.ChecksumIEEE(c[16:16+hdrLen]))
+		if _, err := Read(bytes.NewReader(c)); err == nil {
+			t.Errorf("inflated %s in a resealed .wvls header not rejected", name)
+		}
 	}
 }
 
@@ -150,7 +181,7 @@ func TestRoundTripArrayToHashStore(t *testing.T) {
 	}
 	arr := storage.NewArrayStore(cells)
 	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Haar", 99, arr, nil); err != nil {
+	if err := writeView(&buf, schema, "Haar", 99, arr, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
@@ -168,7 +199,7 @@ func TestRoundTripArrayToHashStore(t *testing.T) {
 func TestEmptyStoreRoundTrip(t *testing.T) {
 	schema := dataset.MustSchema([]string{"x"}, []int{8})
 	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Haar", 0, storage.NewHashStore(), nil); err != nil {
+	if err := writeView(&buf, schema, "Haar", 0, storage.NewHashStore(), nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
@@ -190,7 +221,7 @@ func BenchmarkWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := Write(&buf, schema, "Db4", 1, store, nil); err != nil {
+		if err := writeView(&buf, schema, "Db4", 1, store, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +235,7 @@ func BenchmarkRead(b *testing.B) {
 		store.Add(rng.Intn(4096), rng.NormFloat64())
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Db4", 1, store, nil); err != nil {
+	if err := writeView(&buf, schema, "Db4", 1, store, nil); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -222,7 +253,7 @@ func TestWindowsRoundTrip(t *testing.T) {
 	store.Add(3, 1.0)
 	windows := [][2]float64{{18, 70}, {0, 200000}}
 	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Db4", 5, store, windows); err != nil {
+	if err := writeView(&buf, schema, "Db4", 5, store, windows); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
@@ -238,7 +269,7 @@ func TestWindowsRoundTrip(t *testing.T) {
 		}
 	}
 	// Mismatched window count is rejected at write time.
-	if err := Write(&bytes.Buffer{}, schema, "Db4", 5, store, [][2]float64{{0, 1}}); err == nil {
+	if err := writeView(&bytes.Buffer{}, schema, "Db4", 5, store, [][2]float64{{0, 1}}); err == nil {
 		t.Error("window count mismatch should fail")
 	}
 }

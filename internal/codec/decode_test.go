@@ -14,8 +14,8 @@ import (
 )
 
 // blockStream serializes count coefficients — enough for several decoder
-// blocks — over a 128×128 domain and returns the stream with the length of
-// its header, so tests can address the pair at any index.
+// blocks — over a 128×128 domain as a .wvdb stream and returns it with the
+// length of its header, so tests can address the pair at any index.
 func blockStream(t *testing.T, count int) (stream []byte, headerLen int) {
 	t.Helper()
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{128, 128})
@@ -24,11 +24,8 @@ func blockStream(t *testing.T, count int) (stream []byte, headerLen int) {
 	for store.NonzeroCount() < count {
 		store.Add(rng.Intn(schema.Cells()), 1+rng.Float64())
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Db4", 99, store, [][2]float64{{0, 1}, {-5, 5}}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), buf.Len() - 4 - count*pairBytes
+	stream = encodeWVDB(schema, "Db4", 99, store, [][2]float64{{0, 1}, {-5, 5}})
+	return stream, len(stream) - 4 - count*pairBytes
 }
 
 // resealed returns a copy of stream with mutate applied to it and the

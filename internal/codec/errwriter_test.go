@@ -10,7 +10,7 @@ import (
 )
 
 // failWriter fails after n bytes have been written, exercising every write
-// error branch in the serializer.
+// error branch of the view writer.
 type failWriter struct {
 	n       int
 	written int
@@ -37,7 +37,7 @@ func TestWriteSurfacesWriterErrors(t *testing.T) {
 	}
 	// Find the full length first.
 	var full bytes.Buffer
-	if err := Write(&full, schema, "Db4", 7, store, nil); err != nil {
+	if err := writeView(&full, schema, "Db4", 7, store, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Fail at a few byte offsets spanning header, schema, coefficients and
@@ -45,7 +45,7 @@ func TestWriteSurfacesWriterErrors(t *testing.T) {
 	// branch — but the call must fail at every truncation point.
 	offsets := []int{0, full.Len() / 2, full.Len() - 2}
 	for _, off := range offsets {
-		if err := Write(&failWriter{n: off}, schema, "Db4", 7, store, nil); err == nil {
+		if err := writeView(&failWriter{n: off}, schema, "Db4", 7, store, nil); err == nil {
 			t.Errorf("Write with failure at byte %d did not error", off)
 		}
 	}

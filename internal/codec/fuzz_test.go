@@ -10,36 +10,56 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
+	"repro/internal/storage/layout"
 )
 
-// FuzzRead feeds arbitrary byte streams to the deserializer: it must never
-// panic or allocate absurdly, and anything it accepts must round-trip to an
-// identical byte stream (canonical form).
+// FuzzRead feeds arbitrary byte streams to the view-file reader: it must
+// never panic, may allocate no more than readAllocBound of the input's
+// length (a size the bytes cannot hold sizes nothing), and anything it
+// accepts must write back as a .wvls file that reads again to the same
+// coefficients, bit for bit. Seeds are a .wvdb stream, a sparse and a dense
+// .wvls file, and mutations of them.
 func FuzzRead(f *testing.F) {
-	// Seed with a couple of valid streams and mutations thereof.
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{8, 8})
 	store := storage.NewHashStore()
 	store.Add(3, 1.25)
 	store.Add(17, -2.5)
-	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Db4", 42, store, nil); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	wvdb := encodeWVDB(schema, "Db4", 42, store, nil)
+	f.Add(wvdb)
 	f.Add([]byte{})
 	f.Add([]byte("WVDB"))
-	corrupted := append([]byte(nil), buf.Bytes()...)
+	corrupted := append([]byte(nil), wvdb...)
 	corrupted[len(corrupted)/2] ^= 0x55
 	f.Add(corrupted)
+	dense := storage.NewHashStore()
+	for k := 0; k < 48; k++ {
+		dense.Add(k, float64(k)-7.5)
+	}
+	for _, st := range []storage.Enumerable{store, dense} {
+		var buf bytes.Buffer
+		if err := writeView(&buf, schema, "Db4", 42, st, [][2]float64{{0, 1}, {-3, 3}}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		c := append([]byte(nil), buf.Bytes()...)
+		c[len(c)-6] ^= 0x55
+		f.Add(c)
+	}
+	f.Add([]byte(layout.Magic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		snap, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, readAllocBound(len(data)); got > bound {
+			t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(data), got, bound)
+		}
 		if err != nil {
 			return
 		}
-		// Accepted: re-serialize and verify canonical round-trip.
 		var out bytes.Buffer
-		if err := Write(&out, snap.Schema, snap.FilterName, snap.TupleCount, snap.Store(), snap.Windows); err != nil {
+		if err := writeView(&out, snap.Schema, snap.FilterName, snap.TupleCount, snap.Store(), snap.Windows); err != nil {
 			t.Fatalf("re-serialization failed: %v", err)
 		}
 		resnap, err := Read(bytes.NewReader(out.Bytes()))
@@ -47,10 +67,23 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("re-read failed: %v", err)
 		}
 		if len(resnap.Keys) != len(snap.Keys) {
-			t.Fatalf("round-trip changed coefficient count")
+			t.Fatalf("round trip changed the coefficient count: %d, then %d", len(snap.Keys), len(resnap.Keys))
+		}
+		for i := range snap.Keys {
+			if resnap.Keys[i] != snap.Keys[i] || math.Float64bits(resnap.Values[i]) != math.Float64bits(snap.Values[i]) {
+				t.Fatalf("round trip changed coefficient %d: (%d, %v), then (%d, %v)",
+					i, snap.Keys[i], snap.Values[i], resnap.Keys[i], resnap.Values[i])
+			}
 		}
 	})
 }
+
+// readAllocBound is what Read may allocate reading n bytes: the snapshot's
+// 16 bytes a coefficient, where every coefficient costs the input at least
+// one byte of its own (a .wvdb pair 16, a dense cell 4 or 8, a sparse key
+// at least 7), plus a fixed allowance for the reader's buffer and the
+// decoded header.
+func readAllocBound(n int) uint64 { return 16*uint64(n) + 64<<10 }
 
 // FuzzWireFrame feeds arbitrary bytes to the shard wire reader and decodes
 // whatever frame it accepts with every typed accessor: nothing may panic,

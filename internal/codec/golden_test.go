@@ -26,9 +26,10 @@ const goldenHexV1 = "57564442" + // magic "WVDB"
 	"0500000000000000" + "00000000000002c0" + // key 5, -2.25
 	"b7707d95" // CRC-32
 
-// goldenHexV2 is the same content in the current format (version 2 adds a
-// 16-byte window per dimension, zero when unset). The writer must keep
-// producing these exact bytes — serialization is canonical.
+// goldenHexV2 is the same content in the last .wvdb version (version 2 adds
+// a 16-byte window per dimension, zero when unset), the format earlier
+// versions wrote. Nothing writes it any more; the reader must parse it
+// forever.
 const goldenHexV2 = "57564442" + // magic "WVDB"
 	"0200" + // version 2
 	"04" + "48616172" + // filter "Haar"
@@ -76,23 +77,53 @@ func testGoldenParses(t *testing.T, golden string) {
 	}
 }
 
+// goldenHexWVLS is the same content as the view file Save writes today: a
+// .wvls file in the dense shape (eight cells of 8 bytes are fewer bytes
+// than the sparse index), its header carrying the identity. The writer must
+// keep producing these exact bytes — serialization is canonical.
+const goldenHexWVLS = "57564c53" + // magic "WVLS"
+	"0200" + // version 2
+	"0200" + // flags: dense
+	"6c000000" + // header blob, 108 bytes
+	"dd93951b" + // its CRC-32
+	"0800000000000000" + // cells 8
+	"0200000000000000" + // nonzero 2
+	"0000000000000000" + // hot slots 0
+	"00100000" + // block size 4096
+	"0000000000000e40" + // mass 3.75
+	"01" + "04" + "48616172" + // metadata: filter "Haar"
+	"0300000000000000" + // tuple count 3
+	"0200" + // 2 dims
+	"0100" + "78" + "04000000" + "0000000000000000" + "0000000000000000" + // "x", size 4, no window
+	"0100" + "79" + "02000000" + "0000000000000000" + "0000000000000000" + // "y", size 2, no window
+	"0000" + // no families
+	"0000000000000000" + // key stream 0 bytes
+	"000000000000f83f" + "0000000000000000" + "0000000000000000" + "0000000000000000" + // cells 0-3: 1.5
+	"0000000000000000" + "00000000000002c0" + "0000000000000000" + "0000000000000000" + // cells 4-7: -2.25 at 5
+	"9cf4da43" // the block's CRC-32
+
 func TestGoldenStreamMatchesWriter(t *testing.T) {
-	// The writer must still produce byte-identical output for the golden
-	// content — serialization is canonical.
+	// The view writer must still produce byte-identical output for the
+	// golden content, and the reader must read it back.
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{4, 2})
 	store := storage.NewHashStore()
 	store.Add(0, 1.5)
 	store.Add(5, -2.25)
 	var buf bytes.Buffer
-	if err := Write(&buf, schema, "Haar", 3, store, nil); err != nil {
+	if err := writeView(&buf, schema, "Haar", 3, store, nil); err != nil {
 		t.Fatal(err)
 	}
-	want, err := hex.DecodeString(goldenHexV2)
+	want, err := hex.DecodeString(goldenHexWVLS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("writer output changed:\n got %x\nwant %x", buf.Bytes(), want)
+	}
+	testGoldenParses(t, goldenHexWVLS)
+	// The test encoder of the retired .wvdb format reproduces its golden.
+	if got := hex.EncodeToString(encodeWVDB(schema, "Haar", 3, store, nil)); got != goldenHexV2 {
+		t.Fatalf(".wvdb test encoder drifted:\n got %s\nwant %s", got, goldenHexV2)
 	}
 }
 

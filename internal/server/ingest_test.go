@@ -144,7 +144,7 @@ func TestIngestRequiresMVCC(t *testing.T) {
 }
 
 func TestIngestReadOnlyView(t *testing.T) {
-	h, _ := layoutHandler(t)
+	h, _ := layoutHandler(t, repro.Stack{})
 	rec := postIngest(t, h, "application/json", `{"tuples": [{"coords": [1, 1]}]}`)
 	if rec.Code != http.StatusForbidden {
 		t.Fatalf("status %d, want 403 (%s)", rec.Code, rec.Body)

@@ -13,8 +13,9 @@ import (
 )
 
 // layoutHandler serves a layout-backed database: the in-memory fixture is
-// persisted as a .wvls layout and reopened from disk.
-func layoutHandler(t *testing.T) (*Handler, []float64) {
+// persisted as a .wvls layout and mapped from disk, served through the
+// declared stack.
+func layoutHandler(t *testing.T, stack repro.Stack) (*Handler, []float64) {
 	t.Helper()
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
 	if err != nil {
@@ -42,16 +43,18 @@ func layoutHandler(t *testing.T) (*Handler, []float64) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ldb.Close() })
+	ldb.SetStack(stack)
 	h := New(ldb, Options{})
 	t.Cleanup(h.Close)
 	return h, truth
 }
 
-// TestLayoutBackedServer pins the wvqd -layout serving path: queries answer
-// correctly from the on-disk layout and /stats carries the layout section
-// with live tier counters.
+// TestLayoutBackedServer pins the wvqd -db serving path of a .wvls file:
+// queries answer correctly from the mapped layout, with no coalescing layer
+// over it (a mapped read is a page-cache load), and /stats carries the
+// layout section with live tier counters.
 func TestLayoutBackedServer(t *testing.T) {
-	h, truth := layoutHandler(t)
+	h, truth := layoutHandler(t, repro.Stack{})
 	rec := postQuery(t, h, `{"statements": "COUNT() WHERE age <= 15; SUM(salary) WHERE age <= 15"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query status %d: %s", rec.Code, rec.Body)
@@ -80,7 +83,7 @@ func TestLayoutBackedServer(t *testing.T) {
 	if stats.Layout.Dense || stats.Layout.Slots == 0 || stats.Layout.HotSlots != 8 {
 		t.Fatalf("layout stats = %+v", stats.Layout)
 	}
-	if want := "layout → coalesce"; stats.StoreStack != want {
+	if want := "layout"; stats.StoreStack != want {
 		t.Fatalf("store_stack = %q, want %q", stats.StoreStack, want)
 	}
 	if stats.Layout.HotHits+stats.Layout.ColdHits == 0 {

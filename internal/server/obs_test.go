@@ -119,7 +119,7 @@ var servedShapes = []struct {
 		return h
 	}},
 	{"layout", "local", "COUNT() WHERE age <= 15; SUM(salary) WHERE age <= 15", func(t *testing.T) *Handler {
-		h, _ := layoutHandler(t)
+		h, _ := layoutHandler(t, repro.Stack{})
 		return h
 	}},
 	{"mvcc", "local", "COUNT() WHERE age <= 15; SUM(salary) WHERE age <= 15", func(t *testing.T) *Handler {
@@ -388,7 +388,8 @@ func TestObservedStatsConsistentSnapshot(t *testing.T) {
 // one of two observed handlers shows in that handler's /stats and registry
 // and in neither of the other's.
 func TestTwoObservedHandlersKeepTheirOwnNumbers(t *testing.T) {
-	a, _ := layoutHandler(t)
+	// A declared coalescing layer, so that A has coalescing numbers to own.
+	a, _ := layoutHandler(t, repro.Stack{Coalesce: true})
 	oa := observe(t, a)
 	b, _, _ := testHandler(t)
 	ob := observe(t, b)

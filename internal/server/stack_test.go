@@ -113,7 +113,8 @@ func designStacks(t *testing.T) map[string]string {
 }
 
 // TestPrintedStacksMatchDesign builds every shape wvqd serves the way wvqd
-// builds it — open, then EnableMVCC as the flags ask, SetStack with the
+// builds it — open (-db maps the .wvls file, -mvcc and -shard-listen stream
+// it into memory), then EnableMVCC as the flags ask, SetStack with the
 // fault, retry and timing layers they declare, then the handler — and checks
 // StoreStack() against the table DESIGN.md §11 prints, so the two change
 // together. The dense file is as dense as the benchmark's (≈ 3/4 of the
@@ -137,6 +138,20 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 		return buf.Bytes()
 	}
 	dense, sparse := save(30), save(1) // 776 and 132 of 1 024 cells
+	// -db opens the file (mapping a .wvls); -mvcc streams it into memory.
+	open := func(file []byte) func() *repro.Database {
+		path := filepath.Join(t.TempDir(), "db.wvls")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return func() *repro.Database {
+			db, err := repro.OpenDatabase(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+	}
 	load := func(file []byte) func() *repro.Database {
 		return func() *repro.Database {
 			db, err := repro.LoadDatabase(bytes.NewReader(file))
@@ -168,21 +183,11 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 		chaos *repro.FaultConfig
 		retry *repro.RetryConfig
 	}{
-		{shape: "`-db`, dense file", open: load(dense)},
-		{shape: "`-db`, sparse file", open: load(sparse)},
+		{shape: "`-db`, dense file", open: open(dense)},
+		{shape: "`-db`, sparse file", open: open(sparse)},
 		{shape: "`-db -mvcc`, sparse file", open: load(sparse), mvcc: true},
-		{shape: "`-layout`", open: func() *repro.Database {
-			path := filepath.Join(t.TempDir(), "db.wvls")
-			if _, err := load(dense)().SaveLayout(path, repro.LayoutOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			db, err := repro.OpenLayout(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return db
-		}},
-		{shape: "`-db -chaos-* -retry-*`", open: load(dense), chaos: chaos, retry: &repro.RetryConfig{MaxAttempts: 8}},
+		{shape: "`-layout`", open: open(dense)},
+		{shape: "`-db -chaos-* -retry-*`", open: open(dense), chaos: chaos, retry: &repro.RetryConfig{MaxAttempts: 8}},
 		{shape: "`-db -mvcc -chaos-*`", open: load(dense), mvcc: true, chaos: chaos},
 		{shape: "`-shards`, 2 shards", open: func() *repro.Database {
 			db, err := repro.OpenDistributed(addrs, repro.DistOptions{})
@@ -192,8 +197,11 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 			return db
 		}},
 	}
-	if len(rows) != len(shapes)+1 {
-		t.Fatalf("DESIGN.md §11 prints %d shapes; the test builds %d and one shard server", len(rows), len(shapes))
+	// Two rows are checked elsewhere: the shard server's below, and the pread
+	// fallback's by the root package's TestServerStackOverPreadLayout (only
+	// it can open a layout without the mapping).
+	if len(rows) != len(shapes)+2 {
+		t.Fatalf("DESIGN.md §11 prints %d shapes; the tests build %d, one shard server and the pread fallback", len(rows), len(shapes))
 	}
 	for _, c := range shapes {
 		db := c.open()

@@ -310,7 +310,8 @@ func TestRequestValidation(t *testing.T) {
 // subsystem counters after traffic has flowed — over a layout file, a store
 // the handler still coalesces.
 func TestStatsExposeSchedulerAndCoalescing(t *testing.T) {
-	h, _ := layoutHandler(t)
+	// A declared coalescing layer: a mapped file is served without one.
+	h, _ := layoutHandler(t, repro.Stack{Coalesce: true})
 	for i := 0; i < 3; i++ {
 		if rec := postQuery(t, h, `{"statements": "COUNT() WHERE age <= 15"}`); rec.Code != http.StatusOK {
 			t.Fatalf("query %d: %d", i, rec.Code)

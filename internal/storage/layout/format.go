@@ -1,6 +1,10 @@
 // Package layout implements schedule-aware persistent storage: the .wvls
-// on-disk format. A file has one of two shapes, chosen by Write from the
-// data alone.
+// on-disk format, the one file a database is saved to. A file has one of two
+// shapes, chosen by Encode from the data alone. It is written once (Encode;
+// Write and every other writer of a path go through WriteFile, which never
+// truncates a file a reader may have mapped) and read either in place by
+// Open, which maps it, or into memory by Decode, which hands over its
+// coefficients in key order.
 //
 // The sparse shape lays coefficients out physically ordered by a canonical
 // retrieval schedule, so a cold progressive drain — which asks for
@@ -38,6 +42,7 @@
 //	  hot       hotCount × float64   raw values of slots [0,hotCount)
 //	  blocks    cold × vw            values of the remaining slots
 //	  crcs      numBlocks × uint32   IEEE CRC-32 of each block
+//	  indexCRC  uint32               sparse only: IEEE CRC-32 of samples…hot
 //
 // Every width and offset follows from the header: kw = bytes(cells−1),
 // sw = bytes(nonzero−1), ow = bytes(streamLen), vw = 8 (4 when quantized),
@@ -61,14 +66,20 @@
 // checked, not assumed; a found key is served only if keyOfSlot[slotOf[i]]
 // names it.
 //
-// Verification is the same in both shapes and on both read tiers: a block
-// is served only behind its CRC-32. The reader checks a block the first
-// time any of its slots is served and marks it verified in a bitmap; later
-// reads are windows of the mapping, or on the positioned-read fallback
-// preads of just the words a run asks for. A block that fails is never
-// marked, so every retry checks it again and fails again. The sparse hot
-// region carries no checksum. Corruption becomes per-key retrieval errors
-// the engine degrades over.
+// Verification is the same in both shapes and on both read tiers: every
+// byte past the prelude is served only behind a CRC-32. The header blob has
+// its own, checked at open. A block is checked the first time any of its
+// slots is served and marked verified in a bitmap; later reads are windows
+// of the mapping, or on the positioned-read fallback preads of just the
+// words a run asks for. A sparse file's index sections and hot region share
+// indexCRC, checked the first time a read needs them. A check that fails is
+// never remembered, so every retry checks again and fails again. Corruption
+// becomes per-key retrieval errors the engine degrades over.
+//
+// indexCRC was added without a new version number, since dense files did
+// not change: a sparse file written before it is four bytes short of what
+// its header derives, and readers name that case and send it back to
+// wvlayout.
 package layout
 
 import (
@@ -77,14 +88,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
-	"os"
 	"slices"
 )
 
+// Magic opens every .wvls file: a reader handed a view file of either
+// format tells them apart by it.
+const Magic = "WVLS"
+
 const (
-	magic   = "WVLS"
 	version = 2
 
 	// flagQuantized marks files whose block values are float32: a lossy,
@@ -276,8 +290,34 @@ func (g *geometry) derive(dataStart int64) {
 	g.keyOfSlotOff = section(packed(g.nonzero, g.keyWidth))
 	g.hotOff = section(int64(g.hotCount) * 8)
 	g.blocksOff = section(int64(cold) * int64(g.valWidth))
-	g.crcsOff = section(int64(g.numBlocks) * 4)
+	g.crcsOff = section(int64(g.numBlocks+g.indexCRCs()) * 4)
 	g.fileSize = off
+}
+
+// indexCRCs is the number of checksums after the block ones: indexCRC in a
+// sparse file, nothing in a dense one.
+func (g *geometry) indexCRCs() int {
+	if g.dense() {
+		return 0
+	}
+	return 1
+}
+
+// checkBlock checks block b's value words against its stored checksum.
+func (g *geometry) checkBlock(crcs []byte, b int, vals []byte) error {
+	if got, want := crc32.ChecksumIEEE(vals), binary.LittleEndian.Uint32(crcs[4*b:]); got != want {
+		return fmt.Errorf("layout: block %d checksum mismatch (file %08x, computed %08x)", b, want, got)
+	}
+	return nil
+}
+
+// checkIndex checks sum, the CRC-32 of a sparse file's bytes from samples
+// through the hot region, against indexCRC.
+func (g *geometry) checkIndex(crcs []byte, sum uint32) error {
+	if want := binary.LittleEndian.Uint32(crcs[4*g.numBlocks:]); sum != want {
+		return fmt.Errorf("layout: key index or hot region checksum mismatch (file %08x, computed %08x)", want, sum)
+	}
+	return nil
 }
 
 // blockSlots returns the slot range [lo,hi) of block b.
@@ -403,30 +443,42 @@ func (in *input) candidates() Candidates {
 }
 
 // Write writes the complete .wvls file for the nonzero coefficients
-// (keys[i], values[i]) at path, in the smaller shape unless Families ask
-// for the sparse one, and returns both shapes' sizes. Zero values are
-// dropped; duplicate keys are an error. A sparse file's physical order is
-// the first supplied family's schedule order (keys it does not mention, and
-// all keys when no family is given, follow in canonical |value|-descending,
-// key-ascending order).
+// (keys[i], values[i]) at path, through WriteFile: a reader that has the
+// old file mapped keeps it. See Encode for the file it writes.
 func Write(path string, keys []int, values []float64, opts WriteOptions) (Candidates, error) {
+	var c Candidates
+	err := WriteFile(path, func(w io.Writer) (err error) {
+		c, err = Encode(w, keys, values, opts)
+		return err
+	})
+	return c, err
+}
+
+// Encode writes the complete .wvls file for the nonzero coefficients
+// (keys[i], values[i]) to w, in the smaller shape unless Families ask for
+// the sparse one, and returns both shapes' sizes. Zero values are dropped;
+// duplicate keys are an error. A sparse file's physical order is the first
+// supplied family's schedule order (keys it does not mention, and all keys
+// when no family is given, follow in canonical |value|-descending,
+// key-ascending order). Equal inputs give byte-identical files.
+func Encode(w io.Writer, keys []int, values []float64, opts WriteOptions) (Candidates, error) {
 	in, err := prepare(keys, values, opts)
 	if err != nil {
 		return Candidates{}, err
 	}
 	c := in.candidates()
 	if c.Dense {
-		return c, in.writeDense(path)
+		return c, in.writeDense(w)
 	}
-	return c, in.writeSparse(path)
+	return c, in.writeSparse(w)
 }
 
 // writeDense writes every cell's value in key order, zeros included: the
 // slot is the key. writeBlocks asks for the cells in ascending order, so
 // one cursor over the ascending pairs finds each stored value.
-func (in *input) writeDense(path string) error {
+func (in *input) writeDense(dst io.Writer) error {
 	g, pairs, next := &in.dense, in.pairs, 0
-	return writeFile(path, g, encodeHeaderBlob(g, in.opts.Meta, nil), func(w *bufio.Writer, buf []byte) error {
+	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta, nil), func(w *bufio.Writer, buf []byte) error {
 		return writeBlocks(w, g, buf, func(key int) float64 {
 			if next < len(pairs) && pairs[next].k == key {
 				next++
@@ -439,7 +491,7 @@ func (in *input) writeDense(path string) error {
 
 // writeSparse lays the nonzero coefficients out in schedule order behind
 // the compressed key index.
-func (in *input) writeSparse(path string) error {
+func (in *input) writeSparse(dst io.Writer) error {
 	g, pairs, hot := &in.sparse, in.pairs, in.sparse.hotCount
 	n := len(pairs)
 
@@ -511,7 +563,11 @@ func (in *input) writeSparse(path string) error {
 		stream = binary.AppendUvarint(stream, uint64(next-c.k))
 	}
 
-	return writeFile(path, g, encodeHeaderBlob(g, in.opts.Meta, in.families), func(w *bufio.Writer, buf []byte) error {
+	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta, in.families), func(bw *bufio.Writer, buf []byte) error {
+		// Everything from samples through the hot region goes through
+		// indexCRC on its way out.
+		sum := crc32.NewIEEE()
+		w := io.MultiWriter(bw, sum)
 		writePacked := func(count, width int, at func(i int) uint64) error {
 			buf = slices.Grow(buf[:0], int(packedSize(count, width)))
 			for i := 0; i < count; i++ {
@@ -542,25 +598,16 @@ func (in *input) writeSparse(path string) error {
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
-		return writeBlocks(w, g, buf, value)
+		return writeBlocks(bw, g, buf, value, sum.Sum32())
 	})
 }
 
-// writeFile creates path and writes the prelude, the header blob and then
-// body, through one buffered writer; body gets buf as scratch space.
-func writeFile(path string, g *geometry, hdr []byte, body func(w *bufio.Writer, buf []byte) error) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	w := bufio.NewWriterSize(f, 1<<20)
+// encodeFile writes the prelude, the header blob and then body to dst,
+// through one buffered writer; body gets buf as scratch space.
+func encodeFile(dst io.Writer, g *geometry, hdr []byte, body func(w *bufio.Writer, buf []byte) error) error {
+	w := bufio.NewWriterSize(dst, 1<<20)
 	buf := make([]byte, 0, preludeSize+len(hdr))
-	buf = append(buf, magic...)
+	buf = append(buf, Magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = binary.LittleEndian.AppendUint16(buf, g.flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
@@ -571,10 +618,7 @@ func writeFile(path string, g *geometry, hdr []byte, body func(w *bufio.Writer, 
 	if err := body(w, buf); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Sync()
+	return w.Flush()
 }
 
 // appendValues appends the values of slots [lo,hi) as width-byte words.
@@ -591,10 +635,10 @@ func appendValues(buf []byte, lo, hi, width int, value func(slot int) float64) [
 }
 
 // writeBlocks writes the blocks in slot order, one at a time, then their
-// checksums: block extents are arithmetic, so nothing but the checksums
-// waits for the end of the file.
-func writeBlocks(w *bufio.Writer, g *geometry, buf []byte, value func(slot int) float64) error {
-	crcs := make([]byte, 0, g.numBlocks*4)
+// checksums and the trailing ones given: block extents are arithmetic, so
+// nothing but the checksums waits for the end of the file.
+func writeBlocks(w *bufio.Writer, g *geometry, buf []byte, value func(slot int) float64, trailing ...uint32) error {
+	crcs := make([]byte, 0, (g.numBlocks+len(trailing))*4)
 	for b := 0; b < g.numBlocks; b++ {
 		lo, hi := g.blockSlots(b)
 		buf = appendValues(buf[:0], lo, hi, g.valWidth, value)
@@ -602,6 +646,9 @@ func writeBlocks(w *bufio.Writer, g *geometry, buf []byte, value func(slot int) 
 			return err
 		}
 		crcs = binary.LittleEndian.AppendUint32(crcs, crc32.ChecksumIEEE(buf))
+	}
+	for _, sum := range trailing {
+		crcs = binary.LittleEndian.AppendUint32(crcs, sum)
 	}
 	_, err := w.Write(crcs)
 	return err
@@ -619,6 +666,11 @@ func validateMeta(m *Meta) error {
 	}
 	if m.Windows != nil && len(m.Windows) != len(m.Names) {
 		return fmt.Errorf("layout: %d windows for %d dimensions", len(m.Windows), len(m.Names))
+	}
+	for i, name := range m.Names {
+		if len(name) > math.MaxUint16 || m.Sizes[i] <= 0 || int64(m.Sizes[i]) > math.MaxUint32 {
+			return fmt.Errorf("layout: dimension %d (name of %d bytes, size %d) does not fit the header", i, len(name), m.Sizes[i])
+		}
 	}
 	return nil
 }
@@ -719,6 +771,36 @@ func (r *blobReader) u8() uint8 {
 func (r *blobReader) str8() string  { return string(r.take(int(r.u8()))) }
 func (r *blobReader) str16() string { return string(r.take(int(r.u16()))) }
 
+// readHeader checks the prelude of a file of size bytes, reads its header
+// blob through readBlob and validates both. The blob's length is checked
+// against the bytes the file holds before a buffer is sized from it.
+func readHeader(prelude []byte, size int64, readBlob func(blob []byte) error) (*geometry, *Meta, []Family, error) {
+	if string(prelude[0:4]) != Magic {
+		return nil, nil, nil, fmt.Errorf("layout: bad magic %q (not a .wvls file)", prelude[0:4])
+	}
+	switch v := binary.LittleEndian.Uint16(prelude[4:6]); v {
+	case version:
+	case 1:
+		return nil, nil, nil, fmt.Errorf("layout: version 1 .wvls file; the format is derived data — rebuild with wvlayout")
+	default:
+		return nil, nil, nil, fmt.Errorf("layout: unsupported version %d", v)
+	}
+	flags := binary.LittleEndian.Uint16(prelude[6:8])
+	hdrLen := binary.LittleEndian.Uint32(prelude[8:12])
+	hdrCRC := binary.LittleEndian.Uint32(prelude[12:16])
+	if int64(hdrLen) > size-preludeSize || hdrLen > 1<<24 {
+		return nil, nil, nil, fmt.Errorf("layout: header length %d implausible", hdrLen)
+	}
+	blob := make([]byte, hdrLen)
+	if err := readBlob(blob); err != nil {
+		return nil, nil, nil, fmt.Errorf("layout: reading header: %w", err)
+	}
+	if got := crc32.ChecksumIEEE(blob); got != hdrCRC {
+		return nil, nil, nil, fmt.Errorf("layout: header checksum mismatch (file %08x, computed %08x)", hdrCRC, got)
+	}
+	return decodeHeaderBlob(blob, flags, size)
+}
+
 // decodeHeaderBlob parses and validates the header blob. The section table
 // is derived, not stored, so the one structural check is that the counts
 // account for the actual file size to the byte; after it the read path can
@@ -761,8 +843,10 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 			meta.Windows = windows
 		}
 	}
+	// A family takes at least 11 blob bytes (two lengths and a float64), so
+	// a count the rest of the blob cannot hold sizes nothing.
 	nf := int(r.u16())
-	if nf > 256 {
+	if nf > 256 || nf*11 > len(blob)-r.pos {
 		return nil, nil, nil, fmt.Errorf("layout: implausible family count %d", nf)
 	}
 	families := make([]Family, nf)
@@ -800,6 +884,9 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		return nil, nil, nil, fmt.Errorf("layout: implausible key stream (%d bytes for %d keys)", g.streamLen, g.nonzero)
 	}
 	g.derive(int64(preludeSize + len(blob)))
+	if !g.dense() && fileSize == g.fileSize-4 {
+		return nil, nil, nil, fmt.Errorf("layout: sparse file 4 bytes short: no index checksum (written before it existed, or truncated); the format is derived data — rebuild with wvlayout")
+	}
 	if g.fileSize != fileSize {
 		return nil, nil, nil, fmt.Errorf("layout: file size %d does not match header (want %d)", fileSize, g.fileSize)
 	}

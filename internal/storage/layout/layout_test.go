@@ -646,10 +646,10 @@ func TestWidthBoundaries(t *testing.T) {
 
 // TestCorruptIndex is the corruption table: one damaged byte anywhere past
 // the header — in the key samples, their stream offsets, the delta stream,
-// slotOf, keyOfSlot or a cold block — and every key of the domain, stored or
-// not, asked for in schedule order, ascending and descending, on both
-// tiers, comes back as a per-key error or as its true value. Never a wrong
-// value, never a panic.
+// slotOf, keyOfSlot, the hot region, a cold block or the checksums — and
+// every key of the domain, stored or not, asked for in schedule order,
+// ascending and descending, on both tiers, comes back as a per-key error or
+// as its true value. Never a wrong value, never a panic.
 func TestCorruptIndex(t *testing.T) {
 	const cells = 1 << 13
 	keys, values := testCoefficients(3000, cells, 10)
@@ -726,7 +726,9 @@ func TestCorruptIndex(t *testing.T) {
 		{"stream", g.streamOff, g.slotOfOff},
 		{"slotOf", g.slotOfOff, g.slotOfOff + int64(g.nonzero*g.slotWidth)},
 		{"keyOfSlot", g.keyOfSlotOff, g.keyOfSlotOff + int64(g.nonzero*g.keyWidth)},
+		{"hot", g.hotOff, g.blocksOff},
 		{"cold block", g.blocksOff, g.crcsOff},
+		{"checksums", g.crcsOff, g.fileSize},
 	} {
 		t.Run(sec.name, func(t *testing.T) {
 			total := 0
@@ -760,22 +762,30 @@ func TestCorruptIndex(t *testing.T) {
 	})
 }
 
-// TestVersion1Refused pins the migration path: a version 1 prelude is not
-// read, it is sent back to wvlayout.
+// TestVersion1Refused pins the migration path: a version 1 prelude, and a
+// sparse file written before indexCRC (four bytes short of its header), are
+// not read, they are sent back to wvlayout.
 func TestVersion1Refused(t *testing.T) {
 	v1 := make([]byte, 256)
-	copy(v1, magic)
+	copy(v1, Magic)
 	v1[4] = 1
-	path := filepath.Join(t.TempDir(), "v1.wvls")
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
+	keys, values := testCoefficients(300, 1<<12, 5)
+	sparse, err := os.ReadFile(writeTestLayout(t, keys, values, WriteOptions{Cells: 1 << 12}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, Options{})
-	if err == nil {
-		_ = s.Close()
-		t.Fatal("Open accepted a version 1 file")
-	}
-	if !strings.Contains(err.Error(), "rebuild with wvlayout") {
-		t.Fatalf("Open = %v, want the rebuild-with-wvlayout message", err)
+	for name, file := range map[string][]byte{"version 1": v1, "no indexCRC": sparse[:len(sparse)-4]} {
+		path := filepath.Join(t.TempDir(), "old.wvls")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path, Options{})
+		if err == nil {
+			_ = s.Close()
+			t.Fatalf("Open accepted a %s file", name)
+		}
+		if !strings.Contains(err.Error(), "rebuild with wvlayout") {
+			t.Fatalf("%s: Open = %v, want the rebuild-with-wvlayout message", name, err)
+		}
 	}
 }

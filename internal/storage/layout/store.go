@@ -17,7 +17,9 @@ import (
 // Store serves a .wvls layout file through a three-tier read path:
 //
 //  1. the mmap hot region of a sparse file — the most important hotCount
-//     coefficients, raw float64 words read zero-copy from the mapping;
+//     coefficients, raw float64 words read zero-copy from the mapping once
+//     the region and the key index have passed indexCRC, which the first
+//     read of a sparse file checks;
 //  2. verified blocks — a block's CRC is checked the first time any of its
 //     slots is served, one bit per block remembers that it passed, and
 //     every later read of it is a window of the mapping;
@@ -43,7 +45,9 @@ type Store struct {
 	families []Family
 
 	// The index sections and the block checksums: windows of the mapping,
-	// or of the copies the pread tier reads at open.
+	// or of the copies the pread tier reads at open. index is all of the
+	// index sections, samples through keyOfSlot.
+	index     []byte
 	samples   packed
 	offsets   packed
 	stream    []byte
@@ -52,8 +56,18 @@ type Store struct {
 	crcs      []byte
 
 	// verified holds one bit per block, set once the block's CRC has
-	// passed.
-	verified []atomic.Uint64
+	// passed; indexChecked is set once a sparse file's index sections and
+	// hot region have passed indexCRC (at open for a dense file, which has
+	// neither).
+	verified     []atomic.Uint64
+	indexChecked atomic.Bool
+	// cells is the value words of a dense mapped file with float64 values,
+	// which gatherVerified serves directly; nil otherwise. A key's block is
+	// key>>blockShift when the block size is a power of two (blockDiv 0),
+	// key/blockDiv otherwise.
+	cells      []byte
+	blockShift uint
+	blockDiv   uint
 
 	retrievals atomic.Int64
 	// hint is the slot expected next by a sequential (schedule-order)
@@ -78,7 +92,9 @@ type Options struct {
 // Open opens a layout file. The header is CRC-verified and its geometry
 // validated against the actual file before any data is trusted; a file that
 // fails either check is rejected here rather than misread later. Nothing
-// past the header is read or checked at open under mmap.
+// past the header is read or checked at open under mmap: blocks are checked
+// by their first read, the index sections and the hot region by the first
+// read of the file.
 func Open(path string, opts Options) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -101,35 +117,16 @@ func open(f *os.File, opts Options) (*Store, error) {
 	if _, err := f.ReadAt(prelude[:], 0); err != nil {
 		return nil, fmt.Errorf("layout: reading prelude: %w", err)
 	}
-	if string(prelude[0:4]) != magic {
-		return nil, fmt.Errorf("layout: bad magic %q (not a .wvls file)", prelude[0:4])
-	}
-	switch v := binary.LittleEndian.Uint16(prelude[4:6]); v {
-	case version:
-	case 1:
-		return nil, fmt.Errorf("layout: version 1 .wvls file; the format is derived data — rebuild with wvlayout")
-	default:
-		return nil, fmt.Errorf("layout: unsupported version %d", v)
-	}
-	flags := binary.LittleEndian.Uint16(prelude[6:8])
-	hdrLen := binary.LittleEndian.Uint32(prelude[8:12])
-	hdrCRC := binary.LittleEndian.Uint32(prelude[12:16])
-	if int64(hdrLen) > st.Size()-preludeSize || hdrLen > 1<<24 {
-		return nil, fmt.Errorf("layout: header length %d implausible", hdrLen)
-	}
-	blob := make([]byte, hdrLen)
-	if _, err := f.ReadAt(blob, preludeSize); err != nil {
-		return nil, fmt.Errorf("layout: reading header: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(blob); got != hdrCRC {
-		return nil, fmt.Errorf("layout: header checksum mismatch (file %08x, computed %08x)", hdrCRC, got)
-	}
-	g, meta, families, err := decodeHeaderBlob(blob, flags, st.Size())
+	g, meta, families, err := readHeader(prelude[:], st.Size(), func(blob []byte) error {
+		_, err := f.ReadAt(blob, preludeSize)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{f: f, g: *g, meta: meta, families: families,
 		verified: make([]atomic.Uint64, (g.numBlocks+63)/64)}
+	s.indexChecked.Store(g.dense())
 
 	// index is everything before the hot values; crcs trail the blocks.
 	var index []byte
@@ -137,6 +134,14 @@ func open(f *os.File, opts Options) (*Store, error) {
 		if data, err := mmapFile(f, st.Size()); err == nil {
 			s.data = data
 			index, s.crcs = data[g.samplesOff:g.hotOff], data[g.crcsOff:]
+		}
+	}
+	if g.dense() && s.data != nil && g.valWidth == 8 {
+		s.cells = s.data[g.blocksOff:g.crcsOff]
+		if g.blockSize&(g.blockSize-1) == 0 {
+			s.blockShift = uint(bits.TrailingZeros(uint(g.blockSize)))
+		} else {
+			s.blockDiv = uint(g.blockSize)
 		}
 	}
 	if s.data == nil {
@@ -149,6 +154,7 @@ func open(f *os.File, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("layout: loading block checksums: %w", err)
 		}
 	}
+	s.index = index
 	window := func(from, to int64) []byte { return index[from-g.samplesOff : to-g.samplesOff] }
 	s.samples = newPacked(window(g.samplesOff, g.offsetsOff), g.keyWidth)
 	s.offsets = newPacked(window(g.offsetsOff, g.streamOff), g.offWidth)
@@ -185,12 +191,42 @@ func (s *Store) section(off, length int64, scratch []byte) ([]byte, error) {
 
 // KeyOfSlot returns the key stored at slot j: the layout's retrieval order
 // in a sparse file, whose drain in this order is sequential I/O, and j
-// itself in a dense one.
+// itself in a dense one. It reads the index as stored; BatchGetCtx and
+// ForEachNonzero check it first.
 func (s *Store) KeyOfSlot(j int) int {
 	if s.g.dense() {
 		return j
 	}
 	return int(s.keyOfSlot.at(j))
+}
+
+// checkIndex checks a sparse file's index sections and hot region against
+// indexCRC, once: the first check that passes is remembered, one that fails
+// is not, so every later read checks again and fails again. On the pread
+// tier the index is resident and the hot region is read through a buffer.
+func (s *Store) checkIndex() error {
+	if s.indexChecked.Load() {
+		return nil
+	}
+	g := &s.g
+	sum := crc32.ChecksumIEEE(s.index)
+	if s.data != nil {
+		sum = crc32.Update(sum, crc32.IEEETable, s.data[g.hotOff:g.blocksOff])
+	} else {
+		buf := make([]byte, min(g.blocksOff-g.hotOff, 1<<20))
+		for off := g.hotOff; off < g.blocksOff; off += int64(len(buf)) {
+			raw, err := s.section(off, min(int64(len(buf)), g.blocksOff-off), buf)
+			if err != nil {
+				return fmt.Errorf("layout: reading hot region: %w", err)
+			}
+			sum = crc32.Update(sum, crc32.IEEETable, raw)
+		}
+	}
+	if err := g.checkIndex(s.crcs, sum); err != nil {
+		return err
+	}
+	s.indexChecked.Store(true)
+	return nil
 }
 
 // errKeyIndex reports a key group whose deltas do not lead from its sample
@@ -317,9 +353,8 @@ func (s *Store) loadBlock(b int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
 	}
-	want := binary.LittleEndian.Uint32(s.crcs[b*4:])
-	if got := crc32.ChecksumIEEE(vals); got != want {
-		return nil, fmt.Errorf("layout: block %d checksum mismatch (file %08x, computed %08x)", b, want, got)
+	if err := s.g.checkBlock(s.crcs, b, vals); err != nil {
+		return nil, err
 	}
 	return vals, nil
 }
@@ -422,12 +457,21 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 				s.blockLoads.Load()-loads0, s.preads.Load()-preads0)
 		}()
 	}
-	// A dense mapped file with float64 values serves a key of a verified
-	// block inline, with a bit test and one load: with no calls and no
-	// locked instruction in the loop, the cache misses of a drain's random
-	// keys overlap instead of queueing. That is why the tier hits are
-	// tallied here and added to the shared counters once a call. Anything else — a block not yet checked, a key
-	// out of range, the sparse shape — takes the general path below.
+	if err := s.checkIndex(); err != nil {
+		failed := make([]storage.KeyError, len(keys))
+		for i, k := range keys {
+			failed[i] = storage.KeyError{Index: i, Key: k, Err: err}
+		}
+		return &storage.BatchError{Failed: failed}
+	}
+	// A dense mapped file with float64 values serves a run of keys in
+	// verified blocks in two tight loops — check the run, then gather it —
+	// with no calls and no locked instruction in either, so the cache misses
+	// of a drain's random keys overlap instead of queueing: the gather costs
+	// what the in-memory array's does. That is why the tier hits are tallied
+	// here and added to the shared counters once a call. Anything else — a
+	// block not yet checked, a key out of range, the sparse shape — takes
+	// the general path below, a key at a time.
 	var hot, cold int64
 	defer func() {
 		s.hotHits.Add(hot)
@@ -435,11 +479,6 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 	}()
 	var failed []storage.KeyError
 	i, checked := 0, 0
-	var cells []byte
-	if s.g.dense() && s.data != nil && s.g.valWidth == 8 {
-		cells = s.data[s.g.blocksOff:s.g.crcsOff]
-	}
-	verified, blockSize := s.verified, s.g.blockSize
 	for i < len(keys) {
 		if i-checked >= batchCancelStride {
 			if err := ctx.Err(); err != nil {
@@ -447,15 +486,14 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 			}
 			checked = i
 		}
-		k := keys[i]
-		if uint(k) < uint(len(cells)/8) {
-			if b := k / blockSize; verified[b>>6].Load()&(1<<(b&63)) != 0 {
-				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*k:]))
-				cold++
-				i++
+		if s.cells != nil {
+			if n := s.gatherVerified(keys[i:min(len(keys), checked+batchCancelStride)], dst[i:]); n > 0 {
+				cold += int64(n)
+				i += n
 				continue
 			}
 		}
+		k := keys[i]
 		if k < 0 || k >= s.g.cells {
 			failed = append(failed, storage.KeyError{Index: i, Key: k,
 				Err: fmt.Errorf("key out of range [0,%d)", s.g.cells)})
@@ -491,6 +529,27 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		return &storage.BatchError{Failed: failed}
 	}
 	return nil
+}
+
+// gatherVerified serves the longest prefix of keys that lie in verified
+// blocks of s.cells and returns its length, 0 when the first key does not.
+func (s *Store) gatherVerified(keys []int, dst []float64) int {
+	cells, shift, div := s.cells, s.blockShift, s.blockDiv
+	n := 0
+	for ; n < len(keys); n++ {
+		k := uint(keys[n])
+		b := k >> shift
+		if div != 0 {
+			b = k / div
+		}
+		if k >= uint(len(cells)/8) || s.verified[b>>6].Load()&(1<<(b&63)) == 0 {
+			break
+		}
+	}
+	for q, k := range keys[:n] {
+		dst[q] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*k:]))
+	}
+	return n
 }
 
 // Add implements storage.Updatable by refusing: a layout is a read-only
@@ -587,6 +646,12 @@ func (s *Store) Sections() []Section {
 // verified bitmap and the counters are atomic.
 func (s *Store) ConcurrentSafe() bool { return true }
 
+// InMemory implements the storage.IsInMemory capability check: true while
+// the store reads from its mapping, false on the pread fallback. A mapped
+// read is a load from the page cache; concurrent faults on one page already
+// share the kernel's read, which is all a coalescing layer would add.
+func (s *Store) InMemory() bool { return s.data != nil }
+
 // StackName names the layout in storage.Describe.
 func (s *Store) StackName() string { return "layout" }
 
@@ -596,6 +661,9 @@ func (s *Store) StackName() string { return "layout" }
 // mapping and each block is verified once. Enumeration order is unspecified
 // by the interface; callers that need key order sort.
 func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
+	if err := s.checkIndex(); err != nil {
+		panic(fmt.Sprintf("layout: enumerating: %v", err))
+	}
 	buf := make([]float64, s.g.blockSize)
 	for lo := 0; lo < s.g.slots; {
 		vals := buf[:min(s.unitEnd(lo)-lo, len(buf))]
@@ -689,7 +757,7 @@ func (s *Store) close() error {
 	var err error
 	if s.data != nil {
 		err = munmapFile(s.data)
-		s.data = nil
+		s.data, s.cells = nil, nil
 	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr

@@ -86,17 +86,21 @@ func IsConcurrent(s Store) bool {
 
 // memoryCapable is the capability check implemented by stores that answer,
 // or may answer, every retrieval from process memory: the in-memory base
-// stores answer true, wrappers that add no fetch of their own forward the
-// wrapped store's answer. A store without the method (files, layouts, remote
-// shards, fault injectors) does not.
+// stores answer true, a mapped layout file answers true while it reads
+// through its mapping, and wrappers that add no fetch of their own forward
+// the wrapped store's answer. A store without the method (remote shards,
+// fault injectors) does not.
 type memoryCapable interface {
 	InMemory() bool
 }
 
 // IsInMemory reports whether s answers every retrieval from process memory —
-// a fetch costs an index or a probe, never a read, a round trip or a stall.
-// Whoever assembles a store stack uses it to leave out the layers that only
-// pay for themselves over a slow fetch (CoalescingStore).
+// a fetch costs an index or a probe, never a read syscall, a round trip or
+// an injected stall. A mapped file counts: a page not yet resident faults
+// in once, and concurrent faults on one page share the kernel's page-cache
+// read, which is all a coalescer would add. Whoever assembles a store stack
+// uses it to leave out the layers that only pay for themselves over a slow
+// fetch (CoalescingStore).
 func IsInMemory(s Store) bool {
 	c, ok := s.(memoryCapable)
 	return ok && c.InMemory()

@@ -2,6 +2,9 @@ package repro
 
 import (
 	"fmt"
+	"io"
+	"math"
+	"os"
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
@@ -61,15 +64,36 @@ type LayoutCandidates = layout.Candidates
 // count, windows) so OpenLayout can reassemble a servable view from it
 // alone. The store must be enumerable. It returns both shapes' sizes, so a
 // caller can report the choice without reading the file back.
+//
+// The file replaces path by a rename (layout.WriteFile), never in place: a
+// process serving the old file from its mapping keeps answering from it.
 func (db *Database) SaveLayout(path string, opts LayoutOptions) (LayoutCandidates, error) {
-	st, ok := db.enumStore()
+	var c LayoutCandidates
+	err := layout.WriteFile(path, func(w io.Writer) (err error) {
+		c, err = db.encodeLayout(w, opts)
+		return err
+	})
+	return c, err
+}
+
+// encodeLayout writes the .wvls file SaveLayout describes to w. An MVCC
+// database pins one version, so the tuple count and the coefficients
+// describe the same state even while writes land.
+func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandidates, error) {
+	st, tuples := db.base, db.TupleCount()
+	if db.mvcc != nil {
+		sn := db.mvcc.Snapshot()
+		defer sn.Release()
+		st, tuples = sn.View(), int64(math.Round(sn.TupleWeight()))
+	}
+	enum, ok := st.(storage.Enumerable)
 	if !ok {
 		return LayoutCandidates{}, fmt.Errorf("repro: store %T does not support enumeration; cannot build a layout", st)
 	}
 	n := st.NonzeroCount()
 	keys := make([]int, 0, n)
 	values := make([]float64, 0, n)
-	st.(storage.Enumerable).ForEachNonzero(func(k int, v float64) bool {
+	enum.ForEachNonzero(func(k int, v float64) bool {
 		keys = append(keys, k)
 		values = append(values, v)
 		return true
@@ -88,14 +112,14 @@ func (db *Database) SaveLayout(path string, opts LayoutOptions) (LayoutCandidate
 			Keys:        f.Plan.ScheduleFor(f.Penalty).KeyOrder(),
 		})
 	}
-	return layout.Write(path, keys, values, layout.WriteOptions{
+	return layout.Encode(w, keys, values, layout.WriteOptions{
 		Cells:     db.schema.Cells(),
 		HotCount:  opts.HotCount,
 		BlockSize: opts.BlockSize,
 		Quantize:  opts.Quantize,
 		Meta: &layout.Meta{
 			FilterName: db.filter.Name,
-			TupleCount: db.TupleCount(),
+			TupleCount: tuples,
 			Names:      db.schema.Names,
 			Sizes:      db.schema.Sizes,
 			Windows:    db.windows,
@@ -114,11 +138,30 @@ func (db *Database) SaveLayout(path string, opts LayoutOptions) (LayoutCandidate
 // retrieval. Close releases the mapping and the file handle. Unquantized
 // layouts serve bit-identical values, so every progressive estimate equals
 // the in-memory run's.
-func OpenLayout(path string) (*Database, error) {
-	s, err := layout.Open(path, layout.Options{})
+func OpenLayout(path string) (*Database, error) { return openLayout(path, layout.Options{}) }
+
+// OpenDatabase opens a database file for serving, the way wvqd -db does: a
+// .wvls file is mapped with OpenLayout, in O(header) and read-only; a .wvdb
+// stream of earlier versions is loaded with LoadDatabase. To write to a
+// .wvls database, load it with LoadDatabase instead.
+func OpenDatabase(path string) (*Database, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer func() { _ = f.Close() }()
+	var head [4]byte
+	if _, err := io.ReadFull(f, head[:]); err == nil && string(head[:]) == layout.Magic {
+		return OpenLayout(path)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return LoadDatabase(f)
+}
+
+func openLayout(path string, opts layout.Options) (*Database, error) {
+	s, err := layout.Open(path, opts)
 	meta := s.Meta()
 	if meta == nil {
 		_ = s.Close()

@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -146,7 +147,13 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 // reports what Partition extracts from the loaded database — the same count
 // and the same mass to the bit — for every index of a 1-, 2- and 4-way split.
 func TestStreamedShardMatchesPartition(t *testing.T) {
-	file, _ := savedTemperature(t)
+	dense, _ := savedTemperature(t)
+	for _, file := range [][]byte{dense, savedSparseTemperature(t)} {
+		testStreamedShardMatchesPartition(t, file)
+	}
+}
+
+func testStreamedShardMatchesPartition(t *testing.T, file []byte) {
 	db, err := LoadDatabase(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +173,7 @@ func TestStreamedShardMatchesPartition(t *testing.T) {
 				t.Fatalf("shard %d/%d: streamed (%d, %v), Partition (%d, %v)", index, count,
 					streamed.Nonzero(), streamed.Mass(), extracted.Nonzero(), extracted.Mass())
 			}
-			if streamed.FilterName() != "Db6" {
+			if streamed.FilterName() != db.Filter().Name {
 				t.Fatalf("shard %d/%d: filter %q", index, count, streamed.FilterName())
 			}
 			nonzero += streamed.Nonzero()
@@ -183,47 +190,90 @@ func TestStreamedShardMatchesPartition(t *testing.T) {
 	}
 }
 
-// TestLoadPublishesNothingFromABadStream: coefficients reach the table before
-// the trailing checksum can be checked, so the loaders must hand back nothing
-// when it — or anything before it — fails.
+// TestLoadPublishesNothingFromABadStream: a dense file's coefficients reach
+// the store block by block, before a later block's checksum can be checked,
+// so the loaders must hand back nothing when any of it — a block, a
+// checksum, a key index section, the hot region, the file's length — is
+// bad, in either shape.
 func TestLoadPublishesNothingFromABadStream(t *testing.T) {
-	file, _ := savedTemperature(t)
-	flip := func(pos int) []byte {
-		c := append([]byte(nil), file...)
-		c[pos] ^= 0x10
-		return c
-	}
-	for name, data := range map[string][]byte{
-		"flipped last value byte": flip(len(file) - 5),
-		"flipped checksum":        flip(len(file) - 1),
-		"flipped middle":          flip(len(file) / 2),
-		"cut mid-stream":          file[:len(file)/2],
-		"cut before checksum":     file[:len(file)-4],
-		"trailing byte":           append(append([]byte(nil), file...), 0),
-	} {
-		if db, err := LoadDatabase(bytes.NewReader(data)); err == nil || db != nil {
-			t.Errorf("%s: LoadDatabase returned (%v, %v)", name, db, err)
+	dense, _ := savedTemperature(t)
+	for shape, file := range map[string][]byte{"dense": dense, "sparse": savedSparseTemperature(t)} {
+		flip := func(pos int64) []byte {
+			c := append([]byte(nil), file...)
+			c[pos] ^= 0x10
+			return c
 		}
-		if ss, err := LoadShardServer(bytes.NewReader(data), 1, 2, nil); err == nil || ss != nil {
-			t.Errorf("%s: LoadShardServer returned (%v, %v)", name, ss, err)
+		bad := map[string][]byte{
+			"flipped last value byte": flip(int64(len(file)) - 5),
+			"flipped checksum":        flip(int64(len(file)) - 1),
+			"cut mid-stream":          file[:len(file)/2],
+			"cut before checksum":     file[:len(file)-4],
+			"trailing byte":           append(append([]byte(nil), file...), 0),
+		}
+		// A byte in the middle of each section of the file, as the opened
+		// layout reports them, and one in the middle of the file. Not the
+		// header: it has its own checksum, checked at open.
+		path := filepath.Join(t.TempDir(), "f.wvls")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenLayout(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := int64(0)
+		for _, sec := range s.layout.Sections() {
+			if sec.Name != "header" {
+				bad["flipped "+sec.Name] = flip(off + sec.Bytes/2)
+			}
+			off += sec.Bytes
+		}
+		_ = s.Close()
+		bad["flipped mid-file byte"] = flip(int64(len(file)) / 2)
+		for name, data := range bad {
+			if db, err := LoadDatabase(bytes.NewReader(data)); err == nil || db != nil {
+				t.Errorf("%s file, %s: LoadDatabase returned (%v, %v)", shape, name, db, err)
+			}
+			if ss, err := LoadShardServer(bytes.NewReader(data), 1, 2, nil); err == nil || ss != nil {
+				t.Errorf("%s file, %s: LoadShardServer returned (%v, %v)", shape, name, ss, err)
+			}
 		}
 	}
 }
 
-// TestSaveLoadSaveIsByteIdentical: the table's enumeration order never
-// reaches the file.
+// TestSaveLoadSaveIsByteIdentical: the store's enumeration order never
+// reaches the file, in either shape, and a file written back from its
+// mapping is the same file too.
 func TestSaveLoadSaveIsByteIdentical(t *testing.T) {
-	file, _ := savedTemperature(t)
-	db, err := LoadDatabase(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again bytes.Buffer
-	if err := db.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(file, again.Bytes()) {
-		t.Fatal("Save → LoadDatabase → Save changed the bytes")
+	dense, _ := savedTemperature(t)
+	for shape, file := range map[string][]byte{"dense": dense, "sparse": savedSparseTemperature(t)} {
+		db, err := LoadDatabase(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := db.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, again.Bytes()) {
+			t.Fatalf("%s: Save → LoadDatabase → Save changed the bytes", shape)
+		}
+		path := filepath.Join(t.TempDir(), "f.wvls")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenLayout(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again.Reset()
+		if err := mapped.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		_ = mapped.Close()
+		if !bytes.Equal(file, again.Bytes()) {
+			t.Fatalf("%s: Save → OpenLayout → Save changed the bytes", shape)
+		}
 	}
 }
 

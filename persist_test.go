@@ -98,6 +98,9 @@ func TestSaveDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("Save is not deterministic")
 	}
+	if !bytes.HasPrefix(a.Bytes(), []byte("WVLS")) {
+		t.Fatalf("Save wrote %q…, not a .wvls file", a.Bytes()[:4])
+	}
 }
 
 func TestWindowsPersistThroughSaveLoad(t *testing.T) {

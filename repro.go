@@ -277,32 +277,27 @@ func (db *Database) SetWindows(windows [][2]float64) error {
 // Windows returns the recorded quantization windows, or nil if none.
 func (db *Database) Windows() [][2]float64 { return db.windows }
 
-// Save serializes the database (schema, filter identity, transformed
-// coefficients) to w in the versioned, checksummed binary format of
-// internal/codec. The stored view can be reopened with LoadDatabase.
+// Save writes the database (schema, filter identity, transformed
+// coefficients) to w as the .wvls file SaveLayout writes with default
+// options: dense when that is smaller, otherwise sparse in canonical order.
+// The file can be mapped with OpenLayout (or OpenDatabase) or streamed into
+// memory with LoadDatabase. An MVCC database writes one pinned version.
 func (db *Database) Save(w io.Writer) error {
-	if db.mvcc != nil {
-		// Pin one version so the tuple count and the enumerated coefficients
-		// describe the same state even while writes land.
-		sn := db.mvcc.Snapshot()
-		defer sn.Release()
-		return codec.Write(w, db.schema, db.filter.Name,
-			int64(math.Round(sn.TupleWeight())), sn.View().(storage.Enumerable), db.windows)
-	}
-	enum, ok := db.base.(storage.Enumerable)
-	if !ok {
-		return fmt.Errorf("repro: store does not support enumeration")
-	}
-	return codec.Write(w, db.schema, db.filter.Name, db.tuples.Load(), enum, db.windows)
+	_, err := db.encodeLayout(w, LayoutOptions{})
+	return err
 }
 
-// LoadDatabase deserializes a database previously written with Save.
-// The filter is resolved from the built-in set by name. Coefficients stream
-// from the decoder straight into a store sized from the file's header — the
+// LoadDatabase reads a database file into memory: a .wvls file written with
+// Save or SaveLayout, or a .wvdb stream of earlier versions. The filter is
+// resolved from the built-in set by name. Coefficients stream from the
+// decoder straight into a store sized from the file's header — the
 // dense array or the hash table, whichever storage.NewMemoryStore finds
-// smaller for the declared domain and count; there is no intermediate copy —
-// and the coefficient mass is summed on the way in, in the file's ascending
-// key order; nothing is returned unless the stream's checksum verifies.
+// smaller for the declared domain and count (a dense file streams a block at
+// a time; a sparse one's values are read whole first, since its key-order
+// walk visits them in no order) — and the coefficient mass is summed on the
+// way in, in ascending key order; nothing is returned unless every checksum
+// of the file verifies. Unlike a mapped view, the loaded database can be
+// written to.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	var (
 		db    *Database
@@ -426,9 +421,10 @@ func (db *Database) Exact(plan *Plan) []float64 { return mustExact(plan, db.eval
 type CoalesceStats = storage.CoalesceStats
 
 // InMemory reports whether the database's store answers every retrieval from
-// process memory (an in-memory store, under wrappers that add no fetch of
-// their own; under MVCC, the base chain) rather than from a file, a shard or
-// through an injected fault. Whoever assembles the serving stack uses it to
+// process memory (an in-memory store or a mapped layout file, under
+// wrappers that add no fetch of their own; under MVCC, the base chain)
+// rather than through read syscalls, from a shard or through an injected
+// fault. Whoever assembles the serving stack uses it to
 // leave out layers that only pay for themselves over a slow fetch.
 func (db *Database) InMemory() bool { return storage.IsInMemory(db.store) }
 

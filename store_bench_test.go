@@ -1,18 +1,19 @@
 package repro
 
 // The in-memory store's benches behind BENCH_storage.json's "in-memory store"
-// row (`make bench-storage`): what `wvqd -db`, or one of two
-// `wvqd -shard-listen` processes, pays to bring a .wvdb into memory, what
-// `-db` then keeps resident per coefficient, and what one lookup
+// row (`make bench-storage`): what `wvqd -db` pays to open a .wvls file
+// (mapped: BenchmarkOpenDatabase), what `wvqd -db -mvcc` or one of two
+// `wvqd -shard-listen` processes pays to bring one into memory, what a
+// loaded database then keeps resident per coefficient, and what one lookup
 // costs — on the synthetic temperature set at the benchmark fixture's size
 // (32×32×8×32×32, ≈ 6.3 M coefficients, 75 % of the cells), at an eighth of
 // its domain (every one of its 2²⁰ cells nonzero) and on a sparse transform
 // of the full domain (24 records: an eighth of the cells), so that both sides
-// of storage.NewMemoryStore's array-or-table rule keep a row. Resident bytes
-// are the process's RSS growth across a load (Linux only), since the store
-// lives in an anonymous mapping the heap statistics do not count; the heap's
-// own growth is reported beside it. They use only API that predates the flat
-// table, so the same file measures older commits.
+// of storage.NewMemoryStore's array-or-table rule keep a row — and both
+// shapes of the file: the first two are written dense, the third sparse.
+// Resident bytes are the process's RSS growth across a load (Linux only),
+// since the store lives in an anonymous mapping the heap statistics do not
+// count; the heap's own growth is reported beside it.
 
 import (
 	"bufio"
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -167,6 +169,32 @@ func BenchmarkLoadShardServer(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(ss.Nonzero()), "coeffs")
+}
+
+// BenchmarkOpenDatabase times what `wvqd -db` pays before it listens on a
+// .wvls file: OpenDatabase maps it and checks its header, so the number does
+// not grow with the file; Close unmaps it.
+func BenchmarkOpenDatabase(b *testing.B) {
+	for _, c := range storeBenchCases {
+		b.Run(c.name, func(b *testing.B) {
+			c.build(b)
+			path := filepath.Join(b.TempDir(), c.name+".wvls")
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db, err := OpenDatabase(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := db.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // settledRSS collects, hands freed heap pages back to the kernel and reads
