@@ -1,0 +1,193 @@
+package server
+
+// The bytes the daemon serves, pinned: every /prepare and /query body of a
+// fixed request script, over each way wvqd builds a view, must equal the
+// file under testdata/served. A change that is meant to move no number —
+// a different store under a mode, a refactor of the step loop — passes it
+// untouched; run with -update only when a body is meant to change.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/served/*.golden from this build's /prepare and /query bodies")
+
+const (
+	servedPrepared = "COUNT() WHERE x <= 40; SUM(y) WHERE x BETWEEN 5 AND 57 GROUP BY y(8); COUNT() WHERE y BETWEEN 10 AND 50"
+	servedAdhoc    = "SUM(x) WHERE y >= 9 GROUP BY x(4); COUNT() WHERE x BETWEEN 3 AND 30"
+)
+
+// servedFile writes a .wvls of tuples seeded tuples over a 64×64 domain and
+// returns its path: 400 tuples fill 94 % of the cells (a dense file), 4 fill
+// 14 %, under the 7/32 past which Save writes the dense shape.
+func servedFile(t *testing.T, tuples int, seed int64) string {
+	t.Helper()
+	schema, err := repro.NewSchema([]string{"x", "y"}, []int{64, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := repro.NewDatabase(repro.UniformData(schema, tuples, seed), repro.Db4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("served-%d.wvls", tuples))
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// servedShards opens path once per shard, as `wvqd -db path -shard-listen`
+// does, serves shard i of count on a loopback listener, and opens the
+// coordinator over them.
+func servedShards(t *testing.T, path string, count int) *repro.Database {
+	t.Helper()
+	addrs := make([]string, count)
+	for i := range addrs {
+		db, err := repro.OpenDatabase(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = db.Close() })
+		ss, err := db.NewShardServer(i, count, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = ss.Serve(ln) }()
+		t.Cleanup(func() { _ = ss.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	ddb, err := repro.OpenDistributed(addrs, repro.DistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ddb
+}
+
+// TestServedBodiesMatchGolden drives the handler over a mapped dense and a
+// mapped sparse -db, a -db -mvcc after two writes, and 2-shard coordinators
+// over each file: /prepare of one batch, its handle at budgets 0, 1, 500 and
+// the whole master list, then an ad hoc batch at budgets 0 and 300.
+func TestServedBodiesMatchGolden(t *testing.T) {
+	dense, sparse := servedFile(t, 400, 7), servedFile(t, 4, 7)
+	open := func(path string) func(*testing.T) *repro.Database {
+		return func(t *testing.T) *repro.Database {
+			db, err := repro.OpenDatabase(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+	}
+	configs := []struct {
+		name string
+		open func(*testing.T) *repro.Database
+	}{
+		{"db_dense", open(dense)},
+		{"db_sparse", open(sparse)},
+		{"db_mvcc", func(t *testing.T) *repro.Database {
+			file, err := os.ReadFile(sparse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := repro.LoadDatabase(bytes.NewReader(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.EnableMVCC(repro.MVCCConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			for i, coords := range [][]int{{3, 60}, {41, 17}} {
+				if _, err := db.Apply(context.Background(), repro.NewWriteBatch().Add(coords, float64(i+2))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return db
+		}},
+		{"shards_dense", func(t *testing.T) *repro.Database { return servedShards(t, dense, 2) }},
+		{"shards_sparse", func(t *testing.T) *repro.Database { return servedShards(t, sparse, 2) }},
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.open(t)
+			t.Cleanup(func() { _ = db.Close() })
+			h := New(db, Options{})
+			t.Cleanup(h.Close)
+			var out strings.Builder
+			post := func(path, body string) []byte {
+				rec := postJSON(t, h, path, body, nil)
+				fmt.Fprintf(&out, "POST %s %s\n%d %s", path, body, rec.Code, rec.Body.Bytes())
+				if rec.Code != 200 {
+					t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+				}
+				return rec.Body.Bytes()
+			}
+			var prep PrepareResponse
+			if err := json.Unmarshal(post("/prepare", `{"statements": `+jsonString(servedPrepared)+`}`), &prep); err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range []int{0, 1, 500, prep.Distinct} {
+				post("/query", fmt.Sprintf(`{"handle": %q, "budget": %d}`, prep.Handle, budget))
+			}
+			for _, budget := range []int{0, 300} {
+				post("/query", fmt.Sprintf(`{"statements": %s, "budget": %d}`, jsonString(servedAdhoc), budget))
+			}
+			golden := filepath.Join("testdata", "served", c.name+".golden")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got := out.String(); got != string(want) {
+				t.Fatalf("served bodies moved from %s:\n%s", golden, firstDifference(got, string(want)))
+			}
+		})
+	}
+}
+
+// firstDifference prints the first line on which got and want differ.
+func firstDifference(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < max(len(g), len(w)); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d\n got: %s\nwant: %s", i+1, gl, wl)
+		}
+	}
+	return "(no line differs)"
+}
