@@ -173,23 +173,27 @@ bench-load:
 # exact evaluation through the 4-shard loopback coordinator vs the same
 # work on the single-node store. Loopback on one host measures protocol +
 # fan-out overhead only (shards share the coordinator's CPUs); see the
-# honesty notes in BENCH_dist.json.
+# honesty notes in BENCH_dist.json. The second line is a shard's set-up:
+# BenchmarkOpenShardServer maps each .wvls file and works out shard 0 of 2's
+# nonzero count and mass, what `wvqd -shard-listen` pays before it listens.
 bench-dist:
 	$(GO) test -run NONE -bench 'BenchmarkDist' -benchmem -benchtime=50x .
+	$(GO) test -run NONE -bench 'BenchmarkOpenShardServer' -benchmem -benchtime=5x .
 
 # Schedule-aware storage benchmarks behind BENCH_storage.json: a cold
 # progressive drain over a 10M-coefficient .wvls layout (mmap and pread
 # paths) against a raw sequential-read bandwidth ceiling. The fixture build
 # takes ~30s. The in-memory store's row comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
 # coefficient dense .wvls (loaded as arrays) and a sparse one (a table),
-# LoadShardServer of shard 0 of 2 of the 6.3 M file (an array) and
-# OpenDatabase of each file (mapped, what wvqd -db pays):
+# OpenShardServer of shard 0 of 2 of each file (mapped, what
+# wvqd -shard-listen pays) and OpenDatabase of each file (mapped, what
+# wvqd -db pays):
 # seconds, bytes allocated, resident bytes/coefficient, and ns/key of the
 # loaded store's lookups in schedule order and on uniform keys. The last line
 # is the singleflight layer's cost to one caller, against the bare store.
 bench-storage:
 	$(GO) test -run NONE -bench 'BenchmarkStorage' -benchmem -benchtime=2x -timeout 30m ./internal/storage/layout/
-	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase|BenchmarkLoadShardServer|BenchmarkOpenDatabase' -benchmem -benchtime=5x .
+	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase|BenchmarkOpenShardServer|BenchmarkOpenDatabase' -benchmem -benchtime=5x .
 	$(GO) test -run NONE -bench 'BenchmarkStoreBatchGet' -benchtime=2000x .
 	$(GO) test -run NONE -bench 'BenchmarkCoalescingBatchGet' -benchmem -benchtime=20000x ./internal/storage/
 

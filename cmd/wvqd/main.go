@@ -10,8 +10,9 @@
 //
 // A .wvls file is mapped, not loaded: the daemon listens once its header is
 // checked, and each block is checksummed the first time it is read. -mvcc
-// and -shard-listen stream the file into memory instead; a .wvdb file of
-// earlier versions is always loaded.
+// streams the file into memory instead; a .wvdb file of earlier versions is
+// always loaded. -shard-listen opens the file by the same rule and serves
+// the keys its shard owns from that view.
 //
 // Progressive responses (budget below the master-list size) carry per-query
 // worst-case error bounds; /query/stream delivers every intermediate
@@ -73,7 +74,7 @@ type options struct {
 	// observer arms it).
 	stack repro.Stack
 
-	// Shard-server mode (-shard-listen): no HTTP, one partition over TCP.
+	// Shard-server mode (-shard-listen): no HTTP, one shard of the view over TCP.
 	shardListen            string
 	shardIndex, shardCount int
 }
@@ -171,7 +172,7 @@ func parseFlags(args []string) (*options, error) {
 // folds into o.
 func newFlagSet(o *options, shardAddrs *string, retry *repro.RetryConfig, chaos *repro.FaultConfig) *flag.FlagSet {
 	fs := flag.NewFlagSet("wvqd", flag.ContinueOnError)
-	fs.StringVar(&o.dbPath, "db", "temperature.wvls", "database file to serve: a .wvls is mapped (streamed into memory with -mvcc or -shard-listen), a .wvdb loaded")
+	fs.StringVar(&o.dbPath, "db", "temperature.wvls", "database file to serve: a .wvls is mapped (streamed into memory with -mvcc), a .wvdb loaded")
 	fs.StringVar(&o.layoutPath, "layout", "", "another spelling of -db, kept for existing scripts (overrides -db; refused with -shards)")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.server.Sched.MaxActive, "max-active", 0, "concurrent runs in the scheduler table (0 = default 64)")
@@ -401,22 +402,23 @@ func openDatabase(path string, writable bool) (*repro.Database, error) {
 }
 
 // runShard serves one coefficient shard over TCP: the daemon's shard-server
-// mode. The database file is streamed once and only its partition for
-// (index, count) is kept — the process never maps the file and never holds
-// all of it; loading a sparse .wvls holds the file's values (8 B each) until
-// the load ends, because the key-order walk visits them in no order. Shutdown
-// reuses the daemon's signal path: stop accepting, sever connections, exit. The
-// shard keeps its own span ring: request frames carrying a coordinator trace
-// context (wire v2) record shard-side spans under the coordinator's request
-// ID, served at /debug/traces on the -pprof listener.
+// mode. The file is opened by -db's rule — a .wvls mapped, a .wvdb loaded
+// whole — and the shard serves that view, owning the keys storage.ShardOf
+// assigns to (index, count); it copies nothing. Working out the shard's
+// nonzero count and mass walks the file once at start-up (a sparse file's
+// owned values are sorted by key for it). Shutdown reuses the daemon's
+// signal path: stop accepting, sever connections, exit. The shard keeps its
+// own span ring: request frames carrying a coordinator trace context (wire
+// v2) record shard-side spans under the coordinator's request ID, served at
+// /debug/traces on the -pprof listener.
 func runShard(dbPath, listen string, index, count int, pprofAddr string, log *slog.Logger) error {
 	opened := time.Now()
-	f, err := os.Open(dbPath)
+	db, err := repro.OpenDatabase(dbPath)
 	if err != nil {
 		return fmt.Errorf("opening database (write one with wvload or wvq -create): %w", err)
 	}
-	ss, err := repro.LoadShardServer(f, index, count, log)
-	_ = f.Close()
+	defer func() { _ = db.Close() }()
+	ss, err := db.NewShardServer(index, count, log)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"time"
@@ -17,10 +16,11 @@ import (
 )
 
 // The distributed evaluation tier: a database's coefficient store Δ̂ can be
-// partitioned across N shard servers (NewShardServer) and reassembled behind
-// a coordinator (OpenDistributed) that fans every retrieval out over TCP.
-// The partition is value-preserving, so a progressive drain through the
-// coordinator produces bit-identical estimates to a single-node run; a dead
+// served by N shard servers (NewShardServer), each owning the keys
+// storage.ShardOf assigns it, and reassembled behind a coordinator
+// (OpenDistributed) that fans every retrieval out over TCP to the key's
+// owner. Every shard serves the same view, so a progressive drain through
+// the coordinator produces bit-identical estimates to a single-node run; a dead
 // shard degrades the run (skipped coefficients, Theorem-1 bounds intact)
 // instead of failing it.
 
@@ -32,34 +32,40 @@ type ShardHealth = dist.ShardHealth
 // precondition of the shard partition function.
 func ValidShardCount(n int) error { return dist.ValidShardCount(n) }
 
-// ShardServer serves one partition of a database's coefficients over TCP.
-// Build one per shard index with Database.NewShardServer (from a live
-// database) or LoadShardServer (from a database file), then Serve on a
-// listener; the coordinator side is OpenDistributed.
+// ShardServer serves one shard of a database over TCP: the database's own
+// view, of which storage.ShardOf assigns the shard its keys. Build one per
+// shard index with Database.NewShardServer, then Serve on a listener; the
+// coordinator side is OpenDistributed.
 type ShardServer struct {
 	srv   *dist.Server
 	meta  codec.ShardMeta
 	stack string
 }
 
-// NewShardServer extracts shard index of count from the database (the
-// nonzero coefficients the partition hash assigns to that index) and wraps
-// the partition in a TCP server speaking the shard wire protocol. The
-// database itself is not retained — the server owns a private copy of its
-// slice. count must be a positive power of two and every shard of a
+// NewShardServer serves shard index of count of the database over the shard
+// wire protocol. Nothing is copied: the shard serves the view itself — the
+// mapping of an opened .wvls file, a loaded store, or under MVCC the head
+// snapshot taken here — and storage.ShardOf decides which keys it owns. The
+// coordinator routes every key to its owner, so a shard is never asked for
+// another's key; asked anyway, it answers with the view's value. Nonzero and
+// Mass describe the owned keys, the mass summed in ascending key order, so
+// the coordinator's Theorem-1 mass depends on the data alone.
+//
+// The database must stay open, and without plain writes, while the server
+// serves it. count must be a positive power of two and every shard of a
 // deployment must be built with the same count (and from the same
 // database); the coordinator cross-checks both at open time. logger may be
 // nil for silence.
 func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*ShardServer, error) {
 	st, ok := db.enumStore()
 	if !ok {
-		return nil, fmt.Errorf("repro: store %T cannot enumerate; cannot partition it into shards", st)
+		return nil, fmt.Errorf("repro: store %T cannot enumerate; cannot serve it as a shard", st)
 	}
-	part, nonzero, mass, err := dist.Partition(st.(storage.Enumerable), index, count, db.schema.Cells())
+	nonzero, mass, err := dist.ShardMass(st.(storage.Enumerable), index, count)
 	if err != nil {
 		return nil, err
 	}
-	return newShardServer(part, logger, codec.ShardMeta{
+	meta := codec.ShardMeta{
 		Names:      db.schema.Names,
 		Sizes:      db.schema.Sizes,
 		Windows:    db.windows,
@@ -69,53 +75,10 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 		ShardCount: count,
 		Nonzero:    nonzero,
 		Mass:       mass,
-	}), nil
-}
-
-// LoadShardServer builds shard index of count straight from a database file
-// written with Save: the decoder's stream is filtered by the partition hash
-// as it arrives, so the process holds its own slice of the coefficients and
-// never the whole file. The result is the server NewShardServer would build
-// from the loaded database: same coefficients, same Nonzero, same Mass.
-func LoadShardServer(r io.Reader, index, count int, logger *slog.Logger) (*ShardServer, error) {
-	var (
-		part *dist.Partitioner
-		meta codec.ShardMeta
-	)
-	err := codec.Decode(r, func(h *codec.Header) (func(int, float64), error) {
-		if _, err := wavelet.ByName(h.FilterName); err != nil {
-			return nil, fmt.Errorf("repro: stored database uses %w", err)
-		}
-		var err error
-		// An even split is what the partition hash delivers to within a
-		// fraction of a percent; a shard that gets more than its share grows
-		// its table like any other store.
-		if part, err = dist.NewPartitioner(index, count, h.Schema.Cells(), (h.Count+count-1)/count); err != nil {
-			return nil, err
-		}
-		meta = codec.ShardMeta{
-			Names:      h.Schema.Names,
-			Sizes:      h.Schema.Sizes,
-			Windows:    h.Windows,
-			FilterName: h.FilterName,
-			TupleCount: h.TupleCount,
-			ShardIndex: index,
-			ShardCount: count,
-		}
-		return part.Add, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	var st storage.Store
-	st, meta.Nonzero, meta.Mass = part.Result()
-	return newShardServer(st, logger, meta), nil
-}
-
-// newShardServer serves part bare: every connection of a dist.Server
-// retrieves from its own goroutine, and a partition is only ever read.
-func newShardServer(part storage.Store, logger *slog.Logger, meta codec.ShardMeta) *ShardServer {
-	return &ShardServer{srv: dist.NewServer(part, meta, logger), meta: meta, stack: storage.Describe(part)}
+	// Served bare: every connection of a dist.Server retrieves from its own
+	// goroutine, and every view enumStore returns takes concurrent readers.
+	return &ShardServer{srv: dist.NewServer(st, meta, logger), meta: meta, stack: storage.Describe(st)}, nil
 }
 
 // StoreStack prints the store stack the shard serves from, base first.
@@ -138,10 +101,10 @@ func (s *ShardServer) Close() error { return s.srv.Close() }
 // Requests returns the number of request frames served.
 func (s *ShardServer) Requests() int64 { return s.srv.Requests() }
 
-// Nonzero returns the number of nonzero coefficients this shard holds.
+// Nonzero returns the number of nonzero coefficients this shard owns.
 func (s *ShardServer) Nonzero() int64 { return s.meta.Nonzero }
 
-// Mass returns this shard's coefficient mass Σ|Δ̂[ξ]| over its partition.
+// Mass returns this shard's coefficient mass Σ|Δ̂[ξ]| over the keys it owns.
 func (s *ShardServer) Mass() float64 { return s.meta.Mass }
 
 // FilterName returns the name of the wavelet filter of the served transform.

@@ -1,13 +1,14 @@
 // Package dist is the distributed evaluation tier: the coefficient store Δ̂
-// partitioned across N networked shard servers, reassembled behind the
-// storage.Store interface by a fan-out coordinator.
+// served by N networked shard servers, each owning the keys storage.ShardOf
+// assigns it, reassembled behind the storage.Store interface by a fan-out
+// coordinator.
 //
 // Three pieces:
 //
-//   - Server exposes one shard's coefficient partition over plain TCP using
-//     the length-prefixed frames of internal/codec (BatchGet request/response
+//   - Server exposes one shard's view over plain TCP using the
+//     length-prefixed frames of internal/codec (BatchGet request/response
 //     carrying delta-varint packed keys, raw float64 value bits and per-key
-//     errors, plus a metadata frame describing the shard's view).
+//     errors, plus a metadata frame describing the shard).
 //
 //   - RemoteStore is the client of one shard: a storage.Store over a
 //     small connection pool with per-attempt deadlines, so the existing
@@ -15,7 +16,7 @@
 //     composes on top unchanged — the network is just another fallible store.
 //
 //   - CoordinatorStore partitions every BatchGetCtx across the shards with
-//     storage.ShardOf — the rule Partition cuts every shard's slice by — fans
+//     storage.ShardOf — the rule that names each key's owner — fans
 //     the sub-batches out concurrently, and merges the partial results. A
 //     dead or degraded shard does not fail the batch: its keys come back as
 //     per-key *storage.BatchError entries, which the engine's skip machinery
@@ -23,8 +24,8 @@
 //     contribution Theorem 1 already bounds. The server above answers 206
 //     Partial Content, exactly as it does for local storage faults.
 //
-// The partition is value-preserving by construction: every nonzero
-// coefficient lives on exactly one shard (Partition filters by ShardOf), the
+// The partition is value-preserving by construction: every key is owned by
+// exactly one shard (ShardOf), each shard answers from the same view, the
 // wire carries float64 bits verbatim, and the coordinator writes each
 // shard's answers back into the caller's batch positions — so a progressive
 // drain through the coordinator retrieves bit-identical coefficients in the
@@ -83,84 +84,56 @@ func validShard(index, count int) error {
 	return nil
 }
 
-// Partitioner builds one shard's slice of a coefficient set from a stream of
-// (key, value) pairs in ascending key order: it keeps the pairs whose key
-// storage.ShardOf assigns to its index and accumulates their count and their
-// mass Σ|v| in arrival order. Ascending order is what makes the mass a
-// function of the data alone — coordinators sum it and bound computations
-// consume it, so it must not depend on how the pairs were held before.
-//
-// Both ways of building a shard go through it: Partition feeds it a live
-// store's sorted enumeration, a shard process feeds it a database file as the
-// decoder streams it (repro.LoadShardServer), so the two agree bit for bit.
-type Partitioner struct {
-	index, count int
-	store        storage.MemoryStore
-	nonzero      int64
-	mass         float64
-}
-
-// NewPartitioner returns the partitioner of shard index among count shards
-// over a domain of cells cells (0 when unknown), with room for expect
-// coefficients (0 when unknown). storage.NewMemoryStore picks the partition's
-// representation from those sizes.
-func NewPartitioner(index, count, cells, expect int) (*Partitioner, error) {
+// ShardMass returns the count and the mass Σ|v| of the nonzero coefficients
+// of src that storage.ShardOf assigns to shard index of count — what a shard
+// serving src owns. The mass is summed in ascending key order, which makes
+// it a function of the data alone: coordinators sum it and bound
+// computations consume it. A store that enumerates in ascending order (an
+// array, a dense layout) is summed as it is walked, holding nothing; any
+// other (a table, a sparse layout, an MVCC view) is walked once more, its
+// owned pairs collected and sorted by key.
+func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass float64, err error) {
 	if err := validShard(index, count); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	return &Partitioner{index: index, count: count, store: storage.NewMemoryStore(cells, expect, count)}, nil
-}
-
-// Add offers the next pair of the stream; pairs of other shards and zero
-// values are dropped.
-func (p *Partitioner) Add(key int, value float64) {
-	if value == 0 || storage.ShardOf(key, p.count) != p.index {
-		return
-	}
-	p.store.Add(key, value)
-	p.nonzero++
-	p.mass += math.Abs(value)
-}
-
-// Result returns the partition as a fresh store with its nonzero count and
-// coefficient mass.
-func (p *Partitioner) Result() (storage.MemoryStore, int64, float64) {
-	return p.store, p.nonzero, p.mass
-}
-
-// Partition extracts shard index's slice of a full coefficient store over a
-// domain of cells cells (0 when unknown): the nonzero entries whose key
-// storage.ShardOf assigns to index (see Partitioner for what comes back).
-// It sizes the partition as a streamed load does — the even share
-// ⌈total/count⌉ of the store's nonzero total — so a shard cut from a live
-// store is held the way the same shard streamed from its file is.
-func Partition(src storage.Enumerable, index, count, cells int) (storage.MemoryStore, int64, float64, error) {
-	if err := validShard(index, count); err != nil {
-		return nil, 0, 0, err
+	last, ascending := -1, true
+	src.ForEachNonzero(func(k int, v float64) bool {
+		if k <= last {
+			ascending = false
+			return false
+		}
+		last = k
+		if v != 0 && storage.ShardOf(k, count) == index {
+			nonzero++
+			mass += math.Abs(v)
+		}
+		return true
+	})
+	if ascending {
+		return nonzero, mass, nil
 	}
 	type pair struct {
 		k int
 		v float64
 	}
 	var pairs []pair
-	total := 0
+	if st, ok := src.(storage.Store); ok {
+		// ShardOf splits evenly to within a fraction of a percent.
+		share := st.NonzeroCount() / count
+		pairs = make([]pair, 0, share+share/16+1)
+	}
 	src.ForEachNonzero(func(k int, v float64) bool {
-		total++
-		if storage.ShardOf(k, count) == index {
+		if v != 0 && storage.ShardOf(k, count) == index {
 			pairs = append(pairs, pair{k, v})
 		}
 		return true
 	})
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-	p, err := NewPartitioner(index, count, cells, (total+count-1)/count)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+	nonzero, mass = int64(len(pairs)), 0
 	for _, kv := range pairs {
-		p.Add(kv.k, kv.v)
+		mass += math.Abs(kv.v)
 	}
-	st, nonzero, mass := p.Result()
-	return st, nonzero, mass, nil
+	return nonzero, mass, nil
 }
 
 // ValidateMetas checks that a set of shard self-descriptions, indexed by the

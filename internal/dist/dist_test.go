@@ -44,55 +44,59 @@ func startShard(t *testing.T, store storage.Store, meta codec.ShardMeta) (addr s
 	return ln.Addr().String(), srv
 }
 
+// TestPartitionDisjointCompleteAndMassPreserving: the shards' ShardMass
+// counts cover the source's nonzero keys once between them, each shard's
+// mass is the ascending-key sum over the keys ShardOf gives it, and a table
+// (enumerated in no order) and an array (in key order) of the same
+// coefficients report the same bits.
 func TestPartitionDisjointCompleteAndMassPreserving(t *testing.T) {
 	src := testStore(5000, 1)
-	const shards = 4
-	var totalMass float64
-	src.ForEachNonzero(func(_ int, v float64) bool {
-		totalMass += math.Abs(v)
+	cells := make([]float64, 1<<20)
+	src.ForEachNonzero(func(k int, v float64) bool {
+		cells[k] = v
 		return true
 	})
-	seen := make(map[int]int)
+	array := storage.NewArrayStore(cells)
+	const shards = 4
+	var totalMass float64
+	for _, v := range cells {
+		totalMass += math.Abs(v)
+	}
 	var nonzero int64
 	var massSum float64
 	for i := 0; i < shards; i++ {
-		part, nz, mass, err := Partition(src, i, shards, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(part.NonzeroCount()) != nz {
-			t.Fatalf("shard %d reports %d nonzero, holds %d", i, nz, part.NonzeroCount())
-		}
-		nonzero += nz
-		massSum += mass
-		part.ForEachNonzero(func(k int, v float64) bool {
-			if storage.ShardOf(k, shards) != i {
-				t.Fatalf("key %d landed on shard %d, ShardOf says %d", k, i, storage.ShardOf(k, shards))
+		var wantNonzero int64
+		var wantMass float64
+		for k, v := range cells {
+			if v != 0 && storage.ShardOf(k, shards) == i {
+				wantNonzero++
+				wantMass += math.Abs(v)
 			}
-			if v != storage.Get(src, k) {
-				t.Fatalf("key %d: shard value %g != source %g", k, v, storage.Get(src, k))
-			}
-			seen[k]++
-			return true
-		})
-	}
-	if int64(len(seen)) != nonzero || src.NonzeroCount() != len(seen) {
-		t.Fatalf("partitions cover %d keys, source has %d", len(seen), src.NonzeroCount())
-	}
-	for k, c := range seen {
-		if c != 1 {
-			t.Fatalf("key %d appears on %d shards", k, c)
 		}
+		for name, st := range map[string]storage.Enumerable{"table": src, "array": array} {
+			nz, mass, err := ShardMass(st, i, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nz != wantNonzero || mass != wantMass {
+				t.Fatalf("%s shard %d: (%d, %v), ascending-key sum (%d, %v)", name, i, nz, mass, wantNonzero, wantMass)
+			}
+		}
+		nonzero += wantNonzero
+		massSum += wantMass
+	}
+	if nonzero != int64(src.NonzeroCount()) {
+		t.Fatalf("shards own %d keys, source has %d", nonzero, src.NonzeroCount())
 	}
 	// Shard masses sum to the full mass up to summation-order rounding.
 	if d := math.Abs(massSum-totalMass) / totalMass; d > 1e-12 {
 		t.Fatalf("mass drifted: shards sum %g, source %g (rel %g)", massSum, totalMass, d)
 	}
 	// Errors: bad count, bad index.
-	if _, _, _, err := Partition(src, 0, 3, 1<<20); err == nil {
+	if _, _, err := ShardMass(src, 0, 3); err == nil {
 		t.Fatal("non-power-of-two count accepted")
 	}
-	if _, _, _, err := Partition(src, 4, 4, 1<<20); err == nil {
+	if _, _, err := ShardMass(src, 4, 4); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 }
@@ -306,16 +310,30 @@ func (d downStore) BatchGetCtx(_ context.Context, keys []int, _ []float64) error
 	return d.err
 }
 
+// ownerOnly is shard index of count over the whole view, as
+// repro.NewShardServer serves it, and reports a key routed to it that it
+// does not own: answered from the view, a misrouted key would still read right.
+type ownerOnly struct {
+	storage.Store
+	t            *testing.T
+	index, count int
+}
+
+func (o ownerOnly) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	for _, k := range keys {
+		if owner := storage.ShardOf(k, o.count); owner != o.index {
+			o.t.Errorf("key %d routed to shard %d, ShardOf says %d", k, o.index, owner)
+		}
+	}
+	return o.Store.BatchGetCtx(ctx, keys, dst)
+}
+
 func TestCoordinatorMergesAndDegrades(t *testing.T) {
 	full := testStore(4000, 8)
 	const n = 4
 	shards := make([]storage.Store, n)
 	for i := 0; i < n; i++ {
-		part, _, _, err := Partition(full, i, n, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = part
+		shards[i] = ownerOnly{full, t, i, n}
 	}
 	coord, err := NewCoordinator(shards, nil)
 	if err != nil {

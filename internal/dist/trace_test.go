@@ -174,11 +174,7 @@ func TestCoordinatorProfileWireAttribution(t *testing.T) {
 	remotes := make([]*RemoteStore, shardN)
 	shards := make([]storage.Store, shardN)
 	for i := 0; i < shardN; i++ {
-		part, _, _, err := Partition(src, i, shardN, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, _ := startShard(t, part, codec.ShardMeta{ShardIndex: i, ShardCount: shardN})
+		addr, _ := startShard(t, src, codec.ShardMeta{ShardIndex: i, ShardCount: shardN})
 		addrs[i] = addr
 		remotes[i] = NewRemoteStore(addr, ClientConfig{})
 		shards[i] = remotes[i]

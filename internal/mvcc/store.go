@@ -491,7 +491,7 @@ func (s *Store) Compact(ctx context.Context) error {
 	// target is sized once — as an array or a table, by the rule every loader
 	// uses — and is served through the same chain function as the base the
 	// store was opened with.
-	nb := storage.NewMemoryStore(s.cells, snap.nonzero, 1)
+	nb := storage.NewMemoryStore(s.cells, snap.nonzero)
 	// Newest-wins fold: overlay keys first (explicit zeros simply aren't
 	// written — an absent base key reads 0), then unshadowed base keys.
 	seen := make(map[int]struct{}, snap.layerKeys)

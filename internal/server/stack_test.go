@@ -113,13 +113,13 @@ func designStacks(t *testing.T) map[string]string {
 }
 
 // TestPrintedStacksMatchDesign builds every shape wvqd serves the way wvqd
-// builds it — open (-db maps the .wvls file, -mvcc and -shard-listen stream
+// builds it — open (-db and -shard-listen map the .wvls file, -mvcc streams
 // it into memory), then EnableMVCC as the flags ask, SetStack with the
 // fault, retry and timing layers they declare, then the handler — and checks
 // StoreStack() against the table DESIGN.md §11 prints, so the two change
 // together. The dense file is as dense as the benchmark's (≈ 3/4 of the
-// cells), so each half of a 2-shard split is over the 7/32 of the domain that
-// makes an array; the sparse file is under it.
+// cells), over the 7/32 of the domain past which Save writes the dense
+// shape; the sparse file is under it.
 func TestPrintedStacksMatchDesign(t *testing.T) {
 	rows := designStacks(t)
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
@@ -138,7 +138,8 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 		return buf.Bytes()
 	}
 	dense, sparse := save(30), save(1) // 776 and 132 of 1 024 cells
-	// -db opens the file (mapping a .wvls); -mvcc streams it into memory.
+	// -db and -shard-listen open the file (mapping a .wvls); -mvcc streams
+	// it into memory.
 	open := func(file []byte) func() *repro.Database {
 		path := filepath.Join(t.TempDir(), "db.wvls")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
@@ -163,8 +164,11 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 	}
 	shards := make([]*repro.ShardServer, 2)
 	addrs := make([]string, len(shards))
+	openDense := open(dense)
 	for i := range shards {
-		if shards[i], err = repro.LoadShardServer(bytes.NewReader(dense), i, len(shards), nil); err != nil {
+		db := openDense()
+		t.Cleanup(func() { _ = db.Close() })
+		if shards[i], err = db.NewShardServer(i, len(shards), nil); err != nil {
 			t.Fatal(err)
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -659,12 +659,14 @@ func (s *Store) StackName() string { return "layout" }
 // order in a sparse file, key order in a dense one, zeros skipped — the
 // order that costs one sequential pass: the hot region streams from the
 // mapping and each block is verified once. Enumeration order is unspecified
-// by the interface; callers that need key order sort.
+// by the interface; callers that need key order sort. Values are decoded a
+// few hundred at a time into the stack, so a walk of a mapped file puts
+// nothing on the Go heap.
 func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
 	if err := s.checkIndex(); err != nil {
 		panic(fmt.Sprintf("layout: enumerating: %v", err))
 	}
-	buf := make([]float64, s.g.blockSize)
+	var buf [512]float64
 	for lo := 0; lo < s.g.slots; {
 		vals := buf[:min(s.unitEnd(lo)-lo, len(buf))]
 		if err := s.readSlots(lo, vals); err != nil {

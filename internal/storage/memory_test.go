@@ -29,7 +29,7 @@ func TestNewMemoryStoreRule(t *testing.T) {
 		{"not a power of two, above", 1000, 449, true},
 		{"not a power of two, below", 3000, 449, false},
 	} {
-		if got := isArray(NewMemoryStore(c.cells, c.count, 1)); got != c.array {
+		if got := isArray(NewMemoryStore(c.cells, c.count)); got != c.array {
 			t.Errorf("%s: NewMemoryStore(%d, %d) array = %v, want %v", c.name, c.cells, c.count, got, c.array)
 		}
 	}
@@ -47,7 +47,7 @@ func TestNewMemoryStoreNeverAllocatesMoreThanTheTable(t *testing.T) {
 		for bits := 0; bits <= cellBits; bits++ {
 			for _, base := range []int{1 << bits, 7 << bits >> 3, 7 << bits >> 4, 7 << bits >> 5} {
 				for count := max(base-2, 0); count <= min(base+2, cells); count++ {
-					s := NewMemoryStore(cells, count, 1)
+					s := NewMemoryStore(cells, count)
 					table := NewHashStoreSized(count)
 					if a, ok := s.(*ArrayStore); ok && len(a.cells)*8 > len(table.cells.slots)*16 {
 						t.Fatalf("cells %d count %d: a %d-byte array over a %d-byte table",
@@ -58,42 +58,6 @@ func TestNewMemoryStoreNeverAllocatesMoreThanTheTable(t *testing.T) {
 							cells, count, len(h.cells.slots), len(table.cells.slots))
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestNewMemoryStorePartition: a partition's table indexes below the bits
-// ShardOf spent, and either outcome holds and serves what it is given.
-func TestNewMemoryStorePartition(t *testing.T) {
-	const cells, parts = 1 << 12, 4
-	for _, count := range []int{cells / 8, cells / 16} { // 512 of 4096 cells, and 256: table both times
-		s := NewMemoryStore(cells, count, parts)
-		h, ok := s.(*HashStore)
-		if !ok || h.cells.skip != 2 {
-			t.Fatalf("count %d: got %T (skip %v), want a table skipping 2 hash bits", count, s, ok && h.cells.skip == 2)
-		}
-	}
-	dense := NewMemoryStore(cells, cells/parts, parts) // a quarter of the cells: over 7/32
-	if !isArray(dense) {
-		t.Fatalf("a partition holding a quarter of its domain is held as %T", dense)
-	}
-	for _, s := range []MemoryStore{dense, NewMemoryStore(cells, cells/16, parts)} {
-		n := 0
-		for k := 0; k < cells; k += 3 {
-			s.Add(k, float64(k+1))
-			n++
-		}
-		if s.NonzeroCount() != n {
-			t.Fatalf("%T holds %d coefficients after %d adds", s, s.NonzeroCount(), n)
-		}
-		for k := 0; k < cells; k++ {
-			want := 0.0
-			if k%3 == 0 {
-				want = float64(k + 1)
-			}
-			if got := Get(s, k); got != want {
-				t.Fatalf("%T key %d = %v, want %v", s, k, got, want)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func TestDroppedStoreUnmapsItsMemory(t *testing.T) {
 		make func() (MemoryStore, uintptr)
 	}{
 		{"array", func() (MemoryStore, uintptr) {
-			s := NewMemoryStore(1<<16, 1<<16, 1).(*ArrayStore)
+			s := NewMemoryStore(1<<16, 1<<16).(*ArrayStore)
 			return s, uintptr(unsafe.Pointer(&s.cells[0]))
 		}},
 		{"table", func() (MemoryStore, uintptr) {
@@ -125,8 +125,8 @@ func TestMappedStoreOutlivesItsReaders(t *testing.T) {
 		name string
 		make func() MemoryStore
 	}{
-		{"array", func() MemoryStore { return NewMemoryStore(cells, cells, 1) }},
-		{"table", func() MemoryStore { return NewMemoryStore(0, cells/3+1, 1) }},
+		{"array", func() MemoryStore { return NewMemoryStore(cells, cells) }},
+		{"table", func() MemoryStore { return NewMemoryStore(0, cells/3+1) }},
 	} {
 		s := c.make()
 		want := 0.0
@@ -246,7 +246,7 @@ func TestStoreMappingsAskForHugePages(t *testing.T) {
 	}
 
 	const cells = 1 << 19 // 4 MiB of float64
-	array := NewMemoryStore(cells, cells, 1).(*ArrayStore)
+	array := NewMemoryStore(cells, cells).(*ArrayStore)
 	advised("array", uintptr(unsafe.Pointer(&array.cells[0])))
 	runtime.KeepAlive(array)
 

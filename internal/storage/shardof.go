@@ -12,9 +12,10 @@ const shardPartitionMultiplier = 0x9E3779B97F4A7C15
 // index of key among n shards, where n must be a power of two (the function
 // panics otherwise — partitioners must agree exactly, so a silently rounded
 // count would be a correctness bug). It is the single placement rule of the
-// system: the distributed coordinator (internal/dist) routes batches with it,
-// every shard keeps the keys it names, and a partition's table
-// (NewHashStorePartition) indexes with the hash bits below the ones it spent.
+// system: the distributed coordinator (internal/dist) routes each key to the
+// shard it names, and a shard, which serves the whole view, owns those keys —
+// its Nonzero and Mass count them (dist.ShardMass) and it is asked for no
+// others.
 func ShardOf(key, n int) int {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("storage: ShardOf shard count %d is not a power of two", n))

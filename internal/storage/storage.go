@@ -120,25 +120,22 @@ type MemoryStore interface {
 // reserve, its hash-based storage otherwise. A slot is 16 bytes and a cell 8,
 // so that is cells ≤ 2·slots(count); for a power-of-two domain, exactly
 // count > 7/32·cells. A tie goes to the array: the same bytes, filled by
-// sequential writes and read by an index instead of a probe. partitions > 1
-// says the store will hold one ShardOf(·, partitions) partition of a key set
-// (see NewHashStorePartition); count is then that partition's share. cells ≤ 0
-// — a domain the caller does not know — selects the table. Every site that
-// builds a base store chooses by this rule: loading a file, partitioning for
-// a shard, MVCC compaction, and building from a dense transform
-// (NewMemoryStoreFromDense).
+// sequential writes and read by an index instead of a probe. cells ≤ 0 — a
+// domain the caller does not know — selects the table. Every site that
+// builds a base store chooses by this rule: loading a file, MVCC
+// compaction, and building from a dense transform (NewMemoryStoreFromDense).
 //
 // The array is never the larger allocation, so a header that lies about its
 // sizes cannot make this function allocate more than the table its count
 // always cost. Either one lives outside the Go heap (mapSlice), owned by the
 // store it returns and unmapped once that store is unreachable.
-func NewMemoryStore(cells, count, partitions int) MemoryStore {
+func NewMemoryStore(cells, count int) MemoryStore {
 	if arrayIsNotLarger(cells, count) {
 		s := &ArrayStore{cells: mapSlice[float64](cells)}
 		runtime.SetFinalizer(s, func(s *ArrayStore) { unmapSlice(s.cells) })
 		return s
 	}
-	return NewHashStorePartition(count, partitions)
+	return NewHashStoreSized(count)
 }
 
 // NewMemoryStoreFromDense is NewMemoryStore for a domain already held as a
@@ -269,17 +266,8 @@ func NewHashStore() *HashStore { return NewHashStoreSized(0) }
 
 // NewHashStoreSized returns an empty hash store with room for n coefficients
 // allocated up front, so a loader that knows its count never rehashes.
-func NewHashStoreSized(n int) *HashStore { return NewHashStorePartition(n, 1) }
-
-// NewHashStorePartition is NewHashStoreSized for a store that holds one
-// ShardOf(·, count) partition of a key set: its keys share the hash bits
-// ShardOf consumed, so the table indexes with the bits below them. Keys of
-// other partitions are still stored and served correctly, only more slowly.
-func NewHashStorePartition(n, count int) *HashStore {
-	if count <= 0 || count&(count-1) != 0 {
-		panic(fmt.Sprintf("storage: partition count %d is not a power of two", count))
-	}
-	s := &HashStore{cells: newTable(log2(uint64(count)))}
+func NewHashStoreSized(n int) *HashStore {
+	s := &HashStore{cells: newTable()}
 	runtime.SetFinalizer(s, func(s *HashStore) { unmapSlice(s.cells.slots) })
 	s.cells.reserve(n)
 	return s

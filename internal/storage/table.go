@@ -22,15 +22,6 @@ type table struct {
 	n     int
 	// shift turns a hash into a slot index: 64 - log2(len(slots)).
 	shift uint
-	// skip is the number of top hash bits the owner has already spent on
-	// ShardOf to choose this table. Every key of one shard agrees on those
-	// bits, so the index is taken from the bits just below them; indexing
-	// with the same bits would pile a shard's keys into 1/shards of its
-	// slots. Zooming into a shard's arc of the hash circle this way keeps the
-	// Fibonacci hash's even spacing, which no fixed lower window of the
-	// product has (the multiplier's low 48 bits, for one, resonate with runs
-	// of consecutive keys at a period of 7037).
-	skip uint
 }
 
 // slot is 16 bytes: four to a cache line.
@@ -48,17 +39,19 @@ const minTableSlots = 8
 // store whose count lands just above 3/4 of a power of two twice the memory.
 func maxLive(capacity int) int { return capacity - capacity/8 }
 
-// newTable returns an empty table for the keys of one ShardOf partition among
-// 2^skip (skip 0: a table that may hold any key).
-func newTable(skip uint) table {
-	t := table{skip: skip}
+// newTable returns an empty table.
+func newTable() table {
+	var t table
 	t.resize(minTableSlots)
 	return t
 }
 
-// index is the home slot of key.
+// index is the home slot of key: the top bits of the Fibonacci hash, whose
+// even spacing no fixed lower window of the product has (the multiplier's
+// low 48 bits, for one, resonate with runs of consecutive keys at a period
+// of 7037).
 func (t *table) index(key int) uint64 {
-	return ((uint64(key) * shardPartitionMultiplier) << t.skip) >> t.shift
+	return (uint64(key) * shardPartitionMultiplier) >> t.shift
 }
 
 // get returns the value stored at key (≥ 0), or 0.

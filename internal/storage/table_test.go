@@ -72,57 +72,54 @@ func tableKeyPool() []int {
 }
 
 // TestTableAgainstMap runs seeded scripts of add, add-to-zero and get against
-// a map[int]float64, for a table that holds any key (skip 0) and for one that
-// indexes below four shard bits, through enough inserts to double at least
-// four times and enough deletes to exercise backward shifts in full tables.
+// a map[int]float64, through enough inserts to double at least four times
+// and enough deletes to exercise backward shifts in full tables.
 func TestTableAgainstMap(t *testing.T) {
 	pool := tableKeyPool()
-	for _, skip := range []uint{0, 4} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			tb := newTable(skip)
-			ref := make(map[int]float64)
-			doublings, capacity := 0, len(tb.slots)
-			for op := 0; op < 12000; op++ {
-				k := pool[rng.Intn(len(pool))]
-				switch r := rng.Intn(10); {
-				case r < 5: // add a nonzero delta (may cancel an earlier one)
-					d := float64(rng.Intn(5) - 2)
-					tb.add(k, d)
-					if v := ref[k] + d; v == 0 {
-						delete(ref, k)
-					} else {
-						ref[k] = v
-					}
-				case r < 8: // add to zero: remove if present
-					tb.add(k, -ref[k])
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := newTable()
+		ref := make(map[int]float64)
+		doublings, capacity := 0, len(tb.slots)
+		for op := 0; op < 12000; op++ {
+			k := pool[rng.Intn(len(pool))]
+			switch r := rng.Intn(10); {
+			case r < 5: // add a nonzero delta (may cancel an earlier one)
+				d := float64(rng.Intn(5) - 2)
+				tb.add(k, d)
+				if v := ref[k] + d; v == 0 {
 					delete(ref, k)
-				default:
-					if got := tb.get(k); got != ref[k] {
-						t.Fatalf("skip %d seed %d op %d: get(%d) = %v, reference %v", skip, seed, op, k, got, ref[k])
-					}
+				} else {
+					ref[k] = v
 				}
-				if len(tb.slots) != capacity {
-					doublings, capacity = doublings+1, len(tb.slots)
-				}
-				if op%500 == 0 {
-					checkTable(t, &tb, ref)
-				}
-			}
-			checkTable(t, &tb, ref)
-			if doublings < 4 {
-				t.Fatalf("skip %d seed %d: table doubled %d times, the script must cross at least 4", skip, seed, doublings)
-			}
-			// Drain it: every delete is a backward shift in a loaded table.
-			for k, v := range ref {
-				tb.add(k, -v)
+			case r < 8: // add to zero: remove if present
+				tb.add(k, -ref[k])
 				delete(ref, k)
-				if len(ref)%97 == 0 {
-					checkTable(t, &tb, ref)
+			default:
+				if got := tb.get(k); got != ref[k] {
+					t.Fatalf("seed %d op %d: get(%d) = %v, reference %v", seed, op, k, got, ref[k])
 				}
 			}
-			checkTable(t, &tb, ref)
+			if len(tb.slots) != capacity {
+				doublings, capacity = doublings+1, len(tb.slots)
+			}
+			if op%500 == 0 {
+				checkTable(t, &tb, ref)
+			}
 		}
+		checkTable(t, &tb, ref)
+		if doublings < 4 {
+			t.Fatalf("seed %d: table doubled %d times, the script must cross at least 4", seed, doublings)
+		}
+		// Drain it: every delete is a backward shift in a loaded table.
+		for k, v := range ref {
+			tb.add(k, -v)
+			delete(ref, k)
+			if len(ref)%97 == 0 {
+				checkTable(t, &tb, ref)
+			}
+		}
+		checkTable(t, &tb, ref)
 	}
 }
 
@@ -130,7 +127,7 @@ func TestTableAgainstMap(t *testing.T) {
 // move the table.
 func TestTableReserve(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 1000, 7168, 7169} {
-		tb := newTable(0)
+		tb := newTable()
 		tb.reserve(n)
 		capacity := len(tb.slots)
 		for k := 0; k < n; k++ {
@@ -161,52 +158,13 @@ func displacements(tb *table) (mean float64, worst uint64) {
 	return float64(total) / float64(max(tb.n, 1)), worst
 }
 
-// TestShardTablesIndexBelowShardBits fills the 16 partition tables of a
-// 16-shard deployment, each with its ShardOf partition of the key shapes of a
-// wavelet master list, and checks every table's probe lengths. All keys of
-// one partition agree on the top four hash bits: a table that indexed with
-// them would use a sixteenth of its slots, which the control at the end shows
-// is not a subtle difference.
-func TestShardTablesIndexBelowShardBits(t *testing.T) {
-	const shards = 16
-	parts := make([]*HashStore, shards)
-	for i := range parts {
-		parts[i] = NewHashStorePartition(0, shards)
-	}
-	add := func(k int) { parts[ShardOf(k, shards)].Add(k, 1) }
-	for k := 0; k < 200_000; k++ {
-		add(k)
-	}
-	for i := 1; i <= 20_000; i++ {
-		add(i << 20)
-	}
-	for i, p := range parts {
-		tb := &p.cells
-		if tb.n < 10_000 {
-			t.Fatalf("partition %d holds %d keys: the partition itself is uneven", i, tb.n)
-		}
-		if mean, worst := displacements(tb); mean > 2 || worst > 64 {
-			t.Fatalf("partition %d (%d keys in %d slots): mean displacement %.2f, worst %d", i, tb.n, len(tb.slots), mean, worst)
-		}
-	}
-
-	control := newTable(0)
-	parts[3].cells.forEach(func(k int, v float64) bool {
-		control.add(k, v)
-		return true
-	})
-	if mean, _ := displacements(&control); mean < 100 {
-		t.Fatalf("control: one partition's keys in a table indexed by the partition's own bits have mean displacement %.2f; the check above cannot tell the two apart", mean)
-	}
-}
-
 // TestTableWalkOrderSpreadsOverHashRange pins why forEach does not walk front
 // to back: a consumer that adds what it is handed to a growing table of the
 // same hash must see every prefix of the walk spread over the whole hash
 // range, or the smaller table overloads at its low end and the copy goes
 // quadratic (a 10⁵-key copy took 0.8 s in slot order against 8 ms).
 func TestTableWalkOrderSpreadsOverHashRange(t *testing.T) {
-	tb := newTable(0)
+	tb := newTable()
 	for k := 0; k < 100_000; k++ {
 		tb.add(k, 1)
 	}
@@ -224,24 +182,18 @@ func TestTableWalkOrderSpreadsOverHashRange(t *testing.T) {
 		}
 	}
 
-	// And the copy it protects, into partition tables that grow from empty.
+	// And the copy it protects, into a table that grows from empty.
 	src := NewHashStore()
 	for k := 0; k < 1<<17; k++ {
 		src.Add(k, 1)
 	}
-	const shards = 4
-	parts := make([]*HashStore, shards)
-	for i := range parts {
-		parts[i] = NewHashStorePartition(0, shards)
-	}
+	dst := NewHashStore()
 	src.ForEachNonzero(func(k int, v float64) bool {
-		parts[ShardOf(k, shards)].Add(k, v)
+		dst.Add(k, v)
 		return true
 	})
-	for i, p := range parts {
-		if mean, _ := displacements(&p.cells); mean > 2 {
-			t.Fatalf("copied partition %d: mean displacement %.2f", i, mean)
-		}
+	if mean, _ := displacements(&dst.cells); mean > 2 {
+		t.Fatalf("copied table: mean displacement %.2f", mean)
 	}
 }
 
@@ -273,55 +225,42 @@ func TestEnumerationIsDeterministic(t *testing.T) {
 }
 
 // TestNonzeroCountAndEnumerationAgree covers the public face of the counters
-// on a table that holds any key and on a partition table given its ShardOf
-// partition, after a mix of inserts and cancellations.
+// after a mix of inserts and cancellations.
 func TestNonzeroCountAndEnumerationAgree(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		s    *HashStore
-		keep func(k int) bool
-	}{
-		{"hash", NewHashStore(), func(int) bool { return true }},
-		{"partition", NewHashStorePartition(0, 16), func(k int) bool { return ShardOf(k, 16) == 3 }},
-	} {
-		name, s := c.name, c.s
-		rng := rand.New(rand.NewSource(21))
-		ref := make(map[int]float64)
-		for i := 0; i < 20_000; i++ {
-			k, d := rng.Intn(4096), float64(rng.Intn(3)-1)
-			if !c.keep(k) {
-				continue
-			}
-			s.Add(k, d)
-			if v := ref[k] + d; v == 0 {
-				delete(ref, k)
-			} else {
-				ref[k] = v
-			}
+	s := NewHashStore()
+	rng := rand.New(rand.NewSource(21))
+	ref := make(map[int]float64)
+	for i := 0; i < 20_000; i++ {
+		k, d := rng.Intn(4096), float64(rng.Intn(3)-1)
+		s.Add(k, d)
+		if v := ref[k] + d; v == 0 {
+			delete(ref, k)
+		} else {
+			ref[k] = v
 		}
-		seen := 0
-		s.ForEachNonzero(func(k int, v float64) bool {
-			if ref[k] != v {
-				t.Fatalf("%s: enumerates (%d, %v), reference %v", name, k, v, ref[k])
-			}
-			seen++
-			return true
-		})
-		if seen != len(ref) || s.NonzeroCount() != len(ref) {
-			t.Fatalf("%s: enumerated %d, NonzeroCount %d, reference %d", name, seen, s.NonzeroCount(), len(ref))
+	}
+	seen := 0
+	s.ForEachNonzero(func(k int, v float64) bool {
+		if ref[k] != v {
+			t.Fatalf("enumerates (%d, %v), reference %v", k, v, ref[k])
 		}
-		keys := make([]int, 4096)
-		for k := range keys {
-			keys[k] = k
-		}
-		dst := make([]float64, len(keys))
-		if err := s.BatchGetCtx(context.Background(), keys, dst); err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range dst {
-			if v != ref[k] {
-				t.Fatalf("%s: key %d reads %v, reference %v", name, k, v, ref[k])
-			}
+		seen++
+		return true
+	})
+	if seen != len(ref) || s.NonzeroCount() != len(ref) {
+		t.Fatalf("enumerated %d, NonzeroCount %d, reference %d", seen, s.NonzeroCount(), len(ref))
+	}
+	keys := make([]int, 4096)
+	for k := range keys {
+		keys[k] = k
+	}
+	dst := make([]float64, len(keys))
+	if err := s.BatchGetCtx(context.Background(), keys, dst); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range dst {
+		if v != ref[k] {
+			t.Fatalf("key %d reads %v, reference %v", k, v, ref[k])
 		}
 	}
 }

@@ -124,7 +124,7 @@ func memoryStore(t *testing.T, want []float64, wantArray bool) subject {
 			count++
 		}
 	}
-	s := storage.NewMemoryStore(len(want), count, 1)
+	s := storage.NewMemoryStore(len(want), count)
 	if _, isArray := s.(*storage.ArrayStore); isArray != wantArray {
 		t.Fatalf("%d coefficients of %d cells are held as %T", count, len(want), s)
 	}
@@ -210,11 +210,11 @@ var subjects = []struct {
 		full := storage.NewHashStoreFromDense(hat, 0)
 		shards := make([]storage.Store, 2)
 		for i := range shards {
-			part, nonzero, mass, err := dist.Partition(full, i, len(shards), len(hat))
+			nonzero, mass, err := dist.ShardMass(full, i, len(shards))
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := dist.NewServer(part, codec.ShardMeta{
+			srv := dist.NewServer(full, codec.ShardMeta{
 				Names: []string{"x", "y", "m"}, Sizes: dims, FilterName: "Db4", TupleCount: tuples,
 				ShardIndex: i, ShardCount: len(shards), Nonzero: nonzero, Mass: mass,
 			}, nil)

@@ -162,6 +162,9 @@ func OpenDatabase(path string) (*Database, error) {
 
 func openLayout(path string, opts layout.Options) (*Database, error) {
 	s, err := layout.Open(path, opts)
+	if err != nil {
+		return nil, err
+	}
 	meta := s.Meta()
 	if meta == nil {
 		_ = s.Close()

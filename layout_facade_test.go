@@ -312,6 +312,22 @@ func TestOpenLayoutRejectsBareFile(t *testing.T) {
 	}
 }
 
+// TestOpenDatabaseRefusesADamagedHeader: a file that starts like a .wvls but
+// whose header does not check is an error from OpenLayout and OpenDatabase
+// (wvqd -db and -shard-listen), not a crash.
+func TestOpenDatabaseRefusesADamagedHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "damaged.wvls")
+	if err := os.WriteFile(path, []byte(layout.Magic+strings.Repeat("garbage ", 16)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string) (*Database, error){"OpenLayout": OpenLayout, "OpenDatabase": OpenDatabase} {
+		if db, err := open(path); err == nil {
+			_ = db.Close()
+			t.Fatalf("%s accepted a damaged header", name)
+		}
+	}
+}
+
 // TestLayoutQuantizedNotIdentical pins that quantization is honest: the
 // flag round-trips and estimates are close but not required to be
 // bit-identical.

@@ -143,53 +143,6 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 	}
 }
 
-// TestStreamedShardMatchesPartition: a shard built from the file stream
-// reports what Partition extracts from the loaded database — the same count
-// and the same mass to the bit — for every index of a 1-, 2- and 4-way split.
-func TestStreamedShardMatchesPartition(t *testing.T) {
-	dense, _ := savedTemperature(t)
-	for _, file := range [][]byte{dense, savedSparseTemperature(t)} {
-		testStreamedShardMatchesPartition(t, file)
-	}
-}
-
-func testStreamedShardMatchesPartition(t *testing.T, file []byte) {
-	db, err := LoadDatabase(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, count := range []int{1, 2, 4} {
-		var nonzero int64
-		for index := 0; index < count; index++ {
-			streamed, err := LoadShardServer(bytes.NewReader(file), index, count, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			extracted, err := db.NewShardServer(index, count, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if streamed.Nonzero() != extracted.Nonzero() || streamed.Mass() != extracted.Mass() {
-				t.Fatalf("shard %d/%d: streamed (%d, %v), Partition (%d, %v)", index, count,
-					streamed.Nonzero(), streamed.Mass(), extracted.Nonzero(), extracted.Mass())
-			}
-			if streamed.FilterName() != db.Filter().Name {
-				t.Fatalf("shard %d/%d: filter %q", index, count, streamed.FilterName())
-			}
-			nonzero += streamed.Nonzero()
-		}
-		if nonzero != int64(db.NonzeroCoefficients()) {
-			t.Fatalf("%d shards hold %d coefficients, the file %d", count, nonzero, db.NonzeroCoefficients())
-		}
-	}
-	if _, err := LoadShardServer(bytes.NewReader(file), 2, 2, nil); err == nil {
-		t.Fatal("shard index 2 of 2 accepted")
-	}
-	if _, err := LoadShardServer(bytes.NewReader(file), 0, 3, nil); err == nil {
-		t.Fatal("shard count 3 accepted")
-	}
-}
-
 // TestLoadPublishesNothingFromABadStream: a dense file's coefficients reach
 // the store block by block, before a later block's checksum can be checked,
 // so the loaders must hand back nothing when any of it — a block, a
@@ -233,9 +186,6 @@ func TestLoadPublishesNothingFromABadStream(t *testing.T) {
 		for name, data := range bad {
 			if db, err := LoadDatabase(bytes.NewReader(data)); err == nil || db != nil {
 				t.Errorf("%s file, %s: LoadDatabase returned (%v, %v)", shape, name, db, err)
-			}
-			if ss, err := LoadShardServer(bytes.NewReader(data), 1, 2, nil); err == nil || ss != nil {
-				t.Errorf("%s file, %s: LoadShardServer returned (%v, %v)", shape, name, ss, err)
 			}
 		}
 	}

@@ -73,7 +73,7 @@ func loadAs(t *testing.T, file []byte, array bool) *Database {
 		if array {
 			cells, count = h.Schema.Cells(), h.Schema.Cells()
 		}
-		store := storage.NewMemoryStore(cells, count, 1)
+		store := storage.NewMemoryStore(cells, count)
 		db = newDatabase(h.Schema, filter, store)
 		db.windows = h.Windows
 		db.tuples.Store(h.TupleCount)
@@ -220,47 +220,52 @@ func serveShards(t *testing.T, servers []*ShardServer) *Database {
 	return ddb
 }
 
-// TestShardRepresentationsAgree: shards streamed from the file and shards
-// partitioned from the loaded database both hold what the rule picks for
-// (cells, their share, shard count) — for the dense file an array both 1-of-1
-// and 1-of-2, for the sparse file a table — and print the same store stack; a
-// drain through either deployment is the single-node drain.
+// TestShardRepresentationsAgree: shards opened from the file serve its
+// mapping, and shards of the loaded database serve the store the rule picks
+// for the whole file — an array for the dense file, a table for the sparse
+// one; a drain through either deployment, 1- or 2-way, is the single-node
+// drain.
 func TestShardRepresentationsAgree(t *testing.T) {
 	for _, fx := range representationFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			file := fx.file(t)
+			path := savedFile(t, fx.name+".wvls", file)
 			db, err := LoadDatabase(bytes.NewReader(file))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := isArrayStore(db.store); got != fx.array {
+				t.Fatalf("fixture drifted: the file loads as array=%v", got)
 			}
 			mass, err := db.CoefficientMass()
 			if err != nil {
 				t.Fatal(err)
 			}
 			plan := representationPlan(t, db)
+			want := "hash"
+			if fx.array {
+				want = "array"
+			}
 			for _, count := range []int{1, 2} {
-				share := (db.NonzeroCoefficients() + count - 1) / count
-				if got := isArrayStore(storage.NewMemoryStore(db.Schema().Cells(), share, count)); got != fx.array {
-					t.Fatalf("fixture drifted: a 1-of-%d share is array=%v", count, got)
-				}
-				streamed, extracted := make([]*ShardServer, count), make([]*ShardServer, count)
-				for i := range streamed {
-					if streamed[i], err = LoadShardServer(bytes.NewReader(file), i, count, nil); err != nil {
+				mapped, loaded := make([]*ShardServer, count), make([]*ShardServer, count)
+				for i := range mapped {
+					odb, err := OpenDatabase(path)
+					if err != nil {
 						t.Fatal(err)
 					}
-					if extracted[i], err = db.NewShardServer(i, count, nil); err != nil {
+					t.Cleanup(func() { _ = odb.Close() })
+					if mapped[i], err = odb.NewShardServer(i, count, nil); err != nil {
 						t.Fatal(err)
 					}
-					want := "hash"
-					if fx.array {
-						want = "array"
+					if loaded[i], err = db.NewShardServer(i, count, nil); err != nil {
+						t.Fatal(err)
 					}
-					if a, b := streamed[i].StoreStack(), extracted[i].StoreStack(); a != want || b != want {
-						t.Fatalf("shard %d of %d: streamed serves %q, extracted %q, the rule picks %q", i, count, a, b, want)
+					if a, b := mapped[i].StoreStack(), loaded[i].StoreStack(); a != "layout" || b != want {
+						t.Fatalf("shard %d of %d: the mapped file's serves %q, the loaded database's %q (want layout, %s)", i, count, a, b, want)
 					}
 				}
-				sameDrain(t, "streamed shards vs single node", db, serveShards(t, streamed), plan, mass)
-				sameDrain(t, "extracted shards vs single node", db, serveShards(t, extracted), plan, mass)
+				sameDrain(t, "shards of the mapped file vs single node", db, serveShards(t, mapped), plan, mass)
+				sameDrain(t, "shards of the loaded database vs single node", db, serveShards(t, loaded), plan, mass)
 			}
 		})
 	}
@@ -297,7 +302,7 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got := isArrayStore(storage.NewMemoryStore(db.Schema().Cells(), db.NonzeroCoefficients(), 1)); got != fx.array {
+				if got := isArrayStore(storage.NewMemoryStore(db.Schema().Cells(), db.NonzeroCoefficients())); got != fx.array {
 					t.Fatalf("fixture drifted: after the applies the fold's target is array=%v", got)
 				}
 				var err error
@@ -397,33 +402,22 @@ func TestLoadDatabaseAllocatesItsStoreOnce(t *testing.T) {
 	}
 }
 
-// TestLoadShardServerAllocatesItsStoreOnce: a 1-of-2 shard streamed from
-// either file allocates its half's store — an array of the whole domain for
-// the dense file, a table of ⌈count/2⌉ for the sparse one — and little else.
-func TestLoadShardServerAllocatesItsStoreOnce(t *testing.T) {
-	for _, fx := range representationFixtures {
-		file := fx.file(t)
-		cells, count := fileSizes(t, file)
-		allocatesItsStoreOnce(t, fx.name+": LoadShardServer", cells, (count+1)/2, fx.array, func() (string, error) {
-			ss, err := LoadShardServer(bytes.NewReader(file), 0, 2, nil)
-			if err != nil {
-				return "", err
-			}
-			return ss.StoreStack(), nil
-		})
-	}
-}
-
-// TestShardServerSurvivesConcurrentConnections: a shard built from a file
-// serves its store bare, with no lock — the store counts retrievals
-// atomically — while four connections drain it at once. Run with -race.
+// TestShardServerSurvivesConcurrentConnections: a shard opened from a file
+// serves its mapping bare, with no lock — the layout counts retrievals
+// atomically and checks each block once — while four connections drain it at
+// once. Run with -race.
 func TestShardServerSurvivesConcurrentConnections(t *testing.T) {
 	file, _ := savedTemperature(t)
 	db, err := LoadDatabase(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := LoadShardServer(bytes.NewReader(file), 0, 1, nil)
+	mapped, err := OpenDatabase(savedFile(t, "db.wvls", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = mapped.Close() })
+	ss, err := mapped.NewShardServer(0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

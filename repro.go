@@ -309,7 +309,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		if err != nil {
 			return nil, fmt.Errorf("repro: stored database uses %w", err)
 		}
-		store = storage.NewMemoryStore(h.Schema.Cells(), h.Count, 1)
+		store = storage.NewMemoryStore(h.Schema.Cells(), h.Count)
 		db = newDatabase(h.Schema, filter, store)
 		db.windows = h.Windows
 		db.tuples.Store(h.TupleCount)

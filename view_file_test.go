@@ -157,10 +157,10 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 				sameBits(t, name, drain(t, v, plan, got), want)
 			}
 
-			// Two shards streamed from the file, behind a coordinator: the
+			// Two shards of the mapped file, behind a coordinator: the
 			// estimates are the database's; the mass is the sum of the
 			// shards' ascending sums, so it is compared with the
-			// coordinator over shards cut from the live database, and the
+			// coordinator over shards of the loaded database, and the
 			// bounds under it.
 			coordinator := func(shard func(i int) (*ShardServer, error)) *Database {
 				addrs := make([]string, 2)
@@ -184,23 +184,21 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 				t.Cleanup(func() { _ = ddb.Close() })
 				return ddb
 			}
-			streamed := coordinator(func(i int) (*ShardServer, error) {
-				return LoadShardServer(bytes.NewReader(file.Bytes()), i, 2, nil)
-			})
-			cut := coordinator(func(i int) (*ShardServer, error) { return loaded.NewShardServer(i, 2, nil) })
-			streamedMass, err := streamed.CoefficientMass()
+			opened := coordinator(func(i int) (*ShardServer, error) { return mapped.NewShardServer(i, 2, nil) })
+			held := coordinator(func(i int) (*ShardServer, error) { return loaded.NewShardServer(i, 2, nil) })
+			openedMass, err := opened.CoefficientMass()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cutMass, _ := cut.CoefficientMass(); math.Float64bits(streamedMass) != math.Float64bits(cutMass) ||
-				math.Abs(streamedMass-mass) > 1e-12*mass {
-				t.Fatalf("coordinator mass %v; over shards cut from the database %v; the file %v", streamedMass, cutMass, mass)
+			if heldMass, _ := held.CoefficientMass(); math.Float64bits(openedMass) != math.Float64bits(heldMass) ||
+				math.Abs(openedMass-mass) > 1e-12*mass {
+				t.Fatalf("coordinator mass %v; over shards of the loaded database %v; the file %v", openedMass, heldMass, mass)
 			}
-			dplan, err := streamed.Plan(batch)
+			dplan, err := opened.Plan(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "coordinator", drain(t, streamed, dplan, mass), want)
+			sameBits(t, "coordinator", drain(t, opened, dplan, mass), want)
 		})
 	}
 }
