@@ -540,3 +540,56 @@ func TestServerClosesSilentPeers(t *testing.T) {
 		t.Fatalf("request on the pooled connection after the handshake deadline: %g, %v; want %g", v, err, want)
 	}
 }
+
+// handshaken dials addr and completes the wire handshake by hand.
+func handshaken(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := codec.WriteHandshake(conn, codec.MaxWireVersion); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codec.ReadHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestServerDropsPeersStalledMidFrame: a handshaken peer that sends two of a
+// frame's four length bytes and stalls is hung up on once frameTimeout
+// passes, while a handshaken connection idle for longer than that still
+// serves its next request — the wait for a frame's first byte has no
+// deadline.
+func TestServerDropsPeersStalledMidFrame(t *testing.T) {
+	addr, _ := startShard(t, testStore(500, 7), codec.ShardMeta{
+		Names: []string{"x"}, Sizes: []int{1 << 20}, FilterName: "Haar", ShardCount: 1,
+	})
+	idle, stalled := handshaken(t, addr), handshaken(t, addr)
+	start := time.Now()
+	if _, err := stalled.Write([]byte{16, 0}); err != nil {
+		t.Fatal(err)
+	}
+	_ = stalled.SetReadDeadline(start.Add(frameTimeout + 5*time.Second))
+	if n, err := stalled.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("stalled peer read %d bytes, %v; want the server to close (EOF)", n, err)
+	}
+	if waited := time.Since(start); waited < frameTimeout/2 || waited > frameTimeout+time.Second {
+		t.Fatalf("stalled peer closed after %v, want ≈ %v", waited, frameTimeout)
+	}
+
+	time.Sleep(100 * time.Millisecond)
+	if err := codec.WriteMetaReqV(idle, codec.MaxWireVersion, 7, ""); err != nil {
+		t.Fatal(err)
+	}
+	_ = idle.SetReadDeadline(time.Now().Add(5 * time.Second))
+	frame, err := codec.ReadFrameVersion(idle, codec.MaxWireVersion)
+	if err != nil {
+		t.Fatalf("request on a connection idle for %v: %v", time.Since(start), err)
+	}
+	if m, err := frame.Meta(); err != nil || frame.ID != 7 || m.FilterName != "Haar" {
+		t.Fatalf("idle connection answered frame %d: %+v, %v", frame.ID, m, err)
+	}
+}

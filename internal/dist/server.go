@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"io"
 	"log/slog"
 	"net"
 	"strconv"
@@ -49,6 +50,14 @@ type Server struct {
 // client's DialTimeout: a peer that connects and sends nothing would
 // otherwise hold a goroutine and its 128 KiB of buffers until Close.
 const handshakeTimeout = 2 * time.Second
+
+// frameTimeout bounds the rest of a request frame once its first byte has
+// arrived, and the write of each response. A frame is at most a few hundred
+// kilobytes already on its way; a peer that stalls mid-frame, or stops
+// reading its answers, is dropped instead of holding the connection's
+// goroutine and buffers until Close. The wait for a frame's first byte has
+// no deadline, so an idle pooled connection stays open.
+const frameTimeout = 2 * time.Second
 
 // NewServer wraps store with the shard's self-description. logger may be nil
 // for silence (tests); pass a structured logger in daemons.
@@ -136,7 +145,8 @@ func (s *Server) drop(conn net.Conn) {
 }
 
 // handle runs one connection: handshake, then a serial request loop until
-// the peer hangs up, a protocol violation occurs, or the server closes.
+// the peer hangs up, a protocol violation occurs, a frame or a response
+// overruns frameTimeout, or the server closes.
 func (s *Server) handle(conn net.Conn) {
 	defer s.drop(conn)
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -154,10 +164,15 @@ func (s *Server) handle(conn net.Conn) {
 	if err := codec.WriteHandshake(bw, codec.NegotiateVersion(clientV)); err != nil || bw.Flush() != nil {
 		return
 	}
-	// Requests have no deadline: an idle pooled connection stays open.
-	_ = conn.SetDeadline(time.Time{})
 	for {
-		frame, err := codec.ReadFrameVersion(br, codec.MaxWireVersion)
+		// Idle between requests: no deadline until a frame starts.
+		_ = conn.SetDeadline(time.Time{})
+		_, err := br.Peek(1)
+		var frame *codec.WireFrame
+		if err == nil {
+			_ = conn.SetReadDeadline(time.Now().Add(frameTimeout))
+			frame, err = codec.ReadFrameVersion(br, codec.MaxWireVersion)
+		}
 		if err != nil {
 			// EOF and reset are the peer leaving; anything else is noise worth
 			// a log line. Either way the connection is done.
@@ -167,7 +182,9 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.requests.Add(1)
-		if err := s.serveFrame(bw, frame); err != nil {
+		respond := s.serveFrame(frame)
+		_ = conn.SetWriteDeadline(time.Now().Add(frameTimeout))
+		if err := respond(bw); err != nil {
 			s.errors.Add(1)
 			s.logWarn("writing response failed", "remote", conn.RemoteAddr().String(), "error", err)
 			return
@@ -178,11 +195,13 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// serveFrame answers one request frame on bw (unflushed). The response
-// echoes the serve time, and a request carrying a trace records a span
-// into the server's sink under the coordinator's request ID — the
-// cross-process joint the diagnostics layer pivots on.
-func (s *Server) serveFrame(bw *bufio.Writer, frame *codec.WireFrame) error {
+// serveFrame answers one request frame: it does the retrieval and returns
+// the write of the response (unflushed), which the caller puts under the
+// write deadline. The response echoes the serve time, and a request
+// carrying a trace records a span into the server's sink under the
+// coordinator's request ID — the cross-process joint the diagnostics layer
+// pivots on.
+func (s *Server) serveFrame(frame *codec.WireFrame) func(w io.Writer) error {
 	const ver = codec.MaxWireVersion
 	start := time.Now()
 	ctx := s.ctx
@@ -191,11 +210,14 @@ func (s *Server) serveFrame(bw *bufio.Writer, frame *codec.WireFrame) error {
 		ctx = obs.WithTrace(ctx, frame.Trace, s.spans)
 	}
 	elapsed := func() uint64 { return uint64(time.Since(start).Nanoseconds()) }
+	fail := func(msg string) func(io.Writer) error {
+		return func(w io.Writer) error { return codec.WriteErrorFrameV(w, ver, frame.ID, elapsed(), msg) }
+	}
 	switch frame.Type {
 	case codec.FrameBatchGetReq:
 		keys, err := frame.BatchGetReq()
 		if err != nil {
-			return codec.WriteErrorFrameV(bw, ver, frame.ID, elapsed(), "malformed batch: "+err.Error())
+			return fail("malformed batch: " + err.Error())
 		}
 		sctx, span := obs.StartSpan(ctx, "dist.shard.batchget")
 		span.SetAttr("keys", strconv.Itoa(len(keys)))
@@ -204,26 +226,26 @@ func (s *Server) serveFrame(bw *bufio.Writer, frame *codec.WireFrame) error {
 		span.SetError(err)
 		span.End()
 		var be *storage.BatchError
+		var failed []codec.WireError
 		switch {
 		case err == nil:
-			return codec.WriteBatchGetRespV(bw, ver, frame.ID, elapsed(), vals, nil)
 		case errors.As(err, &be):
-			failed := make([]codec.WireError, len(be.Failed))
+			failed = make([]codec.WireError, len(be.Failed))
 			for i, ke := range be.Failed {
 				failed[i] = codec.WireError{Index: ke.Index, Msg: ke.Err.Error()}
 			}
-			return codec.WriteBatchGetRespV(bw, ver, frame.ID, elapsed(), vals, failed)
 		default:
 			// Whole-batch failure (cancellation, store outage): no position may
 			// be trusted, so the whole request fails.
-			return codec.WriteErrorFrameV(bw, ver, frame.ID, elapsed(), err.Error())
+			return fail(err.Error())
 		}
+		return func(w io.Writer) error { return codec.WriteBatchGetRespV(w, ver, frame.ID, elapsed(), vals, failed) }
 	case codec.FrameMetaReq:
 		_, span := obs.StartSpan(ctx, "dist.shard.meta")
 		span.End()
-		return codec.WriteMetaRespV(bw, ver, frame.ID, elapsed(), &s.meta)
+		return func(w io.Writer) error { return codec.WriteMetaRespV(w, ver, frame.ID, elapsed(), &s.meta) }
 	default:
-		return codec.WriteErrorFrameV(bw, ver, frame.ID, elapsed(), "unknown frame type")
+		return fail("unknown frame type")
 	}
 }
 
