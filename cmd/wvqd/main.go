@@ -112,8 +112,8 @@ func parseFlags(args []string) (*options, error) {
 	case o.server.SlowQuery < 0:
 		return nil, errors.New("-slow-query must be non-negative")
 	// A shard server answers retrieval frames, not queries: there is nothing
-	// to profile at that granularity there, and it serves its partition
-	// through a stack with no retry or chaos layer.
+	// to profile at that granularity there, and it serves its view through
+	// a stack with no retry or chaos layer.
 	case o.shardListen != "" && o.server.SlowQuery != 0:
 		return nil, errors.New("-slow-query only applies to query-serving modes, not -shard-listen")
 	case o.shardListen != "" && len(robustSet) > 0:

@@ -251,12 +251,12 @@ func WriteMetaReqV(w io.Writer, version uint16, id uint64, trace string) error {
 	return f.flush(w)
 }
 
-// ShardMeta is a shard server's self-description: the view it partitions
+// ShardMeta is a shard server's self-description: the view it serves
 // (schema, filter, tuple count, quantization windows), its place in the
-// partition (index of count), and the local aggregates a coordinator sums to
-// reconstruct the global view (nonzero coefficients, coefficient mass — the
-// Theorem 1 constant K restricted to this shard's keys, accumulated in
-// ascending key order so it is deterministic).
+// deployment (index of count), and the aggregates over the keys it owns that
+// a coordinator sums to reconstruct the global view (nonzero coefficients,
+// coefficient mass — the Theorem 1 constant K restricted to this shard's
+// keys, accumulated in ascending key order so it is deterministic).
 type ShardMeta struct {
 	Names      []string
 	Sizes      []int

@@ -19,7 +19,7 @@ import (
 
 const distStatements = "COUNT() WHERE x <= 40; SUM(y) WHERE x <= 63; COUNT() WHERE y BETWEEN 10 AND 50"
 
-// distHandler partitions a database onto four loopback shard servers and
+// distHandler serves a database from four loopback shard servers and
 // wraps the assembled distributed view in the HTTP handler.
 func distHandler(t *testing.T) (*Handler, []float64, []*repro.ShardServer) {
 	t.Helper()
