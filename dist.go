@@ -33,7 +33,7 @@ type ShardHealth = dist.ShardHealth
 func ValidShardCount(n int) error { return dist.ValidShardCount(n) }
 
 // ShardServer serves one shard of a database over TCP: the database's own
-// view, of which storage.ShardOf assigns the shard its keys. Build one per
+// view, answering for the keys storage.ShardOf assigns the shard. Build one per
 // shard index with Database.NewShardServer, then Serve on a listener; the
 // coordinator side is OpenDistributed.
 type ShardServer struct {
@@ -49,7 +49,9 @@ type ShardServer struct {
 // coordinator routes every key to its owner, so a shard is never asked for
 // another's key; asked anyway, it answers with the view's value. Nonzero and
 // Mass describe the owned keys, the mass summed in ascending key order, so
-// the coordinator's Theorem-1 mass depends on the data alone.
+// the coordinator's Theorem-1 mass depends on the data alone. Working them
+// out walks the whole view, which checks every block of a mapped file: a
+// damaged file is an error here.
 //
 // The database must stay open, and without plain writes, while the server
 // serves it. count must be a positive power of two and every shard of a
@@ -61,7 +63,7 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 	if !ok {
 		return nil, fmt.Errorf("repro: store %T cannot enumerate; cannot serve it as a shard", st)
 	}
-	nonzero, mass, err := dist.ShardMass(st.(storage.Enumerable), index, count)
+	nonzero, mass, err := shardMass(st.(storage.Enumerable), index, count)
 	if err != nil {
 		return nil, err
 	}
@@ -79,6 +81,19 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 	// Served bare: every connection of a dist.Server retrieves from its own
 	// goroutine, and every view enumStore returns takes concurrent readers.
 	return &ShardServer{srv: dist.NewServer(st, meta, logger), meta: meta, stack: storage.Describe(st)}, nil
+}
+
+// shardMass is dist.ShardMass with a view that cannot be walked reported as
+// an error: a mapped file's block or key index that fails its checksum
+// panics in ForEachNonzero, and a damaged file must fail a shard's start the
+// way it fails a load, not crash the process.
+func shardMass(src storage.Enumerable, index, count int) (nonzero int64, mass float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("repro: walking the view for shard %d of %d: %v", index, count, r)
+		}
+	}()
+	return dist.ShardMass(src, index, count)
 }
 
 // StoreStack prints the store stack the shard serves from, base first.
