@@ -40,8 +40,8 @@ type ShardHealth struct {
 }
 
 // CoordinatorStore fans every retrieval out across N shard stores: each key
-// is routed with storage.ShardOf — the rule Partition cuts every shard's
-// slice by — the per-shard sub-batches run concurrently, and the answers land
+// is routed with storage.ShardOf to the shard that owns it (ShardMass counts
+// the same keys), the per-shard sub-batches run concurrently, and the answers land
 // back in the caller's positions. A shard failing (whole sub-batch or
 // individual keys) degrades rather than fails the batch: its keys come back
 // as per-key entries of a *storage.BatchError, which the engine's skip

@@ -240,12 +240,23 @@ func (p *QueryProfile) costsLocked() *profileCosts {
 	return p.costs
 }
 
-// SetPlan records how the plan was obtained and what the setup cost.
+// SetPlan records how the plan was obtained and what the setup cost. The
+// build and the setup ran up to now, mostly before the recorder started, so
+// its clock moves back to where the build began: the wall time then covers
+// every component the profile reports (rows recorded so far keep their
+// place on the trajectory).
 func (p *QueryProfile) SetPlan(source string, build, setup time.Duration, queries, terms int) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
+	if begin := time.Now().Add(-(build + setup)); begin.Before(p.start) {
+		d := p.start.Sub(begin)
+		p.start = begin
+		for i := range p.rows {
+			p.rows[i].elapsed += d
+		}
+	}
 	c := p.costsLocked()
 	c.plan.Source = source
 	c.plan.BuildNanos = build.Nanoseconds()

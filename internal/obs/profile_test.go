@@ -81,6 +81,28 @@ func TestRunTraceFinishFirstWins(t *testing.T) {
 	}
 }
 
+// TestSetPlanMovesTheClockBack: the plan is built and the run set up before
+// the recorder starts, so SetPlan moves its clock back by both: the wall
+// covers every component the profile reports, and the origin row, recorded
+// during the setup, now sits after the build.
+func TestSetPlanMovesTheClockBack(t *testing.T) {
+	o := NewObserver()
+	p := o.StartRun("req-3", "")
+	p.Begin(0, 1, 0)
+	const build, setup = 5 * time.Millisecond, time.Millisecond
+	p.SetPlan("built", build, setup, 1, 1)
+	p.RecordStep(1, 0, 0, 0.5, true)
+	p.Finish()
+	snap := p.Snapshot()
+	if components := snap.Plan.BuildNanos + snap.Plan.SetupNanos + snap.StepNanos; snap.WallNanos < components {
+		t.Fatalf("wall %dns is shorter than its components %dns", snap.WallNanos, components)
+	}
+	runs, _ := o.Runs()
+	if points := runs[0].Points; len(points) != 2 || points[0].Elapsed < build || points[1].Elapsed < points[0].Elapsed {
+		t.Fatalf("trajectory %+v: the origin must sit after the build", points)
+	}
+}
+
 func TestRunsIncludeLiveRecorders(t *testing.T) {
 	o := NewObserver()
 	for i := 0; i < DefaultProfileCapacity+2; i++ {
