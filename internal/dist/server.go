@@ -52,11 +52,12 @@ type Server struct {
 const handshakeTimeout = 2 * time.Second
 
 // frameTimeout bounds the rest of a request frame once its first byte has
-// arrived, and the write of each response. A frame is at most a few hundred
-// kilobytes already on its way; a peer that stalls mid-frame, or stops
-// reading its answers, is dropped instead of holding the connection's
-// goroutine and buffers until Close. The wait for a frame's first byte has
-// no deadline, so an idle pooled connection stays open.
+// arrived, and the write of each response: the bytes of one batch (kilobytes
+// for a scheduler slice, megabytes for a large exact pass) are already in
+// flight, and the client gives the whole round trip 5 s by default. A peer
+// that stalls mid-frame, or stops reading its answers, is dropped instead of
+// holding the connection's goroutine and buffers until Close. The wait for a
+// frame's first byte has no deadline, so an idle pooled connection stays open.
 const frameTimeout = 2 * time.Second
 
 // NewServer wraps store with the shard's self-description. logger may be nil
