@@ -402,6 +402,35 @@ func TestLoadDatabaseAllocatesItsStoreOnce(t *testing.T) {
 	}
 }
 
+// TestLoadShardServerAllocatesItsStoreOnce: a 1-of-2 shard of a mapped
+// dense file has one store, the mapping, and copies nothing of it: opening
+// the shard and working out its mass leaves under 1 % of the file on the Go
+// heap.
+func TestLoadShardServerAllocatesItsStoreOnce(t *testing.T) {
+	file, _ := savedTemperature(t)
+	db, err := OpenDatabase(savedFile(t, "dense.wvls", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = db.Close() }()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ss, err := db.NewShardServer(0, 2, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only where the file is mapped and a walk's scratch stays on the stack:
+	// on unix outside -race builds, as for storesOffHeap.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(file))/100; storesOffHeap && got >= limit {
+		t.Fatalf("a mapped dense shard allocated %d bytes of Go heap; its file is %d bytes (limit %d)", got, len(file), limit)
+	}
+	if ss.StoreStack() != "layout" {
+		t.Fatalf("a mapped dense shard serves %q", ss.StoreStack())
+	}
+}
+
 // TestShardServerSurvivesConcurrentConnections: a shard opened from a file
 // serves its mapping bare, with no lock — the layout counts retrievals
 // atomically and checks each block once — while four connections drain it at

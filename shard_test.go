@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -25,15 +24,13 @@ func savedFile(t testing.TB, name string, file []byte) string {
 	return path
 }
 
-// TestShardServesItsOwnedKeys: shards of a mapped dense file, a mapped
+// TestStreamedShardMatchesPartition: shards of a mapped dense file, a mapped
 // sparse file and an MVCC view after writes — 1-, 2- and 4-way, each opened
-// the way `wvqd -shard-listen` opens it — serve every key they own, over the
-// wire, with the bits LoadDatabase reads from the file, and report as
-// Nonzero and Mass the count and the ascending-key sum over those keys that
-// this test works out on its own. A mapped dense shard copies nothing:
-// opening it and working out its mass leaves under 1 % of its file on the Go
-// heap.
-func TestShardServesItsOwnedKeys(t *testing.T) {
+// the way `wvqd -shard-listen` opens it — stream every key of their ShardOf
+// partition over the wire with the bits LoadDatabase reads from the file,
+// and report as Nonzero and Mass the count and the ascending-key sum over
+// those keys that this test works out on its own.
+func TestStreamedShardMatchesPartition(t *testing.T) {
 	dense, _ := savedTemperature(t)
 	sparse := savedSparseTemperature(t)
 	densePath, sparsePath := savedFile(t, "dense.wvls", dense), savedFile(t, "sparse.wvls", sparse)
@@ -129,27 +126,6 @@ func TestShardServesItsOwnedKeys(t *testing.T) {
 		})
 	}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	db, err := OpenDatabase(densePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = db.Close() }()
-	ss, err := db.NewShardServer(0, 2, nil)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only where the file is mapped and a walk's scratch stays on the stack:
-	// on unix outside -race builds, as for storesOffHeap.
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(dense))/100; storesOffHeap && got >= limit {
-		t.Fatalf("a mapped dense shard allocated %d bytes of Go heap; its file is %d bytes (limit %d)", got, len(dense), limit)
-	}
-	if ss.StoreStack() != "layout" {
-		t.Fatalf("a mapped dense shard serves %q", ss.StoreStack())
-	}
 }
 
 // servedValues serves ss on a loopback listener and asks it, through the
