@@ -16,19 +16,57 @@ import (
 //
 // The unretrieved set of a run is everything at or after its cursor plus the
 // entries it skipped. The first part is a pure function of the schedule, so
-// its maxima are precomputed there (Schedule.qmax, built and cached with the
-// schedule) and a run keeps no bound state of its own; the second part is
-// the run's few skipped entries, folded in per call.
+// its maxima are precomputed there at block granularity (Schedule.blockMax,
+// built and cached with the schedule) and a run keeps no bound state of its
+// own; the entries between the cursor and the next block boundary and the
+// run's few skipped entries are folded in per call. Every term is a max over
+// |coefficients|, and the builtin max is exact and propagates NaN in any
+// order, so a bound has the same bits however the set is split.
 
 // pendingMax returns max |q̂ᵢ[ξ]| over the entries scheduled at or after
-// cursor: the suffix maximum at query i's first schedule position ≥ cursor.
-func (s *Schedule) pendingMax(i, cursor int) float64 {
-	lo, hi := s.qoff[i], s.qoff[i+1]
-	k, _ := slices.BinarySearch(s.qpos[lo:hi], int32(cursor))
-	if int(lo)+k == int(hi) {
-		return 0
+// cursor.
+func (s *Schedule) pendingMax(p *Plan, i, cursor int) float64 {
+	b, end := s.nextBoundary(cursor)
+	m := s.blockMax[b*p.NumQueries()+i]
+	for _, e := range s.order[cursor:end] {
+		m = max(m, p.absCoeff(e, i))
 	}
-	return s.qmax[int(lo)+k]
+	return m
+}
+
+// pendingMaxes sets out[i] to pendingMax(p, i, cursor) for every query.
+func (s *Schedule) pendingMaxes(p *Plan, cursor int, out []float64) {
+	b, end := s.nextBoundary(cursor)
+	copy(out, s.blockMax[b*len(out):])
+	for _, e := range s.order[cursor:end] {
+		p.foldAbs(e, out)
+	}
+}
+
+// nextBoundary returns the first block boundary at or after cursor: its
+// block index, and its step capped at the schedule's end.
+func (s *Schedule) nextBoundary(cursor int) (b, step int) {
+	b = (cursor + 1<<s.blockShift - 1) >> s.blockShift
+	return b, min(b<<s.blockShift, len(s.order))
+}
+
+// absCoeff returns |q̂ᵢ| at master-list entry e, or 0 if the entry has no
+// coefficient of query i.
+func (p *Plan) absCoeff(e int32, i int) float64 {
+	idxs, cs := p.entryRefs(int(e))
+	if k, ok := slices.BinarySearch(idxs, int32(i)); ok {
+		return math.Abs(cs[k])
+	}
+	return 0
+}
+
+// foldAbs folds the |coefficients| of master-list entry e into out, indexed
+// by query.
+func (p *Plan) foldAbs(e int32, out []float64) {
+	idxs, cs := p.entryRefs(int(e))
+	for k, qi := range idxs {
+		out[qi] = max(out[qi], math.Abs(cs[k]))
+	}
 }
 
 // QueryErrorBound returns the worst-case bound K·max_{ξ∉Ξ}|q̂_i[ξ]| on the
@@ -36,12 +74,9 @@ func (s *Schedule) pendingMax(i, cursor int) float64 {
 // K = Σ|Δ̂[ξ]| equal to coefficientMass. It returns 0 once every coefficient
 // of the query has been retrieved (the estimate is exact).
 func (r *Run) QueryErrorBound(i int, coefficientMass float64) float64 {
-	m := r.sched.pendingMax(i, r.cursor)
+	m := r.sched.pendingMax(r.plan, i, r.cursor)
 	for _, sp := range r.skipped {
-		idxs, cs := r.plan.entryRefs(int(r.sched.order[sp]))
-		if k, ok := slices.BinarySearch(idxs, int32(i)); ok {
-			m = max(m, math.Abs(cs[k]))
-		}
+		m = max(m, r.plan.absCoeff(r.sched.order[sp], i))
 	}
 	if m == 0 {
 		return 0
@@ -52,15 +87,10 @@ func (r *Run) QueryErrorBound(i int, coefficientMass float64) float64 {
 // QueryErrorBounds returns the bound for every query in the batch.
 func (r *Run) QueryErrorBounds(coefficientMass float64) []float64 {
 	out := make([]float64, r.plan.NumQueries())
-	for i := range out {
-		out[i] = r.sched.pendingMax(i, r.cursor)
-	}
+	r.sched.pendingMaxes(r.plan, r.cursor, out)
 	// One pass over the skipped entries serves every query they touch.
 	for _, sp := range r.skipped {
-		idxs, cs := r.plan.entryRefs(int(r.sched.order[sp]))
-		for k, qi := range idxs {
-			out[qi] = max(out[qi], math.Abs(cs[k]))
-		}
+		r.plan.foldAbs(r.sched.order[sp], out)
 	}
 	for i, m := range out {
 		if m != 0 {

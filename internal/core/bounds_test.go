@@ -3,11 +3,26 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/penalty"
 	"repro/internal/sparse"
 )
+
+// stepRetrieved reports whether the entry at schedule step j has been
+// retrieved: j lies before the cursor and was not skipped by a failed
+// retrieval.
+func (r *Run) stepRetrieved(j int) bool {
+	_, skipped := slices.BinarySearch(r.skipped, j)
+	return j < r.cursor && !skipped
+}
+
+// entryRetrieved reports whether master-list entry i has been retrieved,
+// finding its step by a scan of the schedule.
+func (r *Run) entryRetrieved(i int32) bool {
+	return r.stepRetrieved(slices.Index(r.sched.order, i))
+}
 
 func TestQueryErrorBoundHoldsAndShrinks(t *testing.T) {
 	fx := newFixture(t, 10)

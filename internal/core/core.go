@@ -243,15 +243,6 @@ func NewRun(plan *Plan, pen penalty.Penalty, store storage.Store) *Run {
 	}
 }
 
-// entryRetrieved reports whether master-list entry i has been retrieved:
-// its schedule position lies before the cursor and it was not skipped by a
-// failed retrieval.
-func (r *Run) entryRetrieved(i int32) bool {
-	sp := int(r.sched.pos[i])
-	_, skipped := slices.BinarySearch(r.skipped, sp)
-	return sp < r.cursor && !skipped
-}
-
 // Done reports whether the cursor has drained the schedule. A done run's
 // estimates are exact only when it is not Degraded — a degraded run skipped
 // entries whose residual error WorstCaseBound still bounds.

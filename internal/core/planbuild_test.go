@@ -312,11 +312,11 @@ func failingKeys(inner storage.Store, fail map[int]bool) storage.Store {
 // bruteForceBound is the definition: K · max |q̂ᵢ[ξ]| over unretrieved ξ.
 func bruteForceBound(r *Run, qi int, mass float64) float64 {
 	var m float64
-	for i := range r.plan.keys {
-		if r.entryRetrieved(int32(i)) {
+	for j, e := range r.sched.order {
+		if r.stepRetrieved(j) {
 			continue
 		}
-		idxs, cs := r.plan.entryRefs(i)
+		idxs, cs := r.plan.entryRefs(int(e))
 		for k, q := range idxs {
 			if int(q) == qi {
 				m = math.Max(m, math.Abs(cs[k]))
@@ -330,70 +330,92 @@ func bruteForceBound(r *Run, qi int, mass float64) float64 {
 }
 
 // TestQueryErrorBoundMatchesDefinitionAtEveryCursor drains through a store
-// that fails early, late and adjacent schedule positions, and at every
+// that fails early, late and adjacent schedule positions, and the position
+// just before the first block boundary of the bound index, and at every
 // cursor — and again after the skipped entries are recovered — compares the
 // indexed bound with the brute-force definition, and a template-bound plan's
-// bounds with a freshly built one's.
+// bounds with a freshly built one's. The cases cover a block of 64 and of
+// 128 (more than 64 queries), a plan shorter than one block, and a plan
+// whose last block is partial.
 func TestQueryErrorBoundMatchesDefinitionAtEveryCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(1603))
-	v1, v2 := shapePair(rng, 7, 23, 300)
-	tmpl, err := NewPlan(v1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := tmpl.Bind(v2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewPlan(v2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const mass = 3.25
-	for _, pen := range invariantPenalties(t, 7) {
-		order := fresh.ScheduleFor(pen).KeyOrder()
-		n := len(order)
-		fail := map[int]bool{}
-		for _, sp := range []int{0, 1, 2, n / 2, n/2 + 1, n - 2, n - 1} {
-			fail[order[sp]] = true
+	for _, tc := range []struct {
+		name                       string
+		queries, keysPer, keySpace int
+		blockShift                 int
+		shorter                    bool // fewer entries than one block
+		partial                    bool // a full block, then a partial one
+	}{
+		{"7 queries", 7, 23, 300, 6, false, false},
+		{"70 queries", 70, 4, 400, 7, false, false},
+		{"shorter than a block", 3, 8, 40, 6, true, false},
+		{"partial last block", 5, 20, 200, 6, false, true},
+	} {
+		v1, v2 := shapePair(rng, tc.queries, tc.keysPer, tc.keySpace)
+		tmpl, err := NewPlan(v1, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		base := templateStore(rng, 300)
-		rf := NewRun(fresh, pen, failingKeys(base, fail))
-		rb := NewRun(bound, pen, failingKeys(base, fail))
-		check := func() {
-			t.Helper()
-			all, allBound := rf.QueryErrorBounds(mass), rb.QueryErrorBounds(mass)
-			for qi := range all {
-				want := bruteForceBound(rf, qi, mass)
-				if got := rf.QueryErrorBound(qi, mass); got != want {
-					t.Fatalf("%s cursor %d query %d: bound %v, definition %v", pen.Fingerprint(), rf.Retrieved(), qi, got, want)
-				}
-				if all[qi] != want || allBound[qi] != want {
-					t.Fatalf("%s cursor %d query %d: QueryErrorBounds %v / template-bound %v, definition %v",
-						pen.Fingerprint(), rf.Retrieved(), qi, all[qi], allBound[qi], want)
+		bound, err := tmpl.Bind(v2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewPlan(v2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const mass = 3.25
+		for _, pen := range invariantPenalties(t, tc.queries) {
+			sched := fresh.ScheduleFor(pen)
+			order := sched.KeyOrder()
+			n, blk := len(order), 1<<sched.blockShift
+			if sched.blockShift != tc.blockShift || tc.shorter && n >= blk || tc.partial && (n < blk || n%blk == 0) {
+				t.Fatalf("%s: %d entries in blocks of %d", tc.name, n, blk)
+			}
+			fail := map[int]bool{}
+			for _, sp := range []int{0, 1, 2, n / 2, n/2 + 1, n - 2, n - 1, blk - 1} {
+				if sp < n {
+					fail[order[sp]] = true
 				}
 			}
-		}
-		check()
-		for !rf.Done() {
-			stepOne(rf)
-			stepOne(rb)
+			base := templateStore(rng, tc.keySpace)
+			rf := NewRun(fresh, pen, failingKeys(base, fail))
+			rb := NewRun(bound, pen, failingKeys(base, fail))
+			check := func() {
+				t.Helper()
+				all, allBound := rf.QueryErrorBounds(mass), rb.QueryErrorBounds(mass)
+				for qi := range all {
+					want := bruteForceBound(rf, qi, mass)
+					if got := rf.QueryErrorBound(qi, mass); got != want {
+						t.Fatalf("%s %s cursor %d query %d: bound %v, definition %v", tc.name, pen.Fingerprint(), rf.Retrieved(), qi, got, want)
+					}
+					if all[qi] != want || allBound[qi] != want {
+						t.Fatalf("%s %s cursor %d query %d: QueryErrorBounds %v / template-bound %v, definition %v",
+							tc.name, pen.Fingerprint(), rf.Retrieved(), qi, all[qi], allBound[qi], want)
+					}
+				}
+			}
+			check()
+			for !rf.Done() {
+				stepOne(rf)
+				stepOne(rb)
+				check()
+			}
+			if rf.SkippedCount() != len(fail) {
+				t.Fatalf("%s: skipped %d entries, want %d", tc.name, rf.SkippedCount(), len(fail))
+			}
+			// Recover all but one skipped entry; the bounds follow.
+			keep := order[n/2]
+			for key := range fail {
+				fail[key] = key == keep
+			}
+			for _, r := range []*Run{rf, rb} {
+				if got, err := r.RetrySkipped(context.Background()); err != nil || got != len(fail)-1 {
+					t.Fatalf("%s: RetrySkipped = %d, %v", tc.name, got, err)
+				}
+			}
 			check()
 		}
-		if rf.SkippedCount() != len(fail) {
-			t.Fatalf("skipped %d entries, want %d", rf.SkippedCount(), len(fail))
-		}
-		// Recover all but one skipped entry; the bounds follow.
-		keep := order[n/2]
-		for key := range fail {
-			fail[key] = key == keep
-		}
-		for _, r := range []*Run{rf, rb} {
-			if got, err := r.RetrySkipped(context.Background()); err != nil || got != 6 {
-				t.Fatalf("RetrySkipped = %d, %v", got, err)
-			}
-		}
-		check()
 	}
 }
 
@@ -440,12 +462,13 @@ func TestPlanPathAllocationCeilings(t *testing.T) {
 // TestRegistryMissAllocationBudget bounds the bytes a registry miss
 // allocates (runtime.MemStats.TotalAlloc over a pass of the pool) by what
 // its plan and schedule are made of. Per entry, 60 B: the plan's key and
-// offset (12), the schedule's order, inverse, keys, importances and
-// remaining chain (32) and the sort's rank keys (16). Per reference, 40 B:
-// the plan's query index and coefficient (12), the schedule's bound index
-// (12) and the run slab's pair (16). Per query, 32 KiB for its 1-D
-// transforms. A merge that sizes keys or offsets by the reference count, or
-// runs that grow by appending, overshoot it by a third or more.
+// offset (12), the schedule's order, keys, importances and remaining chain
+// (28), the sort's entry ids (4) and rank keys (16). Per reference, 28 B:
+// the plan's query index and coefficient (12) and the run slab's pair (16).
+// Per query, 32 KiB for its 1-D transforms, which also covers the bound
+// index's block table (about one float per entry and two per query). A
+// merge that sizes keys or offsets by the reference count, runs that grow by
+// appending, or a bound index with a cell per reference overshoot it.
 func TestRegistryMissAllocationBudget(t *testing.T) {
 	batches := poolBatches(t, 32)
 	reg := NewPlanRegistry(wavelet.Db6, 0)
@@ -461,7 +484,7 @@ func TestRegistryMissAllocationBudget(t *testing.T) {
 			}
 			handles = append(handles, prep.Fingerprint)
 			p := prep.Plan
-			budget += uint64(60*p.DistinctCoefficients() + 40*p.TotalQueryCoefficients() + 32<<10*p.NumQueries())
+			budget += uint64(60*p.DistinctCoefficients() + 28*p.TotalQueryCoefficients() + 32<<10*p.NumQueries())
 		}
 		runtime.ReadMemStats(&after)
 		for _, h := range handles {
@@ -472,6 +495,44 @@ func TestRegistryMissAllocationBudget(t *testing.T) {
 	pass() // the first pass also builds the transforms' caches, if any
 	if allocated, budget := pass(); allocated > budget {
 		t.Fatalf("a pass of %d registry misses allocated %d bytes, budget %d", len(batches), allocated, budget)
+	}
+}
+
+// TestResidentPlanBytes bounds what prepared plans keep live: the heap the
+// poolBatches(32) plans and their SSE schedules retain after a GC. Per
+// entry, 40 B: the plan's key and offset (12) and the schedule's order, keys,
+// importances and remaining chain (28). Per reference, 12 B: the plan's query
+// index and coefficient. Then the bound index's block table, and 8 KiB per
+// query for labels, headers, the schedule cache and the heap rounding each
+// large array up to whole 8 KiB pages. A bound index with a cell per
+// reference overshoots it by half.
+func TestResidentPlanBytes(t *testing.T) {
+	batches := poolBatches(t, 32)
+	build := func() []*Plan {
+		plans := make([]*Plan, len(batches))
+		for i, batch := range batches {
+			p, err := NewWaveletPlan(batch, wavelet.Db6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.ScheduleFor(penalty.SSE{})
+			plans[i] = p
+		}
+		return plans
+	}
+	build() // the first build also fills the transforms' caches, if any
+	var plans []*Plan
+	retained := heapRetained(func() any {
+		plans = build()
+		return plans
+	})
+	var budget int64
+	for _, p := range plans {
+		table := len(p.ScheduleFor(penalty.SSE{}).blockMax)
+		budget += int64(40*p.DistinctCoefficients() + 12*p.TotalQueryCoefficients() + 8*table + 8<<10*p.NumQueries())
+	}
+	if retained > budget {
+		t.Fatalf("%d plans retain %d bytes after GC (%d a plan), budget %d", len(plans), retained, retained/int64(len(plans)), budget)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -51,6 +52,8 @@ func poolBatches(tb testing.TB, n int) []query.Batch {
 // constants — what /prepare and every ad-hoc request pay: canonicalise,
 // rewrite, merge (or verify against a same-shape template), warm the SSE
 // schedule. The registry is emptied between passes over the pool, untimed.
+// resident-B/plan is the heap a full registry of the pool retains after a
+// GC, over an empty one's, divided by the plans.
 func BenchmarkRegistryMiss(b *testing.B) {
 	batches := poolBatches(b, 32)
 	reg := NewPlanRegistry(wavelet.Db6, 0)
@@ -73,6 +76,32 @@ func BenchmarkRegistryMiss(b *testing.B) {
 		}
 		handles = append(handles, prep.Fingerprint)
 	}
+	b.StopTimer()
+	for _, h := range handles {
+		reg.Remove(h)
+	}
+	resident := heapRetained(func() any {
+		for _, batch := range batches {
+			if _, _, _, err := reg.Prepare(batch, ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return reg
+	})
+	b.ReportMetric(float64(resident)/float64(len(batches)), "resident-B/plan")
+}
+
+// heapRetained returns the heap bytes that build's result keeps live after a
+// GC, over the heap live before it ran.
+func heapRetained(build func() any) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
 // BenchmarkFirstQueryErrorBounds is the first per-query bound read of a run

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/penalty"
@@ -20,12 +21,11 @@ import (
 // fingerprint (see Plan.ScheduleFor) and read concurrently by every run on
 // the plan.
 type Schedule struct {
-	// order[j] is the master-list entry retrieved at step j.
+	// order[j] is the master-list entry retrieved at step j. A run has
+	// retrieved the entries at steps before its cursor, bar the ones it
+	// skipped, which replaces the per-run popped bitmap the heap
+	// implementation allocated.
 	order []int32
-	// pos is the inverse permutation: pos[i] is entry i's step. A run has
-	// retrieved entry i iff pos[i] < its cursor, which replaces the per-run
-	// popped bitmap the heap implementation allocated.
-	pos []int32
 	// keys[j] is the storage key retrieved at step j — the schedule-order
 	// view of plan.keys, materialized so StepBatch can hand a subslice
 	// straight to storage.BatchGet without per-batch copying.
@@ -42,20 +42,20 @@ type Schedule struct {
 	// would not be.
 	remaining []float64
 
-	// The per-query error-bound index (bounds.go), CSR by query: query i's
-	// references sit at qoff[i]:qoff[i+1]; qpos holds the schedule steps that
-	// retrieve one of its coefficients, ascending, and qmax[k] is the largest
-	// |q̂ᵢ[ξ]| retrieved at step qpos[k] or later — so the bound of a run at
-	// any cursor is one search away. 12 bytes per reference, built with the
-	// schedule and shared by every run on it.
-	qoff []int32
-	qpos []int32
-	qmax []float64
+	// The per-query error-bound index (bounds.go): a (block × query)
+	// suffix-max table. Block b holds steps [b·B, (b+1)·B), B = 1<<blockShift
+	// (blockShiftFor), and blockMax[b*nq+i] is the largest |q̂ᵢ[ξ]| retrieved
+	// at step b·B or later; the row past the last block is zeros. A bound at
+	// any cursor is the row at the next boundary folded with the fewer than B
+	// entries before it. B ≥ nq, so the table is at most n + 2·nq floats,
+	// built with the schedule and shared by every run on it.
+	blockShift int
+	blockMax   []float64
 }
 
 // buildSchedule computes the retrieval schedule for the plan under the
-// penalty: the importance vector, the sorted order, its inverse, the
-// per-prefix remaining-importance chain and the per-query bound index.
+// penalty: the importance vector, the sorted order, the per-prefix
+// remaining-importance chain and the per-query bound index.
 // Importances split across workers by entry; once the order is known, the
 // chain and the bound index are built side by side. Every value is computed
 // exactly as one goroutine would.
@@ -63,7 +63,6 @@ func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 	n := len(p.keys)
 	s := &Schedule{
 		order:       make([]int32, n),
-		pos:         make([]int32, n),
 		keys:        make([]int, n),
 		importances: make([]float64, n),
 		remaining:   make([]float64, n+1),
@@ -71,7 +70,7 @@ func buildSchedule(p *Plan, pen penalty.Penalty) *Schedule {
 	inBlocks(n, workersFor(n), func(_, lo, hi int) {
 		p.importancesInto(s.importances[lo:hi], pen, lo)
 	})
-	scheduleOrder(s.importances, s.order, s.pos)
+	scheduleOrder(s.importances, s.order)
 	if workersFor(n) < 2 {
 		s.chain(p)
 		s.boundIndex(p)
@@ -96,11 +95,10 @@ const parallelMin = 1024
 // parallelMin of them, at most GOMAXPROCS.
 func workersFor(n int) int { return clampWorkers(0, n/parallelMin) }
 
-// chain fills the inverse permutation, the schedule-order keys and the
-// remaining-importance chain. The heap seeded its running total by summing
-// importances in plan (ascending-key) order, then subtracted the popped
-// entry's importance each step; this replays exactly that operation
-// sequence.
+// chain fills the schedule-order keys and the remaining-importance chain.
+// The heap seeded its running total by summing importances in plan
+// (ascending-key) order, then subtracted the popped entry's importance each
+// step; this replays exactly that operation sequence.
 func (s *Schedule) chain(p *Plan) {
 	total := 0.0
 	for _, imp := range s.importances {
@@ -108,38 +106,37 @@ func (s *Schedule) chain(p *Plan) {
 	}
 	s.remaining[0] = total
 	for j, e := range s.order {
-		s.pos[e] = int32(j)
 		s.keys[j] = p.keys[e]
 		s.remaining[j+1] = s.remaining[j] - s.importances[e]
 	}
 }
 
-// boundIndex builds the per-query error-bound index: one reverse pass over
-// the schedule, carrying each query's running max |coefficient| and filling
-// its segment from the back, leaves positions ascending and suffix maxima in
-// place — no sort.
+// boundIndex builds the per-query error-bound index: one forward pass over
+// the schedule folds each entry's |coefficients| into its block's row, then
+// one backward pass turns the rows into suffix maxima. Every cell is a max
+// over a set of |coefficients|, so it does not depend on the fold order.
 func (s *Schedule) boundIndex(p *Plan) {
 	nq := p.NumQueries()
-	s.qoff = make([]int32, nq+1)
-	for _, qi := range p.queryIdx {
-		s.qoff[qi+1]++
+	s.blockShift = blockShiftFor(nq)
+	nb := (len(s.order) + 1<<s.blockShift - 1) >> s.blockShift
+	s.blockMax = make([]float64, (nb+1)*nq)
+	for j, e := range s.order {
+		p.foldAbs(e, s.blockMax[(j>>s.blockShift)*nq:])
 	}
-	for i := 0; i < nq; i++ {
-		s.qoff[i+1] += s.qoff[i]
-	}
-	s.qpos = make([]int32, len(p.queryIdx))
-	s.qmax = make([]float64, len(p.queryIdx))
-	fill := append([]int32(nil), s.qoff[1:]...) // next free slot + 1, per query
-	running := make([]float64, nq)
-	for j := len(s.order) - 1; j >= 0; j-- {
-		idxs, cs := p.entryRefs(int(s.order[j]))
-		for k, qi := range idxs {
-			running[qi] = max(running[qi], math.Abs(cs[k]))
-			fill[qi]--
-			s.qpos[fill[qi]] = int32(j)
-			s.qmax[fill[qi]] = running[qi]
+	for b := nb - 1; b >= 0; b-- {
+		row, next := s.blockMax[b*nq:(b+1)*nq], s.blockMax[(b+1)*nq:]
+		for i := range row {
+			row[i] = max(row[i], next[i])
 		}
 	}
+}
+
+// blockShiftFor is log₂ of the bound index's block size for nq queries: the
+// larger of 64 and the next power of two ≥ nq. Scheduler slices are 512
+// retrievals, a multiple of the block for any batch of up to 512 queries,
+// so a bound read at a slice end scans nothing.
+func blockShiftFor(nq int) int {
+	return max(6, bits.Len(uint(max(nq, 1)-1)))
 }
 
 // scheduleOrder fills order with the entries 0..n-1 in retrieval order:
@@ -153,11 +150,11 @@ func (s *Schedule) boundIndex(p *Plan) {
 // comparison sort under (importance descending, entry ascending) finds.
 // With two workers for n (workersFor), the two halves of the entries sort
 // side by side and a merge that takes the lower half's entry on equal keys
-// joins them, which keeps that order. scratch (n entries) is overwritten;
-// the rank keys live in a transient buffer of 2n words.
-func scheduleOrder(imps []float64, order, scratch []int32) {
+// joins them, which keeps that order. The rank keys and the entry ids
+// being sorted live in transient buffers of 2n words and n entries.
+func scheduleOrder(imps []float64, order []int32) {
 	n := len(imps)
-	keys := make([]uint64, 2*n)
+	keys, scratch := make([]uint64, 2*n), make([]int32, n)
 	for i, imp := range imps {
 		keys[i], scratch[i] = rankKey(imp), int32(i)
 	}

@@ -39,10 +39,10 @@ func comparatorOrder(imps []float64) []int32 {
 	return order
 }
 
-// radixOrder runs scheduleOrder on fresh buffers.
+// radixOrder runs scheduleOrder into a fresh order.
 func radixOrder(imps []float64) []int32 {
-	order, scratch := make([]int32, len(imps)), make([]int32, len(imps))
-	scheduleOrder(imps, order, scratch)
+	order := make([]int32, len(imps))
+	scheduleOrder(imps, order)
 	return order
 }
 
