@@ -89,9 +89,9 @@ func validShard(index, count int) error {
 // serving src owns. The mass is summed in ascending key order, which makes
 // it a function of the data alone: coordinators sum it and bound
 // computations consume it. A store that enumerates in ascending order (an
-// array, a dense layout) is summed as it is walked, holding nothing; any
-// other (a table, a sparse layout, an MVCC view) is walked once more, its
-// owned pairs collected and sorted by key.
+// array, a layout of either shape) is summed as it is walked, holding
+// nothing; any other (a table, an MVCC view) is walked once more, its owned
+// pairs collected and sorted by key.
 func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass float64, err error) {
 	if err := validShard(index, count); err != nil {
 		return 0, 0, err

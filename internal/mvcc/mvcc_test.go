@@ -404,18 +404,6 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
-// TestDirectAddPanics pins the API contract that single-coefficient writes
-// cannot bypass versioning.
-func TestDirectAddPanics(t *testing.T) {
-	s := newTestStore(t, Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("direct Add did not panic")
-		}
-	}()
-	s.Add(1, 1)
-}
-
 // countingStore wraps a store and counts retrieval calls, standing in for
 // the layers a base chain composes over the base.
 type countingStore struct {

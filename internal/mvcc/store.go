@@ -620,7 +620,7 @@ func (sn *Snapshot) Release() {
 	sn.s.pinned.Add(-1)
 }
 
-// --- storage.Store / Updatable on the store itself ---
+// --- storage.Store on the store itself ---
 //
 // Reads through the Store resolve the head per call: composing wrappers
 // (instrumentation, caches) and facade paths that do one-shot reads work
@@ -640,13 +640,6 @@ func (s *Store) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements storage.Store for the current head.
 func (s *Store) NonzeroCount() int { return s.head.Load().nonzero }
-
-// Add implements storage.Updatable by refusing: a direct single-coefficient
-// write would bypass versioning, snapshot isolation and the mass/nonzero
-// bookkeeping. Every write goes through Apply.
-func (s *Store) Add(int, float64) {
-	panic("mvcc: direct Add bypasses versioning; batch writes through Apply")
-}
 
 // ConcurrentSafe implements the storage.IsConcurrent capability check.
 func (s *Store) ConcurrentSafe() bool { return true }
@@ -712,7 +705,4 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-var (
-	_ storage.Updatable  = (*Store)(nil)
-	_ storage.Enumerable = (*Store)(nil)
-)
+var _ storage.Enumerable = (*Store)(nil)

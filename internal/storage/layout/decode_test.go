@@ -2,8 +2,10 @@ package layout
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -33,44 +35,143 @@ func decodeAll(t *testing.T, r io.ReaderAt, size int64) (*decoded, error) {
 	return d, err
 }
 
-// decodeCases are files of both shapes, plain and quantized, and a sparse
-// file whose physical order a family dictates.
-func decodeCases(t *testing.T) map[string]string {
-	t.Helper()
+// decodeInput is what Write was handed for one of decodeCases' files.
+type decodeInput struct {
+	keys   []int
+	values []float64
+	opts   WriteOptions
+}
+
+// decodeInputs are the coefficients and options of decodeCases' files: both
+// shapes, plain and quantized, and a sparse file whose physical order a
+// family dictates. Each also hands Write a zero, a negative zero and a value
+// float32 rounds to zero, at keys it does not otherwise hold.
+func decodeInputs() map[string]decodeInput {
 	const cells = 1 << 13
 	sparseKeys, sparseValues := testCoefficients(3000, cells, 21)
 	denseKeys, denseValues := denseCoefficients(cells, 0.8, 22)
+	withZeros := func(keys []int, values []float64) ([]int, []float64) {
+		held := make(map[int]bool, len(keys))
+		for _, k := range keys {
+			held[k] = true
+		}
+		keys, values = slices.Clone(keys), slices.Clone(values)
+		extra := []float64{0, math.Copysign(0, -1), 1e-60}
+		for k := 0; len(extra) > 0; k++ {
+			if !held[k] {
+				keys, values, extra = append(keys, k), append(values, extra[0]), extra[1:]
+			}
+		}
+		return keys, values
+	}
+	sparseKeys, sparseValues = withZeros(sparseKeys, sparseValues)
+	denseKeys, denseValues = withZeros(denseKeys, denseValues)
 	family := append([]int(nil), sparseKeys[1000:]...)
-	return map[string]string{
-		"sparse":           writeTestLayout(t, sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}),
-		"sparse quantized": writeTestLayout(t, sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128, Quantize: true}),
-		"sparse family": writeTestLayout(t, sparseKeys, sparseValues, WriteOptions{Cells: cells, HotCount: 77, BlockSize: 100,
-			Families: []FamilyOrder{{Label: "f", Fingerprint: "f", Keys: family}}}),
-		"dense":           writeDenseLayout(t, denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}),
-		"dense quantized": writeDenseLayout(t, denseKeys, denseValues, WriteOptions{Cells: cells, Quantize: true}),
+	return map[string]decodeInput{
+		"sparse":           {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
+		"sparse quantized": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128, Quantize: true}},
+		"sparse family": {sparseKeys, sparseValues, WriteOptions{Cells: cells, HotCount: 77, BlockSize: 100,
+			Families: []FamilyOrder{{Label: "f", Fingerprint: "f", Keys: family}}}},
+		"dense":           {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
+		"dense quantized": {denseKeys, denseValues, WriteOptions{Cells: cells, Quantize: true}},
 	}
 }
 
-// TestDecodeMatchesStore: Decode hands over exactly the nonzero
-// coefficients the opened store serves, in ascending key order, with the
-// same bits, from a mapped file and from positioned reads alike; the header
-// carries the store's counts.
+// decodeCases writes decodeInputs' files and returns their paths.
+func decodeCases(t *testing.T) map[string]string {
+	t.Helper()
+	paths := make(map[string]string)
+	for name, in := range decodeInputs() {
+		write := writeTestLayout
+		if strings.HasPrefix(name, "dense") {
+			write = writeDenseLayout
+		}
+		paths[name] = write(t, in.keys, in.values, in.opts)
+	}
+	return paths
+}
+
+// written is what a walk of a file must hand over for in: its keys
+// ascending with zeros dropped, each value's bits as handed to Write —
+// rounded to float32 where a quantized file stores it in a block, which is
+// every slot but the hotCount most important (|value| descending, key
+// ascending: the canonical order) — and dropped too when that rounds it to
+// zero.
+func (in decodeInput) written(hotCount int) (keys []int, values []float64) {
+	type kv struct {
+		k int
+		v float64
+	}
+	var pairs []kv
+	for i, k := range in.keys {
+		if in.values[i] != 0 {
+			pairs = append(pairs, kv{k, in.values[i]})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b kv) int {
+		if c := cmp.Compare(math.Abs(b.v), math.Abs(a.v)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.k, b.k)
+	})
+	for i := range pairs {
+		if in.opts.Quantize && i >= hotCount {
+			pairs[i].v = float64(float32(pairs[i].v))
+		}
+	}
+	slices.SortFunc(pairs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
+	for _, p := range pairs {
+		if p.v != 0 {
+			keys, values = append(keys, p.k), append(values, p.v)
+		}
+	}
+	return keys, values
+}
+
+// TestDecodeMatchesStore: Decode and ForEachNonzero both hand over exactly
+// what Write was given — ascending keys, zeros dropped, the same bits,
+// float32-rounded where a quantized file stores a block value — from a
+// mapped file and through positioned reads, and Decode from a file and from
+// memory alike; the header carries the file's counts.
 func TestDecodeMatchesStore(t *testing.T) {
-	for name, path := range decodeCases(t) {
-		s, err := Open(path, Options{})
+	paths := decodeCases(t)
+	for name, in := range decodeInputs() {
+		path := paths[name]
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wantKeys []int
-		s.ForEachNonzero(func(k int, _ float64) bool { wantKeys = append(wantKeys, k); return true })
-		slices.Sort(wantKeys)
-		want := make([]float64, len(wantKeys))
-		if err := s.BatchGetCtx(context.Background(), wantKeys, want); err != nil {
-			t.Fatal(err)
+		var wantValues []float64
+		nonzero := len(in.keys) - 2 // the zero and the negative zero
+		same := func(what string, keys []int, values []float64) {
+			t.Helper()
+			if !slices.Equal(keys, wantKeys) {
+				t.Fatalf("%s, %s: %d keys handed over, want the %d written", name, what, len(keys), len(wantKeys))
+			}
+			for i := range values {
+				if math.Float64bits(values[i]) != math.Float64bits(wantValues[i]) {
+					t.Fatalf("%s, %s: key %d is %v, written %v", name, what, keys[i], values[i], wantValues[i])
+				}
+			}
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		for _, opts := range []Options{{}, {DisableMmap: true}} {
+			s, err := Open(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantKeys, wantValues = in.written(s.HotCount())
+			var keys []int
+			var values []float64
+			s.ForEachNonzero(func(k int, v float64) bool {
+				keys, values = append(keys, k), append(values, v)
+				return true
+			})
+			same(fmt.Sprintf("ForEachNonzero, mapped %v", s.Mmapped()), keys, values)
+			if s.NonzeroCount() != nonzero {
+				t.Fatalf("%s: the store counts %d nonzero, %d were written", name, s.NonzeroCount(), nonzero)
+			}
+			_ = s.Close()
 		}
 		f, err := os.Open(path)
 		if err != nil {
@@ -81,20 +182,12 @@ func TestDecodeMatchesStore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s via %s: %v", name, via, err)
 			}
-			if d.h.Cells != s.Size() || d.h.Nonzero != s.NonzeroCount() || d.h.Meta != nil {
+			if d.h.Cells != in.opts.Cells || d.h.Nonzero != nonzero || d.h.Meta != nil {
 				t.Fatalf("%s via %s: header %+v", name, via, d.h)
 			}
-			if !slices.Equal(d.keys, wantKeys) {
-				t.Fatalf("%s via %s: %d keys handed over, the store serves %d", name, via, len(d.keys), len(wantKeys))
-			}
-			for i := range want {
-				if math.Float64bits(d.values[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s via %s: key %d is %v, the store serves %v", name, via, d.keys[i], d.values[i], want[i])
-				}
-			}
+			same("Decode via "+via, d.keys, d.values)
 		}
 		_ = f.Close()
-		_ = s.Close()
 	}
 }
 

@@ -2,9 +2,9 @@
 // on-disk format, the one file a database is saved to. A file has one of two
 // shapes, chosen by Encode from the data alone. It is written once (Encode;
 // Write and every other writer of a path go through WriteFile, which never
-// truncates a file a reader may have mapped) and read either in place by
-// Open, which maps it, or into memory by Decode, which hands over its
-// coefficients in key order.
+// truncates a file a reader may have mapped) and read by one reader, Store:
+// in place through Open, which maps it, or into memory through Decode, which
+// runs the store's walk to hand over its coefficients in key order.
 //
 // The sparse shape lays coefficients out physically ordered by a canonical
 // retrieval schedule, so a cold progressive drain — which asks for

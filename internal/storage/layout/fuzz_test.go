@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -94,6 +95,8 @@ func FuzzOpenLayout(f *testing.F) {
 // carry garbage. All of that must come back as errors. Slot order is
 // answered by the sequential hint alone, so the keys are asked for
 // ascending and descending too: those reach the key search and slotOf.
+// The key-order walk, which reads each value by its slot, may report
+// damage only with its documented enumerating panic.
 func fuzzExercise(t *testing.T, s *Store) {
 	t.Helper()
 	ctx := context.Background()
@@ -122,4 +125,20 @@ func fuzzExercise(t *testing.T, s *Store) {
 	_ = s.BatchGetCtx(ctx, keys, dst)
 	slices.Reverse(keys)
 	_ = s.BatchGetCtx(ctx, keys, dst)
+
+	defer func() {
+		if r := recover(); r != nil {
+			if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "layout: enumerating: ") {
+				t.Fatalf("ForEachNonzero panicked with %v (%T), want an error or the enumerating panic", r, r)
+			}
+		}
+	}()
+	last := -1
+	s.ForEachNonzero(func(k int, v float64) bool {
+		if k <= last || k >= s.Size() || v == 0 {
+			t.Fatalf("ForEachNonzero handed over key %d = %v after key %d, domain %d", k, v, last, s.Size())
+		}
+		last = k
+		return true
+	})
 }

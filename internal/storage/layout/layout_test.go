@@ -1,13 +1,17 @@
 package layout
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -760,6 +764,103 @@ func TestCorruptIndex(t *testing.T) {
 			t.Fatal("an out-of-range slot failed no key")
 		}
 	})
+}
+
+// TestKeyGroupMustArrive pins the key index's own consistency check, the
+// one indexCRC cannot stand in for: a group whose deltas, rewritten with the
+// checksum recomputed, fall one short of the next sample or overshoot it
+// fails a lookup of any key in the group, stored or not, with a per-key
+// error — never a zero, never another key's value — fails ForEachNonzero
+// with its enumerating panic and fails Decode, on both tiers.
+func TestKeyGroupMustArrive(t *testing.T) {
+	const cells = 1 << 13
+	keys, values := testCoefficients(3000, cells, 12)
+	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 128})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, first := s.g, s.KeyOfSlot(0)
+	offsets := make([]uint64, g.groups)
+	for i := range offsets {
+		offsets[i] = s.offsets.at(i)
+	}
+	_ = s.Close()
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+
+	// A group from the middle whose deltas are all one byte and whose last
+	// one, from its last key to the next sample, is at least 2.
+	group := g.groups / 2
+	for ; ; group++ {
+		if group+1 >= g.groups {
+			t.Fatal("no group with one-byte deltas and a last delta of 2 or more")
+		}
+		lo, hi := group*groupSize, (group+1)*groupSize
+		oneByte := offsets[group+1]-offsets[group] == groupSize
+		if last := sorted[hi] - sorted[hi-1]; oneByte && last >= 2 && sorted[lo+1]-sorted[lo] < 0x7f {
+			break
+		}
+	}
+	members, next := sorted[group*groupSize:(group+1)*groupSize], sorted[(group+1)*groupSize]
+	rewrite := func(at int64, delta int) []byte {
+		mut := append([]byte(nil), raw...)
+		mut[at] = byte(delta)
+		sum := crc32.ChecksumIEEE(mut[g.samplesOff:g.blocksOff])
+		binary.LittleEndian.PutUint32(mut[g.fileSize-4:], sum)
+		return mut
+	}
+	for name, mut := range map[string][]byte{
+		"one short of the next sample": rewrite(g.streamOff+int64(offsets[group+1])-1, next-members[groupSize-1]-1),
+		"past the next sample":         rewrite(g.streamOff+int64(offsets[group]), members[1]-members[0]+1),
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.wvls")
+		if err := os.WriteFile(bad, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		absent := members[groupSize-1] + 1 // below the next sample either way
+		for _, opts := range []Options{{}, {DisableMmap: true}} {
+			s, err := Open(bad, opts)
+			if err != nil {
+				t.Fatalf("%s: Open: %v (the header is intact)", name, err)
+			}
+			for _, k := range []int{absent, members[0], members[groupSize/2], members[groupSize-1]} {
+				if k == first {
+					continue // the sequential hint serves slot 0 without a search
+				}
+				dst := []float64{math.NaN()}
+				var be *storage.BatchError
+				if err := s.BatchGetCtx(context.Background(), []int{k}, dst); !errors.As(err, &be) || len(be.Failed) != 1 {
+					t.Fatalf("%s, mapped %v: key %d read %v (err %v), want a per-key error", name, s.Mmapped(), k, dst[0], err)
+				}
+			}
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "layout: enumerating: ") {
+						t.Fatalf("%s, mapped %v: ForEachNonzero panicked with %q, want the enumerating panic", name, s.Mmapped(), msg)
+					}
+				}()
+				s.ForEachNonzero(func(int, float64) bool { return true })
+			}()
+			_ = s.Close()
+		}
+		f, err := os.Open(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for via, r := range map[string]io.ReaderAt{"file": f, "bytes": bytes.NewReader(mut)} {
+			if err := Decode(r, int64(len(mut)), func(*Header) (func(int, float64), error) {
+				return func(int, float64) {}, nil
+			}); err == nil {
+				t.Fatalf("%s: Decode via %s accepted the file", name, via)
+			}
+		}
+		_ = f.Close()
+	}
 }
 
 // TestVersion1Refused pins the migration path: a version 1 prelude, and a

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -35,11 +37,13 @@ import (
 // pointer bumps and the whole drain walks the file front to back —
 // sequential I/O, which is the point of the sparse shape.
 //
-// Store implements storage.Store, Updatable (Add refuses: layouts are
-// read-only) and Enumerable. All methods are safe for concurrent use.
+// Store implements storage.Store and Enumerable, not Updatable: a layout is
+// a read-only artifact of its write-time schedule. It is the one reader of a
+// .wvls file: Decode runs its key-order walk. All methods are safe for
+// concurrent use.
 type Store struct {
-	f        *os.File
-	data     []byte // whole-file mapping; nil on the pread fallback path
+	r        io.ReaderAt // the file Open opened, or the reader Decode was handed
+	data     []byte      // whole-file mapping; nil on the pread fallback path
 	g        geometry
 	meta     *Meta
 	families []Family
@@ -100,7 +104,11 @@ func Open(path string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := open(f, opts)
+	var s *Store
+	st, err := f.Stat()
+	if err == nil {
+		s, err = open(f, st.Size(), opts)
+	}
 	if err != nil {
 		_ = f.Close()
 		return nil, err
@@ -108,30 +116,28 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func open(f *os.File, opts Options) (*Store, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
+// open reads the header of the size-byte file r holds and sets up the read
+// tiers: a mapping when r is a file and mmap works, positioned reads of r
+// otherwise.
+func open(r io.ReaderAt, size int64, opts Options) (*Store, error) {
 	var prelude [preludeSize]byte
-	if _, err := f.ReadAt(prelude[:], 0); err != nil {
+	if err := readAt(r, prelude[:], 0); err != nil {
 		return nil, fmt.Errorf("layout: reading prelude: %w", err)
 	}
-	g, meta, families, err := readHeader(prelude[:], st.Size(), func(blob []byte) error {
-		_, err := f.ReadAt(blob, preludeSize)
-		return err
+	g, meta, families, err := readHeader(prelude[:], size, func(blob []byte) error {
+		return readAt(r, blob, preludeSize)
 	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, g: *g, meta: meta, families: families,
+	s := &Store{r: r, g: *g, meta: meta, families: families,
 		verified: make([]atomic.Uint64, (g.numBlocks+63)/64)}
 	s.indexChecked.Store(g.dense())
 
 	// index is everything before the hot values; crcs trail the blocks.
 	var index []byte
-	if !opts.DisableMmap {
-		if data, err := mmapFile(f, st.Size()); err == nil {
+	if f, ok := r.(*os.File); ok && !opts.DisableMmap {
+		if data, err := mmapFile(f, size); err == nil {
 			s.data = data
 			index, s.crcs = data[g.samplesOff:g.hotOff], data[g.crcsOff:]
 		}
@@ -147,10 +153,10 @@ func open(f *os.File, opts Options) (*Store, error) {
 	if s.data == nil {
 		// Fallback: resident index (mmap would have served it zero-copy).
 		index, s.crcs = make([]byte, g.hotOff-g.samplesOff), make([]byte, g.fileSize-g.crcsOff)
-		if _, err := f.ReadAt(index, g.samplesOff); err != nil {
+		if err := readAt(r, index, g.samplesOff); err != nil {
 			return nil, fmt.Errorf("layout: loading index: %w", err)
 		}
-		if _, err := f.ReadAt(s.crcs, g.crcsOff); err != nil {
+		if err := readAt(r, s.crcs, g.crcsOff); err != nil {
 			return nil, fmt.Errorf("layout: loading block checksums: %w", err)
 		}
 	}
@@ -183,16 +189,28 @@ func (s *Store) section(off, length int64, scratch []byte) ([]byte, error) {
 	}
 	buf = buf[:length]
 	s.preads.Add(1)
-	if _, err := s.f.ReadAt(buf, off); err != nil {
+	if err := readAt(s.r, buf, off); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
+// readAt fills p from off; a short read is an error.
+func readAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // KeyOfSlot returns the key stored at slot j: the layout's retrieval order
 // in a sparse file, whose drain in this order is sequential I/O, and j
-// itself in a dense one. It reads the index as stored; BatchGetCtx and
-// ForEachNonzero check it first.
+// itself in a dense one. It reads the index as stored; BatchGetCtx checks
+// it first.
 func (s *Store) KeyOfSlot(j int) int {
 	if s.g.dense() {
 		return j
@@ -235,12 +253,45 @@ func errKeyIndex(group int) error {
 	return fmt.Errorf("layout: key index group %d is inconsistent", group)
 }
 
+// keyGroup decodes key group g into keys — its sample, then the key each
+// delta but the last leads to — and returns how many it holds. A damaged
+// index fails the group, never reads a stored key as absent or as another:
+// the deltas must fill exactly the stream bytes the group's offsets bound
+// (from byte 0 for the first group), be nonzero, and arrive exactly at the
+// next sample (at cells after the last group).
+func (s *Store) keyGroup(g int, keys *[groupSize]uint64) (int, error) {
+	n := min(groupSize, s.g.nonzero-g*groupSize)
+	acc, limit := s.samples.at(g), uint64(s.g.cells)
+	pos, end := s.offsets.at(g), uint64(len(s.stream))
+	if g+1 < s.g.groups {
+		end, limit = s.offsets.at(g+1), s.samples.at(g+1)
+	}
+	if acc >= limit || pos > end || end > uint64(len(s.stream)) || (g == 0 && pos != 0) {
+		return 0, errKeyIndex(g)
+	}
+	deltas := s.stream[pos:end]
+	for j := 0; j < n; j++ {
+		keys[j] = acc
+		d, m := uint64(0), 1 // a delta below 128 is its own one-byte uvarint
+		if len(deltas) > 0 && deltas[0] < 0x80 {
+			d = uint64(deltas[0])
+		} else {
+			d, m = binary.Uvarint(deltas)
+		}
+		if m <= 0 || d == 0 || d > limit-acc {
+			return 0, errKeyIndex(g)
+		}
+		deltas, acc = deltas[m:], acc+d
+	}
+	if acc != limit || len(deltas) != 0 {
+		return 0, errKeyIndex(g)
+	}
+	return n, nil
+}
+
 // findKey resolves key to its rank among the stored keys: a binary search
-// of the samples, then a walk of at most one group's deltas. A hit stops at
-// the key and is verified by the caller through keyOfSlot; a miss walks the
-// whole group and answers "absent" only if the deltas arrive exactly at the
-// next sample (cells after the last group) — a damaged index fails the key
-// instead of reading a stored coefficient as zero.
+// of the samples, then the decoded group the key falls in. A hit is
+// verified by the caller through keyOfSlot.
 func (s *Store) findKey(key int) (rank int, ok bool, err error) {
 	k := uint64(key)
 	lo, hi := 0, s.g.groups // first group whose sample exceeds key, in [lo,hi]
@@ -262,33 +313,13 @@ func (s *Store) findKey(key int) (rank int, ok bool, err error) {
 		}
 		return 0, false, nil
 	}
-	first := group * groupSize
-	acc := s.samples.at(group)
-	if acc == k {
-		return first, true, nil
+	var keys [groupSize]uint64
+	n, err := s.keyGroup(group, &keys)
+	if err != nil {
+		return 0, false, err
 	}
-	pos, end, limit := s.offsets.at(group), uint64(len(s.stream)), uint64(s.g.cells)
-	if group+1 < s.g.groups {
-		end, limit = s.offsets.at(group+1), s.samples.at(group+1)
-	}
-	if pos > end || end > uint64(len(s.stream)) {
-		return 0, false, errKeyIndex(group)
-	}
-	deltas, count := s.stream[pos:end], min(groupSize, s.g.nonzero-first)
-	for j := 1; j <= count; j++ {
-		d, m := binary.Uvarint(deltas)
-		if m <= 0 || d == 0 || d > limit-acc {
-			return 0, false, errKeyIndex(group)
-		}
-		deltas = deltas[m:]
-		if acc += d; acc == k {
-			return first + j, true, nil
-		}
-	}
-	if acc != limit || len(deltas) != 0 {
-		return 0, false, errKeyIndex(group)
-	}
-	return 0, false, nil
+	j, ok := slices.BinarySearch(keys[:n], k)
+	return group*groupSize + j, ok, nil
 }
 
 // lookupSlot resolves an in-range key → slot; ok is false for a key that is
@@ -317,25 +348,42 @@ func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
 }
 
 // blockRun returns the value words of the n slots from slot on, which lie
-// in block b, behind a passed CRC check of the whole block. A block is
-// checked once, on either tier: the first check that passes sets its bit,
-// and from then on its slots are read directly — a window of the mapping,
-// or a pread of just the run's words into scratch. Two first readers may
-// both check it; a block that fails is never marked, so every later read
-// checks it again.
+// in block b, behind a passed CRC check of the whole block. Once the block
+// has passed, its slots are read directly — a window of the mapping, or a
+// pread of just the run's words into scratch.
 func (s *Store) blockRun(b, slot, n int, scratch []byte) ([]byte, error) {
 	lo, _ := s.g.blockSlots(b)
 	from, length := int64(slot-lo)*int64(s.g.valWidth), int64(n)*int64(s.g.valWidth)
+	if s.verified[b/64].Load()&(1<<(b%64)) == 0 {
+		vals, err := s.block(b, nil)
+		if err != nil {
+			return nil, err
+		}
+		return vals[from : from+length], nil
+	}
+	vals, err := s.section(s.BlockExtent(b).Off+from, length, scratch)
+	if err != nil {
+		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
+	}
+	return vals, nil
+}
+
+// block returns the value words of block b, read into scratch on the pread
+// tier, behind a passed CRC check. The first check that passes sets the
+// block's bit and later calls skip it; two first readers may both check,
+// and a block that fails is never marked, so every later read checks again.
+func (s *Store) block(b int, scratch []byte) ([]byte, error) {
+	ext := s.BlockExtent(b)
+	vals, err := s.section(ext.Off, int64(ext.Len), scratch)
+	if err != nil {
+		s.blockLoadFails.Add(1)
+		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
+	}
 	word, bit := &s.verified[b/64], uint64(1)<<(b%64)
 	if word.Load()&bit != 0 {
-		vals, err := s.section(s.BlockExtent(b).Off+from, length, scratch)
-		if err != nil {
-			return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
-		}
 		return vals, nil
 	}
-	vals, err := s.loadBlock(b)
-	if err != nil {
+	if err := s.g.checkBlock(s.crcs, b, vals); err != nil {
 		s.blockLoadFails.Add(1)
 		return nil, err
 	}
@@ -343,26 +391,15 @@ func (s *Store) blockRun(b, slot, n int, scratch []byte) ([]byte, error) {
 	// go 1.22 has no atomic Or: set the bit by compare-and-swap.
 	for old := word.Load(); old&bit == 0 && !word.CompareAndSwap(old, old|bit); old = word.Load() {
 	}
-	return vals[from : from+length], nil
-}
-
-// loadBlock reads and CRC-verifies block b.
-func (s *Store) loadBlock(b int) ([]byte, error) {
-	ext := s.BlockExtent(b)
-	vals, err := s.section(ext.Off, int64(ext.Len), nil)
-	if err != nil {
-		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
-	}
-	if err := s.g.checkBlock(s.crcs, b, vals); err != nil {
-		return nil, err
-	}
 	return vals, nil
 }
 
 // readSlots decodes the values of slots [slot, slot+len(out)), which must
 // lie inside one tier unit: the hot region, or a single block. The hot
 // region is one window of the mapping or one pread, whatever the run length.
-func (s *Store) readSlots(slot int, out []float64) error {
+// A short run of a verified block is pread into scratch, not a fresh buffer:
+// a dense file's drain is mostly runs of one key.
+func (s *Store) readSlots(slot int, out []float64, scratch []byte) error {
 	if slot < s.g.hotCount {
 		raw, err := s.section(s.g.hotOff+int64(slot)*8, int64(len(out))*8, nil)
 		if err != nil {
@@ -373,10 +410,7 @@ func (s *Store) readSlots(slot int, out []float64) error {
 		}
 		return nil
 	}
-	// A short run of a verified block is pread into the stack, not a fresh
-	// buffer: a dense file's drain is mostly runs of one key.
-	var scratch [128]byte
-	vals, err := s.blockRun((slot-s.g.hotCount)/s.g.blockSize, slot, len(out), scratch[:])
+	vals, err := s.blockRun((slot-s.g.hotCount)/s.g.blockSize, slot, len(out), scratch)
 	if err != nil {
 		return err
 	}
@@ -411,7 +445,7 @@ func (s *Store) unitEnd(slot int) int {
 // compare and one store instead of a hint check, a tier dispatch and a
 // block check. It returns the run's length n ≥ 1; on error all n positions
 // failed together (one unreadable run, one corrupt block).
-func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
+func (s *Store) serveRun(keys []int, dst []float64, i, slot int, scratch []byte) (int, error) {
 	limit := min(s.unitEnd(slot)-slot, len(keys)-i)
 	n := 1
 	for n < limit && keys[i+n] == s.KeyOfSlot(slot+n) {
@@ -420,7 +454,7 @@ func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
 	if !s.g.dense() {
 		s.hint.Store(int64(slot + n))
 	}
-	return n, s.readSlots(slot, dst[i:i+n])
+	return n, s.readSlots(slot, dst[i:i+n], scratch)
 }
 
 // batchCancelStride is how many keys BatchGetCtx serves between context
@@ -478,6 +512,10 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		s.coldHits.Add(cold)
 	}()
 	var failed []storage.KeyError
+	var scratch []byte // the pread tier's short runs; a mapping serves windows
+	if s.data == nil {
+		scratch = make([]byte, 128)
+	}
 	i, checked := 0, 0
 	for i < len(keys) {
 		if i-checked >= batchCancelStride {
@@ -511,7 +549,7 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 			i++
 			continue
 		}
-		n, err := s.serveRun(keys, dst, i, slot)
+		n, err := s.serveRun(keys, dst, i, slot, scratch)
 		if err != nil {
 			for end := i + n; i < end; i++ {
 				failed = append(failed, storage.KeyError{Index: i, Key: keys[i], Err: err})
@@ -550,12 +588,6 @@ func (s *Store) gatherVerified(keys []int, dst []float64) int {
 		dst[q] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*k:]))
 	}
 	return n
-}
-
-// Add implements storage.Updatable by refusing: a layout is a read-only
-// artifact of its write-time schedule — rebuild it to change coefficients.
-func (s *Store) Add(key int, delta float64) {
-	panic("layout: store is read-only; rebuild the layout to change coefficients")
 }
 
 // Retrievals implements storage.Store.
@@ -655,30 +687,149 @@ func (s *Store) InMemory() bool { return s.data != nil }
 // StackName names the layout in storage.Describe.
 func (s *Store) StackName() string { return "layout" }
 
-// ForEachNonzero implements storage.Enumerable in slot order — schedule
-// order in a sparse file, key order in a dense one, zeros skipped — the
-// order that costs one sequential pass: the hot region streams from the
-// mapping and each block is verified once. Enumeration order is unspecified
-// by the interface; callers that need key order sort. Values are decoded a
-// few hundred at a time into the stack, so a walk of a mapped file puts
-// nothing on the Go heap.
+// ForEachNonzero implements storage.Enumerable in ascending key order, zeros
+// skipped: the walk Decode runs, with damage — a block or the key index
+// failing its check — reported by a panic, since the interface has no error.
+// A walk of a mapped file puts nothing on the Go heap.
 func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
-	if err := s.checkIndex(); err != nil {
+	if err := s.walk(visitor{fn: fn}); err != nil {
 		panic(fmt.Sprintf("layout: enumerating: %v", err))
 	}
-	var buf [512]float64
-	for lo := 0; lo < s.g.slots; {
-		vals := buf[:min(s.unitEnd(lo)-lo, len(buf))]
-		if err := s.readSlots(lo, vals); err != nil {
-			panic(fmt.Sprintf("layout: enumerating slots [%d,%d): %v", lo, lo+len(vals), err))
+}
+
+// visitor is what a walk hands coefficients to: ForEachNonzero's fn, which
+// can stop it, or Decode's emit, which cannot. The walk calls whichever is
+// set itself, so each caller's function costs one call per coefficient.
+type visitor struct {
+	fn   func(key int, value float64) bool
+	emit func(key int, value float64)
+}
+
+// walk hands every nonzero coefficient, in ascending key order, to vis
+// until vis.fn stops it, and returns the damage it met: a dense file a
+// checked block at a time; a sparse one, once its index, hot region and
+// every block have passed, a key group at a time, each value read by its
+// slot from the mapping or by one positioned read.
+func (s *Store) walk(vis visitor) error {
+	if err := s.checkIndex(); err != nil {
+		return err
+	}
+	g := &s.g
+	var buf []byte // a block, or a slot's word, read on the pread tier
+	if s.data == nil {
+		buf = make([]byte, max(8, min(g.blockSize, g.slots-g.hotCount)*g.valWidth))
+	}
+	if g.dense() {
+		return s.walkDense(vis, buf)
+	}
+	for b := 0; b < g.numBlocks; b++ {
+		if _, err := s.block(b, buf); err != nil {
+			return err
 		}
-		for q, v := range vals {
-			if v != 0 && !fn(s.KeyOfSlot(lo+q), v) {
-				return
+	}
+	var (
+		keys   [groupSize]uint64
+		values [groupSize]float64
+	)
+	for group := 0; group < g.groups; group++ {
+		n, err := s.keyGroup(group, &keys)
+		if err != nil {
+			return err
+		}
+		if err := s.rankValues(group*groupSize, values[:n], buf); err != nil {
+			return err
+		}
+		for j, k := range keys[:n] {
+			switch v := values[j]; {
+			case v == 0:
+			case vis.emit != nil:
+				vis.emit(int(k), v)
+			case !vis.fn(int(k), v):
+				return nil
 			}
 		}
-		lo += len(vals)
 	}
+	return nil
+}
+
+// walkDense is walk of a dense file: each block's nonzero cells, a stored
+// -0 a zero, with the slot as the key.
+func (s *Store) walkDense(vis visitor, buf []byte) error {
+	g, emitted := &s.g, 0
+	for b := 0; b < g.numBlocks; b++ {
+		vals, err := s.block(b, buf)
+		if err != nil {
+			return err
+		}
+		lo, _ := g.blockSlots(b)
+		if g.valWidth == 8 {
+			for q := 0; q < len(vals); q += 8 {
+				w := binary.LittleEndian.Uint64(vals[q:])
+				if w<<1 == 0 {
+					continue
+				}
+				emitted++
+				if vis.emit != nil {
+					vis.emit(lo+q/8, math.Float64frombits(w))
+				} else if !vis.fn(lo+q/8, math.Float64frombits(w)) {
+					return nil
+				}
+			}
+			continue
+		}
+		for q := 0; q < len(vals); q += 4 {
+			w := binary.LittleEndian.Uint32(vals[q:])
+			if w<<1 == 0 {
+				continue
+			}
+			emitted++
+			if vis.emit != nil {
+				vis.emit(lo+q/4, float64(math.Float32frombits(w)))
+			} else if !vis.fn(lo+q/4, float64(math.Float32frombits(w))) {
+				return nil
+			}
+		}
+	}
+	// float32 can round a stored value to zero; float64 cells cannot.
+	if emitted > g.nonzero || (emitted != g.nonzero && g.valWidth == 8) {
+		return fmt.Errorf("layout: %d nonzero cells, the header announces %d", emitted, g.nonzero)
+	}
+	return nil
+}
+
+// rankValues reads the values of the stored keys of ranks [first,
+// first+len(out)) by their slots: 8 bytes in the hot region, valWidth in a
+// block, each a window of the mapping or a pread into scratch.
+func (s *Store) rankValues(first int, out []float64, scratch []byte) error {
+	g := &s.g
+	for j := range out {
+		slot := s.slotOf.at(first + j)
+		if slot >= uint64(g.nonzero) {
+			return fmt.Errorf("layout: key rank %d has slot %d of %d", first+j, slot, g.nonzero)
+		}
+		off, width := g.hotOff+8*int64(slot), 8
+		if int(slot) >= g.hotCount {
+			off, width = g.blocksOff+(int64(slot)-int64(g.hotCount))*int64(g.valWidth), g.valWidth
+		}
+		var raw []byte
+		if s.data != nil {
+			raw = s.data[off : off+int64(width)]
+		} else {
+			raw = scratch[:width]
+			if err := readAt(s.r, raw, off); err != nil {
+				return fmt.Errorf("layout: reading slot %d: %w", slot, err)
+			}
+		}
+		if width == 4 {
+			out[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw)))
+		} else {
+			out[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		}
+	}
+	if s.data == nil {
+		s.preads.Add(int64(len(out)))
+	}
+	return nil
 }
 
 // Stats is a point-in-time snapshot of the store's tier counters.
@@ -751,23 +902,24 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close releases the mapping and the underlying file. Not safe to call
+// Close releases the mapping and the file Open opened. Not safe to call
 // while retrievals are in flight.
-func (s *Store) Close() error { return s.close() }
-
-func (s *Store) close() error {
-	var err error
-	if s.data != nil {
-		err = munmapFile(s.data)
-		s.data, s.cells = nil, nil
-	}
-	if cerr := s.f.Close(); err == nil {
+func (s *Store) Close() error {
+	err := s.unmap()
+	if cerr := s.r.(io.Closer).Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-var (
-	_ storage.Updatable  = (*Store)(nil)
-	_ storage.Enumerable = (*Store)(nil)
-)
+// unmap releases the mapping, if there is one, and leaves the reader open.
+func (s *Store) unmap() error {
+	if s.data == nil {
+		return nil
+	}
+	data := s.data
+	s.data, s.cells = nil, nil
+	return munmapFile(data)
+}
+
+var _ storage.Enumerable = (*Store)(nil)

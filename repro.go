@@ -292,11 +292,12 @@ func (db *Database) Save(w io.Writer) error {
 // resolved from the built-in set by name. Coefficients stream from the
 // decoder straight into a store sized from the file's header — the
 // dense array or the hash table, whichever storage.NewMemoryStore finds
-// smaller for the declared domain and count (a dense file streams a block at
-// a time; a sparse one's values are read whole first, since its key-order
-// walk visits them in no order) — and the coefficient mass is summed on the
-// way in, in ascending key order; nothing is returned unless every checksum
-// of the file verifies. Unlike a mapped view, the loaded database can be
+// smaller for the declared domain and count — and the coefficient mass is
+// summed on the way in, in ascending key order; nothing is returned unless
+// every checksum of the file verifies. A .wvls file read from an *os.File
+// is mapped for the load and walked in place, a dense one a block at a
+// time, a sparse one a key group at a time with each value read by its
+// slot; nothing of it is copied to the heap. Unlike a mapped view, the loaded database can be
 // written to.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	var (

@@ -154,8 +154,8 @@ func BenchmarkLoadDatabase(b *testing.B) {
 
 // BenchmarkOpenShardServer times what `wvqd -shard-listen` pays before it
 // listens: OpenDatabase maps the .wvls file, and NewShardServer works out
-// shard 0 of 2's nonzero count and mass in one walk of it — summed as it goes
-// for a dense file, sorted by key for a sparse one — copying nothing.
+// shard 0 of 2's nonzero count and mass in one key-order walk of it, summed
+// as it goes for either shape, copying nothing.
 func BenchmarkOpenShardServer(b *testing.B) {
 	for _, c := range storeBenchCases {
 		b.Run(c.name, func(b *testing.B) {
