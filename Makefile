@@ -15,17 +15,19 @@
 # in-memory store's load/lookup benches behind BENCH_storage.json;
 # `make bench-ingest` runs the MVCC write-path benches
 # (batched vs single-tuple Apply throughput, reader latency during sustained
-# writes) behind BENCH_ingest.json. `make fuzz` gives the six decoders of
-# untrusted bytes — the view-file reader (FuzzRead: .wvls files and .wvdb
-# streams, the codec's one stream reader), the query-language parser
-# (FuzzParse), the .wvls layout opener (FuzzOpenLayout), the shard wire
-# reader (FuzzWireFrame), the /query and /prepare JSON bodies
-# (FuzzQueryRequest) and the /ingest CSV (FuzzIngestCSV) — a short
-# adversarial shake each and runs as part of `make check`.
+# writes) behind BENCH_ingest.json. `make served-diff` checks the bytes the
+# daemon serves in every open configuration against the served goldens.
+# `make fuzz` gives the six decoders of untrusted bytes — the view-file
+# reader (FuzzRead: .wvls files streamed through codec.Read, the one
+# streaming reader), the query-language parser (FuzzParse), the .wvls
+# layout opener (FuzzOpenLayout), the shard wire reader (FuzzWireFrame),
+# the /query and /prepare JSON bodies (FuzzQueryRequest) and the /ingest
+# CSV (FuzzIngestCSV) — a short adversarial shake each and runs as part of
+# `make check`.
 
 GO ?= go
 
-.PHONY: all check vet errlint obs-lint sort-lint stack-lint metric-lint build cross-build bench-build test experiments-diff race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
+.PHONY: all check vet errlint obs-lint sort-lint stack-lint metric-lint build cross-build bench-build test experiments-diff served-diff race fuzz cover bench bench-core bench-sched bench-robust bench-obs bench-load bench-dist bench-storage bench-ingest bench-all
 
 all: check
 
@@ -100,6 +102,14 @@ test:
 experiments-diff:
 	$(GO) run ./cmd/experiments -exp all | diff -u -I '^workload ready in ' experiment_results.txt -
 
+# The served bytes, pinned: every /prepare and /query body of a fixed
+# script, over each way wvqd opens a view (mapped -db of a dense and a sparse
+# file, -db -mvcc before and after writes, 2-shard coordinators) and over a
+# loaded file, against internal/server/testdata/served. A loaded or -mvcc
+# view that serves other bytes than the mapped one fails it.
+served-diff:
+	$(GO) test -count=1 -run TestServedBodiesMatchGolden ./internal/server/
+
 # The mapped stores' lifetime test runs ten times more: a finalizer that
 # unmapped under a running reader would kill the process, not fail a check.
 # It runs without -race, which keeps the stores on the heap (the detector
@@ -109,7 +119,7 @@ race:
 	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
-# process: mutated view files streamed into memory (.wvls and .wvdb), query
+# process: mutated .wvls view files streamed into memory, query
 # text, .wvls layout files opened for serving and shard wire
 # frames must be rejected with errors (or, for layouts, open and serve with
 # per-key errors), never panic; HTTP /query, /prepare and /ingest bodies get
@@ -186,14 +196,14 @@ bench-dist:
 # takes ~30s. The in-memory store's row comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
 # coefficient dense .wvls (loaded as arrays) and a sparse one (a table),
 # OpenShardServer of shard 0 of 2 of each file (mapped, what
-# wvqd -shard-listen pays) and OpenDatabase of each file (mapped, what
-# wvqd -db pays):
+# wvqd -shard-listen pays) and OpenLayout of each file (mapped, what
+# wvqd -db pays, with or without -mvcc):
 # seconds, bytes allocated, resident bytes/coefficient, and ns/key of the
 # loaded store's lookups in schedule order and on uniform keys. The last line
 # is the singleflight layer's cost to one caller, against the bare store.
 bench-storage:
 	$(GO) test -run NONE -bench 'BenchmarkStorage' -benchmem -benchtime=2x -timeout 30m ./internal/storage/layout/
-	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase|BenchmarkOpenShardServer|BenchmarkOpenDatabase' -benchmem -benchtime=5x .
+	$(GO) test -run NONE -bench 'BenchmarkLoadDatabase|BenchmarkOpenShardServer|BenchmarkOpenLayout' -benchmem -benchtime=5x .
 	$(GO) test -run NONE -bench 'BenchmarkStoreBatchGet' -benchtime=2000x .
 	$(GO) test -run NONE -bench 'BenchmarkCoalescingBatchGet' -benchmem -benchtime=20000x ./internal/storage/
 

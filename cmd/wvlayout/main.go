@@ -2,15 +2,15 @@
 //
 //	wvlayout -in db.wvls -out db-hot.wvls -hot 100000
 //
-// The input is any view file: a .wvls (repro.Save, wvload, wvq -create) or
-// a .wvdb of earlier versions. Either carries the schema and filter
-// identity, so the layout it writes is self-contained and serves with
-// wvqd -db. The output takes whichever of the format's two shapes is
-// smaller: dense (every cell's value in key order) or sparse (the nonzero
-// coefficients in schedule order behind a key index); the closing report
-// names the shape and both candidates' bytes per coefficient. With the
-// default options a .wvls input is written back byte for byte, so the
-// command's use is converting a .wvdb and the three knobs.
+// The input is a .wvls view file (repro.Save, wvload, wvq -create), mapped
+// as wvqd -db maps it and walked in key order; it carries the schema and
+// filter identity, so the layout written from it is self-contained and
+// serves with wvqd -db. The output takes whichever of the format's two
+// shapes is smaller: dense (every cell's value in key order) or sparse (the
+// nonzero coefficients in schedule order behind a key index); the closing
+// report names the shape and both candidates' bytes per coefficient. With
+// the default options the input is written back byte for byte, so the
+// command's use is the three knobs.
 //
 // -hot, -block and -quantize tune the layout: how many leading schedule
 // slots of a sparse file stay raw (mmap-served), the block granularity, and
@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input database file: .wvls (wvload/wvq -create) or .wvdb")
+		in       = flag.String("in", "", "input .wvls database file (wvload/wvq -create)")
 		out      = flag.String("out", "", "output .wvls layout file")
 		hot      = flag.Int("hot", 0, "hot-region slots stored raw, sparse shape only (0 = nonzero/8, negative = all)")
 		block    = flag.Int("block", 0, "block granularity in slots (0 = default 4096)")
@@ -50,26 +50,23 @@ func main() {
 	}
 }
 
-// convert loads the database file and writes it as a layout: the embedded
-// identity travels along, so the result is directly servable.
+// convert maps the database file and writes it as a layout from the
+// mapping: the embedded identity travels along, so the result is directly
+// servable. The output replaces its path by a rename, so the mapping of an
+// input of the same name stays valid while it is read.
 func convert(in, out string, opts repro.LayoutOptions) error {
-	f, err := os.Open(in)
+	inInfo, err := os.Stat(in)
 	if err != nil {
 		return err
 	}
-	inInfo, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return err
-	}
-	db, err := repro.LoadDatabase(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	db, err := repro.OpenLayout(in)
 	if err != nil {
 		return err
 	}
 	c, err := db.SaveLayout(out, opts)
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}

@@ -17,8 +17,8 @@
 // queries get cheaper.
 //
 // -create writes a .wvls file (repro.Database.Save), replacing any file of
-// that name by a rename. The database file is opened the way wvqd -db opens
-// it: a .wvls is mapped, a .wvdb of earlier versions loaded.
+// that name by a rename. The database file is mapped the way wvqd -db maps
+// it.
 package main
 
 import (
@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		dbPath      = flag.String("db", "temperature.wvls", "database file (.wvls; a .wvdb still opens)")
+		dbPath      = flag.String("db", "temperature.wvls", "database file (.wvls)")
 		create      = flag.Bool("create", false, "create the database file from a synthetic temperature dataset")
 		records     = flag.Int("records", 200_000, "records to generate with -create")
 		seed        = flag.Int64("seed", 1, "dataset seed for -create")
@@ -76,7 +76,7 @@ func run(dbPath string, create bool, records int, seed int64, qsrc string, budge
 		return fmt.Errorf("nothing to do: pass -q, -i or -create")
 	}
 
-	db, err := repro.OpenDatabase(dbPath)
+	db, err := repro.OpenLayout(dbPath)
 	if err != nil {
 		return fmt.Errorf("opening database (run with -create first?): %w", err)
 	}

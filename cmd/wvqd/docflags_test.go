@@ -79,12 +79,12 @@ func TestDocsNameDeclaredFlags(t *testing.T) {
 func TestDocFlagsScan(t *testing.T) {
 	doc := strings.Join([]string{
 		"```sh",
-		"wvqd -db view.wvdb -addr :8080 -pprof localhost:6060 \\",
+		"wvqd -db view.wvls -addr :8080 -pprof localhost:6060 \\",
 		"     -slow-query 250ms -ring-depth 128",
 		"go run ./cmd/wvqd -mvcc &  curl -s localhost:8080/stats",
 		"/tmp/wvqd -layout x.wvls   # -not-a-flag in a comment",
 		"```",
-		"Robustness (`wvqd -chaos-* / -retry-*`); a `wvqd -db db#1.wvdb",
+		"Robustness (`wvqd -chaos-* / -retry-*`); a `wvqd -db db#1.wvls",
 		"-shard-count n` shard; wvqbench -in x; `-shards` alone is prose.",
 	}, "\n")
 	got := strings.Join(docFlags(doc), ", ")

@@ -8,11 +8,11 @@
 //	    "budget": 200
 //	}'
 //
-// A .wvls file is mapped, not loaded: the daemon listens once its header is
-// checked, and each block is checksummed the first time it is read. -mvcc
-// streams the file into memory instead; a .wvdb file of earlier versions is
-// always loaded. -shard-listen opens the file by the same rule and serves
-// the keys its shard owns from that view.
+// The .wvls file is mapped, not loaded, in every mode: the daemon listens
+// once its header is checked, and each block is checksummed the first time
+// it is read. Under -mvcc the mapping is the frozen base that writes overlay
+// until a compaction folds both into memory; -shard-listen serves the keys
+// its shard owns from the mapping.
 //
 // Progressive responses (budget below the master-list size) carry per-query
 // worst-case error bounds; /query/stream delivers every intermediate
@@ -172,7 +172,7 @@ func parseFlags(args []string) (*options, error) {
 // folds into o.
 func newFlagSet(o *options, shardAddrs *string, retry *repro.RetryConfig, chaos *repro.FaultConfig) *flag.FlagSet {
 	fs := flag.NewFlagSet("wvqd", flag.ContinueOnError)
-	fs.StringVar(&o.dbPath, "db", "temperature.wvls", "database file to serve: a .wvls is mapped (streamed into memory with -mvcc), a .wvdb loaded")
+	fs.StringVar(&o.dbPath, "db", "temperature.wvls", "database file to serve: a .wvls, mapped (the frozen base of the write overlay with -mvcc)")
 	fs.StringVar(&o.layoutPath, "layout", "", "another spelling of -db, kept for existing scripts (overrides -db; refused with -shards)")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.server.Sched.MaxActive, "max-active", 0, "concurrent runs in the scheduler table (0 = default 64)")
@@ -269,8 +269,8 @@ type distConfig struct {
 	opts   repro.DistOptions
 }
 
-// mvccConfig selects live-update mode: the loaded database becomes an MVCC
-// snapshot store.
+// mvccConfig selects live-update mode: the mapped database becomes the base
+// of an MVCC snapshot store.
 type mvccConfig struct {
 	enabled bool
 	cfg     repro.MVCCConfig
@@ -286,7 +286,7 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 			return err
 		}
 		log.Info("coordinating over shards", "shards", fmt.Sprint(dist.shards))
-	} else if db, err = openDatabase(dbPath, mvcc.enabled); err != nil {
+	} else if db, err = repro.OpenLayout(dbPath); err != nil {
 		return fmt.Errorf("opening database (write one with wvload or wvq -create): %w", err)
 	}
 	if ls, ok := db.LayoutStats(); ok {
@@ -387,33 +387,18 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 	return err
 }
 
-// openDatabase opens the file the way -db asks: mapped (repro.OpenDatabase),
-// or streamed into memory when MVCC needs a writable base.
-func openDatabase(path string, writable bool) (*repro.Database, error) {
-	if !writable {
-		return repro.OpenDatabase(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	return repro.LoadDatabase(f)
-}
-
 // runShard serves one coefficient shard over TCP: the daemon's shard-server
-// mode. The file is opened by -db's rule — a .wvls mapped, a .wvdb loaded
-// whole — and the shard serves that view, owning the keys storage.ShardOf
-// assigns to (index, count); it copies nothing. Working out the shard's
-// nonzero count and mass walks the file once at start-up (a sparse file's
-// owned values are sorted by key for it). Shutdown reuses the daemon's
+// mode. The file is mapped as -db maps it, and the shard serves that view,
+// owning the keys storage.ShardOf assigns to (index, count); it copies
+// nothing. Working out the shard's nonzero count and mass walks the file
+// once at start-up, in ascending key order. Shutdown reuses the daemon's
 // signal path: stop accepting, sever connections, exit. The shard keeps its
 // own span ring: request frames carrying a coordinator trace context (wire
 // v2) record shard-side spans under the coordinator's request ID, served at
 // /debug/traces on the -pprof listener.
 func runShard(dbPath, listen string, index, count int, pprofAddr string, log *slog.Logger) error {
 	opened := time.Now()
-	db, err := repro.OpenDatabase(dbPath)
+	db, err := repro.OpenLayout(dbPath)
 	if err != nil {
 		return fmt.Errorf("opening database (write one with wvload or wvq -create): %w", err)
 	}

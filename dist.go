@@ -63,7 +63,7 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 	if !ok {
 		return nil, fmt.Errorf("repro: store %T cannot enumerate; cannot serve it as a shard", st)
 	}
-	nonzero, mass, err := shardMass(st.(storage.Enumerable), index, count)
+	nonzero, mass, err := dist.ShardMass(st.(storage.Enumerable), index, count)
 	if err != nil {
 		return nil, err
 	}
@@ -81,19 +81,6 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 	// Served bare: every connection of a dist.Server retrieves from its own
 	// goroutine, and every view enumStore returns takes concurrent readers.
 	return &ShardServer{srv: dist.NewServer(st, meta, logger), meta: meta, stack: storage.Describe(st)}, nil
-}
-
-// shardMass is dist.ShardMass with a view that cannot be walked reported as
-// an error: a mapped file's block or key index that fails its checksum
-// panics in ForEachNonzero, and a damaged file must fail a shard's start the
-// way it fails a load, not crash the process.
-func shardMass(src storage.Enumerable, index, count int) (nonzero int64, mass float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("repro: walking the view for shard %d of %d: %v", index, count, r)
-		}
-	}()
-	return dist.ShardMass(src, index, count)
 }
 
 // StoreStack prints the store stack the shard serves from, base first.
@@ -237,12 +224,16 @@ func (db *Database) ShardWireVersions() ([]uint16, bool) {
 
 // Close releases resources held by the store — shard connections for a
 // distributed database, the file mapping and handle for a layout-backed
-// one. Safe (and a no-op) for ordinary in-memory databases.
+// one, after any background MVCC compaction that may be walking it has
+// finished. Safe (and a no-op) for ordinary in-memory databases.
 func (db *Database) Close() error {
 	if db.coord != nil {
 		return db.coord.Close()
 	}
 	if db.layout != nil {
+		if db.mvcc != nil {
+			db.mvcc.WaitCompactions()
+		}
 		return db.layout.Close()
 	}
 	return nil

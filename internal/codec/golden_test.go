@@ -10,77 +10,12 @@ import (
 	"repro/internal/storage"
 )
 
-// goldenHexV1 is a version-1 stream captured before version 2 added
-// quantization windows: schema (x:4, y:2), filter "Haar", 3 tuples,
-// coefficients {0: 1.5, 5: -2.25}. The reader must parse version-1 byte
-// sequences forever.
-const goldenHexV1 = "57564442" + // magic "WVDB"
-	"0100" + // version 1
-	"04" + "48616172" + // filter "Haar"
-	"0300000000000000" + // tuple count 3
-	"0200" + // 2 dims
-	"0100" + "78" + "04000000" + // "x", size 4
-	"0100" + "79" + "02000000" + // "y", size 2
-	"0200000000000000" + // 2 coefficients
-	"0000000000000000" + "000000000000f83f" + // key 0, 1.5
-	"0500000000000000" + "00000000000002c0" + // key 5, -2.25
-	"b7707d95" // CRC-32
-
-// goldenHexV2 is the same content in the last .wvdb version (version 2 adds
-// a 16-byte window per dimension, zero when unset), the format earlier
-// versions wrote. Nothing writes it any more; the reader must parse it
-// forever.
-const goldenHexV2 = "57564442" + // magic "WVDB"
-	"0200" + // version 2
-	"04" + "48616172" + // filter "Haar"
-	"0300000000000000" + // tuple count 3
-	"0200" + // 2 dims
-	"0100" + "78" + "04000000" + "0000000000000000" + "0000000000000000" + // "x", size 4, no window
-	"0100" + "79" + "02000000" + "0000000000000000" + "0000000000000000" + // "y", size 2, no window
-	"0200000000000000" + // 2 coefficients
-	"0000000000000000" + "000000000000f83f" + // key 0, 1.5
-	"0500000000000000" + "00000000000002c0" + // key 5, -2.25
-	"38fccb14" // CRC-32
-
-func TestGoldenStreamParses(t *testing.T) {
-	for name, golden := range map[string]string{"v1": goldenHexV1, "v2": goldenHexV2} {
-		t.Run(name, func(t *testing.T) {
-			testGoldenParses(t, golden)
-		})
-	}
-}
-
-func testGoldenParses(t *testing.T, golden string) {
-	data, err := hex.DecodeString(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("golden stream rejected: %v", err)
-	}
-	if snap.Windows != nil {
-		t.Fatalf("windowless golden produced windows %v", snap.Windows)
-	}
-	if snap.FilterName != "Haar" || snap.TupleCount != 3 {
-		t.Fatalf("metadata: %+v", snap)
-	}
-	if snap.Schema.Names[0] != "x" || snap.Schema.Sizes[0] != 4 ||
-		snap.Schema.Names[1] != "y" || snap.Schema.Sizes[1] != 2 {
-		t.Fatalf("schema: %+v", snap.Schema)
-	}
-	if len(snap.Keys) != 2 || snap.Keys[0] != 0 || snap.Keys[1] != 5 {
-		t.Fatalf("keys: %v", snap.Keys)
-	}
-	if snap.Values[0] != 1.5 || snap.Values[1] != -2.25 {
-		t.Fatalf("values: %v", snap.Values)
-	}
-}
-
-// goldenHexWVLS is the same content as the view file Save writes today: a
-// .wvls file in the dense shape (eight cells of 8 bytes are fewer bytes
-// than the sparse index), its header carrying the identity. The writer must
-// keep producing these exact bytes — serialization is canonical.
+// goldenHexWVLS is the view file Save writes for schema (x:4, y:2), filter
+// "Haar", 3 tuples and coefficients {0: 1.5, 5: -2.25}: a .wvls file in the
+// dense shape (eight cells of 8 bytes are fewer bytes than the sparse
+// index), its header carrying the identity. The writer must keep producing
+// these exact bytes — serialization is canonical — and the reader must read
+// them forever.
 const goldenHexWVLS = "57564c53" + // magic "WVLS"
 	"0200" + // version 2
 	"0200" + // flags: dense
@@ -121,9 +56,32 @@ func TestGoldenStreamMatchesWriter(t *testing.T) {
 		t.Fatalf("writer output changed:\n got %x\nwant %x", buf.Bytes(), want)
 	}
 	testGoldenParses(t, goldenHexWVLS)
-	// The test encoder of the retired .wvdb format reproduces its golden.
-	if got := hex.EncodeToString(encodeWVDB(schema, "Haar", 3, store, nil)); got != goldenHexV2 {
-		t.Fatalf(".wvdb test encoder drifted:\n got %s\nwant %s", got, goldenHexV2)
+}
+
+func testGoldenParses(t *testing.T, golden string) {
+	data, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Read(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("golden stream rejected: %v", err)
+	}
+	if snap.Windows != nil {
+		t.Fatalf("windowless golden produced windows %v", snap.Windows)
+	}
+	if snap.FilterName != "Haar" || snap.TupleCount != 3 {
+		t.Fatalf("metadata: %+v", snap)
+	}
+	if snap.Schema.Names[0] != "x" || snap.Schema.Sizes[0] != 4 ||
+		snap.Schema.Names[1] != "y" || snap.Schema.Sizes[1] != 2 {
+		t.Fatalf("schema: %+v", snap.Schema)
+	}
+	if len(snap.Keys) != 2 || snap.Keys[0] != 0 || snap.Keys[1] != 5 {
+		t.Fatalf("keys: %v", snap.Keys)
+	}
+	if snap.Values[0] != 1.5 || snap.Values[1] != -2.25 {
+		t.Fatalf("values: %v", snap.Values)
 	}
 }
 

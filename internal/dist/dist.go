@@ -91,13 +91,14 @@ func validShard(index, count int) error {
 // computations consume it. A store that enumerates in ascending order (an
 // array, a layout of either shape) is summed as it is walked, holding
 // nothing; any other (a table, an MVCC view) is walked once more, its owned
-// pairs collected and sorted by key.
+// pairs collected and sorted by key. A walk that meets damage (a mapped
+// file's block failing its check) is an error.
 func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass float64, err error) {
 	if err := validShard(index, count); err != nil {
 		return 0, 0, err
 	}
 	last, ascending := -1, true
-	src.ForEachNonzero(func(k int, v float64) bool {
+	err = storage.Walk(src, func(k int, v float64) bool {
 		if k <= last {
 			ascending = false
 			return false
@@ -109,6 +110,9 @@ func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass fl
 		}
 		return true
 	})
+	if err != nil {
+		return 0, 0, fmt.Errorf("dist: walking the view for shard %d of %d: %w", index, count, err)
+	}
 	if ascending {
 		return nonzero, mass, nil
 	}
@@ -122,12 +126,14 @@ func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass fl
 		share := st.NonzeroCount() / count
 		pairs = make([]pair, 0, share+share/16+1)
 	}
-	src.ForEachNonzero(func(k int, v float64) bool {
+	if err := storage.Walk(src, func(k int, v float64) bool {
 		if v != 0 && storage.ShardOf(k, count) == index {
 			pairs = append(pairs, pair{k, v})
 		}
 		return true
-	})
+	}); err != nil {
+		return 0, 0, fmt.Errorf("dist: walking the view for shard %d of %d: %w", index, count, err)
+	}
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
 	nonzero, mass = int64(len(pairs)), 0
 	for _, kv := range pairs {

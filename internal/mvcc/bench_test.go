@@ -17,7 +17,7 @@ var benchDims = []int{256, 256}
 
 func newBenchStore(b *testing.B) *Store {
 	b.Helper()
-	s, err := New(storage.NewHashStore(), wavelet.Haar, benchDims, 0, Config{})
+	s, err := New(storage.NewHashStore(), wavelet.Haar, benchDims, 0, 0, Config{})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}

@@ -40,7 +40,8 @@ func newSeedStore(t *testing.T, f *wavelet.Filter) *storage.HashStore {
 func newTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	cfg.DisableAutoCompact = true
-	s, err := New(newSeedStore(t, wavelet.Haar), wavelet.Haar, testDims, int64(len(seedTuples)), cfg)
+	seed := newSeedStore(t, wavelet.Haar)
+	s, err := New(seed, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -55,6 +56,16 @@ func dump(st storage.Enumerable) map[int]float64 {
 		return true
 	})
 	return m
+}
+
+// massOf sums |v| over st's nonzero coefficients: the mass New is handed.
+func massOf(st storage.Enumerable) float64 {
+	var mass float64
+	st.ForEachNonzero(func(_ int, v float64) bool {
+		mass += math.Abs(v)
+		return true
+	})
+	return mass
 }
 
 // allKeys returns the union of the key sets of the given maps.
@@ -151,7 +162,7 @@ func TestZeroShadowsBase(t *testing.T) {
 	if err := core.InsertTuple(seed, wavelet.Haar, testDims, coords); err != nil {
 		t.Fatalf("seeding: %v", err)
 	}
-	s, err := New(seed, wavelet.Haar, testDims, 1, Config{DisableAutoCompact: true})
+	s, err := New(seed, wavelet.Haar, testDims, 1, massOf(seed), Config{DisableAutoCompact: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -300,6 +311,42 @@ func TestCompactionKeepsConcurrentLayers(t *testing.T) {
 	}
 	if s.Stats().Compactions != 2 {
 		t.Fatalf("compactions = %d, want 2", s.Stats().Compactions)
+	}
+}
+
+// droppingBase is a version-0 base that counts DropPages calls, as a mapped
+// file would receive them.
+type droppingBase struct {
+	*storage.HashStore
+	drops int
+}
+
+func (b *droppingBase) DropPages() { b.drops++ }
+
+// TestCompactionDropsTheMappedBasesPages: every fold hands a mapped
+// version-0 base's pages back — the first because it replaced the base, the
+// later ones because readers on older versions may have faulted pages in
+// again; a fold with no layers drops nothing.
+func TestCompactionDropsTheMappedBasesPages(t *testing.T) {
+	seed := newSeedStore(t, wavelet.Haar)
+	base := &droppingBase{HashStore: seed}
+	s, err := New(base, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), Config{DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want := 1; want <= 2; want++ {
+		if _, err := s.Apply(context.Background(), NewBatch().Add([]int{want, 2}, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(context.Background()); err != nil { // no layers: no fold
+			t.Fatal(err)
+		}
+		if base.drops != want {
+			t.Fatalf("%d folds dropped the base's pages %d times", want, base.drops)
+		}
 	}
 }
 
@@ -472,8 +519,8 @@ func TestSetBaseChainUndo(t *testing.T) {
 // bit-stable values while writers publish and the auto-compactor folds
 // underneath them. Run with -race.
 func TestConcurrentDrainWhileApply(t *testing.T) {
-	s, err := New(newSeedStore(t, wavelet.Haar), wavelet.Haar, testDims,
-		int64(len(seedTuples)), Config{MaxLayers: 4, Retain: 2})
+	seed := newSeedStore(t, wavelet.Haar)
+	s, err := New(seed, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), Config{MaxLayers: 4, Retain: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

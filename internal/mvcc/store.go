@@ -203,10 +203,19 @@ func (v *view) ConcurrentSafe() bool { return true }
 // is in-memory maps, so a view answers from memory when its base chain does.
 func (v *view) InMemory() bool { return storage.IsInMemory(v.base) }
 
-// ForEachNonzero implements storage.Enumerable: overlay keys newest-wins
-// first, then the base's keys not shadowed by any layer. Enumeration order
-// is unspecified (map order), matching the in-memory stores.
+// ForEachNonzero implements storage.Enumerable: Walk, with the damage a
+// base file met reported by a panic.
 func (v *view) ForEachNonzero(fn func(key int, value float64) bool) {
+	if err := v.Walk(fn); err != nil {
+		panic(fmt.Sprintf("mvcc: enumerating: %v", err))
+	}
+}
+
+// Walk hands fn the view's nonzero coefficients until fn returns false:
+// overlay keys newest-wins first, then the base's keys not shadowed by any
+// layer. Order is unspecified (map order). It returns the damage the base
+// met (storage.Walk): a mapped file's block failing its check.
+func (v *view) Walk(fn func(key int, value float64) bool) error {
 	seen := make(map[int]struct{}, v.layerKeys)
 	for _, l := range v.layers {
 		for k, val := range l.vals {
@@ -216,18 +225,23 @@ func (v *view) ForEachNonzero(fn func(key int, value float64) bool) {
 			seen[k] = struct{}{}
 			if val != 0 {
 				if !fn(k, val) {
-					return
+					return nil
 				}
 			}
 		}
 	}
-	v.rawBase.(storage.Enumerable).ForEachNonzero(func(k int, val float64) bool {
+	return storage.Walk(v.rawBase.(storage.Enumerable), func(k int, val float64) bool {
 		if _, shadowed := seen[k]; shadowed {
 			return true
 		}
 		return fn(k, val)
 	})
 }
+
+// pageDropper is a base that maps a file (a layout): DropPages hands the
+// resident pages of its mapping back to the kernel, and a later read faults
+// them in again.
+type pageDropper interface{ DropPages() }
 
 var _ storage.Store = (*view)(nil)
 var _ storage.Enumerable = (*view)(nil)
@@ -242,6 +256,8 @@ type Store struct {
 	dims   []int
 	cells  int // the domain size Π dims: with a snapshot's nonzero count, what sizes a compaction target
 	cfg    Config
+	// mapped is the version-0 base when it maps a file; see Compact.
+	mapped pageDropper
 
 	head       atomic.Pointer[view]
 	retrievals atomic.Int64
@@ -267,15 +283,16 @@ type Store struct {
 
 // New opens an MVCC store over base, which becomes the frozen version-0
 // state (it must support enumeration and is never mutated again — callers
-// must stop writing to it directly). tuples seeds the tuple count the view
-// represents; f and dims are the filter and per-dimension domain sizes
-// batches are transformed under.
-func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Config) (*Store, error) {
+// must stop writing to it directly). The base is only ever read, so a
+// read-only one, such as a mapped file, serves. tuples and mass seed the tuple count
+// and the coefficient mass Σ|Δ̂[ξ]| the view represents — the caller's own,
+// so version 0 carries the bits the base's owner reports; f and dims are
+// the filter and per-dimension domain sizes batches are transformed under.
+func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, mass float64, cfg Config) (*Store, error) {
 	if base == nil || f == nil {
 		return nil, fmt.Errorf("mvcc: nil base store or filter")
 	}
-	enum, ok := base.(storage.Enumerable)
-	if !ok {
+	if _, ok := base.(storage.Enumerable); !ok {
 		return nil, fmt.Errorf("mvcc: base store %T cannot enumerate its coefficients", base)
 	}
 	if cfg.MaxLayers <= 0 {
@@ -292,11 +309,7 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, cfg Co
 		return nil, fmt.Errorf("mvcc: %w", err)
 	}
 	s := &Store{filter: f, dims: append([]int(nil), dims...), cells: cells, cfg: cfg}
-	var mass float64
-	enum.ForEachNonzero(func(_ int, v float64) bool {
-		mass += math.Abs(v)
-		return true
-	})
+	s.mapped, _ = base.(pageDropper)
 	v0 := &view{
 		version: 0,
 		rawBase: base,
@@ -464,14 +477,16 @@ func (s *Store) maybeCompact(v *view) {
 	go func() {
 		defer s.compactWG.Done()
 		defer s.compacting.Store(false)
-		// Background compaction cannot report; failures leave the overlay in
-		// place (correct, just deeper) and the next Apply re-triggers.
+		// Background compaction cannot report; failures (a damaged base
+		// file among them) leave the overlay in place (correct, just deeper)
+		// and the next Apply re-triggers.
 		_ = s.Compact(context.Background())
 	}()
 }
 
 // WaitCompactions blocks until any in-flight background compaction
-// finishes. Tests use it; serving code never needs to.
+// finishes: before its base is closed (a mapped file a fold may be
+// walking), and in tests.
 func (s *Store) WaitCompactions() { s.compactWG.Wait() }
 
 // Compact folds the current overlay into a freshly built base and swaps it
@@ -479,6 +494,8 @@ func (s *Store) WaitCompactions() { s.compactWG.Wait() }
 // base is never mutated, so in-flight readers and pinned snapshots are
 // untouched; the compacted view serves bit-identical values (a verbatim
 // copy of the merged floats) with identical mass, tuple count, and version.
+// A base that fails to enumerate (a mapped file's damaged block) is an
+// error, and the overlay keeps serving over the old base.
 func (s *Store) Compact(ctx context.Context) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -509,12 +526,14 @@ func (s *Store) Compact(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	snap.rawBase.(storage.Enumerable).ForEachNonzero(func(k int, v float64) bool {
+	if err := storage.Walk(snap.rawBase.(storage.Enumerable), func(k int, v float64) bool {
 		if _, shadowed := seen[k]; !shadowed {
 			nb.Add(k, v)
 		}
 		return true
-	})
+	}); err != nil {
+		return fmt.Errorf("mvcc: compacting: %w", err)
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -545,6 +564,12 @@ func (s *Store) Compact(ctx context.Context) error {
 	s.replaceRetainedLocked(nv)
 	s.mu.Unlock()
 
+	// A mapped version-0 base is no longer the head's: its pages go back to
+	// the kernel. Readers still on an older version fault in what they read,
+	// so every fold repeats the drop.
+	if s.mapped != nil {
+		s.mapped.DropPages()
+	}
 	s.compactions.Add(1)
 	s.compactedLayers.Add(int64(len(snap.layers)))
 	compactSeconds.Load().Observe(time.Since(start).Seconds())
@@ -653,8 +678,8 @@ func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
 	s.head.Load().ForEachNonzero(fn)
 }
 
-// Mass returns the head's coefficient mass (deterministic: the open-time
-// enumeration plus exact per-Apply increments, carried across compactions).
+// Mass returns the head's coefficient mass (deterministic: the mass New was
+// handed plus exact per-Apply increments, carried across compactions).
 func (s *Store) Mass() float64 { return s.head.Load().mass }
 
 // TupleWeight returns the head's net tuple weight.

@@ -1,13 +1,15 @@
 package server
 
 // The bytes the daemon serves, pinned: every /prepare and /query body of a
-// fixed request script, over each way wvqd builds a view, must equal the
-// file under testdata/served. A change that is meant to move no number —
-// a different store under a mode, a refactor of the step loop — passes it
-// untouched; run with -update only when a body is meant to change.
+// fixed request script, over each way wvqd builds a view (and a loaded
+// one), must equal the file under testdata/served. A change that is meant
+// to move no number — a different store under a mode, a refactor of the
+// step loop — passes it untouched; run with -update only when a body is
+// meant to change.
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -15,6 +17,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -62,7 +65,7 @@ func servedShards(t *testing.T, path string, count int) *repro.Database {
 	t.Helper()
 	addrs := make([]string, count)
 	for i := range addrs {
-		db, err := repro.OpenDatabase(path)
+		db, err := repro.OpenLayout(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,14 +90,17 @@ func servedShards(t *testing.T, path string, count int) *repro.Database {
 }
 
 // TestServedBodiesMatchGolden drives the handler over a mapped dense and a
-// mapped sparse -db, a -db -mvcc after two writes, and 2-shard coordinators
-// over each file: /prepare of one batch, its handle at budgets 0, 1, 500 and
-// the whole master list, then an ad hoc batch at budgets 0 and 300.
+// mapped sparse -db, the sparse file loaded into memory, a -db -mvcc after
+// two writes, and 2-shard coordinators over each file: /prepare of one
+// batch, its handle at budgets 0, 1, 500 and the whole master list, then an
+// ad hoc batch at budgets 0 and 300. The loaded file must serve the mapped
+// one's bodies, and the -mvcc daemon before its writes must too, "version"
+// aside.
 func TestServedBodiesMatchGolden(t *testing.T) {
 	dense, sparse := servedFile(t, 400, 7), servedFile(t, 4, 7)
 	open := func(path string) func(*testing.T) *repro.Database {
 		return func(t *testing.T) *repro.Database {
-			db, err := repro.OpenDatabase(path)
+			db, err := repro.OpenLayout(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,12 +108,16 @@ func TestServedBodiesMatchGolden(t *testing.T) {
 		}
 	}
 	configs := []struct {
-		name string
-		open func(*testing.T) *repro.Database
+		name   string
+		golden string // the golden file's name, when not the config's
+		open   func(*testing.T) *repro.Database
+		// write, when set, runs before the checked script; a second open of
+		// the config, left at version 0, must first serve db_sparse's bodies.
+		write func(*testing.T, *repro.Database)
 	}{
-		{"db_dense", open(dense)},
-		{"db_sparse", open(sparse)},
-		{"db_mvcc", func(t *testing.T) *repro.Database {
+		{name: "db_dense", open: open(dense)},
+		{name: "db_sparse", open: open(sparse)},
+		{name: "loaded_sparse", golden: "db_sparse", open: func(t *testing.T) *repro.Database {
 			file, err := os.ReadFile(sparse)
 			if err != nil {
 				t.Fatal(err)
@@ -116,50 +126,47 @@ func TestServedBodiesMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			return db
+		}},
+		{name: "db_mvcc", open: func(t *testing.T) *repro.Database {
+			db := open(sparse)(t)
 			if err := db.EnableMVCC(repro.MVCCConfig{}); err != nil {
 				t.Fatal(err)
 			}
+			return db
+		}, write: func(t *testing.T, db *repro.Database) {
 			for i, coords := range [][]int{{3, 60}, {41, 17}} {
 				if _, err := db.Apply(context.Background(), repro.NewWriteBatch().Add(coords, float64(i+2))); err != nil {
 					t.Fatal(err)
 				}
 			}
-			return db
 		}},
-		{"shards_dense", func(t *testing.T) *repro.Database { return servedShards(t, dense, 2) }},
-		{"shards_sparse", func(t *testing.T) *repro.Database { return servedShards(t, sparse, 2) }},
+		{name: "shards_dense", open: func(t *testing.T) *repro.Database { return servedShards(t, dense, 2) }},
+		{name: "shards_sparse", open: func(t *testing.T) *repro.Database { return servedShards(t, sparse, 2) }},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
 			db := c.open(t)
 			t.Cleanup(func() { _ = db.Close() })
-			h := New(db, Options{})
-			t.Cleanup(h.Close)
-			var out strings.Builder
-			post := func(path, body string) []byte {
-				rec := postJSON(t, h, path, body, nil)
-				fmt.Fprintf(&out, "POST %s %s\n%d %s", path, body, rec.Code, rec.Body.Bytes())
-				if rec.Code != 200 {
-					t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+			if c.write != nil {
+				want, err := os.ReadFile(filepath.Join("testdata", "served", "db_sparse.golden"))
+				if err != nil {
+					t.Fatal(err)
 				}
-				return rec.Body.Bytes()
+				v0 := c.open(t)
+				t.Cleanup(func() { _ = v0.Close() })
+				if got := versionLine.ReplaceAllString(servedScript(t, v0), ""); got != string(want) {
+					t.Fatalf("version 0 does not serve db_sparse's bodies:\n%s", firstDifference(got, string(want)))
+				}
+				c.write(t, db)
 			}
-			var prep PrepareResponse
-			if err := json.Unmarshal(post("/prepare", `{"statements": `+jsonString(servedPrepared)+`}`), &prep); err != nil {
-				t.Fatal(err)
-			}
-			for _, budget := range []int{0, 1, 500, prep.Distinct} {
-				post("/query", fmt.Sprintf(`{"handle": %q, "budget": %d}`, prep.Handle, budget))
-			}
-			for _, budget := range []int{0, 300} {
-				post("/query", fmt.Sprintf(`{"statements": %s, "budget": %d}`, jsonString(servedAdhoc), budget))
-			}
-			golden := filepath.Join("testdata", "served", c.name+".golden")
-			if *update {
+			got := servedScript(t, db)
+			golden := filepath.Join("testdata", "served", cmp.Or(c.golden, c.name)+".golden")
+			if *update && c.golden == "" {
 				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -167,11 +174,42 @@ func TestServedBodiesMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run with -update to create it)", err)
 			}
-			if got := out.String(); got != string(want) {
+			if got != string(want) {
 				t.Fatalf("served bodies moved from %s:\n%s", golden, firstDifference(got, string(want)))
 			}
 		})
 	}
+}
+
+// versionLine is the "version" field of an indented /query body.
+var versionLine = regexp.MustCompile(`(?m)^  "version": \d+,\n`)
+
+// servedScript runs the request script against a fresh handler over db and
+// returns every request with the status and body it got.
+func servedScript(t *testing.T, db *repro.Database) string {
+	t.Helper()
+	h := New(db, Options{})
+	defer h.Close()
+	var out strings.Builder
+	post := func(path, body string) []byte {
+		rec := postJSON(t, h, path, body, nil)
+		fmt.Fprintf(&out, "POST %s %s\n%d %s", path, body, rec.Code, rec.Body.Bytes())
+		if rec.Code != 200 {
+			t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var prep PrepareResponse
+	if err := json.Unmarshal(post("/prepare", `{"statements": `+jsonString(servedPrepared)+`}`), &prep); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{0, 1, 500, prep.Distinct} {
+		post("/query", fmt.Sprintf(`{"handle": %q, "budget": %d}`, prep.Handle, budget))
+	}
+	for _, budget := range []int{0, 300} {
+		post("/query", fmt.Sprintf(`{"statements": %s, "budget": %d}`, jsonString(servedAdhoc), budget))
+	}
+	return out.String()
 }
 
 // firstDifference prints the first line on which got and want differ.

@@ -113,8 +113,8 @@ func designStacks(t *testing.T) map[string]string {
 }
 
 // TestPrintedStacksMatchDesign builds every shape wvqd serves the way wvqd
-// builds it — open (-db and -shard-listen map the .wvls file, -mvcc streams
-// it into memory), then EnableMVCC as the flags ask, SetStack with the
+// builds it — open (every mode maps the .wvls file), then EnableMVCC as the
+// flags ask, SetStack with the
 // fault, retry and timing layers they declare, then the handler — and checks
 // StoreStack() against the table DESIGN.md §11 prints, so the two change
 // together. The dense file is as dense as the benchmark's (≈ 3/4 of the
@@ -138,24 +138,14 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 		return buf.Bytes()
 	}
 	dense, sparse := save(30), save(1) // 776 and 132 of 1 024 cells
-	// -db and -shard-listen open the file (mapping a .wvls); -mvcc streams
-	// it into memory.
+	// Every mode maps the file.
 	open := func(file []byte) func() *repro.Database {
 		path := filepath.Join(t.TempDir(), "db.wvls")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return func() *repro.Database {
-			db, err := repro.OpenDatabase(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return db
-		}
-	}
-	load := func(file []byte) func() *repro.Database {
-		return func() *repro.Database {
-			db, err := repro.LoadDatabase(bytes.NewReader(file))
+			db, err := repro.OpenLayout(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,10 +179,10 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 	}{
 		{shape: "`-db`, dense file", open: open(dense)},
 		{shape: "`-db`, sparse file", open: open(sparse)},
-		{shape: "`-db -mvcc`, sparse file", open: load(sparse), mvcc: true},
+		{shape: "`-db -mvcc`, sparse file", open: open(sparse), mvcc: true},
 		{shape: "`-layout`", open: open(dense)},
 		{shape: "`-db -chaos-* -retry-*`", open: open(dense), chaos: chaos, retry: &repro.RetryConfig{MaxAttempts: 8}},
-		{shape: "`-db -mvcc -chaos-*`", open: load(dense), mvcc: true, chaos: chaos},
+		{shape: "`-db -mvcc -chaos-*`", open: open(dense), mvcc: true, chaos: chaos},
 		{shape: "`-shards`, 2 shards", open: func() *repro.Database {
 			db, err := repro.OpenDistributed(addrs, repro.DistOptions{})
 			if err != nil {

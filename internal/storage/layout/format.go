@@ -123,13 +123,13 @@ const (
 	// group, deltas in between.
 	groupSize = 64
 
-	// maxDims mirrors codec's plausibility bound on schema dimensionality.
+	// maxDims is the plausibility bound on a header's schema dimensionality.
 	maxDims = 64
 )
 
 // Meta is the optional database identity carried by a layout file so
-// repro.OpenLayout can reassemble a servable view without the original
-// .wvdb. A file written with WriteOptions.Meta nil has none.
+// repro.OpenLayout can reassemble a servable view from the file alone. A
+// file written with WriteOptions.Meta nil has none.
 type Meta struct {
 	FilterName string
 	TupleCount int64
@@ -786,6 +786,9 @@ func readHeader(prelude []byte, size int64, readBlob func(blob []byte) error) (*
 		return nil, nil, nil, fmt.Errorf("layout: unsupported version %d", v)
 	}
 	flags := binary.LittleEndian.Uint16(prelude[6:8])
+	if flags&^(flagQuantized|flagDense) != 0 {
+		return nil, nil, nil, fmt.Errorf("layout: unknown flags %#x", flags)
+	}
 	hdrLen := binary.LittleEndian.Uint32(prelude[8:12])
 	hdrCRC := binary.LittleEndian.Uint32(prelude[12:16])
 	if int64(hdrLen) > size-preludeSize || hdrLen > 1<<24 {

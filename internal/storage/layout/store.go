@@ -688,13 +688,20 @@ func (s *Store) InMemory() bool { return s.data != nil }
 func (s *Store) StackName() string { return "layout" }
 
 // ForEachNonzero implements storage.Enumerable in ascending key order, zeros
-// skipped: the walk Decode runs, with damage — a block or the key index
-// failing its check — reported by a panic, since the interface has no error.
-// A walk of a mapped file puts nothing on the Go heap.
+// skipped: Walk, with damage reported by a panic, since the interface has
+// no error.
 func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
-	if err := s.walk(visitor{fn: fn}); err != nil {
+	if err := s.Walk(fn); err != nil {
 		panic(fmt.Sprintf("layout: enumerating: %v", err))
 	}
+}
+
+// Walk hands fn every nonzero coefficient in ascending key order until fn
+// returns false: the walk Decode runs. It returns the damage it met — a
+// block or the key index failing its check (storage.Walk). A walk of a
+// mapped file puts nothing on the Go heap.
+func (s *Store) Walk(fn func(key int, value float64) bool) error {
+	return s.walk(visitor{fn: fn})
 }
 
 // visitor is what a walk hands coefficients to: ForEachNonzero's fn, which
@@ -899,6 +906,17 @@ func (s *Store) Stats() Stats {
 		FileBytes:         s.g.fileSize,
 		IndexBytes:        s.g.hotOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
 		Families:          s.Families(),
+	}
+}
+
+// DropPages hands the resident pages of the mapping back to the kernel (on
+// Linux): the file stops counting in the process's resident set until a
+// read faults its pages in again from the page cache. Reads are unaffected.
+// An MVCC store calls it on a mapped version-0 base once a compaction has
+// replaced it. A no-op on the positioned-read tier.
+func (s *Store) DropPages() {
+	if s.data != nil {
+		dropPages(s.data)
 	}
 }
 

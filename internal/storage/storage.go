@@ -67,6 +67,23 @@ type Enumerable interface {
 	ForEachNonzero(fn func(key int, value float64) bool)
 }
 
+// walkCapable is implemented by enumerable stores that can meet damage
+// while they enumerate (a layout file's block or key index failing its
+// check): ForEachNonzero panics with it, Walk returns it.
+type walkCapable interface {
+	Walk(fn func(key int, value float64) bool) error
+}
+
+// Walk enumerates e as ForEachNonzero does, but returns the damage a store
+// meets on the way instead of panicking with it.
+func Walk(e Enumerable, fn func(key int, value float64) bool) error {
+	if w, ok := e.(walkCapable); ok {
+		return w.Walk(fn)
+	}
+	e.ForEachNonzero(fn)
+	return nil
+}
+
 // concurrencyCapable is the capability check implemented by stores that are,
 // or may be, safe for use from multiple goroutines: base stores whose reads
 // touch no unsynchronized state answer true, wrappers whose own state is

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"sync"
@@ -186,7 +187,11 @@ var subjects = []struct {
 	}},
 	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
 		cfg := mvcc.Config{DisableAutoCompact: true}
-		s, err := mvcc.New(storage.NewHashStoreFromDense(hat, 0), wavelet.Db4, dims, tuples, cfg)
+		var mass float64
+		for _, v := range hat {
+			mass += math.Abs(v)
+		}
+		s, err := mvcc.New(storage.NewHashStoreFromDense(hat, 0), wavelet.Db4, dims, tuples, mass, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
@@ -93,11 +92,13 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 	n := st.NonzeroCount()
 	keys := make([]int, 0, n)
 	values := make([]float64, 0, n)
-	enum.ForEachNonzero(func(k int, v float64) bool {
+	if err := storage.Walk(enum, func(k int, v float64) bool {
 		keys = append(keys, k)
 		values = append(values, v)
 		return true
-	})
+	}); err != nil {
+		return LayoutCandidates{}, fmt.Errorf("repro: reading the view: %w", err)
+	}
 	families := make([]layout.FamilyOrder, 0, len(opts.Families))
 	for i, f := range opts.Families {
 		if f.Plan == nil || f.Penalty == nil {
@@ -134,31 +135,13 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 // read. The file must embed database metadata — a bare layout written
 // through the storage API lacks the schema and cannot be served.
 //
-// The view is read-only (Insert/Delete fail) and safe for concurrent
-// retrieval. Close releases the mapping and the file handle. Unquantized
-// layouts serve bit-identical values, so every progressive estimate equals
-// the in-memory run's.
+// The view is safe for concurrent retrieval and read-only: Insert, Delete
+// and Apply fail with ErrReadOnly until EnableMVCC makes the mapping the
+// frozen base of a writable overlay. Close releases the mapping and the file
+// handle. Unquantized layouts serve bit-identical values, so every
+// progressive estimate equals the in-memory run's. This is how wvqd, wvq and
+// wvlayout open a view file in every mode.
 func OpenLayout(path string) (*Database, error) { return openLayout(path, layout.Options{}) }
-
-// OpenDatabase opens a database file for serving, the way wvqd -db does: a
-// .wvls file is mapped with OpenLayout, in O(header) and read-only; a .wvdb
-// stream of earlier versions is loaded with LoadDatabase. To write to a
-// .wvls database, load it with LoadDatabase instead.
-func OpenDatabase(path string) (*Database, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	var head [4]byte
-	if _, err := io.ReadFull(f, head[:]); err == nil && string(head[:]) == layout.Magic {
-		return OpenLayout(path)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return LoadDatabase(f)
-}
 
 func openLayout(path string, opts layout.Options) (*Database, error) {
 	s, err := layout.Open(path, opts)

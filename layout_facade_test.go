@@ -215,7 +215,7 @@ func TestLayoutReadOnly(t *testing.T) {
 		t.Fatal("LayoutStats on an in-memory db must report !ok")
 	}
 	// A layout-backed database can still be re-persisted: the store
-	// enumerates, so Save (WVDB) and SaveLayout both work from it.
+	// enumerates, so Save and SaveLayout both work from it.
 	path2 := filepath.Join(t.TempDir(), "again.wvls")
 	if _, err := ldb.SaveLayout(path2, LayoutOptions{}); err != nil {
 		t.Fatalf("SaveLayout from a layout-backed db: %v", err)
@@ -313,14 +313,14 @@ func TestOpenLayoutRejectsBareFile(t *testing.T) {
 }
 
 // TestOpenDatabaseRefusesADamagedHeader: a file that starts like a .wvls but
-// whose header does not check is an error from OpenLayout and OpenDatabase
-// (wvqd -db and -shard-listen), not a crash.
+// whose header does not check is an error from OpenLayout (how wvqd opens
+// its file in every mode), on either read tier, not a crash.
 func TestOpenDatabaseRefusesADamagedHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "damaged.wvls")
 	if err := os.WriteFile(path, []byte(layout.Magic+strings.Repeat("garbage ", 16)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, open := range map[string]func(string) (*Database, error){"OpenLayout": OpenLayout, "OpenDatabase": OpenDatabase} {
+	for name, open := range map[string]func(string) (*Database, error){"OpenLayout": OpenLayout, "positioned reads": OpenLayoutPread} {
 		if db, err := open(path); err == nil {
 			_ = db.Close()
 			t.Fatalf("%s accepted a damaged header", name)

@@ -148,7 +148,7 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 // so the loaders must hand back nothing when any of it — a block, a
 // checksum, a key index section, the hot region, the file's length — is
 // bad, in either shape. A shard's start walks the whole mapped file, so it
-// fails too: at OpenDatabase, or as an error from NewShardServer.
+// fails too: at OpenLayout, or as an error from NewShardServer.
 func TestLoadPublishesNothingFromABadStream(t *testing.T) {
 	dense, _ := savedTemperature(t)
 	for shape, file := range map[string][]byte{"dense": dense, "sparse": savedSparseTemperature(t)} {
@@ -188,7 +188,7 @@ func TestLoadPublishesNothingFromABadStream(t *testing.T) {
 			if db, err := LoadDatabase(bytes.NewReader(data)); err == nil || db != nil {
 				t.Errorf("%s file, %s: LoadDatabase returned (%v, %v)", shape, name, db, err)
 			}
-			mapped, err := OpenDatabase(savedFile(t, "bad.wvls", data))
+			mapped, err := OpenLayout(savedFile(t, "bad.wvls", data))
 			if err != nil {
 				continue
 			}

@@ -249,7 +249,7 @@ func TestShardRepresentationsAgree(t *testing.T) {
 			for _, count := range []int{1, 2} {
 				mapped, loaded := make([]*ShardServer, count), make([]*ShardServer, count)
 				for i := range mapped {
-					odb, err := OpenDatabase(path)
+					odb, err := OpenLayout(path)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -410,7 +410,7 @@ func TestLoadDatabaseAllocatesItsStoreOnce(t *testing.T) {
 func TestLoadShardServerAllocatesItsStoreOnce(t *testing.T) {
 	for _, fx := range representationFixtures {
 		file := fx.file(t)
-		db, err := OpenDatabase(savedFile(t, fx.name+".wvls", file))
+		db, err := OpenLayout(savedFile(t, fx.name+".wvls", file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +444,7 @@ func TestShardServerSurvivesConcurrentConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := OpenDatabase(savedFile(t, "db.wvls", file))
+	mapped, err := OpenLayout(savedFile(t, "db.wvls", file))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,20 +58,27 @@ type MVCCStats = mvcc.Stats
 // bit-stable however many writes land mid-drain), and a background
 // compactor folds layers back into a fresh base.
 //
-// The opened base becomes the frozen version-0 base, the declared store
-// stack (retries, fault injection, instrumentation, coalescing — enabled
-// before or after) is built over the base of every view, and the database
-// becomes safe for concurrent writers and readers. Sessions and runs started
-// earlier keep reading the store they captured. Idempotent; read-only views
-// (distributed, layout) cannot enable MVCC.
+// The opened base becomes the frozen version-0 base, with the mass
+// CoefficientMass reports, the declared store stack (retries, fault
+// injection, instrumentation, coalescing — enabled before or after) is built
+// over the base of every view, and the database becomes safe for concurrent
+// writers and readers. A mapped layout file is that base as it is: nothing
+// is copied at enable time, and the first compaction folds it and the
+// overlay into memory. Sessions and runs started earlier keep reading the
+// store they captured. Idempotent; a distributed coordinator cannot enable
+// MVCC.
 func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 	if db.mvcc != nil {
 		return nil
 	}
-	if err := db.readOnlyErr("write"); err != nil {
+	if db.coord != nil {
+		return db.readOnlyErr("write")
+	}
+	mass, err := db.CoefficientMass()
+	if err != nil {
 		return err
 	}
-	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.TupleCount(), mvcc.Config{
+	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.TupleCount(), mass, mvcc.Config{
 		MaxLayers:          cfg.MaxLayers,
 		MaxLayerKeys:       cfg.MaxLayerKeys,
 		Retain:             cfg.Retain,

@@ -214,7 +214,9 @@ func TestInsertDeleteRouteThroughApply(t *testing.T) {
 
 // TestErrReadOnlyTyped checks the satellite error redesign: read-only views
 // refuse writes with an error matching errors.Is(err, ErrReadOnly) while
-// keeping the "read-only" substring older callers grep for.
+// keeping the "read-only" substring older callers grep for. A mapped view
+// refuses plain writes and names the way to write over it: EnableMVCC, which
+// it accepts, after which it takes writes. A coordinator refuses EnableMVCC.
 func TestErrReadOnlyTyped(t *testing.T) {
 	db, _, path := layoutFixture(t)
 	if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
@@ -226,17 +228,27 @@ func TestErrReadOnlyTyped(t *testing.T) {
 	}
 	defer func() { _ = ldb.Close() }()
 
+	ss, err := ldb.NewShardServer(0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serveShards(t, []*ShardServer{ss}).EnableMVCC(MVCCConfig{}); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("EnableMVCC on a coordinator = %v, want errors.Is ErrReadOnly", err)
+	}
 	if err := ldb.Insert([]int{1, 1, 1}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Insert on layout view = %v, want errors.Is ErrReadOnly", err)
 	}
 	if _, err := ldb.Apply(context.Background(), NewWriteBatch().Add([]int{1, 1, 1}, 1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Apply on layout view = %v, want errors.Is ErrReadOnly", err)
 	}
-	if err := ldb.EnableMVCC(MVCCConfig{}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("EnableMVCC on layout view = %v, want errors.Is ErrReadOnly", err)
+	if err := ldb.Insert([]int{1, 1, 1}); !strings.Contains(err.Error(), "read-only") || !strings.Contains(err.Error(), "EnableMVCC") {
+		t.Fatalf("read-only substring or the EnableMVCC hint lost from %q", err.Error())
 	}
-	if err := ldb.Insert([]int{1, 1, 1}); !strings.Contains(err.Error(), "read-only") {
-		t.Fatalf("read-only substring lost from %q", err.Error())
+	if err := ldb.EnableMVCC(MVCCConfig{}); err != nil {
+		t.Fatalf("EnableMVCC on layout view = %v, want the mapping as its base", err)
+	}
+	if err := ldb.Insert([]int{1, 1, 1}); err != nil {
+		t.Fatalf("Insert under MVCC over the mapping: %v", err)
 	}
 }
 

@@ -223,18 +223,19 @@ func (db *Database) Schema() *Schema { return db.schema }
 func (db *Database) Filter() *Filter { return db.filter }
 
 // ErrReadOnly is the typed refusal of writes against read-only views
-// (distributed coordinators, layout files); match it with errors.Is. The
-// wrapped message carries the view-specific hint for how to write instead.
+// (distributed coordinators, mapped layout files without MVCC); match it
+// with errors.Is. The wrapped message carries the view-specific hint for how
+// to write instead.
 var ErrReadOnly = errors.New("repro: database view is read-only")
 
 // readOnlyErr reports why the view cannot accept tuple updates, or nil for
-// an ordinary mutable database. The returned error wraps ErrReadOnly.
+// a database that can. The returned error wraps ErrReadOnly.
 func (db *Database) readOnlyErr(op string) error {
 	switch {
 	case db.coord != nil:
 		return fmt.Errorf("%w: distributed database; %s on the shard side before partitioning", ErrReadOnly, op)
-	case db.layout != nil:
-		return fmt.Errorf("%w: layout-backed database; %s against the source database and rebuild the layout", ErrReadOnly, op)
+	case db.layout != nil && db.mvcc == nil:
+		return fmt.Errorf("%w: mapped layout file; EnableMVCC (wvqd -mvcc) to %s over it", ErrReadOnly, op)
 	}
 	return nil
 }
@@ -280,25 +281,25 @@ func (db *Database) Windows() [][2]float64 { return db.windows }
 // Save writes the database (schema, filter identity, transformed
 // coefficients) to w as the .wvls file SaveLayout writes with default
 // options: dense when that is smaller, otherwise sparse in canonical order.
-// The file can be mapped with OpenLayout (or OpenDatabase) or streamed into
-// memory with LoadDatabase. An MVCC database writes one pinned version.
+// The file can be mapped with OpenLayout or streamed into memory with
+// LoadDatabase. An MVCC database writes one pinned version.
 func (db *Database) Save(w io.Writer) error {
 	_, err := db.encodeLayout(w, LayoutOptions{})
 	return err
 }
 
-// LoadDatabase reads a database file into memory: a .wvls file written with
-// Save or SaveLayout, or a .wvdb stream of earlier versions. The filter is
-// resolved from the built-in set by name. Coefficients stream from the
-// decoder straight into a store sized from the file's header — the
-// dense array or the hash table, whichever storage.NewMemoryStore finds
-// smaller for the declared domain and count — and the coefficient mass is
-// summed on the way in, in ascending key order; nothing is returned unless
-// every checksum of the file verifies. A .wvls file read from an *os.File
-// is mapped for the load and walked in place, a dense one a block at a
-// time, a sparse one a key group at a time with each value read by its
-// slot; nothing of it is copied to the heap. Unlike a mapped view, the loaded database can be
-// written to.
+// LoadDatabase reads a .wvls database file, written with Save or
+// SaveLayout, into memory. The filter is resolved from the built-in set by
+// name. Coefficients stream from the decoder straight into a store sized
+// from the file's header — the dense array or the hash table, whichever
+// storage.NewMemoryStore finds smaller for the declared domain and count —
+// and the coefficient mass is summed on the way in, in ascending key order;
+// nothing is returned unless every checksum of the file verifies. A file
+// read from an *os.File is mapped for the load and walked in place, a dense
+// one a block at a time, a sparse one a key group at a time with each value
+// read by its slot; nothing of it is copied to the heap. The loaded
+// database takes plain writes; to serve a file, map it with OpenLayout
+// (and EnableMVCC to write over the mapping).
 func LoadDatabase(r io.Reader) (*Database, error) {
 	var (
 		db    *Database
@@ -342,9 +343,9 @@ func (db *Database) NonzeroCoefficients() int { return db.store.NonzeroCount() }
 // store cannot enumerate its coefficients — previously this case silently
 // reported a mass of 0, which turns every worst-case bound into a useless 0.
 func (db *Database) CoefficientMass() (float64, error) {
-	// MVCC stores keep the mass as exact incremental bookkeeping (open-time
-	// enumeration plus per-Apply increments, carried across compactions), so
-	// bounds stay deterministic under live writes.
+	// MVCC stores keep the mass as exact incremental bookkeeping (the
+	// version-0 mass EnableMVCC read here, plus per-Apply increments, carried
+	// across compactions), so bounds stay deterministic under live writes.
 	if db.mvcc != nil {
 		return db.mvcc.Mass(), nil
 	}

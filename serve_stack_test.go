@@ -39,7 +39,7 @@ func TestServerStackOverPreadLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	for shape, open := range map[string]func(string) (*repro.Database, error){
-		"`-db`, dense file":          repro.OpenDatabase,
+		"`-db`, dense file":          repro.OpenLayout,
 		"`-db`, mapping unavailable": repro.OpenLayoutPread,
 	} {
 		db, err := open(path)

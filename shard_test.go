@@ -36,7 +36,7 @@ func TestStreamedShardMatchesPartition(t *testing.T) {
 	densePath, sparsePath := savedFile(t, "dense.wvls", dense), savedFile(t, "sparse.wvls", sparse)
 	opened := func(path string) func(t *testing.T) *Database {
 		return func(t *testing.T) *Database {
-			db, err := OpenDatabase(path)
+			db, err := OpenLayout(path)
 			if err != nil {
 				t.Fatal(err)
 			}

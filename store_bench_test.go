@@ -2,10 +2,9 @@ package repro
 
 // The in-memory store's benches behind BENCH_storage.json's "in-memory store"
 // row (`make bench-storage`): what `wvqd -db` pays to open a .wvls file
-// (mapped: BenchmarkOpenDatabase), what `wvqd -db -mvcc` or one of two
-// `wvqd -shard-listen` processes pays to bring one into memory, what a
-// loaded database then keeps resident per coefficient, and what one lookup
-// costs — on the synthetic temperature set at the benchmark fixture's size
+// (mapped: BenchmarkOpenLayout), what LoadDatabase pays to bring one into
+// memory, what a loaded database then keeps resident per coefficient, and
+// what one lookup costs — on the synthetic temperature set at the benchmark fixture's size
 // (32×32×8×32×32, ≈ 6.3 M coefficients, 75 % of the cells), at an eighth of
 // its domain (every one of its 2²⁰ cells nonzero) and on a sparse transform
 // of the full domain (24 records: an eighth of the cells), so that both sides
@@ -153,7 +152,7 @@ func BenchmarkLoadDatabase(b *testing.B) {
 }
 
 // BenchmarkOpenShardServer times what `wvqd -shard-listen` pays before it
-// listens: OpenDatabase maps the .wvls file, and NewShardServer works out
+// listens: OpenLayout maps the .wvls file, and NewShardServer works out
 // shard 0 of 2's nonzero count and mass in one key-order walk of it, summed
 // as it goes for either shape, copying nothing.
 func BenchmarkOpenShardServer(b *testing.B) {
@@ -168,7 +167,7 @@ func BenchmarkOpenShardServer(b *testing.B) {
 			b.ResetTimer()
 			var ss *ShardServer
 			for i := 0; i < b.N; i++ {
-				db, err := OpenDatabase(path)
+				db, err := OpenLayout(path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -185,10 +184,10 @@ func BenchmarkOpenShardServer(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenDatabase times what `wvqd -db` pays before it listens on a
-// .wvls file: OpenDatabase maps it and checks its header, so the number does
-// not grow with the file; Close unmaps it.
-func BenchmarkOpenDatabase(b *testing.B) {
+// BenchmarkOpenLayout times what `wvqd -db` (with or without -mvcc) pays
+// before it listens on a .wvls file: OpenLayout maps it and checks its
+// header, so the number does not grow with the file; Close unmaps it.
+func BenchmarkOpenLayout(b *testing.B) {
 	for _, c := range storeBenchCases {
 		b.Run(c.name, func(b *testing.B) {
 			c.build(b)
@@ -199,7 +198,7 @@ func BenchmarkOpenDatabase(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				db, err := OpenDatabase(path)
+				db, err := OpenLayout(path)
 				if err != nil {
 					b.Fatal(err)
 				}

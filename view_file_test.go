@@ -3,7 +3,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"math"
 	"net"
 	"os"
@@ -236,58 +235,12 @@ func TestOpenLayoutSurvivesItsFileBeingRewritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameBits(t, "after the rewrite", drain(t, served, plan, mass), before)
-	reopened, err := OpenDatabase(path)
+	reopened, err := OpenLayout(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = reopened.Close() }()
 	if reopened.NonzeroCoefficients() != small.NonzeroCoefficients() {
 		t.Fatalf("reopened: %d coefficients, the new file has %d", reopened.NonzeroCoefficients(), small.NonzeroCoefficients())
-	}
-}
-
-// TestOpenDatabaseOpensEitherFormat: OpenDatabase maps a .wvls file and
-// loads a .wvdb stream of earlier versions — here the codec's version-2
-// golden: schema (x:4, y:2), Haar, 3 tuples, {0: 1.5, 5: -2.25}.
-func TestOpenDatabaseOpensEitherFormat(t *testing.T) {
-	wvdb, err := hex.DecodeString("575644420200044861617203000000000000000200010078040000000000000000000000" +
-		"00000000000000000100790200000000000000000000000000000000000000020000000000000000000000" +
-		"00000000000000000000f83f050000000000000000000000000002c038fccb14")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	old := filepath.Join(dir, "old.wvdb")
-	if err := os.WriteFile(old, wvdb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := OpenDatabase(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.LayoutBacked() || loaded.TupleCount() != 3 || loaded.NonzeroCoefficients() != 2 {
-		t.Fatalf(".wvdb opened as layout=%v with %d tuples, %d coefficients", loaded.LayoutBacked(), loaded.TupleCount(), loaded.NonzeroCoefficients())
-	}
-	path := filepath.Join(dir, "new.wvls")
-	if _, err := loaded.SaveLayout(path, LayoutOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenDatabase(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mapped.Close() }()
-	if !mapped.LayoutBacked() {
-		t.Fatal("a .wvls file was not mapped")
-	}
-	plan, err := mapped.Plan(CountBatch(mapped.Schema(), []Range{FullDomain(mapped.Schema())}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mapped.Exact(plan)[0], loaded.Exact(plan)[0]; math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("COUNT() over the mapped file %v, over the loaded stream %v", got, want)
-	}
-	if _, err := OpenDatabase(filepath.Join(dir, "missing.wvls")); err == nil {
-		t.Fatal("a missing file opened")
 	}
 }
