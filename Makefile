@@ -113,10 +113,13 @@ served-diff:
 # The mapped stores' lifetime test runs ten times more: a finalizer that
 # unmapped under a running reader would kill the process, not fail a check.
 # It runs without -race, which keeps the stores on the heap (the detector
-# checks only heap addresses) and so has no mapping to lose.
+# checks only heap addresses) and so has no mapping to lose. The concurrent
+# recorder test runs ten times more under -race: the retry, coalescing and
+# step sites write into run recorders that /debug/traces reads live.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
+	$(GO) test -race -count=10 -run TestRecorderConcurrentRuns ./internal/core/
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
 # process: mutated .wvls view files streamed into memory, query

@@ -29,12 +29,15 @@
 // concurrent registrations (X-Tenant header; exceeding it gets 429).
 //
 // The daemon is fully observed: every request gets an ID that threads
-// through structured logs (-log-format selects text or JSON on stderr),
-// a span trace of its retrieval path, and a per-run trace of the error-bound
-// trajectory. -pprof exposes the debug listener (e.g. -pprof localhost:6060)
-// carrying net/http/pprof, Prometheus metrics at /metrics, and recent span
-// and run traces at /debug/traces — kept off the public mux so none of it
-// reaches query clients.
+// through structured logs (-log-format selects text or JSON on stderr), and
+// every query run gets one recorder of its error-bound trajectory, step by
+// step, which ?explain=1 and -slow-query extend into a profile of where the
+// time and the retrievals went. -pprof exposes the debug listener (e.g.
+// -pprof localhost:6060) carrying net/http/pprof, Prometheus metrics at
+// /metrics, the recent runs' bound trajectories at /debug/traces and the
+// recent profiles at /debug/profiles — kept off the public mux so none of
+// it reaches query clients. A shard server's -pprof listener carries
+// net/http/pprof only.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains in-flight
 // requests for -drain-timeout, cancels whatever is still running, and exits.
@@ -122,9 +125,9 @@ func parseFlags(args []string) (*options, error) {
 		return nil, errors.New("-shard-index/-shard-count only apply with -shard-listen")
 	case shardAddrs == "" && o.dist.opts != (repro.DistOptions{}):
 		return nil, errors.New("-shard-dial-timeout/-shard-timeout/-shard-pool only apply with -shards")
-	// MVCC needs a local, writable, enumerable view: a mapped file is
-	// read-only (-db -mvcc loads the file instead), a coordinator has no
-	// local store, and a shard server does not take writes.
+	// MVCC needs a local view to write over: -db -mvcc maps the file as the
+	// frozen base its write layers overlay, a coordinator has no local
+	// store, and a shard server does not take writes.
 	case o.mvcc.enabled && (o.shardListen != "" || shardAddrs != ""):
 		return nil, errors.New("-mvcc serves a local database file; it cannot be combined with -shard-listen or -shards")
 	case !o.mvcc.enabled && (mv.MaxLayers != 0 || mv.MaxLayerKeys != 0 || mv.Retain != 0):
@@ -182,7 +185,7 @@ func newFlagSet(o *options, shardAddrs *string, retry *repro.RetryConfig, chaos 
 	fs.IntVar(&o.server.PlanCache, "plan-cache", 0, "prepared plans held in the registry (0 = default 256)")
 	fs.IntVar(&o.server.Sched.MaxPreparedPerTenant, "max-prepared-per-tenant", 0, "prepared plans one tenant may hold (0 = default 32, negative = unlimited)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve pprof, /metrics, /debug/traces and /debug/profiles on this address (empty = disabled)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve pprof, /metrics, /debug/traces and /debug/profiles on this address; a shard server (-shard-listen) serves pprof only (empty = disabled)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
 	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 
@@ -349,18 +352,7 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 	}
 
 	if pprofAddr != "" {
-		debugSrv := newDebugServer(pprofAddr, o)
-		defer debugSrv.Close()
-		go func() {
-			log.Info("debug listener on",
-				"pprof", "http://"+pprofAddr+"/debug/pprof/",
-				"metrics", "http://"+pprofAddr+"/metrics",
-				"traces", "http://"+pprofAddr+"/debug/traces",
-				"profiles", "http://"+pprofAddr+"/debug/profiles")
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Error("debug listener failed", "error", err)
-			}
-		}()
+		defer startDebugListener(pprofAddr, o, log).Close()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -392,10 +384,10 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 // owning the keys storage.ShardOf assigns to (index, count); it copies
 // nothing. Working out the shard's nonzero count and mass walks the file
 // once at start-up, in ascending key order. Shutdown reuses the daemon's
-// signal path: stop accepting, sever connections, exit. The shard keeps its
-// own span ring: request frames carrying a coordinator trace context (wire
-// v2) record shard-side spans under the coordinator's request ID, served at
-// /debug/traces on the -pprof listener.
+// signal path: stop accepting, sever connections, exit. A shard keeps no
+// per-request record: the coordinator's profile holds each shard's keys,
+// errors and wall time, and the serve time the shard echoes in every
+// response frame. The shard's -pprof listener serves net/http/pprof only.
 func runShard(dbPath, listen string, index, count int, pprofAddr string, log *slog.Logger) error {
 	opened := time.Now()
 	db, err := repro.OpenLayout(dbPath)
@@ -408,20 +400,8 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 		return err
 	}
 	loadMS := float64(time.Since(opened).Microseconds()) / 1e3
-	o := obs.NewObserver()
-	o.Log = log
-	ss.ObserveSpans(o.Spans)
 	if pprofAddr != "" {
-		debugSrv := newDebugServer(pprofAddr, o)
-		defer debugSrv.Close()
-		go func() {
-			log.Info("debug listener on",
-				"pprof", "http://"+pprofAddr+"/debug/pprof/",
-				"traces", "http://"+pprofAddr+"/debug/traces")
-			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Error("debug listener failed", "error", err)
-			}
-		}()
+		defer startDebugListener(pprofAddr, nil, log).Close()
 	}
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -453,19 +433,35 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 	return <-errc
 }
 
-// newDebugServer builds the debug listener on an explicit mux: net/http/pprof
-// handlers (importing the package only registers on http.DefaultServeMux,
-// which the query server deliberately does not use), Prometheus metrics
-// exposition, and the span/run trace dump.
-func newDebugServer(addr string, o *obs.Observer) *http.Server {
+// startDebugListener serves the debug listener on addr in the background,
+// on an explicit mux: net/http/pprof handlers (importing the package only
+// registers on http.DefaultServeMux, which the query server deliberately
+// does not use) and, given an observer, its Prometheus metrics, run
+// trajectories and query profiles. It logs what it serves; the caller
+// closes the returned server.
+func startDebugListener(addr string, o *obs.Observer, log *slog.Logger) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/metrics", o.MetricsHandler())
-	mux.Handle("/debug/traces", o.TracesHandler())
-	mux.Handle("/debug/profiles", o.ProfilesHandler())
-	return &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	serves := []any{"pprof", "http://" + addr + "/debug/pprof/"}
+	if o != nil {
+		mux.Handle("/metrics", o.MetricsHandler())
+		mux.Handle("/debug/traces", o.TracesHandler())
+		mux.Handle("/debug/profiles", o.ProfilesHandler())
+		serves = append(serves,
+			"metrics", "http://"+addr+"/metrics",
+			"traces", "http://"+addr+"/debug/traces",
+			"profiles", "http://"+addr+"/debug/profiles")
+	}
+	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	go func() {
+		log.Info("debug listener on", serves...)
+		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Error("debug listener failed", "error", err)
+		}
+	}()
+	return srv
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/dist"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/wavelet"
 )
@@ -89,13 +88,6 @@ func (s *ShardServer) StoreStack() string { return s.stack }
 // Serve accepts shard-protocol connections on ln until Close. It returns
 // nil after Close.
 func (s *ShardServer) Serve(ln net.Listener) error { return s.srv.Serve(ln) }
-
-// ObserveSpans points the shard server's request handling at sink: every
-// request frame that carries a trace context records a shard-side span —
-// keyed by the coordinator's request ID — into this process's span ring,
-// where /debug/traces?request_id= finds it. Call before Serve; a nil sink
-// disables.
-func (s *ShardServer) ObserveSpans(sink *obs.SpanSink) { s.srv.SetSpanSink(sink) }
 
 // Close stops the server, severing open connections. Idempotent.
 func (s *ShardServer) Close() error { return s.srv.Close() }

@@ -36,7 +36,7 @@ package codec
 //	body    ...               per-type, see below
 //
 // Extension. Request frames (BatchGetReq, MetaReq) carry the
-// coordinator's trace context so shard-side spans join the query's trace:
+// coordinator's request ID; a shard decodes it and does not read it:
 //
 //	trace   uvarint length + bytes   request ID ("" = untraced)
 //

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -95,11 +93,6 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 		start = time.Now()
 	}
 	skippedBefore := len(r.skipped)
-	ctx, sp := obs.StartSpan(ctx, "core.run.stepbatch")
-	if sp != nil {
-		sp.SetAttr("batch", strconv.Itoa(b))
-		defer sp.End()
-	}
 	if cap(r.batchVals) < b {
 		r.batchVals = make([]float64, b)
 	}
@@ -108,7 +101,6 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 	var failed map[int]bool
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			sp.SetError(cerr)
 			return 0, cerr
 		}
 		var be *storage.BatchError
@@ -117,10 +109,8 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 			for _, ke := range be.Failed {
 				failed[ke.Index] = true
 			}
-			sp.SetAttr("failed", strconv.Itoa(len(be.Failed)))
 		} else {
 			// Total failure: no position of vals can be trusted.
-			sp.SetError(err)
 			for j := 0; j < b; j++ {
 				r.markSkipped(r.cursor + j)
 			}

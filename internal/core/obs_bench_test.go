@@ -51,9 +51,10 @@ func BenchmarkObsOnDrain(b *testing.B) {
 }
 
 // BenchmarkObsTracedDrain adds a listed run recorder per run on top of the
-// live registry — what every request of an observed server pays, the full
-// "watch the bound decay" configuration, StepBatchCtx-paced like the
-// scheduler drives it.
+// live registry, under the context the server's observed middleware builds
+// — what every request of an observed server pays, the full "watch the
+// bound decay" configuration, StepBatchCtx-paced like the scheduler drives
+// it.
 func BenchmarkObsTracedDrain(b *testing.B) {
 	o := obs.NewObserver()
 	Observe(o.Registry)
@@ -62,13 +63,13 @@ func BenchmarkObsTracedDrain(b *testing.B) {
 	pen := penalty.SSE{}
 	f.plan.ScheduleFor(pen)
 	mass := 1000.0
+	ctx, reqID := servedCtx()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := NewRun(f.plan, pen, f.store)
-		run.AttachProfile(o.StartRun("bench", ""), mass)
-		for stepBatch(run, 256) > 0 {
-		}
+		run.AttachProfile(o.StartRun(reqID, ""), mass)
+		drainCtx(b, ctx, run, 256)
 	}
 }
 

@@ -233,8 +233,8 @@ func (s *RemoteStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 		return nil
 	}
 	s.retrievals.Add(int64(len(keys)))
-	// The request ID rides the frame extension so the shard's spans join
-	// this query's trace.
+	// The request ID fills the v2 frame's extension; a shard decodes it and
+	// reads nothing from it.
 	trace := obs.RequestID(ctx)
 	frame, err := s.roundTrip(ctx, func(conn net.Conn, id uint64) error {
 		return codec.WriteBatchGetReqV(conn, codec.MaxWireVersion, id, trace, keys)

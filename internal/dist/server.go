@@ -7,13 +7,11 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -29,11 +27,6 @@ type Server struct {
 	log    *slog.Logger // nil = silent
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	// spans, when set, receives shard-side serve spans. A request frame
-	// carries the coordinator's request ID; the span lands in this process's
-	// ring under that ID, so the two processes' /debug/traces join on it.
-	spans *obs.SpanSink
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -76,10 +69,6 @@ func NewServer(store storage.Store, meta codec.ShardMeta, logger *slog.Logger) *
 
 // Requests returns the number of request frames served.
 func (s *Server) Requests() int64 { return s.requests.Load() }
-
-// SetSpanSink directs shard-side serve spans into sink (nil keeps tracing
-// off). Call before Serve.
-func (s *Server) SetSpanSink(sink *obs.SpanSink) { s.spans = sink }
 
 // Serve accepts connections on ln until Close. It returns nil after Close;
 // any other accept failure is returned as-is.
@@ -198,18 +187,12 @@ func (s *Server) handle(conn net.Conn) {
 
 // serveFrame answers one request frame: it does the retrieval and returns
 // the write of the response (unflushed), which the caller puts under the
-// write deadline. The response echoes the serve time, and a request
-// carrying a trace records a span into the server's sink under the
-// coordinator's request ID — the cross-process joint the diagnostics layer
-// pivots on.
+// write deadline. The response echoes the serve time, which the
+// coordinator's profile records beside its own wall time for the shard; the
+// request ID a frame carries is not read here.
 func (s *Server) serveFrame(frame *codec.WireFrame) func(w io.Writer) error {
 	const ver = codec.MaxWireVersion
 	start := time.Now()
-	ctx := s.ctx
-	if frame.Trace != "" && s.spans != nil {
-		ctx = obs.WithRequestID(ctx, frame.Trace)
-		ctx = obs.WithTrace(ctx, frame.Trace, s.spans)
-	}
 	elapsed := func() uint64 { return uint64(time.Since(start).Nanoseconds()) }
 	fail := func(msg string) func(io.Writer) error {
 		return func(w io.Writer) error { return codec.WriteErrorFrameV(w, ver, frame.ID, elapsed(), msg) }
@@ -220,12 +203,8 @@ func (s *Server) serveFrame(frame *codec.WireFrame) func(w io.Writer) error {
 		if err != nil {
 			return fail("malformed batch: " + err.Error())
 		}
-		sctx, span := obs.StartSpan(ctx, "dist.shard.batchget")
-		span.SetAttr("keys", strconv.Itoa(len(keys)))
 		vals := make([]float64, len(keys))
-		err = s.store.BatchGetCtx(sctx, keys, vals)
-		span.SetError(err)
-		span.End()
+		err = s.store.BatchGetCtx(s.ctx, keys, vals)
 		var be *storage.BatchError
 		var failed []codec.WireError
 		switch {
@@ -242,8 +221,6 @@ func (s *Server) serveFrame(frame *codec.WireFrame) func(w io.Writer) error {
 		}
 		return func(w io.Writer) error { return codec.WriteBatchGetRespV(w, ver, frame.ID, elapsed(), vals, failed) }
 	case codec.FrameMetaReq:
-		_, span := obs.StartSpan(ctx, "dist.shard.meta")
-		span.End()
 		return func(w io.Writer) error { return codec.WriteMetaRespV(w, ver, frame.ID, elapsed(), &s.meta) }
 	default:
 		return fail("unknown frame type")

@@ -1,10 +1,10 @@
 package dist
 
-// Tests for the diagnostics extensions of the shard wire protocol: trace
-// propagation over a real TCP round-trip (the coordinator's request ID must
-// land in the shard process's span ring), refusal of a peer announcing the
-// retired version 1 on either side of the connection, and per-shard wire
-// attribution in a query profile driven through the coordinator.
+// Tests for the diagnostics extensions of the shard wire protocol: the
+// coordinator's request ID crosses a real TCP round-trip in the request
+// frame's extension, a peer announcing the retired version 1 is refused on
+// either side of the connection, and a query profile driven through the
+// coordinator attributes keys, bytes and echoed serve time per shard.
 
 import (
 	"bytes"
@@ -20,21 +20,6 @@ import (
 	"repro/internal/storage"
 )
 
-// startTracedShard is startShard with a span sink installed before Serve
-// (SetSpanSink must precede Serve, so the plain fixture cannot be reused).
-func startTracedShard(t *testing.T, store storage.Store, meta codec.ShardMeta, sink *obs.SpanSink) (addr string, srv *Server) {
-	t.Helper()
-	srv = NewServer(store, meta, nil)
-	srv.SetSpanSink(sink)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	return ln.Addr().String(), srv
-}
-
 // someKeys returns up to n keys present in st, plus vals sized to match.
 func someKeys(st *storage.HashStore, n int) ([]int, []float64) {
 	keys := make([]int, 0, n)
@@ -45,10 +30,13 @@ func someKeys(st *storage.HashStore, n int) ([]int, []float64) {
 	return keys, make([]float64, len(keys))
 }
 
+// TestTracePropagationOverTCP: a client negotiates v2 with a shard server
+// and reads back the shard's values, and every request frame it sends
+// carries the caller's request ID in its extension (a recording peer reads
+// it), so a shard of either build decodes the frame.
 func TestTracePropagationOverTCP(t *testing.T) {
 	store := testStore(2000, 77)
-	sink := obs.NewSpanSink(64)
-	addr, _ := startTracedShard(t, store, codec.ShardMeta{ShardCount: 1}, sink)
+	addr, _ := startShard(t, store, codec.ShardMeta{ShardCount: 1})
 
 	remote := NewRemoteStore(addr, ClientConfig{})
 	defer func() { _ = remote.Close() }()
@@ -71,16 +59,36 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		}
 	}
 
-	// The request ID crossed the TCP boundary: the shard process's span ring
-	// holds a batchget span under the coordinator-side ID.
-	var found bool
-	for _, sp := range sink.Spans() {
-		if sp.Name == "dist.shard.batchget" && sp.RequestID == reqID {
-			found = true
-		}
+	// A peer that answers the handshake and records the first request
+	// frame: the request ID rode the extension.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("no dist.shard.batchget span with RequestID %q in shard ring; spans: %+v", reqID, sink.Spans())
+	defer func() { _ = ln.Close() }()
+	frames := make(chan *codec.WireFrame, 1)
+	go func() {
+		defer close(frames)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		if _, err := codec.ReadHandshake(conn); err != nil {
+			return
+		}
+		if err := codec.WriteHandshake(conn, codec.MaxWireVersion); err != nil {
+			return
+		}
+		if frame, err := codec.ReadFrameVersion(conn, codec.MaxWireVersion); err == nil {
+			frames <- frame
+		}
+	}()
+	peer := NewRemoteStore(ln.Addr().String(), ClientConfig{})
+	defer func() { _ = peer.Close() }()
+	_ = peer.BatchGetCtx(ctx, keys[:1], vals[:1]) // the peer hangs up unanswered
+	if frame := <-frames; frame == nil || frame.Trace != reqID {
+		t.Fatalf("request frame %+v, want it to carry request ID %q", frame, reqID)
 	}
 }
 
@@ -91,7 +99,7 @@ const v1Announce = "WVDW\x01\x00"
 // the connection without replying, and still serves current clients.
 func TestWireV1ClientRefused(t *testing.T) {
 	store := testStore(2000, 78)
-	addr, srv := startTracedShard(t, store, codec.ShardMeta{ShardCount: 1}, nil)
+	addr, srv := startShard(t, store, codec.ShardMeta{ShardCount: 1})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

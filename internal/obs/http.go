@@ -6,13 +6,12 @@ import (
 	"net/http"
 )
 
-// Observer bundles the observability facilities — metrics registry, span
-// sink, run recorders, query-profile sink, and structured logger — so
-// layers take one handle instead of five. Any field may be nil; every
-// consumer treats nil as "off".
+// Observer bundles the observability facilities — metrics registry, run
+// recorders, query-profile sink, and structured logger — so layers take one
+// handle instead of four. Any field may be nil; every consumer treats nil
+// as "off".
 type Observer struct {
 	Registry *Registry
-	Spans    *SpanSink
 	Profiles *ProfileSink
 	Log      *slog.Logger
 	// runs holds the recorders of the last DefaultProfileCapacity observed
@@ -21,12 +20,10 @@ type Observer struct {
 }
 
 // NewObserver returns an Observer with a fresh registry, default-capacity
-// span, run and profile rings, and a discard logger (replace Log to get
-// output).
+// run and profile rings, and a discard logger (replace Log to get output).
 func NewObserver() *Observer {
 	return &Observer{
 		Registry: NewRegistry(),
-		Spans:    NewSpanSink(0),
 		Profiles: &ProfileSink{profiles: newRing[ProfileSnapshot](DefaultProfileCapacity)},
 		Log:      NopLogger(),
 		runs:     newRing[*QueryProfile](DefaultProfileCapacity),
@@ -86,10 +83,6 @@ func (o *Observer) MetricsHandler() http.Handler {
 
 // TraceDump is the JSON shape served at /debug/traces.
 type TraceDump struct {
-	// Spans is the span ring, oldest first.
-	Spans []Span `json:"spans"`
-	// SpansTotal counts spans ever recorded, including overwritten ones.
-	SpansTotal uint64 `json:"spans_total"`
 	// Runs is the listed runs (bound trajectories), oldest first,
 	// including live runs.
 	Runs []RunSnapshot `json:"runs"`
@@ -97,11 +90,9 @@ type TraceDump struct {
 	RunsTotal uint64 `json:"runs_total"`
 }
 
-// TracesHandler serves the span ring and the run list as one JSON
-// document (mounted at /debug/traces on the debug listener). Two optional
-// query parameters narrow the dump — `request_id` keeps spans whose
-// RequestID (and runs whose ID) match exactly, `op` keeps spans whose Name
-// matches exactly; unfiltered, the shape and content are unchanged.
+// TracesHandler serves the run list as JSON (mounted at /debug/traces on
+// the debug listener). `?request_id=` keeps the runs whose ID matches
+// exactly.
 func (o *Observer) TracesHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if o == nil {
@@ -109,15 +100,10 @@ func (o *Observer) TracesHandler() http.Handler {
 			return
 		}
 		reqID := r.URL.Query().Get("request_id")
-		op := r.URL.Query().Get("op")
 		runs, runsTotal := o.Runs()
 		o.writeDump(w, "trace", TraceDump{
-			Spans: keep(o.Spans.Spans(), func(sp Span) bool {
-				return (reqID == "" || sp.RequestID == reqID) && (op == "" || sp.Name == op)
-			}),
-			SpansTotal: o.Spans.Total(),
-			Runs:       keep(runs, func(rs RunSnapshot) bool { return reqID == "" || rs.ID == reqID }),
-			RunsTotal:  runsTotal,
+			Runs:      keep(runs, func(rs RunSnapshot) bool { return reqID == "" || rs.ID == reqID }),
+			RunsTotal: runsTotal,
 		})
 	})
 }

@@ -28,10 +28,11 @@ import (
 // contributes nothing): the server records plan source and build time, the
 // scheduler records queue delay, the evaluation core records the rows, the
 // coalescing store records requested/physical/coalesced key counts, the
-// .wvls layout store records tier hits, the MVCC view records
-// overlay-vs-base splits, and the shard coordinator records per-shard wall
-// time, echoed remote serve time, response bytes and failures. All but the
-// rows ride the context (WithProfile).
+// retry store records the keys it fetches again, the .wvls layout store
+// records tier hits, the MVCC view records overlay-vs-base splits, and the
+// shard coordinator records per-shard wall time, echoed remote serve time,
+// response bytes and failures. All but the rows ride the context
+// (WithProfile).
 
 // PlanProfile attributes the run's setup cost.
 type PlanProfile struct {
@@ -91,6 +92,9 @@ type TierProfile struct {
 	Requested int64 `json:"requested,omitempty"`
 	Physical  int64 `json:"physical,omitempty"`
 	Coalesced int64 `json:"coalesced,omitempty"`
+	// Retried: keys the retry layer fetched again after a failed attempt,
+	// summed over its re-attempts.
+	Retried int64 `json:"retried,omitempty"`
 	// LayoutHot / LayoutCold: .wvls keys served from the mmap-hot section
 	// vs. blocks (verified windows of the mapping, or pread); BlockLoads and
 	// Preads count the block checksums and positioned reads behind the cold
@@ -342,6 +346,17 @@ func (p *QueryProfile) AddCoalesce(requested, physical, coalesced int) {
 	t.Requested += int64(requested)
 	t.Physical += int64(physical)
 	t.Coalesced += int64(coalesced)
+	p.mu.Unlock()
+}
+
+// AddRetry records one re-attempt of the retry layer: the keys it fetches
+// again.
+func (p *QueryProfile) AddRetry(keys int) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.costsLocked().tiers.Retried += int64(keys)
 	p.mu.Unlock()
 }
 

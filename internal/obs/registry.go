@@ -1,9 +1,9 @@
 // Package obs is the observability layer of the system: a dependency-free
 // metrics registry (atomic counters, gauges and fixed-bucket histograms with
-// Prometheus text exposition), a lightweight tracing facility (per-request
-// spans carried via context.Context into a ring-buffer sink, plus per-run
-// progressive traces recording the Theorem-1 error-bound trajectory), and
-// slog-based structured logging helpers.
+// Prometheus text exposition), one recorder per run (QueryProfile: the
+// Theorem-1 error-bound trajectory with each step's cost and where the
+// retrievals went, carried down the retrieval path via context.Context),
+// request IDs, and slog-based structured logging helpers.
 //
 // The paper's whole point is progressive behaviour — after any retrieval
 // prefix the estimates are usable and carry bounds — and this package makes

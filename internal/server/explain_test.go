@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/obs"
 )
 
@@ -172,6 +173,52 @@ func TestExplainProfileDegradedDistributed(t *testing.T) {
 		}
 		if row.Bytes == 0 || row.RemoteNanos == 0 {
 			t.Fatalf("live shard %d missing wire attribution: %+v", row.Shard, row)
+		}
+	}
+}
+
+// TestExplainRetriesOverShards serves a 2-shard coordinator under
+// `-retry-attempts 3 -chaos-error-every 5`, the stack wvqd declares for those
+// flags: the ?explain=1 profile tells the cross-process story on its own —
+// the keys the retry layer fetched again, and each shard's echoed serve
+// time beside the coordinator's wall time for it.
+func TestExplainRetriesOverShards(t *testing.T) {
+	db := servedShards(t, servedFile(t, 400, 7), 2)
+	t.Cleanup(func() { _ = db.Close() })
+	db.SetStack(repro.Stack{
+		Fault:      &repro.FaultConfig{ErrorEvery: 5, Seed: 1},
+		Retry:      &repro.RetryConfig{MaxAttempts: 3},
+		Instrument: true,
+	})
+	h := New(db, Options{})
+	t.Cleanup(h.Close)
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query?explain=1",
+		strings.NewReader(`{"statements": "`+servedPrepared+`"}`)))
+	// Three attempts do not beat every fault of that schedule: a key that
+	// fails all three degrades the answer to 206, which is beside the point.
+	if rec.Code != http.StatusOK && rec.Code != http.StatusPartialContent {
+		t.Fatalf("status %d, want 200 or 206: %s", rec.Code, rec.Body)
+	}
+	var resp struct {
+		Profile struct {
+			Tiers  map[string]int64 `json:"tiers"`
+			Shards []obs.ShardProfile
+		} `json:"profile"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if tiers := resp.Profile.Tiers; tiers["retried"] <= 0 {
+		t.Fatalf("profile tiers %v, want retried > 0", tiers)
+	}
+	if len(resp.Profile.Shards) != 2 {
+		t.Fatalf("profile has %d shard rows, want 2", len(resp.Profile.Shards))
+	}
+	for _, row := range resp.Profile.Shards {
+		if row.RemoteNanos <= 0 || row.WallNanos < row.RemoteNanos {
+			t.Fatalf("shard %d: remote %dns, wall %dns; want 0 < remote <= wall", row.Shard, row.RemoteNanos, row.WallNanos)
 		}
 	}
 }

@@ -59,9 +59,9 @@ type serverMetrics struct {
 // storage, core, sched, dist and mvcc packages push what only they know into
 // o.Registry, the registry reads everything else from this handler's stats,
 // and the handler's middleware starts collecting HTTP metrics,
-// request-scoped logs/spans, and per-run recorders. Pass nil to
-// uninstall everything. Call before serving; the handler reads the
-// installed state on every request.
+// request-scoped logs, and per-run recorders. Pass nil to uninstall
+// everything. Call before serving; the handler reads the installed state on
+// every request.
 func (h *Handler) Observe(o *obs.Observer) {
 	var reg *obs.Registry
 	if o != nil {
@@ -247,13 +247,12 @@ func recordStatus(w http.ResponseWriter) (http.ResponseWriter, *statusRecorder) 
 	return sr, sr
 }
 
-// serveObserved is the instrumented request path: request ID + trace + log
+// serveObserved is the instrumented request path: request ID + log
 // threading, in-flight gauge, latency histogram, status-code counter, and
 // one structured log line per request.
 func (h *Handler) serveObserved(w http.ResponseWriter, r *http.Request) {
 	reqID := obs.NewRequestID()
 	ctx := obs.WithRequestID(r.Context(), reqID)
-	ctx = obs.WithTrace(ctx, reqID, h.obs.Spans)
 	log := h.obs.Logger().With("request_id", reqID)
 	ctx = obs.WithLogger(ctx, log)
 	r = r.WithContext(ctx)

@@ -445,10 +445,6 @@ func TestObservedRunTraceRecorded(t *testing.T) {
 	if last.Bound != 0 {
 		t.Fatalf("exact run trace must end at bound 0, got %g", last.Bound)
 	}
-	// Request spans from the middleware landed in the span sink.
-	if o.Spans.Total() == 0 {
-		t.Fatal("no spans recorded for the request")
-	}
 }
 
 func TestUnobservedHandlerUnchanged(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -115,16 +114,8 @@ func NewCoalescingStore(inner Store) *CoalescingStore {
 // whose own context ends while waiting returns ctx.Err() without disturbing
 // the flight. What a call allocates does not depend on how many keys it
 // carries: one flight and three slices sized from the batch.
-func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) (err error) {
+func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	checkBatch(keys, dst)
-	ctx, sp := obs.StartSpan(ctx, "storage.coalesce.batchget")
-	if sp != nil {
-		sp.SetAttr("keys", strconv.Itoa(len(keys)))
-		defer func() {
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
 
 	type join struct {
 		pos int
@@ -148,10 +139,6 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 	}
 	s.mu.Unlock()
 
-	if sp != nil {
-		sp.SetAttr("leads", strconv.Itoa(len(leadKeys)))
-		sp.SetAttr("joins", strconv.Itoa(len(joins)))
-	}
 	// The layer's counters and the EXPLAIN ANALYZE attribution (nil profile
 	// = no-op) say the same thing: requested = physically fetched (leads) +
 	// served by joining another key's flight.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -108,18 +107,8 @@ func (s *RetryStore) exhausted(last error) error {
 // shrinks the batch. Keys still failing when attempts run out come back in a
 // *BatchError with each cause wrapped in ErrRetriesExhausted; cancellation
 // aborts the whole call with ctx.Err().
-func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) (err error) {
+func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	checkBatch(keys, dst)
-	ctx, sp := obs.StartSpan(ctx, "storage.retry.batchget")
-	attempts := 0
-	if sp != nil {
-		sp.SetAttr("keys", strconv.Itoa(len(keys)))
-		defer func() {
-			sp.SetAttr("attempts", strconv.Itoa(attempts))
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
 	// pend maps the positions still unfetched; initially the whole batch.
 	pend := make([]int, len(keys))
 	for i := range pend {
@@ -130,8 +119,10 @@ func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	vals := make([]float64, len(keys))
 	var lastFailed []KeyError // failures of the most recent attempt, batch-relative
 	for attempt := 1; attempt <= s.cfg.MaxAttempts; attempt++ {
-		attempts = attempt
 		obsRetryAttempts(int64(len(pend)))
+		if attempt > 1 {
+			obs.ProfileFrom(ctx).AddRetry(len(pend))
+		}
 		actx, cancel := s.attemptCtx(ctx)
 		err := s.inner.BatchGetCtx(actx, pendKeys[:len(pend)], vals[:len(pend)])
 		cancel()
