@@ -115,11 +115,14 @@ served-diff:
 # It runs without -race, which keeps the stores on the heap (the detector
 # checks only heap addresses) and so has no mapping to lose. The concurrent
 # recorder test runs ten times more under -race: the retry, coalescing and
-# step sites write into run recorders that /debug/traces reads live.
+# step sites write into run recorders that /debug/traces reads live. So does
+# the cached row of the store contract: a session cache is the one store
+# whose reads take a lock of its own, and eight readers share it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
 	$(GO) test -race -count=10 -run TestRecorderConcurrentRuns ./internal/core/
+	$(GO) test -race -count=10 -run 'TestStoreContract/cached' ./internal/storetest/
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
 # process: mutated .wvls view files streamed into memory, query

@@ -10,14 +10,11 @@
 // nonzero coefficients in schedule order behind a key index); the closing
 // report names the shape and both candidates' bytes per coefficient. With
 // the default options the input is written back byte for byte, so the
-// command's use is the three knobs.
+// command's use is its two knobs.
 //
-// -hot, -block and -quantize tune the layout: how many leading schedule
-// slots of a sparse file stay raw (mmap-served), the block granularity, and
-// whether block values are stored as float32 (halves their bytes, loses
-// bit-identity — progressive estimates then differ from the source in the
-// last bits). The output replaces any file of its name by a rename, so -out
-// may name the input.
+// -hot and -block tune the layout: how many leading schedule slots of a
+// sparse file stay raw (mmap-served), and the block granularity. The output
+// replaces any file of its name by a rename, so -out may name the input.
 package main
 
 import (
@@ -31,11 +28,10 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input .wvls database file (wvload/wvq -create)")
-		out      = flag.String("out", "", "output .wvls layout file")
-		hot      = flag.Int("hot", 0, "hot-region slots stored raw, sparse shape only (0 = nonzero/8, negative = all)")
-		block    = flag.Int("block", 0, "block granularity in slots (0 = default 4096)")
-		quantize = flag.Bool("quantize", false, "store block values as float32 (lossy; halves their bytes)")
+		in    = flag.String("in", "", "input .wvls database file (wvload/wvq -create)")
+		out   = flag.String("out", "", "output .wvls layout file")
+		hot   = flag.Int("hot", 0, "hot-region slots stored raw, sparse shape only (0 = nonzero/8, negative = all)")
+		block = flag.Int("block", 0, "block granularity in slots (0 = default 4096)")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
@@ -43,7 +39,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts := repro.LayoutOptions{HotCount: *hot, BlockSize: *block, Quantize: *quantize}
+	opts := repro.LayoutOptions{HotCount: *hot, BlockSize: *block}
 	if err := convert(*in, *out, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "wvlayout:", err)
 		os.Exit(1)
@@ -94,9 +90,6 @@ func report(in string, inSize int64, out string, c repro.LayoutCandidates) error
 		fmt.Printf("  %d blocks x %d cells", st.Blocks, st.BlockSize)
 	} else {
 		fmt.Printf("  hot %d slots raw, cold %d blocks x %d slots", st.HotSlots, st.Blocks, st.BlockSize)
-	}
-	if st.Quantized {
-		fmt.Printf(" (quantized)")
 	}
 	fmt.Println()
 	if n == 0 {

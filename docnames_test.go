@@ -64,21 +64,58 @@ func TestDocsNameRealMethods(t *testing.T) {
 	}
 }
 
-// TestDocsNameDeclaredObsNames does the same for internal/obs, which no
-// reflection reaches from here: every `obs.Name` the prose writes in
-// backticks must be declared by the package's non-test files, and every
-// `obs.Type.Name` must be a method or field of that type, so a name the
-// package deletes cannot stay in the docs.
+// TestDocsNameDeclaredObsNames does the same for the internal packages the
+// prose names and no reflection reaches from here — internal/obs, and the
+// storage interfaces and the .wvls layout under internal/storage: every
+// `obs.Name`, `storage.Name` or `layout.Name` the prose writes in backticks
+// must be declared by that package's non-test files, and every
+// `obs.Type.Name` (and so on) must be a method or field of that type, so a
+// name a package deletes cannot stay in the docs.
 func TestDocsNameDeclaredObsNames(t *testing.T) {
+	for _, pkg := range []struct{ dir, name string }{
+		{"internal/obs", "obs"},
+		{"internal/storage", "storage"},
+		{"internal/storage/layout", "layout"},
+	} {
+		t.Run(pkg.name, func(t *testing.T) {
+			members := declaredNames(t, pkg.dir, pkg.name)
+			named := regexp.MustCompile("`" + pkg.name + "\\.([A-Z]\\w*)(?:\\.([A-Z]\\w*))?")
+			for _, path := range docPaths {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n, line := range strings.Split(string(data), "\n") {
+					for _, m := range named.FindAllStringSubmatch(line, -1) {
+						ms, ok := members[m[1]]
+						switch {
+						case !ok:
+							t.Errorf("%s:%d: %s.%s is not declared by %s", path, n+1, pkg.name, m[1], pkg.dir)
+						case m[2] != "" && !ms[m[2]]:
+							t.Errorf("%s:%d: %s.%s.%s is no method or field of %s.%s", path, n+1, pkg.name, m[1], m[2], pkg.name, m[1])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// declaredNames maps each name the non-test files of package name in dir
+// declare to its methods, fields and embedded types (nil for anything but a
+// type); an interface's members are its methods.
+func declaredNames(t *testing.T, dir, name string) map[string]map[string]bool {
+	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, "internal/obs", func(fi os.FileInfo) bool {
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// members maps each declared name to its methods and fields (nil for
-	// anything but a type).
+	if pkgs[name] == nil {
+		t.Fatalf("%s holds no package %s", dir, name)
+	}
 	members := make(map[string]map[string]bool)
 	member := func(typ, name string) {
 		if members[typ] == nil {
@@ -86,7 +123,28 @@ func TestDocsNameDeclaredObsNames(t *testing.T) {
 		}
 		members[typ][name] = true
 	}
-	for _, f := range pkgs["obs"].Files {
+	// fields records the names a struct or an interface lists, an embedded
+	// type under its own name.
+	fields := func(typ string, list *ast.FieldList) {
+		for _, field := range list.List {
+			for _, name := range field.Names {
+				member(typ, name.Name)
+			}
+			if len(field.Names) == 0 {
+				embedded := field.Type
+				if star, ok := embedded.(*ast.StarExpr); ok {
+					embedded = star.X
+				}
+				switch e := embedded.(type) {
+				case *ast.Ident:
+					member(typ, e.Name)
+				case *ast.SelectorExpr:
+					member(typ, e.Sel.Name)
+				}
+			}
+		}
+	}
+	for _, f := range pkgs[name].Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -111,14 +169,11 @@ func TestDocsNameDeclaredObsNames(t *testing.T) {
 						if _, ok := members[sp.Name.Name]; !ok {
 							members[sp.Name.Name] = nil
 						}
-						st, ok := sp.Type.(*ast.StructType)
-						if !ok {
-							continue
-						}
-						for _, field := range st.Fields.List {
-							for _, name := range field.Names {
-								member(sp.Name.Name, name.Name)
-							}
+						switch ty := sp.Type.(type) {
+						case *ast.StructType:
+							fields(sp.Name.Name, ty.Fields)
+						case *ast.InterfaceType:
+							fields(sp.Name.Name, ty.Methods)
 						}
 					case *ast.ValueSpec:
 						for _, name := range sp.Names {
@@ -129,22 +184,5 @@ func TestDocsNameDeclaredObsNames(t *testing.T) {
 			}
 		}
 	}
-	named := regexp.MustCompile("`obs\\.([A-Z]\\w*)(?:\\.([A-Z]\\w*))?")
-	for _, path := range docPaths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n, line := range strings.Split(string(data), "\n") {
-			for _, m := range named.FindAllStringSubmatch(line, -1) {
-				ms, ok := members[m[1]]
-				switch {
-				case !ok:
-					t.Errorf("%s:%d: obs.%s is not declared by internal/obs", path, n+1, m[1])
-				case m[2] != "" && !ms[m[2]]:
-					t.Errorf("%s:%d: obs.%s.%s is no method or field of obs.%s", path, n+1, m[1], m[2], m[1])
-				}
-			}
-		}
-	}
+	return members
 }

@@ -24,9 +24,8 @@ type Header struct {
 	// Windows holds the per-dimension quantization windows mapping bins back
 	// to raw units; nil when none were recorded.
 	Windows [][2]float64
-	// Count is the number of nonzero coefficients the file declares (a
-	// quantized file may hand over fewer: float32 can round a value to
-	// zero).
+	// Count is the number of nonzero coefficients the file declares, and
+	// hands over.
 	Count int
 }
 

@@ -44,7 +44,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("coefficient count %d, want %d", len(snap.Keys), store.NonzeroCount())
 	}
 	re := snap.Store()
-	store.ForEachNonzero(func(k int, v float64) bool {
+	store.Walk(func(k int, v float64) bool {
 		if got := storage.Get(re, k); got != v {
 			t.Fatalf("coefficient %d: %g want %g", k, got, v)
 		}

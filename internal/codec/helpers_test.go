@@ -13,11 +13,13 @@ import (
 func writeView(w io.Writer, schema *dataset.Schema, filterName string, tupleCount int64, store storage.Enumerable, windows [][2]float64) error {
 	var keys []int
 	var values []float64
-	store.ForEachNonzero(func(k int, v float64) bool {
+	if err := store.Walk(func(k int, v float64) bool {
 		keys = append(keys, k)
 		values = append(values, v)
 		return true
-	})
+	}); err != nil {
+		return err
+	}
 	_, err := layout.Encode(w, keys, values, layout.WriteOptions{
 		Cells: schema.Cells(),
 		Meta: &layout.Meta{

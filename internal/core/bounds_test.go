@@ -28,7 +28,7 @@ func TestQueryErrorBoundHoldsAndShrinks(t *testing.T) {
 	fx := newFixture(t, 10)
 	// K = Σ|Δ̂| over the store.
 	var mass float64
-	fx.store.ForEachNonzero(func(_ int, v float64) bool {
+	fx.store.Walk(func(_ int, v float64) bool {
 		mass += math.Abs(v)
 		return true
 	})

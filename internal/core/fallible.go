@@ -222,13 +222,14 @@ func (p *Plan) Exact(ctx context.Context, store storage.Store) ([]float64, error
 // exact is Exact on up to the given number of workers (≤0 selects
 // GOMAXPROCS), split into a batched fetch phase and a per-query apply phase.
 //
-// The fetch phase issues chunked BatchGetCtx calls — concurrently when the
-// store is concurrent-safe, as one batch otherwise (still hitting the
-// store's batched fast path, e.g. the layout store's block reads). The apply
-// phase (applyEvalIndex) partitions *queries* across workers, so each
-// query's estimate is accumulated by exactly one worker in ascending
-// master-list order: results are bit-identical for every worker count. Any
-// retrieval failure is fatal; the failure of the lowest chunk is reported.
+// The fetch phase issues chunked BatchGetCtx calls, one per worker and
+// concurrently (every store takes concurrent readers), or one batch on a
+// single worker (still hitting the store's batched fast path, e.g. the
+// layout store's block reads). The apply phase (applyEvalIndex) partitions
+// *queries* across workers, so each query's estimate is accumulated by
+// exactly one worker in ascending master-list order: results are
+// bit-identical for every worker count. Any retrieval failure is fatal; the
+// failure of the lowest chunk is reported.
 func (p *Plan) exact(ctx context.Context, store storage.Store, workers int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -242,7 +243,7 @@ func (p *Plan) exact(ctx context.Context, store storage.Store, workers int) ([]f
 	p.buildEvalIndex()
 	vals := make([]float64, n)
 
-	if workers > 1 && storage.IsConcurrent(store) {
+	if workers > 1 {
 		chunk := (n + workers - 1) / workers
 		nchunks := (n + chunk - 1) / chunk
 		errs := make([]error, nchunks)

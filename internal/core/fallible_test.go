@@ -81,31 +81,34 @@ func coefficientMass(t *testing.T, s storage.Store) float64 {
 		t.Fatal("fixture store must be enumerable")
 	}
 	var mass float64
-	e.ForEachNonzero(func(_ int, v float64) bool {
+	if err := e.Walk(func(_ int, v float64) bool {
 		mass += math.Abs(v)
 		return true
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return mass
 }
 
 // TestExactParallelCtxBitIdenticalToExact: Plan.Exact (GOMAXPROCS) and the
-// exact pass on 1, 2 and 4 workers agree bit for bit, through a store that
-// takes one batch at a time and through one that is fetched concurrently.
+// exact pass on 1, 2 and 4 workers agree bit for bit, through a session
+// cache, which serves one batch at a time behind its lock, and through the
+// bare store, which serves the batches at once.
 func TestExactParallelCtxBitIdenticalToExact(t *testing.T) {
 	f := newFixture(t, 12)
 	want := mustExactOn(f.plan, f.store, 1)
 	assertBitIdentical(t, mustExact(f.plan, f.store), want, "Exact")
 	ctx := context.Background()
-	plain, err := storage.NewCachedStore(f.store, storage.Unbounded) // not concurrent-safe
+	cached, err := storage.NewCachedStore(f.store, storage.Unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 4} {
-		got, err := f.plan.exact(ctx, plain, w)
+		got, err := f.plan.exact(ctx, cached, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, got, want, fmt.Sprintf("exact(plain, %d)", w))
+		assertBitIdentical(t, got, want, fmt.Sprintf("exact(cached, %d)", w))
 		got, err = f.plan.exact(ctx, f.store, w)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/penalty"
@@ -11,7 +12,9 @@ import (
 
 // recordingStore remembers which keys were fetched and with what values.
 type recordingStore struct {
-	cells   []float64
+	cells []float64
+
+	mu      sync.Mutex
 	fetched map[int]float64
 	count   int64
 }
@@ -21,6 +24,8 @@ func newRecordingStore(cells []float64) *recordingStore {
 }
 
 func (s *recordingStore) BatchGetCtx(_ context.Context, keys []int, dst []float64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i, key := range keys {
 		s.count++
 		dst[i] = s.cells[key]
@@ -28,8 +33,17 @@ func (s *recordingStore) BatchGetCtx(_ context.Context, keys []int, dst []float6
 	}
 	return nil
 }
-func (s *recordingStore) Retrievals() int64 { return s.count }
-func (s *recordingStore) ResetStats()       { s.count = 0 }
+func (s *recordingStore) Retrievals() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count
+}
+
+func (s *recordingStore) ResetStats() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.count = 0
+}
 func (s *recordingStore) NonzeroCount() int { return len(s.cells) }
 
 // TestEstimatesEqualRetrievedDotProduct verifies the core invariant of the

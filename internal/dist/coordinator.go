@@ -255,11 +255,6 @@ func (c *CoordinatorStore) NonzeroCount() int {
 	return total
 }
 
-// ConcurrentSafe implements the storage.IsConcurrent capability check:
-// fan-out state is per-call, health is atomic, and the shard clients are
-// concurrent-safe.
-func (c *CoordinatorStore) ConcurrentSafe() bool { return true }
-
 // StackName names the coordinator in storage.Describe.
 func (c *CoordinatorStore) StackName() string { return "shards" }
 

@@ -98,7 +98,7 @@ func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass fl
 		return 0, 0, err
 	}
 	last, ascending := -1, true
-	err = storage.Walk(src, func(k int, v float64) bool {
+	err = src.Walk(func(k int, v float64) bool {
 		if k <= last {
 			ascending = false
 			return false
@@ -126,7 +126,7 @@ func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass fl
 		share := st.NonzeroCount() / count
 		pairs = make([]pair, 0, share+share/16+1)
 	}
-	if err := storage.Walk(src, func(k int, v float64) bool {
+	if err := src.Walk(func(k int, v float64) bool {
 		if v != 0 && storage.ShardOf(k, count) == index {
 			pairs = append(pairs, pair{k, v})
 		}

@@ -52,7 +52,7 @@ func startShard(t *testing.T, store storage.Store, meta codec.ShardMeta) (addr s
 func TestPartitionDisjointCompleteAndMassPreserving(t *testing.T) {
 	src := testStore(5000, 1)
 	cells := make([]float64, 1<<20)
-	src.ForEachNonzero(func(k int, v float64) bool {
+	src.Walk(func(k int, v float64) bool {
 		cells[k] = v
 		return true
 	})
@@ -132,7 +132,7 @@ func TestRemoteStoreBitIdentityZeroFaults(t *testing.T) {
 	}
 	// Single-key path and the Meta round-trip.
 	var anyKey int
-	local.ForEachNonzero(func(k int, _ float64) bool { anyKey = k; return false })
+	local.Walk(func(k int, _ float64) bool { anyKey = k; return false })
 	v, err := storage.GetCtx(ctx, remote, anyKey)
 	if err != nil || v != storage.Get(local, anyKey) {
 		t.Fatalf("GetCtx(%d) = %g, %v; want %g", anyKey, v, err, storage.Get(local, anyKey))
@@ -262,7 +262,7 @@ func TestRemoteStoreDisconnectReconnect(t *testing.T) {
 	remote := NewRemoteStore(addr, ClientConfig{DialTimeout: time.Second, RequestTimeout: 2 * time.Second})
 	defer func() { _ = remote.Close() }()
 	var anyKey int
-	local.ForEachNonzero(func(k int, _ float64) bool { anyKey = k; return false })
+	local.Walk(func(k int, _ float64) bool { anyKey = k; return false })
 	if v, err := storage.GetCtx(context.Background(), remote, anyKey); err != nil || v != storage.Get(local, anyKey) {
 		t.Fatalf("before disconnect: %g, %v", v, err)
 	}
@@ -302,10 +302,9 @@ func TestRemoteStoreDisconnectReconnect(t *testing.T) {
 // in-process stand-in for a dead shard.
 type downStore struct{ err error }
 
-func (d downStore) Retrievals() int64    { return 0 }
-func (d downStore) ResetStats()          {}
-func (d downStore) NonzeroCount() int    { return 0 }
-func (d downStore) ConcurrentSafe() bool { return true }
+func (d downStore) Retrievals() int64 { return 0 }
+func (d downStore) ResetStats()       {}
+func (d downStore) NonzeroCount() int { return 0 }
 func (d downStore) BatchGetCtx(_ context.Context, keys []int, _ []float64) error {
 	return d.err
 }
@@ -513,7 +512,7 @@ func TestServerClosesSilentPeers(t *testing.T) {
 	local := testStore(500, 7)
 	addr, _ := startShard(t, local, codec.ShardMeta{ShardCount: 1})
 	var anyKey int
-	local.ForEachNonzero(func(k int, _ float64) bool { anyKey = k; return false })
+	local.Walk(func(k int, _ float64) bool { anyKey = k; return false })
 	want := storage.Get(local, anyKey)
 
 	silent, err := net.Dial("tcp", addr)

@@ -318,7 +318,4 @@ func (s *RemoteStore) NonzeroCount() int {
 	return int(m.Nonzero)
 }
 
-// ConcurrentSafe implements the storage.IsConcurrent capability check.
-func (s *RemoteStore) ConcurrentSafe() bool { return true }
-
 var _ storage.Store = (*RemoteStore)(nil)

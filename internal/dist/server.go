@@ -19,8 +19,8 @@ import (
 // frames from the wrapped store and Meta frames from its static
 // self-description. Requests on one connection are handled serially
 // (the client pool provides parallelism with one in-flight request per
-// connection); connections are independent goroutines, so the store must be
-// concurrent-safe or wrapped before being served.
+// connection); connections are independent goroutines, each a reader of the
+// store.
 type Server struct {
 	store  storage.Store
 	meta   codec.ShardMeta

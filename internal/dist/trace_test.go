@@ -23,7 +23,7 @@ import (
 // someKeys returns up to n keys present in st, plus vals sized to match.
 func someKeys(st *storage.HashStore, n int) ([]int, []float64) {
 	keys := make([]int, 0, n)
-	st.ForEachNonzero(func(k int, _ float64) bool {
+	st.Walk(func(k int, _ float64) bool {
 		keys = append(keys, k)
 		return len(keys) < n
 	})

@@ -47,10 +47,12 @@ func RunDataVsQueryApprox(w *Workload) ([]DataVsQueryRow, error) {
 		v float64
 	}
 	var coeffs []pair
-	w.Store.ForEachNonzero(func(k int, v float64) bool {
+	if err := w.Store.Walk(func(k int, v float64) bool {
 		coeffs = append(coeffs, pair{k, v})
 		return true
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("experiments: ranking the data coefficients: %w", err)
+	}
 	sort.Slice(coeffs, func(i, j int) bool {
 		ai, aj := abs64(coeffs[i].v), abs64(coeffs[j].v)
 		if ai != aj {

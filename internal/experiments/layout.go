@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/penalty"
@@ -153,13 +154,16 @@ func RunLayoutStudy(w *Workload, blockSize int) ([]LayoutRow, error) {
 // blocks its retrievals touch when key k is stored in physical slot
 // slotOf[k] and slots are grouped blockSize to a block. A block read once
 // stays buffered, so reading it again costs nothing. A key outside the
-// layout touches no block: the array reports it out of range.
+// layout touches no block: the array reports it out of range. Like every
+// store it takes concurrent readers: the count is kept under mu.
 type blockCounter struct {
 	storage.Store // the ArrayStore of the transform
 	slotOf        []int
 	blockSize     int
-	fetched       []bool // by block
-	blocks        int64
+
+	mu      sync.Mutex
+	fetched []bool // by block
+	blocks  int64
 }
 
 // newBlockCounter lays cells out by layout (layout[slot] = the key stored in
@@ -183,6 +187,8 @@ func (bc *blockCounter) block(key int) int { return bc.slotOf[key] / bc.blockSiz
 // BatchGetCtx implements storage.Store: it charges the blocks the keys sit
 // in, then reads them from the array.
 func (bc *blockCounter) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
 	for _, k := range keys {
 		if k < 0 || k >= len(bc.slotOf) {
 			continue

@@ -51,20 +51,24 @@ func newTestStore(t *testing.T, cfg Config) *Store {
 // dump enumerates every nonzero coefficient of st into a map.
 func dump(st storage.Enumerable) map[int]float64 {
 	m := make(map[int]float64)
-	st.ForEachNonzero(func(k int, v float64) bool {
+	if err := st.Walk(func(k int, v float64) bool {
 		m[k] = v
 		return true
-	})
+	}); err != nil {
+		panic(err)
+	}
 	return m
 }
 
 // massOf sums |v| over st's nonzero coefficients: the mass New is handed.
 func massOf(st storage.Enumerable) float64 {
 	var mass float64
-	st.ForEachNonzero(func(_ int, v float64) bool {
+	if err := st.Walk(func(_ int, v float64) bool {
 		mass += math.Abs(v)
 		return true
-	})
+	}); err != nil {
+		panic(err)
+	}
 	return mass
 }
 
@@ -408,11 +412,13 @@ func TestMassAndNonzeroBookkeeping(t *testing.T) {
 	}
 	var mass float64
 	nz := 0
-	s.ForEachNonzero(func(_ int, v float64) bool {
+	if err := s.Walk(func(_ int, v float64) bool {
 		mass += math.Abs(v)
 		nz++
 		return true
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if diff := math.Abs(s.Mass() - mass); diff > 1e-9*(1+mass) {
 		t.Fatalf("incremental mass %v, enumerated %v", s.Mass(), mass)
 	}
@@ -463,8 +469,6 @@ func (c *countingStore) BatchGetCtx(ctx context.Context, keys []int, dst []float
 	return c.Store.BatchGetCtx(ctx, keys, dst)
 }
 
-func (c *countingStore) ConcurrentSafe() bool { return true }
-
 // TestSetBaseChainUndo checks that SetBaseChain routes base reads (and only
 // base reads) through the chain, and that setting nil removes it again.
 func TestSetBaseChainUndo(t *testing.T) {
@@ -494,7 +498,7 @@ func TestSetBaseChainUndo(t *testing.T) {
 		t.Fatalf("overlay read reached the base wrap")
 	}
 	// An unlayered base key goes through the wrap.
-	s.head.Load().rawBase.(storage.Enumerable).ForEachNonzero(func(k int, _ float64) bool {
+	_ = s.head.Load().rawBase.(storage.Enumerable).Walk(func(k int, _ float64) bool {
 		if _, inLayer := s.head.Load().layers[0].vals[k]; !inLayer {
 			storage.Get(s, k)
 			return false
@@ -506,7 +510,7 @@ func TestSetBaseChainUndo(t *testing.T) {
 	}
 	s.SetBaseChain(nil)
 	after := cs.n.Load()
-	s.head.Load().rawBase.(storage.Enumerable).ForEachNonzero(func(k int, _ float64) bool {
+	_ = s.head.Load().rawBase.(storage.Enumerable).Walk(func(k int, _ float64) bool {
 		storage.Get(s, k)
 		return false
 	})

@@ -52,9 +52,6 @@ func TestCompactionTargetFollowsTheLoadersRule(t *testing.T) {
 				t.Fatalf("%s: key %d: %v before, %v after compaction", c.name, k, want[k], got[k])
 			}
 		}
-		if !storage.IsInMemory(s) || !storage.IsInMemory(s.View()) {
-			t.Fatalf("%s: an MVCC store over an in-memory base does not report IsInMemory", c.name)
-		}
 	}
 }
 
@@ -82,8 +79,6 @@ func (f *failKeys) BatchGetCtx(ctx context.Context, keys []int, dst []float64) e
 	return &storage.BatchError{Failed: failed}
 }
 
-func (f *failKeys) ConcurrentSafe() bool { return true }
-
 // TestResolveReportsBaseFailuresAtCallerPositions, with and without an
 // overlay: a view with no layers hands the batch straight to its base, a
 // layered one asks it for the overlay's misses only — either way a per-key
@@ -92,15 +87,14 @@ func TestResolveReportsBaseFailuresAtCallerPositions(t *testing.T) {
 	ctx := context.Background()
 	s := newTestStore(t, Config{})
 	var baseKeys []int
-	s.ForEachNonzero(func(k int, _ float64) bool {
+	if err := s.Walk(func(k int, _ float64) bool {
 		baseKeys = append(baseKeys, k)
 		return len(baseKeys) < 6
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	bad := map[int]bool{baseKeys[1]: true, baseKeys[4]: true}
 	s.SetBaseChain(func(raw storage.Store) storage.Store { return &failKeys{Store: raw, bad: bad} })
-	if storage.IsInMemory(s) {
-		t.Fatal("a base chain with a failing layer in it reports IsInMemory")
-	}
 
 	check := func(when string) {
 		t.Helper()

@@ -194,27 +194,11 @@ func (v *view) ResetStats() { v.retr.Store(0) }
 // NonzeroCount implements storage.Store.
 func (v *view) NonzeroCount() int { return v.nonzero }
 
-// ConcurrentSafe implements the storage.IsConcurrent capability check:
-// views are immutable and the base chain is concurrent-safe, so any number
-// of goroutines may read.
-func (v *view) ConcurrentSafe() bool { return true }
-
-// InMemory implements the storage.IsInMemory capability check: the overlay
-// is in-memory maps, so a view answers from memory when its base chain does.
-func (v *view) InMemory() bool { return storage.IsInMemory(v.base) }
-
-// ForEachNonzero implements storage.Enumerable: Walk, with the damage a
-// base file met reported by a panic.
-func (v *view) ForEachNonzero(fn func(key int, value float64) bool) {
-	if err := v.Walk(fn); err != nil {
-		panic(fmt.Sprintf("mvcc: enumerating: %v", err))
-	}
-}
-
-// Walk hands fn the view's nonzero coefficients until fn returns false:
-// overlay keys newest-wins first, then the base's keys not shadowed by any
-// layer. Order is unspecified (map order). It returns the damage the base
-// met (storage.Walk): a mapped file's block failing its check.
+// Walk implements storage.Enumerable: it hands fn the view's nonzero
+// coefficients until fn returns false, overlay keys newest-wins first, then
+// the base's keys not shadowed by any layer. Order is unspecified (map
+// order). It returns the damage the base met: a mapped file's block failing
+// its check.
 func (v *view) Walk(fn func(key int, value float64) bool) error {
 	seen := make(map[int]struct{}, v.layerKeys)
 	for _, l := range v.layers {
@@ -230,7 +214,7 @@ func (v *view) Walk(fn func(key int, value float64) bool) error {
 			}
 		}
 	}
-	return storage.Walk(v.rawBase.(storage.Enumerable), func(k int, val float64) bool {
+	return v.rawBase.(storage.Enumerable).Walk(func(k int, val float64) bool {
 		if _, shadowed := seen[k]; shadowed {
 			return true
 		}
@@ -526,7 +510,7 @@ func (s *Store) Compact(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := storage.Walk(snap.rawBase.(storage.Enumerable), func(k int, v float64) bool {
+	if err := snap.rawBase.(storage.Enumerable).Walk(func(k int, v float64) bool {
 		if _, shadowed := seen[k]; !shadowed {
 			nb.Add(k, v)
 		}
@@ -666,16 +650,9 @@ func (s *Store) ResetStats() { s.retrievals.Store(0) }
 // NonzeroCount implements storage.Store for the current head.
 func (s *Store) NonzeroCount() int { return s.head.Load().nonzero }
 
-// ConcurrentSafe implements the storage.IsConcurrent capability check.
-func (s *Store) ConcurrentSafe() bool { return true }
-
-// InMemory implements the storage.IsInMemory capability check for the
-// current head.
-func (s *Store) InMemory() bool { return s.head.Load().InMemory() }
-
-// ForEachNonzero implements storage.Enumerable for the current head.
-func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
-	s.head.Load().ForEachNonzero(fn)
+// Walk implements storage.Enumerable for the current head.
+func (s *Store) Walk(fn func(key int, value float64) bool) error {
+	return s.head.Load().Walk(fn)
 }
 
 // Mass returns the head's coefficient mass (deterministic: the mass New was

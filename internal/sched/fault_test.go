@@ -73,9 +73,6 @@ func TestScheduledRunDegradesUnderFaults(t *testing.T) {
 func TestSchedulerFaultsUnderConcurrentLoad(t *testing.T) {
 	plan, store, mass := fixture(t, 8, 60, 2048, 32)
 	faulty := storage.NewFaultStore(store, storage.FaultConfig{ErrorRate: 0.15, Seed: 5})
-	if !storage.IsConcurrent(faulty) {
-		t.Fatal("faults over a hash store must stay concurrent-safe")
-	}
 	co := storage.NewCoalescingStore(faulty)
 	s := New(Config{Slice: 8, Workers: 4})
 	defer s.Close()
@@ -160,9 +157,6 @@ func TestSchedulerRetriesAbsorbTransientFaults(t *testing.T) {
 		MaxDelay:    100 * time.Microsecond,
 		Seed:        1,
 	})
-	if !storage.IsConcurrent(retried) {
-		t.Fatal("retries over a concurrent store must stay concurrent-safe")
-	}
 	s := New(Config{Slice: 16, Workers: 2})
 	defer s.Close()
 	tk, err := s.Submit(context.Background(), Job{

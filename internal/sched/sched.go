@@ -82,8 +82,7 @@ type Config struct {
 	// Workers is the number of goroutines executing slices. Slices of
 	// distinct runs execute concurrently (which is what lets the coalescing
 	// store share overlapping fetches); a single run is never on two workers
-	// at once. ≤0 selects GOMAXPROCS. Set 1 when the store is not
-	// concurrent-safe.
+	// at once. ≤0 selects GOMAXPROCS.
 	Workers int
 	// RetryAfter is the backoff hint attached to overload rejections.
 	// Default 1s.

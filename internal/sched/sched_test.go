@@ -439,10 +439,9 @@ func (g *gatedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return g.inner.BatchGetCtx(ctx, keys, dst)
 }
 
-func (g *gatedStore) Retrievals() int64    { return g.inner.Retrievals() }
-func (g *gatedStore) ResetStats()          { g.inner.ResetStats() }
-func (g *gatedStore) NonzeroCount() int    { return g.inner.NonzeroCount() }
-func (g *gatedStore) ConcurrentSafe() bool { return true }
+func (g *gatedStore) Retrievals() int64 { return g.inner.Retrievals() }
+func (g *gatedStore) ResetStats()       { g.inner.ResetStats() }
+func (g *gatedStore) NonzeroCount() int { return g.inner.NonzeroCount() }
 
 func (g *gatedStore) waitBlocked(t *testing.T) {
 	t.Helper()
@@ -472,7 +471,6 @@ func (s *sleepStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return s.inner.BatchGetCtx(ctx, keys, dst)
 }
 
-func (s *sleepStore) Retrievals() int64    { return s.inner.Retrievals() }
-func (s *sleepStore) ResetStats()          { s.inner.ResetStats() }
-func (s *sleepStore) NonzeroCount() int    { return s.inner.NonzeroCount() }
-func (s *sleepStore) ConcurrentSafe() bool { return true }
+func (s *sleepStore) Retrievals() int64 { return s.inner.Retrievals() }
+func (s *sleepStore) ResetStats()       { s.inner.ResetStats() }
+func (s *sleepStore) NonzeroCount() int { return s.inner.NonzeroCount() }

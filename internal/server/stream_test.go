@@ -200,10 +200,9 @@ func (s *blockedStore) BatchGetCtx(_ context.Context, _ []int, dst []float64) er
 	clear(dst)
 	return nil
 }
-func (s *blockedStore) Retrievals() int64    { return 0 }
-func (s *blockedStore) ResetStats()          {}
-func (s *blockedStore) NonzeroCount() int    { return 0 }
-func (s *blockedStore) ConcurrentSafe() bool { return true }
+func (s *blockedStore) Retrievals() int64 { return 0 }
+func (s *blockedStore) ResetStats()       {}
+func (s *blockedStore) NonzeroCount() int { return 0 }
 
 // fillScheduler occupies the handler's run table and waiting queue with runs
 // whose store blocks, so the next HTTP request is deterministically rejected.

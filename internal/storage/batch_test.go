@@ -29,7 +29,7 @@ func TestGetBatchCached(t *testing.T) {
 	Get(cs, 17)
 	Get(cs, 250)
 	inner.ResetStats()
-	cs.hits = 0
+	cs.hits.Store(0)
 
 	keys := keysScrambled() // 17 and 299 each appear twice
 	dst := make([]float64, len(keys))

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
 // CachedStore wraps a Store with an LRU coefficient cache that persists
@@ -16,14 +18,19 @@ import (
 // and Retrievals reports only the misses this cache sent to the wrapped
 // store — not what other readers of that store retrieve.
 //
-// A capacity of 0 disables caching; Unbounded keeps everything.
+// A capacity of 0 disables caching; Unbounded keeps everything. Any number
+// of goroutines may read it: one batch at a time reads and fills the cache,
+// the others wait for it. The counters are atomic, so reading them never
+// waits for a batch.
 type CachedStore struct {
 	inner    Store
 	capacity int
-	lru      *list.List // front = most recently used
-	index    map[int]*list.Element
-	hits     int64
-	misses   int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+
+	mu    sync.Mutex
+	lru   *list.List // front = most recently used
+	index map[int]*list.Element
 }
 
 type cachedCell struct {
@@ -62,17 +69,19 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.capacity == 0 {
 		// Caching disabled: forward the whole batch.
-		s.misses += int64(len(keys))
+		s.misses.Add(int64(len(keys)))
 		return s.inner.BatchGetCtx(ctx, keys, dst)
 	}
 	var missKeys []int
 	missAt := make(map[int]int) // key → index into missKeys
-	hits := s.hits
+	var hits int64
 	for i, k := range keys {
 		if el, ok := s.index[k]; ok {
-			s.hits++
+			hits++
 			s.lru.MoveToFront(el)
 			dst[i] = el.Value.(cachedCell).val
 			continue
@@ -80,21 +89,22 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 		if _, ok := missAt[k]; ok {
 			// Shares the first occurrence's fetch — unless that fetch
 			// fails, in which case every position of the key fails below.
-			s.hits++
+			hits++
 			continue
 		}
 		missAt[k] = len(missKeys)
 		missKeys = append(missKeys, k)
 	}
+	s.hits.Add(hits)
 	if m := stObs(); m != nil {
-		m.cacheHits.Add(s.hits - hits)
+		m.cacheHits.Add(hits)
 		m.cacheMisses.Add(int64(len(missKeys)))
 	}
 	if len(missKeys) == 0 {
 		return nil
 	}
 	missVals := make([]float64, len(missKeys))
-	s.misses += int64(len(missKeys))
+	s.misses.Add(int64(len(missKeys)))
 	err := s.inner.BatchGetCtx(ctx, missKeys, missVals)
 	var failed map[int]error // missKeys index → cause
 	if err != nil {
@@ -143,23 +153,30 @@ func (s *CachedStore) insert(key int, v float64) {
 // Retrievals implements Store: the keys this cache sent to the wrapped store
 // (its misses), the session's own I/O count. The wrapped store's counter,
 // which every other reader of it moves too, is not consulted.
-func (s *CachedStore) Retrievals() int64 { return s.misses }
+func (s *CachedStore) Retrievals() int64 { return s.misses.Load() }
 
 // Hits returns the number of retrievals served from the cache.
-func (s *CachedStore) Hits() int64 { return s.hits }
+func (s *CachedStore) Hits() int64 { return s.hits.Load() }
 
 // Cached returns the number of coefficients currently cached.
-func (s *CachedStore) Cached() int { return s.lru.Len() }
+func (s *CachedStore) Cached() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lru.Len()
+}
 
 // ResetStats implements Store, zeroing this cache's counters but keeping
 // its contents (use ClearCache to drop them). The wrapped store's counter is
 // not this cache's to reset.
 func (s *CachedStore) ResetStats() {
-	s.hits, s.misses = 0, 0
+	s.hits.Store(0)
+	s.misses.Store(0)
 }
 
 // ClearCache drops every cached coefficient.
 func (s *CachedStore) ClearCache() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.lru.Init()
 	s.index = make(map[int]*list.Element)
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,13 +11,13 @@ import (
 	"repro/internal/obs"
 )
 
-// CoalescingStore is a singleflight layer over a concurrent-safe store: when
-// several runs ask for the same coefficient at the same time, exactly one
-// fetch reaches the wrapped store and every overlapping requester shares its
-// result. This extends the paper's intra-batch I/O sharing (one retrieval
-// per master-list entry) across concurrent batches: the scheduler advances
-// many runs at once, their master lists overlap heavily on the coarse
-// wavelet levels, and the overlapping retrievals collapse into one.
+// CoalescingStore is a singleflight layer: when several runs ask for the
+// same coefficient at the same time, exactly one fetch reaches the wrapped
+// store and every overlapping requester shares its result. This extends the
+// paper's intra-batch I/O sharing (one retrieval per master-list entry)
+// across concurrent batches: the scheduler advances many runs at once, their
+// master lists overlap heavily on the coarse wavelet levels, and the
+// overlapping retrievals collapse into one.
 //
 // Counting: Retrievals of the wrapped store reports only the fetches that
 // were actually issued (the layer's misses) — physical I/O, exactly as
@@ -93,13 +92,8 @@ type CoalesceStats struct {
 	Coalesced int64 `json:"coalesced"`
 }
 
-// NewCoalescingStore wraps inner, which must be concurrent-safe (the
-// layer's whole point is overlapping callers); anything else is a wiring bug
-// and panics.
+// NewCoalescingStore wraps inner.
 func NewCoalescingStore(inner Store) *CoalescingStore {
-	if !IsConcurrent(inner) {
-		panic(fmt.Sprintf("storage: coalescing over %T, which is not concurrent-safe", inner))
-	}
 	return &CoalescingStore{inner: inner, inflight: make(map[int]flightRef), counts: new(CoalesceCounters)}
 }
 
@@ -214,8 +208,3 @@ func (s *CoalescingStore) ResetStats() {
 
 // NonzeroCount implements Store.
 func (s *CoalescingStore) NonzeroCount() int { return s.inner.NonzeroCount() }
-
-// ConcurrentSafe implements the IsConcurrent capability check: the wrapped
-// store was required to be concurrent-safe and the layer synchronizes its
-// own state.
-func (s *CoalescingStore) ConcurrentSafe() bool { return true }

@@ -28,10 +28,9 @@ func (g *gateStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) 
 	return g.inner.BatchGetCtx(ctx, keys, dst)
 }
 
-func (g *gateStore) Retrievals() int64    { return g.inner.Retrievals() }
-func (g *gateStore) ResetStats()          { g.inner.ResetStats() }
-func (g *gateStore) NonzeroCount() int    { return g.inner.NonzeroCount() }
-func (g *gateStore) ConcurrentSafe() bool { return true }
+func (g *gateStore) Retrievals() int64 { return g.inner.Retrievals() }
+func (g *gateStore) ResetStats()       { g.inner.ResetStats() }
+func (g *gateStore) NonzeroCount() int { return g.inner.NonzeroCount() }
 
 // open lets n fetch calls proceed.
 func (g *gateStore) open(n int) {

@@ -189,7 +189,3 @@ func (s *FaultStore) ResetStats() { s.inner.ResetStats() }
 
 // NonzeroCount implements Store.
 func (s *FaultStore) NonzeroCount() int { return s.inner.NonzeroCount() }
-
-// ConcurrentSafe implements the IsConcurrent capability check: the
-// injector's own state is atomic, so it is as safe as the store it wraps.
-func (s *FaultStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }

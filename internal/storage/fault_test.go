@@ -271,27 +271,6 @@ func TestFaultStoreBatchPartialFailure(t *testing.T) {
 	}
 }
 
-func TestWrappersForwardConcurrency(t *testing.T) {
-	plain, err := NewCachedStore(NewArrayStore(testCells(4)), Unbounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := NewHashStore()
-	wrappers := map[string]func(Store) Store{
-		"FaultStore":        func(s Store) Store { return NewFaultStore(s, FaultConfig{}) },
-		"RetryStore":        func(s Store) Store { return NewRetryStore(s, RetryConfig{}) },
-		"InstrumentedStore": func(s Store) Store { return NewInstrumentedStore(s) },
-	}
-	for name, wrap := range wrappers {
-		if IsConcurrent(wrap(plain)) {
-			t.Fatalf("%s over a non-concurrent store must not claim concurrency", name)
-		}
-		if !IsConcurrent(wrap(conc)) {
-			t.Fatalf("%s over a concurrent store must stay concurrent", name)
-		}
-	}
-}
-
 func TestCachedStoreDoesNotCacheErrors(t *testing.T) {
 	flaky := newFlakyStore(testCells(16), map[int]int{3: 1})
 	cs, err := NewCachedStore(flaky, Unbounded)
@@ -359,8 +338,6 @@ type holdStore struct {
 	entered chan int   // receives the key when a retrieval reaches the store
 	release chan error // the held retrieval returns this error (nil = serve)
 }
-
-func (s *holdStore) ConcurrentSafe() bool { return true }
 
 func (s *holdStore) getCtx(key int) (float64, error) {
 	s.entered <- key

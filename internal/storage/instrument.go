@@ -123,11 +123,3 @@ func (s *InstrumentedStore) ResetStats() { s.inner.ResetStats() }
 
 // NonzeroCount implements Store.
 func (s *InstrumentedStore) NonzeroCount() int { return s.inner.NonzeroCount() }
-
-// ConcurrentSafe implements the IsConcurrent capability check: the wrapper
-// is stateless, so it is as safe as the store it wraps.
-func (s *InstrumentedStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
-
-// InMemory implements the IsInMemory capability check: timing a fetch does
-// not change where it is answered from.
-func (s *InstrumentedStore) InMemory() bool { return IsInMemory(s.inner) }

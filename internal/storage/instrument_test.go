@@ -55,20 +55,6 @@ func TestInstrumentedStoreTimesRetrievals(t *testing.T) {
 	}
 }
 
-func TestInstrumentedStorePreservesMarkers(t *testing.T) {
-	cached, err := NewCachedStore(NewArrayStore(testDense()), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsConcurrent(NewInstrumentedStore(cached)) {
-		t.Fatal("wrapper over a non-concurrent store must not claim concurrency")
-	}
-	conc := NewInstrumentedStore(NewHashStore())
-	if !IsConcurrent(conc) {
-		t.Fatal("wrapper must forward the wrapped store's concurrency-safety")
-	}
-}
-
 func TestCacheCountersMirrored(t *testing.T) {
 	reg := observeTest(t)
 	cs, err := NewCachedStore(NewArrayStore(testDense()), 8)

@@ -16,12 +16,12 @@ type Header struct {
 // Decode reads the whole .wvls file r holds in its first size bytes into a
 // caller's memory. It opens r as Open opens a file — mapped when r is an
 // *os.File and mmap works, by positioned reads otherwise — hands the header
-// to begin, whose error is returned as is, and runs ForEachNonzero's walk
-// into the function begin returned: every nonzero coefficient in ascending
-// key order. Sizes the header announces are checked against size before
-// anything is allocated from them. A dense file's later block can still
-// fail its check after earlier values went, so a caller must not publish
-// what it received unless Decode returns nil. Nothing of the file is kept.
+// to begin, whose error is returned as is, and runs Walk's pass into the
+// function begin returned: every nonzero coefficient in ascending key order.
+// Sizes the header announces are checked against size before anything is
+// allocated from them. A dense file's later block can still fail its check
+// after earlier values went, so a caller must not publish what it received
+// unless Decode returns nil. Nothing of the file is kept.
 func Decode(r io.ReaderAt, size int64, begin func(*Header) (func(key int, value float64), error)) (err error) {
 	s, err := open(r, size, Options{})
 	if err != nil {

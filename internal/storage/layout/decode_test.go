@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -43,9 +44,9 @@ type decodeInput struct {
 }
 
 // decodeInputs are the coefficients and options of decodeCases' files: both
-// shapes, plain and quantized, and a sparse file whose physical order a
-// family dictates. Each also hands Write a zero, a negative zero and a value
-// float32 rounds to zero, at keys it does not otherwise hold.
+// shapes, and a sparse file whose physical order a family dictates. Each
+// also hands Write a zero, a negative zero and a tiny 1e-60, at
+// keys it does not otherwise hold.
 func decodeInputs() map[string]decodeInput {
 	const cells = 1 << 13
 	sparseKeys, sparseValues := testCoefficients(3000, cells, 21)
@@ -68,12 +69,10 @@ func decodeInputs() map[string]decodeInput {
 	denseKeys, denseValues = withZeros(denseKeys, denseValues)
 	family := append([]int(nil), sparseKeys[1000:]...)
 	return map[string]decodeInput{
-		"sparse":           {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
-		"sparse quantized": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128, Quantize: true}},
+		"sparse": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
 		"sparse family": {sparseKeys, sparseValues, WriteOptions{Cells: cells, HotCount: 77, BlockSize: 100,
 			Families: []FamilyOrder{{Label: "f", Fingerprint: "f", Keys: family}}}},
-		"dense":           {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
-		"dense quantized": {denseKeys, denseValues, WriteOptions{Cells: cells, Quantize: true}},
+		"dense": {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
 	}
 }
 
@@ -92,12 +91,8 @@ func decodeCases(t *testing.T) map[string]string {
 }
 
 // written is what a walk of a file must hand over for in: its keys
-// ascending with zeros dropped, each value's bits as handed to Write —
-// rounded to float32 where a quantized file stores it in a block, which is
-// every slot but the hotCount most important (|value| descending, key
-// ascending: the canonical order) — and dropped too when that rounds it to
-// zero.
-func (in decodeInput) written(hotCount int) (keys []int, values []float64) {
+// ascending with zeros dropped, each value's bits as handed to Write.
+func (in decodeInput) written() (keys []int, values []float64) {
 	type kv struct {
 		k int
 		v float64
@@ -108,30 +103,16 @@ func (in decodeInput) written(hotCount int) (keys []int, values []float64) {
 			pairs = append(pairs, kv{k, in.values[i]})
 		}
 	}
-	slices.SortFunc(pairs, func(a, b kv) int {
-		if c := cmp.Compare(math.Abs(b.v), math.Abs(a.v)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.k, b.k)
-	})
-	for i := range pairs {
-		if in.opts.Quantize && i >= hotCount {
-			pairs[i].v = float64(float32(pairs[i].v))
-		}
-	}
 	slices.SortFunc(pairs, func(a, b kv) int { return cmp.Compare(a.k, b.k) })
 	for _, p := range pairs {
-		if p.v != 0 {
-			keys, values = append(keys, p.k), append(values, p.v)
-		}
+		keys, values = append(keys, p.k), append(values, p.v)
 	}
 	return keys, values
 }
 
-// TestDecodeMatchesStore: Decode and ForEachNonzero both hand over exactly
-// what Write was given — ascending keys, zeros dropped, the same bits,
-// float32-rounded where a quantized file stores a block value — from a
-// mapped file and through positioned reads, and Decode from a file and from
+// TestDecodeMatchesStore: Decode and Walk both hand over exactly what Write
+// was given — ascending keys, zeros dropped, the same bits — from a mapped
+// file and through positioned reads, and Decode from a file and from
 // memory alike; the header carries the file's counts.
 func TestDecodeMatchesStore(t *testing.T) {
 	paths := decodeCases(t)
@@ -160,14 +141,16 @@ func TestDecodeMatchesStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantKeys, wantValues = in.written(s.HotCount())
+			wantKeys, wantValues = in.written()
 			var keys []int
 			var values []float64
-			s.ForEachNonzero(func(k int, v float64) bool {
+			if err := s.Walk(func(k int, v float64) bool {
 				keys, values = append(keys, k), append(values, v)
 				return true
-			})
-			same(fmt.Sprintf("ForEachNonzero, mapped %v", s.Mmapped()), keys, values)
+			}); err != nil {
+				t.Fatalf("%s: Walk: %v", name, err)
+			}
+			same(fmt.Sprintf("Walk, mapped %v", s.Mmapped()), keys, values)
 			if s.NonzeroCount() != nonzero {
 				t.Fatalf("%s: the store counts %d nonzero, %d were written", name, s.NonzeroCount(), nonzero)
 			}
@@ -297,6 +280,50 @@ func TestWriteFileKeepsAMappedReader(t *testing.T) {
 	defer func() { _ = fresh.Close() }()
 	if fresh.Size() != cells/8 || fresh.NonzeroCount() != 10 {
 		t.Fatalf("reopened: %d cells, %d nonzero", fresh.Size(), fresh.NonzeroCount())
+	}
+}
+
+// TestWriteFileConcurrentWriters: two writers of one path in one process,
+// both holding their temporary file open at once, write a file each: both
+// succeed, path holds exactly one writer's bytes, and no temporary file is
+// left behind.
+func TestWriteFileConcurrentWriters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.wvls")
+	payloads := [][]byte{bytes.Repeat([]byte{'a'}, 1<<16), bytes.Repeat([]byte{'b'}, 1<<15)}
+	var barrier, done sync.WaitGroup
+	barrier.Add(len(payloads))
+	errs := make([]error, len(payloads))
+	for i, p := range payloads {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			errs[i] = WriteFile(path, func(w io.Writer) error {
+				barrier.Done()
+				barrier.Wait() // both temporary files are created
+				_, err := w.Write(p)
+				return err
+			})
+		}()
+	}
+	done.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", i, err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payloads[0]) && !bytes.Equal(got, payloads[1]) {
+		t.Fatalf("path holds %d bytes that match neither writer", len(got))
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("%d directory entries after two writes of one path, want 1", len(entries))
 	}
 }
 

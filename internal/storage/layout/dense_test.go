@@ -40,9 +40,9 @@ func writeDenseLayout(t *testing.T, keys []int, values []float64, opts WriteOpti
 	return path
 }
 
-// TestWritePicksSmallerShape pins the rule on both sides of the crossover,
-// plain and quantized: the file Write leaves is the smaller of the two sizes
-// it reports, and its shape is the one it names.
+// TestWritePicksSmallerShape pins the rule on both sides of the crossover:
+// the file Write leaves is the smaller of the two sizes it reports, and its
+// shape is the one it names.
 func TestWritePicksSmallerShape(t *testing.T) {
 	const cells = 1 << 14
 	for _, tc := range []struct {
@@ -50,32 +50,30 @@ func TestWritePicksSmallerShape(t *testing.T) {
 		dense   bool
 	}{{0.1, false}, {0.3, false}, {0.75, true}, {0.95, true}} {
 		keys, values := denseCoefficients(cells, tc.density, 1)
-		for _, quantize := range []bool{false, true} {
-			path := filepath.Join(t.TempDir(), "w.wvls")
-			c, err := Write(path, keys, values, WriteOptions{Cells: cells, Quantize: quantize})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.Dense != tc.dense || c.Dense != (c.DenseBytes < c.SparseBytes) {
-				t.Fatalf("density %.2f quantized %v: Write weighed %+v, want dense %v", tc.density, quantize, c, tc.dense)
-			}
-			info, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := min(c.DenseBytes, c.SparseBytes); info.Size() != want {
-				t.Fatalf("density %.2f quantized %v: file is %d bytes, want the smaller candidate's %d (%+v)",
-					tc.density, quantize, info.Size(), want, c)
-			}
-			s, err := Open(path, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.Dense() != tc.dense || s.Stats().Dense != tc.dense {
-				t.Fatalf("density %.2f quantized %v: opened Dense() = %v, want %v", tc.density, quantize, s.Dense(), tc.dense)
-			}
-			_ = s.Close()
+		path := filepath.Join(t.TempDir(), "w.wvls")
+		c, err := Write(path, keys, values, WriteOptions{Cells: cells})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if c.Dense != tc.dense || c.Dense != (c.DenseBytes < c.SparseBytes) {
+			t.Fatalf("density %.2f: Write weighed %+v, want dense %v", tc.density, c, tc.dense)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(c.DenseBytes, c.SparseBytes); info.Size() != want {
+			t.Fatalf("density %.2f: file is %d bytes, want the smaller candidate's %d (%+v)",
+				tc.density, info.Size(), want, c)
+		}
+		s, err := Open(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Dense() != tc.dense || s.Stats().Dense != tc.dense {
+			t.Fatalf("density %.2f: opened Dense() = %v, want %v", tc.density, s.Dense(), tc.dense)
+		}
+		_ = s.Close()
 	}
 }
 
@@ -96,11 +94,11 @@ func TestFamiliesForceSparse(t *testing.T) {
 	writeTestLayout(t, keys, values, opts)
 }
 
-// TestDenseRoundtrip pins the dense read path on both tiers, plain and
-// quantized: every cell, zero or not, reads bit-identical through
-// BatchGetCtx in any order, keys outside the domain fail alone, the slot is
-// the key, enumeration yields exactly the nonzero set, the header's count
-// and mass are the writer's, and each block is checked once.
+// TestDenseRoundtrip pins the dense read path on both tiers: every cell,
+// zero or not, reads bit-identical through BatchGetCtx in any order, keys
+// outside the domain fail alone, the slot is the key, enumeration yields
+// exactly the nonzero set, the header's count and mass are the writer's, and
+// each block is checked once.
 func TestDenseRoundtrip(t *testing.T) {
 	const cells = 5000 // not a multiple of the block size: a short last block
 	keys, values := denseCoefficients(cells, 0.8, 3)
@@ -109,85 +107,83 @@ func TestDenseRoundtrip(t *testing.T) {
 		mass += math.Abs(v)
 	}
 	ctx := context.Background()
-	for _, quantize := range []bool{false, true} {
-		path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 256, Quantize: quantize})
-		want := make([]float64, cells)
-		for i, k := range keys {
-			if want[k] = values[i]; quantize {
-				want[k] = float64(float32(values[i]))
+	path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 256})
+	want := make([]float64, cells)
+	for i, k := range keys {
+		want[k] = values[i]
+	}
+	orders := [][]int{make([]int, cells), make([]int, cells), rand.New(rand.NewSource(4)).Perm(cells)}
+	for k := 0; k < cells; k++ {
+		orders[0][k], orders[1][k] = k, cells-1-k
+	}
+	for _, opts := range []Options{{}, {DisableMmap: true}} {
+		s, err := Open(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.DisableMmap && s.Mmapped() {
+			t.Fatal("DisableMmap ignored")
+		}
+		name := func() string {
+			if s.Mmapped() {
+				return "mmap"
+			}
+			return "pread"
+		}()
+		if !s.Dense() || s.HotCount() != 0 || s.Blocks() != (cells+255)/256 {
+			t.Fatalf("%s: dense %v hot %d blocks %d", name, s.Dense(), s.HotCount(), s.Blocks())
+		}
+		if s.NonzeroCount() != len(keys) || s.Size() != cells || s.Mass() != mass {
+			t.Fatalf("%s: NonzeroCount %d Size %d Mass %v, want %d, %d, %v", name, s.NonzeroCount(), s.Size(), s.Mass(), len(keys), cells, mass)
+		}
+		for _, j := range []int{0, 1, cells / 2, cells - 1} {
+			if s.KeyOfSlot(j) != j {
+				t.Fatalf("%s: KeyOfSlot(%d) = %d", name, j, s.KeyOfSlot(j))
 			}
 		}
-		orders := [][]int{make([]int, cells), make([]int, cells), rand.New(rand.NewSource(4)).Perm(cells)}
-		for k := 0; k < cells; k++ {
-			orders[0][k], orders[1][k] = k, cells-1-k
+		for _, order := range orders {
+			dst := make([]float64, len(order))
+			if err := s.BatchGetCtx(ctx, order, dst); err != nil {
+				t.Fatalf("%s: BatchGetCtx: %v", name, err)
+			}
+			for i, k := range order {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s: cell %d = %v, want %v", name, k, dst[i], want[k])
+				}
+			}
 		}
-		for _, opts := range []Options{{}, {DisableMmap: true}} {
-			s, err := Open(path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if opts.DisableMmap && s.Mmapped() {
-				t.Fatal("DisableMmap ignored")
-			}
-			name := func() string {
-				if s.Mmapped() {
-					return "mmap"
-				}
-				return "pread"
-			}()
-			if !s.Dense() || s.Quantized() != quantize || s.HotCount() != 0 || s.Blocks() != (cells+255)/256 {
-				t.Fatalf("%s: dense %v quantized %v hot %d blocks %d", name, s.Dense(), s.Quantized(), s.HotCount(), s.Blocks())
-			}
-			if s.NonzeroCount() != len(keys) || s.Size() != cells || s.Mass() != mass {
-				t.Fatalf("%s: NonzeroCount %d Size %d Mass %v, want %d, %d, %v", name, s.NonzeroCount(), s.Size(), s.Mass(), len(keys), cells, mass)
-			}
-			for _, j := range []int{0, 1, cells / 2, cells - 1} {
-				if s.KeyOfSlot(j) != j {
-					t.Fatalf("%s: KeyOfSlot(%d) = %d", name, j, s.KeyOfSlot(j))
-				}
-			}
-			for _, order := range orders {
-				dst := make([]float64, len(order))
-				if err := s.BatchGetCtx(ctx, order, dst); err != nil {
-					t.Fatalf("%s: BatchGetCtx: %v", name, err)
-				}
-				for i, k := range order {
-					if math.Float64bits(dst[i]) != math.Float64bits(want[k]) {
-						t.Fatalf("%s: cell %d = %v, want %v", name, k, dst[i], want[k])
-					}
-				}
-			}
-			probe := []int{-1, 0, cells, cells - 1, 7}
-			dst := make([]float64, len(probe))
-			var be *storage.BatchError
-			if err := s.BatchGetCtx(ctx, probe, dst); !errors.As(err, &be) ||
-				len(be.Failed) != 2 || be.Failed[0].Index != 0 || be.Failed[1].Index != 2 {
-				t.Fatalf("%s: out-of-range probe = %v, want positions 0 and 2 failed", name, err)
-			}
-			for _, i := range []int{1, 3, 4} {
-				if dst[i] != want[probe[i]] {
-					t.Fatalf("%s: cell %d = %v beside out-of-range keys, want %v", name, probe[i], dst[i], want[probe[i]])
-				}
-			}
-			got := map[int]float64{}
-			s.ForEachNonzero(func(k int, v float64) bool {
-				got[k] = v
-				return true
-			})
-			for k, v := range want {
-				if g, ok := got[k]; ok != (v != 0) || g != v {
-					t.Fatalf("%s: ForEachNonzero gave cell %d = %v (present %v), want %v", name, k, g, ok, v)
-				}
-			}
-			st := s.Stats()
-			if st.Slots != cells || st.HotHits != 0 || st.HintHits != 0 {
-				t.Fatalf("%s: stats %+v: want %d slots, no hot or hint hits", name, st, cells)
-			}
-			if st.VerifiedBlocks != s.Blocks() || st.BlockLoads != int64(s.Blocks()) {
-				t.Fatalf("%s: %d blocks verified in %d checks, want each of %d checked once", name, st.VerifiedBlocks, st.BlockLoads, s.Blocks())
-			}
-			_ = s.Close()
+		probe := []int{-1, 0, cells, cells - 1, 7}
+		dst := make([]float64, len(probe))
+		var be *storage.BatchError
+		if err := s.BatchGetCtx(ctx, probe, dst); !errors.As(err, &be) ||
+			len(be.Failed) != 2 || be.Failed[0].Index != 0 || be.Failed[1].Index != 2 {
+			t.Fatalf("%s: out-of-range probe = %v, want positions 0 and 2 failed", name, err)
 		}
+		for _, i := range []int{1, 3, 4} {
+			if dst[i] != want[probe[i]] {
+				t.Fatalf("%s: cell %d = %v beside out-of-range keys, want %v", name, probe[i], dst[i], want[probe[i]])
+			}
+		}
+		got := map[int]float64{}
+		if err := s.Walk(func(k int, v float64) bool {
+			got[k] = v
+			return true
+		}); err != nil {
+			t.Fatalf("%s: Walk: %v", name, err)
+		}
+		for k, v := range want {
+			if g, ok := got[k]; ok != (v != 0) || g != v {
+				t.Fatalf("%s: Walk gave cell %d = %v (present %v), want %v", name, k, g, ok, v)
+			}
+		}
+		st := s.Stats()
+		if st.Slots != cells || st.HotHits != 0 || st.HintHits != 0 {
+			t.Fatalf("%s: stats %+v: want %d slots, no hot or hint hits", name, st, cells)
+		}
+		if st.VerifiedBlocks != s.Blocks() || st.BlockLoads != int64(s.Blocks()) {
+			t.Fatalf("%s: %d blocks verified in %d checks, want each of %d checked once", name, st.VerifiedBlocks, st.BlockLoads, s.Blocks())
+		}
+		_ = s.Close()
 	}
 }
 

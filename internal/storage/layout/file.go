@@ -5,18 +5,26 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 )
 
+// tmpSeq numbers WriteFile's temporary files, so that two calls in one
+// process never share one.
+var tmpSeq atomic.Uint64
+
 // WriteFile replaces the file at path with what write writes, without ever
-// truncating it: the bytes go to <path>.tmp-<pid> in the same directory,
-// which is synced and then renamed over path. A process that has the old
-// file mapped keeps its inode and reads the old bytes until it reopens —
-// truncating a mapped file in place would fault its next read of a page
-// past the new end. When anything fails the temporary file is removed and
-// the old file, if any, is left as it was. Every writer of a view file
-// goes through here.
+// truncating it: the bytes go to <path>.tmp-<pid>-<n> in the same directory,
+// a name no other call uses, which is synced and then renamed over path; the
+// directory is synced after the rename, so the new entry is durable when
+// WriteFile returns. A process that has the old file mapped keeps its inode
+// and reads the old bytes until it reopens — truncating a mapped file in
+// place would fault its next read of a page past the new end. When anything
+// fails before the rename the temporary file is removed and the old file, if
+// any, is left as it was. Every writer of a view file goes through here.
 func WriteFile(path string, write func(w io.Writer) error) (err error) {
-	tmp := filepath.Join(filepath.Dir(path), fmt.Sprintf("%s.tmp-%d", filepath.Base(path), os.Getpid()))
+	dir := filepath.Dir(path)
+	tmp := filepath.Join(dir, fmt.Sprintf("%s.tmp-%d-%d", filepath.Base(path), os.Getpid(), tmpSeq.Add(1)))
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -36,5 +44,25 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	if err = f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir flushes dir's entries to disk. Windows cannot open a directory
+// for a sync, so there it does nothing.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

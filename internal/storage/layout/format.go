@@ -24,7 +24,7 @@
 //
 //	magic    "WVLS"                  4 bytes
 //	version  uint16                  2
-//	flags    uint16                  bit 0: block values quantized to float32
+//	flags    uint16                  bit 0: refused (float32 block values)
 //	                                 bit 1: dense shape
 //	hdrLen   uint32                  length of the header blob
 //	hdrCRC   uint32                  IEEE CRC-32 of the header blob
@@ -40,18 +40,18 @@
 //	  slotOf    nonzero × sw         slot of the i-th smallest key
 //	  keyOfSlot nonzero × kw         key stored at slot j (schedule order)
 //	  hot       hotCount × float64   raw values of slots [0,hotCount)
-//	  blocks    cold × vw            values of the remaining slots
+//	  blocks    cold × float64       values of the remaining slots
 //	  crcs      numBlocks × uint32   IEEE CRC-32 of each block
 //	  indexCRC  uint32               sparse only: IEEE CRC-32 of samples…hot
 //
 // Every width and offset follows from the header: kw = bytes(cells−1),
-// sw = bytes(nonzero−1), ow = bytes(streamLen), vw = 8 (4 when quantized),
-// groups = ⌈nonzero/64⌉, and block b is the blockSize×vw bytes (fewer for
-// the last block) at blocks + b×blockSize×vw. The four fixed-width sections
-// are packed words, each followed by 8−w pad bytes so the reader's one
-// 8-byte load of the last entry stays inside its section. A dense file has
-// hotCount 0 and streamLen 0, its index sections and hot region are empty
-// (pads too), its blocks hold cells slots, and it records no families.
+// sw = bytes(nonzero−1), ow = bytes(streamLen), groups = ⌈nonzero/64⌉, and
+// block b is the blockSize×8 bytes (fewer for the last block) at
+// blocks + b×blockSize×8. The four fixed-width sections are packed words,
+// each followed by 8−w pad bytes so the reader's one 8-byte load of the last
+// entry stays inside its section. A dense file has hotCount 0 and streamLen
+// 0, its index sections and hot region are empty (pads too), its blocks hold
+// cells slots, and it records no families.
 //
 // Slots are schedule positions in the sparse shape: slot 0 is the most
 // important coefficient. Each fact is stored once. key→slot is the
@@ -60,8 +60,7 @@
 // Data-Analysis Queries on Grids" is the grounding: about 2+log₂(cells/n)
 // bits per key and ⌈log₂ n⌉ bits per permutation entry per direction are
 // what the information costs) plus slotOf; slot→key is keyOfSlot; values
-// are raw words in slot order, hot prefix then blocks, float32 in the
-// blocks when the lossy Quantize option was chosen at write time. A group's
+// are raw float64 words in slot order, hot prefix then blocks. A group's
 // deltas sum to the next sample (to cells for the last), so "key absent" is
 // checked, not assumed; a found key is served only if keyOfSlot[slotOf[i]]
 // names it.
@@ -101,8 +100,8 @@ const Magic = "WVLS"
 const (
 	version = 2
 
-	// flagQuantized marks files whose block values are float32: a lossy,
-	// explicitly-opted-into trade of bit-identity for half the block bytes.
+	// flagQuantized marked files whose block values were float32, a lossy
+	// mode this format no longer writes; Open refuses such a file.
 	flagQuantized = 1 << 0
 
 	// flagDense marks the dense shape: every cell's value in key order, no
@@ -177,11 +176,6 @@ type WriteOptions struct {
 	// BlockSize is the block granularity in slots; 0 selects
 	// DefaultBlockSize.
 	BlockSize int
-	// Quantize stores block values as float32, in either shape. Lossy:
-	// drains over a quantized layout are NOT bit-identical to the source
-	// store; the flag is recorded in the file and surfaced by
-	// Store.Quantized.
-	Quantize bool
 	// Meta optionally embeds the database identity (see Meta).
 	Meta *Meta
 	// Families optionally supplies penalty-family schedule orders. The
@@ -244,7 +238,6 @@ type geometry struct {
 	keyWidth  int
 	slotWidth int
 	offWidth  int
-	valWidth  int // of a block value; hot values are always 8 bytes
 
 	samplesOff   int64
 	offsetsOff   int64
@@ -273,10 +266,6 @@ func (g *geometry) derive(dataStart int64) {
 	g.keyWidth = wordWidth(uint64(g.cells - 1))
 	g.slotWidth = wordWidth(uint64(max(g.nonzero, 1) - 1))
 	g.offWidth = wordWidth(uint64(g.streamLen))
-	g.valWidth = 8
-	if g.flags&flagQuantized != 0 {
-		g.valWidth = 4
-	}
 	off := dataStart
 	section := func(size int64) int64 {
 		at := off
@@ -289,7 +278,7 @@ func (g *geometry) derive(dataStart int64) {
 	g.slotOfOff = section(packed(g.nonzero, g.slotWidth))
 	g.keyOfSlotOff = section(packed(g.nonzero, g.keyWidth))
 	g.hotOff = section(int64(g.hotCount) * 8)
-	g.blocksOff = section(int64(cold) * int64(g.valWidth))
+	g.blocksOff = section(int64(cold) * 8)
 	g.crcsOff = section(int64(g.numBlocks+g.indexCRCs()) * 4)
 	g.fileSize = off
 }
@@ -420,14 +409,10 @@ func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 		families = append(families, Family{Label: fo.Label, Fingerprint: fo.Fingerprint})
 	}
 
-	var flags uint16
-	if opts.Quantize {
-		flags |= flagQuantized
-	}
 	in := &input{opts: opts, pairs: pairs, families: families}
-	in.sparse = geometry{flags: flags, cells: opts.Cells, nonzero: n, hotCount: hot,
+	in.sparse = geometry{cells: opts.Cells, nonzero: n, hotCount: hot,
 		blockSize: opts.BlockSize, mass: mass, streamLen: streamLen}
-	in.dense = geometry{flags: flags | flagDense, cells: opts.Cells, nonzero: n,
+	in.dense = geometry{flags: flagDense, cells: opts.Cells, nonzero: n,
 		blockSize: opts.BlockSize, mass: mass}
 	in.sparse.derive(int64(preludeSize + len(encodeHeaderBlob(&in.sparse, opts.Meta, families))))
 	in.dense.derive(int64(preludeSize + len(encodeHeaderBlob(&in.dense, opts.Meta, nil))))
@@ -594,7 +579,7 @@ func (in *input) writeSparse(dst io.Writer) error {
 			return err
 		}
 		value := func(slot int) float64 { return bySlot[slot].v }
-		buf = appendValues(buf[:0], 0, hot, 8, value)
+		buf = appendValues(buf[:0], 0, hot, value)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -621,15 +606,11 @@ func encodeFile(dst io.Writer, g *geometry, hdr []byte, body func(w *bufio.Write
 	return w.Flush()
 }
 
-// appendValues appends the values of slots [lo,hi) as width-byte words.
-func appendValues(buf []byte, lo, hi, width int, value func(slot int) float64) []byte {
-	buf = slices.Grow(buf, (hi-lo)*width)
+// appendValues appends the values of slots [lo,hi) as float64 words.
+func appendValues(buf []byte, lo, hi int, value func(slot int) float64) []byte {
+	buf = slices.Grow(buf, (hi-lo)*8)
 	for slot := lo; slot < hi; slot++ {
-		if width == 4 {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(value(slot))))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(value(slot)))
-		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(value(slot)))
 	}
 	return buf
 }
@@ -641,7 +622,7 @@ func writeBlocks(w *bufio.Writer, g *geometry, buf []byte, value func(slot int) 
 	crcs := make([]byte, 0, (g.numBlocks+len(trailing))*4)
 	for b := 0; b < g.numBlocks; b++ {
 		lo, hi := g.blockSlots(b)
-		buf = appendValues(buf[:0], lo, hi, g.valWidth, value)
+		buf = appendValues(buf[:0], lo, hi, value)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -786,7 +767,10 @@ func readHeader(prelude []byte, size int64, readBlob func(blob []byte) error) (*
 		return nil, nil, nil, fmt.Errorf("layout: unsupported version %d", v)
 	}
 	flags := binary.LittleEndian.Uint16(prelude[6:8])
-	if flags&^(flagQuantized|flagDense) != 0 {
+	if flags&flagQuantized != 0 {
+		return nil, nil, nil, fmt.Errorf("layout: .wvls file with float32 block values, which are no longer read; the format is derived data — rebuild with wvlayout")
+	}
+	if flags&^flagDense != 0 {
 		return nil, nil, nil, fmt.Errorf("layout: unknown flags %#x", flags)
 	}
 	hdrLen := binary.LittleEndian.Uint32(prelude[8:12])

@@ -152,16 +152,18 @@ func TestRoundtrip(t *testing.T) {
 			}
 			// Enumeration covers exactly the stored set.
 			got := make(map[int]float64, len(keys))
-			s.ForEachNonzero(func(k int, v float64) bool {
+			if err := s.Walk(func(k int, v float64) bool {
 				got[k] = v
 				return true
-			})
+			}); err != nil {
+				t.Fatalf("Walk: %v", err)
+			}
 			if len(got) != len(keys) {
-				t.Fatalf("ForEachNonzero visited %d keys, want %d", len(got), len(keys))
+				t.Fatalf("Walk visited %d keys, want %d", len(got), len(keys))
 			}
 			for k, v := range byKey {
 				if got[k] != v {
-					t.Fatalf("ForEachNonzero[%d] = %v, want %v", k, got[k], v)
+					t.Fatalf("Walk[%d] = %v, want %v", k, got[k], v)
 				}
 			}
 		})
@@ -232,27 +234,40 @@ func TestLayoutFamilyOrder(t *testing.T) {
 	}
 }
 
-// TestQuantizedLayout pins the lossy mode: the flag round-trips and values
-// in the cold tail come back as float32-rounded.
-func TestQuantizedLayout(t *testing.T) {
-	keys := []int{1, 2, 3, 4}
-	values := []float64{100, 10, 1.000000000001, 0.1}
-	path := writeTestLayout(t, keys, values, WriteOptions{
-		Cells: 64, HotCount: 1, BlockSize: 2, Quantize: true,
-	})
-	s, err := Open(path, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer func() { _ = s.Close() }()
-	if !s.Quantized() {
-		t.Fatal("Quantized flag lost")
-	}
-	if got := storage.Get(s, 1); got != 100 { // hot slot: raw float64
-		t.Fatalf("hot Get(1) = %v, want 100", got)
-	}
-	if got := storage.Get(s, 3); got != float64(float32(1.000000000001)) {
-		t.Fatalf("cold Get(3) = %v, want float32 rounding", got)
+// TestQuantizedLayoutRefused pins that a file whose flags mark float32 block
+// values — a lossy mode the format no longer writes — is refused on both
+// tiers and by Decode, with the hint to rebuild it, whatever its shape.
+func TestQuantizedLayoutRefused(t *testing.T) {
+	const cells = 1 << 10
+	sparseKeys, sparseValues := testCoefficients(100, cells, 4)
+	denseKeys, denseValues := denseCoefficients(cells, 0.9, 4)
+	for shape, path := range map[string]string{
+		"sparse": writeTestLayout(t, sparseKeys, sparseValues, WriteOptions{Cells: cells}),
+		"dense":  writeDenseLayout(t, denseKeys, denseValues, WriteOptions{Cells: cells}),
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[6] |= flagQuantized
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{{}, {DisableMmap: true}} {
+			s, err := Open(path, opts)
+			if err == nil {
+				_ = s.Close()
+				t.Fatalf("%s, %+v: a file with float32 block values opened", shape, opts)
+			}
+			if !strings.Contains(err.Error(), "rebuild with wvlayout") {
+				t.Fatalf("%s, %+v: Open failed with %v, want the rebuild hint", shape, opts, err)
+			}
+		}
+		if err := Decode(bytes.NewReader(raw), int64(len(raw)), func(*Header) (func(int, float64), error) {
+			return func(int, float64) {}, nil
+		}); err == nil || !strings.Contains(err.Error(), "rebuild with wvlayout") {
+			t.Fatalf("%s: Decode = %v, want the rebuild hint", shape, err)
+		}
 	}
 }
 
@@ -505,10 +520,12 @@ func TestEmptyLayout(t *testing.T) {
 	if s.NonzeroCount() != 0 || storage.Get(s, 3) != 0 {
 		t.Fatal("empty layout must serve zeros")
 	}
-	s.ForEachNonzero(func(int, float64) bool {
+	if err := s.Walk(func(int, float64) bool {
 		t.Fatal("empty layout enumerated a key")
 		return false
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestMetaRoundtrip pins the embedded database identity.
@@ -770,8 +787,8 @@ func TestCorruptIndex(t *testing.T) {
 // one indexCRC cannot stand in for: a group whose deltas, rewritten with the
 // checksum recomputed, fall one short of the next sample or overshoot it
 // fails a lookup of any key in the group, stored or not, with a per-key
-// error — never a zero, never another key's value — fails ForEachNonzero
-// with its enumerating panic and fails Decode, on both tiers.
+// error — never a zero, never another key's value — and fails Walk and
+// Decode with an error, on both tiers.
 func TestKeyGroupMustArrive(t *testing.T) {
 	const cells = 1 << 13
 	keys, values := testCoefficients(3000, cells, 12)
@@ -838,14 +855,9 @@ func TestKeyGroupMustArrive(t *testing.T) {
 					t.Fatalf("%s, mapped %v: key %d read %v (err %v), want a per-key error", name, s.Mmapped(), k, dst[0], err)
 				}
 			}
-			func() {
-				defer func() {
-					if msg, _ := recover().(string); !strings.HasPrefix(msg, "layout: enumerating: ") {
-						t.Fatalf("%s, mapped %v: ForEachNonzero panicked with %q, want the enumerating panic", name, s.Mmapped(), msg)
-					}
-				}()
-				s.ForEachNonzero(func(int, float64) bool { return true })
-			}()
+			if err := s.Walk(func(int, float64) bool { return true }); err == nil {
+				t.Fatalf("%s, mapped %v: Walk met no damage", name, s.Mmapped())
+			}
 			_ = s.Close()
 		}
 		f, err := os.Open(bad)

@@ -65,10 +65,9 @@ type Store struct {
 	// neither).
 	verified     []atomic.Uint64
 	indexChecked atomic.Bool
-	// cells is the value words of a dense mapped file with float64 values,
-	// which gatherVerified serves directly; nil otherwise. A key's block is
-	// key>>blockShift when the block size is a power of two (blockDiv 0),
-	// key/blockDiv otherwise.
+	// cells is the value words of a dense mapped file, which gatherVerified
+	// serves directly; nil otherwise. A key's block is key>>blockShift when
+	// the block size is a power of two (blockDiv 0), key/blockDiv otherwise.
 	cells      []byte
 	blockShift uint
 	blockDiv   uint
@@ -142,7 +141,7 @@ func open(r io.ReaderAt, size int64, opts Options) (*Store, error) {
 			index, s.crcs = data[g.samplesOff:g.hotOff], data[g.crcsOff:]
 		}
 	}
-	if g.dense() && s.data != nil && g.valWidth == 8 {
+	if g.dense() && s.data != nil {
 		s.cells = s.data[g.blocksOff:g.crcsOff]
 		if g.blockSize&(g.blockSize-1) == 0 {
 			s.blockShift = uint(bits.TrailingZeros(uint(g.blockSize)))
@@ -353,7 +352,7 @@ func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
 // pread of just the run's words into scratch.
 func (s *Store) blockRun(b, slot, n int, scratch []byte) ([]byte, error) {
 	lo, _ := s.g.blockSlots(b)
-	from, length := int64(slot-lo)*int64(s.g.valWidth), int64(n)*int64(s.g.valWidth)
+	from, length := int64(slot-lo)*8, int64(n)*8
 	if s.verified[b/64].Load()&(1<<(b%64)) == 0 {
 		vals, err := s.block(b, nil)
 		if err != nil {
@@ -400,28 +399,18 @@ func (s *Store) block(b int, scratch []byte) ([]byte, error) {
 // A short run of a verified block is pread into scratch, not a fresh buffer:
 // a dense file's drain is mostly runs of one key.
 func (s *Store) readSlots(slot int, out []float64, scratch []byte) error {
+	var raw []byte
+	var err error
 	if slot < s.g.hotCount {
-		raw, err := s.section(s.g.hotOff+int64(slot)*8, int64(len(out))*8, nil)
-		if err != nil {
-			return err
-		}
-		for q := range out {
-			out[q] = math.Float64frombits(binary.LittleEndian.Uint64(raw[q*8:]))
-		}
-		return nil
+		raw, err = s.section(s.g.hotOff+int64(slot)*8, int64(len(out))*8, nil)
+	} else {
+		raw, err = s.blockRun((slot-s.g.hotCount)/s.g.blockSize, slot, len(out), scratch)
 	}
-	vals, err := s.blockRun((slot-s.g.hotCount)/s.g.blockSize, slot, len(out), scratch)
 	if err != nil {
 		return err
 	}
-	if s.Quantized() {
-		for q := range out {
-			out[q] = float64(math.Float32frombits(binary.LittleEndian.Uint32(vals[q*4:])))
-		}
-	} else {
-		for q := range out {
-			out[q] = math.Float64frombits(binary.LittleEndian.Uint64(vals[q*8:]))
-		}
+	for q := range out {
+		out[q] = math.Float64frombits(binary.LittleEndian.Uint64(raw[q*8:]))
 	}
 	return nil
 }
@@ -617,9 +606,6 @@ func (s *Store) Families() []Family { return append([]Family(nil), s.families...
 // key order, no index and no hot region.
 func (s *Store) Dense() bool { return s.g.dense() }
 
-// Quantized reports whether block values were stored as float32 (lossy).
-func (s *Store) Quantized() bool { return s.g.flags&flagQuantized != 0 }
-
 // Mmapped reports whether the mmap tier is active (false = pread fallback).
 func (s *Store) Mmapped() bool { return s.data != nil }
 
@@ -644,8 +630,8 @@ type Extent struct {
 func (s *Store) BlockExtent(b int) Extent {
 	lo, hi := s.g.blockSlots(b)
 	return Extent{
-		Off: s.g.blocksOff + int64(lo-s.g.hotCount)*int64(s.g.valWidth),
-		Len: (hi - lo) * s.g.valWidth,
+		Off: s.g.blocksOff + int64(lo-s.g.hotCount)*8,
+		Len: (hi - lo) * 8,
 	}
 }
 
@@ -673,40 +659,20 @@ func (s *Store) Sections() []Section {
 	}
 }
 
-// ConcurrentSafe implements the storage.IsConcurrent capability check: the
-// mapping is immutable, positioned reads are kernel-concurrent, and the
-// verified bitmap and the counters are atomic.
-func (s *Store) ConcurrentSafe() bool { return true }
-
-// InMemory implements the storage.IsInMemory capability check: true while
-// the store reads from its mapping, false on the pread fallback. A mapped
-// read is a load from the page cache; concurrent faults on one page already
-// share the kernel's read, which is all a coalescing layer would add.
-func (s *Store) InMemory() bool { return s.data != nil }
-
 // StackName names the layout in storage.Describe.
 func (s *Store) StackName() string { return "layout" }
 
-// ForEachNonzero implements storage.Enumerable in ascending key order, zeros
-// skipped: Walk, with damage reported by a panic, since the interface has
-// no error.
-func (s *Store) ForEachNonzero(fn func(key int, value float64) bool) {
-	if err := s.Walk(fn); err != nil {
-		panic(fmt.Sprintf("layout: enumerating: %v", err))
-	}
-}
-
-// Walk hands fn every nonzero coefficient in ascending key order until fn
-// returns false: the walk Decode runs. It returns the damage it met — a
-// block or the key index failing its check (storage.Walk). A walk of a
-// mapped file puts nothing on the Go heap.
+// Walk implements storage.Enumerable: it hands fn every nonzero coefficient
+// in ascending key order until fn returns false — the walk Decode runs — and
+// returns the damage it met, a block or the key index failing its check. A
+// walk of a mapped file puts nothing on the Go heap.
 func (s *Store) Walk(fn func(key int, value float64) bool) error {
 	return s.walk(visitor{fn: fn})
 }
 
-// visitor is what a walk hands coefficients to: ForEachNonzero's fn, which
-// can stop it, or Decode's emit, which cannot. The walk calls whichever is
-// set itself, so each caller's function costs one call per coefficient.
+// visitor is what a walk hands coefficients to: Walk's fn, which can stop
+// it, or Decode's emit, which cannot. The walk calls whichever is set
+// itself, so each caller's function costs one call per coefficient.
 type visitor struct {
 	fn   func(key int, value float64) bool
 	emit func(key int, value float64)
@@ -724,7 +690,7 @@ func (s *Store) walk(vis visitor) error {
 	g := &s.g
 	var buf []byte // a block, or a slot's word, read on the pread tier
 	if s.data == nil {
-		buf = make([]byte, max(8, min(g.blockSize, g.slots-g.hotCount)*g.valWidth))
+		buf = make([]byte, max(8, min(g.blockSize, g.slots-g.hotCount)*8))
 	}
 	if g.dense() {
 		return s.walkDense(vis, buf)
@@ -769,44 +735,28 @@ func (s *Store) walkDense(vis visitor, buf []byte) error {
 			return err
 		}
 		lo, _ := g.blockSlots(b)
-		if g.valWidth == 8 {
-			for q := 0; q < len(vals); q += 8 {
-				w := binary.LittleEndian.Uint64(vals[q:])
-				if w<<1 == 0 {
-					continue
-				}
-				emitted++
-				if vis.emit != nil {
-					vis.emit(lo+q/8, math.Float64frombits(w))
-				} else if !vis.fn(lo+q/8, math.Float64frombits(w)) {
-					return nil
-				}
-			}
-			continue
-		}
-		for q := 0; q < len(vals); q += 4 {
-			w := binary.LittleEndian.Uint32(vals[q:])
+		for q := 0; q < len(vals); q += 8 {
+			w := binary.LittleEndian.Uint64(vals[q:])
 			if w<<1 == 0 {
 				continue
 			}
 			emitted++
 			if vis.emit != nil {
-				vis.emit(lo+q/4, float64(math.Float32frombits(w)))
-			} else if !vis.fn(lo+q/4, float64(math.Float32frombits(w))) {
+				vis.emit(lo+q/8, math.Float64frombits(w))
+			} else if !vis.fn(lo+q/8, math.Float64frombits(w)) {
 				return nil
 			}
 		}
 	}
-	// float32 can round a stored value to zero; float64 cells cannot.
-	if emitted > g.nonzero || (emitted != g.nonzero && g.valWidth == 8) {
+	if emitted != g.nonzero {
 		return fmt.Errorf("layout: %d nonzero cells, the header announces %d", emitted, g.nonzero)
 	}
 	return nil
 }
 
 // rankValues reads the values of the stored keys of ranks [first,
-// first+len(out)) by their slots: 8 bytes in the hot region, valWidth in a
-// block, each a window of the mapping or a pread into scratch.
+// first+len(out)) by their slots, in the hot region or a block, each a
+// window of the mapping or a pread into scratch.
 func (s *Store) rankValues(first int, out []float64, scratch []byte) error {
 	g := &s.g
 	for j := range out {
@@ -814,24 +764,20 @@ func (s *Store) rankValues(first int, out []float64, scratch []byte) error {
 		if slot >= uint64(g.nonzero) {
 			return fmt.Errorf("layout: key rank %d has slot %d of %d", first+j, slot, g.nonzero)
 		}
-		off, width := g.hotOff+8*int64(slot), 8
+		off := g.hotOff + 8*int64(slot)
 		if int(slot) >= g.hotCount {
-			off, width = g.blocksOff+(int64(slot)-int64(g.hotCount))*int64(g.valWidth), g.valWidth
+			off = g.blocksOff + (int64(slot)-int64(g.hotCount))*8
 		}
 		var raw []byte
 		if s.data != nil {
-			raw = s.data[off : off+int64(width)]
+			raw = s.data[off : off+8]
 		} else {
-			raw = scratch[:width]
+			raw = scratch[:8]
 			if err := readAt(s.r, raw, off); err != nil {
 				return fmt.Errorf("layout: reading slot %d: %w", slot, err)
 			}
 		}
-		if width == 4 {
-			out[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw)))
-		} else {
-			out[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-		}
+		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
 	}
 	if s.data == nil {
 		s.preads.Add(int64(len(out)))
@@ -854,8 +800,6 @@ type Stats struct {
 	BlockSize int `json:"block_size"`
 	// Mmapped is false when the store runs on the pread fallback tier.
 	Mmapped bool `json:"mmapped"`
-	// Quantized marks lossy float32 block values.
-	Quantized bool `json:"quantized,omitempty"`
 	// HotHits counts retrievals served by the hot region, ColdHits by
 	// blocks.
 	HotHits  int64 `json:"hot_hits"`
@@ -895,7 +839,6 @@ func (s *Store) Stats() Stats {
 		Blocks:            s.g.numBlocks,
 		BlockSize:         s.g.blockSize,
 		Mmapped:           s.data != nil,
-		Quantized:         s.Quantized(),
 		HotHits:           s.hotHits.Load(),
 		ColdHits:          s.coldHits.Load(),
 		HintHits:          s.hintHits.Load(),

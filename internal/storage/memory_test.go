@@ -85,39 +85,9 @@ func TestArrayStoreCountsAsWritten(t *testing.T) {
 	for _, st := range steps {
 		s.Add(st.key, st.delta)
 		scan := 0
-		s.ForEachNonzero(func(int, float64) bool { scan++; return true })
+		s.Walk(func(int, float64) bool { scan++; return true })
 		if s.NonzeroCount() != st.want || scan != st.want {
 			t.Fatalf("after Add(%d, %v): count %d, scan %d, want %d", st.key, st.delta, s.NonzeroCount(), scan, st.want)
-		}
-	}
-}
-
-// TestIsInMemory: the base stores answer from memory, wrappers that add no
-// fetch forward what they wrap, and everything that can stall or fail does
-// not claim to.
-func TestIsInMemory(t *testing.T) {
-	array := func() Store { return NewArrayStore(make([]float64, 8)) }
-	cached, err := NewCachedStore(array(), Unbounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fault := NewFaultStore(array(), FaultConfig{})
-	for _, c := range []struct {
-		name string
-		s    Store
-		want bool
-	}{
-		{"array", array(), true},
-		{"hash", NewHashStore(), true},
-		{"instrumented(hash)", NewInstrumentedStore(NewHashStore()), true},
-		{"retry(array)", NewRetryStore(array(), RetryConfig{}), true},
-		{"fault", fault, false},
-		{"instrumented(retry(fault))", NewInstrumentedStore(NewRetryStore(fault, RetryConfig{})), false},
-		{"coalescing", NewCoalescingStore(NewHashStore()), false},
-		{"cached", cached, false},
-	} {
-		if got := IsInMemory(c.s); got != c.want {
-			t.Errorf("IsInMemory(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

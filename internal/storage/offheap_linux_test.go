@@ -116,7 +116,7 @@ func TestTableGrowthUnmapsOldSlots(t *testing.T) {
 // A reader's last call then holds the only reference; were the store
 // finalized under that call's loop, the loop would read unmapped memory and
 // the process would die of SIGSEGV. A range over the array loads the slice
-// once, so without its KeepAlive ArrayStore.ForEachNonzero is that loop.
+// once, so without its KeepAlive ArrayStore.Walk is that loop.
 // Run with -count=10. A -race build keeps the stores on the heap
 // (offheap_other.go), so this file is not built there.
 func TestMappedStoreOutlivesItsReaders(t *testing.T) {
@@ -166,7 +166,7 @@ func TestMappedStoreOutlivesItsReaders(t *testing.T) {
 					sum += v
 				}
 			} else {
-				s.ForEachNonzero(func(k int, v float64) bool {
+				s.Walk(func(k int, v float64) bool {
 					sum += v
 					if last && k%4096 == 0 {
 						runtime.GC()

@@ -185,11 +185,3 @@ func (s *RetryStore) ResetStats() { s.inner.ResetStats() }
 
 // NonzeroCount implements Store.
 func (s *RetryStore) NonzeroCount() int { return s.inner.NonzeroCount() }
-
-// ConcurrentSafe implements the IsConcurrent capability check: the retry
-// layer's own state is atomic, so it is as safe as the store it wraps.
-func (s *RetryStore) ConcurrentSafe() bool { return IsConcurrent(s.inner) }
-
-// InMemory implements the IsInMemory capability check: over a store that
-// answers from memory nothing fails, so the layer never backs off.
-func (s *RetryStore) InMemory() bool { return IsInMemory(s.inner) }

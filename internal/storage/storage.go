@@ -5,9 +5,9 @@
 // coefficient (Section 1.3 of the paper). Every store counts retrievals so
 // that the experiments can report exactly the quantities the paper reports.
 //
-// A view is built once and then only read. A store that IsConcurrent reports
-// safe — the in-memory base stores among them, which count retrievals
-// atomically — takes any number of concurrent readers; a write (Add) needs
+// A view is built once and then only read. Every store takes any number of
+// concurrent readers — the in-memory base stores count retrievals atomically,
+// and a layer with state of its own synchronizes it; a write (Add) needs
 // exclusive access, so writes beside readers go through the multi-version
 // store (internal/mvcc), which never writes a base it serves. A single run
 // retrieves sequentially, matching the paper's model.
@@ -59,68 +59,14 @@ type Updatable interface {
 // coefficients (for persistence and diagnostics): the base stores, a .wvls
 // layout, and an MVCC store or view. Iteration order is unspecified; fn
 // returning false stops the walk. Enumeration does not count retrievals.
+// Walk returns the damage a store meets on the way (a layout file's block or
+// key index failing its check); a store that cannot meet any returns nil.
 // A type assertion is the whole test: no wrapper implements the method, so
 // a store that has it can enumerate. The layers of a Stack and a session's
 // CachedStore forward neither enumeration nor Add: their owner does both on
 // the base.
 type Enumerable interface {
-	ForEachNonzero(fn func(key int, value float64) bool)
-}
-
-// walkCapable is implemented by enumerable stores that can meet damage
-// while they enumerate (a layout file's block or key index failing its
-// check): ForEachNonzero panics with it, Walk returns it.
-type walkCapable interface {
 	Walk(fn func(key int, value float64) bool) error
-}
-
-// Walk enumerates e as ForEachNonzero does, but returns the damage a store
-// meets on the way instead of panicking with it.
-func Walk(e Enumerable, fn func(key int, value float64) bool) error {
-	if w, ok := e.(walkCapable); ok {
-		return w.Walk(fn)
-	}
-	e.ForEachNonzero(fn)
-	return nil
-}
-
-// concurrencyCapable is the capability check implemented by stores that are,
-// or may be, safe for use from multiple goroutines: base stores whose reads
-// touch no unsynchronized state answer true, wrappers whose own state is
-// synchronized forward the wrapped store's answer.
-type concurrencyCapable interface {
-	ConcurrentSafe() bool
-}
-
-// IsConcurrent reports whether s is safe for use from multiple goroutines.
-// The evaluation engine uses it to decide whether retrievals may be issued
-// in parallel (Plan.Exact) and CoalescingStore refuses to wrap a
-// store that is not.
-func IsConcurrent(s Store) bool {
-	c, ok := s.(concurrencyCapable)
-	return ok && c.ConcurrentSafe()
-}
-
-// memoryCapable is the capability check implemented by stores that answer,
-// or may answer, every retrieval from process memory: the in-memory base
-// stores answer true, a mapped layout file answers true while it reads
-// through its mapping, and wrappers that add no fetch of their own forward
-// the wrapped store's answer. A store without the method (remote shards,
-// fault injectors) does not.
-type memoryCapable interface {
-	InMemory() bool
-}
-
-// IsInMemory reports whether s answers every retrieval from process memory —
-// a fetch costs an index or a probe, never a read syscall, a round trip or
-// an injected stall. A mapped file counts: a page not yet resident faults
-// in once, and concurrent faults on one page share the kernel's page-cache
-// read, which is all a coalescer would add. Whoever assembles a store stack
-// uses it to leave out the layers that only pay for themselves over a slow
-// fetch (CoalescingStore).
-func IsInMemory(s Store) bool {
-	c, ok := s.(memoryCapable)
-	return ok && c.InMemory()
 }
 
 // MemoryStore is what a build site fills: an in-memory base store it can add
@@ -246,26 +192,18 @@ func (s *ArrayStore) ResetStats() { s.retrievals.Store(0) }
 // NonzeroCount implements Store: the count is kept as cells are written.
 func (s *ArrayStore) NonzeroCount() int { return s.nonzero }
 
-// ConcurrentSafe implements the IsConcurrent capability check: a read
-// touches the cells and the atomic counter only.
-func (s *ArrayStore) ConcurrentSafe() bool { return true }
-
-// InMemory implements the IsInMemory capability check.
-func (s *ArrayStore) InMemory() bool { return true }
-
 // Size returns the total number of cells (zero or not).
 func (s *ArrayStore) Size() int { return len(s.cells) }
 
-// ForEachNonzero implements Enumerable (ascending key order).
-func (s *ArrayStore) ForEachNonzero(fn func(key int, value float64) bool) {
+// Walk implements Enumerable (ascending key order). It never fails.
+func (s *ArrayStore) Walk(fn func(key int, value float64) bool) error {
 	for k, v := range s.cells {
-		if v != 0 {
-			if !fn(k, v) {
-				return
-			}
+		if v != 0 && !fn(k, v) {
+			break
 		}
 	}
 	runtime.KeepAlive(s)
+	return nil
 }
 
 // HashStore keeps only nonzero coefficients in a hash table — the paper's
@@ -348,18 +286,12 @@ func (s *HashStore) ResetStats() { s.retrievals.Store(0) }
 // NonzeroCount implements Store.
 func (s *HashStore) NonzeroCount() int { return s.cells.n }
 
-// ConcurrentSafe implements the IsConcurrent capability check: a probe reads
-// the table, and only Add writes it.
-func (s *HashStore) ConcurrentSafe() bool { return true }
-
-// InMemory implements the IsInMemory capability check.
-func (s *HashStore) InMemory() bool { return true }
-
-// ForEachNonzero implements Enumerable in the table's walk order, which is
-// the same for every store built by the same sequence of Adds.
-func (s *HashStore) ForEachNonzero(fn func(key int, value float64) bool) {
+// Walk implements Enumerable in the table's walk order, which is the same
+// for every store built by the same sequence of Adds. It never fails.
+func (s *HashStore) Walk(fn func(key int, value float64) bool) error {
 	s.cells.forEach(fn)
 	runtime.KeepAlive(s)
+	return nil
 }
 
 var (

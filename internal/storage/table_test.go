@@ -188,7 +188,7 @@ func TestTableWalkOrderSpreadsOverHashRange(t *testing.T) {
 		src.Add(k, 1)
 	}
 	dst := NewHashStore()
-	src.ForEachNonzero(func(k int, v float64) bool {
+	src.Walk(func(k int, v float64) bool {
 		dst.Add(k, v)
 		return true
 	})
@@ -207,7 +207,7 @@ func TestEnumerationIsDeterministic(t *testing.T) {
 			s.Add(rng.Intn(1<<22), rng.NormFloat64())
 		}
 		var order []int
-		s.ForEachNonzero(func(k int, _ float64) bool {
+		s.Walk(func(k int, _ float64) bool {
 			order = append(order, k)
 			return true
 		})
@@ -240,7 +240,7 @@ func TestNonzeroCountAndEnumerationAgree(t *testing.T) {
 		}
 	}
 	seen := 0
-	s.ForEachNonzero(func(k int, v float64) bool {
+	s.Walk(func(k int, v float64) bool {
 		if ref[k] != v {
 			t.Fatalf("enumerates (%d, %v), reference %v", k, v, ref[k])
 		}

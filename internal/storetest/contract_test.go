@@ -205,10 +205,12 @@ var subjects = []struct {
 		}
 		view := s.View()
 		want := make([]float64, len(hat))
-		view.(storage.Enumerable).ForEachNonzero(func(k int, v float64) bool {
+		if err := view.(storage.Enumerable).Walk(func(k int, v float64) bool {
 			want[k] = v
 			return true
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return subject{store: view, want: want}
 	}},
 	{"remote 2-shard coordinator", func(t *testing.T, hat []float64, tuples int64) subject {
@@ -347,26 +349,28 @@ func TestStoreContract(t *testing.T) {
 				}
 			}
 
-			if storage.IsConcurrent(s.store) {
-				readConcurrently(t, s, plan, distinct, want)
-			}
+			readConcurrently(t, s, plan, distinct, want)
 		})
 	}
 }
 
-// readConcurrently is the contract of a store that says it takes concurrent
+// readConcurrently is the contract every store keeps with concurrent
 // readers: eight goroutines run the distinct-key batch and an exact pass
 // through it at once, every value is the one a sequential read gets, and
 // Retrievals rises by exactly what the goroutines asked for — a batch key
 // each, a distinct coefficient each per exact pass — less the keys a
-// coalescing layer answered from another goroutine's fetch. Run it under
-// -race: nothing here takes a lock the store does not take itself.
+// coalescing layer answered from another goroutine's fetch or a cache from
+// its contents. Run it under -race: nothing here takes a lock the store does
+// not take itself.
 func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, exact []float64) {
 	t.Helper()
 	const readers = 8
 	shared := func() int64 {
-		if co, ok := s.store.(*storage.CoalescingStore); ok {
-			return co.Stats().Coalesced
+		switch st := s.store.(type) {
+		case *storage.CoalescingStore:
+			return st.Stats().Coalesced
+		case *storage.CachedStore:
+			return st.Hits()
 		}
 		return 0
 	}

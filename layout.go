@@ -40,9 +40,6 @@ type LayoutOptions struct {
 	// BlockSize is the block granularity in slots; 0 selects
 	// layout.DefaultBlockSize.
 	BlockSize int
-	// Quantize stores block values as float32 — half their bytes, but
-	// drains over the layout are no longer bit-identical to the source.
-	Quantize bool
 	// Families optionally supplies schedule families (see LayoutFamily);
 	// supplying any selects the sparse shape, the one with a schedule order.
 	// With none, the file is dense when that is smaller, and a sparse
@@ -92,7 +89,7 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 	n := st.NonzeroCount()
 	keys := make([]int, 0, n)
 	values := make([]float64, 0, n)
-	if err := storage.Walk(enum, func(k int, v float64) bool {
+	if err := enum.Walk(func(k int, v float64) bool {
 		keys = append(keys, k)
 		values = append(values, v)
 		return true
@@ -117,7 +114,6 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 		Cells:     db.schema.Cells(),
 		HotCount:  opts.HotCount,
 		BlockSize: opts.BlockSize,
-		Quantize:  opts.Quantize,
 		Meta: &layout.Meta{
 			FilterName: db.filter.Name,
 			TupleCount: tuples,
@@ -138,8 +134,8 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 // The view is safe for concurrent retrieval and read-only: Insert, Delete
 // and Apply fail with ErrReadOnly until EnableMVCC makes the mapping the
 // frozen base of a writable overlay. Close releases the mapping and the file
-// handle. Unquantized layouts serve bit-identical values, so every
-// progressive estimate equals the in-memory run's. This is how wvqd, wvq and
+// handle. A layout serves bit-identical values, so every progressive
+// estimate equals the in-memory run's. This is how wvqd, wvq and
 // wvlayout open a view file in every mode.
 func OpenLayout(path string) (*Database, error) { return openLayout(path, layout.Options{}) }
 

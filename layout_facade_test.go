@@ -327,28 +327,3 @@ func TestOpenDatabaseRefusesADamagedHeader(t *testing.T) {
 		}
 	}
 }
-
-// TestLayoutQuantizedNotIdentical pins that quantization is honest: the
-// flag round-trips and estimates are close but not required to be
-// bit-identical.
-func TestLayoutQuantizedNotIdentical(t *testing.T) {
-	db, plan, path := layoutFixture(t)
-	if _, err := db.SaveLayout(path, LayoutOptions{HotCount: 16, Quantize: true}); err != nil {
-		t.Fatal(err)
-	}
-	ldb, err := OpenLayout(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ldb.Close() }()
-	stats, _ := ldb.LayoutStats()
-	if !stats.Quantized || !stats.Dense {
-		t.Fatalf("stats %+v: want a quantized dense file", stats)
-	}
-	me, le := db.Exact(plan), ldb.Exact(plan)
-	for q := range me {
-		if math.Abs(le[q]-me[q]) > 1e-3*(1+math.Abs(me[q])) {
-			t.Fatalf("quantized exact query %d: %v too far from %v", q, le[q], me[q])
-		}
-	}
-}

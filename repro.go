@@ -364,14 +364,16 @@ func (db *Database) CoefficientMass() (float64, error) {
 		return 0, fmt.Errorf("repro: store %T does not support enumeration; coefficient mass unknown", db.base)
 	}
 	var mass float64
-	enum.ForEachNonzero(func(_ int, v float64) bool {
+	if err := enum.Walk(func(_ int, v float64) bool {
 		if v < 0 {
 			mass -= v
 		} else {
 			mass += v
 		}
 		return true
-	})
+	}); err != nil {
+		return 0, fmt.Errorf("repro: summing the coefficient mass: %w", err)
+	}
 	return mass, nil
 }
 
@@ -423,12 +425,16 @@ func (db *Database) Exact(plan *Plan) []float64 { return mustExact(plan, db.eval
 type CoalesceStats = storage.CoalesceStats
 
 // InMemory reports whether the database's store answers every retrieval from
-// process memory (an in-memory store or a mapped layout file, under
-// wrappers that add no fetch of their own; under MVCC, the base chain)
-// rather than through read syscalls, from a shard or through an injected
-// fault. Whoever assembles the serving stack uses it to
-// leave out layers that only pay for themselves over a slow fetch.
-func (db *Database) InMemory() bool { return storage.IsInMemory(db.store) }
+// process memory — an in-memory store or a mapped layout file, under MVCC the
+// base it was opened on — rather than through read syscalls, from a shard or
+// through an injected fault. A coalescing layer does not count as memory: its
+// fetches wait on one another. Retries and instrumentation add no fetch of
+// their own. Whoever assembles the serving stack uses it to leave out layers
+// that only pay for themselves over a slow fetch.
+func (db *Database) InMemory() bool {
+	return db.coord == nil && db.stack.Fault == nil && !db.stack.Coalesce &&
+		(db.layout == nil || db.layout.Mmapped())
+}
 
 // CoalescingStats returns the coalescing counters; ok is false when the
 // stack does not coalesce. The counters are the database's, not a layer

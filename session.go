@@ -9,9 +9,10 @@ import "repro/internal/storage"
 // goes through the cache, and its Retrievals count the cache's misses only —
 // the session's own I/O, whatever else reads the database beside it.
 //
-// A Session belongs to one goroutine: its cache is not concurrent-safe. To
-// share I/O across *concurrent* clients instead of across one client's
-// successive batches, set Coalesce on the Database's Stack (the HTTP server
+// Any number of goroutines may evaluate through a Session; one batch at a
+// time reads and fills its cache. To share I/O across *concurrent* clients
+// instead of across one client's successive batches, set Coalesce on the
+// Database's Stack (the HTTP server
 // does this where a fetch is slow enough to be worth sharing) — the
 // coalescing layer shares fetches between overlapping in-flight runs, where
 // the session cache shares them across time.
