@@ -81,10 +81,7 @@ func run(dbPath string, create bool, records int, seed int64, qsrc string, budge
 		return fmt.Errorf("opening database (run with -create first?): %w", err)
 	}
 	defer func() { _ = db.Close() }()
-	sess, err := db.NewSession(repro.UnboundedCache)
-	if err != nil {
-		return err
-	}
+	sess := db.NewSession()
 	if wins := db.Windows(); wins != nil {
 		fmt.Println("attribute bins map to raw units as:")
 		for i, name := range db.Schema().Names {

@@ -52,11 +52,10 @@ type ShardServer struct {
 // out walks the whole view, which checks every block of a mapped file: a
 // damaged file is an error here.
 //
-// The database must stay open, and without plain writes, while the server
-// serves it. count must be a positive power of two and every shard of a
-// deployment must be built with the same count (and from the same
-// database); the coordinator cross-checks both at open time. logger may be
-// nil for silence.
+// The database must stay open while the server serves it. count must be a
+// positive power of two and every shard of a deployment must be built with
+// the same count (and from the same database); the coordinator
+// cross-checks both at open time. logger may be nil for silence.
 func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*ShardServer, error) {
 	st, ok := db.enumStore()
 	if !ok {
@@ -185,9 +184,8 @@ func OpenDistributed(addrs []string, opts DistOptions) (*Database, error) {
 		closeAll()
 		return nil, err
 	}
-	db := newDatabase(schema, filter, coord)
-	db.windows, db.cachedMass, db.coord = metas[0].Windows, &mass, coord
-	db.tuples.Store(metas[0].TupleCount)
+	db := newDatabase(schema, filter, coord, metas[0].TupleCount, mass)
+	db.windows, db.coord = metas[0].Windows, coord
 	return db, nil
 }
 

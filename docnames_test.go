@@ -64,16 +64,19 @@ func TestDocsNameRealMethods(t *testing.T) {
 	}
 }
 
-// TestDocsNameDeclaredObsNames does the same for the internal packages the
-// prose names and no reflection reaches from here — internal/obs, and the
-// storage interfaces and the .wvls layout under internal/storage: every
-// `obs.Name`, `storage.Name` or `layout.Name` the prose writes in backticks
-// must be declared by that package's non-test files, and every
-// `obs.Type.Name` (and so on) must be a method or field of that type, so a
-// name a package deletes cannot stay in the docs.
+// TestDocsNameDeclaredObsNames does the same for the packages the prose
+// names by their package name — the facade itself, internal/obs, the MVCC
+// store, and the storage interfaces and the .wvls layout under
+// internal/storage: every `repro.Name`, `obs.Name`, `mvcc.Name`,
+// `storage.Name` or `layout.Name` the prose writes in backticks must be
+// declared by that package's non-test files, and every `obs.Type.Name` (and
+// so on) must be a method or field of that type, so a name a package
+// deletes cannot stay in the docs.
 func TestDocsNameDeclaredObsNames(t *testing.T) {
 	for _, pkg := range []struct{ dir, name string }{
+		{".", "repro"},
 		{"internal/obs", "obs"},
+		{"internal/mvcc", "mvcc"},
 		{"internal/storage", "storage"},
 		{"internal/storage/layout", "layout"},
 	} {

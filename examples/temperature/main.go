@@ -94,10 +94,7 @@ func main() {
 	fmt.Printf("\ndrilling into cell %d (%s)\n", cells[0].idx, hot)
 	// Use a session so coefficients fetched for the synopsis are reused by
 	// the drill-down batch (real drill-down workloads overlap heavily).
-	sess, err := db.NewSession(repro.UnboundedCache)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sess := db.NewSession()
 	fine, err := repro.GridPartition(schema, []int{1, 1, 2, 4, 1})
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -50,11 +51,14 @@ func TestFacadeErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert([]int{9}); err == nil {
-		t.Error("out-of-domain insert should fail")
+	if err := db.EnableMVCC(MVCCConfig{}); err != nil {
+		t.Fatal(err)
 	}
-	if err := db.Delete([]int{-1}); err == nil {
-		t.Error("out-of-domain delete should fail")
+	if err := db.Insert([]int{9}); err == nil || errors.Is(err, ErrReadOnly) {
+		t.Errorf("out-of-domain insert = %v, want a validation error", err)
+	}
+	if err := db.Delete([]int{-1}); err == nil || errors.Is(err, ErrReadOnly) {
+		t.Errorf("out-of-domain delete = %v, want a validation error", err)
 	}
 	if db.TupleCount() != 0 {
 		t.Fatal("failed updates must not change tuple count")

@@ -99,10 +99,7 @@ func TestExactParallelCtxBitIdenticalToExact(t *testing.T) {
 	want := mustExactOn(f.plan, f.store, 1)
 	assertBitIdentical(t, mustExact(f.plan, f.store), want, "Exact")
 	ctx := context.Background()
-	cached, err := storage.NewCachedStore(f.store, storage.Unbounded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached := storage.NewCachedStore(f.store)
 	for _, w := range []int{1, 2, 4} {
 		got, err := f.plan.exact(ctx, cached, w)
 		if err != nil {

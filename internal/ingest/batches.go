@@ -1,12 +1,8 @@
 package ingest
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/mvcc"
 )
@@ -29,9 +25,6 @@ const DefaultBatchSize = 4096
 // error aborts the stream and is returned verbatim. rows counts the tuples
 // emitted across all batches.
 func CSVBatches(r io.Reader, cols []Column, batchSize int, emit func(*mvcc.Batch) error) (rows, skipped int, err error) {
-	if len(cols) == 0 {
-		return 0, 0, fmt.Errorf("ingest: no columns")
-	}
 	if emit == nil {
 		return 0, 0, fmt.Errorf("ingest: nil emit callback")
 	}
@@ -39,9 +32,6 @@ func CSVBatches(r io.Reader, cols []Column, batchSize int, emit func(*mvcc.Batch
 		batchSize = DefaultBatchSize
 	}
 	for _, c := range cols {
-		if c.Bins < 2 || c.Bins&(c.Bins-1) != 0 {
-			return 0, 0, fmt.Errorf("ingest: column %q bins %d not a power of two ≥ 2", c.Name, c.Bins)
-		}
 		if c.Min == 0 && c.Max == 0 {
 			return 0, 0, fmt.Errorf("ingest: column %q has no quantization window; streaming ingest needs explicit [min..max] windows", c.Name)
 		}
@@ -49,62 +39,36 @@ func CSVBatches(r io.Reader, cols []Column, batchSize int, emit func(*mvcc.Batch
 			return 0, 0, fmt.Errorf("ingest: column %q window [%g..%g] is empty", c.Name, c.Min, c.Max)
 		}
 	}
-	reader := csv.NewReader(r)
-	reader.ReuseRecord = true
-	header, err := reader.Read()
+	rr, err := newRowReader(r, cols)
 	if err != nil {
-		return 0, 0, fmt.Errorf("ingest: reading header: %w", err)
+		return 0, 0, err
 	}
-	colIdx := make([]int, len(cols))
-	for i, c := range cols {
-		colIdx[i] = -1
-		for j, h := range header {
-			if strings.TrimSpace(h) == c.Name {
-				colIdx[i] = j
-				break
-			}
-		}
-		if colIdx[i] < 0 {
-			return 0, 0, fmt.Errorf("ingest: column %q not in header %v", c.Name, header)
-		}
-	}
-
 	batch := mvcc.NewBatch()
 	coords := make([]int, len(cols))
-readLoop:
-	for line := 2; ; line++ {
-		rec, err := reader.Read()
+	for {
+		vals, err := rr.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return rows, skipped, fmt.Errorf("ingest: reading row %d: %w", line, err)
+			return rows, rr.skipped, err
 		}
-		for i, j := range colIdx {
-			if j >= len(rec) {
-				skipped++
-				continue readLoop
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				skipped++
-				continue readLoop
-			}
+		for i, v := range vals {
 			coords[i] = quantize(v, cols[i].Min, cols[i].Max, cols[i].Bins)
 		}
 		batch.Add(coords, 1)
 		rows++
 		if batch.Len() >= batchSize {
 			if err := emit(batch); err != nil {
-				return rows, skipped, err
+				return rows, rr.skipped, err
 			}
 			batch = mvcc.NewBatch()
 		}
 	}
 	if batch.Len() > 0 {
 		if err := emit(batch); err != nil {
-			return rows, skipped, err
+			return rows, rr.skipped, err
 		}
 	}
-	return rows, skipped, nil
+	return rows, rr.skipped, nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -90,65 +91,27 @@ type Result struct {
 
 // CSV ingests the reader's CSV content. The first record must be a header
 // containing every requested column. Because auto-windowed columns need the
-// data twice, the entire input is buffered; for very large inputs give every
-// column an explicit window and stream via CSVSinglePass semantics (still
-// buffered here for simplicity of the error path).
+// data twice, the entire input is buffered; to stream a large input, give
+// every column an explicit window and use CSVBatches.
 func CSV(r io.Reader, cols []Column) (*Result, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("ingest: no columns")
-	}
-	reader := csv.NewReader(r)
-	reader.ReuseRecord = true
-	header, err := reader.Read()
+	rr, err := newRowReader(r, cols)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: reading header: %w", err)
+		return nil, err
 	}
-	colIdx := make([]int, len(cols))
-	for i, c := range cols {
-		colIdx[i] = -1
-		for j, h := range header {
-			if strings.TrimSpace(h) == c.Name {
-				colIdx[i] = j
-				break
-			}
-		}
-		if colIdx[i] < 0 {
-			return nil, fmt.Errorf("ingest: column %q not in header %v", c.Name, header)
-		}
-		if c.Bins < 2 || c.Bins&(c.Bins-1) != 0 {
-			return nil, fmt.Errorf("ingest: column %q bins %d not a power of two ≥ 2", c.Name, c.Bins)
-		}
-	}
-
 	// Buffer the parsed values.
 	var rows [][]float64
-	skipped := 0
-readLoop:
 	for {
-		rec, err := reader.Read()
+		vals, err := rr.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("ingest: reading row %d: %w", len(rows)+skipped+2, err)
+			return nil, err
 		}
-		vals := make([]float64, len(cols))
-		for i, j := range colIdx {
-			if j >= len(rec) {
-				skipped++
-				continue readLoop
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				skipped++
-				continue readLoop
-			}
-			vals[i] = v
-		}
-		rows = append(rows, vals)
+		rows = append(rows, slices.Clone(vals))
 	}
 	if len(rows) == 0 {
-		return nil, fmt.Errorf("ingest: no usable rows (%d skipped)", skipped)
+		return nil, fmt.Errorf("ingest: no usable rows (%d skipped)", rr.skipped)
 	}
 
 	// Resolve windows.
@@ -191,7 +154,75 @@ readLoop:
 		}
 		dist.AddTuple(coords)
 	}
-	return &Result{Dist: dist, Rows: len(rows), Skipped: skipped, Windows: windows}, nil
+	return &Result{Dist: dist, Rows: len(rows), Skipped: rr.skipped, Windows: windows}, nil
+}
+
+// rowReader reads the records of a CSV input after its header, one row of
+// the selected columns' values at a time: the one parser behind CSV and
+// CSVBatches.
+type rowReader struct {
+	r       *csv.Reader
+	colIdx  []int // record field of each column
+	vals    []float64
+	line    int // input line of the last record read
+	skipped int // rows dropped for a missing or unparsable value
+}
+
+// newRowReader checks that every column's bins are a power of two ≥ 2,
+// reads the header and finds every column in it.
+func newRowReader(r io.Reader, cols []Column) (*rowReader, error) {
+	if len(cols) == 0 {
+		return nil, fmt.Errorf("ingest: no columns")
+	}
+	for _, c := range cols {
+		if c.Bins < 2 || c.Bins&(c.Bins-1) != 0 {
+			return nil, fmt.Errorf("ingest: column %q bins %d not a power of two ≥ 2", c.Name, c.Bins)
+		}
+	}
+	reader := csv.NewReader(r)
+	reader.ReuseRecord = true
+	header, err := reader.Read()
+	if err != nil {
+		return nil, fmt.Errorf("ingest: reading header: %w", err)
+	}
+	colIdx := make([]int, len(cols))
+	for i, c := range cols {
+		colIdx[i] = slices.IndexFunc(header, func(h string) bool { return strings.TrimSpace(h) == c.Name })
+		if colIdx[i] < 0 {
+			return nil, fmt.Errorf("ingest: column %q not in header %v", c.Name, header)
+		}
+	}
+	return &rowReader{r: reader, colIdx: colIdx, vals: make([]float64, len(cols)), line: 1}, nil
+}
+
+// next returns the values of the next row whose every selected field parses
+// as a finite number, counting the rows it skips on the way, or io.EOF after
+// the last row. The slice is reused by the next call.
+func (rr *rowReader) next() ([]float64, error) {
+rows:
+	for {
+		rec, err := rr.r.Read()
+		if err == io.EOF {
+			return nil, err
+		}
+		rr.line++
+		if err != nil {
+			return nil, fmt.Errorf("ingest: reading row %d: %w", rr.line, err)
+		}
+		for i, j := range rr.colIdx {
+			if j >= len(rec) {
+				rr.skipped++
+				continue rows
+			}
+			v, err := strconv.ParseFloat(strings.TrimSpace(rec[j]), 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				rr.skipped++
+				continue rows
+			}
+			rr.vals[i] = v
+		}
+		return rr.vals, nil
+	}
 }
 
 // quantize maps v from [lo, hi] onto [0, bins), clamping outliers to the

@@ -14,10 +14,9 @@ import (
 // of tuple-frequency deltas or raw CSV rows (Content-Type: text/csv,
 // quantized under the database's recorded windows); either way the tuples
 // land as batched Apply calls and the response carries the published
-// version, immediately queryable with /query?version=N. Ingest requires an
-// MVCC database (wvqd -mvcc): without snapshot isolation a write racing a
-// progressive drain could tear its estimates, so plain served views refuse
-// with 409 and read-only views (distributed, layout) with 403.
+// version, immediately queryable with /query?version=N. Only an MVCC
+// database (wvqd -mvcc) takes writes; every other view refuses a well-formed
+// body with 403 and the ErrReadOnly text, which names the way to write.
 
 // Ingest guardrails: one request is one published version (JSON) or a
 // bounded stream of versions (CSV), not an unbounded upload.
@@ -55,19 +54,12 @@ type IngestResponse struct {
 }
 
 func (h *Handler) ingest(w http.ResponseWriter, r *http.Request) {
-	if !h.db.MVCCEnabled() {
-		// Distinguish "cannot ever write" from "not configured for writes".
-		// An empty Apply is a no-op probe: it only fails on read-only views.
-		if _, err := h.db.Apply(r.Context(), nil); errors.Is(err, repro.ErrReadOnly) {
-			http.Error(w, "read-only view: "+err.Error(), http.StatusForbidden)
-			return
-		}
-		http.Error(w, "ingest requires an MVCC database (start wvqd with -mvcc)", http.StatusConflict)
-		return
-	}
 	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/csv") {
 		rows, skipped, v, err := h.db.IngestCSV(r.Context(), body, csvBatchSize)
+		if refusedReadOnly(w, err) {
+			return
+		}
 		if err != nil {
 			// Batches already applied stay applied; report how far we got.
 			http.Error(w, fmt.Sprintf("ingest failed after %d tuples: %v", rows, err), http.StatusBadRequest)
@@ -103,6 +95,9 @@ func (h *Handler) ingest(w http.ResponseWriter, r *http.Request) {
 		batch.Add(t.Coords, weight)
 	}
 	v, err := h.db.Apply(r.Context(), batch)
+	if refusedReadOnly(w, err) {
+		return
+	}
 	if err != nil {
 		// Validation errors (wrong arity, out-of-range coordinates) are the
 		// client's; nothing was applied.
@@ -113,4 +108,14 @@ func (h *Handler) ingest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, IngestResponse{
 		Version: uint64(v), Applied: batch.Len(), Tuples: h.db.TupleCount(),
 	})
+}
+
+// refusedReadOnly answers 403 with the ErrReadOnly text, which names the way
+// to write, when err is a view's refusal of every write.
+func refusedReadOnly(w http.ResponseWriter, err error) bool {
+	if !errors.Is(err, repro.ErrReadOnly) {
+		return false
+	}
+	http.Error(w, "read-only view: "+err.Error(), http.StatusForbidden)
+	return true
 }

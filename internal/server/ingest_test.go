@@ -133,13 +133,13 @@ func TestIngestValidation(t *testing.T) {
 }
 
 func TestIngestRequiresMVCC(t *testing.T) {
-	h, _, _ := testHandler(t) // plain writable database, no MVCC
+	h, _, _ := testHandler(t) // a built database without MVCC is read-only
 	rec := postIngest(t, h, "application/json", `{"tuples": [{"coords": [1, 1]}]}`)
-	if rec.Code != http.StatusConflict {
-		t.Fatalf("status %d, want 409 (%s)", rec.Code, rec.Body)
+	if rec.Code != http.StatusForbidden {
+		t.Fatalf("status %d, want 403 (%s)", rec.Code, rec.Body)
 	}
 	if !strings.Contains(rec.Body.String(), "-mvcc") {
-		t.Fatalf("409 body should point at the -mvcc flag: %s", rec.Body)
+		t.Fatalf("403 body should point at the -mvcc flag: %s", rec.Body)
 	}
 }
 

@@ -52,8 +52,8 @@ func tooManyStatements(w http.ResponseWriter, src string) bool {
 type Handler struct {
 	db    *repro.Database
 	sched *sched.Scheduler
-	// mass caches K = Σ|Δ̂[ξ]| for error bounds; the served view is
-	// immutable, so one enumeration at startup covers every request.
+	// mass is K = Σ|Δ̂[ξ]| for error bounds of a view without MVCC, which
+	// is one version for good; under MVCC each request reads its snapshot's.
 	mass float64
 	// obs and met are installed by Observe (obs.go); both nil means the
 	// handler serves uninstrumented, exactly as before.
@@ -102,12 +102,8 @@ func New(db *repro.Database, opts Options) *Handler {
 		stack.Coalesce = true
 		db.SetStack(stack)
 	}
-	// A store that cannot enumerate has no coefficient mass; serve without
-	// error bounds rather than refuse to start.
-	mass, err := db.CoefficientMass()
-	if err != nil {
-		mass = 0
-	}
+	// Every view carries its mass from open time: the error is always nil.
+	mass, _ := db.CoefficientMass()
 	h := &Handler{db: db, sched: sched.New(opts.Sched), mass: mass,
 		slowQuery: opts.SlowQuery}
 	h.registry = db.EnablePreparedPlans(opts.PlanCache)

@@ -21,10 +21,7 @@ func keysScrambled() []int {
 func TestGetBatchCached(t *testing.T) {
 	cells := batchCells()
 	inner := NewArrayStore(cells)
-	cs, err := NewCachedStore(inner, Unbounded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := NewCachedStore(inner)
 	// Warm two keys through the per-key path.
 	Get(cs, 17)
 	Get(cs, 250)
@@ -51,26 +48,6 @@ func TestGetBatchCached(t *testing.T) {
 	BatchGet(cs, keys, dst)
 	if got := inner.Retrievals(); got != 8 {
 		t.Errorf("second pass reached inner store: retrievals = %d", got)
-	}
-}
-
-func TestGetBatchCachedDisabled(t *testing.T) {
-	cells := batchCells()
-	inner := NewArrayStore(cells)
-	cs, err := NewCachedStore(inner, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []int{4, 4, 9}
-	dst := make([]float64, len(keys))
-	BatchGet(cs, keys, dst)
-	if got := inner.Retrievals(); got != 3 {
-		t.Errorf("capacity-0 cache must forward every key: retrievals = %d", got)
-	}
-	for i, k := range keys {
-		if dst[i] != cells[k] {
-			t.Fatalf("dst[%d] = %g, want %g", i, dst[i], cells[k])
-		}
 	}
 }
 

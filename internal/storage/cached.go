@@ -1,58 +1,35 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// CachedStore wraps a Store with an LRU coefficient cache that persists
-// across plans and runs. In the drill-down sessions of the paper's
+// CachedStore wraps a Store with a coefficient cache that persists across
+// plans and runs and never evicts. In the drill-down sessions of the paper's
 // introduction, successive batches overlap heavily (the user refines regions
 // already summarized), so coefficients retrieved for one batch answer the
 // next for free. CachedStore makes that explicit: cache hits cost nothing,
 // and Retrievals reports only the misses this cache sent to the wrapped
 // store — not what other readers of that store retrieve.
 //
-// A capacity of 0 disables caching; Unbounded keeps everything. Any number
-// of goroutines may read it: one batch at a time reads and fills the cache,
-// the others wait for it. The counters are atomic, so reading them never
-// waits for a batch.
+// Any number of goroutines may read it: one batch at a time reads and fills
+// the cache, the others wait for it. The counters are atomic, so reading
+// them never waits for a batch.
 type CachedStore struct {
-	inner    Store
-	capacity int
-	hits     atomic.Int64
-	misses   atomic.Int64
+	inner  Store
+	hits   atomic.Int64
+	misses atomic.Int64
 
 	mu    sync.Mutex
-	lru   *list.List // front = most recently used
-	index map[int]*list.Element
+	cache map[int]float64
 }
 
-type cachedCell struct {
-	key int
-	val float64
-}
-
-// Unbounded is the capacity for a cache that never evicts.
-const Unbounded = math.MaxInt
-
-// NewCachedStore wraps inner with a cache of the given capacity (in
-// coefficients).
-func NewCachedStore(inner Store, capacity int) (*CachedStore, error) {
-	if capacity < 0 {
-		return nil, fmt.Errorf("storage: negative cache capacity %d", capacity)
-	}
-	return &CachedStore{
-		inner:    inner,
-		capacity: capacity,
-		lru:      list.New(),
-		index:    make(map[int]*list.Element),
-	}, nil
+// NewCachedStore wraps inner with an empty cache.
+func NewCachedStore(inner Store) *CachedStore {
+	return &CachedStore{inner: inner, cache: make(map[int]float64)}
 }
 
 // BatchGetCtx implements Store. Cache hits are served in place and can never
@@ -71,19 +48,13 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.capacity == 0 {
-		// Caching disabled: forward the whole batch.
-		s.misses.Add(int64(len(keys)))
-		return s.inner.BatchGetCtx(ctx, keys, dst)
-	}
 	var missKeys []int
 	missAt := make(map[int]int) // key → index into missKeys
 	var hits int64
 	for i, k := range keys {
-		if el, ok := s.index[k]; ok {
+		if v, ok := s.cache[k]; ok {
 			hits++
-			s.lru.MoveToFront(el)
-			dst[i] = el.Value.(cachedCell).val
+			dst[i] = v
 			continue
 		}
 		if _, ok := missAt[k]; ok {
@@ -119,7 +90,7 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	}
 	for j, k := range missKeys {
 		if _, bad := failed[j]; !bad {
-			s.insert(k, missVals[j])
+			s.cache[k] = missVals[j]
 		}
 	}
 	var out []KeyError
@@ -137,19 +108,6 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	return batchError(out)
 }
 
-// insert caches a fetched coefficient, evicting the LRU entry at capacity.
-func (s *CachedStore) insert(key int, v float64) {
-	if s.capacity == 0 {
-		return
-	}
-	if s.lru.Len() >= s.capacity {
-		oldest := s.lru.Back()
-		delete(s.index, oldest.Value.(cachedCell).key)
-		s.lru.Remove(oldest)
-	}
-	s.index[key] = s.lru.PushFront(cachedCell{key: key, val: v})
-}
-
 // Retrievals implements Store: the keys this cache sent to the wrapped store
 // (its misses), the session's own I/O count. The wrapped store's counter,
 // which every other reader of it moves too, is not consulted.
@@ -162,7 +120,7 @@ func (s *CachedStore) Hits() int64 { return s.hits.Load() }
 func (s *CachedStore) Cached() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.Len()
+	return len(s.cache)
 }
 
 // ResetStats implements Store, zeroing this cache's counters but keeping
@@ -177,8 +135,7 @@ func (s *CachedStore) ResetStats() {
 func (s *CachedStore) ClearCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lru.Init()
-	s.index = make(map[int]*list.Element)
+	clear(s.cache)
 }
 
 // NonzeroCount implements Store.

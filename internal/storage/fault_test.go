@@ -273,10 +273,7 @@ func TestFaultStoreBatchPartialFailure(t *testing.T) {
 
 func TestCachedStoreDoesNotCacheErrors(t *testing.T) {
 	flaky := newFlakyStore(testCells(16), map[int]int{3: 1})
-	cs, err := NewCachedStore(flaky, Unbounded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := NewCachedStore(flaky)
 	ctx := context.Background()
 	if _, err := GetCtx(ctx, cs, 3); !errors.Is(err, errFlaky) {
 		t.Fatalf("first GetCtx = %v, want flaky failure", err)
@@ -303,10 +300,7 @@ func TestCachedStoreDoesNotCacheErrors(t *testing.T) {
 func TestCachedStoreBatchGetCtxPartialFailure(t *testing.T) {
 	cells := testCells(16)
 	flaky := newFlakyStore(cells, map[int]int{5: 1})
-	cs, err := NewCachedStore(flaky, Unbounded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := NewCachedStore(flaky)
 	ctx := context.Background()
 	// Duplicate failing key: both caller positions must be reported.
 	keys := []int{5, 2, 5, 9}

@@ -57,10 +57,7 @@ func TestInstrumentedStoreTimesRetrievals(t *testing.T) {
 
 func TestCacheCountersMirrored(t *testing.T) {
 	reg := observeTest(t)
-	cs, err := NewCachedStore(NewArrayStore(testDense()), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := NewCachedStore(NewArrayStore(testDense()))
 	Get(cs, 1) // miss
 	Get(cs, 1) // hit
 	Get(cs, 2) // miss

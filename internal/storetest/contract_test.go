@@ -155,10 +155,7 @@ var subjects = []struct {
 		return memoryStore(t, eighth(hat), false)
 	}},
 	{"cached", func(t *testing.T, hat []float64, _ int64) subject {
-		s, err := storage.NewCachedStore(array(hat), storage.Unbounded)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := storage.NewCachedStore(array(hat))
 		return subject{store: s, want: hat, bounded: true}
 	}},
 	{"coalescing", func(t *testing.T, hat []float64, _ int64) subject {

@@ -3,6 +3,7 @@ package wavelet
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ForwardNDSparse computes the standard-decomposition transform of a sparse
@@ -96,11 +97,20 @@ func (f *Filter) forwardSparse1D(s map[int]float64, n int) {
 		approx[k] = v
 		delete(s, k)
 	}
+	keys := make([]int, 0, len(approx))
 	for m := n; m >= 2; m /= 2 {
 		m2 := m / 2
 		nextA := make(map[int]float64, len(approx))
 		detail := make(map[int]float64, len(approx))
-		for k, v := range approx {
+		// Accumulate in ascending position order, so the sums — and the
+		// transform — do not depend on map iteration order.
+		keys = keys[:0]
+		for k := range approx {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			v := approx[k]
 			// s[k] feeds outputs j with 2j+t = k (mod m) for tap t.
 			for t := 0; t < L; t++ {
 				idx := k - t

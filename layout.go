@@ -163,10 +163,8 @@ func openLayout(path string, opts layout.Options) (*Database, error) {
 		_ = s.Close()
 		return nil, fmt.Errorf("repro: layout uses %w", err)
 	}
-	mass := s.Mass()
-	db := newDatabase(schema, filter, s)
-	db.windows, db.cachedMass, db.layout = meta.Windows, &mass, s
-	db.tuples.Store(meta.TupleCount)
+	db := newDatabase(schema, filter, s, meta.TupleCount, s.Mass())
+	db.windows, db.layout = meta.Windows, s
 	return db, nil
 }
 

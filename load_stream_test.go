@@ -35,8 +35,8 @@ func savedTemperature(t testing.TB) ([]byte, *Database) {
 // TestCoefficientMassIsReproducible: the Theorem-1 constant K of a loaded
 // file is the ascending-key sum, bit for bit, on every load — it used to
 // follow Go's map iteration order and differ in the last digits from process
-// to process. A write retires the carried value; the store's own walk is
-// deterministic too.
+// to process. Under MVCC a write adds its exact increment to that value, so
+// two loads agree after the same write too.
 func TestCoefficientMassIsReproducible(t *testing.T) {
 	file, _ := savedTemperature(t)
 	snap, err := codec.Read(bytes.NewReader(file))
@@ -75,6 +75,9 @@ func TestCoefficientMassIsReproducible(t *testing.T) {
 		t.Fatalf("layout mass %v (%v), ascending-key sum %v", got, err, want)
 	}
 	for _, db := range dbs {
+		if err := db.EnableMVCC(MVCCConfig{}); err != nil {
+			t.Fatal(err)
+		}
 		if err := db.Insert([]int{3, 3, 3, 3, 3}); err != nil {
 			t.Fatal(err)
 		}

@@ -74,9 +74,8 @@ func loadAs(t *testing.T, file []byte, array bool) *Database {
 			cells, count = h.Schema.Cells(), h.Schema.Cells()
 		}
 		store := storage.NewMemoryStore(cells, count)
-		db = newDatabase(h.Schema, filter, store)
+		db = newDatabase(h.Schema, filter, store, h.TupleCount, 0)
 		db.windows = h.Windows
-		db.tuples.Store(h.TupleCount)
 		return func(k int, v float64) {
 			store.Add(k, v)
 			mass += math.Abs(v)
@@ -85,7 +84,7 @@ func loadAs(t *testing.T, file []byte, array bool) *Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.cachedMass = &mass
+	db.mass = mass
 	if isArrayStore(db.store) != array {
 		t.Fatalf("asked for array=%v, built %T", array, db.store)
 	}

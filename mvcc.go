@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/ingest"
 	"repro/internal/mvcc"
-	"repro/internal/storage"
 )
 
 // This file is the facade of the live-update tier (internal/mvcc): the
@@ -61,8 +59,8 @@ type MVCCStats = mvcc.Stats
 // The opened base becomes the frozen version-0 base, with the mass
 // CoefficientMass reports, the declared store stack (retries, fault
 // injection, instrumentation, coalescing — enabled before or after) is built
-// over the base of every view, and the database becomes safe for concurrent
-// writers and readers. A mapped layout file is that base as it is: nothing
+// over the base of every view, and the database takes writes beside any
+// number of readers. A mapped layout file is that base as it is: nothing
 // is copied at enable time, and the first compaction folds it and the
 // overlay into memory. Sessions and runs started earlier keep reading the
 // store they captured. Idempotent; a distributed coordinator cannot enable
@@ -72,13 +70,9 @@ func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 		return nil
 	}
 	if db.coord != nil {
-		return db.readOnlyErr("write")
+		return db.readOnlyErr()
 	}
-	mass, err := db.CoefficientMass()
-	if err != nil {
-		return err
-	}
-	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.TupleCount(), mass, mvcc.Config{
+	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.tuples, db.mass, mvcc.Config{
 		MaxLayers:          cfg.MaxLayers,
 		MaxLayerKeys:       cfg.MaxLayerKeys,
 		Retain:             cfg.Retain,
@@ -105,53 +99,28 @@ func (db *Database) MVCCStats() (stats MVCCStats, ok bool) {
 	return db.mvcc.Stats(), true
 }
 
-// Apply atomically applies a batch of tuple-frequency deltas: the whole
-// batch is transformed in one sparse pass (per-dimension impulse factors
-// memoized, coincident tuples merged) and its coefficient deltas land as
-// one unit, returning the new version. Under MVCC the batch publishes as an
-// immutable layer and concurrent readers are isolated: runs started earlier
-// keep their snapshot. Without MVCC the deltas are added to the base in
-// ascending key order and the version is a plain counter; such a write needs
-// exclusive access — no read of the database, and no other write, may run
-// beside it. An empty (or nil) batch returns the current version. On error
-// nothing is applied.
+// Apply atomically applies a batch of tuple-frequency deltas under MVCC:
+// the whole batch is transformed in one sparse pass (per-dimension impulse
+// factors memoized, coincident tuples merged) and its coefficient deltas
+// publish as one immutable layer, returning the new version. Concurrent
+// readers are isolated: runs started earlier keep their snapshot. An empty
+// (or nil) batch returns the current version. On error nothing is applied.
+// A database without MVCC is version 0 for good: Apply fails with
+// ErrReadOnly.
 func (db *Database) Apply(ctx context.Context, b *WriteBatch) (Version, error) {
-	if err := db.readOnlyErr("write"); err != nil {
+	if err := db.readOnlyErr(); err != nil {
 		return 0, err
 	}
-	if db.mvcc != nil {
-		return db.mvcc.Apply(ctx, b)
-	}
-	if b == nil || b.Len() == 0 {
-		return Version(db.version.Load()), nil
-	}
-	delta, err := b.Delta(db.filter, db.schema.Sizes)
-	if err != nil {
-		return 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	keys := make([]int, 0, len(delta))
-	for k := range delta {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w := db.base.(storage.Updatable) // every writable view opens on one
-	for _, k := range keys {
-		w.Add(k, delta[k])
-	}
-	db.tuples.Add(int64(math.Round(b.TupleWeight())))
-	return Version(db.version.Add(1)), nil
+	return db.mvcc.Apply(ctx, b)
 }
 
 // Version returns the current database version: the number of non-empty
-// applies since open.
+// applies since open, 0 without MVCC.
 func (db *Database) Version() Version {
 	if db.mvcc != nil {
 		return db.mvcc.Head()
 	}
-	return Version(db.version.Load())
+	return 0
 }
 
 // CompactNow folds the MVCC overlay into a fresh base synchronously (the
@@ -230,7 +199,7 @@ func (s *Snapshot) CoefficientMass() (float64, error) { return s.sn.Mass(), nil 
 // version published. On a mid-stream error the batches already applied
 // stay applied.
 func (db *Database) IngestCSV(ctx context.Context, r io.Reader, batchSize int) (rows, skipped int, v Version, err error) {
-	if err := db.readOnlyErr("write"); err != nil {
+	if err := db.readOnlyErr(); err != nil {
 		return 0, 0, 0, err
 	}
 	if db.windows == nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -129,41 +130,43 @@ func TestMVCCDrainBitStableUnderApplies(t *testing.T) {
 	}
 }
 
-// TestMVCCApplyMatchesNonMVCC checks write-path parity: the same batches
-// applied to an MVCC and a plain database produce matching query answers and
-// bookkeeping.
+// TestMVCCApplyMatchesNonMVCC checks write-path parity: batches applied to
+// an MVCC database answer as the bulk transform of the same distribution
+// plus the applied tuples, and the bookkeeping agrees.
 func TestMVCCApplyMatchesNonMVCC(t *testing.T) {
 	schema, err := NewSchema([]string{"x", "y"}, []int{32, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := UniformData(schema, 1000, 5)
-	mdb, err := NewDatabase(dist, Db4)
+	mdb, err := NewDatabase(UniformData(schema, 1000, 5), Db4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mdb.EnableMVCC(MVCCConfig{}); err != nil {
 		t.Fatal(err)
 	}
+	dist := UniformData(schema, 1000, 5)
+	rng := rand.New(rand.NewSource(77))
+	for i := 0; i < 5; i++ {
+		b := NewWriteBatch()
+		for j := 0; j < 200; j++ {
+			coords := []int{rng.Intn(32), rng.Intn(32)}
+			b.Add(coords, 1)
+			dist.AddTuple(coords)
+		}
+		if _, err := mdb.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
 	pdb, err := NewDatabase(dist, Db4)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, b := range randomBatches(mdb, 5, 200, 77) {
-		// Batches are consumed read-only by Apply, so sharing one is fine.
-		if _, err := mdb.Apply(context.Background(), b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pdb.Apply(context.Background(), b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mv, pv := mdb.Version(), pdb.Version(); mv != pv {
-		t.Fatalf("versions diverged: mvcc %d, plain %d", mv, pv)
+	if v := mdb.Version(); v != 5 {
+		t.Fatalf("version %d after 5 applies", v)
 	}
 	if mc, pc := mdb.TupleCount(), pdb.TupleCount(); mc != pc {
-		t.Fatalf("tuple counts diverged: mvcc %d, plain %d", mc, pc)
+		t.Fatalf("tuple counts diverged: mvcc %d, bulk %d", mc, pc)
 	}
 	batch, err := ParseBatch(schema, `COUNT() WHERE x <= 15; COUNT() WHERE y >= 8`)
 	if err != nil {
@@ -180,7 +183,7 @@ func TestMVCCApplyMatchesNonMVCC(t *testing.T) {
 	mg, pg := mdb.Exact(mplan), pdb.Exact(pplan)
 	for q := range mg {
 		if diff := math.Abs(mg[q] - pg[q]); diff > 1e-9*(1+math.Abs(pg[q])) {
-			t.Fatalf("query %d: mvcc %v, plain %v", q, mg[q], pg[q])
+			t.Fatalf("query %d: mvcc %v, bulk %v", q, mg[q], pg[q])
 		}
 	}
 }
@@ -212,43 +215,88 @@ func TestInsertDeleteRouteThroughApply(t *testing.T) {
 	}
 }
 
-// TestErrReadOnlyTyped checks the satellite error redesign: read-only views
-// refuse writes with an error matching errors.Is(err, ErrReadOnly) while
-// keeping the "read-only" substring older callers grep for. A mapped view
-// refuses plain writes and names the way to write over it: EnableMVCC, which
-// it accepts, after which it takes writes. A coordinator refuses EnableMVCC.
+// TestErrReadOnlyTyped: every view without MVCC — built, sparse, empty,
+// loaded, mapped and a coordinator — is an immutable version 0. Apply,
+// Insert, Delete and IngestCSV fail with an error matching
+// errors.Is(err, ErrReadOnly) that keeps the "read-only" substring older
+// callers grep for, and change neither the version, the tuple count nor the
+// answers. Every view but the coordinator names the way to write,
+// EnableMVCC, and takes writes after it; a coordinator refuses EnableMVCC.
 func TestErrReadOnlyTyped(t *testing.T) {
-	db, _, path := layoutFixture(t)
+	db, plan, path := layoutFixture(t)
+	schema := db.Schema()
 	if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	ldb, err := OpenLayout(path)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = ldb.Close() }()
-
-	ss, err := ldb.NewShardServer(0, 1, nil)
+	sd := NewSparseDistribution(schema)
+	sd.AddTuple([]int{1, 2, 3})
+	sparse, err := NewSparseDatabase(sd, Db4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := serveShards(t, []*ShardServer{ss}).EnableMVCC(MVCCConfig{}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("EnableMVCC on a coordinator = %v, want errors.Is ErrReadOnly", err)
+	empty, err := NewEmptyDatabase(schema, Db4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ldb.Insert([]int{1, 1, 1}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Insert on layout view = %v, want errors.Is ErrReadOnly", err)
+	loaded, err := LoadDatabase(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ldb.Apply(context.Background(), NewWriteBatch().Add([]int{1, 1, 1}, 1)); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Apply on layout view = %v, want errors.Is ErrReadOnly", err)
+	mapped, err := OpenLayout(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ldb.Insert([]int{1, 1, 1}); !strings.Contains(err.Error(), "read-only") || !strings.Contains(err.Error(), "EnableMVCC") {
-		t.Fatalf("read-only substring or the EnableMVCC hint lost from %q", err.Error())
+	defer func() { _ = mapped.Close() }()
+	ss, err := mapped.NewShardServer(0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ldb.EnableMVCC(MVCCConfig{}); err != nil {
-		t.Fatalf("EnableMVCC on layout view = %v, want the mapping as its base", err)
+	views := map[string]*Database{
+		"built": db, "sparse": sparse, "empty": empty, "loaded": loaded,
+		"mapped": mapped, "coordinator": serveShards(t, []*ShardServer{ss}),
 	}
-	if err := ldb.Insert([]int{1, 1, 1}); err != nil {
-		t.Fatalf("Insert under MVCC over the mapping: %v", err)
+	ctx := context.Background()
+	for name, v := range views {
+		before, count := v.Exact(plan), v.TupleCount()
+		_, applyErr := v.Apply(ctx, NewWriteBatch().Add([]int{1, 1, 1}, 1))
+		_, _, _, csvErr := v.IngestCSV(ctx, strings.NewReader("x,y,m\n1,1,1\n"), 0)
+		for op, err := range map[string]error{
+			"Apply":     applyErr,
+			"Insert":    v.Insert([]int{1, 1, 1}),
+			"Delete":    v.Delete([]int{1, 1, 1}),
+			"IngestCSV": csvErr,
+		} {
+			if !errors.Is(err, ErrReadOnly) || !strings.Contains(err.Error(), "read-only") {
+				t.Errorf("%s: %s = %v, want errors.Is ErrReadOnly saying read-only", name, op, err)
+			}
+		}
+		if v.Version() != 0 || v.TupleCount() != count {
+			t.Errorf("%s: refused writes moved version %d, tuples %d → %d", name, v.Version(), count, v.TupleCount())
+		}
+		for q, got := range v.Exact(plan) {
+			if got != before[q] {
+				t.Errorf("%s: query %d answers %v after refused writes, %v before", name, q, got, before[q])
+			}
+		}
+		if name == "coordinator" {
+			if err := v.EnableMVCC(MVCCConfig{}); !errors.Is(err, ErrReadOnly) {
+				t.Errorf("EnableMVCC on a coordinator = %v, want errors.Is ErrReadOnly", err)
+			}
+			continue
+		}
+		if !strings.Contains(fmt.Sprint(applyErr), "EnableMVCC") {
+			t.Errorf("%s: the EnableMVCC hint lost from %q", name, applyErr)
+		}
+		if err := v.EnableMVCC(MVCCConfig{}); err != nil {
+			t.Fatalf("%s: EnableMVCC = %v", name, err)
+		}
+		if err := v.Insert([]int{1, 1, 1}); err != nil {
+			t.Errorf("%s: Insert under MVCC: %v", name, err)
+		}
 	}
 }
 
@@ -302,10 +350,7 @@ func TestTheorem1BoundsOnDegradedSnapshotDrain(t *testing.T) {
 // creation: later writes are invisible to it, and a new session sees them.
 func TestSessionPinsVersion(t *testing.T) {
 	db, plan, _ := mvccFixture(t, MVCCConfig{})
-	sess, err := db.NewSession(256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := db.NewSession()
 	before := sess.Exact(plan)
 
 	for _, b := range randomBatches(db, 4, 250, 31) {
@@ -319,10 +364,7 @@ func TestSessionPinsVersion(t *testing.T) {
 			t.Fatalf("query %d: session answer moved %v → %v after applies", q, before[q], after[q])
 		}
 	}
-	fresh, err := db.NewSession(256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := db.NewSession()
 	head := db.Exact(plan)
 	got := fresh.Exact(plan)
 	for q := range got {

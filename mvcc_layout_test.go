@@ -73,6 +73,9 @@ func TestMVCCOverAMapping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := loaded.EnableMVCC(MVCCConfig{DisableAutoCompact: true}); err != nil {
+			t.Fatal(err)
+		}
 		for _, w := range []*Database{db, loaded} {
 			if _, err := w.Apply(context.Background(), tupleBatch([]int{6, 6, 3})); err != nil {
 				t.Fatal(err)
@@ -162,6 +165,9 @@ func TestDamagedMappingUnderMVCC(t *testing.T) {
 
 		oracle, err := LoadDatabase(bytes.NewReader(file))
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.EnableMVCC(MVCCConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := oracle.Apply(ctx, tupleBatch(coords)); err != nil {

@@ -48,6 +48,9 @@ func TestSaveLoadPreservesUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := db.EnableMVCC(MVCCConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	for _, x := range []int{1, 5, 5, 9} {
 		if err := db.Insert([]int{x}); err != nil {
 			t.Fatal(err)

@@ -37,8 +37,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -52,19 +52,21 @@ import (
 
 // Database owns the materialized view Δ̂: the wavelet transform of a data
 // frequency distribution held in constant-access storage, plus the filter
-// that produced it. Any number of goroutines may read it at once — plans,
-// runs, sessions, exact passes. A plain write (Apply, Insert, Delete,
-// IngestCSV) needs exclusive access: no read may run beside it. To write
-// beside readers, EnableMVCC first.
+// that produced it. Configure it first — SetStack, SetWindows, EnableMVCC,
+// EnablePreparedPlans — and then any number of goroutines may use it at
+// once: plans, runs, sessions, exact passes and, under MVCC, writes (Apply,
+// Insert, Delete, IngestCSV). Without MVCC the view is an immutable version
+// 0 and every write fails with ErrReadOnly.
 type Database struct {
 	schema  *Schema
 	filter  *Filter
-	tuples  atomic.Int64
+	tuples  int64
 	windows [][2]float64
 
 	// base is the store the view was opened on and stack declares the layers
 	// it is served through; store is what rebuild made of the two, where
-	// retrievals enter. A plain database writes to and enumerates the base.
+	// retrievals enter. Nothing writes to the base: under MVCC writes land as
+	// layers over it.
 	base  storage.Store
 	stack storage.Stack
 	store storage.Store
@@ -74,10 +76,8 @@ type Database struct {
 
 	// mvcc is non-nil after EnableMVCC: db.store is the MVCC store, the
 	// stack is built over the base of its every view, and every write
-	// publishes a version (mvcc.go). version is the write counter of plain
-	// (non-MVCC) databases.
-	mvcc    *mvcc.Store
-	version atomic.Uint64
+	// publishes a version (mvcc.go).
+	mvcc *mvcc.Store
 
 	// coord is non-nil for databases opened with OpenDistributed: the store
 	// is a shard fan-out coordinator and the view is read-only.
@@ -85,11 +85,9 @@ type Database struct {
 	// layout is non-nil for databases opened with OpenLayout: the store
 	// serves a read-only persistent .wvls file (see layout.go).
 	layout *layoutStore
-	// cachedMass, when non-nil, is the coefficient mass at version 0 — set at
-	// open time for views that took it while loading (files), cannot
-	// enumerate their coefficients (distributed coordinators) or already
-	// persisted it (layouts). CoefficientMass serves it until a write lands.
-	cachedMass *float64
+	// mass is the coefficient mass of version 0, which every constructor
+	// sums or reads while it opens the view (CoefficientMass).
+	mass float64
 
 	// prepared is the lazily-enabled prepared-plan registry (prepared.go);
 	// preparedMu makes EnablePreparedPlans idempotent under concurrency.
@@ -114,16 +112,13 @@ func NewDatabase(dist *Distribution, filter *Filter) (*Database, error) {
 	for _, v := range hat {
 		mass += math.Abs(v)
 	}
-	db := newDatabase(dist.Schema, filter, storage.NewMemoryStoreFromDense(hat))
-	db.tuples.Store(dist.TupleCount)
-	db.cachedMass = &mass
-	return db, nil
+	return newDatabase(dist.Schema, filter, storage.NewMemoryStoreFromDense(hat), dist.TupleCount, mass), nil
 }
 
-// newDatabase assembles a view over base, served bare until SetStack declares
-// layers.
-func newDatabase(schema *Schema, filter *Filter, base storage.Store) *Database {
-	db := &Database{schema: schema, filter: filter, base: base}
+// newDatabase assembles a view of tuples tuples and coefficient mass mass
+// over base, served bare until SetStack declares layers.
+func newDatabase(schema *Schema, filter *Filter, base storage.Store, tuples int64, mass float64) *Database {
+	db := &Database{schema: schema, filter: filter, base: base, tuples: tuples, mass: mass}
 	db.rebuild()
 	return db
 }
@@ -189,7 +184,9 @@ func (db *Database) StoreStack() string {
 // the dense domain — the path for schemas whose cell count dwarfs the
 // record count. Fill-in compounds per dimension (roughly (L·log N)^d per
 // record), so prefer short filters (Haar for COUNT workloads) on
-// high-dimensional huge domains.
+// high-dimensional huge domains. The coefficients go into the store
+// storage.NewMemoryStore picks, in ascending key order, and the mass is
+// summed in that order, as LoadDatabase sums it.
 func NewSparseDatabase(dist *SparseDistribution, filter *Filter) (*Database, error) {
 	if dist == nil || filter == nil {
 		return nil, fmt.Errorf("repro: nil distribution or filter")
@@ -198,22 +195,27 @@ func NewSparseDatabase(dist *SparseDistribution, filter *Filter) (*Database, err
 	if err != nil {
 		return nil, err
 	}
-	store := storage.NewHashStore()
-	for k, v := range hat {
-		store.Add(k, v)
+	keys := make([]int, 0, len(hat))
+	for k := range hat {
+		keys = append(keys, k)
 	}
-	db := newDatabase(dist.Schema, filter, store)
-	db.tuples.Store(dist.TupleCount)
-	return db, nil
+	slices.Sort(keys)
+	store := storage.NewMemoryStore(dist.Schema.Cells(), len(hat))
+	var mass float64
+	for _, k := range keys {
+		store.Add(k, hat[k])
+		mass += math.Abs(hat[k])
+	}
+	return newDatabase(dist.Schema, filter, store, dist.TupleCount, mass), nil
 }
 
-// NewEmptyDatabase creates a database with no tuples, to be populated
-// incrementally with Insert.
+// NewEmptyDatabase creates a database with no tuples and mass 0, to be
+// populated through EnableMVCC and Insert.
 func NewEmptyDatabase(schema *Schema, filter *Filter) (*Database, error) {
 	if schema == nil || filter == nil {
 		return nil, fmt.Errorf("repro: nil schema or filter")
 	}
-	return newDatabase(schema, filter, storage.NewHashStore()), nil
+	return newDatabase(schema, filter, storage.NewHashStore(), 0, 0), nil
 }
 
 // Schema returns the database schema.
@@ -222,28 +224,27 @@ func (db *Database) Schema() *Schema { return db.schema }
 // Filter returns the wavelet filter of the stored transform.
 func (db *Database) Filter() *Filter { return db.filter }
 
-// ErrReadOnly is the typed refusal of writes against read-only views
-// (distributed coordinators, mapped layout files without MVCC); match it
-// with errors.Is. The wrapped message carries the view-specific hint for how
-// to write instead.
+// ErrReadOnly is the typed refusal of writes against a view that does not
+// run under MVCC, and of EnableMVCC on a distributed coordinator; match it
+// with errors.Is. The wrapped message says how to write instead.
 var ErrReadOnly = errors.New("repro: database view is read-only")
 
 // readOnlyErr reports why the view cannot accept tuple updates, or nil for
-// a database that can. The returned error wraps ErrReadOnly.
-func (db *Database) readOnlyErr(op string) error {
+// one that can: only a database under MVCC writes. The returned error wraps
+// ErrReadOnly.
+func (db *Database) readOnlyErr() error {
 	switch {
 	case db.coord != nil:
-		return fmt.Errorf("%w: distributed database; %s on the shard side before partitioning", ErrReadOnly, op)
-	case db.layout != nil && db.mvcc == nil:
-		return fmt.Errorf("%w: mapped layout file; EnableMVCC (wvqd -mvcc) to %s over it", ErrReadOnly, op)
+		return fmt.Errorf("%w: distributed database; write on the shard side before partitioning", ErrReadOnly)
+	case db.mvcc == nil:
+		return fmt.Errorf("%w: EnableMVCC (wvqd -mvcc) to write to it", ErrReadOnly)
 	}
 	return nil
 }
 
 // Insert adds one tuple, updating O((L·log N)^d) stored coefficients. It is
-// a one-tuple Apply: all writes share the batched code path (and publish a
-// version under MVCC); bulk loads should batch tuples into a WriteBatch
-// instead.
+// a one-tuple Apply: all writes share the batched code path and publish a
+// version; bulk loads should batch tuples into a WriteBatch instead.
 func (db *Database) Insert(coords []int) error {
 	_, err := db.Apply(context.Background(), NewWriteBatch().Add(coords, 1))
 	return err
@@ -261,7 +262,7 @@ func (db *Database) TupleCount() int64 {
 	if db.mvcc != nil {
 		return int64(math.Round(db.mvcc.TupleWeight()))
 	}
-	return db.tuples.Load()
+	return db.tuples
 }
 
 // SetWindows records the per-attribute quantization windows mapping bins
@@ -297,9 +298,8 @@ func (db *Database) Save(w io.Writer) error {
 // nothing is returned unless every checksum of the file verifies. A file
 // read from an *os.File is mapped for the load and walked in place, a dense
 // one a block at a time, a sparse one a key group at a time with each value
-// read by its slot; nothing of it is copied to the heap. The loaded
-// database takes plain writes; to serve a file, map it with OpenLayout
-// (and EnableMVCC to write over the mapping).
+// read by its slot; nothing of it is copied to the heap. To serve a file,
+// map it with OpenLayout instead (and EnableMVCC to write over the mapping).
 func LoadDatabase(r io.Reader) (*Database, error) {
 	var (
 		db    *Database
@@ -312,9 +312,8 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			return nil, fmt.Errorf("repro: stored database uses %w", err)
 		}
 		store = storage.NewMemoryStore(h.Schema.Cells(), h.Count)
-		db = newDatabase(h.Schema, filter, store)
+		db = newDatabase(h.Schema, filter, store, h.TupleCount, 0)
 		db.windows = h.Windows
-		db.tuples.Store(h.TupleCount)
 		return func(k int, v float64) {
 			store.Add(k, v)
 			mass += math.Abs(v)
@@ -323,7 +322,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.cachedMass = &mass
+	db.mass = mass
 	return db, nil
 }
 
@@ -338,43 +337,20 @@ func (db *Database) ResetStats() { db.store.ResetStats() }
 func (db *Database) NonzeroCoefficients() int { return db.store.NonzeroCount() }
 
 // CoefficientMass returns K = Σ_ξ |Δ̂[ξ]|, the constant in the Theorem 1
-// worst-case bound K^α·ι_p(ξ′) reported by Run.WorstCaseBound. Enumerating
-// the store does not count as retrievals. It returns an error when the
-// store cannot enumerate its coefficients — previously this case silently
-// reported a mass of 0, which turns every worst-case bound into a useless 0.
+// worst-case bound K^α·ι_p(ξ′) reported by Run.WorstCaseBound. Every view
+// carries its mass from open time, summed in an order the data alone fixes:
+// a built or loaded database in ascending key order, a layout from its
+// header (ascending too), a coordinator from its shards' metadata (each
+// shard in ascending key order, the shards in index order; it agrees with
+// the others to rounding, not bit for bit). Under MVCC the store keeps it
+// as exact incremental bookkeeping — that mass plus per-Apply increments,
+// carried across compactions — so bounds stay deterministic under live
+// writes. The error is always nil.
 func (db *Database) CoefficientMass() (float64, error) {
-	// MVCC stores keep the mass as exact incremental bookkeeping (the
-	// version-0 mass EnableMVCC read here, plus per-Apply increments, carried
-	// across compactions), so bounds stay deterministic under live writes.
 	if db.mvcc != nil {
 		return db.mvcc.Mass(), nil
 	}
-	// Views carry their mass from open time, each summed in an order the data
-	// alone fixes: a built or loaded database in ascending key order, a
-	// layout from its header (ascending too), a coordinator from its shards'
-	// metadata (each shard in ascending key order, the shards in index
-	// order). The coordinator's sum agrees with the others to rounding, not
-	// bit for bit. The carried mass describes version 0: the first plain
-	// write retires it.
-	if db.cachedMass != nil && db.version.Load() == 0 {
-		return *db.cachedMass, nil
-	}
-	enum, ok := db.base.(storage.Enumerable)
-	if !ok {
-		return 0, fmt.Errorf("repro: store %T does not support enumeration; coefficient mass unknown", db.base)
-	}
-	var mass float64
-	if err := enum.Walk(func(_ int, v float64) bool {
-		if v < 0 {
-			mass -= v
-		} else {
-			mass += v
-		}
-		return true
-	}); err != nil {
-		return 0, fmt.Errorf("repro: summing the coefficient mass: %w", err)
-	}
-	return mass, nil
+	return db.mass, nil
 }
 
 // Plan rewrites a batch into its merged master list under the database's

@@ -157,6 +157,9 @@ func TestIncrementalInsertMatchesBulkLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := inc.EnableMVCC(MVCCConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	coords := make([]int, 2)
 	for x := 0; x < 16; x++ {
 		for y := 0; y < 8; y++ {
@@ -199,6 +202,9 @@ func TestDeleteUndoesInsert(t *testing.T) {
 	}
 	db, err := NewEmptyDatabase(schema, Db4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableMVCC(MVCCConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Insert([]int{5}); err != nil {

@@ -132,10 +132,7 @@ func TestDegradedRunThroughFacade(t *testing.T) {
 // count its retrievals and zero them on ResetStats.
 func TestEvaluatorInterfaceParity(t *testing.T) {
 	db, plan := robustFixture(t)
-	sess, err := db.NewSession(256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := db.NewSession()
 	mdb, _ := robustFixture(t)
 	if err := mdb.EnableMVCC(MVCCConfig{DisableAutoCompact: true}); err != nil {
 		t.Fatal(err)
@@ -192,10 +189,7 @@ func TestSessionFallibleSurfacesFaults(t *testing.T) {
 	var outage atomic.Bool
 	outage.Store(true)
 	db.SetStack(Stack{Fault: &FaultConfig{ErrorRate: 1, KeyMatch: func(int) bool { return outage.Load() }}})
-	sess, err := db.NewSession(UnboundedCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := db.NewSession()
 	ctx := context.Background()
 	if _, err := sess.ExactCtx(ctx, plan); !errors.Is(err, ErrInjected) {
 		t.Fatalf("session ExactCtx: %v, want ErrInjected", err)

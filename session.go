@@ -21,22 +21,16 @@ type Session struct {
 	cache *storage.CachedStore
 }
 
-// NewSession starts a session with the given cache capacity in coefficients
-// (use UnboundedCache to never evict). Under MVCC the session binds to the
-// head snapshot at creation time: every batch it evaluates sees that one
-// version, bit-stable however many writes land while the session lives
-// (start a new session to observe newer versions — also required for cache
-// correctness, since cached coefficients never expire).
-func (db *Database) NewSession(cacheCapacity int) (*Session, error) {
-	cs, err := storage.NewCachedStore(db.evalStore(), cacheCapacity)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{evaluator: evaluator{db: db, store: cs}, cache: cs}, nil
+// NewSession starts a session with an empty cache that never evicts. Under
+// MVCC the session binds to the head snapshot at creation time: every batch
+// it evaluates sees that one version, bit-stable however many writes land
+// while the session lives (start a new session to observe newer versions).
+// Without MVCC the database is one version for good, so a cached
+// coefficient never goes stale.
+func (db *Database) NewSession() *Session {
+	cs := storage.NewCachedStore(db.evalStore())
+	return &Session{evaluator: evaluator{db: db, store: cs}, cache: cs}
 }
-
-// UnboundedCache is a session cache capacity that never evicts.
-const UnboundedCache = storage.Unbounded
 
 // Hits returns the number of retrievals served from the session cache.
 func (s *Session) Hits() int64 { return s.cache.Hits() }

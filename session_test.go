@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -15,10 +16,7 @@ func TestSessionDrillDownReusesRetrievals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := db.NewSession(UnboundedCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := db.NewSession()
 
 	// Batch 1: coarse synopsis — a 2×2 grid of SUM(m) queries.
 	coarseRanges, err := GridPartition(schema, []int{2, 2, 1})
@@ -96,10 +94,7 @@ func TestSessionProgressiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := db.NewSession(UnboundedCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := db.NewSession()
 	ranges, err := GridPartition(schema, []int{4, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +137,7 @@ func TestSessionProgressiveRun(t *testing.T) {
 // and resetting them leaves the database's counter where it was.
 func TestSessionCountsItsOwnRetrievals(t *testing.T) {
 	db, plan := robustFixture(t)
-	sess, err := db.NewSession(UnboundedCache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := db.NewSession()
 	sess.Exact(plan)
 	own := sess.Retrievals()
 	if own != int64(plan.DistinctCoefficients()) {
@@ -165,13 +157,54 @@ func TestSessionCountsItsOwnRetrievals(t *testing.T) {
 	}
 }
 
-func TestSessionValidation(t *testing.T) {
-	schema, _ := NewSchema([]string{"x"}, []int{8})
-	db, err := NewEmptyDatabase(schema, Haar)
+// TestSessionKeepsItsVersion: a database without MVCC is one version for
+// good, so Insert is refused and a session cache can never outlive a write.
+// Under MVCC a session opened before writes keeps answering its own version
+// to the bit, and a session opened after them answers the new truth.
+func TestSessionKeepsItsVersion(t *testing.T) {
+	schema, err := NewSchema([]string{"x", "y"}, []int{32, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.NewSession(-1); err == nil {
-		t.Error("negative capacity should fail")
+	dist := UniformData(schema, 10000, 3)
+	db, err := NewDatabase(dist, Db4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert([]int{3, 4}); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Insert without MVCC = %v, want errors.Is ErrReadOnly", err)
+	}
+	batch, err := ParseBatch(schema, `COUNT() WHERE x <= 15 AND y <= 15`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.Plan(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableMVCC(MVCCConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	old := db.NewSession()
+	before := old.Exact(plan)[0]
+	if truth := batch.EvaluateDirect(dist)[0]; math.Abs(before-truth) > 1e-9*truth {
+		t.Fatalf("before the writes: session %v, truth %v", before, truth)
+	}
+	for i := 0; i < 50; i++ {
+		if err := db.Insert([]int{3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := old.Exact(plan)[0]; got != before {
+		t.Fatalf("the session opened before the writes answers %v, its version's answer is %v", got, before)
+	}
+	want := before + 50
+	for name, got := range map[string]float64{
+		"a new session": db.NewSession().Exact(plan)[0],
+		"the database":  db.Exact(plan)[0],
+	} {
+		if math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("%s answers %v after 50 inserts, the truth is %v", name, got, want)
+		}
 	}
 }

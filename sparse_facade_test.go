@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -94,5 +96,78 @@ func TestNewSparseDatabaseValidation(t *testing.T) {
 	schema, _ := NewSchema([]string{"x"}, []int{8})
 	if _, err := NewSparseDatabase(NewSparseDistribution(schema), nil); err == nil {
 		t.Error("nil filter should fail")
+	}
+}
+
+// TestSparseMassIsDeterministic: NewSparseDatabase fills its store and sums
+// K in ascending key order, as LoadDatabase does, so every build of one
+// distribution and its Save → LoadDatabase copy carry the same K to the bit
+// and report the same Theorem-1 bounds. K used to be summed in the walk
+// order of a table filled in map iteration order.
+func TestSparseMassIsDeterministic(t *testing.T) {
+	cfg := DefaultTemperatureConfig()
+	cfg.Records = 3000
+	cfg.LatBins, cfg.LonBins, cfg.AltBins, cfg.TimeBins, cfg.TempBins = 8, 8, 4, 8, 8
+	sp, err := TemperatureSparse(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*Database, float64) {
+		t.Helper()
+		db, err := NewSparseDatabase(sp, Db4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mass, err := db.CoefficientMass()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, mass
+	}
+	db, mass := build()
+	for i := 0; i < 10; i++ {
+		if _, m := build(); m != mass {
+			t.Fatalf("build %d: mass %v, the first build's %v", i+1, m, mass)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDatabase(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lmass, err := loaded.CoefficientMass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lmass != mass {
+		t.Fatalf("saved and loaded: mass %v, built %v", lmass, mass)
+	}
+
+	ranges, err := RandomPartition(db.Schema(), 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := SumBatch(db.Schema(), ranges, "temperature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.Plan(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	built, load := db.NewRun(plan, SSE()), loaded.NewRun(plan, SSE())
+	for _, run := range []*Run{built, load} {
+		if _, err := run.StepBatchCtx(ctx, 200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for q := range batch {
+		if b, l := built.QueryErrorBound(q, mass), load.QueryErrorBound(q, lmass); b != l {
+			t.Fatalf("query %d: bound %v built, %v loaded", q, b, l)
+		}
 	}
 }

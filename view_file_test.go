@@ -228,6 +228,9 @@ func TestOpenLayoutSurvivesItsFileBeingRewritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := small.EnableMVCC(MVCCConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	if err := small.Insert([]int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
