@@ -104,9 +104,10 @@ experiments-diff:
 
 # The served bytes, pinned: every /prepare and /query body of a fixed
 # script, over each way wvqd opens a view (mapped -db of a dense and a sparse
-# file, -db -mvcc before and after writes, 2-shard coordinators) and over a
-# loaded file, against internal/server/testdata/served. A loaded or -mvcc
-# view that serves other bytes than the mapped one fails it.
+# file, -db -mvcc before and after writes, 2- and 4-shard coordinators) and
+# over a loaded file, against internal/server/testdata/served. A loaded or
+# -mvcc view, or a coordinator, that serves other bytes than the mapped one
+# fails it.
 served-diff:
 	$(GO) test -count=1 -run TestServedBodiesMatchGolden ./internal/server/
 

@@ -11,8 +11,9 @@
 // The .wvls file is mapped, not loaded, in every mode: the daemon listens
 // once its header is checked, and each block is checksummed the first time
 // it is read. Under -mvcc the mapping is the frozen base that writes overlay
-// until a compaction folds both into memory; -shard-listen serves the keys
-// its shard owns from the mapping.
+// until a compaction folds both into memory; -shard-listen checks every
+// block once before it listens and serves the keys its shard owns from the
+// mapping.
 //
 // Progressive responses (budget below the master-list size) carry per-query
 // worst-case error bounds; /query/stream delivers every intermediate
@@ -381,8 +382,9 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 // runShard serves one coefficient shard over TCP: the daemon's shard-server
 // mode. The file is mapped as -db maps it, and the shard serves that view,
 // owning the keys storage.ShardOf assigns to (index, count); it copies
-// nothing. Working out the shard's nonzero count and mass walks the file
-// once at start-up, in ascending key order. Shutdown reuses the daemon's
+// nothing. Start-up checks the file's index sections and blocks once and
+// reports the header's nonzero count and mass, the whole file's, which every
+// shard of the deployment reports alike. Shutdown reuses the daemon's
 // signal path: stop accepting, sever connections, exit. A shard keeps no
 // per-request record: the coordinator's profile holds each shard's keys,
 // errors and wall time, and the serve time the shard echoes in every

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"net"
@@ -47,23 +46,32 @@ type ShardServer struct {
 // snapshot taken here — and storage.ShardOf decides which keys it owns. The
 // coordinator routes every key to its owner, so a shard is never asked for
 // another's key; asked anyway, it answers with the view's value. Nonzero and
-// Mass describe the owned keys, the mass summed in ascending key order, so
-// the coordinator's Theorem-1 mass depends on the data alone. Working them
-// out walks the whole view, which checks every block of a mapped file: a
-// damaged file is an error here.
+// Mass are the served view's own, read rather than summed: a mapped file's
+// header, a loaded store's count and load-time mass, or the snapshot's. A
+// mapped file has its index sections and every block checked here, once, so
+// a damaged file is an error at start rather than a degraded read later.
 //
 // The database must stay open while the server serves it. count must be a
 // positive power of two and every shard of a deployment must be built with
 // the same count (and from the same database); the coordinator
 // cross-checks both at open time. logger may be nil for silence.
 func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*ShardServer, error) {
-	st, ok := db.enumStore()
-	if !ok {
-		return nil, fmt.Errorf("repro: store %T cannot enumerate; cannot serve it as a shard", st)
-	}
-	nonzero, mass, err := dist.ShardMass(st.(storage.Enumerable), index, count)
-	if err != nil {
+	if err := dist.ValidShard(index, count); err != nil {
 		return nil, err
+	}
+	if db.coord != nil {
+		return nil, fmt.Errorf("repro: a coordinator cannot serve as a shard; serve its shards' files")
+	}
+	if db.layout != nil {
+		if err := db.layout.Verify(); err != nil {
+			return nil, fmt.Errorf("repro: checking the view file: %w", err)
+		}
+	}
+	st, mass := db.base, db.mass
+	if db.mvcc != nil {
+		sn := db.mvcc.Snapshot()
+		sn.Release()
+		st, mass = sn.View(), sn.Mass()
 	}
 	meta := codec.ShardMeta{
 		Names:      db.schema.Names,
@@ -73,11 +81,11 @@ func (db *Database) NewShardServer(index, count int, logger *slog.Logger) (*Shar
 		TupleCount: db.TupleCount(),
 		ShardIndex: index,
 		ShardCount: count,
-		Nonzero:    nonzero,
+		Nonzero:    int64(st.NonzeroCount()),
 		Mass:       mass,
 	}
 	// Served bare: every connection of a dist.Server retrieves from its own
-	// goroutine, and every view enumStore returns takes concurrent readers.
+	// goroutine, and every base and MVCC view takes concurrent readers.
 	return &ShardServer{srv: dist.NewServer(st, meta, logger), meta: meta, stack: storage.Describe(st)}, nil
 }
 
@@ -94,10 +102,10 @@ func (s *ShardServer) Close() error { return s.srv.Close() }
 // Requests returns the number of request frames served.
 func (s *ShardServer) Requests() int64 { return s.srv.Requests() }
 
-// Nonzero returns the number of nonzero coefficients this shard owns.
+// Nonzero returns the number of nonzero coefficients of the served view.
 func (s *ShardServer) Nonzero() int64 { return s.meta.Nonzero }
 
-// Mass returns this shard's coefficient mass Σ|Δ̂[ξ]| over the keys it owns.
+// Mass returns the served view's coefficient mass K = Σ|Δ̂[ξ]|.
 func (s *ShardServer) Mass() float64 { return s.meta.Mass }
 
 // FilterName returns the name of the wavelet filter of the served transform.
@@ -121,71 +129,34 @@ type DistOptions struct {
 // schema, filter, tuple count, and a shard count equal to len(addrs); any
 // disagreement is a deployment error reported before a single query runs —
 // and assembles the Database from the validated metadata: no local database
-// file is needed on the coordinator. The coefficient mass behind Theorem-1
-// bounds is the sum of the shards' partition masses (each accumulated in
-// ascending key order, summed in shard order, so bounds are deterministic
-// and identical to the single-node enumeration).
+// file is needed on the coordinator. Every shard serves the whole view and
+// reports its nonzero count and coefficient mass, so the shards must agree on
+// both to the bit; the coordinator takes them unchanged, and its Theorem-1
+// bounds and NonzeroCoefficients are a local server's of the same file.
 //
 // The resulting database is read-only (writes return ErrReadOnly). Close it
 // to release the shard connections.
 func OpenDistributed(addrs []string, opts DistOptions) (*Database, error) {
-	if err := dist.ValidShardCount(len(addrs)); err != nil {
-		return nil, err
-	}
-	cfg := dist.ClientConfig{
+	coord, meta, err := dist.Open(addrs, dist.ClientConfig{
 		DialTimeout:    opts.DialTimeout,
 		RequestTimeout: opts.RequestTimeout,
 		PoolSize:       opts.PoolSize,
-	}
-	remotes := make([]*dist.RemoteStore, len(addrs))
-	closeAll := func() {
-		for _, r := range remotes {
-			if r != nil {
-				_ = r.Close()
-			}
-		}
-	}
-	metas := make([]*codec.ShardMeta, len(addrs))
-	for i, addr := range addrs {
-		remotes[i] = dist.NewRemoteStore(addr, cfg)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		m, err := remotes[i].Meta(ctx)
-		cancel()
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("repro: shard %d (%s) unreachable: %w", i, addr, err)
-		}
-		metas[i] = m
-	}
-	if err := dist.ValidateMetas(metas); err != nil {
-		closeAll()
+	})
+	if err != nil {
 		return nil, err
 	}
-	schema, err := dataset.NewSchema(metas[0].Names, metas[0].Sizes)
+	schema, err := dataset.NewSchema(meta.Names, meta.Sizes)
 	if err != nil {
-		closeAll()
+		_ = coord.Close()
 		return nil, fmt.Errorf("repro: shard schema invalid: %w", err)
 	}
-	filter, err := wavelet.ByName(metas[0].FilterName)
+	filter, err := wavelet.ByName(meta.FilterName)
 	if err != nil {
-		closeAll()
+		_ = coord.Close()
 		return nil, fmt.Errorf("repro: shards serve %w", err)
 	}
-	var mass float64
-	for _, m := range metas {
-		mass += m.Mass
-	}
-	shards := make([]storage.Store, len(remotes))
-	for i, r := range remotes {
-		shards[i] = r
-	}
-	coord, err := dist.NewCoordinator(shards, addrs)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	db := newDatabase(schema, filter, coord, metas[0].TupleCount, mass)
-	db.windows, db.coord = metas[0].Windows, coord
+	db := newDatabase(schema, filter, coord, meta.TupleCount, meta.Mass)
+	db.windows, db.coord = meta.Windows, coord
 	return db, nil
 }
 

@@ -10,9 +10,12 @@ package repro
 // bounds — not fail it.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net"
+	"strings"
 	"testing"
 )
 
@@ -92,16 +95,17 @@ func TestDistributedDrainValueIdenticalToSingleNode(t *testing.T) {
 	if w := ddb.Windows(); len(w) != 2 || w[0] != [2]float64{0, 640} {
 		t.Fatalf("windows not carried through shard metadata: %v", w)
 	}
-	var wantNonzero int64
-	for _, ss := range servers {
-		wantNonzero += ss.Nonzero()
+	// Every shard reports the whole view, and the coordinator takes its count
+	// and the coefficient mass behind Theorem-1 bounds unchanged: both are
+	// the local database's, to the bit.
+	for i, ss := range servers {
+		if ss.Nonzero() != int64(db.NonzeroCoefficients()) {
+			t.Fatalf("shard %d reports %d coefficients, the source holds %d", i, ss.Nonzero(), db.NonzeroCoefficients())
+		}
 	}
-	if int64(db.NonzeroCoefficients()) != wantNonzero {
-		t.Fatalf("shards hold %d coefficients, source %d", wantNonzero, db.NonzeroCoefficients())
+	if ddb.NonzeroCoefficients() != db.NonzeroCoefficients() {
+		t.Fatalf("coordinator counts %d coefficients, the source holds %d", ddb.NonzeroCoefficients(), db.NonzeroCoefficients())
 	}
-
-	// The coefficient mass behind Theorem-1 bounds: the shard-metadata sum
-	// must equal the local enumeration up to summation-order rounding.
 	localMass, err := db.CoefficientMass()
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +114,8 @@ func TestDistributedDrainValueIdenticalToSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := math.Abs(localMass-distMass) / localMass; d > 1e-12 {
-		t.Fatalf("mass drifted across the wire: local %g dist %g (rel %g)", localMass, distMass, d)
+	if math.Float64bits(localMass) != math.Float64bits(distMass) {
+		t.Fatalf("mass changed across the wire: local %v, coordinator %v", localMass, distMass)
 	}
 
 	// Progressive drain in lockstep: same plan schedule, same slice sizes —
@@ -140,8 +144,8 @@ func TestDistributedDrainValueIdenticalToSingleNode(t *testing.T) {
 				t.Fatalf("step %d query %d: local %g, distributed %g (bits differ)", step, q, le[q], de[q])
 			}
 		}
-		if lb, dbound := lrun.WorstCaseBound(localMass), drun.WorstCaseBound(localMass); lb != dbound {
-			t.Fatalf("step %d: bounds differ under one mass: %g vs %g", step, lb, dbound)
+		if lb, dbound := lrun.WorstCaseBound(localMass), drun.WorstCaseBound(distMass); lb != dbound {
+			t.Fatalf("step %d: bounds differ: local %g, coordinator %g", step, lb, dbound)
 		}
 	}
 	if !drun.Done() || drun.Degraded() {
@@ -281,5 +285,61 @@ func TestOpenDistributedRejectsMisconfiguration(t *testing.T) {
 	}
 	if _, err := db.NewShardServer(2, 2, nil); err == nil {
 		t.Fatal("out-of-range shard index accepted")
+	}
+}
+
+// TestOpenDistributedRefusesMixedViews: two files of one schema, filter and
+// tuple count but different data, one shard opened from each, are two views;
+// the coordinator refuses to assemble them and names the shard that differs.
+// Shards of one file assemble.
+func TestOpenDistributedRefusesMixedViews(t *testing.T) {
+	schema, err := NewSchema([]string{"x", "y"}, []int{64, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 2)
+	for i := range paths {
+		db, err := NewDatabase(UniformData(schema, 400, int64(7+i)), Db4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := db.Save(&file); err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = savedFile(t, fmt.Sprintf("view%d.wvls", i), file.Bytes())
+	}
+	assemble := func(files ...string) (*Database, error) {
+		addrs := make([]string, len(files))
+		for i, path := range files {
+			db, err := OpenLayout(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = db.Close() })
+			ss, err := db.NewShardServer(i, len(files), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = ss.Serve(ln) }()
+			t.Cleanup(func() { _ = ss.Close() })
+			addrs[i] = ln.Addr().String()
+		}
+		return OpenDistributed(addrs, DistOptions{})
+	}
+	same, err := assemble(paths[0], paths[0])
+	if err != nil {
+		t.Fatalf("two shards of one file refused: %v", err)
+	}
+	_ = same.Close()
+	if ddb, err := assemble(paths[0], paths[1]); err == nil {
+		_ = ddb.Close()
+		t.Fatal("shards of two different files assembled into one view")
+	} else if !strings.Contains(err.Error(), "shard 1 ") {
+		t.Fatalf("the refusal does not name shard 1: %v", err)
 	}
 }

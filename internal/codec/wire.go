@@ -253,10 +253,9 @@ func WriteMetaReqV(w io.Writer, version uint16, id uint64, trace string) error {
 
 // ShardMeta is a shard server's self-description: the view it serves
 // (schema, filter, tuple count, quantization windows), its place in the
-// deployment (index of count), and the aggregates over the keys it owns that
-// a coordinator sums to reconstruct the global view (nonzero coefficients,
-// coefficient mass — the Theorem 1 constant K restricted to this shard's
-// keys, accumulated in ascending key order so it is deterministic).
+// deployment (index of count), and that view's nonzero coefficient count and
+// coefficient mass (the Theorem 1 constant K), which every shard of a
+// deployment reports alike and a coordinator takes unchanged.
 type ShardMeta struct {
 	Names      []string
 	Sizes      []int

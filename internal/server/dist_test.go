@@ -196,3 +196,61 @@ func TestQueryShardLossReturns206WithBounds(t *testing.T) {
 		t.Fatalf("stats degraded %d keys, response skipped %d", stats.Dist.DegradedKeys, resp.Skipped)
 	}
 }
+
+// TestStatsCoefficientsSurviveShardLoss: a coordinator's /stats coefficients
+// is the count of the file its shards serve, fixed when it opened: it asks no
+// shard, so with one shard stopped it still reads the local file's count.
+func TestStatsCoefficientsSurviveShardLoss(t *testing.T) {
+	path := servedFile(t, 400, 7)
+	local, err := repro.OpenLayout(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = local.Close() })
+	addrs := make([]string, 2)
+	servers := make([]*repro.ShardServer, 2)
+	for i := range addrs {
+		db, err := repro.OpenLayout(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = db.Close() })
+		if servers[i], err = db.NewShardServer(i, len(addrs), nil); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = servers[i].Serve(ln) }()
+		t.Cleanup(func() { _ = servers[i].Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	ddb, err := repro.OpenDistributed(addrs, repro.DistOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ddb.Close() })
+	h := New(ddb, Options{})
+	t.Cleanup(h.Close)
+	coefficients := func() int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var stats StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Coefficients
+	}
+	want := local.NonzeroCoefficients()
+	if got := coefficients(); got != want {
+		t.Fatalf("/stats coefficients %d over live shards, the file holds %d", got, want)
+	}
+	if err := servers[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := coefficients(); got != want {
+		t.Fatalf("/stats coefficients %d with shard 1 stopped, the file holds %d", got, want)
+	}
+}

@@ -91,11 +91,11 @@ func servedShards(t *testing.T, path string, count int) *repro.Database {
 
 // TestServedBodiesMatchGolden drives the handler over a mapped dense and a
 // mapped sparse -db, the sparse file loaded into memory, a -db -mvcc after
-// two writes, and 2-shard coordinators over each file: /prepare of one
-// batch, its handle at budgets 0, 1, 500 and the whole master list, then an
-// ad hoc batch at budgets 0 and 300. The loaded file must serve the mapped
-// one's bodies, and the -mvcc daemon before its writes must too, "version"
-// aside.
+// two writes, and 2- and 4-shard coordinators over each file: /prepare of
+// one batch, its handle at budgets 0, 1, 500 and the whole master list, then
+// an ad hoc batch at budgets 0 and 300. The loaded file and the coordinators
+// must serve the mapped file's bodies, and the -mvcc daemon before its
+// writes must too, "version" aside.
 func TestServedBodiesMatchGolden(t *testing.T) {
 	dense, sparse := servedFile(t, 400, 7), servedFile(t, 4, 7)
 	open := func(path string) func(*testing.T) *repro.Database {
@@ -141,8 +141,10 @@ func TestServedBodiesMatchGolden(t *testing.T) {
 				}
 			}
 		}},
-		{name: "shards_dense", open: func(t *testing.T) *repro.Database { return servedShards(t, dense, 2) }},
-		{name: "shards_sparse", open: func(t *testing.T) *repro.Database { return servedShards(t, sparse, 2) }},
+		{name: "shards_dense", golden: "db_dense", open: func(t *testing.T) *repro.Database { return servedShards(t, dense, 2) }},
+		{name: "shards_sparse", golden: "db_sparse", open: func(t *testing.T) *repro.Database { return servedShards(t, sparse, 2) }},
+		{name: "shards4_dense", golden: "db_dense", open: func(t *testing.T) *repro.Database { return servedShards(t, dense, 4) }},
+		{name: "shards4_sparse", golden: "db_sparse", open: func(t *testing.T) *repro.Database { return servedShards(t, sparse, 4) }},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {

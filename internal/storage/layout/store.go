@@ -678,28 +678,45 @@ type visitor struct {
 	emit func(key int, value float64)
 }
 
-// walk hands every nonzero coefficient, in ascending key order, to vis
-// until vis.fn stops it, and returns the damage it met: a dense file a
-// checked block at a time; a sparse one, once its index, hot region and
-// every block have passed, a key group at a time, each value read by its
-// slot from the mapping or by one positioned read.
-func (s *Store) walk(vis visitor) error {
+// Verify checks what a read of the whole file would: a sparse file's index
+// sections and hot region, then every block, each once. A damaged file is an
+// error here rather than a degraded read later. Under mmap it puts nothing
+// on the Go heap, and a block that passed before is not touched again.
+func (s *Store) Verify() error {
 	if err := s.checkIndex(); err != nil {
 		return err
 	}
-	g := &s.g
-	var buf []byte // a block, or a slot's word, read on the pread tier
-	if s.data == nil {
-		buf = make([]byte, max(8, min(g.blockSize, g.slots-g.hotCount)*8))
-	}
-	if g.dense() {
-		return s.walkDense(vis, buf)
-	}
-	for b := 0; b < g.numBlocks; b++ {
+	buf := s.scratch()
+	for b := 0; b < s.g.numBlocks; b++ {
 		if _, err := s.block(b, buf); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// scratch returns the buffer a block, or a slot's word, is read into on the
+// pread tier; nil under mmap.
+func (s *Store) scratch() []byte {
+	if s.data != nil {
+		return nil
+	}
+	return make([]byte, max(8, min(s.g.blockSize, s.g.slots-s.g.hotCount)*8))
+}
+
+// walk hands every nonzero coefficient, in ascending key order, to vis
+// until vis.fn stops it, and returns the damage it met: a dense file a
+// checked block at a time; a sparse one, once it has passed Verify, a key
+// group at a time, each value read by its slot from the mapping or by one
+// positioned read.
+func (s *Store) walk(vis visitor) error {
+	if s.g.dense() {
+		return s.walkDense(vis, s.scratch())
+	}
+	if err := s.Verify(); err != nil {
+		return err
+	}
+	g, buf := &s.g, s.scratch()
 	var (
 		keys   [groupSize]uint64
 		values [groupSize]float64

@@ -13,9 +13,8 @@ const shardPartitionMultiplier = 0x9E3779B97F4A7C15
 // panics otherwise — partitioners must agree exactly, so a silently rounded
 // count would be a correctness bug). It is the single placement rule of the
 // system: the distributed coordinator (internal/dist) routes each key to the
-// shard it names, and a shard, which serves the whole view, owns those keys —
-// its Nonzero and Mass count them (dist.ShardMass) and it is asked for no
-// others.
+// shard it names, and a shard, which serves the whole view, owns those keys
+// and is asked for no others.
 func ShardOf(key, n int) int {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("storage: ShardOf shard count %d is not a power of two", n))

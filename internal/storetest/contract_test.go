@@ -214,13 +214,9 @@ var subjects = []struct {
 		full := storage.NewHashStoreFromDense(hat, 0)
 		shards := make([]storage.Store, 2)
 		for i := range shards {
-			nonzero, mass, err := dist.ShardMass(full, i, len(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
 			srv := dist.NewServer(full, codec.ShardMeta{
 				Names: []string{"x", "y", "m"}, Sizes: dims, FilterName: "Db4", TupleCount: tuples,
-				ShardIndex: i, ShardCount: len(shards), Nonzero: nonzero, Mass: mass,
+				ShardIndex: i, ShardCount: len(shards), Nonzero: int64(full.NonzeroCount()),
 			}, nil)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {

@@ -403,9 +403,8 @@ func TestLoadDatabaseAllocatesItsStoreOnce(t *testing.T) {
 
 // TestLoadShardServerAllocatesItsStoreOnce: a 1-of-2 shard of a mapped
 // file, dense or sparse, has one store, the mapping, and copies nothing of
-// it: opening the shard and working out its mass leaves under 1 % of the
-// file on the Go heap. Both shapes are walked in ascending key order, so the
-// mass is summed as the walk goes and no owned pair is collected.
+// it: opening the shard, which checks every block of the file, leaves under
+// 1 % of the file on the Go heap.
 func TestLoadShardServerAllocatesItsStoreOnce(t *testing.T) {
 	for _, fx := range representationFixtures {
 		file := fx.file(t)
@@ -422,7 +421,7 @@ func TestLoadShardServerAllocatesItsStoreOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Only where the file is mapped and a walk's scratch stays on the
+		// Only where the file is mapped and its check reads no scratch off the
 		// stack: on unix outside -race builds, as for storesOffHeap.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(file))/100; storesOffHeap && got >= limit {
 			t.Fatalf("a mapped %s shard allocated %d bytes of Go heap; its file is %d bytes (limit %d)", fx.name, got, len(file), limit)

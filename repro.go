@@ -340,9 +340,9 @@ func (db *Database) NonzeroCoefficients() int { return db.store.NonzeroCount() }
 // worst-case bound K^α·ι_p(ξ′) reported by Run.WorstCaseBound. Every view
 // carries its mass from open time, summed in an order the data alone fixes:
 // a built or loaded database in ascending key order, a layout from its
-// header (ascending too), a coordinator from its shards' metadata (each
-// shard in ascending key order, the shards in index order; it agrees with
-// the others to rounding, not bit for bit). Under MVCC the store keeps it
+// header (ascending too), a coordinator from its shards' metadata, which is
+// the mass of the view they serve, unchanged — so every open form of one
+// file carries the same bits. Under MVCC the store keeps it
 // as exact incremental bookkeeping — that mass plus per-Apply increments,
 // carried across compactions — so bounds stay deterministic under live
 // writes. The error is always nil.
@@ -364,18 +364,6 @@ func (db *Database) Plan(batch Batch) (*Plan, error) {
 		}
 	}
 	return core.NewWaveletPlan(batch, db.filter)
-}
-
-// enumStore returns the surface that can walk the view's coefficients — the
-// head snapshot under MVCC (one stable version), otherwise the base — and
-// whether it can: a shard coordinator holds none to walk.
-func (db *Database) enumStore() (storage.Store, bool) {
-	st := db.base
-	if db.mvcc != nil {
-		st = db.mvcc.View()
-	}
-	_, ok := st.(storage.Enumerable)
-	return st, ok
 }
 
 // evalStore returns the read surface evaluation paths bind to: for MVCC

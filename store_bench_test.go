@@ -152,9 +152,9 @@ func BenchmarkLoadDatabase(b *testing.B) {
 }
 
 // BenchmarkOpenShardServer times what `wvqd -shard-listen` pays before it
-// listens: OpenLayout maps the .wvls file, and NewShardServer works out
-// shard 0 of 2's nonzero count and mass in one key-order walk of it, summed
-// as it goes for either shape, copying nothing.
+// listens: OpenLayout maps the .wvls file, and NewShardServer checks its
+// index sections and every block's checksum once and takes the nonzero
+// count and mass from its header, copying nothing.
 func BenchmarkOpenShardServer(b *testing.B) {
 	for _, c := range storeBenchCases {
 		b.Run(c.name, func(b *testing.B) {
