@@ -198,8 +198,8 @@ bench-dist:
 	$(GO) test -run NONE -bench 'BenchmarkOpenShardServer' -benchmem -benchtime=5x .
 
 # Schedule-aware storage benchmarks behind BENCH_storage.json: a cold
-# progressive drain over a 10M-coefficient .wvls layout (mmap and pread
-# paths) against a raw sequential-read bandwidth ceiling. The fixture build
+# progressive drain over a mapped 10M-coefficient .wvls layout, dense and
+# sparse, against a raw sequential-read bandwidth ceiling. The fixture build
 # takes ~30s. The in-memory store's row comes from the next two lines: LoadDatabase of a ≈ 1.0 M- and a ≈ 6.3 M-
 # coefficient dense .wvls (loaded as arrays) and a sparse one (a table),
 # OpenShardServer of shard 0 of 2 of each file (mapped, what

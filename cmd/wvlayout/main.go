@@ -73,7 +73,7 @@ func convert(in, out string, opts repro.LayoutOptions) error {
 // bytes went — per coefficient, section by section, next to the input's —
 // and what each shape would have cost (c, as the writer weighed them).
 func report(in string, inSize int64, out string, c repro.LayoutCandidates) error {
-	s, err := layout.Open(out, layout.Options{})
+	s, err := layout.Open(out)
 	if err != nil {
 		return fmt.Errorf("verifying output: %w", err)
 	}

@@ -299,8 +299,7 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 			"dense", ls.Dense,
 			"hot_slots", ls.HotSlots,
 			"blocks", ls.Blocks,
-			"block_size", ls.BlockSize,
-			"mmapped", ls.Mmapped)
+			"block_size", ls.BlockSize)
 	}
 	loadMS := float64(time.Since(opened).Microseconds()) / 1e3
 	defer func() { _ = db.Close() }()

@@ -6,10 +6,8 @@
 package codec
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
@@ -61,20 +59,16 @@ func Read(r io.Reader) (*Snapshot, error) {
 // every nonzero coefficient in ascending key order inside the schema's
 // domain, through layout.Decode. begin sees Count before any coefficient
 // arrives, so it can size its destination once; an error from begin aborts
-// the read and is returned as is. Every size the header announces is
+// the read and is returned as is. layout.Decode maps r when it is a regular
+// file and reads it whole otherwise, so every size the header announces is
 // checked against the bytes the stream holds before anything is sized from
-// it: a file or an in-memory reader reports them, and any other reader is
-// read whole first.
+// it.
 //
 // Coefficients can be handed over before the checksums that cover them are
 // verified: a caller must not publish what it received unless Decode
 // returns nil.
 func Decode(r io.Reader, begin func(*Header) (func(key int, value float64), error)) error {
-	ra, size, err := sized(r)
-	if err != nil {
-		return err
-	}
-	return layout.Decode(ra, size, func(lh *layout.Header) (func(int, float64), error) {
+	return layout.Decode(r, func(lh *layout.Header) (func(int, float64), error) {
 		m := lh.Meta
 		if m == nil {
 			return nil, fmt.Errorf("codec: layout embeds no database metadata")
@@ -94,39 +88,6 @@ func Decode(r io.Reader, begin func(*Header) (func(key int, value float64), erro
 			Count:      lh.Nonzero,
 		})
 	})
-}
-
-// sized returns r's remaining bytes as a reader at offsets from 0, and how
-// many there are. A regular file and an in-memory reader are read in place;
-// anything else is read whole into memory first, so that the header's
-// announced sizes can always be checked before anything is sized from them.
-func sized(r io.Reader) (io.ReaderAt, int64, error) {
-	switch s := r.(type) {
-	case *os.File:
-		if st, err := s.Stat(); err == nil && st.Mode().IsRegular() {
-			if at, err := s.Seek(0, io.SeekCurrent); err == nil {
-				if at == 0 {
-					return s, st.Size(), nil
-				}
-				return io.NewSectionReader(s, at, st.Size()-at), st.Size() - at, nil
-			}
-		}
-	case interface { // bytes.Reader, strings.Reader
-		io.ReaderAt
-		Len() int
-		Size() int64
-	}:
-		n := int64(s.Len())
-		if n == s.Size() {
-			return s, n, nil
-		}
-		return io.NewSectionReader(s, s.Size()-n, n), n, nil
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	return bytes.NewReader(data), int64(len(data)), nil
 }
 
 // Store materializes the snapshot's coefficients as a hash store.

@@ -38,7 +38,7 @@ func blockFile(t *testing.T, sizes []int, count int) ([]byte, *storage.HashStore
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := layout.Open(path, layout.Options{})
+	s, err := layout.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -560,3 +560,38 @@ func TestServerDropsPeersStalledMidFrame(t *testing.T) {
 		t.Fatalf("idle connection answered frame %d: %+v, %v", frame.ID, m, err)
 	}
 }
+
+// TestServerCapsOpenConnections: a shard holds at most maxConns connections.
+// One more is closed before its handshake, and once a held connection
+// closes a new one is served again.
+func TestServerCapsOpenConnections(t *testing.T) {
+	addr, _ := startShard(t, testStore(50, 7), codec.ShardMeta{ShardCount: 1})
+	held := make([]net.Conn, maxConns)
+	for i := range held {
+		held[i] = handshaken(t, addr)
+	}
+	handshake := func() error {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := codec.WriteHandshake(conn, codec.MaxWireVersion); err != nil {
+			return err
+		}
+		_, err = codec.ReadHandshake(conn)
+		return err
+	}
+	if err := handshake(); err == nil {
+		t.Fatalf("connection %d was served; the cap is %d", maxConns+1, maxConns)
+	}
+	_ = held[0].Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for err := handshake(); err != nil; err = handshake() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no connection served after one of %d closed: %v", maxConns, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -44,6 +44,13 @@ type Server struct {
 // otherwise hold a goroutine and its 128 KiB of buffers until Close.
 const handshakeTimeout = 2 * time.Second
 
+// maxConns caps the connections a shard holds open at once: each holds a
+// goroutine and its 128 KiB of buffers. A coordinator keeps 4 per shard by
+// default and dials more only while that many requests are in flight, so
+// the cap leaves room for dozens of coordinators. A connection past it is
+// closed before its handshake, which the client reports as a failed dial.
+const maxConns = 256
+
 // frameTimeout bounds the rest of a request frame once its first byte has
 // arrived, and the write of each response: the bytes of one batch (kilobytes
 // for a scheduler slice, megabytes for a large exact pass) are already in
@@ -70,8 +77,9 @@ func NewServer(store storage.Store, meta codec.ShardMeta, logger *slog.Logger) *
 // Requests returns the number of request frames served.
 func (s *Server) Requests() int64 { return s.requests.Load() }
 
-// Serve accepts connections on ln until Close. It returns nil after Close;
-// any other accept failure is returned as-is.
+// Serve accepts connections on ln until Close, at most maxConns open at
+// once. It returns nil after Close; any other accept failure is returned
+// as-is.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -94,6 +102,12 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.mu.Unlock()
 			_ = conn.Close()
 			return nil
+		}
+		if len(s.conns) >= maxConns {
+			s.mu.Unlock()
+			s.logWarn("connection refused: too many open", "remote", conn.RemoteAddr().String(), "max", maxConns)
+			_ = conn.Close()
+			continue
 		}
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)

@@ -95,14 +95,11 @@ type TierProfile struct {
 	// Retried: keys the retry layer fetched again after a failed attempt,
 	// summed over its re-attempts.
 	Retried int64 `json:"retried,omitempty"`
-	// LayoutHot / LayoutCold: .wvls keys served from the mmap-hot section
-	// vs. blocks (verified windows of the mapping, or pread); BlockLoads and
-	// Preads count the block checksums and positioned reads behind the cold
-	// hits.
+	// LayoutHot / LayoutCold: .wvls keys served from the hot region vs.
+	// blocks; BlockLoads counts the block checksums behind the cold hits.
 	LayoutHot  int64 `json:"layout_hot,omitempty"`
 	LayoutCold int64 `json:"layout_cold,omitempty"`
 	BlockLoads int64 `json:"block_loads,omitempty"`
-	Preads     int64 `json:"preads,omitempty"`
 	// MVCCLayer / MVCCBase: keys resolved from the snapshot's write layers
 	// vs. delegated to the base store.
 	MVCCLayer int64 `json:"mvcc_layer,omitempty"`
@@ -361,7 +358,7 @@ func (p *QueryProfile) AddRetry(keys int) {
 }
 
 // AddLayout records one .wvls batch's tier attribution.
-func (p *QueryProfile) AddLayout(hot, cold, blockLoads, preads int64) {
+func (p *QueryProfile) AddLayout(hot, cold, blockLoads int64) {
 	if p == nil {
 		return
 	}
@@ -370,7 +367,6 @@ func (p *QueryProfile) AddLayout(hot, cold, blockLoads, preads int64) {
 	t.LayoutHot += hot
 	t.LayoutCold += cold
 	t.BlockLoads += blockLoads
-	t.Preads += preads
 	p.mu.Unlock()
 }
 

@@ -95,8 +95,8 @@ type Options struct {
 // readers, and the handler writes only through EnableMVCC's Apply — and
 // cross-run fetch coalescing is added to the database's stack where a fetch
 // can cost more than joining one in flight: over every store that does not
-// answer from process memory (a layout file on the pread fallback, shard
-// coordinators, injected faults). A mapped layout file answers from memory.
+// answer from process memory, which is a shard coordinator or a stack with
+// injected faults. A layout file answers from memory.
 func New(db *repro.Database, opts Options) *Handler {
 	if stack := db.Stack(); !stack.Coalesce && !db.InMemory() {
 		stack.Coalesce = true

@@ -191,11 +191,9 @@ func TestPrintedStacksMatchDesign(t *testing.T) {
 			return db
 		}},
 	}
-	// Two rows are checked elsewhere: the shard server's below, and the pread
-	// fallback's by the root package's TestServerStackOverPreadLayout (only
-	// it can open a layout without the mapping).
-	if len(rows) != len(shapes)+2 {
-		t.Fatalf("DESIGN.md §11 prints %d shapes; the tests build %d, one shard server and the pread fallback", len(rows), len(shapes))
+	// One row is checked below: the shard server's.
+	if len(rows) != len(shapes)+1 {
+		t.Fatalf("DESIGN.md §11 prints %d shapes; the test builds %d and one shard server", len(rows), len(shapes))
 	}
 	for _, c := range shapes {
 		db := c.open()

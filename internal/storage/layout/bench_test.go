@@ -134,13 +134,13 @@ func drainBatches(g storage.Store, order []int) float64 {
 // is read and checksummed. Bytes/op is the delivered
 // coefficient payload, so the reported MB/s is useful bandwidth, not file
 // bytes touched.
-func benchDrain(b *testing.B, fixture string, opts Options) {
+func benchDrain(b *testing.B, fixture string) {
 	path := filepath.Join(benchFiles(b), fixture)
 	order := benchOrder[fixture]
 	b.SetBytes(int64(len(order)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := Open(path, opts)
+		s, err := Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,24 +151,11 @@ func benchDrain(b *testing.B, fixture string, opts Options) {
 
 // BenchmarkStorageDrainLayout is the headline number: the cold drain of the
 // 10M-cell dense layout through the mapping, one random key at a time.
-func BenchmarkStorageDrainLayout(b *testing.B) { benchDrain(b, denseFixture, Options{}) }
-
-// BenchmarkStorageDrainLayoutPread is the same drain through the no-mmap
-// fallback: each block one whole positioned read and a checksum, then one
-// positioned read per run of keys, nearly every run a single key.
-func BenchmarkStorageDrainLayoutPread(b *testing.B) {
-	benchDrain(b, denseFixture, Options{DisableMmap: true})
-}
+func BenchmarkStorageDrainLayout(b *testing.B) { benchDrain(b, denseFixture) }
 
 // BenchmarkStorageDrainLayoutSparse drains the quarter-full sparse layout
 // in schedule order through the mapping: hot region, then blocks.
-func BenchmarkStorageDrainLayoutSparse(b *testing.B) { benchDrain(b, sparseFixture, Options{}) }
-
-// BenchmarkStorageDrainLayoutSparsePread is the sparse drain through the
-// no-mmap fallback: index sections resident, hot region and blocks pread.
-func BenchmarkStorageDrainLayoutSparsePread(b *testing.B) {
-	benchDrain(b, sparseFixture, Options{DisableMmap: true})
-}
+func BenchmarkStorageDrainLayoutSparse(b *testing.B) { benchDrain(b, sparseFixture) }
 
 // BenchmarkStorageSequentialRead is the bandwidth ceiling reference: read
 // the same coefficient payload front to back with a 1 MiB buffer and touch

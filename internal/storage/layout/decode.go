@@ -13,23 +13,23 @@ type Header struct {
 	Nonzero int
 }
 
-// Decode reads the whole .wvls file r holds in its first size bytes into a
-// caller's memory. It opens r as Open opens a file — mapped when r is an
-// *os.File and mmap works, by positioned reads otherwise — hands the header
-// to begin, whose error is returned as is, and runs Walk's pass into the
+// Decode reads the .wvls file r holds from its current offset on into a
+// caller's memory. It loads r as Open loads a file — mapped when r is a
+// regular file, read once into memory otherwise — hands the header to
+// begin, whose error is returned as is, and runs Walk's pass into the
 // function begin returned: every nonzero coefficient in ascending key order.
-// Sizes the header announces are checked against size before anything is
-// allocated from them. A dense file's later block can still fail its check
-// after earlier values went, so a caller must not publish what it received
-// unless Decode returns nil. Nothing of the file is kept.
-func Decode(r io.ReaderAt, size int64, begin func(*Header) (func(key int, value float64), error)) (err error) {
-	s, err := open(r, size, Options{})
+// Sizes the header announces are checked against the bytes r held before
+// anything is allocated from them. A dense file's later block can still fail
+// its check after earlier values went, so a caller must not publish what it
+// received unless Decode returns nil. Nothing of the file is kept.
+func Decode(r io.Reader, begin func(*Header) (func(key int, value float64), error)) (err error) {
+	s, err := open(r)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if uerr := s.unmap(); err == nil {
-			err = uerr
+		if cerr := s.Close(); err == nil {
+			err = cerr
 		}
 	}()
 	emit, err := begin(&Header{Meta: s.meta, Cells: s.g.cells, Nonzero: s.g.nonzero})

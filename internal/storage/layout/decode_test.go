@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -23,10 +22,10 @@ type decoded struct {
 	values []float64
 }
 
-func decodeAll(t *testing.T, r io.ReaderAt, size int64) (*decoded, error) {
+func decodeAll(t *testing.T, r io.Reader) (*decoded, error) {
 	t.Helper()
 	d := new(decoded)
-	err := Decode(r, size, func(h *Header) (func(int, float64), error) {
+	err := Decode(r, func(h *Header) (func(int, float64), error) {
 		d.h = *h
 		return func(k int, v float64) {
 			d.keys = append(d.keys, k)
@@ -111,9 +110,8 @@ func (in decodeInput) written() (keys []int, values []float64) {
 }
 
 // TestDecodeMatchesStore: Decode and Walk both hand over exactly what Write
-// was given — ascending keys, zeros dropped, the same bits — from a mapped
-// file and through positioned reads, and Decode from a file and from
-// memory alike; the header carries the file's counts.
+// was given — ascending keys, zeros dropped, the same bits — and Decode
+// from a file and from memory alike; the header carries the file's counts.
 func TestDecodeMatchesStore(t *testing.T) {
 	paths := decodeCases(t)
 	for name, in := range decodeInputs() {
@@ -136,32 +134,30 @@ func TestDecodeMatchesStore(t *testing.T) {
 				}
 			}
 		}
-		for _, opts := range []Options{{}, {DisableMmap: true}} {
-			s, err := Open(path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantKeys, wantValues = in.written()
-			var keys []int
-			var values []float64
-			if err := s.Walk(func(k int, v float64) bool {
-				keys, values = append(keys, k), append(values, v)
-				return true
-			}); err != nil {
-				t.Fatalf("%s: Walk: %v", name, err)
-			}
-			same(fmt.Sprintf("Walk, mapped %v", s.Mmapped()), keys, values)
-			if s.NonzeroCount() != nonzero {
-				t.Fatalf("%s: the store counts %d nonzero, %d were written", name, s.NonzeroCount(), nonzero)
-			}
-			_ = s.Close()
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		wantKeys, wantValues = in.written()
+		var keys []int
+		var values []float64
+		if err := s.Walk(func(k int, v float64) bool {
+			keys, values = append(keys, k), append(values, v)
+			return true
+		}); err != nil {
+			t.Fatalf("%s: Walk: %v", name, err)
+		}
+		same("Walk", keys, values)
+		if s.NonzeroCount() != nonzero {
+			t.Fatalf("%s: the store counts %d nonzero, %d were written", name, s.NonzeroCount(), nonzero)
+		}
+		_ = s.Close()
 		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for via, r := range map[string]io.ReaderAt{"file": f, "bytes": bytes.NewReader(raw)} {
-			d, err := decodeAll(t, r, int64(len(raw)))
+		for via, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(raw)} {
+			d, err := decodeAll(t, r)
 			if err != nil {
 				t.Fatalf("%s via %s: %v", name, via, err)
 			}
@@ -181,7 +177,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	cases := decodeCases(t)
 	for _, name := range []string{"sparse", "dense"} {
 		path := cases[name]
-		s, err := Open(path, Options{})
+		s, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,15 +215,15 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for via, r := range map[string]io.ReaderAt{"file": f, "bytes": bytes.NewReader(data)} {
-				if _, err := decodeAll(t, r, int64(len(data))); err == nil {
+			for via, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(data)} {
+				if _, err := decodeAll(t, r); err == nil {
 					t.Errorf("%s, %s via %s: accepted", name, what, via)
 				}
 			}
 			_ = f.Close()
 		}
 		refuse := errors.New("sink refuses")
-		err = Decode(bytes.NewReader(raw), int64(len(raw)), func(*Header) (func(int, float64), error) { return nil, refuse })
+		err = Decode(bytes.NewReader(raw), func(*Header) (func(int, float64), error) { return nil, refuse })
 		if err != refuse {
 			t.Fatalf("%s: Decode returned %v, want begin's error as is", name, err)
 		}
@@ -243,12 +239,12 @@ func TestWriteFileKeepsAMappedReader(t *testing.T) {
 	const cells = 1 << 12
 	keys, values := denseCoefficients(cells, 0.9, 31)
 	path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 256})
-	old, err := Open(path, Options{})
+	old, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = old.Close() }()
-	if !old.Mmapped() {
+	if !old.fileMapped {
 		t.Skip("no mapping on this platform")
 	}
 	// The new file is smaller: a truncation in place would cut the old
@@ -273,7 +269,7 @@ func TestWriteFileKeepsAMappedReader(t *testing.T) {
 			t.Fatalf("key %d after the rewrite: %v, want %v", k, got[i], want[k])
 		}
 	}
-	fresh, err := Open(path, Options{})
+	fresh, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package layout
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -66,7 +64,7 @@ func TestWritePicksSmallerShape(t *testing.T) {
 			t.Fatalf("density %.2f: file is %d bytes, want the smaller candidate's %d (%+v)",
 				tc.density, info.Size(), want, c)
 		}
-		s, err := Open(path, Options{})
+		s, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,80 +114,69 @@ func TestDenseRoundtrip(t *testing.T) {
 	for k := 0; k < cells; k++ {
 		orders[0][k], orders[1][k] = k, cells-1-k
 	}
-	for _, opts := range []Options{{}, {DisableMmap: true}} {
-		s, err := Open(path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opts.DisableMmap && s.Mmapped() {
-			t.Fatal("DisableMmap ignored")
-		}
-		name := func() string {
-			if s.Mmapped() {
-				return "mmap"
-			}
-			return "pread"
-		}()
-		if !s.Dense() || s.HotCount() != 0 || s.Blocks() != (cells+255)/256 {
-			t.Fatalf("%s: dense %v hot %d blocks %d", name, s.Dense(), s.HotCount(), s.Blocks())
-		}
-		if s.NonzeroCount() != len(keys) || s.Size() != cells || s.Mass() != mass {
-			t.Fatalf("%s: NonzeroCount %d Size %d Mass %v, want %d, %d, %v", name, s.NonzeroCount(), s.Size(), s.Mass(), len(keys), cells, mass)
-		}
-		for _, j := range []int{0, 1, cells / 2, cells - 1} {
-			if s.KeyOfSlot(j) != j {
-				t.Fatalf("%s: KeyOfSlot(%d) = %d", name, j, s.KeyOfSlot(j))
-			}
-		}
-		for _, order := range orders {
-			dst := make([]float64, len(order))
-			if err := s.BatchGetCtx(ctx, order, dst); err != nil {
-				t.Fatalf("%s: BatchGetCtx: %v", name, err)
-			}
-			for i, k := range order {
-				if math.Float64bits(dst[i]) != math.Float64bits(want[k]) {
-					t.Fatalf("%s: cell %d = %v, want %v", name, k, dst[i], want[k])
-				}
-			}
-		}
-		probe := []int{-1, 0, cells, cells - 1, 7}
-		dst := make([]float64, len(probe))
-		var be *storage.BatchError
-		if err := s.BatchGetCtx(ctx, probe, dst); !errors.As(err, &be) ||
-			len(be.Failed) != 2 || be.Failed[0].Index != 0 || be.Failed[1].Index != 2 {
-			t.Fatalf("%s: out-of-range probe = %v, want positions 0 and 2 failed", name, err)
-		}
-		for _, i := range []int{1, 3, 4} {
-			if dst[i] != want[probe[i]] {
-				t.Fatalf("%s: cell %d = %v beside out-of-range keys, want %v", name, probe[i], dst[i], want[probe[i]])
-			}
-		}
-		got := map[int]float64{}
-		if err := s.Walk(func(k int, v float64) bool {
-			got[k] = v
-			return true
-		}); err != nil {
-			t.Fatalf("%s: Walk: %v", name, err)
-		}
-		for k, v := range want {
-			if g, ok := got[k]; ok != (v != 0) || g != v {
-				t.Fatalf("%s: Walk gave cell %d = %v (present %v), want %v", name, k, g, ok, v)
-			}
-		}
-		st := s.Stats()
-		if st.Slots != cells || st.HotHits != 0 || st.HintHits != 0 {
-			t.Fatalf("%s: stats %+v: want %d slots, no hot or hint hits", name, st, cells)
-		}
-		if st.VerifiedBlocks != s.Blocks() || st.BlockLoads != int64(s.Blocks()) {
-			t.Fatalf("%s: %d blocks verified in %d checks, want each of %d checked once", name, st.VerifiedBlocks, st.BlockLoads, s.Blocks())
-		}
-		_ = s.Close()
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !s.Dense() || s.HotCount() != 0 || s.Blocks() != (cells+255)/256 {
+		t.Fatalf("dense %v hot %d blocks %d", s.Dense(), s.HotCount(), s.Blocks())
+	}
+	if s.NonzeroCount() != len(keys) || s.Size() != cells || s.Mass() != mass {
+		t.Fatalf("NonzeroCount %d Size %d Mass %v, want %d, %d, %v", s.NonzeroCount(), s.Size(), s.Mass(), len(keys), cells, mass)
+	}
+	for _, j := range []int{0, 1, cells / 2, cells - 1} {
+		if s.KeyOfSlot(j) != j {
+			t.Fatalf("KeyOfSlot(%d) = %d", j, s.KeyOfSlot(j))
+		}
+	}
+	for _, order := range orders {
+		dst := make([]float64, len(order))
+		if err := s.BatchGetCtx(ctx, order, dst); err != nil {
+			t.Fatalf("BatchGetCtx: %v", err)
+		}
+		for i, k := range order {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[k]) {
+				t.Fatalf("cell %d = %v, want %v", k, dst[i], want[k])
+			}
+		}
+	}
+	probe := []int{-1, 0, cells, cells - 1, 7}
+	dst := make([]float64, len(probe))
+	var be *storage.BatchError
+	if err := s.BatchGetCtx(ctx, probe, dst); !errors.As(err, &be) ||
+		len(be.Failed) != 2 || be.Failed[0].Index != 0 || be.Failed[1].Index != 2 {
+		t.Fatalf("out-of-range probe = %v, want positions 0 and 2 failed", err)
+	}
+	for _, i := range []int{1, 3, 4} {
+		if dst[i] != want[probe[i]] {
+			t.Fatalf("cell %d = %v beside out-of-range keys, want %v", probe[i], dst[i], want[probe[i]])
+		}
+	}
+	got := map[int]float64{}
+	if err := s.Walk(func(k int, v float64) bool {
+		got[k] = v
+		return true
+	}); err != nil {
+		t.Fatalf("Walk: %v", err)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; ok != (v != 0) || g != v {
+			t.Fatalf("Walk gave cell %d = %v (present %v), want %v", k, g, ok, v)
+		}
+	}
+	st := s.Stats()
+	if st.Slots != cells || st.HotHits != 0 || st.HintHits != 0 {
+		t.Fatalf("stats %+v: want %d slots, no hot or hint hits", st, cells)
+	}
+	if st.VerifiedBlocks != s.Blocks() || st.BlockLoads != int64(s.Blocks()) {
+		t.Fatalf("%d blocks verified in %d checks, want each of %d checked once", st.VerifiedBlocks, st.BlockLoads, s.Blocks())
+	}
+	_ = s.Close()
 }
 
 // TestDenseCorruptBlock pins the degradation contract on the dense shape:
 // one flipped byte fails exactly its block's cells, zeros included, with a
-// *storage.BatchError on both tiers, every other cell reads true, and a
+// *storage.BatchError, every other cell reads true, and a
 // second read fails again — a block that failed is never marked verified.
 func TestDenseCorruptBlock(t *testing.T) {
 	const cells, blockSize, victim = 4096, 128, 7
@@ -199,7 +186,7 @@ func TestDenseCorruptBlock(t *testing.T) {
 		want[k] = values[i]
 	}
 	path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: blockSize})
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,96 +207,38 @@ func TestDenseCorruptBlock(t *testing.T) {
 	for k := range all {
 		all[k] = k
 	}
-	for _, opts := range []Options{{}, {DisableMmap: true}} {
-		s, err := Open(path, opts)
-		if err != nil {
-			t.Fatalf("Open after block corruption should succeed (header intact): %v", err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			dst := make([]float64, cells)
-			var be *storage.BatchError
-			if err := s.BatchGetCtx(context.Background(), all, dst); !errors.As(err, &be) {
-				t.Fatalf("mmap %v pass %d: BatchGetCtx = %v, want *BatchError", s.Mmapped(), pass, err)
-			}
-			failed := map[int]bool{}
-			for _, ke := range be.Failed {
-				failed[ke.Key] = true
-			}
-			for k := range all {
-				inVictim := k/blockSize == victim
-				switch {
-				case inVictim != failed[k]:
-					t.Fatalf("mmap %v pass %d: cell %d failed %v, want %v (block %d is corrupt)", s.Mmapped(), pass, k, failed[k], inVictim, victim)
-				case !inVictim && dst[k] != want[k]:
-					t.Fatalf("mmap %v pass %d: cell %d = %v, want %v", s.Mmapped(), pass, k, dst[k], want[k])
-				}
-			}
-		}
-		st := s.Stats()
-		if st.BlockLoadFailures != 2 {
-			t.Fatalf("mmap %v: %d failed block checks over two passes, want 2", s.Mmapped(), st.BlockLoadFailures)
-		}
-		if st.VerifiedBlocks != s.Blocks()-1 {
-			t.Fatalf("mmap %v: %d of %d blocks verified, want all but the corrupt one", s.Mmapped(), st.VerifiedBlocks, s.Blocks())
-		}
-		_ = s.Close()
-	}
-}
-
-// TestDensePreadScheduleDrain pins what a pread drain of a dense file costs
-// in the engine's order — |value| descending, key ascending, which is
-// random key order, so nearly every run is one key long: each block is read
-// whole once, for its one check, and every other read is one run's words.
-// The file's bytes are read about twice, not once per key.
-func TestDensePreadScheduleDrain(t *testing.T) {
-	const cells, blockSize = 1 << 14, 256
-	keys, values := denseCoefficients(cells, 0.9, 7)
-	path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: blockSize})
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(math.Abs(values[b]), math.Abs(values[a])); c != 0 {
-			return c
-		}
-		return cmp.Compare(keys[a], keys[b])
-	})
-	s, err := Open(path, Options{DisableMmap: true})
+	s, err = Open(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Open after block corruption should succeed (header intact): %v", err)
 	}
-	defer s.Close()
-	var (
-		dst  = make([]float64, 64)
-		runs int64
-	)
-	for lo := 0; lo < len(order); lo += len(dst) {
-		batch := make([]int, 0, len(dst))
-		for _, i := range order[lo:min(lo+len(dst), len(order))] {
-			batch = append(batch, keys[i])
+	for pass := 0; pass < 2; pass++ {
+		dst := make([]float64, cells)
+		var be *storage.BatchError
+		if err := s.BatchGetCtx(context.Background(), all, dst); !errors.As(err, &be) {
+			t.Fatalf("pass %d: BatchGetCtx = %v, want *BatchError", pass, err)
 		}
-		for i := range batch {
-			if i == 0 || batch[i] != batch[i-1]+1 || batch[i]%blockSize == 0 {
-				runs++
-			}
+		failed := map[int]bool{}
+		for _, ke := range be.Failed {
+			failed[ke.Key] = true
 		}
-		if err := s.BatchGetCtx(context.Background(), batch, dst[:len(batch)]); err != nil {
-			t.Fatal(err)
-		}
-		for q, i := range order[lo:min(lo+len(dst), len(order))] {
-			if dst[q] != values[i] {
-				t.Fatalf("key %d = %v, want %v", keys[i], dst[q], values[i])
+		for k := range all {
+			inVictim := k/blockSize == victim
+			switch {
+			case inVictim != failed[k]:
+				t.Fatalf("pass %d: cell %d failed %v, want %v (block %d is corrupt)", pass, k, failed[k], inVictim, victim)
+			case !inVictim && dst[k] != want[k]:
+				t.Fatalf("pass %d: cell %d = %v, want %v", pass, k, dst[k], want[k])
 			}
 		}
 	}
 	st := s.Stats()
-	if st.BlockLoads != int64(s.Blocks()) || st.VerifiedBlocks != s.Blocks() {
-		t.Fatalf("%d block checks, %d verified: want each of %d blocks read whole once", st.BlockLoads, st.VerifiedBlocks, s.Blocks())
+	if st.BlockLoadFailures != 2 {
+		t.Fatalf("%d failed block checks over two passes, want 2", st.BlockLoadFailures)
 	}
-	if st.Preads != runs {
-		t.Fatalf("%d preads for %d runs: want one pread a run", st.Preads, runs)
+	if st.VerifiedBlocks != s.Blocks()-1 {
+		t.Fatalf("%d of %d blocks verified, want all but the corrupt one", st.VerifiedBlocks, s.Blocks())
 	}
+	_ = s.Close()
 }
 
 // TestDenseFlagFlipRejected pins that the shape flag is not trusted alone:
@@ -330,7 +259,7 @@ func TestDenseFlagFlipRejected(t *testing.T) {
 		if err := os.WriteFile(bad, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if s, err := Open(bad, Options{}); err == nil {
+		if s, err := Open(bad); err == nil {
 			_ = s.Close()
 			t.Fatalf("Open accepted %s with its dense flag flipped", filepath.Base(path))
 		}

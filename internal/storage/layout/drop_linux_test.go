@@ -51,12 +51,12 @@ func residentKB(t *testing.T, path string) int {
 func TestDropPagesLeavesReadsAlone(t *testing.T) {
 	keys, values := testCoefficients(60_000, 1<<20, 5)
 	path := writeTestLayout(t, keys, values, WriteOptions{Cells: 1 << 20})
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Mmapped() {
+	if !s.fileMapped {
 		t.Skip("the mapping is unavailable")
 	}
 	if err := s.Walk(func(int, float64) bool { return true }); err != nil {

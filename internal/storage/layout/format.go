@@ -65,13 +65,12 @@
 // checked, not assumed; a found key is served only if keyOfSlot[slotOf[i]]
 // names it.
 //
-// Verification is the same in both shapes and on both read tiers: every
-// byte past the prelude is served only behind a CRC-32. The header blob has
-// its own, checked at open. A block is checked the first time any of its
-// slots is served and marked verified in a bitmap; later reads are windows
-// of the mapping, or on the positioned-read fallback preads of just the
-// words a run asks for. A sparse file's index sections and hot region share
-// indexCRC, checked the first time a read needs them. A check that fails is
+// Verification is the same in both shapes: every byte past the prelude is
+// served only behind a CRC-32. The header blob has its own, checked at open.
+// A block is checked the first time any of its slots is served and marked
+// verified in a bitmap; later reads are windows of the file's bytes with no
+// check. A sparse file's index sections and hot region share indexCRC,
+// checked the first time a read needs them. A check that fails is
 // never remembered, so every retry checks again and fails again. Corruption
 // becomes per-key retrieval errors the engine degrades over.
 //
@@ -168,8 +167,8 @@ type FamilyOrder struct {
 type WriteOptions struct {
 	// Cells is the domain size; every key must be in [0,Cells).
 	Cells int
-	// HotCount is the number of slots stored raw in the mmap-served hot
-	// region of a sparse file; 0 selects a default of nonzero/8 (min 1,
+	// HotCount is the number of slots stored raw in the hot region of a
+	// sparse file; 0 selects a default of nonzero/8 (min 1,
 	// capped at nonzero), negative means "everything hot" (no blocks). A
 	// dense file has no hot region.
 	HotCount int
@@ -206,8 +205,8 @@ func appendPacked(b []byte, v uint64, w int) []byte {
 // uvarintLen is the length of v's uvarint encoding.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// packed reads a fixed-width unsigned section of the file: a window of the
-// mapping, or of the pread tier's resident copy of the same bytes.
+// packed reads a fixed-width unsigned section of the file, a window of its
+// bytes.
 type packed struct {
 	b    []byte
 	w    int
@@ -752,10 +751,13 @@ func (r *blobReader) u8() uint8 {
 func (r *blobReader) str8() string  { return string(r.take(int(r.u8()))) }
 func (r *blobReader) str16() string { return string(r.take(int(r.u16()))) }
 
-// readHeader checks the prelude of a file of size bytes, reads its header
-// blob through readBlob and validates both. The blob's length is checked
-// against the bytes the file holds before a buffer is sized from it.
-func readHeader(prelude []byte, size int64, readBlob func(blob []byte) error) (*geometry, *Meta, []Family, error) {
+// readHeader checks the prelude and the header blob at the front of file,
+// the whole file's bytes, and validates both against its length.
+func readHeader(file []byte) (*geometry, *Meta, []Family, error) {
+	if len(file) < preludeSize {
+		return nil, nil, nil, fmt.Errorf("layout: reading prelude: %w", io.ErrUnexpectedEOF)
+	}
+	prelude, size := file[:preludeSize], int64(len(file))
 	if string(prelude[0:4]) != Magic {
 		return nil, nil, nil, fmt.Errorf("layout: bad magic %q (not a .wvls file)", prelude[0:4])
 	}
@@ -778,10 +780,7 @@ func readHeader(prelude []byte, size int64, readBlob func(blob []byte) error) (*
 	if int64(hdrLen) > size-preludeSize || hdrLen > 1<<24 {
 		return nil, nil, nil, fmt.Errorf("layout: header length %d implausible", hdrLen)
 	}
-	blob := make([]byte, hdrLen)
-	if err := readBlob(blob); err != nil {
-		return nil, nil, nil, fmt.Errorf("layout: reading header: %w", err)
-	}
+	blob := file[preludeSize : preludeSize+int64(hdrLen)]
 	if got := crc32.ChecksumIEEE(blob); got != hdrCRC {
 		return nil, nil, nil, fmt.Errorf("layout: header checksum mismatch (file %08x, computed %08x)", hdrCRC, got)
 	}

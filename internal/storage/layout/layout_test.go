@@ -60,9 +60,9 @@ func fileDense(t *testing.T, path string) bool {
 	return binary.LittleEndian.Uint16(raw[6:8])&flagDense != 0
 }
 
-// TestRoundtrip pins that every stored key reads back bit-identically
-// through both the mmap and the pread tiers, hot and cold, and that unknown
-// keys read as zero.
+// TestRoundtrip pins that every stored key reads back bit-identically,
+// hot and cold, from a mapped file and from the file's bytes read once, and
+// that unknown keys read as zero.
 func TestRoundtrip(t *testing.T) {
 	const cells = 1 << 16
 	keys, values := testCoefficients(5000, cells, 1)
@@ -72,24 +72,28 @@ func TestRoundtrip(t *testing.T) {
 		// Small blocks so the cold tail spans many blocks.
 		BlockSize: 128,
 	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
-		opts Options
+		open func() (*Store, error)
 	}{
-		{"mmap", Options{}},
-		{"pread", Options{DisableMmap: true}},
+		{"mmap", func() (*Store, error) { return Open(path) }},
+		{"read", func() (*Store, error) { return open(bytes.NewReader(raw)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Open(path, tc.opts)
+			s, err := tc.open()
 			if err != nil {
-				t.Fatalf("Open: %v", err)
+				t.Fatalf("open: %v", err)
 			}
 			defer func() { _ = s.Close() }()
-			if tc.name == "mmap" && !s.Mmapped() {
+			if tc.name == "mmap" && !s.fileMapped {
 				t.Skip("mmap unavailable on this platform")
 			}
-			if tc.name != "mmap" && s.Mmapped() {
-				t.Fatal("DisableMmap ignored")
+			if tc.name == "read" && s.fileMapped {
+				t.Fatal("a reader that is not a file was mapped")
 			}
 			if s.NonzeroCount() != len(keys) {
 				t.Fatalf("NonzeroCount = %d, want %d", s.NonzeroCount(), len(keys))
@@ -176,7 +180,7 @@ func TestLayoutOrderCanonical(t *testing.T) {
 	keys := []int{10, 20, 30, 40, 50}
 	values := []float64{1, -8, 3, 8, 0.5}
 	path := writeTestLayout(t, keys, values, WriteOptions{Cells: 64, HotCount: 2, BlockSize: 2})
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -209,7 +213,7 @@ func TestLayoutFamilyOrder(t *testing.T) {
 		Cells: 64, HotCount: 4, BlockSize: 2,
 		Families: []FamilyOrder{fam, other},
 	})
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -253,17 +257,15 @@ func TestQuantizedLayoutRefused(t *testing.T) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {DisableMmap: true}} {
-			s, err := Open(path, opts)
-			if err == nil {
-				_ = s.Close()
-				t.Fatalf("%s, %+v: a file with float32 block values opened", shape, opts)
-			}
-			if !strings.Contains(err.Error(), "rebuild with wvlayout") {
-				t.Fatalf("%s, %+v: Open failed with %v, want the rebuild hint", shape, opts, err)
-			}
+		s, err := Open(path)
+		if err == nil {
+			_ = s.Close()
+			t.Fatalf("%s: a file with float32 block values opened", shape)
 		}
-		if err := Decode(bytes.NewReader(raw), int64(len(raw)), func(*Header) (func(int, float64), error) {
+		if !strings.Contains(err.Error(), "rebuild with wvlayout") {
+			t.Fatalf("%s: Open failed with %v, want the rebuild hint", shape, err)
+		}
+		if err := Decode(bytes.NewReader(raw), func(*Header) (func(int, float64), error) {
 			return func(int, float64) {}, nil
 		}); err == nil || !strings.Contains(err.Error(), "rebuild with wvlayout") {
 			t.Fatalf("%s: Decode = %v, want the rebuild hint", shape, err)
@@ -286,7 +288,7 @@ func TestCorruptHeader(t *testing.T) {
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if s, err := Open(bad, Options{}); err == nil {
+		if s, err := Open(bad); err == nil {
 			_ = s.Close()
 			t.Fatalf("Open accepted a header with byte %d flipped", off)
 		}
@@ -296,7 +298,7 @@ func TestCorruptHeader(t *testing.T) {
 	if err := os.WriteFile(bad, raw[:len(raw)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s, err := Open(bad, Options{}); err == nil {
+	if s, err := Open(bad); err == nil {
 		_ = s.Close()
 		t.Fatal("Open accepted a truncated file")
 	}
@@ -312,7 +314,7 @@ func TestCorruptBlock(t *testing.T) {
 		Cells: cells, HotCount: 200, BlockSize: 100,
 	})
 	// Learn the geometry, then corrupt the middle block's payload.
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +343,7 @@ func TestCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = Open(path, Options{})
+	s, err = Open(path)
 	if err != nil {
 		t.Fatalf("Open after block corruption should succeed (header intact): %v", err)
 	}
@@ -384,7 +386,7 @@ func TestBatchGetCtxCancellation(t *testing.T) {
 	const cells = 1 << 14
 	keys, values := testCoefficients(3000, cells, 5)
 	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, HotCount: 100, BlockSize: 64})
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,45 +439,43 @@ func TestConcurrentReads(t *testing.T) {
 }
 
 // concurrentReads drains random batches of the stored keys from eight
-// goroutines at once, through the mapping and then through pread, from a
-// freshly opened store whose blocks are all still unverified.
+// goroutines at once from a freshly opened store whose blocks are all still
+// unverified.
 func concurrentReads(t *testing.T, path string, keys []int, values []float64) {
 	byKey := make(map[int]float64, len(keys))
 	for i, k := range keys {
 		byKey[k] = values[i]
 	}
-	for _, opts := range []Options{{}, {DisableMmap: true}} {
-		s, err := Open(path, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				dst := make([]float64, 64)
-				batch := make([]int, 64)
-				for iter := 0; iter < 50; iter++ {
-					for i := range batch {
-						batch[i] = keys[rng.Intn(len(keys))]
-					}
-					if err := s.BatchGetCtx(context.Background(), batch, dst); err != nil {
-						panic(err)
-					}
-					for i, k := range batch {
-						if dst[i] != byKey[k] {
-							panic("value mismatch under concurrency")
-						}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			dst := make([]float64, 64)
+			batch := make([]int, 64)
+			for iter := 0; iter < 50; iter++ {
+				for i := range batch {
+					batch[i] = keys[rng.Intn(len(keys))]
+				}
+				if err := s.BatchGetCtx(context.Background(), batch, dst); err != nil {
+					panic(err)
+				}
+				for i, k := range batch {
+					if dst[i] != byKey[k] {
+						panic("value mismatch under concurrency")
 					}
 				}
-			}(int64(w))
-		}
-		wg.Wait()
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -499,7 +499,7 @@ func TestWriteValidation(t *testing.T) {
 	if _, err := Write(p("e"), []int{1, 2}, []float64{0, 5}, WriteOptions{Cells: 8}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(p("e"), Options{})
+	s, err := Open(p("e"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestWriteValidation(t *testing.T) {
 // TestEmptyLayout pins the degenerate all-zero store.
 func TestEmptyLayout(t *testing.T) {
 	path := writeTestLayout(t, nil, nil, WriteOptions{Cells: 16})
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestMetaRoundtrip(t *testing.T) {
 	}
 	keys, values := testCoefficients(50, 64*128, 7)
 	path := writeTestLayout(t, keys, values, WriteOptions{Cells: 64 * 128, Meta: meta})
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestSizeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestPackedWords(t *testing.T) {
 }
 
 // TestWidthBoundaries writes layouts whose domain sits on either side of
-// each byte-width step and reads the largest key back on both tiers — it is
+// each byte-width step and reads the largest key back — it is
 // the last key of the index and, with the smallest value, the last entry of
 // keyOfSlot.
 func TestWidthBoundaries(t *testing.T) {
@@ -642,26 +642,24 @@ func TestWidthBoundaries(t *testing.T) {
 		keys := []int{0, 1, tc.cells / 2, tc.cells - 2, tc.cells - 1}
 		values := []float64{5, -4, 3, 2, -1}
 		path := writeTestLayout(t, keys, values, WriteOptions{Cells: tc.cells, HotCount: 2, BlockSize: 2})
-		for _, opts := range []Options{{}, {DisableMmap: true}} {
-			s, err := Open(path, opts)
-			if err != nil {
-				t.Fatalf("cells %d: %v", tc.cells, err)
-			}
-			if got := s.KeyOfSlot(len(keys) - 1); got != tc.cells-1 {
-				t.Fatalf("cells %d: last slot holds key %d, want %d", tc.cells, got, tc.cells-1)
-			}
-			for i, k := range keys {
-				if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != values[i] {
-					t.Fatalf("cells %d mmap %v: Get(%d) = %v, %v; want %v", tc.cells, s.Mmapped(), k, got, err, values[i])
-				}
-			}
-			for _, k := range []int{2, tc.cells/2 + 1, tc.cells - 3} {
-				if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != 0 {
-					t.Fatalf("cells %d: Get(%d) = %v, %v; want an absent key's 0", tc.cells, k, got, err)
-				}
-			}
-			_ = s.Close()
+		s, err := Open(path)
+		if err != nil {
+			t.Fatalf("cells %d: %v", tc.cells, err)
 		}
+		if got := s.KeyOfSlot(len(keys) - 1); got != tc.cells-1 {
+			t.Fatalf("cells %d: last slot holds key %d, want %d", tc.cells, got, tc.cells-1)
+		}
+		for i, k := range keys {
+			if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != values[i] {
+				t.Fatalf("cells %d: Get(%d) = %v, %v; want %v", tc.cells, k, got, err, values[i])
+			}
+		}
+		for _, k := range []int{2, tc.cells/2 + 1, tc.cells - 3} {
+			if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != 0 {
+				t.Fatalf("cells %d: Get(%d) = %v, %v; want an absent key's 0", tc.cells, k, got, err)
+			}
+		}
+		_ = s.Close()
 	}
 }
 
@@ -669,7 +667,7 @@ func TestWidthBoundaries(t *testing.T) {
 // the header — in the key samples, their stream offsets, the delta stream,
 // slotOf, keyOfSlot, the hot region, a cold block or the checksums — and
 // every key of the domain, stored or not, asked for in schedule order,
-// ascending and descending, on both tiers, comes back as a per-key error or
+// ascending and descending, comes back as a per-key error or
 // as its true value. Never a wrong value, never a panic.
 func TestCorruptIndex(t *testing.T) {
 	const cells = 1 << 13
@@ -679,7 +677,7 @@ func TestCorruptIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -705,35 +703,33 @@ func TestCorruptIndex(t *testing.T) {
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {DisableMmap: true}} {
-			s, err := Open(bad, opts)
-			if err != nil {
-				t.Fatalf("Open: %v (the header is intact)", err)
-			}
-			for _, order := range orders {
-				dst := make([]float64, len(order))
-				for i := range dst {
-					dst[i] = math.NaN()
-				}
-				err := s.BatchGetCtx(context.Background(), order, dst)
-				bad := map[int]bool{}
-				var be *storage.BatchError
-				if errors.As(err, &be) {
-					for _, ke := range be.Failed {
-						bad[ke.Index] = true
-					}
-				} else if err != nil {
-					t.Fatalf("BatchGetCtx = %v, want per-key errors", err)
-				}
-				failed += len(bad)
-				for i, k := range order {
-					if !bad[i] && dst[i] != want[k] {
-						t.Fatalf("mmap %v: key %d served %v, want %v or an error", s.Mmapped(), k, dst[i], want[k])
-					}
-				}
-			}
-			_ = s.Close()
+		s, err := Open(bad)
+		if err != nil {
+			t.Fatalf("Open: %v (the header is intact)", err)
 		}
+		for _, order := range orders {
+			dst := make([]float64, len(order))
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			err := s.BatchGetCtx(context.Background(), order, dst)
+			bad := map[int]bool{}
+			var be *storage.BatchError
+			if errors.As(err, &be) {
+				for _, ke := range be.Failed {
+					bad[ke.Index] = true
+				}
+			} else if err != nil {
+				t.Fatalf("BatchGetCtx = %v, want per-key errors", err)
+			}
+			failed += len(bad)
+			for i, k := range order {
+				if !bad[i] && dst[i] != want[k] {
+					t.Fatalf("key %d served %v, want %v or an error", k, dst[i], want[k])
+				}
+			}
+		}
+		_ = s.Close()
 		return failed
 	}
 
@@ -788,7 +784,7 @@ func TestCorruptIndex(t *testing.T) {
 // checksum recomputed, fall one short of the next sample or overshoot it
 // fails a lookup of any key in the group, stored or not, with a per-key
 // error — never a zero, never another key's value — and fails Walk and
-// Decode with an error, on both tiers.
+// Decode with an error, from a file and from bytes.
 func TestKeyGroupMustArrive(t *testing.T) {
 	const cells = 1 << 13
 	keys, values := testCoefficients(3000, cells, 12)
@@ -797,7 +793,7 @@ func TestKeyGroupMustArrive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(path, Options{})
+	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -840,32 +836,30 @@ func TestKeyGroupMustArrive(t *testing.T) {
 			t.Fatal(err)
 		}
 		absent := members[groupSize-1] + 1 // below the next sample either way
-		for _, opts := range []Options{{}, {DisableMmap: true}} {
-			s, err := Open(bad, opts)
-			if err != nil {
-				t.Fatalf("%s: Open: %v (the header is intact)", name, err)
-			}
-			for _, k := range []int{absent, members[0], members[groupSize/2], members[groupSize-1]} {
-				if k == first {
-					continue // the sequential hint serves slot 0 without a search
-				}
-				dst := []float64{math.NaN()}
-				var be *storage.BatchError
-				if err := s.BatchGetCtx(context.Background(), []int{k}, dst); !errors.As(err, &be) || len(be.Failed) != 1 {
-					t.Fatalf("%s, mapped %v: key %d read %v (err %v), want a per-key error", name, s.Mmapped(), k, dst[0], err)
-				}
-			}
-			if err := s.Walk(func(int, float64) bool { return true }); err == nil {
-				t.Fatalf("%s, mapped %v: Walk met no damage", name, s.Mmapped())
-			}
-			_ = s.Close()
+		s, err := Open(bad)
+		if err != nil {
+			t.Fatalf("%s: Open: %v (the header is intact)", name, err)
 		}
+		for _, k := range []int{absent, members[0], members[groupSize/2], members[groupSize-1]} {
+			if k == first {
+				continue // the sequential hint serves slot 0 without a search
+			}
+			dst := []float64{math.NaN()}
+			var be *storage.BatchError
+			if err := s.BatchGetCtx(context.Background(), []int{k}, dst); !errors.As(err, &be) || len(be.Failed) != 1 {
+				t.Fatalf("%s: key %d read %v (err %v), want a per-key error", name, k, dst[0], err)
+			}
+		}
+		if err := s.Walk(func(int, float64) bool { return true }); err == nil {
+			t.Fatalf("%s: Walk met no damage", name)
+		}
+		_ = s.Close()
 		f, err := os.Open(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for via, r := range map[string]io.ReaderAt{"file": f, "bytes": bytes.NewReader(mut)} {
-			if err := Decode(r, int64(len(mut)), func(*Header) (func(int, float64), error) {
+		for via, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(mut)} {
+			if err := Decode(r, func(*Header) (func(int, float64), error) {
 				return func(int, float64) {}, nil
 			}); err == nil {
 				t.Fatalf("%s: Decode via %s accepted the file", name, via)
@@ -892,7 +886,7 @@ func TestVersion1Refused(t *testing.T) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(path, Options{})
+		s, err := Open(path)
 		if err == nil {
 			_ = s.Close()
 			t.Fatalf("Open accepted a %s file", name)

@@ -7,9 +7,9 @@ import (
 	"syscall"
 )
 
-// mmapFile maps the whole file read-only and shared. The mapping serves the
-// hot region and the index sections zero-copy; Store falls back to
-// positioned reads when it fails (or on platforms without mmap).
+// mmapFile maps the whole file read-only and shared; Store serves every read
+// from the mapping. When it fails, the store reads the file into memory
+// instead.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size <= 0 || size > int64(int(^uint(0)>>1)) {
 		return nil, syscall.EINVAL
@@ -19,3 +19,13 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 
 // munmapFile releases a mapping produced by mmapFile.
 func munmapFile(b []byte) error { return syscall.Munmap(b) }
+
+// mapAnon returns n zeroed bytes in an anonymous private mapping, outside
+// the Go heap, or nil when the kernel refuses it; munmapFile releases it.
+func mapAnon(n int) []byte {
+	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil
+	}
+	return b
+}

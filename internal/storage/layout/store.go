@@ -16,19 +16,17 @@ import (
 	"repro/internal/storage"
 )
 
-// Store serves a .wvls layout file through a three-tier read path:
+// Store serves a .wvls layout file from its bytes in memory: a mapping of
+// a regular file, or the bytes of anything else read once (see load). Every
+// read is a window of those bytes behind a CRC check:
 //
-//  1. the mmap hot region of a sparse file — the most important hotCount
-//     coefficients, raw float64 words read zero-copy from the mapping once
-//     the region and the key index have passed indexCRC, which the first
-//     read of a sparse file checks;
+//  1. the hot region of a sparse file — the most important hotCount
+//     coefficients, raw float64 words, served once the region and the key
+//     index have passed indexCRC, which the first read of a sparse file
+//     checks;
 //  2. verified blocks — a block's CRC is checked the first time any of its
 //     slots is served, one bit per block remembers that it passed, and
-//     every later read of it is a window of the mapping;
-//  3. positioned reads — when mmap is unavailable (disabled or unsupported)
-//     hot runs and blocks are pread: a block whole for its one check, and
-//     after that only the words a run asks for. The index sections are read
-//     into memory at open so key lookup makes no syscalls.
+//     every later read of it is a window with no check.
 //
 // In a dense file the slot is the key. In a sparse one key→slot resolution
 // is a search of the compressed key index, short-circuited by a sequential
@@ -42,16 +40,16 @@ import (
 // .wvls file: Decode runs its key-order walk. All methods are safe for
 // concurrent use.
 type Store struct {
-	r        io.ReaderAt // the file Open opened, or the reader Decode was handed
-	data     []byte      // whole-file mapping; nil on the pread fallback path
-	g        geometry
-	meta     *Meta
-	families []Family
+	data    []byte // the whole file
+	mapping []byte // the mapping data is a window of; nil for heap bytes
+	// fileMapped says mapping maps the file, whose pages DropPages may hand
+	// back; an anonymous mapping holds the only copy of what was read.
+	fileMapped bool
+	g          geometry
+	meta       *Meta
+	families   []Family
 
-	// The index sections and the block checksums: windows of the mapping,
-	// or of the copies the pread tier reads at open. index is all of the
-	// index sections, samples through keyOfSlot.
-	index     []byte
+	// The index sections and the block checksums: windows of data.
 	samples   packed
 	offsets   packed
 	stream    []byte
@@ -65,8 +63,8 @@ type Store struct {
 	// neither).
 	verified     []atomic.Uint64
 	indexChecked atomic.Bool
-	// cells is the value words of a dense mapped file, which gatherVerified
-	// serves directly; nil otherwise. A key's block is key>>blockShift when
+	// cells is the value words of a dense file, which gatherVerified serves
+	// directly; nil for a sparse one. A key's block is key>>blockShift when
 	// the block size is a power of two (blockDiv 0), key/blockDiv otherwise.
 	cells      []byte
 	blockShift uint
@@ -82,127 +80,95 @@ type Store struct {
 	hintHits       atomic.Int64
 	blockLoads     atomic.Int64
 	blockLoadFails atomic.Int64
-	preads         atomic.Int64
-}
-
-// Options configures Open.
-type Options struct {
-	// DisableMmap forces the positioned-read fallback path (used by tests;
-	// the open also falls back automatically when mmap fails).
-	DisableMmap bool
 }
 
 // Open opens a layout file. The header is CRC-verified and its geometry
 // validated against the actual file before any data is trusted; a file that
 // fails either check is rejected here rather than misread later. Nothing
-// past the header is read or checked at open under mmap: blocks are checked
-// by their first read, the index sections and the hot region by the first
-// read of the file.
-func Open(path string, opts Options) (*Store, error) {
+// past the header is checked at open: blocks are checked by their first
+// read, the index sections and the hot region by the first read of the
+// file.
+func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var s *Store
-	st, err := f.Stat()
-	if err == nil {
-		s, err = open(f, st.Size(), opts)
-	}
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	return s, nil
+	defer f.Close() // a mapping outlives its descriptor
+	return open(f)
 }
 
-// open reads the header of the size-byte file r holds and sets up the read
-// tiers: a mapping when r is a file and mmap works, positioned reads of r
-// otherwise.
-func open(r io.ReaderAt, size int64, opts Options) (*Store, error) {
-	var prelude [preludeSize]byte
-	if err := readAt(r, prelude[:], 0); err != nil {
-		return nil, fmt.Errorf("layout: reading prelude: %w", err)
+// open loads the view file r holds from its current offset on and checks
+// its header. The store owns what load mapped from here on; a file that
+// fails to load or fails its header check releases it.
+func open(r io.Reader) (*Store, error) {
+	s := new(Store)
+	if err := s.load(r); err != nil {
+		_ = s.Close()
+		return nil, fmt.Errorf("layout: reading file: %w", err)
 	}
-	g, meta, families, err := readHeader(prelude[:], size, func(blob []byte) error {
-		return readAt(r, blob, preludeSize)
-	})
+	data := s.data
+	g, meta, families, err := readHeader(data)
 	if err != nil {
+		_ = s.Close()
 		return nil, err
 	}
-	s := &Store{r: r, g: *g, meta: meta, families: families,
-		verified: make([]atomic.Uint64, (g.numBlocks+63)/64)}
+	s.g, s.meta, s.families = *g, meta, families
+	s.verified = make([]atomic.Uint64, (g.numBlocks+63)/64)
 	s.indexChecked.Store(g.dense())
-
-	// index is everything before the hot values; crcs trail the blocks.
-	var index []byte
-	if f, ok := r.(*os.File); ok && !opts.DisableMmap {
-		if data, err := mmapFile(f, size); err == nil {
-			s.data = data
-			index, s.crcs = data[g.samplesOff:g.hotOff], data[g.crcsOff:]
-		}
-	}
-	if g.dense() && s.data != nil {
-		s.cells = s.data[g.blocksOff:g.crcsOff]
+	s.crcs = data[g.crcsOff:]
+	s.samples = newPacked(data[g.samplesOff:g.offsetsOff], g.keyWidth)
+	s.offsets = newPacked(data[g.offsetsOff:g.streamOff], g.offWidth)
+	s.stream = data[g.streamOff:g.slotOfOff]
+	s.slotOf = newPacked(data[g.slotOfOff:g.keyOfSlotOff], g.slotWidth)
+	s.keyOfSlot = newPacked(data[g.keyOfSlotOff:g.hotOff], g.keyWidth)
+	if g.dense() {
+		s.cells = data[g.blocksOff:g.crcsOff]
 		if g.blockSize&(g.blockSize-1) == 0 {
 			s.blockShift = uint(bits.TrailingZeros(uint(g.blockSize)))
 		} else {
 			s.blockDiv = uint(g.blockSize)
 		}
 	}
-	if s.data == nil {
-		// Fallback: resident index (mmap would have served it zero-copy).
-		index, s.crcs = make([]byte, g.hotOff-g.samplesOff), make([]byte, g.fileSize-g.crcsOff)
-		if err := readAt(r, index, g.samplesOff); err != nil {
-			return nil, fmt.Errorf("layout: loading index: %w", err)
-		}
-		if err := readAt(r, s.crcs, g.crcsOff); err != nil {
-			return nil, fmt.Errorf("layout: loading block checksums: %w", err)
-		}
-	}
-	s.index = index
-	window := func(from, to int64) []byte { return index[from-g.samplesOff : to-g.samplesOff] }
-	s.samples = newPacked(window(g.samplesOff, g.offsetsOff), g.keyWidth)
-	s.offsets = newPacked(window(g.offsetsOff, g.streamOff), g.offWidth)
-	s.stream = window(g.streamOff, g.slotOfOff)
-	s.slotOf = newPacked(window(g.slotOfOff, g.keyOfSlotOff), g.slotWidth)
-	s.keyOfSlot = newPacked(window(g.keyOfSlotOff, g.hotOff), g.keyWidth)
 	return s, nil
 }
 
-// section returns length bytes at off: a subslice of the mapping, or on the
-// fallback path a pread into scratch when it is long enough and into a
-// fresh buffer otherwise.
-func (s *Store) section(off, length int64, scratch []byte) ([]byte, error) {
-	if length == 0 {
-		return nil, nil
-	}
-	if s.data != nil {
-		if off < 0 || off+length > int64(len(s.data)) {
-			return nil, fmt.Errorf("layout: section [%d,%d) outside file", off, off+length)
+// load sets s.data to the bytes of the view file r holds from its current
+// offset on. A regular file is mapped whole. Anything else — a reader that
+// is not a file, or a file mmap fails on, as on every non-unix build — is
+// read once: into an anonymous mapping when r tells its length first (a
+// file's size, a bytes.Reader's Len), so that the copy is not Go heap and
+// goes when the store closes, and into one heap slice otherwise.
+func (s *Store) load(r io.Reader) error {
+	n := -1
+	switch r := r.(type) {
+	case *os.File:
+		st, err := r.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			break
 		}
-		return s.data[off : off+length], nil
+		at, err := r.Seek(0, io.SeekCurrent)
+		if err != nil || at > st.Size() {
+			break
+		}
+		if m, err := mmapFile(r, st.Size()); err == nil {
+			s.data, s.mapping, s.fileMapped = m[at:], m, true
+			return nil
+		}
+		n = int(st.Size() - at)
+	case interface{ Len() int }: // bytes.Reader, strings.Reader, bytes.Buffer
+		n = r.Len()
 	}
-	buf := scratch
-	if int64(len(buf)) < length {
-		buf = make([]byte, length)
+	if n < 0 {
+		var err error
+		s.data, err = io.ReadAll(r)
+		return err
 	}
-	buf = buf[:length]
-	s.preads.Add(1)
-	if err := readAt(s.r, buf, off); err != nil {
-		return nil, err
+	if s.mapping = mapAnon(n); s.mapping != nil {
+		s.data = s.mapping
+	} else {
+		s.data = make([]byte, n)
 	}
-	return buf, nil
-}
-
-// readAt fills p from off; a short read is an error.
-func readAt(r io.ReaderAt, p []byte, off int64) error {
-	n, err := r.ReadAt(p, off)
-	if n == len(p) {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
+	_, err := io.ReadFull(r, s.data)
 	return err
 }
 
@@ -219,27 +185,13 @@ func (s *Store) KeyOfSlot(j int) int {
 
 // checkIndex checks a sparse file's index sections and hot region against
 // indexCRC, once: the first check that passes is remembered, one that fails
-// is not, so every later read checks again and fails again. On the pread
-// tier the index is resident and the hot region is read through a buffer.
+// is not, so every later read checks again and fails again.
 func (s *Store) checkIndex() error {
 	if s.indexChecked.Load() {
 		return nil
 	}
 	g := &s.g
-	sum := crc32.ChecksumIEEE(s.index)
-	if s.data != nil {
-		sum = crc32.Update(sum, crc32.IEEETable, s.data[g.hotOff:g.blocksOff])
-	} else {
-		buf := make([]byte, min(g.blocksOff-g.hotOff, 1<<20))
-		for off := g.hotOff; off < g.blocksOff; off += int64(len(buf)) {
-			raw, err := s.section(off, min(int64(len(buf)), g.blocksOff-off), buf)
-			if err != nil {
-				return fmt.Errorf("layout: reading hot region: %w", err)
-			}
-			sum = crc32.Update(sum, crc32.IEEETable, raw)
-		}
-	}
-	if err := g.checkIndex(s.crcs, sum); err != nil {
+	if err := g.checkIndex(s.crcs, crc32.ChecksumIEEE(s.data[g.samplesOff:g.blocksOff])); err != nil {
 		return err
 	}
 	s.indexChecked.Store(true)
@@ -346,38 +298,13 @@ func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
 	return slot, true, nil
 }
 
-// blockRun returns the value words of the n slots from slot on, which lie
-// in block b, behind a passed CRC check of the whole block. Once the block
-// has passed, its slots are read directly — a window of the mapping, or a
-// pread of just the run's words into scratch.
-func (s *Store) blockRun(b, slot, n int, scratch []byte) ([]byte, error) {
-	lo, _ := s.g.blockSlots(b)
-	from, length := int64(slot-lo)*8, int64(n)*8
-	if s.verified[b/64].Load()&(1<<(b%64)) == 0 {
-		vals, err := s.block(b, nil)
-		if err != nil {
-			return nil, err
-		}
-		return vals[from : from+length], nil
-	}
-	vals, err := s.section(s.BlockExtent(b).Off+from, length, scratch)
-	if err != nil {
-		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
-	}
-	return vals, nil
-}
-
-// block returns the value words of block b, read into scratch on the pread
-// tier, behind a passed CRC check. The first check that passes sets the
-// block's bit and later calls skip it; two first readers may both check,
-// and a block that fails is never marked, so every later read checks again.
-func (s *Store) block(b int, scratch []byte) ([]byte, error) {
+// block returns the value words of block b behind a passed CRC check. The
+// first check that passes sets the block's bit and later calls skip it; two
+// first readers may both check, and a block that fails is never marked, so
+// every later read checks again.
+func (s *Store) block(b int) ([]byte, error) {
 	ext := s.BlockExtent(b)
-	vals, err := s.section(ext.Off, int64(ext.Len), scratch)
-	if err != nil {
-		s.blockLoadFails.Add(1)
-		return nil, fmt.Errorf("layout: reading block %d: %w", b, err)
-	}
+	vals := s.data[ext.Off : ext.Off+int64(ext.Len)]
 	word, bit := &s.verified[b/64], uint64(1)<<(b%64)
 	if word.Load()&bit != 0 {
 		return vals, nil
@@ -394,21 +321,16 @@ func (s *Store) block(b int, scratch []byte) ([]byte, error) {
 }
 
 // readSlots decodes the values of slots [slot, slot+len(out)), which must
-// lie inside one tier unit: the hot region, or a single block. The hot
-// region is one window of the mapping or one pread, whatever the run length.
-// A short run of a verified block is pread into scratch, not a fresh buffer:
-// a dense file's drain is mostly runs of one key.
-func (s *Store) readSlots(slot int, out []float64, scratch []byte) error {
-	var raw []byte
-	var err error
-	if slot < s.g.hotCount {
-		raw, err = s.section(s.g.hotOff+int64(slot)*8, int64(len(out))*8, nil)
-	} else {
-		raw, err = s.blockRun((slot-s.g.hotCount)/s.g.blockSize, slot, len(out), scratch)
+// lie inside one tier unit: the hot region, or a single block, which is
+// checked first. The blocks follow the hot region, so slot j's word is at
+// hotOff+8j in either.
+func (s *Store) readSlots(slot int, out []float64) error {
+	if slot >= s.g.hotCount {
+		if _, err := s.block((slot - s.g.hotCount) / s.g.blockSize); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
-	}
+	raw := s.data[s.g.hotOff+int64(slot)*8:]
 	for q := range out {
 		out[q] = math.Float64frombits(binary.LittleEndian.Uint64(raw[q*8:]))
 	}
@@ -434,7 +356,7 @@ func (s *Store) unitEnd(slot int) int {
 // compare and one store instead of a hint check, a tier dispatch and a
 // block check. It returns the run's length n ≥ 1; on error all n positions
 // failed together (one unreadable run, one corrupt block).
-func (s *Store) serveRun(keys []int, dst []float64, i, slot int, scratch []byte) (int, error) {
+func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
 	limit := min(s.unitEnd(slot)-slot, len(keys)-i)
 	n := 1
 	for n < limit && keys[i+n] == s.KeyOfSlot(slot+n) {
@@ -443,7 +365,7 @@ func (s *Store) serveRun(keys []int, dst []float64, i, slot int, scratch []byte)
 	if !s.g.dense() {
 		s.hint.Store(int64(slot + n))
 	}
-	return n, s.readSlots(slot, dst[i:i+n], scratch)
+	return n, s.readSlots(slot, dst[i:i+n])
 }
 
 // batchCancelStride is how many keys BatchGetCtx serves between context
@@ -453,7 +375,7 @@ const batchCancelStride = 1024
 
 // BatchGetCtx implements storage.Store. Runs of keys in layout order — a
 // sparse file's progressive drain — are served blockwise through serveRun;
-// a dense mapped file serves each key of a verified block with one load;
+// a dense file serves each key of a verified block with one load;
 // anything else falls back to one lookup per key. A key inside
 // the domain that is not stored is zero (like the hash store). Failures are
 // per-key — an unreadable or corrupt block fails exactly the positions that
@@ -473,11 +395,9 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 	// approximate (shared deltas) when concurrent runs interleave — the
 	// counters are store-global. Nil profile skips the snapshots entirely.
 	if prof := obs.ProfileFrom(ctx); prof != nil {
-		hot0, cold0 := s.hotHits.Load(), s.coldHits.Load()
-		loads0, preads0 := s.blockLoads.Load(), s.preads.Load()
+		hot0, cold0, loads0 := s.hotHits.Load(), s.coldHits.Load(), s.blockLoads.Load()
 		defer func() {
-			prof.AddLayout(s.hotHits.Load()-hot0, s.coldHits.Load()-cold0,
-				s.blockLoads.Load()-loads0, s.preads.Load()-preads0)
+			prof.AddLayout(s.hotHits.Load()-hot0, s.coldHits.Load()-cold0, s.blockLoads.Load()-loads0)
 		}()
 	}
 	if err := s.checkIndex(); err != nil {
@@ -487,7 +407,7 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		}
 		return &storage.BatchError{Failed: failed}
 	}
-	// A dense mapped file with float64 values serves a run of keys in
+	// A dense file serves a run of keys in
 	// verified blocks in two tight loops — check the run, then gather it —
 	// with no calls and no locked instruction in either, so the cache misses
 	// of a drain's random keys overlap instead of queueing: the gather costs
@@ -501,10 +421,6 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		s.coldHits.Add(cold)
 	}()
 	var failed []storage.KeyError
-	var scratch []byte // the pread tier's short runs; a mapping serves windows
-	if s.data == nil {
-		scratch = make([]byte, 128)
-	}
 	i, checked := 0, 0
 	for i < len(keys) {
 		if i-checked >= batchCancelStride {
@@ -538,7 +454,7 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 			i++
 			continue
 		}
-		n, err := s.serveRun(keys, dst, i, slot, scratch)
+		n, err := s.serveRun(keys, dst, i, slot)
 		if err != nil {
 			for end := i + n; i < end; i++ {
 				failed = append(failed, storage.KeyError{Index: i, Key: keys[i], Err: err})
@@ -605,9 +521,6 @@ func (s *Store) Families() []Family { return append([]Family(nil), s.families...
 // Dense reports whether the file has the dense shape: every cell's value in
 // key order, no index and no hot region.
 func (s *Store) Dense() bool { return s.g.dense() }
-
-// Mmapped reports whether the mmap tier is active (false = pread fallback).
-func (s *Store) Mmapped() bool { return s.data != nil }
 
 // HotCount returns the number of slots in the raw hot region.
 func (s *Store) HotCount() int { return s.g.hotCount }
@@ -680,43 +593,32 @@ type visitor struct {
 
 // Verify checks what a read of the whole file would: a sparse file's index
 // sections and hot region, then every block, each once. A damaged file is an
-// error here rather than a degraded read later. Under mmap it puts nothing
-// on the Go heap, and a block that passed before is not touched again.
+// error here rather than a degraded read later. It puts nothing on the Go
+// heap, and a block that passed before is not checked again.
 func (s *Store) Verify() error {
 	if err := s.checkIndex(); err != nil {
 		return err
 	}
-	buf := s.scratch()
 	for b := 0; b < s.g.numBlocks; b++ {
-		if _, err := s.block(b, buf); err != nil {
+		if _, err := s.block(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scratch returns the buffer a block, or a slot's word, is read into on the
-// pread tier; nil under mmap.
-func (s *Store) scratch() []byte {
-	if s.data != nil {
-		return nil
-	}
-	return make([]byte, max(8, min(s.g.blockSize, s.g.slots-s.g.hotCount)*8))
-}
-
 // walk hands every nonzero coefficient, in ascending key order, to vis
 // until vis.fn stops it, and returns the damage it met: a dense file a
 // checked block at a time; a sparse one, once it has passed Verify, a key
-// group at a time, each value read by its slot from the mapping or by one
-// positioned read.
+// group at a time, each value read by its slot.
 func (s *Store) walk(vis visitor) error {
 	if s.g.dense() {
-		return s.walkDense(vis, s.scratch())
+		return s.walkDense(vis)
 	}
 	if err := s.Verify(); err != nil {
 		return err
 	}
-	g, buf := &s.g, s.scratch()
+	g := &s.g
 	var (
 		keys   [groupSize]uint64
 		values [groupSize]float64
@@ -726,7 +628,7 @@ func (s *Store) walk(vis visitor) error {
 		if err != nil {
 			return err
 		}
-		if err := s.rankValues(group*groupSize, values[:n], buf); err != nil {
+		if err := s.rankValues(group*groupSize, values[:n]); err != nil {
 			return err
 		}
 		for j, k := range keys[:n] {
@@ -744,10 +646,10 @@ func (s *Store) walk(vis visitor) error {
 
 // walkDense is walk of a dense file: each block's nonzero cells, a stored
 // -0 a zero, with the slot as the key.
-func (s *Store) walkDense(vis visitor, buf []byte) error {
+func (s *Store) walkDense(vis visitor) error {
 	g, emitted := &s.g, 0
 	for b := 0; b < g.numBlocks; b++ {
-		vals, err := s.block(b, buf)
+		vals, err := s.block(b)
 		if err != nil {
 			return err
 		}
@@ -772,32 +674,15 @@ func (s *Store) walkDense(vis visitor, buf []byte) error {
 }
 
 // rankValues reads the values of the stored keys of ranks [first,
-// first+len(out)) by their slots, in the hot region or a block, each a
-// window of the mapping or a pread into scratch.
-func (s *Store) rankValues(first int, out []float64, scratch []byte) error {
+// first+len(out)) by their slots, in the hot region or a block.
+func (s *Store) rankValues(first int, out []float64) error {
 	g := &s.g
 	for j := range out {
 		slot := s.slotOf.at(first + j)
 		if slot >= uint64(g.nonzero) {
 			return fmt.Errorf("layout: key rank %d has slot %d of %d", first+j, slot, g.nonzero)
 		}
-		off := g.hotOff + 8*int64(slot)
-		if int(slot) >= g.hotCount {
-			off = g.blocksOff + (int64(slot)-int64(g.hotCount))*8
-		}
-		var raw []byte
-		if s.data != nil {
-			raw = s.data[off : off+8]
-		} else {
-			raw = scratch[:8]
-			if err := readAt(s.r, raw, off); err != nil {
-				return fmt.Errorf("layout: reading slot %d: %w", slot, err)
-			}
-		}
-		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-	}
-	if s.data == nil {
-		s.preads.Add(int64(len(out)))
+		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(s.data[g.hotOff+8*int64(slot):]))
 	}
 	return nil
 }
@@ -809,14 +694,12 @@ type Stats struct {
 	Dense bool `json:"dense"`
 	// Slots is the number of stored values — the nonzero coefficients of a
 	// sparse file, every cell of a dense one; HotSlots of them live in the
-	// raw mmap-served region, the rest in Blocks blocks of BlockSize.
+	// raw hot region, the rest in Blocks blocks of BlockSize.
 	Slots    int `json:"slots"`
 	HotSlots int `json:"hot_slots"`
 	Blocks   int `json:"blocks"`
 	// BlockSize is the block granularity in slots.
 	BlockSize int `json:"block_size"`
-	// Mmapped is false when the store runs on the pread fallback tier.
-	Mmapped bool `json:"mmapped"`
 	// HotHits counts retrievals served by the hot region, ColdHits by
 	// blocks.
 	HotHits  int64 `json:"hot_hits"`
@@ -826,14 +709,12 @@ type Stats struct {
 	HintHits int64 `json:"hint_hits"`
 	// BlockLoads counts block checks that passed: each block's first read
 	// (more only when two readers race to it). BlockLoadFailures counts
-	// block reads or checks that failed.
+	// block checks that failed.
 	BlockLoads        int64 `json:"block_loads"`
 	BlockLoadFailures int64 `json:"block_load_failures,omitempty"`
 	// VerifiedBlocks counts the blocks marked verified, which are read
 	// without another check.
 	VerifiedBlocks int `json:"verified_blocks"`
-	// Preads counts positioned-read syscalls issued by the fallback tier.
-	Preads int64 `json:"preads,omitempty"`
 	// FileBytes is the size of the .wvls file; IndexBytes of them are
 	// neither header nor value words (key index, slotOf, keyOfSlot, block
 	// checksums).
@@ -855,14 +736,12 @@ func (s *Store) Stats() Stats {
 		HotSlots:          s.g.hotCount,
 		Blocks:            s.g.numBlocks,
 		BlockSize:         s.g.blockSize,
-		Mmapped:           s.data != nil,
 		HotHits:           s.hotHits.Load(),
 		ColdHits:          s.coldHits.Load(),
 		HintHits:          s.hintHits.Load(),
 		BlockLoads:        s.blockLoads.Load(),
 		BlockLoadFailures: s.blockLoadFails.Load(),
 		VerifiedBlocks:    verified,
-		Preads:            s.preads.Load(),
 		FileBytes:         s.g.fileSize,
 		IndexBytes:        s.g.hotOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
 		Families:          s.Families(),
@@ -873,31 +752,22 @@ func (s *Store) Stats() Stats {
 // Linux): the file stops counting in the process's resident set until a
 // read faults its pages in again from the page cache. Reads are unaffected.
 // An MVCC store calls it on a mapped version-0 base once a compaction has
-// replaced it. A no-op on the positioned-read tier.
+// replaced it. A no-op on bytes that were read rather than mapped.
 func (s *Store) DropPages() {
-	if s.data != nil {
-		dropPages(s.data)
+	if s.fileMapped {
+		dropPages(s.mapping)
 	}
 }
 
-// Close releases the mapping and the file Open opened. Not safe to call
-// while retrievals are in flight.
+// Close releases the mapping, if there is one. Not safe to call while
+// retrievals are in flight.
 func (s *Store) Close() error {
-	err := s.unmap()
-	if cerr := s.r.(io.Closer).Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// unmap releases the mapping, if there is one, and leaves the reader open.
-func (s *Store) unmap() error {
-	if s.data == nil {
+	mapping := s.mapping
+	s.data, s.mapping, s.fileMapped, s.cells = nil, nil, false, nil
+	if mapping == nil {
 		return nil
 	}
-	data := s.data
-	s.data, s.cells = nil, nil
-	return munmapFile(data)
+	return munmapFile(mapping)
 }
 
 var _ storage.Enumerable = (*Store)(nil)

@@ -76,7 +76,7 @@ func array(hat []float64) *storage.ArrayStore {
 
 // openLayout writes the nonzero entries of want as a layout and opens it,
 // asserting the shape the writer's size rule picked.
-func openLayout(t *testing.T, want []float64, opts layout.Options, dense bool) subject {
+func openLayout(t *testing.T, want []float64, dense bool) subject {
 	t.Helper()
 	var keys []int
 	var values []float64
@@ -92,7 +92,7 @@ func openLayout(t *testing.T, want []float64, opts layout.Options, dense bool) s
 	if _, err := layout.Write(path, keys, values, wopts); err != nil {
 		t.Fatal(err)
 	}
-	s, err := layout.Open(path, opts)
+	s, err := layout.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +171,10 @@ var subjects = []struct {
 		return subject{store: storage.NewInstrumentedStore(array(hat)), want: hat, bounded: true}
 	}},
 	{"layout mmap, dense", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, hat, layout.Options{}, true)
-	}},
-	{"layout pread, dense", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, hat, layout.Options{DisableMmap: true}, true)
+		return openLayout(t, hat, true)
 	}},
 	{"layout mmap, sparse", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, eighth(hat), layout.Options{}, false)
-	}},
-	{"layout pread, sparse", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, eighth(hat), layout.Options{DisableMmap: true}, false)
+		return openLayout(t, eighth(hat), false)
 	}},
 	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
 		cfg := mvcc.Config{DisableAutoCompact: true}

@@ -126,8 +126,9 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 }
 
 // OpenLayout opens a .wvls layout file written by SaveLayout (or converted
-// with cmd/wvlayout) as a read-only database served straight from disk:
-// zero-copy out of an mmap, each block checksummed the first time it is
+// with cmd/wvlayout) as a read-only database served straight from the
+// file's bytes: zero-copy out of an mmap (read into memory where the
+// platform cannot map it), each block checksummed the first time it is
 // read. The file must embed database metadata — a bare layout written
 // through the storage API lacks the schema and cannot be served.
 //
@@ -137,10 +138,8 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 // handle. A layout serves bit-identical values, so every progressive
 // estimate equals the in-memory run's. This is how wvqd, wvq and
 // wvlayout open a view file in every mode.
-func OpenLayout(path string) (*Database, error) { return openLayout(path, layout.Options{}) }
-
-func openLayout(path string, opts layout.Options) (*Database, error) {
-	s, err := layout.Open(path, opts)
+func OpenLayout(path string) (*Database, error) {
+	s, err := layout.Open(path)
 	if err != nil {
 		return nil, err
 	}

@@ -246,7 +246,7 @@ func TestLayoutDegradedRun(t *testing.T) {
 		}
 		// Corrupt a block the plan reads: the last one of the array, the
 		// first cold one of the schedule order (it holds plan keys).
-		ls, err := layout.Open(path, layout.Options{})
+		ls, err := layout.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,16 +314,22 @@ func TestOpenLayoutRejectsBareFile(t *testing.T) {
 
 // TestOpenDatabaseRefusesADamagedHeader: a file that starts like a .wvls but
 // whose header does not check is an error from OpenLayout (how wvqd opens
-// its file in every mode), on either read tier, not a crash.
+// its file in every mode) and from LoadDatabase, not a crash.
 func TestOpenDatabaseRefusesADamagedHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "damaged.wvls")
 	if err := os.WriteFile(path, []byte(layout.Magic+strings.Repeat("garbage ", 16)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, open := range map[string]func(string) (*Database, error){"OpenLayout": OpenLayout, "positioned reads": OpenLayoutPread} {
-		if db, err := open(path); err == nil {
-			_ = db.Close()
-			t.Fatalf("%s accepted a damaged header", name)
-		}
+	if db, err := OpenLayout(path); err == nil {
+		_ = db.Close()
+		t.Fatal("OpenLayout accepted a damaged header")
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := LoadDatabase(f); err == nil {
+		t.Fatal("LoadDatabase accepted a damaged header")
 	}
 }

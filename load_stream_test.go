@@ -2,11 +2,13 @@ package repro
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/codec"
 )
@@ -150,8 +152,9 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 // the store block by block, before a later block's checksum can be checked,
 // so the loaders must hand back nothing when any of it — a block, a
 // checksum, a key index section, the hot region, the file's length — is
-// bad, in either shape. A shard's start walks the whole mapped file, so it
-// fails too: at OpenLayout, or as an error from NewShardServer.
+// bad, in either shape. A shard's start checks the whole mapped file
+// (layout.Store.Verify), so it fails too: at OpenLayout, or as an error from
+// NewShardServer.
 func TestLoadPublishesNothingFromABadStream(t *testing.T) {
 	dense, _ := savedTemperature(t)
 	for shape, file := range map[string][]byte{"dense": dense, "sparse": savedSparseTemperature(t)} {
@@ -199,6 +202,80 @@ func TestLoadPublishesNothingFromABadStream(t *testing.T) {
 				t.Errorf("%s file, %s: NewShardServer returned (%v, %v)", shape, name, ss, err)
 			}
 			_ = mapped.Close()
+		}
+	}
+}
+
+// TestLoadDatabaseReadsAnyStream: LoadDatabase maps a file, from where it is
+// positioned on, and reads any other reader once, whole — in one call when
+// it tells its length, a byte at a time when it hands over one byte a call.
+// Each serves the mapped file's view, dense and sparse: the same count, the
+// same mass and the same Exact answers, to the bit. A copy with one flipped
+// block byte publishes nothing through any of them.
+func TestLoadDatabaseReadsAnyStream(t *testing.T) {
+	dense, _ := savedTemperature(t)
+	junk := bytes.Repeat([]byte{0xab}, 1001) // not a page multiple
+	for shape, file := range map[string][]byte{"dense": dense, "sparse": savedSparseTemperature(t)} {
+		mapped, err := OpenLayout(savedFile(t, shape+".wvls", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = mapped.Close() }()
+		batch, err := ParseBatch(mapped.Schema(), "SUM(temperature) WHERE latitude BETWEEN 2 AND 9 GROUP BY altitude(4); COUNT() WHERE time <= 7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := mapped.Plan(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMass, err := mapped.CoefficientMass()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mapped.Exact(plan)
+		if mapped.layout.Blocks() == 0 {
+			t.Fatalf("%s file has no block to flip", shape)
+		}
+		ext := mapped.layout.BlockExtent(mapped.layout.Blocks() / 2)
+		flipped := append([]byte(nil), file...)
+		flipped[ext.Off+int64(ext.Len)/2] ^= 0x10
+
+		for via, reader := range map[string]func(t *testing.T, data []byte) io.Reader{
+			"a byte at a time": func(_ *testing.T, data []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) },
+			"bytes.Reader":     func(_ *testing.T, data []byte) io.Reader { return bytes.NewReader(data) },
+			"file past its start": func(t *testing.T, data []byte) io.Reader {
+				f, err := os.Open(savedFile(t, "offset.wvls", append(append([]byte(nil), junk...), data...)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = f.Close() })
+				if _, err := f.Seek(int64(len(junk)), io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				return f
+			},
+		} {
+			loaded, err := LoadDatabase(reader(t, file))
+			if err != nil {
+				t.Fatalf("%s file via %s: %v", shape, via, err)
+			}
+			mass, err := loaded.CoefficientMass()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.NonzeroCoefficients() != mapped.NonzeroCoefficients() || math.Float64bits(mass) != math.Float64bits(wantMass) {
+				t.Fatalf("%s file via %s: %d coefficients of mass %v, mapped %d of %v",
+					shape, via, loaded.NonzeroCoefficients(), mass, mapped.NonzeroCoefficients(), wantMass)
+			}
+			for q, got := range loaded.Exact(plan) {
+				if math.Float64bits(got) != math.Float64bits(want[q]) {
+					t.Fatalf("%s file via %s: query %d is %v, mapped %v", shape, via, q, got, want[q])
+				}
+			}
+			if db, err := LoadDatabase(reader(t, flipped)); err == nil || db != nil {
+				t.Fatalf("%s file via %s: a flipped block byte loaded (%v, %v)", shape, via, db, err)
+			}
 		}
 	}
 }

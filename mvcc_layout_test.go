@@ -108,7 +108,7 @@ func TestDamagedMappingUnderMVCC(t *testing.T) {
 		// miss: the array's last, or the one holding the plan's last key in
 		// the schedule order (a fine detail, where every write touches the
 		// coarse coefficients of the first).
-		ls, err := layout.Open(path, layout.Options{})
+		ls, err := layout.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}

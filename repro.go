@@ -389,15 +389,14 @@ func (db *Database) Exact(plan *Plan) []float64 { return mustExact(plan, db.eval
 type CoalesceStats = storage.CoalesceStats
 
 // InMemory reports whether the database's store answers every retrieval from
-// process memory — an in-memory store or a mapped layout file, under MVCC the
-// base it was opened on — rather than through read syscalls, from a shard or
-// through an injected fault. A coalescing layer does not count as memory: its
-// fetches wait on one another. Retries and instrumentation add no fetch of
-// their own. Whoever assembles the serving stack uses it to leave out layers
-// that only pay for themselves over a slow fetch.
+// process memory — an in-memory store or a layout file's bytes, under MVCC
+// the base it was opened on — rather than from a shard or through an
+// injected fault. A coalescing layer does not count as memory: its fetches
+// wait on one another. Retries and instrumentation add no fetch of their
+// own. Whoever assembles the serving stack uses it to leave out layers that
+// only pay for themselves over a slow fetch.
 func (db *Database) InMemory() bool {
-	return db.coord == nil && db.stack.Fault == nil && !db.stack.Coalesce &&
-		(db.layout == nil || db.layout.Mmapped())
+	return db.coord == nil && db.stack.Fault == nil && !db.stack.Coalesce
 }
 
 // CoalescingStats returns the coalescing counters; ok is false when the

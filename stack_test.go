@@ -72,9 +72,9 @@ func TestStoreStackIsOrderIndependent(t *testing.T) {
 
 // TestDatabaseInMemory pins the rule a server adds coalescing by: a database
 // answers from memory when its base is an in-memory store, dense or sparse,
-// or a mapped layout file — with or without MVCC over it — and its stack has
-// no fault or coalescing layer; retries and instrumentation change nothing.
-// A layout on positioned reads and a shard coordinator never do.
+// or a layout file — with or without MVCC over it — and its stack has no
+// fault or coalescing layer; retries and instrumentation change nothing. A
+// shard coordinator never does.
 func TestDatabaseInMemory(t *testing.T) {
 	built := func(sizes []int, tuples int, array bool) func(*testing.T) *Database {
 		return func(t *testing.T) *Database {
@@ -117,7 +117,6 @@ func TestDatabaseInMemory(t *testing.T) {
 		{"built dense", built([]int{16, 16}, 200, true), true, true},
 		{"built sparse", built([]int{256, 256}, 40, false), true, true},
 		{"mapped layout", opened(OpenLayout), true, true},
-		{"pread layout", opened(OpenLayoutPread), false, true},
 		{"1-shard coordinator", func(*testing.T) *Database { return coord }, false, false},
 	} {
 		for _, stack := range []struct {

@@ -49,7 +49,7 @@ func sameBits(t *testing.T, what string, got, want trajectory) {
 }
 
 // TestViewFileOpenFormsAreBitIdentical: whatever opens the file Save
-// writes — the mapping, positioned reads, a load into memory, two shards of
+// writes — the mapping, a load into memory, two shards of
 // the mapping or of the load behind a coordinator — serves the database that
 // wrote it: every prefix of a drain of one plan has the same estimates and
 // per-query bounds, to the bit, and CoefficientMass is the same float64. The
@@ -122,14 +122,9 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = mapped.Close() })
-			if st, _ := mapped.LayoutStats(); st.Dense != c.dense || !st.Mmapped {
-				t.Fatalf("file is dense=%v mapped=%v, want dense=%v mapped", st.Dense, st.Mmapped, c.dense)
+			if st, _ := mapped.LayoutStats(); st.Dense != c.dense {
+				t.Fatalf("file is dense=%v, want dense=%v", st.Dense, c.dense)
 			}
-			pread, err := OpenLayoutPread(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = pread.Close() })
 			loaded, err := LoadDatabase(bytes.NewReader(file.Bytes()))
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +165,7 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 				return ddb
 			}
 			forms := map[string]*Database{
-				"OpenLayout": mapped, "positioned reads": pread, "LoadDatabase": loaded,
+				"OpenLayout": mapped, "LoadDatabase": loaded,
 				"coordinator of the mapped file": coordinator(mapped), "coordinator of the loaded file": coordinator(loaded),
 			}
 			for name, v := range forms {
