@@ -1,6 +1,6 @@
 // Command wvlayout re-shapes a database file into a .wvls layout:
 //
-//	wvlayout -in db.wvls -out db-hot.wvls -hot 100000
+//	wvlayout -in db.wvls -out db-b1024.wvls -block 1024
 //
 // The input is a .wvls view file (repro.Save, wvload, wvq -create), mapped
 // as wvqd -db maps it and walked in key order; it carries the schema and
@@ -10,11 +10,11 @@
 // nonzero coefficients in schedule order behind a key index); the closing
 // report names the shape and both candidates' bytes per coefficient. With
 // the default options the input is written back byte for byte, so the
-// command's use is its two knobs.
+// command's use is its one knob.
 //
-// -hot and -block tune the layout: how many leading schedule slots of a
-// sparse file stay raw (mmap-served), and the block granularity. The output
-// replaces any file of its name by a rename, so -out may name the input.
+// -block tunes the layout's block granularity: how many slots one checksum
+// covers. The output replaces any file of its name by a rename, so -out may
+// name the input.
 package main
 
 import (
@@ -30,7 +30,6 @@ func main() {
 	var (
 		in    = flag.String("in", "", "input .wvls database file (wvload/wvq -create)")
 		out   = flag.String("out", "", "output .wvls layout file")
-		hot   = flag.Int("hot", 0, "hot-region slots stored raw, sparse shape only (0 = nonzero/8, negative = all)")
 		block = flag.Int("block", 0, "block granularity in slots (0 = default 4096)")
 	)
 	flag.Parse()
@@ -39,7 +38,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts := repro.LayoutOptions{HotCount: *hot, BlockSize: *block}
+	opts := repro.LayoutOptions{BlockSize: *block}
 	if err := convert(*in, *out, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "wvlayout:", err)
 		os.Exit(1)
@@ -86,12 +85,7 @@ func report(in string, inSize int64, out string, c repro.LayoutCandidates) error
 	n := s.NonzeroCount()
 	fmt.Printf("%s (%d bytes) -> %s (%d bytes, %s)\n", in, inSize, out, st.FileBytes, shape)
 	fmt.Printf("  %d nonzero coefficients over %d cells\n", n, s.Size())
-	if st.Dense {
-		fmt.Printf("  %d blocks x %d cells", st.Blocks, st.BlockSize)
-	} else {
-		fmt.Printf("  hot %d slots raw, cold %d blocks x %d slots", st.HotSlots, st.Blocks, st.BlockSize)
-	}
-	fmt.Println()
+	fmt.Printf("  %d blocks x %d slots\n", st.Blocks, st.BlockSize)
 	if n == 0 {
 		return nil
 	}

@@ -297,7 +297,6 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 		log.Info("serving from layout",
 			"layout", dbPath,
 			"dense", ls.Dense,
-			"hot_slots", ls.HotSlots,
 			"blocks", ls.Blocks,
 			"block_size", ls.BlockSize)
 	}

@@ -4,9 +4,13 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -188,4 +192,127 @@ func declaredNames(t *testing.T, dir, name string) map[string]map[string]bool {
 		}
 	}
 	return members
+}
+
+// TestDocsNameRegisteredMetrics fails when the prose names a wvq_* metric
+// that no non-test registration provides. A mention may be a full name, a
+// histogram's _bucket/_sum/_count series, a prefix ending in _ or *,
+// a * inside a name, or a {a,b} list of alternatives, each of which must
+// name a metric; a label set after the name ({tier}, {kind="error"}) is
+// not part of it.
+func TestDocsNameRegisteredMetrics(t *testing.T) {
+	names := registeredMetrics(t)
+	if len(names) < 40 {
+		t.Fatalf("found only %d registered metrics; the scan is broken", len(names))
+	}
+	mention := regexp.MustCompile(`wvq_[a-z0-9_*]*(?:\{[a-z0-9_,]*\}[a-z0-9_*]*)*`)
+	// known reports whether a name, braces expanded, is registered.
+	known := func(name string) bool {
+		pattern := strings.ReplaceAll(regexp.QuoteMeta(name), `\*`, `[a-z0-9_]*`)
+		if strings.HasSuffix(name, "_") {
+			pattern += `[a-z0-9_]*`
+		}
+		re := regexp.MustCompile(`^` + pattern + `$`)
+		for _, n := range names {
+			for _, series := range []string{"", "_bucket", "_sum", "_count"} {
+				if re.MatchString(n + series) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, path := range docPaths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(data), "\n") {
+			for _, m := range mention.FindAllString(line, -1) {
+				// The whole mention, or the name before a trailing label set.
+				readings := []string{m}
+				if i := strings.LastIndexByte(m, '{'); strings.HasSuffix(m, "}") {
+					readings = append(readings, m[:i])
+				}
+				if !slices.ContainsFunc(readings, func(r string) bool {
+					for _, name := range expandBraces(r) {
+						if !known(name) {
+							return false
+						}
+					}
+					return true
+				}) {
+					t.Errorf("%s:%d: %s names no registered metric", path, n+1, m)
+				}
+			}
+		}
+	}
+}
+
+// expandBraces returns every name s spells, each {a,b} list replaced by one
+// of its alternatives.
+func expandBraces(s string) []string {
+	open := strings.IndexByte(s, '{')
+	if open < 0 {
+		return []string{s}
+	}
+	end := open + strings.IndexByte(s[open:], '}')
+	var out []string
+	for _, alt := range strings.Split(s[open+1:end], ",") {
+		for _, rest := range expandBraces(s[end+1:]) {
+			out = append(out, s[:open]+alt+rest)
+		}
+	}
+	return out
+}
+
+// registeredMetrics returns the metric names every non-test file of the
+// module registers: the first argument of each Counter, Gauge, Histogram,
+// ReadCounter or ReadGauge call that is a string literal, as
+// tools/metriclint reads them.
+func registeredMetrics(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "tools" || name == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Counter", "Gauge", "Histogram", "ReadCounter", "ReadGauge":
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					names = append(names, name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }

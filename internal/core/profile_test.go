@@ -109,7 +109,7 @@ func TestProfileNilSafety(t *testing.T) {
 	p.Begin(0, 1, 0)
 	p.RecordStep(1, 0, 0, 0, true)
 	p.AddCoalesce(1, 1, 0)
-	p.AddLayout(1, 0, 0)
+	p.AddLayout(1, 0)
 	p.AddMVCC(1, 0)
 	p.AddShard(0, "addr", 1, 0, 0, 0)
 	p.AddRemote("addr", 1, 0)

@@ -493,27 +493,13 @@ func (s *Store) Compact(ctx context.Context) error {
 	// uses — and is served through the same chain function as the base the
 	// store was opened with.
 	nb := storage.NewMemoryStore(s.cells, snap.nonzero)
-	// Newest-wins fold: overlay keys first (explicit zeros simply aren't
-	// written — an absent base key reads 0), then unshadowed base keys.
-	seen := make(map[int]struct{}, snap.layerKeys)
-	for _, l := range snap.layers {
-		for k, v := range l.vals {
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			if v != 0 {
-				nb.Add(k, v)
-			}
-		}
-	}
+	// The snapshot's own walk is the newest-wins fold: each nonzero
+	// coefficient once, an explicit zero of an overlay not at all.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := snap.rawBase.(storage.Enumerable).Walk(func(k int, v float64) bool {
-		if _, shadowed := seen[k]; !shadowed {
-			nb.Add(k, v)
-		}
+	if err := snap.Walk(func(k int, v float64) bool {
+		nb.Add(k, v)
 		return true
 	}); err != nil {
 		return fmt.Errorf("mvcc: compacting: %w", err)

@@ -95,9 +95,8 @@ type TierProfile struct {
 	// Retried: keys the retry layer fetched again after a failed attempt,
 	// summed over its re-attempts.
 	Retried int64 `json:"retried,omitempty"`
-	// LayoutHot / LayoutCold: .wvls keys served from the hot region vs.
-	// blocks; BlockLoads counts the block checksums behind the cold hits.
-	LayoutHot  int64 `json:"layout_hot,omitempty"`
+	// LayoutCold: stored .wvls keys served, each from a block; BlockLoads
+	// counts the block checksums behind them.
 	LayoutCold int64 `json:"layout_cold,omitempty"`
 	BlockLoads int64 `json:"block_loads,omitempty"`
 	// MVCCLayer / MVCCBase: keys resolved from the snapshot's write layers
@@ -357,14 +356,13 @@ func (p *QueryProfile) AddRetry(keys int) {
 	p.mu.Unlock()
 }
 
-// AddLayout records one .wvls batch's tier attribution.
-func (p *QueryProfile) AddLayout(hot, cold, blockLoads int64) {
+// AddLayout records one .wvls batch's stored-key hits and block loads.
+func (p *QueryProfile) AddLayout(cold, blockLoads int64) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	t := &p.costsLocked().tiers
-	t.LayoutHot += hot
 	t.LayoutCold += cold
 	t.BlockLoads += blockLoads
 	p.mu.Unlock()

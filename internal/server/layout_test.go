@@ -35,7 +35,7 @@ func layoutHandler(t *testing.T, stack repro.Stack) (*Handler, []float64) {
 	}
 	truth := batch.EvaluateDirect(dist)
 	path := filepath.Join(t.TempDir(), "db.wvls")
-	if _, err := db.SaveLayout(path, repro.LayoutOptions{HotCount: 8, BlockSize: 16}); err != nil {
+	if _, err := db.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := repro.OpenLayout(path)
@@ -80,14 +80,14 @@ func TestLayoutBackedServer(t *testing.T) {
 		t.Fatalf("/stats has no layout section: %s", srec.Body)
 	}
 	// Three tuples leave most of the 32×32 domain zero: the sparse shape.
-	if stats.Layout.Dense || stats.Layout.Slots == 0 || stats.Layout.HotSlots != 8 {
+	if stats.Layout.Dense || stats.Layout.Slots == 0 {
 		t.Fatalf("layout stats = %+v", stats.Layout)
 	}
 	if want := "layout"; stats.StoreStack != want {
 		t.Fatalf("store_stack = %q, want %q", stats.StoreStack, want)
 	}
-	if stats.Layout.HotHits+stats.Layout.ColdHits == 0 {
-		t.Fatal("query did not count any tiered hits")
+	if stats.Layout.ColdHits == 0 {
+		t.Fatal("query did not count any layout hits")
 	}
 	if stats.Dist != nil {
 		t.Fatal("layout-backed database must not report a dist section")
@@ -150,7 +150,7 @@ func TestDenseLayoutBackedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := stats.Layout
-	if l == nil || !l.Dense || l.Slots != 32*32 || l.HotSlots != 0 || l.HotHits != 0 || l.ColdHits == 0 {
+	if l == nil || !l.Dense || l.Slots != 32*32 || l.ColdHits == 0 {
 		t.Fatalf("layout stats = %+v, want a dense file served from its blocks", l)
 	}
 	if l.VerifiedBlocks == 0 || int64(l.VerifiedBlocks) != l.BlockLoads {

@@ -143,8 +143,6 @@ func (h *Handler) readFamilies(g *obs.ReadGroup[StatsResponse]) {
 		func(s *stats) int64 { return s.Coalescing.Coalesced })
 
 	g.ReadCounter("wvq_storage_layout_hits_total", "Layout-store retrievals by serving tier.",
-		ofLayout(func(l *repro.LayoutStats) int64 { return l.HotHits }), obs.L("tier", "hot"))
-	g.ReadCounter("wvq_storage_layout_hits_total", "Layout-store retrievals by serving tier.",
 		ofLayout(func(l *repro.LayoutStats) int64 { return l.ColdHits }), obs.L("tier", "cold"))
 	g.ReadCounter("wvq_storage_layout_block_loads_total", "Cold blocks physically read and checksummed.",
 		ofLayout(func(l *repro.LayoutStats) int64 { return l.BlockLoads }))

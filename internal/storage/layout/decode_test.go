@@ -69,7 +69,7 @@ func decodeInputs() map[string]decodeInput {
 	family := append([]int(nil), sparseKeys[1000:]...)
 	return map[string]decodeInput{
 		"sparse": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
-		"sparse family": {sparseKeys, sparseValues, WriteOptions{Cells: cells, HotCount: 77, BlockSize: 100,
+		"sparse family": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 100,
 			Families: []FamilyOrder{{Label: "f", Fingerprint: "f", Keys: family}}}},
 		"dense": {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
 	}
@@ -203,7 +203,6 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			damaged["a sample"] = flip(g.samplesOff + int64(g.keyWidth))
 			damaged["slotOf"] = flip(g.slotOfOff + int64(g.slotWidth)*int64(g.nonzero/2))
 			damaged["keyOfSlot"] = flip(g.keyOfSlotOff + int64(g.keyWidth)*int64(g.nonzero/2))
-			damaged["hot region"] = flip(g.hotOff + int64(g.hotCount)*4)
 			damaged["indexCRC"] = flip(g.fileSize - 1)
 		}
 		for what, data := range damaged {

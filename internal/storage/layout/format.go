@@ -29,9 +29,10 @@
 //	hdrLen   uint32                  length of the header blob
 //	hdrCRC   uint32                  IEEE CRC-32 of the header blob
 //	header blob (hdrLen bytes):
-//	  cells, nonzero, hotCount uint64; blockSize uint32; mass float64
+//	  cells, nonzero, hot uint64     hot is always 0 (see below)
+//	  blockSize uint32; mass float64
 //	  meta flag uint8, then the optional schema/filter metadata
-//	  family count uint16, then per family: label, fingerprint, hot coverage
+//	  family count uint16, then per family: label, fingerprint, a zero uint64
 //	  streamLen uint64               bytes of the key delta stream
 //	data sections, back to back in this order:
 //	  samples   groups × kw          every 64th stored key, ascending
@@ -39,19 +40,18 @@
 //	  stream    streamLen bytes      uvarint key[i+1]−key[i], key[nonzero] = cells
 //	  slotOf    nonzero × sw         slot of the i-th smallest key
 //	  keyOfSlot nonzero × kw         key stored at slot j (schedule order)
-//	  hot       hotCount × float64   raw values of slots [0,hotCount)
-//	  blocks    cold × float64       values of the remaining slots
+//	  blocks    slots × float64      the values, in slot order
 //	  crcs      numBlocks × uint32   IEEE CRC-32 of each block
-//	  indexCRC  uint32               sparse only: IEEE CRC-32 of samples…hot
+//	  indexCRC  uint32               sparse only: IEEE CRC-32 of samples…keyOfSlot
 //
 // Every width and offset follows from the header: kw = bytes(cells−1),
 // sw = bytes(nonzero−1), ow = bytes(streamLen), groups = ⌈nonzero/64⌉, and
 // block b is the blockSize×8 bytes (fewer for the last block) at
 // blocks + b×blockSize×8. The four fixed-width sections are packed words,
 // each followed by 8−w pad bytes so the reader's one 8-byte load of the last
-// entry stays inside its section. A dense file has hotCount 0 and streamLen
-// 0, its index sections and hot region are empty (pads too), its blocks hold
-// cells slots, and it records no families.
+// entry stays inside its section. A dense file has streamLen 0, its index
+// sections are empty (pads too), its blocks hold cells slots, and it records
+// no families.
 //
 // Slots are schedule positions in the sparse shape: slot 0 is the most
 // important coefficient. Each fact is stored once. key→slot is the
@@ -60,7 +60,7 @@
 // Data-Analysis Queries on Grids" is the grounding: about 2+log₂(cells/n)
 // bits per key and ⌈log₂ n⌉ bits per permutation entry per direction are
 // what the information costs) plus slotOf; slot→key is keyOfSlot; values
-// are raw float64 words in slot order, hot prefix then blocks. A group's
+// are raw float64 words in slot order, in blocks. A group's
 // deltas sum to the next sample (to cells for the last), so "key absent" is
 // checked, not assumed; a found key is served only if keyOfSlot[slotOf[i]]
 // names it.
@@ -69,15 +69,21 @@
 // served only behind a CRC-32. The header blob has its own, checked at open.
 // A block is checked the first time any of its slots is served and marked
 // verified in a bitmap; later reads are windows of the file's bytes with no
-// check. A sparse file's index sections and hot region share indexCRC,
-// checked the first time a read needs them. A check that fails is
-// never remembered, so every retry checks again and fails again. Corruption
-// becomes per-key retrieval errors the engine degrades over.
+// check. A sparse file's index sections share indexCRC, checked the first
+// time a read needs them. A check that fails is never remembered, so every
+// retry checks again and fails again. Corruption becomes per-key retrieval
+// errors the engine degrades over.
 //
 // indexCRC was added without a new version number, since dense files did
 // not change: a sparse file written before it is four bytes short of what
 // its header derives, and readers name that case and send it back to
-// wvlayout.
+// wvlayout. The hot region went without one too. A sparse file once kept
+// its first hot slots as raw words outside the blocks, counted by the
+// header's hot word, and each family record carried the share of its
+// schedule prefix that region held. Now every value is in a checksummed
+// block: the writer puts 0 in both words, which leaves a dense file's bytes
+// as they were. A reader refuses a file whose hot word is not 0, naming the
+// hot region, and skips the family word.
 package layout
 
 import (
@@ -104,7 +110,7 @@ const (
 	flagQuantized = 1 << 0
 
 	// flagDense marks the dense shape: every cell's value in key order, no
-	// index sections, no hot region.
+	// index sections.
 	flagDense = 1 << 1
 
 	// preludeSize is the fixed region before the header blob.
@@ -136,20 +142,14 @@ type Meta struct {
 	Windows    [][2]float64 // nil or one per dimension
 }
 
-// Family records one penalty family the layout was bucketed against: its
-// fingerprint and how much of that family's schedule prefix the hot region
-// covers. Family 0 is the canonical family — the one the physical order
-// follows exactly.
+// Family records one penalty family the layout was bucketed against.
+// Family 0 is the one the physical order follows exactly.
 type Family struct {
 	// Label is a human-readable family name ("sse", "canonical", …).
 	Label string `json:"label"`
 	// Fingerprint is the penalty fingerprint (penalty.Fingerprint) whose
-	// schedule produced (or was measured against) the layout order.
+	// schedule produced (or was recorded with) the layout order.
 	Fingerprint string `json:"fingerprint"`
-	// HotCoverage is the fraction of the family's first min(hotCount, len)
-	// schedule keys that landed inside the hot region — 1.0 for the
-	// canonical family, lower for families the layout only approximates.
-	HotCoverage float64 `json:"hot_coverage"`
 }
 
 // FamilyOrder is a writer input: a penalty family's schedule key order.
@@ -167,11 +167,6 @@ type FamilyOrder struct {
 type WriteOptions struct {
 	// Cells is the domain size; every key must be in [0,Cells).
 	Cells int
-	// HotCount is the number of slots stored raw in the hot region of a
-	// sparse file; 0 selects a default of nonzero/8 (min 1,
-	// capped at nonzero), negative means "everything hot" (no blocks). A
-	// dense file has no hot region.
-	HotCount int
 	// BlockSize is the block granularity in slots; 0 selects
 	// DefaultBlockSize.
 	BlockSize int
@@ -179,7 +174,7 @@ type WriteOptions struct {
 	Meta *Meta
 	// Families optionally supplies penalty-family schedule orders. The
 	// first family's order becomes the physical layout prefix; every family
-	// is recorded with its measured hot coverage. Supplying any selects the
+	// is recorded in the header. Supplying any selects the
 	// sparse shape. With none the file is dense when that is smaller, and a
 	// sparse file's order is canonical: |value| descending, key ascending.
 	Families []FamilyOrder
@@ -226,7 +221,6 @@ type geometry struct {
 	flags     uint16
 	cells     int
 	nonzero   int
-	hotCount  int
 	blockSize int
 	mass      float64
 	streamLen int64
@@ -243,7 +237,6 @@ type geometry struct {
 	streamOff    int64
 	slotOfOff    int64
 	keyOfSlotOff int64
-	hotOff       int64
 	blocksOff    int64
 	crcsOff      int64
 	fileSize     int64
@@ -260,8 +253,7 @@ func (g *geometry) derive(dataStart int64) {
 		g.slots, g.groups = g.cells, 0
 		packed = func(int, int) int64 { return 0 }
 	}
-	cold := g.slots - g.hotCount
-	g.numBlocks = (cold + g.blockSize - 1) / g.blockSize
+	g.numBlocks = (g.slots + g.blockSize - 1) / g.blockSize
 	g.keyWidth = wordWidth(uint64(g.cells - 1))
 	g.slotWidth = wordWidth(uint64(max(g.nonzero, 1) - 1))
 	g.offWidth = wordWidth(uint64(g.streamLen))
@@ -276,8 +268,7 @@ func (g *geometry) derive(dataStart int64) {
 	g.streamOff = section(g.streamLen)
 	g.slotOfOff = section(packed(g.nonzero, g.slotWidth))
 	g.keyOfSlotOff = section(packed(g.nonzero, g.keyWidth))
-	g.hotOff = section(int64(g.hotCount) * 8)
-	g.blocksOff = section(int64(cold) * 8)
+	g.blocksOff = section(int64(g.slots) * 8)
 	g.crcsOff = section(int64(g.numBlocks+g.indexCRCs()) * 4)
 	g.fileSize = off
 }
@@ -299,18 +290,18 @@ func (g *geometry) checkBlock(crcs []byte, b int, vals []byte) error {
 	return nil
 }
 
-// checkIndex checks sum, the CRC-32 of a sparse file's bytes from samples
-// through the hot region, against indexCRC.
+// checkIndex checks sum, the CRC-32 of a sparse file's index sections, from
+// samples through keyOfSlot, against indexCRC.
 func (g *geometry) checkIndex(crcs []byte, sum uint32) error {
 	if want := binary.LittleEndian.Uint32(crcs[4*g.numBlocks:]); sum != want {
-		return fmt.Errorf("layout: key index or hot region checksum mismatch (file %08x, computed %08x)", want, sum)
+		return fmt.Errorf("layout: key index checksum mismatch (file %08x, computed %08x)", want, sum)
 	}
 	return nil
 }
 
 // blockSlots returns the slot range [lo,hi) of block b.
 func (g *geometry) blockSlots(b int) (lo, hi int) {
-	lo = g.hotCount + b*g.blockSize
+	lo = b * g.blockSize
 	return lo, min(lo+g.blockSize, g.slots)
 }
 
@@ -335,14 +326,14 @@ type Candidates struct {
 type input struct {
 	opts  WriteOptions
 	pairs []coef // the nonzero coefficients, ascending key, i = rank
-	// families are the sparse file's, hot coverage not yet measured.
+	// families are the sparse file's.
 	families      []Family
 	sparse, dense geometry
 }
 
 // prepare validates Write's input and derives both shapes' geometry. It does
-// none of the work only the sparse file needs: the schedule order, the
-// family coverage and the key stream itself.
+// none of the work only the sparse file needs: the schedule order and the
+// key stream itself.
 func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("layout: %d keys for %d values", len(keys), len(values))
@@ -389,27 +380,16 @@ func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	}
 	n := len(pairs)
 
-	hot := opts.HotCount
-	switch {
-	case hot < 0 || hot > n:
-		hot = n
-	case hot == 0:
-		hot = n / 8
-		if hot == 0 && n > 0 {
-			hot = n
-		}
-	}
-
 	families := make([]Family, 0, len(opts.Families)+1)
 	if len(opts.Families) == 0 {
-		families = append(families, Family{Label: "canonical", Fingerprint: "canonical:|value|", HotCoverage: 1})
+		families = append(families, Family{Label: "canonical", Fingerprint: "canonical:|value|"})
 	}
 	for _, fo := range opts.Families {
 		families = append(families, Family{Label: fo.Label, Fingerprint: fo.Fingerprint})
 	}
 
 	in := &input{opts: opts, pairs: pairs, families: families}
-	in.sparse = geometry{cells: opts.Cells, nonzero: n, hotCount: hot,
+	in.sparse = geometry{cells: opts.Cells, nonzero: n,
 		blockSize: opts.BlockSize, mass: mass, streamLen: streamLen}
 	in.dense = geometry{flags: flagDense, cells: opts.Cells, nonzero: n,
 		blockSize: opts.BlockSize, mass: mass}
@@ -476,7 +456,7 @@ func (in *input) writeDense(dst io.Writer) error {
 // writeSparse lays the nonzero coefficients out in schedule order behind
 // the compressed key index.
 func (in *input) writeSparse(dst io.Writer) error {
-	g, pairs, hot := &in.sparse, in.pairs, in.sparse.hotCount
+	g, pairs := &in.sparse, in.pairs
 	n := len(pairs)
 
 	// Canonical order: |value| descending, key ascending — "biggest first",
@@ -492,14 +472,12 @@ func (in *input) writeSparse(dst io.Writer) error {
 
 	// A supplied family order overrides the prefix: its keys (those stored)
 	// come first in its schedule order, the rest keep canonical order.
-	rankOf := func(k int) (int, bool) { // pairs index of key k
-		return slices.BinarySearchFunc(pairs, k, func(c coef, k int) int { return cmp.Compare(c.k, k) })
-	}
 	if len(in.opts.Families) > 0 {
 		taken := make([]bool, n)
 		reordered := make([]coef, 0, n)
 		for _, k := range in.opts.Families[0].Keys {
-			if i, ok := rankOf(k); ok && !taken[i] {
+			i, ok := slices.BinarySearchFunc(pairs, k, func(c coef, k int) int { return cmp.Compare(c.k, k) })
+			if ok && !taken[i] {
 				taken[i] = true
 				reordered = append(reordered, pairs[i])
 			}
@@ -516,24 +494,6 @@ func (in *input) writeSparse(dst io.Writer) error {
 		slotOf[c.i] = j
 	}
 
-	for fi, fo := range in.opts.Families {
-		fam := &in.families[fi]
-		top := min(hot, len(fo.Keys))
-		if top == 0 {
-			if fi == 0 {
-				fam.HotCoverage = 1
-			}
-			continue
-		}
-		covered := 0
-		for _, k := range fo.Keys[:top] {
-			if i, ok := rankOf(k); ok && slotOf[i] < hot {
-				covered++
-			}
-		}
-		fam.HotCoverage = float64(covered) / float64(top)
-	}
-
 	groupStart := make([]int, g.groups)
 	stream := make([]byte, 0, g.streamLen)
 	for i, c := range pairs {
@@ -548,8 +508,8 @@ func (in *input) writeSparse(dst io.Writer) error {
 	}
 
 	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta, in.families), func(bw *bufio.Writer, buf []byte) error {
-		// Everything from samples through the hot region goes through
-		// indexCRC on its way out.
+		// Everything from samples through keyOfSlot goes through indexCRC on
+		// its way out.
 		sum := crc32.NewIEEE()
 		w := io.MultiWriter(bw, sum)
 		writePacked := func(count, width int, at func(i int) uint64) error {
@@ -577,12 +537,7 @@ func (in *input) writeSparse(dst io.Writer) error {
 		if err := writePacked(n, g.keyWidth, func(j int) uint64 { return uint64(bySlot[j].k) }); err != nil {
 			return err
 		}
-		value := func(slot int) float64 { return bySlot[slot].v }
-		buf = appendValues(buf[:0], 0, hot, value)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		return writeBlocks(bw, g, buf, value, sum.Sum32())
+		return writeBlocks(bw, g, buf, func(slot int) float64 { return bySlot[slot].v }, sum.Sum32())
 	})
 }
 
@@ -667,7 +622,7 @@ func encodeHeaderBlob(g *geometry, meta *Meta, families []Family) []byte {
 
 	u64(uint64(g.cells))
 	u64(uint64(g.nonzero))
-	u64(uint64(g.hotCount))
+	u64(0) // hot
 	u32(uint32(g.blockSize))
 	u64(math.Float64bits(g.mass))
 	if meta == nil {
@@ -692,7 +647,7 @@ func encodeHeaderBlob(g *geometry, meta *Meta, families []Family) []byte {
 	for _, fam := range families {
 		str8(fam.Label)
 		str16(fam.Fingerprint)
-		u64(math.Float64bits(fam.HotCoverage))
+		u64(0) // the hot region's coverage
 	}
 	u64(uint64(g.streamLen))
 	return b
@@ -797,7 +752,7 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 	g := &geometry{flags: flags}
 	g.cells = int(r.u64())
 	g.nonzero = int(r.u64())
-	g.hotCount = int(r.u64())
+	hot := r.u64()
 	g.blockSize = int(r.u32())
 	g.mass = math.Float64frombits(r.u64())
 
@@ -839,7 +794,7 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 	for i := range families {
 		families[i].Label = r.str8()
 		families[i].Fingerprint = r.str16()
-		families[i].HotCoverage = math.Float64frombits(r.u64())
+		r.u64() // the hot region's coverage
 	}
 	g.streamLen = int64(r.u64())
 	if r.err != nil {
@@ -848,23 +803,24 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 	if r.pos != len(blob) {
 		return nil, nil, nil, fmt.Errorf("layout: %d trailing header bytes", len(blob)-r.pos)
 	}
+	if hot != 0 {
+		return nil, nil, nil, fmt.Errorf("layout: .wvls file with a hot region of %d slots, which is no longer read; the format is derived data — rebuild it from the source data (wvload)", hot)
+	}
 
 	// Geometry plausibility: non-negative counts that fit the domain. A
 	// sparse file has one to ten stream bytes per key, which also bounds
-	// nonzero by the file size; a dense one has no stream and no hot region,
-	// and at least four bytes per cell. Either way the offset arithmetic
-	// below cannot overflow.
+	// nonzero by the file size; a dense one has no stream and at least four
+	// bytes per cell. Either way the offset arithmetic below cannot overflow.
 	if g.cells <= 0 || g.nonzero < 0 || g.nonzero > g.cells {
 		return nil, nil, nil, fmt.Errorf("layout: implausible geometry (cells %d, nonzero %d)", g.cells, g.nonzero)
 	}
-	if g.hotCount < 0 || g.hotCount > g.nonzero || g.blockSize <= 0 || g.blockSize > maxBlockSize {
-		return nil, nil, nil, fmt.Errorf("layout: implausible geometry (hot %d of %d, block size %d)",
-			g.hotCount, g.nonzero, g.blockSize)
+	if g.blockSize <= 0 || g.blockSize > maxBlockSize {
+		return nil, nil, nil, fmt.Errorf("layout: implausible block size %d", g.blockSize)
 	}
 	if g.dense() {
-		if g.streamLen != 0 || g.hotCount != 0 || int64(g.cells) > fileSize/4 {
-			return nil, nil, nil, fmt.Errorf("layout: implausible dense geometry (cells %d, stream %d bytes, hot %d)",
-				g.cells, g.streamLen, g.hotCount)
+		if g.streamLen != 0 || int64(g.cells) > fileSize/4 {
+			return nil, nil, nil, fmt.Errorf("layout: implausible dense geometry (cells %d, stream %d bytes)",
+				g.cells, g.streamLen)
 		}
 	} else if n := int64(g.nonzero); g.streamLen < n || g.streamLen > fileSize || g.streamLen > n*binary.MaxVarintLen64 {
 		return nil, nil, nil, fmt.Errorf("layout: implausible key stream (%d bytes for %d keys)", g.streamLen, g.nonzero)

@@ -3,6 +3,7 @@ package layout
 import (
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -42,6 +43,17 @@ func fuzzSeedLayout(f *testing.F, dense bool, opts WriteOptions) []byte {
 	return blob
 }
 
+// withHotRegion returns a copy of file whose header announces a hot region
+// of hot slots, its header checksum recomputed: the header of a sparse file
+// written before every value moved into a block.
+func withHotRegion(file []byte, hot uint64) []byte {
+	c := slices.Clone(file)
+	binary.LittleEndian.PutUint64(c[preludeSize+16:], hot) // after cells and nonzero
+	hdrLen := binary.LittleEndian.Uint32(c[8:12])
+	binary.LittleEndian.PutUint32(c[12:16], crc32.ChecksumIEEE(c[preludeSize:preludeSize+hdrLen]))
+	return c
+}
+
 // FuzzOpenLayout pins the hardening contract of the read path: an arbitrary
 // byte string presented as a .wvls file either fails Open with an error or
 // opens into a store whose entire fallible surface serves reads without
@@ -51,10 +63,10 @@ func FuzzOpenLayout(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("WVLS"))
 	f.Add([]byte("WVFS\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add(fuzzSeedLayout(f, false, WriteOptions{HotCount: 8, BlockSize: 16}))
-	f.Add(fuzzSeedLayout(f, false, WriteOptions{HotCount: 1, BlockSize: 4}))
+	f.Add(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16}))
+	f.Add(withHotRegion(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16}), 8))
+	f.Add(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 4}))
 	f.Add(fuzzSeedLayout(f, false, WriteOptions{
-		HotCount:  4,
 		BlockSize: 8,
 		Meta: &Meta{
 			FilterName: "db4",
@@ -86,9 +98,8 @@ func FuzzOpenLayout(f *testing.F) {
 // fuzzExercise drives every fallible read surface of an opened store. The
 // header CRC protects the geometry, but the index and the block payloads
 // are only checked on access — so a mutated file can open fine and still
-// carry garbage. All of that must come back as errors. Slot order is
-// answered by the sequential hint alone, so the keys are asked for
-// ascending and descending too: those reach the key search and slotOf.
+// carry garbage. All of that must come back as errors. The keys are asked
+// for in slot order, which serves runs, and ascending and descending too.
 // The key-order walk, which reads each value by its slot, must return an
 // error or hand over ascending, in-range, nonzero keys.
 func fuzzExercise(t *testing.T, s *Store) {

@@ -37,7 +37,7 @@ func testCoefficients(n, cells int, seed int64) (keys []int, values []float64) {
 }
 
 // writeTestLayout writes a layout that must come out sparse: the tests that
-// use it reach the key index, the hot region or the schedule order.
+// use it reach the key index or the schedule order.
 func writeTestLayout(t *testing.T, keys []int, values []float64, opts WriteOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.wvls")
@@ -60,16 +60,15 @@ func fileDense(t *testing.T, path string) bool {
 	return binary.LittleEndian.Uint16(raw[6:8])&flagDense != 0
 }
 
-// TestRoundtrip pins that every stored key reads back bit-identically,
-// hot and cold, from a mapped file and from the file's bytes read once, and
-// that unknown keys read as zero.
+// TestRoundtrip pins that every stored key reads back bit-identically, from
+// a mapped file and from the file's bytes read once, and that unknown keys
+// read as zero.
 func TestRoundtrip(t *testing.T) {
 	const cells = 1 << 16
 	keys, values := testCoefficients(5000, cells, 1)
 	path := writeTestLayout(t, keys, values, WriteOptions{
-		Cells:    cells,
-		HotCount: 512,
-		// Small blocks so the cold tail spans many blocks.
+		Cells: cells,
+		// Small blocks so the values span many.
 		BlockSize: 128,
 	})
 	raw, err := os.ReadFile(path)
@@ -128,9 +127,7 @@ func TestRoundtrip(t *testing.T) {
 				}
 			}
 			// Batch in layout (schedule) order: the batch path serves whole
-			// slot runs, so lookups happen only at run boundaries (tier and
-			// block crossings) and all but the first resolve via the
-			// sequential hint.
+			// slot runs, so lookups happen only at block crossings.
 			ordered := make([]int, s.NonzeroCount())
 			for j := range ordered {
 				ordered[j] = s.KeyOfSlot(j)
@@ -148,11 +145,8 @@ func TestRoundtrip(t *testing.T) {
 				}
 			}
 			st := s.Stats()
-			if st.HintHits <= st0.HintHits {
-				t.Fatalf("sequential drain gained no hint hits (%d → %d)", st0.HintHits, st.HintHits)
-			}
-			if tier := st.HotHits + st.ColdHits - st0.HotHits - st0.ColdHits; tier != int64(len(ordered)) {
-				t.Fatalf("sequential drain counted %d tier hits, want %d", tier, len(ordered))
+			if hits := st.ColdHits - st0.ColdHits; hits != int64(len(ordered)) {
+				t.Fatalf("sequential drain counted %d hits, want %d", hits, len(ordered))
 			}
 			// Enumeration covers exactly the stored set.
 			got := make(map[int]float64, len(keys))
@@ -179,7 +173,7 @@ func TestRoundtrip(t *testing.T) {
 func TestLayoutOrderCanonical(t *testing.T) {
 	keys := []int{10, 20, 30, 40, 50}
 	values := []float64{1, -8, 3, 8, 0.5}
-	path := writeTestLayout(t, keys, values, WriteOptions{Cells: 64, HotCount: 2, BlockSize: 2})
+	path := writeTestLayout(t, keys, values, WriteOptions{Cells: 64, BlockSize: 2})
 	s, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -192,13 +186,13 @@ func TestLayoutOrderCanonical(t *testing.T) {
 		}
 	}
 	fams := s.Families()
-	if len(fams) != 1 || fams[0].Label != "canonical" || fams[0].HotCoverage != 1 {
-		t.Fatalf("Families = %+v, want the canonical family at full coverage", fams)
+	if len(fams) != 1 || fams[0] != (Family{Label: "canonical", Fingerprint: "canonical:|value|"}) {
+		t.Fatalf("Families = %+v, want the canonical family", fams)
 	}
 }
 
 // TestLayoutFamilyOrder pins that the first supplied family dictates the
-// physical prefix and that per-family hot coverage is measured.
+// physical prefix and that every family is recorded.
 func TestLayoutFamilyOrder(t *testing.T) {
 	keys := []int{1, 2, 3, 4, 5, 6}
 	values := []float64{10, 20, 30, 40, 50, 60}
@@ -210,7 +204,7 @@ func TestLayoutFamilyOrder(t *testing.T) {
 	}
 	other := FamilyOrder{Label: "canon-like", Fingerprint: "x", Keys: []int{6, 5, 1, 2}}
 	path := writeTestLayout(t, keys, values, WriteOptions{
-		Cells: 64, HotCount: 4, BlockSize: 2,
+		Cells: 64, BlockSize: 2,
 		Families: []FamilyOrder{fam, other},
 	})
 	s, err := Open(path)
@@ -225,16 +219,9 @@ func TestLayoutFamilyOrder(t *testing.T) {
 			t.Fatalf("KeyOfSlot(%d) = %d, want %d", j, got, k)
 		}
 	}
-	fams := s.Families()
-	if len(fams) != 2 {
-		t.Fatalf("Families = %+v, want 2", fams)
-	}
-	if fams[0].Fingerprint != "sse" || fams[0].HotCoverage != 1 {
-		t.Fatalf("lead family = %+v, want full hot coverage", fams[0])
-	}
-	// other's top-4 is {6,5,1,2}; hot slots hold {1,2,3,4} → coverage 2/4.
-	if fams[1].HotCoverage != 0.5 {
-		t.Fatalf("bucketed family coverage = %v, want 0.5", fams[1].HotCoverage)
+	want2 := []Family{{Label: "sse", Fingerprint: "sse"}, {Label: "canon-like", Fingerprint: "x"}}
+	if fams := s.Families(); !slices.Equal(fams, want2) {
+		t.Fatalf("Families = %+v, want %+v", fams, want2)
 	}
 }
 
@@ -305,13 +292,13 @@ func TestCorruptHeader(t *testing.T) {
 }
 
 // TestCorruptBlock pins the degradation contract: a flipped byte in one
-// cold block fails exactly the keys in that block — per-key errors through
+// block fails exactly the keys in that block — per-key errors through
 // the fallible surface, valid values everywhere else.
 func TestCorruptBlock(t *testing.T) {
 	const cells = 1 << 14
 	keys, values := testCoefficients(2000, cells, 4)
 	path := writeTestLayout(t, keys, values, WriteOptions{
-		Cells: cells, HotCount: 200, BlockSize: 100,
+		Cells: cells, BlockSize: 100,
 	})
 	// Learn the geometry, then corrupt the middle block's payload.
 	s, err := Open(path)
@@ -385,7 +372,7 @@ func TestCorruptBlock(t *testing.T) {
 func TestBatchGetCtxCancellation(t *testing.T) {
 	const cells = 1 << 14
 	keys, values := testCoefficients(3000, cells, 5)
-	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, HotCount: 100, BlockSize: 64})
+	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 64})
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -424,13 +411,13 @@ func (c *midCancelCtx) Err() error {
 	return nil
 }
 
-// TestConcurrentReads exercises the mmap and cache tiers from many
-// goroutines under -race.
+// TestConcurrentReads exercises the mapped reads and the block check from
+// many goroutines under -race.
 func TestConcurrentReads(t *testing.T) {
 	const cells = 1 << 14
 	keys, values := testCoefficients(4000, cells, 6)
 	sparse := writeTestLayout(t, keys, values, WriteOptions{
-		Cells: cells, HotCount: 256, BlockSize: 64,
+		Cells: cells, BlockSize: 64,
 	})
 	t.Run("sparse", func(t *testing.T) { concurrentReads(t, sparse, keys, values) })
 	keys, values = denseCoefficients(cells, 0.8, 6)
@@ -641,7 +628,7 @@ func TestWidthBoundaries(t *testing.T) {
 		}
 		keys := []int{0, 1, tc.cells / 2, tc.cells - 2, tc.cells - 1}
 		values := []float64{5, -4, 3, 2, -1}
-		path := writeTestLayout(t, keys, values, WriteOptions{Cells: tc.cells, HotCount: 2, BlockSize: 2})
+		path := writeTestLayout(t, keys, values, WriteOptions{Cells: tc.cells, BlockSize: 2})
 		s, err := Open(path)
 		if err != nil {
 			t.Fatalf("cells %d: %v", tc.cells, err)
@@ -665,14 +652,14 @@ func TestWidthBoundaries(t *testing.T) {
 
 // TestCorruptIndex is the corruption table: one damaged byte anywhere past
 // the header — in the key samples, their stream offsets, the delta stream,
-// slotOf, keyOfSlot, the hot region, a cold block or the checksums — and
+// slotOf, keyOfSlot, a block or the checksums — and
 // every key of the domain, stored or not, asked for in schedule order,
 // ascending and descending, comes back as a per-key error or
 // as its true value. Never a wrong value, never a panic.
 func TestCorruptIndex(t *testing.T) {
 	const cells = 1 << 13
 	keys, values := testCoefficients(3000, cells, 10)
-	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, HotCount: 300, BlockSize: 128})
+	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 128})
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -743,7 +730,6 @@ func TestCorruptIndex(t *testing.T) {
 		{"stream", g.streamOff, g.slotOfOff},
 		{"slotOf", g.slotOfOff, g.slotOfOff + int64(g.nonzero*g.slotWidth)},
 		{"keyOfSlot", g.keyOfSlotOff, g.keyOfSlotOff + int64(g.nonzero*g.keyWidth)},
-		{"hot", g.hotOff, g.blocksOff},
 		{"cold block", g.blocksOff, g.crcsOff},
 		{"checksums", g.crcsOff, g.fileSize},
 	} {
@@ -797,7 +783,7 @@ func TestKeyGroupMustArrive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, first := s.g, s.KeyOfSlot(0)
+	g := s.g
 	offsets := make([]uint64, g.groups)
 	for i := range offsets {
 		offsets[i] = s.offsets.at(i)
@@ -841,9 +827,6 @@ func TestKeyGroupMustArrive(t *testing.T) {
 			t.Fatalf("%s: Open: %v (the header is intact)", name, err)
 		}
 		for _, k := range []int{absent, members[0], members[groupSize/2], members[groupSize-1]} {
-			if k == first {
-				continue // the sequential hint serves slot 0 without a search
-			}
 			dst := []float64{math.NaN()}
 			var be *storage.BatchError
 			if err := s.BatchGetCtx(context.Background(), []int{k}, dst); !errors.As(err, &be) || len(be.Failed) != 1 {

@@ -18,22 +18,18 @@ import (
 
 // Store serves a .wvls layout file from its bytes in memory: a mapping of
 // a regular file, or the bytes of anything else read once (see load). Every
-// read is a window of those bytes behind a CRC check:
-//
-//  1. the hot region of a sparse file — the most important hotCount
-//     coefficients, raw float64 words, served once the region and the key
-//     index have passed indexCRC, which the first read of a sparse file
-//     checks;
-//  2. verified blocks — a block's CRC is checked the first time any of its
-//     slots is served, one bit per block remembers that it passed, and
-//     every later read of it is a window with no check.
+// value is read from a verified block: a block's CRC is checked the first
+// time any of its slots is served, one bit per block remembers that it
+// passed, and every later read of it is a window with no check. A sparse
+// file's key index is served once it has passed indexCRC, which the first
+// read of the file checks.
 //
 // In a dense file the slot is the key. In a sparse one key→slot resolution
-// is a search of the compressed key index, short-circuited by a sequential
-// hint: a progressive drain requests keys in exactly the layout's slot
-// order, so after the first key of a batch the remaining lookups are O(1)
-// pointer bumps and the whole drain walks the file front to back —
-// sequential I/O, which is the point of the sparse shape.
+// is a search of the compressed key index; a progressive drain requests keys
+// in exactly the layout's slot order, so the rest of a run in one block is
+// served by comparing each key with the next slot's (see serveRun) and the
+// whole drain walks the file front to back — sequential I/O, which is the
+// point of the sparse shape.
 //
 // Store implements storage.Store and Enumerable, not Updatable: a layout is
 // a read-only artifact of its write-time schedule. It is the one reader of a
@@ -58,9 +54,8 @@ type Store struct {
 	crcs      []byte
 
 	// verified holds one bit per block, set once the block's CRC has
-	// passed; indexChecked is set once a sparse file's index sections and
-	// hot region have passed indexCRC (at open for a dense file, which has
-	// neither).
+	// passed; indexChecked is set once a sparse file's index sections have
+	// passed indexCRC (at open for a dense file, which has none).
 	verified     []atomic.Uint64
 	indexChecked atomic.Bool
 	// cells is the value words of a dense file, which gatherVerified serves
@@ -70,14 +65,8 @@ type Store struct {
 	blockShift uint
 	blockDiv   uint
 
-	retrievals atomic.Int64
-	// hint is the slot expected next by a sequential (schedule-order)
-	// reader of a sparse file; see lookupSlot.
-	hint atomic.Int64
-
-	hotHits        atomic.Int64
+	retrievals     atomic.Int64
 	coldHits       atomic.Int64
-	hintHits       atomic.Int64
 	blockLoads     atomic.Int64
 	blockLoadFails atomic.Int64
 }
@@ -86,8 +75,7 @@ type Store struct {
 // validated against the actual file before any data is trusted; a file that
 // fails either check is rejected here rather than misread later. Nothing
 // past the header is checked at open: blocks are checked by their first
-// read, the index sections and the hot region by the first read of the
-// file.
+// read, the index sections by the first read of the file.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -120,7 +108,7 @@ func open(r io.Reader) (*Store, error) {
 	s.offsets = newPacked(data[g.offsetsOff:g.streamOff], g.offWidth)
 	s.stream = data[g.streamOff:g.slotOfOff]
 	s.slotOf = newPacked(data[g.slotOfOff:g.keyOfSlotOff], g.slotWidth)
-	s.keyOfSlot = newPacked(data[g.keyOfSlotOff:g.hotOff], g.keyWidth)
+	s.keyOfSlot = newPacked(data[g.keyOfSlotOff:g.blocksOff], g.keyWidth)
 	if g.dense() {
 		s.cells = data[g.blocksOff:g.crcsOff]
 		if g.blockSize&(g.blockSize-1) == 0 {
@@ -135,9 +123,10 @@ func open(r io.Reader) (*Store, error) {
 // load sets s.data to the bytes of the view file r holds from its current
 // offset on. A regular file is mapped whole. Anything else — a reader that
 // is not a file, or a file mmap fails on, as on every non-unix build — is
-// read once: into an anonymous mapping when r tells its length first (a
-// file's size, a bytes.Reader's Len), so that the copy is not Go heap and
-// goes when the store closes, and into one heap slice otherwise.
+// read once into an anonymous mapping, so that the copy is not Go heap and
+// goes when the store closes (into the heap where there is none): one of
+// the exact size when r tells its length first (a file's size, a
+// bytes.Reader's Len), a growing one otherwise (see readStream).
 func (s *Store) load(r io.Reader) error {
 	n := -1
 	switch r := r.(type) {
@@ -159,17 +148,49 @@ func (s *Store) load(r io.Reader) error {
 		n = r.Len()
 	}
 	if n < 0 {
-		var err error
-		s.data, err = io.ReadAll(r)
-		return err
+		return s.readStream(r)
 	}
-	if s.mapping = mapAnon(n); s.mapping != nil {
-		s.data = s.mapping
-	} else {
-		s.data = make([]byte, n)
-	}
+	s.data = s.alloc(n)
 	_, err := io.ReadFull(r, s.data)
 	return err
+}
+
+// alloc returns n zeroed bytes: an anonymous mapping, which s.mapping then
+// holds, or a heap slice where the kernel gives none.
+func (s *Store) alloc(n int) []byte {
+	if s.mapping = mapAnon(n); s.mapping != nil {
+		return s.mapping
+	}
+	return make([]byte, n)
+}
+
+// readStream reads r to its end, trusting no size before the bytes arrive:
+// into a buffer from alloc that doubles when it fills, each full one copied
+// into its successor and released. In a mapping the pages past the file's
+// end are never touched, so what stays resident is the file's size, and
+// nothing of it is Go heap.
+func (s *Store) readStream(r io.Reader) error {
+	buf, n := s.alloc(64<<10), 0
+	for {
+		if n == len(buf) {
+			full := s.mapping
+			next := s.alloc(2 * n)
+			copy(next, buf)
+			buf = next
+			if full != nil {
+				_ = munmapFile(full)
+			}
+		}
+		k, err := r.Read(buf[n:])
+		n += k
+		s.data = buf[:n]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // KeyOfSlot returns the key stored at slot j: the layout's retrieval order
@@ -183,9 +204,9 @@ func (s *Store) KeyOfSlot(j int) int {
 	return int(s.keyOfSlot.at(j))
 }
 
-// checkIndex checks a sparse file's index sections and hot region against
-// indexCRC, once: the first check that passes is remembered, one that fails
-// is not, so every later read checks again and fails again.
+// checkIndex checks a sparse file's index sections against indexCRC, once:
+// the first check that passes is remembered, one that fails is not, so
+// every later read checks again and fails again.
 func (s *Store) checkIndex() error {
 	if s.indexChecked.Load() {
 		return nil
@@ -275,24 +296,17 @@ func (s *Store) findKey(key int) (rank int, ok bool, err error) {
 
 // lookupSlot resolves an in-range key → slot; ok is false for a key that is
 // not stored. In a dense file every cell is stored at its own slot. In a
-// sparse one the sequential hint is checked first: schedule-order readers
-// advance one slot per retrieval, so the expected next slot usually holds
-// the requested key and the index search is skipped entirely. A slot the
-// search produces is served only if keyOfSlot maps it back to the key.
+// sparse one the slot the index search produces is served only if keyOfSlot
+// maps it back to the key.
 func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
 	if s.g.dense() {
 		return key, true, nil
-	}
-	n := s.g.nonzero
-	if h := int(s.hint.Load()); h >= 0 && h < n && s.KeyOfSlot(h) == key {
-		s.hintHits.Add(1)
-		return h, true, nil
 	}
 	rank, ok, err := s.findKey(key)
 	if err != nil || !ok {
 		return 0, false, err
 	}
-	if slot = int(s.slotOf.at(rank)); slot >= n || s.KeyOfSlot(slot) != key {
+	if slot = int(s.slotOf.at(rank)); slot >= s.g.nonzero || s.KeyOfSlot(slot) != key {
 		return 0, false, fmt.Errorf("layout: slot %d does not hold key %d (index disagrees with itself)", slot, key)
 	}
 	return slot, true, nil
@@ -320,52 +334,32 @@ func (s *Store) block(b int) ([]byte, error) {
 	return vals, nil
 }
 
-// readSlots decodes the values of slots [slot, slot+len(out)), which must
-// lie inside one tier unit: the hot region, or a single block, which is
-// checked first. The blocks follow the hot region, so slot j's word is at
-// hotOff+8j in either.
-func (s *Store) readSlots(slot int, out []float64) error {
-	if slot >= s.g.hotCount {
-		if _, err := s.block((slot - s.g.hotCount) / s.g.blockSize); err != nil {
-			return err
-		}
-	}
-	raw := s.data[s.g.hotOff+int64(slot)*8:]
-	for q := range out {
-		out[q] = math.Float64frombits(binary.LittleEndian.Uint64(raw[q*8:]))
-	}
-	return nil
-}
-
-// unitEnd returns the slot one past the tier unit holding slot: the end of
-// the hot region, or of slot's block.
-func (s *Store) unitEnd(slot int) int {
-	if slot < s.g.hotCount {
-		return s.g.hotCount
-	}
-	_, hi := s.g.blockSlots((slot - s.g.hotCount) / s.g.blockSize)
-	return hi
-}
-
 // serveRun serves the longest prefix of keys[i:] that continues slot by
-// slot from the resolved start within one tier unit — the common shape of a
+// slot from the resolved start within one block — the common shape of a
 // sparse file's progressive drain, whose batches are exactly the layout's
 // physical order, and of any ascending run of a dense file. lookupSlot has
 // already resolved and verified slot for keys[i]; the run extends while each
 // next key is the next slot's key, so the per-key cost inside a run is one
-// compare and one store instead of a hint check, a tier dispatch and a
-// block check. It returns the run's length n ≥ 1; on error all n positions
-// failed together (one unreadable run, one corrupt block).
+// compare and one load instead of an index search and a block check. It
+// returns the run's length n ≥ 1; on error all n positions failed together
+// (one corrupt block).
 func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
-	limit := min(s.unitEnd(slot)-slot, len(keys)-i)
+	b := slot / s.g.blockSize
+	lo, hi := s.g.blockSlots(b)
+	limit := min(hi-slot, len(keys)-i)
 	n := 1
 	for n < limit && keys[i+n] == s.KeyOfSlot(slot+n) {
 		n++
 	}
-	if !s.g.dense() {
-		s.hint.Store(int64(slot + n))
+	vals, err := s.block(b)
+	if err != nil {
+		return n, err
 	}
-	return n, s.readSlots(slot, dst[i:i+n])
+	raw, out := vals[(slot-lo)*8:], dst[i:i+n]
+	for q := range out {
+		out[q] = math.Float64frombits(binary.LittleEndian.Uint64(raw[q*8:]))
+	}
+	return n, nil
 }
 
 // batchCancelStride is how many keys BatchGetCtx serves between context
@@ -390,14 +384,14 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		return err
 	}
 	s.retrievals.Add(int64(len(keys)))
-	// EXPLAIN ANALYZE tier attribution: snapshot the tier counters around
-	// this call and record the deltas. Exact for a run draining alone,
-	// approximate (shared deltas) when concurrent runs interleave — the
-	// counters are store-global. Nil profile skips the snapshots entirely.
+	// EXPLAIN ANALYZE attribution: snapshot the counters around this call
+	// and record the deltas. Exact for a run draining alone, approximate
+	// (shared deltas) when concurrent runs interleave — the counters are
+	// store-global. Nil profile skips the snapshots entirely.
 	if prof := obs.ProfileFrom(ctx); prof != nil {
-		hot0, cold0, loads0 := s.hotHits.Load(), s.coldHits.Load(), s.blockLoads.Load()
+		cold0, loads0 := s.coldHits.Load(), s.blockLoads.Load()
 		defer func() {
-			prof.AddLayout(s.hotHits.Load()-hot0, s.coldHits.Load()-cold0, s.blockLoads.Load()-loads0)
+			prof.AddLayout(s.coldHits.Load()-cold0, s.blockLoads.Load()-loads0)
 		}()
 	}
 	if err := s.checkIndex(); err != nil {
@@ -411,15 +405,12 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 	// verified blocks in two tight loops — check the run, then gather it —
 	// with no calls and no locked instruction in either, so the cache misses
 	// of a drain's random keys overlap instead of queueing: the gather costs
-	// what the in-memory array's does. That is why the tier hits are tallied
-	// here and added to the shared counters once a call. Anything else — a
+	// what the in-memory array's does. That is why the hits are tallied
+	// here and added to the shared counter once a call. Anything else — a
 	// block not yet checked, a key out of range, the sparse shape — takes
 	// the general path below, a key at a time.
-	var hot, cold int64
-	defer func() {
-		s.hotHits.Add(hot)
-		s.coldHits.Add(cold)
-	}()
+	var cold int64
+	defer func() { s.coldHits.Add(cold) }()
 	var failed []storage.KeyError
 	i, checked := 0, 0
 	for i < len(keys) {
@@ -461,11 +452,7 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 			}
 			continue
 		}
-		if slot < s.g.hotCount {
-			hot += int64(n)
-		} else {
-			cold += int64(n)
-		}
+		cold += int64(n)
 		i += n
 	}
 	if len(failed) > 0 {
@@ -519,11 +506,8 @@ func (s *Store) Meta() *Meta { return s.meta }
 func (s *Store) Families() []Family { return append([]Family(nil), s.families...) }
 
 // Dense reports whether the file has the dense shape: every cell's value in
-// key order, no index and no hot region.
+// key order, no index.
 func (s *Store) Dense() bool { return s.g.dense() }
-
-// HotCount returns the number of slots in the raw hot region.
-func (s *Store) HotCount() int { return s.g.hotCount }
 
 // BlockSize returns the block granularity in slots.
 func (s *Store) BlockSize() int { return s.g.blockSize }
@@ -542,10 +526,7 @@ type Extent struct {
 // words, at an offset that is arithmetic on the header.
 func (s *Store) BlockExtent(b int) Extent {
 	lo, hi := s.g.blockSlots(b)
-	return Extent{
-		Off: s.g.blocksOff + int64(lo-s.g.hotCount)*8,
-		Len: (hi - lo) * 8,
-	}
+	return Extent{Off: s.g.blocksOff + int64(lo)*8, Len: (hi - lo) * 8}
 }
 
 // Section is one named byte range of the file, for size reports.
@@ -555,20 +536,20 @@ type Section struct {
 }
 
 // Sections lists the file's sections in file order; their sizes sum to the
-// file size. A dense file has two: the header and the values with their
-// checksums.
+// file size. The last is the values with their checksums; a dense file has
+// only the header before it.
 func (s *Store) Sections() []Section {
 	g := &s.g
+	values := Section{"values", g.fileSize - g.blocksOff}
 	if g.dense() {
-		return []Section{{"header", g.blocksOff}, {"values", g.fileSize - g.blocksOff}}
+		return []Section{{"header", g.blocksOff}, values}
 	}
 	return []Section{
 		{"header", g.samplesOff},
 		{"key index", g.slotOfOff - g.samplesOff},
 		{"slotOf", g.keyOfSlotOff - g.slotOfOff},
-		{"keyOfSlot", g.hotOff - g.keyOfSlotOff},
-		{"hot", g.blocksOff - g.hotOff},
-		{"cold", g.fileSize - g.blocksOff},
+		{"keyOfSlot", g.blocksOff - g.keyOfSlotOff},
+		values,
 	}
 }
 
@@ -592,7 +573,7 @@ type visitor struct {
 }
 
 // Verify checks what a read of the whole file would: a sparse file's index
-// sections and hot region, then every block, each once. A damaged file is an
+// sections, then every block, each once. A damaged file is an
 // error here rather than a degraded read later. It puts nothing on the Go
 // heap, and a block that passed before is not checked again.
 func (s *Store) Verify() error {
@@ -674,7 +655,7 @@ func (s *Store) walkDense(vis visitor) error {
 }
 
 // rankValues reads the values of the stored keys of ranks [first,
-// first+len(out)) by their slots, in the hot region or a block.
+// first+len(out)) by their slots; walk has verified every block.
 func (s *Store) rankValues(first int, out []float64) error {
 	g := &s.g
 	for j := range out {
@@ -682,31 +663,25 @@ func (s *Store) rankValues(first int, out []float64) error {
 		if slot >= uint64(g.nonzero) {
 			return fmt.Errorf("layout: key rank %d has slot %d of %d", first+j, slot, g.nonzero)
 		}
-		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(s.data[g.hotOff+8*int64(slot):]))
+		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(s.data[g.blocksOff+8*int64(slot):]))
 	}
 	return nil
 }
 
-// Stats is a point-in-time snapshot of the store's tier counters.
+// Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
 	// Dense marks the dense shape: every cell's value in key order, no
-	// index and no hot region.
+	// index.
 	Dense bool `json:"dense"`
 	// Slots is the number of stored values — the nonzero coefficients of a
-	// sparse file, every cell of a dense one; HotSlots of them live in the
-	// raw hot region, the rest in Blocks blocks of BlockSize.
-	Slots    int `json:"slots"`
-	HotSlots int `json:"hot_slots"`
-	Blocks   int `json:"blocks"`
+	// sparse file, every cell of a dense one — held in Blocks blocks of
+	// BlockSize.
+	Slots  int `json:"slots"`
+	Blocks int `json:"blocks"`
 	// BlockSize is the block granularity in slots.
 	BlockSize int `json:"block_size"`
-	// HotHits counts retrievals served by the hot region, ColdHits by
-	// blocks.
-	HotHits  int64 `json:"hot_hits"`
+	// ColdHits counts retrievals of stored keys, each served from a block.
 	ColdHits int64 `json:"cold_hits"`
-	// HintHits counts key lookups resolved by the sequential-slot hint
-	// (no binary search): high on schedule-order drains of a sparse file.
-	HintHits int64 `json:"hint_hits"`
 	// BlockLoads counts block checks that passed: each block's first read
 	// (more only when two readers race to it). BlockLoadFailures counts
 	// block checks that failed.
@@ -724,7 +699,7 @@ type Stats struct {
 	Families []Family `json:"families,omitempty"`
 }
 
-// Stats snapshots the tier counters.
+// Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	verified := 0
 	for i := range s.verified {
@@ -733,17 +708,14 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Dense:             s.g.dense(),
 		Slots:             s.g.slots,
-		HotSlots:          s.g.hotCount,
 		Blocks:            s.g.numBlocks,
 		BlockSize:         s.g.blockSize,
-		HotHits:           s.hotHits.Load(),
 		ColdHits:          s.coldHits.Load(),
-		HintHits:          s.hintHits.Load(),
 		BlockLoads:        s.blockLoads.Load(),
 		BlockLoadFailures: s.blockLoadFails.Load(),
 		VerifiedBlocks:    verified,
 		FileBytes:         s.g.fileSize,
-		IndexBytes:        s.g.hotOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
+		IndexBytes:        s.g.blocksOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
 		Families:          s.Families(),
 	}
 }

@@ -86,9 +86,8 @@ func openLayout(t *testing.T, want []float64, dense bool) subject {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "m.wvls")
-	// Small blocks (and a small hot region in the sparse shape), so batches
-	// cross tier units.
-	wopts := layout.WriteOptions{Cells: len(want), HotCount: 64, BlockSize: 32}
+	// Small blocks, so batches cross them.
+	wopts := layout.WriteOptions{Cells: len(want), BlockSize: 32}
 	if _, err := layout.Write(path, keys, values, wopts); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,7 @@ type layoutStore = layout.Store
 // LayoutFamily names one (plan, penalty) workload whose retrieval schedule
 // should shape the persistent layout. The first family supplied to
 // SaveLayout dictates the physical on-disk order; every family is recorded
-// in the file with its measured hot-region coverage so operators can see
-// how well the layout serves each workload.
+// in the file by label and penalty fingerprint.
 type LayoutFamily struct {
 	// Label is a short human-readable name recorded in the file ("sse",
 	// "weighted-q3", …).
@@ -33,10 +32,6 @@ type LayoutFamily struct {
 
 // LayoutOptions configures SaveLayout.
 type LayoutOptions struct {
-	// HotCount is the number of leading schedule slots a sparse file stores
-	// raw in the mmap-served hot region; 0 selects the writer default
-	// (nonzero/8), negative stores everything hot. A dense file has none.
-	HotCount int
 	// BlockSize is the block granularity in slots; 0 selects
 	// layout.DefaultBlockSize.
 	BlockSize int
@@ -54,9 +49,8 @@ type LayoutCandidates = layout.Candidates
 // SaveLayout writes the database's coefficients to path in the .wvls
 // persistent format, in whichever of its two shapes is smaller: dense —
 // every cell's value in key order, checksummed in blocks — or sparse —
-// coefficients physically ordered by retrieval importance, a raw
-// mmap-servable hot prefix and a checksummed cold tail, behind a compressed
-// key index. The file embeds the database identity (schema, filter, tuple
+// coefficients physically ordered by retrieval importance, checksummed in
+// blocks, behind a compressed key index. The file embeds the database identity (schema, filter, tuple
 // count, windows) so OpenLayout can reassemble a servable view from it
 // alone. The store must be enumerable. It returns both shapes' sizes, so a
 // caller can report the choice without reading the file back.
@@ -112,7 +106,6 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 	}
 	return layout.Encode(w, keys, values, layout.WriteOptions{
 		Cells:     db.schema.Cells(),
-		HotCount:  opts.HotCount,
 		BlockSize: opts.BlockSize,
 		Meta: &layout.Meta{
 			FilterName: db.filter.Name,

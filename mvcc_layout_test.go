@@ -17,7 +17,7 @@ import (
 func mappedMVCCFixture(t *testing.T, dense bool) (*Plan, string, []byte) {
 	t.Helper()
 	db, plan, path := layoutFixture(t)
-	opts := LayoutOptions{HotCount: 32, BlockSize: 16}
+	opts := LayoutOptions{BlockSize: 16}
 	if !dense {
 		opts.Families = []LayoutFamily{{Label: "sse", Plan: plan, Penalty: SSE()}}
 	}
@@ -115,7 +115,7 @@ func TestDamagedMappingUnderMVCC(t *testing.T) {
 		victim := ls.Blocks() - 1
 		if !dense {
 			last := min(len(plan.ScheduleFor(SSE()).KeyOrder()), ls.NonzeroCount()) - 1
-			victim = (last - ls.HotCount()) / ls.BlockSize()
+			victim = last / ls.BlockSize()
 		}
 		at := ls.BlockExtent(victim).Off
 		if err := ls.Close(); err != nil {

@@ -8,7 +8,7 @@
 //   - a name is registered consistently: one kind and one help string
 //     everywhere it appears, and when it appears at more than one call site
 //     every site must carry labels (labeled variants of one series, e.g.
-//     tier="hot"/"cold", are fine; two unlabeled registrations of the same
+//     kind="error"/"delay", are fine; two unlabeled registrations of the same
 //     name is how dashboards silently split a series);
 //   - every number has one owner: a name is pushed or read, never both.
 //
