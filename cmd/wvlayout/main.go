@@ -5,12 +5,15 @@
 // The input is a .wvls view file (repro.Save, wvload, wvq -create), mapped
 // as wvqd -db maps it and walked in key order; it carries the schema and
 // filter identity, so the layout written from it is self-contained and
-// serves with wvqd -db. The output takes whichever of the format's two
-// shapes is smaller: dense (every cell's value in key order) or sparse (the
-// nonzero coefficients in schedule order behind a key index); the closing
-// report names the shape and both candidates' bytes per coefficient. With
-// the default options the input is written back byte for byte, so the
-// command's use is its one knob.
+// serves with wvqd -db. The output takes one of the format's two shapes:
+// dense (every cell's value in key order) when at least half the cells are
+// nonzero, sparse (the nonzero coefficients' values in key order behind a
+// key index) otherwise; the closing report names the shape, the bytes per
+// coefficient of each section — header, key index, values — and both
+// candidates' bytes per coefficient. With the default options the input is
+// written back byte for byte, so the command's use is its one knob. A file
+// the reader refuses, one written by an older writer, cannot be converted:
+// rebuild it from the source data with wvload or wvq -create.
 //
 // -block tunes the layout's block granularity: how many slots one checksum
 // covers. The output replaces any file of its name by a rename, so -out may

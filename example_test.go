@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"repro"
 )
@@ -99,4 +102,53 @@ func ExampleParseBatch() {
 	}
 	fmt.Println(len(batch), "queries")
 	// Output: 2 queries
+}
+
+// A database is saved to a .wvls view file and served from it with
+// OpenLayout, which maps the file: every value a query reads comes from a
+// block checksummed on its first read. The file takes one of two shapes,
+// chosen by the data: dense — every cell's value, in key order — when at
+// least half the cells are nonzero, sparse otherwise — the nonzero values
+// in key order behind a key index.
+func ExampleDatabase_SaveLayout() {
+	dir, err := os.MkdirTemp("", "view")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	schema, err := repro.NewSchema([]string{"x", "y"}, []int{16, 16})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, tuples := range []int{200, 2} {
+		db, err := repro.NewDatabase(repro.UniformData(schema, tuples, 1), repro.Haar)
+		if err != nil {
+			log.Fatal(err)
+		}
+		path := filepath.Join(dir, "view.wvls")
+		if _, err := db.SaveLayout(path, repro.LayoutOptions{}); err != nil {
+			log.Fatal(err)
+		}
+		view, err := repro.OpenLayout(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		stats, _ := view.LayoutStats()
+		sections, _ := view.LayoutSections()
+		shape := "sparse"
+		if stats.Dense {
+			shape = "dense"
+		}
+		var parts []string
+		for _, sec := range sections {
+			parts = append(parts, fmt.Sprintf("%s %d B", sec.Name, sec.Bytes))
+		}
+		fmt.Printf("%d of %d cells nonzero: %s; %s\n", view.NonzeroCoefficients(), schema.Cells(), shape, strings.Join(parts, ", "))
+		if err := view.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	// Output:
+	// 217 of 256 cells nonzero: dense; header 124 B, values 2052 B
+	// 37 of 256 cells nonzero: sparse; header 124 B, key index 53 B, values 304 B
 }

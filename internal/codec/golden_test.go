@@ -10,20 +10,20 @@ import (
 	"repro/internal/storage"
 )
 
-// goldenHexWVLS is the view file Save writes for schema (x:4, y:2), filter
-// "Haar", 3 tuples and coefficients {0: 1.5, 5: -2.25}: a .wvls file in the
-// dense shape (eight cells of 8 bytes are fewer bytes than the sparse
-// index), its header carrying the identity. The writer must keep producing
-// these exact bytes — serialization is canonical — and the reader must read
-// them forever.
-const goldenHexWVLS = "57564c53" + // magic "WVLS"
+// goldenHexWVLSSparse is the view file Save writes for schema (x:4, y:2),
+// filter "Haar", 3 tuples and coefficients {0: 1.5, 5: -2.25}: a .wvls file
+// in the sparse shape (two of eight cells nonzero is under half full), its
+// header carrying the identity, the values in key order behind the key
+// index. The writer must keep producing these exact bytes — serialization is
+// canonical — and the reader must read them forever.
+const goldenHexWVLSSparse = "57564c53" + // magic "WVLS"
 	"0200" + // version 2
-	"0200" + // flags: dense
+	"0000" + // flags: sparse
 	"6c000000" + // header blob, 108 bytes
-	"dd93951b" + // its CRC-32
+	"a094b059" + // its CRC-32
 	"0800000000000000" + // cells 8
 	"0200000000000000" + // nonzero 2
-	"0000000000000000" + // hot slots 0
+	"0000000000000000" + // reserved 0
 	"00100000" + // block size 4096
 	"0000000000000e40" + // mass 3.75
 	"01" + "04" + "48616172" + // metadata: filter "Haar"
@@ -31,7 +31,35 @@ const goldenHexWVLS = "57564c53" + // magic "WVLS"
 	"0200" + // 2 dims
 	"0100" + "78" + "04000000" + "0000000000000000" + "0000000000000000" + // "x", size 4, no window
 	"0100" + "79" + "02000000" + "0000000000000000" + "0000000000000000" + // "y", size 2, no window
-	"0000" + // no families
+	"0000" + // reserved 0
+	"0200000000000000" + // key stream 2 bytes
+	"00" + "00000000000000" + // one key sample, 0, then the pad
+	"00" + "00000000000000" + // its stream offset, 0, then the pad
+	"05" + "03" + // key stream: 0 → 5 → 8 (the domain's end)
+	"000000000000f83f" + "00000000000002c0" + // the values of keys 0 and 5
+	"0928fab7" + // the block's CRC-32
+	"b26a6583" // indexCRC
+
+// goldenHexWVLS is the view file Save wrote for the same content when the
+// writer chose the smaller shape: the dense one (eight cells of 8 bytes are
+// fewer bytes than the sparse index). A dense file's bytes did not change
+// when the rule did, and the reader must read them forever.
+const goldenHexWVLS = "57564c53" + // magic "WVLS"
+	"0200" + // version 2
+	"0200" + // flags: dense
+	"6c000000" + // header blob, 108 bytes
+	"dd93951b" + // its CRC-32
+	"0800000000000000" + // cells 8
+	"0200000000000000" + // nonzero 2
+	"0000000000000000" + // reserved 0
+	"00100000" + // block size 4096
+	"0000000000000e40" + // mass 3.75
+	"01" + "04" + "48616172" + // metadata: filter "Haar"
+	"0300000000000000" + // tuple count 3
+	"0200" + // 2 dims
+	"0100" + "78" + "04000000" + "0000000000000000" + "0000000000000000" + // "x", size 4, no window
+	"0100" + "79" + "02000000" + "0000000000000000" + "0000000000000000" + // "y", size 2, no window
+	"0000" + // reserved 0
 	"0000000000000000" + // key stream 0 bytes
 	"000000000000f83f" + "0000000000000000" + "0000000000000000" + "0000000000000000" + // cells 0-3: 1.5
 	"0000000000000000" + "00000000000002c0" + "0000000000000000" + "0000000000000000" + // cells 4-7: -2.25 at 5
@@ -48,13 +76,14 @@ func TestGoldenStreamMatchesWriter(t *testing.T) {
 	if err := writeView(&buf, schema, "Haar", 3, store, nil); err != nil {
 		t.Fatal(err)
 	}
-	want, err := hex.DecodeString(goldenHexWVLS)
+	want, err := hex.DecodeString(goldenHexWVLSSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("writer output changed:\n got %x\nwant %x", buf.Bytes(), want)
 	}
+	testGoldenParses(t, goldenHexWVLSSparse)
 	testGoldenParses(t, goldenHexWVLS)
 }
 

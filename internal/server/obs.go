@@ -142,8 +142,8 @@ func (h *Handler) readFamilies(g *obs.ReadGroup[StatsResponse]) {
 	g.ReadCounter("wvq_storage_coalesce_shared_total", "Coefficients served by joining another caller's in-flight fetch.",
 		func(s *stats) int64 { return s.Coalescing.Coalesced })
 
-	g.ReadCounter("wvq_storage_layout_hits_total", "Layout-store retrievals by serving tier.",
-		ofLayout(func(l *repro.LayoutStats) int64 { return l.ColdHits }), obs.L("tier", "cold"))
+	g.ReadCounter("wvq_storage_layout_hits_total", "Stored keys the layout store served, each from a checksummed block.",
+		ofLayout(func(l *repro.LayoutStats) int64 { return l.ColdHits }))
 	g.ReadCounter("wvq_storage_layout_block_loads_total", "Cold blocks physically read and checksummed.",
 		ofLayout(func(l *repro.LayoutStats) int64 { return l.BlockLoads }))
 	g.ReadCounter("wvq_storage_layout_block_load_failures_total", "Cold-block loads rejected by read errors or their checksum.",

@@ -204,7 +204,7 @@ var readFamilyFields = map[string]string{
 	"wvq_storage_coalesce_fetched_total":  "coalescing.fetched",
 	"wvq_storage_coalesce_shared_total":   "coalescing.coalesced",
 
-	`wvq_storage_layout_hits_total{tier="cold"}`:   "layout.cold_hits",
+	"wvq_storage_layout_hits_total":                "layout.cold_hits",
 	"wvq_storage_layout_block_loads_total":         "layout.block_loads",
 	"wvq_storage_layout_block_load_failures_total": "layout.block_load_failures",
 
@@ -403,7 +403,7 @@ func TestTwoObservedHandlersKeepTheirOwnNumbers(t *testing.T) {
 	if sa.Coalescing.Requests == 0 || ra["wvq_storage_coalesce_requests_total"] == 0 {
 		t.Fatalf("A coalescing: /stats %+v, registry %v", sa.Coalescing, ra["wvq_storage_coalesce_requests_total"])
 	}
-	if hits := ra[`wvq_storage_layout_hits_total{tier="cold"}`]; sa.Layout.ColdHits == 0 || hits == 0 {
+	if hits := ra["wvq_storage_layout_hits_total"]; sa.Layout.ColdHits == 0 || hits == 0 {
 		t.Fatalf("A layout hits: /stats %+v, registry %v", sa.Layout, hits)
 	}
 	sb, rb := statsOf(t, b), ob.Registry.Snapshot()
@@ -412,7 +412,7 @@ func TestTwoObservedHandlersKeepTheirOwnNumbers(t *testing.T) {
 	}
 	for _, family := range []string{
 		"wvq_sched_submitted_total", "wvq_sched_stepped_total", "wvq_storage_coalesce_requests_total",
-		`wvq_storage_layout_hits_total{tier="cold"}`,
+		"wvq_storage_layout_hits_total",
 	} {
 		if v, ok := rb[family]; !ok || v != 0 {
 			t.Fatalf("B registry %s = %v (registered %v) after a drain through A", family, v, ok)

@@ -33,7 +33,8 @@ const (
 
 // servedFile writes a .wvls of tuples seeded tuples over a 64×64 domain and
 // returns its path: 400 tuples fill 94 % of the cells (a dense file), 4 fill
-// 14 %, under the 7/32 past which Save writes the dense shape.
+// 14 %, under the half from which Save writes the dense shape (a sparse
+// file).
 func servedFile(t *testing.T, tuples int, seed int64) string {
 	t.Helper()
 	schema, err := repro.NewSchema([]string{"x", "y"}, []int{64, 64})

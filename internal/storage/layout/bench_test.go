@@ -25,9 +25,9 @@ const benchDrainSlice = 4096
 
 // The two layouts of the same random values: every cell nonzero, which
 // Write lays out as the dense shape, and every fourth cell, which it lays
-// out as the sparse shape. Both are drained in the canonical schedule order
-// the engine asks for: |value| descending, key ascending. That is the
-// sparse file's physical order and random key order over the dense file.
+// out as the sparse shape. Both are drained |value| descending, key
+// ascending — random key order over either file, whose values are stored in
+// key order.
 const (
 	denseFixture  = "bench.wvls"
 	sparseFixture = "bench-sparse.wvls"
@@ -38,7 +38,7 @@ var (
 	benchSetupMu sync.Mutex
 	benchFail    error
 	benchDirPath string
-	benchOrder   = map[string][]int{} // per fixture: the keys in schedule order
+	benchOrder   = map[string][]int{} // per fixture: the keys, |value| descending
 )
 
 // TestMain removes the ~400 MB benchmark fixture directory (if a benchmark
@@ -111,7 +111,7 @@ func benchFiles(b *testing.B) string {
 	return benchDirPath
 }
 
-// drainBatches walks the schedule order through BatchGet in scheduler-sized
+// drainBatches walks order through BatchGet in scheduler-sized
 // slices, accumulating a checksum so the reads cannot be elided.
 func drainBatches(g storage.Store, order []int) float64 {
 	dst := make([]float64, benchDrainSlice)
@@ -129,8 +129,8 @@ func drainBatches(g storage.Store, order []int) float64 {
 	return sum
 }
 
-// benchDrain is a cold progressive drain of one fixture in schedule order —
-// a fresh Store per iteration, so no block is verified yet and every block
+// benchDrain is a cold drain of one fixture in |value|-descending order — a
+// fresh Store per iteration, so no block is verified yet and every block
 // is read and checksummed. Bytes/op is the delivered
 // coefficient payload, so the reported MB/s is useful bandwidth, not file
 // bytes touched.
@@ -154,7 +154,8 @@ func benchDrain(b *testing.B, fixture string) {
 func BenchmarkStorageDrainLayout(b *testing.B) { benchDrain(b, denseFixture) }
 
 // BenchmarkStorageDrainLayoutSparse drains the quarter-full sparse layout
-// in schedule order through the mapping: hot region, then blocks.
+// through the mapping, |value| descending: each key a search of the key
+// index, then a load from its block.
 func BenchmarkStorageDrainLayoutSparse(b *testing.B) { benchDrain(b, sparseFixture) }
 
 // BenchmarkStorageSequentialRead is the bandwidth ceiling reference: read

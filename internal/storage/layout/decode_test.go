@@ -43,9 +43,9 @@ type decodeInput struct {
 }
 
 // decodeInputs are the coefficients and options of decodeCases' files: both
-// shapes, and a sparse file whose physical order a family dictates. Each
-// also hands Write a zero, a negative zero and a tiny 1e-60, at
-// keys it does not otherwise hold.
+// shapes, and a sparse file whose blocks end inside key groups. Each also
+// hands Write a zero, a negative zero and a tiny 1e-60, at keys it does not
+// otherwise hold.
 func decodeInputs() map[string]decodeInput {
 	const cells = 1 << 13
 	sparseKeys, sparseValues := testCoefficients(3000, cells, 21)
@@ -66,12 +66,10 @@ func decodeInputs() map[string]decodeInput {
 	}
 	sparseKeys, sparseValues = withZeros(sparseKeys, sparseValues)
 	denseKeys, denseValues = withZeros(denseKeys, denseValues)
-	family := append([]int(nil), sparseKeys[1000:]...)
 	return map[string]decodeInput{
-		"sparse": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
-		"sparse family": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 100,
-			Families: []FamilyOrder{{Label: "f", Fingerprint: "f", Keys: family}}}},
-		"dense": {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
+		"sparse":             {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
+		"sparse, 100-blocks": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 100}},
+		"dense":              {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
 	}
 }
 
@@ -171,8 +169,8 @@ func TestDecodeMatchesStore(t *testing.T) {
 }
 
 // TestDecodeRejectsDamage: a file of the wrong size, a damaged block, a
-// damaged section of the key index, the hot region or indexCRC, and a
-// refusing begin each fail the read, from a file and from memory alike.
+// damaged section of the key index or indexCRC, and a refusing begin each
+// fail the read, from a file and from memory alike.
 func TestDecodeRejectsDamage(t *testing.T) {
 	cases := decodeCases(t)
 	for _, name := range []string{"sparse", "dense"} {
@@ -201,8 +199,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		if name == "sparse" {
 			damaged["key stream"] = flip(g.streamOff + g.streamLen/2)
 			damaged["a sample"] = flip(g.samplesOff + int64(g.keyWidth))
-			damaged["slotOf"] = flip(g.slotOfOff + int64(g.slotWidth)*int64(g.nonzero/2))
-			damaged["keyOfSlot"] = flip(g.keyOfSlotOff + int64(g.keyWidth)*int64(g.nonzero/2))
+			damaged["a stream offset"] = flip(g.offsetsOff + int64(g.offWidth))
 			damaged["indexCRC"] = flip(g.fileSize - 1)
 		}
 		for what, data := range damaged {

@@ -38,63 +38,60 @@ func writeDenseLayout(t *testing.T, keys []int, values []float64, opts WriteOpti
 	return path
 }
 
-// TestWritePicksSmallerShape pins the rule on both sides of the crossover:
-// the file Write leaves is the smaller of the two sizes it reports, and its
-// shape is the one it names.
-func TestWritePicksSmallerShape(t *testing.T) {
-	const cells = 1 << 14
+// TestWriteDenseFromHalfFull pins the shape rule at its boundary: exactly
+// half the cells nonzero is written dense, one nonzero fewer sparse, and
+// far from it each side keeps its shape. The rule is a count: at half full
+// the sparse candidate is the smaller file, and it is still not chosen. The
+// file Write leaves is the candidate it names, and opens as that shape.
+func TestWriteDenseFromHalfFull(t *testing.T) {
+	const cells = 1 << 12
+	keys, values := denseCoefficients(cells, 1, 1) // every cell nonzero
+	perm := rand.New(rand.NewSource(1)).Perm(cells)
 	for _, tc := range []struct {
-		density float64
+		nonzero int
 		dense   bool
-	}{{0.1, false}, {0.3, false}, {0.75, true}, {0.95, true}} {
-		keys, values := denseCoefficients(cells, tc.density, 1)
+	}{{cells / 2, true}, {cells/2 - 1, false}, {cells / 10, false}, {cells * 3 / 4, true}, {cells, true}} {
+		pick := perm[:tc.nonzero] // any tc.nonzero cells, not a prefix
+		k, v := make([]int, len(pick)), make([]float64, len(pick))
+		for i, p := range pick {
+			k[i], v[i] = keys[p], values[p]
+		}
 		path := filepath.Join(t.TempDir(), "w.wvls")
-		c, err := Write(path, keys, values, WriteOptions{Cells: cells})
+		c, err := Write(path, k, v, WriteOptions{Cells: cells})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Dense != tc.dense || c.Dense != (c.DenseBytes < c.SparseBytes) {
-			t.Fatalf("density %.2f: Write weighed %+v, want dense %v", tc.density, c, tc.dense)
+		if c.Dense != tc.dense {
+			t.Fatalf("%d of %d cells nonzero: Write weighed %+v, want dense %v", tc.nonzero, cells, c, tc.dense)
+		}
+		if tc.nonzero == cells/2 && c.SparseBytes >= c.DenseBytes {
+			t.Fatalf("half full: sparse %d bytes, dense %d: the boundary no longer shows the rule is a count", c.SparseBytes, c.DenseBytes)
 		}
 		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := min(c.DenseBytes, c.SparseBytes); info.Size() != want {
-			t.Fatalf("density %.2f: file is %d bytes, want the smaller candidate's %d (%+v)",
-				tc.density, info.Size(), want, c)
+		want := c.SparseBytes
+		if c.Dense {
+			want = c.DenseBytes
+		}
+		if info.Size() != want {
+			t.Fatalf("%d nonzero: file is %d bytes, want the chosen candidate's %d (%+v)", tc.nonzero, info.Size(), want, c)
 		}
 		s, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Dense() != tc.dense || s.Stats().Dense != tc.dense {
-			t.Fatalf("density %.2f: opened Dense() = %v, want %v", tc.density, s.Dense(), tc.dense)
+			t.Fatalf("%d nonzero: opened Dense() = %v, want %v", tc.nonzero, s.Dense(), tc.dense)
 		}
 		_ = s.Close()
 	}
 }
 
-// TestFamiliesForceSparse pins that supplied families select the sparse
-// shape even where the dense file would be smaller: they ask for a physical
-// schedule order, which only the sparse shape has.
-func TestFamiliesForceSparse(t *testing.T) {
-	const cells = 4096
-	keys, values := denseCoefficients(cells, 0.9, 2)
-	opts := WriteOptions{Cells: cells, Families: []FamilyOrder{{Label: "f", Fingerprint: "f", Keys: keys[:10]}}}
-	c, err := Write(filepath.Join(t.TempDir(), "f.wvls"), keys, values, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Dense || c.DenseBytes >= c.SparseBytes {
-		t.Fatalf("Write weighed %+v: want a smaller dense candidate that is not chosen", c)
-	}
-	writeTestLayout(t, keys, values, opts)
-}
-
 // TestDenseRoundtrip pins the dense read path on both tiers: every cell,
 // zero or not, reads bit-identical through BatchGetCtx in any order, keys
-// outside the domain fail alone, the slot is the key, enumeration yields
+// outside the domain fail alone, enumeration yields
 // exactly the nonzero set, the header's count and mass are the writer's, and
 // each block is checked once.
 func TestDenseRoundtrip(t *testing.T) {
@@ -123,11 +120,6 @@ func TestDenseRoundtrip(t *testing.T) {
 	}
 	if s.NonzeroCount() != len(keys) || s.Size() != cells || s.Mass() != mass {
 		t.Fatalf("NonzeroCount %d Size %d Mass %v, want %d, %d, %v", s.NonzeroCount(), s.Size(), s.Mass(), len(keys), cells, mass)
-	}
-	for _, j := range []int{0, 1, cells / 2, cells - 1} {
-		if s.KeyOfSlot(j) != j {
-			t.Fatalf("KeyOfSlot(%d) = %d", j, s.KeyOfSlot(j))
-		}
 	}
 	for _, order := range orders {
 		dst := make([]float64, len(order))

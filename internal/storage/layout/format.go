@@ -1,24 +1,23 @@
-// Package layout implements schedule-aware persistent storage: the .wvls
-// on-disk format, the one file a database is saved to. A file has one of two
-// shapes, chosen by Encode from the data alone. It is written once (Encode;
-// Write and every other writer of a path go through WriteFile, which never
-// truncates a file a reader may have mapped) and read by one reader, Store:
-// in place through Open, which maps it, or into memory through Decode, which
-// runs the store's walk to hand over its coefficients in key order.
+// Package layout implements persistent storage: the .wvls on-disk format,
+// the one file a database is saved to. A file has one of two shapes, chosen
+// by Encode from the data alone. It is written once (Encode; Write and every
+// other writer of a path go through WriteFile, which never truncates a file
+// a reader may have mapped) and read by one reader, Store: in place through
+// Open, which maps it, or into memory through Decode, which runs the store's
+// walk to hand over its coefficients in key order.
 //
-// The sparse shape lays coefficients out physically ordered by a canonical
-// retrieval schedule, so a cold progressive drain — which asks for
-// coefficients in exactly that order — is sequential I/O instead of the
-// random positioned reads a key-ordered file serves it with. A prefix read
-// of the file warms exactly the coefficients Theorem 1 says matter most,
-// under any penalty whose schedule correlates with the layout family.
+// Both shapes store values in ascending key order and give them no other
+// physical order: the engine asks for coefficients by query importance,
+// which no write-time order follows, and each retrieval is one random read.
 //
-// The dense shape is an array: every cell's value in key order, zeros
-// included, so the slot is the key and there is no index at all. Write
-// derives both files' sizes and writes the dense one iff it is strictly
-// smaller and no Families were supplied (families ask for a physical
-// schedule order, which only the sparse shape has). At 8-byte values the
-// crossover is near 53 % of the cells nonzero.
+// The sparse shape holds the nonzero coefficients only, behind a compressed
+// index of their keys: the rank a key search returns is the slot its value
+// sits at. The dense shape is an array: every cell's value, zeros included,
+// so the slot is the key and there is no index at all. Write writes the
+// dense shape iff at least half the cells are nonzero. The rule is a count,
+// not a byte comparison: the sparse file is the smaller one up to about
+// 88 % full, but its lookup searches the key index where the dense one is a
+// load, so between one half and that the rule spends bytes on lookup speed.
 //
 // File shape, version 2 (all integers little-endian):
 //
@@ -29,41 +28,35 @@
 //	hdrLen   uint32                  length of the header blob
 //	hdrCRC   uint32                  IEEE CRC-32 of the header blob
 //	header blob (hdrLen bytes):
-//	  cells, nonzero, hot uint64     hot is always 0 (see below)
+//	  cells, nonzero uint64
+//	  reserved uint64                0 (see below)
 //	  blockSize uint32; mass float64
 //	  meta flag uint8, then the optional schema/filter metadata
-//	  family count uint16, then per family: label, fingerprint, a zero uint64
+//	  reserved uint16                0 (see below)
 //	  streamLen uint64               bytes of the key delta stream
 //	data sections, back to back in this order:
 //	  samples   groups × kw          every 64th stored key, ascending
 //	  offsets   groups × ow          where each sample's deltas start in stream
 //	  stream    streamLen bytes      uvarint key[i+1]−key[i], key[nonzero] = cells
-//	  slotOf    nonzero × sw         slot of the i-th smallest key
-//	  keyOfSlot nonzero × kw         key stored at slot j (schedule order)
-//	  blocks    slots × float64      the values, in slot order
+//	  blocks    slots × float64      the values, in ascending key order
 //	  crcs      numBlocks × uint32   IEEE CRC-32 of each block
-//	  indexCRC  uint32               sparse only: IEEE CRC-32 of samples…keyOfSlot
+//	  indexCRC  uint32               sparse only: IEEE CRC-32 of samples…stream
 //
 // Every width and offset follows from the header: kw = bytes(cells−1),
-// sw = bytes(nonzero−1), ow = bytes(streamLen), groups = ⌈nonzero/64⌉, and
-// block b is the blockSize×8 bytes (fewer for the last block) at
-// blocks + b×blockSize×8. The four fixed-width sections are packed words,
-// each followed by 8−w pad bytes so the reader's one 8-byte load of the last
-// entry stays inside its section. A dense file has streamLen 0, its index
-// sections are empty (pads too), its blocks hold cells slots, and it records
-// no families.
+// ow = bytes(streamLen), groups = ⌈nonzero/64⌉, and block b is the
+// blockSize×8 bytes (fewer for the last block) at blocks + b×blockSize×8.
+// The two fixed-width sections are packed words, each followed by 8−w pad
+// bytes so the reader's one 8-byte load of the last entry stays inside its
+// section. A dense file has streamLen 0, its index sections are empty (pads
+// too) and its blocks hold cells slots.
 //
-// Slots are schedule positions in the sparse shape: slot 0 is the most
-// important coefficient. Each fact is stored once. key→slot is the
-// compressed ascending key set (one absolute sample per 64 keys, one-byte
-// deltas between neighbours at any density above 1/128 — "Space-Efficient
-// Data-Analysis Queries on Grids" is the grounding: about 2+log₂(cells/n)
-// bits per key and ⌈log₂ n⌉ bits per permutation entry per direction are
-// what the information costs) plus slotOf; slot→key is keyOfSlot; values
-// are raw float64 words in slot order, in blocks. A group's
-// deltas sum to the next sample (to cells for the last), so "key absent" is
-// checked, not assumed; a found key is served only if keyOfSlot[slotOf[i]]
-// names it.
+// In the sparse shape slot i holds the i-th smallest stored key's value.
+// key→slot is the compressed ascending key set: one absolute sample per 64
+// keys, one-byte deltas between neighbours at any density above 1/128 —
+// "Space-Efficient Data-Analysis Queries on Grids" is the grounding: about
+// 2+log₂(cells/n) bits per key is what the information costs. Values are raw
+// float64 words in blocks. A group's deltas sum to the next sample (to cells
+// for the last), so "key absent" is checked, not assumed.
 //
 // Verification is the same in both shapes: every byte past the prelude is
 // served only behind a CRC-32. The header blob has its own, checked at open.
@@ -74,22 +67,22 @@
 // retry checks again and fails again. Corruption becomes per-key retrieval
 // errors the engine degrades over.
 //
-// indexCRC was added without a new version number, since dense files did
-// not change: a sparse file written before it is four bytes short of what
-// its header derives, and readers name that case and send it back to
-// wvlayout. The hot region went without one too. A sparse file once kept
-// its first hot slots as raw words outside the blocks, counted by the
-// header's hot word, and each family record carried the share of its
-// schedule prefix that region held. Now every value is in a checksummed
-// block: the writer puts 0 in both words, which leaves a dense file's bytes
-// as they were. A reader refuses a file whose hot word is not 0, naming the
-// hot region, and skips the family word.
+// The format has changed three times without a new version number, because
+// dense files did not change. indexCRC was added to sparse files; their hot
+// region, raw values outside the blocks counted by the first reserved word,
+// went; and their values moved from |value|-descending slots, behind two
+// packed permutations and a list of the penalty families the order followed,
+// counted by the second reserved word, into key order. Every sparse file
+// written before the last change records at least one family, so a reader
+// refuses any file whose reserved words are not both 0 (ErrReservedWords);
+// that covers the two older changes too. A dense file always had 0 in both.
 package layout
 
 import (
 	"bufio"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -142,26 +135,15 @@ type Meta struct {
 	Windows    [][2]float64 // nil or one per dimension
 }
 
-// Family records one penalty family the layout was bucketed against.
-// Family 0 is the one the physical order follows exactly.
-type Family struct {
-	// Label is a human-readable family name ("sse", "canonical", …).
-	Label string `json:"label"`
-	// Fingerprint is the penalty fingerprint (penalty.Fingerprint) whose
-	// schedule produced (or was recorded with) the layout order.
-	Fingerprint string `json:"fingerprint"`
-}
+// rebuild is the remedy every refusal of a file this reader no longer reads
+// names: the format is derived data, and these commands write it from the
+// source data without opening a .wvls.
+const rebuild = "the format is derived data — rebuild it from the source data with wvload or wvq -create"
 
-// FamilyOrder is a writer input: a penalty family's schedule key order.
-// The first family supplied becomes the physical layout prefix.
-type FamilyOrder struct {
-	Label       string
-	Fingerprint string
-	// Keys is the family's retrieval order (most important first). It need
-	// not mention every stored key; unmentioned keys follow in canonical
-	// |value|-descending order.
-	Keys []int
-}
+// ErrReservedWords is the refusal of a file whose header's reserved words
+// are not 0: a sparse file written before its values were stored in key
+// order (see the package comment).
+var ErrReservedWords = errors.New("layout: .wvls file with nonzero reserved header words, a sparse file written before values were stored in key order, which is no longer read")
 
 // WriteOptions configures Write.
 type WriteOptions struct {
@@ -172,12 +154,6 @@ type WriteOptions struct {
 	BlockSize int
 	// Meta optionally embeds the database identity (see Meta).
 	Meta *Meta
-	// Families optionally supplies penalty-family schedule orders. The
-	// first family's order becomes the physical layout prefix; every family
-	// is recorded in the header. Supplying any selects the
-	// sparse shape. With none the file is dense when that is smaller, and a
-	// sparse file's order is canonical: |value| descending, key ascending.
-	Families []FamilyOrder
 }
 
 // wordWidth is the byte width of a packed section whose largest entry is max.
@@ -229,17 +205,14 @@ type geometry struct {
 	groups    int
 	numBlocks int
 	keyWidth  int
-	slotWidth int
 	offWidth  int
 
-	samplesOff   int64
-	offsetsOff   int64
-	streamOff    int64
-	slotOfOff    int64
-	keyOfSlotOff int64
-	blocksOff    int64
-	crcsOff      int64
-	fileSize     int64
+	samplesOff int64
+	offsetsOff int64
+	streamOff  int64
+	blocksOff  int64
+	crcsOff    int64
+	fileSize   int64
 }
 
 func (g *geometry) dense() bool { return g.flags&flagDense != 0 }
@@ -255,7 +228,6 @@ func (g *geometry) derive(dataStart int64) {
 	}
 	g.numBlocks = (g.slots + g.blockSize - 1) / g.blockSize
 	g.keyWidth = wordWidth(uint64(g.cells - 1))
-	g.slotWidth = wordWidth(uint64(max(g.nonzero, 1) - 1))
 	g.offWidth = wordWidth(uint64(g.streamLen))
 	off := dataStart
 	section := func(size int64) int64 {
@@ -266,8 +238,6 @@ func (g *geometry) derive(dataStart int64) {
 	g.samplesOff = section(packed(g.groups, g.keyWidth))
 	g.offsetsOff = section(packed(g.groups, g.offWidth))
 	g.streamOff = section(g.streamLen)
-	g.slotOfOff = section(packed(g.nonzero, g.slotWidth))
-	g.keyOfSlotOff = section(packed(g.nonzero, g.keyWidth))
 	g.blocksOff = section(int64(g.slots) * 8)
 	g.crcsOff = section(int64(g.numBlocks+g.indexCRCs()) * 4)
 	g.fileSize = off
@@ -291,7 +261,7 @@ func (g *geometry) checkBlock(crcs []byte, b int, vals []byte) error {
 }
 
 // checkIndex checks sum, the CRC-32 of a sparse file's index sections, from
-// samples through keyOfSlot, against indexCRC.
+// samples through the stream, against indexCRC.
 func (g *geometry) checkIndex(crcs []byte, sum uint32) error {
 	if want := binary.LittleEndian.Uint32(crcs[4*g.numBlocks:]); sum != want {
 		return fmt.Errorf("layout: key index checksum mismatch (file %08x, computed %08x)", want, sum)
@@ -305,11 +275,10 @@ func (g *geometry) blockSlots(b int) (lo, hi int) {
 	return lo, min(lo+g.blockSize, g.slots)
 }
 
-// coef is one stored coefficient; i is its rank among the ascending keys.
+// coef is one stored coefficient.
 type coef struct {
 	k int
 	v float64
-	i int
 }
 
 // Candidates is what Write weighed for one input: the file's size in each
@@ -317,23 +286,19 @@ type coef struct {
 type Candidates struct {
 	DenseBytes  int64
 	SparseBytes int64
-	// Dense is Write's choice: the dense file is strictly smaller and no
-	// Families were supplied.
+	// Dense is Write's choice: at least half the cells are nonzero.
 	Dense bool
 }
 
 // input is a validated Write input and both candidate files' geometry.
 type input struct {
-	opts  WriteOptions
-	pairs []coef // the nonzero coefficients, ascending key, i = rank
-	// families are the sparse file's.
-	families      []Family
+	opts          WriteOptions
+	pairs         []coef // the nonzero coefficients, ascending key
 	sparse, dense geometry
 }
 
 // prepare validates Write's input and derives both shapes' geometry. It does
-// none of the work only the sparse file needs: the schedule order and the
-// key stream itself.
+// none of the work only the sparse file needs: the key stream itself.
 func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("layout: %d keys for %d values", len(keys), len(values))
@@ -370,7 +335,6 @@ func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 		if i > 0 && pairs[i].k == pairs[i-1].k {
 			return nil, fmt.Errorf("layout: duplicate key %d", pairs[i].k)
 		}
-		pairs[i].i = i
 		mass += math.Abs(pairs[i].v)
 		next := opts.Cells
 		if i+1 < len(pairs) {
@@ -380,21 +344,13 @@ func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	}
 	n := len(pairs)
 
-	families := make([]Family, 0, len(opts.Families)+1)
-	if len(opts.Families) == 0 {
-		families = append(families, Family{Label: "canonical", Fingerprint: "canonical:|value|"})
-	}
-	for _, fo := range opts.Families {
-		families = append(families, Family{Label: fo.Label, Fingerprint: fo.Fingerprint})
-	}
-
-	in := &input{opts: opts, pairs: pairs, families: families}
+	in := &input{opts: opts, pairs: pairs}
 	in.sparse = geometry{cells: opts.Cells, nonzero: n,
 		blockSize: opts.BlockSize, mass: mass, streamLen: streamLen}
 	in.dense = geometry{flags: flagDense, cells: opts.Cells, nonzero: n,
 		blockSize: opts.BlockSize, mass: mass}
-	in.sparse.derive(int64(preludeSize + len(encodeHeaderBlob(&in.sparse, opts.Meta, families))))
-	in.dense.derive(int64(preludeSize + len(encodeHeaderBlob(&in.dense, opts.Meta, nil))))
+	in.sparse.derive(int64(preludeSize + len(encodeHeaderBlob(&in.sparse, opts.Meta))))
+	in.dense.derive(int64(preludeSize + len(encodeHeaderBlob(&in.dense, opts.Meta))))
 	return in, nil
 }
 
@@ -402,7 +358,7 @@ func (in *input) candidates() Candidates {
 	return Candidates{
 		DenseBytes:  in.dense.fileSize,
 		SparseBytes: in.sparse.fileSize,
-		Dense:       len(in.opts.Families) == 0 && in.dense.fileSize < in.sparse.fileSize,
+		Dense:       2*len(in.pairs) >= in.opts.Cells,
 	}
 }
 
@@ -419,12 +375,10 @@ func Write(path string, keys []int, values []float64, opts WriteOptions) (Candid
 }
 
 // Encode writes the complete .wvls file for the nonzero coefficients
-// (keys[i], values[i]) to w, in the smaller shape unless Families ask for
-// the sparse one, and returns both shapes' sizes. Zero values are dropped;
-// duplicate keys are an error. A sparse file's physical order is the first
-// supplied family's schedule order (keys it does not mention, and all keys
-// when no family is given, follow in canonical |value|-descending,
-// key-ascending order). Equal inputs give byte-identical files.
+// (keys[i], values[i]) to w — dense iff at least half the cells are
+// nonzero, sparse otherwise — and returns both shapes' sizes. Zero values
+// are dropped; duplicate keys are an error. Either shape stores the values
+// in ascending key order. Equal inputs give byte-identical files.
 func Encode(w io.Writer, keys []int, values []float64, opts WriteOptions) (Candidates, error) {
 	in, err := prepare(keys, values, opts)
 	if err != nil {
@@ -442,7 +396,7 @@ func Encode(w io.Writer, keys []int, values []float64, opts WriteOptions) (Candi
 // one cursor over the ascending pairs finds each stored value.
 func (in *input) writeDense(dst io.Writer) error {
 	g, pairs, next := &in.dense, in.pairs, 0
-	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta, nil), func(w *bufio.Writer, buf []byte) error {
+	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta), func(w *bufio.Writer, buf []byte) error {
 		return writeBlocks(w, g, buf, func(key int) float64 {
 			if next < len(pairs) && pairs[next].k == key {
 				next++
@@ -453,47 +407,11 @@ func (in *input) writeDense(dst io.Writer) error {
 	})
 }
 
-// writeSparse lays the nonzero coefficients out in schedule order behind
-// the compressed key index.
+// writeSparse writes the nonzero coefficients' values in ascending key
+// order behind the compressed key index: the key's rank is its slot.
 func (in *input) writeSparse(dst io.Writer) error {
 	g, pairs := &in.sparse, in.pairs
 	n := len(pairs)
-
-	// Canonical order: |value| descending, key ascending — "biggest first",
-	// the data-driven proxy for every penalty's importance ranking. The
-	// order is total, so an unstable sort of the records themselves will do.
-	bySlot := slices.Clone(pairs) // slot j holds bySlot[j]
-	slices.SortFunc(bySlot, func(a, b coef) int {
-		if c := cmp.Compare(math.Abs(b.v), math.Abs(a.v)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.k, b.k)
-	})
-
-	// A supplied family order overrides the prefix: its keys (those stored)
-	// come first in its schedule order, the rest keep canonical order.
-	if len(in.opts.Families) > 0 {
-		taken := make([]bool, n)
-		reordered := make([]coef, 0, n)
-		for _, k := range in.opts.Families[0].Keys {
-			i, ok := slices.BinarySearchFunc(pairs, k, func(c coef, k int) int { return cmp.Compare(c.k, k) })
-			if ok && !taken[i] {
-				taken[i] = true
-				reordered = append(reordered, pairs[i])
-			}
-		}
-		for _, c := range bySlot {
-			if !taken[c.i] {
-				reordered = append(reordered, c)
-			}
-		}
-		bySlot = reordered
-	}
-	slotOf := make([]int, n) // slot of pairs[i]
-	for j, c := range bySlot {
-		slotOf[c.i] = j
-	}
-
 	groupStart := make([]int, g.groups)
 	stream := make([]byte, 0, g.streamLen)
 	for i, c := range pairs {
@@ -507,9 +425,9 @@ func (in *input) writeSparse(dst io.Writer) error {
 		stream = binary.AppendUvarint(stream, uint64(next-c.k))
 	}
 
-	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta, in.families), func(bw *bufio.Writer, buf []byte) error {
-		// Everything from samples through keyOfSlot goes through indexCRC on
-		// its way out.
+	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta), func(bw *bufio.Writer, buf []byte) error {
+		// Everything from samples through the stream goes through indexCRC
+		// on its way out.
 		sum := crc32.NewIEEE()
 		w := io.MultiWriter(bw, sum)
 		writePacked := func(count, width int, at func(i int) uint64) error {
@@ -531,13 +449,7 @@ func (in *input) writeSparse(dst io.Writer) error {
 		if _, err := w.Write(stream); err != nil {
 			return err
 		}
-		if err := writePacked(n, g.slotWidth, func(i int) uint64 { return uint64(slotOf[i]) }); err != nil {
-			return err
-		}
-		if err := writePacked(n, g.keyWidth, func(j int) uint64 { return uint64(bySlot[j].k) }); err != nil {
-			return err
-		}
-		return writeBlocks(bw, g, buf, func(slot int) float64 { return bySlot[slot].v }, sum.Sum32())
+		return writeBlocks(bw, g, buf, func(slot int) float64 { return pairs[slot].v }, sum.Sum32())
 	})
 }
 
@@ -611,8 +523,8 @@ func validateMeta(m *Meta) error {
 }
 
 // encodeHeaderBlob serializes the geometry's stored fields, the optional
-// meta and the families.
-func encodeHeaderBlob(g *geometry, meta *Meta, families []Family) []byte {
+// meta and the reserved words.
+func encodeHeaderBlob(g *geometry, meta *Meta) []byte {
 	var b []byte
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
@@ -622,7 +534,7 @@ func encodeHeaderBlob(g *geometry, meta *Meta, families []Family) []byte {
 
 	u64(uint64(g.cells))
 	u64(uint64(g.nonzero))
-	u64(0) // hot
+	u64(0) // reserved: a sparse file's hot region once
 	u32(uint32(g.blockSize))
 	u64(math.Float64bits(g.mass))
 	if meta == nil {
@@ -643,12 +555,7 @@ func encodeHeaderBlob(g *geometry, meta *Meta, families []Family) []byte {
 			u64(math.Float64bits(win[1]))
 		}
 	}
-	u16(uint16(len(families)))
-	for _, fam := range families {
-		str8(fam.Label)
-		str16(fam.Fingerprint)
-		u64(0) // the hot region's coverage
-	}
+	u16(0) // reserved: a sparse file's family count once
 	u64(uint64(g.streamLen))
 	return b
 }
@@ -708,36 +615,36 @@ func (r *blobReader) str16() string { return string(r.take(int(r.u16()))) }
 
 // readHeader checks the prelude and the header blob at the front of file,
 // the whole file's bytes, and validates both against its length.
-func readHeader(file []byte) (*geometry, *Meta, []Family, error) {
+func readHeader(file []byte) (*geometry, *Meta, error) {
 	if len(file) < preludeSize {
-		return nil, nil, nil, fmt.Errorf("layout: reading prelude: %w", io.ErrUnexpectedEOF)
+		return nil, nil, fmt.Errorf("layout: reading prelude: %w", io.ErrUnexpectedEOF)
 	}
 	prelude, size := file[:preludeSize], int64(len(file))
 	if string(prelude[0:4]) != Magic {
-		return nil, nil, nil, fmt.Errorf("layout: bad magic %q (not a .wvls file)", prelude[0:4])
+		return nil, nil, fmt.Errorf("layout: bad magic %q (not a .wvls file)", prelude[0:4])
 	}
 	switch v := binary.LittleEndian.Uint16(prelude[4:6]); v {
 	case version:
 	case 1:
-		return nil, nil, nil, fmt.Errorf("layout: version 1 .wvls file; the format is derived data — rebuild with wvlayout")
+		return nil, nil, fmt.Errorf("layout: version 1 .wvls file, which is no longer read; %s", rebuild)
 	default:
-		return nil, nil, nil, fmt.Errorf("layout: unsupported version %d", v)
+		return nil, nil, fmt.Errorf("layout: unsupported version %d", v)
 	}
 	flags := binary.LittleEndian.Uint16(prelude[6:8])
 	if flags&flagQuantized != 0 {
-		return nil, nil, nil, fmt.Errorf("layout: .wvls file with float32 block values, which are no longer read; the format is derived data — rebuild with wvlayout")
+		return nil, nil, fmt.Errorf("layout: .wvls file with float32 block values, which are no longer read; %s", rebuild)
 	}
 	if flags&^flagDense != 0 {
-		return nil, nil, nil, fmt.Errorf("layout: unknown flags %#x", flags)
+		return nil, nil, fmt.Errorf("layout: unknown flags %#x", flags)
 	}
 	hdrLen := binary.LittleEndian.Uint32(prelude[8:12])
 	hdrCRC := binary.LittleEndian.Uint32(prelude[12:16])
 	if int64(hdrLen) > size-preludeSize || hdrLen > 1<<24 {
-		return nil, nil, nil, fmt.Errorf("layout: header length %d implausible", hdrLen)
+		return nil, nil, fmt.Errorf("layout: header length %d implausible", hdrLen)
 	}
 	blob := file[preludeSize : preludeSize+int64(hdrLen)]
 	if got := crc32.ChecksumIEEE(blob); got != hdrCRC {
-		return nil, nil, nil, fmt.Errorf("layout: header checksum mismatch (file %08x, computed %08x)", hdrCRC, got)
+		return nil, nil, fmt.Errorf("layout: header checksum mismatch (file %08x, computed %08x)", hdrCRC, got)
 	}
 	return decodeHeaderBlob(blob, flags, size)
 }
@@ -747,7 +654,7 @@ func readHeader(file []byte) (*geometry, *Meta, []Family, error) {
 // account for the actual file size to the byte; after it the read path can
 // trust every offset unconditionally. A flipped dense flag fails the shape's
 // own plausibility check below or that size check, in either direction.
-func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Meta, []Family, error) {
+func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Meta, error) {
 	r := &blobReader{b: blob}
 	g := &geometry{flags: flags}
 	g.cells = int(r.u64())
@@ -763,7 +670,7 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		meta.TupleCount = int64(r.u64())
 		dims := int(r.u16())
 		if dims == 0 || dims > maxDims {
-			return nil, nil, nil, fmt.Errorf("layout: implausible dimension count %d", dims)
+			return nil, nil, fmt.Errorf("layout: implausible dimension count %d", dims)
 		}
 		meta.Names = make([]string, dims)
 		meta.Sizes = make([]int, dims)
@@ -784,27 +691,18 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 			meta.Windows = windows
 		}
 	}
-	// A family takes at least 11 blob bytes (two lengths and a float64), so
-	// a count the rest of the blob cannot hold sizes nothing.
-	nf := int(r.u16())
-	if nf > 256 || nf*11 > len(blob)-r.pos {
-		return nil, nil, nil, fmt.Errorf("layout: implausible family count %d", nf)
-	}
-	families := make([]Family, nf)
-	for i := range families {
-		families[i].Label = r.str8()
-		families[i].Fingerprint = r.str16()
-		r.u64() // the hot region's coverage
+	// The reserved words are checked before the blob's length: a file of
+	// the older sparse layout has family records where streamLen is now.
+	families := r.u16()
+	if r.err == nil && (hot != 0 || families != 0) {
+		return nil, nil, fmt.Errorf("%w (hot region %d, families %d); %s", ErrReservedWords, hot, families, rebuild)
 	}
 	g.streamLen = int64(r.u64())
 	if r.err != nil {
-		return nil, nil, nil, r.err
+		return nil, nil, r.err
 	}
 	if r.pos != len(blob) {
-		return nil, nil, nil, fmt.Errorf("layout: %d trailing header bytes", len(blob)-r.pos)
-	}
-	if hot != 0 {
-		return nil, nil, nil, fmt.Errorf("layout: .wvls file with a hot region of %d slots, which is no longer read; the format is derived data — rebuild it from the source data (wvload)", hot)
+		return nil, nil, fmt.Errorf("layout: %d trailing header bytes", len(blob)-r.pos)
 	}
 
 	// Geometry plausibility: non-negative counts that fit the domain. A
@@ -812,25 +710,22 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 	// nonzero by the file size; a dense one has no stream and at least four
 	// bytes per cell. Either way the offset arithmetic below cannot overflow.
 	if g.cells <= 0 || g.nonzero < 0 || g.nonzero > g.cells {
-		return nil, nil, nil, fmt.Errorf("layout: implausible geometry (cells %d, nonzero %d)", g.cells, g.nonzero)
+		return nil, nil, fmt.Errorf("layout: implausible geometry (cells %d, nonzero %d)", g.cells, g.nonzero)
 	}
 	if g.blockSize <= 0 || g.blockSize > maxBlockSize {
-		return nil, nil, nil, fmt.Errorf("layout: implausible block size %d", g.blockSize)
+		return nil, nil, fmt.Errorf("layout: implausible block size %d", g.blockSize)
 	}
 	if g.dense() {
 		if g.streamLen != 0 || int64(g.cells) > fileSize/4 {
-			return nil, nil, nil, fmt.Errorf("layout: implausible dense geometry (cells %d, stream %d bytes)",
+			return nil, nil, fmt.Errorf("layout: implausible dense geometry (cells %d, stream %d bytes)",
 				g.cells, g.streamLen)
 		}
 	} else if n := int64(g.nonzero); g.streamLen < n || g.streamLen > fileSize || g.streamLen > n*binary.MaxVarintLen64 {
-		return nil, nil, nil, fmt.Errorf("layout: implausible key stream (%d bytes for %d keys)", g.streamLen, g.nonzero)
+		return nil, nil, fmt.Errorf("layout: implausible key stream (%d bytes for %d keys)", g.streamLen, g.nonzero)
 	}
 	g.derive(int64(preludeSize + len(blob)))
-	if !g.dense() && fileSize == g.fileSize-4 {
-		return nil, nil, nil, fmt.Errorf("layout: sparse file 4 bytes short: no index checksum (written before it existed, or truncated); the format is derived data — rebuild with wvlayout")
-	}
 	if g.fileSize != fileSize {
-		return nil, nil, nil, fmt.Errorf("layout: file size %d does not match header (want %d)", fileSize, g.fileSize)
+		return nil, nil, fmt.Errorf("layout: file size %d does not match header (want %d)", fileSize, g.fileSize)
 	}
-	return g, meta, families, nil
+	return g, meta, nil
 }

@@ -3,7 +3,6 @@ package layout
 import (
 	"context"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -43,17 +42,6 @@ func fuzzSeedLayout(f *testing.F, dense bool, opts WriteOptions) []byte {
 	return blob
 }
 
-// withHotRegion returns a copy of file whose header announces a hot region
-// of hot slots, its header checksum recomputed: the header of a sparse file
-// written before every value moved into a block.
-func withHotRegion(file []byte, hot uint64) []byte {
-	c := slices.Clone(file)
-	binary.LittleEndian.PutUint64(c[preludeSize+16:], hot) // after cells and nonzero
-	hdrLen := binary.LittleEndian.Uint32(c[8:12])
-	binary.LittleEndian.PutUint32(c[12:16], crc32.ChecksumIEEE(c[preludeSize:preludeSize+hdrLen]))
-	return c
-}
-
 // FuzzOpenLayout pins the hardening contract of the read path: an arbitrary
 // byte string presented as a .wvls file either fails Open with an error or
 // opens into a store whose entire fallible surface serves reads without
@@ -64,7 +52,7 @@ func FuzzOpenLayout(f *testing.F) {
 	f.Add([]byte("WVLS"))
 	f.Add([]byte("WVFS\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16}))
-	f.Add(withHotRegion(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16}), 8))
+	f.Add(withReservedWord(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16}), hotWordOff, 8, 8))
 	f.Add(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 4}))
 	f.Add(fuzzSeedLayout(f, false, WriteOptions{
 		BlockSize: 8,
@@ -74,10 +62,16 @@ func FuzzOpenLayout(f *testing.F) {
 			Names:      []string{"x", "y"},
 			Sizes:      []int{16, 16},
 		},
-		Families: []FamilyOrder{{Label: "f0", Fingerprint: "fp0", Keys: []int{6, 3, 0}}},
 	}))
 	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 16}))
 	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 8}))
+	// A sparse file of the writer before values were stored in key order:
+	// its family record sits where streamLen is now.
+	old, err := os.ReadFile("testdata/sparse_by_value.wvls")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wvls")
@@ -98,29 +92,42 @@ func FuzzOpenLayout(f *testing.F) {
 // fuzzExercise drives every fallible read surface of an opened store. The
 // header CRC protects the geometry, but the index and the block payloads
 // are only checked on access — so a mutated file can open fine and still
-// carry garbage. All of that must come back as errors. The keys are asked
-// for in slot order, which serves runs, and ascending and descending too.
-// The key-order walk, which reads each value by its slot, must return an
-// error or hand over ascending, in-range, nonzero keys.
+// carry garbage. All of that must come back as errors. A spread of the
+// domain with two out-of-range keys is read first, while no block is
+// checked yet; then the key-order walk, which must return an error or hand
+// over ascending, in-range, nonzero keys; then the keys it handed over.
+// Each set is asked for one at a time, in its order, ascending and
+// descending.
 func fuzzExercise(t *testing.T, s *Store) {
 	t.Helper()
-	ctx := context.Background()
 	_ = s.Stats()
-	_ = s.Families()
 	_ = s.Meta()
 	_ = s.Mass()
 
-	n := s.NonzeroCount()
-	if n > 1<<16 {
-		n = 1 << 16 // bound the work per input; geometry is attacker-chosen
+	spread := []int{-1, s.Size()}
+	for k, step := 0, max(1, s.Size()/256); k < s.Size(); k += step {
+		spread = append(spread, k)
 	}
-	keys := make([]int, 0, n+2)
-	for j := 0; j < n; j++ {
-		keys = append(keys, s.KeyOfSlot(j))
-	}
-	// Out-of-range and absent keys must be as safe as present ones.
-	keys = append(keys, -1, s.Size())
+	fuzzReads(s, spread)
 
+	const limit = 1 << 16 // bound the work per input; geometry is attacker-chosen
+	var keys []int
+	last := -1
+	_ = s.Walk(func(k int, v float64) bool {
+		if k <= last || k >= s.Size() || v == 0 {
+			t.Fatalf("Walk handed over key %d = %v after key %d, domain %d", k, v, last, s.Size())
+		}
+		last = k
+		keys = append(keys, k)
+		return len(keys) < limit
+	})
+	fuzzReads(s, keys)
+}
+
+// fuzzReads asks s for keys one at a time, then as batches in their order,
+// ascending and descending; every outcome but a panic is allowed.
+func fuzzReads(s *Store, keys []int) {
+	ctx := context.Background()
 	for _, k := range keys {
 		_, _ = storage.GetCtx(ctx, s, k)
 	}
@@ -130,13 +137,4 @@ func fuzzExercise(t *testing.T, s *Store) {
 	_ = s.BatchGetCtx(ctx, keys, dst)
 	slices.Reverse(keys)
 	_ = s.BatchGetCtx(ctx, keys, dst)
-
-	last := -1
-	_ = s.Walk(func(k int, v float64) bool {
-		if k <= last || k >= s.Size() || v == 0 {
-			t.Fatalf("Walk handed over key %d = %v after key %d, domain %d", k, v, last, s.Size())
-		}
-		last = k
-		return true
-	})
 }

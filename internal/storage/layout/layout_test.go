@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -37,7 +38,7 @@ func testCoefficients(n, cells int, seed int64) (keys []int, values []float64) {
 }
 
 // writeTestLayout writes a layout that must come out sparse: the tests that
-// use it reach the key index or the schedule order.
+// use it reach the key index.
 func writeTestLayout(t *testing.T, keys []int, values []float64, opts WriteOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.wvls")
@@ -58,6 +59,13 @@ func fileDense(t *testing.T, path string) bool {
 		t.Fatal(err)
 	}
 	return binary.LittleEndian.Uint16(raw[6:8])&flagDense != 0
+}
+
+// sortedKeys returns keys ascending, in a new slice.
+func sortedKeys(keys []int) []int {
+	s := slices.Clone(keys)
+	slices.Sort(s)
+	return s
 }
 
 // TestRoundtrip pins that every stored key reads back bit-identically, from
@@ -126,12 +134,8 @@ func TestRoundtrip(t *testing.T) {
 					}
 				}
 			}
-			// Batch in layout (schedule) order: the batch path serves whole
-			// slot runs, so lookups happen only at block crossings.
-			ordered := make([]int, s.NonzeroCount())
-			for j := range ordered {
-				ordered[j] = s.KeyOfSlot(j)
-			}
+			// Batch in key order, which is slot order.
+			ordered := sortedKeys(keys)
 			st0 := s.Stats()
 			dst := make([]float64, len(ordered))
 			storage.BatchGet(s, ordered, dst)
@@ -146,7 +150,7 @@ func TestRoundtrip(t *testing.T) {
 			}
 			st := s.Stats()
 			if hits := st.ColdHits - st0.ColdHits; hits != int64(len(ordered)) {
-				t.Fatalf("sequential drain counted %d hits, want %d", hits, len(ordered))
+				t.Fatalf("key-order drain counted %d hits, want %d", hits, len(ordered))
 			}
 			// Enumeration covers exactly the stored set.
 			got := make(map[int]float64, len(keys))
@@ -168,66 +172,38 @@ func TestRoundtrip(t *testing.T) {
 	}
 }
 
-// TestLayoutOrderCanonical pins that with no family supplied, slots are
-// ordered |value| descending with ascending-key ties.
+// TestLayoutOrderCanonical pins the sparse shape's one order: slot i of the
+// blocks holds the value of the i-th smallest stored key, whatever order the
+// writer was handed the keys in and whatever their magnitudes, so the rank
+// the key index returns is the slot.
 func TestLayoutOrderCanonical(t *testing.T) {
-	keys := []int{10, 20, 30, 40, 50}
-	values := []float64{1, -8, 3, 8, 0.5}
+	keys := []int{50, 20, 40, 10, 30}
+	values := []float64{0.5, -8, 8, 1, 3}
 	path := writeTestLayout(t, keys, values, WriteOptions{Cells: 64, BlockSize: 2})
 	s, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer func() { _ = s.Close() }()
-	want := []int{20, 40, 30, 10, 50} // |−8| ties |8| → key 20 first
-	for j, k := range want {
-		if got := s.KeyOfSlot(j); got != k {
-			t.Fatalf("KeyOfSlot(%d) = %d, want %d", j, got, k)
+	want := []float64{1, -8, 3, 8, 0.5} // keys 10, 20, 30, 40, 50
+	for slot, v := range want {
+		ext := s.BlockExtent(slot / 2)
+		word := s.data[ext.Off+int64(slot%2)*8:]
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(word)); got != v {
+			t.Fatalf("slot %d holds %v, want %v", slot, got, v)
 		}
 	}
-	fams := s.Families()
-	if len(fams) != 1 || fams[0] != (Family{Label: "canonical", Fingerprint: "canonical:|value|"}) {
-		t.Fatalf("Families = %+v, want the canonical family", fams)
-	}
-}
-
-// TestLayoutFamilyOrder pins that the first supplied family dictates the
-// physical prefix and that every family is recorded.
-func TestLayoutFamilyOrder(t *testing.T) {
-	keys := []int{1, 2, 3, 4, 5, 6}
-	values := []float64{10, 20, 30, 40, 50, 60}
-	fam := FamilyOrder{
-		Label:       "sse",
-		Fingerprint: "sse",
-		// Deliberately anti-canonical: smallest first; mentions only 4 keys.
-		Keys: []int{1, 2, 3, 4},
-	}
-	other := FamilyOrder{Label: "canon-like", Fingerprint: "x", Keys: []int{6, 5, 1, 2}}
-	path := writeTestLayout(t, keys, values, WriteOptions{
-		Cells: 64, BlockSize: 2,
-		Families: []FamilyOrder{fam, other},
-	})
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer func() { _ = s.Close() }()
-	// Family order first (1,2,3,4), then leftovers canonical (6,5).
-	want := []int{1, 2, 3, 4, 6, 5}
-	for j, k := range want {
-		if got := s.KeyOfSlot(j); got != k {
-			t.Fatalf("KeyOfSlot(%d) = %d, want %d", j, got, k)
+	for rank, k := range []int{10, 20, 30, 40, 50} {
+		if slot, ok, err := s.findKey(k); err != nil || !ok || slot != rank {
+			t.Fatalf("key %d resolves to slot %d (ok %v, %v), want its rank %d", k, slot, ok, err, rank)
 		}
-	}
-	want2 := []Family{{Label: "sse", Fingerprint: "sse"}, {Label: "canon-like", Fingerprint: "x"}}
-	if fams := s.Families(); !slices.Equal(fams, want2) {
-		t.Fatalf("Families = %+v, want %+v", fams, want2)
 	}
 }
 
 // TestQuantizedLayoutRefused pins that a file whose flags mark float32 block
-// values — a lossy mode the format no longer writes — is refused on both
-// tiers and by Decode, with the hint to rebuild it, whatever its shape.
+// values — a lossy mode the format no longer writes — is refused by Open and
+// by Decode, with the remedy to rebuild it from the source data, whatever
+// its shape.
 func TestQuantizedLayoutRefused(t *testing.T) {
 	const cells = 1 << 10
 	sparseKeys, sparseValues := testCoefficients(100, cells, 4)
@@ -249,13 +225,13 @@ func TestQuantizedLayoutRefused(t *testing.T) {
 			_ = s.Close()
 			t.Fatalf("%s: a file with float32 block values opened", shape)
 		}
-		if !strings.Contains(err.Error(), "rebuild with wvlayout") {
-			t.Fatalf("%s: Open failed with %v, want the rebuild hint", shape, err)
+		if !namesRebuild(err) {
+			t.Fatalf("%s: Open failed with %v, want the rebuild remedy", shape, err)
 		}
 		if err := Decode(bytes.NewReader(raw), func(*Header) (func(int, float64), error) {
 			return func(int, float64) {}, nil
-		}); err == nil || !strings.Contains(err.Error(), "rebuild with wvlayout") {
-			t.Fatalf("%s: Decode = %v, want the rebuild hint", shape, err)
+		}); err == nil || !namesRebuild(err) {
+			t.Fatalf("%s: Decode = %v, want the rebuild remedy", shape, err)
 		}
 	}
 }
@@ -308,8 +284,9 @@ func TestCorruptBlock(t *testing.T) {
 	victim := s.Blocks() / 2
 	ref := s.BlockExtent(victim)
 	blockKeys := map[int]bool{}
+	sorted := sortedKeys(keys)
 	for lo, hi := s.g.blockSlots(victim); lo < hi; lo++ {
-		blockKeys[s.KeyOfSlot(lo)] = true
+		blockKeys[sorted[lo]] = true
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -550,9 +527,12 @@ func TestMetaRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSizeBudget pins the format's point: index and values together stay
-// under 17 bytes per coefficient at default geometry, so the three
-// full-width arrays of version 1 (31 bytes) cannot silently come back.
+// TestSizeBudget pins what a sparse file holds: a header, the key index
+// and the values, nothing else. Its sections are exactly those three, and
+// its size is the header, the key index, 8 bytes per stored value and one
+// checksum per block plus indexCRC, to the byte — a section that came back,
+// a permutation beside the values say, would show here. The key index
+// stays near 1 byte per coefficient at this density.
 func TestSizeBudget(t *testing.T) {
 	const n, cells = 200_000, 1 << 20
 	keys, values := testCoefficients(n, cells, 8)
@@ -567,20 +547,27 @@ func TestSizeBudget(t *testing.T) {
 	}
 	defer func() { _ = s.Close() }()
 	sections := s.Sections()
-	var sum int64
+	var names []string
 	for _, sec := range sections {
-		sum += sec.Bytes
+		names = append(names, sec.Name)
+	}
+	if !slices.Equal(names, []string{"header", "key index", "values"}) {
+		t.Fatalf("sections %+v, want header, key index and values only", sections)
+	}
+	header, index := sections[0].Bytes, sections[1].Bytes
+	if want := header + index + 8*int64(n) + 4*int64(s.Blocks()+1); info.Size() != want {
+		t.Fatalf("file is %d bytes, want header %d + key index %d + 8·%d + 4·(%d+1) = %d",
+			info.Size(), header, index, n, s.Blocks(), want)
+	}
+	if sections[2].Bytes != info.Size()-header-index {
+		t.Fatalf("values section is %d bytes, want the rest of the file's %d", sections[2].Bytes, info.Size()-header-index)
+	}
+	if perKey := float64(index) / n; perKey > 1.5 {
+		t.Fatalf("key index is %.2f bytes per coefficient, budget 1.5 (sections %+v)", perKey, sections)
 	}
 	st := s.Stats()
-	if sum != info.Size() || st.FileBytes != info.Size() {
-		t.Fatalf("sections sum to %d, Stats.FileBytes = %d, file is %d bytes", sum, st.FileBytes, info.Size())
-	}
-	if header := sections[0].Bytes; info.Size() > 17*n+header {
-		t.Fatalf("file is %d bytes = %.2f per coefficient, budget 17 (sections %+v)",
-			info.Size(), float64(info.Size()-header)/n, sections)
-	}
-	if valueBytes := int64(n) * 8; st.IndexBytes != info.Size()-sections[0].Bytes-valueBytes {
-		t.Fatalf("IndexBytes = %d, want file − header − %d value bytes", st.IndexBytes, valueBytes)
+	if st.FileBytes != info.Size() || st.IndexBytes != info.Size()-header-8*int64(n) {
+		t.Fatalf("Stats FileBytes %d IndexBytes %d, want %d and file − header − %d value bytes", st.FileBytes, st.IndexBytes, info.Size(), 8*n)
 	}
 }
 
@@ -613,9 +600,8 @@ func TestPackedWords(t *testing.T) {
 }
 
 // TestWidthBoundaries writes layouts whose domain sits on either side of
-// each byte-width step and reads the largest key back — it is
-// the last key of the index and, with the smallest value, the last entry of
-// keyOfSlot.
+// each byte-width step and reads every key back — the largest is the last
+// key of the index and its value the last slot.
 func TestWidthBoundaries(t *testing.T) {
 	for _, tc := range []struct {
 		cells int
@@ -633,9 +619,6 @@ func TestWidthBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cells %d: %v", tc.cells, err)
 		}
-		if got := s.KeyOfSlot(len(keys) - 1); got != tc.cells-1 {
-			t.Fatalf("cells %d: last slot holds key %d, want %d", tc.cells, got, tc.cells-1)
-		}
 		for i, k := range keys {
 			if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != values[i] {
 				t.Fatalf("cells %d: Get(%d) = %v, %v; want %v", tc.cells, k, got, err, values[i])
@@ -652,10 +635,10 @@ func TestWidthBoundaries(t *testing.T) {
 
 // TestCorruptIndex is the corruption table: one damaged byte anywhere past
 // the header — in the key samples, their stream offsets, the delta stream,
-// slotOf, keyOfSlot, a block or the checksums — and
-// every key of the domain, stored or not, asked for in schedule order,
-// ascending and descending, comes back as a per-key error or
-// as its true value. Never a wrong value, never a panic.
+// a block or the checksums — and every key of the domain, stored or not,
+// asked for in |value|-descending order, ascending and descending, comes
+// back as a per-key error or as its true value. Never a wrong value, never
+// a panic.
 func TestCorruptIndex(t *testing.T) {
 	const cells = 1 << 13
 	keys, values := testCoefficients(3000, cells, 10)
@@ -674,9 +657,8 @@ func TestCorruptIndex(t *testing.T) {
 		want[k] = values[i]
 	}
 	orders := make([][]int, 3)
-	for j := 0; j < g.nonzero; j++ {
-		orders[0] = append(orders[0], s.KeyOfSlot(j))
-	}
+	orders[0] = slices.Clone(keys)
+	slices.SortFunc(orders[0], func(a, b int) int { return cmp.Compare(math.Abs(want[b]), math.Abs(want[a])) })
 	for k := 0; k < cells; k++ {
 		orders[1] = append(orders[1], k)
 		orders[2] = append(orders[2], cells-1-k)
@@ -727,9 +709,7 @@ func TestCorruptIndex(t *testing.T) {
 	}{
 		{"samples", g.samplesOff, g.samplesOff + int64(g.groups*g.keyWidth)},
 		{"offsets", g.offsetsOff, g.offsetsOff + int64(g.groups*g.offWidth)},
-		{"stream", g.streamOff, g.slotOfOff},
-		{"slotOf", g.slotOfOff, g.slotOfOff + int64(g.nonzero*g.slotWidth)},
-		{"keyOfSlot", g.keyOfSlotOff, g.keyOfSlotOff + int64(g.nonzero*g.keyWidth)},
+		{"stream", g.streamOff, g.blocksOff},
 		{"cold block", g.blocksOff, g.crcsOff},
 		{"checksums", g.crcsOff, g.fileSize},
 	} {
@@ -751,18 +731,6 @@ func TestCorruptIndex(t *testing.T) {
 			}
 		})
 	}
-
-	// The satellite bug: a slotOf entry beyond nonzero used to index the
-	// block directory out of range. All-ones is beyond any slot count.
-	t.Run("slot out of range", func(t *testing.T) {
-		mut := append([]byte(nil), raw...)
-		for i := 0; i < g.slotWidth; i++ {
-			mut[g.slotOfOff+int64(7*g.slotWidth+i)] = 0xff
-		}
-		if check(t, mut) == 0 {
-			t.Fatal("an out-of-range slot failed no key")
-		}
-	})
 }
 
 // TestKeyGroupMustArrive pins the key index's own consistency check, the
@@ -852,9 +820,16 @@ func TestKeyGroupMustArrive(t *testing.T) {
 	}
 }
 
-// TestVersion1Refused pins the migration path: a version 1 prelude, and a
-// sparse file written before indexCRC (four bytes short of its header), are
-// not read, they are sent back to wvlayout.
+// namesRebuild reports whether err names the remedy that runs: a rebuild
+// from the source data, not a command that opens the file it refuses.
+func namesRebuild(err error) bool {
+	return strings.Contains(err.Error(), "rebuild it from the source data with wvload or wvq -create") &&
+		!strings.Contains(err.Error(), "wvlayout")
+}
+
+// TestVersion1Refused pins the migration path: a version 1 prelude is not
+// read, and the refusal names the rebuild from the source data; a sparse
+// file short of its indexCRC is refused too.
 func TestVersion1Refused(t *testing.T) {
 	v1 := make([]byte, 256)
 	copy(v1, Magic)
@@ -874,8 +849,75 @@ func TestVersion1Refused(t *testing.T) {
 			_ = s.Close()
 			t.Fatalf("Open accepted a %s file", name)
 		}
-		if !strings.Contains(err.Error(), "rebuild with wvlayout") {
-			t.Fatalf("%s: Open = %v, want the rebuild-with-wvlayout message", name, err)
+		if name == "version 1" && !namesRebuild(err) {
+			t.Fatalf("%s: Open = %v, want the rebuild remedy", name, err)
+		}
+	}
+}
+
+// withReservedWord returns a copy of file with the header word of width
+// bytes at off (from the file's start) set to v and the header checksum
+// recomputed, so nothing else about the file is wrong.
+func withReservedWord(file []byte, off, width int, v uint64) []byte {
+	c := slices.Clone(file)
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], v)
+	copy(c[off:off+width], w[:width])
+	hdrLen := binary.LittleEndian.Uint32(c[8:12])
+	binary.LittleEndian.PutUint32(c[12:16], crc32.ChecksumIEEE(c[preludeSize:preludeSize+hdrLen]))
+	return c
+}
+
+// hotWordOff is where the header's first reserved word, once a sparse
+// file's hot region, sits: after the prelude and the cells and nonzero
+// counts.
+const hotWordOff = preludeSize + 16
+
+// familyCountOff is where the header's second reserved word, once a sparse
+// file's family count, sits in file: just before streamLen, the blob's last
+// word.
+func familyCountOff(file []byte) int {
+	return preludeSize + int(binary.LittleEndian.Uint32(file[8:12])) - 8 - 2
+}
+
+// TestReservedWordsRefused: a sparse file written with its values in
+// |value|-descending slots (testdata/sparse_by_value.wvls, from the writer
+// before values were stored in key order; it records one family), and a
+// file of today whose hot word or family count is set with the header
+// checksum fixed, are each refused by Open and by Decode with
+// ErrReservedWords and the rebuild remedy — never read as another geometry.
+func TestReservedWordsRefused(t *testing.T) {
+	old, err := os.ReadFile("testdata/sparse_by_value.wvls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, values := testCoefficients(300, 1<<12, 6)
+	today, err := os.ReadFile(writeTestLayout(t, keys, values, WriteOptions{Cells: 1 << 12}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, file := range map[string][]byte{
+		"by value":     old,
+		"hot word":     withReservedWord(today, hotWordOff, 8, 3),
+		"family count": withReservedWord(today, familyCountOff(today), 2, 1),
+	} {
+		path := filepath.Join(t.TempDir(), "old.wvls")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err == nil {
+			_ = s.Close()
+			t.Fatalf("%s: Open accepted the file", name)
+		}
+		if !errors.Is(err, ErrReservedWords) || !namesRebuild(err) {
+			t.Fatalf("%s: Open = %v, want ErrReservedWords and the rebuild remedy", name, err)
+		}
+		err = Decode(bytes.NewReader(file), func(*Header) (func(int, float64), error) {
+			return func(int, float64) {}, nil
+		})
+		if !errors.Is(err, ErrReservedWords) {
+			t.Fatalf("%s: Decode = %v, want ErrReservedWords", name, err)
 		}
 	}
 }

@@ -24,17 +24,12 @@ import (
 // file's key index is served once it has passed indexCRC, which the first
 // read of the file checks.
 //
-// In a dense file the slot is the key. In a sparse one key→slot resolution
-// is a search of the compressed key index; a progressive drain requests keys
-// in exactly the layout's slot order, so the rest of a run in one block is
-// served by comparing each key with the next slot's (see serveRun) and the
-// whole drain walks the file front to back — sequential I/O, which is the
-// point of the sparse shape.
+// In a dense file the slot is the key. In a sparse one it is the key's rank
+// among the stored keys, which a search of the compressed key index finds.
 //
 // Store implements storage.Store and Enumerable, not Updatable: a layout is
-// a read-only artifact of its write-time schedule. It is the one reader of a
-// .wvls file: Decode runs its key-order walk. All methods are safe for
-// concurrent use.
+// a read-only file. It is the one reader of a .wvls file: Decode runs its
+// key-order walk. All methods are safe for concurrent use.
 type Store struct {
 	data    []byte // the whole file
 	mapping []byte // the mapping data is a window of; nil for heap bytes
@@ -43,15 +38,12 @@ type Store struct {
 	fileMapped bool
 	g          geometry
 	meta       *Meta
-	families   []Family
 
 	// The index sections and the block checksums: windows of data.
-	samples   packed
-	offsets   packed
-	stream    []byte
-	slotOf    packed
-	keyOfSlot packed
-	crcs      []byte
+	samples packed
+	offsets packed
+	stream  []byte
+	crcs    []byte
 
 	// verified holds one bit per block, set once the block's CRC has
 	// passed; indexChecked is set once a sparse file's index sections have
@@ -95,20 +87,18 @@ func open(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("layout: reading file: %w", err)
 	}
 	data := s.data
-	g, meta, families, err := readHeader(data)
+	g, meta, err := readHeader(data)
 	if err != nil {
 		_ = s.Close()
 		return nil, err
 	}
-	s.g, s.meta, s.families = *g, meta, families
+	s.g, s.meta = *g, meta
 	s.verified = make([]atomic.Uint64, (g.numBlocks+63)/64)
 	s.indexChecked.Store(g.dense())
 	s.crcs = data[g.crcsOff:]
 	s.samples = newPacked(data[g.samplesOff:g.offsetsOff], g.keyWidth)
 	s.offsets = newPacked(data[g.offsetsOff:g.streamOff], g.offWidth)
-	s.stream = data[g.streamOff:g.slotOfOff]
-	s.slotOf = newPacked(data[g.slotOfOff:g.keyOfSlotOff], g.slotWidth)
-	s.keyOfSlot = newPacked(data[g.keyOfSlotOff:g.blocksOff], g.keyWidth)
+	s.stream = data[g.streamOff:g.blocksOff]
 	if g.dense() {
 		s.cells = data[g.blocksOff:g.crcsOff]
 		if g.blockSize&(g.blockSize-1) == 0 {
@@ -193,17 +183,6 @@ func (s *Store) readStream(r io.Reader) error {
 	}
 }
 
-// KeyOfSlot returns the key stored at slot j: the layout's retrieval order
-// in a sparse file, whose drain in this order is sequential I/O, and j
-// itself in a dense one. It reads the index as stored; BatchGetCtx checks
-// it first.
-func (s *Store) KeyOfSlot(j int) int {
-	if s.g.dense() {
-		return j
-	}
-	return int(s.keyOfSlot.at(j))
-}
-
 // checkIndex checks a sparse file's index sections against indexCRC, once:
 // the first check that passes is remembered, one that fails is not, so
 // every later read checks again and fails again.
@@ -261,9 +240,9 @@ func (s *Store) keyGroup(g int, keys *[groupSize]uint64) (int, error) {
 	return n, nil
 }
 
-// findKey resolves key to its rank among the stored keys: a binary search
-// of the samples, then the decoded group the key falls in. A hit is
-// verified by the caller through keyOfSlot.
+// findKey resolves key to its rank among the stored keys, which is its
+// slot: a binary search of the samples, then the decoded group the key
+// falls in.
 func (s *Store) findKey(key int) (rank int, ok bool, err error) {
 	k := uint64(key)
 	lo, hi := 0, s.g.groups // first group whose sample exceeds key, in [lo,hi]
@@ -276,11 +255,11 @@ func (s *Store) findKey(key int) (rank int, ok bool, err error) {
 	}
 	group := lo - 1
 	if group < 0 {
-		// Below the smallest key, if the first sample is one: its own slot
-		// round trip says so.
+		// Below the smallest key, if the first group says it is one.
 		if s.g.groups > 0 {
-			if slot := s.slotOf.at(0); slot >= uint64(s.g.nonzero) || s.keyOfSlot.at(int(slot)) != s.samples.at(0) {
-				return 0, false, errKeyIndex(0)
+			var keys [groupSize]uint64
+			if _, err := s.keyGroup(0, &keys); err != nil {
+				return 0, false, err
 			}
 		}
 		return 0, false, nil
@@ -292,24 +271,6 @@ func (s *Store) findKey(key int) (rank int, ok bool, err error) {
 	}
 	j, ok := slices.BinarySearch(keys[:n], k)
 	return group*groupSize + j, ok, nil
-}
-
-// lookupSlot resolves an in-range key → slot; ok is false for a key that is
-// not stored. In a dense file every cell is stored at its own slot. In a
-// sparse one the slot the index search produces is served only if keyOfSlot
-// maps it back to the key.
-func (s *Store) lookupSlot(key int) (slot int, ok bool, err error) {
-	if s.g.dense() {
-		return key, true, nil
-	}
-	rank, ok, err := s.findKey(key)
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	if slot = int(s.slotOf.at(rank)); slot >= s.g.nonzero || s.KeyOfSlot(slot) != key {
-		return 0, false, fmt.Errorf("layout: slot %d does not hold key %d (index disagrees with itself)", slot, key)
-	}
-	return slot, true, nil
 }
 
 // block returns the value words of block b behind a passed CRC check. The
@@ -334,32 +295,40 @@ func (s *Store) block(b int) ([]byte, error) {
 	return vals, nil
 }
 
-// serveRun serves the longest prefix of keys[i:] that continues slot by
-// slot from the resolved start within one block — the common shape of a
-// sparse file's progressive drain, whose batches are exactly the layout's
-// physical order, and of any ascending run of a dense file. lookupSlot has
-// already resolved and verified slot for keys[i]; the run extends while each
-// next key is the next slot's key, so the per-key cost inside a run is one
-// compare and one load instead of an index search and a block check. It
-// returns the run's length n ≥ 1; on error all n positions failed together
-// (one corrupt block).
-func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
+// damage is a block one BatchGetCtx call found failing its check, with
+// the error it failed with: the call fails the block's other keys with it
+// instead of checking the block again for each. The next call checks it
+// afresh.
+type damage struct {
+	block int
+	err   error
+}
+
+// get serves one key: 0 for an in-range key that is not stored, and for a
+// stored one (hit) its value from its block. In a dense file the slot is the
+// key; in a sparse one it is the rank findKey returns.
+func (s *Store) get(k int, d *damage) (v float64, hit bool, err error) {
+	if k < 0 || k >= s.g.cells {
+		return 0, false, fmt.Errorf("key out of range [0,%d)", s.g.cells)
+	}
+	slot := k
+	if !s.g.dense() {
+		var ok bool
+		if slot, ok, err = s.findKey(k); err != nil || !ok {
+			return 0, false, err
+		}
+	}
 	b := slot / s.g.blockSize
-	lo, hi := s.g.blockSlots(b)
-	limit := min(hi-slot, len(keys)-i)
-	n := 1
-	for n < limit && keys[i+n] == s.KeyOfSlot(slot+n) {
-		n++
+	if d.err != nil && d.block == b {
+		return 0, false, d.err
 	}
 	vals, err := s.block(b)
 	if err != nil {
-		return n, err
+		*d = damage{b, err}
+		return 0, false, err
 	}
-	raw, out := vals[(slot-lo)*8:], dst[i:i+n]
-	for q := range out {
-		out[q] = math.Float64frombits(binary.LittleEndian.Uint64(raw[q*8:]))
-	}
-	return n, nil
+	lo, _ := s.g.blockSlots(b)
+	return math.Float64frombits(binary.LittleEndian.Uint64(vals[(slot-lo)*8:])), true, nil
 }
 
 // batchCancelStride is how many keys BatchGetCtx serves between context
@@ -367,15 +336,13 @@ func (s *Store) serveRun(keys []int, dst []float64, i, slot int) (int, error) {
 // stay off the per-key fast path.
 const batchCancelStride = 1024
 
-// BatchGetCtx implements storage.Store. Runs of keys in layout order — a
-// sparse file's progressive drain — are served blockwise through serveRun;
-// a dense file serves each key of a verified block with one load;
-// anything else falls back to one lookup per key. A key inside
-// the domain that is not stored is zero (like the hash store). Failures are
-// per-key — an unreadable or corrupt block fails exactly the positions that
-// resolve into it, reported via *storage.BatchError, and every other
-// position holds a valid value. Cancellation is observed between strides and
-// returned whole.
+// BatchGetCtx implements storage.Store. A dense file serves each key of a
+// verified block with one load; anything else takes one lookup per key
+// (get). A key inside the domain that is not stored is zero (like the hash
+// store). Failures are per-key — an unreadable or corrupt block fails
+// exactly the positions that resolve into it, reported via
+// *storage.BatchError, and every other position holds a valid value.
+// Cancellation is observed between strides and returned whole.
 func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	if len(keys) != len(dst) {
 		panic("layout: BatchGetCtx keys/dst length mismatch")
@@ -412,6 +379,7 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 	var cold int64
 	defer func() { s.coldHits.Add(cold) }()
 	var failed []storage.KeyError
+	var d damage
 	i, checked := 0, 0
 	for i < len(keys) {
 		if i-checked >= batchCancelStride {
@@ -427,33 +395,16 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 				continue
 			}
 		}
-		k := keys[i]
-		if k < 0 || k >= s.g.cells {
-			failed = append(failed, storage.KeyError{Index: i, Key: k,
-				Err: fmt.Errorf("key out of range [0,%d)", s.g.cells)})
-			i++
-			continue
-		}
-		slot, ok, err := s.lookupSlot(k)
+		v, hit, err := s.get(keys[i], &d)
 		if err != nil {
-			failed = append(failed, storage.KeyError{Index: i, Key: k, Err: err})
-			i++
-			continue
+			failed = append(failed, storage.KeyError{Index: i, Key: keys[i], Err: err})
+		} else {
+			dst[i] = v
 		}
-		if !ok {
-			dst[i] = 0
-			i++
-			continue
+		if hit {
+			cold++
 		}
-		n, err := s.serveRun(keys, dst, i, slot)
-		if err != nil {
-			for end := i + n; i < end; i++ {
-				failed = append(failed, storage.KeyError{Index: i, Key: keys[i], Err: err})
-			}
-			continue
-		}
-		cold += int64(n)
-		i += n
+		i++
 	}
 	if len(failed) > 0 {
 		return &storage.BatchError{Failed: failed}
@@ -502,9 +453,6 @@ func (s *Store) Mass() float64 { return s.g.mass }
 // without one.
 func (s *Store) Meta() *Meta { return s.meta }
 
-// Families returns the penalty families recorded at write time.
-func (s *Store) Families() []Family { return append([]Family(nil), s.families...) }
-
 // Dense reports whether the file has the dense shape: every cell's value in
 // key order, no index.
 func (s *Store) Dense() bool { return s.g.dense() }
@@ -544,13 +492,7 @@ func (s *Store) Sections() []Section {
 	if g.dense() {
 		return []Section{{"header", g.blocksOff}, values}
 	}
-	return []Section{
-		{"header", g.samplesOff},
-		{"key index", g.slotOfOff - g.samplesOff},
-		{"slotOf", g.keyOfSlotOff - g.slotOfOff},
-		{"keyOfSlot", g.blocksOff - g.keyOfSlotOff},
-		values,
-	}
+	return []Section{{"header", g.samplesOff}, {"key index", g.blocksOff - g.samplesOff}, values}
 }
 
 // StackName names the layout in storage.Describe.
@@ -589,46 +531,16 @@ func (s *Store) Verify() error {
 }
 
 // walk hands every nonzero coefficient, in ascending key order, to vis
-// until vis.fn stops it, and returns the damage it met: a dense file a
-// checked block at a time; a sparse one, once it has passed Verify, a key
-// group at a time, each value read by its slot.
+// until vis.fn stops it, and returns the damage it met. It reads the blocks
+// front to back, each checked, with the slot as the key in a dense file and
+// the next key of the decoded key index in a sparse one, which must have
+// passed indexCRC first. A stored zero, +0 or -0, is not handed over.
 func (s *Store) walk(vis visitor) error {
-	if s.g.dense() {
-		return s.walkDense(vis)
-	}
-	if err := s.Verify(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		return err
 	}
-	g := &s.g
-	var (
-		keys   [groupSize]uint64
-		values [groupSize]float64
-	)
-	for group := 0; group < g.groups; group++ {
-		n, err := s.keyGroup(group, &keys)
-		if err != nil {
-			return err
-		}
-		if err := s.rankValues(group*groupSize, values[:n]); err != nil {
-			return err
-		}
-		for j, k := range keys[:n] {
-			switch v := values[j]; {
-			case v == 0:
-			case vis.emit != nil:
-				vis.emit(int(k), v)
-			case !vis.fn(int(k), v):
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// walkDense is walk of a dense file: each block's nonzero cells, a stored
-// -0 a zero, with the slot as the key.
-func (s *Store) walkDense(vis visitor) error {
 	g, emitted := &s.g, 0
+	var keys [groupSize]uint64
 	for b := 0; b < g.numBlocks; b++ {
 		vals, err := s.block(b)
 		if err != nil {
@@ -636,34 +548,29 @@ func (s *Store) walkDense(vis visitor) error {
 		}
 		lo, _ := g.blockSlots(b)
 		for q := 0; q < len(vals); q += 8 {
+			slot, key := lo+q/8, lo+q/8
+			if !g.dense() {
+				if slot%groupSize == 0 {
+					if _, err := s.keyGroup(slot/groupSize, &keys); err != nil {
+						return err
+					}
+				}
+				key = int(keys[slot%groupSize])
+			}
 			w := binary.LittleEndian.Uint64(vals[q:])
 			if w<<1 == 0 {
 				continue
 			}
 			emitted++
 			if vis.emit != nil {
-				vis.emit(lo+q/8, math.Float64frombits(w))
-			} else if !vis.fn(lo+q/8, math.Float64frombits(w)) {
+				vis.emit(key, math.Float64frombits(w))
+			} else if !vis.fn(key, math.Float64frombits(w)) {
 				return nil
 			}
 		}
 	}
 	if emitted != g.nonzero {
-		return fmt.Errorf("layout: %d nonzero cells, the header announces %d", emitted, g.nonzero)
-	}
-	return nil
-}
-
-// rankValues reads the values of the stored keys of ranks [first,
-// first+len(out)) by their slots; walk has verified every block.
-func (s *Store) rankValues(first int, out []float64) error {
-	g := &s.g
-	for j := range out {
-		slot := s.slotOf.at(first + j)
-		if slot >= uint64(g.nonzero) {
-			return fmt.Errorf("layout: key rank %d has slot %d of %d", first+j, slot, g.nonzero)
-		}
-		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(s.data[g.blocksOff+8*int64(slot):]))
+		return fmt.Errorf("layout: %d nonzero values, the header announces %d", emitted, g.nonzero)
 	}
 	return nil
 }
@@ -691,12 +598,9 @@ type Stats struct {
 	// without another check.
 	VerifiedBlocks int `json:"verified_blocks"`
 	// FileBytes is the size of the .wvls file; IndexBytes of them are
-	// neither header nor value words (key index, slotOf, keyOfSlot, block
-	// checksums).
+	// neither header nor value words (the key index and the checksums).
 	FileBytes  int64 `json:"file_bytes"`
 	IndexBytes int64 `json:"index_bytes"`
-	// Families lists the penalty families the layout was bucketed against.
-	Families []Family `json:"families,omitempty"`
 }
 
 // Stats snapshots the counters.
@@ -716,7 +620,6 @@ func (s *Store) Stats() Stats {
 		VerifiedBlocks:    verified,
 		FileBytes:         s.g.fileSize,
 		IndexBytes:        s.g.blocksOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
-		Families:          s.Families(),
 	}
 }
 

@@ -15,31 +15,11 @@ import (
 // the layout package everywhere.
 type layoutStore = layout.Store
 
-// LayoutFamily names one (plan, penalty) workload whose retrieval schedule
-// should shape the persistent layout. The first family supplied to
-// SaveLayout dictates the physical on-disk order; every family is recorded
-// in the file by label and penalty fingerprint.
-type LayoutFamily struct {
-	// Label is a short human-readable name recorded in the file ("sse",
-	// "weighted-q3", …).
-	Label string
-	// Plan is the prepared master list whose schedule orders the keys.
-	Plan *Plan
-	// Penalty selects the schedule: layout order is
-	// Plan.ScheduleFor(Penalty)'s key order.
-	Penalty Penalty
-}
-
 // LayoutOptions configures SaveLayout.
 type LayoutOptions struct {
 	// BlockSize is the block granularity in slots; 0 selects
 	// layout.DefaultBlockSize.
 	BlockSize int
-	// Families optionally supplies schedule families (see LayoutFamily);
-	// supplying any selects the sparse shape, the one with a schedule order.
-	// With none, the file is dense when that is smaller, and a sparse
-	// file's order is canonical: |coefficient| descending.
-	Families []LayoutFamily
 }
 
 // LayoutCandidates is what SaveLayout weighed: the file's size in each of
@@ -47,13 +27,14 @@ type LayoutOptions struct {
 type LayoutCandidates = layout.Candidates
 
 // SaveLayout writes the database's coefficients to path in the .wvls
-// persistent format, in whichever of its two shapes is smaller: dense —
-// every cell's value in key order, checksummed in blocks — or sparse —
-// coefficients physically ordered by retrieval importance, checksummed in
-// blocks, behind a compressed key index. The file embeds the database identity (schema, filter, tuple
-// count, windows) so OpenLayout can reassemble a servable view from it
-// alone. The store must be enumerable. It returns both shapes' sizes, so a
-// caller can report the choice without reading the file back.
+// persistent format, in one of its two shapes: dense — every cell's value in
+// key order, checksummed in blocks — when at least half the cells are
+// nonzero, otherwise sparse — the nonzero coefficients' values in key
+// order, checksummed in blocks, behind a compressed key index. The file
+// embeds the database identity (schema, filter, tuple count, windows) so
+// OpenLayout can reassemble a servable view from it alone. The store must be
+// enumerable. It returns both shapes' sizes, so a caller can report the
+// choice without reading the file back.
 //
 // The file replaces path by a rename (layout.WriteFile), never in place: a
 // process serving the old file from its mapping keeps answering from it.
@@ -90,20 +71,6 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 	}); err != nil {
 		return LayoutCandidates{}, fmt.Errorf("repro: reading the view: %w", err)
 	}
-	families := make([]layout.FamilyOrder, 0, len(opts.Families))
-	for i, f := range opts.Families {
-		if f.Plan == nil || f.Penalty == nil {
-			return LayoutCandidates{}, fmt.Errorf("repro: layout family %d has a nil plan or penalty", i)
-		}
-		if f.Label == "" {
-			return LayoutCandidates{}, fmt.Errorf("repro: layout family %d has no label", i)
-		}
-		families = append(families, layout.FamilyOrder{
-			Label:       f.Label,
-			Fingerprint: f.Penalty.Fingerprint(),
-			Keys:        f.Plan.ScheduleFor(f.Penalty).KeyOrder(),
-		})
-	}
 	return layout.Encode(w, keys, values, layout.WriteOptions{
 		Cells:     db.schema.Cells(),
 		BlockSize: opts.BlockSize,
@@ -114,7 +81,6 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 			Sizes:      db.schema.Sizes,
 			Windows:    db.windows,
 		},
-		Families: families,
 	})
 }
 
@@ -139,7 +105,7 @@ func OpenLayout(path string) (*Database, error) {
 	meta := s.Meta()
 	if meta == nil {
 		_ = s.Close()
-		return nil, fmt.Errorf("repro: layout %s embeds no database metadata; rebuild it from the database (wvlayout)", path)
+		return nil, fmt.Errorf("repro: layout %s embeds no database metadata; rebuild it from the source data with wvload or wvq -create", path)
 	}
 	schema, err := dataset.NewSchema(meta.Names, meta.Sizes)
 	if err != nil {
@@ -164,15 +130,30 @@ func OpenLayout(path string) (*Database, error) {
 // persistent layout file (i.e. it was opened with OpenLayout).
 func (db *Database) LayoutBacked() bool { return db.layout != nil }
 
-// LayoutStats is a point-in-time snapshot of the layout store's serving
-// tiers; see layout.Stats.
+// LayoutStats is a point-in-time snapshot of the layout store's counters;
+// see layout.Stats.
 type LayoutStats = layout.Stats
 
-// LayoutStats snapshots the layout store's tier counters; ok is false for
+// LayoutStats snapshots the layout store's counters; ok is false for
 // databases not opened with OpenLayout.
 func (db *Database) LayoutStats() (stats LayoutStats, ok bool) {
 	if db.layout == nil {
 		return LayoutStats{}, false
 	}
 	return db.layout.Stats(), true
+}
+
+// LayoutSection is one named byte range of a .wvls file; see
+// layout.Section.
+type LayoutSection = layout.Section
+
+// LayoutSections lists the sections of the file the database was opened
+// from, in file order: the header, the key index (a sparse file's only) and
+// the values with their checksums. Their sizes sum to the file's. ok is
+// false for databases not opened with OpenLayout.
+func (db *Database) LayoutSections() (sections []LayoutSection, ok bool) {
+	if db.layout == nil {
+		return nil, false
+	}
+	return db.layout.Sections(), true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -14,13 +15,28 @@ import (
 	"repro/internal/storage/layout"
 )
 
+// layoutFixture is a database of 3000 tuples over 2048 cells, every cell
+// nonzero under Db4, so it is saved dense, with a plan over it and a path
+// to save it at.
 func layoutFixture(t *testing.T) (*Database, *Plan, string) {
+	t.Helper()
+	return layoutFixtureOf(t, 3000)
+}
+
+// sparseLayoutFixture is layoutFixture's schema and queries over 3 tuples:
+// 672 of the 2048 cells are nonzero, so it is saved sparse.
+func sparseLayoutFixture(t *testing.T) (*Database, *Plan, string) {
+	t.Helper()
+	return layoutFixtureOf(t, 3)
+}
+
+func layoutFixtureOf(t *testing.T, records int) (*Database, *Plan, string) {
 	t.Helper()
 	schema, err := NewSchema([]string{"x", "y", "m"}, []int{16, 16, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := UniformData(schema, 3000, 11)
+	dist := UniformData(schema, records, 11)
 	db, err := NewDatabase(dist, Db4)
 	if err != nil {
 		t.Fatal(err)
@@ -41,16 +57,14 @@ func layoutFixture(t *testing.T) (*Database, *Plan, string) {
 	return db, plan, path
 }
 
-// TestLayoutDrainBitIdentity is the acceptance criterion: a progressive
-// drain over the layout store produces estimates bit-identical (==) to the
-// in-memory drain at every intermediate step, and the worst-case bounds
-// agree because the persisted mass equals the enumerated mass.
+// TestLayoutDrainBitIdentity is the acceptance criterion on the sparse
+// shape: a progressive drain over the layout store produces estimates
+// bit-identical (==) to the in-memory drain at every intermediate step, and
+// the worst-case bounds agree because the persisted mass equals the
+// enumerated mass.
 func TestLayoutDrainBitIdentity(t *testing.T) {
-	db, plan, path := layoutFixture(t)
-	if _, err := db.SaveLayout(path, LayoutOptions{
-		BlockSize: 32,
-		Families:  []LayoutFamily{{Label: "sse", Plan: plan, Penalty: SSE()}},
-	}); err != nil {
+	db, plan, path := sparseLayoutFixture(t)
+	if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 32}); err != nil {
 		t.Fatalf("SaveLayout: %v", err)
 	}
 	ldb, err := OpenLayout(path)
@@ -130,16 +144,12 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 		}
 	}
 
-	// The recorded family is the schedule the layout was built from.
 	stats, ok := ldb.LayoutStats()
 	if !ok {
 		t.Fatal("LayoutStats not available")
 	}
 	if stats.Dense {
-		t.Fatal("a layout with families must be sparse")
-	}
-	if len(stats.Families) != 1 || stats.Families[0].Label != "sse" || stats.Families[0].Fingerprint != SSE().Fingerprint() {
-		t.Fatalf("Families = %+v, want the sse family", stats.Families)
+		t.Fatal("the fixture is sparse enough for the sparse shape")
 	}
 	if stats.ColdHits == 0 {
 		t.Fatalf("stats = %+v: the drain counted no hits", stats)
@@ -147,7 +157,7 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 }
 
 // TestLayoutDenseDrainBitIdentity is the acceptance criterion on the dense
-// shape: with no families the fixture is written as an array, and a
+// shape: the fixture is written as an array, and a
 // progressive drain over it is bit-identical (==) to the in-memory drain at
 // every step, bounds included.
 func TestLayoutDenseDrainBitIdentity(t *testing.T) {
@@ -236,17 +246,18 @@ func TestLayoutReadOnly(t *testing.T) {
 // completes, reports Degraded, and the skipped importance is accounted —
 // instead of a crash or a silent wrong answer.
 func TestLayoutDegradedRun(t *testing.T) {
-	db, plan, path := layoutFixture(t)
 	for _, dense := range []bool{true, false} {
-		opts := LayoutOptions{BlockSize: 16}
-		if !dense {
-			opts.Families = []LayoutFamily{{Label: "sse", Plan: plan, Penalty: SSE()}}
+		fixture := sparseLayoutFixture
+		if dense {
+			fixture = layoutFixture
 		}
-		if _, err := db.SaveLayout(path, opts); err != nil {
+		db, plan, path := fixture(t)
+		if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 16}); err != nil {
 			t.Fatal(err)
 		}
 		// Corrupt a block the plan reads: the last one of the array, the
-		// first of the schedule order (it holds plan keys).
+		// first of the sparse file (it holds the smallest keys, the
+		// coarsest coefficients every query reads).
 		ls, err := layout.Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -335,33 +346,65 @@ func TestOpenDatabaseRefusesADamagedHeader(t *testing.T) {
 	}
 }
 
-// TestOpenDatabaseRefusesAHotRegion: a sparse file whose header announces a
-// hot region — raw values outside the checksummed blocks, which the format
-// once had — is refused by OpenLayout and by LoadDatabase with an error that
-// names the hot region, not misread as a file of another geometry. The file
-// is a sparse one of today with the header's hot word set and its checksum
-// fixed, so nothing but that word is wrong.
+// TestOpenDatabaseRefusesAHotRegion: every file this reader no longer
+// reads is refused by OpenLayout and by LoadDatabase with its own named
+// message, which sends the user to a rebuild from the source data — never
+// to wvlayout, which opens its input through the same refusing reader. The
+// files: a sparse file of today with the header's first reserved word (once
+// a hot region of raw values outside the blocks) set to 3; a sparse file
+// written with its values in |value|-descending slots, which records one
+// family in the second reserved word (testdata, from the writer before
+// values were stored in key order); and a file of today with a version-1
+// prelude or the retired float32-values flag. A header word is changed with
+// the header checksum fixed, so nothing but that word is wrong.
 func TestOpenDatabaseRefusesAHotRegion(t *testing.T) {
-	file := savedSparseTemperature(t)
-	if _, err := LoadDatabase(bytes.NewReader(file)); err != nil {
+	today := savedSparseTemperature(t)
+	if _, err := LoadDatabase(bytes.NewReader(today)); err != nil {
 		t.Fatalf("the file as saved: %v", err)
 	}
-	const hotWord = 16 + 16 // the prelude, then the header's cells and nonzero
-	hdrLen := binary.LittleEndian.Uint32(file[8:12])
-	binary.LittleEndian.PutUint64(file[hotWord:], 3)
-	binary.LittleEndian.PutUint32(file[12:16], crc32.ChecksumIEEE(file[16:16+hdrLen]))
-	path := filepath.Join(t.TempDir(), "hot.wvls")
-	if err := os.WriteFile(path, file, 0o644); err != nil {
+	byValue, err := os.ReadFile("internal/storage/layout/testdata/sparse_by_value.wvls")
+	if err != nil {
 		t.Fatal(err)
 	}
-	const named = "hot region of 3 slots"
-	if db, err := OpenLayout(path); err == nil {
-		_ = db.Close()
-		t.Fatal("OpenLayout accepted a file with a hot region")
-	} else if !strings.Contains(err.Error(), named) {
-		t.Fatalf("OpenLayout = %v, want an error naming the %s", err, named)
-	}
-	if _, err := LoadDatabase(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), named) {
-		t.Fatalf("LoadDatabase = %v, want an error naming the %s", err, named)
+	const hotWord = 16 + 16 // the prelude, then the header's cells and nonzero
+	hot := bytes.Clone(today)
+	hdrLen := binary.LittleEndian.Uint32(hot[8:12])
+	binary.LittleEndian.PutUint64(hot[hotWord:], 3)
+	binary.LittleEndian.PutUint32(hot[12:16], crc32.ChecksumIEEE(hot[16:16+hdrLen]))
+	v1 := bytes.Clone(today)
+	v1[4] = 1
+	float32Values := bytes.Clone(today)
+	float32Values[6] |= 1
+	for _, tc := range []struct {
+		name, named string
+		file        []byte
+	}{
+		{"hot word 3", "nonzero reserved header words", hot},
+		{"values by |value|", "nonzero reserved header words", byValue},
+		{"version 1", "version 1 .wvls file", v1},
+		{"float32 values", "float32 block values", float32Values},
+	} {
+		path := filepath.Join(t.TempDir(), "old.wvls")
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused := func(via string, err error) {
+			t.Helper()
+			switch msg := fmt.Sprint(err); {
+			case err == nil:
+				t.Fatalf("%s: %s accepted the file", tc.name, via)
+			case !strings.Contains(msg, tc.named) || !strings.Contains(msg, "rebuild it from the source data with wvload or wvq -create"):
+				t.Fatalf("%s: %s = %v, want an error naming the %s and the rebuild", tc.name, via, err, tc.named)
+			case strings.Contains(msg, "wvlayout"):
+				t.Fatalf("%s: %s = %v names wvlayout, which cannot open the file", tc.name, via, err)
+			}
+		}
+		db, err := OpenLayout(path)
+		if err == nil {
+			_ = db.Close()
+		}
+		refused("OpenLayout", err)
+		_, err = LoadDatabase(bytes.NewReader(tc.file))
+		refused("LoadDatabase", err)
 	}
 }

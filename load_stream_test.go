@@ -151,7 +151,7 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 // TestLoadPublishesNothingFromABadStream: a dense file's coefficients reach
 // the store block by block, before a later block's checksum can be checked,
 // so the loaders must hand back nothing when any of it — a block, a
-// checksum, a key index section, the hot region, the file's length — is
+// checksum, a key index section, the file's length — is
 // bad, in either shape. A shard's start checks the whole mapped file
 // (layout.Store.Verify), so it fails too: at OpenLayout, or as an error from
 // NewShardServer.

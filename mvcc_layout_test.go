@@ -11,17 +11,17 @@ import (
 	"repro/internal/storage/layout"
 )
 
-// mappedMVCCFixture saves layoutFixture's database to its path in the given
-// shape (a sparse file's order set by the plan's schedule, small blocks so
-// the plan spans many) and returns the plan, the path and the file's bytes.
+// mappedMVCCFixture saves layoutFixture's database, or sparseLayoutFixture's,
+// to its path in small blocks, so the plan spans many, and returns the plan,
+// the path and the file's bytes.
 func mappedMVCCFixture(t *testing.T, dense bool) (*Plan, string, []byte) {
 	t.Helper()
-	db, plan, path := layoutFixture(t)
-	opts := LayoutOptions{BlockSize: 16}
-	if !dense {
-		opts.Families = []LayoutFamily{{Label: "sse", Plan: plan, Penalty: SSE()}}
+	fixture := sparseLayoutFixture
+	if dense {
+		fixture = layoutFixture
 	}
-	if _, err := db.SaveLayout(path, opts); err != nil {
+	db, plan, path := fixture(t)
+	if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(path)
@@ -105,17 +105,29 @@ func TestDamagedMappingUnderMVCC(t *testing.T) {
 	for _, dense := range []bool{true, false} {
 		plan, path, file := mappedMVCCFixture(t, dense)
 		// The damage sits in a block the plan reads and a tuple's write can
-		// miss: the array's last, or the one holding the plan's last key in
-		// the schedule order (a fine detail, where every write touches the
-		// coarse coefficients of the first).
+		// miss: the one holding the largest stored key the plan reads (a
+		// fine detail, where every write touches the coarse coefficients of
+		// the first) — in a dense file the last.
 		ls, err := layout.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim := ls.Blocks() - 1
-		if !dense {
-			last := min(len(plan.ScheduleFor(SSE()).KeyOrder()), ls.NonzeroCount()) - 1
-			victim = last / ls.BlockSize()
+		reads := map[int]bool{}
+		for _, k := range plan.ScheduleFor(SSE()).KeyOrder() {
+			reads[k] = true
+		}
+		victim, slot := 0, 0
+		if err := ls.Walk(func(k int, _ float64) bool {
+			if reads[k] {
+				victim = slot / ls.BlockSize()
+			}
+			slot++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if dense {
+			victim = ls.Blocks() - 1
 		}
 		at := ls.BlockExtent(victim).Off
 		if err := ls.Close(); err != nil {

@@ -281,7 +281,7 @@ func (db *Database) Windows() [][2]float64 { return db.windows }
 
 // Save writes the database (schema, filter identity, transformed
 // coefficients) to w as the .wvls file SaveLayout writes with default
-// options: dense when that is smaller, otherwise sparse in canonical order.
+// options: dense when at least half the cells are nonzero, otherwise sparse.
 // The file can be mapped with OpenLayout or streamed into memory with
 // LoadDatabase. An MVCC database writes one pinned version.
 func (db *Database) Save(w io.Writer) error {
@@ -296,9 +296,9 @@ func (db *Database) Save(w io.Writer) error {
 // storage.NewMemoryStore finds smaller for the declared domain and count —
 // and the coefficient mass is summed on the way in, in ascending key order;
 // nothing is returned unless every checksum of the file verifies. A file
-// read from an *os.File is mapped for the load and walked in place, a dense
-// one a block at a time, a sparse one a key group at a time with each value
-// read by its slot; nothing of it is copied to the heap. To serve a file,
+// read from an *os.File is mapped for the load and walked in place, its
+// blocks front to back — a sparse one's keys decoded from the key index
+// beside them; nothing of it is copied to the heap. To serve a file,
 // map it with OpenLayout instead (and EnableMVCC to write over the mapping).
 func LoadDatabase(r io.Reader) (*Database, error) {
 	var (

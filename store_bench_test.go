@@ -239,28 +239,43 @@ func settledRSS() int64 {
 
 // BenchmarkStoreBatchGet asks the loaded store — array or table, as
 // LoadDatabase chose — for one plan's whole retrieval schedule per call (a
-// different plan each call), and for 16 Ki uniformly random keys per call.
+// different plan each call), and for 16 Ki uniformly random keys per call;
+// the mapped rows ask OpenLayout's view of the same file the same, so the
+// sparse file's key-index search has a row beside the dense file's load.
 func BenchmarkStoreBatchGet(b *testing.B) {
 	for _, c := range storeBenchCases {
-		c.build(b)
-		run := func(name string, batches [][]int) {
-			b.Run(c.name+"/"+name, func(b *testing.B) {
-				longest := 0
-				for _, order := range batches {
-					longest = max(longest, len(order))
-				}
-				dst := make([]float64, longest)
-				keys := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					order := batches[i%len(batches)]
-					storage.BatchGet(c.db.store, order, dst[:len(order)])
-					keys += len(order)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(keys), "ns/key")
-			})
-		}
-		run("schedule", c.schedules)
-		run("uniform", c.uniform)
+		b.Run(c.name, func(b *testing.B) {
+			c.build(b)
+			path := filepath.Join(b.TempDir(), c.name+".wvls")
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			mapped, err := OpenLayout(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = mapped.Close() }()
+			run := func(name string, store storage.Store, batches [][]int) {
+				b.Run(name, func(b *testing.B) {
+					longest := 0
+					for _, order := range batches {
+						longest = max(longest, len(order))
+					}
+					dst := make([]float64, longest)
+					keys := 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						order := batches[i%len(batches)]
+						storage.BatchGet(store, order, dst[:len(order)])
+						keys += len(order)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(keys), "ns/key")
+				})
+			}
+			run("schedule", c.db.store, c.schedules)
+			run("uniform", c.db.store, c.uniform)
+			run("mapped/schedule", mapped.store, c.schedules)
+			run("mapped/uniform", mapped.store, c.uniform)
+		})
 	}
 }
