@@ -20,7 +20,7 @@ const goldenHexWVLSSparse = "57564c53" + // magic "WVLS"
 	"0200" + // version 2
 	"0000" + // flags: sparse
 	"6c000000" + // header blob, 108 bytes
-	"a094b059" + // its CRC-32
+	"dd93951b" + // its CRC-32
 	"0800000000000000" + // cells 8
 	"0200000000000000" + // nonzero 2
 	"0000000000000000" + // reserved 0
@@ -32,13 +32,12 @@ const goldenHexWVLSSparse = "57564c53" + // magic "WVLS"
 	"0100" + "78" + "04000000" + "0000000000000000" + "0000000000000000" + // "x", size 4, no window
 	"0100" + "79" + "02000000" + "0000000000000000" + "0000000000000000" + // "y", size 2, no window
 	"0000" + // reserved 0
-	"0200000000000000" + // key stream 2 bytes
-	"00" + "00000000000000" + // one key sample, 0, then the pad
-	"00" + "00000000000000" + // its stream offset, 0, then the pad
-	"05" + "03" + // key stream: 0 → 5 → 8 (the domain's end)
+	"0000000000000000" + // reserved 0
+	"00" + "02" + "00000000000000" + // dir: one bucket of 1-byte lows, 0 then 2 keys, then the pad
+	"00" + "05" + "00000000000000" + // lows: keys 0 and 5, then the pad
 	"000000000000f83f" + "00000000000002c0" + // the values of keys 0 and 5
 	"0928fab7" + // the block's CRC-32
-	"b26a6583" // indexCRC
+	"ee51c7fb" // indexCRC
 
 // goldenHexWVLS is the view file Save wrote for the same content when the
 // writer chose the smaller shape: the dense one (eight cells of 8 bytes are
@@ -60,7 +59,7 @@ const goldenHexWVLS = "57564c53" + // magic "WVLS"
 	"0100" + "78" + "04000000" + "0000000000000000" + "0000000000000000" + // "x", size 4, no window
 	"0100" + "79" + "02000000" + "0000000000000000" + "0000000000000000" + // "y", size 2, no window
 	"0000" + // reserved 0
-	"0000000000000000" + // key stream 0 bytes
+	"0000000000000000" + // reserved 0
 	"000000000000f83f" + "0000000000000000" + "0000000000000000" + "0000000000000000" + // cells 0-3: 1.5
 	"0000000000000000" + "00000000000002c0" + "0000000000000000" + "0000000000000000" + // cells 4-7: -2.25 at 5
 	"9cf4da43" // the block's CRC-32

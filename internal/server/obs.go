@@ -144,9 +144,9 @@ func (h *Handler) readFamilies(g *obs.ReadGroup[StatsResponse]) {
 
 	g.ReadCounter("wvq_storage_layout_hits_total", "Stored keys the layout store served, each from a checksummed block.",
 		ofLayout(func(l *repro.LayoutStats) int64 { return l.ColdHits }))
-	g.ReadCounter("wvq_storage_layout_block_loads_total", "Cold blocks physically read and checksummed.",
+	g.ReadCounter("wvq_storage_layout_block_loads_total", "Block checksum checks that passed: each block's first read.",
 		ofLayout(func(l *repro.LayoutStats) int64 { return l.BlockLoads }))
-	g.ReadCounter("wvq_storage_layout_block_load_failures_total", "Cold-block loads rejected by read errors or their checksum.",
+	g.ReadCounter("wvq_storage_layout_block_load_failures_total", "Block checksum checks that failed; a failed block is checked again on its next read.",
 		ofLayout(func(l *repro.LayoutStats) int64 { return l.BlockLoadFailures }))
 
 	g.ReadGauge("wvq_mvcc_version", "Head snapshot version (applies since open).",

@@ -43,7 +43,7 @@ type decodeInput struct {
 }
 
 // decodeInputs are the coefficients and options of decodeCases' files: both
-// shapes, and a sparse file whose blocks end inside key groups. Each also
+// shapes, and a sparse file whose blocks end inside key buckets. Each also
 // hands Write a zero, a negative zero and a tiny 1e-60, at keys it does not
 // otherwise hold.
 func decodeInputs() map[string]decodeInput {
@@ -197,9 +197,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			"trailing byte": append(append([]byte(nil), raw...), 0),
 		}
 		if name == "sparse" {
-			damaged["key stream"] = flip(g.streamOff + g.streamLen/2)
-			damaged["a sample"] = flip(g.samplesOff + int64(g.keyWidth))
-			damaged["a stream offset"] = flip(g.offsetsOff + int64(g.offWidth))
+			damaged["a dir count"] = flip(g.dirOff + int64(g.buckets/2*g.dirWidth()))
+			damaged["a key's lows"] = flip(g.lowsOff + int64(g.nonzero/2*g.lowWidth))
 			damaged["indexCRC"] = flip(g.fileSize - 1)
 		}
 		for what, data := range damaged {

@@ -10,14 +10,14 @@
 // physical order: the engine asks for coefficients by query importance,
 // which no write-time order follows, and each retrieval is one random read.
 //
-// The sparse shape holds the nonzero coefficients only, behind a compressed
-// index of their keys: the rank a key search returns is the slot its value
-// sits at. The dense shape is an array: every cell's value, zeros included,
-// so the slot is the key and there is no index at all. Write writes the
-// dense shape iff at least half the cells are nonzero. The rule is a count,
-// not a byte comparison: the sparse file is the smaller one up to about
-// 88 % full, but its lookup searches the key index where the dense one is a
-// load, so between one half and that the rule spends bytes on lookup speed.
+// The sparse shape holds the nonzero coefficients only, behind an index of
+// their keys: the rank a key search returns is the slot its value sits at.
+// The dense shape is an array: every cell's value, zeros included, so the
+// slot is the key and there is no index at all. Write writes the dense shape
+// iff at least half the cells are nonzero. The rule is a count, not a byte
+// comparison: the sparse file is the smaller one up to about 88 % full, but
+// its lookup searches the key index where the dense one is a load, so
+// between one half and that the rule spends bytes on lookup speed.
 //
 // File shape, version 2 (all integers little-endian):
 //
@@ -32,50 +32,55 @@
 //	  reserved uint64                0 (see below)
 //	  blockSize uint32; mass float64
 //	  meta flag uint8, then the optional schema/filter metadata
-//	  reserved uint16                0 (see below)
-//	  streamLen uint64               bytes of the key delta stream
+//	  reserved uint16                0
+//	  reserved uint64                0
 //	data sections, back to back in this order:
-//	  samples   groups × kw          every 64th stored key, ascending
-//	  offsets   groups × ow          where each sample's deltas start in stream
-//	  stream    streamLen bytes      uvarint key[i+1]−key[i], key[nonzero] = cells
+//	  dir       (buckets+1) × dw     stored keys below each bucket, cumulative
+//	  lows      nonzero × lw         each stored key's low lw bytes, ascending key
 //	  blocks    slots × float64      the values, in ascending key order
 //	  crcs      numBlocks × uint32   IEEE CRC-32 of each block
-//	  indexCRC  uint32               sparse only: IEEE CRC-32 of samples…stream
+//	  indexCRC  uint32               sparse only: IEEE CRC-32 of dir and lows
 //
-// Every width and offset follows from the header: kw = bytes(cells−1),
-// ow = bytes(streamLen), groups = ⌈nonzero/64⌉, and block b is the
-// blockSize×8 bytes (fewer for the last block) at blocks + b×blockSize×8.
-// The two fixed-width sections are packed words, each followed by 8−w pad
-// bytes so the reader's one 8-byte load of the last entry stays inside its
-// section. A dense file has streamLen 0, its index sections are empty (pads
-// too) and its blocks hold cells slots.
+// Every width and offset follows from the header: dw = bytes(nonzero), lw is
+// the low width in 1…8 that makes dir and lows smallest (the narrower on a
+// tie), buckets = ⌈cells/2^(8·lw)⌉, and block b is the blockSize×8 bytes
+// (fewer for the last block) at blocks + b×blockSize×8. The two index
+// sections are packed words, each followed by 8−w pad bytes so the reader's
+// one 8-byte load of the last entry stays inside its section. A dense file's
+// index sections are empty (pads too) and its blocks hold cells slots.
 //
-// In the sparse shape slot i holds the i-th smallest stored key's value.
-// key→slot is the compressed ascending key set: one absolute sample per 64
-// keys, one-byte deltas between neighbours at any density above 1/128 —
-// "Space-Efficient Data-Analysis Queries on Grids" is the grounding: about
-// 2+log₂(cells/n) bits per key is what the information costs. Values are raw
-// float64 words in blocks. A group's deltas sum to the next sample (to cells
-// for the last), so "key absent" is checked, not assumed.
+// In the sparse shape slot i holds the i-th smallest stored key's value. A
+// key splits into its bucket, key >> 8·lw, kept as counts in dir, and its low
+// lw bytes, kept verbatim in lows, as Elias–Fano splits a sorted set:
+// "Space-Efficient Data-Analysis Queries on Grids" grounds it, about
+// 2+log₂(cells/n) bits per key being what the information costs. A lookup
+// reads dir[b] and dir[b+1], the slot range of key's bucket, and searches
+// those lows; no entry has a variable length. Values are raw float64 words
+// in blocks.
 //
 // Verification is the same in both shapes: every byte past the prelude is
 // served only behind a CRC-32. The header blob has its own, checked at open.
 // A block is checked the first time any of its slots is served and marked
 // verified in a bitmap; later reads are windows of the file's bytes with no
 // check. A sparse file's index sections share indexCRC, checked the first
-// time a read needs them. A check that fails is never remembered, so every
+// time a read needs them, and with it, once, that dir rises from 0 to
+// nonzero and that the stored keys ascend inside the domain, so "key absent"
+// is checked, not assumed. A check that fails is never remembered, so every
 // retry checks again and fails again. Corruption becomes per-key retrieval
 // errors the engine degrades over.
 //
-// The format has changed three times without a new version number, because
+// The format has changed four times without a new version number, because
 // dense files did not change. indexCRC was added to sparse files; their hot
 // region, raw values outside the blocks counted by the first reserved word,
-// went; and their values moved from |value|-descending slots, behind two
-// packed permutations and a list of the penalty families the order followed,
-// counted by the second reserved word, into key order. Every sparse file
-// written before the last change records at least one family, so a reader
-// refuses any file whose reserved words are not both 0 (ErrReservedWords);
-// that covers the two older changes too. A dense file always had 0 in both.
+// went; their values moved from |value|-descending slots, behind two packed
+// permutations and a list of the penalty families the order followed,
+// counted by the second reserved word, into key order; and their key index,
+// every 64th key with uvarint deltas between, whose stream length the third
+// reserved word held, became the bucket directory and the lows. Every sparse
+// file written before the last change that stores a key has a nonzero word
+// among the three, so a reader refuses any file whose reserved words are not
+// all 0 (ErrReservedWords); that covers the older changes too, and an empty
+// one fails the size check. A dense file always had 0 in all three.
 package layout
 
 import (
@@ -116,10 +121,6 @@ const (
 	// maxBlockSize bounds what one block load reads and checksums (512 KiB).
 	maxBlockSize = 1 << 16
 
-	// groupSize is the key index sampling interval: one absolute key per
-	// group, deltas in between.
-	groupSize = 64
-
 	// maxDims is the plausibility bound on a header's schema dimensionality.
 	maxDims = 64
 )
@@ -141,9 +142,9 @@ type Meta struct {
 const rebuild = "the format is derived data — rebuild it from the source data with wvload or wvq -create"
 
 // ErrReservedWords is the refusal of a file whose header's reserved words
-// are not 0: a sparse file written before its values were stored in key
-// order (see the package comment).
-var ErrReservedWords = errors.New("layout: .wvls file with nonzero reserved header words, a sparse file written before values were stored in key order, which is no longer read")
+// are not 0: a sparse file written before its key index was a bucket
+// directory (see the package comment).
+var ErrReservedWords = errors.New("layout: .wvls file with nonzero reserved header words, a sparse file written before its key index was a bucket directory, which is no longer read")
 
 // WriteOptions configures Write.
 type WriteOptions struct {
@@ -173,8 +174,25 @@ func appendPacked(b []byte, v uint64, w int) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)[:len(b)+w]
 }
 
-// uvarintLen is the length of v's uvarint encoding.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+// keyIndex is the shape of a sparse file's key index when each stored key
+// keeps its low lw bytes: the bucket count and the sizes of dir, buckets+1
+// counts bytes(nonzero) wide, and lows, nonzero words lw wide.
+func keyIndex(cells, nonzero, lw int) (buckets int, dirSize, lowsSize int64) {
+	buckets = int(uint64(cells-1)>>(8*lw)) + 1
+	return buckets, packedSize(buckets+1, wordWidth(uint64(nonzero))), packedSize(nonzero, lw)
+}
+
+// lowWidth is the low width of a sparse file's keys: the one in 1…8 whose
+// key index is smallest, the narrower on a tie.
+func lowWidth(cells, nonzero int) int {
+	best, bestSize := 0, int64(math.MaxInt64)
+	for lw := 1; lw <= 8; lw++ {
+		if _, dir, lows := keyIndex(cells, nonzero, lw); dir+lows < bestSize {
+			best, bestSize = lw, dir+lows
+		}
+	}
+	return best
+}
 
 // packed reads a fixed-width unsigned section of the file, a window of its
 // bytes.
@@ -199,72 +217,52 @@ type geometry struct {
 	nonzero   int
 	blockSize int
 	mass      float64
-	streamLen int64
 
 	slots     int // value slots: nonzero, or cells in the dense shape
-	groups    int
 	numBlocks int
-	keyWidth  int
-	offWidth  int
+	lowWidth  int // a sparse file's only: the key index's shape
+	buckets   int
 
-	samplesOff int64
-	offsetsOff int64
-	streamOff  int64
-	blocksOff  int64
-	crcsOff    int64
-	fileSize   int64
+	dirOff    int64
+	lowsOff   int64
+	blocksOff int64
+	crcsOff   int64
+	fileSize  int64
 }
 
 func (g *geometry) dense() bool { return g.flags&flagDense != 0 }
 
+// dirWidth is the byte width of a sparse file's dir entries.
+func (g *geometry) dirWidth() int { return wordWidth(uint64(g.nonzero)) }
+
 // derive fills the counts, widths and section offsets in from the header
 // fields; dataStart is where the first section begins.
 func (g *geometry) derive(dataStart int64) {
-	g.slots, g.groups = g.nonzero, (g.nonzero+groupSize-1)/groupSize
-	packed := packedSize
-	if g.dense() {
-		g.slots, g.groups = g.cells, 0
-		packed = func(int, int) int64 { return 0 }
+	var dirSize, lowsSize int64
+	indexCRCs := 0 // indexCRC, in a sparse file
+	g.slots = g.cells
+	if !g.dense() {
+		g.slots, g.lowWidth, indexCRCs = g.nonzero, lowWidth(g.cells, g.nonzero), 1
+		g.buckets, dirSize, lowsSize = keyIndex(g.cells, g.nonzero, g.lowWidth)
 	}
 	g.numBlocks = (g.slots + g.blockSize - 1) / g.blockSize
-	g.keyWidth = wordWidth(uint64(g.cells - 1))
-	g.offWidth = wordWidth(uint64(g.streamLen))
 	off := dataStart
 	section := func(size int64) int64 {
 		at := off
 		off += size
 		return at
 	}
-	g.samplesOff = section(packed(g.groups, g.keyWidth))
-	g.offsetsOff = section(packed(g.groups, g.offWidth))
-	g.streamOff = section(g.streamLen)
+	g.dirOff = section(dirSize)
+	g.lowsOff = section(lowsSize)
 	g.blocksOff = section(int64(g.slots) * 8)
-	g.crcsOff = section(int64(g.numBlocks+g.indexCRCs()) * 4)
+	g.crcsOff = section(int64(g.numBlocks+indexCRCs) * 4)
 	g.fileSize = off
-}
-
-// indexCRCs is the number of checksums after the block ones: indexCRC in a
-// sparse file, nothing in a dense one.
-func (g *geometry) indexCRCs() int {
-	if g.dense() {
-		return 0
-	}
-	return 1
 }
 
 // checkBlock checks block b's value words against its stored checksum.
 func (g *geometry) checkBlock(crcs []byte, b int, vals []byte) error {
 	if got, want := crc32.ChecksumIEEE(vals), binary.LittleEndian.Uint32(crcs[4*b:]); got != want {
 		return fmt.Errorf("layout: block %d checksum mismatch (file %08x, computed %08x)", b, want, got)
-	}
-	return nil
-}
-
-// checkIndex checks sum, the CRC-32 of a sparse file's index sections, from
-// samples through the stream, against indexCRC.
-func (g *geometry) checkIndex(crcs []byte, sum uint32) error {
-	if want := binary.LittleEndian.Uint32(crcs[4*g.numBlocks:]); sum != want {
-		return fmt.Errorf("layout: key index checksum mismatch (file %08x, computed %08x)", want, sum)
 	}
 	return nil
 }
@@ -298,7 +296,7 @@ type input struct {
 }
 
 // prepare validates Write's input and derives both shapes' geometry. It does
-// none of the work only the sparse file needs: the key stream itself.
+// none of the work only the sparse file needs: the key index itself.
 func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("layout: %d keys for %d values", len(keys), len(values))
@@ -330,23 +328,17 @@ func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	}
 	slices.SortFunc(pairs, func(a, b coef) int { return cmp.Compare(a.k, b.k) })
 	var mass float64
-	var streamLen int64
 	for i := range pairs {
 		if i > 0 && pairs[i].k == pairs[i-1].k {
 			return nil, fmt.Errorf("layout: duplicate key %d", pairs[i].k)
 		}
 		mass += math.Abs(pairs[i].v)
-		next := opts.Cells
-		if i+1 < len(pairs) {
-			next = pairs[i+1].k
-		}
-		streamLen += int64(uvarintLen(uint64(next - pairs[i].k)))
 	}
 	n := len(pairs)
 
 	in := &input{opts: opts, pairs: pairs}
 	in.sparse = geometry{cells: opts.Cells, nonzero: n,
-		blockSize: opts.BlockSize, mass: mass, streamLen: streamLen}
+		blockSize: opts.BlockSize, mass: mass}
 	in.dense = geometry{flags: flagDense, cells: opts.Cells, nonzero: n,
 		blockSize: opts.BlockSize, mass: mass}
 	in.sparse.derive(int64(preludeSize + len(encodeHeaderBlob(&in.sparse, opts.Meta))))
@@ -408,26 +400,12 @@ func (in *input) writeDense(dst io.Writer) error {
 }
 
 // writeSparse writes the nonzero coefficients' values in ascending key
-// order behind the compressed key index: the key's rank is its slot.
+// order behind the key index: the key's rank is its slot.
 func (in *input) writeSparse(dst io.Writer) error {
 	g, pairs := &in.sparse, in.pairs
-	n := len(pairs)
-	groupStart := make([]int, g.groups)
-	stream := make([]byte, 0, g.streamLen)
-	for i, c := range pairs {
-		if i%groupSize == 0 {
-			groupStart[i/groupSize] = len(stream)
-		}
-		next := g.cells
-		if i+1 < n {
-			next = pairs[i+1].k
-		}
-		stream = binary.AppendUvarint(stream, uint64(next-c.k))
-	}
-
+	shift := 8 * g.lowWidth
 	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta), func(bw *bufio.Writer, buf []byte) error {
-		// Everything from samples through the stream goes through indexCRC
-		// on its way out.
+		// dir and lows go through indexCRC on their way out.
 		sum := crc32.NewIEEE()
 		w := io.MultiWriter(bw, sum)
 		writePacked := func(count, width int, at func(i int) uint64) error {
@@ -440,13 +418,16 @@ func (in *input) writeSparse(dst io.Writer) error {
 			_, err := w.Write(buf[:size])
 			return err
 		}
-		if err := writePacked(g.groups, g.keyWidth, func(i int) uint64 { return uint64(pairs[i*groupSize].k) }); err != nil {
+		below := 0 // stored keys below bucket b, one cursor over the ascending keys
+		if err := writePacked(g.buckets+1, g.dirWidth(), func(b int) uint64 {
+			for below < len(pairs) && pairs[below].k>>shift < b {
+				below++
+			}
+			return uint64(below)
+		}); err != nil {
 			return err
 		}
-		if err := writePacked(g.groups, g.offWidth, func(i int) uint64 { return uint64(groupStart[i]) }); err != nil {
-			return err
-		}
-		if _, err := w.Write(stream); err != nil {
+		if err := writePacked(len(pairs), g.lowWidth, func(i int) uint64 { return uint64(pairs[i].k) }); err != nil {
 			return err
 		}
 		return writeBlocks(bw, g, buf, func(slot int) float64 { return pairs[slot].v }, sum.Sum32())
@@ -556,7 +537,7 @@ func encodeHeaderBlob(g *geometry, meta *Meta) []byte {
 		}
 	}
 	u16(0) // reserved: a sparse file's family count once
-	u64(uint64(g.streamLen))
+	u64(0) // reserved: a sparse file's key stream length once
 	return b
 }
 
@@ -691,13 +672,12 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 			meta.Windows = windows
 		}
 	}
-	// The reserved words are checked before the blob's length: a file of
-	// the older sparse layout has family records where streamLen is now.
-	families := r.u16()
-	if r.err == nil && (hot != 0 || families != 0) {
-		return nil, nil, fmt.Errorf("%w (hot region %d, families %d); %s", ErrReservedWords, hot, families, rebuild)
+	// The reserved words are checked before the blob's length: a file of an
+	// older sparse layout has family records after the second.
+	families, stream := r.u16(), r.u64()
+	if hot != 0 || families != 0 || stream != 0 {
+		return nil, nil, fmt.Errorf("%w (hot region %d, families %d, key stream %d); %s", ErrReservedWords, hot, families, stream, rebuild)
 	}
-	g.streamLen = int64(r.u64())
 	if r.err != nil {
 		return nil, nil, r.err
 	}
@@ -705,23 +685,23 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		return nil, nil, fmt.Errorf("layout: %d trailing header bytes", len(blob)-r.pos)
 	}
 
-	// Geometry plausibility: non-negative counts that fit the domain. A
-	// sparse file has one to ten stream bytes per key, which also bounds
-	// nonzero by the file size; a dense one has no stream and at least four
-	// bytes per cell. Either way the offset arithmetic below cannot overflow.
+	// Geometry plausibility: non-negative counts that fit the domain, and
+	// no more value slots — the nonzero coefficients, every cell in the
+	// dense shape — than the file has room for at eight bytes each. Past
+	// that the offset arithmetic in derive cannot overflow: the key index it
+	// picks is no larger than eight bytes a key plus a few words.
 	if g.cells <= 0 || g.nonzero < 0 || g.nonzero > g.cells {
 		return nil, nil, fmt.Errorf("layout: implausible geometry (cells %d, nonzero %d)", g.cells, g.nonzero)
 	}
 	if g.blockSize <= 0 || g.blockSize > maxBlockSize {
 		return nil, nil, fmt.Errorf("layout: implausible block size %d", g.blockSize)
 	}
+	slots := g.nonzero
 	if g.dense() {
-		if g.streamLen != 0 || int64(g.cells) > fileSize/4 {
-			return nil, nil, fmt.Errorf("layout: implausible dense geometry (cells %d, stream %d bytes)",
-				g.cells, g.streamLen)
-		}
-	} else if n := int64(g.nonzero); g.streamLen < n || g.streamLen > fileSize || g.streamLen > n*binary.MaxVarintLen64 {
-		return nil, nil, fmt.Errorf("layout: implausible key stream (%d bytes for %d keys)", g.streamLen, g.nonzero)
+		slots = g.cells
+	}
+	if int64(slots) > fileSize/8 {
+		return nil, nil, fmt.Errorf("layout: implausible geometry (%d value slots in %d bytes)", slots, fileSize)
 	}
 	g.derive(int64(preludeSize + len(blob)))
 	if g.fileSize != fileSize {

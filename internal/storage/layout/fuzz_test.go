@@ -15,7 +15,7 @@ import (
 // returns its bytes, so the fuzzer starts from well-formed inputs and
 // mutates toward the interesting boundary: files that are almost valid. The
 // 48 keys step by 3 modulo the domain, 41 of them nonzero: sparse over the
-// default 256 cells, dense over 56.
+// default 256 cells, with 1-byte lows, dense over 56.
 func fuzzSeedLayout(f *testing.F, dense bool, opts WriteOptions) []byte {
 	f.Helper()
 	dir := f.TempDir()
@@ -65,13 +65,30 @@ func FuzzOpenLayout(f *testing.F) {
 	}))
 	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 16}))
 	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 8}))
-	// A sparse file of the writer before values were stored in key order:
-	// its family record sits where streamLen is now.
-	old, err := os.ReadFile("testdata/sparse_by_value.wvls")
-	if err != nil {
-		f.Fatal(err)
+	// The sparse files of two older writers: values in |value|-descending
+	// slots, whose family record sits in the reserved words, and keys in a
+	// delta stream, whose length is the last reserved word.
+	for _, name := range []string{"sparse_by_value.wvls", "sparse_key_stream.wvls"} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	f.Add(old)
+	// The same 41 keys with 1-, 3- and 8-byte lows: a domain of 2^8 holds
+	// them in one bucket of 1-byte lows, one of 2^24 in one of 3-byte lows,
+	// and one of 2^62 keeps whole keys, a bucket shift of 64.
+	for _, tc := range []struct{ cells, lowWidth int }{{1 << 8, 1}, {1 << 24, 3}, {1 << 62, 8}} {
+		seed := fuzzSeedLayout(f, false, WriteOptions{Cells: tc.cells, BlockSize: 16})
+		g, _, err := readHeader(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if g.lowWidth != tc.lowWidth {
+			f.Fatalf("seed over %d cells: low width %d, want %d", tc.cells, g.lowWidth, tc.lowWidth)
+		}
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wvls")

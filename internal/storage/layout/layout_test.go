@@ -194,8 +194,8 @@ func TestLayoutOrderCanonical(t *testing.T) {
 		}
 	}
 	for rank, k := range []int{10, 20, 30, 40, 50} {
-		if slot, ok, err := s.findKey(k); err != nil || !ok || slot != rank {
-			t.Fatalf("key %d resolves to slot %d (ok %v, %v), want its rank %d", k, slot, ok, err, rank)
+		if slot, ok := s.findKey(k); !ok || slot != rank {
+			t.Fatalf("key %d resolves to slot %d (ok %v), want its rank %d", k, slot, ok, rank)
 		}
 	}
 }
@@ -531,43 +531,60 @@ func TestMetaRoundtrip(t *testing.T) {
 // and the values, nothing else. Its sections are exactly those three, and
 // its size is the header, the key index, 8 bytes per stored value and one
 // checksum per block plus indexCRC, to the byte — a section that came back,
-// a permutation beside the values say, would show here. The key index
-// stays near 1 byte per coefficient at this density.
+// a permutation beside the values say, would show here. The key index per
+// coefficient is pinned a little above what it measures at each density:
+// 1-byte lows at 1/3, 1/5 and 1/8 (1.04, 1.06, 1.09), 2-byte lows at 1/128
+// (2.01, where it costs most next to the delta stream it replaced, 1.46)
+// and 3-byte lows at 1/65536 (3.01).
 func TestSizeBudget(t *testing.T) {
-	const n, cells = 200_000, 1 << 20
-	keys, values := testCoefficients(n, cells, 8)
-	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells})
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	sections := s.Sections()
-	var names []string
-	for _, sec := range sections {
-		names = append(names, sec.Name)
-	}
-	if !slices.Equal(names, []string{"header", "key index", "values"}) {
-		t.Fatalf("sections %+v, want header, key index and values only", sections)
-	}
-	header, index := sections[0].Bytes, sections[1].Bytes
-	if want := header + index + 8*int64(n) + 4*int64(s.Blocks()+1); info.Size() != want {
-		t.Fatalf("file is %d bytes, want header %d + key index %d + 8·%d + 4·(%d+1) = %d",
-			info.Size(), header, index, n, s.Blocks(), want)
-	}
-	if sections[2].Bytes != info.Size()-header-index {
-		t.Fatalf("values section is %d bytes, want the rest of the file's %d", sections[2].Bytes, info.Size()-header-index)
-	}
-	if perKey := float64(index) / n; perKey > 1.5 {
-		t.Fatalf("key index is %.2f bytes per coefficient, budget 1.5 (sections %+v)", perKey, sections)
-	}
-	st := s.Stats()
-	if st.FileBytes != info.Size() || st.IndexBytes != info.Size()-header-8*int64(n) {
-		t.Fatalf("Stats FileBytes %d IndexBytes %d, want %d and file − header − %d value bytes", st.FileBytes, st.IndexBytes, info.Size(), 8*n)
+	for _, tc := range []struct {
+		name      string
+		n, cells  int
+		perKeyMax float64
+	}{
+		{"1/3", 100_000, 300_000, 1.04},
+		{"1/5", 200_000, 1 << 20, 1.07},
+		{"1/8", 100_000, 800_000, 1.10},
+		{"1/128", 100_000, 12_800_000, 2.01},
+		{"1/65536", 100_000, 100_000 << 16, 3.02},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.n
+			keys, values := testCoefficients(n, tc.cells, 8)
+			path := writeTestLayout(t, keys, values, WriteOptions{Cells: tc.cells})
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = s.Close() }()
+			sections := s.Sections()
+			var names []string
+			for _, sec := range sections {
+				names = append(names, sec.Name)
+			}
+			if !slices.Equal(names, []string{"header", "key index", "values"}) {
+				t.Fatalf("sections %+v, want header, key index and values only", sections)
+			}
+			header, index := sections[0].Bytes, sections[1].Bytes
+			if want := header + index + 8*int64(n) + 4*int64(s.Blocks()+1); info.Size() != want {
+				t.Fatalf("file is %d bytes, want header %d + key index %d + 8·%d + 4·(%d+1) = %d",
+					info.Size(), header, index, n, s.Blocks(), want)
+			}
+			if sections[2].Bytes != info.Size()-header-index {
+				t.Fatalf("values section is %d bytes, want the rest of the file's %d", sections[2].Bytes, info.Size()-header-index)
+			}
+			if perKey := float64(index) / float64(n); perKey > tc.perKeyMax {
+				t.Fatalf("key index is %.3f bytes per coefficient, budget %.2f (sections %+v)", perKey, tc.perKeyMax, sections)
+			}
+			st := s.Stats()
+			if st.FileBytes != info.Size() || st.IndexBytes != info.Size()-header-8*int64(n) {
+				t.Fatalf("Stats FileBytes %d IndexBytes %d, want %d and file − header − %d value bytes", st.FileBytes, st.IndexBytes, info.Size(), 8*n)
+			}
+		})
 	}
 }
 
@@ -599,19 +616,19 @@ func TestPackedWords(t *testing.T) {
 	}
 }
 
-// TestWidthBoundaries writes layouts whose domain sits on either side of
-// each byte-width step and reads every key back — the largest is the last
-// key of the index and its value the last slot.
+// TestWidthBoundaries writes five-key layouts whose domain makes each low
+// width from 1 to 8 the smallest key index — cells = 1<<62 puts the whole
+// key in the lows, a bucket shift of 64 — and one past each step up to 3,
+// and reads every key back: the largest is the last key of the index and its
+// value the last slot, and keys between them read as absent.
 func TestWidthBoundaries(t *testing.T) {
 	for _, tc := range []struct {
 		cells int
 		width int
 	}{
-		{1 << 8, 1}, {1<<8 + 1, 2}, {1 << 24, 3}, {1<<24 + 1, 4}, {1<<32 + 1, 5},
+		{1 << 8, 1}, {1<<8 + 1, 1}, {1 << 16, 2}, {1<<16 + 1, 2}, {1 << 24, 3}, {1<<24 + 1, 3},
+		{1 << 32, 4}, {1 << 40, 5}, {1 << 48, 6}, {1 << 56, 7}, {1 << 62, 8},
 	} {
-		if got := wordWidth(uint64(tc.cells - 1)); got != tc.width {
-			t.Fatalf("cells %d: key width %d, want %d", tc.cells, got, tc.width)
-		}
 		keys := []int{0, 1, tc.cells / 2, tc.cells - 2, tc.cells - 1}
 		values := []float64{5, -4, 3, 2, -1}
 		path := writeTestLayout(t, keys, values, WriteOptions{Cells: tc.cells, BlockSize: 2})
@@ -619,23 +636,33 @@ func TestWidthBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cells %d: %v", tc.cells, err)
 		}
+		if s.g.lowWidth != tc.width {
+			t.Fatalf("cells %d: low width %d, want %d", tc.cells, s.g.lowWidth, tc.width)
+		}
 		for i, k := range keys {
 			if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != values[i] {
 				t.Fatalf("cells %d: Get(%d) = %v, %v; want %v", tc.cells, k, got, err, values[i])
 			}
 		}
-		for _, k := range []int{2, tc.cells/2 + 1, tc.cells - 3} {
+		for _, k := range []int{2, tc.cells/2 - 1, tc.cells/2 + 1, tc.cells - 3} {
 			if got, err := storage.GetCtx(context.Background(), s, k); err != nil || got != 0 {
 				t.Fatalf("cells %d: Get(%d) = %v, %v; want an absent key's 0", tc.cells, k, got, err)
 			}
+		}
+		var walked []int
+		if err := s.Walk(func(k int, _ float64) bool {
+			walked = append(walked, k)
+			return true
+		}); err != nil || !slices.Equal(walked, keys) {
+			t.Fatalf("cells %d: Walk handed over %v (%v), want %v", tc.cells, walked, err, keys)
 		}
 		_ = s.Close()
 	}
 }
 
 // TestCorruptIndex is the corruption table: one damaged byte anywhere past
-// the header — in the key samples, their stream offsets, the delta stream,
-// a block or the checksums — and every key of the domain, stored or not,
+// the header — in the key directory, the keys' low bytes, a block or the
+// checksums — and every key of the domain, stored or not,
 // asked for in |value|-descending order, ascending and descending, comes
 // back as a per-key error or as its true value. Never a wrong value, never
 // a panic.
@@ -707,9 +734,8 @@ func TestCorruptIndex(t *testing.T) {
 		name     string
 		off, end int64
 	}{
-		{"samples", g.samplesOff, g.samplesOff + int64(g.groups*g.keyWidth)},
-		{"offsets", g.offsetsOff, g.offsetsOff + int64(g.groups*g.offWidth)},
-		{"stream", g.streamOff, g.blocksOff},
+		{"dir", g.dirOff, g.dirOff + int64((g.buckets+1)*g.dirWidth())},
+		{"lows", g.lowsOff, g.lowsOff + int64(g.nonzero*g.lowWidth)},
 		{"cold block", g.blocksOff, g.crcsOff},
 		{"checksums", g.crcsOff, g.fileSize},
 	} {
@@ -718,7 +744,7 @@ func TestCorruptIndex(t *testing.T) {
 			for trial := 0; trial < 8; trial++ {
 				at := sec.off + rng.Int63n(sec.end-sec.off)
 				if trial == 0 {
-					at = sec.off // the section's first byte, e.g. samples[0]
+					at = sec.off // the section's first byte, e.g. dir[0]
 				}
 				for _, flip := range []byte{0x01, 0x80, 0xff} {
 					mut := append([]byte(nil), raw...)
@@ -733,15 +759,29 @@ func TestCorruptIndex(t *testing.T) {
 	}
 }
 
-// TestKeyGroupMustArrive pins the key index's own consistency check, the
-// one indexCRC cannot stand in for: a group whose deltas, rewritten with the
-// checksum recomputed, fall one short of the next sample or overshoot it
-// fails a lookup of any key in the group, stored or not, with a per-key
-// error — never a zero, never another key's value — and fails Walk and
-// Decode with an error, from a file and from bytes.
-func TestKeyGroupMustArrive(t *testing.T) {
-	const cells = 1 << 13
-	keys, values := testCoefficients(3000, cells, 12)
+// TestKeyIndexMustBeOrdered pins the key index's own consistency check, the
+// one indexCRC cannot stand in for. Each damaged file is rewritten with the
+// checksum recomputed: a dir entry that falls after an empty bucket, which
+// leaves the stored keys ascending but hands the next bucket a slot range
+// that starts inside the one before; a dir that ends one short of nonzero;
+// two keys of one bucket whose lows are swapped; and a last key whose low
+// byte puts it past the domain's end, inside the last bucket's 256 cells.
+// Each fails every lookup
+// of the domain, stored key or not, with a per-key error — never a zero,
+// never another key's value — and fails Walk and Decode with an error, from
+// a file and from bytes.
+func TestKeyIndexMustBeOrdered(t *testing.T) {
+	const cells = 1<<13 - 100
+	// A key index of 1-byte lows in 32 buckets of 256 cells, bucket 5 empty
+	// and the last one 156 cells short.
+	all, allValues := testCoefficients(3000, cells, 12)
+	var keys []int
+	var values []float64
+	for i, k := range all {
+		if k>>8 != 5 {
+			keys, values = append(keys, k), append(values, allValues[i])
+		}
+	}
 	path := writeTestLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 128})
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -752,53 +792,54 @@ func TestKeyGroupMustArrive(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.g
-	offsets := make([]uint64, g.groups)
-	for i := range offsets {
-		offsets[i] = s.offsets.at(i)
+	dir := func(b int) uint64 { return s.dir.at(b) }
+	if g.lowWidth != 1 || g.buckets != 32 || dir(5) != dir(6) || dir(6) == dir(7) || dir(31) == dir(32) {
+		t.Fatalf("low width %d, %d buckets, dir[5:8] %d %d %d, dir[31:] %d %d: want 1-byte lows, 32 buckets, bucket 5 empty and 7 and 31 not",
+			g.lowWidth, g.buckets, dir(5), dir(6), dir(7), dir(31), dir(32))
 	}
-	_ = s.Close()
-	sorted := slices.Clone(keys)
-	slices.Sort(sorted)
-
-	// A group from the middle whose deltas are all one byte and whose last
-	// one, from its last key to the next sample, is at least 2.
-	group := g.groups / 2
-	for ; ; group++ {
-		if group+1 >= g.groups {
-			t.Fatal("no group with one-byte deltas and a last delta of 2 or more")
-		}
-		lo, hi := group*groupSize, (group+1)*groupSize
-		oneByte := offsets[group+1]-offsets[group] == groupSize
-		if last := sorted[hi] - sorted[hi-1]; oneByte && last >= 2 && sorted[lo+1]-sorted[lo] < 0x7f {
-			break
-		}
-	}
-	members, next := sorted[group*groupSize:(group+1)*groupSize], sorted[(group+1)*groupSize]
-	rewrite := func(at int64, delta int) []byte {
-		mut := append([]byte(nil), raw...)
-		mut[at] = byte(delta)
-		sum := crc32.ChecksumIEEE(mut[g.samplesOff:g.blocksOff])
-		binary.LittleEndian.PutUint32(mut[g.fileSize-4:], sum)
+	slot, dw := int(dir(7))+1, g.dirWidth() // slot: a key of bucket 7 after the first
+	damage := func(edit func(mut []byte)) []byte {
+		mut := slices.Clone(raw)
+		edit(mut)
+		binary.LittleEndian.PutUint32(mut[g.fileSize-4:], crc32.ChecksumIEEE(mut[g.dirOff:g.blocksOff]))
 		return mut
 	}
-	for name, mut := range map[string][]byte{
-		"one short of the next sample": rewrite(g.streamOff+int64(offsets[group+1])-1, next-members[groupSize-1]-1),
-		"past the next sample":         rewrite(g.streamOff+int64(offsets[group]), members[1]-members[0]+1),
-	} {
+	setDir := func(b int, v uint64) func([]byte) {
+		return func(mut []byte) { copy(mut[g.dirOff+int64(b*dw):], appendPacked(nil, v, dw)) }
+	}
+	damaged := map[string][]byte{
+		"a falling dir entry": damage(setDir(6, dir(6)-1)),
+		"the directory short": damage(setDir(g.buckets, uint64(g.nonzero-1))),
+		"lows out of order": damage(func(mut []byte) {
+			lows := mut[g.lowsOff:]
+			lows[slot-1], lows[slot] = lows[slot], lows[slot-1]
+		}),
+		"a key past the domain": damage(func(mut []byte) { mut[g.lowsOff+int64(g.nonzero-1)] = 0xff }),
+	}
+	_ = s.Close()
+
+	domain := make([]int, cells)
+	for k := range domain {
+		domain[k] = k
+	}
+	for name, mut := range damaged {
 		bad := filepath.Join(t.TempDir(), "bad.wvls")
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		absent := members[groupSize-1] + 1 // below the next sample either way
 		s, err := Open(bad)
 		if err != nil {
 			t.Fatalf("%s: Open: %v (the header is intact)", name, err)
 		}
-		for _, k := range []int{absent, members[0], members[groupSize/2], members[groupSize-1]} {
-			dst := []float64{math.NaN()}
+		for pass := 0; pass < 2; pass++ { // a failed check is not remembered
+			dst := make([]float64, cells)
 			var be *storage.BatchError
-			if err := s.BatchGetCtx(context.Background(), []int{k}, dst); !errors.As(err, &be) || len(be.Failed) != 1 {
-				t.Fatalf("%s: key %d read %v (err %v), want a per-key error", name, k, dst[0], err)
+			if err := s.BatchGetCtx(context.Background(), domain, dst); !errors.As(err, &be) || len(be.Failed) != cells {
+				failed := 0
+				if be != nil {
+					failed = len(be.Failed)
+				}
+				t.Fatalf("%s, pass %d: %d of %d keys failed (err %v), want every one", name, pass, failed, cells, err)
 			}
 		}
 		if err := s.Walk(func(int, float64) bool { return true }); err == nil {
@@ -873,21 +914,29 @@ func withReservedWord(file []byte, off, width int, v uint64) []byte {
 // counts.
 const hotWordOff = preludeSize + 16
 
-// familyCountOff is where the header's second reserved word, once a sparse
-// file's family count, sits in file: just before streamLen, the blob's last
-// word.
-func familyCountOff(file []byte) int {
-	return preludeSize + int(binary.LittleEndian.Uint32(file[8:12])) - 8 - 2
+// keyStreamWordOff is where the header's third reserved word, once a sparse
+// file's key stream length, sits in file: the blob's last word.
+func keyStreamWordOff(file []byte) int {
+	return preludeSize + int(binary.LittleEndian.Uint32(file[8:12])) - 8
 }
 
-// TestReservedWordsRefused: a sparse file written with its values in
-// |value|-descending slots (testdata/sparse_by_value.wvls, from the writer
-// before values were stored in key order; it records one family), and a
-// file of today whose hot word or family count is set with the header
-// checksum fixed, are each refused by Open and by Decode with
+// familyCountOff is where the header's second reserved word, once a sparse
+// file's family count, sits in file: just before the third.
+func familyCountOff(file []byte) int { return keyStreamWordOff(file) - 2 }
+
+// TestReservedWordsRefused: the sparse files of two older writers — one with
+// its values in |value|-descending slots (testdata/sparse_by_value.wvls; it
+// records one family), one with its keys in a delta stream behind samples
+// (testdata/sparse_key_stream.wvls; it records the stream's length) — and a
+// file of today whose hot word, family count or key stream word is set with
+// the header checksum fixed, are each refused by Open and by Decode with
 // ErrReservedWords and the rebuild remedy — never read as another geometry.
 func TestReservedWordsRefused(t *testing.T) {
-	old, err := os.ReadFile("testdata/sparse_by_value.wvls")
+	byValue, err := os.ReadFile("testdata/sparse_by_value.wvls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyStream, err := os.ReadFile("testdata/sparse_key_stream.wvls")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -897,9 +946,11 @@ func TestReservedWordsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, file := range map[string][]byte{
-		"by value":     old,
-		"hot word":     withReservedWord(today, hotWordOff, 8, 3),
-		"family count": withReservedWord(today, familyCountOff(today), 2, 1),
+		"by value":        byValue,
+		"key stream":      keyStream,
+		"hot word":        withReservedWord(today, hotWordOff, 8, 3),
+		"family count":    withReservedWord(today, familyCountOff(today), 2, 1),
+		"key stream word": withReservedWord(today, keyStreamWordOff(today), 8, 300),
 	} {
 		path := filepath.Join(t.TempDir(), "old.wvls")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
@@ -916,8 +967,8 @@ func TestReservedWordsRefused(t *testing.T) {
 		err = Decode(bytes.NewReader(file), func(*Header) (func(int, float64), error) {
 			return func(int, float64) {}, nil
 		})
-		if !errors.Is(err, ErrReservedWords) {
-			t.Fatalf("%s: Decode = %v, want ErrReservedWords", name, err)
+		if !errors.Is(err, ErrReservedWords) || !namesRebuild(err) {
+			t.Fatalf("%s: Decode = %v, want ErrReservedWords and the rebuild remedy", name, err)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -25,7 +24,8 @@ import (
 // read of the file checks.
 //
 // In a dense file the slot is the key. In a sparse one it is the key's rank
-// among the stored keys, which a search of the compressed key index finds.
+// among the stored keys: the key index gives its bucket's slot range, which
+// a search for its low bytes narrows to the one slot.
 //
 // Store implements storage.Store and Enumerable, not Updatable: a layout is
 // a read-only file. It is the one reader of a .wvls file: Decode runs its
@@ -39,11 +39,12 @@ type Store struct {
 	g          geometry
 	meta       *Meta
 
-	// The index sections and the block checksums: windows of data.
-	samples packed
-	offsets packed
-	stream  []byte
-	crcs    []byte
+	// The index sections and the block checksums: windows of data. A key's
+	// bucket is key>>lowShift.
+	dir      packed
+	lows     packed
+	lowShift uint
+	crcs     []byte
 
 	// verified holds one bit per block, set once the block's CRC has
 	// passed; indexChecked is set once a sparse file's index sections have
@@ -96,9 +97,9 @@ func open(r io.Reader) (*Store, error) {
 	s.verified = make([]atomic.Uint64, (g.numBlocks+63)/64)
 	s.indexChecked.Store(g.dense())
 	s.crcs = data[g.crcsOff:]
-	s.samples = newPacked(data[g.samplesOff:g.offsetsOff], g.keyWidth)
-	s.offsets = newPacked(data[g.offsetsOff:g.streamOff], g.offWidth)
-	s.stream = data[g.streamOff:g.blocksOff]
+	s.dir = newPacked(data[g.dirOff:g.lowsOff], g.dirWidth())
+	s.lows = newPacked(data[g.lowsOff:g.blocksOff], g.lowWidth)
+	s.lowShift = uint(8 * g.lowWidth)
 	if g.dense() {
 		s.cells = data[g.blocksOff:g.crcsOff]
 		if g.blockSize&(g.blockSize-1) == 0 {
@@ -183,94 +184,76 @@ func (s *Store) readStream(r io.Reader) error {
 	}
 }
 
-// checkIndex checks a sparse file's index sections against indexCRC, once:
-// the first check that passes is remembered, one that fails is not, so
-// every later read checks again and fails again.
+// checkIndex checks a sparse file's index sections, dir and lows, once:
+// against indexCRC, then checkOrder. The first check that passes is
+// remembered, one that fails is not, so every later read checks again and
+// fails again.
 func (s *Store) checkIndex() error {
 	if s.indexChecked.Load() {
 		return nil
 	}
 	g := &s.g
-	if err := g.checkIndex(s.crcs, crc32.ChecksumIEEE(s.data[g.samplesOff:g.blocksOff])); err != nil {
+	sum, want := crc32.ChecksumIEEE(s.data[g.dirOff:g.blocksOff]), binary.LittleEndian.Uint32(s.crcs[4*g.numBlocks:])
+	if sum != want {
+		return fmt.Errorf("layout: key index checksum mismatch (file %08x, computed %08x)", want, sum)
+	}
+	if err := s.checkOrder(); err != nil {
 		return err
 	}
 	s.indexChecked.Store(true)
 	return nil
 }
 
-// errKeyIndex reports a key group whose deltas do not lead from its sample
-// to the next one: the "absent" it would answer cannot be trusted.
-func errKeyIndex(group int) error {
-	return fmt.Errorf("layout: key index group %d is inconsistent", group)
+// checkOrder checks what indexCRC cannot, an index that was written wrong:
+// that dir rises from 0 to nonzero, so every bucket's slot range lies in
+// lows, and that the stored keys ascend inside the domain, so a search of a
+// bucket's lows finds a stored key or proves it absent, never misreads one.
+func (s *Store) checkOrder() error {
+	g := &s.g
+	if first, last := s.dir.at(0), s.dir.at(g.buckets); first != 0 || last != uint64(g.nonzero) {
+		return fmt.Errorf("layout: key directory runs from %d to %d, not from 0 to %d", first, last, g.nonzero)
+	}
+	for b := 0; b < g.buckets; b++ {
+		if s.dir.at(b+1) < s.dir.at(b) {
+			return fmt.Errorf("layout: key directory falls after bucket %d", b)
+		}
+	}
+	bucket, prev := 0, -1
+	for slot := 0; slot < g.nonzero; slot++ {
+		key := s.keyAt(slot, &bucket)
+		if key <= prev || key >= g.cells {
+			return fmt.Errorf("layout: stored key %d at slot %d does not ascend inside [0,%d)", key, slot, g.cells)
+		}
+		prev = key
+	}
+	return nil
 }
 
-// keyGroup decodes key group g into keys — its sample, then the key each
-// delta but the last leads to — and returns how many it holds. A damaged
-// index fails the group, never reads a stored key as absent or as another:
-// the deltas must fill exactly the stream bytes the group's offsets bound
-// (from byte 0 for the first group), be nonzero, and arrive exactly at the
-// next sample (at cells after the last group).
-func (s *Store) keyGroup(g int, keys *[groupSize]uint64) (int, error) {
-	n := min(groupSize, s.g.nonzero-g*groupSize)
-	acc, limit := s.samples.at(g), uint64(s.g.cells)
-	pos, end := s.offsets.at(g), uint64(len(s.stream))
-	if g+1 < s.g.groups {
-		end, limit = s.offsets.at(g+1), s.samples.at(g+1)
+// keyAt returns the key stored at slot, which must follow the slot of the
+// call before: *bucket, 0 before the first call, climbs dir to slot's bucket.
+func (s *Store) keyAt(slot int, bucket *int) int {
+	for uint64(slot) >= s.dir.at(*bucket+1) {
+		*bucket++
 	}
-	if acc >= limit || pos > end || end > uint64(len(s.stream)) || (g == 0 && pos != 0) {
-		return 0, errKeyIndex(g)
-	}
-	deltas := s.stream[pos:end]
-	for j := 0; j < n; j++ {
-		keys[j] = acc
-		d, m := uint64(0), 1 // a delta below 128 is its own one-byte uvarint
-		if len(deltas) > 0 && deltas[0] < 0x80 {
-			d = uint64(deltas[0])
-		} else {
-			d, m = binary.Uvarint(deltas)
-		}
-		if m <= 0 || d == 0 || d > limit-acc {
-			return 0, errKeyIndex(g)
-		}
-		deltas, acc = deltas[m:], acc+d
-	}
-	if acc != limit || len(deltas) != 0 {
-		return 0, errKeyIndex(g)
-	}
-	return n, nil
+	return *bucket<<s.lowShift | int(s.lows.at(slot))
 }
 
-// findKey resolves key to its rank among the stored keys, which is its
-// slot: a binary search of the samples, then the decoded group the key
-// falls in.
-func (s *Store) findKey(key int) (rank int, ok bool, err error) {
+// findKey resolves key, inside the domain, to its rank among the stored
+// keys, which is its slot: a search for its low bytes in the slot range dir
+// gives its bucket.
+func (s *Store) findKey(key int) (rank int, ok bool) {
 	k := uint64(key)
-	lo, hi := 0, s.g.groups // first group whose sample exceeds key, in [lo,hi]
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); s.samples.at(mid) > k {
-			hi = mid
-		} else {
+	b := int(k >> s.lowShift)
+	lo, end := int(s.dir.at(b)), int(s.dir.at(b+1))
+	low := k & s.lows.mask
+	for hi := end; lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); s.lows.at(mid) < low {
 			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	group := lo - 1
-	if group < 0 {
-		// Below the smallest key, if the first group says it is one.
-		if s.g.groups > 0 {
-			var keys [groupSize]uint64
-			if _, err := s.keyGroup(0, &keys); err != nil {
-				return 0, false, err
-			}
-		}
-		return 0, false, nil
-	}
-	var keys [groupSize]uint64
-	n, err := s.keyGroup(group, &keys)
-	if err != nil {
-		return 0, false, err
-	}
-	j, ok := slices.BinarySearch(keys[:n], k)
-	return group*groupSize + j, ok, nil
+	return lo, lo < end && s.lows.at(lo) == low
 }
 
 // block returns the value words of block b behind a passed CRC check. The
@@ -314,8 +297,8 @@ func (s *Store) get(k int, d *damage) (v float64, hit bool, err error) {
 	slot := k
 	if !s.g.dense() {
 		var ok bool
-		if slot, ok, err = s.findKey(k); err != nil || !ok {
-			return 0, false, err
+		if slot, ok = s.findKey(k); !ok {
+			return 0, false, nil
 		}
 	}
 	b := slot / s.g.blockSize
@@ -492,7 +475,7 @@ func (s *Store) Sections() []Section {
 	if g.dense() {
 		return []Section{{"header", g.blocksOff}, values}
 	}
-	return []Section{{"header", g.samplesOff}, {"key index", g.blocksOff - g.samplesOff}, values}
+	return []Section{{"header", g.dirOff}, {"key index", g.blocksOff - g.dirOff}, values}
 }
 
 // StackName names the layout in storage.Describe.
@@ -533,14 +516,13 @@ func (s *Store) Verify() error {
 // walk hands every nonzero coefficient, in ascending key order, to vis
 // until vis.fn stops it, and returns the damage it met. It reads the blocks
 // front to back, each checked, with the slot as the key in a dense file and
-// the next key of the decoded key index in a sparse one, which must have
-// passed indexCRC first. A stored zero, +0 or -0, is not handed over.
+// the key index's next key in a sparse one, whose index must have passed
+// its check first. A stored zero, +0 or -0, is not handed over.
 func (s *Store) walk(vis visitor) error {
 	if err := s.checkIndex(); err != nil {
 		return err
 	}
-	g, emitted := &s.g, 0
-	var keys [groupSize]uint64
+	g, emitted, bucket := &s.g, 0, 0
 	for b := 0; b < g.numBlocks; b++ {
 		vals, err := s.block(b)
 		if err != nil {
@@ -548,14 +530,9 @@ func (s *Store) walk(vis visitor) error {
 		}
 		lo, _ := g.blockSlots(b)
 		for q := 0; q < len(vals); q += 8 {
-			slot, key := lo+q/8, lo+q/8
+			key := lo + q/8
 			if !g.dense() {
-				if slot%groupSize == 0 {
-					if _, err := s.keyGroup(slot/groupSize, &keys); err != nil {
-						return err
-					}
-				}
-				key = int(keys[slot%groupSize])
+				key = s.keyAt(key, &bucket)
 			}
 			w := binary.LittleEndian.Uint64(vals[q:])
 			if w<<1 == 0 {
@@ -619,7 +596,7 @@ func (s *Store) Stats() Stats {
 		BlockLoadFailures: s.blockLoadFails.Load(),
 		VerifiedBlocks:    verified,
 		FileBytes:         s.g.fileSize,
-		IndexBytes:        s.g.blocksOff - s.g.samplesOff + s.g.fileSize - s.g.crcsOff,
+		IndexBytes:        s.g.blocksOff - s.g.dirOff + s.g.fileSize - s.g.crcsOff,
 	}
 }
 

@@ -354,8 +354,11 @@ func TestOpenDatabaseRefusesADamagedHeader(t *testing.T) {
 // a hot region of raw values outside the blocks) set to 3; a sparse file
 // written with its values in |value|-descending slots, which records one
 // family in the second reserved word (testdata, from the writer before
-// values were stored in key order); and a file of today with a version-1
-// prelude or the retired float32-values flag. A header word is changed with
+// values were stored in key order); a sparse file whose keys are a delta
+// stream behind samples, which records the stream's length in the third
+// (testdata, from the writer before the key index was a bucket directory);
+// and a file of today with a version-1 prelude or the retired float32-values
+// flag. A header word is changed with
 // the header checksum fixed, so nothing but that word is wrong.
 func TestOpenDatabaseRefusesAHotRegion(t *testing.T) {
 	today := savedSparseTemperature(t)
@@ -363,6 +366,10 @@ func TestOpenDatabaseRefusesAHotRegion(t *testing.T) {
 		t.Fatalf("the file as saved: %v", err)
 	}
 	byValue, err := os.ReadFile("internal/storage/layout/testdata/sparse_by_value.wvls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyStream, err := os.ReadFile("internal/storage/layout/testdata/sparse_key_stream.wvls")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,6 +388,7 @@ func TestOpenDatabaseRefusesAHotRegion(t *testing.T) {
 	}{
 		{"hot word 3", "nonzero reserved header words", hot},
 		{"values by |value|", "nonzero reserved header words", byValue},
+		{"keys in a delta stream", "nonzero reserved header words", keyStream},
 		{"version 1", "version 1 .wvls file", v1},
 		{"float32 values", "float32 block values", float32Values},
 	} {
