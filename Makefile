@@ -18,8 +18,8 @@
 # writes) behind BENCH_ingest.json. `make served-diff` checks the bytes the
 # daemon serves in every open configuration against the served goldens.
 # `make fuzz` gives the six decoders of untrusted bytes — the view-file
-# reader (FuzzRead: .wvls files streamed through codec.Read, the one
-# streaming reader), the query-language parser (FuzzParse), the .wvls
+# reader (FuzzRead: .wvls files read into memory through codec.Read,
+# layout.Load and a walk), the query-language parser (FuzzParse), the .wvls
 # layout opener (FuzzOpenLayout), the shard wire reader (FuzzWireFrame),
 # the /query and /prepare JSON bodies (FuzzQueryRequest) and the /ingest
 # CSV (FuzzIngestCSV) — a short adversarial shake each and runs as part of
@@ -114,7 +114,8 @@ served-diff:
 # The mapped stores' lifetime test runs ten times more: a finalizer that
 # unmapped under a running reader would kill the process, not fail a check.
 # It runs without -race, which keeps the stores on the heap (the detector
-# checks only heap addresses) and so has no mapping to lose. The concurrent
+# checks only heap addresses) and so has no mapping to lose. So does the
+# loaded view file's, whose bytes a finalizer unmaps too. The concurrent
 # recorder test runs ten times more under -race: the retry, coalescing and
 # step sites write into run recorders that /debug/traces reads live. So does
 # the cached row of the store contract: a session cache is the one store
@@ -122,11 +123,12 @@ served-diff:
 race:
 	$(GO) test -race ./...
 	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
+	$(GO) test -count=10 -run TestLoadedStoreOutlivesItsReaders ./internal/storage/layout/
 	$(GO) test -race -count=10 -run TestRecorderConcurrentRuns ./internal/core/
 	$(GO) test -race -count=10 -run 'TestStoreContract/cached' ./internal/storetest/
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
-# process: mutated .wvls view files streamed into memory, query
+# process: mutated .wvls view files read into memory, query
 # text, .wvls layout files opened for serving and shard wire
 # frames must be rejected with errors (or, for layouts, open and serve with
 # per-key errors), never panic; HTTP /query, /prepare and /ingest bodies get

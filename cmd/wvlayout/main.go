@@ -8,9 +8,9 @@
 // serves with wvqd -db. The output takes one of the format's two shapes:
 // dense (every cell's value in key order) when at least half the cells are
 // nonzero, sparse (the nonzero coefficients' values in key order behind a
-// key index) otherwise; the closing report names the shape, the bytes per
-// coefficient of each section — header, key index, values — and both
-// candidates' bytes per coefficient. With the default options the input is
+// key index) otherwise; the closing report names the shape and the bytes
+// per coefficient of each section — key index and values — and of the
+// whole file, beside the input's. With the default options the input is
 // written back byte for byte, so the command's use is its one knob. A file
 // the reader refuses, one written by an older writer, cannot be converted:
 // rebuild it from the source data with wvload or wvq -create.
@@ -61,20 +61,20 @@ func convert(in, out string, opts repro.LayoutOptions) error {
 	if err != nil {
 		return err
 	}
-	c, err := db.SaveLayout(out, opts)
+	err = db.SaveLayout(out, opts)
 	if cerr := db.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return err
 	}
-	return report(in, inInfo.Size(), out, c)
+	return report(in, inInfo.Size(), out)
 }
 
-// report prints the conversion result: the shape, the geometry, where the
-// bytes went — per coefficient, section by section, next to the input's —
-// and what each shape would have cost (c, as the writer weighed them).
-func report(in string, inSize int64, out string, c repro.LayoutCandidates) error {
+// report prints the conversion result: the shape, the geometry and where
+// the bytes went — per coefficient, section by section, next to the
+// input's.
+func report(in string, inSize int64, out string) error {
 	s, err := layout.Open(out)
 	if err != nil {
 		return fmt.Errorf("verifying output: %w", err)
@@ -98,6 +98,5 @@ func report(in string, inSize int64, out string, c repro.LayoutCandidates) error
 		fmt.Printf(" %s %.2f,", sec.Name, per(sec.Bytes))
 	}
 	fmt.Printf(" file %.2f (input %.2f)\n", per(st.FileBytes), per(inSize))
-	fmt.Printf("  shape %s: dense %.2f, sparse %.2f bytes/coefficient\n", shape, per(c.DenseBytes), per(c.SparseBytes))
 	return nil
 }

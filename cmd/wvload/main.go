@@ -19,7 +19,6 @@ import (
 
 	"repro"
 	"repro/internal/ingest"
-	"repro/internal/storage/layout"
 	"repro/internal/wavelet"
 )
 
@@ -71,7 +70,7 @@ func run(in, out, colSpec, filterName string) error {
 	if err := db.SetWindows(res.Windows); err != nil {
 		return err
 	}
-	if err := layout.WriteFile(out, db.Save); err != nil {
+	if err := db.SaveLayout(out, repro.LayoutOptions{}); err != nil {
 		return err
 	}
 	st, err := os.Stat(out)

@@ -29,7 +29,6 @@ import (
 	"os"
 
 	"repro"
-	"repro/internal/storage/layout"
 )
 
 func main() {
@@ -62,7 +61,7 @@ func run(dbPath string, create bool, records int, seed int64, qsrc string, budge
 		if err != nil {
 			return err
 		}
-		if err := layout.WriteFile(dbPath, db.Save); err != nil {
+		if err := db.SaveLayout(dbPath, repro.LayoutOptions{}); err != nil {
 			return err
 		}
 		fmt.Printf("created %s: %d tuples, %d coefficients, schema %v/%v\n",

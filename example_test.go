@@ -126,7 +126,7 @@ func ExampleDatabase_SaveLayout() {
 			log.Fatal(err)
 		}
 		path := filepath.Join(dir, "view.wvls")
-		if _, err := db.SaveLayout(path, repro.LayoutOptions{}); err != nil {
+		if err := db.SaveLayout(path, repro.LayoutOptions{}); err != nil {
 			log.Fatal(err)
 		}
 		view, err := repro.OpenLayout(path)

@@ -2,8 +2,9 @@ package codec
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -65,58 +66,99 @@ func boundaries(s *layout.Store) []int {
 	return at
 }
 
+// mustFail reads data, from bytes and from a file, through Read and
+// through layout.Load, HeaderOf and Walk: each must fail, and Read must not
+// return a snapshot.
 func mustFail(t *testing.T, name string, data []byte) {
 	t.Helper()
-	emitted := 0
-	err := Decode(bytes.NewReader(data), func(*Header) (func(int, float64), error) {
-		return func(int, float64) { emitted++ }, nil
-	})
-	if err == nil {
-		t.Fatalf("%s: Decode accepted the file (%d coefficients emitted)", name, emitted)
+	path := filepath.Join(t.TempDir(), "bad.wvls")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if snap, err := Read(bytes.NewReader(data)); err == nil || snap != nil {
-		t.Fatalf("%s: Read returned (%v, %v), want no snapshot and an error", name, snap, err)
+	for via, open := range map[string]func() io.Reader{
+		"bytes": func() io.Reader { return bytes.NewReader(data) },
+		"file": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = f.Close() })
+			return f
+		},
+	} {
+		if s, err := layout.Load(open()); err == nil {
+			walked := 0
+			_, herr := HeaderOf(s)
+			werr := s.Walk(func(int, float64) bool { walked++; return true })
+			_ = s.Close()
+			if herr == nil && werr == nil {
+				t.Fatalf("%s via %s: Load, HeaderOf and Walk accepted the file (%d coefficients walked)", name, via, walked)
+			}
+		}
+		if snap, err := Read(open()); err == nil || snap != nil {
+			t.Fatalf("%s via %s: Read returned (%v, %v), want no snapshot and an error", name, via, snap, err)
+		}
 	}
 }
 
-func TestDecodeStreamsBlocksInOrder(t *testing.T) {
+// TestReadWalksBlocksInOrder: Read, from bytes and from a file, hands back
+// the header the file was written with and every coefficient in ascending
+// key order, the store's bits, which a Walk of the loaded file hands over
+// the same.
+func TestReadWalksBlocksInOrder(t *testing.T) {
 	const count = 10000
 	for shape, sizes := range blockShapes {
 		file, store, _ := blockFile(t, sizes, count)
+		path := filepath.Join(t.TempDir(), "view.wvls")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := Read(f)
+		_ = f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		snap, err := Read(bytes.NewReader(file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.Count != count || len(snap.Keys) != count || len(snap.Values) != count {
-			t.Fatalf("%s: Read: header count %d, %d keys, %d values; wrote %d", shape, snap.Count, len(snap.Keys), len(snap.Values), count)
+		for via, sn := range map[string]*Snapshot{"bytes": snap, "file": fromFile} {
+			h := sn.Header
+			if h.Count != count || len(sn.Keys) != count || len(sn.Values) != count {
+				t.Fatalf("%s via %s: header count %d, %d keys, %d values; wrote %d", shape, via, h.Count, len(sn.Keys), len(sn.Values), count)
+			}
+			if h.FilterName != "Db4" || h.TupleCount != 99 || h.Schema.Cells() != sizes[0]*sizes[1] || h.Windows[1] != [2]float64{-5, 5} {
+				t.Fatalf("%s via %s: header %+v", shape, via, h)
+			}
+			for i, k := range sn.Keys {
+				if i > 0 && k <= sn.Keys[i-1] {
+					t.Fatalf("%s via %s: key %d after %d", shape, via, k, sn.Keys[i-1])
+				}
+				if sn.Values[i] != storage.Get(store, k) || sn.Values[i] != snap.Values[i] || k != snap.Keys[i] {
+					t.Fatalf("%s via %s: coefficient %d = (%d, %v), the store has %v", shape, via, i, k, sn.Values[i], storage.Get(store, k))
+				}
+			}
+		}
+		s, err := layout.Load(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
 		}
 		i := 0
-		err = Decode(bytes.NewReader(file), func(h *Header) (func(int, float64), error) {
-			if h.Count != count || h.FilterName != "Db4" || h.TupleCount != 99 || h.Schema.Cells() != sizes[0]*sizes[1] || h.Windows[1] != [2]float64{-5, 5} {
-				t.Fatalf("%s: header handed to begin: %+v", shape, h)
+		err = s.Walk(func(k int, v float64) bool {
+			if k != snap.Keys[i] || math.Float64bits(v) != math.Float64bits(snap.Values[i]) {
+				t.Fatalf("%s: Walk's coefficient %d = (%d, %v), Read has (%d, %v)", shape, i, k, v, snap.Keys[i], snap.Values[i])
 			}
-			return func(k int, v float64) {
-				if i > 0 && k <= snap.Keys[i-1] {
-					t.Fatalf("%s: key %d after %d", shape, k, snap.Keys[i-1])
-				}
-				if k != snap.Keys[i] || v != snap.Values[i] || v != storage.Get(store, k) {
-					t.Fatalf("%s: coefficient %d = (%d, %v), Read has (%d, %v), the store %v", shape, i, k, v, snap.Keys[i], snap.Values[i], storage.Get(store, k))
-				}
-				i++
-			}, nil
+			i++
+			return true
 		})
+		_ = s.Close()
 		if err != nil || i != count {
-			t.Fatalf("%s: Decode: %v after %d of %d coefficients", shape, err, i, count)
+			t.Fatalf("%s: Walk: %v after %d of %d coefficients", shape, err, i, count)
 		}
-	}
-}
-
-func TestDecodeBeginErrorAborts(t *testing.T) {
-	file, _, _ := blockFile(t, blockShapes["sparse"], 10000)
-	refuse := errors.New("sink refuses")
-	err := Decode(bytes.NewReader(file), func(*Header) (func(int, float64), error) { return nil, refuse })
-	if err != refuse {
-		t.Fatalf("Decode returned %v, want begin's error as is", err)
 	}
 }
 

@@ -20,7 +20,7 @@ func writeView(w io.Writer, schema *dataset.Schema, filterName string, tupleCoun
 	}); err != nil {
 		return err
 	}
-	_, err := layout.Encode(w, keys, values, layout.WriteOptions{
+	return layout.Encode(w, keys, values, layout.WriteOptions{
 		Cells: schema.Cells(),
 		Meta: &layout.Meta{
 			FilterName: filterName,
@@ -30,5 +30,4 @@ func writeView(w io.Writer, schema *dataset.Schema, filterName string, tupleCoun
 			Windows:    windows,
 		},
 	})
-	return err
 }

@@ -35,7 +35,7 @@ func layoutHandler(t *testing.T, stack repro.Stack) (*Handler, []float64) {
 	}
 	truth := batch.EvaluateDirect(dist)
 	path := filepath.Join(t.TempDir(), "db.wvls")
-	if _, err := db.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
+	if err := db.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := repro.OpenLayout(path)
@@ -107,7 +107,7 @@ func TestDenseLayoutBackedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "db.wvls")
-	if _, err := db.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
+	if err := db.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := repro.OpenLayout(path)

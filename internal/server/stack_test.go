@@ -42,7 +42,7 @@ func TestInjectFaultsRestoreKeepsServerLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "db.wvls")
-	if _, err := plain.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
+	if err := plain.SaveLayout(path, repro.LayoutOptions{BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	layout, err := repro.OpenLayout(path)

@@ -24,7 +24,7 @@ const benchCells = 10 << 20
 const benchDrainSlice = 4096
 
 // The two layouts of the same random values: every cell nonzero, which
-// Write lays out as the dense shape, and every fourth cell, which it lays
+// Encode lays out as the dense shape, and every fourth cell, which it lays
 // out as the sparse shape. Both are drained |value| descending, key
 // ascending — random key order over either file, whose values are stored in
 // key order.
@@ -91,7 +91,7 @@ func benchFiles(b *testing.B) string {
 			keys   []int
 			values []float64
 		}{denseFixture: {keys, cells}, sparseFixture: {quarterKeys, quarterValues}} {
-			if _, err := Write(filepath.Join(dir, name), kv.keys, kv.values, WriteOptions{Cells: benchCells}); err != nil {
+			if err := writeFile(filepath.Join(dir, name), kv.keys, kv.values, WriteOptions{Cells: benchCells}); err != nil {
 				benchFail = err
 				return
 			}

@@ -15,27 +15,33 @@ import (
 	"testing"
 )
 
-// decoded is what Decode handed over.
-type decoded struct {
-	h      Header
-	keys   []int
-	values []float64
+// loaded is what a Load of a file and a Walk of it handed over.
+type loaded struct {
+	cells, nonzero int
+	meta           *Meta
+	keys           []int
+	values         []float64
 }
 
-func decodeAll(t *testing.T, r io.Reader) (*decoded, error) {
-	t.Helper()
-	d := new(decoded)
-	err := Decode(r, func(h *Header) (func(int, float64), error) {
-		d.h = *h
-		return func(k int, v float64) {
-			d.keys = append(d.keys, k)
-			d.values = append(d.values, v)
-		}, nil
+// loadAll loads the file r holds and walks it.
+func loadAll(r io.Reader) (*loaded, error) {
+	s, err := Load(r)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = s.Close() }()
+	if s.fileMapped {
+		return nil, errors.New("Load mapped the file")
+	}
+	d := &loaded{cells: s.Size(), nonzero: s.NonzeroCount(), meta: s.Meta()}
+	return d, s.Walk(func(k int, v float64) bool {
+		d.keys = append(d.keys, k)
+		d.values = append(d.values, v)
+		return true
 	})
-	return d, err
 }
 
-// decodeInput is what Write was handed for one of decodeCases' files.
+// decodeInput is what Encode was handed for one of decodeCases' files.
 type decodeInput struct {
 	keys   []int
 	values []float64
@@ -44,7 +50,7 @@ type decodeInput struct {
 
 // decodeInputs are the coefficients and options of decodeCases' files: both
 // shapes, and a sparse file whose blocks end inside key buckets. Each also
-// hands Write a zero, a negative zero and a tiny 1e-60, at keys it does not
+// hands Encode a zero, a negative zero and a tiny 1e-60, at keys it does not
 // otherwise hold.
 func decodeInputs() map[string]decodeInput {
 	const cells = 1 << 13
@@ -88,7 +94,7 @@ func decodeCases(t *testing.T) map[string]string {
 }
 
 // written is what a walk of a file must hand over for in: its keys
-// ascending with zeros dropped, each value's bits as handed to Write.
+// ascending with zeros dropped, each value's bits as handed to Encode.
 func (in decodeInput) written() (keys []int, values []float64) {
 	type kv struct {
 		k int
@@ -107,9 +113,10 @@ func (in decodeInput) written() (keys []int, values []float64) {
 	return keys, values
 }
 
-// TestDecodeMatchesStore: Decode and Walk both hand over exactly what Write
-// was given — ascending keys, zeros dropped, the same bits — and Decode
-// from a file and from memory alike; the header carries the file's counts.
+// TestDecodeMatchesStore: a Walk of the mapped file and of the file loaded
+// from a file and from memory alike hands over exactly what Encode was
+// given — ascending keys, zeros dropped, the same bits — and the loaded
+// store carries the file's counts.
 func TestDecodeMatchesStore(t *testing.T) {
 	paths := decodeCases(t)
 	for name, in := range decodeInputs() {
@@ -155,22 +162,22 @@ func TestDecodeMatchesStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for via, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(raw)} {
-			d, err := decodeAll(t, r)
+			d, err := loadAll(r)
 			if err != nil {
 				t.Fatalf("%s via %s: %v", name, via, err)
 			}
-			if d.h.Cells != in.opts.Cells || d.h.Nonzero != nonzero || d.h.Meta != nil {
-				t.Fatalf("%s via %s: header %+v", name, via, d.h)
+			if d.cells != in.opts.Cells || d.nonzero != nonzero || d.meta != nil {
+				t.Fatalf("%s via %s: loaded %d cells, %d nonzero, meta %v", name, via, d.cells, d.nonzero, d.meta)
 			}
-			same("Decode via "+via, d.keys, d.values)
+			same("Load and Walk via "+via, d.keys, d.values)
 		}
 		_ = f.Close()
 	}
 }
 
-// TestDecodeRejectsDamage: a file of the wrong size, a damaged block, a
-// damaged section of the key index or indexCRC, and a refusing begin each
-// fail the read, from a file and from memory alike.
+// TestDecodeRejectsDamage: a file of the wrong size, a damaged block, and a
+// damaged section of the key index or indexCRC each fail a Load and Walk,
+// from a file and from memory alike, and an Open and Verify of the file.
 func TestDecodeRejectsDamage(t *testing.T) {
 	cases := decodeCases(t)
 	for _, name := range []string{"sparse", "dense"} {
@@ -211,16 +218,17 @@ func TestDecodeRejectsDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 			for via, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(data)} {
-				if _, err := decodeAll(t, r); err == nil {
+				if _, err := loadAll(r); err == nil {
 					t.Errorf("%s, %s via %s: accepted", name, what, via)
 				}
 			}
 			_ = f.Close()
-		}
-		refuse := errors.New("sink refuses")
-		err = Decode(bytes.NewReader(raw), func(*Header) (func(int, float64), error) { return nil, refuse })
-		if err != refuse {
-			t.Fatalf("%s: Decode returned %v, want begin's error as is", name, err)
+			if s, err := Open(file); err == nil {
+				if err := s.Verify(); err == nil {
+					t.Errorf("%s, %s: Open and Verify accepted", name, what)
+				}
+				_ = s.Close()
+			}
 		}
 	}
 }
@@ -244,7 +252,7 @@ func TestWriteFileKeepsAMappedReader(t *testing.T) {
 	}
 	// The new file is smaller: a truncation in place would cut the old
 	// mapping's tail off.
-	if _, err := Write(path, keys[:10], values[:10], WriteOptions{Cells: cells / 8}); err != nil {
+	if err := writeFile(path, keys[:10], values[:10], WriteOptions{Cells: cells / 8}); err != nil {
 		t.Fatal(err)
 	}
 	all := make([]int, cells)

@@ -29,8 +29,8 @@ func denseCoefficients(cells int, density float64, seed int64) (keys []int, valu
 func writeDenseLayout(t *testing.T, keys []int, values []float64, opts WriteOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "dense.wvls")
-	if _, err := Write(path, keys, values, opts); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeFile(path, keys, values, opts); err != nil {
+		t.Fatalf("writing the layout: %v", err)
 	}
 	if !fileDense(t, path) {
 		t.Fatalf("%d coefficients over %d cells were written sparse; this test needs the dense shape", len(keys), opts.Cells)
@@ -38,52 +38,77 @@ func writeDenseLayout(t *testing.T, keys []int, values []float64, opts WriteOpti
 	return path
 }
 
+// shapeSize is the size of the file of nonzero coefficients over cells
+// in the given shape, with the default block size and no meta: the
+// arithmetic on the header a reader does.
+func shapeSize(cells, nonzero int, dense bool) int64 {
+	g := geometry{cells: cells, nonzero: nonzero, blockSize: DefaultBlockSize}
+	if dense {
+		g.flags = flagDense
+	}
+	g.derive(int64(preludeSize + len(encodeHeaderBlob(&g, nil))))
+	return g.fileSize
+}
+
 // TestWriteDenseFromHalfFull pins the shape rule at its boundary: exactly
 // half the cells nonzero is written dense, one nonzero fewer sparse, and
 // far from it each side keeps its shape. The rule is a count: at half full
-// the sparse candidate is the smaller file, and it is still not chosen. The
-// file Write leaves is the candidate it names, and opens as that shape.
+// the sparse file would be the smaller one, and it is still not written.
+// The file opens as the shape written, at that shape's size. Three keys
+// over 2⁶⁰ and 2⁶² cells make a sparse file that opens and serves them:
+// a dense file of such a domain is not even priced.
 func TestWriteDenseFromHalfFull(t *testing.T) {
 	const cells = 1 << 12
 	keys, values := denseCoefficients(cells, 1, 1) // every cell nonzero
 	perm := rand.New(rand.NewSource(1)).Perm(cells)
-	for _, tc := range []struct {
-		nonzero int
-		dense   bool
-	}{{cells / 2, true}, {cells/2 - 1, false}, {cells / 10, false}, {cells * 3 / 4, true}, {cells, true}} {
-		pick := perm[:tc.nonzero] // any tc.nonzero cells, not a prefix
-		k, v := make([]int, len(pick)), make([]float64, len(pick))
-		for i, p := range pick {
+	pick := func(nonzero int) ([]int, []float64) {
+		k, v := make([]int, nonzero), make([]float64, nonzero)
+		for i, p := range perm[:nonzero] { // any nonzero cells, not a prefix
 			k[i], v[i] = keys[p], values[p]
 		}
+		return k, v
+	}
+	huge := func(cells int) ([]int, []float64) {
+		return []int{0, cells / 3, cells - 1}, []float64{1.5, -2.25, 3}
+	}
+	for _, tc := range []struct {
+		cells, nonzero int
+		dense          bool
+	}{{cells, cells / 2, true}, {cells, cells/2 - 1, false}, {cells, cells / 10, false}, {cells, cells * 3 / 4, true}, {cells, cells, true},
+		{1 << 60, 3, false}, {1 << 62, 3, false}} {
+		k, v := pick(min(tc.nonzero, cells))
+		if tc.cells != cells {
+			k, v = huge(tc.cells)
+		}
 		path := filepath.Join(t.TempDir(), "w.wvls")
-		c, err := Write(path, k, v, WriteOptions{Cells: cells})
-		if err != nil {
-			t.Fatal(err)
+		if err := writeFile(path, k, v, WriteOptions{Cells: tc.cells}); err != nil {
+			t.Fatalf("%d of %d cells nonzero: %v", tc.nonzero, tc.cells, err)
 		}
-		if c.Dense != tc.dense {
-			t.Fatalf("%d of %d cells nonzero: Write weighed %+v, want dense %v", tc.nonzero, cells, c, tc.dense)
-		}
-		if tc.nonzero == cells/2 && c.SparseBytes >= c.DenseBytes {
-			t.Fatalf("half full: sparse %d bytes, dense %d: the boundary no longer shows the rule is a count", c.SparseBytes, c.DenseBytes)
+		if tc.cells == cells && tc.nonzero == cells/2 && shapeSize(cells, tc.nonzero, false) >= shapeSize(cells, tc.nonzero, true) {
+			t.Fatalf("half full: the sparse file is no smaller than the dense one: the boundary no longer shows the rule is a count")
 		}
 		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := c.SparseBytes
-		if c.Dense {
-			want = c.DenseBytes
-		}
-		if info.Size() != want {
-			t.Fatalf("%d nonzero: file is %d bytes, want the chosen candidate's %d (%+v)", tc.nonzero, info.Size(), want, c)
+		if want := shapeSize(tc.cells, tc.nonzero, tc.dense); info.Size() != want {
+			t.Fatalf("%d of %d cells nonzero: file is %d bytes, want the dense=%v shape's %d", tc.nonzero, tc.cells, info.Size(), tc.dense, want)
 		}
 		s, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Dense() != tc.dense || s.Stats().Dense != tc.dense {
-			t.Fatalf("%d nonzero: opened Dense() = %v, want %v", tc.nonzero, s.Dense(), tc.dense)
+		if s.Dense() != tc.dense || s.Stats().Dense != tc.dense || s.Size() != tc.cells {
+			t.Fatalf("%d of %d cells nonzero: opened Dense() = %v over %d cells, want %v", tc.nonzero, tc.cells, s.Dense(), s.Size(), tc.dense)
+		}
+		got := make([]float64, len(k))
+		if err := s.BatchGetCtx(context.Background(), k, got); err != nil {
+			t.Fatalf("%d of %d cells nonzero: %v", tc.nonzero, tc.cells, err)
+		}
+		for i := range k {
+			if got[i] != v[i] {
+				t.Fatalf("%d of %d cells nonzero: key %d serves %v, written %v", tc.nonzero, tc.cells, k[i], got[i], v[i])
+			}
 		}
 		_ = s.Close()
 	}

@@ -1,10 +1,9 @@
 // Package layout implements persistent storage: the .wvls on-disk format,
 // the one file a database is saved to. A file has one of two shapes, chosen
-// by Encode from the data alone. It is written once (Encode; Write and every
-// other writer of a path go through WriteFile, which never truncates a file
-// a reader may have mapped) and read by one reader, Store: in place through
-// Open, which maps it, or into memory through Decode, which runs the store's
-// walk to hand over its coefficients in key order.
+// by Encode from the data alone. It is written once (Encode; every writer
+// of a path goes through WriteFile, which never truncates a file a reader
+// may have mapped) and read by one reader, Store: in place through Open,
+// which maps it, or from a copy through Load, which reads it once.
 //
 // Both shapes store values in ascending key order and give them no other
 // physical order: the engine asks for coefficients by query importance,
@@ -13,7 +12,7 @@
 // The sparse shape holds the nonzero coefficients only, behind an index of
 // their keys: the rank a key search returns is the slot its value sits at.
 // The dense shape is an array: every cell's value, zeros included, so the
-// slot is the key and there is no index at all. Write writes the dense shape
+// slot is the key and there is no index at all. Encode writes the dense shape
 // iff at least half the cells are nonzero. The rule is a count, not a byte
 // comparison: the sparse file is the smaller one up to about 88 % full, but
 // its lookup searches the key index where the dense one is a load, so
@@ -146,7 +145,7 @@ const rebuild = "the format is derived data — rebuild it from the source data 
 // directory (see the package comment).
 var ErrReservedWords = errors.New("layout: .wvls file with nonzero reserved header words, a sparse file written before its key index was a bucket directory, which is no longer read")
 
-// WriteOptions configures Write.
+// WriteOptions configures Encode.
 type WriteOptions struct {
 	// Cells is the domain size; every key must be in [0,Cells).
 	Cells int
@@ -279,24 +278,16 @@ type coef struct {
 	v float64
 }
 
-// Candidates is what Write weighed for one input: the file's size in each
-// shape, and the shape it wrote.
-type Candidates struct {
-	DenseBytes  int64
-	SparseBytes int64
-	// Dense is Write's choice: at least half the cells are nonzero.
-	Dense bool
-}
-
-// input is a validated Write input and both candidate files' geometry.
+// input is a validated Encode input and the geometry of the file it makes.
 type input struct {
-	opts          WriteOptions
-	pairs         []coef // the nonzero coefficients, ascending key
-	sparse, dense geometry
+	opts  WriteOptions
+	pairs []coef // the nonzero coefficients, ascending key
+	g     geometry
 }
 
-// prepare validates Write's input and derives both shapes' geometry. It does
-// none of the work only the sparse file needs: the key index itself.
+// prepare validates Encode's input and derives the geometry of the shape it
+// writes: dense iff at least half the cells are nonzero. It does none of
+// the work only the sparse file needs: the key index itself.
 func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("layout: %d keys for %d values", len(keys), len(values))
@@ -334,60 +325,38 @@ func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 		}
 		mass += math.Abs(pairs[i].v)
 	}
-	n := len(pairs)
 
-	in := &input{opts: opts, pairs: pairs}
-	in.sparse = geometry{cells: opts.Cells, nonzero: n,
-		blockSize: opts.BlockSize, mass: mass}
-	in.dense = geometry{flags: flagDense, cells: opts.Cells, nonzero: n,
-		blockSize: opts.BlockSize, mass: mass}
-	in.sparse.derive(int64(preludeSize + len(encodeHeaderBlob(&in.sparse, opts.Meta))))
-	in.dense.derive(int64(preludeSize + len(encodeHeaderBlob(&in.dense, opts.Meta))))
+	in := &input{opts: opts, pairs: pairs, g: geometry{cells: opts.Cells, nonzero: len(pairs),
+		blockSize: opts.BlockSize, mass: mass}}
+	if 2*len(pairs) >= opts.Cells {
+		in.g.flags = flagDense
+	}
+	in.g.derive(int64(preludeSize + len(encodeHeaderBlob(&in.g, opts.Meta))))
 	return in, nil
 }
 
-func (in *input) candidates() Candidates {
-	return Candidates{
-		DenseBytes:  in.dense.fileSize,
-		SparseBytes: in.sparse.fileSize,
-		Dense:       2*len(in.pairs) >= in.opts.Cells,
-	}
-}
-
-// Write writes the complete .wvls file for the nonzero coefficients
-// (keys[i], values[i]) at path, through WriteFile: a reader that has the
-// old file mapped keeps it. See Encode for the file it writes.
-func Write(path string, keys []int, values []float64, opts WriteOptions) (Candidates, error) {
-	var c Candidates
-	err := WriteFile(path, func(w io.Writer) (err error) {
-		c, err = Encode(w, keys, values, opts)
-		return err
-	})
-	return c, err
-}
-
 // Encode writes the complete .wvls file for the nonzero coefficients
-// (keys[i], values[i]) to w — dense iff at least half the cells are
-// nonzero, sparse otherwise — and returns both shapes' sizes. Zero values
-// are dropped; duplicate keys are an error. Either shape stores the values
-// in ascending key order. Equal inputs give byte-identical files.
-func Encode(w io.Writer, keys []int, values []float64, opts WriteOptions) (Candidates, error) {
+// (keys[i], values[i]) to w: dense iff at least half the cells are
+// nonzero, sparse otherwise. Zero values are dropped; duplicate keys are an
+// error. Either shape stores the values in ascending key order. Equal
+// inputs give byte-identical files. A writer of a path hands Encode to
+// WriteFile.
+func Encode(w io.Writer, keys []int, values []float64, opts WriteOptions) error {
 	in, err := prepare(keys, values, opts)
 	if err != nil {
-		return Candidates{}, err
+		return err
 	}
-	c := in.candidates()
-	if c.Dense {
-		return c, in.writeDense(w)
+	if in.g.dense() {
+		return in.writeDense(w)
 	}
-	return c, in.writeSparse(w)
+	return in.writeSparse(w)
 }
 
 // writeDense writes every cell's value in key order, zeros included: the
 // slot is the key. writeBlocks asks for the cells in ascending order, so
 // one cursor over the ascending pairs finds each stored value.
 func (in *input) writeDense(dst io.Writer) error {
-	g, pairs, next := &in.dense, in.pairs, 0
+	g, pairs, next := &in.g, in.pairs, 0
 	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta), func(w *bufio.Writer, buf []byte) error {
 		return writeBlocks(w, g, buf, func(key int) float64 {
 			if next < len(pairs) && pairs[next].k == key {
@@ -402,7 +371,7 @@ func (in *input) writeDense(dst io.Writer) error {
 // writeSparse writes the nonzero coefficients' values in ascending key
 // order behind the key index: the key's rank is its slot.
 func (in *input) writeSparse(dst io.Writer) error {
-	g, pairs := &in.sparse, in.pairs
+	g, pairs := &in.g, in.pairs
 	shift := 8 * g.lowWidth
 	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta), func(bw *bufio.Writer, buf []byte) error {
 		// dir and lows go through indexCRC on their way out.

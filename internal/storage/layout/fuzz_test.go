@@ -29,7 +29,7 @@ func fuzzSeedLayout(f *testing.F, dense bool, opts WriteOptions) []byte {
 		keys = append(keys, k*3%opts.Cells)
 		vals = append(vals, float64(k%7)-3.0)
 	}
-	if _, err := Write(path, keys, vals, opts); err != nil {
+	if err := writeFile(path, keys, vals, opts); err != nil {
 		f.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)

@@ -37,13 +37,19 @@ func testCoefficients(n, cells int, seed int64) (keys []int, values []float64) {
 	return keys, values
 }
 
+// writeFile writes the .wvls file for the coefficients at path, as every
+// writer of a path does: Encode through WriteFile.
+func writeFile(path string, keys []int, values []float64, opts WriteOptions) error {
+	return WriteFile(path, func(w io.Writer) error { return Encode(w, keys, values, opts) })
+}
+
 // writeTestLayout writes a layout that must come out sparse: the tests that
 // use it reach the key index.
 func writeTestLayout(t *testing.T, keys []int, values []float64, opts WriteOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.wvls")
-	if _, err := Write(path, keys, values, opts); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := writeFile(path, keys, values, opts); err != nil {
+		t.Fatalf("writing the layout: %v", err)
 	}
 	if fileDense(t, path) {
 		t.Fatalf("%d coefficients over %d cells were written dense; this test needs the sparse shape", len(keys), opts.Cells)
@@ -69,8 +75,8 @@ func sortedKeys(keys []int) []int {
 }
 
 // TestRoundtrip pins that every stored key reads back bit-identically, from
-// a mapped file and from the file's bytes read once, and that unknown keys
-// read as zero.
+// a mapped file and from the file's bytes read once (Load, of the file or
+// of a bytes.Reader, which never maps), and that unknown keys read as zero.
 func TestRoundtrip(t *testing.T) {
 	const cells = 1 << 16
 	keys, values := testCoefficients(5000, cells, 1)
@@ -88,7 +94,15 @@ func TestRoundtrip(t *testing.T) {
 		open func() (*Store, error)
 	}{
 		{"mmap", func() (*Store, error) { return Open(path) }},
-		{"read", func() (*Store, error) { return open(bytes.NewReader(raw)) }},
+		{"read", func() (*Store, error) { return Load(bytes.NewReader(raw)) }},
+		{"read file", func() (*Store, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			return Load(f)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := tc.open()
@@ -99,8 +113,8 @@ func TestRoundtrip(t *testing.T) {
 			if tc.name == "mmap" && !s.fileMapped {
 				t.Skip("mmap unavailable on this platform")
 			}
-			if tc.name == "read" && s.fileMapped {
-				t.Fatal("a reader that is not a file was mapped")
+			if tc.name != "mmap" && s.fileMapped {
+				t.Fatal("Load mapped the file")
 			}
 			if s.NonzeroCount() != len(keys) {
 				t.Fatalf("NonzeroCount = %d, want %d", s.NonzeroCount(), len(keys))
@@ -202,7 +216,7 @@ func TestLayoutOrderCanonical(t *testing.T) {
 
 // TestQuantizedLayoutRefused pins that a file whose flags mark float32 block
 // values — a lossy mode the format no longer writes — is refused by Open and
-// by Decode, with the remedy to rebuild it from the source data, whatever
+// by Load, with the remedy to rebuild it from the source data, whatever
 // its shape.
 func TestQuantizedLayoutRefused(t *testing.T) {
 	const cells = 1 << 10
@@ -228,10 +242,8 @@ func TestQuantizedLayoutRefused(t *testing.T) {
 		if !namesRebuild(err) {
 			t.Fatalf("%s: Open failed with %v, want the rebuild remedy", shape, err)
 		}
-		if err := Decode(bytes.NewReader(raw), func(*Header) (func(int, float64), error) {
-			return func(int, float64) {}, nil
-		}); err == nil || !namesRebuild(err) {
-			t.Fatalf("%s: Decode = %v, want the rebuild remedy", shape, err)
+		if s, err := Load(bytes.NewReader(raw)); err == nil || !namesRebuild(err) {
+			t.Fatalf("%s: Load = (%v, %v), want the rebuild remedy", shape, s, err)
 		}
 	}
 }
@@ -447,20 +459,20 @@ func concurrentReads(t *testing.T, path string, keys []int, values []float64) {
 func TestWriteValidation(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	if _, err := Write(p("a"), []int{1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
+	if err := writeFile(p("a"), []int{1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := Write(p("b"), []int{9}, []float64{1}, WriteOptions{Cells: 8}); err == nil {
+	if err := writeFile(p("b"), []int{9}, []float64{1}, WriteOptions{Cells: 8}); err == nil {
 		t.Fatal("out-of-range key accepted")
 	}
-	if _, err := Write(p("c"), []int{1, 1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
+	if err := writeFile(p("c"), []int{1, 1}, []float64{1, 2}, WriteOptions{Cells: 8}); err == nil {
 		t.Fatal("duplicate key accepted")
 	}
-	if _, err := Write(p("d"), nil, nil, WriteOptions{Cells: 0}); err == nil {
+	if err := writeFile(p("d"), nil, nil, WriteOptions{Cells: 0}); err == nil {
 		t.Fatal("zero domain accepted")
 	}
 	// Zero values are dropped, not stored.
-	if _, err := Write(p("e"), []int{1, 2}, []float64{0, 5}, WriteOptions{Cells: 8}); err != nil {
+	if err := writeFile(p("e"), []int{1, 2}, []float64{0, 5}, WriteOptions{Cells: 8}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(p("e"))
@@ -664,8 +676,8 @@ func TestWidthBoundaries(t *testing.T) {
 // the header — in the key directory, the keys' low bytes, a block or the
 // checksums — and every key of the domain, stored or not,
 // asked for in |value|-descending order, ascending and descending, comes
-// back as a per-key error or as its true value. Never a wrong value, never
-// a panic.
+// back as a per-key error or as its true value, from the mapped file and
+// from its bytes loaded. Never a wrong value, never a panic.
 func TestCorruptIndex(t *testing.T) {
 	const cells = 1 << 13
 	keys, values := testCoefficients(3000, cells, 10)
@@ -699,33 +711,40 @@ func TestCorruptIndex(t *testing.T) {
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(bad)
+		mapped, err := Open(bad)
 		if err != nil {
 			t.Fatalf("Open: %v (the header is intact)", err)
 		}
-		for _, order := range orders {
-			dst := make([]float64, len(order))
-			for i := range dst {
-				dst[i] = math.NaN()
-			}
-			err := s.BatchGetCtx(context.Background(), order, dst)
-			bad := map[int]bool{}
-			var be *storage.BatchError
-			if errors.As(err, &be) {
-				for _, ke := range be.Failed {
-					bad[ke.Index] = true
+		defer func() { _ = mapped.Close() }()
+		loaded, err := Load(bytes.NewReader(mut))
+		if err != nil {
+			t.Fatalf("Load: %v (the header is intact)", err)
+		}
+		defer func() { _ = loaded.Close() }()
+		for _, s := range []*Store{mapped, loaded} {
+			for _, order := range orders {
+				dst := make([]float64, len(order))
+				for i := range dst {
+					dst[i] = math.NaN()
 				}
-			} else if err != nil {
-				t.Fatalf("BatchGetCtx = %v, want per-key errors", err)
-			}
-			failed += len(bad)
-			for i, k := range order {
-				if !bad[i] && dst[i] != want[k] {
-					t.Fatalf("key %d served %v, want %v or an error", k, dst[i], want[k])
+				err := s.BatchGetCtx(context.Background(), order, dst)
+				bad := map[int]bool{}
+				var be *storage.BatchError
+				if errors.As(err, &be) {
+					for _, ke := range be.Failed {
+						bad[ke.Index] = true
+					}
+				} else if err != nil {
+					t.Fatalf("BatchGetCtx = %v, want per-key errors", err)
+				}
+				failed += len(bad)
+				for i, k := range order {
+					if !bad[i] && dst[i] != want[k] {
+						t.Fatalf("key %d served %v, want %v or an error", k, dst[i], want[k])
+					}
 				}
 			}
 		}
-		_ = s.Close()
 		return failed
 	}
 
@@ -768,8 +787,8 @@ func TestCorruptIndex(t *testing.T) {
 // byte puts it past the domain's end, inside the last bucket's 256 cells.
 // Each fails every lookup
 // of the domain, stored key or not, with a per-key error — never a zero,
-// never another key's value — and fails Walk and Decode with an error, from
-// a file and from bytes.
+// never another key's value — and fails Walk with an error, of the mapped
+// file and of the file loaded from a file and from bytes.
 func TestKeyIndexMustBeOrdered(t *testing.T) {
 	const cells = 1<<13 - 100
 	// A key index of 1-byte lows in 32 buckets of 256 cells, bucket 5 empty
@@ -851,10 +870,8 @@ func TestKeyIndexMustBeOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 		for via, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(mut)} {
-			if err := Decode(r, func(*Header) (func(int, float64), error) {
-				return func(int, float64) {}, nil
-			}); err == nil {
-				t.Fatalf("%s: Decode via %s accepted the file", name, via)
+			if _, err := loadAll(r); err == nil {
+				t.Fatalf("%s: Load and Walk via %s accepted the file", name, via)
 			}
 		}
 		_ = f.Close()
@@ -929,7 +946,7 @@ func familyCountOff(file []byte) int { return keyStreamWordOff(file) - 2 }
 // records one family), one with its keys in a delta stream behind samples
 // (testdata/sparse_key_stream.wvls; it records the stream's length) — and a
 // file of today whose hot word, family count or key stream word is set with
-// the header checksum fixed, are each refused by Open and by Decode with
+// the header checksum fixed, are each refused by Open and by Load with
 // ErrReservedWords and the rebuild remedy — never read as another geometry.
 func TestReservedWordsRefused(t *testing.T) {
 	byValue, err := os.ReadFile("testdata/sparse_by_value.wvls")
@@ -964,11 +981,8 @@ func TestReservedWordsRefused(t *testing.T) {
 		if !errors.Is(err, ErrReservedWords) || !namesRebuild(err) {
 			t.Fatalf("%s: Open = %v, want ErrReservedWords and the rebuild remedy", name, err)
 		}
-		err = Decode(bytes.NewReader(file), func(*Header) (func(int, float64), error) {
-			return func(int, float64) {}, nil
-		})
-		if !errors.Is(err, ErrReservedWords) || !namesRebuild(err) {
-			t.Fatalf("%s: Decode = %v, want ErrReservedWords and the rebuild remedy", name, err)
+		if s, err := Load(bytes.NewReader(file)); !errors.Is(err, ErrReservedWords) || !namesRebuild(err) {
+			t.Fatalf("%s: Load = (%v, %v), want ErrReservedWords and the rebuild remedy", name, s, err)
 		}
 	}
 }

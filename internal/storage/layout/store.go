@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -16,7 +17,7 @@ import (
 )
 
 // Store serves a .wvls layout file from its bytes in memory: a mapping of
-// a regular file, or the bytes of anything else read once (see load). Every
+// the file (Open), or its bytes read once (Load). Every
 // value is read from a verified block: a block's CRC is checked the first
 // time any of its slots is served, one bit per block remembers that it
 // passed, and every later read of it is a window with no check. A sparse
@@ -28,8 +29,12 @@ import (
 // a search for its low bytes narrows to the one slot.
 //
 // Store implements storage.Store and Enumerable, not Updatable: a layout is
-// a read-only file. It is the one reader of a .wvls file: Decode runs its
-// key-order walk. All methods are safe for concurrent use.
+// a read-only file. It is the one reader of a .wvls file, served in place
+// (Open) or from a copy read once (Load). All methods are safe for
+// concurrent use. Every exported method that reads the file's bytes
+// (BatchGetCtx, Verify, Walk) keeps the store reachable until its last read
+// of them with runtime.KeepAlive, so that a loaded store's finalizer never
+// releases bytes a call is still reading.
 type Store struct {
 	data    []byte // the whole file
 	mapping []byte // the mapping data is a window of; nil for heap bytes
@@ -64,34 +69,86 @@ type Store struct {
 	blockLoadFails atomic.Int64
 }
 
-// Open opens a layout file. The header is CRC-verified and its geometry
-// validated against the actual file before any data is trusted; a file that
-// fails either check is rejected here rather than misread later. Nothing
-// past the header is checked at open: blocks are checked by their first
-// read, the index sections by the first read of the file.
+// Open opens a layout file and serves it in place, from a mapping of the
+// file (from its bytes read once where it cannot be mapped). The header is
+// CRC-verified and its geometry validated against the actual file before
+// any data is trusted; a file that fails either check is rejected here
+// rather than misread later. Nothing past the header is checked at open:
+// blocks are checked by their first read, the index sections by the first
+// read of the file. Close releases the mapping.
 func Open(path string) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close() // a mapping outlives its descriptor
-	return open(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	m, err := mmapFile(f, st.Size())
+	if err != nil {
+		return Load(f)
+	}
+	s := &Store{data: m, mapping: m, fileMapped: true}
+	if err := s.open(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// open loads the view file r holds from its current offset on and checks
-// its header. The store owns what load mapped from here on; a file that
-// fails to load or fails its header check releases it.
-func open(r io.Reader) (*Store, error) {
+// Load reads the view file r holds, from its current offset on, into
+// memory once and checks its header as Open does. It never maps r: the
+// store holds a copy, which later changes to r's file do not reach. The
+// copy is an anonymous mapping, not Go heap (the heap where the platform
+// has none), of the exact size when r tells its length first (a regular
+// file's size, a bytes.Reader's Len) and a growing one otherwise (see
+// readStream); a finalizer releases it once the store is unreachable, and
+// Close releases it sooner.
+func Load(r io.Reader) (*Store, error) {
 	s := new(Store)
-	if err := s.load(r); err != nil {
+	runtime.SetFinalizer(s, (*Store).Close)
+	if err := s.read(r); err != nil {
 		_ = s.Close()
 		return nil, fmt.Errorf("layout: reading file: %w", err)
 	}
+	if err := s.open(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// read sets s.data to the bytes r holds from its current offset on.
+func (s *Store) read(r io.Reader) error {
+	n := -1
+	switch r := r.(type) {
+	case *os.File:
+		st, err := r.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			break
+		}
+		if at, err := r.Seek(0, io.SeekCurrent); err == nil && at <= st.Size() {
+			n = int(st.Size() - at)
+		}
+	case interface{ Len() int }: // bytes.Reader, strings.Reader, bytes.Buffer
+		n = r.Len()
+	}
+	if n < 0 {
+		return s.readStream(r)
+	}
+	s.data = s.alloc(n)
+	_, err := io.ReadFull(r, s.data)
+	return err
+}
+
+// open checks the header of the file in s.data and sets up the windows of
+// it the reads serve. A file that fails the check is released.
+func (s *Store) open() error {
 	data := s.data
 	g, meta, err := readHeader(data)
 	if err != nil {
 		_ = s.Close()
-		return nil, err
+		return err
 	}
 	s.g, s.meta = *g, meta
 	s.verified = make([]atomic.Uint64, (g.numBlocks+63)/64)
@@ -108,42 +165,7 @@ func open(r io.Reader) (*Store, error) {
 			s.blockDiv = uint(g.blockSize)
 		}
 	}
-	return s, nil
-}
-
-// load sets s.data to the bytes of the view file r holds from its current
-// offset on. A regular file is mapped whole. Anything else — a reader that
-// is not a file, or a file mmap fails on, as on every non-unix build — is
-// read once into an anonymous mapping, so that the copy is not Go heap and
-// goes when the store closes (into the heap where there is none): one of
-// the exact size when r tells its length first (a file's size, a
-// bytes.Reader's Len), a growing one otherwise (see readStream).
-func (s *Store) load(r io.Reader) error {
-	n := -1
-	switch r := r.(type) {
-	case *os.File:
-		st, err := r.Stat()
-		if err != nil || !st.Mode().IsRegular() {
-			break
-		}
-		at, err := r.Seek(0, io.SeekCurrent)
-		if err != nil || at > st.Size() {
-			break
-		}
-		if m, err := mmapFile(r, st.Size()); err == nil {
-			s.data, s.mapping, s.fileMapped = m[at:], m, true
-			return nil
-		}
-		n = int(st.Size() - at)
-	case interface{ Len() int }: // bytes.Reader, strings.Reader, bytes.Buffer
-		n = r.Len()
-	}
-	if n < 0 {
-		return s.readStream(r)
-	}
-	s.data = s.alloc(n)
-	_, err := io.ReadFull(r, s.data)
-	return err
+	return nil
 }
 
 // alloc returns n zeroed bytes: an anonymous mapping, which s.mapping then
@@ -389,6 +411,7 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		}
 		i++
 	}
+	runtime.KeepAlive(s)
 	if len(failed) > 0 {
 		return &storage.BatchError{Failed: failed}
 	}
@@ -481,22 +504,6 @@ func (s *Store) Sections() []Section {
 // StackName names the layout in storage.Describe.
 func (s *Store) StackName() string { return "layout" }
 
-// Walk implements storage.Enumerable: it hands fn every nonzero coefficient
-// in ascending key order until fn returns false — the walk Decode runs — and
-// returns the damage it met, a block or the key index failing its check. A
-// walk of a mapped file puts nothing on the Go heap.
-func (s *Store) Walk(fn func(key int, value float64) bool) error {
-	return s.walk(visitor{fn: fn})
-}
-
-// visitor is what a walk hands coefficients to: Walk's fn, which can stop
-// it, or Decode's emit, which cannot. The walk calls whichever is set
-// itself, so each caller's function costs one call per coefficient.
-type visitor struct {
-	fn   func(key int, value float64) bool
-	emit func(key int, value float64)
-}
-
 // Verify checks what a read of the whole file would: a sparse file's index
 // sections, then every block, each once. A damaged file is an
 // error here rather than a degraded read later. It puts nothing on the Go
@@ -510,15 +517,19 @@ func (s *Store) Verify() error {
 			return err
 		}
 	}
+	runtime.KeepAlive(s)
 	return nil
 }
 
-// walk hands every nonzero coefficient, in ascending key order, to vis
-// until vis.fn stops it, and returns the damage it met. It reads the blocks
+// Walk implements storage.Enumerable: it hands fn every nonzero coefficient
+// in ascending key order until fn returns false, and returns the damage it
+// met, a block or the key index failing its check. It reads the blocks
 // front to back, each checked, with the slot as the key in a dense file and
 // the key index's next key in a sparse one, whose index must have passed
-// its check first. A stored zero, +0 or -0, is not handed over.
-func (s *Store) walk(vis visitor) error {
+// its check first. A stored zero, +0 or -0, is not handed over. A walk puts
+// nothing on the Go heap.
+func (s *Store) Walk(fn func(key int, value float64) bool) error {
+	defer runtime.KeepAlive(s) // fn reads values out of the bytes
 	if err := s.checkIndex(); err != nil {
 		return err
 	}
@@ -539,9 +550,7 @@ func (s *Store) walk(vis visitor) error {
 				continue
 			}
 			emitted++
-			if vis.emit != nil {
-				vis.emit(key, math.Float64frombits(w))
-			} else if !vis.fn(key, math.Float64frombits(w)) {
+			if !fn(key, math.Float64frombits(w)) {
 				return nil
 			}
 		}
@@ -604,15 +613,17 @@ func (s *Store) Stats() Stats {
 // Linux): the file stops counting in the process's resident set until a
 // read faults its pages in again from the page cache. Reads are unaffected.
 // An MVCC store calls it on a mapped version-0 base once a compaction has
-// replaced it. A no-op on bytes that were read rather than mapped.
+// replaced it. A no-op on bytes that were read rather than mapped: their
+// anonymous mapping holds the only copy, which the advice would zero.
 func (s *Store) DropPages() {
 	if s.fileMapped {
 		dropPages(s.mapping)
 	}
 }
 
-// Close releases the mapping, if there is one. Not safe to call while
-// retrievals are in flight.
+// Close releases the mapping, if there is one; a second call does
+// nothing, so a loaded store's finalizer may follow it. Not safe to call
+// while retrievals are in flight.
 func (s *Store) Close() error {
 	mapping := s.mapping
 	s.data, s.mapping, s.fileMapped, s.cells = nil, nil, false, nil

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"path/filepath"
@@ -88,7 +89,7 @@ func openLayout(t *testing.T, want []float64, dense bool) subject {
 	path := filepath.Join(t.TempDir(), "m.wvls")
 	// Small blocks, so batches cross them.
 	wopts := layout.WriteOptions{Cells: len(want), BlockSize: 32}
-	if _, err := layout.Write(path, keys, values, wopts); err != nil {
+	if err := layout.WriteFile(path, func(w io.Writer) error { return layout.Encode(w, keys, values, wopts) }); err != nil {
 		t.Fatal(err)
 	}
 	s, err := layout.Open(path)

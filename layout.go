@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/dataset"
+	"repro/internal/codec"
 	"repro/internal/storage"
 	"repro/internal/storage/layout"
 	"repro/internal/wavelet"
@@ -22,10 +22,6 @@ type LayoutOptions struct {
 	BlockSize int
 }
 
-// LayoutCandidates is what SaveLayout weighed: the file's size in each of
-// the two shapes, and whether it wrote the dense one.
-type LayoutCandidates = layout.Candidates
-
 // SaveLayout writes the database's coefficients to path in the .wvls
 // persistent format, in one of its two shapes: dense — every cell's value in
 // key order, checksummed in blocks — when at least half the cells are
@@ -33,24 +29,18 @@ type LayoutCandidates = layout.Candidates
 // order, checksummed in blocks, behind a compressed key index. The file
 // embeds the database identity (schema, filter, tuple count, windows) so
 // OpenLayout can reassemble a servable view from it alone. The store must be
-// enumerable. It returns both shapes' sizes, so a caller can report the
-// choice without reading the file back.
+// enumerable.
 //
 // The file replaces path by a rename (layout.WriteFile), never in place: a
 // process serving the old file from its mapping keeps answering from it.
-func (db *Database) SaveLayout(path string, opts LayoutOptions) (LayoutCandidates, error) {
-	var c LayoutCandidates
-	err := layout.WriteFile(path, func(w io.Writer) (err error) {
-		c, err = db.encodeLayout(w, opts)
-		return err
-	})
-	return c, err
+func (db *Database) SaveLayout(path string, opts LayoutOptions) error {
+	return layout.WriteFile(path, func(w io.Writer) error { return db.encodeLayout(w, opts) })
 }
 
 // encodeLayout writes the .wvls file SaveLayout describes to w. An MVCC
 // database pins one version, so the tuple count and the coefficients
 // describe the same state even while writes land.
-func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandidates, error) {
+func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) error {
 	st, tuples := db.base, db.TupleCount()
 	if db.mvcc != nil {
 		sn := db.mvcc.Snapshot()
@@ -59,7 +49,7 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 	}
 	enum, ok := st.(storage.Enumerable)
 	if !ok {
-		return LayoutCandidates{}, fmt.Errorf("repro: store %T does not support enumeration; cannot build a layout", st)
+		return fmt.Errorf("repro: store %T does not support enumeration; cannot build a layout", st)
 	}
 	n := st.NonzeroCount()
 	keys := make([]int, 0, n)
@@ -69,7 +59,7 @@ func (db *Database) encodeLayout(w io.Writer, opts LayoutOptions) (LayoutCandida
 		values = append(values, v)
 		return true
 	}); err != nil {
-		return LayoutCandidates{}, fmt.Errorf("repro: reading the view: %w", err)
+		return fmt.Errorf("repro: reading the view: %w", err)
 	}
 	return layout.Encode(w, keys, values, layout.WriteOptions{
 		Cells:     db.schema.Cells(),
@@ -102,28 +92,74 @@ func OpenLayout(path string) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta := s.Meta()
-	if meta == nil {
-		_ = s.Close()
-		return nil, fmt.Errorf("repro: layout %s embeds no database metadata; rebuild it from the source data with wvload or wvq -create", path)
-	}
-	schema, err := dataset.NewSchema(meta.Names, meta.Sizes)
+	db, err := layoutView(s)
 	if err != nil {
 		_ = s.Close()
-		return nil, fmt.Errorf("repro: layout schema invalid: %w", err)
+		return nil, fmt.Errorf("repro: layout %s: %w", path, err)
 	}
-	if schema.Cells() != s.Size() {
-		_ = s.Close()
-		return nil, fmt.Errorf("repro: layout domain %d cells does not match schema (%d)", s.Size(), schema.Cells())
-	}
-	filter, err := wavelet.ByName(meta.FilterName)
-	if err != nil {
-		_ = s.Close()
-		return nil, fmt.Errorf("repro: layout uses %w", err)
-	}
-	db := newDatabase(schema, filter, s, meta.TupleCount, s.Mass())
-	db.windows, db.layout = meta.Windows, s
 	return db, nil
+}
+
+// layoutView is the read-only database that serves s's bytes in place, its
+// mass the header's.
+func layoutView(s *layout.Store) (*Database, error) {
+	h, filter, err := identityOf(s)
+	if err != nil {
+		return nil, err
+	}
+	db := newDatabase(h.Schema, filter, s, h.TupleCount, s.Mass())
+	db.windows, db.layout = h.Windows, s
+	return db, nil
+}
+
+// LoadDatabase reads a .wvls database file, written with Save or
+// SaveLayout, into memory. The file is read once, from r's current offset
+// on (layout.Load), and its coefficients are walked in ascending key order
+// into a store sized from the file's header — the dense array or the hash
+// table, whichever storage.NewMemoryStore finds smaller for the declared
+// domain and count — with the coefficient mass summed on the way in. The
+// filter is resolved from the built-in set by name. Nothing is returned
+// unless every checksum of the file verifies, and the copy of the file is
+// released before LoadDatabase returns: the database serves its own store,
+// not the file's bytes. To serve a file, map it with OpenLayout instead
+// (and EnableMVCC to write over the mapping).
+func LoadDatabase(r io.Reader) (*Database, error) {
+	s, err := layout.Load(r)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = s.Close() }()
+	h, filter, err := identityOf(s)
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	store := storage.NewMemoryStore(h.Schema.Cells(), h.Count)
+	var mass float64
+	if err := s.Walk(func(k int, v float64) bool {
+		store.Add(k, v)
+		mass += math.Abs(v)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	db := newDatabase(h.Schema, filter, store, h.TupleCount, mass)
+	db.windows = h.Windows
+	return db, nil
+}
+
+// identityOf returns the database identity a view file's header embeds
+// (codec.HeaderOf) and the built-in filter it names; a mapped view and a
+// loaded database both take theirs from here.
+func identityOf(s *layout.Store) (*codec.Header, *Filter, error) {
+	h, err := codec.HeaderOf(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	filter, err := wavelet.ByName(h.FilterName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stored database uses %w", err)
+	}
+	return h, filter, nil
 }
 
 // LayoutBacked reports whether this database serves coefficients from a

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -64,7 +65,7 @@ func layoutFixtureOf(t *testing.T, records int) (*Database, *Plan, string) {
 // enumerated mass.
 func TestLayoutDrainBitIdentity(t *testing.T) {
 	db, plan, path := sparseLayoutFixture(t)
-	if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 32}); err != nil {
+	if err := db.SaveLayout(path, LayoutOptions{BlockSize: 32}); err != nil {
 		t.Fatalf("SaveLayout: %v", err)
 	}
 	ldb, err := OpenLayout(path)
@@ -162,7 +163,7 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 // every step, bounds included.
 func TestLayoutDenseDrainBitIdentity(t *testing.T) {
 	db, plan, path := layoutFixture(t)
-	if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 64}); err != nil {
+	if err := db.SaveLayout(path, LayoutOptions{BlockSize: 64}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := OpenLayout(path)
@@ -205,7 +206,7 @@ func TestLayoutDenseDrainBitIdentity(t *testing.T) {
 // TestLayoutReadOnly pins the mutation guards and stats plumbing.
 func TestLayoutReadOnly(t *testing.T) {
 	db, _, path := layoutFixture(t)
-	if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+	if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := OpenLayout(path)
@@ -228,7 +229,7 @@ func TestLayoutReadOnly(t *testing.T) {
 	// A layout-backed database can still be re-persisted: the store
 	// enumerates, so Save and SaveLayout both work from it.
 	path2 := filepath.Join(t.TempDir(), "again.wvls")
-	if _, err := ldb.SaveLayout(path2, LayoutOptions{}); err != nil {
+	if err := ldb.SaveLayout(path2, LayoutOptions{}); err != nil {
 		t.Fatalf("SaveLayout from a layout-backed db: %v", err)
 	}
 	ldb2, err := OpenLayout(path2)
@@ -252,7 +253,7 @@ func TestLayoutDegradedRun(t *testing.T) {
 			fixture = layoutFixture
 		}
 		db, plan, path := fixture(t)
-		if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 16}); err != nil {
+		if err := db.SaveLayout(path, LayoutOptions{BlockSize: 16}); err != nil {
 			t.Fatal(err)
 		}
 		// Corrupt a block the plan reads: the last one of the array, the
@@ -313,7 +314,9 @@ func TestLayoutDegradedRun(t *testing.T) {
 // metadata cannot be opened as a database.
 func TestOpenLayoutRejectsBareFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bare.wvls")
-	if _, err := layout.Write(path, []int{1, 2}, []float64{3, 4}, layout.WriteOptions{Cells: 8}); err != nil {
+	if err := layout.WriteFile(path, func(w io.Writer) error {
+		return layout.Encode(w, []int{1, 2}, []float64{3, 4}, layout.WriteOptions{Cells: 8})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if ldb, err := OpenLayout(path); err == nil {

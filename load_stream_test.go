@@ -65,7 +65,7 @@ func TestCoefficientMassIsReproducible(t *testing.T) {
 	// A layout's header carries the same sum, so -db and -layout daemons
 	// report the same bounds.
 	path := filepath.Join(t.TempDir(), "m.wvls")
-	if _, err := dbs[0].SaveLayout(path, LayoutOptions{}); err != nil {
+	if err := dbs[0].SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ldb, err := OpenLayout(path)
@@ -128,7 +128,7 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "m.wvls")
-		if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+		if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		ldb, err := OpenLayout(path)
@@ -206,8 +206,8 @@ func TestLoadPublishesNothingFromABadStream(t *testing.T) {
 	}
 }
 
-// TestLoadDatabaseReadsAnyStream: LoadDatabase maps a file, from where it is
-// positioned on, and reads any other reader once, whole — in one call when
+// TestLoadDatabaseReadsAnyStream: LoadDatabase reads a file, from where it
+// is positioned on, and any other reader once, whole — in one call when
 // it tells its length, a byte at a time when it hands over one byte a call.
 // Each serves the mapped file's view, dense and sparse: the same count, the
 // same mass and the same Exact answers, to the bit. A copy with one flipped

@@ -57,34 +57,30 @@ func isArrayStore(s storage.Store) bool { _, ok := s.(*storage.ArrayStore); retu
 // loadAs is LoadDatabase with the store built from the given sizes instead
 // of the header's, which is how a test reaches the representation the rule
 // did not pick: a domain of 0 (unknown) is always a table, a count equal to
-// the domain always an array.
+// the domain always an array. It reads the file with codec.Read, a walk of
+// its own, and sums the mass in ascending key order as LoadDatabase does.
 func loadAs(t *testing.T, file []byte, array bool) *Database {
 	t.Helper()
-	var (
-		db   *Database
-		mass float64
-	)
-	err := codec.Decode(bytes.NewReader(file), func(h *codec.Header) (func(int, float64), error) {
-		filter, err := wavelet.ByName(h.FilterName)
-		if err != nil {
-			return nil, err
-		}
-		cells, count := 0, h.Count
-		if array {
-			cells, count = h.Schema.Cells(), h.Schema.Cells()
-		}
-		store := storage.NewMemoryStore(cells, count)
-		db = newDatabase(h.Schema, filter, store, h.TupleCount, 0)
-		db.windows = h.Windows
-		return func(k int, v float64) {
-			store.Add(k, v)
-			mass += math.Abs(v)
-		}, nil
-	})
+	snap, err := codec.Read(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.mass = mass
+	filter, err := wavelet.ByName(snap.FilterName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, count := 0, snap.Count
+	if array {
+		cells, count = snap.Schema.Cells(), snap.Schema.Cells()
+	}
+	store := storage.NewMemoryStore(cells, count)
+	var mass float64
+	for i, k := range snap.Keys {
+		store.Add(k, snap.Values[i])
+		mass += math.Abs(snap.Values[i])
+	}
+	db := newDatabase(snap.Schema, filter, store, snap.TupleCount, mass)
+	db.windows = snap.Windows
 	if isArrayStore(db.store) != array {
 		t.Fatalf("asked for array=%v, built %T", array, db.store)
 	}
@@ -157,6 +153,10 @@ func sameDrain(t *testing.T, what string, a, b Evaluator, plan *Plan, mass float
 	}
 }
 
+// TestLoadedRepresentationsAgree: the loaded database, in the store the rule
+// picks, the file read into the store the rule did not pick, and the mapped
+// file (OpenLayout) carry the same count and mass, drain to the same floats
+// and save back to the same bytes.
 func TestLoadedRepresentationsAgree(t *testing.T) {
 	for _, fx := range representationFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -168,23 +168,30 @@ func TestLoadedRepresentationsAgree(t *testing.T) {
 			if isArrayStore(chosen.store) != fx.array {
 				t.Fatalf("%d coefficients of %d cells loaded as %T", chosen.NonzeroCoefficients(), chosen.Schema().Cells(), chosen.store)
 			}
+			mapped, err := OpenLayout(savedFile(t, fx.name+".wvls", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = mapped.Close() })
+			mass, err := chosen.CoefficientMass()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := representationPlan(t, chosen)
 			other := loadAs(t, file, !fx.array)
-			if chosen.NonzeroCoefficients() != other.NonzeroCoefficients() {
-				t.Fatalf("counts %d and %d", chosen.NonzeroCoefficients(), other.NonzeroCoefficients())
+			for _, o := range []struct {
+				what string
+				db   *Database
+			}{{"the other store", other}, {"the mapped file", mapped}} {
+				if chosen.NonzeroCoefficients() != o.db.NonzeroCoefficients() {
+					t.Fatalf("%s: counts %d and %d", o.what, chosen.NonzeroCoefficients(), o.db.NonzeroCoefficients())
+				}
+				if m, err := o.db.CoefficientMass(); err != nil || m != mass {
+					t.Fatalf("%s: masses %v and %v (%v)", o.what, mass, m, err)
+				}
+				sameDrain(t, "loaded vs "+o.what, chosen, o.db, plan, mass)
 			}
-			massA, err := chosen.CoefficientMass()
-			if err != nil {
-				t.Fatal(err)
-			}
-			massB, err := other.CoefficientMass()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if massA != massB {
-				t.Fatalf("masses %v and %v", massA, massB)
-			}
-			sameDrain(t, "array vs table", chosen, other, representationPlan(t, chosen), massA)
-			for _, db := range []*Database{chosen, other} {
+			for _, db := range []*Database{chosen, other, mapped} {
 				var again bytes.Buffer
 				if err := db.Save(&again); err != nil {
 					t.Fatal(err)

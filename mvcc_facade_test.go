@@ -225,7 +225,7 @@ func TestInsertDeleteRouteThroughApply(t *testing.T) {
 func TestErrReadOnlyTyped(t *testing.T) {
 	db, plan, path := layoutFixture(t)
 	schema := db.Schema()
-	if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+	if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(path)

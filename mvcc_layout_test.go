@@ -21,7 +21,7 @@ func mappedMVCCFixture(t *testing.T, dense bool) (*Plan, string, []byte) {
 		fixture = layoutFixture
 	}
 	db, plan, path := fixture(t)
-	if _, err := db.SaveLayout(path, LayoutOptions{BlockSize: 16}); err != nil {
+	if err := db.SaveLayout(path, LayoutOptions{BlockSize: 16}); err != nil {
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(path)
@@ -92,6 +92,52 @@ func TestMVCCOverAMapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, "compacted against loaded", drain(t, db, plan, lmass), drain(t, loaded, plan, lmass))
+	}
+}
+
+// TestMVCCOverALoadedFile: a view file served from its bytes read once
+// (layout.Load, which OpenLayout serves where the platform cannot map the
+// file) keeps them as MVCC's version-0 base, and a compaction that folds
+// them into memory leaves them whole: a snapshot pinned at version 0
+// answers after the fold exactly what it answered before, dense file and
+// sparse. Compaction hands a replaced base's pages back (DropPages), which
+// must do nothing to bytes that were read: there is no file behind them to
+// fault them in from.
+func TestMVCCOverALoadedFile(t *testing.T) {
+	ctx := context.Background()
+	for _, dense := range []bool{true, false} {
+		plan, _, file := mappedMVCCFixture(t, dense)
+		s, err := layout.Load(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := layoutView(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.EnableMVCC(MVCCConfig{DisableAutoCompact: true}); err != nil {
+			t.Fatal(err)
+		}
+		v0, err := db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v0.Release()
+		before := v0.Exact(plan)
+		if _, err := db.Apply(ctx, tupleBatch([]int{6, 6, 3})); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompactNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.StoreStack(); strings.HasPrefix(got, "layout") {
+			t.Fatalf("dense %v: the compacted base still prints %q", dense, got)
+		}
+		for q, got := range v0.Exact(plan) {
+			if math.Float64bits(got) != math.Float64bits(before[q]) {
+				t.Fatalf("dense %v, query %d: version 0 answers %v after the fold, %v before", dense, q, got, before[q])
+			}
+		}
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dist"
@@ -282,48 +281,10 @@ func (db *Database) Windows() [][2]float64 { return db.windows }
 // Save writes the database (schema, filter identity, transformed
 // coefficients) to w as the .wvls file SaveLayout writes with default
 // options: dense when at least half the cells are nonzero, otherwise sparse.
-// The file can be mapped with OpenLayout or streamed into memory with
+// The file can be mapped with OpenLayout or read into memory with
 // LoadDatabase. An MVCC database writes one pinned version.
 func (db *Database) Save(w io.Writer) error {
-	_, err := db.encodeLayout(w, LayoutOptions{})
-	return err
-}
-
-// LoadDatabase reads a .wvls database file, written with Save or
-// SaveLayout, into memory. The filter is resolved from the built-in set by
-// name. Coefficients stream from the decoder straight into a store sized
-// from the file's header — the dense array or the hash table, whichever
-// storage.NewMemoryStore finds smaller for the declared domain and count —
-// and the coefficient mass is summed on the way in, in ascending key order;
-// nothing is returned unless every checksum of the file verifies. A file
-// read from an *os.File is mapped for the load and walked in place, its
-// blocks front to back — a sparse one's keys decoded from the key index
-// beside them; nothing of it is copied to the heap. To serve a file,
-// map it with OpenLayout instead (and EnableMVCC to write over the mapping).
-func LoadDatabase(r io.Reader) (*Database, error) {
-	var (
-		db    *Database
-		store storage.MemoryStore
-		mass  float64
-	)
-	err := codec.Decode(r, func(h *codec.Header) (func(int, float64), error) {
-		filter, err := wavelet.ByName(h.FilterName)
-		if err != nil {
-			return nil, fmt.Errorf("repro: stored database uses %w", err)
-		}
-		store = storage.NewMemoryStore(h.Schema.Cells(), h.Count)
-		db = newDatabase(h.Schema, filter, store, h.TupleCount, 0)
-		db.windows = h.Windows
-		return func(k int, v float64) {
-			store.Add(k, v)
-			mass += math.Abs(v)
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	db.mass = mass
-	return db, nil
+	return db.encodeLayout(w, LayoutOptions{})
 }
 
 // Retrievals returns the number of coefficient retrievals performed against

@@ -94,7 +94,7 @@ func TestDatabaseInMemory(t *testing.T) {
 	}
 	src, _ := stackFixture(t)
 	path := filepath.Join(t.TempDir(), "db.wvls")
-	if _, err := src.SaveLayout(path, LayoutOptions{}); err != nil {
+	if err := src.SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	opened := func(open func(string) (*Database, error)) func(*testing.T) *Database {

@@ -189,7 +189,7 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 // past the new end killed the process. A reopen serves the new file.
 func TestOpenLayoutSurvivesItsFileBeingRewritten(t *testing.T) {
 	db, plan, path := layoutFixture(t)
-	if _, err := db.SaveLayout(path, LayoutOptions{}); err != nil {
+	if err := db.SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	served, err := OpenLayout(path)
@@ -214,7 +214,7 @@ func TestOpenLayoutSurvivesItsFileBeingRewritten(t *testing.T) {
 	if err := small.Insert([]int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := small.SaveLayout(path, LayoutOptions{}); err != nil {
+	if err := small.SaveLayout(path, LayoutOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	sameBits(t, "after the rewrite", drain(t, served, plan, mass), before)
