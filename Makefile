@@ -119,13 +119,17 @@ served-diff:
 # recorder test runs ten times more under -race: the retry, coalescing and
 # step sites write into run recorders that /debug/traces reads live. So does
 # the cached row of the store contract: a session cache is the one store
-# whose reads take a lock of its own, and eight readers share it.
+# whose reads take a lock of its own, and eight readers share it. So do the
+# MVCC fold-race and drain-while-apply tests: publishing a view's overlay
+# (Apply, and a fold swapping its base under writes) is that package's one
+# concurrency point.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
 	$(GO) test -count=10 -run TestLoadedStoreOutlivesItsReaders ./internal/storage/layout/
 	$(GO) test -race -count=10 -run TestRecorderConcurrentRuns ./internal/core/
 	$(GO) test -race -count=10 -run 'TestStoreContract/cached' ./internal/storetest/
+	$(GO) test -race -count=10 -run 'TestCompactionRacingApply|TestConcurrentDrainWhileApply' ./internal/mvcc/
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
 # process: mutated .wvls view files read into memory, query

@@ -127,12 +127,12 @@ func parseFlags(args []string) (*options, error) {
 	case shardAddrs == "" && o.dist.opts != (repro.DistOptions{}):
 		return nil, errors.New("-shard-dial-timeout/-shard-timeout/-shard-pool only apply with -shards")
 	// MVCC needs a local view to write over: -db -mvcc maps the file as the
-	// frozen base its write layers overlay, a coordinator has no local
+	// frozen base under its write overlay, a coordinator has no local
 	// store, and a shard server does not take writes.
 	case o.mvcc.enabled && (o.shardListen != "" || shardAddrs != ""):
 		return nil, errors.New("-mvcc serves a local database file; it cannot be combined with -shard-listen or -shards")
-	case !o.mvcc.enabled && (mv.MaxLayers != 0 || mv.MaxLayerKeys != 0 || mv.Retain != 0):
-		return nil, errors.New("-mvcc-max-layers/-mvcc-max-layer-keys/-mvcc-retain only apply with -mvcc")
+	case !o.mvcc.enabled && (mv.MaxLayerKeys != 0 || mv.Retain != 0):
+		return nil, errors.New("-mvcc-max-layer-keys/-mvcc-retain only apply with -mvcc")
 	case retry.MaxAttempts == 0 && (retry.BaseDelay != 0 || retry.AttemptTimeout != 0):
 		return nil, errors.New("-retry-base/-retry-timeout only apply with -retry-attempts")
 	case chaos.Delay != 0 && chaos.DelayRate == 0:
@@ -220,10 +220,9 @@ func newFlagSet(o *options, shardAddrs *string, retry *repro.RetryConfig, chaos 
 	// Live updates: -mvcc turns the loaded database into an MVCC snapshot
 	// store — POST /ingest applies write batches, queries pin bit-stable
 	// snapshots, /query?version=N addresses retained versions, and a
-	// background compactor folds update layers into the base.
+	// background compactor folds the write overlay into the base.
 	fs.BoolVar(&o.mvcc.enabled, "mvcc", false, "enable MVCC live updates: POST /ingest, snapshot-pinned queries, ?version= reads")
-	fs.IntVar(&o.mvcc.cfg.MaxLayers, "mvcc-max-layers", 0, "update layers tolerated before background compaction (0 = default 16)")
-	fs.IntVar(&o.mvcc.cfg.MaxLayerKeys, "mvcc-max-layer-keys", 0, "total overlay coefficients tolerated before background compaction (0 = default 131072)")
+	fs.IntVar(&o.mvcc.cfg.MaxLayerKeys, "mvcc-max-layer-keys", 0, "overlay entries (distinct coefficients written since the last compaction) tolerated before background compaction (0 = default 131072)")
 	fs.IntVar(&o.mvcc.cfg.Retain, "mvcc-retain", 0, "historical versions addressable via ?version= (0 = default 8)")
 	return fs
 }
@@ -303,13 +302,12 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 	loadMS := float64(time.Since(opened).Microseconds()) / 1e3
 	defer func() { _ = db.Close() }()
 	// The database builds the declared layers in its one fixed order, MVCC's
-	// write layers on top (the "serving" line prints the result).
+	// write overlay on top (the "serving" line prints the result).
 	if mvcc.enabled {
 		if err := db.EnableMVCC(mvcc.cfg); err != nil {
 			return fmt.Errorf("enabling MVCC: %w", err)
 		}
 		log.Info("mvcc on",
-			"max_layers", mvcc.cfg.MaxLayers,
 			"max_layer_keys", mvcc.cfg.MaxLayerKeys,
 			"retain", mvcc.cfg.Retain)
 	}

@@ -1,16 +1,19 @@
 // Package mvcc is the live-update tier: a multi-version coefficient store
-// in which writers publish immutable coefficient-delta *layers* and readers
-// evaluate against immutable snapshots, so long progressive drains stay
-// bit-stable while update batches land concurrently.
+// in which writers publish immutable versions and readers evaluate against
+// immutable snapshots, so long progressive drains stay bit-stable while
+// update batches land concurrently.
 //
 // The write unit is a Batch of tuple deltas. Applying a batch transforms the
 // whole delta distribution in one sparse pass — per-dimension impulse
 // transforms (the transform-of-deltas machinery of internal/wavelet/lazy.go)
 // are memoized across the batch and coincident tuples merge before the
-// tensor product runs — and publishes one layer holding the *merged absolute
-// values* of every touched coefficient. Reads overlay layers newest-first
-// over a frozen base store; a background compactor folds layers into a fresh
-// base and swaps it in atomically. See DESIGN.md §16.
+// tensor product runs — and publishes a version whose overlay is the
+// previous one merged with the *absolute values* of every touched
+// coefficient: one key-sorted array of everything written since the base
+// was folded, found through a bucket directory. A read probes that overlay
+// once before the frozen base store, however many batches it holds; a
+// background compactor folds it into a fresh base and swaps that in
+// atomically. See DESIGN.md §16.
 package mvcc
 
 import (
@@ -21,7 +24,7 @@ import (
 )
 
 // Batch accumulates tuple-frequency deltas to be applied atomically: the
-// batch either publishes as one layer (one version) or fails as a whole.
+// batch either publishes as one version or fails as a whole.
 // Weights are frequency deltas — Add(coords, 1) inserts one occurrence,
 // Add(coords, -1) (or Remove) deletes one, and fractional or bulk weights
 // (Add(coords, 42)) are legal. A Batch is not safe for concurrent use; build

@@ -141,6 +141,79 @@ func BenchmarkReadLatencyUnderWrites(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlayRead measures one 64-key read of a view with 0, 1, 2 and
+// 15 write batches above its base (auto-compaction off; each batch 256
+// uniform tuples on a 1024×1024 Db4 domain), 27 % of the keys held by the
+// overlay — none at depth 0. A read's cost per key should not grow with the
+// depth.
+func BenchmarkOverlayRead(b *testing.B) {
+	ctx := context.Background()
+	dims := []int{1024, 1024}
+	cells := dims[0] * dims[1]
+	rng := rand.New(rand.NewSource(3))
+	base := storage.NewHashStore()
+	for i := 0; i < cells/3; i++ {
+		base.Add(rng.Intn(cells), rng.NormFloat64())
+	}
+	s, err := New(base, wavelet.Db4, dims, 0, 0, Config{DisableAutoCompact: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	held, depth := map[int]bool{}, 0
+	for _, applied := range []int{0, 1, 2, 15} {
+		for ; depth < applied; depth++ {
+			batch := NewBatch()
+			for i := 0; i < 256; i++ {
+				batch.Add([]int{rng.Intn(dims[0]), rng.Intn(dims[1])}, 1)
+			}
+			delta, err := batch.Delta(wavelet.Db4, dims)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := range delta {
+				held[k] = true
+			}
+			if _, err := s.Apply(ctx, batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		hits := make([]int, 0, len(held))
+		for k := range held {
+			hits = append(hits, k)
+		}
+		sort.Ints(hits)
+		// 256 reads of 64 keys, drawn off the measured path.
+		reads := make([][]int, 256)
+		for r := range reads {
+			keys := make([]int, 64)
+			for i := range keys {
+				k := rng.Intn(cells)
+				if len(hits) > 0 && rng.Intn(100) < 27 {
+					k = hits[rng.Intn(len(hits))]
+				} else {
+					for held[k] {
+						k = rng.Intn(cells)
+					}
+				}
+				keys[i] = k
+			}
+			reads[r] = keys
+		}
+		v := s.View()
+		b.Run("depth"+itoa(applied), func(b *testing.B) {
+			dst := make([]float64, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := v.BatchGetCtx(ctx, reads[i%len(reads)], dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
+		})
+	}
+}
+
 func benchName(size int) string {
 	switch {
 	case size >= 1024:

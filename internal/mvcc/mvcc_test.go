@@ -285,18 +285,14 @@ func TestCompactionEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompactionKeepsConcurrentLayers checks the fold-race path: layers
-// published while the fold runs survive the base swap.
+// TestCompactionKeepsConcurrentLayers checks back-to-back folds: apply,
+// compact, apply, compact serves the state before the second fold. A write
+// landing while a fold runs is TestCompactionRacingApply's.
 func TestCompactionKeepsConcurrentLayers(t *testing.T) {
 	s := newTestStore(t, Config{})
 	if _, err := s.Apply(context.Background(), NewBatch().Add([]int{1, 1}, 1)); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	// Simulate a racing Apply by folding a stale head: grab the compaction
-	// lock path directly via Compact while publishing in between is not
-	// possible deterministically from outside, so approximate by applying
-	// after the fold's snapshot through the public API: Compact folds the
-	// head it loads, so apply, compact, apply, compact and check state.
 	if err := s.Compact(context.Background()); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
@@ -315,6 +311,127 @@ func TestCompactionKeepsConcurrentLayers(t *testing.T) {
 	}
 	if s.Stats().Compactions != 2 {
 		t.Fatalf("compactions = %d, want 2", s.Stats().Compactions)
+	}
+}
+
+// blockingBase is a version-0 base whose first Walk — a fold's — waits until
+// the test closes release, so writes can land while the fold runs.
+type blockingBase struct {
+	*storage.HashStore
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockingBase) Walk(fn func(key int, value float64) bool) error {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.release
+	})
+	return b.HashStore.Walk(fn)
+}
+
+// TestCompactionRacingApply: batches applied while a fold walks the base
+// survive its swap. They rewrite a key the folded overlay holds to new bits,
+// rewrite another to the bits it had, delete a base key and add a key
+// nothing held; after the swap the store reads what a store that never
+// compacted reads, key by key and bit for bit, and its head has exactly
+// those batches above its base.
+func TestCompactionRacingApply(t *testing.T) {
+	ctx := context.Background()
+	seed := newSeedStore(t, wavelet.Haar)
+	base := &blockingBase{HashStore: seed, entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := New(base, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), Config{DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := newTestStore(t, Config{})
+	apply := func(b *Batch) map[int]float64 {
+		t.Helper()
+		for _, st := range []*Store{s, oracle} {
+			if _, err := st.Apply(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := b.Delta(wavelet.Haar, testDims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	folded := apply(NewBatch().Add([]int{1, 1}, 1).Add([]int{6, 2}, 2))
+	baseVals := dump(seed)
+
+	done := make(chan error, 1)
+	go func() { done <- s.Compact(ctx) }()
+	<-base.entered
+	during := []*Batch{
+		NewBatch().Add([]int{1, 1}, 1),                     // new bits on folded keys
+		NewBatch().Add([]int{2, 2}, 1).Remove([]int{3, 3}), // zero deltas: the same bits
+		NewBatch().Remove([]int{4, 7}),                     // the only tuple under some base keys
+		NewBatch().Add([]int{0, 6}, 1),                     // keys no one held
+	}
+	var deltas []map[int]float64
+	for _, b := range during {
+		deltas = append(deltas, apply(b))
+	}
+	close(base.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	want := dump(oracle)
+	premise := map[string]bool{}
+	for k := range folded {
+		if deltas[0][k] != 0 {
+			premise["new bits"] = true
+		}
+		if d, ok := deltas[1][k]; ok && d == 0 {
+			premise["same bits"] = true
+		}
+	}
+	for k, v := range baseVals {
+		if _, ok := deltas[2][k]; ok && v != 0 && want[k] == 0 {
+			premise["base key deleted"] = true
+		}
+	}
+	for k := range deltas[3] {
+		if _, held := folded[k]; !held && baseVals[k] == 0 && want[k] != 0 {
+			premise["new key"] = true
+		}
+	}
+	if len(premise) != 4 {
+		t.Fatalf("the batches cover only %v; the test is vacuous", premise)
+	}
+
+	got := dump(s)
+	for k := range allKeys(want, got) {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("key %d: %v after the fold, %v without it", k, got[k], want[k])
+		}
+	}
+	cells := testDims[0] * testDims[1]
+	keys := make([]int, cells)
+	for k := range keys {
+		keys[k] = k
+	}
+	gotRead, wantRead := make([]float64, cells), make([]float64, cells)
+	if err := s.BatchGetCtx(ctx, keys, gotRead); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.BatchGetCtx(ctx, keys, wantRead); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		if math.Float64bits(gotRead[k]) != math.Float64bits(wantRead[k]) {
+			t.Fatalf("key %d reads %v after the fold, %v without it", k, gotRead[k], wantRead[k])
+		}
+	}
+	st := s.Stats()
+	if st.Layers != len(during) || st.Compactions != 1 || st.CompactedLayers != 1 || st.Version != Version(len(during)+1) {
+		t.Fatalf("after the fold: %+v, want %d layers above a base folded through version 1", st, len(during))
+	}
+	if s.Mass() != oracle.Mass() || s.NonzeroCount() != oracle.NonzeroCount() {
+		t.Fatalf("mass %v, nonzero %d; without the fold %v, %d", s.Mass(), s.NonzeroCount(), oracle.Mass(), oracle.NonzeroCount())
 	}
 }
 
@@ -485,13 +602,7 @@ func TestSetBaseChainUndo(t *testing.T) {
 	if _, err := s.Apply(context.Background(), NewBatch().Add([]int{5, 5}, 1)); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	layerKey := -1
-	for _, l := range s.head.Load().layers {
-		for k := range l.vals {
-			layerKey = k
-			break
-		}
-	}
+	layerKey := s.head.Load().ov.keys[0]
 	base := cs.n.Load()
 	storage.Get(s, layerKey)
 	if cs.n.Load() != base {
@@ -499,7 +610,7 @@ func TestSetBaseChainUndo(t *testing.T) {
 	}
 	// An unlayered base key goes through the wrap.
 	_ = s.head.Load().rawBase.(storage.Enumerable).Walk(func(k int, _ float64) bool {
-		if _, inLayer := s.head.Load().layers[0].vals[k]; !inLayer {
+		if _, inLayer := s.head.Load().ov.lookup(k); !inLayer {
 			storage.Get(s, k)
 			return false
 		}
@@ -524,7 +635,7 @@ func TestSetBaseChainUndo(t *testing.T) {
 // underneath them. Run with -race.
 func TestConcurrentDrainWhileApply(t *testing.T) {
 	seed := newSeedStore(t, wavelet.Haar)
-	s, err := New(seed, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), Config{MaxLayers: 4, Retain: 2})
+	s, err := New(seed, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), Config{MaxLayerKeys: 32, Retain: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

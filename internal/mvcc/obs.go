@@ -18,5 +18,5 @@ var compactSeconds atomic.Pointer[obs.Histogram]
 // uninstall (the default state).
 func Observe(reg *obs.Registry) {
 	compactSeconds.Store(reg.Histogram("wvq_mvcc_compact_seconds",
-		"Latency of layer-fold compactions.", nil))
+		"Latency of compactions: overlay folds into a new base.", nil))
 }

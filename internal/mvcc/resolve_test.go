@@ -80,8 +80,8 @@ func (f *failKeys) BatchGetCtx(ctx context.Context, keys []int, dst []float64) e
 }
 
 // TestResolveReportsBaseFailuresAtCallerPositions, with and without an
-// overlay: a view with no layers hands the batch straight to its base, a
-// layered one asks it for the overlay's misses only — either way a per-key
+// overlay: a view with an empty overlay hands the batch straight to its base,
+// one with entries asks it for the overlay's misses only — either way a per-key
 // failure names the caller's position, and the rest of dst is valid.
 func TestResolveReportsBaseFailuresAtCallerPositions(t *testing.T) {
 	ctx := context.Background()
@@ -117,13 +117,13 @@ func TestResolveReportsBaseFailuresAtCallerPositions(t *testing.T) {
 		}
 	}
 	check("no layers")
-	// A layer over baseKeys[0] shifts every later key's sub-batch position.
-	layer := &Layer{version: 1, vals: map[int]float64{baseKeys[0]: 42}}
+	// An overlay entry at baseKeys[0] shifts every later key's sub-batch
+	// position.
 	cur := s.head.Load()
 	nv := *cur
-	nv.layers, nv.layerKeys = []*Layer{layer}, 1
+	nv.version, nv.ov = 1, newOverlay([]int{baseKeys[0]}, []float64{42})
 	s.head.Store(&nv)
-	check("one layer")
+	check("one overlay entry")
 }
 
 // TestResolveAllocatesPerCallNotPerKey: nothing when there is no overlay to

@@ -25,11 +25,8 @@ var ErrVersionNotRetained = errors.New("mvcc: version not retained")
 
 // Default compaction and retention policy.
 const (
-	// DefaultMaxLayers triggers compaction when the overlay grows past this
-	// many layers (each read probes every layer before the base).
-	DefaultMaxLayers = 16
-	// DefaultMaxLayerKeys triggers compaction when the total overlay entries
-	// across layers exceed this count, whatever the layer count.
+	// DefaultMaxLayerKeys triggers compaction when the head's overlay holds
+	// more entries than this.
 	DefaultMaxLayerKeys = 1 << 17
 	// DefaultRetain is how many historical versions stay addressable by
 	// SnapshotAt behind the head.
@@ -39,11 +36,8 @@ const (
 // Config tunes the store's compaction and retention policy. The zero value
 // selects every default.
 type Config struct {
-	// MaxLayers bounds the overlay depth before a background compaction is
-	// triggered (≤0 selects DefaultMaxLayers).
-	MaxLayers int
-	// MaxLayerKeys bounds the total overlay entries across layers before a
-	// background compaction is triggered (≤0 selects DefaultMaxLayerKeys).
+	// MaxLayerKeys bounds the head overlay's entries before a background
+	// compaction is triggered (≤0 selects DefaultMaxLayerKeys).
 	MaxLayerKeys int
 	// Retain is how many versions behind the head stay addressable by
 	// SnapshotAt (≤0 selects DefaultRetain). Pinned versions are never
@@ -54,38 +48,22 @@ type Config struct {
 	DisableAutoCompact bool
 }
 
-// Layer is one immutable published write batch: the merged *absolute*
-// coefficient values of every key the batch touched. Values merge
-// newest-wins over older layers and the base; an explicit zero shadows a
-// nonzero base coefficient (a delete). Storing absolutes rather than deltas
-// makes overlay reads one lookup (no summing across layers) and makes
-// compaction a verbatim copy — bit-identical by construction.
-type Layer struct {
-	version Version
-	vals    map[int]float64
-}
-
-// Version returns the version this layer published.
-func (l *Layer) Version() Version { return l.version }
-
-// Len returns the number of coefficients the layer overrides.
-func (l *Layer) Len() int { return len(l.vals) }
-
-// view is one immutable snapshot state: a frozen base store plus the ordered
-// overlay (newest first). Views are never mutated after publication — the
-// head pointer swaps to a new view instead — so any reader holding one (a
-// progressive run, a pinned snapshot, a session cache) observes bit-stable
-// coefficients forever, whatever lands after it.
+// view is one immutable snapshot state: a frozen base store plus the
+// overlay of every write since that base was folded. Views are never mutated
+// after publication — the head pointer swaps to a new view instead — so any
+// reader holding one (a progressive run, a pinned snapshot, a session cache)
+// observes bit-stable coefficients forever, whatever lands after it.
 type view struct {
 	version Version
+	// baseVersion is the version the base folds through: the batches above
+	// it, version − baseVersion of them, live in ov.
+	baseVersion Version
 	// rawBase is the unwrapped, enumerable base (compaction source); base
 	// is the top of the serving chain the store's base-chain function built
 	// over it (see SetBaseChain).
 	rawBase storage.Store
 	base    storage.Store
-	// layers is the overlay, newest first.
-	layers    []*Layer
-	layerKeys int
+	ov      overlay
 	// tuples is the net tuple weight; mass is Σ|coefficient| (the Theorem-1
 	// constant K), maintained incrementally and carried verbatim across
 	// compaction so bounds are stable; nonzero counts nonzero coefficients.
@@ -97,17 +75,6 @@ type view struct {
 	// same version (base chain rebuilds, compaction).
 	retr *atomic.Int64
 	pins *atomic.Int64
-}
-
-// lookup resolves key through the overlay; ok is false when the base must be
-// consulted.
-func (v *view) lookup(key int) (float64, bool) {
-	for _, l := range v.layers {
-		if val, ok := l.vals[key]; ok {
-			return val, true
-		}
-	}
-	return 0, false
 }
 
 // BatchGetCtx implements storage.Store: overlay hits are resolved in-memory
@@ -124,8 +91,8 @@ func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
 	}
 	v.retr.Add(int64(len(keys)))
 	base, err := v.resolve(ctx, keys, dst)
-	// EXPLAIN ANALYZE attribution: keys answered by the snapshot's write
-	// layers vs delegated to the base store. Nil profile = no-op.
+	// EXPLAIN ANALYZE attribution: keys answered by the snapshot's overlay
+	// vs delegated to the base store. Nil profile = no-op.
 	obs.ProfileFrom(ctx).AddMVCC(len(keys)-base, base)
 	return err
 }
@@ -134,7 +101,7 @@ func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
 // base as one sub-batch, remapping a partial failure to the caller's
 // positions. It returns how many keys went to the base.
 func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, error) {
-	if len(v.layers) == 0 {
+	if len(v.ov.keys) == 0 {
 		return len(keys), v.base.BatchGetCtx(ctx, keys, dst)
 	}
 	// The sub-batch scratch is sized from the batch at the first overlay
@@ -142,7 +109,7 @@ func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, err
 	var subKeys []int
 	var subIdx []int // sub-batch position → caller position
 	for i, k := range keys {
-		if val, ok := v.lookup(k); ok {
+		if val, ok := v.ov.lookup(k); ok {
 			dst[i] = val
 			continue
 		}
@@ -195,27 +162,17 @@ func (v *view) ResetStats() { v.retr.Store(0) }
 func (v *view) NonzeroCount() int { return v.nonzero }
 
 // Walk implements storage.Enumerable: it hands fn the view's nonzero
-// coefficients until fn returns false, overlay keys newest-wins first, then
-// the base's keys not shadowed by any layer. Order is unspecified (map
-// order). It returns the damage the base met: a mapped file's block failing
-// its check.
+// coefficients until fn returns false, the overlay's first (ascending), then
+// the base's keys the overlay does not hold, in the base's order. It returns
+// the damage the base met: a mapped file's block failing its check.
 func (v *view) Walk(fn func(key int, value float64) bool) error {
-	seen := make(map[int]struct{}, v.layerKeys)
-	for _, l := range v.layers {
-		for k, val := range l.vals {
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			if val != 0 {
-				if !fn(k, val) {
-					return nil
-				}
-			}
+	for i, k := range v.ov.keys {
+		if val := v.ov.vals[i]; val != 0 && !fn(k, val) {
+			return nil
 		}
 	}
 	return v.rawBase.(storage.Enumerable).Walk(func(k int, val float64) bool {
-		if _, shadowed := seen[k]; shadowed {
+		if _, shadowed := v.ov.lookup(k); shadowed {
 			return true
 		}
 		return fn(k, val)
@@ -279,9 +236,6 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, mass f
 	if _, ok := base.(storage.Enumerable); !ok {
 		return nil, fmt.Errorf("mvcc: base store %T cannot enumerate its coefficients", base)
 	}
-	if cfg.MaxLayers <= 0 {
-		cfg.MaxLayers = DefaultMaxLayers
-	}
 	if cfg.MaxLayerKeys <= 0 {
 		cfg.MaxLayerKeys = DefaultMaxLayerKeys
 	}
@@ -313,8 +267,8 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, mass f
 // base — fault injection, retries, instrumentation, coalescing: whatever the
 // owner's storage.Stack declares — and rebuilds the chain of the current
 // view with it; compaction builds every later base's. The chain must be safe
-// for concurrent retrieval. Overlay layers are in-memory maps and are not
-// served through it. nil restores the default: the base served bare, which
+// for concurrent retrieval. The overlay is in-memory and is not served
+// through it. nil restores the default: the base served bare, which
 // any number of goroutines may read. Historical pinned views keep the chain
 // they were published with.
 func (s *Store) SetBaseChain(chain func(raw storage.Store) storage.Store) {
@@ -328,20 +282,20 @@ func (s *Store) SetBaseChain(chain func(raw storage.Store) storage.Store) {
 func (s *Store) BaseChain() storage.Store { return s.head.Load().base }
 
 // republishBaseLocked swaps the head for a clone with the base chain
-// rebuilt by the current chain function. Values, version, layers and pin
+// rebuilt by the current chain function. Values, version, overlay and pin
 // accounting are untouched.
 func (s *Store) republishBaseLocked() {
 	cur := s.head.Load()
 	nv := &view{
-		version:   cur.version,
-		rawBase:   cur.rawBase,
-		layers:    cur.layers,
-		layerKeys: cur.layerKeys,
-		tuples:    cur.tuples,
-		mass:      cur.mass,
-		nonzero:   cur.nonzero,
-		retr:      cur.retr,
-		pins:      cur.pins,
+		version:     cur.version,
+		baseVersion: cur.baseVersion,
+		rawBase:     cur.rawBase,
+		ov:          cur.ov,
+		tuples:      cur.tuples,
+		mass:        cur.mass,
+		nonzero:     cur.nonzero,
+		retr:        cur.retr,
+		pins:        cur.pins,
 	}
 	nv.base = s.serve(cur.rawBase)
 	s.head.Store(nv)
@@ -367,12 +321,12 @@ func (s *Store) replaceRetainedLocked(nv *view) {
 	}
 }
 
-// Apply transforms the batch in one sparse pass, merges the resulting
-// coefficient deltas with the current values, and publishes the result as a
-// new immutable layer — the new head version, returned. In-flight reads and
-// pinned snapshots are untouched: they keep serving the state they captured.
-// An empty (or nil) batch returns the current version without publishing.
-// On error nothing is published.
+// Apply transforms the batch in one sparse pass, adds the resulting
+// coefficient deltas to the current values, and publishes a view whose
+// overlay is the head's merged with those absolute values — the new head
+// version, returned. In-flight reads and pinned snapshots are untouched:
+// they keep serving the state they captured. An empty (or nil) batch returns
+// the current version without publishing. On error nothing is published.
 func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 	if b == nil || len(b.ops) == 0 {
 		return s.head.Load().version, nil
@@ -394,11 +348,11 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("mvcc: reading current coefficients: %w", err)
 	}
-	vals := make(map[int]float64, len(keys))
+	// old becomes the new absolute values in place; explicit zeros stay:
+	// they shadow nonzero base values.
 	mass, nonzero := cur.mass, cur.nonzero
 	for i, k := range keys {
 		nv := old[i] + delta[k]
-		vals[k] = nv // explicit zeros stay: they shadow nonzero base values
 		mass += math.Abs(nv) - math.Abs(old[i])
 		switch {
 		case nv != 0 && old[i] == 0:
@@ -406,22 +360,19 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 		case nv == 0 && old[i] != 0:
 			nonzero--
 		}
+		old[i] = nv
 	}
-	layer := &Layer{version: cur.version + 1, vals: vals}
-	layers := make([]*Layer, 0, len(cur.layers)+1)
-	layers = append(layers, layer)
-	layers = append(layers, cur.layers...)
 	nv := &view{
-		version:   cur.version + 1,
-		rawBase:   cur.rawBase,
-		base:      cur.base,
-		layers:    layers,
-		layerKeys: cur.layerKeys + len(vals),
-		tuples:    cur.tuples + b.TupleWeight(),
-		mass:      mass,
-		nonzero:   nonzero,
-		retr:      &s.retrievals,
-		pins:      new(atomic.Int64),
+		version:     cur.version + 1,
+		baseVersion: cur.baseVersion,
+		rawBase:     cur.rawBase,
+		base:        cur.base,
+		ov:          cur.ov.merge(keys, old),
+		tuples:      cur.tuples + b.TupleWeight(),
+		mass:        mass,
+		nonzero:     nonzero,
+		retr:        &s.retrievals,
+		pins:        new(atomic.Int64),
 	}
 	s.head.Store(nv)
 	s.retained = append(s.retained, nv)
@@ -430,7 +381,7 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 
 	s.applies.Add(1)
 	s.appliedTuples.Add(int64(len(b.ops)))
-	s.appliedKeys.Add(int64(len(vals)))
+	s.appliedKeys.Add(int64(len(keys)))
 	s.maybeCompact(nv)
 	return nv.version, nil
 }
@@ -446,12 +397,9 @@ func (s *Store) trimLocked() {
 }
 
 // maybeCompact starts a single-flight background compaction when the
-// overlay exceeds the configured layer-count or layer-size policy.
+// overlay holds more entries than MaxLayerKeys.
 func (s *Store) maybeCompact(v *view) {
-	if s.cfg.DisableAutoCompact {
-		return
-	}
-	if len(v.layers) <= s.cfg.MaxLayers && v.layerKeys <= s.cfg.MaxLayerKeys {
+	if s.cfg.DisableAutoCompact || len(v.ov.keys) <= s.cfg.MaxLayerKeys {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -462,7 +410,7 @@ func (s *Store) maybeCompact(v *view) {
 		defer s.compactWG.Done()
 		defer s.compacting.Store(false)
 		// Background compaction cannot report; failures (a damaged base
-		// file among them) leave the overlay in place (correct, just deeper)
+		// file among them) leave the overlay in place (correct, just larger)
 		// and the next Apply re-triggers.
 		_ = s.Compact(context.Background())
 	}()
@@ -474,7 +422,7 @@ func (s *Store) maybeCompact(v *view) {
 func (s *Store) WaitCompactions() { s.compactWG.Wait() }
 
 // Compact folds the current overlay into a freshly built base and swaps it
-// in atomically, keeping any layers published while the fold ran. The old
+// in atomically, keeping whatever was written while the fold ran. The old
 // base is never mutated, so in-flight readers and pinned snapshots are
 // untouched; the compacted view serves bit-identical values (a verbatim
 // copy of the merged floats) with identical mass, tuple count, and version.
@@ -485,7 +433,7 @@ func (s *Store) Compact(ctx context.Context) error {
 	defer s.compactMu.Unlock()
 	start := time.Now()
 	snap := s.head.Load()
-	if len(snap.layers) == 0 {
+	if snap.version == snap.baseVersion {
 		return nil
 	}
 	// The snapshot knows how many coefficients the fold will write, so the
@@ -493,8 +441,8 @@ func (s *Store) Compact(ctx context.Context) error {
 	// uses — and is served through the same chain function as the base the
 	// store was opened with.
 	nb := storage.NewMemoryStore(s.cells, snap.nonzero)
-	// The snapshot's own walk is the newest-wins fold: each nonzero
-	// coefficient once, an explicit zero of an overlay not at all.
+	// The snapshot's own walk is the fold: each nonzero coefficient once, an
+	// explicit zero of the overlay not at all.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -510,24 +458,19 @@ func (s *Store) Compact(ctx context.Context) error {
 
 	s.mu.Lock()
 	cur := s.head.Load()
-	// Layers published while the fold ran are a prefix (Apply prepends);
-	// keep them over the new base.
-	fresh := len(cur.layers) - len(snap.layers)
-	layers := append([]*Layer(nil), cur.layers[:fresh]...)
-	layerKeys := 0
-	for _, l := range layers {
-		layerKeys += len(l.vals)
-	}
+	// The new base serves snap's values, so the head keeps only the entries
+	// written while the fold ran: those snap's overlay lacks or holds with
+	// other bits.
 	nv := &view{
-		version:   cur.version,
-		rawBase:   nb,
-		layers:    layers,
-		layerKeys: layerKeys,
-		tuples:    cur.tuples,
-		mass:      cur.mass,
-		nonzero:   cur.nonzero,
-		retr:      &s.retrievals,
-		pins:      cur.pins,
+		version:     cur.version,
+		baseVersion: snap.version,
+		rawBase:     nb,
+		ov:          cur.ov.without(&snap.ov),
+		tuples:      cur.tuples,
+		mass:        cur.mass,
+		nonzero:     cur.nonzero,
+		retr:        &s.retrievals,
+		pins:        cur.pins,
 	}
 	nv.base = s.serve(nb)
 	s.head.Store(nv)
@@ -541,7 +484,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		s.mapped.DropPages()
 	}
 	s.compactions.Add(1)
-	s.compactedLayers.Add(int64(len(snap.layers)))
+	s.compactedLayers.Add(int64(snap.version - snap.baseVersion))
 	compactSeconds.Load().Observe(time.Since(start).Seconds())
 	return nil
 }
@@ -655,7 +598,9 @@ func (s *Store) Head() Version { return s.head.Load().version }
 type Stats struct {
 	// Version is the head version (number of applies since open).
 	Version Version `json:"version"`
-	// Layers is the head overlay depth; LayerKeys the total overlay entries.
+	// Layers counts the write batches above the head's base (version minus
+	// the version the base folds through); LayerKeys the entries in the
+	// head's overlay (distinct keys).
 	Layers    int `json:"layers"`
 	LayerKeys int `json:"layer_keys"`
 	// Retained is how many versions SnapshotAt can address right now.
@@ -667,8 +612,8 @@ type Stats struct {
 	Applies       int64 `json:"applies"`
 	AppliedTuples int64 `json:"applied_tuples"`
 	AppliedKeys   int64 `json:"applied_keys"`
-	// Compactions counts completed base folds; CompactedLayers the layers
-	// they folded.
+	// Compactions counts completed base folds; CompactedLayers the write
+	// batches they folded.
 	Compactions     int64 `json:"compactions"`
 	CompactedLayers int64 `json:"compacted_layers"`
 }
@@ -681,8 +626,8 @@ func (s *Store) Stats() Stats {
 	h := s.head.Load()
 	return Stats{
 		Version:         h.version,
-		Layers:          len(h.layers),
-		LayerKeys:       h.layerKeys,
+		Layers:          int(h.version - h.baseVersion),
+		LayerKeys:       len(h.ov.keys),
 		Retained:        retained,
 		Pinned:          s.pinned.Load(),
 		Applies:         s.applies.Load(),

@@ -151,21 +151,21 @@ func (h *Handler) readFamilies(g *obs.ReadGroup[StatsResponse]) {
 
 	g.ReadGauge("wvq_mvcc_version", "Head snapshot version (applies since open).",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return int64(m.Version) }))
-	g.ReadGauge("wvq_mvcc_layers", "Overlay depth of the head snapshot.",
+	g.ReadGauge("wvq_mvcc_layers", "Write batches above the head's base.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return int64(m.Layers) }))
-	g.ReadGauge("wvq_mvcc_layer_keys", "Total overlay entries across the head snapshot's layers.",
+	g.ReadGauge("wvq_mvcc_layer_keys", "Entries in the head's overlay.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return int64(m.LayerKeys) }))
 	g.ReadGauge("wvq_mvcc_pinned_snapshots", "Outstanding pinned snapshot handles.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return m.Pinned }))
-	g.ReadCounter("wvq_mvcc_applies_total", "Write batches published as layers.",
+	g.ReadCounter("wvq_mvcc_applies_total", "Write batches published as versions.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return m.Applies }))
 	g.ReadCounter("wvq_mvcc_applied_tuples_total", "Tuple operations across published batches.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return m.AppliedTuples }))
 	g.ReadCounter("wvq_mvcc_applied_keys_total", "Coefficients touched by published batches.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return m.AppliedKeys }))
-	g.ReadCounter("wvq_mvcc_compactions_total", "Completed layer-fold compactions.",
+	g.ReadCounter("wvq_mvcc_compactions_total", "Completed compactions: overlay folds into a new base.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return m.Compactions }))
-	g.ReadCounter("wvq_mvcc_compacted_layers_total", "Layers folded into new bases by compactions.",
+	g.ReadCounter("wvq_mvcc_compacted_layers_total", "Write batches folded into new bases by compactions.",
 		ofMVCC(func(m *repro.MVCCStats) int64 { return m.CompactedLayers }))
 
 	g.ReadCounter("wvq_dist_degraded_keys_total", "Coefficient keys the coordinator returned as per-key failures (degraded retrievals).",

@@ -34,9 +34,7 @@ var ErrVersionNotRetained = mvcc.ErrVersionNotRetained
 // MVCCConfig tunes the MVCC store's compaction and retention policy; the
 // zero value selects every default (see internal/mvcc Default*).
 type MVCCConfig struct {
-	// MaxLayers bounds the overlay depth before background compaction.
-	MaxLayers int
-	// MaxLayerKeys bounds total overlay entries before background compaction.
+	// MaxLayerKeys bounds the overlay's entries before background compaction.
 	MaxLayerKeys int
 	// Retain is how many versions behind the head stay addressable by
 	// SnapshotAt (pinned versions are never dropped while pinned).
@@ -50,11 +48,13 @@ type MVCCConfig struct {
 type MVCCStats = mvcc.Stats
 
 // EnableMVCC converts the database to multi-version concurrency control:
-// every write (Apply, Insert, Delete) publishes an immutable coefficient
-// layer over a frozen base, readers evaluate against immutable snapshots
-// (NewRun/Exact/ExactCtx/Session capture the head at start time and stay
-// bit-stable however many writes land mid-drain), and a background
-// compactor folds layers back into a fresh base.
+// every write (Apply, Insert, Delete) publishes an immutable version whose
+// overlay — every coefficient written since the base was folded, key-sorted,
+// at its newest value — sits over a frozen base, readers evaluate against
+// immutable snapshots (NewRun/Exact/ExactCtx/Session capture the head at
+// start time and stay bit-stable however many writes land mid-drain), and a
+// background compactor folds the overlay into a fresh base once it holds
+// more than MaxLayerKeys entries.
 //
 // The opened base becomes the frozen version-0 base, with the mass
 // CoefficientMass reports, the declared store stack (retries, fault
@@ -73,7 +73,6 @@ func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 		return db.readOnlyErr()
 	}
 	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.tuples, db.mass, mvcc.Config{
-		MaxLayers:          cfg.MaxLayers,
 		MaxLayerKeys:       cfg.MaxLayerKeys,
 		Retain:             cfg.Retain,
 		DisableAutoCompact: cfg.DisableAutoCompact,
@@ -101,10 +100,11 @@ func (db *Database) MVCCStats() (stats MVCCStats, ok bool) {
 
 // Apply atomically applies a batch of tuple-frequency deltas under MVCC:
 // the whole batch is transformed in one sparse pass (per-dimension impulse
-// factors memoized, coincident tuples merged) and its coefficient deltas
-// publish as one immutable layer, returning the new version. Concurrent
-// readers are isolated: runs started earlier keep their snapshot. An empty
-// (or nil) batch returns the current version. On error nothing is applied.
+// factors memoized, coincident tuples merged) and its coefficients' new
+// values merge into the head's overlay as one immutable version, returned.
+// Concurrent readers are isolated: runs started earlier keep their
+// snapshot. An empty (or nil) batch returns the current version. On error
+// nothing is applied.
 // A database without MVCC is version 0 for good: Apply fails with
 // ErrReadOnly.
 func (db *Database) Apply(ctx context.Context, b *WriteBatch) (Version, error) {
@@ -126,7 +126,8 @@ func (db *Database) Version() Version {
 // CompactNow folds the MVCC overlay into a fresh base synchronously (the
 // background compactor does the same under the configured policy). Reads
 // before, during and after are bit-identical; pinned snapshots are
-// untouched. No-op without layers; an error without MVCC.
+// untouched. No-op when nothing was written since the last fold; an error
+// without MVCC.
 func (db *Database) CompactNow(ctx context.Context) error {
 	if db.mvcc == nil {
 		return fmt.Errorf("repro: compaction requires MVCC (call EnableMVCC)")

@@ -250,9 +250,9 @@ func TestDamagedMappingUnderMVCC(t *testing.T) {
 			}
 		}
 
-		// Two writes pass MaxLayers 1, so the background compactor folds —
+		// Two writes pass MaxLayerKeys 1, so the background compactor folds —
 		// and meets the damage on its own goroutine.
-		auto := open(MVCCConfig{MaxLayers: 1})
+		auto := open(MVCCConfig{MaxLayerKeys: 1})
 		for i := 0; i < 2; i++ {
 			if _, err := auto.Apply(ctx, tupleBatch(coords)); err != nil {
 				t.Fatal(err)

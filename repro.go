@@ -170,8 +170,8 @@ func (db *Database) SetStack(s Stack) {
 func (db *Database) Stack() Stack { return db.stack }
 
 // StoreStack prints the store stack retrievals cross, base first — for
-// example "array → instrument", with "→ mvcc" last when write layers overlay
-// it.
+// example "array → instrument", with "→ mvcc" last when an MVCC overlay
+// sits over it.
 func (db *Database) StoreStack() string {
 	if db.mvcc != nil {
 		return storage.Describe(db.mvcc.BaseChain()) + " → mvcc"
