@@ -24,6 +24,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/sparse"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
@@ -248,7 +249,7 @@ func BenchmarkAblationStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	arr := storage.NewArrayStore(hat)
-	hash := storage.NewHashStoreFromDense(hat, 0)
+	hash := storage.NewSparseStoreFromDense(hat)
 	b.Run("array", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustExact(w.Plan, arr)
@@ -321,11 +322,11 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 func BenchmarkUpdateCost(b *testing.B) {
 	schema := dataset.MustSchema([]string{"x", "y", "z"}, []int{64, 64, 32})
 	dist := dataset.Uniform(schema, 10000, 3)
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	coords := []int{10, 20, 5}
 	b.Run("insert-incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := core.InsertTuple(store, wavelet.Db4, schema.Sizes, coords); err != nil {
+			if err := storetest.InsertTuple(store, wavelet.Db4, schema.Sizes, coords); err != nil {
 				b.Fatal(err)
 			}
 		}

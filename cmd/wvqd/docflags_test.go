@@ -66,6 +66,45 @@ func docFlags(doc string, commands []string) []docFlag {
 	return out
 }
 
+// goToolFlags are the Go toolchain flags the documents name in running text
+// (`go test -race`, `-count=10`, `-fuzz FuzzX`): no binary here declares
+// them, and none of them is a project flag.
+var goToolFlags = map[string]bool{
+	"bench": true, "benchmem": true, "benchtime": true, "count": true, "cover": true,
+	"cpu": true, "fuzz": true, "fuzztime": true, "o": true, "race": true, "run": true,
+	"short": true, "tags": true, "timeout": true, "v": true,
+}
+
+// inlineCode matches one inline code span, which may wrap across lines.
+var inlineCode = regexp.MustCompile("`([^`]+)`")
+
+// proseFlags returns every -flag word of an inline code span of doc outside
+// fenced blocks (whose command lines docFlags reads): flags named in running
+// text, with or without a command before them. A family keeps its trailing *
+// (`-chaos-*`).
+func proseFlags(doc string) []docFlag {
+	lines := strings.Split(doc, "\n")
+	fenced := false
+	for i, line := range lines {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			lines[i] = ""
+		} else if fenced {
+			lines[i] = ""
+		}
+	}
+	text := strings.Join(lines, "\n")
+	var out []docFlag
+	for _, span := range inlineCode.FindAllStringSubmatchIndex(text, -1) {
+		code := text[span[2]:span[3]]
+		for _, m := range flagToken.FindAllStringSubmatchIndex(code, -1) {
+			line := 1 + strings.Count(text[:span[2]+m[2]], "\n")
+			out = append(out, docFlag{line, "", code[m[2]:m[3]] + code[m[4]:m[5]]})
+		}
+	}
+	return out
+}
+
 // declaredFlags returns the flags the command in dir declares, read from
 // its non-test source: the name of every flag.X("name", …) call and of
 // every fs.XVar(&v, "name", …) call on a FlagSet made by flag.NewFlagSet,
@@ -119,7 +158,9 @@ func declaredFlags(t *testing.T, dir string) map[string]bool {
 
 // TestDocsNameDeclaredFlags fails when README.md, DESIGN.md or the verify
 // skill shows a command line of a cmd/ binary with a flag that binary does
-// not declare.
+// not declare, and when README.md or DESIGN.md names in running text a
+// -flag in backquotes that no binary declares and the Go toolchain does not
+// own (goToolFlags); a family (`-chaos-*`) must prefix a declared flag.
 func TestDocsNameDeclaredFlags(t *testing.T) {
 	entries, err := os.ReadDir("..")
 	if err != nil {
@@ -132,6 +173,24 @@ func TestDocsNameDeclaredFlags(t *testing.T) {
 			commands = append(commands, e.Name())
 			declared[e.Name()] = declaredFlags(t, filepath.Join("..", e.Name()))
 		}
+	}
+	union := map[string]bool{}
+	for _, flags := range declared {
+		for f := range flags {
+			union[f] = true
+		}
+	}
+	known := func(flag string) bool {
+		family, isFamily := strings.CutSuffix(flag, "*")
+		if !isFamily {
+			return union[flag] || goToolFlags[flag]
+		}
+		for f := range union {
+			if strings.HasPrefix(f, family) {
+				return true
+			}
+		}
+		return false
 	}
 	checked := map[string]int{}
 	for _, path := range []string{"../../README.md", "../../DESIGN.md", "../../.claude/skills/verify/SKILL.md"} {
@@ -146,7 +205,19 @@ func TestDocsNameDeclaredFlags(t *testing.T) {
 			}
 		}
 	}
-	for command, least := range map[string]int{"wvqd": 20, "wvq": 1, "wvload": 1, "wvlayout": 1} {
+	for _, path := range []string{"../../README.md", "../../DESIGN.md"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range proseFlags(string(doc)) {
+			checked[""]++
+			if !known(f.flag) {
+				t.Errorf("%s:%d: -%s is no binary's flag", strings.TrimPrefix(path, "../../"), f.line, f.flag)
+			}
+		}
+	}
+	for command, least := range map[string]int{"wvqd": 20, "wvq": 1, "wvload": 1, "wvlayout": 1, "": 20} {
 		if checked[command] < least {
 			t.Errorf("found only %d flags on %s command lines; the scan is broken", checked[command], command)
 		}
@@ -174,5 +245,26 @@ func TestDocFlagsScan(t *testing.T) {
 		"5: wvqd -layout, 6: wvlayout -in, 6: wvlayout -out, 6: wvq -db, 6: wvq -i, 8: wvqd -db, 9: wvqd -shard-count"
 	if strings.Join(got, ", ") != want {
 		t.Fatalf("docFlags:\n got %s\nwant %s", strings.Join(got, ", "), want)
+	}
+}
+
+// TestProseFlagsScan pins what counts as a flag named in running text.
+func TestProseFlagsScan(t *testing.T) {
+	doc := strings.Join([]string{
+		"The `-mvcc-max-layers` flag went; `wvqd -db x -addr :1` serves.",
+		"```sh",
+		"wvqd -in-a-fence",
+		"```",
+		"Faults (`-chaos-*`), `go test -race -count=10`, a span that",
+		"wraps `wvq",
+		"-create`, and -bare or x-y or `a - b` are not flags.",
+	}, "\n")
+	var got []string
+	for _, f := range proseFlags(doc) {
+		got = append(got, f.String())
+	}
+	want := "1:  -mvcc-max-layers, 1:  -db, 1:  -addr, 5:  -chaos-*, 5:  -race, 5:  -count, 7:  -create"
+	if strings.Join(got, ", ") != want {
+		t.Fatalf("proseFlags:\n got %s\nwant %s", strings.Join(got, ", "), want)
 	}
 }

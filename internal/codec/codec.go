@@ -84,11 +84,22 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Store materializes the snapshot's coefficients as a hash store.
+// Store materializes the snapshot's coefficients as a sparse store (whose
+// old name, HashStore, the benchmark harness still names). The keys must
+// ascend, as Read returns them.
 func (s *Snapshot) Store() *storage.HashStore {
-	st := storage.NewHashStoreSized(len(s.Keys))
-	for i, k := range s.Keys {
-		st.Add(k, s.Values[i])
+	st, err := storage.Build(0, len(s.Keys), func(fn func(int, float64) bool) error {
+		for i, k := range s.Keys {
+			if !fn(k, s.Values[i]) {
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		// Read walks a checked file in ascending key order, so a snapshot it
+		// returned always builds.
+		panic(fmt.Sprintf("codec: %v", err))
 	}
-	return st
+	return st.(*storage.SparseStore)
 }

@@ -11,12 +11,13 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 )
 
-func buildTestSnapshot(t *testing.T) (*dataset.Schema, *storage.HashStore, *bytes.Buffer) {
+func buildTestSnapshot(t *testing.T) (*dataset.Schema, *storetest.Map, *bytes.Buffer) {
 	t.Helper()
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{16, 8})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	rng := rand.New(rand.NewSource(401))
 	for i := 0; i < 40; i++ {
 		store.Add(rng.Intn(128), rng.NormFloat64())
@@ -79,7 +80,7 @@ func TestKeysAscending(t *testing.T) {
 }
 
 func TestWriteValidation(t *testing.T) {
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	var buf bytes.Buffer
 	schema := dataset.MustSchema([]string{"x"}, []int{8})
 	if err := writeView(&buf, schema, "", 0, store, nil); err == nil {
@@ -132,7 +133,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 // must be rejected before allocating absurd buffers.
 func TestReadRejectsStructuralLies(t *testing.T) {
 	schema := dataset.MustSchema([]string{"x"}, []int{4})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	store.Add(1, 2.5)
 	// A .wvls header blob (behind its prelude) starts with cells and nonzero;
 	// resealing the header checksum leaves only the geometry checks.
@@ -182,7 +183,7 @@ func TestRoundTripArrayToHashStore(t *testing.T) {
 func TestEmptyStoreRoundTrip(t *testing.T) {
 	schema := dataset.MustSchema([]string{"x"}, []int{8})
 	var buf bytes.Buffer
-	if err := writeView(&buf, schema, "Haar", 0, storage.NewHashStore(), nil); err != nil {
+	if err := writeView(&buf, schema, "Haar", 0, storetest.NewMap(), nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Read(&buf)
@@ -196,7 +197,7 @@ func TestEmptyStoreRoundTrip(t *testing.T) {
 
 func BenchmarkWrite(b *testing.B) {
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{64, 64})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		store.Add(rng.Intn(4096), rng.NormFloat64())
@@ -212,7 +213,7 @@ func BenchmarkWrite(b *testing.B) {
 
 func BenchmarkRead(b *testing.B) {
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{64, 64})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		store.Add(rng.Intn(4096), rng.NormFloat64())
@@ -232,7 +233,7 @@ func BenchmarkRead(b *testing.B) {
 
 func TestWindowsRoundTrip(t *testing.T) {
 	schema := dataset.MustSchema([]string{"age", "salary"}, []int{8, 8})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	store.Add(3, 1.0)
 	windows := [][2]float64{{18, 70}, {0, 200000}}
 	var buf bytes.Buffer

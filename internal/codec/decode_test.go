@@ -13,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/storage"
 	"repro/internal/storage/layout"
+	"repro/internal/storetest"
 )
 
 // blockShapes are the two shapes of a view file, each over enough
@@ -23,10 +24,10 @@ var blockShapes = map[string][]int{"dense": {128, 128}, "sparse": {256, 256}}
 // blockFile writes count coefficients over a domain of the given sizes as a
 // .wvls view file and returns it with the store it was written from and the
 // file's layout, opened so tests can address its sections and blocks.
-func blockFile(t *testing.T, sizes []int, count int) ([]byte, *storage.HashStore, *layout.Store) {
+func blockFile(t *testing.T, sizes []int, count int) ([]byte, *storetest.Map, *layout.Store) {
 	t.Helper()
 	schema := dataset.MustSchema([]string{"x", "y"}, sizes)
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	rng := rand.New(rand.NewSource(77))
 	for store.NonzeroCount() < count {
 		store.Add(rng.Intn(schema.Cells()), 1+rng.Float64())

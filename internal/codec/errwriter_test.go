@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/storage"
+	"repro/internal/storetest"
 )
 
 // failWriter fails after n bytes have been written, exercising every write
@@ -31,7 +31,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestWriteSurfacesWriterErrors(t *testing.T) {
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{8, 8})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	for i := 0; i < 10; i++ {
 		store.Add(i*3, float64(i)+0.5)
 	}

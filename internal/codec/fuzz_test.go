@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/storage"
 	"repro/internal/storage/layout"
+	"repro/internal/storetest"
 )
 
 // FuzzRead feeds arbitrary byte streams to the view-file reader: it must
@@ -21,16 +22,16 @@ import (
 // empty one, and mutations of them.
 func FuzzRead(f *testing.F) {
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{8, 8})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	store.Add(3, 1.25)
 	store.Add(17, -2.5)
-	dense := storage.NewHashStore()
+	dense := storetest.NewMap()
 	for k := 0; k < 48; k++ {
 		dense.Add(k, float64(k)-7.5)
 	}
 	f.Add([]byte{})
 	f.Add([]byte(layout.Magic))
-	for _, st := range []storage.Enumerable{store, dense, storage.NewHashStore()} {
+	for _, st := range []storage.Enumerable{store, dense, storetest.NewMap()} {
 		var buf bytes.Buffer
 		if err := writeView(&buf, schema, "Db4", 42, st, [][2]float64{{0, 1}, {-3, 3}}); err != nil {
 			f.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/storage"
+	"repro/internal/storetest"
 )
 
 // goldenHexWVLSSparse is the view file Save writes for schema (x:4, y:2),
@@ -68,7 +68,7 @@ func TestGoldenStreamMatchesWriter(t *testing.T) {
 	// The view writer must still produce byte-identical output for the
 	// golden content, and the reader must read it back.
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{4, 2})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	store.Add(0, 1.5)
 	store.Add(5, -2.25)
 	var buf bytes.Buffer

@@ -20,7 +20,7 @@ type fixture struct {
 	dist   *dataset.Distribution
 	batch  query.Batch
 	plan   *Plan
-	store  *storage.HashStore
+	store  *storage.SparseStore
 	truth  []float64
 }
 
@@ -49,7 +49,7 @@ func newFixture(t *testing.T, numRanges int) *fixture {
 		dist:   dist,
 		batch:  batch,
 		plan:   plan,
-		store:  storage.NewHashStoreFromDense(hat, 0),
+		store:  storage.NewSparseStoreFromDense(hat),
 		truth:  batch.EvaluateDirect(dist),
 	}
 }
@@ -306,7 +306,7 @@ func TestRoundRobinMatchesExactButCostsMore(t *testing.T) {
 }
 
 func TestNewRoundRobinEmpty(t *testing.T) {
-	if _, err := NewRoundRobin(nil, storage.NewHashStore()); err == nil {
+	if _, err := NewRoundRobin(nil, storage.NewSparseStoreFromDense(nil)); err == nil {
 		t.Error("empty batch should fail")
 	}
 }
@@ -351,7 +351,7 @@ func TestWorstCaseBoundHoldsOnAdversarialData(t *testing.T) {
 	}
 	pen := penalty.SSE{}
 	// Retrieve one coefficient, then attack the next most important one.
-	zero := storage.NewHashStore() // all-zero data: estimates stay 0
+	zero := storage.NewSparseStoreFromDense(nil) // all-zero data: estimates stay 0
 	run := NewRun(plan, pen, zero)
 	stepOne(run)
 	next := run.NextImportance()
@@ -455,7 +455,7 @@ func BenchmarkRunToCompletion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := storage.NewHashStoreFromDense(hat, 0)
+	store := storage.NewSparseStoreFromDense(hat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := NewRun(plan, penalty.SSE{}, store)

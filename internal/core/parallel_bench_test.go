@@ -16,7 +16,7 @@ import (
 type benchPlanFixture struct {
 	batch query.Batch
 	plan  *Plan
-	store *storage.HashStore
+	store *storage.SparseStore
 	array *storage.ArrayStore
 }
 
@@ -43,7 +43,7 @@ func newBenchPlanFixture(b *testing.B) *benchPlanFixture {
 	return &benchPlanFixture{
 		batch: batch,
 		plan:  plan,
-		store: storage.NewHashStoreFromDense(hat, 0),
+		store: storage.NewSparseStoreFromDense(hat),
 		array: storage.NewArrayStore(hat),
 	}
 }

@@ -105,7 +105,7 @@ func TestParallelPlanDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store := storage.NewHashStoreFromDense(hat, 0)
+			store := storage.NewSparseStoreFromDense(hat)
 
 			base, err := waveletPlanOn(batch, wavelet.Db4, 1)
 			if err != nil {

@@ -446,7 +446,7 @@ func TestPlanPathAllocationCeilings(t *testing.T) {
 	}
 	pen := penalty.SSE{}
 	plan.ScheduleFor(pen)
-	store := storage.NewHashStore()
+	store := storage.NewSparseStoreFromDense(nil)
 	// NewRun inlines, so a run that does not escape costs its estimate vector.
 	if a := testing.AllocsPerRun(20, func() { _ = NewRun(plan, pen, store).Done() }); a > 1 {
 		t.Errorf("NewRun: %v allocations, ceiling 1", a)

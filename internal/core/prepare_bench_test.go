@@ -118,7 +118,7 @@ func BenchmarkFirstQueryErrorBounds(b *testing.B) {
 		p.ScheduleFor(penalty.SSE{})
 		plans[i] = p
 	}
-	store := storage.NewHashStore()
+	store := storage.NewSparseStoreFromDense(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

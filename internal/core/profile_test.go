@@ -42,7 +42,7 @@ func profileFixture(t *testing.T, x, y, ranges int) (*Plan, storage.Store) {
 		t.Fatal(err)
 	}
 	plan.ScheduleFor(penalty.SSE{})
-	return plan, storage.NewHashStoreFromDense(hat, 0)
+	return plan, storage.NewSparseStoreFromDense(hat)
 }
 
 func TestProfileBitNeutral(t *testing.T) {

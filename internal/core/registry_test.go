@@ -38,7 +38,7 @@ func regStore(t *testing.T, schema *dataset.Schema) storage.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return storage.NewHashStoreFromDense(hat, 0)
+	return storage.NewSparseStoreFromDense(hat)
 }
 
 func TestRegistryHitReturnsSamePlan(t *testing.T) {

@@ -70,7 +70,7 @@ func templateStore(rng *rand.Rand, keySpace int) storage.Store {
 	for i := range dense {
 		dense[i] = rng.NormFloat64()
 	}
-	return storage.NewHashStoreFromDense(dense, 0)
+	return storage.NewSparseStoreFromDense(dense)
 }
 
 // invariantPenalties is the penalty grid the bind bit-identity tests sweep.

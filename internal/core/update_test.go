@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
@@ -16,11 +17,11 @@ func TestInsertTupleMatchesBulkTransform(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, f := range []*wavelet.Filter{wavelet.Haar, wavelet.Db4, wavelet.Db6} {
 		dist := dataset.NewDistribution(schema)
-		store := storage.NewArrayStore(make([]float64, schema.Cells()))
+		store := storetest.NewMap()
 		for i := 0; i < 50; i++ {
 			coords := []int{rng.Intn(16), rng.Intn(8)}
 			dist.AddTuple(coords)
-			if err := InsertTuple(store, f, schema.Sizes, coords); err != nil {
+			if err := storetest.InsertTuple(store, f, schema.Sizes, coords); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -38,12 +39,12 @@ func TestInsertTupleMatchesBulkTransform(t *testing.T) {
 
 func TestDeleteTupleInvertsInsert(t *testing.T) {
 	schema := dataset.MustSchema([]string{"x", "y"}, []int{8, 8})
-	store := storage.NewArrayStore(make([]float64, schema.Cells()))
+	store := storetest.NewMap()
 	coords := []int{3, 5}
-	if err := InsertTuple(store, wavelet.Db4, schema.Sizes, coords); err != nil {
+	if err := storetest.InsertTuple(store, wavelet.Db4, schema.Sizes, coords); err != nil {
 		t.Fatal(err)
 	}
-	if err := DeleteTuple(store, wavelet.Db4, schema.Sizes, coords); err != nil {
+	if err := storetest.DeleteTuple(store, wavelet.Db4, schema.Sizes, coords); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < schema.Cells(); k++ {
@@ -54,14 +55,14 @@ func TestDeleteTupleInvertsInsert(t *testing.T) {
 }
 
 func TestInsertTupleValidation(t *testing.T) {
-	store := storage.NewHashStore()
-	if err := InsertTuple(store, wavelet.Haar, []int{8, 8}, []int{1}); err == nil {
+	store := storetest.NewMap()
+	if err := storetest.InsertTuple(store, wavelet.Haar, []int{8, 8}, []int{1}); err == nil {
 		t.Error("dimensionality mismatch should fail")
 	}
-	if err := InsertTuple(store, wavelet.Haar, []int{8}, []int{9}); err == nil {
+	if err := storetest.InsertTuple(store, wavelet.Haar, []int{8}, []int{9}); err == nil {
 		t.Error("out-of-range coordinate should fail")
 	}
-	if err := InsertTuple(store, wavelet.Haar, []int{8}, []int{-1}); err == nil {
+	if err := storetest.InsertTuple(store, wavelet.Haar, []int{8}, []int{-1}); err == nil {
 		t.Error("negative coordinate should fail")
 	}
 }
@@ -69,13 +70,13 @@ func TestInsertTupleValidation(t *testing.T) {
 func TestInsertedTuplesAnswerQueriesExactly(t *testing.T) {
 	// Queries over a store maintained purely by inserts must be exact.
 	fxSchema := dataset.MustSchema([]string{"x", "y", "m"}, []int{8, 8, 8})
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	dist := dataset.NewDistribution(fxSchema)
 	rng := rand.New(rand.NewSource(67))
 	for i := 0; i < 200; i++ {
 		coords := []int{rng.Intn(8), rng.Intn(8), rng.Intn(8)}
 		dist.AddTuple(coords)
-		if err := InsertTuple(store, wavelet.Db4, fxSchema.Sizes, coords); err != nil {
+		if err := storetest.InsertTuple(store, wavelet.Db4, fxSchema.Sizes, coords); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +117,7 @@ func planOverSchema(t *testing.T, schema *dataset.Schema) *Plan {
 
 func BenchmarkInsertTuple3D(b *testing.B) {
 	dims := []int{64, 64, 32}
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	rng := rand.New(rand.NewSource(71))
 	coordsList := make([][]int, 64)
 	for i := range coordsList {
@@ -124,7 +125,7 @@ func BenchmarkInsertTuple3D(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := InsertTuple(store, wavelet.Db4, dims, coordsList[i%len(coordsList)]); err != nil {
+		if err := storetest.InsertTuple(store, wavelet.Db4, dims, coordsList[i%len(coordsList)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,13 +13,14 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 )
 
 // testStore builds a deterministic sparse coefficient store with signed
 // values (mass needs both signs to catch sign bugs).
-func testStore(n int, seed int64) *storage.HashStore {
+func testStore(n int, seed int64) *storetest.Map {
 	rng := rand.New(rand.NewSource(seed))
-	st := storage.NewHashStore()
+	st := storetest.NewMap()
 	for i := 0; i < n; i++ {
 		k := rng.Intn(1 << 20)
 		v := rng.NormFloat64() * 100

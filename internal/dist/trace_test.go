@@ -18,10 +18,11 @@ import (
 	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 )
 
 // someKeys returns up to n keys present in st, plus vals sized to match.
-func someKeys(st *storage.HashStore, n int) ([]int, []float64) {
+func someKeys(st *storetest.Map, n int) ([]int, []float64) {
 	keys := make([]int, 0, n)
 	st.Walk(func(k int, _ float64) bool {
 		keys = append(keys, k)

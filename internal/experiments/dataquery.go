@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/baseline"
@@ -89,9 +91,18 @@ func RunDataVsQueryApprox(w *Workload) ([]DataVsQueryRow, error) {
 		if keep > len(coeffs) {
 			keep = len(coeffs)
 		}
-		synopsis := storage.NewHashStore()
-		for _, p := range coeffs[:keep] {
-			synopsis.Add(p.k, p.v)
+		kept := slices.Clone(coeffs[:keep])
+		slices.SortFunc(kept, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
+		synopsis, err := storage.Build(w.Schema.Cells(), keep, func(fn func(int, float64) bool) error {
+			for _, p := range kept {
+				if !fn(p.k, p.v) {
+					break
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		est, err := w.Plan.Exact(context.Background(), synopsis)
 		if err != nil {

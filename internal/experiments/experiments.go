@@ -105,7 +105,7 @@ type Workload struct {
 	Ranges      []query.Range // extended over the full temperature extent
 	Batch       query.Batch
 	Plan        *core.Plan
-	Store       *storage.HashStore
+	Store       *storage.SparseStore
 	Truth       []float64
 }
 
@@ -163,7 +163,7 @@ func BuildWorkload(cfg Config) (*Workload, error) {
 		Ranges:      ranges,
 		Batch:       batch,
 		Plan:        plan,
-		Store:       storage.NewHashStoreFromDense(hat, 0),
+		Store:       storage.NewSparseStoreFromDense(hat),
 		Truth:       batch.EvaluateDirect(dist),
 	}, nil
 }

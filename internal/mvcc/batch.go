@@ -90,10 +90,10 @@ func cellKey(coords, dims []int) int {
 // than Len() single-tuple transforms. The result maps flat coefficient key →
 // delta and is deterministic for a given batch content and order.
 //
-// A single-op batch produces exactly the per-key values of the legacy
-// single-tuple path (core.InsertTuple emits the same impulse tensor
-// product), so routing Insert/Delete through Delta is bit-identical to the
-// old code path.
+// A single-op batch produces exactly the per-key values of the single-tuple
+// path (the test oracle's storetest.InsertTuple emits the same impulse
+// tensor product), so routing Insert/Delete through Delta is bit-identical
+// to inserting one tuple at a time.
 func (b *Batch) Delta(f *wavelet.Filter, dims []int) (map[int]float64, error) {
 	if f == nil {
 		return nil, fmt.Errorf("mvcc: nil filter")

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
@@ -17,7 +17,7 @@ var benchDims = []int{256, 256}
 
 func newBenchStore(b *testing.B) *Store {
 	b.Helper()
-	s, err := New(storage.NewHashStore(), wavelet.Haar, benchDims, 0, 0, Config{})
+	s, err := New(storetest.NewMap(), wavelet.Haar, benchDims, 0, 0, Config{})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
@@ -151,11 +151,11 @@ func BenchmarkOverlayRead(b *testing.B) {
 	dims := []int{1024, 1024}
 	cells := dims[0] * dims[1]
 	rng := rand.New(rand.NewSource(3))
-	base := storage.NewHashStore()
+	seed := storetest.NewMap()
 	for i := 0; i < cells/3; i++ {
-		base.Add(rng.Intn(cells), rng.NormFloat64())
+		seed.Add(rng.Intn(cells), rng.NormFloat64())
 	}
-	s, err := New(base, wavelet.Db4, dims, 0, 0, Config{DisableAutoCompact: true})
+	s, err := New(seed.Base(cells), wavelet.Db4, dims, 0, 0, Config{DisableAutoCompact: true})
 	if err != nil {
 		b.Fatal(err)
 	}

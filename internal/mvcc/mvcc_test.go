@@ -9,30 +9,40 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
 // testDims is a small 2-D power-of-two domain shared by the tests.
 var testDims = []int{8, 8}
 
+// testCells is the number of cells of testDims.
+const testCells = 64
+
 // seedTuples is the deterministic base dataset: inserted into the seed store
-// with the legacy single-tuple path before the MVCC store opens over it.
+// with the single-tuple path before the MVCC store opens over it.
 var seedTuples = [][]int{
 	{0, 0}, {1, 3}, {2, 5}, {3, 1}, {4, 7}, {5, 2}, {6, 6}, {7, 4}, {1, 3},
 }
 
-// newSeedStore builds a HashStore holding the transform of seedTuples.
-func newSeedStore(t *testing.T, f *wavelet.Filter) *storage.HashStore {
+// seedOracle returns the oracle store holding the transform of seedTuples,
+// inserted one tuple at a time.
+func seedOracle(t *testing.T, f *wavelet.Filter) *storetest.Map {
 	t.Helper()
-	st := storage.NewHashStore()
+	m := storetest.NewMap()
 	for _, c := range seedTuples {
-		if err := core.InsertTuple(st, f, testDims, c); err != nil {
+		if err := storetest.InsertTuple(m, f, testDims, c); err != nil {
 			t.Fatalf("seeding: %v", err)
 		}
 	}
-	return st
+	return m
+}
+
+// newSeedStore builds the base store of seedOracle's transform.
+func newSeedStore(t *testing.T, f *wavelet.Filter) storage.MemoryStore {
+	t.Helper()
+	return seedOracle(t, f).Base(testCells)
 }
 
 // newTestStore opens an MVCC store over a fresh seed with auto-compaction off
@@ -88,21 +98,21 @@ func allKeys(ms ...map[int]float64) map[int]struct{} {
 // exactly the coefficients the legacy single-tuple incremental path writes.
 func TestSingleOpApplyMatchesInsertTuple(t *testing.T) {
 	s := newTestStore(t, Config{})
-	legacy := newSeedStore(t, wavelet.Haar)
+	legacy := seedOracle(t, wavelet.Haar)
 
 	coords := [][]int{{3, 3}, {0, 7}, {3, 3}}
 	for _, c := range coords {
 		if _, err := s.Apply(context.Background(), NewBatch().Add(c, 1)); err != nil {
 			t.Fatalf("Apply: %v", err)
 		}
-		if err := core.InsertTuple(legacy, wavelet.Haar, testDims, c); err != nil {
+		if err := storetest.InsertTuple(legacy, wavelet.Haar, testDims, c); err != nil {
 			t.Fatalf("InsertTuple: %v", err)
 		}
 	}
 	if _, err := s.Apply(context.Background(), NewBatch().Remove(coords[0])); err != nil {
 		t.Fatalf("Apply remove: %v", err)
 	}
-	if err := core.DeleteTuple(legacy, wavelet.Haar, testDims, coords[0]); err != nil {
+	if err := storetest.DeleteTuple(legacy, wavelet.Haar, testDims, coords[0]); err != nil {
 		t.Fatalf("DeleteTuple: %v", err)
 	}
 
@@ -161,11 +171,12 @@ func TestBatchMatchesSequentialInserts(t *testing.T) {
 // A one-tuple dataset makes the cancellation exact (v + (-v) == 0 in IEEE for
 // identical magnitudes), so the zeros must be literal, not just tiny.
 func TestZeroShadowsBase(t *testing.T) {
-	seed := storage.NewHashStore()
+	oracle := storetest.NewMap()
 	coords := []int{1, 3}
-	if err := core.InsertTuple(seed, wavelet.Haar, testDims, coords); err != nil {
+	if err := storetest.InsertTuple(oracle, wavelet.Haar, testDims, coords); err != nil {
 		t.Fatalf("seeding: %v", err)
 	}
+	seed := oracle.Base(testCells)
 	s, err := New(seed, wavelet.Haar, testDims, 1, massOf(seed), Config{DisableAutoCompact: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -317,7 +328,7 @@ func TestCompactionKeepsConcurrentLayers(t *testing.T) {
 // blockingBase is a version-0 base whose first Walk — a fold's — waits until
 // the test closes release, so writes can land while the fold runs.
 type blockingBase struct {
-	*storage.HashStore
+	storage.MemoryStore
 	entered, release chan struct{}
 	once             sync.Once
 }
@@ -327,7 +338,7 @@ func (b *blockingBase) Walk(fn func(key int, value float64) bool) error {
 		close(b.entered)
 		<-b.release
 	})
-	return b.HashStore.Walk(fn)
+	return b.MemoryStore.Walk(fn)
 }
 
 // TestCompactionRacingApply: batches applied while a fold walks the base
@@ -339,7 +350,7 @@ func (b *blockingBase) Walk(fn func(key int, value float64) bool) error {
 func TestCompactionRacingApply(t *testing.T) {
 	ctx := context.Background()
 	seed := newSeedStore(t, wavelet.Haar)
-	base := &blockingBase{HashStore: seed, entered: make(chan struct{}), release: make(chan struct{})}
+	base := &blockingBase{MemoryStore: seed, entered: make(chan struct{}), release: make(chan struct{})}
 	s, err := New(base, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), Config{DisableAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +449,7 @@ func TestCompactionRacingApply(t *testing.T) {
 // droppingBase is a version-0 base that counts DropPages calls, as a mapped
 // file would receive them.
 type droppingBase struct {
-	*storage.HashStore
+	storage.MemoryStore
 	drops int
 }
 
@@ -450,7 +461,7 @@ func (b *droppingBase) DropPages() { b.drops++ }
 // again; a fold with no layers drops nothing.
 func TestCompactionDropsTheMappedBasesPages(t *testing.T) {
 	seed := newSeedStore(t, wavelet.Haar)
-	base := &droppingBase{HashStore: seed}
+	base := &droppingBase{MemoryStore: seed}
 	s, err := New(base, wavelet.Haar, testDims, int64(len(seedTuples)), massOf(seed), Config{DisableAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
@@ -602,7 +613,7 @@ func TestSetBaseChainUndo(t *testing.T) {
 	if _, err := s.Apply(context.Background(), NewBatch().Add([]int{5, 5}, 1)); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	layerKey := s.head.Load().ov.keys[0]
+	layerKey, _ := s.head.Load().ov.Entry(0)
 	base := cs.n.Load()
 	storage.Get(s, layerKey)
 	if cs.n.Load() != base {
@@ -610,7 +621,7 @@ func TestSetBaseChainUndo(t *testing.T) {
 	}
 	// An unlayered base key goes through the wrap.
 	_ = s.head.Load().rawBase.(storage.Enumerable).Walk(func(k int, _ float64) bool {
-		if _, inLayer := s.head.Load().ov.lookup(k); !inLayer {
+		if _, inLayer := s.head.Load().ov.Lookup(k); !inLayer {
 			storage.Get(s, k)
 			return false
 		}

@@ -4,23 +4,25 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
 // probeKeys is every key a lookup in o could get wrong: each stored key and
 // its neighbours, the first key of every bucket and the one before it, the
 // domain's ends, one past the last bucket and a negative key.
-func probeKeys(o *overlay, cells int) []int {
+func probeKeys(o *storage.Sorted, cells int) []int {
 	probe := []int{0, 1, cells - 1, cells - 2, -1}
-	for _, k := range o.keys {
+	for i := 0; i < o.Len(); i++ {
+		k, _ := o.Entry(i)
 		probe = append(probe, k-1, k, k+1)
 	}
-	for b := 0; b < len(o.dir); b++ {
-		probe = append(probe, b<<o.shift-1, b<<o.shift)
+	buckets, shift := o.Buckets()
+	for b := 0; b <= buckets; b++ {
+		probe = append(probe, b<<shift-1, b<<shift)
 	}
 	kept := probe[:0]
 	for _, k := range probe {
@@ -29,76 +31,6 @@ func probeKeys(o *overlay, cells int) []int {
 		}
 	}
 	return kept
-}
-
-// TestOverlayLookupMatchesAMap: an overlay finds exactly the keys it was
-// built from, with their bits, at both ends of the domain and on both sides
-// of every bucket boundary, and its directory grows with its key count, not
-// with the domain: a 2⁴⁰-cell domain holding one key has one bucket.
-func TestOverlayLookupMatchesAMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const huge = 1 << 40
-	sets := []struct {
-		name  string
-		cells int
-		keys  []int
-	}{
-		{"empty", 64, nil},
-		{"key 0", 64, []int{0}},
-		{"last cell", 64, []int{63}},
-		{"one key of 2^40", huge, []int{huge - 1}},
-		{"every cell", 256, seq(0, 256)},
-		{"every other cell", 4096, stride(0, 4096, 2)},
-		{"a run at the top", 1 << 20, seq(1<<20-300, 1<<20)},
-		{"random of 2^40", huge, randomKeys(rng, huge, 5000)},
-		{"random of 2^16", 1 << 16, randomKeys(rng, 1<<16, 20000)},
-	}
-	for _, set := range sets {
-		vals := make([]float64, len(set.keys))
-		want := make(map[int]float64, len(set.keys))
-		for i, k := range set.keys {
-			vals[i] = rng.NormFloat64()
-			if i%7 == 3 {
-				vals[i] = 0 // an explicit zero is a stored entry
-			}
-			want[k] = vals[i]
-		}
-		o := newOverlay(set.keys, vals)
-		if buckets := len(o.dir) - 1; len(set.keys) > 0 && buckets > max(1, len(set.keys)/(bucketKeys/2)) {
-			t.Fatalf("%s: %d keys in %d buckets", set.name, len(set.keys), buckets)
-		}
-		for _, k := range probeKeys(&o, set.cells) {
-			got, ok := o.lookup(k)
-			w, held := want[k]
-			if ok != held || math.Float64bits(got) != math.Float64bits(w) {
-				t.Fatalf("%s: lookup(%d) = (%v, %v), want (%v, %v)", set.name, k, got, ok, w, held)
-			}
-		}
-	}
-}
-
-func seq(lo, hi int) []int { return stride(lo, hi, 1) }
-
-func stride(lo, hi, step int) []int {
-	var out []int
-	for k := lo; k < hi; k += step {
-		out = append(out, k)
-	}
-	return out
-}
-
-// randomKeys returns n distinct keys of [0, cells), ascending.
-func randomKeys(rng *rand.Rand, cells, n int) []int {
-	seen := make(map[int]bool, n)
-	out := make([]int, 0, n)
-	for len(out) < n {
-		if k := rng.Int63n(int64(cells)); !seen[int(k)] {
-			seen[int(k)] = true
-			out = append(out, int(k))
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // TestOverlayScriptsMatchAnOracle runs random scripts of Apply and Compact —
@@ -113,7 +45,7 @@ func TestOverlayScriptsMatchAnOracle(t *testing.T) {
 		shadowed, buckets := false, 0 // what the scripts reached, lest they be vacuous
 		for script := int64(1); script <= 6; script++ {
 			rng := rand.New(rand.NewSource(script))
-			s, err := New(storage.NewHashStore(), wavelet.Haar, dims, 0, 0, Config{DisableAutoCompact: true})
+			s, err := New(storetest.NewMap(), wavelet.Haar, dims, 0, 0, Config{DisableAutoCompact: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +128,8 @@ func TestOverlayScriptsMatchAnOracle(t *testing.T) {
 					t.Fatalf("dims %v script %d step %d: %d layers of %d keys, want %d of %d", dims, script, step, st.Layers, st.LayerKeys, layers, len(written))
 				}
 				h := s.head.Load()
-				buckets = max(buckets, len(h.ov.dir)-1)
+				n, _ := h.ov.Buckets()
+				buckets = max(buckets, n)
 				for k := range written {
 					shadowed = shadowed || oracle[k] == 0 && storage.Get(h.rawBase, k) != 0
 				}

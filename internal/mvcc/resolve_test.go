@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
@@ -24,7 +25,7 @@ func TestCompactionTargetFollowsTheLoadersRule(t *testing.T) {
 		{"dense", []int{8, 8}, 24, true},    // Haar of 24 tuples fills most of 64 cells
 		{"sparse", []int{64, 64}, 3, false}, // 3 tuples touch ≤ 147 of 4096
 	} {
-		s, err := New(storage.NewHashStore(), wavelet.Haar, c.dims, 0, 0, Config{DisableAutoCompact: true})
+		s, err := New(storetest.NewMap(), wavelet.Haar, c.dims, 0, 0, Config{DisableAutoCompact: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestResolveReportsBaseFailuresAtCallerPositions(t *testing.T) {
 	// position.
 	cur := s.head.Load()
 	nv := *cur
-	nv.version, nv.ov = 1, newOverlay([]int{baseKeys[0]}, []float64{42})
+	nv.version, nv.ov = 1, storage.NewSorted([]int{baseKeys[0]}, []float64{42})
 	s.head.Store(&nv)
 	check("one overlay entry")
 }
@@ -130,7 +131,7 @@ func TestResolveReportsBaseFailuresAtCallerPositions(t *testing.T) {
 // consult, three scratch slices when there is, at any batch size.
 func TestResolveAllocatesPerCallNotPerKey(t *testing.T) {
 	ctx := context.Background()
-	s, err := New(storage.NewHashStore(), wavelet.Haar, []int{64, 64}, 0, 0, Config{DisableAutoCompact: true})
+	s, err := New(storetest.NewMap(), wavelet.Haar, []int{64, 64}, 0, 0, Config{DisableAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,12 @@ type view struct {
 	// over it (see SetBaseChain).
 	rawBase storage.Store
 	base    storage.Store
-	ov      overlay
+	// ov is every key written since the base was folded, ascending, beside
+	// its newest absolute value. Explicit zeros stay: they shadow a nonzero
+	// base value (a delete). Storing absolutes makes a read one probe and
+	// compaction a merge of two ascending walks, bit-identical by
+	// construction.
+	ov storage.Sorted
 	// tuples is the net tuple weight; mass is Σ|coefficient| (the Theorem-1
 	// constant K), maintained incrementally and carried verbatim across
 	// compaction so bounds are stable; nonzero counts nonzero coefficients.
@@ -101,7 +106,7 @@ func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
 // base as one sub-batch, remapping a partial failure to the caller's
 // positions. It returns how many keys went to the base.
 func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, error) {
-	if len(v.ov.keys) == 0 {
+	if v.ov.Len() == 0 {
 		return len(keys), v.base.BatchGetCtx(ctx, keys, dst)
 	}
 	// The sub-batch scratch is sized from the batch at the first overlay
@@ -109,7 +114,7 @@ func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, err
 	var subKeys []int
 	var subIdx []int // sub-batch position → caller position
 	for i, k := range keys {
-		if val, ok := v.ov.lookup(k); ok {
+		if val, ok := v.ov.Lookup(k); ok {
 			dst[i] = val
 			continue
 		}
@@ -144,8 +149,8 @@ func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, err
 }
 
 // lookupUncounted reads current coefficient values for Apply's merge without
-// counting retrievals (maintenance reads, like Updatable.Add, are not part
-// of the paper's I/O cost measure).
+// counting retrievals (maintenance reads are not part of the paper's I/O
+// cost measure).
 func (v *view) lookupUncounted(ctx context.Context, keys []int, dst []float64) error {
 	_, err := v.resolve(ctx, keys, dst)
 	return err
@@ -162,21 +167,43 @@ func (v *view) ResetStats() { v.retr.Store(0) }
 func (v *view) NonzeroCount() int { return v.nonzero }
 
 // Walk implements storage.Enumerable: it hands fn the view's nonzero
-// coefficients until fn returns false, the overlay's first (ascending), then
-// the base's keys the overlay does not hold, in the base's order. It returns
-// the damage the base met: a mapped file's block failing its check.
+// coefficients in ascending key order until fn returns false, one merge of
+// the overlay and the base's walk. A base key the overlay holds is passed
+// over for the overlay's value, and an explicit zero of the overlay is not
+// handed over. It returns the damage the base met: a mapped file's block
+// failing its check.
 func (v *view) Walk(fn func(key int, value float64) bool) error {
-	for i, k := range v.ov.keys {
-		if val := v.ov.vals[i]; val != 0 && !fn(k, val) {
-			return nil
+	i, n, stopped := 0, v.ov.Len(), false
+	err := v.rawBase.(storage.Enumerable).Walk(func(k int, val float64) bool {
+		for ; i < n; i++ {
+			ovKey, ovVal := v.ov.Entry(i)
+			if ovKey > k {
+				break
+			}
+			if ovKey == k {
+				i, val = i+1, ovVal // the overlay's newer value
+				break
+			}
+			if ovVal != 0 && !fn(ovKey, ovVal) {
+				stopped = true
+				return false
+			}
+		}
+		if val == 0 {
+			return true // an explicit zero of the overlay shadows the base's value
+		}
+		stopped = !fn(k, val)
+		return !stopped
+	})
+	if err != nil || stopped {
+		return err
+	}
+	for ; i < n; i++ {
+		if k, val := v.ov.Entry(i); val != 0 && !fn(k, val) {
+			break
 		}
 	}
-	return v.rawBase.(storage.Enumerable).Walk(func(k int, val float64) bool {
-		if _, shadowed := v.ov.lookup(k); shadowed {
-			return true
-		}
-		return fn(k, val)
-	})
+	return nil
 }
 
 // pageDropper is a base that maps a file (a layout): DropPages hands the
@@ -367,7 +394,7 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 		baseVersion: cur.baseVersion,
 		rawBase:     cur.rawBase,
 		base:        cur.base,
-		ov:          cur.ov.merge(keys, old),
+		ov:          cur.ov.Merge(keys, old),
 		tuples:      cur.tuples + b.TupleWeight(),
 		mass:        mass,
 		nonzero:     nonzero,
@@ -399,7 +426,7 @@ func (s *Store) trimLocked() {
 // maybeCompact starts a single-flight background compaction when the
 // overlay holds more entries than MaxLayerKeys.
 func (s *Store) maybeCompact(v *view) {
-	if s.cfg.DisableAutoCompact || len(v.ov.keys) <= s.cfg.MaxLayerKeys {
+	if s.cfg.DisableAutoCompact || v.ov.Len() <= s.cfg.MaxLayerKeys {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -436,20 +463,17 @@ func (s *Store) Compact(ctx context.Context) error {
 	if snap.version == snap.baseVersion {
 		return nil
 	}
-	// The snapshot knows how many coefficients the fold will write, so the
-	// target is sized once — as an array or a table, by the rule every loader
-	// uses — and is served through the same chain function as the base the
-	// store was opened with.
-	nb := storage.NewMemoryStore(s.cells, snap.nonzero)
-	// The snapshot's own walk is the fold: each nonzero coefficient once, an
-	// explicit zero of the overlay not at all.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := snap.Walk(func(k int, v float64) bool {
-		nb.Add(k, v)
-		return true
-	}); err != nil {
+	// The snapshot's own walk is the fold: one ascending merge of its overlay
+	// and its base, each nonzero coefficient once, an explicit zero of the
+	// overlay not at all. The snapshot knows how many coefficients that is,
+	// so Build sizes the target once — the array or the sparse store, by the
+	// rule every loader uses — and it is served through the same chain
+	// function as the base the store was opened with.
+	nb, err := storage.Build(s.cells, snap.nonzero, snap.Walk)
+	if err != nil {
 		return fmt.Errorf("mvcc: compacting: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -465,7 +489,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		version:     cur.version,
 		baseVersion: snap.version,
 		rawBase:     nb,
-		ov:          cur.ov.without(&snap.ov),
+		ov:          cur.ov.Without(&snap.ov),
 		tuples:      cur.tuples,
 		mass:        cur.mass,
 		nonzero:     cur.nonzero,
@@ -627,7 +651,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Version:         h.version,
 		Layers:          int(h.version - h.baseVersion),
-		LayerKeys:       len(h.ov.keys),
+		LayerKeys:       h.ov.Len(),
 		Retained:        retained,
 		Pinned:          s.pinned.Load(),
 		Applies:         s.applies.Load(),

@@ -441,7 +441,7 @@ func TestCoefficientsAgainstStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewHashStoreFromDense(hat, 0)
+	st := storage.NewSparseStoreFromDense(hat)
 	r, _ := NewRange(s, []int{1, 1}, []int{10, 14})
 	q, _ := Sum(s, r, "x")
 	coeffs, err := q.Coefficients(wavelet.Db4)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/penalty"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 )
 
 // The mixed workload: benchClients concurrent batches over one view, half
@@ -25,11 +26,11 @@ const benchClients = 16
 const ioDelay = 2 * time.Microsecond
 
 // slowStore charges ioDelay per coefficient fetched.
-type slowStore struct{ *storage.HashStore }
+type slowStore struct{ *storetest.Map }
 
 func (s *slowStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	time.Sleep(time.Duration(len(keys)) * ioDelay)
-	return s.HashStore.BatchGetCtx(ctx, keys, dst)
+	return s.Map.BatchGetCtx(ctx, keys, dst)
 }
 
 // runSequential is the PR-1 per-request path: each run executed to its

@@ -11,11 +11,12 @@ import (
 	"repro/internal/penalty"
 	"repro/internal/sparse"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 )
 
 // fixture builds a deterministic batch plan and a hash store holding a
 // pseudo-random coefficient vector.
-func fixture(t testing.TB, queries, coeffsPerQuery, domain int, seed int64) (*core.Plan, *storage.HashStore, float64) {
+func fixture(t testing.TB, queries, coeffsPerQuery, domain int, seed int64) (*core.Plan, *storetest.Map, float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vectors := make([]sparse.Vector, queries)
@@ -30,7 +31,7 @@ func fixture(t testing.TB, queries, coeffsPerQuery, domain int, seed int64) (*co
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := storage.NewHashStore()
+	store := storetest.NewMap()
 	var mass float64
 	for k := 0; k < domain; k++ {
 		if rng.Float64() < 0.6 {

@@ -299,7 +299,7 @@ func TestProgressiveStatisticsThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := core.NewRun(plan, penalty.SSE{}, storage.NewHashStoreFromDense(hat, 0))
+	run := core.NewRun(plan, penalty.SSE{}, storage.NewSparseStoreFromDense(hat))
 	if err := run.RunToCompletionCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}

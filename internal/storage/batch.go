@@ -63,12 +63,6 @@ func (e *BatchError) Unwrap() []error {
 // not know their domain size.
 var errNegativeKey = errors.New("key out of range (negative)")
 
-// negativeKeyPanic is what Add panics with in those stores, in the shape of
-// ArrayStore.Add's out-of-range panic.
-func negativeKeyPanic(key int) string {
-	return fmt.Sprintf("storage: key %d out of range (negative)", key)
-}
-
 // checkBatch enforces the BatchGetCtx length contract.
 func checkBatch(keys []int, dst []float64) {
 	if len(keys) != len(dst) {

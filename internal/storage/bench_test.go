@@ -23,7 +23,7 @@ func BenchmarkParallelReads(b *testing.B) {
 		s    Store
 	}{
 		{"array", NewArrayStore(cells)},
-		{"hash", NewHashStoreFromDense(cells, 0)},
+		{"sparse", NewSparseStoreFromDense(cells)},
 	}
 	for _, st := range stores {
 		b.Run(st.name+"/get", func(b *testing.B) {

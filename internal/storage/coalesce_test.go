@@ -11,16 +11,12 @@ import (
 // gateStore is a concurrent-safe store whose retrievals block on a gate
 // channel, letting tests hold fetches in flight deterministically.
 type gateStore struct {
-	inner *HashStore
+	inner *SparseStore
 	gate  chan struct{} // each fetch call consumes one token
 }
 
-func newGateStore(cells map[int]float64) *gateStore {
-	s := NewHashStore()
-	for k, v := range cells {
-		s.Add(k, v)
-	}
-	return &gateStore{inner: s, gate: make(chan struct{}, 1024)}
+func newGateStore(t testing.TB, cells map[int]float64) *gateStore {
+	return &gateStore{inner: sparseOf(t, cells), gate: make(chan struct{}, 1024)}
 }
 
 func (g *gateStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
@@ -46,7 +42,7 @@ func TestCoalescingGetJoinsInflightFetch(t *testing.T) {
 	// the miss (it becomes a second leader and waits for a second token) and
 	// retry on a fresh store until the join schedule occurs.
 	for attempt := 0; attempt < 50; attempt++ {
-		gs := newGateStore(map[int]float64{7: 42})
+		gs := newGateStore(t, map[int]float64{7: 42})
 		cs := NewCoalescingStore(gs)
 
 		results := make(chan float64, 2)
@@ -92,7 +88,7 @@ func TestCoalescingGetJoinsInflightFetch(t *testing.T) {
 
 func TestCoalescingBatchOverlap(t *testing.T) {
 	cells := map[int]float64{1: 10, 2: 20, 3: 30, 4: 40}
-	gs := newGateStore(cells)
+	gs := newGateStore(t, cells)
 	cs := NewCoalescingStore(gs)
 
 	type res struct{ vals []float64 }
@@ -150,8 +146,7 @@ func TestCoalescingBatchOverlap(t *testing.T) {
 }
 
 func TestCoalescingBatchIntraBatchDuplicates(t *testing.T) {
-	s := NewHashStore()
-	s.Add(5, 50)
+	s := sparseOf(t, map[int]float64{5: 50})
 	cs := NewCoalescingStore(s)
 	dst := make([]float64, 3)
 	BatchGet(cs, []int{5, 5, 5}, dst)
@@ -167,10 +162,11 @@ func TestCoalescingBatchIntraBatchDuplicates(t *testing.T) {
 }
 
 func TestCoalescingValuesMatchUnwrapped(t *testing.T) {
-	s := NewHashStore()
+	m := make(map[int]float64)
 	for k := 0; k < 256; k += 3 {
-		s.Add(k, float64(k)*1.5)
+		m[k] = float64(k) * 1.5
 	}
+	s := sparseOf(t, m)
 	cs := NewCoalescingStore(s)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -209,10 +205,7 @@ func TestCoalescingValuesMatchUnwrapped(t *testing.T) {
 }
 
 func TestCoalescingPassthroughs(t *testing.T) {
-	s := NewHashStore()
-	s.Add(1, 2)
-	cs := NewCoalescingStore(s)
-	s.Add(3, 4)
+	cs := NewCoalescingStore(sparseOf(t, map[int]float64{1: 2, 3: 4}))
 	if cs.NonzeroCount() != 2 {
 		t.Fatalf("NonzeroCount = %d", cs.NonzeroCount())
 	}

@@ -3,6 +3,7 @@ package layout
 import (
 	"context"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -89,6 +90,28 @@ func FuzzOpenLayout(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	// The overflow claim of decodeHeaderBlob: past its plausibility check
+	// the offsets derive computes cannot overflow. A sparse file of a few
+	// keys over 2^62 and 2^63−1 cells, the 256-cell seed with its cells word
+	// rewritten to each (the header checksum fixed), and each of those with
+	// the dense flag set are refused or open with every offset in order.
+	small := fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16})
+	for _, cells := range []int{1 << 62, math.MaxInt64} {
+		headers := [][]byte{
+			fuzzSeedLayout(f, false, WriteOptions{Cells: cells, BlockSize: 16}),
+			withReservedWord(small, preludeSize, 8, uint64(cells)),
+		}
+		for _, h := range headers {
+			dense := slices.Clone(h)
+			binary.LittleEndian.PutUint16(dense[6:8], binary.LittleEndian.Uint16(dense[6:8])|flagDense)
+			for _, seed := range [][]byte{h, dense} {
+				if g, _, err := readHeader(seed); err == nil {
+					checkOffsets(f, g, int64(len(seed)))
+				}
+				f.Add(seed)
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wvls")
@@ -99,11 +122,28 @@ func FuzzOpenLayout(f *testing.F) {
 		if err != nil {
 			return // rejected: the contract for malformed input
 		}
+		checkOffsets(t, &s.g, int64(len(data)))
 		fuzzExercise(t, s)
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close after successful open: %v", err)
 		}
 	})
+}
+
+// checkOffsets fails unless an accepted header's sections start after the
+// prelude, follow one another in order and end at the file's size: no
+// offset overflowed.
+func checkOffsets(t testing.TB, g *geometry, size int64) {
+	t.Helper()
+	offs := []int64{preludeSize, g.dirOff, g.lowsOff, g.blocksOff, g.crcsOff, g.fileSize}
+	for i := 1; i < len(offs); i++ {
+		if offs[i] < offs[i-1] {
+			t.Fatalf("cells %d, nonzero %d, dense %v: section offsets %v out of order", g.cells, g.nonzero, g.dense(), offs)
+		}
+	}
+	if g.fileSize != size {
+		t.Fatalf("cells %d: header accepted for %d bytes, file is %d", g.cells, g.fileSize, size)
+	}
 }
 
 // fuzzExercise drives every fallible read surface of an opened store. The
@@ -122,8 +162,13 @@ func fuzzExercise(t *testing.T, s *Store) {
 	_ = s.Mass()
 
 	spread := []int{-1, s.Size()}
+	// Every step of Size/256 below Size; the loop stops before a step that
+	// would pass Size, whose sum could overflow a domain near 2^63.
 	for k, step := 0, max(1, s.Size()/256); k < s.Size(); k += step {
 		spread = append(spread, k)
+		if k > s.Size()-step {
+			break
+		}
 	}
 	fuzzReads(s, spread)
 

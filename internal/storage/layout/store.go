@@ -28,8 +28,8 @@ import (
 // among the stored keys: the key index gives its bucket's slot range, which
 // a search for its low bytes narrows to the one slot.
 //
-// Store implements storage.Store and Enumerable, not Updatable: a layout is
-// a read-only file. It is the one reader of a .wvls file, served in place
+// Store implements storage.Store and Enumerable: a layout is a read-only
+// file. It is the one reader of a .wvls file, served in place
 // (Open) or from a copy read once (Load). All methods are safe for
 // concurrent use. Every exported method that reads the file's bytes
 // (BatchGetCtx, Verify, Walk) keeps the store reachable until its last read
@@ -343,7 +343,7 @@ const batchCancelStride = 1024
 
 // BatchGetCtx implements storage.Store. A dense file serves each key of a
 // verified block with one load; anything else takes one lookup per key
-// (get). A key inside the domain that is not stored is zero (like the hash
+// (get). A key inside the domain that is not stored is zero (like the sparse
 // store). Failures are per-key — an unreadable or corrupt block fails
 // exactly the positions that resolve into it, reported via
 // *storage.BatchError, and every other position holds a valid value.

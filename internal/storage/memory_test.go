@@ -2,93 +2,91 @@ package storage
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
 func isArray(s Store) bool { _, ok := s.(*ArrayStore); return ok }
 
-// TestNewMemoryStoreRule pins the array-or-table decision on both sides of
-// its boundary and at its edges.
+// TestNewMemoryStoreRule pins the array-or-sparse decision of Build and
+// NewMemoryStoreFromDense at 4·count ≥ cells, on both sides of its boundary
+// and at its edges, and the two benchmark fixtures' densities on the array
+// side: a loaded file and a compaction both build through Build with the
+// view's cells and nonzero count, so each fixture keeps its base kind
+// whichever way it was built.
 func TestNewMemoryStoreRule(t *testing.T) {
 	for _, c := range []struct {
 		name         string
 		cells, count int
 		array        bool
 	}{
-		{"7/32 of a power-of-two domain: table", 1 << 10, 7 << 5, false},
-		{"one more ties: array", 1 << 10, 7<<5 + 1, true},
-		{"the old 7/16 tie: array", 1 << 10, 7 << 6, true},
-		{"7/32 of the benchmark's domain", 1 << 23, 7 << 18, false},
-		{"one more there", 1 << 23, 7<<18 + 1, true},
-		{"the old 7/16 tie there", 1 << 23, 7 << 19, true},
+		{"a quarter of a power-of-two domain: array", 1 << 10, 1 << 8, true},
+		{"one fewer: sparse", 1 << 10, 1<<8 - 1, false},
+		{"a quarter of the benchmark's domain", 1 << 23, 1 << 21, true},
+		{"one fewer there", 1 << 23, 1<<21 - 1, false},
+		{"not a multiple of four, above", 1001, 251, true},
+		{"not a multiple of four, below", 1001, 250, false},
+		{"temp5d, 74.9 % of 2^23", 1 << 23, 6_283_190, true},
+		{"grid2d, 36.8 % of 2^20", 1 << 20, 385_671, true},
 		{"empty", 1 << 10, 0, false},
-		{"empty, tiny domain: the 8-slot floor of a table is still the larger", 8, 0, true},
+		{"empty, one cell", 1, 0, false},
+		{"one key of one cell", 1, 1, true},
 		{"every cell nonzero", 1 << 10, 1 << 10, true},
 		{"a 2^40-cell domain with a small count is never dense", 1 << 40, 100_000, false},
+		{"the largest domain, a quarter full", math.MaxInt, math.MaxInt/4 + 1, true},
+		{"the largest domain, one fewer", math.MaxInt, math.MaxInt / 4, false},
 		{"unknown domain", 0, 1 << 10, false},
-		{"not a power of two, above", 1000, 449, true},
-		{"not a power of two, below", 3000, 449, false},
 	} {
-		if got := isArray(NewMemoryStore(c.cells, c.count)); got != c.array {
-			t.Errorf("%s: NewMemoryStore(%d, %d) array = %v, want %v", c.name, c.cells, c.count, got, c.array)
+		if got := atLeastQuarterFull(c.cells, c.count); got != c.array {
+			t.Errorf("%s: rule(%d cells, %d keys) array = %v, want %v", c.name, c.cells, c.count, got, c.array)
 		}
-	}
-}
-
-// TestNewMemoryStoreNeverAllocatesMoreThanTheTable: whatever sizes a header
-// declares, the array branch is taken only when it is not the larger
-// allocation, so lying about them buys nothing the table did not already
-// cost.
-func TestNewMemoryStoreNeverAllocatesMoreThanTheTable(t *testing.T) {
-	for cellBits := 0; cellBits <= 16; cellBits++ {
-		cells := 1 << cellBits
-		// Every count near a power of two or near the 7/8, 7/16 and 7/32
-		// marks of one, clipped to the domain as the decoder clips it.
-		for bits := 0; bits <= cellBits; bits++ {
-			for _, base := range []int{1 << bits, 7 << bits >> 3, 7 << bits >> 4, 7 << bits >> 5} {
-				for count := max(base-2, 0); count <= min(base+2, cells); count++ {
-					s := NewMemoryStore(cells, count)
-					table := NewHashStoreSized(count)
-					if a, ok := s.(*ArrayStore); ok && len(a.cells)*8 > len(table.cells.slots)*16 {
-						t.Fatalf("cells %d count %d: a %d-byte array over a %d-byte table",
-							cells, count, len(a.cells)*8, len(table.cells.slots)*16)
-					}
-					if h, ok := s.(*HashStore); ok && len(h.cells.slots) != len(table.cells.slots) {
-						t.Fatalf("cells %d count %d: table reserved %d slots, want %d",
-							cells, count, len(h.cells.slots), len(table.cells.slots))
-					}
+		if c.cells > 1<<20 || c.cells <= 0 {
+			continue // the rule alone: no domain to allocate
+		}
+		s, err := Build(c.cells, c.count, func(fn func(int, float64) bool) error {
+			for k := 0; k < c.count; k++ {
+				if !fn(k, 1) {
+					break
 				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := isArray(s); got != c.array || s.NonzeroCount() != c.count {
+			t.Errorf("%s: Build(%d, %d) built %s of %d keys", c.name, c.cells, c.count, Describe(s), s.NonzeroCount())
+		}
+		if c.cells <= 1<<10 {
+			dense := make([]float64, c.cells)
+			for k := 0; k < c.count; k++ {
+				dense[k] = 1
+			}
+			if got := isArray(NewMemoryStoreFromDense(dense)); got != c.array {
+				t.Errorf("%s: NewMemoryStoreFromDense array = %v, want %v", c.name, got, c.array)
 			}
 		}
 	}
 }
 
-// TestArrayStoreCountsAsWritten: NonzeroCount is a field, kept through every
-// zero crossing, not a scan.
+// TestArrayStoreCountsAsWritten: NonzeroCount is a field, taken as the store
+// is built and the same as a scan: a wrapped array counts its nonzero cells
+// once, and Build counts what it stores, not the zeros it is handed.
 func TestArrayStoreCountsAsWritten(t *testing.T) {
 	s := NewArrayStore([]float64{0, 1.5, 0, -2, 0})
 	if s.NonzeroCount() != 2 {
 		t.Fatalf("wrapped array: count %d, want 2", s.NonzeroCount())
 	}
-	steps := []struct {
-		key   int
-		delta float64
-		want  int
-	}{
-		{0, 3, 3},    // zero → nonzero
-		{0, 1, 3},    // nonzero → nonzero
-		{1, -1.5, 2}, // nonzero → zero
-		{1, 0, 2},    // zero stays zero
-		{3, 2, 1},    // -2 + 2
-		{4, -7, 2},
+	keys := []int{0, 1, 3, 4, 6, 7}
+	vals := []float64{3, 0, -1, 0, 2, -0.0}
+	b, err := Build(8, 4, walkOf(keys, vals))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, st := range steps {
-		s.Add(st.key, st.delta)
-		scan := 0
-		s.Walk(func(int, float64) bool { scan++; return true })
-		if s.NonzeroCount() != st.want || scan != st.want {
-			t.Fatalf("after Add(%d, %v): count %d, scan %d, want %d", st.key, st.delta, s.NonzeroCount(), scan, st.want)
-		}
+	scan := 0
+	b.Walk(func(int, float64) bool { scan++; return true })
+	if !isArray(b) || b.NonzeroCount() != 3 || scan != 3 {
+		t.Fatalf("built %s: count %d, scan %d, want an array of 3", Describe(b), b.NonzeroCount(), scan)
 	}
 }
 

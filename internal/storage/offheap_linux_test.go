@@ -54,58 +54,67 @@ func unmappedAfterGC(t *testing.T, addr uintptr) bool {
 	return false
 }
 
-// TestDroppedStoreUnmapsItsMemory: the array NewMemoryStore allocates and a
-// table's slots are mappings (the Go heap never returns its address range to
-// the kernel, so a range that disappears was not heap), and each goes once
-// the store that owns it is unreachable.
-func TestDroppedStoreUnmapsItsMemory(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		make func() (MemoryStore, uintptr)
-	}{
-		{"array", func() (MemoryStore, uintptr) {
-			s := NewMemoryStore(1<<16, 1<<16).(*ArrayStore)
-			return s, uintptr(unsafe.Pointer(&s.cells[0]))
-		}},
-		{"table", func() (MemoryStore, uintptr) {
-			s := NewHashStoreSized(1 << 14)
-			return s, uintptr(unsafe.Pointer(&s.cells.slots[0]))
-		}},
-	} {
-		s, addr := c.make()
-		s.Add(5, 1)
-		if !mapped(t, addr) {
-			t.Fatalf("%s: %#x is not mapped while the store is live", c.name, addr)
+// everyThird is the walk of a store holding key k as k+1 for every third
+// key below cells.
+func everyThird(cells int) func(fn func(int, float64) bool) error {
+	return func(fn func(int, float64) bool) error {
+		for k := 0; k < cells; k += 3 {
+			if !fn(k, float64(k+1)) {
+				break
+			}
 		}
-		if Get(s, 5) != 1 {
-			t.Fatalf("%s: lost a value", c.name)
-		}
-		s = nil
-		if !unmappedAfterGC(t, addr) {
-			t.Fatalf("%s: %#x is still mapped after the store was dropped", c.name, addr)
-		}
+		return nil
 	}
 }
 
-// TestTableGrowthUnmapsOldSlots: a resize releases the slots it moved out of
-// at once, not at the next collection, and the entries survive the move.
-func TestTableGrowthUnmapsOldSlots(t *testing.T) {
-	s := NewHashStoreSized(1000)
-	capacity := len(s.cells.slots)
-	old := uintptr(unsafe.Pointer(&s.cells.slots[0]))
-	if !mapped(t, old) {
-		t.Fatalf("%d-slot table at %#x is not mapped", capacity, old)
+// build is Build of everyThird(cells): into the array of the cells, or into
+// a sparse store of a domain it does not know.
+func build(t *testing.T, cells int, sparse bool) MemoryStore {
+	t.Helper()
+	domain, count := cells, cells
+	if sparse {
+		domain, count = 0, cells/3+1
 	}
-	n := 0
-	for ; len(s.cells.slots) == capacity; n++ {
-		s.Add(n, float64(n+1))
+	s, err := Build(domain, count, everyThird(cells))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mapped(t, old) {
-		t.Fatalf("the table grew %d → %d slots but its old slots at %#x are still mapped", capacity, len(s.cells.slots), old)
-	}
-	for k := 0; k < n; k++ {
-		if got := Get(s, k); got != float64(k+1) {
-			t.Fatalf("key %d reads %v after the move, want %v", k, got, float64(k+1))
+	return s
+}
+
+// TestDroppedStoreUnmapsItsMemory: the array Build allocates and a sparse
+// store's keys and values are mappings (the Go heap never returns its
+// address range to the kernel, so a range that disappears was not heap),
+// and each goes once the store that owns it is unreachable.
+func TestDroppedStoreUnmapsItsMemory(t *testing.T) {
+	const cells = 1 << 16
+	for _, c := range []struct {
+		name string
+		make func() (MemoryStore, []uintptr)
+	}{
+		{"array", func() (MemoryStore, []uintptr) {
+			s := build(t, cells, false).(*ArrayStore)
+			return s, []uintptr{uintptr(unsafe.Pointer(&s.cells[0]))}
+		}},
+		{"sparse", func() (MemoryStore, []uintptr) {
+			s := build(t, cells, true).(*SparseStore)
+			return s, []uintptr{uintptr(unsafe.Pointer(&s.m.keys[0])), uintptr(unsafe.Pointer(&s.m.vals[0]))}
+		}},
+	} {
+		s, addrs := c.make()
+		for _, addr := range addrs {
+			if !mapped(t, addr) {
+				t.Fatalf("%s: %#x is not mapped while the store is live", c.name, addr)
+			}
+		}
+		if Get(s, 6) != 7 {
+			t.Fatalf("%s: lost a value", c.name)
+		}
+		s = nil
+		for _, addr := range addrs {
+			if !unmappedAfterGC(t, addr) {
+				t.Fatalf("%s: %#x is still mapped after the store was dropped", c.name, addr)
+			}
 		}
 	}
 }
@@ -116,7 +125,8 @@ func TestTableGrowthUnmapsOldSlots(t *testing.T) {
 // A reader's last call then holds the only reference; were the store
 // finalized under that call's loop, the loop would read unmapped memory and
 // the process would die of SIGSEGV. A range over the array loads the slice
-// once, so without its KeepAlive ArrayStore.Walk is that loop.
+// once, so without its KeepAlive ArrayStore.Walk is that loop; the sparse
+// store's Walk and lookups index its mapped keys and values the same way.
 // Run with -count=10. A -race build keeps the stores on the heap
 // (offheap_other.go), so this file is not built there.
 func TestMappedStoreOutlivesItsReaders(t *testing.T) {
@@ -125,13 +135,12 @@ func TestMappedStoreOutlivesItsReaders(t *testing.T) {
 		name string
 		make func() MemoryStore
 	}{
-		{"array", func() MemoryStore { return NewMemoryStore(cells, cells) }},
-		{"table", func() MemoryStore { return NewMemoryStore(0, cells/3+1) }},
+		{"array", func() MemoryStore { return build(t, cells, false) }},
+		{"sparse", func() MemoryStore { return build(t, cells, true) }},
 	} {
 		s := c.make()
 		want := 0.0
 		for k := 0; k < cells; k += 3 {
-			s.Add(k, float64(k+1))
 			want += float64(k + 1)
 		}
 		keys := make([]int, cells)
@@ -230,10 +239,10 @@ func vmFlags(t *testing.T, addr uintptr) []string {
 	return nil
 }
 
-// TestStoreMappingsAskForHugePages: NewMemoryStore's array, a table's
-// reserved slots and the slots a resize moves into all carry the
-// MADV_HUGEPAGE advice. The flag records the advice, not whether the kernel
-// found free huge pages, so it does not depend on the host's memory.
+// TestStoreMappingsAskForHugePages: Build's array and a sparse store's keys
+// and values carry the MADV_HUGEPAGE advice. The flag records the advice,
+// not whether the kernel found free huge pages, so it does not depend on the
+// host's memory.
 func TestStoreMappingsAskForHugePages(t *testing.T) {
 	if _, err := os.Stat("/sys/kernel/mm/transparent_hugepage"); err != nil {
 		t.Skipf("kernel without transparent huge pages: %v", err)
@@ -246,16 +255,12 @@ func TestStoreMappingsAskForHugePages(t *testing.T) {
 	}
 
 	const cells = 1 << 19 // 4 MiB of float64
-	array := NewMemoryStore(cells, cells).(*ArrayStore)
+	array := build(t, cells, false).(*ArrayStore)
 	advised("array", uintptr(unsafe.Pointer(&array.cells[0])))
 	runtime.KeepAlive(array)
 
-	s := NewHashStoreSized(1 << 17) // ≥ 2 MiB of 16-byte slots
-	capacity := len(s.cells.slots)
-	advised("reserved slots", uintptr(unsafe.Pointer(&s.cells.slots[0])))
-	for n := 0; len(s.cells.slots) == capacity; n++ {
-		s.Add(n, 1)
-	}
-	advised("resized slots", uintptr(unsafe.Pointer(&s.cells.slots[0])))
+	s := build(t, 1<<20, true).(*SparseStore) // ≥ 2 MiB each of keys and values
+	advised("sparse keys", uintptr(unsafe.Pointer(&s.m.keys[0])))
+	advised("sparse values", uintptr(unsafe.Pointer(&s.m.vals[0])))
 	runtime.KeepAlive(s)
 }

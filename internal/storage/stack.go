@@ -76,8 +76,8 @@ func Describe(top Store) string {
 			name, s = "fault", l.inner
 		case *ArrayStore:
 			name, s = "array", nil
-		case *HashStore:
-			name, s = "hash", nil
+		case *SparseStore:
+			name, s = "sparse", nil
 		case interface{ StackName() string }:
 			name, s = l.StackName(), nil
 		default:

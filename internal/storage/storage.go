@@ -1,22 +1,22 @@
 // Package storage holds the materialized view of the transformed data
 // frequency distribution Δ̂ and implements the paper's I/O cost model:
-// coefficients live in array- or hash-based storage with constant-time
+// coefficients live in array-based or sparse storage with constant-time
 // random access, and the unit of cost is one retrieval per requested
 // coefficient (Section 1.3 of the paper). Every store counts retrievals so
 // that the experiments can report exactly the quantities the paper reports.
 //
-// A view is built once and then only read. Every store takes any number of
-// concurrent readers — the in-memory base stores count retrievals atomically,
-// and a layer with state of its own synchronizes it; a write (Add) needs
-// exclusive access, so writes beside readers go through the multi-version
-// store (internal/mvcc), which never writes a base it serves. A single run
-// retrieves sequentially, matching the paper's model.
+// A view is built once, from keys in ascending order (Build), and then only
+// read. Every store takes any number of concurrent readers — the in-memory
+// base stores count retrievals atomically, and a layer with state of its own
+// synchronizes it — and writes go through the multi-version store
+// (internal/mvcc), which never writes a base it serves: its compaction
+// builds the next one. A single run retrieves sequentially, matching the
+// paper's model.
 package storage
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 )
@@ -47,85 +47,126 @@ type Store interface {
 	NonzeroCount() int
 }
 
-// Updatable is a Store that supports incremental maintenance: adding delta
-// to a single coefficient, which is how tuple inserts propagate into Δ̂.
-type Updatable interface {
-	Store
-	// Add adds delta to the coefficient at key without counting a retrieval.
-	Add(key int, delta float64)
-}
-
 // Enumerable is implemented by stores that can iterate their nonzero
-// coefficients (for persistence and diagnostics): the base stores, a .wvls
-// layout, and an MVCC store or view. Iteration order is unspecified; fn
-// returning false stops the walk. Enumeration does not count retrievals.
-// Walk returns the damage a store meets on the way (a layout file's block or
-// key index failing its check); a store that cannot meet any returns nil.
-// A type assertion is the whole test: no wrapper implements the method, so
-// a store that has it can enumerate. The layers of a Stack and a session's
-// CachedStore forward neither enumeration nor Add: their owner does both on
-// the base.
+// coefficients (for persistence, compaction and diagnostics): the base
+// stores, a .wvls layout, and an MVCC store or view. Iteration is in
+// ascending key order; fn returning false stops the walk. Enumeration does
+// not count retrievals. Walk returns the damage a store meets on the way (a
+// layout file's block or key index failing its check); a store that cannot
+// meet any returns nil. A type assertion is the whole test: no wrapper
+// implements the method, so a store that has it can enumerate. The layers of
+// a Stack and a session's CachedStore do not forward enumeration: their owner
+// walks the base.
 type Enumerable interface {
 	Walk(fn func(key int, value float64) bool) error
 }
 
-// MemoryStore is what a build site fills: an in-memory base store it can add
-// coefficients to and enumerate. Any number of goroutines may read it; a
-// write needs exclusive access.
+// MemoryStore is an in-memory base store: built once (Build,
+// NewMemoryStoreFromDense), then only read, by any number of goroutines, and
+// enumerable in ascending key order.
 type MemoryStore interface {
-	Updatable
+	Store
 	Enumerable
 }
 
-// NewMemoryStore returns the empty in-memory base store for count nonzero
-// coefficients of a domain of cells cells: the paper's array-based storage
-// when the dense array is not larger than the hash table the count would
-// reserve, its hash-based storage otherwise. A slot is 16 bytes and a cell 8,
-// so that is cells ≤ 2·slots(count); for a power-of-two domain, exactly
-// count > 7/32·cells. A tie goes to the array: the same bytes, filled by
-// sequential writes and read by an index instead of a probe. cells ≤ 0 — a
-// domain the caller does not know — selects the table. Every site that
-// builds a base store chooses by this rule: loading a file, MVCC
-// compaction, and building from a dense transform (NewMemoryStoreFromDense).
+// Build returns the in-memory base store of the coefficients walk hands its
+// fn, at most count of them, over a domain of cells cells. walk calls fn once
+// per coefficient in strictly ascending key order — an Enumerable's Walk is
+// one — and a zero value is skipped: a base never stores one. The store is
+// the paper's array-based storage when the dense array is at most twice the
+// sparse store's bytes — 8 B a cell against 16 B a key, so 4·count ≥ cells,
+// at least a quarter full: one index read where the alternative is a
+// directory search — and a SparseStore otherwise. cells ≤ 0, a domain the
+// caller does not know, selects the sparse store. Every site that builds a
+// base store goes through here: loading a file, building a sparse
+// distribution, MVCC compaction.
 //
-// The array is never the larger allocation, so a header that lies about its
-// sizes cannot make this function allocate more than the table its count
-// always cost. Either one lives outside the Go heap (mapSlice), owned by the
-// store it returns and unmapped once that store is unreachable.
-func NewMemoryStore(cells, count int) MemoryStore {
-	if arrayIsNotLarger(cells, count) {
-		s := &ArrayStore{cells: mapSlice[float64](cells)}
-		runtime.SetFinalizer(s, func(s *ArrayStore) { unmapSlice(s.cells) })
-		return s
+// Build reserves its memory once, outside the Go heap (mapSlice), owned by
+// the store it returns and unmapped once that store is unreachable. It
+// refuses a key not above the previous one, a negative key, a key outside
+// [0, cells) when the domain is known, and more than count keys, and then
+// returns no store, as it does when walk returns an error.
+func Build(cells, count int, walk func(fn func(key int, value float64) bool) error) (MemoryStore, error) {
+	if count < 0 {
+		return nil, fmt.Errorf("storage: negative coefficient count %d", count)
 	}
-	return NewHashStoreSized(count)
-}
-
-// NewMemoryStoreFromDense is NewMemoryStore for a domain already held as a
-// dense array: the array itself, not a copy of it, when the rule picks the
-// array; a table of its nonzero cells otherwise.
-func NewMemoryStoreFromDense(cells []float64) MemoryStore {
-	count := 0
-	for _, v := range cells {
-		if v != 0 {
-			count++
+	array := atLeastQuarterFull(cells, count)
+	var (
+		dense []float64
+		keys  []int
+		vals  []float64
+	)
+	if array {
+		dense = mapSlice[float64](cells)
+	} else {
+		keys, vals = mapSlice[int](count), mapSlice[float64](count)
+	}
+	n, prev := 0, -1
+	var refused error
+	err := walk(func(k int, v float64) bool {
+		switch {
+		case k < 0:
+			refused = fmt.Errorf("storage: key %d out of range (negative)", k)
+		case k <= prev:
+			refused = fmt.Errorf("storage: key %d after key %d: keys must ascend", k, prev)
+		case cells > 0 && k >= cells:
+			refused = fmt.Errorf("storage: key %d out of range [0,%d)", k, cells)
+		case v == 0:
+			prev = k
+			return true
+		case n == count:
+			refused = fmt.Errorf("storage: more than the %d coefficients declared", count)
+		default:
+			if array {
+				dense[k] = v
+			} else {
+				keys[n], vals[n] = k, v
+			}
+			n, prev = n+1, k
+			return true
 		}
+		return false
+	})
+	if refused != nil {
+		err = refused
 	}
-	if arrayIsNotLarger(len(cells), count) {
-		return NewArrayStore(cells)
+	if err != nil {
+		unmapSlice(dense)
+		unmapSlice(keys)
+		unmapSlice(vals)
+		return nil, err
 	}
-	return NewHashStoreFromDense(cells, 0)
+	if array {
+		s := &ArrayStore{cells: dense, nonzero: n}
+		runtime.SetFinalizer(s, func(s *ArrayStore) { unmapSlice(s.cells) })
+		return s, nil
+	}
+	return newSparseStore(keys[:n], vals[:n]), nil
 }
 
-// arrayIsNotLarger is NewMemoryStore's rule.
-func arrayIsNotLarger(cells, count int) bool { return cells > 0 && cells <= 2*slotsFor(count) }
+// NewMemoryStoreFromDense is Build for a domain already held as a dense
+// array: the array itself, not a copy of it, when the rule picks the array;
+// a sparse store of its nonzero cells, from one ascending scan, otherwise.
+func NewMemoryStoreFromDense(cells []float64) MemoryStore {
+	a := NewArrayStore(cells)
+	if atLeastQuarterFull(len(cells), a.NonzeroCount()) {
+		return a
+	}
+	return sparseFrom(a)
+}
+
+// atLeastQuarterFull is Build's rule, 4·count ≥ cells, written as count ≥
+// ⌈cells/4⌉ so that no count or domain overflows it.
+func atLeastQuarterFull(cells, count int) bool {
+	return cells > 0 && uint64(count) >= (uint64(cells)+3)/4
+}
 
 // ArrayStore keeps the full dense coefficient array. Access is a bounds
 // check and an index — the paper's "array-based storage".
 //
-// The array NewMemoryStore allocates is a mapping the store owns, released by
-// a finalizer; every method that indexes it ends with runtime.KeepAlive(s),
-// so the store outlives the loop (holding only the slice would not keep the
+// The array Build allocates is a mapping the store owns, released by a
+// finalizer; every method that indexes it ends with runtime.KeepAlive(s), so
+// the store outlives the loop (holding only the slice would not keep the
 // mapping).
 type ArrayStore struct {
 	cells      []float64
@@ -135,8 +176,7 @@ type ArrayStore struct {
 
 // NewArrayStore wraps the given dense coefficient array. The store aliases
 // the slice, owns nothing (the caller's memory stays the caller's) and counts
-// its nonzero cells here, once; from then on it is written only through Add,
-// which keeps the count.
+// its nonzero cells here, once; the caller must not write the slice after.
 func NewArrayStore(cells []float64) *ArrayStore {
 	s := &ArrayStore{cells: cells}
 	for _, v := range cells {
@@ -166,36 +206,19 @@ func (s *ArrayStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return batchError(failed)
 }
 
-// Add implements Updatable.
-func (s *ArrayStore) Add(key int, delta float64) {
-	if key < 0 || key >= len(s.cells) {
-		panic(fmt.Sprintf("storage: key %d out of range [0,%d)", key, len(s.cells)))
-	}
-	old := s.cells[key]
-	v := old + delta
-	s.cells[key] = v
-	switch {
-	case old == 0 && v != 0:
-		s.nonzero++
-	case old != 0 && v == 0:
-		s.nonzero--
-	}
-	runtime.KeepAlive(s)
-}
-
 // Retrievals implements Store.
 func (s *ArrayStore) Retrievals() int64 { return s.retrievals.Load() }
 
 // ResetStats implements Store.
 func (s *ArrayStore) ResetStats() { s.retrievals.Store(0) }
 
-// NonzeroCount implements Store: the count is kept as cells are written.
+// NonzeroCount implements Store: the count is taken when the store is built.
 func (s *ArrayStore) NonzeroCount() int { return s.nonzero }
 
 // Size returns the total number of cells (zero or not).
 func (s *ArrayStore) Size() int { return len(s.cells) }
 
-// Walk implements Enumerable (ascending key order). It never fails.
+// Walk implements Enumerable. It never fails.
 func (s *ArrayStore) Walk(fn func(key int, value float64) bool) error {
 	for k, v := range s.cells {
 		if v != 0 && !fn(k, v) {
@@ -206,50 +229,50 @@ func (s *ArrayStore) Walk(fn func(key int, value float64) bool) error {
 	return nil
 }
 
-// HashStore keeps only nonzero coefficients in a hash table — the paper's
-// "hash-based storage", appropriate when the transform is sparse relative to
-// the domain. The table is a flat open-addressing one (table.go): 16 bytes a
-// slot, at most 7/8 full, outside the Go heap once it outgrows a page. The
-// store owns the table's mapping like NewMemoryStore's ArrayStore does.
-type HashStore struct {
-	cells      table
+// SparseStore keeps only the nonzero coefficients, in one Sorted map — the
+// paper's "hash-based storage" for a transform sparse relative to its
+// domain, with a bucket directory where the hash was: 16 bytes a key and
+// about half a byte of directory. Its keys and values live outside the Go
+// heap (mapSlice), owned by the store and unmapped by a finalizer, like
+// Build's ArrayStore; every method that indexes them ends with
+// runtime.KeepAlive(s). The store does not know its domain, so only negative
+// keys are out of range.
+type SparseStore struct {
+	m          Sorted
 	retrievals atomic.Int64
 }
 
-// NewHashStore returns an empty hash store.
-func NewHashStore() *HashStore { return NewHashStoreSized(0) }
+// HashStore is the sparse store's old name, which the benchmark harness
+// still names; it goes with the harness's FallibleStore.
+type HashStore = SparseStore
 
-// NewHashStoreSized returns an empty hash store with room for n coefficients
-// allocated up front, so a loader that knows its count never rehashes.
-func NewHashStoreSized(n int) *HashStore {
-	s := &HashStore{cells: newTable()}
-	runtime.SetFinalizer(s, func(s *HashStore) { unmapSlice(s.cells.slots) })
-	s.cells.reserve(n)
+// newSparseStore indexes keys and values mapSlice reserved (or any slices
+// the store may own) and hands their mappings to the store's finalizer.
+func newSparseStore(keys []int, vals []float64) *SparseStore {
+	s := &SparseStore{m: NewSorted(keys, vals)}
+	runtime.SetFinalizer(s, func(s *SparseStore) {
+		unmapSlice(s.m.keys[:cap(s.m.keys)])
+		unmapSlice(s.m.vals[:cap(s.m.vals)])
+	})
 	return s
 }
 
-// NewHashStoreFromDense builds a hash store from a dense coefficient array,
-// keeping entries with |value| > tol.
-func NewHashStoreFromDense(cells []float64, tol float64) *HashStore {
-	n := 0
-	for _, v := range cells {
-		if math.Abs(v) > tol {
-			n++
-		}
-	}
-	s := NewHashStoreSized(n)
-	for k, v := range cells {
-		if math.Abs(v) > tol {
-			s.cells.add(k, v)
-		}
-	}
-	runtime.KeepAlive(s)
-	return s
+// NewSparseStoreFromDense builds a sparse store of the nonzero cells of a
+// dense coefficient array, in one ascending scan.
+func NewSparseStoreFromDense(cells []float64) *SparseStore {
+	return sparseFrom(NewArrayStore(cells))
 }
 
-// BatchGetCtx implements Store. The table does not know the domain size,
-// so only negative keys are out of range.
-func (s *HashStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+// sparseFrom is Build of a's nonzero cells into a sparse store: cells 0, a
+// domain Build does not know, selects it, and a's walk ascends and cannot
+// fail.
+func sparseFrom(a *ArrayStore) *SparseStore {
+	s, _ := Build(0, a.NonzeroCount(), a.Walk)
+	return s.(*SparseStore)
+}
+
+// BatchGetCtx implements Store: a directory search per key.
+func (s *SparseStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	checkBatch(keys, dst)
 	if err := ctx.Err(); err != nil {
 		return err
@@ -261,40 +284,33 @@ func (s *HashStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) 
 			failed = append(failed, KeyError{Index: i, Key: k, Err: errNegativeKey})
 			continue
 		}
-		dst[i] = s.cells.get(k)
+		dst[i], _ = s.m.Lookup(k)
 	}
 	runtime.KeepAlive(s)
 	return batchError(failed)
 }
 
-// Add implements Updatable. A negative key panics: no retrieval could ever
-// read it back.
-func (s *HashStore) Add(key int, delta float64) {
-	if key < 0 {
-		panic(negativeKeyPanic(key))
-	}
-	s.cells.add(key, delta)
-	runtime.KeepAlive(s)
-}
-
 // Retrievals implements Store.
-func (s *HashStore) Retrievals() int64 { return s.retrievals.Load() }
+func (s *SparseStore) Retrievals() int64 { return s.retrievals.Load() }
 
 // ResetStats implements Store.
-func (s *HashStore) ResetStats() { s.retrievals.Store(0) }
+func (s *SparseStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements Store.
-func (s *HashStore) NonzeroCount() int { return s.cells.n }
+func (s *SparseStore) NonzeroCount() int { return s.m.Len() }
 
-// Walk implements Enumerable in the table's walk order, which is the same
-// for every store built by the same sequence of Adds. It never fails.
-func (s *HashStore) Walk(fn func(key int, value float64) bool) error {
-	s.cells.forEach(fn)
+// Walk implements Enumerable. It never fails.
+func (s *SparseStore) Walk(fn func(key int, value float64) bool) error {
+	for i := range s.m.keys {
+		if !fn(s.m.keys[i], s.m.vals[i]) {
+			break
+		}
+	}
 	runtime.KeepAlive(s)
 	return nil
 }
 
 var (
 	_ MemoryStore = (*ArrayStore)(nil)
-	_ MemoryStore = (*HashStore)(nil)
+	_ MemoryStore = (*SparseStore)(nil)
 )

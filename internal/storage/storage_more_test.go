@@ -19,10 +19,7 @@ func TestArrayStoreForEachNonzeroEarlyStop(t *testing.T) {
 }
 
 func TestHashStoreForEachNonzeroEarlyStop(t *testing.T) {
-	s := NewHashStore()
-	s.Add(1, 1)
-	s.Add(2, 2)
-	s.Add(3, 3)
+	s := NewSparseStoreFromDense([]float64{0, 1, 2, 3})
 	n := 0
 	if err := s.Walk(func(int, float64) bool { n++; return n < 2 }); err != nil || n != 2 {
 		t.Fatalf("early stop visited %d, err %v", n, err)

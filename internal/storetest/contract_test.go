@@ -1,7 +1,3 @@
-// Package storetest holds the one storage.Store contract matrix: every store
-// type in the repository, local and remote, run against the same assertions.
-// It is its own package because no store package can import all the others
-// without a cycle.
 package storetest
 
 import (
@@ -103,8 +99,8 @@ func openLayout(t *testing.T, want []float64, dense bool) subject {
 	return subject{store: s, want: want, bounded: true}
 }
 
-// eighth keeps every eighth entry of the transform: under the 7/32 where the
-// array is no larger in memory, and under the crossover where a layout's
+// eighth keeps every eighth entry of the transform: under the quarter from
+// which Build picks the array, and under the crossover where a layout's
 // dense shape is smaller.
 func eighth(hat []float64) []float64 {
 	want := make([]float64, len(hat))
@@ -114,9 +110,8 @@ func eighth(hat []float64) []float64 {
 	return want
 }
 
-// memoryStore fills what storage.NewMemoryStore returns for the nonzero
-// entries of want, the way a loader does: ascending keys, count declared up
-// front.
+// memoryStore builds what storage.Build returns for the nonzero entries of
+// want, the way a loader does: ascending keys, count declared up front.
 func memoryStore(t *testing.T, want []float64, wantArray bool) subject {
 	t.Helper()
 	count := 0
@@ -125,16 +120,65 @@ func memoryStore(t *testing.T, want []float64, wantArray bool) subject {
 			count++
 		}
 	}
-	s := storage.NewMemoryStore(len(want), count)
+	s, err := storage.Build(len(want), count, storage.NewArrayStore(want).Walk)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, isArray := s.(*storage.ArrayStore); isArray != wantArray {
 		t.Fatalf("%d coefficients of %d cells are held as %T", count, len(want), s)
 	}
-	for k, v := range want {
-		if v != 0 {
-			s.Add(k, v)
+	return subject{store: s, want: want, bounded: wantArray}
+}
+
+// mvccView opens an MVCC store over the sparse store of hat and applies two
+// batches, the second taking back tuples of the first and of the base, so
+// the overlay holds explicit zeros; folded compacts after the first and
+// leaves the second above the folded base. want is what an oracle that
+// accumulates the same batches holds, not what the view itself reads.
+func mvccView(t *testing.T, hat []float64, tuples int64, folded bool) subject {
+	t.Helper()
+	oracle := NewMap()
+	var mass float64
+	for k, v := range hat {
+		oracle.Add(k, v)
+		mass += math.Abs(v)
+	}
+	s, err := mvcc.New(storage.NewSparseStoreFromDense(hat), wavelet.Db4, dims, tuples, mass, mvcc.Config{DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, b := range []*mvcc.Batch{
+		mvcc.NewBatch().Add([]int{5, 5, 3}, 1).Add([]int{0, 15, 7}, 2),
+		mvcc.NewBatch().Remove([]int{5, 5, 3}).Add([]int{9, 2, 4}, 1),
+	} {
+		delta, err := b.Delta(wavelet.Db4, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Apply(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		for k, d := range delta {
+			oracle.Add(k, d)
+		}
+		if i == 0 && folded {
+			if err := s.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	return subject{store: s, want: want, bounded: wantArray}
+	if layers := s.Stats().Layers; folded && layers != 1 || !folded && layers != 2 {
+		t.Fatalf("folded=%v: %d layers over the base", folded, layers)
+	}
+	want := make([]float64, len(hat))
+	if err := oracle.Walk(func(k int, v float64) bool {
+		want[k] = v
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return subject{store: s.View(), want: want}
 }
 
 // subjects lists every store type; each build returns a fresh store.
@@ -145,8 +189,9 @@ var subjects = []struct {
 	{"array", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: array(hat), want: hat, bounded: true}
 	}},
+	// The sparse store, under its old name.
 	{"hash", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewHashStoreFromDense(hat, 0), want: hat}
+		return subject{store: storage.NewSparseStoreFromDense(hat), want: hat}
 	}},
 	{"memory store, dense", func(t *testing.T, hat []float64, _ int64) subject {
 		return memoryStore(t, hat, true)
@@ -159,7 +204,7 @@ var subjects = []struct {
 		return subject{store: s, want: hat, bounded: true}
 	}},
 	{"coalescing", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewCoalescingStore(storage.NewHashStoreFromDense(hat, 0)), want: hat}
+		return subject{store: storage.NewCoalescingStore(storage.NewSparseStoreFromDense(hat)), want: hat}
 	}},
 	{"zero-rate fault", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewFaultStore(array(hat), storage.FaultConfig{}), want: hat, bounded: true}
@@ -177,35 +222,13 @@ var subjects = []struct {
 		return openLayout(t, eighth(hat), false)
 	}},
 	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
-		cfg := mvcc.Config{DisableAutoCompact: true}
-		var mass float64
-		for _, v := range hat {
-			mass += math.Abs(v)
-		}
-		s, err := mvcc.New(storage.NewHashStoreFromDense(hat, 0), wavelet.Db4, dims, tuples, mass, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, coords := range [][]int{{5, 5, 3}, {0, 15, 7}} {
-			if _, err := s.Apply(context.Background(), mvcc.NewBatch().Add(coords, 1)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if s.Stats().Layers != 2 {
-			t.Fatalf("want 2 layers over the base, have %d", s.Stats().Layers)
-		}
-		view := s.View()
-		want := make([]float64, len(hat))
-		if err := view.(storage.Enumerable).Walk(func(k int, v float64) bool {
-			want[k] = v
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return subject{store: view, want: want}
+		return mvccView(t, hat, tuples, false)
+	}},
+	{"mvcc view over a fold", func(t *testing.T, hat []float64, tuples int64) subject {
+		return mvccView(t, hat, tuples, true)
 	}},
 	{"remote 2-shard coordinator", func(t *testing.T, hat []float64, tuples int64) subject {
-		full := storage.NewHashStoreFromDense(hat, 0)
+		full := storage.NewSparseStoreFromDense(hat)
 		shards := make([]storage.Store, 2)
 		for i := range shards {
 			srv := dist.NewServer(full, codec.ShardMeta{
@@ -338,6 +361,51 @@ func TestStoreContract(t *testing.T) {
 
 			readConcurrently(t, s, plan, distinct, want)
 		})
+	}
+}
+
+// TestEnumerableStoresWalkAscending: every store that enumerates hands over
+// its nonzero coefficients in strictly ascending key order, each once, with
+// the value a read gets — the order a compaction's merge and a loader's
+// Build rely on.
+func TestEnumerableStoresWalkAscending(t *testing.T) {
+	hat, tuples := transformed(t)
+	walked := 0
+	for _, sub := range subjects {
+		t.Run(sub.name, func(t *testing.T) {
+			s := sub.build(t, hat, tuples)
+			enum, ok := s.store.(storage.Enumerable)
+			if !ok {
+				return
+			}
+			walked++
+			prev, n := -1, 0
+			if err := enum.Walk(func(k int, v float64) bool {
+				if k <= prev {
+					t.Fatalf("key %d walked after key %d", k, prev)
+				}
+				if v == 0 || v != s.want[k] {
+					t.Fatalf("key %d walked as %v, want %v", k, v, s.want[k])
+				}
+				prev, n = k, n+1
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			nonzero := 0
+			for _, v := range s.want {
+				if v != 0 {
+					nonzero++
+				}
+			}
+			if n != nonzero || s.store.NonzeroCount() != nonzero {
+				t.Fatalf("walked %d keys, NonzeroCount %d, want %d", n, s.store.NonzeroCount(), nonzero)
+			}
+		})
+	}
+	// array, hash, two memory stores, two layouts, two MVCC views.
+	if walked != 8 {
+		t.Fatalf("%d stores enumerate, want 8", walked)
 	}
 }
 

@@ -115,9 +115,9 @@ func layoutView(s *layout.Store) (*Database, error) {
 // LoadDatabase reads a .wvls database file, written with Save or
 // SaveLayout, into memory. The file is read once, from r's current offset
 // on (layout.Load), and its coefficients are walked in ascending key order
-// into a store sized from the file's header — the dense array or the hash
-// table, whichever storage.NewMemoryStore finds smaller for the declared
-// domain and count — with the coefficient mass summed on the way in. The
+// into the base store storage.Build sizes from the file's header — the
+// dense array when at least a quarter of the declared domain is nonzero, the
+// sparse store otherwise — with the coefficient mass summed on the way in. The
 // filter is resolved from the built-in set by name. Nothing is returned
 // unless every checksum of the file verifies, and the copy of the file is
 // released before LoadDatabase returns: the database serves its own store,
@@ -133,13 +133,14 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	store := storage.NewMemoryStore(h.Schema.Cells(), h.Count)
 	var mass float64
-	if err := s.Walk(func(k int, v float64) bool {
-		store.Add(k, v)
-		mass += math.Abs(v)
-		return true
-	}); err != nil {
+	store, err := storage.Build(h.Schema.Cells(), h.Count, func(fn func(int, float64) bool) error {
+		return s.Walk(func(k int, v float64) bool {
+			mass += math.Abs(v)
+			return fn(k, v)
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	db := newDatabase(h.Schema, filter, store, h.TupleCount, mass)

@@ -1,11 +1,11 @@
 package repro
 
-// Differential tests of the array-or-table decision (storage.NewMemoryStore):
+// Differential tests of the array-or-sparse decision (storage.Build):
 // whichever representation a build site is handed, every value served, every
 // estimate of a progressive drain, every bound and every saved byte is the
 // same. Two files of one shape stand on either side of the rule —
 // savedTemperature has every one of its 2¹⁸ cells nonzero, the sparse file
-// 8 % of them, under the 7/32 past which the rule picks the array.
+// 8 % of them, under the quarter from which the rule picks the array.
 
 import (
 	"bytes"
@@ -56,9 +56,10 @@ func isArrayStore(s storage.Store) bool { _, ok := s.(*storage.ArrayStore); retu
 
 // loadAs is LoadDatabase with the store built from the given sizes instead
 // of the header's, which is how a test reaches the representation the rule
-// did not pick: a domain of 0 (unknown) is always a table, a count equal to
-// the domain always an array. It reads the file with codec.Read, a walk of
-// its own, and sums the mass in ascending key order as LoadDatabase does.
+// did not pick: a domain of 0 (unknown) is always the sparse store, a count
+// equal to the domain always an array. It reads the file with codec.Read, a
+// walk of its own, and sums the mass in ascending key order as LoadDatabase
+// does.
 func loadAs(t *testing.T, file []byte, array bool) *Database {
 	t.Helper()
 	snap, err := codec.Read(bytes.NewReader(file))
@@ -73,11 +74,18 @@ func loadAs(t *testing.T, file []byte, array bool) *Database {
 	if array {
 		cells, count = snap.Schema.Cells(), snap.Schema.Cells()
 	}
-	store := storage.NewMemoryStore(cells, count)
 	var mass float64
-	for i, k := range snap.Keys {
-		store.Add(k, snap.Values[i])
-		mass += math.Abs(snap.Values[i])
+	store, err := storage.Build(cells, count, func(fn func(int, float64) bool) error {
+		for i, k := range snap.Keys {
+			mass += math.Abs(snap.Values[i])
+			if !fn(k, snap.Values[i]) {
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	db := newDatabase(snap.Schema, filter, store, snap.TupleCount, mass)
 	db.windows = snap.Windows
@@ -228,8 +236,8 @@ func serveShards(t *testing.T, servers []*ShardServer) *Database {
 
 // TestShardRepresentationsAgree: shards opened from the file serve its
 // mapping, and shards of the loaded database serve the store the rule picks
-// for the whole file — an array for the dense file, a table for the sparse
-// one; a drain through either deployment, 1- or 2-way, is the single-node
+// for the whole file — an array for the dense file, the sparse store for the
+// sparse one; a drain through either deployment, 1- or 2-way, is the single-node
 // drain.
 func TestShardRepresentationsAgree(t *testing.T) {
 	for _, fx := range representationFixtures {
@@ -248,7 +256,7 @@ func TestShardRepresentationsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			plan := representationPlan(t, db)
-			want := "hash"
+			want := "sparse"
 			if fx.array {
 				want = "array"
 			}
@@ -281,8 +289,8 @@ func TestShardRepresentationsAgree(t *testing.T) {
 // compaction (whose target the same rule picks) serve the same floats, and a
 // snapshot pinned before the fold reads the same before and after it. The
 // applies revisit two tuples, so layers shadow one another and the sparse
-// view stays under 7/32 (≈ 53 000 coefficients): its fold writes a table, the
-// dense one's an array.
+// view stays under a quarter full (≈ 53 000 coefficients): its fold builds
+// the sparse store, the dense one's an array.
 func TestMVCCRepresentationsAgree(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range representationFixtures {
@@ -308,9 +316,6 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got := isArrayStore(storage.NewMemoryStore(db.Schema().Cells(), db.NonzeroCoefficients())); got != fx.array {
-					t.Fatalf("fixture drifted: after the applies the fold's target is array=%v", got)
-				}
 				var err error
 				if pinned[i], err = db.Snapshot(); err != nil {
 					t.Fatal(err)
@@ -324,7 +329,7 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 			if other := dbs[1].mvcc.Mass(); math.Abs(mass-other) > 1e-12*mass {
 				t.Fatalf("masses %v and %v", mass, other)
 			}
-			sameDrain(t, "layered, array vs table base", dbs[0], dbs[1], plan, mass)
+			sameDrain(t, "layered, array vs sparse base", dbs[0], dbs[1], plan, mass)
 			for i, db := range dbs {
 				if err := db.CompactNow(ctx); err != nil {
 					t.Fatal(err)
@@ -335,6 +340,9 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 				if !db.InMemory() {
 					t.Fatal("compaction left a base chain that does not answer from memory")
 				}
+				if got := isArrayStore(db.mvcc.BaseChain()); got != fx.array {
+					t.Fatalf("fixture drifted: the fold built %s", db.StoreStack())
+				}
 				after := pinned[i].Exact(plan)
 				for q := range after {
 					if math.Float64bits(before[i][q]) != math.Float64bits(after[q]) {
@@ -342,7 +350,7 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 					}
 				}
 			}
-			sameDrain(t, "compacted, array vs table base", dbs[0], dbs[1], plan, mass)
+			sameDrain(t, "compacted, array vs sparse base", dbs[0], dbs[1], plan, mass)
 			sameDrain(t, "head vs snapshot pinned before the fold", dbs[0], pinned[1], plan, mass)
 		})
 	}
@@ -354,18 +362,15 @@ var storesOffHeap bool
 
 // allocatesItsStoreOnce checks what load allocates against the store it
 // builds for count of cells coefficients: beyond the array (8 bytes a cell)
-// or the table (16 bytes a slot at most 7/8 full), everything fits in 4 MiB.
-// Where the store is a mapping, none of it is Go heap: the load allocates
-// less than half of the store.
+// or the sparse store (16 bytes a key, and its bucket directory, about half a
+// byte a key on the Go heap), everything fits in 4 MiB. Where the store is a
+// mapping, its keys and values are not Go heap: the load allocates less than
+// half of the store.
 func allocatesItsStoreOnce(t *testing.T, what string, cells, count int, array bool, load func() (stack string, err error)) {
 	t.Helper()
 	storeBytes := uint64(cells) * 8
 	if !array {
-		slots := 8
-		for slots-slots/8 < count {
-			slots *= 2
-		}
-		storeBytes = uint64(slots) * 16
+		storeBytes = uint64(count) * 16
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

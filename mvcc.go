@@ -54,14 +54,16 @@ type MVCCStats = mvcc.Stats
 // immutable snapshots (NewRun/Exact/ExactCtx/Session capture the head at
 // start time and stay bit-stable however many writes land mid-drain), and a
 // background compactor folds the overlay into a fresh base once it holds
-// more than MaxLayerKeys entries.
+// more than MaxLayerKeys entries: one ascending merge of the overlay and the
+// base's walk, built once (storage.Build) into the array or the sparse store
+// by the rule every loader uses. No base is ever written in place.
 //
 // The opened base becomes the frozen version-0 base, with the mass
 // CoefficientMass reports, the declared store stack (retries, fault
 // injection, instrumentation, coalescing — enabled before or after) is built
 // over the base of every view, and the database takes writes beside any
 // number of readers. A mapped layout file is that base as it is: nothing
-// is copied at enable time, and the first compaction folds it and the
+// is copied at enable time, and the first compaction merges it and the
 // overlay into memory. Sessions and runs started earlier keep reading the
 // store they captured. Idempotent; a distributed coordinator cannot enable
 // MVCC.

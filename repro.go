@@ -95,8 +95,9 @@ type Database struct {
 }
 
 // NewDatabase bulk-loads a distribution: one dense separable transform, held
-// as the dense array itself or as a table of its nonzero coefficients,
-// whichever storage.NewMemoryStore's rule finds smaller. The coefficient mass
+// as the dense array itself when at least a quarter of its cells are nonzero,
+// as a sparse store of its nonzero coefficients otherwise (the rule of
+// storage.Build). The coefficient mass
 // is summed in ascending key order while the transform is at hand, as
 // LoadDatabase sums it, so it does not depend on the representation.
 func NewDatabase(dist *Distribution, filter *Filter) (*Database, error) {
@@ -183,8 +184,9 @@ func (db *Database) StoreStack() string {
 // the dense domain — the path for schemas whose cell count dwarfs the
 // record count. Fill-in compounds per dimension (roughly (L·log N)^d per
 // record), so prefer short filters (Haar for COUNT workloads) on
-// high-dimensional huge domains. The coefficients go into the store
-// storage.NewMemoryStore picks, in ascending key order, and the mass is
+// high-dimensional huge domains. The coefficients are built once, in
+// ascending key order, into the base store storage.Build picks — the array
+// at least a quarter full, the sparse store otherwise — and the mass is
 // summed in that order, as LoadDatabase sums it.
 func NewSparseDatabase(dist *SparseDistribution, filter *Filter) (*Database, error) {
 	if dist == nil || filter == nil {
@@ -199,22 +201,29 @@ func NewSparseDatabase(dist *SparseDistribution, filter *Filter) (*Database, err
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	store := storage.NewMemoryStore(dist.Schema.Cells(), len(hat))
 	var mass float64
-	for _, k := range keys {
-		store.Add(k, hat[k])
-		mass += math.Abs(hat[k])
+	store, err := storage.Build(dist.Schema.Cells(), len(keys), func(fn func(int, float64) bool) error {
+		for _, k := range keys {
+			mass += math.Abs(hat[k])
+			if !fn(k, hat[k]) {
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
 	}
 	return newDatabase(dist.Schema, filter, store, dist.TupleCount, mass), nil
 }
 
-// NewEmptyDatabase creates a database with no tuples and mass 0, to be
-// populated through EnableMVCC and Insert.
+// NewEmptyDatabase creates a database with no tuples and mass 0 over an
+// empty sparse store, to be populated through EnableMVCC and Insert.
 func NewEmptyDatabase(schema *Schema, filter *Filter) (*Database, error) {
 	if schema == nil || filter == nil {
 		return nil, fmt.Errorf("repro: nil schema or filter")
 	}
-	return newDatabase(schema, filter, storage.NewHashStore(), 0, 0), nil
+	return newDatabase(schema, filter, storage.NewSparseStoreFromDense(nil), 0, 0), nil
 }
 
 // Schema returns the database schema.

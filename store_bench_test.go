@@ -8,7 +8,7 @@ package repro
 // (32×32×8×32×32, ≈ 6.3 M coefficients, 75 % of the cells), at an eighth of
 // its domain (every one of its 2²⁰ cells nonzero) and on a sparse transform
 // of the full domain (24 records: an eighth of the cells), so that both sides
-// of storage.NewMemoryStore's array-or-table rule keep a row — and both
+// of storage.Build's array-or-sparse rule keep a row — and both
 // shapes of the file: the first two are written dense, the third sparse.
 // Resident bytes are the process's RSS growth across a load (Linux only),
 // since the store lives in an anonymous mapping the heap statistics do not
