@@ -50,13 +50,17 @@ obs-lint:
 	@! grep -rnE '(^|[^.[:alnum:]_])(log\.(Printf|Println|Print|Fatalf?|Fatalln|Panicf?|Panicln)\(|fmt\.(Printf|Println|Print)\(|fmt\.Fprint(f|ln)?\(os\.Std)' internal *.go --include='*.go' | grep -v _test.go \
 		|| { echo "obs-lint: raw console printing in library code; log via internal/obs (slog) instead" >&2; exit 1; }
 
-# internal/core is the request-path package: no reflection sorts there.
-# sort.Slice/sort.SliceStable swap through reflect and call a closure per
-# comparison; profiles of the plan and schedule builds found them three PRs
-# running. Use slices.SortFunc (or a typed sort.Ints/slices.Sort).
+# The request path — the engine (internal/core) and the retrieval layers
+# under it (internal/storage and its layout reader, internal/mvcc,
+# internal/dist) — holds no reflection sorts. sort.Slice/sort.SliceStable
+# swap through reflect and call a closure per comparison; profiles of the
+# plan and schedule builds found them three PRs running. A failure list is
+# ascending by construction (storage.GetAt, storage.MergeFailed) and needs no
+# sort at all. Elsewhere use slices.SortFunc (or a typed sort.Ints/slices.Sort).
+SORT_LINT_DIRS = internal/core internal/storage internal/storage/layout internal/mvcc internal/dist
 sort-lint:
-	@! grep -nE 'sort\.Slice(Stable)?\(' $$(ls internal/core/*.go | grep -v _test.go) \
-		|| { echo "sort-lint: reflection sort in internal/core; use slices.SortFunc" >&2; exit 1; }
+	@! grep -nE 'sort\.Slice(Stable)?\(' $$(ls $(addsuffix /*.go,$(SORT_LINT_DIRS)) | grep -v _test.go) \
+		|| { echo "sort-lint: reflection sort on the request path; use slices.SortFunc" >&2; exit 1; }
 
 # The store stack is declared, not wrapped on by hand: storage.Stack.Build is
 # the one caller of the layer constructors, so their order is written once.
@@ -122,7 +126,9 @@ served-diff:
 # whose reads take a lock of its own, and eight readers share it. So do the
 # MVCC fold-race and drain-while-apply tests: publishing a view's overlay
 # (Apply, and a fold swapping its base under writes) is that package's one
-# concurrency point.
+# concurrency point. So does the coordinator row of the failure contract:
+# its shard goroutines write disjoint positions of one dst through
+# storage.GetAt while failures come back from both shards.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
@@ -130,6 +136,7 @@ race:
 	$(GO) test -race -count=10 -run TestRecorderConcurrentRuns ./internal/core/
 	$(GO) test -race -count=10 -run 'TestStoreContract/cached' ./internal/storetest/
 	$(GO) test -race -count=10 -run 'TestCompactionRacingApply|TestConcurrentDrainWhileApply' ./internal/mvcc/
+	$(GO) test -race -count=10 -run 'TestStoreFailureContract/coordinator' ./internal/storetest/
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
 # process: mutated .wvls view files read into memory, query

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -111,17 +110,10 @@ func (s *ShardServer) Mass() float64 { return s.meta.Mass }
 // FilterName returns the name of the wavelet filter of the served transform.
 func (s *ShardServer) FilterName() string { return s.meta.FilterName }
 
-// DistOptions configures the coordinator's shard clients.
-type DistOptions struct {
-	// DialTimeout bounds connecting (and handshaking) to one shard;
-	// 0 means 2s.
-	DialTimeout time.Duration
-	// RequestTimeout is the per-attempt deadline of one shard round-trip;
-	// 0 means 5s.
-	RequestTimeout time.Duration
-	// PoolSize caps idle connections kept per shard; 0 means 4.
-	PoolSize int
-}
+// DistOptions configures the coordinator's shard clients: dial and
+// per-request timeouts and the idle pool per shard; the zero value selects
+// every default (see dist.ClientConfig).
+type DistOptions = dist.ClientConfig
 
 // OpenDistributed opens a database whose coefficient store lives on the
 // shard servers at addrs (index i of addrs must serve shard i). It dials
@@ -137,11 +129,7 @@ type DistOptions struct {
 // The resulting database is read-only (writes return ErrReadOnly). Close it
 // to release the shard connections.
 func OpenDistributed(addrs []string, opts DistOptions) (*Database, error) {
-	coord, meta, err := dist.Open(addrs, dist.ClientConfig{
-		DialTimeout:    opts.DialTimeout,
-		RequestTimeout: opts.RequestTimeout,
-		PoolSize:       opts.PoolSize,
-	})
+	coord, meta, err := dist.Open(addrs, opts)
 	if err != nil {
 		return nil, err
 	}

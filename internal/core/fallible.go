@@ -98,17 +98,14 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 	}
 	vals := r.batchVals[:b]
 	err := r.store.BatchGetCtx(ctx, r.sched.keys[r.cursor:r.cursor+b], vals)
-	var failed map[int]bool
+	var failed []storage.KeyError // ascending, walked in step with j
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return 0, cerr
 		}
 		var be *storage.BatchError
 		if errors.As(err, &be) {
-			failed = make(map[int]bool, len(be.Failed))
-			for _, ke := range be.Failed {
-				failed[ke.Index] = true
-			}
+			failed = be.Failed
 		} else {
 			// Total failure: no position of vals can be trusted.
 			for j := 0; j < b; j++ {
@@ -120,23 +117,28 @@ func (r *Run) StepBatchCtx(ctx context.Context, b int) (int, error) {
 		}
 	}
 	for j := 0; j < b; j++ {
-		if failed[j] {
+		if len(failed) > 0 && failed[0].Index == j {
+			failed = failed[1:]
 			r.markSkipped(r.cursor + j)
 			continue
 		}
-		v := vals[j]
-		if v == 0 {
-			continue
-		}
-		i := r.sched.order[r.cursor+j]
-		idxs, cs := r.plan.entryRefs(int(i))
-		for k, qi := range idxs {
-			r.estimates[qi] += cs[k] * v
-		}
+		r.apply(r.cursor+j, vals[j])
 	}
 	r.cursor += b
 	r.finishStepBatch(m, start, skippedBefore)
 	return b, nil
+}
+
+// apply adds the retrieved coefficient v of the entry at schedule position
+// sp to the estimate of every query that uses it.
+func (r *Run) apply(sp int, v float64) {
+	if v == 0 {
+		return
+	}
+	idxs, cs := r.plan.entryRefs(int(r.sched.order[sp]))
+	for k, qi := range idxs {
+		r.estimates[qi] += cs[k] * v
+	}
 }
 
 // finishStepBatch is StepBatchCtx's shared exit instrumentation: batch
@@ -177,32 +179,24 @@ func (r *Run) RetrySkipped(ctx context.Context) (int, error) {
 	}
 	vals := make([]float64, len(keys))
 	err := r.store.BatchGetCtx(ctx, keys, vals)
-	var failed map[int]bool
+	var failed []storage.KeyError // ascending, walked in step with j
 	if err != nil {
 		var be *storage.BatchError
 		if !errors.As(err, &be) {
 			return 0, err
 		}
-		failed = make(map[int]bool, len(be.Failed))
-		for _, ke := range be.Failed {
-			failed[ke.Index] = true
-		}
+		failed = be.Failed
 	}
 	keep := r.skipped[:0]
 	recovered := 0
 	for j, sp := range r.skipped {
-		if failed[j] {
+		if len(failed) > 0 && failed[0].Index == j {
+			failed = failed[1:]
 			keep = append(keep, sp)
 			continue
 		}
 		recovered++
-		i := r.sched.order[sp]
-		if v := vals[j]; v != 0 {
-			idxs, cs := r.plan.entryRefs(int(i))
-			for k, qi := range idxs {
-				r.estimates[qi] += cs[k] * v
-			}
-		}
+		r.apply(sp, vals[j])
 	}
 	r.skipped = keep
 	if len(r.skipped) == 0 {

@@ -239,10 +239,10 @@ func rankKey(imp float64) uint64 {
 }
 
 // KeyOrder returns a copy of the schedule's storage keys in retrieval
-// order — keys[j] is retrieved at step j. It is the exported view consumed
-// by the persistent layout writer, which organizes coefficients on disk in
-// exactly this order so a progressive drain becomes a sequential scan. The
-// copy keeps the shared Schedule immutable.
+// order — keys[j] is retrieved at step j. Tests and the benchmark's probes
+// read it to replay a drain's keys against a store; no file is written in
+// this order (every .wvls file is in key order). The copy keeps the shared
+// Schedule immutable.
 func (s *Schedule) KeyOrder() []int {
 	return append([]int(nil), s.keys...)
 }

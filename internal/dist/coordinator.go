@@ -2,10 +2,8 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,7 +191,7 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	prof := obs.ProfileFrom(ctx)
 
 	n := len(c.shards)
-	// Group the caller's positions by owning shard.
+	// Group the caller's positions by owning shard, ascending.
 	positions := make([][]int, n)
 	for i, k := range keys {
 		si := storage.ShardOf(k, n)
@@ -201,8 +199,9 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	}
 
 	var wg sync.WaitGroup
-	// failed[si] holds shard si's contribution to the merged BatchError,
-	// already remapped to the caller's positions. Slot-per-shard: no lock.
+	// failed[si] holds shard si's contribution to the merged BatchError, at
+	// the caller's positions. Slot-per-shard, and each shard writes only its
+	// own positions of dst: no lock.
 	failed := make([][]storage.KeyError, n)
 	for si := 0; si < n; si++ {
 		pos := positions[si]
@@ -213,42 +212,27 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 		go func(si int, pos []int) {
 			defer wg.Done()
 			subStart := time.Now()
-			subKeys := make([]int, len(pos))
-			subDst := make([]float64, len(pos))
-			for j, p := range pos {
-				subKeys[j] = keys[p]
-			}
-			err := c.shards[si].BatchGetCtx(ctx, subKeys, subDst)
-			for j, p := range pos {
-				dst[p] = subDst[j]
-			}
-			var be *storage.BatchError
-			switch {
-			case err == nil:
-				c.noteOK(si, len(pos))
-				prof.AddShard(si, c.addrs[si], len(pos), time.Since(subStart), 0, 0)
-			case errors.As(err, &be):
-				// Partial failure: unlisted positions hold valid values;
-				// remap the listed ones to the caller's indices.
-				kes := make([]storage.KeyError, len(be.Failed))
-				for j, ke := range be.Failed {
-					kes[j] = storage.KeyError{Index: pos[ke.Index], Key: ke.Key, Err: ke.Err}
-				}
-				failed[si] = kes
-				c.noteErr(si, len(pos), len(kes), err)
-				prof.AddShard(si, c.addrs[si], len(pos), time.Since(subStart), len(kes), 0)
-			default:
+			kes, err := storage.GetAt(ctx, c.shards[si], keys, pos, dst, nil)
+			whole := 0
+			if err != nil {
 				// Whole sub-batch untrusted (shard dead, hung, protocol
 				// violation): every key of this shard degrades.
-				kes := make([]storage.KeyError, len(pos))
-				for j, p := range pos {
-					kes[j] = storage.KeyError{Index: p, Key: subKeys[j], Err: err}
+				kes = storage.FailAt(nil, keys, pos, err)
+				for _, p := range pos {
 					dst[p] = 0
+				}
+				whole = len(kes)
+			}
+			if len(kes) == 0 {
+				c.noteOK(si, len(pos))
+			} else {
+				if err == nil {
+					err = &storage.BatchError{Failed: kes}
 				}
 				failed[si] = kes
 				c.noteErr(si, len(pos), len(kes), err)
-				prof.AddShard(si, c.addrs[si], len(pos), time.Since(subStart), len(kes), len(kes))
 			}
+			prof.AddShard(si, c.addrs[si], len(pos), time.Since(subStart), len(kes), whole)
 		}(si, pos)
 	}
 	wg.Wait()
@@ -262,12 +246,11 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	}
 	var merged []storage.KeyError
 	for _, kes := range failed {
-		merged = append(merged, kes...)
+		merged = storage.MergeFailed(merged, kes)
 	}
 	if len(merged) == 0 {
 		return nil
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Index < merged[j].Index })
 	return &storage.BatchError{Failed: merged}
 }
 

@@ -84,9 +84,8 @@ type view struct {
 
 // BatchGetCtx implements storage.Store: overlay hits are resolved in-memory
 // (they cannot fail), the remainder takes one batched base read, and partial
-// base failures are remapped to the caller's positions — so retry,
-// coalescing and degraded-run semantics compose through the overlay
-// unchanged.
+// base failures come back at the caller's positions — so retry, coalescing
+// and degraded-run semantics compose through the overlay unchanged.
 func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	if len(keys) != len(dst) {
 		panic("mvcc: BatchGetCtx keys/dst length mismatch")
@@ -103,49 +102,30 @@ func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
 }
 
 // resolve fills dst from the overlay and fetches the overlay misses from the
-// base as one sub-batch, remapping a partial failure to the caller's
-// positions. It returns how many keys went to the base.
+// base as one sub-batch (storage.GetAt). It returns how many keys went to
+// the base.
 func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, error) {
 	if v.ov.Len() == 0 {
 		return len(keys), v.base.BatchGetCtx(ctx, keys, dst)
 	}
-	// The sub-batch scratch is sized from the batch at the first overlay
-	// miss, so a call allocates a fixed number of slices, not one per growth.
-	var subKeys []int
-	var subIdx []int // sub-batch position → caller position
+	// The miss positions are sized from the batch at the first overlay miss,
+	// so a call allocates a fixed number of slices, not one per growth.
+	var miss []int
 	for i, k := range keys {
 		if val, ok := v.ov.Lookup(k); ok {
 			dst[i] = val
 			continue
 		}
-		if subKeys == nil {
-			subKeys = make([]int, 0, len(keys)-i)
-			subIdx = make([]int, 0, len(keys)-i)
+		if miss == nil {
+			miss = make([]int, 0, len(keys)-i)
 		}
-		subKeys = append(subKeys, k)
-		subIdx = append(subIdx, i)
+		miss = append(miss, i)
 	}
-	if len(subKeys) == 0 {
-		return 0, nil
+	failed, err := storage.GetAt(ctx, v.base, keys, miss, dst, nil)
+	if err == nil && len(failed) > 0 {
+		err = &storage.BatchError{Failed: failed}
 	}
-	subDst := make([]float64, len(subKeys))
-	err := v.base.BatchGetCtx(ctx, subKeys, subDst)
-	// On a partial failure the unlisted positions still hold valid values
-	// (the Store contract); copy everything back and remap the listed ones.
-	for i, j := range subIdx {
-		dst[j] = subDst[i]
-	}
-	if err != nil {
-		var be *storage.BatchError
-		if errors.As(err, &be) {
-			remapped := make([]storage.KeyError, len(be.Failed))
-			for i, ke := range be.Failed {
-				remapped[i] = storage.KeyError{Index: subIdx[ke.Index], Key: ke.Key, Err: ke.Err}
-			}
-			err = &storage.BatchError{Failed: remapped}
-		}
-	}
-	return len(subKeys), err
+	return len(miss), err
 }
 
 // lookupUncounted reads current coefficient values for Apply's merge without

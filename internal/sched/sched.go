@@ -412,7 +412,7 @@ func (s *Scheduler) Stats() Stats {
 // RetryAfter returns the configured backoff hint for overload rejections.
 func (s *Scheduler) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
-// / Closed reports whether Close has begun: admission is rejected and every
+// Closed reports whether Close has begun: admission is rejected and every
 // pending run has been cancelled.
 func (s *Scheduler) Closed() bool {
 	s.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // FallibleStore is the name Store had while an infallible Get/GetBatch
@@ -83,6 +84,86 @@ func batchError(failed []KeyError) error {
 		return nil
 	}
 	return &BatchError{Failed: failed}
+}
+
+// GetAt fetches the positions at (ascending) of a caller's batch keys from s
+// with one BatchGetCtx and writes each value it got to dst[at[j]]. It
+// appends the failures to failed as KeyErrors at the caller's positions, in
+// ascending order, and returns the list; a position that failed is not
+// written. A non-batch error (cancellation, an outage of s) comes back whole
+// with nothing written and failed as it was. An empty at asks nothing of s.
+// It allocates the sub-batch's keys and values, never per key.
+//
+// Every layer that asks the store below for part of its caller's batch —
+// fault injection, retries, the session cache, an MVCC view's overlay
+// misses, the coordinator's shard fan-out — does it through GetAt. The
+// coalescer's lead fetch does not: joiners from other batches read the
+// values it fetched, so they go into its flight, not into one caller's dst.
+func GetAt(ctx context.Context, s Store, keys, at []int, dst []float64, failed []KeyError) ([]KeyError, error) {
+	if len(at) == 0 {
+		return failed, nil
+	}
+	subKeys := make([]int, len(at))
+	for j, p := range at {
+		subKeys[j] = keys[p]
+	}
+	vals := make([]float64, len(at))
+	err := s.BatchGetCtx(ctx, subKeys, vals)
+	var sub []KeyError
+	if err != nil {
+		var be *BatchError
+		if !errors.As(err, &be) {
+			return failed, err
+		}
+		sub = be.Failed
+		failed = slices.Grow(failed, len(sub))
+	}
+	for j, p := range at {
+		if len(sub) > 0 && sub[0].Index == j {
+			failed = append(failed, KeyError{Index: p, Key: keys[p], Err: sub[0].Err})
+			sub = sub[1:]
+			continue
+		}
+		dst[p] = vals[j]
+	}
+	return failed, nil
+}
+
+// MergeFailed merges two failure lists, each in ascending Index order and
+// with no position in both, into one ascending list.
+func MergeFailed(a, b []KeyError) []KeyError {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]KeyError, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].Index < b[0].Index {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// FailAt appends a failure with cause err for each position at (ascending)
+// of the batch keys to failed, and returns the list. A nil at fails every
+// position of keys.
+func FailAt(failed []KeyError, keys, at []int, err error) []KeyError {
+	if at == nil {
+		for i, k := range keys {
+			failed = append(failed, KeyError{Index: i, Key: k, Err: err})
+		}
+		return failed
+	}
+	for _, p := range at {
+		failed = append(failed, KeyError{Index: p, Key: keys[p], Err: err})
+	}
+	return failed
 }
 
 // GetCtx retrieves one coefficient as a batch of one. A per-key failure

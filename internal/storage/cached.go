@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"context"
-	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -48,9 +49,9 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var missKeys []int
-	missAt := make(map[int]int) // key → index into missKeys
-	var hits int64
+	var miss []int              // position of each missing key's first occurrence
+	missAt := make(map[int]int) // key → its first position
+	var hits, repeats int64
 	for i, k := range keys {
 		if v, ok := s.cache[k]; ok {
 			hits++
@@ -60,50 +61,50 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 		if _, ok := missAt[k]; ok {
 			// Shares the first occurrence's fetch — unless that fetch
 			// fails, in which case every position of the key fails below.
-			hits++
+			repeats++
 			continue
 		}
-		missAt[k] = len(missKeys)
-		missKeys = append(missKeys, k)
+		missAt[k] = i
+		miss = append(miss, i)
 	}
+	hits += repeats
 	s.hits.Add(hits)
 	if m := stObs(); m != nil {
 		m.cacheHits.Add(hits)
-		m.cacheMisses.Add(int64(len(missKeys)))
+		m.cacheMisses.Add(int64(len(miss)))
 	}
-	if len(missKeys) == 0 {
+	if len(miss) == 0 {
 		return nil
 	}
-	missVals := make([]float64, len(missKeys))
-	s.misses.Add(int64(len(missKeys)))
-	err := s.inner.BatchGetCtx(ctx, missKeys, missVals)
-	var failed map[int]error // missKeys index → cause
+	s.misses.Add(int64(len(miss)))
+	failed, err := GetAt(ctx, s.inner, keys, miss, dst, nil)
 	if err != nil {
-		var be *BatchError
-		if !errors.As(err, &be) {
-			return err
-		}
-		failed = make(map[int]error, len(be.Failed))
-		for _, ke := range be.Failed {
-			failed[ke.Index] = ke.Err
-		}
+		return err
 	}
-	for j, k := range missKeys {
-		if _, bad := failed[j]; !bad {
-			s.cache[k] = missVals[j]
+	rest := failed
+	for _, p := range miss {
+		if len(rest) > 0 && rest[0].Index == p {
+			rest = rest[1:]
+			continue
 		}
+		s.cache[keys[p]] = dst[p]
 	}
+	if repeats == 0 {
+		return batchError(failed)
+	}
+	// Each later position of a missing key takes its first position's value
+	// or failure.
 	var out []KeyError
 	for i, k := range keys {
-		j, ok := missAt[k]
+		first, ok := missAt[k]
 		if !ok {
 			continue
 		}
-		if cause, bad := failed[j]; bad {
-			out = append(out, KeyError{Index: i, Key: k, Err: cause})
+		if f, bad := slices.BinarySearchFunc(failed, first, func(ke KeyError, p int) int { return cmp.Compare(ke.Index, p) }); bad {
+			out = append(out, KeyError{Index: i, Key: k, Err: failed[f].Err})
 			continue
 		}
-		dst[i] = missVals[j]
+		dst[i] = dst[first]
 	}
 	return batchError(out)
 }

@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"cmp"
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,9 +24,9 @@ import (
 // coefficient, so the paper's cost model per run is untouched.
 //
 // Unlike CachedStore, nothing is retained after a fetch completes: the layer
-// holds only the in-flight window, so it is safe at any store size and never
-// serves stale values once an Add lands (an Add racing an in-flight fetch of
-// the same key has plain Get/Add race semantics, as on the wrapped store).
+// holds only the in-flight window, so it is safe at any store size. No store
+// changes a coefficient in place (an MVCC write publishes a new view over a
+// frozen base), so a joiner reads the value its own fetch would have read.
 type CoalescingStore struct {
 	inner Store
 
@@ -140,7 +138,9 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 	s.counts.coalesced.Add(int64(len(joins)))
 	obs.ProfileFrom(ctx).AddCoalesce(len(keys), len(leadKeys), len(joins))
 
-	var failed []KeyError
+	// The lead fetch writes into lead.vals, not through GetAt into dst:
+	// joiners from other batches read their slots there.
+	var failed, joinFailed []KeyError
 	if len(leadKeys) > 0 {
 		lead.vals = make([]float64, len(leadKeys))
 		err := s.inner.BatchGetCtx(ctx, leadKeys, lead.vals)
@@ -183,13 +183,12 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 		}
 		v, err := jn.ref.result()
 		if err != nil {
-			failed = append(failed, KeyError{Index: jn.pos, Key: keys[jn.pos], Err: err})
+			joinFailed = append(joinFailed, KeyError{Index: jn.pos, Key: keys[jn.pos], Err: err})
 			continue
 		}
 		dst[jn.pos] = v
 	}
-	slices.SortFunc(failed, func(a, b KeyError) int { return cmp.Compare(a.Index, b.Index) })
-	return batchError(failed)
+	return batchError(MergeFailed(failed, joinFailed))
 }
 
 // Stats returns the coalescing counters.

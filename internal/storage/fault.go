@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -126,57 +125,31 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 func (s *FaultStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	checkBatch(keys, dst)
 	var (
-		failed  []KeyError
-		delay   bool
-		good    []int
-		goodPos []int
+		injected []KeyError
+		delay    bool
+		pass     = make([]int, 0, len(keys)) // positions that reach the wrapped store
 	)
 	for i, k := range keys {
 		errNow, delayNow := s.tick()
 		delay = delay || delayNow || s.delayKey(k)
 		if errNow || s.errKey(k) {
-			failed = append(failed, KeyError{Index: i, Key: k, Err: s.cfg.Err})
+			injected = append(injected, KeyError{Index: i, Key: k, Err: s.cfg.Err})
 			continue
 		}
-		good = append(good, k)
-		goodPos = append(goodPos, i)
+		pass = append(pass, i)
 	}
-	obsFaultErrors(int64(len(failed)))
+	obsFaultErrors(int64(len(injected)))
 	if delay {
 		obsFaultDelay()
 		if err := sleepCtx(ctx, s.cfg.Delay); err != nil {
 			return err
 		}
 	}
-	if len(good) > 0 {
-		vals := make([]float64, len(good))
-		err := s.inner.BatchGetCtx(ctx, good, vals)
-		var be *BatchError
-		switch {
-		case err == nil:
-		case errors.As(err, &be):
-			bad := make(map[int]error, len(be.Failed))
-			for _, ke := range be.Failed {
-				bad[ke.Index] = ke.Err
-			}
-			for j, pos := range goodPos {
-				if cause, ok := bad[j]; ok {
-					failed = append(failed, KeyError{Index: pos, Key: good[j], Err: cause})
-					continue
-				}
-				dst[pos] = vals[j]
-			}
-		default:
-			return err
-		}
-		if be == nil {
-			for j, pos := range goodPos {
-				dst[pos] = vals[j]
-			}
-		}
+	failed, err := GetAt(ctx, s.inner, keys, pass, dst, nil)
+	if err != nil {
+		return err
 	}
-	sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
-	return batchError(failed)
+	return batchError(MergeFailed(injected, failed))
 }
 
 // Retrievals implements Store: only retrievals that reached the wrapped

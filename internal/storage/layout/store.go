@@ -367,11 +367,7 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 		}()
 	}
 	if err := s.checkIndex(); err != nil {
-		failed := make([]storage.KeyError, len(keys))
-		for i, k := range keys {
-			failed[i] = storage.KeyError{Index: i, Key: k, Err: err}
-		}
-		return &storage.BatchError{Failed: failed}
+		return &storage.BatchError{Failed: storage.FailAt(nil, keys, nil, err)}
 	}
 	// A dense file serves a run of keys in
 	// verified blocks in two tight loops — check the run, then gather it —

@@ -109,54 +109,33 @@ func (s *RetryStore) exhausted(last error) error {
 // aborts the whole call with ctx.Err().
 func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	checkBatch(keys, dst)
-	// pend maps the positions still unfetched; initially the whole batch.
+	// pend holds the positions still unfetched, ascending; initially the
+	// whole batch.
 	pend := make([]int, len(keys))
 	for i := range pend {
 		pend[i] = i
 	}
-	pendKeys := make([]int, len(keys))
-	copy(pendKeys, keys)
-	vals := make([]float64, len(keys))
-	var lastFailed []KeyError // failures of the most recent attempt, batch-relative
+	var failed []KeyError // failures of the most recent attempt
 	for attempt := 1; attempt <= s.cfg.MaxAttempts; attempt++ {
 		obsRetryAttempts(int64(len(pend)))
 		if attempt > 1 {
 			obs.ProfileFrom(ctx).AddRetry(len(pend))
 		}
 		actx, cancel := s.attemptCtx(ctx)
-		err := s.inner.BatchGetCtx(actx, pendKeys[:len(pend)], vals[:len(pend)])
+		var err error
+		failed, err = GetAt(actx, s.inner, keys, pend, dst, failed[:0])
 		cancel()
-		var be *BatchError
 		switch {
-		case err == nil:
-			for j, pos := range pend {
-				dst[pos] = vals[j]
-			}
-			return nil
-		case errors.As(err, &be):
-			bad := make(map[int]error, len(be.Failed))
-			for _, ke := range be.Failed {
-				bad[ke.Index] = ke.Err
-			}
-			lastFailed = lastFailed[:0]
-			next := 0
-			for j, pos := range pend {
-				if cause, ok := bad[j]; ok {
-					lastFailed = append(lastFailed, KeyError{Index: pos, Key: keys[pos], Err: cause})
-					pend[next] = pos
-					pendKeys[next] = keys[pos]
-					next++
-					continue
-				}
-				dst[pos] = vals[j]
-			}
-			pend = pend[:next]
-		default:
+		case err != nil:
 			// Whole-batch failure: nothing fetched this round, every pending
 			// position failed for the same reason.
-			lastFailed = lastFailed[:0]
-			for _, pos := range pend {
-				lastFailed = append(lastFailed, KeyError{Index: pos, Key: keys[pos], Err: err})
+			failed = FailAt(failed[:0], keys, pend, err)
+		case len(failed) == 0:
+			return nil
+		default:
+			pend = pend[:0]
+			for _, ke := range failed {
+				pend = append(pend, ke.Index)
 			}
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -168,10 +147,9 @@ func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 			}
 		}
 	}
-	obsRetryExhausted(int64(len(lastFailed)))
-	failed := make([]KeyError, len(lastFailed))
-	for i, ke := range lastFailed {
-		failed[i] = KeyError{Index: ke.Index, Key: ke.Key, Err: s.exhausted(ke.Err)}
+	obsRetryExhausted(int64(len(failed)))
+	for i := range failed {
+		failed[i].Err = s.exhausted(failed[i].Err)
 	}
 	return &BatchError{Failed: failed}
 }

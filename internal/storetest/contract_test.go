@@ -134,8 +134,10 @@ func memoryStore(t *testing.T, want []float64, wantArray bool) subject {
 // batches, the second taking back tuples of the first and of the base, so
 // the overlay holds explicit zeros; folded compacts after the first and
 // leaves the second above the folded base. want is what an oracle that
-// accumulates the same batches holds, not what the view itself reads.
-func mvccView(t *testing.T, hat []float64, tuples int64, folded bool) subject {
+// accumulates the same batches holds, not what the view itself reads. A
+// non-nil chain wraps the view's base once the batches are applied; the
+// returned set holds the keys the overlay answers, which never reach it.
+func mvccView(t *testing.T, hat []float64, tuples int64, folded bool, chain func(storage.Store) storage.Store) (subject, map[int]bool) {
 	t.Helper()
 	oracle := NewMap()
 	var mass float64
@@ -148,6 +150,7 @@ func mvccView(t *testing.T, hat []float64, tuples int64, folded bool) subject {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	overlay := make(map[int]bool)
 	for i, b := range []*mvcc.Batch{
 		mvcc.NewBatch().Add([]int{5, 5, 3}, 1).Add([]int{0, 15, 7}, 2),
 		mvcc.NewBatch().Remove([]int{5, 5, 3}).Add([]int{9, 2, 4}, 1),
@@ -161,12 +164,17 @@ func mvccView(t *testing.T, hat []float64, tuples int64, folded bool) subject {
 		}
 		for k, d := range delta {
 			oracle.Add(k, d)
+			overlay[k] = true
 		}
 		if i == 0 && folded {
 			if err := s.Compact(ctx); err != nil {
 				t.Fatal(err)
 			}
+			clear(overlay)
 		}
+	}
+	if chain != nil {
+		s.SetBaseChain(chain)
 	}
 	if layers := s.Stats().Layers; folded && layers != 1 || !folded && layers != 2 {
 		t.Fatalf("folded=%v: %d layers over the base", folded, layers)
@@ -178,7 +186,33 @@ func mvccView(t *testing.T, hat []float64, tuples int64, folded bool) subject {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return subject{store: s.View(), want: want}
+	return subject{store: s.View(), want: want}, overlay
+}
+
+// remoteCoordinator serves served from two shard servers on loopback and
+// returns a coordinator over their remote clients.
+func remoteCoordinator(t *testing.T, served storage.Store, tuples int64) *dist.CoordinatorStore {
+	t.Helper()
+	shards := make([]storage.Store, 2)
+	for i := range shards {
+		srv := dist.NewServer(served, codec.ShardMeta{
+			Names: []string{"x", "y", "m"}, Sizes: dims, FilterName: "Db4", TupleCount: tuples,
+			ShardIndex: i, ShardCount: len(shards), Nonzero: int64(served.NonzeroCount()),
+		}, nil)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { _ = srv.Close() })
+		shards[i] = dist.NewRemoteStore(ln.Addr().String(), dist.ClientConfig{})
+	}
+	coord, err := dist.NewCoordinator(shards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = coord.Close() })
+	return coord
 }
 
 // subjects lists every store type; each build returns a fresh store.
@@ -222,32 +256,15 @@ var subjects = []struct {
 		return openLayout(t, eighth(hat), false)
 	}},
 	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
-		return mvccView(t, hat, tuples, false)
+		s, _ := mvccView(t, hat, tuples, false, nil)
+		return s
 	}},
 	{"mvcc view over a fold", func(t *testing.T, hat []float64, tuples int64) subject {
-		return mvccView(t, hat, tuples, true)
+		s, _ := mvccView(t, hat, tuples, true, nil)
+		return s
 	}},
 	{"remote 2-shard coordinator", func(t *testing.T, hat []float64, tuples int64) subject {
-		full := storage.NewSparseStoreFromDense(hat)
-		shards := make([]storage.Store, 2)
-		for i := range shards {
-			srv := dist.NewServer(full, codec.ShardMeta{
-				Names: []string{"x", "y", "m"}, Sizes: dims, FilterName: "Db4", TupleCount: tuples,
-				ShardIndex: i, ShardCount: len(shards), Nonzero: int64(full.NonzeroCount()),
-			}, nil)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go func() { _ = srv.Serve(ln) }()
-			t.Cleanup(func() { _ = srv.Close() })
-			shards[i] = dist.NewRemoteStore(ln.Addr().String(), dist.ClientConfig{})
-		}
-		coord, err := dist.NewCoordinator(shards, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = coord.Close() })
+		coord := remoteCoordinator(t, storage.NewSparseStoreFromDense(hat), tuples)
 		return subject{store: coord, want: hat, sharesFate: true}
 	}},
 }

@@ -32,17 +32,9 @@ type Version = mvcc.Version
 var ErrVersionNotRetained = mvcc.ErrVersionNotRetained
 
 // MVCCConfig tunes the MVCC store's compaction and retention policy; the
-// zero value selects every default (see internal/mvcc Default*).
-type MVCCConfig struct {
-	// MaxLayerKeys bounds the overlay's entries before background compaction.
-	MaxLayerKeys int
-	// Retain is how many versions behind the head stay addressable by
-	// SnapshotAt (pinned versions are never dropped while pinned).
-	Retain int
-	// DisableAutoCompact turns the background compactor off; compaction then
-	// runs only through explicit CompactNow calls.
-	DisableAutoCompact bool
-}
+// zero value selects every default (see mvcc.Config and the Default*
+// constants of internal/mvcc).
+type MVCCConfig = mvcc.Config
 
 // MVCCStats is a point-in-time snapshot of the MVCC store's counters.
 type MVCCStats = mvcc.Stats
@@ -74,11 +66,7 @@ func (db *Database) EnableMVCC(cfg MVCCConfig) error {
 	if db.coord != nil {
 		return db.readOnlyErr()
 	}
-	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.tuples, db.mass, mvcc.Config{
-		MaxLayerKeys:       cfg.MaxLayerKeys,
-		Retain:             cfg.Retain,
-		DisableAutoCompact: cfg.DisableAutoCompact,
-	})
+	m, err := mvcc.New(db.base, db.filter, db.schema.Sizes, db.tuples, db.mass, cfg)
 	if err != nil {
 		return err
 	}
