@@ -50,14 +50,15 @@ obs-lint:
 	@! grep -rnE '(^|[^.[:alnum:]_])(log\.(Printf|Println|Print|Fatalf?|Fatalln|Panicf?|Panicln)\(|fmt\.(Printf|Println|Print)\(|fmt\.Fprint(f|ln)?\(os\.Std)' internal *.go --include='*.go' | grep -v _test.go \
 		|| { echo "obs-lint: raw console printing in library code; log via internal/obs (slog) instead" >&2; exit 1; }
 
-# The request path — the engine (internal/core) and the retrieval layers
-# under it (internal/storage and its layout reader, internal/mvcc,
+# The request path — batch canonicalisation (internal/query, run on every
+# /prepare and inline /query), the engine (internal/core) and the retrieval
+# layers under it (internal/storage and its layout reader, internal/mvcc,
 # internal/dist) — holds no reflection sorts. sort.Slice/sort.SliceStable
 # swap through reflect and call a closure per comparison; profiles of the
 # plan and schedule builds found them three PRs running. A failure list is
 # ascending by construction (storage.GetAt, storage.MergeFailed) and needs no
 # sort at all. Elsewhere use slices.SortFunc (or a typed sort.Ints/slices.Sort).
-SORT_LINT_DIRS = internal/core internal/storage internal/storage/layout internal/mvcc internal/dist
+SORT_LINT_DIRS = internal/query internal/core internal/storage internal/storage/layout internal/mvcc internal/dist
 sort-lint:
 	@! grep -nE 'sort\.Slice(Stable)?\(' $$(ls $(addsuffix /*.go,$(SORT_LINT_DIRS)) | grep -v _test.go) \
 		|| { echo "sort-lint: reflection sort on the request path; use slices.SortFunc" >&2; exit 1; }
@@ -117,11 +118,14 @@ served-diff:
 
 # The mapped stores' lifetime test runs ten times more: a finalizer that
 # unmapped under a running reader would kill the process, not fail a check.
+# So does the test that a dropped store's finalizer unmaps its memory.
 # It runs without -race, which keeps the stores on the heap (the detector
 # checks only heap addresses) and so has no mapping to lose. So does the
 # loaded view file's, whose bytes a finalizer unmaps too. The concurrent
 # recorder test runs ten times more under -race: the retry, coalescing and
-# step sites write into run recorders that /debug/traces reads live. So does
+# step sites write into run recorders that /debug/profiles reads live. So does
+# the registry's tenant-cap test: one tenant's goroutines register and remove
+# plans while a reader checks the count against the slots. So does
 # the cached row of the store contract: a session cache is the one store
 # whose reads take a lock of its own, and eight readers share it. So do the
 # MVCC fold-race and drain-while-apply tests: publishing a view's overlay
@@ -131,9 +135,9 @@ served-diff:
 # storage.GetAt while failures come back from both shards.
 race:
 	$(GO) test -race ./...
-	$(GO) test -count=10 -run TestMappedStoreOutlivesItsReaders ./internal/storage/
+	$(GO) test -count=10 -run 'TestMappedStoreOutlivesItsReaders|TestDroppedStoreUnmapsItsMemory' ./internal/storage/
 	$(GO) test -count=10 -run TestLoadedStoreOutlivesItsReaders ./internal/storage/layout/
-	$(GO) test -race -count=10 -run TestRecorderConcurrentRuns ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRecorderConcurrentRuns|TestRegistryTenantCapConcurrent' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestStoreContract/cached' ./internal/storetest/
 	$(GO) test -race -count=10 -run 'TestCompactionRacingApply|TestConcurrentDrainWhileApply' ./internal/mvcc/
 	$(GO) test -race -count=10 -run 'TestStoreFailureContract/coordinator' ./internal/storetest/

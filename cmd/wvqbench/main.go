@@ -15,8 +15,8 @@
 // its registry churn realistically evicts the prepared plans; prepared
 // streams recover through the 404 → re-prepare path, which is counted.
 // Requests go through the full HTTP surface (httptest recorders, no
-// sockets), so parse, admission, quotas and response rendering are all on
-// the measured path while network jitter is not.
+// sockets), so parse, admission, plan registration and response rendering
+// are all on the measured path while network jitter is not.
 //
 // 429 rejections are retried with backoff and counted; a prepared stream
 // whose plan was evicted re-prepares (counted) and retries. The report lands
@@ -159,7 +159,7 @@ func run(cfg config, maxActive, maxQueued int, out string) error {
 		Adhoc:     summarize(adhocRep, cfg.Streams, adhocLat, adhocDur),
 		Registry:  reg,
 		Notes: []string{
-			"in-process handler driven through httptest recorders: parse, admission, quotas, scheduling and response rendering are measured; sockets and network jitter are not",
+			"in-process handler driven through httptest recorders: parse, admission, plan registration, scheduling and response rendering are measured; sockets and network jitter are not",
 			"single machine, client goroutines and server share GOMAXPROCS — throughput is a lower bound and the prepared/ad-hoc comparison is the point, not absolute qps (BENCH_core.json convention)",
 			"ad-hoc batches are drawn i.i.d. per request, so virtually every ad-hoc request pays full plan construction; prepared streams share a fixed batch set resolved by handle",
 			"classes run as separate phases at equal concurrency — a concurrent mix on one scheduler shares its queue wait across classes, which would hide exactly the plan-construction cost under comparison; per-class qps divides class requests by phase wall-clock",
@@ -225,11 +225,11 @@ func buildHandler(cfg config, maxActive, maxQueued int) (*server.Handler, error)
 		Sched: sched.Config{
 			MaxActive: maxActive,
 			MaxQueued: maxQueued,
-			// The bench registers arbitrarily many ad-hoc fingerprints under
-			// the anonymous tenant; prepared registrations stay tiny.
-			MaxPreparedPerTenant: -1,
 		},
 		PlanCache: cfg.PlanCache,
+		// The bench registers arbitrarily many ad-hoc fingerprints under
+		// the anonymous tenant; prepared registrations stay tiny.
+		MaxPreparedPerTenant: -1,
 	}), nil
 }
 

@@ -35,10 +35,9 @@
 // step, which ?explain=1 and -slow-query extend into a profile of where the
 // time and the retrievals went. -pprof exposes the debug listener (e.g.
 // -pprof localhost:6060) carrying net/http/pprof, Prometheus metrics at
-// /metrics, the recent runs' bound trajectories at /debug/traces and the
-// recent profiles at /debug/profiles — kept off the public mux so none of
-// it reaches query clients. A shard server's -pprof listener carries
-// net/http/pprof only.
+// /metrics and the recent runs at /debug/profiles, each with its bound
+// trajectory — kept off the public mux so none of it reaches query
+// clients. A shard server's -pprof listener carries net/http/pprof only.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains in-flight
 // requests for -drain-timeout, cancels whatever is still running, and exits.
@@ -184,9 +183,9 @@ func newFlagSet(o *options, shardAddrs *string, retry *repro.RetryConfig, chaos 
 	fs.IntVar(&o.server.Sched.Slice, "slice", 0, "retrievals per scheduling turn (0 = default 512)")
 	fs.IntVar(&o.server.Sched.Workers, "workers", 0, "scheduler worker goroutines (0 = GOMAXPROCS)")
 	fs.IntVar(&o.server.PlanCache, "plan-cache", 0, "prepared plans held in the registry (0 = default 256)")
-	fs.IntVar(&o.server.Sched.MaxPreparedPerTenant, "max-prepared-per-tenant", 0, "prepared plans one tenant may hold (0 = default 32, negative = unlimited)")
+	fs.IntVar(&o.server.MaxPreparedPerTenant, "max-prepared-per-tenant", 0, "prepared plans one tenant may hold (0 = default 32, negative = unlimited)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve pprof, /metrics, /debug/traces and /debug/profiles on this address; a shard server (-shard-listen) serves pprof only (empty = disabled)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve pprof, /metrics and /debug/profiles on this address; a shard server (-shard-listen) serves pprof only (empty = disabled)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
 	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 
@@ -433,8 +432,8 @@ func runShard(dbPath, listen string, index, count int, pprofAddr string, log *sl
 // startDebugListener serves the debug listener on addr in the background,
 // on an explicit mux: net/http/pprof handlers (importing the package only
 // registers on http.DefaultServeMux, which the query server deliberately
-// does not use) and, given an observer, its Prometheus metrics, run
-// trajectories and query profiles. It logs what it serves; the caller
+// does not use) and, given an observer, its Prometheus metrics and the
+// recent runs' profiles. It logs what it serves; the caller
 // closes the returned server.
 func startDebugListener(addr string, o *obs.Observer, log *slog.Logger) *http.Server {
 	mux := http.NewServeMux()
@@ -446,11 +445,9 @@ func startDebugListener(addr string, o *obs.Observer, log *slog.Logger) *http.Se
 	serves := []any{"pprof", "http://" + addr + "/debug/pprof/"}
 	if o != nil {
 		mux.Handle("/metrics", o.MetricsHandler())
-		mux.Handle("/debug/traces", o.TracesHandler())
 		mux.Handle("/debug/profiles", o.ProfilesHandler())
 		serves = append(serves,
 			"metrics", "http://"+addr+"/metrics",
-			"traces", "http://"+addr+"/debug/traces",
 			"profiles", "http://"+addr+"/debug/profiles")
 	}
 	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}

@@ -72,7 +72,7 @@ func TestProfileThroughLayers(t *testing.T) {
 // TestRecorderConcurrentRuns advances several runs in parallel over one
 // layered store, each with its own listed recorder on the context, while a
 // reader renders the observer's run list and the recorders as
-// /debug/traces and ?explain=1 do. Under -race this pins down the recorder
+// /debug/profiles and ?explain=1 do. Under -race this pins down the recorder
 // and counter plumbing on the shared retrieval path: the retry layer writes
 // into a recorder that is read live.
 func TestRecorderConcurrentRuns(t *testing.T) {
@@ -101,7 +101,7 @@ func TestRecorderConcurrentRuns(t *testing.T) {
 				return
 			default:
 			}
-			o.Runs()
+			o.Profiles()
 			for _, p := range profs {
 				p.Snapshot()
 			}
@@ -146,8 +146,8 @@ func TestRecorderConcurrentRuns(t *testing.T) {
 	if want := int64(runs * f.plan.DistinctCoefficients()); requested != want {
 		t.Fatalf("recorders hold %d requested keys, want %d", requested, want)
 	}
-	if listed, total := o.Runs(); len(listed) != runs || total != runs {
-		t.Fatalf("observer lists %d of %d runs, want %d", len(listed), total, runs)
+	if listed, _, total := o.RingStats(); listed != runs || total != runs {
+		t.Fatalf("observer lists %d of %d runs, want %d", listed, total, runs)
 	}
 	snap := reg.Snapshot()
 	if snap["wvq_core_runs_total"] != runs {
@@ -223,16 +223,15 @@ func TestRunTraceBoundTrajectory(t *testing.T) {
 	for stepOne(run) {
 	}
 
-	runs, _ := o.Runs()
-	snap := runs[0]
+	snap := o.Profiles()[0]
 	if !snap.Finished || !snap.Done {
 		t.Fatal("core must mark the run done when it drains")
 	}
-	if len(snap.Points) < 2 {
-		t.Fatalf("only %d points recorded", len(snap.Points))
+	if len(snap.Bound) < 2 {
+		t.Fatalf("only %d points recorded", len(snap.Bound))
 	}
-	for i := 1; i < len(snap.Points); i++ {
-		prev, cur := snap.Points[i-1], snap.Points[i]
+	for i := 1; i < len(snap.Bound); i++ {
+		prev, cur := snap.Bound[i-1], snap.Bound[i]
 		if cur.Retrieved <= prev.Retrieved {
 			t.Fatalf("retrieved not ascending at point %d", i)
 		}
@@ -240,7 +239,7 @@ func TestRunTraceBoundTrajectory(t *testing.T) {
 			t.Fatalf("bound increased from %g to %g at point %d", prev.Bound, cur.Bound, i)
 		}
 	}
-	last := snap.Points[len(snap.Points)-1]
+	last := snap.Bound[len(snap.Bound)-1]
 	if last.Bound != 0 {
 		t.Fatalf("exact run must end at bound 0, got %g", last.Bound)
 	}

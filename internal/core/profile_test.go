@@ -187,8 +187,8 @@ func TestProfileRowsAlignWithBound(t *testing.T) {
 			t.Errorf("%dx%d: trajectory must run from 0 retrieved to bound 0: %+v … %+v",
 				c.x, c.y, snap.Bound[0], snap.Bound[len(snap.Bound)-1])
 		}
-		if runs, _ := o.Runs(); len(runs) != 1 || len(runs[0].Points) != len(snap.Bound) || !runs[0].Done {
-			t.Errorf("%dx%d: /debug/traces run must list the same trajectory", c.x, c.y)
+		if runs := o.Profiles(); len(runs) != 1 || len(runs[0].Bound) != len(snap.Bound) || !runs[0].Done {
+			t.Errorf("%dx%d: /debug/profiles must list the same trajectory", c.x, c.y)
 		}
 	}
 }

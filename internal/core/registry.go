@@ -2,6 +2,8 @@ package core
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +33,14 @@ import (
 //
 // Eviction spares what a tenant asked for: under pressure the least recently
 // used *inline* registration (tenant "") goes first, so one-shot ad-hoc
-// batches cannot push out the /prepare handles a tenant holds quota for;
+// batches cannot push out the /prepare handles a tenant holds;
 // plain LRU applies only once no inline registration is left.
+//
+// The registry is also the one ledger of who holds what: each slot counts
+// against the tenant that registered it until it leaves (eviction, Remove,
+// or a failed build), and Prepare refuses a new registration for a tenant
+// already holding its cap (LimitTenants). The inline tenant "" is never
+// counted.
 type PlanRegistry struct {
 	filter   *wavelet.Filter
 	capacity int
@@ -41,15 +49,12 @@ type PlanRegistry struct {
 	// time, so a prepared handle's first execute pays no schedule sort.
 	warm []penalty.Penalty
 
-	// onEvict, when set, observes every eviction and removal with the
-	// evictee's fingerprint and registering tenant — the server releases
-	// per-tenant quota here. Set before the registry is shared.
-	onEvict func(fingerprint, tenant string)
-
-	mu     sync.Mutex
-	slots  map[string]*planSlot
-	lru    *list.List       // *planSlot values; front = most recently used
-	shapes map[string]*Plan // shape fingerprint → resident template plan
+	mu        sync.Mutex
+	perTenant int // slots one named tenant may register (≤0 = no cap)
+	slots     map[string]*planSlot
+	lru       *list.List       // *planSlot values; front = most recently used
+	shapes    map[string]*Plan // shape fingerprint → resident template plan
+	tenants   map[string]int   // named tenant → resident slots it registered
 
 	hits, misses, evictions, binds atomic.Int64
 }
@@ -79,9 +84,13 @@ type Prepared struct {
 	// Fingerprint is the canonical batch fingerprint — the stable handle.
 	Fingerprint string
 	// Tenant is the tenant that first registered the entry ("" for
-	// anonymous/inline registrations); quota accounting keys on it.
+	// anonymous/inline registrations); the entry counts against it.
 	Tenant string
 }
+
+// ErrTenantCap is wrapped by the error Prepare returns when a tenant already
+// holds as many registrations as LimitTenants allows.
+var ErrTenantCap = errors.New("tenant at its prepared-plan cap")
 
 // DefaultRegistryCapacity bounds the registry when NewPlanRegistry is given
 // a non-positive capacity.
@@ -103,6 +112,8 @@ type RegistryStats struct {
 	// TemplateBinds counts builds served by re-weighting a same-shape
 	// resident plan instead of a full merge.
 	TemplateBinds int64 `json:"template_binds"`
+	// Tenants counts the named tenants holding at least one resident plan.
+	Tenants int `json:"tenants"`
 }
 
 // NewPlanRegistry creates a registry that builds plans under the filter and
@@ -117,6 +128,7 @@ func NewPlanRegistry(f *wavelet.Filter, capacity int) *PlanRegistry {
 		slots:    make(map[string]*planSlot),
 		lru:      list.New(),
 		shapes:   make(map[string]*Plan),
+		tenants:  make(map[string]int),
 	}
 }
 
@@ -125,9 +137,13 @@ func NewPlanRegistry(f *wavelet.Filter, capacity int) *PlanRegistry {
 // from the first execute to prepare time.
 func (r *PlanRegistry) WarmSchedules(pens ...penalty.Penalty) { r.warm = pens }
 
-// OnEvict installs the eviction observer (see the field doc). Must be set
-// before the registry is shared across goroutines.
-func (r *PlanRegistry) OnEvict(fn func(fingerprint, tenant string)) { r.onEvict = fn }
+// LimitTenants caps how many resident plans one named tenant may have
+// registered (≤0 = no cap). Registrations already resident stay.
+func (r *PlanRegistry) LimitTenants(n int) {
+	r.mu.Lock()
+	r.perTenant = n
+	r.mu.Unlock()
+}
 
 // Capacity returns the LRU bound.
 func (r *PlanRegistry) Capacity() int { return r.capacity }
@@ -142,10 +158,11 @@ func (r *PlanRegistry) Len() int {
 // Stats returns a snapshot of the registry counters.
 func (r *PlanRegistry) Stats() RegistryStats {
 	r.mu.Lock()
-	plans := len(r.slots)
+	plans, tenants := len(r.slots), len(r.tenants)
 	r.mu.Unlock()
 	return RegistryStats{
 		Plans:         plans,
+		Tenants:       tenants,
 		Capacity:      r.capacity,
 		Hits:          r.hits.Load(),
 		Misses:        r.misses.Load(),
@@ -159,8 +176,9 @@ func (r *PlanRegistry) Stats() RegistryStats {
 // batch share a single resident plan. The returned permutation maps the
 // caller's query positions into the canonical plan's result slots
 // (canonical slot perm[i] answers caller query i); hit reports whether the
-// plan was already resident. tenant is recorded on first registration for
-// quota accounting.
+// plan was already resident. A new registration counts against tenant; a
+// hit costs nothing. When tenant is named and already holds its cap, a new
+// registration is refused with an error wrapping ErrTenantCap.
 //
 // Errors are not cached: a failed build releases the fingerprint so a later
 // (possibly corrected) batch can retry.
@@ -173,13 +191,19 @@ func (r *PlanRegistry) Prepare(batch query.Batch, tenant string) (prep *Prepared
 	if ok {
 		r.lru.MoveToFront(slot.elem)
 	} else {
+		if tenant != "" && r.perTenant > 0 && r.tenants[tenant] >= r.perTenant {
+			r.mu.Unlock()
+			return nil, nil, false, fmt.Errorf("core: tenant %q holds %d plans: %w", tenant, r.perTenant, ErrTenantCap)
+		}
 		slot = &planSlot{fp: fp, tenant: tenant}
 		slot.elem = r.lru.PushFront(slot)
 		r.slots[fp] = slot
+		if tenant != "" {
+			r.tenants[tenant]++
+		}
+		r.evictLocked()
 	}
-	evicted := r.evictLocked()
 	r.mu.Unlock()
-	r.fireEvictions(evicted)
 
 	if ok {
 		r.hits.Add(1)
@@ -216,17 +240,14 @@ func (r *PlanRegistry) Lookup(handle string) (*Prepared, bool) {
 }
 
 // Remove drops a prepared plan by handle, reporting whether it was resident.
-// The eviction observer fires (quota is released) but the eviction counter
-// does not move — removal is a client action, not cache pressure.
+// The slot returns to its tenant but the eviction counter does not move —
+// removal is a client action, not cache pressure.
 func (r *PlanRegistry) Remove(handle string) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	slot, ok := r.slots[handle]
 	if ok {
 		r.removeSlotLocked(slot)
-	}
-	r.mu.Unlock()
-	if ok && r.onEvict != nil {
-		r.onEvict(slot.fp, slot.tenant)
 	}
 	return ok
 }
@@ -272,11 +293,10 @@ func (r *PlanRegistry) template(shape string) *Plan {
 	return r.shapes[shape]
 }
 
-// evictLocked enforces the capacity bound, returning the evicted slots for
-// observer dispatch outside the lock. The victim is the least recently used
-// inline registration, or the least recently used slot when none is inline.
-func (r *PlanRegistry) evictLocked() []*planSlot {
-	var evicted []*planSlot
+// evictLocked enforces the capacity bound. The victim is the least recently
+// used inline registration, or the least recently used slot when none is
+// inline.
+func (r *PlanRegistry) evictLocked() {
 	for len(r.slots) > r.capacity {
 		victim := r.lru.Back()
 		if victim == nil {
@@ -291,16 +311,22 @@ func (r *PlanRegistry) evictLocked() []*planSlot {
 		slot := victim.Value.(*planSlot)
 		r.removeSlotLocked(slot)
 		r.evictions.Add(1)
-		evicted = append(evicted, slot)
 	}
-	return evicted
 }
 
-// removeSlotLocked unlinks a slot from the map, the LRU list, and — when the
-// slot's plan is the resident template for its shape — the shape index.
+// removeSlotLocked unlinks a slot from the map, the LRU list, its tenant's
+// count and — when the slot's plan is the resident template for its shape —
+// the shape index. Every way a slot leaves the registry passes here.
 func (r *PlanRegistry) removeSlotLocked(slot *planSlot) {
 	delete(r.slots, slot.fp)
 	r.lru.Remove(slot.elem)
+	if slot.tenant != "" {
+		if n := r.tenants[slot.tenant] - 1; n > 0 {
+			r.tenants[slot.tenant] = n
+		} else {
+			delete(r.tenants, slot.tenant)
+		}
+	}
 	if slot.done.Load() && slot.prep != nil {
 		if plan := slot.prep.Plan; r.shapes[plan.shape] == plan {
 			delete(r.shapes, plan.shape)
@@ -309,21 +335,11 @@ func (r *PlanRegistry) removeSlotLocked(slot *planSlot) {
 }
 
 // dropFailed releases a fingerprint whose build errored, so the failure is
-// not cached. No eviction observer fires: a failed build never registered
-// anything.
+// not cached and the slot returns to its tenant.
 func (r *PlanRegistry) dropFailed(fp string, slot *planSlot) {
 	r.mu.Lock()
 	if cur, ok := r.slots[fp]; ok && cur == slot {
 		r.removeSlotLocked(slot)
 	}
 	r.mu.Unlock()
-}
-
-func (r *PlanRegistry) fireEvictions(evicted []*planSlot) {
-	if r.onEvict == nil {
-		return
-	}
-	for _, slot := range evicted {
-		r.onEvict(slot.fp, slot.tenant)
-	}
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -76,14 +79,13 @@ func TestRegistryHitReturnsSamePlan(t *testing.T) {
 }
 
 // TestRegistryEvictsInlineBeforeTenantHandles: one-shot inline batches
-// (tenant "") are the first victims, so the handles a tenant holds quota for
-// survive any amount of ad-hoc traffic, and quota is released once per real
-// eviction.
+// (tenant "") are the first victims, so the handles a tenant holds survive
+// any amount of ad-hoc traffic; an inline eviction returns nothing to a
+// tenant, and a real eviction returns its slot to the registering tenant.
 func TestRegistryEvictsInlineBeforeTenantHandles(t *testing.T) {
 	schema := regSchema(t)
 	r := NewPlanRegistry(wavelet.Db4, 4)
-	released := map[string]int{}
-	r.OnEvict(func(_, tenant string) { released[tenant]++ })
+	r.LimitTenants(2)
 
 	var handles []string
 	for seed := int64(1); seed <= 2; seed++ {
@@ -103,24 +105,31 @@ func TestRegistryEvictsInlineBeforeTenantHandles(t *testing.T) {
 			t.Fatalf("tenant handle %s evicted by inline traffic", h)
 		}
 	}
-	if st := r.Stats(); st.Evictions != 98 || st.Plans != 4 {
-		t.Fatalf("stats %+v, want 98 evictions and 4 resident plans", st)
+	if st := r.Stats(); st.Evictions != 98 || st.Plans != 4 || st.Tenants != 1 {
+		t.Fatalf("stats %+v, want 98 evictions, 4 resident plans, 1 tenant", st)
 	}
-	if released[""] != 98 || released["alice"] != 0 {
-		t.Fatalf("eviction observer saw %v, want 98 inline releases only", released)
+	if _, _, _, err := r.Prepare(regBatch(t, schema, 6, 4), "alice"); !errors.Is(err, ErrTenantCap) {
+		t.Fatalf("inline evictions returned a slot to alice: err=%v", err)
 	}
 
 	// With no inline registration left, plain LRU applies again.
 	for seed := int64(3); seed <= 5; seed++ {
-		if _, _, _, err := r.Prepare(regBatch(t, schema, seed, 4), "bob"); err != nil {
+		tenant := "bob"
+		if seed == 5 {
+			tenant = "carol"
+		}
+		if _, _, _, err := r.Prepare(regBatch(t, schema, seed, 4), tenant); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, ok := r.Lookup(handles[0]); ok {
 		t.Fatalf("least recently used tenant handle survived a registry full of tenant handles")
 	}
-	if released[""] != 100 || released["alice"] != 1 {
-		t.Fatalf("eviction observer saw %v, want 100 inline and 1 alice release", released)
+	if st := r.Stats(); st.Evictions != 101 || st.Tenants != 3 {
+		t.Fatalf("stats %+v, want 101 evictions over 3 tenants", st)
+	}
+	if _, _, _, err := r.Prepare(regBatch(t, schema, 6, 4), "alice"); err != nil {
+		t.Fatalf("the eviction did not return alice's slot: %v", err)
 	}
 }
 
@@ -168,8 +177,7 @@ func TestRegistryPermutedBatchHitsAndMapsResults(t *testing.T) {
 func TestRegistryLRUEviction(t *testing.T) {
 	schema := regSchema(t)
 	r := NewPlanRegistry(wavelet.Db4, 2)
-	var evicted []string
-	r.OnEvict(func(fp, tenant string) { evicted = append(evicted, fp+"/"+tenant) })
+	r.LimitTenants(1)
 
 	b1 := regBatch(t, schema, 10, 4)
 	b2 := regBatch(t, schema, 11, 4)
@@ -182,9 +190,10 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if _, _, _, err := r.Prepare(b2, "t2"); err != nil {
 		t.Fatal(err)
 	}
-	// Touch b1 so b2 is the LRU victim when b3 arrives.
-	if _, _, hit, _ := r.Prepare(b1, "t1"); !hit {
-		t.Fatalf("expected hit on touch")
+	// Touch b1 so b2 is the LRU victim when b3 arrives. A hit costs
+	// nothing, so t1 at its cap of one may touch it.
+	if _, _, hit, err := r.Prepare(b1, "t1"); !hit || err != nil {
+		t.Fatalf("expected a free hit on touch: hit=%v err=%v", hit, err)
 	}
 	if _, _, _, err := r.Prepare(b3, "t3"); err != nil {
 		t.Fatal(err)
@@ -193,18 +202,18 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("registry holds %d plans, want 2", r.Len())
 	}
-	if st := r.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions %d, want 1", st.Evictions)
+	if st := r.Stats(); st.Evictions != 1 || st.Tenants != 2 {
+		t.Fatalf("stats %+v, want 1 eviction and 2 tenants", st)
 	}
-	b2fp := b2.Fingerprint()
-	if len(evicted) != 1 || evicted[0] != b2fp+"/t2" {
-		t.Fatalf("evict observer saw %v, want [%s/t2]", evicted, b2fp)
-	}
-	if _, ok := r.Lookup(b2fp); ok {
-		t.Fatalf("evicted handle still resolves")
+	if _, ok := r.Lookup(b2.Fingerprint()); ok {
+		t.Fatalf("LRU victim b2 still resident")
 	}
 	if _, ok := r.Lookup(p1.Fingerprint); !ok {
-		t.Fatalf("recently-used handle was evicted")
+		t.Fatalf("recently used b1 was evicted")
+	}
+	// The evicted plan's slot went back to t2, which registers again.
+	if _, _, hit, err := r.Prepare(b2, "t2"); err != nil || hit {
+		t.Fatalf("t2 re-registering its evicted plan: hit=%v err=%v", hit, err)
 	}
 }
 
@@ -302,13 +311,16 @@ func TestRegistryConcurrentPrepareBuildsOnce(t *testing.T) {
 func TestRegistryRemoveReleasesHandle(t *testing.T) {
 	schema := regSchema(t)
 	r := NewPlanRegistry(wavelet.Db4, 8)
-	var evicted []string
-	r.OnEvict(func(fp, tenant string) { evicted = append(evicted, tenant) })
+	r.LimitTenants(1)
 	batch := regBatch(t, schema, 6, 4)
+	other := regBatch(t, schema, 7, 4)
 
 	prep, _, _, err := r.Prepare(batch, "carol")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, _, err := r.Prepare(other, "carol"); !errors.Is(err, ErrTenantCap) {
+		t.Fatalf("carol past her cap: err=%v", err)
 	}
 	if !r.Remove(prep.Fingerprint) {
 		t.Fatalf("Remove of resident handle returned false")
@@ -319,15 +331,184 @@ func TestRegistryRemoveReleasesHandle(t *testing.T) {
 	if _, ok := r.Lookup(prep.Fingerprint); ok {
 		t.Fatalf("removed handle still resolves")
 	}
-	if len(evicted) != 1 || evicted[0] != "carol" {
-		t.Fatalf("evict observer saw %v", evicted)
+	if st := r.Stats(); st.Evictions != 0 || st.Tenants != 0 {
+		t.Fatalf("stats %+v: removal counted as eviction or left carol holding", st)
 	}
-	if st := r.Stats(); st.Evictions != 0 {
-		t.Fatalf("explicit removal counted as eviction")
+	if _, _, _, err := r.Prepare(other, "carol"); err != nil {
+		t.Fatalf("Remove did not return carol's slot: %v", err)
 	}
 	// The shape template was released too: re-preparing rebuilds cleanly.
 	if _, _, hit, err := r.Prepare(batch, ""); err != nil || hit {
 		t.Fatalf("re-prepare after remove: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestRegistryTenantCap: a named tenant holds at most its cap; a refusal
+// wraps ErrTenantCap and registers nothing; a hit costs nothing, whoever
+// asks; a failed build returns its slot.
+func TestRegistryTenantCap(t *testing.T) {
+	schema := regSchema(t)
+	r := NewPlanRegistry(wavelet.Db4, 64)
+	r.LimitTenants(2)
+	a := regBatch(t, schema, 1, 4)
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, _, _, err := r.Prepare(regBatch(t, schema, seed, 4), "t"); err != nil {
+			t.Fatalf("registration %d under the cap: %v", seed, err)
+		}
+	}
+	_, _, _, err := r.Prepare(regBatch(t, schema, 3, 4), "t")
+	if !errors.Is(err, ErrTenantCap) {
+		t.Fatalf("third registration at a cap of two: err=%v", err)
+	}
+	if st := r.Stats(); st.Plans != 2 || st.Misses != 2 || st.Hits != 0 || st.Tenants != 1 {
+		t.Fatalf("a refusal registered or counted something: %+v", st)
+	}
+	for _, tenant := range []string{"t", "u", ""} {
+		if _, _, hit, err := r.Prepare(a, tenant); err != nil || !hit {
+			t.Fatalf("hit by %q: hit=%v err=%v", tenant, hit, err)
+		}
+	}
+	if st := r.Stats(); st.Tenants != 1 {
+		t.Fatalf("hits charged a tenant: %+v", st)
+	}
+
+	// A failed build returns its slot: u, at a cap of one, fails and then
+	// registers.
+	ranges, err := query.GridPartition(schema, []int{2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewPlanRegistry(wavelet.Haar, 8) // Haar: zero vanishing moments
+	h.LimitTenants(1)
+	bad := make(query.Batch, len(ranges))
+	for i, rg := range ranges {
+		if bad[i], err = query.SumSquares(schema, rg, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, err := h.Prepare(bad, "u"); err == nil || errors.Is(err, ErrTenantCap) {
+		t.Fatalf("degree-2 batch under Haar: err=%v, want a build error", err)
+	}
+	if st := h.Stats(); st.Tenants != 0 || st.Plans != 0 {
+		t.Fatalf("failed build left %+v", st)
+	}
+	if _, _, _, err := h.Prepare(query.CountBatch(schema, ranges), "u"); err != nil {
+		t.Fatalf("failed build kept u's slot: %v", err)
+	}
+}
+
+// TestRegistryTenantCapUnlimitedAndAnonymous: a cap of zero or below is no
+// cap, and the inline tenant "" is never counted.
+func TestRegistryTenantCapUnlimitedAndAnonymous(t *testing.T) {
+	schema := regSchema(t)
+	for _, limit := range []int{0, -1} {
+		r := NewPlanRegistry(wavelet.Db4, 64)
+		r.LimitTenants(limit)
+		for seed := int64(1); seed <= 4; seed++ {
+			if _, _, _, err := r.Prepare(regBatch(t, schema, seed, 4), "t"); err != nil {
+				t.Fatalf("limit %d: %v", limit, err)
+			}
+		}
+		if st := r.Stats(); st.Tenants != 1 {
+			t.Fatalf("limit %d: stats %+v", limit, st)
+		}
+	}
+	r := NewPlanRegistry(wavelet.Db4, 64)
+	r.LimitTenants(1)
+	for seed := int64(1); seed <= 4; seed++ {
+		if _, _, _, err := r.Prepare(regBatch(t, schema, seed, 4), ""); err != nil {
+			t.Fatalf("inline registration refused: %v", err)
+		}
+	}
+	if st := r.Stats(); st.Tenants != 0 || st.Plans != 4 {
+		t.Fatalf("inline registrations counted: %+v", st)
+	}
+}
+
+// TestRegistryTenantCapConcurrent: goroutines of one tenant register
+// distinct batches and remove them again while a reader checks, under the
+// registry's lock, that the tenant never holds more than its cap and that
+// its count is the number of its resident slots. Run it under -race.
+func TestRegistryTenantCapConcurrent(t *testing.T) {
+	schema := regSchema(t)
+	const limit, workers = 3, 8
+	r := NewPlanRegistry(wavelet.Db4, 64)
+	r.LimitTenants(limit)
+	batches := make([]query.Batch, workers)
+	for w := range batches {
+		batches[w] = regBatch(t, schema, int64(w+1), 3)
+	}
+
+	var refused, granted atomic.Int64
+	stop := make(chan struct{})
+	checked := make(chan error, 1)
+	go func() {
+		var bad error
+		for {
+			r.mu.Lock()
+			held, slots := r.tenants["t"], 0
+			for _, slot := range r.slots {
+				if slot.tenant == "t" {
+					slots++
+				}
+			}
+			r.mu.Unlock()
+			if bad == nil && (held > limit || held != slots) {
+				bad = fmt.Errorf("tenant holds %d (count %d) at a cap of %d", slots, held, limit)
+			}
+			select {
+			case <-stop:
+				checked <- bad
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(b query.Batch) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				prep, _, _, err := r.Prepare(b, "t")
+				switch {
+				case errors.Is(err, ErrTenantCap):
+					refused.Add(1)
+				case err != nil:
+					t.Error(err)
+					return
+				default:
+					granted.Add(1)
+					r.Remove(prep.Fingerprint)
+				}
+			}
+		}(batches[w])
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-checked; err != nil {
+		t.Fatal(err)
+	}
+	if granted.Load() == 0 {
+		t.Fatal("no registration was granted")
+	}
+	if st := r.Stats(); st.Plans != 0 || st.Tenants != 0 {
+		t.Fatalf("after every Remove: %+v", st)
+	}
+
+	// Without removals exactly the cap's worth of distinct batches lands.
+	for w := range batches {
+		wg.Add(1)
+		go func(b query.Batch) {
+			defer wg.Done()
+			if _, _, _, err := r.Prepare(b, "t"); err != nil && !errors.Is(err, ErrTenantCap) {
+				t.Error(err)
+			}
+		}(batches[w])
+	}
+	wg.Wait()
+	if st := r.Stats(); st.Plans != limit || st.Tenants != 1 {
+		t.Fatalf("concurrent registrations: %+v, want %d plans", st, limit)
 	}
 }
 

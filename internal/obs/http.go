@@ -6,25 +6,23 @@ import (
 	"net/http"
 )
 
-// Observer bundles the observability facilities — metrics registry, run
-// recorders, query-profile sink, and structured logger — so layers take one
-// handle instead of four. Any field may be nil; every consumer treats nil
-// as "off".
+// Observer bundles the observability facilities — metrics registry, the
+// ring of recent run recorders, and structured logger — so layers take one
+// handle instead of three. A nil Registry or Log is "off".
 type Observer struct {
 	Registry *Registry
-	Profiles *ProfileSink
 	Log      *slog.Logger
 	// runs holds the recorders of the last DefaultProfileCapacity observed
-	// runs, live ones included (/debug/traces).
+	// runs, live ones included (/debug/profiles).
 	runs *ring[*QueryProfile]
 }
 
-// NewObserver returns an Observer with a fresh registry, default-capacity
-// run and profile rings, and a discard logger (replace Log to get output).
+// NewObserver returns an Observer with a fresh registry, a
+// default-capacity run ring, and a discard logger (replace Log to get
+// output).
 func NewObserver() *Observer {
 	return &Observer{
 		Registry: NewRegistry(),
-		Profiles: &ProfileSink{profiles: newRing[ProfileSnapshot](DefaultProfileCapacity)},
 		Log:      NopLogger(),
 		runs:     newRing[*QueryProfile](DefaultProfileCapacity),
 	}
@@ -32,7 +30,7 @@ func NewObserver() *Observer {
 
 // StartRun starts the recorder of one observed run under the given ID
 // (conventionally the request ID) and label (e.g. the query batch text) and
-// lists it at /debug/traces, live and after it finishes. A nil observer
+// lists it at /debug/profiles, live and after it finishes. A nil observer
 // returns a recorder nobody lists.
 func (o *Observer) StartRun(id, label string) *QueryProfile {
 	p := NewQueryProfile(id, label)
@@ -42,18 +40,27 @@ func (o *Observer) StartRun(id, label string) *QueryProfile {
 	return p
 }
 
-// Runs returns the listed runs, oldest first, live ones included, and the
-// number of runs ever started.
-func (o *Observer) Runs() ([]RunSnapshot, uint64) {
+// Profiles returns the listed runs' profiles, oldest first, live ones
+// included.
+func (o *Observer) Profiles() []ProfileSnapshot {
 	if o == nil || o.runs == nil {
-		return nil, 0
+		return nil
 	}
 	recs := o.runs.items()
-	out := make([]RunSnapshot, len(recs))
+	out := make([]ProfileSnapshot, len(recs))
 	for i, p := range recs {
-		out[i] = p.run()
+		out[i] = p.Snapshot()
 	}
-	return out, o.runs.added()
+	return out
+}
+
+// RingStats reports the run ring: runs currently listed, its depth, and
+// runs ever started (overwritten ones included). All zero on nil.
+func (o *Observer) RingStats() (retained, capacity int, total uint64) {
+	if o == nil || o.runs == nil {
+		return 0, 0, 0
+	}
+	return o.runs.retained(), len(o.runs.buf), o.runs.added()
 }
 
 // Logger returns the observer's logger, or a discard logger when unset —
@@ -81,82 +88,39 @@ func (o *Observer) MetricsHandler() http.Handler {
 	})
 }
 
-// TraceDump is the JSON shape served at /debug/traces.
-type TraceDump struct {
-	// Runs is the listed runs (bound trajectories), oldest first,
-	// including live runs.
-	Runs []RunSnapshot `json:"runs"`
-	// RunsTotal counts runs ever started.
-	RunsTotal uint64 `json:"runs_total"`
-}
-
-// TracesHandler serves the run list as JSON (mounted at /debug/traces on
-// the debug listener). `?request_id=` keeps the runs whose ID matches
-// exactly.
-func (o *Observer) TracesHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if o == nil {
-			http.Error(w, "tracing disabled", http.StatusNotFound)
-			return
-		}
-		reqID := r.URL.Query().Get("request_id")
-		runs, runsTotal := o.Runs()
-		o.writeDump(w, "trace", TraceDump{
-			Runs:      keep(runs, func(rs RunSnapshot) bool { return reqID == "" || rs.ID == reqID }),
-			RunsTotal: runsTotal,
-		})
-	})
-}
-
 // ProfileDump is the JSON shape served at /debug/profiles.
 type ProfileDump struct {
-	// Profiles is the profile ring, oldest first.
+	// Profiles is the run ring's profiles, oldest first, live runs
+	// included.
 	Profiles []ProfileSnapshot `json:"profiles"`
-	// ProfilesTotal counts profiles ever recorded, including overwritten
-	// ones; SlowTotal the subset flagged slow.
+	// ProfilesTotal counts runs ever started, including overwritten ones.
 	ProfilesTotal uint64 `json:"profiles_total"`
-	SlowTotal     uint64 `json:"slow_total"`
 }
 
-// ProfilesHandler serves the query-profile ring as JSON (mounted at
-// /debug/profiles on the debug listener). `?request_id=` keeps profiles
-// whose ID matches exactly; `?slow=1` keeps only slow-flagged profiles.
+// ProfilesHandler serves the run ring as JSON (mounted at /debug/profiles
+// on the debug listener), each run rendered by QueryProfile.Snapshot.
+// `?request_id=` keeps profiles whose ID matches exactly; `?slow=1` keeps
+// only slow-flagged profiles.
 func (o *Observer) ProfilesHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if o == nil || o.Profiles == nil {
+		if o == nil || o.runs == nil {
 			http.Error(w, "profiling disabled", http.StatusNotFound)
 			return
 		}
 		reqID := r.URL.Query().Get("request_id")
 		slowOnly := r.URL.Query().Get("slow") == "1"
-		o.writeDump(w, "profile", ProfileDump{
-			Profiles: keep(o.Profiles.Snapshots(), func(p ProfileSnapshot) bool {
-				return (reqID == "" || p.ID == reqID) && (!slowOnly || p.Slow)
-			}),
-			ProfilesTotal: o.Profiles.Total(),
-			SlowTotal:     o.Profiles.Slow(),
-		})
-	})
-}
-
-// keep returns the values that pass ok, never nil: a dump lists an empty
-// section as [], not null.
-func keep[T any](values []T, ok func(T) bool) []T {
-	out := make([]T, 0, len(values))
-	for _, v := range values {
-		if ok(v) {
-			out = append(out, v)
+		_, _, total := o.RingStats()
+		dump := ProfileDump{Profiles: []ProfileSnapshot{}, ProfilesTotal: total}
+		for _, p := range o.Profiles() {
+			if (reqID == "" || p.ID == reqID) && (!slowOnly || p.Slow) {
+				dump.Profiles = append(dump.Profiles, p)
+			}
 		}
-	}
-	return out
-}
-
-// writeDump serves one debug dump as indented JSON.
-func (o *Observer) writeDump(w http.ResponseWriter, what string, dump any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(dump); err != nil {
-		o.Logger().Warn(what+" dump write failed", "err", err)
-	}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(dump); err != nil {
+			o.Logger().Warn("profile dump write failed", "err", err)
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -148,20 +147,11 @@ type ProfileSnapshot struct {
 	Bound []RunPoint `json:"bound,omitempty"`
 	// Slow marks a profile that crossed the slow-query threshold.
 	Slow bool `json:"slow,omitempty"`
-}
-
-// RunSnapshot is one run as /debug/traces lists it: the recorder's identity,
-// state and bound trajectory.
-type RunSnapshot struct {
-	ID    string    `json:"id"`
-	Label string    `json:"label,omitempty"`
-	Start time.Time `json:"start"`
 	// Done reports the run drained its schedule; Finished that it stopped
 	// advancing (drained, or closed by Finish). A live run is
 	// Finished=false.
-	Done     bool       `json:"done"`
-	Finished bool       `json:"finished"`
-	Points   []RunPoint `json:"points"`
+	Done     bool `json:"done"`
+	Finished bool `json:"finished"`
 }
 
 // MaxProfileRows bounds a recorder's step rows. It is even, so a full list
@@ -170,7 +160,7 @@ const MaxProfileRows = 512
 
 // QueryProfile is one run's recorder. Methods are safe for concurrent use —
 // the coordinator's per-shard goroutines record concurrently with each
-// other, and /debug/traces renders live runs. Every observed request holds
+// other, and /debug/profiles renders live runs. Every observed request holds
 // one, so the struct stays small: the cost breakdown only a profiled run
 // records lives behind costs, made on first use.
 type QueryProfile struct {
@@ -468,7 +458,8 @@ func (p *QueryProfile) Snapshot() ProfileSnapshot {
 		return ProfileSnapshot{}
 	}
 	p.mu.Lock()
-	out := ProfileSnapshot{ID: p.id, Label: p.label, Start: p.start, WallNanos: p.wall.Nanoseconds()}
+	out := ProfileSnapshot{ID: p.id, Label: p.label, Start: p.start, WallNanos: p.wall.Nanoseconds(),
+		Done: p.done, Finished: p.done || p.finished}
 	out.Steps = make([]StepProfile, 0, max(len(p.rows)-1, 0))
 	for k := 1; k < len(p.rows); k++ {
 		r := p.rows[k]
@@ -497,24 +488,6 @@ func (p *QueryProfile) Snapshot() ProfileSnapshot {
 	p.mu.Unlock()
 	sort.Slice(out.Shards, func(i, j int) bool { return out.Shards[i].Shard < out.Shards[j].Shard })
 	return out
-}
-
-// run renders the recorder as /debug/traces lists it.
-func (p *QueryProfile) run() RunSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	points := p.boundLocked()
-	if points == nil {
-		points = []RunPoint{}
-	}
-	return RunSnapshot{
-		ID:       p.id,
-		Label:    p.label,
-		Start:    p.start,
-		Done:     p.done,
-		Finished: p.done || p.finished,
-		Points:   points,
-	}
 }
 
 // boundLocked renders the bound trajectory, one point per row. Nil before
@@ -553,65 +526,6 @@ func ProfileFrom(ctx context.Context) *QueryProfile {
 	return nil
 }
 
-// DefaultProfileCapacity is the depth of the observer's rings: the runs
-// /debug/traces lists and the profiles /debug/profiles retains.
+// DefaultProfileCapacity is the depth of the observer's run ring: the runs
+// /debug/profiles lists.
 const DefaultProfileCapacity = 64
-
-// ProfileSink retains the last DefaultProfileCapacity finished profile
-// snapshots, served at /debug/profiles. Snapshots (not live profiles) are
-// stored so a dump never contends with a running query.
-type ProfileSink struct {
-	profiles *ring[ProfileSnapshot]
-	slow     atomic.Uint64
-}
-
-// Add records one finished profile, overwriting the oldest when full.
-func (s *ProfileSink) Add(snap ProfileSnapshot) {
-	if s == nil {
-		return
-	}
-	if snap.Slow {
-		s.slow.Add(1)
-	}
-	s.profiles.add(snap)
-}
-
-// Snapshots returns the retained profiles, oldest first.
-func (s *ProfileSink) Snapshots() []ProfileSnapshot {
-	if s == nil {
-		return nil
-	}
-	return s.profiles.items()
-}
-
-// Total returns the number of profiles ever recorded.
-func (s *ProfileSink) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.profiles.added()
-}
-
-// Slow returns the number of recorded profiles flagged slow.
-func (s *ProfileSink) Slow() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.slow.Load()
-}
-
-// Len returns the number of profiles currently retained.
-func (s *ProfileSink) Len() int {
-	if s == nil {
-		return 0
-	}
-	return s.profiles.retained()
-}
-
-// Capacity returns the ring's depth (0 on nil).
-func (s *ProfileSink) Capacity() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.profiles.buf)
-}

@@ -75,7 +75,7 @@ func TestRunTraceFinishFirstWins(t *testing.T) {
 	if len(snap.Steps) != 1 || snap.StepNanos != time.Millisecond.Nanoseconds() {
 		t.Fatalf("RecordStep after Finish must be ignored: %+v", snap.Steps)
 	}
-	runs, _ := o.Runs()
+	runs := o.Profiles()
 	if len(runs) != 1 || !runs[0].Finished || runs[0].Done {
 		t.Fatalf("a run closed short of its schedule must read finished, not done: %+v", runs)
 	}
@@ -97,8 +97,7 @@ func TestSetPlanMovesTheClockBack(t *testing.T) {
 	if components := snap.Plan.BuildNanos + snap.Plan.SetupNanos + snap.StepNanos; snap.WallNanos < components {
 		t.Fatalf("wall %dns is shorter than its components %dns", snap.WallNanos, components)
 	}
-	runs, _ := o.Runs()
-	if points := runs[0].Points; len(points) != 2 || points[0].Elapsed < build || points[1].Elapsed < points[0].Elapsed {
+	if points := o.Profiles()[0].Bound; len(points) != 2 || points[0].Elapsed < build || points[1].Elapsed < points[0].Elapsed {
 		t.Fatalf("trajectory %+v: the origin must sit after the build", points)
 	}
 }
@@ -111,20 +110,20 @@ func TestRunsIncludeLiveRecorders(t *testing.T) {
 	live := o.StartRun("live", "")
 	live.Begin(0, 1, 0)
 	live.RecordStep(5, 0, time.Microsecond, 0.5, false)
-	runs, total := o.Runs()
-	if total != DefaultProfileCapacity+3 || len(runs) != DefaultProfileCapacity {
+	runs := o.Profiles()
+	if _, _, total := o.RingStats(); total != DefaultProfileCapacity+3 || len(runs) != DefaultProfileCapacity {
 		t.Fatalf("listed %d of %d runs, want the last %d", len(runs), total, DefaultProfileCapacity)
 	}
 	r := runs[len(runs)-1]
 	if r.ID != "live" || r.Finished || r.Done {
 		t.Fatalf("live run missing or finished: %+v", r)
 	}
-	if len(r.Points) != 2 || r.Points[1].Bound != 0.5 || r.Points[1].Retrieved != 5 {
-		t.Fatalf("live points: %+v", r.Points)
+	if len(r.Bound) != 2 || r.Bound[1].Bound != 0.5 || r.Bound[1].Retrieved != 5 {
+		t.Fatalf("live points: %+v", r.Bound)
 	}
 }
 
-// TestRecorderLiveReads renders a run while it records, as /debug/traces
+// TestRecorderLiveReads renders a run while it records, as /debug/profiles
 // and a coordinator's shard goroutines do (run it under -race).
 func TestRecorderLiveReads(t *testing.T) {
 	o := NewObserver()
@@ -148,7 +147,7 @@ func TestRecorderLiveReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			runs, _ := o.Runs()
+			runs := o.Profiles()
 			snap := p.Snapshot()
 			if len(runs) != 1 || len(snap.Bound) != len(snap.Steps)+1 {
 				t.Errorf("live read: %d runs, %d bound points for %d rows", len(runs), len(snap.Bound), len(snap.Steps))

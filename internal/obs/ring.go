@@ -2,9 +2,8 @@ package obs
 
 import "sync"
 
-// ring keeps the last len(buf) values added to it. The observer's run list
-// and the profile sink are each one ring: when full, the oldest value is
-// overwritten.
+// ring keeps the last len(buf) values added to it: the observer's run list
+// is one. When full, the oldest value is overwritten.
 type ring[T any] struct {
 	mu    sync.Mutex
 	buf   []T

@@ -28,15 +28,19 @@ func TestRequestIDsUnique(t *testing.T) {
 
 func TestNilSinksAndTraces(t *testing.T) {
 	var o *Observer
-	if runs, total := o.Runs(); runs != nil || total != 0 {
+	if o.Profiles() != nil {
 		t.Fatal("nil observer must list no runs")
+	}
+	if retained, capacity, total := o.RingStats(); retained != 0 || capacity != 0 || total != 0 {
+		t.Fatal("nil observer ring reads must be zero")
 	}
 	if p := o.StartRun("x", ""); p == nil {
 		t.Fatal("nil observer must still hand out a working recorder")
 	}
-	var psink *ProfileSink
-	if psink.Snapshots() != nil || psink.Total() != 0 || psink.Slow() != 0 || psink.Len() != 0 || psink.Capacity() != 0 {
-		t.Fatal("nil profile sink reads must be empty")
+	rec := httptest.NewRecorder()
+	o.ProfilesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles", nil))
+	if rec.Code != 404 {
+		t.Fatalf("nil observer /debug/profiles status %d, want 404", rec.Code)
 	}
 }
 
@@ -61,30 +65,42 @@ func TestObserverHandlers(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	o.TracesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	o.ProfilesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles", nil))
 	if rec.Code != 200 {
-		t.Fatalf("/debug/traces status %d", rec.Code)
+		t.Fatalf("/debug/profiles status %d", rec.Code)
 	}
 	var keys map[string]json.RawMessage
 	if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil {
-		t.Fatalf("trace dump not JSON: %v", err)
+		t.Fatalf("profile dump not JSON: %v", err)
 	}
-	if len(keys) != 2 || keys["runs"] == nil || keys["runs_total"] == nil {
-		t.Fatalf("trace dump keys: %s", rec.Body)
+	if len(keys) != 2 || keys["profiles"] == nil || keys["profiles_total"] == nil {
+		t.Fatalf("profile dump keys: %s", rec.Body)
 	}
 
 	// ?request_id= keeps the one run recorded under that ID.
 	rec = httptest.NewRecorder()
-	o.TracesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?request_id=r", nil))
-	var dump TraceDump
+	o.ProfilesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles?request_id=r", nil))
+	var dump ProfileDump
 	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
-		t.Fatalf("trace dump not JSON: %v", err)
+		t.Fatalf("profile dump not JSON: %v", err)
 	}
-	if dump.RunsTotal != 2 || len(dump.Runs) != 1 || dump.Runs[0].ID != "r" || !dump.Runs[0].Finished || !dump.Runs[0].Done {
-		t.Fatalf("run dump: %+v", dump.Runs)
+	if dump.ProfilesTotal != 2 || len(dump.Profiles) != 1 || dump.Profiles[0].ID != "r" || !dump.Profiles[0].Finished || !dump.Profiles[0].Done {
+		t.Fatalf("run dump: %+v", dump.Profiles)
 	}
-	if pts := dump.Runs[0].Points; len(pts) != 2 || pts[0].Bound != 1 || pts[1].Retrieved != 1 {
+	if pts := dump.Profiles[0].Bound; len(pts) != 2 || pts[0].Bound != 1 || pts[1].Retrieved != 1 {
 		t.Fatalf("run points: %+v", pts)
+	}
+
+	// ?slow=1 keeps the runs flagged slow, live ones included.
+	run.MarkSlow()
+	rec = httptest.NewRecorder()
+	o.ProfilesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/profiles?slow=1", nil))
+	dump = ProfileDump{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
+		t.Fatalf("profile dump not JSON: %v", err)
+	}
+	if len(dump.Profiles) != 1 || dump.Profiles[0].ID != "r" || !dump.Profiles[0].Slow {
+		t.Fatalf("slow dump: %+v", dump.Profiles)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Batch canonicalization: a stable structural order and a fingerprint over
@@ -83,9 +83,7 @@ func (b Batch) Canonical() (Batch, []int32) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		return compareQueries(b[idx[x]], b[idx[y]]) < 0
-	})
+	slices.SortStableFunc(idx, func(x, y int) int { return compareQueries(b[x], b[y]) })
 	canonical := make(Batch, len(b))
 	perm := make([]int32, len(b))
 	for j, i := range idx {

@@ -9,7 +9,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/poly"
@@ -459,15 +459,7 @@ func GridPartition(schema *dataset.Schema, cellsPerDim []int) ([]Range, error) {
 // sortRanges orders ranges lexicographically by lower corner so partitions
 // are reproducible independent of construction order.
 func sortRanges(rs []Range) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i].Lo, rs[j].Lo
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	slices.SortStableFunc(rs, func(a, b Range) int { return slices.Compare(a.Lo, b.Lo) })
 }
 
 // SumBatch builds the paper's evaluation workload: one SUM(attr) query per

@@ -87,10 +87,6 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to overload rejections.
 	// Default 1s.
 	RetryAfter time.Duration
-	// MaxPreparedPerTenant bounds how many prepared plans one tenant may
-	// hold concurrently (see Quotas). Default 32; negative disables
-	// enforcement.
-	MaxPreparedPerTenant int
 }
 
 func (c Config) withDefaults() Config {
@@ -108,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxPreparedPerTenant == 0 {
-		c.MaxPreparedPerTenant = 32
 	}
 	return c
 }
@@ -298,17 +291,12 @@ type Scheduler struct {
 	submitted, rejected, completed, cancelled int64
 	slices, stepped                           int64
 
-	// quotas is the prepared-plan admission ledger (quota.go); the HTTP
-	// layer charges it on /prepare and releases on eviction.
-	quotas *Quotas
-
 	wg sync.WaitGroup
 }
 
 // New starts a scheduler with cfg's workers running.
 func New(cfg Config) *Scheduler {
 	s := &Scheduler{cfg: cfg.withDefaults()}
-	s.quotas = NewQuotas(s.cfg.MaxPreparedPerTenant)
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -319,9 +307,6 @@ func New(cfg Config) *Scheduler {
 
 // Config returns the effective (defaulted) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
-
-// PlanQuotas returns the scheduler's prepared-plan admission ledger.
-func (s *Scheduler) PlanQuotas() *Quotas { return s.quotas }
 
 // Submit admits a job into the run table, or parks it in the waiting queue
 // when the table is full. When both are full it returns ErrOverloaded
@@ -453,15 +438,7 @@ func (s *Scheduler) worker() {
 		// Failed retrievals degrade the run (entries skipped, bounds widened)
 		// instead of panicking a worker, and a non-nil err here is always
 		// the task context ending.
-		var start time.Time
-		hist := sliceSeconds.Load()
-		if hist != nil {
-			start = time.Now()
-		}
 		stepped, err := t.job.Run.StepBatchCtx(t.ctx, n)
-		if hist != nil {
-			hist.Observe(time.Since(start).Seconds())
-		}
 		// The run is owned by this worker until busy clears: snapshot and
 		// the finish decision need no lock.
 		p := t.snapshot()

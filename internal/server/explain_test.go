@@ -254,7 +254,7 @@ func TestSlowQueryLogAndRing(t *testing.T) {
 	}
 
 	// The ring retains the profile, flagged slow, at its one depth.
-	if got := o.Profiles.Capacity(); got != obs.DefaultProfileCapacity {
+	if _, got, _ := o.RingStats(); got != obs.DefaultProfileCapacity {
 		t.Fatalf("profile ring capacity %d, want %d", got, obs.DefaultProfileCapacity)
 	}
 	prec := httptest.NewRecorder()

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/mvcc"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/storage"
 )
 
@@ -69,7 +68,6 @@ func (h *Handler) Observe(o *obs.Observer) {
 	}
 	storage.Observe(reg)
 	core.Observe(reg)
-	sched.Observe(reg)
 	dist.Observe(reg)
 	mvcc.Observe(reg)
 	h.obs = o

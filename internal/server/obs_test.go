@@ -21,7 +21,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/storage"
 )
 
@@ -426,7 +425,7 @@ func TestObservedRunTraceRecorded(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
-	snaps, _ := o.Runs()
+	snaps := o.Profiles()
 	if len(snaps) != 1 {
 		t.Fatalf("got %d runs", len(snaps))
 	}
@@ -437,10 +436,10 @@ func TestObservedRunTraceRecorded(t *testing.T) {
 	if tr.ID == "" || tr.Label != "COUNT() WHERE age <= 15" {
 		t.Fatalf("trace identity: id=%q label=%q", tr.ID, tr.Label)
 	}
-	if len(tr.Points) == 0 {
+	if len(tr.Bound) == 0 {
 		t.Fatal("no trajectory points recorded")
 	}
-	last := tr.Points[len(tr.Points)-1]
+	last := tr.Bound[len(tr.Bound)-1]
 	if last.Bound != 0 {
 		t.Fatalf("exact run trace must end at bound 0, got %g", last.Bound)
 	}
@@ -451,7 +450,6 @@ func TestUnobservedHandlerUnchanged(t *testing.T) {
 	// Ensure no leftover instrumentation from other tests.
 	storage.Observe(nil)
 	core.Observe(nil)
-	sched.Observe(nil)
 	rec := postQuery(t, h, `{"statements": "COUNT() WHERE age <= 15"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)

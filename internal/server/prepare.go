@@ -2,26 +2,33 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"repro"
+	"repro/internal/core"
 )
 
 // The prepare/execute surface: POST /prepare registers a batch's plan in the
 // database's prepared-plan registry and returns a stable handle (the
 // canonical batch fingerprint); /query and /query/stream then execute the
 // handle without paying parse or plan construction. DELETE /prepare/<handle>
-// drops the registration. Per-tenant quotas (X-Tenant header; the scheduler's
-// admission control) bound how many plans one client can pin at once.
+// drops the registration. The registry counts each tenant's plans (X-Tenant
+// header) and refuses a new one past Options.MaxPreparedPerTenant, which
+// bounds how many plans one client can pin at once.
 
 // defaultTenant is charged when a client sends no X-Tenant header: every
-// anonymous prepare shares one quota pool rather than escaping accounting.
+// anonymous prepare shares one count rather than escaping it.
 const defaultTenant = "default"
 
-// tenantOf extracts the quota tenant from the request.
+// defaultPreparedPerTenant is the cap a zero Options.MaxPreparedPerTenant
+// selects.
+const defaultPreparedPerTenant = 32
+
+// tenantOf extracts the tenant a registration counts against.
 func tenantOf(r *http.Request) string {
 	if t := strings.TrimSpace(r.Header.Get("X-Tenant")); t != "" {
 		return t
@@ -71,31 +78,18 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	// Quota is charged only for new registrations: re-preparing a resident
-	// batch is free (the registering tenant holds that charge), so the peek
-	// by fingerprint comes first. Charging before Prepare keeps concurrent
-	// registrations from overshooting the bound; a concurrent registration
-	// that turns the charge into a hit releases it right back.
-	tenant := tenantOf(r)
-	_, resident := h.registry.Lookup(batch.Fingerprint())
-	if !resident {
-		if err := h.quotas.Acquire(tenant); err != nil {
-			w.Header().Set("Retry-After", strconv.Itoa(int(h.sched.RetryAfter().Seconds())))
-			http.Error(w, "quota exceeded: tenant holds too many prepared plans (DELETE /prepare/<handle> to free)",
-				http.StatusTooManyRequests)
-			return
-		}
-	}
-	prep, _, hit, err := h.registry.Prepare(batch, tenant)
-	if err != nil {
-		if !resident {
-			h.quotas.Release(tenant)
-		}
-		http.Error(w, "planning failed: "+err.Error(), http.StatusBadRequest)
+	// Only a new registration counts against the tenant: re-preparing a
+	// resident batch is free (the registering tenant already holds it).
+	prep, _, hit, err := h.registry.Prepare(batch, tenantOf(r))
+	if errors.Is(err, core.ErrTenantCap) {
+		w.Header().Set("Retry-After", strconv.Itoa(int(h.sched.RetryAfter().Seconds())))
+		http.Error(w, "quota exceeded: tenant holds too many prepared plans (DELETE /prepare/<handle> to free)",
+			http.StatusTooManyRequests)
 		return
 	}
-	if hit && !resident {
-		h.quotas.Release(tenant)
+	if err != nil {
+		http.Error(w, "planning failed: "+err.Error(), http.StatusBadRequest)
+		return
 	}
 	writeJSON(w, http.StatusOK, PrepareResponse{
 		Handle:   prep.Fingerprint,
@@ -105,8 +99,8 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// unprepare serves DELETE /prepare/<handle>: the plan is dropped and the
-// registering tenant's quota released (via the registry's eviction observer).
+// unprepare serves DELETE /prepare/<handle>: the plan is dropped and its
+// slot returned to the registering tenant.
 func (h *Handler) unprepare(w http.ResponseWriter, r *http.Request) {
 	handle := strings.TrimPrefix(r.URL.Path, "/prepare/")
 	if handle == "" {

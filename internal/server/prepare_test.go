@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/sched"
 )
 
 func postJSON(t *testing.T, h *Handler, path, body string, header map[string]string) *httptest.ResponseRecorder {
@@ -180,10 +179,9 @@ func TestStreamAcceptsHandle(t *testing.T) {
 	}
 }
 
-// Per-tenant quotas bound registrations: a tenant at its limit gets 429 until
-// it deletes a handle (or its plan is evicted); other tenants are unaffected
-// and re-preparing a resident batch is free.
-func TestPrepareQuota(t *testing.T) {
+// quotaHandler serves a small database under the given options.
+func quotaHandler(t *testing.T, opts Options) *Handler {
+	t.Helper()
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +193,17 @@ func TestPrepareQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New(db, Options{Sched: sched.Config{MaxPreparedPerTenant: 1}})
+	h := New(db, opts)
 	t.Cleanup(h.Close)
+	return h
+}
+
+// Per-tenant quotas bound registrations: a tenant at its limit gets 429 with
+// Retry-After until it deletes a handle (or its plan is evicted); other
+// tenants are unaffected, re-preparing a resident batch is free, and /stats
+// counts the tenants holding plans.
+func TestPrepareQuota(t *testing.T) {
+	h := quotaHandler(t, Options{MaxPreparedPerTenant: 1})
 
 	const batchA = "COUNT() WHERE age <= 15"
 	const batchB = "SUM(salary) WHERE age <= 20"
@@ -205,8 +212,13 @@ func TestPrepareQuota(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("first prepare: %d", code)
 	}
-	if _, code = prepareBatch(t, h, batchB, "t1"); code != http.StatusTooManyRequests {
-		t.Fatalf("over-quota prepare: %d, want 429", code)
+	rec := postJSON(t, h, "/prepare", `{"statements": `+jsonString(batchB)+`}`, map[string]string{"X-Tenant": "t1"})
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("over-quota prepare: %d (Retry-After %q), want 429 with Retry-After",
+			rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if n := statsOf(t, h).Prepared.Tenants; n != 1 {
+		t.Fatalf("prepared.tenants %d after t1's registration, want 1", n)
 	}
 	// Re-preparing the resident batch does not consume quota.
 	if again, code := prepareBatch(t, h, batchA, "t1"); code != http.StatusOK || !again.Cached {
@@ -216,14 +228,51 @@ func TestPrepareQuota(t *testing.T) {
 	if _, code = prepareBatch(t, h, batchB, "t2"); code != http.StatusOK {
 		t.Fatalf("tenant t2 blocked: %d", code)
 	}
+	if n := statsOf(t, h).Prepared.Tenants; n != 2 {
+		t.Fatalf("prepared.tenants %d with t1 and t2 holding, want 2", n)
+	}
 	// Deleting t1's handle releases its quota.
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/prepare/"+pa.Handle, nil))
 	if rec.Code != http.StatusNoContent {
 		t.Fatalf("delete: %d", rec.Code)
 	}
+	if n := statsOf(t, h).Prepared.Tenants; n != 1 {
+		t.Fatalf("prepared.tenants %d after t1's delete, want 1", n)
+	}
 	if _, code = prepareBatch(t, h, batchA, "t1"); code != http.StatusOK {
 		t.Fatalf("prepare after delete: %d", code)
+	}
+}
+
+// The default cap is 32 plans for the default tenant (no X-Tenant header):
+// the 32nd distinct /prepare succeeds and the 33rd is refused. A negative
+// cap is no cap, and inline /query batches never count.
+func TestPrepareQuotaDefault(t *testing.T) {
+	batch := func(i int) string {
+		return fmt.Sprintf("COUNT() WHERE age <= %d; SUM(salary) WHERE salary <= %d", i%32, i/32)
+	}
+	h := quotaHandler(t, Options{})
+	for i := 0; i < 32; i++ {
+		if _, code := prepareBatch(t, h, batch(i), ""); code != http.StatusOK {
+			t.Fatalf("prepare %d of 32: %d", i+1, code)
+		}
+	}
+	if _, code := prepareBatch(t, h, batch(32), ""); code != http.StatusTooManyRequests {
+		t.Fatalf("33rd prepare: %d, want 429", code)
+	}
+	if rec := postQuery(t, h, `{"statements": "COUNT() WHERE age <= 3"}`); rec.Code != http.StatusOK {
+		t.Fatalf("inline query with the default tenant at its cap: %d", rec.Code)
+	}
+	if st := statsOf(t, h).Prepared; st.Tenants != 1 || st.Plans != 33 {
+		t.Fatalf("prepared stats %+v, want 1 tenant and 33 plans", st)
+	}
+
+	h = quotaHandler(t, Options{MaxPreparedPerTenant: -1})
+	for i := 0; i < 40; i++ {
+		if _, code := prepareBatch(t, h, batch(i), ""); code != http.StatusOK {
+			t.Fatalf("unlimited: prepare %d: %d", i+1, code)
+		}
 	}
 }
 

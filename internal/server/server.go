@@ -65,9 +65,6 @@ type Handler struct {
 	// batches hit the registry transparently (a repeated batch costs one
 	// canonicalization, not a plan build).
 	registry *repro.PlanRegistry
-	// quotas bounds per-tenant prepared registrations (scheduler admission
-	// control); released when a plan is evicted or removed.
-	quotas *sched.Quotas
 	// preparedExecs / adhocExecs count query executions by plan source;
 	// ingestedTuples counts tuple operations applied through POST /ingest.
 	preparedExecs, adhocExecs, ingestedTuples atomic.Int64
@@ -84,6 +81,10 @@ type Options struct {
 	// PlanCache bounds the prepared-plan registry; ≤0 selects
 	// repro.DefaultPlanCacheCapacity.
 	PlanCache int
+	// MaxPreparedPerTenant bounds how many prepared plans one tenant may
+	// hold at once (the registry counts them). Default 32; negative means
+	// unlimited.
+	MaxPreparedPerTenant int
 	// SlowQuery enables the slow-query log: any request whose wall time
 	// reaches the threshold is profiled and emitted as a structured log
 	// record (and flagged in /debug/profiles). 0 disables.
@@ -107,8 +108,11 @@ func New(db *repro.Database, opts Options) *Handler {
 	h := &Handler{db: db, sched: sched.New(opts.Sched), mass: mass,
 		slowQuery: opts.SlowQuery}
 	h.registry = db.EnablePreparedPlans(opts.PlanCache)
-	h.quotas = h.sched.PlanQuotas()
-	h.registry.OnEvict(func(_, tenant string) { h.quotas.Release(tenant) })
+	perTenant := opts.MaxPreparedPerTenant
+	if perTenant == 0 {
+		perTenant = defaultPreparedPerTenant
+	}
+	h.registry.LimitTenants(perTenant)
 	return h
 }
 
@@ -204,8 +208,8 @@ type StatsResponse struct {
 	Mvcc *repro.MVCCStats `json:"mvcc,omitempty"`
 	// Ingested counts tuples applied through POST /ingest.
 	Ingested int64 `json:"ingested,omitempty"`
-	// Diagnostics reports the query-diagnostics tier: slow-query counters,
-	// the /debug/profiles ring, and per-shard trace-propagation negotiation.
+	// Diagnostics reports the query-diagnostics tier: the slow-query
+	// counter, the /debug/profiles ring, and per-shard wire negotiation.
 	Diagnostics DiagnosticsStats `json:"diagnostics"`
 }
 
@@ -228,7 +232,8 @@ type DiagnosticsStats struct {
 	SlowQueries          int64 `json:"slow_queries"`
 	SlowQueryThresholdMS int64 `json:"slow_query_threshold_ms,omitempty"`
 	// ProfilesRetained / ProfileCapacity / ProfilesTotal describe the
-	// /debug/profiles ring: current depth, bound, and lifetime additions.
+	// observer's run ring (/debug/profiles): runs listed, its depth, and
+	// runs ever started.
 	ProfilesRetained int    `json:"profiles_retained"`
 	ProfileCapacity  int    `json:"profile_capacity"`
 	ProfilesTotal    uint64 `json:"profiles_total"`
@@ -245,8 +250,6 @@ type PreparedStats struct {
 	// AdhocExecutes counts inline-batch executions (which still hit the
 	// registry transparently — see Hits/Misses for the cache outcome).
 	AdhocExecutes int64 `json:"adhoc_executes"`
-	// Tenants counts tenants currently holding prepared-plan quota.
-	Tenants int `json:"tenants"`
 }
 
 // ServeHTTP implements http.Handler, routing /query, /query/stream, /stats
@@ -305,7 +308,6 @@ func (h *Handler) stats() StatsResponse {
 		PlanRegistryStats: h.registry.Stats(),
 		PreparedExecutes:  h.preparedExecs.Load(),
 		AdhocExecutes:     h.adhocExecs.Load(),
-		Tenants:           h.quotas.Tenants(),
 	}
 	if health, ok := h.db.ShardHealth(); ok {
 		ds := &DistStats{Shards: len(health), Health: health}
@@ -325,13 +327,10 @@ func (h *Handler) stats() StatsResponse {
 		SlowQueries:          h.slowQueries.Load(),
 		SlowQueryThresholdMS: h.slowQuery.Milliseconds(),
 	}
-	if h.obs != nil && h.obs.Profiles != nil {
-		resp.Diagnostics.ProfilesRetained = h.obs.Profiles.Len()
-		resp.Diagnostics.ProfileCapacity = h.obs.Profiles.Capacity()
-		resp.Diagnostics.ProfilesTotal = h.obs.Profiles.Total()
-	}
+	d := &resp.Diagnostics
+	d.ProfilesRetained, d.ProfileCapacity, d.ProfilesTotal = h.obs.RingStats()
 	if vers, ok := h.db.ShardWireVersions(); ok {
-		resp.Diagnostics.ShardWireVersions = vers
+		d.ShardWireVersions = vers
 	}
 	return resp
 }
@@ -354,9 +353,9 @@ type submission struct {
 	perm []int
 	// profile is the run's recorder (nil when the handler is unobserved and
 	// neither ?explain=1 nor a slow-query threshold asked for one);
-	// profiled reports whether it carries tier attribution and goes to
-	// /debug/profiles, explain whether the client asked for it in the
-	// response.
+	// profiled reports whether it carries tier attribution and is checked
+	// against the slow-query threshold, explain whether the client asked
+	// for it in the response.
 	profile  *obs.QueryProfile
 	profiled bool
 	explain  bool
@@ -553,8 +552,8 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 	if req.Handle != "" {
 		label = "handle:" + req.Handle
 	}
-	// One recorder per observed or profiled request: /debug/traces lists it
-	// from the start, and the run records its rows and bounds into it.
+	// One recorder per observed or profiled request: /debug/profiles lists
+	// it from the start, and the run records its rows and bounds into it.
 	var prof *obs.QueryProfile
 	if h.obs != nil || wantProfile {
 		prof = h.obs.StartRun(reqID, label)
@@ -595,21 +594,24 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) *submission {
 // finishProfile closes the submission's recorder — a budget cut, timeout
 // or cancellation leaves the run short of its schedule — and, for a
 // profiled request, applies the slow-query threshold (structured log
-// record + counter), records the snapshot in the observer's
-// /debug/profiles ring, and returns the snapshot when the client asked for
-// it with ?explain=1 (nil otherwise, and always nil for unprofiled
-// requests).
+// record + counter, and the flag /debug/profiles?slow=1 keeps) and returns
+// the snapshot when the client asked for it with ?explain=1 (nil
+// otherwise, and always nil for unprofiled requests).
 func (h *Handler) finishProfile(ctx context.Context, sub *submission) *obs.ProfileSnapshot {
 	p := sub.profile
 	p.Finish()
 	if !sub.profiled {
 		return nil
 	}
-	if h.slowQuery > 0 && p.Wall() >= h.slowQuery {
+	slow := h.slowQuery > 0 && p.Wall() >= h.slowQuery
+	if !slow && !sub.explain {
+		return nil
+	}
+	if slow {
 		p.MarkSlow()
 	}
 	snap := p.Snapshot()
-	if snap.Slow {
+	if slow {
 		h.slowQueries.Add(1)
 		obs.Logger(ctx).Warn("slow query",
 			"label", snap.Label,
@@ -620,9 +622,6 @@ func (h *Handler) finishProfile(ctx context.Context, sub *submission) *obs.Profi
 			"steps", len(snap.Steps),
 			"shards", len(snap.Shards),
 			"threshold_ms", h.slowQuery.Milliseconds())
-	}
-	if h.obs != nil {
-		h.obs.Profiles.Add(snap)
 	}
 	if sub.explain {
 		return &snap

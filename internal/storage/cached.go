@@ -69,10 +69,6 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	}
 	hits += repeats
 	s.hits.Add(hits)
-	if m := stObs(); m != nil {
-		m.cacheHits.Add(hits)
-		m.cacheMisses.Add(int64(len(miss)))
-	}
 	if len(miss) == 0 {
 		return nil
 	}

@@ -10,7 +10,7 @@ import (
 
 // Observability for the storage layer. Observe installs a metrics bundle
 // into a package-level atomic pointer; the layers whose counts nothing else
-// keeps (cache, retry, fault injection) check the pointer on their counting
+// keeps (retry, fault injection) check the pointer on their counting
 // paths — the coalescing layer keeps its own (CoalesceCounters) — and the
 // InstrumentedStore wrapper times the retrieval calls themselves. With no
 // registry observed the pointer is nil and every site is one atomic load
@@ -20,8 +20,6 @@ import (
 type storageMetrics struct {
 	batchSeconds   *obs.Histogram // latency of retrieval batches
 	batchKeys      *obs.Counter   // keys requested through retrieval batches
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
 	retryAttempts  *obs.Counter
 	retryExhausted *obs.Counter
 	faultErrors    *obs.Counter
@@ -43,10 +41,6 @@ func Observe(reg *obs.Registry) {
 			"Latency of batched coefficient retrievals.", nil),
 		batchKeys: reg.Counter("wvq_storage_batchget_keys_total",
 			"Coefficients requested through batched retrievals."),
-		cacheHits: reg.Counter("wvq_storage_cache_hits_total",
-			"Coefficient cache hits."),
-		cacheMisses: reg.Counter("wvq_storage_cache_misses_total",
-			"Coefficient cache misses (fetches that reached the wrapped store)."),
 		retryAttempts: reg.Counter("wvq_storage_retry_attempts_total",
 			"Retrieval attempts issued by the retry layer, including first tries."),
 		retryExhausted: reg.Counter("wvq_storage_retry_exhausted_total",

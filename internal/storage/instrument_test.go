@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,18 +56,22 @@ func TestInstrumentedStoreTimesRetrievals(t *testing.T) {
 	}
 }
 
-func TestCacheCountersMirrored(t *testing.T) {
+// TestCachedStoreCountsItsOwn: a session cache keeps its hits and misses
+// itself and pushes nothing into an installed registry — no served process
+// builds one, so a pushed family would only ever read 0.
+func TestCachedStoreCountsItsOwn(t *testing.T) {
 	reg := observeTest(t)
 	cs := NewCachedStore(NewArrayStore(testDense()))
 	Get(cs, 1) // miss
 	Get(cs, 1) // hit
 	Get(cs, 2) // miss
-	snap := reg.Snapshot()
-	if snap["wvq_storage_cache_hits_total"] != 1 {
-		t.Fatalf("hits = %v", snap["wvq_storage_cache_hits_total"])
+	if cs.Hits() != 1 || cs.Retrievals() != 2 {
+		t.Fatalf("hits %d, misses %d; want 1 and 2", cs.Hits(), cs.Retrievals())
 	}
-	if snap["wvq_storage_cache_misses_total"] != 2 {
-		t.Fatalf("misses = %v", snap["wvq_storage_cache_misses_total"])
+	for name := range reg.Snapshot() {
+		if strings.HasPrefix(name, "wvq_storage_cache_") {
+			t.Fatalf("cached store pushed %s", name)
+		}
 	}
 }
 

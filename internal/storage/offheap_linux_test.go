@@ -40,18 +40,46 @@ func mapped(t *testing.T, addr uintptr) bool {
 	return false
 }
 
-// unmappedAfterGC collects until addr is no longer mapped: a finalizer runs
-// on its own goroutine after the cycle that finds its object unreachable.
-func unmappedAfterGC(t *testing.T, addr uintptr) bool {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		runtime.GC()
-		if !mapped(t, addr) {
-			return true
-		}
-		time.Sleep(time.Millisecond)
+// unmapLog records what munmap answered for each address unmapSlice
+// released while it listens.
+type unmapLog struct {
+	mu  sync.Mutex
+	got map[uintptr]error
+}
+
+// listenForUnmaps installs an unmapLog until the test ends. Install it
+// before dropping a store: its finalizer may run at any later collection.
+func listenForUnmaps(t *testing.T) *unmapLog {
+	l := &unmapLog{got: make(map[uintptr]error)}
+	hook := func(addr uintptr, err error) {
+		l.mu.Lock()
+		l.got[addr] = err
+		l.mu.Unlock()
 	}
-	return false
+	unmapHook.Store(&hook)
+	t.Cleanup(func() { unmapHook.Store(nil) })
+	return l
+}
+
+// afterGC collects until every addr has been released and returns what
+// munmap answered for each (absent: not released within 5 s). A finalizer
+// runs on its own goroutine after the cycle that finds its object
+// unreachable. It asks unmapSlice, not /proc/self/maps: a range munmap
+// released may already hold a later mapping.
+func (l *unmapLog) afterGC(addrs []uintptr) map[uintptr]error {
+	out := make(map[uintptr]error)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline) && len(out) < len(addrs); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		l.mu.Lock()
+		for _, addr := range addrs {
+			if err, ok := l.got[addr]; ok {
+				out[addr] = err
+			}
+		}
+		l.mu.Unlock()
+	}
+	return out
 }
 
 // everyThird is the walk of a store holding key k as k+1 for every third
@@ -83,11 +111,13 @@ func build(t *testing.T, cells int, sparse bool) MemoryStore {
 }
 
 // TestDroppedStoreUnmapsItsMemory: the array Build allocates and a sparse
-// store's keys and values are mappings (the Go heap never returns its
-// address range to the kernel, so a range that disappears was not heap),
-// and each goes once the store that owns it is unreachable.
+// store's keys and values are mappings, and each goes once the store that
+// owns it is unreachable: its finalizer hands each to munmap, which
+// succeeds (munmap refuses anything but a whole region mmap returned, so
+// a heap slice would fail it).
 func TestDroppedStoreUnmapsItsMemory(t *testing.T) {
 	const cells = 1 << 16
+	unmaps := listenForUnmaps(t)
 	for _, c := range []struct {
 		name string
 		make func() (MemoryStore, []uintptr)
@@ -111,9 +141,14 @@ func TestDroppedStoreUnmapsItsMemory(t *testing.T) {
 			t.Fatalf("%s: lost a value", c.name)
 		}
 		s = nil
+		got := unmaps.afterGC(addrs)
 		for _, addr := range addrs {
-			if !unmappedAfterGC(t, addr) {
-				t.Fatalf("%s: %#x is still mapped after the store was dropped", c.name, addr)
+			err, released := got[addr]
+			if !released {
+				t.Fatalf("%s: %#x was not unmapped within 5 s of the store being dropped", c.name, addr)
+			}
+			if err != nil {
+				t.Fatalf("%s: munmap of %#x: %v", c.name, addr, err)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ package storage
 
 import (
 	"os"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
@@ -42,5 +43,14 @@ func unmapSlice[T any](s []T) {
 		return
 	}
 	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
-	_ = syscall.Munmap(b)
+	err := syscall.Munmap(b)
+	if hook := unmapHook.Load(); hook != nil {
+		(*hook)(uintptr(unsafe.Pointer(&b[0])), err)
+	}
 }
+
+// unmapHook, when set, hears the address of every slice unmapSlice releases
+// and what munmap answered (nil, or EINVAL for a heap slice). A finalizer
+// runs on its own goroutine, so a test learns here that its store's memory
+// went: once unmapped, the range may be reused by any later mapping.
+var unmapHook atomic.Pointer[func(addr uintptr, err error)]
