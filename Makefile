@@ -132,7 +132,10 @@ served-diff:
 # (Apply, and a fold swapping its base under writes) is that package's one
 # concurrency point. So does the coordinator row of the failure contract:
 # its shard goroutines write disjoint positions of one dst through
-# storage.GetAt while failures come back from both shards.
+# storage.GetAt while failures come back from both shards. So do the
+# per-mode /stats retrievals test and the database's never-backwards test:
+# the retrieval count is one atomic value every reader, concurrent drain and
+# rebuilt chain shares.
 race:
 	$(GO) test -race ./...
 	$(GO) test -count=10 -run 'TestMappedStoreOutlivesItsReaders|TestDroppedStoreUnmapsItsMemory' ./internal/storage/
@@ -141,6 +144,8 @@ race:
 	$(GO) test -race -count=10 -run 'TestStoreContract/cached' ./internal/storetest/
 	$(GO) test -race -count=10 -run 'TestCompactionRacingApply|TestConcurrentDrainWhileApply' ./internal/mvcc/
 	$(GO) test -race -count=10 -run 'TestStoreFailureContract/coordinator' ./internal/storetest/
+	$(GO) test -race -count=10 -run TestStatsRetrievalsPerMode ./internal/server/
+	$(GO) test -race -count=10 -run TestCoalescingStatsNeverRunBackwards .
 
 # Short adversarial fuzz of everything that decodes bytes from outside the
 # process: mutated .wvls view files read into memory, query

@@ -73,8 +73,8 @@ type options struct {
 	dist                                distConfig
 
 	// stack declares the store layers the flags ask for: faults when a
-	// chaos knob is on, retries with -retry-attempts, timing always (the
-	// observer arms it).
+	// chaos knob is on, retries with -retry-attempts. The counting and
+	// timing layer is in every stack (the observer arms its timing).
 	stack repro.Stack
 
 	// Shard-server mode (-shard-listen): no HTTP, one shard of the view over TCP.
@@ -160,7 +160,6 @@ func parseFlags(args []string) (*options, error) {
 			return nil, fmt.Errorf("-shards: %w", err)
 		}
 	}
-	o.stack.Instrument = true
 	if chaos.ErrorRate > 0 || chaos.ErrorEvery > 0 || chaos.DelayRate > 0 {
 		o.stack.Fault = &chaos
 	}

@@ -9,20 +9,19 @@ import (
 )
 
 // TestParseFlagsDeclaresStack: the command line declares the store stack run
-// sets in one call — timing always, faults only when a chaos knob is on,
-// retries only with -retry-attempts.
+// sets in one call — faults only when a chaos knob is on, retries only with
+// -retry-attempts (the counting and timing layer needs no declaration).
 func TestParseFlagsDeclaresStack(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want repro.Stack
 	}{
-		{nil, repro.Stack{Instrument: true}},
-		{[]string{"-chaos-seed", "7"}, repro.Stack{Instrument: true}},
-		{[]string{"-retry-attempts", "3"}, repro.Stack{Retry: &repro.RetryConfig{MaxAttempts: 3}, Instrument: true}},
+		{nil, repro.Stack{}},
+		{[]string{"-chaos-seed", "7"}, repro.Stack{}},
+		{[]string{"-retry-attempts", "3"}, repro.Stack{Retry: &repro.RetryConfig{MaxAttempts: 3}}},
 		{[]string{"-chaos-error-every", "3", "-retry-attempts", "8"}, repro.Stack{
-			Fault:      &repro.FaultConfig{ErrorEvery: 3, Seed: 1},
-			Retry:      &repro.RetryConfig{MaxAttempts: 8},
-			Instrument: true,
+			Fault: &repro.FaultConfig{ErrorEvery: 3, Seed: 1},
+			Retry: &repro.RetryConfig{MaxAttempts: 8},
 		}},
 	} {
 		o, err := parseFlags(c.args)

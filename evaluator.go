@@ -9,8 +9,8 @@ import (
 )
 
 // Evaluator is the evaluation surface shared by Database, Session and
-// Snapshot: plan a batch, evaluate it exactly, start progressive runs, and
-// account for retrievals. Callers, tests and benchmarks that work against
+// Snapshot: plan a batch, evaluate it exactly and start progressive runs.
+// Callers, tests and benchmarks that work against
 // any of them — "evaluate this batch through whatever is in front of the
 // store" — take an Evaluator instead of duplicating code per concrete type.
 // A Database evaluates against its store as it is at each call (under MVCC,
@@ -27,10 +27,6 @@ type Evaluator interface {
 	ExactCtx(ctx context.Context, plan *Plan) ([]float64, error)
 	// NewRun starts a progressive Batch-Biggest-B run under the penalty.
 	NewRun(plan *Plan, pen Penalty) *Run
-	// Retrievals reports the I/O performed since the last ResetStats.
-	Retrievals() int64
-	// ResetStats zeroes the retrieval accounting.
-	ResetStats()
 }
 
 var (
@@ -41,9 +37,7 @@ var (
 
 // evaluator is the Evaluator a Session and a Snapshot embed: the database
 // that plans batches, and the store every evaluation reads, fixed at
-// creation — the session's cache, the snapshot's pinned view. Retrievals and
-// ResetStats are that store's counter: the cache's misses, or for a
-// snapshot the counter every view of the database shares.
+// creation — the session's cache, the snapshot's pinned view.
 type evaluator struct {
 	db    *Database
 	store storage.Store
@@ -67,12 +61,6 @@ func (e evaluator) ExactCtx(ctx context.Context, plan *Plan) ([]float64, error) 
 // comes from the plan's shared schedule cache, so repeating a batch under
 // the same penalty pays no per-run ordering cost.
 func (e evaluator) NewRun(plan *Plan, pen Penalty) *Run { return core.NewRun(plan, pen, e.store) }
-
-// Retrievals returns the store's retrieval count since its last ResetStats.
-func (e evaluator) Retrievals() int64 { return e.store.Retrievals() }
-
-// ResetStats zeroes the store's counters (a session keeps its cache).
-func (e evaluator) ResetStats() { e.store.ResetStats() }
 
 // mustExact is the exact pass for callers with no error to return: a failed
 // retrieval panics.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/sparse"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
@@ -164,10 +165,11 @@ func TestNewWaveletPlanRejectsInsufficientFilter(t *testing.T) {
 
 func TestExactMatchesGroundTruth(t *testing.T) {
 	fx := newFixture(t, 12)
-	got := mustExact(fx.plan, fx.store)
+	counted := storetest.NewCounting(fx.store)
+	got := mustExact(fx.plan, counted)
 	assertClose(t, got, fx.truth, 1e-6, "exact")
-	if fx.store.Retrievals() != int64(fx.plan.DistinctCoefficients()) {
-		t.Fatalf("retrievals %d != distinct %d", fx.store.Retrievals(), fx.plan.DistinctCoefficients())
+	if counted.Retrievals() != int64(fx.plan.DistinctCoefficients()) {
+		t.Fatalf("retrievals %d != distinct %d", counted.Retrievals(), fx.plan.DistinctCoefficients())
 	}
 }
 
@@ -286,7 +288,6 @@ func TestRoundRobinMatchesExactButCostsMore(t *testing.T) {
 		}
 		vectors[i] = v
 	}
-	fx.store.ResetStats()
 	rr, err := NewRoundRobin(vectors, fx.store)
 	if err != nil {
 		t.Fatal(err)

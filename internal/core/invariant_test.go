@@ -33,17 +33,6 @@ func (s *recordingStore) BatchGetCtx(_ context.Context, keys []int, dst []float6
 	}
 	return nil
 }
-func (s *recordingStore) Retrievals() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-func (s *recordingStore) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count = 0
-}
 func (s *recordingStore) NonzeroCount() int { return len(s.cells) }
 
 // TestEstimatesEqualRetrievedDotProduct verifies the core invariant of the

@@ -130,15 +130,16 @@ func BenchmarkObsProfiledDrain(b *testing.B) {
 }
 
 // BenchmarkObsOffInstrumentedStore drains through the InstrumentedStore
-// wrapper with no registry observed: the wrapper must be a pure pass-through
-// (one atomic load per batch, no clock reads, no allocations).
+// wrapper with no registry observed: the wrapper must count and pass through
+// (one atomic add and one atomic load per batch, no clock reads, no
+// allocations).
 func BenchmarkObsOffInstrumentedStore(b *testing.B) {
 	Observe(nil)
 	storage.Observe(nil)
 	f := newBenchPlanFixture(b)
 	pen := penalty.SSE{}
 	f.plan.ScheduleFor(pen)
-	wrapped := storage.NewInstrumentedStore(f.store)
+	wrapped := storage.NewInstrumentedStore(f.store, new(storage.Counters))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

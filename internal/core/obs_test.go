@@ -14,10 +14,9 @@ import (
 // schedule: fault → retry → instrument → coalesce, retries enough to beat
 // every injected failure and a backoff short enough for a test.
 var layeredStack = storage.Stack{
-	Fault:      &storage.FaultConfig{ErrorEvery: 5},
-	Retry:      &storage.RetryConfig{MaxAttempts: 8, BaseDelay: time.Microsecond},
-	Instrument: true,
-	Coalesce:   true,
+	Fault:    &storage.FaultConfig{ErrorEvery: 5},
+	Retry:    &storage.RetryConfig{MaxAttempts: 8, BaseDelay: time.Microsecond},
+	Coalesce: true,
 }
 
 // drainCtx advances run to completion in batches of b under ctx.
@@ -199,7 +198,7 @@ func TestObservedStepAllocatesNothing(t *testing.T) {
 		t.Fatalf("an observed step allocated %v times", n)
 	}
 
-	top := storage.Stack{Retry: &storage.RetryConfig{}, Instrument: true, Coalesce: true}.Build(f.store, nil)
+	top := storage.Stack{Retry: &storage.RetryConfig{}, Coalesce: true}.Build(f.store, nil)
 	drainAllocs := func(ctx context.Context) float64 {
 		return testing.AllocsPerRun(5, func() {
 			drainCtx(t, ctx, NewRun(f.plan, penalty.SSE{}, top), 64)

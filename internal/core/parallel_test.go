@@ -8,6 +8,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/sparse"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
@@ -199,7 +200,7 @@ func TestNewPlanParallelDeterminism(t *testing.T) {
 // (chunked BatchGetCtx against a concurrent store) for bit-identical results.
 func TestExactParallelSharded(t *testing.T) {
 	f := newFixture(t, 32)
-	shared := newFixture(t, 32).store // the same coefficients, not yet read
+	shared := storetest.NewCounting(newFixture(t, 32).store) // the same coefficients, not yet read
 	seq := mustExactOn(f.plan, f.store, 1)
 	for _, w := range []int{1, 2, 8} {
 		got := mustExactOn(f.plan, shared, w)

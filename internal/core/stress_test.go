@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/penalty"
+	"repro/internal/storetest"
 )
 
 // TestConcurrentRunsSharded is the concurrency stress test: many goroutines
@@ -16,7 +17,7 @@ import (
 // every retrieval issued by every goroutine.
 func TestConcurrentRunsSharded(t *testing.T) {
 	f := newFixture(t, 40)
-	shared := newFixture(t, 40).store // the same coefficients, not yet read
+	shared := storetest.NewCounting(newFixture(t, 40).store) // the same coefficients, not yet read
 	want := mustExact(f.plan, f.store)
 	distinct := f.plan.DistinctCoefficients()
 

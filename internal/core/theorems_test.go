@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/penalty"
@@ -337,21 +336,17 @@ func TestProgressiveRunRealizesBiggestB(t *testing.T) {
 
 // newSliceStore adapts a dense slice into a minimal Store for the tests.
 type sliceStore struct {
-	cells      []float64
-	retrievals atomic.Int64
+	cells []float64
 }
 
 func newSliceStore(cells []float64) *sliceStore { return &sliceStore{cells: cells} }
 
 func (s *sliceStore) BatchGetCtx(_ context.Context, keys []int, dst []float64) error {
-	s.retrievals.Add(int64(len(keys)))
 	for i, k := range keys {
 		dst[i] = s.cells[k]
 	}
 	return nil
 }
-func (s *sliceStore) Retrievals() int64 { return s.retrievals.Load() }
-func (s *sliceStore) ResetStats()       { s.retrievals.Store(0) }
 func (s *sliceStore) NonzeroCount() int {
 	n := 0
 	for _, v := range s.cells {

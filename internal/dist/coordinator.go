@@ -57,8 +57,6 @@ type CoordinatorStore struct {
 	addrs   []string
 	health  []shardState
 	nonzero int
-
-	retrievals atomic.Int64
 }
 
 // NewCoordinator builds a coordinator over shards, whose count must be a
@@ -186,7 +184,6 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	if len(keys) == 0 {
 		return nil
 	}
-	c.retrievals.Add(int64(len(keys)))
 	start := time.Now()
 	prof := obs.ProfileFrom(ctx)
 
@@ -253,13 +250,6 @@ func (c *CoordinatorStore) BatchGetCtx(ctx context.Context, keys []int, dst []fl
 	}
 	return &storage.BatchError{Failed: merged}
 }
-
-// Retrievals implements storage.Store, counting keys requested through the
-// coordinator.
-func (c *CoordinatorStore) Retrievals() int64 { return c.retrievals.Load() }
-
-// ResetStats implements storage.Store.
-func (c *CoordinatorStore) ResetStats() { c.retrievals.Store(0) }
 
 // NonzeroCount implements storage.Store: the view's count as the shards
 // reported it to Open, 0 for a coordinator NewCoordinator built. It asks no

@@ -269,8 +269,6 @@ func TestRemoteStoreDisconnectReconnect(t *testing.T) {
 // in-process stand-in for a dead shard.
 type downStore struct{ err error }
 
-func (d downStore) Retrievals() int64 { return 0 }
-func (d downStore) ResetStats()       {}
 func (d downStore) NonzeroCount() int { return 0 }
 func (d downStore) BatchGetCtx(_ context.Context, keys []int, _ []float64) error {
 	return d.err

@@ -70,8 +70,7 @@ type RemoteStore struct {
 	pool  chan *remoteConn
 	reqID atomic.Uint64
 
-	retrievals atomic.Int64
-	closed     atomic.Bool
+	closed atomic.Bool
 	// negotiated is the wire version of the most recent handshake (0 until
 	// the first connection) — the /stats per-shard connected signal.
 	negotiated atomic.Uint32
@@ -232,7 +231,6 @@ func (s *RemoteStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	if len(keys) == 0 {
 		return nil
 	}
-	s.retrievals.Add(int64(len(keys)))
 	// The request ID fills the v2 frame's extension; a shard decodes it and
 	// reads nothing from it.
 	trace := obs.RequestID(ctx)
@@ -297,13 +295,6 @@ func (s *RemoteStore) Meta(ctx context.Context) (*codec.ShardMeta, error) {
 	}
 	return m, nil
 }
-
-// Retrievals implements storage.Store, counting keys requested through this
-// client (the shard's own counter tracks what physically reached it).
-func (s *RemoteStore) Retrievals() int64 { return s.retrievals.Load() }
-
-// ResetStats implements storage.Store.
-func (s *RemoteStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements storage.Store via the metadata frame; it reports 0
 // when the shard is unreachable (a diagnostic surface, not a correctness

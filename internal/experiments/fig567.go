@@ -27,7 +27,6 @@ type Fig5Point struct {
 // from the per-query mean, as relative error is undefined there.
 func RunFig5(w *Workload) ([]Fig5Point, error) {
 	run := core.NewRun(w.Plan, penalty.SSE{}, w.Store)
-	w.Store.ResetStats()
 	var series []Fig5Point
 	run.RunWithCheckpoints(Checkpoints(w.Plan.DistinctCoefficients()), func(retrieved int, est []float64) {
 		series = append(series, Fig5Point{

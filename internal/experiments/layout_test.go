@@ -8,13 +8,22 @@ import (
 
 	"repro/internal/penalty"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 )
+
+// countArray counts what bc asks of the array beneath it.
+func countArray(bc *blockCounter) *storetest.Counting {
+	counted := storetest.NewCounting(bc.Store)
+	bc.Store = counted
+	return counted
+}
 
 // TestBlockCounterCountsDistinctBlocks: in key order a block of four keys is
 // charged once for however many of its keys are read, and the next key past
 // it opens a second block.
 func TestBlockCounterCountsDistinctBlocks(t *testing.T) {
 	bc := newBlockCounter([]float64{1, 2, 3, 4, 5, 6, 7, 8}, []int{0, 1, 2, 3, 4, 5, 6, 7}, 4)
+	array := countArray(bc)
 	ctx := context.Background()
 	dst := make([]float64, 3)
 	if err := bc.BatchGetCtx(ctx, []int{0, 1, 3}, dst); err != nil {
@@ -29,7 +38,7 @@ func TestBlockCounterCountsDistinctBlocks(t *testing.T) {
 	if bc.blocks != 2 || dst[0] != 5 {
 		t.Fatalf("key 4: %d blocks, value %g; want 2 blocks, 5", bc.blocks, dst[0])
 	}
-	if got := bc.Retrievals(); got != 4 {
+	if got := array.Retrievals(); got != 4 {
 		t.Fatalf("retrievals %d, want 4", got)
 	}
 }
@@ -44,6 +53,7 @@ func TestBlockCounterCountsPhysicalBlocks(t *testing.T) {
 	// Slots {0,1} hold keys 5 and 0, slots {2,3} keys 3 and 1, slots {4,5}
 	// keys 4 and 2.
 	bc := newBlockCounter(cells, []int{5, 0, 3, 1, 4, 2}, 2)
+	array := countArray(bc)
 	ctx := context.Background()
 
 	dst := make([]float64, 3)
@@ -63,7 +73,7 @@ func TestBlockCounterCountsPhysicalBlocks(t *testing.T) {
 	if bc.blocks != 3 || dst[0] != 11 || dst[3] != 12 {
 		t.Fatalf("keys 1, 9, -1, 2: %d blocks, values %v; want 3 blocks, 11 and 12", bc.blocks, dst)
 	}
-	if got := bc.Retrievals(); got != 7 {
+	if got := array.Retrievals(); got != 7 {
 		t.Fatalf("retrievals %d, want 7: the array counts coefficients, not blocks", got)
 	}
 }
@@ -82,6 +92,7 @@ func TestBlockOrderRunMatchesExact(t *testing.T) {
 		natural[i] = i
 	}
 	bc := newBlockCounter(cells, natural, 64)
+	array := countArray(bc)
 	estimates, _, err := blockOrderRun(w.Plan, penalty.SSE{}, bc, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +102,7 @@ func TestBlockOrderRunMatchesExact(t *testing.T) {
 			t.Fatalf("query %d: block order estimate %g, truth %g", i, v, w.Truth[i])
 		}
 	}
-	if got, want := bc.Retrievals(), int64(w.Plan.DistinctCoefficients()); got != want {
+	if got, want := array.Retrievals(), int64(w.Plan.DistinctCoefficients()); got != want {
 		t.Fatalf("retrieved %d coefficients, want the plan's %d distinct", got, want)
 	}
 	distinct := map[int]struct{}{}

@@ -75,10 +75,8 @@ type view struct {
 	tuples  float64
 	mass    float64
 	nonzero int
-	// retr is the owning store's shared retrieval counter; pins counts
-	// explicit retention pins and is shared between re-publications of the
-	// same version (base chain rebuilds, compaction).
-	retr *atomic.Int64
+	// pins counts explicit retention pins and is shared between
+	// re-publications of the same version (base chain rebuilds, compaction).
 	pins *atomic.Int64
 }
 
@@ -93,7 +91,6 @@ func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	v.retr.Add(int64(len(keys)))
 	base, err := v.resolve(ctx, keys, dst)
 	// EXPLAIN ANALYZE attribution: keys answered by the snapshot's overlay
 	// vs delegated to the base store. Nil profile = no-op.
@@ -103,7 +100,8 @@ func (v *view) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
 
 // resolve fills dst from the overlay and fetches the overlay misses from the
 // base as one sub-batch (storage.GetAt). It returns how many keys went to
-// the base.
+// the base. Apply's merge reads through it too: what it asks of the base
+// chain counts there like any read.
 func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, error) {
 	if v.ov.Len() == 0 {
 		return len(keys), v.base.BatchGetCtx(ctx, keys, dst)
@@ -127,21 +125,6 @@ func (v *view) resolve(ctx context.Context, keys []int, dst []float64) (int, err
 	}
 	return len(miss), err
 }
-
-// lookupUncounted reads current coefficient values for Apply's merge without
-// counting retrievals (maintenance reads are not part of the paper's I/O
-// cost measure).
-func (v *view) lookupUncounted(ctx context.Context, keys []int, dst []float64) error {
-	_, err := v.resolve(ctx, keys, dst)
-	return err
-}
-
-// Retrievals implements storage.Store (shared across every view of the
-// owning store).
-func (v *view) Retrievals() int64 { return v.retr.Load() }
-
-// ResetStats implements storage.Store.
-func (v *view) ResetStats() { v.retr.Store(0) }
 
 // NonzeroCount implements storage.Store.
 func (v *view) NonzeroCount() int { return v.nonzero }
@@ -207,8 +190,7 @@ type Store struct {
 	// mapped is the version-0 base when it maps a file; see Compact.
 	mapped pageDropper
 
-	head       atomic.Pointer[view]
-	retrievals atomic.Int64
+	head atomic.Pointer[view]
 
 	// mu serializes writers and guards retained/chain.
 	mu       sync.Mutex
@@ -262,7 +244,6 @@ func New(base storage.Store, f *wavelet.Filter, dims []int, tuples int64, mass f
 		tuples:  float64(tuples),
 		mass:    mass,
 		nonzero: base.NonzeroCount(),
-		retr:    &s.retrievals,
 		pins:    new(atomic.Int64),
 	}
 	s.head.Store(v0)
@@ -301,7 +282,6 @@ func (s *Store) republishBaseLocked() {
 		tuples:      cur.tuples,
 		mass:        cur.mass,
 		nonzero:     cur.nonzero,
-		retr:        cur.retr,
 		pins:        cur.pins,
 	}
 	nv.base = s.serve(cur.rawBase)
@@ -351,7 +331,7 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 	s.mu.Lock()
 	cur := s.head.Load()
 	old := make([]float64, len(keys))
-	if err := cur.lookupUncounted(ctx, keys, old); err != nil {
+	if _, err := cur.resolve(ctx, keys, old); err != nil {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("mvcc: reading current coefficients: %w", err)
 	}
@@ -378,7 +358,6 @@ func (s *Store) Apply(ctx context.Context, b *Batch) (Version, error) {
 		tuples:      cur.tuples + b.TupleWeight(),
 		mass:        mass,
 		nonzero:     nonzero,
-		retr:        &s.retrievals,
 		pins:        new(atomic.Int64),
 	}
 	s.head.Store(nv)
@@ -473,7 +452,6 @@ func (s *Store) Compact(ctx context.Context) error {
 		tuples:      cur.tuples,
 		mass:        cur.mass,
 		nonzero:     cur.nonzero,
-		retr:        &s.retrievals,
 		pins:        cur.pins,
 	}
 	nv.base = s.serve(nb)
@@ -573,12 +551,6 @@ func (sn *Snapshot) Release() {
 func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	return s.head.Load().BatchGetCtx(ctx, keys, dst)
 }
-
-// Retrievals implements storage.Store: reads through every view count here.
-func (s *Store) Retrievals() int64 { return s.retrievals.Load() }
-
-// ResetStats implements storage.Store.
-func (s *Store) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements storage.Store for the current head.
 func (s *Store) NonzeroCount() int { return s.head.Load().nonzero }

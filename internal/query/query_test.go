@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/sparse"
 	"repro/internal/storage"
+	"repro/internal/storetest"
 	"repro/internal/wavelet"
 )
 
@@ -441,7 +442,7 @@ func TestCoefficientsAgainstStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storage.NewSparseStoreFromDense(hat)
+	st := storetest.NewCounting(storage.NewSparseStoreFromDense(hat))
 	r, _ := NewRange(s, []int{1, 1}, []int{10, 14})
 	q, _ := Sum(s, r, "x")
 	coeffs, err := q.Coefficients(wavelet.Db4)

@@ -186,9 +186,8 @@ func TestExplainRetriesOverShards(t *testing.T) {
 	db := servedShards(t, servedFile(t, 400, 7), 2)
 	t.Cleanup(func() { _ = db.Close() })
 	db.SetStack(repro.Stack{
-		Fault:      &repro.FaultConfig{ErrorEvery: 5, Seed: 1},
-		Retry:      &repro.RetryConfig{MaxAttempts: 3},
-		Instrument: true,
+		Fault: &repro.FaultConfig{ErrorEvery: 5, Seed: 1},
+		Retry: &repro.RetryConfig{MaxAttempts: 3},
 	})
 	h := New(db, Options{})
 	t.Cleanup(h.Close)

@@ -83,7 +83,7 @@ func TestLayoutBackedServer(t *testing.T) {
 	if stats.Layout.Dense || stats.Layout.Slots == 0 {
 		t.Fatalf("layout stats = %+v", stats.Layout)
 	}
-	if want := "layout"; stats.StoreStack != want {
+	if want := "layout → instrument"; stats.StoreStack != want {
 		t.Fatalf("store_stack = %q, want %q", stats.StoreStack, want)
 	}
 	if stats.Layout.ColdHits == 0 {

@@ -133,6 +133,8 @@ func (h *Handler) readFamilies(g *obs.ReadGroup[StatsResponse]) {
 	g.ReadGauge("wvq_sched_active_runs", "Runs currently in the round-robin run table.",
 		func(s *stats) int64 { return int64(s.Scheduler.Active) })
 
+	g.ReadCounter("wvq_storage_batchget_keys_total", "Coefficients requested through batched retrievals.",
+		func(s *stats) int64 { return s.Retrievals })
 	g.ReadCounter("wvq_storage_coalesce_requests_total", "Coefficients requested through the coalescing layer.",
 		func(s *stats) int64 { return s.Coalescing.Requests })
 	g.ReadCounter("wvq_storage_coalesce_fetched_total", "Coefficients physically fetched by the coalescing layer.",

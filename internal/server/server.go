@@ -184,8 +184,10 @@ type StatsResponse struct {
 	// Windows maps attribute bins back to raw units (from ingestion);
 	// omitted when unknown.
 	Windows [][2]float64 `json:"windows,omitempty"`
-	// Retrievals counts physical store fetches (coalesced fetches count
-	// once however many runs share them).
+	// Retrievals counts the keys asked of the store stack beneath its
+	// coalescing layer (repro.Database.Retrievals): physical fetches, a
+	// coalesced fetch once however many runs share it, a retried key once
+	// per call, and under MVCC only what reaches the base tier.
 	Retrievals int64 `json:"retrievals"`
 	// StoreStack is the store stack retrievals cross, base first
 	// (repro.Database.StoreStack).

@@ -200,8 +200,6 @@ func (s *blockedStore) BatchGetCtx(_ context.Context, _ []int, dst []float64) er
 	clear(dst)
 	return nil
 }
-func (s *blockedStore) Retrievals() int64 { return 0 }
-func (s *blockedStore) ResetStats()       {}
 func (s *blockedStore) NonzeroCount() int { return 0 }
 
 // fillScheduler occupies the handler's run table and waiting queue with runs
@@ -482,7 +480,6 @@ func lastDoneFrame(r io.Reader) (QueryResponse, error) {
 // nothing per coefficient, whatever the plan's size.
 func TestInMemoryDrainAllocationsDoNotGrowWithThePlan(t *testing.T) {
 	db, _ := bigDatabase(t)
-	db.SetStack(repro.Stack{Instrument: true}) // as wvqd does before it builds the handler
 	h := New(db, Options{})
 	t.Cleanup(h.Close)
 

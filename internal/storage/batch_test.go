@@ -20,12 +20,12 @@ func keysScrambled() []int {
 
 func TestGetBatchCached(t *testing.T) {
 	cells := batchCells()
-	inner := NewArrayStore(cells)
+	inner, counts := counted(NewArrayStore(cells))
 	cs := NewCachedStore(inner)
 	// Warm two keys through the per-key path.
 	Get(cs, 17)
 	Get(cs, 250)
-	inner.ResetStats()
+	warm := counts.Retrievals()
 	cs.hits.Store(0)
 
 	keys := keysScrambled() // 17 and 299 each appear twice
@@ -38,7 +38,7 @@ func TestGetBatchCached(t *testing.T) {
 	}
 	// 12 keys: 17×2 and 250 are warm (3 hits), 299 repeats within the batch
 	// (1 more hit), leaving 8 distinct cold keys.
-	if got := inner.Retrievals(); got != 8 {
+	if got := counts.Retrievals() - warm; got != 8 {
 		t.Errorf("inner retrievals = %d, want 8", got)
 	}
 	if got := cs.Hits(); got != 4 {
@@ -46,7 +46,7 @@ func TestGetBatchCached(t *testing.T) {
 	}
 	// Everything is now cached: a second pass is all hits.
 	BatchGet(cs, keys, dst)
-	if got := inner.Retrievals(); got != 8 {
+	if got := counts.Retrievals() - warm; got != 8 {
 		t.Errorf("second pass reached inner store: retrievals = %d", got)
 	}
 }

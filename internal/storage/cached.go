@@ -13,8 +13,8 @@ import (
 // introduction, successive batches overlap heavily (the user refines regions
 // already summarized), so coefficients retrieved for one batch answer the
 // next for free. CachedStore makes that explicit: cache hits cost nothing,
-// and Retrievals reports only the misses this cache sent to the wrapped
-// store — not what other readers of that store retrieve.
+// and Misses reports only the keys this cache sent to the wrapped store —
+// not what other readers of that store retrieve.
 //
 // Any number of goroutines may read it: one batch at a time reads and fills
 // the cache, the others wait for it. The counters are atomic, so reading
@@ -105,10 +105,10 @@ func (s *CachedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	return batchError(out)
 }
 
-// Retrievals implements Store: the keys this cache sent to the wrapped store
-// (its misses), the session's own I/O count. The wrapped store's counter,
-// which every other reader of it moves too, is not consulted.
-func (s *CachedStore) Retrievals() int64 { return s.misses.Load() }
+// Misses returns the keys this cache sent to the wrapped store, the
+// session's own I/O count. The database's count, which every other reader
+// of the store moves too, is not consulted.
+func (s *CachedStore) Misses() int64 { return s.misses.Load() }
 
 // Hits returns the number of retrievals served from the cache.
 func (s *CachedStore) Hits() int64 { return s.hits.Load() }
@@ -118,14 +118,6 @@ func (s *CachedStore) Cached() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.cache)
-}
-
-// ResetStats implements Store, zeroing this cache's counters but keeping
-// its contents (use ClearCache to drop them). The wrapped store's counter is
-// not this cache's to reset.
-func (s *CachedStore) ResetStats() {
-	s.hits.Store(0)
-	s.misses.Store(0)
 }
 
 // ClearCache drops every cached coefficient.

@@ -11,8 +11,8 @@ func TestCachedStoreHitsAndMisses(t *testing.T) {
 	if v := Get(s, 1); v != 20 {
 		t.Fatalf("Get = %g", v)
 	}
-	if s.Retrievals() != 1 {
-		t.Fatalf("Retrievals = %d, want 1 (second Get was a hit)", s.Retrievals())
+	if s.Misses() != 1 {
+		t.Fatalf("Misses = %d, want 1 (second Get was a hit)", s.Misses())
 	}
 	if s.Hits() != 1 {
 		t.Fatalf("Hits = %d", s.Hits())
@@ -22,22 +22,22 @@ func TestCachedStoreHitsAndMisses(t *testing.T) {
 	}
 }
 
+// TestCachedStoreValidationAndReset: ClearCache drops the contents and
+// keeps the counters, which only grow.
 func TestCachedStoreValidationAndReset(t *testing.T) {
 	inner := NewArrayStore([]float64{7})
 	s := NewCachedStore(inner)
 	Get(s, 0)
-	s.ResetStats()
-	if s.Retrievals() != 0 || s.Hits() != 0 {
-		t.Fatal("ResetStats failed")
-	}
-	// Cache content survives ResetStats.
 	Get(s, 0)
-	if s.Hits() != 1 {
-		t.Fatal("cache should survive ResetStats")
+	if s.Misses() != 1 || s.Hits() != 1 {
+		t.Fatalf("misses %d, hits %d; want 1 and 1", s.Misses(), s.Hits())
 	}
 	s.ClearCache()
+	if s.Cached() != 0 || s.Misses() != 1 || s.Hits() != 1 {
+		t.Fatalf("after ClearCache: cached %d, misses %d, hits %d; want 0, 1, 1", s.Cached(), s.Misses(), s.Hits())
+	}
 	Get(s, 0)
-	if s.Retrievals() != 1 {
+	if s.Misses() != 2 {
 		t.Fatal("ClearCache should force a miss")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -17,11 +16,11 @@ import (
 // master lists overlap heavily on the coarse wavelet levels, and the
 // overlapping retrievals collapse into one.
 //
-// Counting: Retrievals of the wrapped store reports only the fetches that
-// were actually issued (the layer's misses) — physical I/O, exactly as
-// CachedStore counts for sessions. Per-run retrieval counts (Run.Retrieved)
-// are unaffected: every run still pays one logical retrieval per requested
-// coefficient, so the paper's cost model per run is untouched.
+// Counting: the instrument layer beneath it counts only the fetches that
+// were actually issued (the layer's leads) — physical I/O, exactly as
+// CachedStore counts its misses for sessions. Per-run retrieval counts
+// (Run.Retrieved) are unaffected: every run still pays one logical retrieval
+// per requested coefficient, so the paper's cost model per run is untouched.
 //
 // Unlike CachedStore, nothing is retained after a fetch completes: the layer
 // holds only the in-flight window, so it is safe at any store size. No store
@@ -33,24 +32,7 @@ type CoalescingStore struct {
 	mu       sync.Mutex
 	inflight map[int]flightRef
 
-	counts *CoalesceCounters
-}
-
-// CoalesceCounters is what a coalescing layer counts. It is a type of its
-// own so that the owner of a store stack can keep one across rebuilds
-// (Stack.Build): the layers come and go, the counts only grow. Every
-// requested key is either led or joined, and a batch is counted when it has
-// sorted its keys into the two, so Requests = Fetched + Coalesced in every
-// Stats, whatever is in flight.
-type CoalesceCounters struct {
-	fetched   atomic.Int64 // coefficients asked of the wrapped store
-	coalesced atomic.Int64 // coefficients that joined another fetch
-}
-
-// Stats returns the counters.
-func (c *CoalesceCounters) Stats() CoalesceStats {
-	fetched, coalesced := c.fetched.Load(), c.coalesced.Load()
-	return CoalesceStats{Requests: fetched + coalesced, Fetched: fetched, Coalesced: coalesced}
+	counts *Counters
 }
 
 // flight is one in-progress lead fetch: every key a batch registered, asked
@@ -90,9 +72,14 @@ type CoalesceStats struct {
 	Coalesced int64 `json:"coalesced"`
 }
 
-// NewCoalescingStore wraps inner.
+// NewCoalescingStore wraps inner, counting into counters of its own.
 func NewCoalescingStore(inner Store) *CoalescingStore {
-	return &CoalescingStore{inner: inner, inflight: make(map[int]flightRef), counts: new(CoalesceCounters)}
+	return newCoalescingStore(inner, new(Counters))
+}
+
+// newCoalescingStore wraps inner, counting into counts.
+func newCoalescingStore(inner Store, counts *Counters) *CoalescingStore {
+	return &CoalescingStore{inner: inner, inflight: make(map[int]flightRef), counts: counts}
 }
 
 // BatchGetCtx implements Store. Keys already in flight elsewhere are
@@ -192,18 +179,7 @@ func (s *CoalescingStore) BatchGetCtx(ctx context.Context, keys []int, dst []flo
 }
 
 // Stats returns the coalescing counters.
-func (s *CoalescingStore) Stats() CoalesceStats { return s.counts.Stats() }
-
-// Retrievals implements Store: physical fetches issued to the wrapped store.
-func (s *CoalescingStore) Retrievals() int64 { return s.inner.Retrievals() }
-
-// ResetStats implements Store, zeroing both the wrapped store's counter and
-// the layer's own.
-func (s *CoalescingStore) ResetStats() {
-	s.inner.ResetStats()
-	s.counts.fetched.Store(0)
-	s.counts.coalesced.Store(0)
-}
+func (s *CoalescingStore) Stats() CoalesceStats { return s.counts.Coalesce() }
 
 // NonzeroCount implements Store.
 func (s *CoalescingStore) NonzeroCount() int { return s.inner.NonzeroCount() }

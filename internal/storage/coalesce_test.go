@@ -9,14 +9,17 @@ import (
 )
 
 // gateStore is a concurrent-safe store whose retrievals block on a gate
-// channel, letting tests hold fetches in flight deterministically.
+// channel, letting tests hold fetches in flight deterministically. What
+// passes the gate is counted by the instrument layer.
 type gateStore struct {
-	inner *SparseStore
-	gate  chan struct{} // each fetch call consumes one token
+	inner  *InstrumentedStore
+	counts *Counters
+	gate   chan struct{} // each fetch call consumes one token
 }
 
 func newGateStore(t testing.TB, cells map[int]float64) *gateStore {
-	return &gateStore{inner: sparseOf(t, cells), gate: make(chan struct{}, 1024)}
+	inner, counts := counted(sparseOf(t, cells))
+	return &gateStore{inner: inner, counts: counts, gate: make(chan struct{}, 1024)}
 }
 
 func (g *gateStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
@@ -24,8 +27,7 @@ func (g *gateStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) 
 	return g.inner.BatchGetCtx(ctx, keys, dst)
 }
 
-func (g *gateStore) Retrievals() int64 { return g.inner.Retrievals() }
-func (g *gateStore) ResetStats()       { g.inner.ResetStats() }
+func (g *gateStore) Retrievals() int64 { return g.counts.Retrievals() }
 func (g *gateStore) NonzeroCount() int { return g.inner.NonzeroCount() }
 
 // open lets n fetch calls proceed.
@@ -204,17 +206,17 @@ func TestCoalescingValuesMatchUnwrapped(t *testing.T) {
 	}
 }
 
+// TestCoalescingPassthroughs: the layer passes NonzeroCount through, and
+// in a built stack its counts and the instrument layer's under it land in
+// the one Counters the owner passed.
 func TestCoalescingPassthroughs(t *testing.T) {
-	cs := NewCoalescingStore(sparseOf(t, map[int]float64{1: 2, 3: 4}))
+	var counts Counters
+	cs := Stack{Coalesce: true}.Build(sparseOf(t, map[int]float64{1: 2, 3: 4}), &counts)
 	if cs.NonzeroCount() != 2 {
 		t.Fatalf("NonzeroCount = %d", cs.NonzeroCount())
 	}
 	Get(cs, 1)
-	if cs.Retrievals() != 1 {
-		t.Fatalf("Retrievals = %d", cs.Retrievals())
-	}
-	cs.ResetStats()
-	if cs.Retrievals() != 0 || cs.Stats() != (CoalesceStats{}) {
-		t.Fatal("ResetStats did not clear counters")
+	if counts.Retrievals() != 1 || counts.Coalesce() != (CoalesceStats{Requests: 1, Fetched: 1}) {
+		t.Fatalf("Retrievals = %d, coalescing %+v", counts.Retrievals(), counts.Coalesce())
 	}
 }

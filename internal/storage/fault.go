@@ -152,13 +152,5 @@ func (s *FaultStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return batchError(MergeFailed(injected, failed))
 }
 
-// Retrievals implements Store: only retrievals that reached the wrapped
-// store count — an injected failure fails before touching storage.
-func (s *FaultStore) Retrievals() int64 { return s.inner.Retrievals() }
-
-// ResetStats implements Store. The Nth-call counter is part of the fault
-// schedule, not a statistic, so it is not reset.
-func (s *FaultStore) ResetStats() { s.inner.ResetStats() }
-
 // NonzeroCount implements Store.
 func (s *FaultStore) NonzeroCount() int { return s.inner.NonzeroCount() }

@@ -11,7 +11,7 @@ import (
 // Observability for the storage layer. Observe installs a metrics bundle
 // into a package-level atomic pointer; the layers whose counts nothing else
 // keeps (retry, fault injection) check the pointer on their counting
-// paths — the coalescing layer keeps its own (CoalesceCounters) — and the
+// paths — the stack's own counts live in Counters — and the
 // InstrumentedStore wrapper times the retrieval calls themselves. With no
 // registry observed the pointer is nil and every site is one atomic load
 // plus a branch — no allocation, no time.Now.
@@ -19,7 +19,6 @@ import (
 // storageMetrics is the package's metric bundle, built once per Observe.
 type storageMetrics struct {
 	batchSeconds   *obs.Histogram // latency of retrieval batches
-	batchKeys      *obs.Counter   // keys requested through retrieval batches
 	retryAttempts  *obs.Counter
 	retryExhausted *obs.Counter
 	faultErrors    *obs.Counter
@@ -39,8 +38,6 @@ func Observe(reg *obs.Registry) {
 	stMetrics.Store(&storageMetrics{
 		batchSeconds: reg.Histogram("wvq_storage_batchget_seconds",
 			"Latency of batched coefficient retrievals.", nil),
-		batchKeys: reg.Counter("wvq_storage_batchget_keys_total",
-			"Coefficients requested through batched retrievals."),
 		retryAttempts: reg.Counter("wvq_storage_retry_attempts_total",
 			"Retrieval attempts issued by the retry layer, including first tries."),
 		retryExhausted: reg.Counter("wvq_storage_retry_exhausted_total",
@@ -83,21 +80,25 @@ func obsFaultDelay() {
 	}
 }
 
-// InstrumentedStore wraps a Store and times every retrieval batch against
-// the observed registry: wvq_storage_batchget_seconds plus a key-count
-// counter. When no registry is observed the wrapper is a pass-through with
-// one atomic load per call.
+// InstrumentedStore is the one place a stack counts its retrievals: it adds
+// the keys of every batch asked of the store it wraps to Counters the
+// stack's owner holds, and times the batch against the observed registry
+// (wvq_storage_batchget_seconds). When no registry is observed the timing
+// costs one atomic load per call.
 type InstrumentedStore struct {
-	inner Store
+	inner  Store
+	counts *Counters
 }
 
-// NewInstrumentedStore wraps inner.
-func NewInstrumentedStore(inner Store) *InstrumentedStore {
-	return &InstrumentedStore{inner: inner}
+// NewInstrumentedStore wraps inner, counting into counts.
+func NewInstrumentedStore(inner Store, counts *Counters) *InstrumentedStore {
+	return &InstrumentedStore{inner: inner, counts: counts}
 }
 
-// BatchGetCtx implements Store, timing the batch when observed.
+// BatchGetCtx implements Store, counting the batch's keys and timing the
+// batch when observed.
 func (s *InstrumentedStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
+	s.counts.retrievals.Add(int64(len(keys)))
 	m := stObs()
 	if m == nil {
 		return s.inner.BatchGetCtx(ctx, keys, dst)
@@ -105,15 +106,8 @@ func (s *InstrumentedStore) BatchGetCtx(ctx context.Context, keys []int, dst []f
 	start := time.Now()
 	err := s.inner.BatchGetCtx(ctx, keys, dst)
 	m.batchSeconds.Observe(time.Since(start).Seconds())
-	m.batchKeys.Add(int64(len(keys)))
 	return err
 }
-
-// Retrievals implements Store.
-func (s *InstrumentedStore) Retrievals() int64 { return s.inner.Retrievals() }
-
-// ResetStats implements Store.
-func (s *InstrumentedStore) ResetStats() { s.inner.ResetStats() }
 
 // NonzeroCount implements Store.
 func (s *InstrumentedStore) NonzeroCount() int { return s.inner.NonzeroCount() }

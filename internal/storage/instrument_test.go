@@ -30,7 +30,7 @@ func testDense() []float64 {
 
 func TestInstrumentedStoreTimesRetrievals(t *testing.T) {
 	reg := observeTest(t)
-	s := NewInstrumentedStore(NewArrayStore(testDense()))
+	s, counts := counted(NewArrayStore(testDense()))
 
 	if v := Get(s, 3); v != 4 {
 		t.Fatalf("Get = %v", v)
@@ -46,13 +46,16 @@ func TestInstrumentedStoreTimesRetrievals(t *testing.T) {
 	}
 
 	// Every retrieval is a batch; the two single-key adapters are batches
-	// of one.
+	// of one. The keys are counted in the owner's Counters, not pushed.
 	snap := reg.Snapshot()
 	if snap["wvq_storage_batchget_seconds_count"] != 4 {
 		t.Fatalf("batch observations = %v", snap["wvq_storage_batchget_seconds_count"])
 	}
-	if snap["wvq_storage_batchget_keys_total"] != 7 {
-		t.Fatalf("batch keys = %v", snap["wvq_storage_batchget_keys_total"])
+	if counts.Retrievals() != 7 {
+		t.Fatalf("batch keys = %d", counts.Retrievals())
+	}
+	if _, pushed := snap["wvq_storage_batchget_keys_total"]; pushed {
+		t.Fatal("the instrument layer pushed wvq_storage_batchget_keys_total")
 	}
 }
 
@@ -65,8 +68,8 @@ func TestCachedStoreCountsItsOwn(t *testing.T) {
 	Get(cs, 1) // miss
 	Get(cs, 1) // hit
 	Get(cs, 2) // miss
-	if cs.Hits() != 1 || cs.Retrievals() != 2 {
-		t.Fatalf("hits %d, misses %d; want 1 and 2", cs.Hits(), cs.Retrievals())
+	if cs.Hits() != 1 || cs.Misses() != 2 {
+		t.Fatalf("hits %d, misses %d; want 1 and 2", cs.Hits(), cs.Misses())
 	}
 	for name := range reg.Snapshot() {
 		if strings.HasPrefix(name, "wvq_storage_cache_") {
@@ -115,7 +118,7 @@ func TestRetryAndFaultCountersMirrored(t *testing.T) {
 // through the wrapper must not allocate.
 func TestUnobservedPassThroughZeroAllocs(t *testing.T) {
 	Observe(nil)
-	s := NewInstrumentedStore(NewArrayStore(testDense()))
+	s, _ := counted(NewArrayStore(testDense()))
 	ctx, keys, dst := context.Background(), []int{3}, make([]float64, 1)
 	if n := testing.AllocsPerRun(100, func() {
 		_ = s.BatchGetCtx(ctx, keys, dst)

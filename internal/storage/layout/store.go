@@ -63,7 +63,6 @@ type Store struct {
 	blockShift uint
 	blockDiv   uint
 
-	retrievals     atomic.Int64
 	coldHits       atomic.Int64
 	blockLoads     atomic.Int64
 	blockLoadFails atomic.Int64
@@ -355,7 +354,6 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.retrievals.Add(int64(len(keys)))
 	// EXPLAIN ANALYZE attribution: snapshot the counters around this call
 	// and record the deltas. Exact for a run draining alone, approximate
 	// (shared deltas) when concurrent runs interleave — the counters are
@@ -434,12 +432,6 @@ func (s *Store) gatherVerified(keys []int, dst []float64) int {
 	}
 	return n
 }
-
-// Retrievals implements storage.Store.
-func (s *Store) Retrievals() int64 { return s.retrievals.Load() }
-
-// ResetStats implements storage.Store.
-func (s *Store) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements storage.Store.
 func (s *Store) NonzeroCount() int { return s.g.nonzero }

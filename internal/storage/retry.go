@@ -154,12 +154,5 @@ func (s *RetryStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	return &BatchError{Failed: failed}
 }
 
-// Retrievals implements Store: every attempt that reached the wrapped store
-// counts, so retries are visible as extra physical I/O.
-func (s *RetryStore) Retrievals() int64 { return s.inner.Retrievals() }
-
-// ResetStats implements Store.
-func (s *RetryStore) ResetStats() { s.inner.ResetStats() }
-
 // NonzeroCount implements Store.
 func (s *RetryStore) NonzeroCount() int { return s.inner.NonzeroCount() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // Stack declares the layers a base store is served through. It is the one
@@ -14,29 +15,58 @@ type Stack struct {
 	Fault *FaultConfig
 	// Retry, when non-nil, re-attempts failed retrievals under its policy.
 	Retry *RetryConfig
-	// Instrument times every retrieval batch into the observed registry.
-	Instrument bool
 	// Coalesce shares overlapping in-flight fetches between concurrent
 	// callers.
 	Coalesce bool
 }
 
+// Counters is what a store stack counts. It is a type of its own so that
+// the owner of a stack can keep one across rebuilds (Build): the layers come
+// and go, the counts only grow — nothing zeroes them.
+//
+// The retrieval count is the paper's I/O cost of the whole stack, and this
+// is its one owner: the instrument layer adds every key asked of the layers
+// beneath it, so a coalesced fetch counts once however many runs share it
+// and a retried key once per call, whatever its attempts. The coalescing
+// counts sort every key the layer is asked into led or joined; a batch is
+// counted when it has sorted its keys into the two, so Requests = Fetched +
+// Coalesced in every CoalesceStats, whatever is in flight.
+type Counters struct {
+	retrievals atomic.Int64 // keys asked of the layers under the instrument layer
+	fetched    atomic.Int64 // coefficients the coalescing layer asked of its inner store
+	coalesced  atomic.Int64 // coefficients that joined another fetch
+}
+
+// Retrievals returns the keys asked of the stack below its coalescing layer.
+func (c *Counters) Retrievals() int64 { return c.retrievals.Load() }
+
+// Coalesce returns the coalescing counters.
+func (c *Counters) Coalesce() CoalesceStats {
+	fetched, coalesced := c.fetched.Load(), c.coalesced.Load()
+	return CoalesceStats{Requests: fetched + coalesced, Fetched: fetched, Coalesced: coalesced}
+}
+
 // Build composes base → fault → retry → instrument → coalesce, leaving out
-// what the stack does not ask for, and returns the top of the chain: where
-// every retrieval enters. The owner writes to and enumerates the base itself.
-// A coalescing layer counts into counts, which an owner that rebuilds passes
-// to every Build so that what it reports never runs backwards; nil gives the
-// layer counters of its own.
+// the fault, retry and coalescing layers the stack does not ask for, and
+// returns the top of the chain: where every retrieval enters. The instrument
+// layer is always there: it counts into counts, which an owner that
+// rebuilds passes to every Build so that what it reports never runs
+// backwards; nil gives the chain counters of its own. The owner writes to
+// and enumerates the base itself.
 //
 // The order is fixed by what each layer is for. Faults go under retries,
-// which exist to recover them; the timer goes over both, so it covers the
-// whole physical retrieval; coalescing goes on top, so a fetch recovered by a
-// retry is shared like any other.
+// which exist to recover them; the instrument layer goes over both, so it
+// counts and times the whole physical retrieval; coalescing goes on top, so
+// a fetch recovered by a retry is shared like any other, and the count sees
+// a shared fetch once.
 //
 // Every call makes new layers: the state a layer keeps (Nth-call fault
 // schedules, jitter draws) starts over, and a run that captured an earlier
 // chain keeps it.
-func (s Stack) Build(base Store, counts *CoalesceCounters) Store {
+func (s Stack) Build(base Store, counts *Counters) Store {
+	if counts == nil {
+		counts = new(Counters)
+	}
 	top := base
 	if s.Fault != nil {
 		top = NewFaultStore(top, *s.Fault)
@@ -44,15 +74,9 @@ func (s Stack) Build(base Store, counts *CoalesceCounters) Store {
 	if s.Retry != nil {
 		top = NewRetryStore(top, *s.Retry)
 	}
-	if s.Instrument {
-		top = NewInstrumentedStore(top)
-	}
+	top = NewInstrumentedStore(top, counts)
 	if s.Coalesce {
-		co := NewCoalescingStore(top)
-		if counts != nil {
-			co.counts = counts
-		}
-		top = co
+		top = newCoalescingStore(top, counts)
 	}
 	return top
 }

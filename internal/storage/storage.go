@@ -2,13 +2,14 @@
 // frequency distribution Δ̂ and implements the paper's I/O cost model:
 // coefficients live in array-based or sparse storage with constant-time
 // random access, and the unit of cost is one retrieval per requested
-// coefficient (Section 1.3 of the paper). Every store counts retrievals so
-// that the experiments can report exactly the quantities the paper reports.
+// coefficient (Section 1.3 of the paper). A store does not count what it is
+// asked: the physical count has one owner, the instrument layer every Stack
+// builds, which adds each batch's keys to the Counters its owner holds, and
+// a run counts its own retrievals (core.Run.Retrieved).
 //
 // A view is built once, from keys in ascending order (Build), and then only
-// read. Every store takes any number of concurrent readers — the in-memory
-// base stores count retrievals atomically, and a layer with state of its own
-// synchronizes it — and writes go through the multi-version store
+// read. Every store takes any number of concurrent readers — a layer with
+// state of its own synchronizes it — and writes go through the multi-version store
 // (internal/mvcc), which never writes a base it serves: its compaction
 // builds the next one. A single run retrieves sequentially, matching the
 // paper's model.
@@ -18,17 +19,18 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 )
 
 // Store provides random access to transform coefficients by flat key. It
 // has one retrieval method, matching the one storage operation of the
 // paper's cost model; the free functions Get, GetCtx and BatchGet adapt it
-// for callers that want a single key or no error handling.
+// for callers that want a single key or no error handling. Counting the
+// retrievals is not the store's business: the instrument layer of a Stack
+// counts the keys asked of everything beneath it (Counters).
 type Store interface {
-	// BatchGetCtx retrieves the coefficient for keys[i] into dst[i],
-	// counting len(keys) retrievals. Missing coefficients are zero (and
-	// still cost a retrieval: the engine had to probe storage to learn
+	// BatchGetCtx retrieves the coefficient for keys[i] into dst[i]; each
+	// of the len(keys) keys is one retrieval. Missing coefficients are zero
+	// (and still cost a retrieval: the engine had to probe storage to learn
 	// that). Keys may repeat and appear in any order; len(keys) != len(dst)
 	// panics. A key outside the store's domain (negative, or beyond the
 	// size of a store that knows its size) and any other per-key failure is
@@ -38,11 +40,6 @@ type Store interface {
 	// returns before anything is retrieved) means no position of dst may be
 	// trusted.
 	BatchGetCtx(ctx context.Context, keys []int, dst []float64) error
-	// Retrievals returns the number of coefficients retrieved since the
-	// last ResetStats.
-	Retrievals() int64
-	// ResetStats zeroes the retrieval counter.
-	ResetStats()
 	// NonzeroCount returns the number of nonzero coefficients held.
 	NonzeroCount() int
 }
@@ -50,8 +47,8 @@ type Store interface {
 // Enumerable is implemented by stores that can iterate their nonzero
 // coefficients (for persistence, compaction and diagnostics): the base
 // stores, a .wvls layout, and an MVCC store or view. Iteration is in
-// ascending key order; fn returning false stops the walk. Enumeration does
-// not count retrievals. Walk returns the damage a store meets on the way (a
+// ascending key order; fn returning false stops the walk. Enumeration is
+// not a retrieval and no count sees it. Walk returns the damage a store meets on the way (a
 // layout file's block or key index failing its check); a store that cannot
 // meet any returns nil. A type assertion is the whole test: no wrapper
 // implements the method, so a store that has it can enumerate. The layers of
@@ -169,9 +166,8 @@ func atLeastQuarterFull(cells, count int) bool {
 // the store outlives the loop (holding only the slice would not keep the
 // mapping).
 type ArrayStore struct {
-	cells      []float64
-	nonzero    int
-	retrievals atomic.Int64
+	cells   []float64
+	nonzero int
 }
 
 // NewArrayStore wraps the given dense coefficient array. The store aliases
@@ -187,13 +183,12 @@ func NewArrayStore(cells []float64) *ArrayStore {
 	return s
 }
 
-// BatchGetCtx implements Store with one counter update for the batch.
+// BatchGetCtx implements Store: an index per key.
 func (s *ArrayStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
 	checkBatch(keys, dst)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.retrievals.Add(int64(len(keys)))
 	var failed []KeyError
 	for i, k := range keys {
 		if k < 0 || k >= len(s.cells) {
@@ -205,12 +200,6 @@ func (s *ArrayStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64)
 	runtime.KeepAlive(s)
 	return batchError(failed)
 }
-
-// Retrievals implements Store.
-func (s *ArrayStore) Retrievals() int64 { return s.retrievals.Load() }
-
-// ResetStats implements Store.
-func (s *ArrayStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements Store: the count is taken when the store is built.
 func (s *ArrayStore) NonzeroCount() int { return s.nonzero }
@@ -238,8 +227,7 @@ func (s *ArrayStore) Walk(fn func(key int, value float64) bool) error {
 // runtime.KeepAlive(s). The store does not know its domain, so only negative
 // keys are out of range.
 type SparseStore struct {
-	m          Sorted
-	retrievals atomic.Int64
+	m Sorted
 }
 
 // HashStore is the sparse store's old name, which the benchmark harness
@@ -277,7 +265,6 @@ func (s *SparseStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.retrievals.Add(int64(len(keys)))
 	var failed []KeyError
 	for i, k := range keys {
 		if k < 0 {
@@ -289,12 +276,6 @@ func (s *SparseStore) BatchGetCtx(ctx context.Context, keys []int, dst []float64
 	runtime.KeepAlive(s)
 	return batchError(failed)
 }
-
-// Retrievals implements Store.
-func (s *SparseStore) Retrievals() int64 { return s.retrievals.Load() }
-
-// ResetStats implements Store.
-func (s *SparseStore) ResetStats() { s.retrievals.Store(0) }
 
 // NonzeroCount implements Store.
 func (s *SparseStore) NonzeroCount() int { return s.m.Len() }

@@ -33,6 +33,24 @@ type subject struct {
 	// sharesFate marks the coordinator: the wire cannot carry a negative
 	// key, so its shard's whole sub-batch fails with it.
 	sharesFate bool
+	// counts is what reaches beneath a layer that shares or counts reads
+	// (cache, coalescing, instrument), set by the builds that have one; nil
+	// counts what is asked of the store itself (counted).
+	counts retrievalCount
+}
+
+// retrievalCount is a count of retrievals: a Counting, or the Counters an
+// instrument layer adds to.
+type retrievalCount interface{ Retrievals() int64 }
+
+// counted returns the store to read through and the count of what those
+// reads cost: the subject's own counts, or a Counting over the store.
+func (s subject) counted() (storage.Store, retrievalCount) {
+	if s.counts != nil {
+		return s.store, s.counts
+	}
+	c := NewCounting(s.store)
+	return c, c
 }
 
 var dims = []int{16, 16, 8}
@@ -234,11 +252,12 @@ var subjects = []struct {
 		return memoryStore(t, eighth(hat), false)
 	}},
 	{"cached", func(t *testing.T, hat []float64, _ int64) subject {
-		s := storage.NewCachedStore(array(hat))
-		return subject{store: s, want: hat, bounded: true}
+		base := NewCounting(array(hat))
+		return subject{store: storage.NewCachedStore(base), want: hat, bounded: true, counts: base}
 	}},
 	{"coalescing", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewCoalescingStore(storage.NewSparseStoreFromDense(hat)), want: hat}
+		base := NewCounting(storage.NewSparseStoreFromDense(hat))
+		return subject{store: storage.NewCoalescingStore(base), want: hat, counts: base}
 	}},
 	{"zero-rate fault", func(t *testing.T, hat []float64, _ int64) subject {
 		return subject{store: storage.NewFaultStore(array(hat), storage.FaultConfig{}), want: hat, bounded: true}
@@ -247,7 +266,8 @@ var subjects = []struct {
 		return subject{store: storage.NewRetryStore(array(hat), storage.RetryConfig{}), want: hat, bounded: true}
 	}},
 	{"instrumented", func(t *testing.T, hat []float64, _ int64) subject {
-		return subject{store: storage.NewInstrumentedStore(array(hat)), want: hat, bounded: true}
+		counts := new(storage.Counters)
+		return subject{store: storage.NewInstrumentedStore(array(hat), counts), want: hat, bounded: true, counts: counts}
 	}},
 	{"layout mmap, dense", func(t *testing.T, hat []float64, _ int64) subject {
 		return openLayout(t, hat, true)
@@ -278,10 +298,11 @@ func TestStoreContract(t *testing.T) {
 	for _, sub := range subjects {
 		t.Run(sub.name, func(t *testing.T) {
 			s := sub.build(t, hat, tuples)
+			reader, counts := s.counted()
 			get := func(keys []int) []float64 {
 				t.Helper()
 				dst := make([]float64, len(keys))
-				if err := s.store.BatchGetCtx(ctx, keys, dst); err != nil {
+				if err := reader.BatchGetCtx(ctx, keys, dst); err != nil {
 					t.Fatalf("BatchGetCtx(%v): %v", keys, err)
 				}
 				for i, k := range keys {
@@ -298,9 +319,9 @@ func TestStoreContract(t *testing.T) {
 			for k := 1; k < len(s.want); k += len(s.want) / 64 {
 				distinct = append(distinct, k)
 			}
-			before := s.store.Retrievals()
+			before := counts.Retrievals()
 			get(distinct)
-			if got := s.store.Retrievals() - before; got != int64(len(distinct)) {
+			if got := counts.Retrievals() - before; got != int64(len(distinct)) {
 				t.Fatalf("Retrievals rose by %d for %d keys", got, len(distinct))
 			}
 
@@ -376,7 +397,7 @@ func TestStoreContract(t *testing.T) {
 				}
 			}
 
-			readConcurrently(t, s, plan, distinct, want)
+			readConcurrently(t, s, reader, counts, plan, distinct, want)
 		})
 	}
 }
@@ -428,13 +449,13 @@ func TestEnumerableStoresWalkAscending(t *testing.T) {
 
 // readConcurrently is the contract every store keeps with concurrent
 // readers: eight goroutines run the distinct-key batch and an exact pass
-// through it at once, every value is the one a sequential read gets, and
-// Retrievals rises by exactly what the goroutines asked for — a batch key
-// each, a distinct coefficient each per exact pass — less the keys a
-// coalescing layer answered from another goroutine's fetch or a cache from
-// its contents. Run it under -race: nothing here takes a lock the store does
-// not take itself.
-func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, exact []float64) {
+// through reader (the subject's store, or a Counting over it) at once,
+// every value is the one a sequential read gets, and counts rises by
+// exactly what the goroutines asked for — a batch key each, a distinct
+// coefficient each per exact pass — less the keys a coalescing layer
+// answered from another goroutine's fetch or a cache from its contents. Run
+// it under -race: nothing here takes a lock the store does not take itself.
+func readConcurrently(t *testing.T, s subject, reader storage.Store, counts retrievalCount, plan *core.Plan, distinct []int, exact []float64) {
 	t.Helper()
 	const readers = 8
 	shared := func() int64 {
@@ -447,7 +468,7 @@ func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, 
 		return 0
 	}
 	ctx := context.Background()
-	before, sharedBefore := s.store.Retrievals(), shared()
+	before, sharedBefore := counts.Retrievals(), shared()
 	errs := make(chan error, readers)
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
@@ -455,7 +476,7 @@ func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, 
 		go func() {
 			defer wg.Done()
 			dst := make([]float64, len(distinct))
-			if err := s.store.BatchGetCtx(ctx, distinct, dst); err != nil {
+			if err := reader.BatchGetCtx(ctx, distinct, dst); err != nil {
 				errs <- err
 				return
 			}
@@ -465,7 +486,7 @@ func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, 
 					return
 				}
 			}
-			got, err := plan.Exact(ctx, s.store)
+			got, err := plan.Exact(ctx, reader)
 			if err != nil {
 				errs <- err
 				return
@@ -484,7 +505,7 @@ func readConcurrently(t *testing.T, s subject, plan *core.Plan, distinct []int, 
 		t.Fatalf("concurrent reader: %v", err)
 	}
 	asked := int64(readers * (len(distinct) + plan.DistinctCoefficients()))
-	if got, want := s.store.Retrievals()-before, asked-(shared()-sharedBefore); got != want {
+	if got, want := counts.Retrievals()-before, asked-(shared()-sharedBefore); got != want {
 		t.Fatalf("%d concurrent readers: Retrievals rose by %d, want %d", readers, got, want)
 	}
 }

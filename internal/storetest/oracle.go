@@ -1,6 +1,7 @@
 // Package storetest holds what the store packages' tests share: the oracle
 // store Map, a plain map that accumulates, with the tuple-insertion oracle
-// (InsertTuple, DeleteTuple) that maintains it; and, in its tests, the one
+// (InsertTuple, DeleteTuple) that maintains it; Counting, which counts what
+// a test asks of a bare store; and, in its tests, the one
 // storage.Store contract matrix, every store type in the repository, local
 // and remote, run against the same assertions. The matrix is here because no
 // store package can import all the others without a cycle.
@@ -11,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/sparse"
 	"repro/internal/storage"
@@ -24,8 +24,7 @@ import (
 // anywhere; Base builds the real base store of its contents. Any number of
 // goroutines may read it; Add needs exclusive access.
 type Map struct {
-	m          map[int]float64
-	retrievals atomic.Int64
+	m map[int]float64
 }
 
 // NewMap returns an empty oracle store.
@@ -54,7 +53,6 @@ func (m *Map) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	m.retrievals.Add(int64(len(keys)))
 	var failed []storage.KeyError
 	for i, k := range keys {
 		if k < 0 {
@@ -68,12 +66,6 @@ func (m *Map) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error 
 	}
 	return nil
 }
-
-// Retrievals implements storage.Store.
-func (m *Map) Retrievals() int64 { return m.retrievals.Load() }
-
-// ResetStats implements storage.Store.
-func (m *Map) ResetStats() { m.retrievals.Store(0) }
 
 // NonzeroCount implements storage.Store.
 func (m *Map) NonzeroCount() int { return len(m.m) }

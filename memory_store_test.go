@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -89,8 +90,8 @@ func loadAs(t *testing.T, file []byte, array bool) *Database {
 	}
 	db := newDatabase(snap.Schema, filter, store, snap.TupleCount, mass)
 	db.windows = snap.Windows
-	if isArrayStore(db.store) != array {
-		t.Fatalf("asked for array=%v, built %T", array, db.store)
+	if isArrayStore(db.base) != array {
+		t.Fatalf("asked for array=%v, built %T", array, db.base)
 	}
 	return db
 }
@@ -173,8 +174,8 @@ func TestLoadedRepresentationsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if isArrayStore(chosen.store) != fx.array {
-				t.Fatalf("%d coefficients of %d cells loaded as %T", chosen.NonzeroCoefficients(), chosen.Schema().Cells(), chosen.store)
+			if isArrayStore(chosen.base) != fx.array {
+				t.Fatalf("%d coefficients of %d cells loaded as %T", chosen.NonzeroCoefficients(), chosen.Schema().Cells(), chosen.base)
 			}
 			mapped, err := OpenLayout(savedFile(t, fx.name+".wvls", file))
 			if err != nil {
@@ -205,7 +206,7 @@ func TestLoadedRepresentationsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(file, again.Bytes()) {
-					t.Fatalf("Save of the %T changed the file's bytes", db.store)
+					t.Fatalf("Save of the %T changed the file's bytes", db.base)
 				}
 			}
 		})
@@ -248,7 +249,7 @@ func TestShardRepresentationsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := isArrayStore(db.store); got != fx.array {
+			if got := isArrayStore(db.base); got != fx.array {
 				t.Fatalf("fixture drifted: the file loads as array=%v", got)
 			}
 			mass, err := db.CoefficientMass()
@@ -340,7 +341,7 @@ func TestMVCCRepresentationsAgree(t *testing.T) {
 				if !db.InMemory() {
 					t.Fatal("compaction left a base chain that does not answer from memory")
 				}
-				if got := isArrayStore(db.mvcc.BaseChain()); got != fx.array {
+				if got := strings.HasPrefix(db.StoreStack(), "array → "); got != fx.array {
 					t.Fatalf("fixture drifted: the fold built %s", db.StoreStack())
 				}
 				after := pinned[i].Exact(plan)

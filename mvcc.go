@@ -128,8 +128,8 @@ func (db *Database) CompactNow(ctx context.Context) error {
 // Snapshot is a pinned, immutable view of one database version. It
 // implements Evaluator — plans, exact evaluation and progressive runs
 // against it serve bit-stable coefficients however many writes land after
-// the pin; its Retrievals and ResetStats are the counter every view of the
-// database shares — and stays addressable by SnapshotAt until Release.
+// the pin; what its reads ask of the base tier counts in the database's
+// Retrievals — and stays addressable by SnapshotAt until Release.
 type Snapshot struct {
 	evaluator
 	sn *mvcc.Snapshot

@@ -454,11 +454,13 @@ func TestCompactionPreservesFacadeAnswers(t *testing.T) {
 	}
 }
 
-// TestCoalescingStatsNeverRunBackwards: the coalescing counters are the
-// database's, so the rebuilds that replace the layer — every compaction's new
-// base chain, a new fault schedule and its removal — leave them where they
-// were. They used to belong to the layer and start over with each one, which
-// a scraper of the server's read counters would see as a reset.
+// TestCoalescingStatsNeverRunBackwards: the coalescing counters and the
+// retrieval count are the database's, so the rebuilds that replace the
+// layers — every compaction's new base chain, a new fault schedule and its
+// removal — leave them where they were: a scraper of the server's read
+// counters would see counts that started over with a layer as a reset.
+// Every read here, Apply's too, crosses the coalescer, so the retrieval
+// count is what it fetched.
 func TestCoalescingStatsNeverRunBackwards(t *testing.T) {
 	db, plan, _ := mvccFixture(t, MVCCConfig{DisableAutoCompact: true})
 	db.SetStack(Stack{
@@ -468,6 +470,7 @@ func TestCoalescingStatsNeverRunBackwards(t *testing.T) {
 	})
 	ctx := context.Background()
 	var last CoalesceStats
+	var lastRetrievals int64
 	drain := func(after string) {
 		t.Helper()
 		run := db.NewRun(plan, SSE())
@@ -483,7 +486,11 @@ func TestCoalescingStatsNeverRunBackwards(t *testing.T) {
 		if st.Requests < last.Requests+int64(plan.DistinctCoefficients()) || st.Fetched < last.Fetched || st.Coalesced < last.Coalesced {
 			t.Fatalf("%s: stats ran backwards: %+v → %+v", after, last, st)
 		}
-		last = st
+		r := db.Retrievals()
+		if r < lastRetrievals || r != st.Fetched {
+			t.Fatalf("%s: retrievals %d → %d, the coalescer fetched %d", after, lastRetrievals, r, st.Fetched)
+		}
+		last, lastRetrievals = st, r
 	}
 	drain("open")
 	for i, b := range randomBatches(db, 8, 100, 29) {

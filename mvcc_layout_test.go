@@ -61,7 +61,7 @@ func TestMVCCOverAMapping(t *testing.T) {
 		if err := db.EnableMVCC(MVCCConfig{DisableAutoCompact: true}); err != nil {
 			t.Fatal(err)
 		}
-		if got := db.StoreStack(); got != "layout → mvcc" {
+		if got := db.StoreStack(); got != "layout → instrument → mvcc" {
 			t.Fatalf("dense %v: MVCC over the mapping prints %q", dense, got)
 		}
 		if got, err := db.CoefficientMass(); err != nil || math.Float64bits(got) != math.Float64bits(mass) {

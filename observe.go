@@ -9,8 +9,8 @@ import (
 // This file is the facade of the observability layer. The metrics registry,
 // tracing and logging primitives live in internal/obs; the HTTP handler's
 // Observe method (internal/server) points every layer's instrumentation at
-// one registry. Retrieval timing is a layer of the store stack
-// (Stack.Instrument).
+// one registry. Retrieval timing is the store stack's instrument layer,
+// which every Stack builds (Stack).
 
 // Re-exported diagnostics vocabulary: a QueryProfile is the per-run
 // recorder (plan source and build time, queue delay, per-StepBatchCtx rows

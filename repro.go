@@ -69,9 +69,10 @@ type Database struct {
 	base  storage.Store
 	stack storage.Stack
 	store storage.Store
-	// coalesced is what every coalescing layer rebuild has made counted:
-	// the layers are replaced, the counts are not (CoalescingStats).
-	coalesced storage.CoalesceCounters
+	// counts is what every chain rebuild has made counted — retrievals and
+	// coalescing: the layers are replaced, the counts are not (Retrievals,
+	// CoalescingStats).
+	counts storage.Counters
 
 	// mvcc is non-nil after EnableMVCC: db.store is the MVCC store, the
 	// stack is built over the base of its every view, and every write
@@ -131,12 +132,12 @@ func (db *Database) rebuild() {
 	if db.mvcc != nil {
 		stack := db.stack // compactions build later chains from this copy
 		db.mvcc.SetBaseChain(func(raw storage.Store) storage.Store {
-			return stack.Build(raw, &db.coalesced)
+			return stack.Build(raw, &db.counts)
 		})
 		db.store = db.mvcc
 		return
 	}
-	db.store = db.stack.Build(db.base, &db.coalesced)
+	db.store = db.stack.Build(db.base, &db.counts)
 }
 
 // Stack declares the layers retrievals cross above a database's base store,
@@ -146,14 +147,17 @@ func (db *Database) rebuild() {
 //     conveniences panic on an injected failure;
 //   - Retry re-attempts failed retrievals with backoff, so it recovers faults
 //     beneath it;
-//   - Instrument times every batch into the observed metrics registry
-//     (wvq_storage_batchget_seconds); with no registry observed it costs one
-//     atomic load and a branch per call;
-//   - Coalesce shares overlapping in-flight fetches between concurrent runs,
-//     after which Retrievals counts physical fetches only. Over a store that
-//     answers from memory (InMemory) it costs more than the fetches it saves.
+//   - Coalesce shares overlapping in-flight fetches between concurrent runs.
+//     Over a store that answers from memory (InMemory) it costs more than
+//     the fetches it saves.
 //
-// Under MVCC the stack serves the base tier, not the in-memory overlay.
+// Between retry and coalesce every chain has the instrument layer, which no
+// field declares: it counts the keys asked of the layers beneath it
+// (Retrievals; a shared fetch once, a retried key once) and times each
+// batch into the observed metrics registry (wvq_storage_batchget_seconds);
+// with no registry observed the timing costs one atomic load and a branch
+// per call. Under MVCC the stack serves the base tier, not the in-memory
+// overlay.
 type Stack = storage.Stack
 
 // SetStack declares the store stack and builds it over the base, replacing
@@ -161,7 +165,7 @@ type Stack = storage.Stack
 // Stack() and pass the result back. Every call makes new layers, so Nth-call
 // fault schedules start over; runs and sessions keep the chain they captured
 // at creation. The coalescing counters are the database's and carry across
-// every call (CoalescingStats).
+// every call (Retrievals, CoalescingStats).
 func (db *Database) SetStack(s Stack) {
 	db.stack = s
 	db.rebuild()
@@ -296,12 +300,15 @@ func (db *Database) Save(w io.Writer) error {
 	return db.encodeLayout(w, LayoutOptions{})
 }
 
-// Retrievals returns the number of coefficient retrievals performed against
-// the store since the last ResetStats — the paper's I/O cost measure.
-func (db *Database) Retrievals() int64 { return db.store.Retrievals() }
-
-// ResetStats zeroes the retrieval counter.
-func (db *Database) ResetStats() { db.store.ResetStats() }
+// Retrievals returns the number of coefficients asked of the store beneath
+// the coalescing layer since the database was opened — the paper's I/O cost
+// measure, physical: a fetch coalesced runs share counts once. Under MVCC it
+// counts what reaches the base tier, Apply's reads of current values
+// included, and not the keys the overlay answers. The count is the
+// database's and only grows, across every SetStack and compaction; take a
+// difference to price a piece of work. A run's own count is Run.Retrieved,
+// a session's Session.Retrievals.
+func (db *Database) Retrievals() int64 { return db.counts.Retrievals() }
 
 // NonzeroCoefficients returns the size of the stored transform.
 func (db *Database) NonzeroCoefficients() int { return db.store.NonzeroCount() }
@@ -362,8 +369,8 @@ type CoalesceStats = storage.CoalesceStats
 // process memory — an in-memory store or a layout file's bytes, under MVCC
 // the base it was opened on — rather than from a shard or through an
 // injected fault. A coalescing layer does not count as memory: its fetches
-// wait on one another. Retries and instrumentation add no fetch of their
-// own. Whoever assembles the serving stack uses it to leave out layers that
+// wait on one another. Retries and the instrument layer add no fetch of
+// their own. Whoever assembles the serving stack uses it to leave out layers that
 // only pay for themselves over a slow fetch.
 func (db *Database) InMemory() bool {
 	return db.coord == nil && db.stack.Fault == nil && !db.stack.Coalesce
@@ -373,7 +380,7 @@ func (db *Database) InMemory() bool {
 // stack does not coalesce. The counters are the database's, not a layer
 // instance's: they carry across every SetStack and every MVCC compaction.
 func (db *Database) CoalescingStats() (stats CoalesceStats, ok bool) {
-	return db.coalesced.Stats(), db.stack.Coalesce
+	return db.counts.Coalesce(), db.stack.Coalesce
 }
 
 // NewRun starts a progressive Batch-Biggest-B run under the penalty. The

@@ -7,7 +7,8 @@ import "repro/internal/storage"
 // sharing one retrieval cache, so coefficients fetched for an earlier batch
 // answer later batches for free. It is an Evaluator whose every retrieval
 // goes through the cache, and its Retrievals count the cache's misses only —
-// the session's own I/O, whatever else reads the database beside it.
+// the session's own I/O, whatever else reads the database beside it (whose
+// count, Database.Retrievals, those misses move too).
 //
 // Any number of goroutines may evaluate through a Session; one batch at a
 // time reads and fills its cache. To share I/O across *concurrent* clients
@@ -31,6 +32,10 @@ func (db *Database) NewSession() *Session {
 	cs := storage.NewCachedStore(db.evalStore())
 	return &Session{evaluator: evaluator{db: db, store: cs}, cache: cs}
 }
+
+// Retrievals returns the number of coefficients the session's cache sent to
+// the database's store (its misses) since the session started.
+func (s *Session) Retrievals() int64 { return s.cache.Misses() }
 
 // Hits returns the number of retrievals served from the session cache.
 func (s *Session) Hits() int64 { return s.cache.Hits() }

@@ -36,10 +36,10 @@ func stackFixture(t *testing.T) (*Database, *Plan) {
 // ==.
 func TestStoreStackIsOrderIndependent(t *testing.T) {
 	full := func(db *Database) error {
-		db.SetStack(Stack{Fault: &FaultConfig{}, Retry: &RetryConfig{}, Instrument: true, Coalesce: true})
+		db.SetStack(Stack{Fault: &FaultConfig{}, Retry: &RetryConfig{}, Coalesce: true})
 		return nil
 	}
-	timed := func(db *Database) error { db.SetStack(Stack{Instrument: true}); return nil }
+	timed := func(db *Database) error { db.SetStack(Stack{}); return nil }
 	mvcc := func(db *Database) error { return db.EnableMVCC(MVCCConfig{}) }
 	bare, plan := stackFixture(t)
 	mass, err := bare.CoefficientMass()
@@ -73,8 +73,8 @@ func TestStoreStackIsOrderIndependent(t *testing.T) {
 // TestDatabaseInMemory pins the rule a server adds coalescing by: a database
 // answers from memory when its base is an in-memory store, dense or sparse,
 // or a layout file — with or without MVCC over it — and its stack has no
-// fault or coalescing layer; retries and instrumentation change nothing. A
-// shard coordinator never does.
+// fault or coalescing layer; retries and the instrument layer every stack
+// has change nothing. A shard coordinator never does.
 func TestDatabaseInMemory(t *testing.T) {
 	built := func(sizes []int, tuples int, array bool) func(*testing.T) *Database {
 		return func(t *testing.T) *Database {
@@ -127,7 +127,6 @@ func TestDatabaseInMemory(t *testing.T) {
 			{"bare", Stack{}, true},
 			{"fault", Stack{Fault: &FaultConfig{}}, false},
 			{"retry", Stack{Retry: &RetryConfig{}}, true},
-			{"instrument", Stack{Instrument: true}, true},
 			{"coalesce", Stack{Coalesce: true}, false},
 		} {
 			for _, mvcc := range []bool{false, true} {
