@@ -5,12 +5,13 @@
 // The input is a .wvls view file (repro.Save, wvload, wvq -create), mapped
 // as wvqd -db maps it and walked in key order; it carries the schema and
 // filter identity, so the layout written from it is self-contained and
-// serves with wvqd -db. The output takes one of the format's two shapes:
-// dense (every cell's value in key order) when at least half the cells are
-// nonzero, sparse (the nonzero coefficients' values in key order behind a
-// key index) otherwise; the closing report names the shape and the bytes
-// per coefficient of each section — key index and values — and of the
-// whole file, beside the input's. With the default options the input is
+// serves with wvqd -db. The output holds the nonzero coefficients' values
+// in key order behind one of the format's two indexes, whichever is smaller
+// for the counts: rank words (an 80-byte record per 512 cells, from about
+// 15 % of the cells nonzero up) or a key directory (each key's low bytes
+// behind per-bucket counts) below that. The closing report names the shape
+// and the bytes per coefficient of each section — the index and the values
+// — and of the whole file, beside the input's. With the default options the input is
 // written back byte for byte, so the command's use is its one knob. A file
 // the reader refuses, one written by an older writer, cannot be converted:
 // rebuild it from the source data with wvload or wvq -create.
@@ -81,12 +82,8 @@ func report(in string, inSize int64, out string) error {
 	}
 	defer func() { _ = s.Close() }()
 	st := s.Stats()
-	shape := "sparse"
-	if st.Dense {
-		shape = "dense"
-	}
 	n := s.NonzeroCount()
-	fmt.Printf("%s (%d bytes) -> %s (%d bytes, %s)\n", in, inSize, out, st.FileBytes, shape)
+	fmt.Printf("%s (%d bytes) -> %s (%d bytes, %s)\n", in, inSize, out, st.FileBytes, st.Shape)
 	fmt.Printf("  %d nonzero coefficients over %d cells\n", n, s.Size())
 	fmt.Printf("  %d blocks x %d slots\n", st.Blocks, st.BlockSize)
 	if n == 0 {

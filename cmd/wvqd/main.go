@@ -293,7 +293,7 @@ func run(dbPath, addr, pprofAddr string, opts server.Options, stack repro.Stack,
 	if ls, ok := db.LayoutStats(); ok {
 		log.Info("serving from layout",
 			"layout", dbPath,
-			"dense", ls.Dense,
+			"shape", ls.Shape,
 			"blocks", ls.Blocks,
 			"block_size", ls.BlockSize)
 	}

@@ -106,10 +106,10 @@ func ExampleParseBatch() {
 
 // A database is saved to a .wvls view file and served from it with
 // OpenLayout, which maps the file: every value a query reads comes from a
-// block checksummed on its first read. The file takes one of two shapes,
-// chosen by the data: dense — every cell's value, in key order — when at
-// least half the cells are nonzero, sparse otherwise — the nonzero values
-// in key order behind a key index.
+// block checksummed on its first read. The file holds the nonzero values in
+// key order behind one of two indexes, whichever the counts make smaller:
+// rank words — an 80-byte record per 512 cells — from about 15 % of the
+// cells nonzero up, a key directory below that.
 func ExampleDatabase_SaveLayout() {
 	dir, err := os.MkdirTemp("", "view")
 	if err != nil {
@@ -135,20 +135,16 @@ func ExampleDatabase_SaveLayout() {
 		}
 		stats, _ := view.LayoutStats()
 		sections, _ := view.LayoutSections()
-		shape := "sparse"
-		if stats.Dense {
-			shape = "dense"
-		}
 		var parts []string
 		for _, sec := range sections {
 			parts = append(parts, fmt.Sprintf("%s %d B", sec.Name, sec.Bytes))
 		}
-		fmt.Printf("%d of %d cells nonzero: %s; %s\n", view.NonzeroCoefficients(), schema.Cells(), shape, strings.Join(parts, ", "))
+		fmt.Printf("%d of %d cells nonzero: %s; %s\n", view.NonzeroCoefficients(), schema.Cells(), stats.Shape, strings.Join(parts, ", "))
 		if err := view.Close(); err != nil {
 			log.Fatal(err)
 		}
 	}
 	// Output:
-	// 217 of 256 cells nonzero: dense; header 124 B, values 2052 B
-	// 37 of 256 cells nonzero: sparse; header 124 B, key index 53 B, values 304 B
+	// 217 of 256 cells nonzero: rank; header 124 B, rank words 80 B, values 1744 B
+	// 37 of 256 cells nonzero: directory; header 124 B, key index 53 B, values 304 B
 }

@@ -18,15 +18,16 @@ import (
 
 // blockShapes are the two shapes of a view file, each over enough
 // coefficients to fill several blocks: 10000 of 128×128 cells come out
-// dense, 10000 of 256×256 sparse.
-var blockShapes = map[string][]int{"dense": {128, 128}, "sparse": {256, 256}}
+// with rank words, 10000 of 512×256 with a key directory.
+var blockShapes = map[string][]int{"rank": {128, 128}, "directory": {512, 256}}
 
-// blockFile writes count coefficients over a domain of the given sizes as a
-// .wvls view file and returns it with the store it was written from and the
-// file's layout, opened so tests can address its sections and blocks.
-func blockFile(t *testing.T, sizes []int, count int) ([]byte, *storetest.Map, *layout.Store) {
+// blockFile writes count coefficients over the domain of blockShapes[shape]
+// as a .wvls view file, which must come out in that shape, and returns it
+// with the store it was written from and the file's layout, opened so tests
+// can address its sections and blocks.
+func blockFile(t *testing.T, shape string, count int) ([]byte, *storetest.Map, *layout.Store) {
 	t.Helper()
-	schema := dataset.MustSchema([]string{"x", "y"}, sizes)
+	schema := dataset.MustSchema([]string{"x", "y"}, blockShapes[shape])
 	store := storetest.NewMap()
 	rng := rand.New(rand.NewSource(77))
 	for store.NonzeroCount() < count {
@@ -45,8 +46,8 @@ func blockFile(t *testing.T, sizes []int, count int) ([]byte, *storetest.Map, *l
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	if s.Blocks() < 3 {
-		t.Fatalf("%d blocks; the file should span several", s.Blocks())
+	if s.Blocks() < 3 || s.Shape() != shape {
+		t.Fatalf("%d blocks in the %s shape; the file should span several in the %s shape", s.Blocks(), s.Shape(), shape)
 	}
 	return buf.Bytes(), store, s
 }
@@ -108,8 +109,8 @@ func mustFail(t *testing.T, name string, data []byte) {
 // the same.
 func TestReadWalksBlocksInOrder(t *testing.T) {
 	const count = 10000
-	for shape, sizes := range blockShapes {
-		file, store, _ := blockFile(t, sizes, count)
+	for shape := range blockShapes {
+		file, store, _ := blockFile(t, shape, count)
 		path := filepath.Join(t.TempDir(), "view.wvls")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
@@ -132,7 +133,7 @@ func TestReadWalksBlocksInOrder(t *testing.T) {
 			if h.Count != count || len(sn.Keys) != count || len(sn.Values) != count {
 				t.Fatalf("%s via %s: header count %d, %d keys, %d values; wrote %d", shape, via, h.Count, len(sn.Keys), len(sn.Values), count)
 			}
-			if h.FilterName != "Db4" || h.TupleCount != 99 || h.Schema.Cells() != sizes[0]*sizes[1] || h.Windows[1] != [2]float64{-5, 5} {
+			if h.FilterName != "Db4" || h.TupleCount != 99 || h.Schema.Cells() != blockShapes[shape][0]*blockShapes[shape][1] || h.Windows[1] != [2]float64{-5, 5} {
 				t.Fatalf("%s via %s: header %+v", shape, via, h)
 			}
 			for i, k := range sn.Keys {
@@ -167,8 +168,8 @@ func TestReadWalksBlocksInOrder(t *testing.T) {
 // section and block boundary, in the middle of a block and one byte short:
 // each must fail, and Read must not return a snapshot.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	for shape, sizes := range blockShapes {
-		file, _, s := blockFile(t, sizes, 10000)
+	for shape := range blockShapes {
+		file, _, s := blockFile(t, shape, 10000)
 		cuts := []int{len(file) - 1}
 		for n := 0; n < int(s.Sections()[0].Bytes); n++ {
 			cuts = append(cuts, n)
@@ -183,8 +184,8 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 // every section, and the first, middle and last byte of every block: the
 // header, index and block checksums must catch each.
 func TestDecodeRejectsFlippedBytes(t *testing.T) {
-	for shape, sizes := range blockShapes {
-		file, _, s := blockFile(t, sizes, 10000)
+	for shape := range blockShapes {
+		file, _, s := blockFile(t, shape, 10000)
 		positions := []int{len(file) - 1}
 		for n := 0; n < int(s.Sections()[0].Bytes); n++ {
 			positions = append(positions, n)

@@ -18,15 +18,15 @@ import (
 // never panic, may allocate no more than readAllocBound of the input's
 // length (a size the bytes cannot hold sizes nothing), and anything it
 // accepts must write back as a .wvls file that reads again to the same
-// coefficients, bit for bit. Seeds are sparse and dense .wvls files, an
-// empty one, and mutations of them.
+// coefficients, bit for bit. Seeds are .wvls files of both shapes, a key
+// directory and rank words, an empty one, and mutations of them.
 func FuzzRead(f *testing.F) {
-	schema := dataset.MustSchema([]string{"x", "y"}, []int{8, 8})
+	schema := dataset.MustSchema([]string{"x", "y"}, []int{16, 8})
 	store := storetest.NewMap()
 	store.Add(3, 1.25)
 	store.Add(17, -2.5)
-	dense := storetest.NewMap()
-	for k := 0; k < 48; k++ {
+	dense := storetest.NewMap() // 100 of 128 cells: one rank record
+	for k := 0; k < 100; k++ {
 		dense.Add(k, float64(k)-7.5)
 	}
 	f.Add([]byte{})
@@ -78,8 +78,8 @@ func FuzzRead(f *testing.F) {
 
 // readAllocBound is what Read may allocate reading n bytes: the snapshot's
 // 16 bytes a coefficient, where every coefficient costs the input at least
-// one byte of its own (a dense cell 4 or 8, a sparse key at least 7), plus a fixed allowance for the reader's buffer and the
-// decoded header.
+// one byte of its own (its 8-byte value, in either shape), plus a fixed
+// allowance for the reader's buffer and the decoded header.
 func readAllocBound(n int) uint64 { return 16*uint64(n) + 64<<10 }
 
 // FuzzWireFrame feeds arbitrary bytes to the shard wire reader and decodes

@@ -17,14 +17,13 @@ import (
 // declared stack.
 func layoutHandler(t *testing.T, stack repro.Stack) (*Handler, []float64) {
 	t.Helper()
-	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
+	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{64, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dist := repro.NewDistribution(schema)
 	dist.AddTuple([]int{10, 20})
 	dist.AddTuple([]int{12, 25})
-	dist.AddTuple([]int{30, 5})
 	db, err := repro.NewDatabase(dist, repro.Db4)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +78,8 @@ func TestLayoutBackedServer(t *testing.T) {
 	if stats.Layout == nil {
 		t.Fatalf("/stats has no layout section: %s", srec.Body)
 	}
-	// Three tuples leave most of the 32×32 domain zero: the sparse shape.
-	if stats.Layout.Dense || stats.Layout.Slots == 0 {
+	// Two tuples leave most of the 64×64 domain zero: a key directory.
+	if stats.Layout.Shape != "directory" || stats.Layout.Slots == 0 {
 		t.Fatalf("layout stats = %+v", stats.Layout)
 	}
 	if want := "layout → instrument"; stats.StoreStack != want {
@@ -95,8 +94,8 @@ func TestLayoutBackedServer(t *testing.T) {
 }
 
 // TestDenseLayoutBackedServer pins the other shape end to end: a database
-// dense enough is written as an array, answers exactly what the in-memory
-// database answers, and /stats says which shape it serves.
+// dense enough is written with rank words, answers exactly what the
+// in-memory database answers, and /stats says which shape it serves.
 func TestDenseLayoutBackedServer(t *testing.T) {
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})
 	if err != nil {
@@ -150,13 +149,13 @@ func TestDenseLayoutBackedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := stats.Layout
-	if l == nil || !l.Dense || l.Slots != 32*32 || l.ColdHits == 0 {
-		t.Fatalf("layout stats = %+v, want a dense file served from its blocks", l)
+	if l == nil || l.Shape != "rank" || l.Slots != db.NonzeroCoefficients() || l.ColdHits == 0 {
+		t.Fatalf("layout stats = %+v, want a rank file of %d values served from its blocks", l, db.NonzeroCoefficients())
 	}
 	if l.VerifiedBlocks == 0 || int64(l.VerifiedBlocks) != l.BlockLoads {
 		t.Fatalf("%d blocks verified in %d checks, want each checked once", l.VerifiedBlocks, l.BlockLoads)
 	}
-	if !strings.Contains(srec.Body.String(), `"dense": true`) {
+	if !strings.Contains(srec.Body.String(), `"shape": "rank"`) {
 		t.Fatalf("/stats does not name the shape: %s", srec.Body)
 	}
 }

@@ -32,9 +32,10 @@ const (
 )
 
 // servedFile writes a .wvls of tuples seeded tuples over a 64×64 domain and
-// returns its path: 400 tuples fill 94 % of the cells (a dense file), 4 fill
-// 14 %, under the half from which Save writes the dense shape (a sparse
-// file).
+// returns its path: 400 tuples fill 94 % of the cells (a rank file, the
+// golden named dense), 4 fill 14 %, under the 14.5 % of this domain from
+// which Save writes rank records (a key directory, the golden named
+// sparse).
 func servedFile(t *testing.T, tuples int, seed int64) string {
 	t.Helper()
 	schema, err := repro.NewSchema([]string{"x", "y"}, []int{64, 64})

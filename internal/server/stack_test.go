@@ -145,10 +145,10 @@ func (c wvqdShape) serve(t *testing.T) (*repro.Database, *Handler) {
 }
 
 // wvqdShapes returns every query-serving shape of the table, over a dense
-// file as dense as the benchmark's (≈ 3/4 of the cells, over the 7/32 of the
-// domain past which Save writes the dense shape) and a sparse one under it,
-// with the two shard servers the `-shards` row dials, and the schema of
-// both files.
+// file as dense as the benchmark's (≈ 3/4 of the cells, over the 14 % of
+// this domain from which Save writes rank records) and a sparse one under
+// it (a key directory), with the two shard servers the `-shards` row dials, and
+// the schema of both files.
 func wvqdShapes(t *testing.T) ([]wvqdShape, []*repro.ShardServer, *repro.Schema) {
 	t.Helper()
 	schema, err := repro.NewSchema([]string{"age", "salary"}, []int{32, 32})

@@ -23,11 +23,10 @@ const benchCells = 10 << 20
 // engine asks for coefficients in schedule order, a few thousand at a time.
 const benchDrainSlice = 4096
 
-// The two layouts of the same random values: every cell nonzero, which
-// Encode lays out as the dense shape, and every fourth cell, which it lays
-// out as the sparse shape. Both are drained |value| descending, key
-// ascending — random key order over either file, whose values are stored in
-// key order.
+// The two layouts of the same random values: every cell nonzero and every
+// fourth cell, both of which Encode lays out with rank words (from about
+// 15 % full). Both are drained |value| descending, key ascending — random
+// key order over either file, whose values are stored in key order.
 const (
 	denseFixture  = "bench.wvls"
 	sparseFixture = "bench-sparse.wvls"
@@ -150,12 +149,13 @@ func benchDrain(b *testing.B, fixture string) {
 }
 
 // BenchmarkStorageDrainLayout is the headline number: the cold drain of the
-// 10M-cell dense layout through the mapping, one random key at a time.
+// 10M-cell layout of every cell nonzero through the mapping, one random key
+// at a time.
 func BenchmarkStorageDrainLayout(b *testing.B) { benchDrain(b, denseFixture) }
 
-// BenchmarkStorageDrainLayoutSparse drains the quarter-full sparse layout
-// through the mapping, |value| descending: each key a search of the key
-// index, then a load from its block.
+// BenchmarkStorageDrainLayoutSparse drains the quarter-full layout through
+// the mapping, |value| descending: each key a rank record, then a load from
+// its block.
 func BenchmarkStorageDrainLayoutSparse(b *testing.B) { benchDrain(b, sparseFixture) }
 
 // BenchmarkStorageSequentialRead is the bandwidth ceiling reference: read

@@ -49,12 +49,12 @@ type decodeInput struct {
 }
 
 // decodeInputs are the coefficients and options of decodeCases' files: both
-// shapes, and a sparse file whose blocks end inside key buckets. Each also
-// hands Encode a zero, a negative zero and a tiny 1e-60, at keys it does not
-// otherwise hold.
+// shapes, and a directory file whose blocks end inside key buckets. Each
+// also hands Encode a zero, a negative zero and a tiny 1e-60, at keys it
+// does not otherwise hold.
 func decodeInputs() map[string]decodeInput {
 	const cells = 1 << 13
-	sparseKeys, sparseValues := testCoefficients(3000, cells, 21)
+	sparseKeys, sparseValues := testCoefficients(1000, cells, 21)
 	denseKeys, denseValues := denseCoefficients(cells, 0.8, 22)
 	withZeros := func(keys []int, values []float64) ([]int, []float64) {
 		held := make(map[int]bool, len(keys))
@@ -73,9 +73,9 @@ func decodeInputs() map[string]decodeInput {
 	sparseKeys, sparseValues = withZeros(sparseKeys, sparseValues)
 	denseKeys, denseValues = withZeros(denseKeys, denseValues)
 	return map[string]decodeInput{
-		"sparse":             {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
-		"sparse, 100-blocks": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 100}},
-		"dense":              {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
+		"directory":             {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 128}},
+		"directory, 100-blocks": {sparseKeys, sparseValues, WriteOptions{Cells: cells, BlockSize: 100}},
+		"rank":                  {denseKeys, denseValues, WriteOptions{Cells: cells, BlockSize: 500}},
 	}
 }
 
@@ -84,9 +84,9 @@ func decodeCases(t *testing.T) map[string]string {
 	t.Helper()
 	paths := make(map[string]string)
 	for name, in := range decodeInputs() {
-		write := writeTestLayout
-		if strings.HasPrefix(name, "dense") {
-			write = writeDenseLayout
+		write := writeDirectoryLayout
+		if name == "rank" {
+			write = writeRankLayout
 		}
 		paths[name] = write(t, in.keys, in.values, in.opts)
 	}
@@ -176,11 +176,11 @@ func TestDecodeMatchesStore(t *testing.T) {
 }
 
 // TestDecodeRejectsDamage: a file of the wrong size, a damaged block, and a
-// damaged section of the key index or indexCRC each fail a Load and Walk,
-// from a file and from memory alike, and an Open and Verify of the file.
+// damaged section of the index or indexCRC each fail a Load and Walk, from
+// a file and from memory alike, and an Open and Verify of the file.
 func TestDecodeRejectsDamage(t *testing.T) {
 	cases := decodeCases(t)
-	for _, name := range []string{"sparse", "dense"} {
+	for _, name := range []string{"directory", "rank"} {
 		path := cases[name]
 		s, err := Open(path)
 		if err != nil {
@@ -203,10 +203,15 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			"truncated":     raw[:len(raw)-1],
 			"trailing byte": append(append([]byte(nil), raw...), 0),
 		}
-		if name == "sparse" {
+		damaged["indexCRC"] = flip(g.fileSize - 1)
+		if name == "directory" {
 			damaged["a dir count"] = flip(g.dirOff + int64(g.buckets/2*g.dirWidth()))
 			damaged["a key's lows"] = flip(g.lowsOff + int64(g.nonzero/2*g.lowWidth))
-			damaged["indexCRC"] = flip(g.fileSize - 1)
+		} else {
+			record := g.rankOff + int64(g.records/2*rankRecord)
+			damaged["a rank count"] = flip(record)
+			damaged["a rank sub-count"] = flip(record + 8)
+			damaged["a rank word"] = flip(record + 16)
 		}
 		for what, data := range damaged {
 			file := filepath.Join(t.TempDir(), "bad.wvls")
@@ -241,7 +246,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 func TestWriteFileKeepsAMappedReader(t *testing.T) {
 	const cells = 1 << 12
 	keys, values := denseCoefficients(cells, 0.9, 31)
-	path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 256})
+	path := writeRankLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 256})
 	old, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +336,7 @@ func TestWriteFileConcurrentWriters(t *testing.T) {
 func TestWriteFileFailureKeepsTheOldFile(t *testing.T) {
 	const cells = 1 << 10
 	keys, values := denseCoefficients(cells, 0.9, 32)
-	path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells})
+	path := writeRankLayout(t, keys, values, WriteOptions{Cells: cells})
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

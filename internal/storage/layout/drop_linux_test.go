@@ -50,7 +50,7 @@ func residentKB(t *testing.T, path string) int {
 // reads back the value it was written with.
 func TestDropPagesLeavesReadsAlone(t *testing.T) {
 	keys, values := testCoefficients(60_000, 1<<20, 5)
-	path := writeTestLayout(t, keys, values, WriteOptions{Cells: 1 << 20})
+	path := writeDirectoryLayout(t, keys, values, WriteOptions{Cells: 1 << 20})
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)

@@ -1,29 +1,36 @@
 // Package layout implements persistent storage: the .wvls on-disk format,
 // the one file a database is saved to. A file has one of two shapes, chosen
-// by Encode from the data alone. It is written once (Encode; every writer
+// by Encode from the counts alone. It is written once (Encode; every writer
 // of a path goes through WriteFile, which never truncates a file a reader
 // may have mapped) and read by one reader, Store: in place through Open,
 // which maps it, or from a copy through Load, which reads it once.
 //
-// Both shapes store values in ascending key order and give them no other
-// physical order: the engine asks for coefficients by query importance,
-// which no write-time order follows, and each retrieval is one random read.
+// Both shapes hold the nonzero coefficients only, their values in ascending
+// key order with no other physical order: the engine asks for coefficients
+// by query importance, which no write-time order follows, and each
+// retrieval is one random read. They differ in the index that turns a key
+// into its slot, the key's rank among the stored keys.
 //
-// The sparse shape holds the nonzero coefficients only, behind an index of
-// their keys: the rank a key search returns is the slot its value sits at.
-// The dense shape is an array: every cell's value, zeros included, so the
-// slot is the key and there is no index at all. Encode writes the dense shape
-// iff at least half the cells are nonzero. The rule is a count, not a byte
-// comparison: the sparse file is the smaller one up to about 88 % full, but
-// its lookup searches the key index where the dense one is a load, so
-// between one half and that the rule spends bytes on lookup speed.
+// The rank shape keeps one 80-byte record per 512 cells, Vigna's rank9
+// ("Broadword Implementation of Rank/Select Queries"): the count of stored
+// keys below the record, the counts below each of its words 1…7 inside it,
+// nine bits each, and its eight words, the bit i of word w set iff cell
+// 512r+64w+i is stored. A key is absent iff its bit is clear; its slot is
+// the record's count plus its word's count plus the bits set below it in
+// its word: three loads from one record and one popcount. The directory
+// shape keeps a bucket directory and each stored key's low bytes (below).
+// Encode writes the rank shape iff its index is the smaller of the two,
+// which a count decides: 0.15625 bytes a cell against about 1–1.1 bytes a
+// key, so rank from about 15 % full up. No shape stores a zero: the dense
+// array of every cell, which cost 8 bytes a cell, is gone.
 //
 // File shape, version 2 (all integers little-endian):
 //
 //	magic    "WVLS"                  4 bytes
 //	version  uint16                  2
 //	flags    uint16                  bit 0: refused (float32 block values)
-//	                                 bit 1: dense shape
+//	                                 bit 1: refused (the dense shape)
+//	                                 bit 2: rank shape
 //	hdrLen   uint32                  length of the header blob
 //	hdrCRC   uint32                  IEEE CRC-32 of the header blob
 //	header blob (hdrLen bytes):
@@ -34,52 +41,64 @@
 //	  reserved uint16                0
 //	  reserved uint64                0
 //	data sections, back to back in this order:
-//	  dir       (buckets+1) × dw     stored keys below each bucket, cumulative
-//	  lows      nonzero × lw         each stored key's low lw bytes, ascending key
-//	  blocks    slots × float64      the values, in ascending key order
+//	  rank      records × 80         rank shape: per 512 cells the keys below,
+//	                                 the sub-counts, then eight words
+//	  dir       (buckets+1) × dw     directory shape: stored keys below each
+//	                                 bucket, cumulative
+//	  lows      nonzero × lw         directory shape: each stored key's low lw
+//	                                 bytes, ascending key
+//	  blocks    nonzero × float64    the values, in ascending key order
 //	  crcs      numBlocks × uint32   IEEE CRC-32 of each block
-//	  indexCRC  uint32               sparse only: IEEE CRC-32 of dir and lows
+//	  indexCRC  uint32               IEEE CRC-32 of the index sections
 //
-// Every width and offset follows from the header: dw = bytes(nonzero), lw is
-// the low width in 1…8 that makes dir and lows smallest (the narrower on a
-// tie), buckets = ⌈cells/2^(8·lw)⌉, and block b is the blockSize×8 bytes
-// (fewer for the last block) at blocks + b×blockSize×8. The two index
-// sections are packed words, each followed by 8−w pad bytes so the reader's
-// one 8-byte load of the last entry stays inside its section. A dense file's
-// index sections are empty (pads too) and its blocks hold cells slots.
+// Every width and offset follows from the header and the shape flag:
+// records = ⌈cells/512⌉; dw = bytes(nonzero), lw is the low width in 1…8
+// that makes dir and lows smallest (the narrower on a tie), buckets =
+// ⌈cells/2^(8·lw)⌉; block b is the blockSize×8 bytes (fewer for the last
+// block) at blocks + b×blockSize×8. The sections of the other shape are
+// empty. dir and lows are packed words, each section followed by 8−w pad
+// bytes so the reader's one 8-byte load of its last entry stays inside it.
 //
-// In the sparse shape slot i holds the i-th smallest stored key's value. A
-// key splits into its bucket, key >> 8·lw, kept as counts in dir, and its low
-// lw bytes, kept verbatim in lows, as Elias–Fano splits a sorted set:
-// "Space-Efficient Data-Analysis Queries on Grids" grounds it, about
-// 2+log₂(cells/n) bits per key being what the information costs. A lookup
-// reads dir[b] and dir[b+1], the slot range of key's bucket, and searches
-// those lows; no entry has a variable length. Values are raw float64 words
-// in blocks.
+// In the directory shape a key splits into its bucket, key >> 8·lw, kept as
+// counts in dir, and its low lw bytes, kept verbatim in lows, as
+// Elias–Fano splits a sorted set. "Space-Efficient Data-Analysis Queries on
+// Grids" grounds both indexes: rank over a bitmap, and that split at about
+// 2+log₂(cells/n) bits per key, what the information costs when the set is
+// sparse. A lookup reads dir[b] and dir[b+1], the slot range of key's
+// bucket, and searches those lows; no entry has a variable length. Values
+// are raw float64 words in blocks.
 //
 // Verification is the same in both shapes: every byte past the prelude is
 // served only behind a CRC-32. The header blob has its own, checked at open.
 // A block is checked the first time any of its slots is served and marked
 // verified in a bitmap; later reads are windows of the file's bytes with no
-// check. A sparse file's index sections share indexCRC, checked the first
-// time a read needs them, and with it, once, that dir rises from 0 to
-// nonzero and that the stored keys ascend inside the domain, so "key absent"
-// is checked, not assumed. A check that fails is never remembered, so every
-// retry checks again and fails again. Corruption becomes per-key retrieval
-// errors the engine degrades over.
+// check. The index sections share indexCRC, checked the first time a read
+// needs them, and with it, once, what a checksum cannot vouch for: in the
+// rank shape that each record's count is the bits set in the records
+// before it, the last one's too summing to nonzero, that each sub-count is
+// the bits set in the record's words before its word, and that no bit is
+// set at or past cells; in the directory shape that dir rises from 0 to
+// nonzero and that the stored keys ascend inside the domain. So "key
+// absent" is checked, not assumed. A check that fails is never remembered,
+// so every retry checks again and fails again. Corruption becomes per-key
+// retrieval errors the engine degrades over.
 //
-// The format has changed four times without a new version number, because
-// dense files did not change. indexCRC was added to sparse files; their hot
-// region, raw values outside the blocks counted by the first reserved word,
-// went; their values moved from |value|-descending slots, behind two packed
-// permutations and a list of the penalty families the order followed,
-// counted by the second reserved word, into key order; and their key index,
-// every 64th key with uvarint deltas between, whose stream length the third
-// reserved word held, became the bucket directory and the lows. Every sparse
-// file written before the last change that stores a key has a nonzero word
-// among the three, so a reader refuses any file whose reserved words are not
-// all 0 (ErrReservedWords); that covers the older changes too, and an empty
-// one fails the size check. A dense file always had 0 in all three.
+// The format has changed five times without a new version number. indexCRC
+// was added to sparse files; their hot region, raw values outside the
+// blocks counted by the first reserved word, went; their values moved from
+// |value|-descending slots, behind two packed permutations and a list of
+// the penalty families the order followed, counted by the second reserved
+// word, into key order; their key index, every 64th key with uvarint deltas
+// between, whose stream length the third reserved word held, became the
+// bucket directory and the lows; and the dense shape, every cell's value
+// with no index, which flag bit 1 marked, gave way to the rank shape under
+// flag bit 2. Every sparse file written before the fourth change that
+// stores a key has a nonzero word among the three reserved ones, so a
+// reader refuses any file whose reserved words are not all 0
+// (ErrReservedWords); that covers the older changes too, and an empty one
+// fails the size check. A dense file, which always had 0 in all three, is
+// refused by its flag. Each refusal names the rebuild from the source data;
+// a directory file of the writer before the last change reads as it did.
 package layout
 
 import (
@@ -106,9 +125,21 @@ const (
 	// mode this format no longer writes; Open refuses such a file.
 	flagQuantized = 1 << 0
 
-	// flagDense marks the dense shape: every cell's value in key order, no
-	// index sections.
+	// flagDense marked the dense shape, every cell's value in key order
+	// with no index, which this format no longer writes; Open refuses such
+	// a file.
 	flagDense = 1 << 1
+
+	// flagRank marks the rank shape: a rank record per 512 cells, no
+	// directory.
+	flagRank = 1 << 2
+
+	// rankRecord is the size of one rank record, which covers 512 cells:
+	// the count of stored keys below it, the word of sub-counts, then the
+	// eight 64-bit words of its cells. Sub-count j−1, bits 9(j−1) to
+	// 9j−1, counts the keys stored in words 0…j−1, for j in 1…7; bit 63 is
+	// clear.
+	rankRecord = 80
 
 	// preludeSize is the fixed region before the header blob.
 	preludeSize = 4 + 2 + 2 + 4 + 4
@@ -173,16 +204,16 @@ func appendPacked(b []byte, v uint64, w int) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)[:len(b)+w]
 }
 
-// keyIndex is the shape of a sparse file's key index when each stored key
-// keeps its low lw bytes: the bucket count and the sizes of dir, buckets+1
-// counts bytes(nonzero) wide, and lows, nonzero words lw wide.
+// keyIndex is the shape of a directory file's key index when each stored
+// key keeps its low lw bytes: the bucket count and the sizes of dir,
+// buckets+1 counts bytes(nonzero) wide, and lows, nonzero words lw wide.
 func keyIndex(cells, nonzero, lw int) (buckets int, dirSize, lowsSize int64) {
 	buckets = int(uint64(cells-1)>>(8*lw)) + 1
 	return buckets, packedSize(buckets+1, wordWidth(uint64(nonzero))), packedSize(nonzero, lw)
 }
 
-// lowWidth is the low width of a sparse file's keys: the one in 1…8 whose
-// key index is smallest, the narrower on a tie.
+// lowWidth is the low width of a directory file's keys: the one in 1…8
+// whose key index is smallest, the narrower on a tie.
 func lowWidth(cells, nonzero int) int {
 	best, bestSize := 0, int64(math.MaxInt64)
 	for lw := 1; lw <= 8; lw++ {
@@ -191,6 +222,44 @@ func lowWidth(cells, nonzero int) int {
 		}
 	}
 	return best
+}
+
+// rankRecords is the record count of a rank section over cells: one per
+// 512.
+func rankRecords(cells int) int { return int(uint64(cells-1)>>9) + 1 }
+
+// useRank is the shape rule: Encode writes the rank shape iff its rank
+// section is smaller than the key index of the directory shape would be.
+// It is a count of cells and nonzero keys, nothing else; the crossover
+// lies near 15 % full.
+func useRank(cells, nonzero int) bool {
+	_, dir, lows := keyIndex(cells, nonzero, lowWidth(cells, nonzero))
+	return int64(rankRecords(cells))*rankRecord < dir+lows
+}
+
+// rankSlot is a rank section's lookup: key's slot is its record's count
+// plus its word's sub-count plus the bits set below key's in its word, and
+// stored is key's bit, 1 iff it is stored. An absent key gets the slot its
+// value would take. Word 0 has no sub-count: its shift, 9·(0−1) wrapped,
+// is past 63, which shifts every bit out.
+func rankSlot(rank []byte, key uint) (slot uint, stored uint64) {
+	rec := rank[rankRecord*(key>>9):][:rankRecord]
+	j := key >> 6 & 7
+	word := binary.LittleEndian.Uint64(rec[16+8*j:])
+	sub := binary.LittleEndian.Uint64(rec[8:]) >> (9 * (j - 1)) & 0x1ff
+	return uint(binary.LittleEndian.Uint64(rec)) + uint(sub) + uint(bits.OnesCount64(word&(1<<(key&63)-1))), word >> (key & 63) & 1
+}
+
+// subCounts is the word of sub-counts of a record's eight words, and the
+// keys stored in all eight.
+func subCounts(words *[8]uint64) (subs uint64, total int) {
+	for j, w := range words {
+		if j > 0 {
+			subs |= uint64(total) << (9 * (j - 1))
+		}
+		total += bits.OnesCount64(w)
+	}
+	return subs, total
 }
 
 // packed reads a fixed-width unsigned section of the file, a window of its
@@ -217,11 +286,12 @@ type geometry struct {
 	blockSize int
 	mass      float64
 
-	slots     int // value slots: nonzero, or cells in the dense shape
 	numBlocks int
-	lowWidth  int // a sparse file's only: the key index's shape
+	records   int // a rank file's only: its rank records
+	lowWidth  int // a directory file's only: the key index's shape
 	buckets   int
 
+	rankOff   int64
 	dirOff    int64
 	lowsOff   int64
 	blocksOff int64
@@ -229,32 +299,42 @@ type geometry struct {
 	fileSize  int64
 }
 
-func (g *geometry) dense() bool { return g.flags&flagDense != 0 }
+func (g *geometry) rank() bool { return g.flags&flagRank != 0 }
 
-// dirWidth is the byte width of a sparse file's dir entries.
+// shape names the shape, as Stats and the tools print it.
+func (g *geometry) shape() string {
+	if g.rank() {
+		return "rank"
+	}
+	return "directory"
+}
+
+// dirWidth is the byte width of a directory file's dir entries.
 func (g *geometry) dirWidth() int { return wordWidth(uint64(g.nonzero)) }
 
 // derive fills the counts, widths and section offsets in from the header
 // fields; dataStart is where the first section begins.
 func (g *geometry) derive(dataStart int64) {
-	var dirSize, lowsSize int64
-	indexCRCs := 0 // indexCRC, in a sparse file
-	g.slots = g.cells
-	if !g.dense() {
-		g.slots, g.lowWidth, indexCRCs = g.nonzero, lowWidth(g.cells, g.nonzero), 1
+	var rankSize, dirSize, lowsSize int64
+	if g.rank() {
+		g.records = rankRecords(g.cells)
+		rankSize = int64(g.records) * rankRecord
+	} else {
+		g.lowWidth = lowWidth(g.cells, g.nonzero)
 		g.buckets, dirSize, lowsSize = keyIndex(g.cells, g.nonzero, g.lowWidth)
 	}
-	g.numBlocks = (g.slots + g.blockSize - 1) / g.blockSize
+	g.numBlocks = (g.nonzero + g.blockSize - 1) / g.blockSize
 	off := dataStart
 	section := func(size int64) int64 {
 		at := off
 		off += size
 		return at
 	}
+	g.rankOff = section(rankSize)
 	g.dirOff = section(dirSize)
 	g.lowsOff = section(lowsSize)
-	g.blocksOff = section(int64(g.slots) * 8)
-	g.crcsOff = section(int64(g.numBlocks+indexCRCs) * 4)
+	g.blocksOff = section(int64(g.nonzero) * 8)
+	g.crcsOff = section(int64(g.numBlocks+1) * 4) // and indexCRC
 	g.fileSize = off
 }
 
@@ -269,7 +349,7 @@ func (g *geometry) checkBlock(crcs []byte, b int, vals []byte) error {
 // blockSlots returns the slot range [lo,hi) of block b.
 func (g *geometry) blockSlots(b int) (lo, hi int) {
 	lo = b * g.blockSize
-	return lo, min(lo+g.blockSize, g.slots)
+	return lo, min(lo+g.blockSize, g.nonzero)
 }
 
 // coef is one stored coefficient.
@@ -280,14 +360,12 @@ type coef struct {
 
 // input is a validated Encode input and the geometry of the file it makes.
 type input struct {
-	opts  WriteOptions
 	pairs []coef // the nonzero coefficients, ascending key
 	g     geometry
 }
 
-// prepare validates Encode's input and derives the geometry of the shape it
-// writes: dense iff at least half the cells are nonzero. It does none of
-// the work only the sparse file needs: the key index itself.
+// prepare validates Encode's input and derives the geometry of the shape
+// useRank picks for its counts.
 func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("layout: %d keys for %d values", len(keys), len(values))
@@ -326,81 +404,95 @@ func prepare(keys []int, values []float64, opts WriteOptions) (*input, error) {
 		mass += math.Abs(pairs[i].v)
 	}
 
-	in := &input{opts: opts, pairs: pairs, g: geometry{cells: opts.Cells, nonzero: len(pairs),
+	in := &input{pairs: pairs, g: geometry{cells: opts.Cells, nonzero: len(pairs),
 		blockSize: opts.BlockSize, mass: mass}}
-	if 2*len(pairs) >= opts.Cells {
-		in.g.flags = flagDense
+	if useRank(opts.Cells, len(pairs)) {
+		in.g.flags = flagRank
 	}
 	in.g.derive(int64(preludeSize + len(encodeHeaderBlob(&in.g, opts.Meta))))
 	return in, nil
 }
 
 // Encode writes the complete .wvls file for the nonzero coefficients
-// (keys[i], values[i]) to w: dense iff at least half the cells are
-// nonzero, sparse otherwise. Zero values are dropped; duplicate keys are an
-// error. Either shape stores the values in ascending key order. Equal
-// inputs give byte-identical files. A writer of a path hands Encode to
-// WriteFile.
+// (keys[i], values[i]) to w: their values in ascending key order behind the
+// rank section or the key directory, whichever useRank picks. Zero values
+// are dropped; duplicate keys are an error. Equal inputs give byte-identical
+// files. A writer of a path hands Encode to WriteFile.
 func Encode(w io.Writer, keys []int, values []float64, opts WriteOptions) error {
 	in, err := prepare(keys, values, opts)
 	if err != nil {
 		return err
 	}
-	if in.g.dense() {
-		return in.writeDense(w)
-	}
-	return in.writeSparse(w)
-}
-
-// writeDense writes every cell's value in key order, zeros included: the
-// slot is the key. writeBlocks asks for the cells in ascending order, so
-// one cursor over the ascending pairs finds each stored value.
-func (in *input) writeDense(dst io.Writer) error {
-	g, pairs, next := &in.g, in.pairs, 0
-	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta), func(w *bufio.Writer, buf []byte) error {
-		return writeBlocks(w, g, buf, func(key int) float64 {
-			if next < len(pairs) && pairs[next].k == key {
-				next++
-				return pairs[next-1].v
-			}
-			return 0
-		})
-	})
-}
-
-// writeSparse writes the nonzero coefficients' values in ascending key
-// order behind the key index: the key's rank is its slot.
-func (in *input) writeSparse(dst io.Writer) error {
 	g, pairs := &in.g, in.pairs
-	shift := 8 * g.lowWidth
-	return encodeFile(dst, g, encodeHeaderBlob(g, in.opts.Meta), func(bw *bufio.Writer, buf []byte) error {
-		// dir and lows go through indexCRC on their way out.
+	return encodeFile(w, g, encodeHeaderBlob(g, opts.Meta), func(bw *bufio.Writer, buf []byte) error {
+		// The index sections go through indexCRC on their way out.
 		sum := crc32.NewIEEE()
-		w := io.MultiWriter(bw, sum)
-		writePacked := func(count, width int, at func(i int) uint64) error {
-			buf = slices.Grow(buf[:0], int(packedSize(count, width)))
-			for i := 0; i < count; i++ {
-				buf = appendPacked(buf, at(i), width)
-			}
-			size := packedSize(count, width)
-			clear(buf[len(buf):size]) // the pad
-			_, err := w.Write(buf[:size])
-			return err
+		index := io.MultiWriter(bw, sum)
+		var err error
+		if g.rank() {
+			err = in.writeRank(index, buf)
+		} else {
+			err = in.writeDirectory(index, buf)
 		}
-		below := 0 // stored keys below bucket b, one cursor over the ascending keys
-		if err := writePacked(g.buckets+1, g.dirWidth(), func(b int) uint64 {
-			for below < len(pairs) && pairs[below].k>>shift < b {
-				below++
-			}
-			return uint64(below)
-		}); err != nil {
-			return err
-		}
-		if err := writePacked(len(pairs), g.lowWidth, func(i int) uint64 { return uint64(pairs[i].k) }); err != nil {
+		if err != nil {
 			return err
 		}
 		return writeBlocks(bw, g, buf, func(slot int) float64 { return pairs[slot].v }, sum.Sum32())
 	})
+}
+
+// writeRank writes the rank section: per 512 cells the count of stored
+// keys below them, the sub-counts and the words of the stored ones among
+// them, one cursor over the ascending keys.
+func (in *input) writeRank(w io.Writer, buf []byte) error {
+	pairs, next := in.pairs, 0
+	for r := 0; r < in.g.records; {
+		buf = buf[:0]
+		for ; r < in.g.records && len(buf) < 64<<10; r++ {
+			below, words := next, [8]uint64{}
+			for ; next < len(pairs) && pairs[next].k>>9 == r; next++ {
+				words[pairs[next].k>>6&7] |= 1 << (pairs[next].k & 63)
+			}
+			subs, _ := subCounts(&words)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(below))
+			buf = binary.LittleEndian.AppendUint64(buf, subs)
+			for _, word := range words {
+				buf = binary.LittleEndian.AppendUint64(buf, word)
+			}
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeDirectory writes the key directory and the keys' low bytes: the
+// stored keys below each bucket, one cursor over the ascending keys, then
+// each key's low lw bytes.
+func (in *input) writeDirectory(w io.Writer, buf []byte) error {
+	g, pairs := &in.g, in.pairs
+	shift := 8 * g.lowWidth
+	writePacked := func(count, width int, at func(i int) uint64) error {
+		size := packedSize(count, width)
+		buf = slices.Grow(buf[:0], int(size))
+		for i := 0; i < count; i++ {
+			buf = appendPacked(buf, at(i), width)
+		}
+		clear(buf[len(buf):size]) // the pad
+		_, err := w.Write(buf[:size])
+		return err
+	}
+	below := 0
+	if err := writePacked(g.buckets+1, g.dirWidth(), func(b int) uint64 {
+		for below < len(pairs) && pairs[below].k>>shift < b {
+			below++
+		}
+		return uint64(below)
+	}); err != nil {
+		return err
+	}
+	return writePacked(len(pairs), g.lowWidth, func(i int) uint64 { return uint64(pairs[i].k) })
 }
 
 // encodeFile writes the prelude, the header blob and then body to dst,
@@ -584,7 +676,10 @@ func readHeader(file []byte) (*geometry, *Meta, error) {
 	if flags&flagQuantized != 0 {
 		return nil, nil, fmt.Errorf("layout: .wvls file with float32 block values, which are no longer read; %s", rebuild)
 	}
-	if flags&^flagDense != 0 {
+	if flags&flagDense != 0 {
+		return nil, nil, fmt.Errorf("layout: .wvls file in the dense shape, every cell stored, which is no longer read; %s", rebuild)
+	}
+	if flags&^flagRank != 0 {
 		return nil, nil, fmt.Errorf("layout: unknown flags %#x", flags)
 	}
 	hdrLen := binary.LittleEndian.Uint32(prelude[8:12])
@@ -602,8 +697,10 @@ func readHeader(file []byte) (*geometry, *Meta, error) {
 // decodeHeaderBlob parses and validates the header blob. The section table
 // is derived, not stored, so the one structural check is that the counts
 // account for the actual file size to the byte; after it the read path can
-// trust every offset unconditionally. A flipped dense flag fails the shape's
-// own plausibility check below or that size check, in either direction.
+// trust every offset unconditionally. A flipped rank flag fails the rank
+// section's plausibility check below or that size check, in either
+// direction, or, where the two shapes' index sections happen to be the same
+// size, the index check of the first read.
 func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Meta, error) {
 	r := &blobReader{b: blob}
 	g := &geometry{flags: flags}
@@ -654,23 +751,22 @@ func decodeHeaderBlob(blob []byte, flags uint16, fileSize int64) (*geometry, *Me
 		return nil, nil, fmt.Errorf("layout: %d trailing header bytes", len(blob)-r.pos)
 	}
 
-	// Geometry plausibility: non-negative counts that fit the domain, and
-	// no more value slots — the nonzero coefficients, every cell in the
-	// dense shape — than the file has room for at eight bytes each. Past
-	// that the offset arithmetic in derive cannot overflow: the key index it
-	// picks is no larger than eight bytes a key plus a few words.
+	// Geometry plausibility: non-negative counts that fit the domain, no
+	// more values than the file has room for at eight bytes each, and in
+	// the rank shape no more rank records than it has room for at eighty.
+	// Past that the offset arithmetic in derive cannot overflow: a key
+	// directory is no larger than eight bytes a key plus a few words.
 	if g.cells <= 0 || g.nonzero < 0 || g.nonzero > g.cells {
 		return nil, nil, fmt.Errorf("layout: implausible geometry (cells %d, nonzero %d)", g.cells, g.nonzero)
 	}
 	if g.blockSize <= 0 || g.blockSize > maxBlockSize {
 		return nil, nil, fmt.Errorf("layout: implausible block size %d", g.blockSize)
 	}
-	slots := g.nonzero
-	if g.dense() {
-		slots = g.cells
+	if int64(g.nonzero) > fileSize/8 {
+		return nil, nil, fmt.Errorf("layout: implausible geometry (%d values in %d bytes)", g.nonzero, fileSize)
 	}
-	if int64(slots) > fileSize/8 {
-		return nil, nil, fmt.Errorf("layout: implausible geometry (%d value slots in %d bytes)", slots, fileSize)
+	if records := rankRecords(g.cells); g.rank() && int64(records) > fileSize/rankRecord {
+		return nil, nil, fmt.Errorf("layout: implausible geometry (%d rank records for %d cells in %d bytes)", records, g.cells, fileSize)
 	}
 	g.derive(int64(preludeSize + len(blob)))
 	if g.fileSize != fileSize {

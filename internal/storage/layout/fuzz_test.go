@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -15,18 +16,19 @@ import (
 // fuzzSeedLayout builds a small valid layout file of the given shape and
 // returns its bytes, so the fuzzer starts from well-formed inputs and
 // mutates toward the interesting boundary: files that are almost valid. The
-// 48 keys step by 3 modulo the domain, 41 of them nonzero: sparse over the
-// default 256 cells, with 1-byte lows, dense over 56.
-func fuzzSeedLayout(f *testing.F, dense bool, opts WriteOptions) []byte {
+// n keys step by 3 modulo the domain, one in seven of them 0: 48 keys, 41
+// nonzero, make a directory of 1-byte lows over the default 256 cells; 100
+// keys, 86 nonzero, one rank record over 100 cells.
+func fuzzSeedLayout(f *testing.F, shape string, n int, opts WriteOptions) []byte {
 	f.Helper()
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.wvls")
 	if opts.Cells == 0 {
 		opts.Cells = 256
 	}
-	keys := make([]int, 0, 48)
-	vals := make([]float64, 0, 48)
-	for k := 0; k < 48; k++ {
+	keys := make([]int, 0, n)
+	vals := make([]float64, 0, n)
+	for k := 0; k < n; k++ {
 		keys = append(keys, k*3%opts.Cells)
 		vals = append(vals, float64(k%7)-3.0)
 	}
@@ -37,8 +39,8 @@ func fuzzSeedLayout(f *testing.F, dense bool, opts WriteOptions) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if got := binary.LittleEndian.Uint16(blob[6:8])&flagDense != 0; got != dense {
-		f.Fatalf("seed %+v written dense=%v, want %v", opts, got, dense)
+	if g := (geometry{flags: binary.LittleEndian.Uint16(blob[6:8])}); g.shape() != shape {
+		f.Fatalf("seed %+v written in the %s shape, want %s", opts, g.shape(), shape)
 	}
 	return blob
 }
@@ -52,10 +54,10 @@ func FuzzOpenLayout(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("WVLS"))
 	f.Add([]byte("WVFS\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16}))
-	f.Add(withReservedWord(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16}), hotWordOff, 8, 8))
-	f.Add(fuzzSeedLayout(f, false, WriteOptions{BlockSize: 4}))
-	f.Add(fuzzSeedLayout(f, false, WriteOptions{
+	f.Add(fuzzSeedLayout(f, "directory", 48, WriteOptions{BlockSize: 16}))
+	f.Add(withReservedWord(fuzzSeedLayout(f, "directory", 48, WriteOptions{BlockSize: 16}), hotWordOff, 8, 8))
+	f.Add(fuzzSeedLayout(f, "directory", 48, WriteOptions{BlockSize: 4}))
+	f.Add(fuzzSeedLayout(f, "directory", 48, WriteOptions{
 		BlockSize: 8,
 		Meta: &Meta{
 			FilterName: "db4",
@@ -64,8 +66,8 @@ func FuzzOpenLayout(f *testing.F) {
 			Sizes:      []int{16, 16},
 		},
 	}))
-	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 16}))
-	f.Add(fuzzSeedLayout(f, true, WriteOptions{Cells: 56, BlockSize: 8}))
+	f.Add(fuzzSeedLayout(f, "rank", 100, WriteOptions{Cells: 100, BlockSize: 16}))
+	f.Add(fuzzSeedLayout(f, "rank", 100, WriteOptions{Cells: 100, BlockSize: 8}))
 	// The sparse files of two older writers: values in |value|-descending
 	// slots, whose family record sits in the reserved words, and keys in a
 	// delta stream, whose length is the last reserved word.
@@ -80,7 +82,7 @@ func FuzzOpenLayout(f *testing.F) {
 	// them in one bucket of 1-byte lows, one of 2^24 in one of 3-byte lows,
 	// and one of 2^62 keeps whole keys, a bucket shift of 64.
 	for _, tc := range []struct{ cells, lowWidth int }{{1 << 8, 1}, {1 << 24, 3}, {1 << 62, 8}} {
-		seed := fuzzSeedLayout(f, false, WriteOptions{Cells: tc.cells, BlockSize: 16})
+		seed := fuzzSeedLayout(f, "directory", 48, WriteOptions{Cells: tc.cells, BlockSize: 16})
 		g, _, err := readHeader(seed)
 		if err != nil {
 			f.Fatal(err)
@@ -91,22 +93,30 @@ func FuzzOpenLayout(f *testing.F) {
 		f.Add(seed)
 	}
 	// The overflow claim of decodeHeaderBlob: past its plausibility check
-	// the offsets derive computes cannot overflow. A sparse file of a few
-	// keys over 2^62 and 2^63−1 cells, the 256-cell seed with its cells word
-	// rewritten to each (the header checksum fixed), and each of those with
-	// the dense flag set are refused or open with every offset in order.
-	small := fuzzSeedLayout(f, false, WriteOptions{BlockSize: 16})
+	// the offsets derive computes cannot overflow. A directory file of a few
+	// keys over 2^62 and 2^63−1 cells, the 256-cell directory seed and the
+	// 100-cell rank seed with their cells word rewritten to each (the header
+	// checksum fixed), and each of those with the rank flag flipped are
+	// refused or open with every offset in order. A rank header over such a
+	// domain asks for 2^53 records or more: it must be refused by the
+	// records' size, before any offset is derived.
+	small := fuzzSeedLayout(f, "directory", 48, WriteOptions{BlockSize: 16})
+	smallRank := fuzzSeedLayout(f, "rank", 100, WriteOptions{Cells: 100, BlockSize: 16})
 	for _, cells := range []int{1 << 62, math.MaxInt64} {
 		headers := [][]byte{
-			fuzzSeedLayout(f, false, WriteOptions{Cells: cells, BlockSize: 16}),
+			fuzzSeedLayout(f, "directory", 48, WriteOptions{Cells: cells, BlockSize: 16}),
 			withReservedWord(small, preludeSize, 8, uint64(cells)),
+			withReservedWord(smallRank, preludeSize, 8, uint64(cells)),
 		}
 		for _, h := range headers {
-			dense := slices.Clone(h)
-			binary.LittleEndian.PutUint16(dense[6:8], binary.LittleEndian.Uint16(dense[6:8])|flagDense)
-			for _, seed := range [][]byte{h, dense} {
-				if g, _, err := readHeader(seed); err == nil {
+			flipped := slices.Clone(h)
+			binary.LittleEndian.PutUint16(flipped[6:8], binary.LittleEndian.Uint16(flipped[6:8])^flagRank)
+			for _, seed := range [][]byte{h, flipped} {
+				g, _, err := readHeader(seed)
+				if err == nil {
 					checkOffsets(f, g, int64(len(seed)))
+				} else if seed[6]&flagRank != 0 && !strings.Contains(err.Error(), "rank records") {
+					f.Fatalf("a rank header over %d cells was refused by %v, not by its records' size", cells, err)
 				}
 				f.Add(seed)
 			}
@@ -135,10 +145,10 @@ func FuzzOpenLayout(f *testing.F) {
 // offset overflowed.
 func checkOffsets(t testing.TB, g *geometry, size int64) {
 	t.Helper()
-	offs := []int64{preludeSize, g.dirOff, g.lowsOff, g.blocksOff, g.crcsOff, g.fileSize}
+	offs := []int64{preludeSize, g.rankOff, g.dirOff, g.lowsOff, g.blocksOff, g.crcsOff, g.fileSize}
 	for i := 1; i < len(offs); i++ {
 		if offs[i] < offs[i-1] {
-			t.Fatalf("cells %d, nonzero %d, dense %v: section offsets %v out of order", g.cells, g.nonzero, g.dense(), offs)
+			t.Fatalf("cells %d, nonzero %d, %s shape: section offsets %v out of order", g.cells, g.nonzero, g.shape(), offs)
 		}
 	}
 	if g.fileSize != size {

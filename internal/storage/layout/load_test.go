@@ -18,7 +18,7 @@ import (
 func TestLoadSeesNoLaterWrite(t *testing.T) {
 	const cells = 1 << 12
 	keys, values := denseCoefficients(cells, 0.9, 41)
-	path := writeDenseLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 256})
+	path := writeRankLayout(t, keys, values, WriteOptions{Cells: cells, BlockSize: 256})
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -60,16 +60,16 @@ func TestLoadSeesNoLaterWrite(t *testing.T) {
 // collects without pause and the test drops its own reference as soon as
 // they start. A reader's last call then holds the only reference; were the
 // store finalized under that call's loop, the loop would read bytes Close
-// had unmapped and the process would die of SIGSEGV. Both shapes: a dense
-// file's batches take the gather over verified blocks, a sparse one's the
-// key search. Run with -count=10.
+// had unmapped and the process would die of SIGSEGV. Both shapes: a rank
+// file of dense data and a directory file of sparse data, whose batches
+// resolve keys by a rank record and by a search. Run with -count=10.
 func TestLoadedStoreOutlivesItsReaders(t *testing.T) {
 	const cells = 1 << 16
 	dense, denseValues := denseCoefficients(cells, 0.9, 42)
 	sparse, sparseValues := testCoefficients(cells/8, cells, 43)
 	for name, path := range map[string]string{
-		"dense":  writeDenseLayout(t, dense, denseValues, WriteOptions{Cells: cells}),
-		"sparse": writeTestLayout(t, sparse, sparseValues, WriteOptions{Cells: cells}),
+		"dense":  writeRankLayout(t, dense, denseValues, WriteOptions{Cells: cells}),
+		"sparse": writeDirectoryLayout(t, sparse, sparseValues, WriteOptions{Cells: cells}),
 	} {
 		raw, err := os.ReadFile(path)
 		if err != nil {

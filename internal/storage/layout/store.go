@@ -20,13 +20,15 @@ import (
 // the file (Open), or its bytes read once (Load). Every
 // value is read from a verified block: a block's CRC is checked the first
 // time any of its slots is served, one bit per block remembers that it
-// passed, and every later read of it is a window with no check. A sparse
-// file's key index is served once it has passed indexCRC, which the first
-// read of the file checks.
+// passed, and every later read of it is a window with no check. The file's
+// index sections are served once they have passed indexCRC and the checks
+// behind it, which the first read of the file makes.
 //
-// In a dense file the slot is the key. In a sparse one it is the key's rank
-// among the stored keys: the key index gives its bucket's slot range, which
-// a search for its low bytes narrows to the one slot.
+// A key's slot is its rank among the stored keys. A rank file finds it in
+// the key's rank record: the count of stored keys below the record, plus
+// the sub-count below the key's word, plus the bits set below its bit. In
+// a directory file the key directory gives the key's bucket's slot range,
+// which a search for its low bytes narrows to the one slot.
 //
 // Store implements storage.Store and Enumerable: a layout is a read-only
 // file. It is the one reader of a .wvls file, served in place
@@ -44,22 +46,23 @@ type Store struct {
 	g          geometry
 	meta       *Meta
 
-	// The index sections and the block checksums: windows of data. A key's
-	// bucket is key>>lowShift.
+	// The index sections, the value words and the block checksums: windows
+	// of data. rank holds a rank file's records and is nil in a directory
+	// file, whose key's bucket is key>>lowShift.
+	rank     []byte
 	dir      packed
 	lows     packed
 	lowShift uint
+	values   []byte
 	crcs     []byte
 
 	// verified holds one bit per block, set once the block's CRC has
-	// passed; indexChecked is set once a sparse file's index sections have
-	// passed indexCRC (at open for a dense file, which has none).
+	// passed; indexChecked is set once the index sections have passed
+	// checkIndex.
 	verified     []atomic.Uint64
 	indexChecked atomic.Bool
-	// cells is the value words of a dense file, which gatherVerified serves
-	// directly; nil for a sparse one. A key's block is key>>blockShift when
-	// the block size is a power of two (blockDiv 0), key/blockDiv otherwise.
-	cells      []byte
+	// A slot's block is slot>>blockShift when the block size is a power of
+	// two (blockDiv 0), slot/blockDiv otherwise.
 	blockShift uint
 	blockDiv   uint
 
@@ -151,18 +154,19 @@ func (s *Store) open() error {
 	}
 	s.g, s.meta = *g, meta
 	s.verified = make([]atomic.Uint64, (g.numBlocks+63)/64)
-	s.indexChecked.Store(g.dense())
+	if g.rank() {
+		s.rank = data[g.rankOff:g.dirOff]
+	} else {
+		s.dir = newPacked(data[g.dirOff:g.lowsOff], g.dirWidth())
+		s.lows = newPacked(data[g.lowsOff:g.blocksOff], g.lowWidth)
+		s.lowShift = uint(8 * g.lowWidth)
+	}
+	s.values = data[g.blocksOff:g.crcsOff]
 	s.crcs = data[g.crcsOff:]
-	s.dir = newPacked(data[g.dirOff:g.lowsOff], g.dirWidth())
-	s.lows = newPacked(data[g.lowsOff:g.blocksOff], g.lowWidth)
-	s.lowShift = uint(8 * g.lowWidth)
-	if g.dense() {
-		s.cells = data[g.blocksOff:g.crcsOff]
-		if g.blockSize&(g.blockSize-1) == 0 {
-			s.blockShift = uint(bits.TrailingZeros(uint(g.blockSize)))
-		} else {
-			s.blockDiv = uint(g.blockSize)
-		}
+	if g.blockSize&(g.blockSize-1) == 0 {
+		s.blockShift = uint(bits.TrailingZeros(uint(g.blockSize)))
+	} else {
+		s.blockDiv = uint(g.blockSize)
 	}
 	return nil
 }
@@ -205,30 +209,77 @@ func (s *Store) readStream(r io.Reader) error {
 	}
 }
 
-// checkIndex checks a sparse file's index sections, dir and lows, once:
-// against indexCRC, then checkOrder. The first check that passes is
-// remembered, one that fails is not, so every later read checks again and
-// fails again.
+// checkIndex checks the file's index sections once: against indexCRC,
+// then checkRank or checkOrder. The first check that passes is remembered,
+// one that fails is not, so every later read checks again and fails again.
 func (s *Store) checkIndex() error {
 	if s.indexChecked.Load() {
 		return nil
 	}
 	g := &s.g
-	sum, want := crc32.ChecksumIEEE(s.data[g.dirOff:g.blocksOff]), binary.LittleEndian.Uint32(s.crcs[4*g.numBlocks:])
+	sum, want := crc32.ChecksumIEEE(s.data[g.rankOff:g.blocksOff]), binary.LittleEndian.Uint32(s.crcs[4*g.numBlocks:])
 	if sum != want {
 		return fmt.Errorf("layout: key index checksum mismatch (file %08x, computed %08x)", want, sum)
 	}
-	if err := s.checkOrder(); err != nil {
+	check := s.checkOrder
+	if g.rank() {
+		check = s.checkRank
+	}
+	if err := check(); err != nil {
 		return err
 	}
 	s.indexChecked.Store(true)
 	return nil
 }
 
-// checkOrder checks what indexCRC cannot, an index that was written wrong:
-// that dir rises from 0 to nonzero, so every bucket's slot range lies in
-// lows, and that the stored keys ascend inside the domain, so a search of a
-// bucket's lows finds a stored key or proves it absent, never misreads one.
+// record returns rank record r: the count of stored keys below it, its
+// word of sub-counts and its eight words.
+func (s *Store) record(r int) (below, subs uint64, words [8]uint64) {
+	rec := s.rank[rankRecord*r:][:rankRecord]
+	for j := range words {
+		words[j] = binary.LittleEndian.Uint64(rec[16+8*j:])
+	}
+	return binary.LittleEndian.Uint64(rec), binary.LittleEndian.Uint64(rec[8:]), words
+}
+
+// checkRank checks what indexCRC cannot, a rank section that was written
+// wrong: that each record's count is the bits set in the records before
+// it, and the last one's with them nonzero, and that each record's
+// sub-counts are the bits set in its words, so every slot a lookup
+// computes lies in the blocks and no two keys share one; and that no bit
+// is set at or past cells, so a walk hands over no key outside the domain.
+func (s *Store) checkRank() error {
+	g := &s.g
+	var below uint64
+	for r := 0; r < g.records; r++ {
+		count, subs, words := s.record(r)
+		if count != below {
+			return fmt.Errorf("layout: rank record %d counts %d stored keys below it, the records before it hold %d", r, count, below)
+		}
+		want, total := subCounts(&words)
+		if subs != want {
+			return fmt.Errorf("layout: rank record %d holds sub-counts %#x, its words %#x", r, subs, want)
+		}
+		below += uint64(total)
+	}
+	if below != uint64(g.nonzero) {
+		return fmt.Errorf("layout: rank records hold %d stored keys, the header announces %d", below, g.nonzero)
+	}
+	last := g.records - 1
+	_, _, words := s.record(last)
+	for j, word := range words {
+		if rest := g.cells - (last<<9 + j<<6); rest < 64 && word>>max(rest, 0) != 0 {
+			return fmt.Errorf("layout: rank word %d marks a key at or past the domain's end %d", last<<3+j, g.cells)
+		}
+	}
+	return nil
+}
+
+// checkOrder checks what indexCRC cannot, a key directory that was written
+// wrong: that dir rises from 0 to nonzero, so every bucket's slot range
+// lies in lows, and that the stored keys ascend inside the domain, so a
+// search of a bucket's lows finds a stored key or proves it absent, never
+// misreads one.
 func (s *Store) checkOrder() error {
 	g := &s.g
 	if first, last := s.dir.at(0), s.dir.at(g.buckets); first != 0 || last != uint64(g.nonzero) {
@@ -250,8 +301,9 @@ func (s *Store) checkOrder() error {
 	return nil
 }
 
-// keyAt returns the key stored at slot, which must follow the slot of the
-// call before: *bucket, 0 before the first call, climbs dir to slot's bucket.
+// keyAt returns the key a directory file stores at slot, which must follow
+// the slot of the call before: *bucket, 0 before the first call, climbs dir
+// to slot's bucket.
 func (s *Store) keyAt(slot int, bucket *int) int {
 	for uint64(slot) >= s.dir.at(*bucket+1) {
 		*bucket++
@@ -260,9 +312,18 @@ func (s *Store) keyAt(slot int, bucket *int) int {
 }
 
 // findKey resolves key, inside the domain, to its rank among the stored
-// keys, which is its slot: a search for its low bytes in the slot range dir
-// gives its bucket.
-func (s *Store) findKey(key int) (rank int, ok bool) {
+// keys, which is its slot, and reports whether it is stored.
+func (s *Store) findKey(key int) (slot int, ok bool) {
+	if s.rank != nil {
+		slot, stored := rankSlot(s.rank, uint(key))
+		return int(slot), stored == 1
+	}
+	return s.searchKey(key)
+}
+
+// searchKey is a directory file's lookup: a search for key's low bytes in
+// the slot range dir gives its bucket.
+func (s *Store) searchKey(key int) (slot int, ok bool) {
 	k := uint64(key)
 	b := int(k >> s.lowShift)
 	lo, end := int(s.dir.at(b)), int(s.dir.at(b+1))
@@ -275,6 +336,14 @@ func (s *Store) findKey(key int) (rank int, ok bool) {
 		}
 	}
 	return lo, lo < end && s.lows.at(lo) == low
+}
+
+// blockOf returns the block slot lies in.
+func (s *Store) blockOf(slot int) int {
+	if s.blockDiv != 0 {
+		return int(uint(slot) / s.blockDiv)
+	}
+	return int(uint(slot) >> s.blockShift)
 }
 
 // block returns the value words of block b behind a passed CRC check. The
@@ -309,20 +378,17 @@ type damage struct {
 }
 
 // get serves one key: 0 for an in-range key that is not stored, and for a
-// stored one (hit) its value from its block. In a dense file the slot is the
-// key; in a sparse one it is the rank findKey returns.
+// stored one (hit) its value from its block, checked first if it is not
+// yet verified.
 func (s *Store) get(k int, d *damage) (v float64, hit bool, err error) {
 	if k < 0 || k >= s.g.cells {
 		return 0, false, fmt.Errorf("key out of range [0,%d)", s.g.cells)
 	}
-	slot := k
-	if !s.g.dense() {
-		var ok bool
-		if slot, ok = s.findKey(k); !ok {
-			return 0, false, nil
-		}
+	slot, ok := s.findKey(k)
+	if !ok {
+		return 0, false, nil
 	}
-	b := slot / s.g.blockSize
+	b := s.blockOf(slot)
 	if d.err != nil && d.block == b {
 		return 0, false, d.err
 	}
@@ -340,11 +406,12 @@ func (s *Store) get(k int, d *damage) (v float64, hit bool, err error) {
 // stay off the per-key fast path.
 const batchCancelStride = 1024
 
-// BatchGetCtx implements storage.Store. A dense file serves each key of a
-// verified block with one load; anything else takes one lookup per key
-// (get). A key inside the domain that is not stored is zero (like the sparse
-// store). Failures are per-key — an unreadable or corrupt block fails
-// exactly the positions that resolve into it, reported via
+// BatchGetCtx implements storage.Store. A run of keys whose values lie in
+// verified blocks is served by gather; anything else — a block not yet
+// checked, a key out of range — takes one lookup and block check per key
+// (get). A key inside the domain that is not stored is zero (like the
+// sparse store). Failures are per-key — an unreadable or corrupt block
+// fails exactly the positions that resolve into it, reported via
 // *storage.BatchError, and every other position holds a valid value.
 // Cancellation is observed between strides and returned whole.
 func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) error {
@@ -367,14 +434,8 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 	if err := s.checkIndex(); err != nil {
 		return &storage.BatchError{Failed: storage.FailAt(nil, keys, nil, err)}
 	}
-	// A dense file serves a run of keys in
-	// verified blocks in two tight loops — check the run, then gather it —
-	// with no calls and no locked instruction in either, so the cache misses
-	// of a drain's random keys overlap instead of queueing: the gather costs
-	// what the in-memory array's does. That is why the hits are tallied
-	// here and added to the shared counter once a call. Anything else — a
-	// block not yet checked, a key out of range, the sparse shape — takes
-	// the general path below, a key at a time.
+	// The hits are tallied here and added to the shared counter once a
+	// call: gather's loops hold no locked instruction.
 	var cold int64
 	defer func() { s.coldHits.Add(cold) }()
 	var failed []storage.KeyError
@@ -387,12 +448,10 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 			}
 			checked = i
 		}
-		if s.cells != nil {
-			if n := s.gatherVerified(keys[i:min(len(keys), checked+batchCancelStride)], dst[i:]); n > 0 {
-				cold += int64(n)
-				i += n
-				continue
-			}
+		if n, hits := s.gather(keys[i:min(len(keys), checked+batchCancelStride)], dst[i:]); n > 0 {
+			cold += int64(hits)
+			i += n
+			continue
 		}
 		v, hit, err := s.get(keys[i], &d)
 		if err != nil {
@@ -412,25 +471,75 @@ func (s *Store) BatchGetCtx(ctx context.Context, keys []int, dst []float64) erro
 	return nil
 }
 
-// gatherVerified serves the longest prefix of keys that lie in verified
-// blocks of s.cells and returns its length, 0 when the first key does not.
-func (s *Store) gatherVerified(keys []int, dst []float64) int {
-	cells, shift, div := s.cells, s.blockShift, s.blockDiv
-	n := 0
+// gather serves the longest prefix of keys that lie inside the domain and,
+// if stored, in a verified block, and returns its length, 0 when the first
+// key does not, and the stored keys among them. It makes two tight loops
+// with no locked instruction in either: the first resolves each key to its
+// slot and notes it in dst — slot<<1|1 as a float64's bits, 0 for a key
+// that is not stored — and the second loads the noted slots' values over
+// the notes. A drain's random keys miss the cache in both loops, and no
+// miss waits on the one before it, so the misses overlap instead of
+// queueing.
+func (s *Store) gather(keys []int, dst []float64) (n, hits int) {
+	if s.rank != nil {
+		n, hits = s.resolveRank(keys, dst)
+	} else {
+		n, hits = s.resolveDirectory(keys, dst)
+	}
+	if hits == 0 {
+		return n, 0
+	}
+	values := s.values
+	for q, note := range dst[:n] {
+		c := math.Float64bits(note)
+		dst[q] = math.Float64frombits(binary.LittleEndian.Uint64(values[8*(c>>1):]) & -(c & 1))
+	}
+	return n, hits
+}
+
+// resolveRank is gather's first loop over a rank file. It takes no branch
+// on what it loads — a key that is not stored computes a slot too, which
+// its note masks to 0 — so an absent key mispredicts nothing and the rank
+// records' misses overlap. Its lookup is findKey's, rankSlot. The block
+// check of an absent key's slot is harmless: at worst it ends the run at
+// that key, which get serves as 0 without a block.
+func (s *Store) resolveRank(keys []int, dst []float64) (n, hits int) {
+	rank, cells, blocks := s.rank, uint(s.g.cells), uint(s.g.numBlocks)
 	for ; n < len(keys); n++ {
 		k := uint(keys[n])
-		b := k >> shift
-		if div != 0 {
-			b = k / div
-		}
-		if k >= uint(len(cells)/8) || s.verified[b>>6].Load()&(1<<(b&63)) == 0 {
+		if k >= cells {
 			break
 		}
+		slot, stored := rankSlot(rank, k)
+		if b := s.blockOf(int(slot)); uint(b) < blocks && s.verified[b>>6].Load()&(1<<(b&63)) == 0 {
+			break
+		}
+		dst[n] = math.Float64frombits((uint64(slot)<<1 | 1) & -stored)
+		hits += int(stored)
 	}
-	for q, k := range keys[:n] {
-		dst[q] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*k:]))
+	return n, hits
+}
+
+// resolveDirectory is gather's first loop over a directory file: a search
+// of the key's bucket per key.
+func (s *Store) resolveDirectory(keys []int, dst []float64) (n, hits int) {
+	for cells := uint(s.g.cells); n < len(keys); n++ {
+		k := keys[n]
+		if uint(k) >= cells {
+			break
+		}
+		slot, ok := s.searchKey(k)
+		if !ok {
+			dst[n] = 0
+			continue
+		}
+		if b := s.blockOf(slot); s.verified[b>>6].Load()&(1<<(b&63)) == 0 {
+			break
+		}
+		dst[n] = math.Float64frombits(uint64(slot)<<1 | 1)
+		hits++
 	}
-	return n
+	return n, hits
 }
 
 // NonzeroCount implements storage.Store.
@@ -447,9 +556,9 @@ func (s *Store) Mass() float64 { return s.g.mass }
 // without one.
 func (s *Store) Meta() *Meta { return s.meta }
 
-// Dense reports whether the file has the dense shape: every cell's value in
-// key order, no index.
-func (s *Store) Dense() bool { return s.g.dense() }
+// Shape names the file's shape: "rank" (a rank record per 512 cells) or
+// "directory" (a key directory and each key's low bytes).
+func (s *Store) Shape() string { return s.g.shape() }
 
 // BlockSize returns the block granularity in slots.
 func (s *Store) BlockSize() int { return s.g.blockSize }
@@ -478,22 +587,23 @@ type Section struct {
 }
 
 // Sections lists the file's sections in file order; their sizes sum to the
-// file size. The last is the values with their checksums; a dense file has
-// only the header before it.
+// file size: the header, the index — "rank words" in a rank file, "key
+// index" (the directory and the lows) in a directory file — and the values
+// with their checksums.
 func (s *Store) Sections() []Section {
 	g := &s.g
-	values := Section{"values", g.fileSize - g.blocksOff}
-	if g.dense() {
-		return []Section{{"header", g.blocksOff}, values}
+	index := "key index"
+	if g.rank() {
+		index = "rank words"
 	}
-	return []Section{{"header", g.dirOff}, {"key index", g.blocksOff - g.dirOff}, values}
+	return []Section{{"header", g.rankOff}, {index, g.blocksOff - g.rankOff}, {"values", g.fileSize - g.blocksOff}}
 }
 
 // StackName names the layout in storage.Describe.
 func (s *Store) StackName() string { return "layout" }
 
-// Verify checks what a read of the whole file would: a sparse file's index
-// sections, then every block, each once. A damaged file is an
+// Verify checks what a read of the whole file would: the index sections,
+// then every block, each once. A damaged file is an
 // error here rather than a degraded read later. It puts nothing on the Go
 // heap, and a block that passed before is not checked again.
 func (s *Store) Verify() error {
@@ -511,28 +621,23 @@ func (s *Store) Verify() error {
 
 // Walk implements storage.Enumerable: it hands fn every nonzero coefficient
 // in ascending key order until fn returns false, and returns the damage it
-// met, a block or the key index failing its check. It reads the blocks
-// front to back, each checked, with the slot as the key in a dense file and
-// the key index's next key in a sparse one, whose index must have passed
-// its check first. A stored zero, +0 or -0, is not handed over. A walk puts
-// nothing on the Go heap.
+// met, a block or the index failing its check. It reads the blocks front to
+// back, each checked, beside a keyCursor over the index, which must have
+// passed its check first; it never looks a key up. A stored zero, +0 or -0,
+// is not handed over. A walk puts nothing on the Go heap.
 func (s *Store) Walk(fn func(key int, value float64) bool) error {
 	defer runtime.KeepAlive(s) // fn reads values out of the bytes
 	if err := s.checkIndex(); err != nil {
 		return err
 	}
-	g, emitted, bucket := &s.g, 0, 0
+	g, emitted, keys := &s.g, 0, keyCursor{s: s, w: -1}
 	for b := 0; b < g.numBlocks; b++ {
 		vals, err := s.block(b)
 		if err != nil {
 			return err
 		}
-		lo, _ := g.blockSlots(b)
 		for q := 0; q < len(vals); q += 8 {
-			key := lo + q/8
-			if !g.dense() {
-				key = s.keyAt(key, &bucket)
-			}
+			key := keys.next()
 			w := binary.LittleEndian.Uint64(vals[q:])
 			if w<<1 == 0 {
 				continue
@@ -549,14 +654,39 @@ func (s *Store) Walk(fn func(key int, value float64) bool) error {
 	return nil
 }
 
+// keyCursor hands over the stored keys in ascending order, one a call of
+// next, straight from the index: a rank file's set bits, word by word, or a
+// directory file's buckets and lows, slot by slot. The index must have
+// passed checkIndex, which leaves exactly nonzero keys to hand over.
+type keyCursor struct {
+	s      *Store
+	slot   int    // directory: the next slot
+	bucket int    // directory: that slot's bucket
+	w      int    // rank: the word being walked, -1 before the first
+	word   uint64 // rank: its set bits not yet handed over
+}
+
+func (c *keyCursor) next() int {
+	if c.s.rank == nil {
+		key := c.s.keyAt(c.slot, &c.bucket)
+		c.slot++
+		return key
+	}
+	for c.word == 0 {
+		c.w++
+		c.word = binary.LittleEndian.Uint64(c.s.rank[rankRecord*(c.w>>3)+16+8*(c.w&7):])
+	}
+	key := c.w<<6 | bits.TrailingZeros64(c.word)
+	c.word &= c.word - 1
+	return key
+}
+
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
-	// Dense marks the dense shape: every cell's value in key order, no
-	// index.
-	Dense bool `json:"dense"`
-	// Slots is the number of stored values — the nonzero coefficients of a
-	// sparse file, every cell of a dense one — held in Blocks blocks of
-	// BlockSize.
+	// Shape names the file's index: "rank" or "directory" (see Store.Shape).
+	Shape string `json:"shape"`
+	// Slots is the number of stored values, the nonzero coefficients, held
+	// in Blocks blocks of BlockSize.
 	Slots  int `json:"slots"`
 	Blocks int `json:"blocks"`
 	// BlockSize is the block granularity in slots.
@@ -572,7 +702,7 @@ type Stats struct {
 	// without another check.
 	VerifiedBlocks int `json:"verified_blocks"`
 	// FileBytes is the size of the .wvls file; IndexBytes of them are
-	// neither header nor value words (the key index and the checksums).
+	// neither header nor value words (the index and the checksums).
 	FileBytes  int64 `json:"file_bytes"`
 	IndexBytes int64 `json:"index_bytes"`
 }
@@ -584,8 +714,8 @@ func (s *Store) Stats() Stats {
 		verified += bits.OnesCount64(s.verified[i].Load())
 	}
 	return Stats{
-		Dense:             s.g.dense(),
-		Slots:             s.g.slots,
+		Shape:             s.g.shape(),
+		Slots:             s.g.nonzero,
 		Blocks:            s.g.numBlocks,
 		BlockSize:         s.g.blockSize,
 		ColdHits:          s.coldHits.Load(),
@@ -593,7 +723,7 @@ func (s *Store) Stats() Stats {
 		BlockLoadFailures: s.blockLoadFails.Load(),
 		VerifiedBlocks:    verified,
 		FileBytes:         s.g.fileSize,
-		IndexBytes:        s.g.blocksOff - s.g.dirOff + s.g.fileSize - s.g.crcsOff,
+		IndexBytes:        s.g.blocksOff - s.g.rankOff + s.g.fileSize - s.g.crcsOff,
 	}
 }
 
@@ -614,7 +744,7 @@ func (s *Store) DropPages() {
 // while retrievals are in flight.
 func (s *Store) Close() error {
 	mapping := s.mapping
-	s.data, s.mapping, s.fileMapped, s.cells = nil, nil, false, nil
+	s.data, s.mapping, s.fileMapped, s.rank, s.values = nil, nil, false, nil, nil
 	if mapping == nil {
 		return nil
 	}

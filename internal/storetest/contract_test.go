@@ -91,7 +91,7 @@ func array(hat []float64) *storage.ArrayStore {
 
 // openLayout writes the nonzero entries of want as a layout and opens it,
 // asserting the shape the writer's size rule picked.
-func openLayout(t *testing.T, want []float64, dense bool) subject {
+func openLayout(t *testing.T, want []float64, shape string) subject {
 	t.Helper()
 	var keys []int
 	var values []float64
@@ -111,15 +111,15 @@ func openLayout(t *testing.T, want []float64, dense bool) subject {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	if s.Dense() != dense {
-		t.Fatalf("%d coefficients of %d cells written dense=%v, want %v", len(keys), len(want), s.Dense(), dense)
+	if s.Shape() != shape {
+		t.Fatalf("%d coefficients of %d cells written in the %s shape, want %s", len(keys), len(want), s.Shape(), shape)
 	}
 	return subject{store: s, want: want, bounded: true}
 }
 
 // eighth keeps every eighth entry of the transform: under the quarter from
-// which Build picks the array, and under the crossover where a layout's
-// dense shape is smaller.
+// which Build picks the array, and under the crossover from which a layout
+// is written with rank words.
 func eighth(hat []float64) []float64 {
 	want := make([]float64, len(hat))
 	for k := 0; k < len(hat); k += 8 {
@@ -270,10 +270,10 @@ var subjects = []struct {
 		return subject{store: storage.NewInstrumentedStore(array(hat), counts), want: hat, bounded: true, counts: counts}
 	}},
 	{"layout mmap, dense", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, hat, true)
+		return openLayout(t, hat, "rank")
 	}},
 	{"layout mmap, sparse", func(t *testing.T, hat []float64, _ int64) subject {
-		return openLayout(t, eighth(hat), false)
+		return openLayout(t, eighth(hat), "directory")
 	}},
 	{"mvcc view with layers", func(t *testing.T, hat []float64, tuples int64) subject {
 		s, _ := mvccView(t, hat, tuples, false, nil)

@@ -23,10 +23,10 @@ type LayoutOptions struct {
 }
 
 // SaveLayout writes the database's coefficients to path in the .wvls
-// persistent format, in one of its two shapes: dense — every cell's value in
-// key order, checksummed in blocks — when at least half the cells are
-// nonzero, otherwise sparse — the nonzero coefficients' values in key
-// order, checksummed in blocks, behind a compressed key index. The file
+// persistent format: the nonzero coefficients' values in key order,
+// checksummed in blocks, behind one of two indexes, whichever the counts
+// make smaller — rank words, an 80-byte record per 512 cells, from about
+// 15 % of the cells nonzero up, a key directory below that. The file
 // embeds the database identity (schema, filter, tuple count, windows) so
 // OpenLayout can reassemble a servable view from it alone. The store must be
 // enumerable.
@@ -185,8 +185,8 @@ func (db *Database) LayoutStats() (stats LayoutStats, ok bool) {
 type LayoutSection = layout.Section
 
 // LayoutSections lists the sections of the file the database was opened
-// from, in file order: the header, the key index (a sparse file's only) and
-// the values with their checksums. Their sizes sum to the file's. ok is
+// from, in file order: the header, the index ("rank words" or "key
+// index") and the values with their checksums. Their sizes sum to the file's. ok is
 // false for databases not opened with OpenLayout.
 func (db *Database) LayoutSections() (sections []LayoutSection, ok bool) {
 	if db.layout == nil {

@@ -17,23 +17,25 @@ import (
 )
 
 // layoutFixture is a database of 3000 tuples over 2048 cells, every cell
-// nonzero under Db4, so it is saved dense, with a plan over it and a path
-// to save it at.
+// nonzero under Db4, so it is saved with rank records, with a plan over it
+// and a path to save it at.
 func layoutFixture(t *testing.T) (*Database, *Plan, string) {
 	t.Helper()
-	return layoutFixtureOf(t, 3000)
+	return layoutFixtureOf(t, 16, 3000)
 }
 
-// sparseLayoutFixture is layoutFixture's schema and queries over 3 tuples:
-// 672 of the 2048 cells are nonzero, so it is saved sparse.
+// sparseLayoutFixture is layoutFixture's attributes and queries over a
+// 32×32×8 domain and 1 tuple: 720 of the 8192 cells (8.8 %) are nonzero,
+// so it is saved with a key directory.
 func sparseLayoutFixture(t *testing.T) (*Database, *Plan, string) {
 	t.Helper()
-	return layoutFixtureOf(t, 3)
+	return layoutFixtureOf(t, 32, 1)
 }
 
-func layoutFixtureOf(t *testing.T, records int) (*Database, *Plan, string) {
+// layoutFixtureOf is a database of records tuples over an xy×xy×8 domain.
+func layoutFixtureOf(t *testing.T, xy, records int) (*Database, *Plan, string) {
 	t.Helper()
-	schema, err := NewSchema([]string{"x", "y", "m"}, []int{16, 16, 8})
+	schema, err := NewSchema([]string{"x", "y", "m"}, []int{xy, xy, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,18 +151,18 @@ func TestLayoutDrainBitIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("LayoutStats not available")
 	}
-	if stats.Dense {
-		t.Fatal("the fixture is sparse enough for the sparse shape")
+	if stats.Shape != "directory" {
+		t.Fatal("the fixture is sparse enough for a key directory")
 	}
 	if stats.ColdHits == 0 {
 		t.Fatalf("stats = %+v: the drain counted no hits", stats)
 	}
 }
 
-// TestLayoutDenseDrainBitIdentity is the acceptance criterion on the dense
-// shape: the fixture is written as an array, and a
-// progressive drain over it is bit-identical (==) to the in-memory drain at
-// every step, bounds included.
+// TestLayoutDenseDrainBitIdentity is the acceptance criterion on dense data:
+// the fixture is written with rank words, and a progressive drain over it
+// is bit-identical (==) to the in-memory drain at every step, bounds
+// included.
 func TestLayoutDenseDrainBitIdentity(t *testing.T) {
 	db, plan, path := layoutFixture(t)
 	if err := db.SaveLayout(path, LayoutOptions{BlockSize: 64}); err != nil {
@@ -171,8 +173,8 @@ func TestLayoutDenseDrainBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = ldb.Close() }()
-	if stats, _ := ldb.LayoutStats(); !stats.Dense {
-		t.Fatal("the fixture is dense enough for the dense shape")
+	if stats, _ := ldb.LayoutStats(); stats.Shape != "rank" {
+		t.Fatal("the fixture is dense enough for rank words")
 	}
 	mass, err := ldb.CoefficientMass()
 	if err != nil {
@@ -214,8 +216,8 @@ func TestLayoutReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = ldb.Close() }()
-	if stats, _ := ldb.LayoutStats(); !stats.Dense {
-		t.Fatal("the fixture is dense enough for the dense shape")
+	if stats, _ := ldb.LayoutStats(); stats.Shape != "rank" {
+		t.Fatal("the fixture is dense enough for rank words")
 	}
 	if err := ldb.Insert([]int{1, 1, 1}); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("Insert on layout db = %v, want read-only error", err)
@@ -256,21 +258,16 @@ func TestLayoutDegradedRun(t *testing.T) {
 		if err := db.SaveLayout(path, LayoutOptions{BlockSize: 16}); err != nil {
 			t.Fatal(err)
 		}
-		// Corrupt a block the plan reads: the last one of the array, the
-		// first of the sparse file (it holds the smallest keys, the
-		// coarsest coefficients every query reads).
+		// Corrupt a block the plan reads: the first, which holds the
+		// smallest keys, the coarsest coefficients every query reads.
 		ls, err := layout.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ls.Dense() != dense || ls.Blocks() == 0 {
-			t.Fatalf("fixture is dense %v with %d blocks, want dense %v", ls.Dense(), ls.Blocks(), dense)
+		if want := map[bool]string{true: "rank", false: "directory"}[dense]; ls.Shape() != want || ls.Blocks() == 0 {
+			t.Fatalf("fixture is in the %s shape with %d blocks, want %s", ls.Shape(), ls.Blocks(), want)
 		}
-		victim := 0
-		if dense {
-			victim = ls.Blocks() - 1
-		}
-		ref := ls.BlockExtent(victim)
+		ref := ls.BlockExtent(0)
 		if err := ls.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ func TestBuiltMassIsRepresentationIndependent(t *testing.T) {
 	}
 }
 
-// TestLoadPublishesNothingFromABadStream: a dense file's coefficients reach
+// TestLoadPublishesNothingFromABadStream: a file's coefficients reach
 // the store block by block, before a later block's checksum can be checked,
 // so the loaders must hand back nothing when any of it — a block, a
 // checksum, a key index section, the file's length — is

@@ -153,7 +153,7 @@ func TestDamagedMappingUnderMVCC(t *testing.T) {
 		// The damage sits in a block the plan reads and a tuple's write can
 		// miss: the one holding the largest stored key the plan reads (a
 		// fine detail, where every write touches the coarse coefficients of
-		// the first) — in a dense file the last.
+		// the first).
 		ls, err := layout.Open(path)
 		if err != nil {
 			t.Fatal(err)

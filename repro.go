@@ -293,7 +293,8 @@ func (db *Database) Windows() [][2]float64 { return db.windows }
 
 // Save writes the database (schema, filter identity, transformed
 // coefficients) to w as the .wvls file SaveLayout writes with default
-// options: dense when at least half the cells are nonzero, otherwise sparse.
+// options: the nonzero values behind rank words from about 15 % of the
+// cells nonzero up, behind a key directory below that.
 // The file can be mapped with OpenLayout or read into memory with
 // LoadDatabase. An MVCC database writes one pinned version.
 func (db *Database) Save(w io.Writer) error {

@@ -241,7 +241,7 @@ func settledRSS() int64 {
 // LoadDatabase chose — for one plan's whole retrieval schedule per call (a
 // different plan each call), and for 16 Ki uniformly random keys per call;
 // the mapped rows ask OpenLayout's view of the same file the same, so the
-// sparse file's key-index search has a row beside the dense file's load.
+// directory file's key search has a row beside the rank files' lookup.
 func BenchmarkStoreBatchGet(b *testing.B) {
 	for _, c := range storeBenchCases {
 		b.Run(c.name, func(b *testing.B) {

@@ -53,8 +53,8 @@ func sameBits(t *testing.T, what string, got, want trajectory) {
 // the mapping or of the load behind a coordinator — serves the database that
 // wrote it: every prefix of a drain of one plan has the same estimates and
 // per-query bounds, to the bit, and CoefficientMass is the same float64. The
-// inputs are a dense transform, a transform under 7/32 of its cells (a
-// sparse file and a table in memory) and a snapshot of an MVCC database
+// inputs are a dense transform (a rank file), a transform of few cells (a
+// key directory and a table in memory) and a snapshot of an MVCC database
 // after writes. An
 // MVCC database carries its mass as bookkeeping rather than the ascending
 // sum a file holds, so its drains are compared under the file's mass.
@@ -75,10 +75,10 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		db    func(t *testing.T) *Database
-		dense bool
+		shape string
 	}{
-		{"dense", func(t *testing.T) *Database { return build(t, 4000, Db6) }, true},
-		{"sparse", func(t *testing.T) *Database { return build(t, 1, Db4) }, false},
+		{"dense", func(t *testing.T) *Database { return build(t, 4000, Db6) }, "rank"},
+		{"sparse", func(t *testing.T) *Database { return build(t, 1, Db4) }, "directory"},
 		{"mvcc snapshot", func(t *testing.T) *Database {
 			db := build(t, 4000, Db6)
 			if err := db.EnableMVCC(MVCCConfig{DisableAutoCompact: true}); err != nil {
@@ -92,7 +92,7 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			return db
-		}, true},
+		}, "rank"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := c.db(t)
@@ -122,8 +122,8 @@ func TestViewFileOpenFormsAreBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = mapped.Close() })
-			if st, _ := mapped.LayoutStats(); st.Dense != c.dense {
-				t.Fatalf("file is dense=%v, want dense=%v", st.Dense, c.dense)
+			if st, _ := mapped.LayoutStats(); st.Shape != c.shape {
+				t.Fatalf("file is in the %s shape, want %s", st.Shape, c.shape)
 			}
 			loaded, err := LoadDatabase(bytes.NewReader(file.Bytes()))
 			if err != nil {
